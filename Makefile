@@ -8,8 +8,7 @@ HOTBENCH = BenchmarkDNSMessagePack|BenchmarkDNSMessageUnpack|BenchmarkMappingMap
 SIMBENCH = BenchmarkWorldGenerate|BenchmarkRolloutTimeline|BenchmarkFig25Sweep
 
 # Control-plane/data-plane benchmarks: snapshot publish latency and serving
-# under map churn, snapshot-swap vs the old generation-invalidation design
-# (see DESIGN.md "Control plane / data plane"; numbers in BENCH_map.json).
+# under map churn (see DESIGN.md "Control plane / data plane"; numbers in BENCH_map.json).
 SNAPBENCH = BenchmarkSnapshotSwap|BenchmarkServingUnderMapChurn
 
 # Sharded serving-plane sweep: SO_REUSEPORT shards x recvmmsg batch size
@@ -32,7 +31,7 @@ WIREBENCH = BenchmarkSnapshotWire
 # BENCH_load.json).
 LOADBENCH = BenchmarkLoadRepublish
 
-.PHONY: all check vet build test race chaos load-chaos dist-chaos obs crossbuild scale-smoke ecsgrid-smoke bench bench-hot bench-sim bench-snapshot bench-qps bench-scale bench-wire bench-load bench-figures
+.PHONY: all check vet build test race chaos load-chaos dist-chaos obs crossbuild scale-smoke ecsgrid-smoke bench-smoke bench-e2e bench bench-hot bench-sim bench-snapshot bench-qps bench-scale bench-wire bench-load bench-figures
 
 all: check
 
@@ -40,8 +39,9 @@ all: check
 # the chaos harness (faultnet integration tests, also under -race), the
 # distribution-plane partition/heal drill, then the observability smoke
 # test against a live in-process stack, then cross-compiles of the
-# non-linux / non-amd64 fallback paths.
-check: vet build race chaos load-chaos dist-chaos obs scale-smoke ecsgrid-smoke crossbuild
+# non-linux / non-amd64 fallback paths, then the benchmark module's own
+# vet and short tests.
+check: vet build race chaos load-chaos dist-chaos obs scale-smoke ecsgrid-smoke crossbuild bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -99,6 +99,19 @@ scale-smoke:
 # era model").
 ecsgrid-smoke:
 	$(GO) test -race -v -run 'TestECSGrid|TestAmpGrid|TestGridWorkerCountInvariant' ./internal/experiments/
+
+# The benchmark is its own module (bench/go.mod), outside the root ./...:
+# it reaches the product only through the symbols bench/internal/layers/
+# api.go lists, so a rename there breaks nothing else. Vet it and run its
+# short tests (which start a real eumdns replica) on every check.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# One end-to-end benchmark run as the driver makes it: make bench-e2e
+# W=cold_wide (see bench/README.md; twenty seconds of load, about a minute).
+W ?= hot_zipf
+bench-e2e:
+	bash bench/run.sh --workload $(W) --seed 1 --seconds 20 --trace 0
 
 # Hot-path benchmarks with allocation counts. TestServeDNSAllocGuard runs
 # first: it fails the target if ServeDNS (telemetry armed) exceeds the

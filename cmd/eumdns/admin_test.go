@@ -92,9 +92,9 @@ func TestObsSmoke(t *testing.T) {
 	// package, with live values behind them.
 	body := get(t, admin.URL+"/metrics", http.StatusOK)
 	for _, want := range []string{
-		"dnsserver_queries_total",           // internal/dnsserver
-		"dnsserver_serve_latency_seconds",   // hot-path histogram
-		"authority_queries_total",           // internal/authority
+		"dnsserver_queries_total",         // internal/dnsserver
+		"dnsserver_serve_latency_seconds", // hot-path histogram
+		"authority_queries_total",         // internal/authority
 		"authority_decision_latency_seconds",
 		"authority_map_epoch",
 		"mapmaker_published_total", // internal/mapmaker
@@ -189,29 +189,52 @@ func TestAdminDistRoles(t *testing.T) {
 		t.Fatalf("published image header %+v, err=%v", h, err)
 	}
 
-	// A replica synced off that publisher reports the distribution state.
-	repSys := mapping.NewSystem(w, platform, netmodel.NewDefault(), mapCfg)
-	repSys.BootstrapReplica()
+	// A replica builds nothing, and until its first install it is not
+	// fresh, however young: epoch 0 is the fallback rung, with the
+	// staleness watchdog armed at its production default and the boot map
+	// a few milliseconds old.
+	repSys := mapping.NewReplica(w, platform, netmodel.NewDefault(), mapCfg)
 	fetcher, err := mapdist.NewFetcher(repSys, platform, mapdist.FetcherConfig{
 		Source: strings.TrimPrefix(pubAdmin.URL, "http://"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fetcher.FetchOnce(context.Background()); err != nil {
+	repAuth, err := authority.New("cdn.example.net", repSys)
+	if err != nil {
 		t.Fatal(err)
 	}
+	repAuth.SetDegradeConfig(config.Default().DegradeConfig())
+	repReg := telemetry.NewRegistry()
+	repAuth.RegisterMetrics(repReg)
 	repAdmin := httptest.NewServer(newAdminMux(adminState{
-		reg: telemetry.NewRegistry(), system: repSys,
+		reg: repReg, system: repSys, auth: repAuth,
 		fetcher: fetcher, mode: config.ModeReplica, blocks: 400,
 	}))
 	defer repAdmin.Close()
+	if body := get(t, repAdmin.URL+"/healthz", http.StatusServiceUnavailable); !strings.Contains(body, "degrade=fallback map_epoch=0") {
+		t.Errorf("never-synced replica /healthz = %q", body)
+	}
+	if body := get(t, repAdmin.URL+"/metrics", http.StatusOK); !strings.Contains(body, "authority_degrade_level 2") {
+		t.Error("never-synced replica /metrics does not report degrade level 2 (fallback)")
+	}
+
+	if err := fetcher.FetchOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if body := get(t, repAdmin.URL+"/healthz", http.StatusOK); !strings.Contains(body, "degrade=fresh") {
+		t.Errorf("synced replica /healthz = %q", body)
+	}
 
 	var mapz struct {
 		Epoch          uint64 `json:"epoch"`
 		Mode           string `json:"mode"`
 		PublishedTotal uint64 `json:"published_total"`
-		Sync           *struct {
+		Build          struct {
+			FullBuilds        uint64 `json:"full_builds"`
+			IncrementalBuilds uint64 `json:"incremental_builds"`
+		} `json:"build"`
+		Sync *struct {
 			Source         string `json:"source"`
 			InstalledEpoch uint64 `json:"installed_epoch"`
 			EpochLag       uint64 `json:"epoch_lag"`
@@ -221,7 +244,8 @@ func TestAdminDistRoles(t *testing.T) {
 	if err := json.Unmarshal([]byte(get(t, repAdmin.URL+"/mapz", http.StatusOK)), &mapz); err != nil {
 		t.Fatal(err)
 	}
-	if mapz.Mode != config.ModeReplica || mapz.PublishedTotal != 0 {
+	if mapz.Mode != config.ModeReplica || mapz.PublishedTotal != 0 ||
+		mapz.Build.FullBuilds != 0 || mapz.Build.IncrementalBuilds != 0 {
 		t.Errorf("replica /mapz = %+v", mapz)
 	}
 	if s := mapz.Sync; s == nil {
@@ -265,6 +289,16 @@ func TestHealthzDegraded(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "degrade=fallback") {
 		t.Errorf("degraded /healthz body = %q", rec.Body.String())
+	}
+
+	// Falling back to replica state discards the map: epoch 0 reads
+	// fallback even on an authority whose watchdog is not armed.
+	system.BootstrapReplica()
+	a.SetDegradeConfig(authority.DegradeConfig{})
+	rec = httptest.NewRecorder()
+	st.healthz(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "degrade=fallback map_epoch=0") {
+		t.Errorf("epoch-0 /healthz = %d %q, want 503 fallback", rec.Code, rec.Body.String())
 	}
 }
 

@@ -152,19 +152,26 @@ func main() {
 		Seed: cfg.Platform.Seed, NumDeployments: cfg.Platform.Deployments,
 		ServersPerDeployment: cfg.Platform.ServersPer,
 	})
-	system := mapping.NewSystem(w, platform, netmodel.NewDefault(), mapping.Config{
+	mcfg := mapping.Config{
 		Policy:         policy,
 		PingTargets:    cfg.World.Blocks / 10,
 		PartitionMiles: cfg.PartitionMiles,
 		BalanceFactor:  cfg.BalanceFactor,
-	})
+	}
 
-	// Control plane. Standalone and publisher nodes run a background
-	// MapMaker republishing the map on a cadence (and on change-feed
-	// signals); a publisher additionally encodes each published snapshot
-	// for replicas. A replica builds nothing: it rewinds to epoch 0 and
-	// installs whatever the MapMaker node ships. Either way the serving
-	// path below only ever reads the currently installed snapshot.
+	// Control plane. Standalone and publisher nodes build the first map
+	// here and run a background MapMaker republishing it on a cadence (and
+	// on change-feed signals); a publisher additionally encodes each
+	// published snapshot for replicas. A replica builds nothing: it boots
+	// at epoch 0 on the two fallback tables and installs whatever the
+	// MapMaker node ships. Either way the serving path below only ever
+	// reads the currently installed snapshot.
+	var system *mapping.System
+	if mode == config.ModeReplica {
+		system = mapping.NewReplica(w, platform, netmodel.NewDefault(), mcfg)
+	} else {
+		system = mapping.NewSystem(w, platform, netmodel.NewDefault(), mcfg)
+	}
 	ctx, stopControl := context.WithCancel(context.Background())
 	defer stopControl()
 	var (
@@ -174,7 +181,6 @@ func main() {
 		fetcher *mapdist.Fetcher
 	)
 	if mode == config.ModeReplica {
-		system.BootstrapReplica()
 		fetcher, err = mapdist.NewFetcher(system, platform, mapdist.FetcherConfig{
 			Source:   cfg.MapMakerAddr,
 			Interval: cfg.FetchInterval(),

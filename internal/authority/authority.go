@@ -225,27 +225,33 @@ func (a *Authority) SetAnswerDemand(d float64) { a.answerDemand = d }
 func (a *Authority) SetEpochDebug(on bool) { a.epochDebug = on }
 
 // Degradation reports the ladder rung the authority is currently serving
-// at, for observability. DegradeFresh when the watchdog is disabled.
+// at, for observability.
 func (a *Authority) Degradation() DegradeLevel {
-	if a.degrade.StaleAfter <= 0 {
-		return DegradeFresh
-	}
-	return a.levelAt(a.nowNanos())
+	return a.levelOf(a.system.Current(), a.nowNanos())
 }
 
-// levelAt maps the age of the last successful snapshot publish to a
-// ladder rung. Callers have checked that the watchdog is armed.
-func (a *Authority) levelAt(now int64) DegradeLevel {
-	age := time.Duration(now - a.system.PublishedAtNanos())
-	switch {
-	case age > a.degrade.ServfailAfter:
-		return DegradeServfail
-	case age > a.degrade.FallbackAfter:
-		return DegradeFallback
-	case age > a.degrade.StaleAfter:
-		return DegradeStale
+// levelOf picks the ladder rung for answers from snap at time now. With
+// the watchdog armed, the age of the last successful snapshot publish
+// decides. Armed or not, epoch 0 is at least the fallback rung: no builder
+// emits it — it is the boot map of a replica that has not yet reached its
+// publisher, and holds nothing but the fallback tables.
+func (a *Authority) levelOf(snap *mapping.Snapshot, now int64) DegradeLevel {
+	level := DegradeFresh
+	if a.degrade.StaleAfter > 0 {
+		age := time.Duration(now - a.system.PublishedAtNanos())
+		switch {
+		case age > a.degrade.ServfailAfter:
+			level = DegradeServfail
+		case age > a.degrade.FallbackAfter:
+			level = DegradeFallback
+		case age > a.degrade.StaleAfter:
+			level = DegradeStale
+		}
 	}
-	return DegradeFresh
+	if snap.Epoch() == 0 && level < DegradeFallback {
+		level = DegradeFallback
+	}
+	return level
 }
 
 // Zone returns the served zone.
@@ -368,8 +374,10 @@ func (a *Authority) serveMapping(shard int, remote netip.AddrPort, query *dnsmsg
 	ttl := uint32(decision.TTL.Seconds())
 	if level >= DegradeStale {
 		// Serve-stale posture (RFC 8767-style): the answer may rest on old
-		// measurements, so clamp its lifetime in downstream caches.
-		if clamp := uint32(a.degrade.StaleTTL.Seconds()); ttl > clamp {
+		// measurements, so clamp its lifetime in downstream caches (the
+		// clamp is unset when only the epoch-0 rule degraded an unarmed
+		// authority).
+		if clamp := uint32(a.degrade.StaleTTL.Seconds()); clamp > 0 && ttl > clamp {
 			ttl = clamp
 		}
 	}
@@ -412,11 +420,12 @@ func (a *Authority) serveMapping(shard int, remote netip.AddrPort, query *dnsmsg
 // degradation rung first: stale maps still serve (the caller clamps the
 // TTL), fallback-age maps answer from the generic fallback tables
 // bypassing the cache, and beyond ServfailAfter the decision is refused.
-// None of this adds allocations or locks — one atomic load and a few
-// comparisons on the armed path, a single branch when disarmed.
+// Armed or not, an epoch-0 map (a replica's boot map) answers at the
+// fallback rung or worse. None of this adds allocations or locks — one
+// atomic load and a few comparisons on the armed path, two branches when
+// disarmed.
 func (a *Authority) decide(shard int, req mapping.Request) (*mapping.Response, DegradeLevel, error) {
 	snap := a.system.Current()
-	level := DegradeFresh
 	var cache *answerCache
 	if len(a.caches) > 0 {
 		if shard < 0 || shard >= len(a.caches) {
@@ -428,21 +437,20 @@ func (a *Authority) decide(shard int, req mapping.Request) (*mapping.Response, D
 	if cache != nil || a.degrade.StaleAfter > 0 {
 		now = a.nowNanos()
 	}
-	if a.degrade.StaleAfter > 0 {
-		switch level = a.levelAt(now); {
-		case level >= DegradeServfail:
-			a.DegradeServfails.Add(1)
-			return nil, level, errStaleMap
-		case level >= DegradeFallback:
-			// Generic geography-anchored answer; bypass the answer cache so
-			// degraded decisions never outlive recovery.
-			a.FallbackAnswers.Add(1)
-			req.Degraded = true
-			decision, err := a.system.MapAt(snap, req)
-			return decision, level, err
-		case level == DegradeStale:
-			a.StaleAnswers.Add(1)
-		}
+	level := a.levelOf(snap, now)
+	switch {
+	case level >= DegradeServfail:
+		a.DegradeServfails.Add(1)
+		return nil, level, errStaleMap
+	case level >= DegradeFallback:
+		// Generic geography-anchored answer; bypass the answer cache so
+		// degraded decisions never outlive recovery.
+		a.FallbackAnswers.Add(1)
+		req.Degraded = true
+		decision, err := a.system.MapAt(snap, req)
+		return decision, level, err
+	case level == DegradeStale:
+		a.StaleAnswers.Add(1)
 	}
 	if cache == nil {
 		decision, err := a.system.MapAt(snap, req)

@@ -149,12 +149,7 @@ func evalPolicy(lab *Lab, snap *mapping.Snapshot, blocks []*world.ClientBlock, p
 			}
 			var dep *cdn.Deployment
 			if pol == mapping.ClientAwareNS {
-				for _, r := range snap.CANSCandidates(id) {
-					if r.Deployment.Alive() {
-						dep = r.Deployment
-						break
-					}
-				}
+				dep, _ = snap.FirstLive(snap.CANSCandidates(id))
 			} else {
 				dep, _ = snap.Best(id, false)
 			}

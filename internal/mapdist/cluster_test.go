@@ -101,8 +101,7 @@ func TestDistClusterPartitionHeal(t *testing.T) {
 
 	replicas := make([]*distReplica, 3)
 	for i := range replicas {
-		sys := mapping.NewSystem(w, p, netmodel.NewDefault(), distCfg)
-		sys.BootstrapReplica()
+		sys := mapping.NewReplica(w, p, netmodel.NewDefault(), distCfg)
 		auth, err := authority.New("cdn.example.net", sys)
 		if err != nil {
 			t.Fatal(err)
@@ -113,6 +112,15 @@ func TestDistClusterPartitionHeal(t *testing.T) {
 			ServfailAfter: time.Hour,
 			StaleTTL:      time.Second,
 		})
+		// Boot: nothing built, and nothing fresh to serve until the first
+		// install — a replica that has never reached its publisher sits on
+		// the fallback rung from its first millisecond.
+		if full, inc, ranked := sys.Builder().BuildStats(); full+inc+ranked != 0 {
+			t.Fatalf("replica %d built at boot: %d full, %d incremental, %d tables", i, full, inc, ranked)
+		}
+		if lvl := auth.Degradation(); sys.Current().Epoch() != 0 || lvl != authority.DegradeFallback {
+			t.Fatalf("replica %d boots at epoch %d, %v; want epoch 0, fallback", i, sys.Current().Epoch(), lvl)
+		}
 		fetcher, err := NewFetcher(sys, p, FetcherConfig{
 			Source:   ln.Addr().String(),
 			Interval: fetchEvery,

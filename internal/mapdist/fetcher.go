@@ -70,9 +70,9 @@ type Fetcher struct {
 }
 
 // NewFetcher builds a fetcher feeding sys from the publisher at
-// cfg.Source, decoding against the given platform. Call
-// System.BootstrapReplica before the first fetch so the publisher's
-// epochs always win the install comparison.
+// cfg.Source, decoding against the given platform. sys must be in replica
+// state (mapping.NewReplica, or System.BootstrapReplica) before the first
+// fetch, so the publisher's epochs always win the install comparison.
 func NewFetcher(sys *mapping.System, platform *cdn.Platform, cfg FetcherConfig) (*Fetcher, error) {
 	if cfg.Source == "" {
 		return nil, errors.New("mapdist: fetcher needs a source address")
@@ -164,11 +164,12 @@ func (f *Fetcher) fetch(ctx context.Context) error {
 		return fmt.Errorf("mapdist: publisher answered %s: %s", resp.Status, body)
 	}
 
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
+	// Decode straight off the body: rank tables land in the memory they
+	// will be served from, and the image itself is never held.
+	if resp.ContentLength < 0 {
+		return errors.New("mapdist: publisher sent an image of unknown length")
 	}
-	sn, err := f.codec.Decode(data, cur)
+	sn, hdr, err := f.codec.DecodeFrom(resp.Body, resp.ContentLength, cur)
 	if err != nil {
 		if errors.Is(err, mapwire.ErrDeltaBase) {
 			// The install raced a local change (or the publisher served a
@@ -177,13 +178,12 @@ func (f *Fetcher) fetch(ctx context.Context) error {
 		}
 		return err
 	}
-	hdr, _ := mapwire.ParseHeader(data)
 	if hdr.Kind == mapwire.KindDelta {
 		f.deltaImages.Add(1)
-		f.deltaBytes.Add(uint64(len(data)))
+		f.deltaBytes.Add(uint64(resp.ContentLength))
 	} else {
 		f.fullImages.Add(1)
-		f.fullBytes.Add(uint64(len(data)))
+		f.fullBytes.Add(uint64(resp.ContentLength))
 	}
 	f.forceFull.Store(false)
 	// Install is the same atomic swap a local build uses; an older image

@@ -59,8 +59,7 @@ func dirtyOne(t *testing.T, sys *mapping.System, prober *shiftNet, pub *Publishe
 func newReplica(t *testing.T, srvURL string) (*mapping.System, *Fetcher) {
 	t.Helper()
 	w, p := distFixture()
-	sys := mapping.NewSystem(w, p, netmodel.NewDefault(), distCfg)
-	sys.BootstrapReplica()
+	sys := mapping.NewReplica(w, p, netmodel.NewDefault(), distCfg)
 	f, err := NewFetcher(sys, p, FetcherConfig{Source: strings.TrimPrefix(srvURL, "http://")})
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +179,7 @@ func TestFetcherRejectsForeignPlatform(t *testing.T) {
 	defer srv.Close()
 
 	otherP := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 77, NumDeployments: 60, ServersPerDeployment: 4})
-	repSys := mapping.NewSystem(w, otherP, netmodel.NewDefault(), distCfg)
-	repSys.BootstrapReplica()
+	repSys := mapping.NewReplica(w, otherP, netmodel.NewDefault(), distCfg)
 	fetcher, err := NewFetcher(repSys, otherP, FetcherConfig{Source: strings.TrimPrefix(srv.URL, "http://")})
 	if err != nil {
 		t.Fatal(err)

@@ -102,9 +102,9 @@ func TestIncrementalBuildOneTarget(t *testing.T) {
 			t.Fatalf("%s %d: %d ranked vs cold %d", what, id, len(got), len(want))
 		}
 		for j := range got {
-			if got[j].Deployment != want[j].Deployment || got[j].Score != want[j].Score {
-				t.Fatalf("%s %d rank %d: incremental %s/%v, cold %s/%v", what, id, j,
-					got[j].Deployment.Name, got[j].Score, want[j].Deployment.Name, want[j].Score)
+			if got[j] != want[j] {
+				t.Fatalf("%s %d rank %d: incremental deployment %d/%v, cold %d/%v", what, id, j,
+					got[j].Dep, got[j].Score(), want[j].Dep, want[j].Score())
 			}
 		}
 	}

@@ -173,7 +173,7 @@ func TestReasonLoadFlowsThroughFeed(t *testing.T) {
 
 	blk := testW.Blocks[0].Endpoint().ID
 	sn0 := mm.Publish()
-	hot := sn0.RankOf(blk, true)[0].Deployment
+	hot := p.Deployments[sn0.RankOf(blk, true)[0].Dep]
 
 	// Drive the hot deployment into overload through the monitor.
 	for i := 0; i < 5; i++ {
@@ -187,13 +187,13 @@ func TestReasonLoadFlowsThroughFeed(t *testing.T) {
 		t.Fatal("ReasonLoad did not republish")
 	}
 	r1 := sn1.RankOf(blk, true)
-	if r1[0].Deployment == hot {
+	if p.Deployments[r1[0].Dep] == hot {
 		// Spill is geometry-dependent; at β=4 and util 2 (factor 17) the
 		// nearest alternative should win for the probe block. If not, the
 		// table must at least have changed somewhere.
 		changed := false
 		for j := range r1 {
-			if r1[j].Deployment != sn0.RankOf(blk, true)[j].Deployment {
+			if r1[j].Dep != sn0.RankOf(blk, true)[j].Dep {
 				changed = true
 				break
 			}
@@ -212,7 +212,7 @@ func TestReasonLoadFlowsThroughFeed(t *testing.T) {
 	sn2 := mm.Sync()
 	r0, r2 := sn0.RankOf(blk, true), sn2.RankOf(blk, true)
 	for j := range r0 {
-		if r0[j].Deployment != r2[j].Deployment || r0[j].Score != r2[j].Score {
+		if r0[j] != r2[j] {
 			t.Fatalf("rank %d did not reconverge after recovery", j)
 		}
 	}

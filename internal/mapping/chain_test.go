@@ -53,7 +53,7 @@ func TestArenaChainCompaction(t *testing.T) {
 		b.MarkMeasurementsDirty(id)
 		sn = b.Build(epoch, EndUser)
 		epoch++
-		if n := len(sn.arenas); n > maxArenaChain {
+		if n := sn.ArenaChainLen(); n > maxArenaChain {
 			t.Fatalf("build %d: arena chain grew to %d (cap %d)", i, n, maxArenaChain)
 		} else if n == 1 && i > 0 {
 			compacted = true
@@ -66,7 +66,7 @@ func TestArenaChainCompaction(t *testing.T) {
 	// Phase 2: broad refreshes (every known target at once). The size
 	// trigger must compact long before the length cap: accumulated deltas
 	// never outweigh the base, so resident overhead stays under 2x.
-	base := len(sn.arenas[0])
+	base := sn.Tables() * len(testP.Deployments)
 	for i := 0; i < 12; i++ {
 		for _, id := range targets {
 			prober.shift[id] += 1
@@ -74,11 +74,7 @@ func TestArenaChainCompaction(t *testing.T) {
 		b.MarkMeasurementsDirty(targets...)
 		sn = b.Build(epoch, EndUser)
 		epoch++
-		var delta int
-		for _, a := range sn.arenas[1:] {
-			delta += len(a)
-		}
-		if delta > base {
+		if delta := sn.deltaEntries; delta > base {
 			t.Fatalf("broad build %d: %d delta entries outweigh the %d-entry base", i, delta, base)
 		}
 	}
@@ -96,7 +92,7 @@ func TestArenaChainCompaction(t *testing.T) {
 		for j := range got {
 			if got[j] != want[j] {
 				t.Fatalf("%s %d rank %d: %s/%v, cold %s/%v", what, id, j,
-					got[j].Deployment.Name, got[j].Score, want[j].Deployment.Name, want[j].Score)
+					depOf(got[j]).Name, got[j].Score(), depOf(want[j]).Name, want[j].Score())
 			}
 		}
 	}

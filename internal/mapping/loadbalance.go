@@ -62,23 +62,24 @@ func (lb *LoadBalancer) Prepare(p *cdn.Platform) {
 	lb.prepared.Store(&prepared)
 }
 
-// PickDeployment walks candidates (ordered best-first) and returns the
-// first live deployment that can absorb demand more load. Deployments at
-// or over capacity are skipped unless every candidate is saturated, in
-// which case the least-utilised live candidate is returned (serving
-// degraded beats not serving, and spreading the overload across the
-// candidate set beats piling it all on the nearest cluster). Utilisation
-// ties keep the best-scored candidate.
-func (lb *LoadBalancer) PickDeployment(candidates []Ranked, demand float64) (*cdn.Deployment, error) {
+// PickDeployment walks candidates (ordered best-first; each names its
+// deployment by index into deps, the platform's deployment list) and
+// returns the first live deployment that can absorb demand more load.
+// Deployments at or over capacity are skipped unless every candidate is
+// saturated, in which case the least-utilised live candidate is returned
+// (serving degraded beats not serving, and spreading the overload across
+// the candidate set beats piling it all on the nearest cluster).
+// Utilisation ties keep the best-scored candidate.
+func (lb *LoadBalancer) PickDeployment(deps []*cdn.Deployment, candidates []Ranked, demand float64) (*cdn.Deployment, error) {
 	if lb.LoadPenalty > 0 {
-		if d := lb.pickLoadAware(candidates, demand); d != nil {
+		if d := lb.pickLoadAware(deps, candidates, demand); d != nil {
 			return d, nil
 		}
 	}
 	var coolest *cdn.Deployment
 	coolestUtil := 0.0
 	for _, c := range candidates {
-		d := c.Deployment
+		d := deps[c.Dep]
 		if !d.Alive() {
 			continue
 		}
@@ -102,12 +103,12 @@ const loadAwareWindow = 8
 // pickLoadAware re-ranks the best few live, unsaturated candidates by
 // load-penalised score. Returns nil when none qualify (caller falls back
 // to the hard-spill path).
-func (lb *LoadBalancer) pickLoadAware(candidates []Ranked, demand float64) *cdn.Deployment {
+func (lb *LoadBalancer) pickLoadAware(deps []*cdn.Deployment, candidates []Ranked, demand float64) *cdn.Deployment {
 	var best *cdn.Deployment
 	bestEff := 0.0
 	seen := 0
 	for _, c := range candidates {
-		d := c.Deployment
+		d := deps[c.Dep]
 		if !d.Alive() {
 			continue
 		}
@@ -119,7 +120,7 @@ func (lb *LoadBalancer) pickLoadAware(candidates []Ranked, demand float64) *cdn.
 			continue
 		}
 		util := d.Load() / cap
-		eff := c.Score * (1 + lb.LoadPenalty*util*util)
+		eff := c.Score() * (1 + lb.LoadPenalty*util*util)
 		if best == nil || eff < bestEff {
 			best, bestEff = d, eff
 		}

@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"eum/internal/cdn"
@@ -27,7 +28,7 @@ func TestPickDeploymentSkipsDead(t *testing.T) {
 	for _, s := range d1.Servers {
 		s.SetAlive(false)
 	}
-	got, err := lb.PickDeployment([]Ranked{{Deployment: d1}, {Deployment: d2}}, 0)
+	got, err := lb.PickDeployment([]*cdn.Deployment{d1, d2}, []Ranked{{Dep: 0}, {Dep: 1}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestPickDeploymentSpillsOnCapacity(t *testing.T) {
 	for _, s := range d1.Servers {
 		s.AddLoad(s.Capacity())
 	}
-	got, err := lb.PickDeployment([]Ranked{{Deployment: d1}, {Deployment: d2}}, 0.5)
+	got, err := lb.PickDeployment([]*cdn.Deployment{d1, d2}, []Ranked{{Dep: 0}, {Dep: 1}}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestPickDeploymentDegradedWhenAllSaturated(t *testing.T) {
 			s.AddLoad(s.Capacity() * 3)
 		}
 	}
-	got, err := lb.PickDeployment([]Ranked{{Deployment: d1}, {Deployment: d2}}, 1)
+	got, err := lb.PickDeployment([]*cdn.Deployment{d1, d2}, []Ranked{{Dep: 0}, {Dep: 1}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +77,10 @@ func TestPickDeploymentAllDead(t *testing.T) {
 	for _, s := range d.Servers {
 		s.SetAlive(false)
 	}
-	if _, err := lb.PickDeployment([]Ranked{{Deployment: d}}, 0); err == nil {
+	if _, err := lb.PickDeployment([]*cdn.Deployment{d}, []Ranked{{Dep: 0}}, 0); err == nil {
 		t.Error("no-live-deployment case did not error")
 	}
-	if _, err := lb.PickDeployment(nil, 0); err == nil {
+	if _, err := lb.PickDeployment(nil, nil, 0); err == nil {
 		t.Error("empty candidates did not error")
 	}
 }
@@ -244,12 +245,12 @@ func TestScorerBestMatchesRankHead(t *testing.T) {
 	if best == nil {
 		t.Fatal("no best deployment")
 	}
-	if rank[0].Deployment != best || rank[0].Score != score {
+	if depOf(rank[0]) != best || rank[0].Score() != score {
 		t.Errorf("Rank head %v/%.2f != Best %v/%.2f",
-			rank[0].Deployment.Name, rank[0].Score, best.Name, score)
+			depOf(rank[0]).Name, rank[0].Score(), best.Name, score)
 	}
 	for i := 1; i < len(rank); i++ {
-		if rank[i].Score < rank[i-1].Score {
+		if rank[i].Score() < rank[i-1].Score() {
 			t.Fatal("Rank not sorted")
 		}
 	}
@@ -257,17 +258,17 @@ func TestScorerBestMatchesRankHead(t *testing.T) {
 
 func TestScorerClusteringConsistent(t *testing.T) {
 	// With clustering, two very close endpoints share a ping target and
-	// hence the exact same ranking slice.
+	// hence the exact same ranking.
 	sc := NewScorer(testW, testP, testNet, 200)
 	b := testW.Blocks[3]
 	ep1 := b.Endpoint()
 	ep2 := ep1
 	ep2.ID = 999999999
 	ep2.Loc.Lat += 0.001
-	r1 := sc.Rank(ep1)
-	r2 := sc.Rank(ep2)
-	if &r1[0] != &r2[0] {
-		t.Error("nearby endpoints did not share a cached ranking")
+	t1, _ := sc.TargetFor(ep1)
+	t2, _ := sc.TargetFor(ep2)
+	if t1.ID != t2.ID || !slices.Equal(sc.Rank(ep1), sc.Rank(ep2)) {
+		t.Error("nearby endpoints did not share a ping target's ranking")
 	}
 }
 
@@ -301,10 +302,11 @@ func TestLoadAwareSheddingBeforeSaturation(t *testing.T) {
 	lb.LoadPenalty = 10
 	d1 := testDeployment(20, 4) // best score
 	d2 := testDeployment(21, 4) // slightly worse score
-	candidates := []Ranked{{Deployment: d1, Score: 10}, {Deployment: d2, Score: 11}}
+	deps := []*cdn.Deployment{d1, d2}
+	candidates := []Ranked{MakeRanked(0, 10), MakeRanked(1, 11)}
 
 	// Empty: best-scoring wins.
-	got, err := lb.PickDeployment(candidates, 0.1)
+	got, err := lb.PickDeployment(deps, candidates, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +318,7 @@ func TestLoadAwareSheddingBeforeSaturation(t *testing.T) {
 	for _, s := range d1.Servers {
 		s.AddLoad(0.9 * s.Capacity())
 	}
-	got, err = lb.PickDeployment(candidates, 0.1)
+	got, err = lb.PickDeployment(deps, candidates, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +327,7 @@ func TestLoadAwareSheddingBeforeSaturation(t *testing.T) {
 	}
 	// Without the penalty, the hard-spill path sticks with d1.
 	plain := NewLoadBalancer()
-	got, err = plain.PickDeployment(candidates, 0.1)
+	got, err = plain.PickDeployment(deps, candidates, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +343,7 @@ func TestLoadAwareFallsBackWhenAllSaturated(t *testing.T) {
 	for _, s := range d1.Servers {
 		s.AddLoad(s.Capacity() * 2)
 	}
-	got, err := lb.PickDeployment([]Ranked{{Deployment: d1, Score: 3}}, 0.5)
+	got, err := lb.PickDeployment([]*cdn.Deployment{d1}, []Ranked{MakeRanked(0, 3)}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,6 +384,7 @@ func TestPickDeploymentAllSaturatedLeastUtilised(t *testing.T) {
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			var deps []*cdn.Deployment
 			var cands []Ranked
 			for i, u := range tc.utils {
 				d := mk(uint64(ci*10+i), u)
@@ -393,19 +396,15 @@ func TestPickDeploymentAllSaturatedLeastUtilised(t *testing.T) {
 				if i == tc.brown {
 					d.SetCapacityFactor(0)
 				}
-				cands = append(cands, Ranked{Deployment: d, Score: float64(1 + i)})
+				deps = append(deps, d)
+				cands = append(cands, MakeRanked(uint32(i), float64(1+i)))
 			}
-			got, err := lb.PickDeployment(cands, tc.demand)
+			got, err := lb.PickDeployment(deps, cands, tc.demand)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != cands[tc.want].Deployment {
-				gotIdx := -1
-				for i, c := range cands {
-					if c.Deployment == got {
-						gotIdx = i
-					}
-				}
+			if got != deps[tc.want] {
+				gotIdx := slices.Index(deps, got)
 				t.Errorf("picked candidate %d (util %v), want %d (util %v)",
 					gotIdx, tc.utils[gotIdx], tc.want, tc.utils[tc.want])
 			}

@@ -1,8 +1,9 @@
 package mapping
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"eum/internal/cdn"
 )
@@ -103,52 +104,36 @@ func (b *SnapshotBuilder) captureUtilLocked() []float64 {
 	return utils
 }
 
-// loadFactorsLocked turns the captured utilization vector into the
+// loadFactors turns the captured utilization vector into the
 // per-deployment score multiplier 1 + β·u², or nil when every deployment
 // is idle (every factor 1 — the adjusted table would be byte-identical to
 // the proximity table, so the sort is skipped entirely).
-func (b *SnapshotBuilder) loadFactorsLocked(utils []float64) map[*cdn.Deployment]float64 {
-	if utils == nil {
+func (b *SnapshotBuilder) loadFactors(utils []float64) []float64 {
+	if !slices.ContainsFunc(utils, func(u float64) bool { return u > 0 }) {
 		return nil
 	}
-	any := false
-	for _, u := range utils {
-		if u > 0 {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil
-	}
-	deps := b.scorer.Platform().Deployments
-	f := make(map[*cdn.Deployment]float64, len(deps))
-	for i, d := range deps {
-		u := utils[i]
-		f[d] = 1 + b.balance*u*u
+	f := make([]float64, len(utils))
+	for i, u := range utils {
+		f[i] = 1 + b.balance*u*u
 	}
 	return f
 }
 
-// loadSegTable is segTable with the composite distance-vs-load order
-// applied: entries are reordered by Score·(1 + β·util²) — ping milliseconds
-// inflated for hot deployments, so candidate lists spill to next-nearest
-// deployments as utilization climbs. Stored scores stay the raw ping
-// milliseconds (distance truth does not change because a cluster is busy;
-// downstream consumers — CANS weighting, experiments, /mapz — read them as
-// latency). The sort is stable, so idle deployments (factor 1) keep the
-// exact proximity order and β>0 at zero load is byte-identical to β=0.
-func (b *SnapshotBuilder) loadSegTable(lay *partitionLayout, s int, factors map[*cdn.Deployment]float64) []Ranked {
-	t := b.segTable(lay, s)
+// loadOrder applies the composite distance-vs-load order to a table in
+// proximity order: entries are reordered by Score·(1 + β·util²) — ping
+// milliseconds inflated for hot deployments, so candidate lists spill to
+// next-nearest deployments as utilization climbs. Stored scores stay the
+// raw ping milliseconds (distance truth does not change because a cluster
+// is busy; downstream consumers — CANS weighting, experiments, /mapz — read
+// them as latency). The sort is stable, so idle deployments (factor 1) keep
+// the exact proximity order and β>0 at zero load is byte-identical to β=0.
+func loadOrder(t []Ranked, factors []float64) {
 	if factors == nil {
-		return t
+		return
 	}
-	adj := make([]Ranked, len(t))
-	copy(adj, t)
-	sort.SliceStable(adj, func(i, j int) bool {
-		return adj[i].Score*factors[adj[i].Deployment] < adj[j].Score*factors[adj[j].Deployment]
+	slices.SortStableFunc(t, func(x, y Ranked) int {
+		return cmp.Compare(x.Score()*factors[x.Dep], y.Score()*factors[y.Dep])
 	})
-	return adj
 }
 
 // equalFloat64s reports element-wise equality (nil equals nil).

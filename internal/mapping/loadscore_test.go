@@ -19,11 +19,11 @@ func rankTablesEqual(t *testing.T, a, b *Snapshot, wantEqual bool, what string) 
 			t.Fatalf("%s: endpoint %d table lengths %d vs %d", what, id, len(ra), len(rb))
 		}
 		for j := range ra {
-			if ra[j].Deployment != rb[j].Deployment || ra[j].Score != rb[j].Score {
+			if depOf(ra[j]) != depOf(rb[j]) || ra[j].Score() != rb[j].Score() {
 				equal = false
 				if wantEqual {
 					t.Fatalf("%s: endpoint %d rank %d: %s/%v vs %s/%v", what, id, j,
-						ra[j].Deployment.Name, ra[j].Score, rb[j].Deployment.Name, rb[j].Score)
+						depOf(ra[j]).Name, ra[j].Score(), depOf(rb[j]).Name, rb[j].Score())
 				}
 				return
 			}
@@ -58,7 +58,7 @@ func TestBalanceZeroByteIdentical(t *testing.T) {
 	rankTablesEqual(t, snA0, snB0, true, "zero-load β=2 vs β=0")
 
 	// Overload the deployment nearest to the first block: util 2.0.
-	hot := snA0.RankOf(testW.Blocks[0].Endpoint().ID, true)[0].Deployment
+	hot := depOf(snA0.RankOf(testW.Blocks[0].Endpoint().ID, true)[0])
 	hot.Servers[0].AddLoad(2 * hot.Capacity())
 
 	snA1 := base.Rebuild()
@@ -75,7 +75,7 @@ func TestBalanceZeroByteIdentical(t *testing.T) {
 	heads := func(sn *Snapshot) int {
 		n := 0
 		for _, blk := range testW.Blocks {
-			if sn.RankOf(blk.Endpoint().ID, true)[0].Deployment == hot {
+			if depOf(sn.RankOf(blk.Endpoint().ID, true)[0]) == hot {
 				n++
 			}
 		}
@@ -90,11 +90,11 @@ func TestBalanceZeroByteIdentical(t *testing.T) {
 	ra := snA1.RankOf(testW.Blocks[0].Endpoint().ID, true)
 	byDep := make(map[*cdn.Deployment]float64, len(ra))
 	for _, r := range ra {
-		byDep[r.Deployment] = r.Score
+		byDep[depOf(r)] = r.Score()
 	}
 	for _, r := range snB1.RankOf(testW.Blocks[0].Endpoint().ID, true) {
-		if want, ok := byDep[r.Deployment]; !ok || want != r.Score {
-			t.Fatalf("stored score for %s = %v, want raw ping %v", r.Deployment.Name, r.Score, want)
+		if want, ok := byDep[depOf(r)]; !ok || want != r.Score() {
+			t.Fatalf("stored score for %s = %v, want raw ping %v", depOf(r).Name, r.Score(), want)
 		}
 	}
 
@@ -122,7 +122,7 @@ func TestLoadRebuildCounters(t *testing.T) {
 	// Idle republish: vector unchanged, arenas shared wholesale.
 	sn1 := sys.Rebuild()
 	sn2 := sys.Rebuild()
-	if &sn1.arenas[0][0] != &sn2.arenas[0][0] {
+	if &sn1.segs[0][0] != &sn2.segs[0][0] {
 		t.Error("idle β>0 republish did not share the previous arena")
 	}
 	full1, inc1, _ := b.BuildStats()
@@ -134,7 +134,7 @@ func TestLoadRebuildCounters(t *testing.T) {
 	d := testP.Deployments[0]
 	d.Servers[0].AddLoad(d.Capacity() / (8 * utilQuantum))
 	sn3 := sys.Rebuild()
-	if &sn2.arenas[0][0] != &sn3.arenas[0][0] {
+	if &sn2.segs[0][0] != &sn3.segs[0][0] {
 		t.Error("sub-quantum load drift forced a re-rank")
 	}
 
@@ -179,7 +179,7 @@ func TestStaleLoadSignalFallsBackToProximity(t *testing.T) {
 	base := NewSystem(testW, testP, testNet, Config{Policy: EndUser, PingTargets: 600})
 
 	src := &staticUtil{utils: map[*cdn.Deployment]float64{}, fresh: true}
-	hot := base.Current().RankOf(testW.Blocks[0].Endpoint().ID, true)[0].Deployment
+	hot := depOf(base.Current().RankOf(testW.Blocks[0].Endpoint().ID, true)[0])
 	src.utils[hot] = 3
 
 	sys := NewSystem(testW, testP, testNet,
@@ -210,7 +210,7 @@ func TestQuantizeUtil(t *testing.T) {
 		{math.Inf(1), utilMax},
 		{100, utilMax},
 		{0.5, 0.5},
-		{1.0 / 300, 0},              // below half a quantum rounds to 0
+		{1.0 / 300, 0},               // below half a quantum rounds to 0
 		{0.7501 * 1 / 64 * 64, 0.75}, // on-grid value unchanged
 	}
 	for _, tc := range cases {

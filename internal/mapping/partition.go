@@ -28,52 +28,49 @@ type sigKey struct {
 	access   netmodel.AccessType
 }
 
-// segmentInfo describes one distinct rank table (an arena segment).
+// Segment describes one distinct rank table (an arena segment).
 // Partitions whose representatives resolve to the same scorer ping target
-// are interned onto one segment; target is the scorer target index ranked
-// into the segment, or -1 when clustering is off and rep itself is ranked.
-type segmentInfo struct {
-	target int32
-	rep    netmodel.Endpoint
+// are interned onto one segment; Target is the scorer target index ranked
+// into the segment, or -1 when clustering is off and Rep itself is ranked.
+type Segment struct {
+	Target int32
+	Rep    netmodel.Endpoint
 }
 
-// partitionLayout is the partitioner's output: the immutable shape shared
-// by every snapshot built until the endpoint universe changes. It holds the
+// Layout is the partitioner's output: the immutable shape shared by every
+// snapshot built until the endpoint universe changes. It holds the
 // block→partition index (dense array for the world's compact ID space,
 // sorted spill arrays for hashed IDs), the per-partition table headers, and
-// the interned segment list the builder ranks into the arena.
-type partitionLayout struct {
-	nParts int // universe partitions, excluding the two fallbacks
+// the interned segment list the builder ranks into the arena. The fields
+// are exported because internal/mapwire writes and reads them one for one;
+// nothing may modify a layout once a snapshot refers to it.
+type Layout struct {
+	NParts int // universe partitions, excluding the two fallbacks
 
-	// Endpoint-ID → partition. IDs below len(dense) index the dense array
+	// Endpoint-ID → partition. IDs below len(Dense) index the dense array
 	// (-1 = unknown); larger (hashed) IDs binary-search the spill arrays.
-	dense    []int32
-	spillIDs []uint64
-	spillIdx []int32
+	Dense    []int32
+	SpillIDs []uint64
+	SpillIdx []int32
 
-	// fallbackLDNS / fallbackClient are the partition indexes of the two
+	// FallbackLDNS / FallbackClient are the partition indexes of the two
 	// synthetic fallback endpoints (always the last two partitions).
-	fallbackLDNS   int32
-	fallbackClient int32
+	FallbackLDNS   int32
+	FallbackClient int32
 
-	// partSeg maps partition → arena segment (4 bytes per partition;
+	// PartSeg maps partition → arena segment (4 bytes per partition;
 	// partitions interned onto the same ping target share a segment).
-	partSeg []int32
+	PartSeg []int32
 
-	// segments are the distinct rank tables; targetSeg inverts the
-	// interning (scorer target index → segment) for incremental re-ranks.
-	segments  []segmentInfo
+	// Segments are the distinct rank tables.
+	Segments []Segment
+
+	TableLen  int // entries per table = len(platform.Deployments)
+	Endpoints int // universe endpoints indexed (dense + spill entries)
+
+	// targetSeg inverts the interning (scorer target index → segment) for
+	// incremental re-ranks; only layouts a builder made carry it.
 	targetSeg map[int32]int32
-
-	// baseSegArena/baseSegOff are the canonical segment locations for a
-	// freshly built (single-arena) snapshot: segment s lives in arena 0 at
-	// offset s*tableLen. Full builds share these slices; incremental
-	// builds copy and repoint the dirty segments at their delta arenas.
-	baseSegArena []int32
-	baseSegOff   []uint32
-
-	tableLen  int // entries per table = len(platform.Deployments)
-	endpoints int // universe endpoints indexed (dense + spill entries)
 
 	// fpOnce/fp cache the layout fingerprint the wire protocol negotiates
 	// deltas with (see Snapshot.LayoutFingerprint). Layouts are immutable
@@ -83,34 +80,32 @@ type partitionLayout struct {
 }
 
 // partitionOf resolves an endpoint ID to its partition, or -1.
-func (lay *partitionLayout) partitionOf(id uint64) int32 {
-	if id < uint64(len(lay.dense)) {
-		return lay.dense[id]
+func (lay *Layout) partitionOf(id uint64) int32 {
+	if id < uint64(len(lay.Dense)) {
+		return lay.Dense[id]
 	}
-	lo, hi := 0, len(lay.spillIDs)
+	lo, hi := 0, len(lay.SpillIDs)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if lay.spillIDs[m] < id {
+		if lay.SpillIDs[m] < id {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	if lo < len(lay.spillIDs) && lay.spillIDs[lo] == id {
-		return lay.spillIdx[lo]
+	if lo < len(lay.SpillIDs) && lay.SpillIDs[lo] == id {
+		return lay.SpillIdx[lo]
 	}
 	return -1
 }
 
 // memoryBytes is the resident size of the layout's index structures.
-func (lay *partitionLayout) memoryBytes() uint64 {
-	return uint64(len(lay.dense))*uint64(unsafe.Sizeof(int32(0))) +
-		uint64(len(lay.spillIDs))*uint64(unsafe.Sizeof(uint64(0))) +
-		uint64(len(lay.spillIdx))*uint64(unsafe.Sizeof(int32(0))) +
-		uint64(len(lay.partSeg))*uint64(unsafe.Sizeof(int32(0))) +
-		uint64(len(lay.baseSegArena))*uint64(unsafe.Sizeof(int32(0))) +
-		uint64(len(lay.baseSegOff))*uint64(unsafe.Sizeof(uint32(0))) +
-		uint64(len(lay.segments))*uint64(unsafe.Sizeof(segmentInfo{}))
+func (lay *Layout) memoryBytes() uint64 {
+	return uint64(len(lay.Dense))*uint64(unsafe.Sizeof(int32(0))) +
+		uint64(len(lay.SpillIDs))*uint64(unsafe.Sizeof(uint64(0))) +
+		uint64(len(lay.SpillIdx))*uint64(unsafe.Sizeof(int32(0))) +
+		uint64(len(lay.PartSeg))*uint64(unsafe.Sizeof(int32(0))) +
+		uint64(len(lay.Segments))*uint64(unsafe.Sizeof(Segment{}))
 }
 
 // signatureFor quantizes an endpoint's routing signature at the given cell
@@ -134,9 +129,9 @@ func signatureFor(ep netmodel.Endpoint, miles float64) sigKey {
 // endpoints by routing signature; the first member seen (universe order, so
 // deterministic) represents the partition.
 func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
-	miles float64, sc *Scorer, tableLen int) *partitionLayout {
+	miles float64, sc *Scorer, tableLen int) *Layout {
 
-	lay := &partitionLayout{tableLen: tableLen}
+	lay := &Layout{TableLen: tableLen}
 
 	// Pass 1: assign partitions first-seen by signature.
 	assign := make([]int32, len(universe))
@@ -165,13 +160,13 @@ func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
 			assign[i] = p
 		}
 	}
-	lay.nParts = len(reps)
+	lay.NParts = len(reps)
 
 	// The two fallback partitions ride at the end; their synthetic IDs (top
 	// of the uint64 space) never enter the index.
-	lay.fallbackLDNS = int32(len(reps))
+	lay.FallbackLDNS = int32(len(reps))
 	reps = append(reps, fLDNS)
-	lay.fallbackClient = int32(len(reps))
+	lay.FallbackClient = int32(len(reps))
 	reps = append(reps, fClient)
 
 	// Pass 2: the endpoint index. World IDs are allocated from one small
@@ -185,9 +180,9 @@ func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
 			maxDense = ep.ID
 		}
 	}
-	lay.dense = make([]int32, maxDense+1)
-	for i := range lay.dense {
-		lay.dense[i] = -1
+	lay.Dense = make([]int32, maxDense+1)
+	for i := range lay.Dense {
+		lay.Dense[i] = -1
 	}
 	type spillEnt struct {
 		id  uint64
@@ -196,26 +191,26 @@ func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
 	var spill []spillEnt
 	for i, ep := range universe {
 		if ep.ID < denseLimit {
-			if lay.dense[ep.ID] < 0 {
-				lay.endpoints++
+			if lay.Dense[ep.ID] < 0 {
+				lay.Endpoints++
 			}
-			lay.dense[ep.ID] = assign[i]
+			lay.Dense[ep.ID] = assign[i]
 		} else {
 			spill = append(spill, spillEnt{ep.ID, assign[i]})
 		}
 	}
 	if len(spill) > 0 {
 		sort.Slice(spill, func(i, j int) bool { return spill[i].id < spill[j].id })
-		lay.spillIDs = make([]uint64, 0, len(spill))
-		lay.spillIdx = make([]int32, 0, len(spill))
+		lay.SpillIDs = make([]uint64, 0, len(spill))
+		lay.SpillIdx = make([]int32, 0, len(spill))
 		for _, e := range spill {
-			if n := len(lay.spillIDs); n > 0 && lay.spillIDs[n-1] == e.id {
-				lay.spillIdx[n-1] = e.idx // later universe entries win, as before
+			if n := len(lay.SpillIDs); n > 0 && lay.SpillIDs[n-1] == e.id {
+				lay.SpillIdx[n-1] = e.idx // later universe entries win, as before
 				continue
 			}
-			lay.spillIDs = append(lay.spillIDs, e.id)
-			lay.spillIdx = append(lay.spillIdx, e.idx)
-			lay.endpoints++
+			lay.SpillIDs = append(lay.SpillIDs, e.id)
+			lay.SpillIdx = append(lay.SpillIdx, e.idx)
+			lay.Endpoints++
 		}
 	}
 
@@ -224,30 +219,25 @@ func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
 	// arena is bounded by the distinct targets in use — not by the
 	// partition count; with clustering off each partition ranks its own
 	// representative.
-	lay.partSeg = make([]int32, len(reps))
+	lay.PartSeg = make([]int32, len(reps))
 	if sc.Targeted() {
-		tIdx := par.Map(len(reps), func(i int) int { return sc.targetFor(reps[i]) })
+		tIdx := par.Map(len(reps), func(i int) int { return sc.nearestTarget(reps[i]) })
 		lay.targetSeg = make(map[int32]int32, 64)
 		for p, rep := range reps {
 			t := int32(tIdx[p])
 			seg, ok := lay.targetSeg[t]
 			if !ok {
-				seg = int32(len(lay.segments))
+				seg = int32(len(lay.Segments))
 				lay.targetSeg[t] = seg
-				lay.segments = append(lay.segments, segmentInfo{target: t, rep: rep})
+				lay.Segments = append(lay.Segments, Segment{Target: t, Rep: rep})
 			}
-			lay.partSeg[p] = seg
+			lay.PartSeg[p] = seg
 		}
 	} else {
 		for p, rep := range reps {
-			lay.segments = append(lay.segments, segmentInfo{target: -1, rep: rep})
-			lay.partSeg[p] = int32(p)
+			lay.Segments = append(lay.Segments, Segment{Target: -1, Rep: rep})
+			lay.PartSeg[p] = int32(p)
 		}
-	}
-	lay.baseSegArena = make([]int32, len(lay.segments))
-	lay.baseSegOff = make([]uint32, len(lay.segments))
-	for s := range lay.baseSegOff {
-		lay.baseSegOff[s] = uint32(s * tableLen)
 	}
 	return lay
 }

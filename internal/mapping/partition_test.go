@@ -1,6 +1,8 @@
 package mapping
 
 import (
+	"unsafe"
+
 	"testing"
 
 	"eum/internal/geo"
@@ -30,9 +32,9 @@ func TestPartitionIdentityEquivalence(t *testing.T) {
 			t.Fatalf("%s %d: %d ranked, want %d", what, ep.ID, len(got), len(want))
 		}
 		for j := range got {
-			if got[j].Deployment != want[j].Deployment || got[j].Score != want[j].Score {
+			if depOf(got[j]) != depOf(want[j]) || got[j].Score() != want[j].Score() {
 				t.Fatalf("%s %d rank %d: %s/%v, want %s/%v", what, ep.ID, j,
-					got[j].Deployment.Name, got[j].Score, want[j].Deployment.Name, want[j].Score)
+					depOf(got[j]).Name, got[j].Score(), depOf(want[j]).Name, want[j].Score())
 			}
 		}
 		// Best = first live entry of the reference table.
@@ -40,8 +42,8 @@ func TestPartitionIdentityEquivalence(t *testing.T) {
 		var wantD = gotD
 		var wantS = gotS
 		for _, r := range want {
-			if r.Deployment.Alive() {
-				wantD, wantS = r.Deployment, r.Score
+			if depOf(r).Alive() {
+				wantD, wantS = depOf(r), r.Score()
 				break
 			}
 		}
@@ -149,7 +151,8 @@ func TestSnapshotMemoryAccounting(t *testing.T) {
 	}
 	// The per-endpoint index cost (everything but the target-bounded
 	// arena chain) must be a few bytes per endpoint.
-	perEndpoint := float64(sn.MemoryBytes()-sn.arenaBytes()) / float64(sn.Endpoints())
+	arena := uint64(sn.Tables()*len(testP.Deployments)) * uint64(unsafe.Sizeof(Ranked{}))
+	perEndpoint := float64(sn.MemoryBytes()-arena) / float64(sn.Endpoints())
 	if perEndpoint > 16 {
 		t.Fatalf("index cost %.1f bytes/endpoint, want a few", perEndpoint)
 	}

@@ -1,8 +1,9 @@
 package mapping
 
 import (
+	"cmp"
 	"math"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,19 +23,6 @@ type Prober interface {
 	PingMs(a, b netmodel.Endpoint) float64
 }
 
-// targetShardCount shards the endpoint->target index so concurrent
-// queries for distinct endpoints never contend on one lock. Must be a
-// power of two.
-const targetShardCount = 64
-
-// targetShard is one shard of the endpoint-ID -> target-index map.
-// Lookups take the read lock; the write lock is only taken the first time
-// a given endpoint is seen.
-type targetShard struct {
-	mu   sync.RWMutex
-	byID map[uint64]int
-}
-
 // Scorer evaluates which deployments serve a given network location best.
 // It reproduces the measurement methodology of §6: rather than measuring
 // every client block directly, blocks are clustered to a bounded set of
@@ -42,11 +30,10 @@ type targetShard struct {
 // ping latency is measured from every candidate deployment to every target,
 // and a client inherits the measurements of its nearest target.
 //
-// Scores are ping milliseconds: lower is better. Rankings are computed
-// lazily per target (or all at once via Precompute) and cached in
-// per-target atomic slots, so the query hot path reads them lock-free; the
-// Scorer is safe for concurrent use and concurrent queries never serialize
-// on a shared mutex.
+// Scores are ping milliseconds: lower is better. The scorer is a
+// control-plane component: the snapshot builder ranks straight into the
+// arena it publishes (rankInto), so no rank table is held here. Rank and
+// Best serve experiments and tests; they are safe for concurrent use.
 type Scorer struct {
 	platform *cdn.Platform
 	net      Prober
@@ -66,22 +53,50 @@ type Scorer struct {
 	latSorted []float64
 	latOrder  []int32
 
-	// gen counts invalidations; answer caches layered above compare it
-	// to decide whether their entries predate a liveness change.
+	// gen counts invalidations; the snapshot builder compares it to detect
+	// a measurement refresh it was not told about.
 	gen atomic.Uint64
 
-	// rankCache and bestCache hold one atomic slot per ping target.
-	// A nil pointer means "not computed"; Invalidate stores nil.
-	rankCache []atomic.Pointer[[]Ranked]
-	bestCache []atomic.Pointer[Ranked]
-
-	targetShards [targetShardCount]targetShard
+	// mu guards the two memos experiments lean on when they call Best for
+	// the same endpoints day after day: endpoint ID → nearest ping target
+	// (without it internal/experiments' tests run 40% longer), and ping
+	// target → best live deployment. A replica never fills them.
+	mu      sync.RWMutex
+	nearest map[uint64]int32
+	best    map[int32]Ranked
 }
 
-// Ranked is a deployment with its score for some target.
+// Ranked is one rank-table entry: a deployment, named by its index in the
+// platform's Deployments list, and its score. It holds no pointers and is
+// three 32-bit words — deployment index, then the score's IEEE-754 bits
+// low word first — so on a little-endian host a table's bytes in memory
+// are its bytes on the wire (see TableBytes), at 12 bytes an entry.
 type Ranked struct {
-	Deployment *cdn.Deployment
-	Score      float64
+	Dep    uint32
+	lo, hi uint32
+}
+
+// MakeRanked builds the entry for deployment index dep at the given score.
+func MakeRanked(dep uint32, score float64) Ranked {
+	b := math.Float64bits(score)
+	return Ranked{Dep: dep, lo: uint32(b), hi: uint32(b >> 32)}
+}
+
+// Score returns the entry's score (ping milliseconds, lower is better).
+func (r Ranked) Score() float64 {
+	return math.Float64frombits(uint64(r.hi)<<32 | uint64(r.lo))
+}
+
+// compareRanked is the table order: ascending score, ties broken by
+// deployment index, so equal pings rank the same way on every build.
+func compareRanked(a, b Ranked) int {
+	switch sa, sb := a.Score(), b.Score(); {
+	case sa < sb:
+		return -1
+	case sa > sb:
+		return 1
+	}
+	return cmp.Compare(a.Dep, b.Dep)
 }
 
 // NewScorer builds a scorer over the platform using the network model.
@@ -94,9 +109,8 @@ func NewScorer(w *world.World, p *cdn.Platform, net Prober, numTargets int) *Sco
 	s := &Scorer{
 		platform: p,
 		net:      net,
-	}
-	for i := range s.targetShards {
-		s.targetShards[i].byID = map[uint64]int{}
+		nearest:  map[uint64]int32{},
+		best:     map[int32]Ranked{},
 	}
 	if numTargets > 0 {
 		blocks := append([]*world.ClientBlock{}, w.Blocks...)
@@ -107,8 +121,6 @@ func NewScorer(w *world.World, p *cdn.Platform, net Prober, numTargets int) *Sco
 		for _, b := range blocks[:numTargets] {
 			s.targets = append(s.targets, b.Endpoint())
 		}
-		s.rankCache = make([]atomic.Pointer[[]Ranked], len(s.targets))
-		s.bestCache = make([]atomic.Pointer[Ranked], len(s.targets))
 		s.targetIdx = make(map[uint64]int, len(s.targets))
 		for i, t := range s.targets {
 			if _, ok := s.targetIdx[t.ID]; !ok {
@@ -145,18 +157,16 @@ func (s *Scorer) targetFor(ep netmodel.Endpoint) int {
 	if len(s.targets) == 0 {
 		return -1
 	}
-	sh := &s.targetShards[ep.ID&(targetShardCount-1)]
-	sh.mu.RLock()
-	idx, ok := sh.byID[ep.ID]
-	sh.mu.RUnlock()
+	s.mu.RLock()
+	idx, ok := s.nearest[ep.ID]
+	s.mu.RUnlock()
 	if ok {
-		return idx
+		return int(idx)
 	}
-
 	best := s.nearestTarget(ep)
-	sh.mu.Lock()
-	sh.byID[ep.ID] = best
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.nearest[ep.ID] = int32(best)
+	s.mu.Unlock()
 	return best
 }
 
@@ -215,95 +225,78 @@ func (s *Scorer) proxyEndpoint(ep netmodel.Endpoint) (netmodel.Endpoint, int) {
 	return s.targets[idx], idx
 }
 
-// computeRank scores every deployment against proxy, best first.
-func (s *Scorer) computeRank(proxy netmodel.Endpoint) []Ranked {
-	r := make([]Ranked, 0, len(s.platform.Deployments))
-	for _, d := range s.platform.Deployments {
-		r = append(r, Ranked{Deployment: d, Score: s.net.PingMs(d.Endpoint(), proxy)})
+// rankInto scores every deployment against proxy and sorts dst, which
+// must hold one entry per deployment, best first.
+func (s *Scorer) rankInto(dst []Ranked, proxy netmodel.Endpoint) {
+	for i, d := range s.platform.Deployments {
+		dst[i] = MakeRanked(uint32(i), s.net.PingMs(d.Endpoint(), proxy))
 	}
-	sort.Slice(r, func(i, j int) bool { return r[i].Score < r[j].Score })
-	return r
+	slices.SortFunc(dst, compareRanked)
 }
 
-// computeBest finds the best-scoring live deployment for proxy, or nil.
-func (s *Scorer) computeBest(proxy netmodel.Endpoint) (*cdn.Deployment, float64) {
-	var best *cdn.Deployment
-	bestScore := 0.0
-	for _, d := range s.platform.Deployments {
-		if !d.Alive() {
-			continue
-		}
-		sc := s.net.PingMs(d.Endpoint(), proxy)
-		if best == nil || sc < bestScore {
-			best, bestScore = d, sc
-		}
-	}
-	return best, bestScore
-}
-
-// Rank returns all deployments ordered by ascending ping score for ep.
-// The slice is shared; callers must not modify it.
+// Rank returns all deployments ordered by ascending ping score for ep, in
+// a freshly ranked table.
 func (s *Scorer) Rank(ep netmodel.Endpoint) []Ranked {
-	proxy, idx := s.proxyEndpoint(ep)
-	if idx >= 0 {
-		if p := s.rankCache[idx].Load(); p != nil {
-			return *p
-		}
-	}
-	r := s.computeRank(proxy)
-	if idx >= 0 {
-		s.rankCache[idx].Store(&r)
-	}
+	proxy, _ := s.proxyEndpoint(ep)
+	r := make([]Ranked, len(s.platform.Deployments))
+	s.rankInto(r, proxy)
 	return r
 }
 
 // Best returns the live deployment with the lowest ping score for ep and
 // that score, skipping deployments with no live servers. It returns nil if
-// no deployment is alive. Results are cached per ping target; the cache
+// no deployment is alive. Results are remembered per ping target; the memo
 // assumes liveness is stable during a scoring interval (call Invalidate
 // after failure injection).
 func (s *Scorer) Best(ep netmodel.Endpoint) (*cdn.Deployment, float64) {
 	proxy, idx := s.proxyEndpoint(ep)
 	if idx >= 0 {
-		if r := s.bestCache[idx].Load(); r != nil {
-			return r.Deployment, r.Score
+		s.mu.RLock()
+		r, ok := s.best[int32(idx)]
+		s.mu.RUnlock()
+		if ok {
+			return s.platform.Deployments[r.Dep], r.Score()
 		}
 	}
-	best, bestScore := s.computeBest(proxy)
+	var best *cdn.Deployment
+	bestAt, bestScore := 0, 0.0
+	for i, d := range s.platform.Deployments {
+		if !d.Alive() {
+			continue
+		}
+		sc := s.net.PingMs(d.Endpoint(), proxy)
+		if best == nil || sc < bestScore {
+			best, bestAt, bestScore = d, i, sc
+		}
+	}
 	if idx >= 0 && best != nil {
-		s.bestCache[idx].Store(&Ranked{Deployment: best, Score: bestScore})
+		s.mu.Lock()
+		s.best[int32(idx)] = MakeRanked(uint32(bestAt), bestScore)
+		s.mu.Unlock()
 	}
 	return best, bestScore
 }
 
-// Invalidate drops all cached per-target results — both the liveness-
-// dependent best-deployment cache and the rank cache — and bumps the
-// generation counter, so the next snapshot Build recomputes its tables.
-// The MapMaker calls it on a measurement refresh; it has no effect on
-// already-published snapshots.
+// Invalidate drops every remembered best deployment and bumps the
+// generation counter, so the next snapshot Build re-ranks its tables. The
+// MapMaker calls it on a measurement refresh, simulations after failure
+// injection; it has no effect on already-published snapshots.
 func (s *Scorer) Invalidate() {
-	for i := range s.bestCache {
-		s.bestCache[i].Store(nil)
-	}
-	for i := range s.rankCache {
-		s.rankCache[i].Store(nil)
-	}
+	s.mu.Lock()
+	clear(s.best)
+	s.mu.Unlock()
 	s.gen.Add(1)
 }
 
-// InvalidateTargets drops the cached results for specific ping targets
-// only — the scoped counterpart of Invalidate, used when a measurement
-// sweep refreshed a known subset of targets. Tables for every other target
-// stay warm, which is what lets the snapshot builder re-rank only the
-// partitions those targets serve. The generation counter still advances so
-// layered caches see the change.
+// InvalidateTargets is Invalidate scoped to specific ping targets, used
+// when a measurement sweep refreshed a known subset of them. The
+// generation counter still advances so the builder sees the change.
 func (s *Scorer) InvalidateTargets(idxs ...int) {
+	s.mu.Lock()
 	for _, i := range idxs {
-		if i >= 0 && i < len(s.rankCache) {
-			s.rankCache[i].Store(nil)
-			s.bestCache[i].Store(nil)
-		}
+		delete(s.best, int32(i))
 	}
+	s.mu.Unlock()
 	s.gen.Add(1)
 }
 
@@ -328,69 +321,29 @@ func (s *Scorer) TargetFor(ep netmodel.Endpoint) (netmodel.Endpoint, bool) {
 // Targeted reports whether clustering is on (a bounded ping-target set).
 func (s *Scorer) Targeted() bool { return len(s.targets) > 0 }
 
-// rankTarget returns ping target idx's rank table, computing and caching
-// it if the slot is cold. The snapshot builder assembles published maps
-// from these tables.
-func (s *Scorer) rankTarget(idx int) []Ranked {
-	if p := s.rankCache[idx].Load(); p != nil {
-		return *p
-	}
-	r := s.computeRank(s.targets[idx])
-	s.rankCache[idx].Store(&r)
-	return r
-}
-
-// Precompute ranks every ping target up front, in parallel, so the first
-// query for any target hits a warm cache instead of paying the full
-// platform scan — the paper's mapping system likewise computes its scoring
-// tables ahead of the query path, not on it.
-func (s *Scorer) Precompute() {
-	n := len(s.targets)
-	if n == 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= n {
-					return
-				}
-				proxy := s.targets[idx]
-				r := s.computeRank(proxy)
-				s.rankCache[idx].Store(&r)
-				if best, score := s.computeBest(proxy); best != nil {
-					s.bestCache[idx].Store(&Ranked{Deployment: best, Score: score})
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // BestWeighted returns the live deployment minimising the demand-weighted
 // mean ping to the given endpoints — the CANS objective: "map client to the
 // deployment that minimizes the traffic-weighted average of the latencies
 // from the deployment to its cluster of clients" (§6).
 func (s *Scorer) BestWeighted(eps []netmodel.Endpoint, weights []float64) (*cdn.Deployment, float64) {
+	if i, score := s.bestWeighted(eps, weights); i >= 0 {
+		return s.platform.Deployments[i], score
+	}
+	return nil, 0
+}
+
+// bestWeighted is BestWeighted returning the winner's deployment index, or
+// -1 when no deployment is alive.
+func (s *Scorer) bestWeighted(eps []netmodel.Endpoint, weights []float64) (int, float64) {
 	if len(eps) == 0 {
-		return nil, 0
+		return -1, 0
 	}
 	proxies := make([]netmodel.Endpoint, len(eps))
 	for i, ep := range eps {
 		proxies[i], _ = s.proxyEndpoint(ep)
 	}
-	var best *cdn.Deployment
-	bestScore := 0.0
-	for _, d := range s.platform.Deployments {
+	best, bestScore := -1, 0.0
+	for di, d := range s.platform.Deployments {
 		if !d.Alive() {
 			continue
 		}
@@ -408,8 +361,8 @@ func (s *Scorer) BestWeighted(eps []netmodel.Endpoint, weights []float64) (*cdn.
 			continue
 		}
 		sc := sum / wsum
-		if best == nil || sc < bestScore {
-			best, bestScore = d, sc
+		if best < 0 || sc < bestScore {
+			best, bestScore = di, sc
 		}
 	}
 	return best, bestScore

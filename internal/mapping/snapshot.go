@@ -1,7 +1,7 @@
 package mapping
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -29,11 +29,11 @@ const (
 // invalidates anything.
 //
 // Storage is partitioned and interned: endpoints are clustered into mapping
-// partitions (see buildLayout), every partition's rank table is an
-// (offset, length) header into one shared []Ranked arena, and partitions
-// whose measurements resolve to the same ping target share one arena
-// segment. The endpoint→partition index is a flat int32 array over the
-// world's dense ID space, so resident memory per block is a few bytes.
+// partitions (see buildLayout), every partition's rank table is a segment
+// of one shared, pointer-free []Ranked arena, and partitions whose
+// measurements resolve to the same ping target share one segment. The
+// endpoint→partition index is a flat int32 array over the world's dense ID
+// space, so resident memory per block is a few bytes.
 //
 // This is the paper's two-plane architecture (§3–§5): topology discovery
 // and scoring feed a map-making pipeline that publishes maps on a cadence,
@@ -45,16 +45,25 @@ type Snapshot struct {
 
 	// lay is the partition layout (index + partition→segment map), shared
 	// across every snapshot built for the same endpoint universe.
-	lay *partitionLayout
-	// arenas holds the rank tables, each ordered best (lowest ping) first.
-	// arenas[0] is a full base arena (segment s at offset s*tableLen);
-	// incremental builds append small delta arenas carrying only the
-	// re-ranked segments, and segArena/segOff locate segment s's current
-	// table. A republish that changed nothing shares all three wholesale;
-	// the chain is compacted back to one arena at maxArenaChain.
-	arenas   [][]Ranked
-	segArena []int32
-	segOff   []uint32
+	lay *Layout
+	// deps is the platform's deployment list, which Ranked.Dep indexes.
+	deps []*cdn.Deployment
+	// segs[s] is segment s's rank table, ordered best (lowest ping) first:
+	// a window into the base arena a full build or a decode laid out
+	// (segment s at offset s*TableLen), or into one of the small delta
+	// arenas incremental builds add for the segments they re-ranked.
+	// segEpoch[s] is the epoch whose build last re-ranked segment s, which
+	// is how a delta against any older epoch knows what to carry. A
+	// republish that changed nothing shares both slices wholesale.
+	segs     [][]Ranked
+	segEpoch []uint64
+	// chain counts the arenas behind segs and deltaEntries the entries in
+	// all but the base: superseded tables stay resident while anything
+	// points into their arena, so a build or delta apply that would take
+	// the chain past maxArenaChain, or the deltas past the base's own
+	// size, compacts into one fresh base arena instead.
+	chain        int
+	deltaEntries int
 
 	// cans maps an LDNS ID to its precomputed ClientAwareNS candidate
 	// list: the traffic-weighted winner first, then the LDNS's own rank
@@ -76,55 +85,39 @@ func (sn *Snapshot) TTL() time.Duration { return sn.ttl }
 // Tables returns the number of distinct rank tables (arena segments) in
 // the snapshot. Interning keeps this bounded by the ping-target set, not
 // the endpoint count.
-func (sn *Snapshot) Tables() int { return len(sn.lay.segments) }
+func (sn *Snapshot) Tables() int { return len(sn.lay.Segments) }
 
 // Partitions returns the number of mapping partitions the endpoint
 // universe was clustered into (excluding the two fallback partitions).
-func (sn *Snapshot) Partitions() int { return sn.lay.nParts }
+func (sn *Snapshot) Partitions() int { return sn.lay.NParts }
 
 // Endpoints returns how many distinct endpoint IDs the snapshot indexes.
-func (sn *Snapshot) Endpoints() int { return sn.lay.endpoints }
-
-// arenaBytes is the resident size of the snapshot's table data across the
-// arena chain (superseded segments in older arenas included — they stay
-// resident until compaction drops them).
-func (sn *Snapshot) arenaBytes() uint64 {
-	var n uint64
-	for _, a := range sn.arenas {
-		n += uint64(len(a)) * uint64(unsafe.Sizeof(Ranked{}))
-	}
-	return n
-}
+func (sn *Snapshot) Endpoints() int { return sn.lay.Endpoints }
 
 // MemoryBytes returns the resident size of the snapshot's table storage:
-// the arena chain plus the partition index and segment locators. The CANS
-// candidate map (ClientAwareNS only) is excluded.
+// the arena chain (superseded tables in older arenas included — they stay
+// resident until compaction drops them) plus the partition index and the
+// per-segment table headers and epochs. The CANS candidate map
+// (ClientAwareNS only) is excluded.
 func (sn *Snapshot) MemoryBytes() uint64 {
-	return sn.lay.memoryBytes() + sn.arenaBytes() +
-		uint64(len(sn.segArena))*uint64(unsafe.Sizeof(int32(0))) +
-		uint64(len(sn.segOff))*uint64(unsafe.Sizeof(uint32(0)))
-}
-
-// segData returns segment s's rank table as a capped subslice of its
-// arena; callers must not modify it.
-func (sn *Snapshot) segData(s int32) []Ranked {
-	off := sn.segOff[s]
-	end := off + uint32(sn.lay.tableLen)
-	return sn.arenas[sn.segArena[s]][off:end:end]
+	entries := uint64(len(sn.segs)*sn.lay.TableLen + sn.deltaEntries)
+	return sn.lay.memoryBytes() + entries*uint64(unsafe.Sizeof(Ranked{})) +
+		uint64(len(sn.segs))*uint64(unsafe.Sizeof([]Ranked(nil))) +
+		uint64(len(sn.segEpoch))*uint64(unsafe.Sizeof(uint64(0)))
 }
 
 // table returns partition p's rank table; callers must not modify it.
 func (sn *Snapshot) table(p int32) []Ranked {
-	return sn.segData(sn.lay.partSeg[p])
+	return sn.segs[sn.lay.PartSeg[p]]
 }
 
 // fallbackTable returns the shared table for endpoints the map does not
 // cover; client selects the client-side fallback (access network, client
 // fallback location) over the resolver-side one.
 func (sn *Snapshot) fallbackTable(client bool) []Ranked {
-	p := sn.lay.fallbackLDNS
+	p := sn.lay.FallbackLDNS
 	if client {
-		p = sn.lay.fallbackClient
+		p = sn.lay.FallbackClient
 	}
 	if p < 0 {
 		return nil
@@ -147,9 +140,15 @@ func (sn *Snapshot) RankOf(id uint64, client bool) []Ranked {
 // built before a failure still routes around it; the epoch bump on the
 // next publish is only needed to orphan cached answers.
 func (sn *Snapshot) Best(id uint64, client bool) (*cdn.Deployment, float64) {
-	for _, r := range sn.RankOf(id, client) {
-		if r.Deployment.Alive() {
-			return r.Deployment, r.Score
+	return sn.FirstLive(sn.RankOf(id, client))
+}
+
+// FirstLive returns the first deployment in a table of this snapshot
+// (RankOf, CANSCandidates) that is live right now, with its score.
+func (sn *Snapshot) FirstLive(table []Ranked) (*cdn.Deployment, float64) {
+	for _, r := range table {
+		if d := sn.deps[r.Dep]; d.Alive() {
+			return d, r.Score()
 		}
 	}
 	return nil, 0
@@ -164,11 +163,12 @@ func (sn *Snapshot) CANSCandidates(id uint64) []Ranked { return sn.cans[id] }
 // stage: it owns a Scorer (measurement + clustering) and, per Build,
 // produces a complete immutable map for one (epoch, policy) pair. The same
 // builder is reused across epochs so the partition layout, the scorer's
-// clustering index and the previous snapshot's arena persist — builds are
+// clustering index and the previous snapshot persist — builds are
 // incremental: only partitions whose ping targets were marked dirty since
-// the last build are re-ranked, untouched table segments are copied (or,
-// when nothing changed, the whole arena is shared) from the previous
-// snapshot.
+// the last build are re-ranked, untouched table segments are shared with
+// the previous snapshot. Tables are ranked straight into the arena that is
+// published, so at a zero balance factor the published snapshot is the
+// only copy of the map the process holds.
 //
 // A builder is safe for concurrent use; builds serialize on an internal
 // mutex. The intended use is a single MapMaker goroutine building
@@ -182,7 +182,7 @@ type SnapshotBuilder struct {
 
 	mu    sync.Mutex
 	extra []netmodel.Endpoint
-	lay   *partitionLayout
+	lay   *Layout
 	prev  *Snapshot
 	// expectedGen is the scorer generation the builder has accounted for.
 	// A mismatch at Build time means someone invalidated the scorer behind
@@ -207,6 +207,11 @@ type SnapshotBuilder struct {
 	// re-rank every table (mixing orders across delta arenas would serve an
 	// inconsistent map).
 	prevUtil []float64
+	// raw, kept only at a positive balance factor, holds every segment's
+	// table in pure proximity order (segment s at offset s*TableLen), so a
+	// load re-rank is a copy and a sort per table, not a measurement
+	// recompute.
+	raw []Ranked
 
 	fullBuilds       uint64
 	incBuilds        uint64
@@ -264,9 +269,8 @@ func (b *SnapshotBuilder) AddClientEndpoints(eps ...netmodel.Endpoint) {
 // since the last build, so the next Build re-ranks only the partitions
 // interned onto those targets. Called with no IDs — or with an ID that is
 // not a ping target, or when clustering is off — it degrades to a full
-// invalidation: every table is re-ranked. The matching per-target rank
-// cache entries are dropped either way, so re-ranked tables always reflect
-// fresh measurements.
+// invalidation: every table is re-ranked. The scorer's remembered best
+// deployments for those targets are dropped either way.
 func (b *SnapshotBuilder) MarkMeasurementsDirty(targetIDs ...uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -318,7 +322,7 @@ func (b *SnapshotBuilder) fallbackEndpoints() (ldns, client netmodel.Endpoint) {
 // use or after AddClientEndpoints. The layout depends only on the endpoint
 // universe, the partitioning threshold and the (fixed) ping-target set —
 // never on measurements — so it survives every invalidation.
-func (b *SnapshotBuilder) layoutLocked() *partitionLayout {
+func (b *SnapshotBuilder) layoutLocked() *Layout {
 	if b.lay != nil {
 		return b.lay
 	}
@@ -337,25 +341,61 @@ func (b *SnapshotBuilder) layoutLocked() *partitionLayout {
 	return b.lay
 }
 
-// segTable ranks segment s: the interned ping target's table under
-// clustering, or the partition representative's own exact ranking without.
-// The returned slice is the scorer's cache entry — callers copy it.
-func (b *SnapshotBuilder) segTable(lay *partitionLayout, s int) []Ranked {
-	seg := lay.segments[s]
-	if seg.target >= 0 {
-		return b.scorer.rankTarget(int(seg.target))
+// fillSeg writes segment s's table into dst: the interned ping target's
+// ranking under clustering, or the partition representative's own exact
+// ranking without. At a zero balance factor it ranks straight into dst.
+// Otherwise the proximity order lives in b.raw — re-measured here when
+// remeasure is set — and dst receives a copy in the composite
+// distance-vs-load order (see loadOrder).
+func (b *SnapshotBuilder) fillSeg(lay *Layout, s int, dst []Ranked, remeasure bool, factors []float64) {
+	seg := lay.Segments[s]
+	proxy := seg.Rep
+	if seg.Target >= 0 {
+		proxy = b.scorer.targets[seg.Target]
 	}
-	return b.scorer.computeRank(seg.rep)
+	if b.raw == nil {
+		b.scorer.rankInto(dst, proxy)
+		return
+	}
+	raw := b.raw[s*lay.TableLen : (s+1)*lay.TableLen]
+	if remeasure {
+		b.scorer.rankInto(raw, proxy)
+	}
+	copy(dst, raw)
+	loadOrder(dst, factors)
 }
 
-// maxArenaChain bounds the delta-arena chain an incremental build may
-// grow. At the cap — or as soon as the accumulated delta data would
-// outweigh the base arena — the build compacts: every segment's current
-// table is copied (dirty ones re-ranked) into one fresh base arena,
-// dropping the superseded garbage the deltas accumulated. The size
-// trigger keeps the worst-case resident overhead at 2× the base; the
-// length cap bounds the amortized compaction cost for tiny (one-target)
-// refreshes at base/maxArenaChain copied bytes per build.
+// bootSnapshot returns the epoch-0 map a replica serves until its first
+// install: a layout with no partitions, so every endpoint resolves to the
+// two shared fallback tables — the degradation ladder's fallback rung. It
+// also forgets whatever a local build left behind (layout, previous
+// snapshot, proximity copy, scorer memos): a replica holds the one map it
+// installed and nothing else.
+func (b *SnapshotBuilder) bootSnapshot(policy Policy) *Snapshot {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.lay, b.prev, b.raw, b.prevUtil = nil, nil, nil, nil
+	b.dirtyAll = true
+	b.scorer.Invalidate()
+
+	fLDNS, fClient := b.fallbackEndpoints()
+	p := b.scorer.Platform()
+	lay := buildLayout(nil, fLDNS, fClient, b.partitionMiles, b.scorer, len(p.Deployments))
+	arena := make([]Ranked, len(lay.Segments)*lay.TableLen)
+	for s := range lay.Segments {
+		b.fillSeg(lay, s, arena[s*lay.TableLen:(s+1)*lay.TableLen], true, nil)
+	}
+	return NewSnapshot(0, policy, b.ttl, lay, p, arena, nil)
+}
+
+// maxArenaChain bounds the delta-arena chain incremental builds and delta
+// applies may grow. At the cap — or as soon as the accumulated delta data
+// would outweigh the base arena — the snapshot compacts: every segment's
+// current table is copied into one fresh base arena, dropping the
+// superseded garbage the deltas accumulated. The size trigger keeps the
+// worst-case resident overhead at 2× the base; the length cap bounds the
+// amortized compaction cost for tiny (one-target) refreshes at
+// base/maxArenaChain copied bytes per build.
 const maxArenaChain = 64
 
 // Build produces the snapshot for one epoch under the given policy. The
@@ -366,14 +406,14 @@ const maxArenaChain = 64
 // of worker count.
 //
 // Builds are incremental: when the previous snapshot's layout is current
-// and only specific ping targets were marked dirty, the build allocates a
-// small delta arena holding just the re-ranked segments (filled in
-// parallel, across disjoint slices) and shares everything else with the
-// previous snapshot; when nothing was marked dirty at all, the arena chain
-// is shared wholesale and the build is a near-free epoch bump. Any
-// unaccounted scorer invalidation, layout change, or MarkMeasurementsDirty
-// with no target scope forces a full re-rank, so an incremental build is
-// always bitwise-identical to the cold build at the same epoch.
+// and only specific ping targets were marked dirty, the build ranks just
+// those segments into a small delta arena (in parallel, across disjoint
+// slices) and shares everything else with the previous snapshot; when
+// nothing was marked dirty at all, the tables are shared wholesale and the
+// build is a near-free epoch bump. Any unaccounted scorer invalidation,
+// layout change, or MarkMeasurementsDirty with no target scope forces a
+// full re-rank, so an incremental build is always bitwise-identical to the
+// cold build at the same epoch.
 func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -389,83 +429,58 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 
 	lay := b.layoutLocked()
 	sc := b.scorer
-	full := b.dirtyAll || b.prev == nil || b.prev.lay != lay || sc.Generation() != b.expectedGen
+	tl, n := lay.TableLen, len(lay.Segments)
+	full := b.dirtyAll || b.prev == nil || b.prev.lay != lay || sc.Generation() != b.expectedGen ||
+		(b.balance > 0 && len(b.raw) != n*tl)
 	// Load-aware ordering: capture this build's utilization vector (nil at
 	// β=0) and re-rank everything when it moved — the previous arenas were
 	// ordered under prevUtil and cannot be mixed with tables ordered under
-	// the new vector. The scorer caches stay warm, so a load re-rank costs
-	// a copy+sort per table, not a measurement recompute.
+	// the new vector.
 	utils := b.captureUtilLocked()
 	loadChanged := b.balance > 0 && (b.loadDirty || !equalFloat64s(utils, b.prevUtil))
-	factors := b.loadFactorsLocked(utils)
-	tl := lay.tableLen
+	factors := b.loadFactors(utils)
 
-	sn := &Snapshot{epoch: epoch, policy: policy, ttl: b.ttl, lay: lay}
+	// The segments whose ping targets' measurements were refreshed.
+	var segs []int32
+	if !full {
+		for t := range b.dirtyTargets {
+			if s, ok := lay.targetSeg[int32(t)]; ok {
+				segs = append(segs, s)
+			}
+		}
+		slices.Sort(segs)
+	}
+
+	var sn *Snapshot
 	switch {
 	case full || loadChanged:
-		arena := make([]Ranked, len(lay.segments)*tl)
-		par.ForEach(len(lay.segments), func(s int) {
-			copy(arena[s*tl:(s+1)*tl], b.loadSegTable(lay, s, factors))
+		if full && b.balance > 0 {
+			b.raw = make([]Ranked, n*tl)
+		}
+		arena := make([]Ranked, n*tl)
+		par.ForEach(n, func(s int) {
+			_, dirty := slices.BinarySearch(segs, int32(s))
+			b.fillSeg(lay, s, arena[s*tl:(s+1)*tl], full || dirty, factors)
 		})
-		sn.arenas = [][]Ranked{arena}
-		sn.segArena, sn.segOff = lay.baseSegArena, lay.baseSegOff
+		sn = NewSnapshot(epoch, policy, b.ttl, lay, sc.Platform(), arena, nil)
 		if full {
 			b.fullBuilds++
 		} else {
 			b.loadRebuilds++
 		}
-		b.rerankedTables += uint64(len(lay.segments))
-	case len(b.dirtyTargets) == 0:
-		// Nothing changed since the last build: share the chain wholesale.
-		sn.arenas, sn.segArena, sn.segOff = b.prev.arenas, b.prev.segArena, b.prev.segOff
+		b.rerankedTables += uint64(n)
+	case len(segs) == 0:
+		// Nothing changed since the last build: share the tables wholesale.
+		shared := *b.prev
+		shared.epoch, shared.policy, shared.cans = epoch, policy, nil
+		sn = &shared
 		b.incBuilds++
 	default:
-		segs := make([]int, 0, len(b.dirtyTargets))
-		for t := range b.dirtyTargets {
-			if s, ok := lay.targetSeg[int32(t)]; ok {
-				segs = append(segs, int(s))
-			}
-		}
-		sort.Ints(segs)
-		prevDelta := 0
-		for _, a := range b.prev.arenas[1:] {
-			prevDelta += len(a)
-		}
-		if len(b.prev.arenas) >= maxArenaChain || prevDelta+len(segs)*tl > len(b.prev.arenas[0]) {
-			// Compact: re-rank the dirty segments and copy the rest into
-			// one fresh base arena, dropping the delta chain.
-			dirty := make([]bool, len(lay.segments))
-			for _, s := range segs {
-				dirty[s] = true
-			}
-			arena := make([]Ranked, len(lay.segments)*tl)
-			par.ForEach(len(lay.segments), func(s int) {
-				dst := arena[s*tl : (s+1)*tl]
-				if dirty[s] {
-					copy(dst, b.loadSegTable(lay, s, factors))
-				} else {
-					copy(dst, b.prev.segData(int32(s)))
-				}
-			})
-			sn.arenas = [][]Ranked{arena}
-			sn.segArena, sn.segOff = lay.baseSegArena, lay.baseSegOff
-		} else {
-			delta := make([]Ranked, len(segs)*tl)
-			par.ForEach(len(segs), func(i int) {
-				copy(delta[i*tl:(i+1)*tl], b.loadSegTable(lay, segs[i], factors))
-			})
-			segArena := append([]int32(nil), b.prev.segArena...)
-			segOff := append([]uint32(nil), b.prev.segOff...)
-			ai := int32(len(b.prev.arenas))
-			for i, s := range segs {
-				segArena[s] = ai
-				segOff[s] = uint32(i * tl)
-			}
-			arenas := make([][]Ranked, 0, len(b.prev.arenas)+1)
-			arenas = append(arenas, b.prev.arenas...)
-			sn.arenas = append(arenas, delta)
-			sn.segArena, sn.segOff = segArena, segOff
-		}
+		delta := make([]Ranked, len(segs)*tl)
+		par.ForEach(len(segs), func(i int) {
+			b.fillSeg(lay, int(segs[i]), delta[i*tl:(i+1)*tl], true, factors)
+		})
+		sn = b.prev.WithDeltaSegments(epoch, policy, b.ttl, segs, delta)
 		b.incBuilds++
 		b.rerankedTables += uint64(len(segs))
 	}
@@ -501,15 +516,15 @@ func (b *SnapshotBuilder) buildCANS(sn *Snapshot) map[uint64][]Ranked {
 			eps[j] = blk.Endpoint()
 			weights[j] = blk.Demand
 		}
-		win, score := sc.BestWeighted(eps, weights)
-		if win == nil {
+		win, score := sc.bestWeighted(eps, weights)
+		if win < 0 {
 			return nil
 		}
 		ns := sn.RankOf(l.Endpoint().ID, false)
 		out := make([]Ranked, 0, len(ns)+1)
-		out = append(out, Ranked{Deployment: win, Score: score})
+		out = append(out, MakeRanked(uint32(win), score))
 		for _, r := range ns {
-			if r.Deployment != win {
+			if r.Dep != uint32(win) {
 				out = append(out, r)
 			}
 		}

@@ -30,10 +30,10 @@ func TestSnapshotCANSDedupe(t *testing.T) {
 		checked++
 		seen := make(map[uint64]bool, len(cands))
 		for _, c := range cands {
-			if seen[c.Deployment.ID] {
-				t.Fatalf("LDNS %v: deployment %s appears twice in CANS candidates", l.Addr, c.Deployment.Name)
+			if seen[depOf(c).ID] {
+				t.Fatalf("LDNS %v: deployment %s appears twice in CANS candidates", l.Addr, depOf(c).Name)
 			}
-			seen[c.Deployment.ID] = true
+			seen[depOf(c).ID] = true
 		}
 		// The winner leads, and it is the traffic-weighted optimum.
 		eps := make([]netmodel.Endpoint, len(l.Blocks))
@@ -43,9 +43,9 @@ func TestSnapshotCANSDedupe(t *testing.T) {
 			weights[i] = b.Demand
 		}
 		win, _ := sys.Scorer().BestWeighted(eps, weights)
-		if cands[0].Deployment != win {
+		if depOf(cands[0]) != win {
 			t.Fatalf("LDNS %v: candidate[0] = %s, want weighted winner %s",
-				l.Addr, cands[0].Deployment.Name, win.Name)
+				l.Addr, depOf(cands[0]).Name, win.Name)
 		}
 		// Every platform deployment is reachable for capacity spill.
 		if len(cands) != len(testP.Deployments) {
@@ -75,9 +75,9 @@ func TestSnapshotMatchesScorer(t *testing.T) {
 			t.Fatalf("block %v: %d ranked, want %d", b.Prefix, len(got), len(want))
 		}
 		for j := range got {
-			if got[j].Deployment != want[j].Deployment || got[j].Score != want[j].Score {
+			if depOf(got[j]) != depOf(want[j]) || got[j].Score() != want[j].Score() {
 				t.Fatalf("block %v rank %d: %s/%g, want %s/%g", b.Prefix, j,
-					got[j].Deployment.Name, got[j].Score, want[j].Deployment.Name, want[j].Score)
+					depOf(got[j]).Name, got[j].Score(), depOf(want[j]).Name, want[j].Score())
 			}
 		}
 	}
@@ -85,7 +85,7 @@ func TestSnapshotMatchesScorer(t *testing.T) {
 		l := testW.LDNSes[i]
 		got := sn.RankOf(l.Endpoint().ID, false)
 		want := sc.Rank(l.Endpoint())
-		if len(got) == 0 || got[0].Deployment != want[0].Deployment {
+		if len(got) == 0 || depOf(got[0]) != depOf(want[0]) {
 			t.Fatalf("LDNS %v: top-ranked mismatch", l.Addr)
 		}
 	}

@@ -109,7 +109,7 @@ type System struct {
 	// epoch allocates strictly increasing snapshot numbers.
 	epoch atomic.Uint64
 	// snap is the currently published map. Installed by a single pointer
-	// swap; non-nil from NewSystem on.
+	// swap; non-nil from NewSystem / NewReplica on.
 	snap atomic.Pointer[Snapshot]
 	// publishedAt is the wall-clock instant (unix nanoseconds) of the last
 	// successful Install. The serving plane's staleness watchdog reads it
@@ -124,10 +124,29 @@ type System struct {
 	index *sysIndex
 }
 
-// NewSystem builds a mapping system over the given world and platform.
-// The prober is typically the network model itself, or a measure.DB fed by
-// periodic sweeps.
+// NewSystem builds a mapping system over the given world and platform and
+// publishes its first map before returning, so the data plane never
+// computes anything on the hot path. The prober is typically the network
+// model itself, or a measure.DB fed by periodic sweeps.
 func NewSystem(w *world.World, p *cdn.Platform, net Prober, cfg Config) *System {
+	s := newBareSystem(w, p, net, cfg)
+	s.Rebuild()
+	return s
+}
+
+// NewReplica builds a mapping system that installs maps instead of
+// building them: the lookup index and the load balancer's rings are ready,
+// nothing is ranked beyond the two fallback tables of the epoch-0 boot map
+// (see BootstrapReplica), and the first Install of a fetched snapshot
+// replaces it.
+func NewReplica(w *world.World, p *cdn.Platform, net Prober, cfg Config) *System {
+	s := newBareSystem(w, p, net, cfg)
+	s.BootstrapReplica()
+	return s
+}
+
+// newBareSystem wires a system with no map installed yet.
+func newBareSystem(w *world.World, p *cdn.Platform, net Prober, cfg Config) *System {
 	if cfg.Units == nil {
 		cfg.Units = PrefixUnits{X: 24}
 	}
@@ -148,10 +167,7 @@ func NewSystem(w *world.World, p *cdn.Platform, net Prober, cfg Config) *System 
 	s.desiredPolicy.Store(int32(cfg.Policy))
 	s.lb.LoadPenalty = cfg.LoadPenalty
 	s.builder = newSnapshotBuilder(w, s.scorer, cfg)
-	// Prepare the load balancer's rings and publish the first map before
-	// serving, so the data plane never computes anything on the hot path.
 	s.lb.Prepare(p)
-	s.Rebuild()
 	return s
 }
 
@@ -177,7 +193,7 @@ func (s *System) SetPolicy(p Policy) {
 }
 
 // Current returns the published snapshot the data plane is serving from.
-// It is never nil after NewSystem.
+// It is never nil.
 func (s *System) Current() *Snapshot { return s.snap.Load() }
 
 // Install publishes a snapshot if it is newer than the current one,
@@ -310,9 +326,15 @@ func (s *System) MapAt(sn *Snapshot, req Request) (*Response, error) {
 		candidates = sn.fallbackTable(sn.policy == EndUser && req.ClientSubnet.IsValid())
 	case sn.policy == EndUser && req.ClientSubnet.IsValid():
 		unit := s.cfg.Units.UnitFor(req.ClientSubnet.Addr())
-		id, known := s.clientEndpointID(unit, req.ClientSubnet)
-		if known {
-			candidates = sn.RankOf(id, true)
+		p := int32(-1)
+		if id, known := s.clientEndpointID(unit, req.ClientSubnet); known {
+			p = sn.lay.partitionOf(id)
+		}
+		// Known to the index and covered by this map: a replica's epoch-0
+		// boot map covers nothing, and its fallback answer must carry
+		// scope 0 like any other.
+		if p >= 0 {
+			candidates = sn.table(p)
 			resp.UsedClientSubnet = true
 			// Answer scope: the mapping-unit granularity for this
 			// address family (CIDR units may be coarser), never more
@@ -337,7 +359,7 @@ func (s *System) MapAt(sn *Snapshot, req Request) (*Response, error) {
 		candidates = s.ldnsCandidates(sn, req.LDNS)
 	}
 
-	d, err := s.lb.PickDeployment(candidates, req.Demand)
+	d, err := s.lb.PickDeployment(s.platform.Deployments, candidates, req.Demand)
 	if err != nil {
 		return nil, err
 	}

@@ -18,6 +18,9 @@ var (
 	testP   = cdn.MustGenerateUniverse(testW, cdn.Config{Seed: 5, NumDeployments: 300, ServersPerDeployment: 6})
 )
 
+// depOf resolves a rank entry against the test platform.
+func depOf(r Ranked) *cdn.Deployment { return testP.Deployments[r.Dep] }
+
 func newSystem(t testing.TB, pol Policy) *System {
 	t.Helper()
 	return NewSystem(testW, testP, testNet, Config{Policy: pol, PingTargets: 1000})

@@ -80,11 +80,11 @@ func TestClassScorerUsableBySystemComponents(t *testing.T) {
 		t.Fatalf("rank size %d", len(rank))
 	}
 	lb := NewLoadBalancer()
-	d, err := lb.PickDeployment(rank, 0)
+	d, err := lb.PickDeployment(testP.Deployments, rank, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != rank[0].Deployment {
+	if d != depOf(rank[0]) {
 		t.Error("unloaded pick should be rank head")
 	}
 }

@@ -3,85 +3,65 @@ package mapping
 import (
 	"math"
 	"time"
+	"unsafe"
 
-	"eum/internal/netmodel"
+	"eum/internal/cdn"
 )
 
-// This file is the snapshot's wire-support surface: the exported, stable
-// view of a snapshot's internals that internal/mapwire serializes, and the
-// constructors that rebuild an installable snapshot from decoded parts.
-// Everything here preserves the package invariant that snapshots are
-// immutable after construction — decode allocates fresh backing arrays and
-// never aliases caller memory into a snapshot mutably.
+// This file is the snapshot's wire-support surface: what internal/mapwire
+// needs beyond the exported Layout to serialize a snapshot and to rebuild
+// an installable one. A rank table has one representation — its []Ranked
+// memory is what travels — so there is nothing to translate, only to view.
 
-// WireLayout is the serializable description of a snapshot's partition
-// layout. It mirrors partitionLayout field-for-field with exported names;
-// the segment list is split into parallel target/representative slices so
-// the encoder can write flat arrays.
-type WireLayout struct {
-	// NParts is the universe partition count, excluding the two fallbacks.
-	NParts int
-	// FallbackLDNS / FallbackClient are the partition indexes of the two
-	// synthetic fallback endpoints (always the last two partitions).
-	FallbackLDNS   int32
-	FallbackClient int32
-	// Dense, SpillIDs, SpillIdx form the endpoint-ID → partition index.
-	Dense    []int32
-	SpillIDs []uint64
-	SpillIdx []int32
-	// PartSeg maps partition → arena segment.
-	PartSeg []int32
-	// SegTargets / SegReps describe the distinct rank tables: the scorer
-	// target index interned onto segment s (or -1), and the partition
-	// representative ranked into it.
-	SegTargets []int32
-	SegReps    []netmodel.Endpoint
-	// TableLen is entries per table = len(platform.Deployments).
-	TableLen int
-	// Endpoints is the number of distinct endpoint IDs indexed.
-	Endpoints int
+// hostBigEndian reports a host whose 32-bit words are stored high byte
+// first, where a table's memory is its wire image only after WireOrder.
+var hostBigEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 0
+}()
+
+// TableBytes returns the memory of a rank table — or of a whole arena — as
+// bytes, 12 per entry, without copying. The wire format is that memory as a
+// little-endian host lays it out; pass the bytes through WireOrder after
+// copying them out (encode) or reading them in (decode).
+func TableBytes(t []Ranked) []byte {
+	if len(t) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&t[0])), len(t)*int(unsafe.Sizeof(Ranked{})))
 }
 
-// WireLayout returns the snapshot's partition layout in serializable form.
-// The returned slices alias the layout's backing arrays; callers must not
-// modify them.
-func (sn *Snapshot) WireLayout() WireLayout {
-	lay := sn.lay
-	wl := WireLayout{
-		NParts:         lay.nParts,
-		FallbackLDNS:   lay.fallbackLDNS,
-		FallbackClient: lay.fallbackClient,
-		Dense:          lay.dense,
-		SpillIDs:       lay.spillIDs,
-		SpillIdx:       lay.spillIdx,
-		PartSeg:        lay.partSeg,
-		TableLen:       lay.tableLen,
-		Endpoints:      lay.endpoints,
+// WireOrder converts table bytes between host memory order and wire order
+// in place. Every field of an entry is a 32-bit word, so it is a no-op on
+// little-endian hosts and a per-word byte swap on big-endian ones.
+func WireOrder(b []byte) {
+	if !hostBigEndian {
+		return
 	}
-	wl.SegTargets = make([]int32, len(lay.segments))
-	wl.SegReps = make([]netmodel.Endpoint, len(lay.segments))
-	for s, seg := range lay.segments {
-		wl.SegTargets[s] = seg.target
-		wl.SegReps[s] = seg.rep
+	for i := 0; i+4 <= len(b); i += 4 {
+		b[i], b[i+1], b[i+2], b[i+3] = b[i+3], b[i+2], b[i+1], b[i]
 	}
-	return wl
 }
 
-// SegmentTable returns arena segment s's rank table (tableLen entries,
+// Layout returns the snapshot's partition layout; callers must not modify
+// it.
+func (sn *Snapshot) Layout() *Layout { return sn.lay }
+
+// SegmentTable returns arena segment s's rank table (TableLen entries,
 // best first). The slice is immutable; callers must not modify it.
-func (sn *Snapshot) SegmentTable(s int) []Ranked { return sn.segData(int32(s)) }
+func (sn *Snapshot) SegmentTable(s int) []Ranked { return sn.segs[s] }
 
-// SharesSegmentWith reports whether segment s's table in sn is the same
-// backing storage as in prev — i.e. the segment was not re-ranked between
-// the two snapshots and a delta encoding may omit it. It is conservative:
-// a false answer only costs wire bytes, never correctness. Snapshots built
-// from different layouts never share.
-func (sn *Snapshot) SharesSegmentWith(prev *Snapshot, s int) bool {
-	if prev == nil || prev.lay != sn.lay {
-		return false
+// ChangedSince lists, ascending, the segments whose tables were re-ranked
+// after the given epoch — what a delta patching a snapshot of that epoch
+// (same layout, same lineage of builds) must carry.
+func (sn *Snapshot) ChangedSince(epoch uint64) []int32 {
+	var segs []int32
+	for s, e := range sn.segEpoch {
+		if e > epoch {
+			segs = append(segs, int32(s))
+		}
 	}
-	a, b := sn.segData(int32(s)), prev.segData(int32(s))
-	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+	return segs
 }
 
 // CANSTables returns the snapshot's precomputed ClientAwareNS candidate
@@ -90,9 +70,9 @@ func (sn *Snapshot) SharesSegmentWith(prev *Snapshot, s int) bool {
 func (sn *Snapshot) CANSTables() map[uint64][]Ranked { return sn.cans }
 
 // ArenaChainLen returns the length of the snapshot's arena chain (1 for a
-// freshly built or decoded snapshot; grows with incremental builds until
-// compaction).
-func (sn *Snapshot) ArenaChainLen() int { return len(sn.arenas) }
+// freshly built or decoded snapshot; grows with incremental builds and
+// delta applies until compaction).
+func (sn *Snapshot) ArenaChainLen() int { return sn.chain }
 
 // LayoutFingerprint returns a hash of the snapshot's partition layout:
 // the index arrays, segment interning and table geometry, but not the
@@ -105,7 +85,7 @@ func (sn *Snapshot) LayoutFingerprint() uint64 { return sn.lay.fingerprint() }
 // fingerprint lazily computes and caches the layout hash. Layouts are
 // immutable after buildLayout, so computing once is safe; snapshots share
 // the layout, so every epoch pays nothing after the first call.
-func (lay *partitionLayout) fingerprint() uint64 {
+func (lay *Layout) fingerprint() uint64 {
 	lay.fpOnce.Do(func() {
 		h := uint64(fnvOffset64)
 		mix := func(v uint64) {
@@ -114,149 +94,107 @@ func (lay *partitionLayout) fingerprint() uint64 {
 				h *= fnvPrime64
 			}
 		}
-		mix(uint64(lay.nParts))
-		mix(uint64(lay.tableLen))
-		mix(uint64(lay.endpoints))
-		mix(uint64(uint32(lay.fallbackLDNS)))
-		mix(uint64(uint32(lay.fallbackClient)))
-		mix(uint64(len(lay.dense)))
-		for _, v := range lay.dense {
+		mix(uint64(lay.NParts))
+		mix(uint64(lay.TableLen))
+		mix(uint64(lay.Endpoints))
+		mix(uint64(uint32(lay.FallbackLDNS)))
+		mix(uint64(uint32(lay.FallbackClient)))
+		mix(uint64(len(lay.Dense)))
+		for _, v := range lay.Dense {
 			mix(uint64(uint32(v)))
 		}
-		mix(uint64(len(lay.spillIDs)))
-		for i, id := range lay.spillIDs {
+		mix(uint64(len(lay.SpillIDs)))
+		for i, id := range lay.SpillIDs {
 			mix(id)
-			mix(uint64(uint32(lay.spillIdx[i])))
+			mix(uint64(uint32(lay.SpillIdx[i])))
 		}
-		mix(uint64(len(lay.partSeg)))
-		for _, v := range lay.partSeg {
+		mix(uint64(len(lay.PartSeg)))
+		for _, v := range lay.PartSeg {
 			mix(uint64(uint32(v)))
 		}
-		mix(uint64(len(lay.segments)))
-		for _, seg := range lay.segments {
-			mix(uint64(uint32(seg.target)))
-			mix(seg.rep.ID)
-			mix(math.Float64bits(seg.rep.Loc.Lat))
-			mix(math.Float64bits(seg.rep.Loc.Lon))
-			mix(uint64(seg.rep.ASN))
-			mix(uint64(seg.rep.Access))
+		mix(uint64(len(lay.Segments)))
+		for _, seg := range lay.Segments {
+			mix(uint64(uint32(seg.Target)))
+			mix(seg.Rep.ID)
+			mix(math.Float64bits(seg.Rep.Loc.Lat))
+			mix(math.Float64bits(seg.Rep.Loc.Lon))
+			mix(uint64(seg.Rep.ASN))
+			mix(uint64(seg.Rep.Access))
 		}
 		lay.fp = h
 	})
 	return lay.fp
 }
 
-// AssembleSnapshot rebuilds an installable snapshot from decoded wire
-// parts: the layout description, one flat base arena holding segment s at
-// offset s*TableLen, and (for ClientAwareNS) the CANS candidate map. The
-// caller (the wire decoder) is responsible for validating that every index
-// in wl is in range; AssembleSnapshot trusts its input.
-func AssembleSnapshot(epoch uint64, policy Policy, ttl time.Duration,
-	wl WireLayout, arena []Ranked, cans map[uint64][]Ranked) *Snapshot {
+// NewSnapshot assembles a snapshot over one base arena holding segment s
+// at offset s*TableLen, every table stamped as ranked at this epoch. Full
+// builds and the wire decoder both end here; the decoder is responsible
+// for validating that every index in lay and every Dep in arena and cans
+// is in range — NewSnapshot trusts its input and keeps arena as given.
+func NewSnapshot(epoch uint64, policy Policy, ttl time.Duration, lay *Layout,
+	p *cdn.Platform, arena []Ranked, cans map[uint64][]Ranked) *Snapshot {
 
-	lay := &partitionLayout{
-		nParts:         wl.NParts,
-		dense:          wl.Dense,
-		spillIDs:       wl.SpillIDs,
-		spillIdx:       wl.SpillIdx,
-		fallbackLDNS:   wl.FallbackLDNS,
-		fallbackClient: wl.FallbackClient,
-		partSeg:        wl.PartSeg,
-		tableLen:       wl.TableLen,
-		endpoints:      wl.Endpoints,
-	}
-	lay.segments = make([]segmentInfo, len(wl.SegTargets))
-	lay.targetSeg = make(map[int32]int32, len(wl.SegTargets))
-	for s := range wl.SegTargets {
-		lay.segments[s] = segmentInfo{target: wl.SegTargets[s], rep: wl.SegReps[s]}
-		if t := wl.SegTargets[s]; t >= 0 {
-			if _, ok := lay.targetSeg[t]; !ok {
-				lay.targetSeg[t] = int32(s)
-			}
-		}
-	}
-	lay.baseSegArena = make([]int32, len(lay.segments))
-	lay.baseSegOff = make([]uint32, len(lay.segments))
-	for s := range lay.baseSegOff {
-		lay.baseSegOff[s] = uint32(s * wl.TableLen)
-	}
-	return &Snapshot{
-		epoch:    epoch,
-		policy:   policy,
-		ttl:      ttl,
-		lay:      lay,
-		arenas:   [][]Ranked{arena},
-		segArena: lay.baseSegArena,
-		segOff:   lay.baseSegOff,
+	tl := lay.TableLen
+	sn := &Snapshot{
+		epoch: epoch, policy: policy, ttl: ttl, lay: lay, deps: p.Deployments,
+		segs:     make([][]Ranked, len(lay.Segments)),
+		segEpoch: make([]uint64, len(lay.Segments)),
+		chain:    1,
 		cans:     cans,
 	}
+	for s := range sn.segs {
+		sn.segs[s] = arena[s*tl : (s+1)*tl : (s+1)*tl]
+		sn.segEpoch[s] = epoch
+	}
+	return sn
 }
 
 // WithDeltaSegments derives a new snapshot from sn by replacing the given
-// arena segments with fresh tables (delta holds len(segs) tables of
-// tableLen entries, in segs order) — the replica-side counterpart of the
-// builder's incremental build path. The layout is shared; the delta rides
-// as a new arena until the chain would exceed maxArenaChain or the
-// accumulated delta data would outweigh the base arena, at which point the
-// result is compacted into one fresh base arena — the same policy the
-// builder applies, so replica memory stays bounded no matter how many
-// deltas it applies. Delta application never carries CANS tables (the
+// arena segments (ascending) with fresh tables: delta holds len(segs)
+// tables of TableLen entries, in segs order, and is kept as given. It is
+// the builder's incremental path and the replica's delta apply alike. The
+// layout is shared; the delta rides as a new arena until the chain would
+// exceed maxArenaChain or the accumulated delta data would outweigh the
+// base arena, at which point the result is compacted into one fresh base
+// arena — so memory stays bounded however many deltas are applied. The
+// result never carries CANS tables (the builder recomputes them, the
 // encoder refuses deltas for CANS snapshots).
 func (sn *Snapshot) WithDeltaSegments(epoch uint64, policy Policy,
 	ttl time.Duration, segs []int32, delta []Ranked) *Snapshot {
 
-	lay := sn.lay
-	tl := lay.tableLen
-	out := &Snapshot{epoch: epoch, policy: policy, ttl: ttl, lay: lay}
-
-	prevDelta := 0
-	for _, a := range sn.arenas[1:] {
-		prevDelta += len(a)
-	}
-	if len(sn.arenas) >= maxArenaChain || prevDelta+len(delta) > len(sn.arenas[0]) {
-		dirty := make(map[int32]int, len(segs))
-		for i, s := range segs {
-			dirty[s] = i
-		}
-		arena := make([]Ranked, len(lay.segments)*tl)
-		for s := range lay.segments {
-			dst := arena[s*tl : (s+1)*tl]
-			if i, ok := dirty[int32(s)]; ok {
-				copy(dst, delta[i*tl:(i+1)*tl])
-			} else {
-				copy(dst, sn.segData(int32(s)))
-			}
-		}
-		out.arenas = [][]Ranked{arena}
-		out.segArena, out.segOff = lay.baseSegArena, lay.baseSegOff
-		return out
-	}
-
-	segArena := append([]int32(nil), sn.segArena...)
-	segOff := append([]uint32(nil), sn.segOff...)
-	ai := int32(len(sn.arenas))
+	tl := sn.lay.TableLen
+	out := *sn
+	out.epoch, out.policy, out.ttl, out.cans = epoch, policy, ttl, nil
+	out.segs = append([][]Ranked(nil), sn.segs...)
+	out.segEpoch = append([]uint64(nil), sn.segEpoch...)
 	for i, s := range segs {
-		segArena[s] = ai
-		segOff[s] = uint32(i * tl)
+		out.segs[s] = delta[i*tl : (i+1)*tl : (i+1)*tl]
+		out.segEpoch[s] = epoch
 	}
-	arenas := make([][]Ranked, 0, len(sn.arenas)+1)
-	arenas = append(arenas, sn.arenas...)
-	out.arenas = append(arenas, delta)
-	out.segArena, out.segOff = segArena, segOff
-	return out
+	out.chain++
+	out.deltaEntries += len(delta)
+	if out.chain > maxArenaChain || out.deltaEntries > len(out.segs)*tl {
+		arena := make([]Ranked, len(out.segs)*tl)
+		for s, t := range out.segs {
+			out.segs[s] = arena[s*tl : (s+1)*tl : (s+1)*tl]
+			copy(out.segs[s], t)
+		}
+		out.chain, out.deltaEntries = 1, 0
+	}
+	return &out
 }
 
-// BootstrapReplica rewinds the system's epoch counter to zero and restamps
-// the currently installed (locally built) snapshot as epoch 0, so that the
-// first snapshot fetched from a MapMaker publisher — whose epochs start at
-// 1 — always wins the Install comparison. A replica keeps its local build
-// as a degraded standby: until the first fetch succeeds the staleness
-// watchdog walks the degradation ladder over it exactly as over a stalled
-// local control plane. Call once, after NewSystem and before serving.
+// BootstrapReplica puts the system in replica state: it installs, as epoch
+// 0, a map holding nothing but the two shared fallback tables, rewinds the
+// epoch counter so that the first snapshot fetched from a MapMaker
+// publisher — whose epochs start at 1 — always wins the Install
+// comparison, and releases everything a local build may have left in the
+// builder and the scorer. No builder ever emits epoch 0, so the serving
+// plane treats it as the degradation ladder's fallback rung (or worse, by
+// age) until the first Install. NewReplica calls it on a system that has
+// built nothing; calling it on a built system discards that map.
 func (s *System) BootstrapReplica() {
-	cur := s.snap.Load()
-	boot := *cur // Snapshot is a plain value: no locks or atomics inside
-	boot.epoch = 0
-	s.snap.Store(&boot)
+	s.snap.Store(s.builder.bootSnapshot(s.DesiredPolicy()))
 	s.epoch.Store(0)
+	s.publishedAt.Store(time.Now().UnixNano())
 }

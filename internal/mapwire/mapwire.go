@@ -7,18 +7,19 @@
 // normalisation. A full image carries the partition layout (dense index,
 // spill arrays, partition→segment map, segment headers) followed by one
 // flat rank-table arena and, for ClientAwareNS snapshots, the candidate
-// map; a delta image carries only the arena segments that changed since a
-// base epoch, riding the builder's dirty-segment machinery. Scores travel
-// as raw IEEE-754 bits and deployments as indexes into the platform's
-// deployment list, so a decoded snapshot answers bitwise-identically to
-// the original — provided both sides hold the same platform, which the
+// map; a delta image carries only the arena segments re-ranked since a
+// base epoch. A rank table has one representation: the 12-byte entries of
+// mapping.Ranked are written from, and read into, the memory they are
+// served from, as bulk copies, and the checksum runs over those same
+// bytes. A decoded snapshot therefore answers bitwise-identically to the
+// original — provided both sides hold the same platform, which the
 // header's platform fingerprint enforces.
 //
-// Layout (all integers little-endian):
+// Layout, version 2 (all integers little-endian):
 //
 //	offset  size  field
 //	     0     4  magic "EUMw"
-//	     4     2  format version (currently 1)
+//	     4     2  format version (2)
 //	     6     1  kind (0 full, 1 delta)
 //	     7     1  policy
 //	     8     8  epoch
@@ -26,20 +27,41 @@
 //	    24     8  answer TTL, nanoseconds
 //	    32     8  platform fingerprint
 //	    40     8  layout fingerprint
-//	    48     4  partitions (excluding fallbacks)
-//	    52     4  tables (arena segments)
-//	    56     4  table length (entries per table)
+//	    48     4  partitions P (excluding the two fallbacks)
+//	    52     4  tables T (arena segments)
+//	    56     4  table length L (entries per table = deployments)
 //	    60     4  endpoints indexed
 //	    64     …  body (kind-dependent)
-//	  last     8  FNV-1a checksum of everything before it
+//	  last     4  CRC-32C (Castagnoli) of everything before it
+//
+// Full body:
+//
+//	i32 fallback-LDNS partition, i32 fallback-client partition
+//	u32 D, then D × i32    dense endpoint-ID → partition index (-1 unknown)
+//	u32 S, then S × u64 spill IDs (ascending), then S × i32 their partitions
+//	u32 P+2, then (P+2) × i32   partition → table
+//	T × i32                ping target ranked into each table (-1: its own representative)
+//	T × 29 bytes           representatives: u64 id, f64 lat, f64 lon, u32 asn, u8 access
+//	T × L × 12 bytes       the arena: table s at entry s×L
+//	u32 C, then C × (u64 LDNS id, u32 n, n × 12 bytes)   CANS candidate lists, ascending id
+//
+// Delta body:
+//
+//	u32 N, then N × i32    re-ranked tables, strictly ascending
+//	N × L × 12 bytes       their new contents, in that order
+//
+// A rank entry is u32 deployment index (into the platform's deployment
+// list), then the score's IEEE-754 bits as u32 low word, u32 high word.
 package mapwire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"eum/internal/cdn"
@@ -49,19 +71,20 @@ import (
 )
 
 // Version is the wire format version this package encodes and decodes.
-const Version = 1
+const Version = 2
 
 // Image kinds.
 const (
 	KindFull  = 0 // complete snapshot: layout + full arena (+ CANS tables)
-	KindDelta = 1 // changed arena segments against a base epoch
+	KindDelta = 1 // re-ranked arena segments against a base epoch
 )
 
 const (
-	magic      = "EUMw"
-	headerSize = 64
-	// rankedSize is one wire rank entry: deployment index + score bits.
-	rankedSize = 4 + 8
+	magic       = "EUMw"
+	headerSize  = 64
+	trailerSize = 4
+	// rankedSize is one rank entry: deployment index + score bits.
+	rankedSize = 12
 	// repSize is one wire segment representative: id, lat, lon, asn, access.
 	repSize = 8 + 8 + 8 + 4 + 1
 )
@@ -100,21 +123,12 @@ type Header struct {
 // explicit error instead of silently misrouted traffic.
 type Codec struct {
 	platform *cdn.Platform
-	depIdx   map[*cdn.Deployment]uint32
 	fp       uint64
 }
 
 // NewCodec builds a codec for the given platform.
 func NewCodec(p *cdn.Platform) *Codec {
-	c := &Codec{
-		platform: p,
-		depIdx:   make(map[*cdn.Deployment]uint32, len(p.Deployments)),
-		fp:       PlatformFingerprint(p),
-	}
-	for i, d := range p.Deployments {
-		c.depIdx[d] = uint32(i)
-	}
-	return c
+	return &Codec{platform: p, fp: PlatformFingerprint(p)}
 }
 
 // PlatformFingerprint hashes the platform's structural identity: the
@@ -170,239 +184,228 @@ func ParseHeader(data []byte) (Header, error) {
 
 // EncodeFull serializes a complete snapshot image.
 func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
-	wl := sn.WireLayout()
+	lay := sn.Layout()
+	if lay.TableLen != len(c.platform.Deployments) {
+		return nil, fmt.Errorf("mapwire: snapshot ranks %d deployments, the codec's platform has %d",
+			lay.TableLen, len(c.platform.Deployments))
+	}
 	cans := sn.CANSTables()
-	cansIDs := sortedKeys(cans)
+	cansIDs := make([]uint64, 0, len(cans))
+	for id := range cans {
+		cansIDs = append(cansIDs, id)
+	}
+	slices.Sort(cansIDs) // the canonical wire order that makes encoding deterministic
 
 	size := headerSize +
 		4 + 4 + // fallback indexes
-		4 + 4*len(wl.Dense) +
-		4 + 12*len(wl.SpillIDs) +
-		4 + 4*len(wl.PartSeg) +
-		len(wl.SegTargets)*4 +
-		len(wl.SegReps)*repSize +
-		len(wl.SegTargets)*wl.TableLen*rankedSize +
-		4 + 8 // cans count + checksum
+		4 + 4*len(lay.Dense) +
+		4 + 12*len(lay.SpillIDs) +
+		4 + 4*len(lay.PartSeg) +
+		len(lay.Segments)*(4+repSize+lay.TableLen*rankedSize) +
+		4 + trailerSize // cans count + checksum
 	for _, id := range cansIDs {
 		size += 8 + 4 + len(cans[id])*rankedSize
 	}
 
 	w := newWriter(size)
-	c.putHeader(w, sn, KindFull, 0, wl)
+	c.putHeader(w, sn, KindFull, 0)
 
-	w.i32(wl.FallbackLDNS)
-	w.i32(wl.FallbackClient)
-	w.u32(uint32(len(wl.Dense)))
-	for _, v := range wl.Dense {
+	w.i32(lay.FallbackLDNS)
+	w.i32(lay.FallbackClient)
+	w.u32(uint32(len(lay.Dense)))
+	for _, v := range lay.Dense {
 		w.i32(v)
 	}
-	w.u32(uint32(len(wl.SpillIDs)))
-	for i, id := range wl.SpillIDs {
+	w.u32(uint32(len(lay.SpillIDs)))
+	for _, id := range lay.SpillIDs {
 		w.u64(id)
-		w.i32(wl.SpillIdx[i])
 	}
-	w.u32(uint32(len(wl.PartSeg)))
-	for _, v := range wl.PartSeg {
+	for _, v := range lay.SpillIdx {
 		w.i32(v)
 	}
-	for _, t := range wl.SegTargets {
-		w.i32(t)
+	w.u32(uint32(len(lay.PartSeg)))
+	for _, v := range lay.PartSeg {
+		w.i32(v)
 	}
-	for _, rep := range wl.SegReps {
-		w.u64(rep.ID)
-		w.f64(rep.Loc.Lat)
-		w.f64(rep.Loc.Lon)
-		w.u32(rep.ASN)
-		w.u8(uint8(rep.Access))
+	for _, seg := range lay.Segments {
+		w.i32(seg.Target)
 	}
-	for s := range wl.SegTargets {
-		if err := c.putTable(w, sn.SegmentTable(s)); err != nil {
-			return nil, err
-		}
+	for _, seg := range lay.Segments {
+		w.u64(seg.Rep.ID)
+		w.f64(seg.Rep.Loc.Lat)
+		w.f64(seg.Rep.Loc.Lon)
+		w.u32(seg.Rep.ASN)
+		w.u8(uint8(seg.Rep.Access))
+	}
+	for s := range lay.Segments {
+		w.table(sn.SegmentTable(s))
 	}
 	w.u32(uint32(len(cansIDs)))
 	for _, id := range cansIDs {
-		tbl := cans[id]
 		w.u64(id)
-		w.u32(uint32(len(tbl)))
-		if err := c.putTable(w, tbl); err != nil {
-			return nil, err
-		}
+		w.u32(uint32(len(cans[id])))
+		w.table(cans[id])
 	}
 	return w.finish(), nil
 }
 
-// EncodeDelta serializes the arena segments that changed between prev and
-// next as a delta image patching prev's epoch. ok is false — with no error
-// — when a delta is not expressible (different layouts, a CANS snapshot
-// whose candidate map has no delta form, or so many changed segments that
-// a full image is smaller); the publisher then falls back to EncodeFull.
+// EncodeDelta serializes the arena segments re-ranked after prev's epoch
+// as a delta image patching that epoch; next must descend from prev
+// through the same builder (the publisher's retention ring guarantees it).
+// ok is false — with no error — when a delta is not expressible (different
+// layouts, a CANS snapshot whose candidate map has no delta form, or so
+// many changed segments that a full image is smaller); the publisher then
+// falls back to EncodeFull.
 func (c *Codec) EncodeDelta(prev, next *mapping.Snapshot) (data []byte, ok bool, err error) {
 	if prev == nil || prev.LayoutFingerprint() != next.LayoutFingerprint() ||
 		next.CANSTables() != nil || prev.Epoch() >= next.Epoch() {
 		return nil, false, nil
 	}
-	wl := next.WireLayout()
-	var segs []int32
-	for s := range wl.SegTargets {
-		if !next.SharesSegmentWith(prev, s) {
-			segs = append(segs, int32(s))
-		}
-	}
+	segs := next.ChangedSince(prev.Epoch())
 	// A delta that rewrites most of the arena is worse than a full image:
 	// it costs the same bytes but pins the replica to a chain of patches.
-	if len(segs)*2 >= len(wl.SegTargets) {
+	if len(segs)*2 >= next.Tables() {
 		return nil, false, nil
 	}
 
-	size := headerSize + 4 + len(segs)*4 + len(segs)*wl.TableLen*rankedSize + 8
-	w := newWriter(size)
-	c.putHeader(w, next, KindDelta, prev.Epoch(), wl)
+	tl := next.Layout().TableLen
+	w := newWriter(headerSize + 4 + len(segs)*(4+tl*rankedSize) + trailerSize)
+	c.putHeader(w, next, KindDelta, prev.Epoch())
 	w.u32(uint32(len(segs)))
 	for _, s := range segs {
 		w.i32(s)
 	}
 	for _, s := range segs {
-		if err := c.putTable(w, next.SegmentTable(int(s))); err != nil {
-			return nil, false, err
-		}
+		w.table(next.SegmentTable(int(s)))
 	}
 	return w.finish(), true, nil
 }
 
-// Decode reconstructs a snapshot from an image. For delta images, prev
-// must be the installed snapshot at the image's base epoch (the fetcher's
-// last install); Decode returns ErrDeltaBase when it is missing or does
-// not match, signalling the fetcher to re-request a full image. Decoded
-// snapshots are self-contained: they never alias the input buffer.
-//
-// Decode is hardened against corrupt or adversarial input: every length
-// and index is bounds-checked against the remaining buffer and the
-// declared geometry, and the trailing checksum is verified first, so no
-// input can panic the replica or install an out-of-range table reference.
+// Decode reconstructs a snapshot from an image held in memory; see
+// DecodeFrom.
 func (c *Codec) Decode(data []byte, prev *mapping.Snapshot) (*mapping.Snapshot, error) {
-	h, err := ParseHeader(data)
+	sn, _, err := c.DecodeFrom(bytes.NewReader(data), int64(len(data)), prev)
+	return sn, err
+}
+
+// DecodeFrom reconstructs a snapshot from an image of exactly size bytes
+// read from src — an HTTP response body and its Content-Length — without
+// ever holding the image: rank tables are read into the memory they will
+// be served from. For delta images, prev must be the installed snapshot at
+// the image's base epoch (the fetcher's last install); DecodeFrom returns
+// ErrDeltaBase when it is missing or does not match, signalling the
+// fetcher to re-request a full image.
+//
+// DecodeFrom is hardened against corrupt or adversarial input: every
+// length and index is bounds-checked against the bytes left and the
+// declared geometry, and nothing is returned unless the trailing checksum
+// matches, so no input can panic the replica or install an out-of-range
+// table reference.
+func (c *Codec) DecodeFrom(src io.Reader, size int64, prev *mapping.Snapshot) (*mapping.Snapshot, Header, error) {
+	if size < headerSize+trailerSize {
+		return nil, Header{}, fmt.Errorf("%w: %d bytes, need a %d-byte header and a trailer", ErrFormat, size, headerSize)
+	}
+	r := &reader{src: src, left: size - trailerSize}
+	if !r.read(r.buf[:headerSize]) {
+		return nil, Header{}, r.err
+	}
+	h, err := ParseHeader(r.buf[:headerSize])
 	if err != nil {
-		return nil, err
-	}
-	if len(data) < headerSize+8 {
-		return nil, fmt.Errorf("%w: no checksum trailer", ErrFormat)
-	}
-	body := data[:len(data)-8]
-	want := binary.LittleEndian.Uint64(data[len(data)-8:])
-	if got := fnvSum(body); got != want {
-		return nil, fmt.Errorf("%w: got %016x want %016x", ErrChecksum, got, want)
+		return nil, h, err
 	}
 	if h.PlatformFP != c.fp {
-		return nil, fmt.Errorf("%w: image %016x, codec %016x", ErrPlatformMismatch, h.PlatformFP, c.fp)
+		return nil, h, fmt.Errorf("%w: image %016x, codec %016x", ErrPlatformMismatch, h.PlatformFP, c.fp)
 	}
 	if h.TableLen != uint32(len(c.platform.Deployments)) {
-		return nil, fmt.Errorf("%w: table length %d, platform has %d deployments",
+		return nil, h, fmt.Errorf("%w: table length %d, platform has %d deployments",
 			ErrFormat, h.TableLen, len(c.platform.Deployments))
 	}
-	r := &reader{b: body, off: headerSize}
+	var sn *mapping.Snapshot
 	if h.Kind == KindDelta {
-		return c.decodeDelta(h, r, prev)
+		sn, err = c.decodeDelta(h, r, prev)
+	} else {
+		sn, err = c.decodeFull(h, r)
 	}
-	return c.decodeFull(h, r)
+	return sn, h, err
 }
 
 func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
-	tables, tl := int(h.Tables), int(h.TableLen)
-	wl := mapping.WireLayout{
+	tables, nDeps := int(h.Tables), len(c.platform.Deployments)
+	lay := &mapping.Layout{
 		NParts:    int(h.Partitions),
-		TableLen:  tl,
+		TableLen:  nDeps,
 		Endpoints: int(h.Endpoints),
 	}
 	// nSlots is the partition-index value space: universe partitions plus
 	// the two fallbacks. Every partition reference must stay inside it.
 	nSlots := int64(h.Partitions) + 2
-	wl.FallbackLDNS = r.i32()
-	wl.FallbackClient = r.i32()
-
-	nDense := r.sliceLen(4)
-	wl.Dense = make([]int32, nDense)
-	for i := range wl.Dense {
-		wl.Dense[i] = r.i32()
-	}
+	lay.FallbackLDNS = r.i32()
+	lay.FallbackClient = r.i32()
+	lay.Dense = r.i32s(r.sliceLen(4))
 	nSpill := r.sliceLen(12)
-	wl.SpillIDs = make([]uint64, nSpill)
-	wl.SpillIdx = make([]int32, nSpill)
-	for i := range wl.SpillIDs {
-		wl.SpillIDs[i] = r.u64()
-		wl.SpillIdx[i] = r.i32()
+	lay.SpillIDs = r.u64s(nSpill)
+	lay.SpillIdx = r.i32s(nSpill)
+	lay.PartSeg = r.i32s(r.sliceLen(4))
+	if !r.fits(uint64(tables), 4+repSize+nDeps*rankedSize) {
+		return nil, r.err
 	}
-	nPartSeg := r.sliceLen(4)
-	wl.PartSeg = make([]int32, nPartSeg)
-	for i := range wl.PartSeg {
-		wl.PartSeg[i] = r.i32()
-	}
-	wl.SegTargets = make([]int32, tables)
-	for s := range wl.SegTargets {
-		wl.SegTargets[s] = r.i32()
-	}
-	wl.SegReps = make([]netmodel.Endpoint, tables)
-	for s := range wl.SegReps {
-		wl.SegReps[s] = netmodel.Endpoint{
-			ID:     r.u64(),
-			Loc:    geo.Point{Lat: r.f64(), Lon: r.f64()},
-			ASN:    r.u32(),
-			Access: netmodel.AccessType(r.u8()),
+	lay.Segments = make([]mapping.Segment, tables)
+	r.each(tables, 4, func(s int, b []byte) {
+		lay.Segments[s].Target = int32(binary.LittleEndian.Uint32(b))
+	})
+	r.each(tables, repSize, func(s int, b []byte) {
+		lay.Segments[s].Rep = netmodel.Endpoint{
+			ID: binary.LittleEndian.Uint64(b),
+			Loc: geo.Point{
+				Lat: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+				Lon: math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
+			},
+			ASN:    binary.LittleEndian.Uint32(b[24:]),
+			Access: netmodel.AccessType(b[28]),
 		}
-	}
-	arena, err := c.getTables(r, tables, tl)
-	if err != nil {
-		return nil, err
-	}
+	})
+	arena := r.tables(uint64(tables)*uint64(nDeps), nDeps)
 	var cansMap map[uint64][]mapping.Ranked
 	nCANS := r.sliceLen(12)
 	if nCANS > 0 {
 		cansMap = make(map[uint64][]mapping.Ranked, nCANS)
 	}
-	for i := uint64(0); i < nCANS; i++ {
+	for i := 0; i < nCANS && r.err == nil; i++ {
 		id := r.u64()
-		n := r.sliceLen(rankedSize)
-		tbl, err := c.getTables(r, int(n), 1)
-		if err != nil {
-			return nil, err
-		}
-		cansMap[id] = tbl
+		cansMap[id] = r.tables(uint64(r.sliceLen(rankedSize)), nDeps)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, len(r.b)-r.off)
+	if err := r.finish(); err != nil {
+		return nil, err
 	}
 
 	// Structural validation: every partition index must land inside the
 	// declared slot space and every segment reference inside the table
 	// list, or a hostile image could crash the serving hot path later.
-	if int64(len(wl.PartSeg)) != nSlots {
-		return nil, fmt.Errorf("%w: %d partition segments for %d slots", ErrFormat, len(wl.PartSeg), nSlots)
+	if int64(len(lay.PartSeg)) != nSlots {
+		return nil, fmt.Errorf("%w: %d partition segments for %d slots", ErrFormat, len(lay.PartSeg), nSlots)
 	}
-	if !validIdx(wl.FallbackLDNS, nSlots) || !validIdx(wl.FallbackClient, nSlots) {
+	if !validIdx(lay.FallbackLDNS, nSlots) || !validIdx(lay.FallbackClient, nSlots) {
 		return nil, fmt.Errorf("%w: fallback partition out of range", ErrFormat)
 	}
-	for _, p := range wl.Dense {
+	for _, p := range lay.Dense {
 		if !validIdx(p, nSlots) {
 			return nil, fmt.Errorf("%w: dense partition index out of range", ErrFormat)
 		}
 	}
-	for i, p := range wl.SpillIdx {
+	for i, p := range lay.SpillIdx {
 		if !validIdx(p, nSlots) {
 			return nil, fmt.Errorf("%w: spill partition index out of range", ErrFormat)
 		}
-		if i > 0 && wl.SpillIDs[i-1] >= wl.SpillIDs[i] {
+		if i > 0 && lay.SpillIDs[i-1] >= lay.SpillIDs[i] {
 			return nil, fmt.Errorf("%w: spill IDs not strictly ascending", ErrFormat)
 		}
 	}
-	for _, s := range wl.PartSeg {
+	for _, s := range lay.PartSeg {
 		if s < 0 || int(s) >= tables {
 			return nil, fmt.Errorf("%w: partition segment out of range", ErrFormat)
 		}
 	}
-	return mapping.AssembleSnapshot(h.Epoch, h.Policy, h.TTL, wl, arena, cansMap), nil
+	return mapping.NewSnapshot(h.Epoch, h.Policy, h.TTL, lay, c.platform, arena, cansMap), nil
 }
 
 func (c *Codec) decodeDelta(h Header, r *reader, prev *mapping.Snapshot) (*mapping.Snapshot, error) {
@@ -415,36 +418,29 @@ func (c *Codec) decodeDelta(h Header, r *reader, prev *mapping.Snapshot) (*mappi
 	if prev.LayoutFingerprint() != h.LayoutFP {
 		return nil, fmt.Errorf("%w: layout fingerprint mismatch", ErrDeltaBase)
 	}
-	tables, tl := prev.Tables(), int(h.TableLen)
-	if int(h.Tables) != tables || tl != len(c.platform.Deployments) {
+	tables, nDeps := prev.Tables(), len(c.platform.Deployments)
+	if int(h.Tables) != tables {
 		return nil, fmt.Errorf("%w: geometry mismatch", ErrDeltaBase)
 	}
-	nSegs := r.sliceLen(uint64(4 + tl*rankedSize))
-	segs := make([]int32, nSegs)
-	for i := range segs {
-		segs[i] = r.i32()
-		if segs[i] < 0 || int(segs[i]) >= tables {
+	segs := r.i32s(r.sliceLen(4 + nDeps*rankedSize))
+	for i, s := range segs {
+		if s < 0 || int(s) >= tables {
 			return nil, fmt.Errorf("%w: delta segment out of range", ErrFormat)
 		}
-		if i > 0 && segs[i-1] >= segs[i] {
+		if i > 0 && segs[i-1] >= s {
 			return nil, fmt.Errorf("%w: delta segments not strictly ascending", ErrFormat)
 		}
 	}
-	delta, err := c.getTables(r, int(nSegs), tl)
-	if err != nil {
+	delta := r.tables(uint64(len(segs))*uint64(nDeps), nDeps)
+	if err := r.finish(); err != nil {
 		return nil, err
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, len(r.b)-r.off)
 	}
 	return prev.WithDeltaSegments(h.Epoch, h.Policy, h.TTL, segs, delta), nil
 }
 
 // putHeader writes the fixed header for sn.
-func (c *Codec) putHeader(w *writer, sn *mapping.Snapshot, kind uint8, baseEpoch uint64, wl mapping.WireLayout) {
+func (c *Codec) putHeader(w *writer, sn *mapping.Snapshot, kind uint8, baseEpoch uint64) {
+	lay := sn.Layout()
 	w.raw([]byte(magic))
 	w.u16(Version)
 	w.u8(kind)
@@ -454,64 +450,12 @@ func (c *Codec) putHeader(w *writer, sn *mapping.Snapshot, kind uint8, baseEpoch
 	w.u64(uint64(sn.TTL()))
 	w.u64(c.fp)
 	w.u64(sn.LayoutFingerprint())
-	w.u32(uint32(wl.NParts))
-	w.u32(uint32(len(wl.SegTargets)))
-	w.u32(uint32(wl.TableLen))
-	w.u32(uint32(wl.Endpoints))
-}
-
-// putTable writes one rank table as (deployment index, score bits) pairs.
-func (c *Codec) putTable(w *writer, tbl []mapping.Ranked) error {
-	for _, rk := range tbl {
-		idx, ok := c.depIdx[rk.Deployment]
-		if !ok {
-			return fmt.Errorf("mapwire: snapshot ranks a deployment outside the codec's platform")
-		}
-		w.u32(idx)
-		w.u64(math.Float64bits(rk.Score))
-	}
-	return nil
-}
-
-// getTables reads n tables of tl entries each into one flat slice,
-// resolving deployment indexes against the codec's platform.
-func (c *Codec) getTables(r *reader, n, tl int) ([]mapping.Ranked, error) {
-	if n == 0 || tl == 0 {
-		return nil, nil
-	}
-	total := n * tl
-	if remaining := len(r.b) - r.off; r.err == nil && total*rankedSize > remaining {
-		r.err = fmt.Errorf("%w: %d table entries exceed %d remaining bytes", ErrFormat, total, remaining)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	out := make([]mapping.Ranked, total)
-	for i := range out {
-		idx := r.u32()
-		score := r.f64()
-		if int(idx) >= len(c.platform.Deployments) {
-			return nil, fmt.Errorf("%w: deployment index %d of %d", ErrFormat, idx, len(c.platform.Deployments))
-		}
-		out[i] = mapping.Ranked{Deployment: c.platform.Deployments[idx], Score: score}
-	}
-	return out, nil
+	w.u32(uint32(lay.NParts))
+	w.u32(uint32(len(lay.Segments)))
+	w.u32(uint32(lay.TableLen))
+	w.u32(uint32(lay.Endpoints))
 }
 
 // validIdx reports whether a partition index is -1 (unassigned) or inside
 // the slot space.
 func validIdx(p int32, nSlots int64) bool { return p >= -1 && int64(p) < nSlots }
-
-// sortedKeys returns the CANS map's keys in ascending order, the canonical
-// wire order that makes encoding deterministic.
-func sortedKeys(m map[uint64][]mapping.Ranked) []uint64 {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}

@@ -3,6 +3,7 @@ package mapwire
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -43,7 +44,7 @@ func (p *shiftNet) PingMs(a, b netmodel.Endpoint) float64 {
 }
 
 // sameAnswers fails unless both snapshots rank identically (deployment
-// pointer and bitwise score) for every block and LDNS in the world,
+// index and bitwise score) for every block and LDNS in the world,
 // plus the unknown-ID fallback rows.
 func sameAnswers(t *testing.T, got, want *mapping.Snapshot, w *world.World) {
 	t.Helper()
@@ -55,8 +56,8 @@ func sameAnswers(t *testing.T, got, want *mapping.Snapshot, w *world.World) {
 		}
 		for j := range g {
 			if g[j] != wnt[j] {
-				t.Fatalf("%s %d rank %d: %s/%v, want %s/%v", what, id, j,
-					g[j].Deployment.Name, g[j].Score, wnt[j].Deployment.Name, wnt[j].Score)
+				t.Fatalf("%s %d rank %d: deployment %d/%v, want %d/%v", what, id, j,
+					g[j].Dep, g[j].Score(), wnt[j].Dep, wnt[j].Score())
 			}
 		}
 	}
@@ -173,6 +174,70 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeltaAcrossCompactions: a build that compacts the arena chain moves
+// every table to fresh memory but re-ranks only the dirty ones, and its
+// delta must say so. (Dirtiness used to be read off backing-array
+// addresses, so every maxArenaChain-th publish shipped a full image.)
+func TestDeltaAcrossCompactions(t *testing.T) {
+	w, p := fixture()
+	prober := &shiftNet{base: netmodel.NewDefault(), shift: map[uint64]float64{}}
+	b := mapping.NewSnapshotBuilder(w, p, prober, fixCfg)
+	c := NewCodec(p)
+	var targets []uint64
+	for i := 0; i < len(w.LDNSes) && len(targets) < 5; i += 7 {
+		if ep, ok := b.Scorer().TargetFor(w.LDNSes[i].Endpoint()); ok && !slices.Contains(targets, ep.ID) {
+			targets = append(targets, ep.ID)
+		}
+	}
+
+	prev := b.Build(1, mapping.EndUser)
+	full, err := c.EncodeFull(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := c.Decode(full, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneTable := headerSize + 4 + (4 + len(p.Deployments)*rankedSize) + trailerSize
+	compactions := 0
+	for i := 0; i < 200; i++ {
+		id := targets[i%len(targets)]
+		prober.shift[id] += 3
+		b.MarkMeasurementsDirty(id)
+		next := b.Build(prev.Epoch()+1, mapping.EndUser)
+		if next.ArenaChainLen() == 1 {
+			compactions++
+		}
+		delta, ok, err := c.EncodeDelta(prev, next)
+		if err != nil || !ok {
+			t.Fatalf("build %d (chain %d): EncodeDelta ok=%v err=%v", i, next.ArenaChainLen(), ok, err)
+		}
+		if len(delta) != oneTable {
+			t.Fatalf("build %d (chain %d): delta is %d bytes, one re-ranked table is %d",
+				i, next.ArenaChainLen(), len(delta), oneTable)
+		}
+		if replica, err = c.Decode(delta, replica); err != nil {
+			t.Fatalf("build %d: applying the delta: %v", i, err)
+		}
+		prev = next
+	}
+	if compactions < 3 {
+		t.Fatalf("%d compactions in 200 builds, want at least 3", compactions)
+	}
+	want, err := c.EncodeFull(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.EncodeFull(replica)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("replica patched 200 times re-encodes differently from the publisher's map")
+	}
+}
+
 func TestEncodeDeltaRefusals(t *testing.T) {
 	w, p := fixture()
 	b := mapping.NewSnapshotBuilder(w, p, netmodel.NewDefault(), fixCfg)
@@ -216,6 +281,14 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	}
 	if _, err := c.Decode(append(append([]byte(nil), data...), 0), nil); err == nil {
 		t.Fatal("trailing byte decoded successfully")
+	}
+
+	// An image of the previous format version is refused by name, not
+	// misread: replicas and publishers must be upgraded together.
+	v1 := append([]byte(nil), data...)
+	v1[4], v1[5] = 1, 0
+	if _, err := c.Decode(v1, nil); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version 1 image: %v", err)
 	}
 
 	// A codec for a different platform must refuse the image outright.

@@ -3,8 +3,16 @@ package mapwire
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
+
+	"eum/internal/mapping"
 )
+
+// castagnoli is the CRC-32C table of the checksum trailer; amd64 and arm64
+// compute it in hardware, so summing an image costs less than copying it.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // writer appends little-endian primitives to a pre-sized buffer. Encoders
 // compute the exact image size up front, so finish() never reallocates.
@@ -24,75 +32,160 @@ func (w *writer) f64(v float64) {
 	w.u64(math.Float64bits(v))
 }
 
-// finish appends the FNV-1a checksum trailer and returns the image.
+// table appends a rank table: one copy of its memory.
+func (w *writer) table(t []mapping.Ranked) {
+	start := len(w.b)
+	w.b = append(w.b, mapping.TableBytes(t)...)
+	mapping.WireOrder(w.b[start:])
+}
+
+// finish appends the checksum trailer and returns the image.
 func (w *writer) finish() []byte {
-	return binary.LittleEndian.AppendUint64(w.b, fnvSum(w.b))
+	return binary.LittleEndian.AppendUint32(w.b, crc32.Checksum(w.b, castagnoli))
 }
 
-// reader consumes little-endian primitives with sticky error handling:
-// the first out-of-bounds read latches err and every later read returns
-// zero, so decode loops stay straight-line and check r.err at the end
-// (or wherever a length is about to size an allocation).
+// reader consumes an image of known size from a stream, folding every
+// byte into the running checksum as it goes. Error handling is sticky: the
+// first short or failed read latches err and every later read returns
+// zero, so decode code stays straight-line and checks r.err wherever a
+// length is about to size an allocation, and at the end. Nothing read is
+// trusted before finish has compared the trailer, so every length and
+// index is bounds-checked as if no checksum existed.
 type reader struct {
-	b   []byte
-	off int
-	err error
+	src  io.Reader
+	left int64 // bytes of the image before its trailer not yet read
+	crc  uint32
+	err  error
+	buf  [8 << 10]byte // staging for scalars and array elements
 }
 
-func (r *reader) need(n int) bool {
+// readChunk bounds one read-then-checksum step, so a table arena is summed
+// while each piece is still in cache.
+const readChunk = 256 << 10
+
+// read fills p from the stream.
+func (r *reader) read(p []byte) bool {
 	if r.err != nil {
 		return false
 	}
-	if len(r.b)-r.off < n {
-		r.err = fmt.Errorf("%w: truncated at offset %d (need %d of %d bytes)",
-			ErrFormat, r.off, n, len(r.b)-r.off)
+	if int64(len(p)) > r.left {
+		r.err = fmt.Errorf("%w: truncated (need %d bytes, %d left)", ErrFormat, len(p), r.left)
 		return false
+	}
+	for len(p) > 0 {
+		c := p[:min(len(p), readChunk)]
+		if _, err := io.ReadFull(r.src, c); err != nil {
+			r.err = fmt.Errorf("mapwire: reading image: %w", err)
+			return false
+		}
+		r.crc = crc32.Update(r.crc, castagnoli, c)
+		r.left -= int64(len(c))
+		p = p[len(c):]
 	}
 	return true
 }
 
-func (r *reader) u8() uint8 {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
 func (r *reader) u32() uint32 {
-	if !r.need(4) {
+	if !r.read(r.buf[:4]) {
 		return 0
 	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
+	return binary.LittleEndian.Uint32(r.buf[:])
 }
 
 func (r *reader) u64() uint64 {
-	if !r.need(8) {
+	if !r.read(r.buf[:8]) {
 		return 0
 	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
+	return binary.LittleEndian.Uint64(r.buf[:])
 }
 
-func (r *reader) i32() int32   { return int32(r.u32()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+func (r *reader) i32() int32 { return int32(r.u32()) }
 
-// sliceLen reads an element count and validates it against the bytes
-// actually remaining (each element needs at least elemSize bytes), so a
-// corrupt length can never size a huge allocation or push reads past the
-// buffer.
-func (r *reader) sliceLen(elemSize uint64) uint64 {
+// fits reports whether n records of size bytes each are still to come,
+// latching an error when they are not: a corrupt count can never size a
+// huge allocation or push reads past the image.
+func (r *reader) fits(n uint64, size int) bool {
+	if r.err == nil && n > uint64(r.left)/uint64(size) {
+		r.err = fmt.Errorf("%w: %d records of %d bytes exceed the %d bytes left", ErrFormat, n, size, r.left)
+	}
+	return r.err == nil
+}
+
+// sliceLen reads an element count and checks it with fits.
+func (r *reader) sliceLen(elemSize int) int {
 	n := uint64(r.u32())
-	if r.err == nil && elemSize > 0 && n > uint64(len(r.b)-r.off)/elemSize {
-		r.err = fmt.Errorf("%w: length %d exceeds %d remaining bytes (elem %d)",
-			ErrFormat, n, len(r.b)-r.off, elemSize)
+	if !r.fits(n, elemSize) {
 		return 0
 	}
-	return n
+	return int(n)
+}
+
+// each reads n fixed-size records through the staging buffer and hands
+// them to f in order. The caller has checked n with fits or sliceLen.
+func (r *reader) each(n, size int, f func(i int, rec []byte)) {
+	for i := 0; i < n; {
+		k := min(n-i, len(r.buf)/size)
+		b := r.buf[:k*size]
+		if !r.read(b) {
+			return
+		}
+		for j := 0; j < k; j++ {
+			f(i+j, b[j*size:(j+1)*size])
+		}
+		i += k
+	}
+}
+
+func (r *reader) i32s(n int) []int32 {
+	out := make([]int32, n)
+	r.each(n, 4, func(i int, b []byte) { out[i] = int32(binary.LittleEndian.Uint32(b)) })
+	return out
+}
+
+func (r *reader) u64s(n int) []uint64 {
+	out := make([]uint64, n)
+	r.each(n, 8, func(i int, b []byte) { out[i] = binary.LittleEndian.Uint64(b) })
+	return out
+}
+
+// tables reads n rank entries straight into the memory they will be served
+// from, and checks every deployment index against the platform's nDeps.
+func (r *reader) tables(n uint64, nDeps int) []mapping.Ranked {
+	if n == 0 || !r.fits(n, rankedSize) {
+		return nil
+	}
+	out := make([]mapping.Ranked, n)
+	b := mapping.TableBytes(out)
+	if !r.read(b) {
+		return nil
+	}
+	mapping.WireOrder(b)
+	for _, e := range out {
+		if int(e.Dep) >= nDeps {
+			r.err = fmt.Errorf("%w: deployment index %d of %d", ErrFormat, e.Dep, nDeps)
+			return nil
+		}
+	}
+	return out
+}
+
+// finish checks that the body ended where the image does and that the
+// trailer matches the checksum of everything read.
+func (r *reader) finish() error {
+	if r.err != nil {
+		return r.err
+	}
+	if r.left != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrFormat, r.left)
+	}
+	t := r.buf[:trailerSize]
+	if _, err := io.ReadFull(r.src, t); err != nil {
+		return fmt.Errorf("mapwire: reading image: %w", err)
+	}
+	if want := binary.LittleEndian.Uint32(t); r.crc != want {
+		return fmt.Errorf("%w: got %08x want %08x", ErrChecksum, r.crc, want)
+	}
+	return nil
 }
 
 // FNV-1a, matching the constants used across the repo.
@@ -100,15 +193,6 @@ const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
-
-func fnvSum(p []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range p {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
-}
 
 // fnvHasher accumulates u64 words; PlatformFingerprint uses it.
 type fnvHasher struct{ sum uint64 }
