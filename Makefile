@@ -1,18 +1,19 @@
 GO ?= go
 
 # Hot-path micro-benchmarks (see DESIGN.md "Hot path & concurrency model").
-HOTBENCH = BenchmarkDNSMessagePack|BenchmarkDNSMessageUnpack|BenchmarkMappingMap|BenchmarkAuthorityServeDNS|BenchmarkEndToEndUDP|BenchmarkServerThroughput
+HOTBENCH = BenchmarkDNSMessagePack|BenchmarkDNSMessageUnpack|BenchmarkMappingMap|BenchmarkAuthorityServeDNS|BenchmarkEndToEndUDP
 
 # Serial-vs-parallel simulation benchmarks (see DESIGN.md "Parallel
 # simulation & determinism model"; numbers recorded in BENCH_sim.json).
 SIMBENCH = BenchmarkWorldGenerate|BenchmarkRolloutTimeline|BenchmarkFig25Sweep
 
 # Control-plane/data-plane benchmarks: snapshot publish latency and serving
-# under map churn (see DESIGN.md "Control plane / data plane"; numbers in BENCH_map.json).
+# under map churn (see DESIGN.md "Control plane / data plane").
 SNAPBENCH = BenchmarkSnapshotSwap|BenchmarkServingUnderMapChurn
 
-# Sharded serving-plane sweep: SO_REUSEPORT shards x recvmmsg batch size
-# (see DESIGN.md "Sharded serving plane"; numbers in BENCH_qps.json).
+# Sharded serving-plane sweep: SO_REUSEPORT shards x recvmmsg batch size,
+# in-process clients (see DESIGN.md "Sharded serving plane"; the measured
+# figures are BENCHMARK.json's serve_qps and dnsserver.packets_per_wakeup).
 QPSBENCH = BenchmarkShardedThroughput
 
 # Million-block mapping plane: full build, warm and one-target incremental
@@ -31,7 +32,7 @@ WIREBENCH = BenchmarkSnapshotWire
 # BENCH_load.json).
 LOADBENCH = BenchmarkLoadRepublish
 
-.PHONY: all check vet build test race chaos load-chaos dist-chaos obs crossbuild scale-smoke ecsgrid-smoke bench-smoke bench-e2e bench bench-hot bench-sim bench-snapshot bench-qps bench-scale bench-wire bench-load bench-figures
+.PHONY: all check vet build test loc race chaos load-chaos dist-chaos obs crossbuild scale-smoke ecsgrid-smoke bench-smoke bench-e2e bench bench-hot bench-sim bench-snapshot bench-qps bench-scale bench-wire bench-load bench-figures
 
 all: check
 
@@ -56,6 +57,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Non-test Go lines outside bench/ — the number CHANGES.md quotes when a PR
+# reports itself net-negative — for the whole repo and for the three
+# packages of the serving path.
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l; }; \
+	printf '%-20s %6d\n' repo "$$(count .)"; \
+	for p in internal/authority internal/dnsserver cmd/eumdns; do printf '%-20s %6d\n' $$p "$$(count $$p)"; done
 
 # Chaos harness: the full UDP serving plane under injected packet loss,
 # duplication, reordering, latency jitter, server outages and MapMaker
@@ -114,8 +123,8 @@ bench-e2e:
 	bash bench/run.sh --workload $(W) --seed 1 --seconds 20 --trace 0
 
 # Hot-path benchmarks with allocation counts. TestServeDNSAllocGuard runs
-# first: it fails the target if ServeDNS (telemetry armed) exceeds the
-# allocs/op budget recorded in BENCH_map.json.
+# first: it fails the target if ServeDNS (telemetry armed) exceeds its
+# allocs/op budget.
 bench-hot:
 	$(GO) test -run 'TestServeDNSAllocGuard' -bench '$(HOTBENCH)' -benchmem .
 

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"net/netip"
-	"os"
 	"testing"
 
 	"eum/internal/authority"
@@ -15,33 +13,17 @@ import (
 	"eum/internal/world"
 )
 
-// TestServeDNSAllocGuard pins the authority hot path to the per-query
-// allocation budget recorded in BENCH_map.json (hot_path_guard): a change
-// that adds even one allocation per query fails here instead of silently
-// eroding the PR 1 numbers. The authority runs with telemetry fully
-// registered — the observability plane must ride along for free.
-func TestServeDNSAllocGuard(t *testing.T) {
-	data, err := os.ReadFile("BENCH_map.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Benchmarks struct {
-			Guard struct {
-				ServeDNS struct {
-					AllocsPerOp float64 `json:"allocs_per_op"`
-				} `json:"BenchmarkAuthorityServeDNS"`
-			} `json:"hot_path_guard"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	budget := doc.Benchmarks.Guard.ServeDNS.AllocsPerOp
-	if budget <= 0 {
-		t.Fatal("BENCH_map.json carries no BenchmarkAuthorityServeDNS allocs_per_op budget")
-	}
+// serveDNSAllocBudget is what one ECS mapping answer costs on the serving
+// path: 8 allocations for the reply message, its records and the echoed
+// ECS option, and 2 inside MapAt (the Response and its server slice).
+const serveDNSAllocBudget = 10
 
+// TestServeDNSAllocGuard pins the authority hot path to its per-query
+// allocation budget: a change that adds even one allocation per query
+// fails here instead of silently eroding the serving cost. The authority
+// runs with telemetry fully registered — the observability plane must ride
+// along for free.
+func TestServeDNSAllocGuard(t *testing.T) {
 	w := world.MustGenerate(world.Config{Seed: 5, NumBlocks: 2000})
 	platform := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 5, NumDeployments: 120})
 	sys := mapping.NewSystem(w, platform, netmodel.NewDefault(), mapping.Config{
@@ -63,21 +45,7 @@ func TestServeDNSAllocGuard(t *testing.T) {
 			t.Fatal("bad response")
 		}
 	})
-	if allocs > budget {
-		t.Errorf("ServeDNS with telemetry = %.1f allocs/op, budget %.0f (BENCH_map.json hot_path_guard)",
-			allocs, budget)
-	}
-
-	// The sharded dispatch path must hold the same budget: selecting a
-	// per-shard cache is an index, not an allocation.
-	auth.SetShards(4)
-	allocs = testing.AllocsPerRun(200, func() {
-		if resp := auth.ServeDNSShard(3, remote, q); resp == nil || resp.RCode != dnsmsg.RCodeSuccess {
-			t.Fatal("bad sharded response")
-		}
-	})
-	if allocs > budget {
-		t.Errorf("ServeDNSShard(3) with telemetry = %.1f allocs/op, budget %.0f (per-shard caches must be free)",
-			allocs, budget)
+	if allocs > serveDNSAllocBudget {
+		t.Errorf("ServeDNS with telemetry = %.1f allocs/op, budget %d", allocs, serveDNSAllocBudget)
 	}
 }

@@ -719,7 +719,7 @@ func BenchmarkFig25Sweep(b *testing.B) {
 	})
 }
 
-// --- Control plane / data plane (internal/mapmaker; BENCH_map.json) ---
+// --- Control plane / data plane (internal/mapmaker) ---
 
 // BenchmarkSnapshotSwap measures the control plane's publish latency: one
 // full pipeline pass (snapshot build + atomic install). "warm" reuses the
@@ -899,10 +899,7 @@ func BenchmarkSnapshotWire(b *testing.B) {
 // BenchmarkServingUnderMapChurn serves queries while the map changes
 // underneath: a background MapMaker republishes complete snapshots and the
 // query path only loads the installed pointer, so no query ever computes
-// anything and the worst-op metric stays a scheduling artifact. (The
-// "generation-invalidation" baseline recorded in BENCH_map.json emulated
-// the pre-split design on the scorer's lazily filled rank cache; the cache
-// is gone, and the baseline with it.)
+// anything and the worst-op metric stays a scheduling artifact.
 func BenchmarkServingUnderMapChurn(b *testing.B) {
 	l := benchLab(b)
 	const churnEvery = 5 * time.Millisecond
@@ -1050,35 +1047,9 @@ func BenchmarkAuthorityServeDNS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Telemetry is part of the measured configuration: the budget in
-	// BENCH_map.json holds with the decision-latency histogram armed.
+	// Telemetry is part of the measured configuration: the alloc guard's
+	// budget holds with the decision-latency histogram armed.
 	auth.RegisterMetrics(telemetry.NewRegistry())
-	blk := l.World.Blocks[0]
-	q := dnsmsg.NewQuery(7, "img.cdn.example.net", dnsmsg.TypeA)
-	_ = q.SetClientSubnet(blk.Prefix.Addr(), 24)
-	remote := netip.AddrPortFrom(blk.LDNS.Addr, 53)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if resp := auth.ServeDNS(remote, q); resp == nil || resp.RCode != dnsmsg.RCodeSuccess {
-			b.Fatal("bad response")
-		}
-	}
-}
-
-// BenchmarkAuthorityServeDNSNoCache is the same query stream with the
-// answer cache disabled — isolates the mapping-path improvements from the
-// cache's short-circuit.
-func BenchmarkAuthorityServeDNSNoCache(b *testing.B) {
-	l := benchLab(b)
-	sys := mapping.NewSystem(l.World, l.Platform, l.Net, mapping.Config{
-		Policy: mapping.EndUser, PingTargets: 400,
-	})
-	auth, err := authority.New("cdn.example.net", sys)
-	if err != nil {
-		b.Fatal(err)
-	}
-	auth.DisableAnswerCache()
 	blk := l.World.Blocks[0]
 	q := dnsmsg.NewQuery(7, "img.cdn.example.net", dnsmsg.TypeA)
 	_ = q.SetClientSubnet(blk.Prefix.Addr(), 24)
@@ -1094,9 +1065,8 @@ func BenchmarkAuthorityServeDNSNoCache(b *testing.B) {
 
 // BenchmarkShardedThroughput sweeps the sharded serving plane over
 // listener-shard counts (SO_REUSEPORT sockets) and syscall batch sizes
-// (recvmmsg/sendmmsg), with per-shard authority answer caches, under the
-// same parallel ping-pong clients as BenchmarkServerThroughput. Beside the
-// qps metric it reports pkts-per-wakeup — packets delivered per receive
+// (recvmmsg/sendmmsg) under parallel ping-pong clients, each owning a UDP
+// socket. Beside the qps metric it reports pkts-per-wakeup — packets delivered per receive
 // syscall return, summed over shards — which is the direct evidence the
 // batched path amortises syscalls (1.0 on the single-packet path).
 // Non-default shard/batch settings are linux-only and skipped elsewhere.
@@ -1123,7 +1093,6 @@ func BenchmarkShardedThroughput(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				auth.SetShards(srv.Shards())
 				go func() { _ = srv.Serve() }()
 				defer srv.Close()
 				addr := srv.Addr().String()
@@ -1205,77 +1174,6 @@ func BenchmarkEndToEndUDP(b *testing.B) {
 		if _, err := c.Lookup(ctx, srv.Addr().String(), "img.cdn.example.net", dnsmsg.TypeA, blk.Prefix); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkServerThroughput compares the server's two dispatch modes under
-// parallel client load: the legacy goroutine-per-packet loop against the
-// pooled reader/worker loop. Each parallel client owns a UDP socket and
-// plays query-response ping-pong; the qps metric is the aggregate rate.
-func BenchmarkServerThroughput(b *testing.B) {
-	l := benchLab(b)
-	sys := mapping.NewSystem(l.World, l.Platform, l.Net, mapping.Config{
-		Policy: mapping.EndUser, PingTargets: 400,
-	})
-	auth, err := authority.New("cdn.example.net", sys)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blk := l.World.Blocks[0]
-
-	for _, tc := range []struct {
-		name string
-		cfg  dnsserver.Config
-	}{
-		{"goroutine-per-packet", dnsserver.Config{GoroutinePerPacket: true}},
-		{"pooled", dnsserver.Config{}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			srv, err := dnsserver.ListenConfig("127.0.0.1:0", auth, tc.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			go func() { _ = srv.Serve() }()
-			defer srv.Close()
-			addr := srv.Addr().String()
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				conn, err := net.Dial("udp", addr)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				defer conn.Close()
-				_ = conn.SetDeadline(time.Now().Add(5 * time.Minute))
-				q := dnsmsg.NewQuery(9, "img.cdn.example.net", dnsmsg.TypeA)
-				_ = q.SetClientSubnet(blk.Prefix.Addr(), 24)
-				wire, err := q.Pack()
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				buf := make([]byte, 4096)
-				for pb.Next() {
-					if _, err := conn.Write(wire); err != nil {
-						b.Error(err)
-						return
-					}
-					n, err := conn.Read(buf)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if n < 12 || buf[0] != wire[0] || buf[1] != wire[1] {
-						b.Error("short or mismatched response")
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
-		})
 	}
 }
 

@@ -42,96 +42,8 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:5300", "UDP+TCP listen address")
-	adminAddr := flag.String("admin", "",
-		"admin HTTP listen address for /metrics, /healthz, /mapz and /debug/pprof (empty disables)")
-	configPath := flag.String("config", "", "JSON config file (overrides the flags below)")
-	zone := flag.String("zone", "cdn.example.net", "served zone")
-	policyName := flag.String("policy", "eu", "mapping policy: ns, eu, or cans")
-	blocks := flag.Int("blocks", 8000, "synthetic world size in /24 client blocks")
-	deployments := flag.Int("deployments", 600, "CDN deployment locations")
-	seed := flag.Int64("seed", 1, "generation seed")
-	mapRefresh := flag.Duration("map-refresh", 10*time.Second,
-		"MapMaker publish cadence (0 disables the background refresh loop)")
-	queueDepth := flag.Int("queue-depth", 0, "pending-query queue bound (0 = 4x workers)")
-	shed := flag.String("shed", "block", "overload policy when the queue is full: block, drop or refuse")
-	serveDeadline := flag.Duration("serve-deadline", 0,
-		"drop queued queries older than this before serving (0 disables)")
-	rrlRate := flag.Float64("rrl-rate", 0,
-		"response-rate limit per source prefix, responses/second (0 disables)")
-	rrlBurst := flag.Int("rrl-burst", 0, "response-rate limiter burst allowance (0 = default 8)")
-	shards := flag.Int("shards", 0,
-		"SO_REUSEPORT listener shards (0 = one per CPU on linux, 1 elsewhere)")
-	batch := flag.Int("batch", 0,
-		"datagrams drained/flushed per syscall via recvmmsg/sendmmsg, linux only (0 or 1 = single-packet)")
-	staleMaxAge := flag.Duration("stale-max-age", 30*time.Second,
-		"serve-stale watchdog: map age entering degraded answers (0 disables)")
-	balanceFactor := flag.Float64("balance-factor", 0,
-		"distance-vs-load balance knob: rank tables order deployments by ping x (1 + balance x util^2); 0 keeps pure proximity mapping")
-	loadThreshold := flag.Float64("load-threshold", 0,
-		"smoothed utilization entering the overloaded state (0 = default 0.8; requires -balance-factor)")
-	loadHysteresis := flag.Float64("load-hysteresis", 0,
-		"overload exit threshold is the enter threshold minus this band (0 = default 0.15; requires -balance-factor)")
-	loadEWMA := flag.Duration("load-ewma", 0,
-		"utilization smoothing time constant (0 = default 30s; requires -balance-factor)")
-	loadMaxAge := flag.Duration("load-max-age", 0,
-		"load observations older than this score proximity-only (0 = default 3x the EWMA window; requires -balance-factor)")
-	mapmakerAddr := flag.String("mapmaker-addr", "",
-		"replica mode: fetch maps from this MapMaker admin address instead of building locally")
-	publisher := flag.Bool("publisher", false,
-		"serve encoded map snapshots to replicas on the admin listener (requires -admin)")
-	mapFetch := flag.Duration("map-fetch", 5*time.Second,
-		"replica mode: map fetch cadence against the MapMaker")
-	verbose := flag.Bool("verbose", false, "log every query (structured JSON on stderr)")
-	flag.Parse()
-
-	cfg := config.Default()
-	cfg.Zone = *zone
-	cfg.Policy = strings.ToLower(*policyName)
-	cfg.World = config.WorldConfig{Seed: *seed, Blocks: *blocks}
-	cfg.Platform = config.PlatformConfig{Seed: *seed, Deployments: *deployments}
-	cfg.QueueDepth = *queueDepth
-	cfg.ShedPolicy = *shed
-	cfg.ServeDeadlineMillis = int(serveDeadline.Milliseconds())
-	cfg.RRLRate = *rrlRate
-	cfg.RRLBurst = *rrlBurst
-	cfg.ListenerShards = *shards
-	cfg.BatchSize = *batch
-	cfg.StaleMaxAgeSeconds = int(staleMaxAge.Seconds())
-	cfg.MapRefreshSeconds = int(mapRefresh.Seconds())
-	cfg.BalanceFactor = *balanceFactor
-	cfg.LoadRebuildThreshold = *loadThreshold
-	cfg.LoadHysteresis = *loadHysteresis
-	cfg.LoadEWMASeconds = loadEWMA.Seconds()
-	cfg.LoadSignalMaxAgeSeconds = loadMaxAge.Seconds()
-	cfg.AdminAddr = *adminAddr
-	if *mapmakerAddr != "" {
-		cfg.Mode = config.ModeReplica
-		cfg.MapMakerAddr = *mapmakerAddr
-		cfg.MapFetchSeconds = int(mapFetch.Seconds())
-	} else if *publisher {
-		cfg.Mode = config.ModePublisher
-	}
-	if *configPath != "" {
-		var err error
-		if cfg, err = config.Load(*configPath); err != nil {
-			log.Fatal(err)
-		}
-		// -admin still applies beside a config file (like -addr, the
-		// listen addresses stay operator-controlled), and so do the
-		// distribution-role flags.
-		if *adminAddr != "" {
-			cfg.AdminAddr = *adminAddr
-		}
-		if *mapmakerAddr != "" {
-			cfg.Mode = config.ModeReplica
-			cfg.MapMakerAddr = *mapmakerAddr
-			cfg.MapFetchSeconds = int(mapFetch.Seconds())
-		} else if *publisher {
-			cfg.Mode = config.ModePublisher
-		}
-	}
-	if err := cfg.Validate(); err != nil {
+	cfg, addr, verbose, err := loadConfig(flag.CommandLine, os.Args[1:])
+	if err != nil {
 		log.Fatal(err)
 	}
 	mode, err := cfg.DistMode()
@@ -191,10 +103,7 @@ func main() {
 		go fetcher.Run(ctx)
 		log.Printf("replica: fetching maps from %s every %v", cfg.MapMakerAddr, cfg.FetchInterval())
 	} else {
-		refresh := *mapRefresh
-		if *configPath != "" {
-			refresh = time.Duration(cfg.MapRefreshSeconds) * time.Second
-		}
+		refresh := time.Duration(cfg.MapRefreshSeconds) * time.Second
 		mm = mapmaker.New(system, mapmaker.Config{Interval: refresh})
 		if mode == config.ModePublisher {
 			pub = mapdist.NewPublisher(system, platform, mapdist.PublisherConfig{})
@@ -224,14 +133,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// With the feedback loop on, every full mapping decision records one
-	// demand unit on its picked server, so the utilization gauges the
-	// monitor samples actually move with query traffic (runLoadMonitor
-	// decays them back toward zero on the EWMA time constant).
+	// With the feedback loop on, every mapping answer records one demand
+	// unit on its picked server, so the utilization gauges the monitor
+	// samples actually move with query traffic (runLoadMonitor decays them
+	// back toward zero on the EWMA time constant).
 	if auth != nil && cfg.BalanceFactor > 0 {
 		auth.SetAnswerDemand(1)
 	}
-	if *verbose {
+	if verbose {
 		handler = dnsserver.WithLogging(handler, slog.New(slog.NewJSONHandler(os.Stderr, nil)))
 	}
 
@@ -239,17 +148,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := dnsserver.ListenConfig(*addr, handler, serverCfg)
+	srv, err := dnsserver.ListenConfig(addr, handler, serverCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Give the authority one answer cache per listener shard, so shards
-	// never contend on cache lines (the server routes queries through
-	// ServeDNSShard because Authority is ShardAware).
-	if auth != nil {
-		auth.SetShards(srv.Shards())
-	}
-	tcpSrv, err := dnsserver.ListenTCP(*addr, handler)
+	tcpSrv, err := dnsserver.ListenTCP(addr, handler)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -366,4 +269,101 @@ func buildHandler(cfg config.Config, system *mapping.System, platform *cdn.Platf
 		}
 	}
 	return tl, nil, "top-level authority for " + string(tl.Zone()), nil
+}
+
+// loadConfig parses the command line into the validated configuration the
+// process runs with: the -config document when one is named, the defaults
+// overlaid with the tuning flags otherwise. Listen addresses and the
+// distribution role stay operator-controlled and apply on top of both.
+func loadConfig(fs *flag.FlagSet, args []string) (cfg config.Config, addr string, verbose bool, err error) {
+	fs.StringVar(&addr, "addr", "127.0.0.1:5300", "UDP+TCP listen address")
+	adminAddr := fs.String("admin", "", "admin HTTP listen address for /metrics, /healthz, /mapz and /debug/pprof (empty disables)")
+	configPath := fs.String("config", "", "JSON config file (overrides the flags below)")
+	zone := fs.String("zone", "cdn.example.net", "served zone")
+	policyName := fs.String("policy", "eu", "mapping policy: ns, eu, or cans")
+	blocks := fs.Int("blocks", 8000, "synthetic world size in /24 client blocks")
+	deployments := fs.Int("deployments", 600, "CDN deployment locations")
+	seed := fs.Int64("seed", 1, "generation seed")
+	mapRefresh := fs.Duration("map-refresh", 10*time.Second,
+		"MapMaker publish cadence in whole seconds (0 disables the background refresh loop)")
+	queueDepth := fs.Int("queue-depth", 0, "pending-query queue bound (0 = 4x workers)")
+	shed := fs.String("shed", "block", "overload policy when the queue is full: block, drop or refuse")
+	serveDeadline := fs.Duration("serve-deadline", 0,
+		"drop queued queries older than this, in whole milliseconds, before serving (0 disables)")
+	rrlRate := fs.Float64("rrl-rate", 0,
+		"response-rate limit per source prefix, responses/second (0 disables)")
+	rrlBurst := fs.Int("rrl-burst", 0, "response-rate limiter burst allowance (0 = default 8)")
+	shards := fs.Int("shards", 0,
+		"SO_REUSEPORT listener shards (0 = one per CPU on linux, 1 elsewhere)")
+	batch := fs.Int("batch", 0,
+		"datagrams drained/flushed per syscall via recvmmsg/sendmmsg, linux only (0 or 1 = single-packet)")
+	staleMaxAge := fs.Duration("stale-max-age", 30*time.Second,
+		"serve-stale watchdog: map age, in whole seconds, entering degraded answers (0 disables)")
+	balanceFactor := fs.Float64("balance-factor", 0,
+		"distance-vs-load balance knob: rank tables order deployments by ping x (1 + balance x util^2); 0 keeps pure proximity mapping")
+	loadThreshold := fs.Float64("load-threshold", 0,
+		"smoothed utilization entering the overloaded state (0 = default 0.8; requires -balance-factor)")
+	loadHysteresis := fs.Float64("load-hysteresis", 0,
+		"overload exit threshold is the enter threshold minus this band (0 = default 0.15; requires -balance-factor)")
+	loadEWMA := fs.Duration("load-ewma", 0,
+		"utilization smoothing time constant (0 = default 30s; requires -balance-factor)")
+	loadMaxAge := fs.Duration("load-max-age", 0,
+		"load observations older than this score proximity-only (0 = default 3x the EWMA window; requires -balance-factor)")
+	mapmakerAddr := fs.String("mapmaker-addr", "",
+		"replica mode: fetch maps from this MapMaker admin address instead of building locally")
+	publisher := fs.Bool("publisher", false,
+		"serve encoded map snapshots to replicas on the admin listener (requires -admin)")
+	mapFetch := fs.Duration("map-fetch", 5*time.Second,
+		"replica mode: map fetch cadence against the MapMaker, in whole seconds")
+	fs.BoolVar(&verbose, "verbose", false, "log every query (structured JSON on stderr)")
+	if err = fs.Parse(args); err != nil {
+		return
+	}
+
+	// Duration flags land in whole-unit config integers, where zero means
+	// "disabled" or "the default": refuse one that would truncate to zero.
+	whole := func(name string, d, unit time.Duration) int {
+		n := int(d / unit)
+		if n == 0 && d != 0 && err == nil {
+			err = fmt.Errorf("-%s %v: the flag is counted in whole units of %v and would truncate to 0", name, d, unit)
+		}
+		return n
+	}
+	if *configPath != "" {
+		cfg, err = config.Load(*configPath)
+	} else {
+		cfg = config.Default()
+		cfg.Zone = *zone
+		cfg.Policy = strings.ToLower(*policyName)
+		cfg.World = config.WorldConfig{Seed: *seed, Blocks: *blocks}
+		cfg.Platform = config.PlatformConfig{Seed: *seed, Deployments: *deployments}
+		cfg.QueueDepth = *queueDepth
+		cfg.ShedPolicy = *shed
+		cfg.ServeDeadlineMillis = whole("serve-deadline", *serveDeadline, time.Millisecond)
+		cfg.RRLRate = *rrlRate
+		cfg.RRLBurst = *rrlBurst
+		cfg.ListenerShards = *shards
+		cfg.BatchSize = *batch
+		cfg.StaleMaxAgeSeconds = whole("stale-max-age", *staleMaxAge, time.Second)
+		cfg.MapRefreshSeconds = whole("map-refresh", *mapRefresh, time.Second)
+		cfg.BalanceFactor = *balanceFactor
+		cfg.LoadRebuildThreshold = *loadThreshold
+		cfg.LoadHysteresis = *loadHysteresis
+		cfg.LoadEWMASeconds = loadEWMA.Seconds()
+		cfg.LoadSignalMaxAgeSeconds = loadMaxAge.Seconds()
+	}
+	if *adminAddr != "" {
+		cfg.AdminAddr = *adminAddr
+	}
+	if *mapmakerAddr != "" {
+		cfg.Mode = config.ModeReplica
+		cfg.MapMakerAddr = *mapmakerAddr
+		cfg.MapFetchSeconds = whole("map-fetch", *mapFetch, time.Second)
+	} else if *publisher {
+		cfg.Mode = config.ModePublisher
+	}
+	if err == nil {
+		err = cfg.Validate()
+	}
+	return
 }

@@ -3,7 +3,10 @@
 // under the CDN zone by asking the mapping system which servers the
 // requesting client should use, honouring the EDNS0 client-subnet option
 // end-to-end — reading the source prefix from the query and returning the
-// answer's scope prefix in the response, exactly as Figure 4 traces.
+// answer's scope prefix in the response, exactly as Figure 4 traces. The
+// name server applies the installed map to every query and keeps no
+// answers of its own: caching per ECS scope is the recursive resolver's
+// tier (RFC 7871 §7.3).
 //
 // It also serves the whoami diagnostic name the paper's NetSession
 // measurement uses to discover a client's LDNS (§3.1): a TXT/A query for
@@ -100,34 +103,27 @@ func (c DegradeConfig) withDefaults() DegradeConfig {
 var errStaleMap = errors.New("authority: map too stale to serve")
 
 // Authority answers DNS queries for one CDN zone using a mapping system.
-// It implements dnsserver.Handler — and dnsserver.ShardAware, so a sharded
-// serving plane gives every listener shard its own answer cache — and is
-// safe for concurrent use.
+// It implements dnsserver.Handler, keeps no per-query state and is safe
+// for concurrent use.
 //
-// Repeat mapping decisions are served from a per-scope answer cache (see
-// cache.go): within one TTL window, queries for the same content domain
-// from the same mapping unit (EU policy) or the same resolver (NS/CANS)
-// short-circuit the mapping computation.
+// Every mapping answer is read from the installed map at the moment of the
+// query (System.MapAt: block → partition → rank row). Within one TTL a
+// repeated query still gets the same servers, because the local load
+// balancer hashes the domain onto the picked deployment's ring.
 type Authority struct {
 	zone   dnsmsg.Name
 	system *mapping.System
-	// caches holds one answer cache per serving shard (see SetShards), so
-	// shards never contend on cache shard locks or lines; nil when the
-	// cache is disabled. A single-shard server uses caches[0].
-	caches []*answerCache
 
-	// nowNanos is the cache clock, overridable in tests.
+	// nowNanos is the staleness watchdog's clock, overridable in tests.
 	nowNanos func() int64
 
 	// degrade is the staleness watchdog configuration (see DegradeConfig);
 	// the zero value disables it. Set before serving begins.
 	degrade DegradeConfig
 	// answerDemand is the demand recorded against the picked server for
-	// every full mapping decision (cache hits record nothing — within one
-	// TTL window the cached answer stands for the same client population,
-	// so misses approximate per-window demand). Feeds the deployment load
-	// gauges the load-feedback loop watches; 0 disables accounting. Set
-	// before serving begins.
+	// every mapping answer. Feeds the deployment load gauges the
+	// load-feedback loop watches; 0 disables accounting. Set before
+	// serving begins.
 	answerDemand float64
 	// epochDebug, when set, appends a TXT record carrying the decision's
 	// snapshot epoch to every mapping answer, so transport-level tests can
@@ -135,9 +131,9 @@ type Authority struct {
 	// while the query was being served. Set before serving begins.
 	epochDebug bool
 
-	// decisionLatency, when non-nil, records the full mapping-decision
-	// latency (answer-cache lookup through mapping computation). Set by
-	// RegisterMetrics before serving begins.
+	// decisionLatency, when non-nil, records the mapping-decision latency
+	// (snapshot load, degradation rung, MapAt). Set by RegisterMetrics
+	// before serving begins.
 	decisionLatency *telemetry.Histogram
 
 	// ECSQueries counts queries carrying a client-subnet option.
@@ -148,10 +144,6 @@ type Authority struct {
 	ECSFormErrs atomic.Uint64
 	// TotalQueries counts all well-formed in-zone queries.
 	TotalQueries atomic.Uint64
-	// CacheHits counts mapping queries answered from the answer cache.
-	CacheHits atomic.Uint64
-	// CacheMisses counts mapping queries that ran the full mapping path.
-	CacheMisses atomic.Uint64
 	// StaleAnswers counts answers served past StaleAfter (TTL clamped).
 	StaleAnswers atomic.Uint64
 	// FallbackAnswers counts answers served from the fallback tables.
@@ -159,15 +151,9 @@ type Authority struct {
 	// DegradeServfails counts queries refused because the map aged past
 	// ServfailAfter.
 	DegradeServfails atomic.Uint64
-	// StaleEpochAnswers counts cache hits whose decision epoch disagreed
-	// with the snapshot epoch they were filed under. It is an invariant
-	// tripwire — the chaos harness asserts it stays 0 under continuous
-	// snapshot churn (every answer's epoch was live at decision time).
-	StaleEpochAnswers atomic.Uint64
 }
 
-// New creates an authority for the given zone (e.g. "cdn.example.net"),
-// with the per-scope answer cache enabled.
+// New creates an authority for the given zone (e.g. "cdn.example.net").
 func New(zone dnsmsg.Name, system *mapping.System) (*Authority, error) {
 	if zone.Canonical() == "" {
 		return nil, fmt.Errorf("authority: empty zone")
@@ -178,34 +164,8 @@ func New(zone dnsmsg.Name, system *mapping.System) (*Authority, error) {
 	return &Authority{
 		zone:     zone.Canonical(),
 		system:   system,
-		caches:   []*answerCache{newAnswerCache()},
 		nowNanos: func() int64 { return time.Now().UnixNano() },
 	}, nil
-}
-
-// DisableAnswerCache turns the per-scope answer cache off, forcing every
-// query through the full mapping path (for baseline benchmarks and tests).
-// Call it before serving begins.
-func (a *Authority) DisableAnswerCache() { a.caches = nil }
-
-// SetShards sizes the answer-cache array to one independent cache per
-// serving shard, discarding any cached answers. Wire it to the server's
-// shard count (dnsserver.Server.Shards) before serving begins; queries
-// then arrive via ServeDNSShard and each shard fills only its own cache —
-// shared-nothing, at the cost of per-shard cold starts and up to
-// shard-count copies of a hot answer. A no-op when the cache is disabled.
-func (a *Authority) SetShards(n int) {
-	if a.caches == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	caches := make([]*answerCache, n)
-	for i := range caches {
-		caches[i] = newAnswerCache()
-	}
-	a.caches = caches
 }
 
 // SetDegradeConfig arms the staleness watchdog (see DegradeConfig); a zero
@@ -214,9 +174,9 @@ func (a *Authority) SetDegradeConfig(cfg DegradeConfig) {
 	a.degrade = cfg.withDefaults()
 }
 
-// SetAnswerDemand sets the demand units each full mapping decision records
-// on the picked server (see the answerDemand field); 0 keeps load
-// accounting off. Call before serving begins.
+// SetAnswerDemand sets the demand units each mapping answer records on the
+// picked server (see the answerDemand field); 0 keeps load accounting off.
+// Call before serving begins.
 func (a *Authority) SetAnswerDemand(d float64) { a.answerDemand = d }
 
 // SetEpochDebug toggles the per-answer epoch TXT record (see the
@@ -227,18 +187,18 @@ func (a *Authority) SetEpochDebug(on bool) { a.epochDebug = on }
 // Degradation reports the ladder rung the authority is currently serving
 // at, for observability.
 func (a *Authority) Degradation() DegradeLevel {
-	return a.levelOf(a.system.Current(), a.nowNanos())
+	return a.levelOf(a.system.Current())
 }
 
-// levelOf picks the ladder rung for answers from snap at time now. With
-// the watchdog armed, the age of the last successful snapshot publish
-// decides. Armed or not, epoch 0 is at least the fallback rung: no builder
-// emits it — it is the boot map of a replica that has not yet reached its
-// publisher, and holds nothing but the fallback tables.
-func (a *Authority) levelOf(snap *mapping.Snapshot, now int64) DegradeLevel {
+// levelOf picks the ladder rung for answers from snap. With the watchdog
+// armed, the age of the last successful snapshot publish decides. Armed or
+// not, epoch 0 is at least the fallback rung: no builder emits it — it is
+// the boot map of a replica that has not yet reached its publisher, and
+// holds nothing but the fallback tables.
+func (a *Authority) levelOf(snap *mapping.Snapshot) DegradeLevel {
 	level := DegradeFresh
 	if a.degrade.StaleAfter > 0 {
-		age := time.Duration(now - a.system.PublishedAtNanos())
+		age := time.Duration(a.nowNanos() - a.system.PublishedAtNanos())
 		switch {
 		case age > a.degrade.ServfailAfter:
 			level = DegradeServfail
@@ -262,17 +222,8 @@ func (a *Authority) WhoamiName() dnsmsg.Name {
 	return dnsmsg.Name("whoami." + string(a.zone))
 }
 
-// ServeDNS implements dnsserver.Handler, serving against shard 0's cache.
+// ServeDNS implements dnsserver.Handler.
 func (a *Authority) ServeDNS(remote netip.AddrPort, query *dnsmsg.Message) *dnsmsg.Message {
-	return a.ServeDNSShard(0, remote, query)
-}
-
-// ServeDNSShard implements dnsserver.ShardAware: identical to ServeDNS but
-// mapping decisions consult (and fill) the answer cache belonging to the
-// given serving shard. Shard indexes beyond the configured cache count
-// (see SetShards) wrap, so a stale wiring order degrades to cache sharing
-// rather than a panic.
-func (a *Authority) ServeDNSShard(shard int, remote netip.AddrPort, query *dnsmsg.Message) *dnsmsg.Message {
 	resp := query.Reply()
 	resp.Authoritative = true
 	resp.RecursionAvailable = false
@@ -300,7 +251,7 @@ func (a *Authority) ServeDNSShard(shard int, remote netip.AddrPort, query *dnsms
 
 	switch q.Type {
 	case dnsmsg.TypeA, dnsmsg.TypeANY:
-		return a.serveMapping(shard, remote, query, q, resp)
+		return a.serveMapping(remote, query, q, resp)
 	case dnsmsg.TypeAAAA, dnsmsg.TypeTXT, dnsmsg.TypeNS, dnsmsg.TypeCNAME:
 		// Name exists (any content domain under the zone does), but we
 		// have no records of this type: NOERROR/NODATA with an SOA.
@@ -332,9 +283,8 @@ func (a *Authority) serveWhoami(remote netip.AddrPort, q dnsmsg.Question, resp *
 	return resp
 }
 
-// serveMapping asks the mapping system for servers and builds the answer,
-// consulting the per-scope answer cache first.
-func (a *Authority) serveMapping(shard int, remote netip.AddrPort, query *dnsmsg.Message, q dnsmsg.Question, resp *dnsmsg.Message) *dnsmsg.Message {
+// serveMapping asks the mapping system for servers and builds the answer.
+func (a *Authority) serveMapping(remote netip.AddrPort, query *dnsmsg.Message, q dnsmsg.Question, resp *dnsmsg.Message) *dnsmsg.Message {
 	req := mapping.Request{
 		Domain: string(q.Name.Canonical()),
 		LDNS:   remote.Addr().Unmap(),
@@ -363,7 +313,7 @@ func (a *Authority) serveMapping(shard int, remote netip.AddrPort, query *dnsmsg
 	if a.decisionLatency != nil {
 		startNs = time.Now().UnixNano()
 	}
-	decision, level, err := a.decide(shard, req)
+	decision, level, err := a.decide(req)
 	if a.decisionLatency != nil {
 		a.decisionLatency.ObserveNanos(time.Now().UnixNano() - startNs)
 	}
@@ -409,103 +359,30 @@ func (a *Authority) serveMapping(shard int, remote netip.AddrPort, query *dnsmsg
 }
 
 // decide resolves a mapping request against the snapshot published right
-// now, consulting the per-scope answer cache first. The snapshot is loaded
-// once — one atomic pointer read — and both the cache lookup (keyed by its
-// epoch) and a cache-miss computation (MapAt against it) use that same
-// snapshot, so the decision's epoch always matches the map it was derived
-// from and a concurrent snapshot swap can never mix an old answer with a
-// new epoch or vice versa.
+// now. The snapshot is loaded once — one atomic pointer read — and the
+// rung, the decision and its epoch all come from that same snapshot, so a
+// concurrent swap can never mix an old answer with a new epoch or vice
+// versa.
 //
-// When the staleness watchdog is armed, the map's publish age picks the
-// degradation rung first: stale maps still serve (the caller clamps the
-// TTL), fallback-age maps answer from the generic fallback tables
-// bypassing the cache, and beyond ServfailAfter the decision is refused.
-// Armed or not, an epoch-0 map (a replica's boot map) answers at the
-// fallback rung or worse. None of this adds allocations or locks — one
-// atomic load and a few comparisons on the armed path, two branches when
-// disarmed.
-func (a *Authority) decide(shard int, req mapping.Request) (*mapping.Response, DegradeLevel, error) {
+// The rung is picked first: stale maps still serve (the caller clamps the
+// TTL), fallback-age maps and a replica's epoch-0 boot map answer from the
+// generic fallback tables, and beyond ServfailAfter the decision is
+// refused.
+func (a *Authority) decide(req mapping.Request) (*mapping.Response, DegradeLevel, error) {
 	snap := a.system.Current()
-	var cache *answerCache
-	if len(a.caches) > 0 {
-		if shard < 0 || shard >= len(a.caches) {
-			shard = 0
-		}
-		cache = a.caches[shard]
-	}
-	var now int64
-	if cache != nil || a.degrade.StaleAfter > 0 {
-		now = a.nowNanos()
-	}
-	level := a.levelOf(snap, now)
+	level := a.levelOf(snap)
 	switch {
 	case level >= DegradeServfail:
 		a.DegradeServfails.Add(1)
 		return nil, level, errStaleMap
 	case level >= DegradeFallback:
-		// Generic geography-anchored answer; bypass the answer cache so
-		// degraded decisions never outlive recovery.
 		a.FallbackAnswers.Add(1)
 		req.Degraded = true
-		decision, err := a.system.MapAt(snap, req)
-		return decision, level, err
 	case level == DegradeStale:
 		a.StaleAnswers.Add(1)
 	}
-	if cache == nil {
-		decision, err := a.system.MapAt(snap, req)
-		return decision, level, err
-	}
-	key := a.cacheKey(snap, req)
-	epoch := snap.Epoch()
-	if decision := cache.get(key, epoch, now); decision != nil {
-		if decision.Epoch != epoch {
-			// Invariant tripwire: a hit must carry the epoch it was filed
-			// under. See StaleEpochAnswers.
-			a.StaleEpochAnswers.Add(1)
-		}
-		a.CacheHits.Add(1)
-		return decision, level, nil
-	}
 	decision, err := a.system.MapAt(snap, req)
-	if err != nil {
-		return nil, level, err
-	}
-	a.CacheMisses.Add(1)
-	cache.put(key, epoch, now, now+decision.TTL.Nanoseconds(), decision)
-	return decision, level, nil
-}
-
-// cacheKey derives the answer-cache key for a mapping request: under the
-// EU policy with a client subnet, answers are shared at mapping-unit
-// granularity (with the ECS scope clamp folded in so narrower queries do
-// not inherit a wider answer's scope field); every other decision depends
-// only on the resolver, so it is keyed by the LDNS address. The policy
-// comes from the same snapshot the decision will be made against, so the
-// key can never disagree with the decision's policy mid-swap.
-func (a *Authority) cacheKey(snap *mapping.Snapshot, req mapping.Request) answerKey {
-	if snap.Policy() == mapping.EndUser && req.ClientSubnet.IsValid() {
-		unit := a.system.UnitFor(req.ClientSubnet.Addr())
-		if req.ClientSubnet.Bits() < unit.Bits() {
-			// Truncated ECS: the query reveals less than a mapping unit,
-			// and the decision covers the whole revealed prefix (the
-			// highest-demand block inside it), so file under the query
-			// prefix itself. Keying by the base unit here would let a
-			// truncated /20 and a full /24 for the unit's space collide —
-			// the /20 inheriting the /24 answer's scope or vice versa.
-			return answerKey{
-				domain: req.Domain,
-				scope:  req.ClientSubnet.Masked(),
-				clamp:  uint8(req.ClientSubnet.Bits()),
-			}
-		}
-		return answerKey{domain: req.Domain, scope: unit, clamp: uint8(unit.Bits())}
-	}
-	ldns := req.LDNS
-	return answerKey{
-		domain: req.Domain,
-		scope:  netip.PrefixFrom(ldns, ldns.BitLen()),
-	}
+	return decision, level, err
 }
 
 // soa returns the zone's SOA record for negative/nodata answers.

@@ -333,3 +333,85 @@ func TestECSIPv6EndToEnd(t *testing.T) {
 		t.Errorf("answers = %d", len(resp.Answers))
 	}
 }
+
+// deploymentOf finds the deployment that owns a server address.
+func deploymentOf(t *testing.T, addr netip.Addr) *cdn.Deployment {
+	t.Helper()
+	for _, d := range testP.Deployments {
+		for _, s := range d.Servers {
+			if s.Addr == addr {
+				return d
+			}
+		}
+	}
+	t.Fatalf("no deployment owns %v", addr)
+	return nil
+}
+
+// TestDeadDeploymentAvoidedAtOnce: liveness is read at answer time, not at
+// publish time — when every server of the deployment an answer points at
+// dies, the very next identical query avoids it, before any new map is
+// published and well inside the first answer's TTL.
+func TestDeadDeploymentAvoidedAtOnce(t *testing.T) {
+	a := newAuthority(t, mapping.EndUser)
+	blk := testW.Blocks[100]
+	ask := func() []netip.Addr {
+		return answerAddrs(a.ServeDNS(resolverAddr, ecsQuery(t, "img.cdn.example.net", blk.Prefix.Addr(), 24)))
+	}
+	epoch := a.system.Current().Epoch()
+	dead := deploymentOf(t, ask()[0])
+	for _, s := range dead.Servers {
+		s.SetAlive(false)
+	}
+	defer func() {
+		for _, s := range dead.Servers {
+			s.SetAlive(true)
+		}
+	}()
+
+	after := ask()
+	if len(after) == 0 {
+		t.Fatal("no answer once the nearest deployment died")
+	}
+	for _, addr := range after {
+		if deploymentOf(t, addr) == dead {
+			t.Errorf("answer still points at %v in dead deployment %s", addr, dead.Name)
+		}
+	}
+	if got := a.system.Current().Epoch(); got != epoch {
+		t.Fatalf("map republished during the test (epoch %d -> %d)", epoch, got)
+	}
+}
+
+// TestDemandRecordedPerAnswer: with demand accounting on, every answer
+// records its demand unit on the deployment it handed out — N identical
+// queries inside one TTL are N units, which is what the load-feedback
+// loop's gauges must see (and what lets the global load balancer spill the
+// N+1st off a deployment the first N filled).
+func TestDemandRecordedPerAnswer(t *testing.T) {
+	a := newAuthority(t, mapping.EndUser)
+	a.SetAnswerDemand(1)
+	blk := testW.Blocks[100]
+	q := ecsQuery(t, "img.cdn.example.net", blk.Prefix.Addr(), 24)
+	defer func() {
+		for _, d := range testP.Deployments {
+			d.ResetLoad()
+		}
+	}()
+
+	const n = 10
+	want := map[*cdn.Deployment]float64{}
+	for i := 0; i < n; i++ {
+		want[deploymentOf(t, answerAddrs(a.ServeDNS(resolverAddr, q))[0])]++
+	}
+	var total float64
+	for _, d := range testP.Deployments {
+		if got := d.Load(); got != want[d] {
+			t.Errorf("%s holds %g demand units, handed out in %g answers", d.Name, got, want[d])
+		}
+		total += d.Load()
+	}
+	if total != n {
+		t.Errorf("%d identical answers recorded %g demand units, want %d", n, total, n)
+	}
+}

@@ -14,8 +14,8 @@ import (
 // goroutines with a mix of ECS and non-ECS queries and checks that every
 // response is well-formed and the metrics add up exactly. Run with -race
 // this doubles as the data-race check for the whole serving stack
-// (authority cache, mapping system, scorer caches, load balancer rings,
-// server load atomics).
+// (authority counters, mapping system, load balancer rings, server load
+// atomics).
 func TestAuthorityConcurrentQueries(t *testing.T) {
 	a := newAuthority(t, mapping.EndUser)
 
@@ -31,8 +31,8 @@ func TestAuthorityConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			// Per-goroutine resolver address, so NS-keyed decisions from
-			// different goroutines exercise different cache entries.
+			// Per-goroutine resolver address, so NS-keyed decisions differ
+			// between goroutines.
 			ldns := netip.AddrPortFrom(netip.AddrFrom4([4]byte{198, 51, 100, byte(g + 1)}), 5353)
 			for i := 0; i < perG; i++ {
 				q := query(domains[(g+i)%len(domains)], dnsmsg.TypeA)
@@ -78,11 +78,6 @@ func TestAuthorityConcurrentQueries(t *testing.T) {
 	}
 	if got := a.ECSQueries.Load(); got != total/2 {
 		t.Errorf("ECSQueries = %d, want %d", got, total/2)
-	}
-	if hits, misses := a.CacheHits.Load(), a.CacheMisses.Load(); hits+misses != total {
-		t.Errorf("CacheHits+CacheMisses = %d+%d = %d, want %d", hits, misses, hits+misses, total)
-	} else if hits == 0 {
-		t.Error("expected some cache hits under repeated concurrent load")
 	}
 }
 
@@ -148,19 +143,15 @@ func TestAuthorityConcurrentInvalidation(t *testing.T) {
 	if got := a.TotalQueries.Load(); got != total {
 		t.Errorf("TotalQueries = %d, want %d", got, total)
 	}
-	if hits, misses := a.CacheHits.Load(), a.CacheMisses.Load(); hits+misses != total {
-		t.Errorf("CacheHits+CacheMisses = %d, want %d", hits+misses, total)
-	}
 }
 
 // TestAuthorityEpochHammer swaps snapshots as fast as the control plane
 // can build them while 12 goroutines resolve mapping requests, and asserts
 // no stale-epoch answer is ever served: every decision's epoch lies
 // between the epoch published before the call and the one published after
-// it. Because decide() loads the snapshot exactly once and keys both the
-// cache lookup and the computation by it, an answer cached under an
-// orphaned epoch can never come back — this test is the regression guard
-// for that invariant under continuous publication.
+// it. decide() loads the snapshot exactly once and takes the rung, the
+// decision and its epoch from it — this test is the regression guard for
+// that invariant under continuous publication.
 func TestAuthorityEpochHammer(t *testing.T) {
 	a := newAuthority(t, mapping.EndUser)
 
@@ -198,7 +189,7 @@ func TestAuthorityEpochHammer(t *testing.T) {
 					req.ClientSubnet = testW.Blocks[(g*perG+i*3)%len(testW.Blocks)].Prefix
 				}
 				before := a.system.Current().Epoch()
-				decision, _, err := a.decide(0, req)
+				decision, _, err := a.decide(req)
 				after := a.system.Current().Epoch()
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d query %d: %v", g, i, err)
@@ -218,8 +209,5 @@ func TestAuthorityEpochHammer(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-	if hits, misses := a.CacheHits.Load(), a.CacheMisses.Load(); hits+misses != goroutines*perG {
-		t.Errorf("CacheHits+CacheMisses = %d, want %d", hits+misses, goroutines*perG)
 	}
 }

@@ -63,13 +63,11 @@ func TestDegradationLadderWalk(t *testing.T) {
 		t.Fatal("stale: StaleAnswers not counted")
 	}
 
-	// Rung 2: measurements distrusted — generic fallback tables, cache
-	// bypassed.
+	// Rung 2: measurements distrusted — generic fallback tables.
 	offset = 400 * time.Millisecond
 	if lvl := a.Degradation(); lvl != DegradeFallback {
 		t.Fatalf("fallback: level = %v", lvl)
 	}
-	hits := a.CacheHits.Load()
 	resp = ask()
 	if resp.RCode != dnsmsg.RCodeSuccess || len(resp.Answers) == 0 {
 		t.Fatalf("fallback: rcode=%v answers=%d", resp.RCode, len(resp.Answers))
@@ -79,9 +77,6 @@ func TestDegradationLadderWalk(t *testing.T) {
 	}
 	if a.FallbackAnswers.Load() == 0 {
 		t.Fatal("fallback: FallbackAnswers not counted")
-	}
-	if a.CacheHits.Load() != hits {
-		t.Fatal("fallback: degraded decision served from the answer cache")
 	}
 
 	// Rung 3: map beyond salvage — refuse service.

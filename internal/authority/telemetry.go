@@ -19,19 +19,12 @@ func (a *Authority) RegisterMetrics(reg *telemetry.Registry) {
 		"Queries carrying a client-subnet option.", a.ECSQueries.Load)
 	reg.Counter("authority_ecs_formerr_total",
 		"Queries refused with FORMERR for RFC 7871 ECS violations.", a.ECSFormErrs.Load)
-	reg.Counter("authority_cache_hits_total",
-		"Mapping queries answered from the per-scope answer cache.", a.CacheHits.Load)
-	reg.Counter("authority_cache_misses_total",
-		"Mapping queries that ran the full mapping path.", a.CacheMisses.Load)
 	reg.Counter("authority_stale_answers_total",
 		"Answers served past StaleAfter with a clamped TTL.", a.StaleAnswers.Load)
 	reg.Counter("authority_fallback_answers_total",
 		"Answers served from the snapshot's fallback tables.", a.FallbackAnswers.Load)
 	reg.Counter("authority_degrade_servfails_total",
 		"Queries refused because the map aged past ServfailAfter.", a.DegradeServfails.Load)
-	reg.Counter("authority_stale_epoch_answers_total",
-		"Cache hits whose epoch disagreed with their snapshot (invariant tripwire).",
-		a.StaleEpochAnswers.Load)
 	reg.Gauge("authority_map_epoch",
 		"Epoch of the currently published map snapshot.", func() float64 {
 			return float64(a.system.Current().Epoch())
@@ -44,5 +37,5 @@ func (a *Authority) RegisterMetrics(reg *telemetry.Registry) {
 		"Degradation-ladder rung (0 fresh, 1 stale, 2 fallback, 3 servfail).",
 		func() float64 { return float64(a.Degradation()) })
 	a.decisionLatency = reg.Histogram("authority_decision_latency_seconds",
-		"Full mapping-decision latency (cache lookup through mapping computation).")
+		"Mapping-decision latency (snapshot load, degradation rung, MapAt).")
 }

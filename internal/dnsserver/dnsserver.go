@@ -53,16 +53,6 @@ func (f HandlerFunc) ServeDNS(remote netip.AddrPort, q *dnsmsg.Message) *dnsmsg.
 	return f(remote, q)
 }
 
-// ShardAware is an optional Handler extension for handlers that keep
-// per-shard state (the authority's per-shard answer caches, for one).
-// When the handler passed to the server implements it, the serve loop
-// calls ServeDNSShard with the listener shard the query arrived on
-// instead of ServeDNS. Shard IDs are dense: 0 <= shard < Server.Shards().
-type ShardAware interface {
-	Handler
-	ServeDNSShard(shard int, remote netip.AddrPort, query *dnsmsg.Message) *dnsmsg.Message
-}
-
 // Metrics counts server activity, aggregated across all shards. All fields
 // are updated atomically and may be read at any time. These counters are
 // the one piece of cross-shard shared state: they are monotone counters
@@ -218,10 +208,6 @@ type Config struct {
 	// socket buffer, which sheds load by dropping datagrams (the correct
 	// behaviour for DNS over UDP). Default 4x Workers.
 	QueueDepth int
-	// GoroutinePerPacket restores the legacy spawn-per-datagram serve
-	// loop. It exists so benchmarks can compare the pooled loop against
-	// the old model; production servers should leave it false.
-	GoroutinePerPacket bool
 	// OnOverload selects what happens to datagrams arriving while the
 	// queue is full. Default ShedBlock (kernel-buffer backpressure).
 	OnOverload ShedPolicy
@@ -340,9 +326,6 @@ type shard struct {
 // Server is a UDP DNS server over one or more listener shards.
 type Server struct {
 	handler Handler
-	// sharded is handler when it implements ShardAware, resolved once at
-	// construction so the hot path pays a nil check, not a type assert.
-	sharded ShardAware
 	cfg     Config
 	shards  []*shard
 	// latency, when non-nil, records per-query handler latency (unpack
@@ -354,7 +337,7 @@ type Server struct {
 
 	mu     sync.Mutex
 	closed bool
-	wg     sync.WaitGroup // the serve loops and their in-flight packets
+	wg     sync.WaitGroup // the running Serve call; Close waits on it
 }
 
 // Listen binds a UDP socket on addr (e.g. "127.0.0.1:0") and returns a
@@ -447,7 +430,6 @@ func newConns(conns []net.PacketConn, h Handler, cfg Config) (*Server, error) {
 		return nil, errors.New("dnsserver: nil handler")
 	}
 	s := &Server{handler: h, cfg: cfg}
-	s.sharded, _ = h.(ShardAware)
 	s.shards = make([]*shard, len(conns))
 	for i, conn := range conns {
 		sh := &shard{id: i, srv: s, conn: conn}
@@ -510,8 +492,8 @@ func (s *Server) ShardStats() []ShardStats {
 }
 
 // Serve runs every shard's serve loop until the server is closed,
-// dispatching queries to each shard's worker pool (or, in legacy mode, one
-// goroutine per packet). Serve returns nil after Close.
+// dispatching queries to each shard's worker pool. Serve returns nil after
+// Close.
 func (s *Server) Serve() error {
 	// Close waits on wg, so it does not return until queued packets have
 	// drained and every worker on every shard has exited.
@@ -523,11 +505,7 @@ func (s *Server) Serve() error {
 		shards.Add(1)
 		go func(sh *shard) {
 			defer shards.Done()
-			if s.cfg.GoroutinePerPacket {
-				errs <- sh.servePerPacket()
-			} else {
-				errs <- sh.serve()
-			}
+			errs <- sh.serve()
 		}(sh)
 	}
 	shards.Wait()
@@ -732,33 +710,6 @@ func (sh *shard) refuse(raddr netip.AddrPort, pkt []byte) {
 	}
 }
 
-// servePerPacket is the legacy serve loop: one buffer copy and one spawned
-// goroutine per datagram. Kept for baseline comparison benchmarks.
-func (sh *shard) servePerPacket() error {
-	buf := make([]byte, maxPacketSize)
-	for {
-		n, raddr, err := sh.readFrom(buf)
-		if err != nil {
-			if sh.srv.isClosed() {
-				return nil
-			}
-			return fmt.Errorf("dnsserver: read: %w", err)
-		}
-		if !raddr.IsValid() {
-			continue
-		}
-		sh.Stats.Wakeups.Add(1)
-		sh.Stats.BatchedPackets.Add(1)
-		pkt := make([]byte, n)
-		copy(pkt, buf[:n])
-		sh.srv.wg.Add(1)
-		go func() {
-			defer sh.srv.wg.Done()
-			sh.handlePacket(raddr, pkt)
-		}()
-	}
-}
-
 // readFrom reads one datagram, preferring the AddrPort-returning UDP path
 // that avoids a net.Addr allocation per packet.
 func (sh *shard) readFrom(buf []byte) (int, netip.AddrPort, error) {
@@ -811,7 +762,7 @@ func (sh *shard) handlePacket(raddr netip.AddrPort, pkt []byte) {
 	if s.latency != nil {
 		startNs = time.Now().UnixNano()
 	}
-	resp := sh.safeServe(raddr, query)
+	resp := safeServe(s.handler, &s.Metrics, raddr, query)
 	if s.latency != nil {
 		s.latency.ObserveNanos(time.Now().UnixNano() - startNs)
 	}
@@ -862,25 +813,6 @@ func (sh *shard) handlePacket(raddr netip.AddrPort, pkt []byte) {
 	sh.packPool.Put(wp)
 }
 
-// safeServe invokes the handler — through ServeDNSShard when the handler
-// is shard-aware — converting a panic into a SERVFAIL response: one
-// misbehaving query must not take down the serve loop.
-func (sh *shard) safeServe(raddr netip.AddrPort, query *dnsmsg.Message) (resp *dnsmsg.Message) {
-	s := sh.srv
-	defer func() {
-		if p := recover(); p != nil {
-			s.Metrics.HandlerPanics.Add(1)
-			r := query.Reply()
-			r.RCode = dnsmsg.RCodeServerFailure
-			resp = r
-		}
-	}()
-	if s.sharded != nil {
-		return s.sharded.ServeDNSShard(sh.id, raddr, query)
-	}
-	return s.handler.ServeDNS(raddr, query)
-}
-
 // slip answers a rate-limited query with a minimal TC=1 response: no
 // records, just the truncation bit, steering a legitimate client behind
 // the offending prefix to retry over TCP (where its source address is
@@ -900,9 +832,8 @@ func (sh *shard) slip(raddr netip.AddrPort, query *dnsmsg.Message) {
 }
 
 // safeServe invokes the handler, converting a panic into a SERVFAIL
-// response: one misbehaving query must not take down the serve loop (or, in
-// goroutine-per-packet mode, the process). Used by the TCP server, which
-// has no shards.
+// response: one misbehaving query must not take down the serve loop. UDP
+// shards and the TCP server both call it.
 func safeServe(h Handler, m *Metrics, raddr netip.AddrPort, query *dnsmsg.Message) (resp *dnsmsg.Message) {
 	defer func() {
 		if p := recover(); p != nil {

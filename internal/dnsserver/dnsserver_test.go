@@ -63,6 +63,12 @@ func TestServeAndExchange(t *testing.T) {
 	if got := s.Metrics.Queries.Load(); got != 1 {
 		t.Errorf("queries metric = %d", got)
 	}
+	// The server counts a response after the write returns, which can be
+	// after the client has read it.
+	deadline := time.Now().Add(time.Second)
+	for s.Metrics.Responses.Load() != 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if got := s.Metrics.Responses.Load(); got != 1 {
 		t.Errorf("responses metric = %d", got)
 	}

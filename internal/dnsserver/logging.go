@@ -14,19 +14,11 @@ import (
 // response code, answer count and handler latency. Production name servers
 // live and die by this telemetry — the paper's query-rate analyses (§5)
 // come from exactly these logs.
-//
-// A ShardAware handler stays ShardAware through the wrapper, so wrapping
-// the authority does not silently collapse its per-shard answer caches
-// onto shard 0.
 func WithLogging(h Handler, logger *slog.Logger) Handler {
 	if logger == nil {
 		logger = slog.Default()
 	}
-	lh := &loggingHandler{inner: h, logger: logger}
-	if sa, ok := h.(ShardAware); ok {
-		return &loggingShardHandler{loggingHandler: lh, sharded: sa}
-	}
-	return lh
+	return &loggingHandler{inner: h, logger: logger}
 }
 
 type loggingHandler struct {
@@ -37,20 +29,6 @@ type loggingHandler struct {
 func (l *loggingHandler) ServeDNS(remote netip.AddrPort, query *dnsmsg.Message) *dnsmsg.Message {
 	start := time.Now()
 	resp := l.inner.ServeDNS(remote, query)
-	l.log(remote, query, resp, start)
-	return resp
-}
-
-// loggingShardHandler forwards the shard ID to a ShardAware inner handler
-// while logging identically on both entry points.
-type loggingShardHandler struct {
-	*loggingHandler
-	sharded ShardAware
-}
-
-func (l *loggingShardHandler) ServeDNSShard(shard int, remote netip.AddrPort, query *dnsmsg.Message) *dnsmsg.Message {
-	start := time.Now()
-	resp := l.sharded.ServeDNSShard(shard, remote, query)
 	l.log(remote, query, resp, start)
 	return resp
 }

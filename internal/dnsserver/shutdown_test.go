@@ -2,7 +2,6 @@ package dnsserver
 
 import (
 	"net"
-	"net/netip"
 	"runtime"
 	"testing"
 	"time"
@@ -93,48 +92,6 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond)
 
-	if got := waitGoroutines(baseline); got > baseline+2 {
-		t.Fatalf("goroutines leaked: %d -> %d", baseline, got)
-	}
-}
-
-// TestShutdownPerPacketMode: the legacy goroutine-per-packet loop shuts
-// down cleanly too.
-func TestShutdownPerPacketMode(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	h := HandlerFunc(func(_ netip.AddrPort, q *dnsmsg.Message) *dnsmsg.Message {
-		return q.Reply()
-	})
-	s, err := ListenConfig("127.0.0.1:0", h, Config{GoroutinePerPacket: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan struct{})
-	go func() { defer close(serveDone); _ = s.Serve() }()
-
-	conn, err := net.Dial("udp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	wire, _ := dnsmsg.NewQuery(6, "pp.example.net", dnsmsg.TypeA).Pack()
-	if _, err := conn.Write(wire); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 512)
-	if _, err := conn.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-serveDone:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Serve did not return after Close")
-	}
 	if got := waitGoroutines(baseline); got > baseline+2 {
 		t.Fatalf("goroutines leaked: %d -> %d", baseline, got)
 	}

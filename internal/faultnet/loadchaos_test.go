@@ -62,8 +62,8 @@ func TestLoadChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Close the loop through the real answer path: every cache-miss answer
-	// records one demand unit against the deployment it handed out.
+	// Close the loop through the real answer path: every answer records one
+	// demand unit against the deployment it handed out.
 	auth.SetAnswerDemand(1)
 
 	// Transport: >=10% loss both directions, duplication, reordering.
@@ -163,8 +163,7 @@ func TestLoadChaos(t *testing.T) {
 		wg.Wait()
 	}
 
-	// Phase A — baseline: global traffic warms the caches and the demand
-	// gauges.
+	// Phase A — baseline: global traffic warms the demand gauges.
 	lookupBurst(4, 50, w.Blocks)
 
 	// Phase B — flash crowd + brownout: the country with the most blocks

@@ -12,8 +12,7 @@ import (
 // detects it and the control plane republishes the map; mapping fails the
 // client over to the next cluster; recovery restores the original
 // assignment. (Failover itself does not even need the republish — the
-// data plane skips dead deployments at read time — but the fresh epoch is
-// what orphans answer caches layered above.)
+// data plane skips dead deployments at read time.)
 func TestFailoverUnderMonitor(t *testing.T) {
 	// A private platform: this test mutates liveness.
 	platform := cdn.MustGenerateUniverse(testW, cdn.Config{Seed: 99, NumDeployments: 80, ServersPerDeployment: 4})

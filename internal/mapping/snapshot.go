@@ -73,7 +73,7 @@ type Snapshot struct {
 }
 
 // Epoch returns the snapshot's publication number. Epochs are strictly
-// increasing; answer caches key entries by epoch so a swap orphans them.
+// increasing.
 func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
 
 // Policy returns the routing policy the snapshot was built under.

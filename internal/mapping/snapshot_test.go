@@ -129,8 +129,8 @@ func TestSnapshotInstallOrdering(t *testing.T) {
 }
 
 // TestMapEpochPinned: MapAt against a pinned snapshot keeps answering at
-// that epoch while the system publishes newer maps — the contract both
-// the answer cache and the deterministic simulations rely on.
+// that epoch while the system publishes newer maps — the contract the
+// deterministic simulations rely on.
 func TestMapEpochPinned(t *testing.T) {
 	sys := newSystem(t, EndUser)
 	pinned := sys.Current()

@@ -184,9 +184,9 @@ func (s *System) DesiredPolicy() Policy { return Policy(s.desiredPolicy.Load()) 
 
 // SetPolicy switches the routing policy and synchronously publishes a
 // snapshot built under it — how the roll-out was performed: the same
-// system serving the same domains flips from NS to EU mapping. The epoch
-// bump orphans answers cached under the old policy. Under a MapMaker,
-// prefer its SetPolicy so the flip flows through the change feed.
+// system serving the same domains flips from NS to EU mapping. The next
+// query is answered under the new policy. Under a MapMaker, prefer its
+// SetPolicy so the flip flows through the change feed.
 func (s *System) SetPolicy(p Policy) {
 	s.desiredPolicy.Store(int32(p))
 	s.Rebuild()
@@ -240,13 +240,6 @@ func (s *System) SetUtilizationSource(src UtilizationSource) {
 	s.builder.SetUtilizationSource(src)
 }
 
-// UnitFor returns the mapping unit (the granularity at which clients are
-// grouped, §5.1) for a client address — the scope at which answers for
-// that client may be shared.
-func (s *System) UnitFor(addr netip.Addr) netip.Prefix {
-	return s.cfg.Units.UnitFor(addr)
-}
-
 // Scorer exposes the scoring layer (for simulations and tests).
 func (s *System) Scorer() *Scorer { return s.scorer }
 
@@ -286,8 +279,7 @@ type Response struct {
 	ScopePrefix uint8
 	// TTL is the answer TTL.
 	TTL time.Duration
-	// Epoch is the snapshot epoch the decision was made under. Answer
-	// caches key entries by it, so a snapshot swap orphans them.
+	// Epoch is the epoch of the snapshot the decision was read from.
 	Epoch uint64
 	// UsedClientSubnet reports whether the client subnet (rather than
 	// the LDNS) determined the decision.
@@ -304,8 +296,9 @@ func (s *System) Map(req Request) (*Response, error) {
 // the CANS candidate lists come precomputed from the snapshot, liveness
 // and load are read per server at pick time, and nothing on this path
 // scores, locks, or invalidates. Callers that must keep a set of
-// decisions mutually consistent (an answer cache, a deterministic
-// simulation day) pin one snapshot and pass it for every request.
+// decisions mutually consistent (a deterministic simulation day, a wire
+// answer checked against its oracle) pin one snapshot and pass it for
+// every request.
 func (s *System) MapAt(sn *Snapshot, req Request) (*Response, error) {
 	if req.Domain == "" {
 		return nil, fmt.Errorf("mapping: empty domain")
