@@ -16,33 +16,18 @@ SNAPBENCH = BenchmarkSnapshotSwap|BenchmarkServingUnderMapChurn
 # figures are BENCHMARK.json's serve_qps and dnsserver.packets_per_wakeup).
 QPSBENCH = BenchmarkShardedThroughput
 
-# Million-block mapping plane: full build, warm and one-target incremental
-# republish, resident bytes/block over the Huge lab (see DESIGN.md
-# "Partitioned mapping & incremental builds"; numbers in BENCH_scale.json).
-SCALEBENCH = BenchmarkSnapshotScale
-
-# Distribution-plane codec over the Huge lab: full image encode/decode and
-# the one-target delta (see DESIGN.md "Distributed map distribution";
-# numbers and the <10% delta guard in BENCH_wire.json).
-WIREBENCH = BenchmarkSnapshotWire
-
-# Load-feedback republish cost over the Huge lab: proximity-only warm
-# publish, armed-but-idle gauges, and the ReasonLoad full re-rank (see
-# DESIGN.md "Load-aware mapping & feedback control"; numbers in
-# BENCH_load.json).
-LOADBENCH = BenchmarkLoadRepublish
-
-.PHONY: all check vet build test loc race chaos load-chaos dist-chaos obs crossbuild scale-smoke ecsgrid-smoke bench-smoke bench-e2e bench bench-hot bench-sim bench-snapshot bench-qps bench-scale bench-wire bench-load bench-figures
+.PHONY: all check vet build test loc race chaos load-chaos dist-chaos obs crossbuild scale-smoke ecsgrid-smoke figures-check figures-golden bench-smoke bench-e2e bench bench-hot bench-sim bench-snapshot bench-qps bench-figures
 
 all: check
 
 # The full verification gate: vet, build, tests with the race detector,
 # the chaos harness (faultnet integration tests, also under -race), the
 # distribution-plane partition/heal drill, then the observability smoke
-# test against a live in-process stack, then cross-compiles of the
-# non-linux / non-amd64 fallback paths, then the benchmark module's own
-# vet and short tests.
-check: vet build race chaos load-chaos dist-chaos obs scale-smoke ecsgrid-smoke crossbuild bench-smoke
+# test against a live in-process stack, then every figure's checksum
+# against the golden list, then cross-compiles of the non-linux /
+# non-amd64 fallback paths, then the benchmark module's own vet and short
+# tests.
+check: vet build race chaos load-chaos dist-chaos obs scale-smoke ecsgrid-smoke figures-check crossbuild bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -109,6 +94,18 @@ scale-smoke:
 ecsgrid-smoke:
 	$(GO) test -race -v -run 'TestECSGrid|TestAmpGrid|TestGridWorkerCountInvariant' ./internal/experiments/
 
+# Figure drift: every `eumsim -fig <f> -scale small -seed 1` table, at
+# -workers 1 and at -workers 4, must hash to the line FIGURES.sha256 holds
+# for it (the `scale` figure's wall-clock rows are left out of its hash). A
+# change that means to move a figure regenerates the list with `make
+# figures-golden` and says which rows moved; one that does not is caught
+# here rather than by eye.
+figures-check:
+	sh figures-check.sh check
+
+figures-golden:
+	sh figures-check.sh golden
+
 # The benchmark is its own module (bench/go.mod), outside the root ./...:
 # it reaches the product only through the symbols bench/internal/layers/
 # api.go lists, so a rename there breaks nothing else. Vet it and run its
@@ -148,24 +145,8 @@ crossbuild:
 	GOOS=windows GOARCH=amd64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 
-# Million-block mapping plane over the Huge lab (about a minute: the lab
-# itself generates in seconds, the cold build dominates).
-bench-scale:
-	$(GO) test -run 'TestNone' -bench '$(SCALEBENCH)' -benchmem .
-
 # Regenerate every paper figure as benchmarks (slow; see EXPERIMENTS.md).
 bench-figures:
 	$(GO) test -run 'TestNone' -bench . -benchmem .
 
-# Distribution-plane codec over the Huge lab (the wire sizes and the
-# one-target delta ratio guard recorded in BENCH_wire.json).
-bench-wire:
-	$(GO) test -run 'TestNone' -bench '$(WIREBENCH)' -benchmem .
-
-# Load-feedback republish cost over the Huge lab (numbers recorded in
-# BENCH_load.json; beta0_warm must stay within noise of BENCH_scale.json's
-# warm_republish).
-bench-load:
-	$(GO) test -run 'TestNone' -bench '$(LOADBENCH)' -benchmem .
-
-bench: bench-hot bench-sim bench-qps bench-scale bench-wire bench-load
+bench: bench-hot bench-sim bench-qps

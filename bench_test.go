@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"eum/internal/authority"
-	"eum/internal/cdn"
 	"eum/internal/dnsclient"
 	"eum/internal/dnsmsg"
 	"eum/internal/dnsserver"
@@ -28,7 +27,6 @@ import (
 	"eum/internal/geo"
 	"eum/internal/mapmaker"
 	"eum/internal/mapping"
-	"eum/internal/mapwire"
 	"eum/internal/par"
 	"eum/internal/resolver"
 	"eum/internal/simulation"
@@ -40,11 +38,6 @@ var (
 	labOnce sync.Once
 	lab     *experiments.Lab
 	scale   experiments.Scale
-
-	// The million-block Huge lab is built once, only by the benchmarks
-	// that need it (BenchmarkSnapshotScale) — never by benchLab.
-	hugeLabOnce sync.Once
-	hugeLab     *experiments.Lab
 )
 
 func benchLab(b *testing.B) *experiments.Lab {
@@ -755,147 +748,6 @@ func BenchmarkSnapshotSwap(b *testing.B) {
 	})
 }
 
-// BenchmarkSnapshotScale measures the mapping plane at the million-block
-// Huge lab (see EXPERIMENTS.md "Huge lab"): a cold full rebuild of every
-// interned rank table, a warm republish (nothing dirty — the arena is
-// shared wholesale), and a one-ping-target incremental republish that
-// re-ranks only the tables the dirty target serves. resident_memory
-// reports bytes of mapping state per client block. Numbers are recorded
-// in BENCH_scale.json.
-func BenchmarkSnapshotScale(b *testing.B) {
-	hugeLabOnce.Do(func() { hugeLab = experiments.NewLab(experiments.Huge, 1) })
-	l := hugeLab
-	cfg := experiments.DefaultScaleConfig(experiments.Huge)
-	sys := mapping.NewSystem(l.World, l.Platform, l.Net, mapping.Config{
-		Policy:         mapping.EndUser,
-		PingTargets:    cfg.PingTargets,
-		PartitionMiles: cfg.PartitionMiles,
-	})
-	bld := sys.Builder()
-	sn := sys.Current()
-	mapSize := func(b *testing.B) {
-		b.ReportMetric(float64(len(l.World.Blocks)), "blocks")
-		b.ReportMetric(float64(sn.Partitions()), "partitions")
-		b.ReportMetric(float64(sn.Tables()), "tables")
-	}
-	b.Run("full_build", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bld.MarkMeasurementsDirty() // invalidate every cached table
-			sn = sys.Rebuild()
-		}
-		mapSize(b)
-	})
-	b.Run("warm_republish", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sn = sys.Rebuild()
-		}
-		mapSize(b)
-	})
-	target, ok := sys.Scorer().TargetFor(l.World.LDNSes[0].Endpoint())
-	if !ok {
-		b.Fatal("clustering off")
-	}
-	b.Run("incremental_one_target", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bld.MarkMeasurementsDirty(target.ID)
-			sn = sys.Rebuild()
-		}
-		mapSize(b)
-	})
-	b.Run("resident_memory", func(b *testing.B) {
-		var bytes uint64
-		for i := 0; i < b.N; i++ {
-			bytes = sn.MemoryBytes() + sys.IndexBytes()
-		}
-		b.ReportMetric(float64(bytes)/float64(len(l.World.Blocks)), "bytes/block")
-		b.ReportMetric(float64(sn.MemoryBytes()), "snapshot_bytes")
-		b.ReportMetric(float64(sys.IndexBytes()), "index_bytes")
-	})
-}
-
-// BenchmarkSnapshotWire measures the distribution plane's codec at the
-// million-block Huge lab: encoding the full wire image a replica
-// bootstraps from, decoding it back into a servable snapshot, and the
-// delta a one-ping-target measurement refresh ships between epochs.
-// full_bytes/delta_bytes report the wire sizes and delta_pct their ratio
-// — the bench also enforces the distribution plane's scaling guarantee
-// that a one-target change ships under 10% of the full image (numbers
-// recorded in BENCH_wire.json).
-func BenchmarkSnapshotWire(b *testing.B) {
-	hugeLabOnce.Do(func() { hugeLab = experiments.NewLab(experiments.Huge, 1) })
-	l := hugeLab
-	cfg := experiments.DefaultScaleConfig(experiments.Huge)
-	sys := mapping.NewSystem(l.World, l.Platform, l.Net, mapping.Config{
-		Policy:         mapping.EndUser,
-		PingTargets:    cfg.PingTargets,
-		PartitionMiles: cfg.PartitionMiles,
-	})
-	codec := mapwire.NewCodec(l.Platform)
-	prev := sys.Current()
-	full, err := codec.EncodeFull(prev)
-	if err != nil {
-		b.Fatal(err)
-	}
-	target, ok := sys.Scorer().TargetFor(l.World.LDNSes[0].Endpoint())
-	if !ok {
-		b.Fatal("clustering off")
-	}
-	sys.Builder().MarkMeasurementsDirty(target.ID)
-	next := sys.Rebuild()
-	delta, ok, err := codec.EncodeDelta(prev, next)
-	if err != nil || !ok {
-		b.Fatalf("EncodeDelta: ok=%v err=%v", ok, err)
-	}
-	if 10*len(delta) >= len(full) {
-		b.Fatalf("one-target delta %d bytes is not <10%% of the %d-byte full image", len(delta), len(full))
-	}
-	wireSize := func(b *testing.B) {
-		b.ReportMetric(float64(len(full)), "full_bytes")
-		b.ReportMetric(float64(len(delta)), "delta_bytes")
-		b.ReportMetric(100*float64(len(delta))/float64(len(full)), "delta_pct")
-	}
-	b.Run("encode_full", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := codec.EncodeFull(prev); err != nil {
-				b.Fatal(err)
-			}
-		}
-		wireSize(b)
-	})
-	b.Run("decode_full", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := codec.Decode(full, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		wireSize(b)
-	})
-	b.Run("encode_delta", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok, err := codec.EncodeDelta(prev, next); err != nil || !ok {
-				b.Fatalf("ok=%v err=%v", ok, err)
-			}
-		}
-		wireSize(b)
-	})
-	base, err := codec.Decode(full, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("apply_delta", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := codec.Decode(delta, base); err != nil {
-				b.Fatal(err)
-			}
-		}
-		wireSize(b)
-	})
-}
-
 // BenchmarkServingUnderMapChurn serves queries while the map changes
 // underneath: a background MapMaker republishes complete snapshots and the
 // query path only loads the installed pointer, so no query ever computes
@@ -1175,77 +1027,4 @@ func BenchmarkEndToEndUDP(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// benchUtil is a controllable UtilizationSource for the load-republish
-// benchmark: fixed per-deployment readings, always fresh.
-type benchUtil struct{ u map[uint64]float64 }
-
-func (s benchUtil) Utilization(d *cdn.Deployment) (float64, bool) { return s.u[d.ID], true }
-
-// BenchmarkLoadRepublish measures what the load-feedback loop adds to
-// republish latency at the million-block Huge lab. beta0_warm is the
-// proximity-only warm republish (the same path BenchmarkSnapshotScale's
-// warm_republish records — beta=0 must stay within noise of it).
-// beta2_warm arms load scoring with every gauge idle: the captured
-// utilization vector is all zeros, so the build skips the re-rank and
-// shares the arena wholesale. beta2_load_republish is the ReasonLoad
-// path — one deployment's smoothed utilization moves by a visible step
-// each build, so every rank table re-sorts against the new vector; this
-// is the cost of one feedback-loop republish under overload. Numbers are
-// recorded in BENCH_load.json.
-func BenchmarkLoadRepublish(b *testing.B) {
-	hugeLabOnce.Do(func() { hugeLab = experiments.NewLab(experiments.Huge, 1) })
-	l := hugeLab
-	cfg := experiments.DefaultScaleConfig(experiments.Huge)
-	newSys := func(beta float64) *mapping.System {
-		return mapping.NewSystem(l.World, l.Platform, l.Net, mapping.Config{
-			Policy:         mapping.EndUser,
-			PingTargets:    cfg.PingTargets,
-			PartitionMiles: cfg.PartitionMiles,
-			BalanceFactor:  beta,
-		})
-	}
-
-	b.Run("beta0_warm", func(b *testing.B) {
-		sys := newSys(0)
-		sys.Rebuild()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sys.Rebuild()
-		}
-	})
-
-	b.Run("beta2_warm", func(b *testing.B) {
-		sys := newSys(2)
-		sys.SetUtilizationSource(benchUtil{u: map[uint64]float64{}})
-		sys.Rebuild()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sys.Rebuild()
-		}
-		if lr, _ := sys.Builder().LoadStats(); lr != 0 {
-			b.Fatalf("idle gauges forced %d load re-ranks; warm path lost", lr)
-		}
-	})
-
-	b.Run("beta2_load_republish", func(b *testing.B) {
-		sys := newSys(2)
-		src := benchUtil{u: map[uint64]float64{}}
-		sys.SetUtilizationSource(src)
-		hot := l.Platform.Deployments[0]
-		sys.Rebuild()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// Alternate the hot deployment's reading so the quantized
-			// vector changes on every build — each iteration pays a full
-			// load re-rank, as a threshold-crossing republish would.
-			src.u[hot.ID] = 0.5 + 0.5*float64(i%2)
-			sys.Builder().MarkLoadDirty()
-			sys.Rebuild()
-		}
-		if lr, _ := sys.Builder().LoadStats(); lr == 0 {
-			b.Fatal("no load re-ranks recorded; the load path did not run")
-		}
-	})
 }

@@ -84,10 +84,16 @@ func (st adminState) healthz(w http.ResponseWriter, _ *http.Request) {
 
 // mapzBuild is the /mapz view of the map's storage shape and the
 // builder's work counters — the PR 7 scale machinery an operator checks
-// when resident memory or republish latency looks wrong.
+// when resident memory or republish latency looks wrong. A table keeps
+// TableLen entries of its own ranking; past them a pick walks one of Tails
+// shared rankings of TailLen deployments, which mapping_tail_picks_total
+// on /metrics counts.
 type mapzBuild struct {
 	Partitions        int     `json:"partitions"`
 	Tables            int     `json:"tables"`
+	TableLen          int     `json:"table_len"`
+	Tails             int     `json:"tails"`
+	TailLen           int     `json:"tail_len"`
 	ArenaChain        int     `json:"arena_chain"`
 	Endpoints         int     `json:"endpoints"`
 	ResidentBytes     uint64  `json:"resident_bytes"`
@@ -95,6 +101,7 @@ type mapzBuild struct {
 	FullBuilds        uint64  `json:"full_builds"`
 	IncrementalBuilds uint64  `json:"incremental_builds"`
 	RerankedTables    uint64  `json:"reranked_tables"`
+	RerankedTails     uint64  `json:"reranked_tails"`
 }
 
 // mapzLoad is the /mapz view of the load-feedback loop: the balance knob
@@ -153,9 +160,13 @@ func (st adminState) mapz(w http.ResponseWriter, _ *http.Request) {
 	if st.auth != nil {
 		doc.Degrade = st.auth.Degradation().String()
 	}
+	lay := snap.Layout()
 	b := &mapzBuild{
 		Partitions:    snap.Partitions(),
 		Tables:        snap.Tables(),
+		TableLen:      lay.TableLen,
+		Tails:         len(lay.TailSeg),
+		TailLen:       lay.TailLen,
 		ArenaChain:    snap.ArenaChainLen(),
 		Endpoints:     snap.Endpoints(),
 		ResidentBytes: snap.MemoryBytes() + st.system.IndexBytes(),
@@ -163,7 +174,8 @@ func (st adminState) mapz(w http.ResponseWriter, _ *http.Request) {
 	if st.blocks > 0 {
 		b.BytesPerBlock = float64(b.ResidentBytes) / float64(st.blocks)
 	}
-	b.FullBuilds, b.IncrementalBuilds, b.RerankedTables = st.system.Builder().BuildStats()
+	bs := st.system.Builder().BuildStats()
+	b.FullBuilds, b.IncrementalBuilds, b.RerankedTables, b.RerankedTails = bs.Full, bs.Incremental, bs.RerankedTables, bs.RerankedTails
 	doc.Build = b
 	if st.balance > 0 {
 		l := &mapzLoad{BalanceFactor: st.balance}
@@ -204,8 +216,11 @@ func (st adminState) mapz(w http.ResponseWriter, _ *http.Request) {
 
 // registerAll wires every subsystem's counters into one registry. Any nil
 // component is skipped, so the flat and two-level deployments both work.
-func registerAll(reg *telemetry.Registry, srv *dnsserver.Server, auth *authority.Authority,
+func registerAll(reg *telemetry.Registry, system *mapping.System, srv *dnsserver.Server, auth *authority.Authority,
 	mm *mapmaker.MapMaker, mon *cdn.Monitor, probe *dnsclient.Client) {
+	reg.Counter("mapping_tail_picks_total",
+		"Mapping decisions the head of the rank row could not make: everything in it was dead or saturated and the walk went on into the region's shared tail.",
+		system.LoadBalancer().TailPicks)
 	if srv != nil {
 		srv.RegisterMetrics(reg)
 	}

@@ -63,7 +63,7 @@ func TestObsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := &dnsclient.Client{}
-	registerAll(reg, srv, auth, mm, mon, probe)
+	registerAll(reg, system, srv, auth, mm, mon, probe)
 	go func() { _ = srv.Serve() }()
 
 	// Populate the planes: one map publish, one health sweep, one real DNS
@@ -97,8 +97,9 @@ func TestObsSmoke(t *testing.T) {
 		"authority_queries_total",         // internal/authority
 		"authority_decision_latency_seconds",
 		"authority_map_epoch",
-		"mapmaker_published_total", // internal/mapmaker
-		"cdn_health_probes_total",  // internal/cdn
+		"mapping_tail_picks_total 0", // internal/mapping: the healthy platform decides in the head
+		"mapmaker_published_total",   // internal/mapmaker
+		"cdn_health_probes_total",    // internal/cdn
 		"cdn_servers_live",
 		"selfprobe_attempts_total", // internal/dnsclient
 	} {
@@ -135,6 +136,9 @@ func TestObsSmoke(t *testing.T) {
 		Build          *struct {
 			Partitions    int     `json:"partitions"`
 			Tables        int     `json:"tables"`
+			TableLen      int     `json:"table_len"`
+			Tails         int     `json:"tails"`
+			TailLen       int     `json:"tail_len"`
 			ArenaChain    int     `json:"arena_chain"`
 			ResidentBytes uint64  `json:"resident_bytes"`
 			BytesPerBlock float64 `json:"bytes_per_block"`
@@ -156,6 +160,9 @@ func TestObsSmoke(t *testing.T) {
 	} else if b.Partitions == 0 || b.Tables == 0 || b.ArenaChain == 0 ||
 		b.ResidentBytes == 0 || b.BytesPerBlock <= 0 || b.FullBuilds == 0 {
 		t.Errorf("/mapz build = %+v", b)
+	} else if b.TableLen != 32 || b.TailLen != cfg.Platform.Deployments || b.Tails == 0 || b.Tails > b.Tables {
+		// 60 deployments: heads of 32, tails ranking all 60.
+		t.Errorf("/mapz row geometry = heads of %d, %d tails of %d", b.TableLen, b.Tails, b.TailLen)
 	}
 	if mapz.Sync != nil {
 		t.Error("/mapz grew a sync section on a standalone node")

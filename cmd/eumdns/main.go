@@ -179,7 +179,7 @@ func main() {
 			mon.SetFlapThreshold(cfg.HealthFlapThreshold)
 		}
 		probe := &dnsclient.Client{}
-		registerAll(reg, srv, auth, mm, mon, probe)
+		registerAll(reg, system, srv, auth, mm, mon, probe)
 		if fetcher != nil {
 			fetcher.RegisterMetrics(reg)
 		}

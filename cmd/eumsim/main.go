@@ -165,6 +165,10 @@ var figures = map[string]struct {
 		_, rep, err := experiments.BalanceFrontier(lab, nil, "")
 		return []*experiments.Report{rep}, err
 	}},
+	"rankregret": {"two-level rank rows: how deep picks go, and what a shared tail costs per step", func(lab *experiments.Lab, s experiments.Scale) ([]*experiments.Report, error) {
+		_, reps, err := experiments.RankRegret(lab)
+		return reps, err
+	}},
 	"ecsgrid": {"EU-mapping win by ECS adoption x prefix (-ecs-truncate sets the truncated cell)", func(lab *experiments.Lab, s experiments.Scale) ([]*experiments.Report, error) {
 		_, rep, err := experiments.ECSGrid(lab, ecsTruncate)
 		return []*experiments.Report{rep}, err

@@ -30,9 +30,9 @@ type Scale int
 
 // Scales: Small runs in seconds (unit tests, quick looks); Full is the
 // benchmark scale used for EXPERIMENTS.md numbers; Huge is the
-// million-block scale lab used by the snapshot-scale experiment and
-// BenchmarkSnapshotScale — figure sweeps at Huge take a long time, it
-// exists to exercise the mapping plane, not the figure battery.
+// million-block scale lab used by the snapshot-scale experiment — figure
+// sweeps at Huge take a long time, it exists to exercise the mapping
+// plane, not the figure battery.
 const (
 	Small Scale = iota
 	Full

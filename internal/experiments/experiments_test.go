@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 
+	"eum/internal/cdn"
 	"eum/internal/mapping"
 	"eum/internal/stats"
+	"eum/internal/world"
 )
 
 // The lab is shared across the package's tests; experiments must not
@@ -557,5 +560,41 @@ func TestTrafficClassesExperiment(t *testing.T) {
 	}
 	if len(rep.Rows) != 3 {
 		t.Error("report rows mismatch")
+	}
+}
+
+// TestFlashCrowdMatchesFullRows holds the two-level map to the map of full
+// rows it replaced, where the two can differ: a regional surge whose picks
+// leave the head. On a platform large enough that the head is a share of
+// it, the flash crowd answered from heads and shared tails must match the
+// same crowd answered from every block's own full ranking exactly until
+// the surge exceeds local capacity, and stay within a few percent of its
+// mapping distance beyond — a fixed 32-entry head with 500-mile tails was
+// 33% off at 2x on the Full lab.
+func TestFlashCrowdMatchesFullRows(t *testing.T) {
+	w := world.MustGenerate(world.Config{Seed: 1, NumBlocks: 8000})
+	p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 1, NumDeployments: 1200})
+	big := &Lab{World: w, Platform: p, Net: lab.Net}
+	stored, _, err := flashCrowd(big, "DE", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, _, err := flashCrowd(big, "DE", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range stored {
+		f := whole[i]
+		t.Logf("%.2gx: stored %.1f%% %.1f / %.1f mi, full rows %.1f%% %.1f / %.1f mi", s.LoadMultiple,
+			100*s.SpillFraction, s.MeanDistance, s.P95Distance, 100*f.SpillFraction, f.MeanDistance, f.P95Distance)
+		tolerance := 0.0
+		if s.LoadMultiple > 1 {
+			tolerance = 0.03
+		}
+		if math.Abs(s.MeanDistance-f.MeanDistance) > tolerance*f.MeanDistance ||
+			math.Abs(s.SpillFraction-f.SpillFraction) > tolerance {
+			t.Errorf("%.2gx: stored map %.1f mi mean, %.1f%% spilled; full rows %.1f mi, %.1f%%", s.LoadMultiple,
+				s.MeanDistance, 100*s.SpillFraction, f.MeanDistance, 100*f.SpillFraction)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"eum/internal/cdn"
 	"eum/internal/geo"
 	"eum/internal/mapping"
 	"eum/internal/stats"
@@ -30,6 +31,14 @@ type FlashCrowdRow struct {
 // Rows sweep the surge intensity; the spill fraction and distance
 // percentiles grow with it while every request keeps being served.
 func FlashCrowd(lab *Lab, country string) ([]FlashCrowdRow, *Report, error) {
+	return flashCrowd(lab, country, false)
+}
+
+// flashCrowd is FlashCrowd, answering — when fullRows is set — not from the
+// published map but from every block's own complete ranking, walked whole:
+// what a map that stored full rows would answer, the reference the stored
+// heads and shared tails are measured against (see RankRegret).
+func flashCrowd(lab *Lab, country string, fullRows bool) ([]FlashCrowdRow, *Report, error) {
 	var target *world.Country
 	for _, c := range lab.World.Countries {
 		if c.Code() == country {
@@ -74,18 +83,33 @@ func FlashCrowd(lab *Lab, country string) ([]FlashCrowdRow, *Report, error) {
 		var dist stats.Dataset
 		spilled, total := 0.0, 0.0
 		for _, b := range target.Blocks {
-			r, err := sys.Map(mapping.Request{
+			req := mapping.Request{
 				Domain: "viral.net", LDNS: b.LDNS.Addr, ClientSubnet: b.Prefix,
 				Demand: b.Demand * scale,
-			})
-			if err != nil {
-				return nil, nil, err
+			}
+			var d *cdn.Deployment
+			if fullRows {
+				lb := sys.LoadBalancer()
+				own := mapping.Row{Head: sys.Scorer().Rank(b.Endpoint())}
+				var err error
+				if d, err = lb.PickDeployment(lab.Platform.Deployments, own, req.Demand); err != nil {
+					return nil, nil, err
+				}
+				if _, err = lb.PickServers(d, req.Domain, req.Demand); err != nil {
+					return nil, nil, err
+				}
+			} else {
+				r, err := sys.Map(req)
+				if err != nil {
+					return nil, nil, err
+				}
+				d = r.Deployment
 			}
 			total += b.Demand
-			if r.Deployment.Country != country {
+			if d.Country != country {
 				spilled += b.Demand
 			}
-			dist.Add(geo.Distance(b.Loc, r.Deployment.Loc), b.Demand)
+			dist.Add(geo.Distance(b.Loc, d.Loc), b.Demand)
 		}
 		row1 := FlashCrowdRow{
 			LoadMultiple:  mult,

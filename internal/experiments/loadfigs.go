@@ -129,6 +129,12 @@ type ClosedLoopResult struct {
 // proportionate: demand spills while the surge lasts, the map returns to
 // proximity when it recedes, and neither transition oscillates.
 func ClosedLoopFlashCrowd(lab *Lab, cfg ClosedLoopConfig) (*ClosedLoopResult, *Report, error) {
+	return closedLoopFlashCrowd(lab, cfg, nil)
+}
+
+// closedLoopFlashCrowd is ClosedLoopFlashCrowd recording, when depths is
+// not nil, how deep in its row every pick landed.
+func closedLoopFlashCrowd(lab *Lab, cfg ClosedLoopConfig, depths *spillDepths) (*ClosedLoopResult, *Report, error) {
 	cfg = cfg.withDefaults()
 	var target *world.Country
 	for _, c := range lab.World.Countries {
@@ -200,6 +206,7 @@ func ClosedLoopFlashCrowd(lab *Lab, cfg ClosedLoopConfig) (*ClosedLoopResult, *R
 				return nil, nil, err
 			}
 			id := b.Endpoint().ID
+			depths.record(sn, id, resp.Deployment)
 			cur[id] = resp.Deployment.ID
 			if prev != nil && prev[id] != resp.Deployment.ID {
 				remapped++
@@ -314,6 +321,11 @@ const brownoutCapacityFactor = 0.5
 // published map itself moves demand off the browned-out deployment
 // before saturation, at a bounded distance cost.
 func BrownoutZipf(lab *Lab, betas []float64) ([]BrownoutRow, *Report, error) {
+	return brownoutZipf(lab, betas, nil)
+}
+
+// brownoutZipf is BrownoutZipf recording pick depths (see spillDepths).
+func brownoutZipf(lab *Lab, betas []float64, depths *spillDepths) ([]BrownoutRow, *Report, error) {
 	if len(betas) == 0 {
 		betas = []float64{0, 2}
 	}
@@ -329,7 +341,7 @@ func BrownoutZipf(lab *Lab, betas []float64) ([]BrownoutRow, *Report, error) {
 		Columns: []string{"beta", "baseline-util", "peak-util", "final-util", "shed-pct", "map-shed-pct", "mean-dist-mi"},
 	}
 	for _, beta := range betas {
-		row1, err := brownoutRun(lab, cat, beta)
+		row1, err := brownoutRun(lab, cat, beta, depths)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -344,7 +356,7 @@ func BrownoutZipf(lab *Lab, betas []float64) ([]BrownoutRow, *Report, error) {
 
 // brownoutRun is one balance-factor setting: a healthy calibration round,
 // then brownout rounds with the loop closed.
-func brownoutRun(lab *Lab, cat *demand.Catalogue, beta float64) (BrownoutRow, error) {
+func brownoutRun(lab *Lab, cat *demand.Catalogue, beta float64, depths *spillDepths) (BrownoutRow, error) {
 	const rounds = 7
 	interval := 10 * time.Second
 
@@ -374,7 +386,7 @@ func brownoutRun(lab *Lab, cat *demand.Catalogue, beta float64) (BrownoutRow, er
 	// only overload in the system — warm enough that losing half the
 	// target's capacity saturates it, cool enough that nothing else trips
 	// the loop.
-	demandOf, _, _, err := brownoutAssign(lab, sys, mm, cat, 1)
+	demandOf, _, _, err := brownoutAssign(lab, sys, mm, cat, 1, nil)
 	if err != nil {
 		return BrownoutRow{}, err
 	}
@@ -396,7 +408,7 @@ func brownoutRun(lab *Lab, cat *demand.Catalogue, beta float64) (BrownoutRow, er
 		if r == 1 {
 			target.SetCapacityFactor(brownoutCapacityFactor)
 		}
-		demandOf, headOf, dist, err := brownoutAssign(lab, sys, mm, cat, scale)
+		demandOf, headOf, dist, err := brownoutAssign(lab, sys, mm, cat, scale, depths)
 		if err != nil {
 			return BrownoutRow{}, err
 		}
@@ -433,7 +445,7 @@ func brownoutRun(lab *Lab, cat *demand.Catalogue, beta float64) (BrownoutRow, er
 // head (before it — what the map alone would do), and the distance
 // dataset. One periodic rebuild precedes the pass, as the refresh cadence
 // would in a live process.
-func brownoutAssign(lab *Lab, sys *mapping.System, mm *mapmaker.MapMaker, cat *demand.Catalogue, scale float64) (demandOf, headOf map[uint64]float64, _ *stats.Dataset, _ error) {
+func brownoutAssign(lab *Lab, sys *mapping.System, mm *mapmaker.MapMaker, cat *demand.Catalogue, scale float64, depths *spillDepths) (demandOf, headOf map[uint64]float64, _ *stats.Dataset, _ error) {
 	mm.Notify(mapmaker.ReasonPeriodic)
 	sn := mm.Sync()
 	demandOf = make(map[uint64]float64, len(lab.Platform.Deployments))
@@ -451,6 +463,7 @@ func brownoutAssign(lab *Lab, sys *mapping.System, mm *mapmaker.MapMaker, cat *d
 			if err != nil {
 				return nil, nil, nil, err
 			}
+			depths.record(sn, b.Endpoint().ID, resp.Deployment)
 			demandOf[resp.Deployment.ID] += d
 			dist.Add(geo.Distance(b.Loc, resp.Deployment.Loc), d)
 		}
@@ -481,6 +494,12 @@ type FrontierRow struct {
 // deployment-count sweep — where Fig 25 trades latency against platform
 // size, this trades latency against headroom on a fixed platform.
 func BalanceFrontier(lab *Lab, betas []float64, country string) ([]FrontierRow, *Report, error) {
+	return balanceFrontier(lab, betas, country, nil)
+}
+
+// balanceFrontier is BalanceFrontier recording pick depths (see
+// spillDepths).
+func balanceFrontier(lab *Lab, betas []float64, country string, depths *spillDepths) ([]FrontierRow, *Report, error) {
 	if len(betas) == 0 {
 		betas = []float64{0, 0.5, 1, 2, 4, 8}
 	}
@@ -507,7 +526,7 @@ func BalanceFrontier(lab *Lab, betas []float64, country string) ([]FrontierRow, 
 			// proximity-only baseline through the same loop explicitly.
 			cfg.Beta = -1
 		}
-		res, _, err := ClosedLoopFlashCrowd(lab, cfg)
+		res, _, err := closedLoopFlashCrowd(lab, cfg, depths)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -45,8 +45,8 @@ type ScaleResult struct {
 	IncrementalRepublish time.Duration
 
 	// SnapshotBytes is the published snapshot's resident footprint
-	// (partition index + interned arena); IndexBytes is the serving-side
-	// address→endpoint index.
+	// (partition index + interned heads + shared tails); IndexBytes is the
+	// serving-side address→endpoint index.
 	SnapshotBytes uint64
 	IndexBytes    uint64
 	// BytesPerBlock is total resident mapping state per client block.
@@ -59,8 +59,8 @@ type ScaleResult struct {
 
 // SnapshotScale measures the mapping plane at the lab's scale: full
 // snapshot build time, warm and one-target incremental republish times,
-// and resident memory per block. It is the experiment behind
-// BENCH_scale.json and `eumsim -fig scale`.
+// and resident memory per block. It is the experiment behind `eumsim -fig
+// scale` and TestSnapshotScaleSmoke.
 func SnapshotScale(lab *Lab, cfg ScaleConfig) (*ScaleResult, *Report) {
 	mcfg := mapping.Config{
 		Policy:         mapping.EndUser,

@@ -115,8 +115,8 @@ func TestDistClusterPartitionHeal(t *testing.T) {
 		// Boot: nothing built, and nothing fresh to serve until the first
 		// install — a replica that has never reached its publisher sits on
 		// the fallback rung from its first millisecond.
-		if full, inc, ranked := sys.Builder().BuildStats(); full+inc+ranked != 0 {
-			t.Fatalf("replica %d built at boot: %d full, %d incremental, %d tables", i, full, inc, ranked)
+		if st := sys.Builder().BuildStats(); st != (mapping.BuildStats{}) {
+			t.Fatalf("replica %d built at boot: %+v", i, st)
 		}
 		if lvl := auth.Degradation(); sys.Current().Epoch() != 0 || lvl != authority.DegradeFallback {
 			t.Fatalf("replica %d boots at epoch %d, %v; want epoch 0, fallback", i, sys.Current().Epoch(), lvl)

@@ -3,6 +3,7 @@ package mapdist
 import (
 	"context"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -120,13 +121,8 @@ func TestPublisherFetcherSync(t *testing.T) {
 	}
 	for _, blk := range w.Blocks[:40] {
 		g, wnt := got.RankOf(blk.ID, true), want.RankOf(blk.ID, true)
-		if len(g) != len(wnt) {
-			t.Fatalf("block %d: %d ranked vs %d", blk.ID, len(g), len(wnt))
-		}
-		for j := range g {
-			if g[j] != wnt[j] {
-				t.Fatalf("block %d rank %d differs after delta apply", blk.ID, j)
-			}
+		if !slices.Equal(g.Head, wnt.Head) || !slices.Equal(g.Tail, wnt.Tail) {
+			t.Fatalf("block %d ranks differently after delta apply", blk.ID)
 		}
 	}
 	if lag := fetcher.EpochLag(); lag != 0 {

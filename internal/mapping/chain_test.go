@@ -66,7 +66,7 @@ func TestArenaChainCompaction(t *testing.T) {
 	// Phase 2: broad refreshes (every known target at once). The size
 	// trigger must compact long before the length cap: accumulated deltas
 	// never outweigh the base, so resident overhead stays under 2x.
-	base := sn.Tables() * len(testP.Deployments)
+	base := sn.lay.ArenaLen()
 	for i := 0; i < 12; i++ {
 		for _, id := range targets {
 			prober.shift[id] += 1
@@ -78,14 +78,14 @@ func TestArenaChainCompaction(t *testing.T) {
 			t.Fatalf("broad build %d: %d delta entries outweigh the %d-entry base", i, delta, base)
 		}
 	}
-	if full, inc, _ := b.BuildStats(); full != 1 || inc != uint64(rounds+12) {
-		t.Fatalf("builds: %d full / %d incremental, want 1 / %d", full, inc, rounds+12)
+	if st := b.BuildStats(); st.Full != 1 || st.Incremental != uint64(rounds+12) {
+		t.Fatalf("builds: %d full / %d incremental, want 1 / %d", st.Full, st.Incremental, rounds+12)
 	}
 
 	cold := NewSnapshotBuilder(testW, testP, prober, cfg).Build(sn.Epoch(), EndUser)
 	check := func(id uint64, client bool, what string) {
 		t.Helper()
-		got, want := sn.RankOf(id, client), cold.RankOf(id, client)
+		got, want := flat(sn.RankOf(id, client)), flat(cold.RankOf(id, client))
 		if len(got) != len(want) {
 			t.Fatalf("%s %d: %d ranked vs cold %d", what, id, len(got), len(want))
 		}

@@ -36,6 +36,9 @@ type LoadBalancer struct {
 	// so the query hot path reads it with one atomic load and no lock.
 	prepared atomic.Pointer[map[uint64]*ring]
 
+	// tailPicks counts PickDeployment calls the head did not decide.
+	tailPicks atomic.Uint64
+
 	// rings lazily caches rings for deployments outside the prepared set
 	// (foreign platforms, standalone use). Reads take the read lock;
 	// rings are only built once per deployment, so writer contention is a
@@ -62,15 +65,17 @@ func (lb *LoadBalancer) Prepare(p *cdn.Platform) {
 	lb.prepared.Store(&prepared)
 }
 
-// PickDeployment walks candidates (ordered best-first; each names its
-// deployment by index into deps, the platform's deployment list) and
-// returns the first live deployment that can absorb demand more load.
+// PickDeployment walks candidates (the head, then the shared tail; each
+// names its deployment by index into deps, the platform's deployment list)
+// and returns the first live deployment that can absorb demand more load.
 // Deployments at or over capacity are skipped unless every candidate is
 // saturated, in which case the least-utilised live candidate is returned
 // (serving degraded beats not serving, and spreading the overload across
 // the candidate set beats piling it all on the nearest cluster).
-// Utilisation ties keep the best-scored candidate.
-func (lb *LoadBalancer) PickDeployment(deps []*cdn.Deployment, candidates []Ranked, demand float64) (*cdn.Deployment, error) {
+// Utilisation ties keep the best-scored candidate. The tail ranks every
+// deployment, so the walk fails only when none is alive; a pick the head
+// alone could not decide is counted in TailPicks.
+func (lb *LoadBalancer) PickDeployment(deps []*cdn.Deployment, candidates Row, demand float64) (*cdn.Deployment, error) {
 	if lb.LoadPenalty > 0 {
 		if d := lb.pickLoadAware(deps, candidates, demand); d != nil {
 			return d, nil
@@ -78,36 +83,46 @@ func (lb *LoadBalancer) PickDeployment(deps []*cdn.Deployment, candidates []Rank
 	}
 	var coolest *cdn.Deployment
 	coolestUtil := 0.0
-	for _, c := range candidates {
-		d := deps[c.Dep]
-		if !d.Alive() {
-			continue
+	for level, list := range candidates.lists() {
+		if level == 1 && list != nil {
+			lb.tailPicks.Add(1)
 		}
-		if d.Load()+demand <= d.Capacity() {
-			return d, nil
-		}
-		if u := d.Utilisation(); coolest == nil || u < coolestUtil {
-			coolest, coolestUtil = d, u
+		for _, c := range list {
+			d := deps[c.Dep]
+			if !d.Alive() {
+				continue
+			}
+			if d.Load()+demand <= d.Capacity() {
+				return d, nil
+			}
+			if u := d.Utilisation(); coolest == nil || u < coolestUtil {
+				coolest, coolestUtil = d, u
+			}
 		}
 	}
 	if coolest != nil {
 		return coolest, nil
 	}
-	return nil, fmt.Errorf("mapping: no live deployment among %d candidates", len(candidates))
+	return nil, fmt.Errorf("mapping: no live deployment among %d candidates", candidates.Len())
 }
+
+// TailPicks returns how many picks went past the head of their row: the
+// head was all dead or saturated and did not hold the whole platform, so
+// the shared tail was read.
+func (lb *LoadBalancer) TailPicks() uint64 { return lb.tailPicks.Load() }
 
 // loadAwareWindow is how many top candidates the load-aware picker
 // re-ranks; beyond it, scores are already too poor to be worth the trade.
 const loadAwareWindow = 8
 
-// pickLoadAware re-ranks the best few live, unsaturated candidates by
-// load-penalised score. Returns nil when none qualify (caller falls back
-// to the hard-spill path).
-func (lb *LoadBalancer) pickLoadAware(deps []*cdn.Deployment, candidates []Ranked, demand float64) *cdn.Deployment {
+// pickLoadAware re-ranks the best few live candidates of the head by
+// load-penalised score and returns the best unsaturated one, or nil when
+// none qualifies (the caller falls back to the hard-spill path).
+func (lb *LoadBalancer) pickLoadAware(deps []*cdn.Deployment, candidates Row, demand float64) *cdn.Deployment {
 	var best *cdn.Deployment
 	bestEff := 0.0
 	seen := 0
-	for _, c := range candidates {
+	for _, c := range candidates.Head {
 		d := deps[c.Dep]
 		if !d.Alive() {
 			continue

@@ -28,7 +28,7 @@ func TestPickDeploymentSkipsDead(t *testing.T) {
 	for _, s := range d1.Servers {
 		s.SetAlive(false)
 	}
-	got, err := lb.PickDeployment([]*cdn.Deployment{d1, d2}, []Ranked{{Dep: 0}, {Dep: 1}}, 0)
+	got, err := lb.PickDeployment([]*cdn.Deployment{d1, d2}, Row{Head: []Ranked{{Dep: 0}, {Dep: 1}}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestPickDeploymentSpillsOnCapacity(t *testing.T) {
 	for _, s := range d1.Servers {
 		s.AddLoad(s.Capacity())
 	}
-	got, err := lb.PickDeployment([]*cdn.Deployment{d1, d2}, []Ranked{{Dep: 0}, {Dep: 1}}, 0.5)
+	got, err := lb.PickDeployment([]*cdn.Deployment{d1, d2}, Row{Head: []Ranked{{Dep: 0}, {Dep: 1}}}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestPickDeploymentDegradedWhenAllSaturated(t *testing.T) {
 			s.AddLoad(s.Capacity() * 3)
 		}
 	}
-	got, err := lb.PickDeployment([]*cdn.Deployment{d1, d2}, []Ranked{{Dep: 0}, {Dep: 1}}, 1)
+	got, err := lb.PickDeployment([]*cdn.Deployment{d1, d2}, Row{Head: []Ranked{{Dep: 0}, {Dep: 1}}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +77,10 @@ func TestPickDeploymentAllDead(t *testing.T) {
 	for _, s := range d.Servers {
 		s.SetAlive(false)
 	}
-	if _, err := lb.PickDeployment([]*cdn.Deployment{d}, []Ranked{{Dep: 0}}, 0); err == nil {
+	if _, err := lb.PickDeployment([]*cdn.Deployment{d}, Row{Head: []Ranked{{Dep: 0}}}, 0); err == nil {
 		t.Error("no-live-deployment case did not error")
 	}
-	if _, err := lb.PickDeployment(nil, nil, 0); err == nil {
+	if _, err := lb.PickDeployment(nil, Row{}, 0); err == nil {
 		t.Error("empty candidates did not error")
 	}
 }
@@ -303,7 +303,7 @@ func TestLoadAwareSheddingBeforeSaturation(t *testing.T) {
 	d1 := testDeployment(20, 4) // best score
 	d2 := testDeployment(21, 4) // slightly worse score
 	deps := []*cdn.Deployment{d1, d2}
-	candidates := []Ranked{MakeRanked(0, 10), MakeRanked(1, 11)}
+	candidates := Row{Head: []Ranked{MakeRanked(0, 10), MakeRanked(1, 11)}}
 
 	// Empty: best-scoring wins.
 	got, err := lb.PickDeployment(deps, candidates, 0.1)
@@ -343,7 +343,7 @@ func TestLoadAwareFallsBackWhenAllSaturated(t *testing.T) {
 	for _, s := range d1.Servers {
 		s.AddLoad(s.Capacity() * 2)
 	}
-	got, err := lb.PickDeployment([]*cdn.Deployment{d1}, []Ranked{MakeRanked(0, 3)}, 0.5)
+	got, err := lb.PickDeployment([]*cdn.Deployment{d1}, Row{Head: []Ranked{MakeRanked(0, 3)}}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestPickDeploymentAllSaturatedLeastUtilised(t *testing.T) {
 				deps = append(deps, d)
 				cands = append(cands, MakeRanked(uint32(i), float64(1+i)))
 			}
-			got, err := lb.PickDeployment(deps, cands, tc.demand)
+			got, err := lb.PickDeployment(deps, Row{Head: cands}, tc.demand)
 			if err != nil {
 				t.Fatal(err)
 			}

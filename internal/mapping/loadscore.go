@@ -107,7 +107,7 @@ func (b *SnapshotBuilder) captureUtilLocked() []float64 {
 // loadFactors turns the captured utilization vector into the
 // per-deployment score multiplier 1 + β·u², or nil when every deployment
 // is idle (every factor 1 — the adjusted table would be byte-identical to
-// the proximity table, so the sort is skipped entirely).
+// the proximity table, so rows are ordered by proximity alone).
 func (b *SnapshotBuilder) loadFactors(utils []float64) []float64 {
 	if !slices.ContainsFunc(utils, func(u float64) bool { return u > 0 }) {
 		return nil
@@ -119,21 +119,26 @@ func (b *SnapshotBuilder) loadFactors(utils []float64) []float64 {
 	return f
 }
 
-// loadOrder applies the composite distance-vs-load order to a table in
-// proximity order: entries are reordered by Score·(1 + β·util²) — ping
-// milliseconds inflated for hot deployments, so candidate lists spill to
-// next-nearest deployments as utilization climbs. Stored scores stay the
-// raw ping milliseconds (distance truth does not change because a cluster
-// is busy; downstream consumers — CANS weighting, experiments, /mapz — read
-// them as latency). The sort is stable, so idle deployments (factor 1) keep
-// the exact proximity order and β>0 at zero load is byte-identical to β=0.
-func loadOrder(t []Ranked, factors []float64) {
+// loadOrder returns the table order under the given load factors: the
+// composite distance-vs-load order, ascending Score·(1 + β·util²) — ping
+// milliseconds inflated for hot deployments, so rows spill to next-nearest
+// deployments as utilization climbs, and a saturated deployment can leave a
+// head altogether — with ties in proximity order. Stored scores stay the raw
+// ping milliseconds (distance truth does not change because a cluster is
+// busy; downstream consumers — CANS weighting, experiments, /mapz — read
+// them as latency). Idle deployments (factor 1) keep the exact proximity
+// order, and nil factors are that order itself, so β>0 at zero load is
+// byte-identical to β=0.
+func loadOrder(factors []float64) func(a, b Ranked) int {
 	if factors == nil {
-		return
+		return compareRanked
 	}
-	slices.SortStableFunc(t, func(x, y Ranked) int {
-		return cmp.Compare(x.Score()*factors[x.Dep], y.Score()*factors[y.Dep])
-	})
+	return func(a, b Ranked) int {
+		if c := cmp.Compare(a.Score()*factors[a.Dep], b.Score()*factors[b.Dep]); c != 0 {
+			return c
+		}
+		return compareRanked(a, b)
+	}
 }
 
 // equalFloat64s reports element-wise equality (nil equals nil).

@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"eum/internal/cdn"
@@ -14,7 +15,7 @@ func rankTablesEqual(t *testing.T, a, b *Snapshot, wantEqual bool, what string) 
 	t.Helper()
 	equal := true
 	check := func(id uint64, client bool) {
-		ra, rb := a.RankOf(id, client), b.RankOf(id, client)
+		ra, rb := flat(a.RankOf(id, client)), flat(b.RankOf(id, client))
 		if len(ra) != len(rb) {
 			t.Fatalf("%s: endpoint %d table lengths %d vs %d", what, id, len(ra), len(rb))
 		}
@@ -58,7 +59,7 @@ func TestBalanceZeroByteIdentical(t *testing.T) {
 	rankTablesEqual(t, snA0, snB0, true, "zero-load β=2 vs β=0")
 
 	// Overload the deployment nearest to the first block: util 2.0.
-	hot := depOf(snA0.RankOf(testW.Blocks[0].Endpoint().ID, true)[0])
+	hot := depOf(snA0.RankOf(testW.Blocks[0].Endpoint().ID, true).Head[0])
 	hot.Servers[0].AddLoad(2 * hot.Capacity())
 
 	snA1 := base.Rebuild()
@@ -75,7 +76,7 @@ func TestBalanceZeroByteIdentical(t *testing.T) {
 	heads := func(sn *Snapshot) int {
 		n := 0
 		for _, blk := range testW.Blocks {
-			if depOf(sn.RankOf(blk.Endpoint().ID, true)[0]) == hot {
+			if depOf(sn.RankOf(blk.Endpoint().ID, true).Head[0]) == hot {
 				n++
 			}
 		}
@@ -85,17 +86,24 @@ func TestBalanceZeroByteIdentical(t *testing.T) {
 		t.Errorf("overloaded %s heads %d tables under β=2, %d under proximity — no shed",
 			hot.Name, hb, ha)
 	}
-	// Stored scores stay raw ping milliseconds: every entry's score must
-	// equal the proximity builder's score for the same deployment.
-	ra := snA1.RankOf(testW.Blocks[0].Endpoint().ID, true)
-	byDep := make(map[*cdn.Deployment]float64, len(ra))
-	for _, r := range ra {
-		byDep[depOf(r)] = r.Score()
-	}
-	for _, r := range snB1.RankOf(testW.Blocks[0].Endpoint().ID, true) {
-		if want, ok := byDep[depOf(r)]; !ok || want != r.Score() {
-			t.Fatalf("stored score for %s = %v, want raw ping %v", depOf(r).Name, r.Score(), want)
+	// Stored scores stay raw ping milliseconds: in the head — whose members
+	// the composite order chose, not proximity — every score is the
+	// scorer's ping for that deployment, and the tail holds the proximity
+	// tail's entries, re-ordered.
+	ep := testW.Blocks[0].Endpoint()
+	ra, rb := snA1.RankOf(ep.ID, true), snB1.RankOf(ep.ID, true)
+	for _, r := range rb.Head {
+		if want := base.Scorer().Score(depOf(r), ep); r.Score() != want {
+			t.Fatalf("stored head score for %s = %v, want raw ping %v", depOf(r).Name, r.Score(), want)
 		}
+	}
+	sorted := func(tail []Ranked) []Ranked {
+		tail = slices.Clone(tail)
+		slices.SortFunc(tail, compareRanked)
+		return tail
+	}
+	if !slices.Equal(sorted(ra.Tail), sorted(rb.Tail)) {
+		t.Fatal("β=2 tail does not hold the proximity tail's entries")
 	}
 
 	// Load recedes: the β>0 map reconverges to the proximity map exactly.
@@ -116,38 +124,38 @@ func TestLoadRebuildCounters(t *testing.T) {
 		Config{Policy: EndUser, PingTargets: 600, BalanceFactor: 1})
 	b := sys.Builder()
 
-	full0, inc0, _ := b.BuildStats()
+	st0 := b.BuildStats()
 	loads0, _ := b.LoadStats()
 
 	// Idle republish: vector unchanged, arenas shared wholesale.
 	sn1 := sys.Rebuild()
 	sn2 := sys.Rebuild()
-	if &sn1.segs[0][0] != &sn2.segs[0][0] {
+	if &sn1.rows[0][0] != &sn2.rows[0][0] {
 		t.Error("idle β>0 republish did not share the previous arena")
 	}
-	full1, inc1, _ := b.BuildStats()
-	if full1 != full0 || inc1 != inc0+2 {
-		t.Errorf("idle republishes: full %d→%d inc %d→%d", full0, full1, inc0, inc1)
+	st1 := b.BuildStats()
+	if st1.Full != st0.Full || st1.Incremental != st0.Incremental+2 {
+		t.Errorf("idle republishes: %+v → %+v", st0, st1)
 	}
 
 	// Sub-quantum load drift must not force a re-rank.
 	d := testP.Deployments[0]
 	d.Servers[0].AddLoad(d.Capacity() / (8 * utilQuantum))
 	sn3 := sys.Rebuild()
-	if &sn2.segs[0][0] != &sn3.segs[0][0] {
+	if &sn2.rows[0][0] != &sn3.rows[0][0] {
 		t.Error("sub-quantum load drift forced a re-rank")
 	}
 
 	// A visible utilization change forces a load rebuild, not a full build.
 	d.Servers[0].AddLoad(d.Capacity())
 	sys.Rebuild()
-	full2, _, _ := b.BuildStats()
+	full2 := b.BuildStats().Full
 	loads1, _ := b.LoadStats()
 	if loads1 != loads0+1 {
 		t.Errorf("loadRebuilds = %d, want %d", loads1, loads0+1)
 	}
-	if full2 != full1 {
-		t.Errorf("load change bumped fullBuilds %d→%d", full1, full2)
+	if full2 != st1.Full {
+		t.Errorf("load change bumped fullBuilds %d→%d", st1.Full, full2)
 	}
 
 	// MarkLoadDirty forces a re-rank even with the vector unchanged.
@@ -179,7 +187,7 @@ func TestStaleLoadSignalFallsBackToProximity(t *testing.T) {
 	base := NewSystem(testW, testP, testNet, Config{Policy: EndUser, PingTargets: 600})
 
 	src := &staticUtil{utils: map[*cdn.Deployment]float64{}, fresh: true}
-	hot := depOf(base.Current().RankOf(testW.Blocks[0].Endpoint().ID, true)[0])
+	hot := depOf(base.Current().RankOf(testW.Blocks[0].Endpoint().ID, true).Head[0])
 	src.utils[hot] = 3
 
 	sys := NewSystem(testW, testP, testNet,

@@ -28,6 +28,34 @@ type sigKey struct {
 	access   netmodel.AccessType
 }
 
+// A segment stores the head of its own ranking: the candidates a pick is
+// decided among in every steady state. What lies beyond is read only once
+// everything nearer is dead or saturated, and neighbouring segments nearly
+// agree on it, so it is stored once per region (see tailMiles) instead of
+// once per segment. How deep a regional surge spills grows with the
+// platform — to about a sixth of it at twice the region's capacity — so
+// the head is a share of the platform, 1/headShare, and never fewer than
+// rankHead entries: picks inside it are the segment's own ranking exactly,
+// and on the 2 642-deployment lab that holds a 2x surge to within a mile
+// of the full rows' mapping distance (eumsim -fig rankregret).
+const (
+	rankHead  = 32
+	headShare = 16
+)
+
+// tailMiles is the cell size tails are shared at: every segment whose
+// measured endpoint falls in the same cell continues its walk in the full
+// ranking of the first such endpoint, so a pick past the head lands about
+// as far off the segment's own order as the two endpoints are apart. The
+// fallback table is the wrong tail — it orders the rest of the platform by
+// distance from New York (eumsim -fig rankregret).
+const tailMiles = 250
+
+// HeadLen returns how many rank entries a segment keeps of its own for a
+// platform of the given size; worlds no larger than rankHead have heads
+// that are whole rankings.
+func HeadLen(deployments int) int { return min(max(rankHead, deployments/headShare), deployments) }
+
 // Segment describes one distinct rank table (an arena segment).
 // Partitions whose representatives resolve to the same scorer ping target
 // are interned onto one segment; Target is the scorer target index ranked
@@ -40,10 +68,13 @@ type Segment struct {
 // Layout is the partitioner's output: the immutable shape shared by every
 // snapshot built until the endpoint universe changes. It holds the
 // block→partition index (dense array for the world's compact ID space,
-// sorted spill arrays for hashed IDs), the per-partition table headers, and
-// the interned segment list the builder ranks into the arena. The fields
-// are exported because internal/mapwire writes and reads them one for one;
-// nothing may modify a layout once a snapshot refers to it.
+// sorted spill arrays for hashed IDs), the per-partition table headers, the
+// interned segment list and the tails the segments share. A snapshot
+// stores one row per segment — its head, the first TableLen entries of its
+// ranking — followed by one row per tail, a ranking of every deployment;
+// rows are numbered in that order (see RowLen). The fields are exported
+// because internal/mapwire writes and reads them one for one; nothing may
+// modify a layout once a snapshot refers to it.
 type Layout struct {
 	NParts int // universe partitions, excluding the two fallbacks
 
@@ -65,7 +96,14 @@ type Layout struct {
 	// Segments are the distinct rank tables.
 	Segments []Segment
 
-	TableLen  int // entries per table = len(platform.Deployments)
+	// SegTail maps segment → tail, and TailSeg tail → the segment whose
+	// measured endpoint ranks it: the first segment seen in the tail's cell,
+	// or the fallback segment a tail was made for.
+	SegTail []int32
+	TailSeg []int32
+
+	TableLen  int // entries per head = HeadLen(TailLen)
+	TailLen   int // entries per tail = len(platform.Deployments)
 	Endpoints int // universe endpoints indexed (dense + spill entries)
 
 	// targetSeg inverts the interning (scorer target index → segment) for
@@ -99,13 +137,45 @@ func (lay *Layout) partitionOf(id uint64) int32 {
 	return -1
 }
 
+// Rows returns how many rows a snapshot of this layout stores: a head per
+// segment, then the tails.
+func (lay *Layout) Rows() int { return len(lay.Segments) + len(lay.TailSeg) }
+
+// RowLen returns the number of entries in row i.
+func (lay *Layout) RowLen(i int) int {
+	if i < len(lay.Segments) {
+		return lay.TableLen
+	}
+	return lay.TailLen
+}
+
+// rowOffset returns where row i starts in an arena holding every row in
+// order.
+func (lay *Layout) rowOffset(i int) int {
+	heads := min(i, len(lay.Segments))
+	return heads*lay.TableLen + (i-heads)*lay.TailLen
+}
+
+// ArenaLen returns the number of entries in all rows together.
+func (lay *Layout) ArenaLen() int { return lay.rowOffset(lay.Rows()) }
+
+// rowSegment returns the segment whose measured endpoint ranks row i.
+func (lay *Layout) rowSegment(i int) Segment {
+	if n := len(lay.Segments); i >= n {
+		i = int(lay.TailSeg[i-n])
+	}
+	return lay.Segments[i]
+}
+
 // memoryBytes is the resident size of the layout's index structures.
 func (lay *Layout) memoryBytes() uint64 {
-	return uint64(len(lay.Dense))*uint64(unsafe.Sizeof(int32(0))) +
+	const i32 = uint64(unsafe.Sizeof(int32(0)))
+	return uint64(len(lay.Dense))*i32 +
 		uint64(len(lay.SpillIDs))*uint64(unsafe.Sizeof(uint64(0))) +
-		uint64(len(lay.SpillIdx))*uint64(unsafe.Sizeof(int32(0))) +
-		uint64(len(lay.PartSeg))*uint64(unsafe.Sizeof(int32(0))) +
-		uint64(len(lay.Segments))*uint64(unsafe.Sizeof(Segment{}))
+		uint64(len(lay.SpillIdx))*i32 +
+		uint64(len(lay.PartSeg))*i32 +
+		uint64(len(lay.Segments))*uint64(unsafe.Sizeof(Segment{})) +
+		uint64(len(lay.SegTail)+len(lay.TailSeg))*i32
 }
 
 // signatureFor quantizes an endpoint's routing signature at the given cell
@@ -129,9 +199,10 @@ func signatureFor(ep netmodel.Endpoint, miles float64) sigKey {
 // endpoints by routing signature; the first member seen (universe order, so
 // deterministic) represents the partition.
 func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
-	miles float64, sc *Scorer, tableLen int) *Layout {
+	miles float64, sc *Scorer) *Layout {
 
-	lay := &Layout{TableLen: tableLen}
+	nDeps := len(sc.platform.Deployments)
+	lay := &Layout{TableLen: HeadLen(nDeps), TailLen: nDeps}
 
 	// Pass 1: assign partitions first-seen by signature.
 	assign := make([]int32, len(universe))
@@ -238,6 +309,29 @@ func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
 			lay.Segments = append(lay.Segments, Segment{Target: -1, Rep: rep})
 			lay.PartSeg[p] = int32(p)
 		}
+	}
+
+	// Pass 4: tails. Segments share the tail of their measured endpoint's
+	// cell — geography alone, since beyond the head AS and access tier no
+	// longer tell rankings apart. The fallback segments get tails of their
+	// own, so a fallback row is the fallback endpoint's exact ranking from
+	// first entry to last.
+	lay.SegTail = make([]int32, len(lay.Segments))
+	fbLDNS, fbClient := lay.PartSeg[lay.FallbackLDNS], lay.PartSeg[lay.FallbackClient]
+	byCell := make(map[sigKey]int32, 64)
+	for s, seg := range lay.Segments {
+		cell := signatureFor(sc.segProxy(seg), tailMiles)
+		cell.asn, cell.access = 0, 0
+		t, shared := byCell[cell]
+		fallback := int32(s) == fbLDNS || int32(s) == fbClient
+		if fallback || !shared {
+			t = int32(len(lay.TailSeg))
+			lay.TailSeg = append(lay.TailSeg, int32(s))
+			if !fallback {
+				byCell[cell] = t
+			}
+		}
+		lay.SegTail[s] = t
 	}
 	return lay
 }

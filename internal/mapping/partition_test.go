@@ -12,7 +12,7 @@ import (
 // TestPartitionIdentityEquivalence is the partition-equivalence property
 // test: with the similarity threshold at 0 (identity partitioning — every
 // endpoint its own partition), the partitioned, interned-arena snapshot
-// must return byte-identical RankOf and Best answers to the pre-partition
+// must return byte-identical heads and Best answers to the pre-partition
 // per-endpoint tables, whose contract is the scorer's own ranking for the
 // same endpoint. Checked for every block and every LDNS, not a sample.
 func TestPartitionIdentityEquivalence(t *testing.T) {
@@ -26,8 +26,12 @@ func TestPartitionIdentityEquivalence(t *testing.T) {
 
 	checkEndpoint := func(ep netmodel.Endpoint, client bool, what string) {
 		t.Helper()
-		got := sn.RankOf(ep.ID, client)
+		got := sn.RankOf(ep.ID, client).Head
 		want := sc.Rank(ep)
+		if len(got) != sn.lay.TableLen {
+			t.Fatalf("%s %d: head of %d, want %d", what, ep.ID, len(got), sn.lay.TableLen)
+		}
+		want = want[:len(got)]
 		if len(got) != len(want) {
 			t.Fatalf("%s %d: %d ranked, want %d", what, ep.ID, len(got), len(want))
 		}
@@ -78,9 +82,8 @@ func TestPartitionThresholdClusters(t *testing.T) {
 	}
 	for i := 0; i < len(testW.Blocks); i += 97 {
 		b := testW.Blocks[i]
-		r := sn.RankOf(b.ID, true)
-		if len(r) != len(testP.Deployments) {
-			t.Fatalf("block %v: table has %d entries, want %d", b.Prefix, len(r), len(testP.Deployments))
+		if r := sn.RankOf(b.ID, true); r.Len() != len(testP.Deployments) {
+			t.Fatalf("block %v: row has %d candidates, want %d", b.Prefix, r.Len(), len(testP.Deployments))
 		}
 		if d, _ := sn.Best(b.ID, true); d == nil {
 			t.Fatalf("block %v: no live deployment", b.Prefix)
@@ -97,13 +100,13 @@ func TestPartitionThresholdClusters(t *testing.T) {
 			t.Fatalf("block %v not indexed", b.Prefix)
 		}
 		if prev, ok := seen[p]; ok {
-			cur := sn.table(p)
+			cur := sn.row(p).Head
 			if &prev[0] != &cur[0] {
 				t.Fatalf("partition %d: table backing changed between lookups", p)
 			}
 			shared++
 		} else {
-			seen[p] = sn.table(p)
+			seen[p] = sn.row(p).Head
 		}
 	}
 	if shared == 0 {
@@ -151,7 +154,7 @@ func TestSnapshotMemoryAccounting(t *testing.T) {
 	}
 	// The per-endpoint index cost (everything but the target-bounded
 	// arena chain) must be a few bytes per endpoint.
-	arena := uint64(sn.Tables()*len(testP.Deployments)) * uint64(unsafe.Sizeof(Ranked{}))
+	arena := uint64(sn.lay.ArenaLen()) * uint64(unsafe.Sizeof(Ranked{}))
 	perEndpoint := float64(sn.MemoryBytes()-arena) / float64(sn.Endpoints())
 	if perEndpoint > 16 {
 		t.Fatalf("index cost %.1f bytes/endpoint, want a few", perEndpoint)

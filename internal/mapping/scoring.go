@@ -32,7 +32,7 @@ type Prober interface {
 //
 // Scores are ping milliseconds: lower is better. The scorer is a
 // control-plane component: the snapshot builder ranks straight into the
-// arena it publishes (rankInto), so no rank table is held here. Rank and
+// arena it publishes (scoreInto, bestInto), so no rank table is held here. Rank and
 // Best serve experiments and tests; they are safe for concurrent use.
 type Scorer struct {
 	platform *cdn.Platform
@@ -225,13 +225,48 @@ func (s *Scorer) proxyEndpoint(ep netmodel.Endpoint) (netmodel.Endpoint, int) {
 	return s.targets[idx], idx
 }
 
-// rankInto scores every deployment against proxy and sorts dst, which
-// must hold one entry per deployment, best first.
-func (s *Scorer) rankInto(dst []Ranked, proxy netmodel.Endpoint) {
-	for i, d := range s.platform.Deployments {
-		dst[i] = MakeRanked(uint32(i), s.net.PingMs(d.Endpoint(), proxy))
+// segProxy returns the endpoint measured on a segment's behalf: its ping
+// target under clustering, else its representative.
+func (s *Scorer) segProxy(seg Segment) netmodel.Endpoint {
+	if seg.Target >= 0 {
+		return s.targets[seg.Target]
 	}
-	slices.SortFunc(dst, compareRanked)
+	return seg.Rep
+}
+
+// scoreInto writes every deployment's entry — its index and its ping to
+// proxy — into scored, in deployment order.
+func (s *Scorer) scoreInto(scored []Ranked, proxy netmodel.Endpoint) {
+	for i, d := range s.platform.Deployments {
+		scored[i] = MakeRanked(uint32(i), s.net.PingMs(d.Endpoint(), proxy))
+	}
+}
+
+// bestInto writes the len(dst) best of scored into dst, best first under
+// order, which must be a total order: the whole ranking when dst is as long
+// as scored (they may be the same slice), otherwise exactly its first
+// len(dst) entries, selected without sorting the rest.
+func bestInto(dst, scored []Ranked, order func(a, b Ranked) int) {
+	if len(dst) == len(scored) {
+		copy(dst, scored)
+		slices.SortFunc(dst, order)
+		return
+	}
+	// Insertion into a sorted window of len(dst): almost every candidate
+	// loses to the window's worst entry and costs one comparison.
+	n := 0
+	for _, r := range scored {
+		if n == len(dst) {
+			if order(r, dst[n-1]) >= 0 {
+				continue
+			}
+			n--
+		}
+		i, _ := slices.BinarySearchFunc(dst[:n], r, order)
+		copy(dst[i+1:n+1], dst[i:n])
+		dst[i] = r
+		n++
+	}
 }
 
 // Rank returns all deployments ordered by ascending ping score for ep, in
@@ -239,7 +274,8 @@ func (s *Scorer) rankInto(dst []Ranked, proxy netmodel.Endpoint) {
 func (s *Scorer) Rank(ep netmodel.Endpoint) []Ranked {
 	proxy, _ := s.proxyEndpoint(ep)
 	r := make([]Ranked, len(s.platform.Deployments))
-	s.rankInto(r, proxy)
+	s.scoreInto(r, proxy)
+	slices.SortFunc(r, compareRanked)
 	return r
 }
 

@@ -28,12 +28,14 @@ const (
 // currently installed snapshot — it never computes scores, takes locks, or
 // invalidates anything.
 //
-// Storage is partitioned and interned: endpoints are clustered into mapping
-// partitions (see buildLayout), every partition's rank table is a segment
-// of one shared, pointer-free []Ranked arena, and partitions whose
-// measurements resolve to the same ping target share one segment. The
-// endpoint→partition index is a flat int32 array over the world's dense ID
-// space, so resident memory per block is a few bytes.
+// Storage is partitioned, interned and two-level: endpoints are clustered
+// into mapping partitions (see buildLayout), partitions whose measurements
+// resolve to the same ping target share one segment, and a segment stores
+// only the head of its ranking — the tail, a ranking of every deployment,
+// is shared by all segments of one region (see Row). Every row is a window
+// into a shared, pointer-free []Ranked arena. The endpoint→partition index
+// is a flat int32 array over the world's dense ID space, so resident
+// memory per block is a few bytes.
 //
 // This is the paper's two-plane architecture (§3–§5): topology discovery
 // and scoring feed a map-making pipeline that publishes maps on a cadence,
@@ -48,28 +50,85 @@ type Snapshot struct {
 	lay *Layout
 	// deps is the platform's deployment list, which Ranked.Dep indexes.
 	deps []*cdn.Deployment
-	// segs[s] is segment s's rank table, ordered best (lowest ping) first:
-	// a window into the base arena a full build or a decode laid out
-	// (segment s at offset s*TableLen), or into one of the small delta
-	// arenas incremental builds add for the segments they re-ranked.
-	// segEpoch[s] is the epoch whose build last re-ranked segment s, which
-	// is how a delta against any older epoch knows what to carry. A
-	// republish that changed nothing shares both slices wholesale.
-	segs     [][]Ranked
-	segEpoch []uint64
-	// chain counts the arenas behind segs and deltaEntries the entries in
-	// all but the base: superseded tables stay resident while anything
+	// rows[i] is row i of the layout — segment heads, then tails — ordered
+	// best (lowest ping) first: a window into the base arena a full build
+	// or a decode laid out (every row in order), or into one of the small
+	// delta arenas incremental builds add for the rows they re-ranked.
+	// rowEpoch[i] is the epoch whose build last re-ranked row i, which is
+	// how a delta against any older epoch knows what to carry. A republish
+	// that changed nothing shares both slices wholesale.
+	rows     [][]Ranked
+	rowEpoch []uint64
+	// chain counts the arenas behind rows and deltaEntries the entries in
+	// all but the base: superseded rows stay resident while anything
 	// points into their arena, so a build or delta apply that would take
 	// the chain past maxArenaChain, or the deltas past the base's own
 	// size, compacts into one fresh base arena instead.
 	chain        int
 	deltaEntries int
 
-	// cans maps an LDNS ID to its precomputed ClientAwareNS candidate
-	// list: the traffic-weighted winner first, then the LDNS's own rank
-	// table for capacity spill, deduplicated at build time. Only populated
-	// when the snapshot's policy is ClientAwareNS.
+	// cans maps an LDNS ID to the head of its precomputed ClientAwareNS
+	// candidate list: the traffic-weighted winner first, then the head of
+	// the LDNS's own rank table for capacity spill, deduplicated at build
+	// time; the walk continues in the LDNS's tail. Only populated when the
+	// snapshot's policy is ClientAwareNS.
 	cans map[uint64][]Ranked
+}
+
+// Row is a candidate list in its two stored levels: Head, the best few
+// entries of the endpoint's own ranking, and Tail, a ranking of every
+// deployment that the endpoint's whole region shares. Candidates are tried
+// head first, then tail (see lists). Both slices are immutable; callers must
+// not modify them.
+type Row struct {
+	Head, Tail []Ranked
+}
+
+// Len returns the number of distinct candidates in the row.
+func (r Row) Len() int { return max(len(r.Head), len(r.Tail)) }
+
+// lists returns the row's candidates in pick order: the head, then the
+// tail — left out when the head is as long, for it then holds every
+// deployment already. The tail ranks every deployment, the head's among
+// them, so a walk to the end meets those twice; a pick passes over a
+// candidate for being dead or saturated, which it still is the second
+// time, so picks do not look for the repetition.
+func (r Row) lists() [2][]Ranked {
+	if len(r.Head) >= len(r.Tail) {
+		return [2][]Ranked{r.Head}
+	}
+	return [2][]Ranked{r.Head, r.Tail}
+}
+
+// Walk calls visit for each distinct candidate in pick order, with its
+// position, until visit returns false: lists with the tail's repetitions
+// of the head dropped, so the walk reaches each deployment exactly once.
+// It is the view experiments and tests measure positions on, and allocates
+// once it leaves the head.
+func (r Row) Walk(visit func(pos int, c Ranked) bool) {
+	lists := r.lists()
+	for i, c := range lists[0] {
+		if !visit(i, c) {
+			return
+		}
+	}
+	if lists[1] == nil {
+		return
+	}
+	held := make([]bool, len(lists[1]))
+	for _, c := range lists[0] {
+		held[c.Dep] = true
+	}
+	pos := len(lists[0])
+	for _, c := range lists[1] {
+		if held[c.Dep] {
+			continue
+		}
+		if !visit(pos, c) {
+			return
+		}
+		pos++
+	}
 }
 
 // Epoch returns the snapshot's publication number. Epochs are strictly
@@ -95,44 +154,42 @@ func (sn *Snapshot) Partitions() int { return sn.lay.NParts }
 func (sn *Snapshot) Endpoints() int { return sn.lay.Endpoints }
 
 // MemoryBytes returns the resident size of the snapshot's table storage:
-// the arena chain (superseded tables in older arenas included — they stay
-// resident until compaction drops them) plus the partition index and the
-// per-segment table headers and epochs. The CANS candidate map
-// (ClientAwareNS only) is excluded.
+// the arena chain — heads and tails, superseded rows in older arenas
+// included, which stay resident until compaction drops them — plus the
+// partition index, the segment→tail index and the per-row headers and
+// epochs. The CANS candidate map (ClientAwareNS only) is excluded.
 func (sn *Snapshot) MemoryBytes() uint64 {
-	entries := uint64(len(sn.segs)*sn.lay.TableLen + sn.deltaEntries)
+	entries := uint64(sn.lay.ArenaLen() + sn.deltaEntries)
 	return sn.lay.memoryBytes() + entries*uint64(unsafe.Sizeof(Ranked{})) +
-		uint64(len(sn.segs))*uint64(unsafe.Sizeof([]Ranked(nil))) +
-		uint64(len(sn.segEpoch))*uint64(unsafe.Sizeof(uint64(0)))
+		uint64(len(sn.rows))*uint64(unsafe.Sizeof([]Ranked(nil))) +
+		uint64(len(sn.rowEpoch))*uint64(unsafe.Sizeof(uint64(0)))
 }
 
-// table returns partition p's rank table; callers must not modify it.
-func (sn *Snapshot) table(p int32) []Ranked {
-	return sn.segs[sn.lay.PartSeg[p]]
+// row returns partition p's candidates.
+func (sn *Snapshot) row(p int32) Row {
+	s := sn.lay.PartSeg[p]
+	return Row{Head: sn.rows[s], Tail: sn.rows[len(sn.lay.Segments)+int(sn.lay.SegTail[s])]}
 }
 
-// fallbackTable returns the shared table for endpoints the map does not
+// fallbackRow returns the shared candidates for endpoints the map does not
 // cover; client selects the client-side fallback (access network, client
-// fallback location) over the resolver-side one.
-func (sn *Snapshot) fallbackTable(client bool) []Ranked {
-	p := sn.lay.FallbackLDNS
+// fallback location) over the resolver-side one. Its tail is the fallback
+// endpoint's own ranking, so the whole row is.
+func (sn *Snapshot) fallbackRow(client bool) Row {
 	if client {
-		p = sn.lay.FallbackClient
+		return sn.row(sn.lay.FallbackClient)
 	}
-	if p < 0 {
-		return nil
-	}
-	return sn.table(p)
+	return sn.row(sn.lay.FallbackLDNS)
 }
 
-// RankOf returns the rank table serving endpoint id, falling back to the
-// shared fallback table when the map does not cover it. The slice is
-// immutable; callers must not modify it.
-func (sn *Snapshot) RankOf(id uint64, client bool) []Ranked {
+// RankOf returns the candidates serving endpoint id — the head of its
+// partition's ranking and the tail its region shares — falling back to the
+// shared fallback row when the map does not cover it.
+func (sn *Snapshot) RankOf(id uint64, client bool) Row {
 	if p := sn.lay.partitionOf(id); p >= 0 {
-		return sn.table(p)
+		return sn.row(p)
 	}
-	return sn.fallbackTable(client)
+	return sn.fallbackRow(client)
 }
 
 // Best returns the best-ranked deployment for endpoint id that is live
@@ -143,21 +200,31 @@ func (sn *Snapshot) Best(id uint64, client bool) (*cdn.Deployment, float64) {
 	return sn.FirstLive(sn.RankOf(id, client))
 }
 
-// FirstLive returns the first deployment in a table of this snapshot
-// (RankOf, CANSCandidates) that is live right now, with its score.
-func (sn *Snapshot) FirstLive(table []Ranked) (*cdn.Deployment, float64) {
-	for _, r := range table {
-		if d := sn.deps[r.Dep]; d.Alive() {
-			return d, r.Score()
+// FirstLive returns the first deployment in a row of this snapshot
+// (RankOf, CANSCandidates) that is live right now, with its score. Past the
+// head the score is the tail's: the ping to the endpoint that ranked it.
+func (sn *Snapshot) FirstLive(row Row) (*cdn.Deployment, float64) {
+	for _, list := range row.lists() {
+		for _, c := range list {
+			if d := sn.deps[c.Dep]; d.Alive() {
+				return d, c.Score()
+			}
 		}
 	}
 	return nil, 0
 }
 
-// CANSCandidates returns the precomputed ClientAwareNS candidate list for
-// an LDNS ID, or nil when the snapshot has none (wrong policy, or an LDNS
-// with no discovered client blocks).
-func (sn *Snapshot) CANSCandidates(id uint64) []Ranked { return sn.cans[id] }
+// CANSCandidates returns the precomputed ClientAwareNS candidates for an
+// LDNS ID — the winner and the LDNS's own head, then the LDNS's tail — or
+// a row with a nil Head when the snapshot has none (wrong policy, or an
+// LDNS with no discovered client blocks).
+func (sn *Snapshot) CANSCandidates(id uint64) Row {
+	head := sn.cans[id]
+	if head == nil {
+		return Row{}
+	}
+	return Row{Head: head, Tail: sn.RankOf(id, false).Tail}
+}
 
 // SnapshotBuilder assembles snapshots. It is the control plane's compute
 // stage: it owns a Scorer (measurement + clustering) and, per Build,
@@ -208,16 +275,23 @@ type SnapshotBuilder struct {
 	// inconsistent map).
 	prevUtil []float64
 	// raw, kept only at a positive balance factor, holds every segment's
-	// table in pure proximity order (segment s at offset s*TableLen), so a
-	// load re-rank is a copy and a sort per table, not a measurement
-	// recompute.
+	// deployments scored against its measured endpoint (one TailLen-entry
+	// run per segment, in deployment order), so a load re-rank selects and
+	// sorts out of it instead of recomputing measurements.
 	raw []Ranked
 
-	fullBuilds       uint64
-	incBuilds        uint64
-	rerankedTables   uint64
+	stats            BuildStats
 	loadRebuilds     uint64
 	staleLoadSignals uint64
+}
+
+// BuildStats reports how a builder has been working: full builds (every
+// row ranked), incremental builds (previous arena reused), and the total
+// number of tables (segment heads) and of tails ranked across all builds.
+// The incremental-build regression test pins "one dirty target re-ranks
+// exactly its own tables" on these counters.
+type BuildStats struct {
+	Full, Incremental, RerankedTables, RerankedTails uint64
 }
 
 // NewSnapshotBuilder creates a standalone builder over the world and
@@ -298,15 +372,11 @@ func (b *SnapshotBuilder) MarkMeasurementsDirty(targetIDs ...uint64) {
 	b.expectedGen = b.scorer.Generation()
 }
 
-// BuildStats reports how the builder has been working: full builds (every
-// table ranked), incremental builds (previous arena reused), and the total
-// number of tables ranked across all builds. The incremental-build
-// regression test pins "one dirty target re-ranks exactly its own tables"
-// on these counters.
-func (b *SnapshotBuilder) BuildStats() (full, incremental, rerankedTables uint64) {
+// BuildStats returns the builder's counters.
+func (b *SnapshotBuilder) BuildStats() BuildStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.fullBuilds, b.incBuilds, b.rerankedTables
+	return b.stats
 }
 
 // fallbackEndpoints returns the two synthetic endpoints standing in for
@@ -336,38 +406,70 @@ func (b *SnapshotBuilder) layoutLocked() *Layout {
 	}
 	universe = append(universe, b.extra...)
 	fLDNS, fClient := b.fallbackEndpoints()
-	b.lay = buildLayout(universe, fLDNS, fClient, b.partitionMiles, b.scorer,
-		len(b.scorer.Platform().Deployments))
+	b.lay = buildLayout(universe, fLDNS, fClient, b.partitionMiles, b.scorer)
 	return b.lay
 }
 
-// fillSeg writes segment s's table into dst: the interned ping target's
-// ranking under clustering, or the partition representative's own exact
-// ranking without. At a zero balance factor it ranks straight into dst.
-// Otherwise the proximity order lives in b.raw — re-measured here when
-// remeasure is set — and dst receives a copy in the composite
-// distance-vs-load order (see loadOrder).
-func (b *SnapshotBuilder) fillSeg(lay *Layout, s int, dst []Ranked, remeasure bool, factors []float64) {
-	seg := lay.Segments[s]
-	proxy := seg.Rep
-	if seg.Target >= 0 {
-		proxy = b.scorer.targets[seg.Target]
+// measure scores the given segments' measured endpoints — the interned ping
+// target under clustering, the partition representative's own without —
+// into b.raw, on the worker pool.
+func (b *SnapshotBuilder) measure(lay *Layout, segs []int32) {
+	par.MapShards(len(segs), func(_, lo, hi int) struct{} {
+		for _, s := range segs[lo:hi] {
+			b.scorer.scoreInto(b.raw[int(s)*lay.TailLen:][:lay.TailLen], b.scorer.segProxy(lay.Segments[s]))
+		}
+		return struct{}{}
+	})
+}
+
+// fillRows ranks the given rows into arena, where they lie back to back in
+// that order: ascending, heads before tails, and every tail after the head
+// of the segment that ranks it. Each segment is scored once — out of b.raw
+// when the builder keeps it, else into the worker's scratch — and from the
+// scores its head is selected and the tail it ranks, if any, sorted, both
+// under loadOrder: at a positive balance factor a head is the best of the
+// composite order, not the nearest re-shuffled.
+func (b *SnapshotBuilder) fillRows(lay *Layout, rows []int32, arena []Ranked, factors []float64) {
+	nSegs := len(lay.Segments)
+	offs := make([]int, len(rows)+1)
+	tailAt := map[int32]int{} // segment → where in rows the tail it ranks lies
+	for k, i := range rows {
+		offs[k+1] = offs[k] + lay.RowLen(int(i))
+		if int(i) >= nSegs {
+			tailAt[lay.TailSeg[int(i)-nSegs]] = k
+		}
 	}
-	if b.raw == nil {
-		b.scorer.rankInto(dst, proxy)
-		return
+	order := loadOrder(factors)
+	par.MapShards(len(rows)-len(tailAt), func(_, lo, hi int) struct{} {
+		scratch := make([]Ranked, lay.TailLen)
+		for k := lo; k < hi; k++ {
+			s, scored := rows[k], scratch
+			if b.raw != nil {
+				scored = b.raw[int(s)*lay.TailLen:][:lay.TailLen]
+			} else {
+				b.scorer.scoreInto(scored, b.scorer.segProxy(lay.Segments[s]))
+			}
+			bestInto(arena[offs[k]:offs[k+1]], scored, order)
+			if t, ok := tailAt[s]; ok {
+				bestInto(arena[offs[t]:offs[t+1]], scored, order)
+			}
+		}
+		return struct{}{}
+	})
+}
+
+// upTo lists 0..n-1: every segment, or every row, of a layout.
+func upTo(n int) []int32 {
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
 	}
-	raw := b.raw[s*lay.TableLen : (s+1)*lay.TableLen]
-	if remeasure {
-		b.scorer.rankInto(raw, proxy)
-	}
-	copy(dst, raw)
-	loadOrder(dst, factors)
+	return all
 }
 
 // bootSnapshot returns the epoch-0 map a replica serves until its first
 // install: a layout with no partitions, so every endpoint resolves to the
-// two shared fallback tables — the degradation ladder's fallback rung. It
+// two shared fallback rows — the degradation ladder's fallback rung. It
 // also forgets whatever a local build left behind (layout, previous
 // snapshot, proximity copy, scorer memos): a replica holds the one map it
 // installed and nothing else.
@@ -379,13 +481,10 @@ func (b *SnapshotBuilder) bootSnapshot(policy Policy) *Snapshot {
 	b.scorer.Invalidate()
 
 	fLDNS, fClient := b.fallbackEndpoints()
-	p := b.scorer.Platform()
-	lay := buildLayout(nil, fLDNS, fClient, b.partitionMiles, b.scorer, len(p.Deployments))
-	arena := make([]Ranked, len(lay.Segments)*lay.TableLen)
-	for s := range lay.Segments {
-		b.fillSeg(lay, s, arena[s*lay.TableLen:(s+1)*lay.TableLen], true, nil)
-	}
-	return NewSnapshot(0, policy, b.ttl, lay, p, arena, nil)
+	lay := buildLayout(nil, fLDNS, fClient, b.partitionMiles, b.scorer)
+	arena := make([]Ranked, lay.ArenaLen())
+	b.fillRows(lay, upTo(lay.Rows()), arena, nil)
+	return NewSnapshot(0, policy, b.ttl, lay, b.scorer.Platform(), arena, nil)
 }
 
 // maxArenaChain bounds the delta-arena chain incremental builds and delta
@@ -407,13 +506,14 @@ const maxArenaChain = 64
 //
 // Builds are incremental: when the previous snapshot's layout is current
 // and only specific ping targets were marked dirty, the build ranks just
-// those segments into a small delta arena (in parallel, across disjoint
-// slices) and shares everything else with the previous snapshot; when
-// nothing was marked dirty at all, the tables are shared wholesale and the
-// build is a near-free epoch bump. Any unaccounted scorer invalidation,
-// layout change, or MarkMeasurementsDirty with no target scope forces a
-// full re-rank, so an incremental build is always bitwise-identical to the
-// cold build at the same epoch.
+// their segments' heads, and the tails those segments rank, into a small
+// delta arena (in parallel, across disjoint slices) and shares everything
+// else with the previous snapshot; when nothing was marked dirty at all,
+// the rows are shared wholesale and the build is a near-free epoch bump.
+// Any unaccounted scorer invalidation, layout change, or
+// MarkMeasurementsDirty with no target scope forces a full re-rank, so an
+// incremental build is always bitwise-identical to the cold build at the
+// same epoch.
 func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -429,60 +529,73 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 
 	lay := b.layoutLocked()
 	sc := b.scorer
-	tl, n := lay.TableLen, len(lay.Segments)
+	nSegs := len(lay.Segments)
 	full := b.dirtyAll || b.prev == nil || b.prev.lay != lay || sc.Generation() != b.expectedGen ||
-		(b.balance > 0 && len(b.raw) != n*tl)
+		(b.balance > 0 && len(b.raw) != nSegs*lay.TailLen)
 	// Load-aware ordering: capture this build's utilization vector (nil at
 	// β=0) and re-rank everything when it moved — the previous arenas were
-	// ordered under prevUtil and cannot be mixed with tables ordered under
+	// ordered under prevUtil and cannot be mixed with rows ordered under
 	// the new vector.
 	utils := b.captureUtilLocked()
 	loadChanged := b.balance > 0 && (b.loadDirty || !equalFloat64s(utils, b.prevUtil))
 	factors := b.loadFactors(utils)
 
-	// The segments whose ping targets' measurements were refreshed.
-	var segs []int32
-	if !full {
+	// The rows whose measurements were refreshed: the segments interned onto
+	// the dirty ping targets, then the tails those segments rank.
+	var segs, rows []int32
+	if full {
+		segs = upTo(nSegs)
+	} else {
 		for t := range b.dirtyTargets {
 			if s, ok := lay.targetSeg[int32(t)]; ok {
 				segs = append(segs, s)
 			}
 		}
 		slices.Sort(segs)
+		rows = slices.Clone(segs)
+		for t, src := range lay.TailSeg {
+			if _, dirty := slices.BinarySearch(segs, src); dirty {
+				rows = append(rows, int32(nSegs+t))
+			}
+		}
+	}
+	if b.balance > 0 {
+		if full {
+			b.raw = make([]Ranked, nSegs*lay.TailLen)
+		}
+		b.measure(lay, segs)
 	}
 
 	var sn *Snapshot
 	switch {
 	case full || loadChanged:
-		if full && b.balance > 0 {
-			b.raw = make([]Ranked, n*tl)
-		}
-		arena := make([]Ranked, n*tl)
-		par.ForEach(n, func(s int) {
-			_, dirty := slices.BinarySearch(segs, int32(s))
-			b.fillSeg(lay, s, arena[s*tl:(s+1)*tl], full || dirty, factors)
-		})
+		arena := make([]Ranked, lay.ArenaLen())
+		b.fillRows(lay, upTo(lay.Rows()), arena, factors)
 		sn = NewSnapshot(epoch, policy, b.ttl, lay, sc.Platform(), arena, nil)
 		if full {
-			b.fullBuilds++
+			b.stats.Full++
 		} else {
 			b.loadRebuilds++
 		}
-		b.rerankedTables += uint64(n)
-	case len(segs) == 0:
-		// Nothing changed since the last build: share the tables wholesale.
+		b.stats.RerankedTables += uint64(nSegs)
+		b.stats.RerankedTails += uint64(len(lay.TailSeg))
+	case len(rows) == 0:
+		// Nothing changed since the last build: share the rows wholesale.
 		shared := *b.prev
 		shared.epoch, shared.policy, shared.cans = epoch, policy, nil
 		sn = &shared
-		b.incBuilds++
+		b.stats.Incremental++
 	default:
-		delta := make([]Ranked, len(segs)*tl)
-		par.ForEach(len(segs), func(i int) {
-			b.fillSeg(lay, int(segs[i]), delta[i*tl:(i+1)*tl], true, factors)
-		})
-		sn = b.prev.WithDeltaSegments(epoch, policy, b.ttl, segs, delta)
-		b.incBuilds++
-		b.rerankedTables += uint64(len(segs))
+		entries := 0
+		for _, i := range rows {
+			entries += lay.RowLen(int(i))
+		}
+		delta := make([]Ranked, entries)
+		b.fillRows(lay, rows, delta, factors)
+		sn = b.prev.WithDeltaRows(epoch, policy, b.ttl, rows, delta)
+		b.stats.Incremental++
+		b.stats.RerankedTables += uint64(len(segs))
+		b.stats.RerankedTails += uint64(len(rows) - len(segs))
 	}
 	b.dirtyAll = false
 	clear(b.dirtyTargets)
@@ -499,9 +612,10 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 // buildCANS precomputes the ClientAwareNS candidate list for every LDNS
 // with discovered client blocks: the deployment minimising the
 // traffic-weighted mean ping to the LDNS's clients (§6's CANS objective)
-// first, then the LDNS's own NS rank table for capacity spill — with the
-// winner deduplicated out of the spill list, so no deployment appears
-// twice in the candidates handed to the load balancer.
+// first, then the head of the LDNS's own NS ranking for capacity spill —
+// with the winner deduplicated out of the spill list, so no deployment
+// appears twice in the candidates handed to the load balancer. Past that
+// head the walk continues in the LDNS's tail (see CANSCandidates).
 func (b *SnapshotBuilder) buildCANS(sn *Snapshot) map[uint64][]Ranked {
 	ldnses := b.world.LDNSes
 	sc := b.scorer
@@ -520,7 +634,7 @@ func (b *SnapshotBuilder) buildCANS(sn *Snapshot) map[uint64][]Ranked {
 		if win < 0 {
 			return nil
 		}
-		ns := sn.RankOf(l.Endpoint().ID, false)
+		ns := sn.RankOf(l.Endpoint().ID, false).Head
 		out := make([]Ranked, 0, len(ns)+1)
 		out = append(out, MakeRanked(uint32(win), score))
 		for _, r := range ns {

@@ -20,14 +20,19 @@ func TestSnapshotCANSDedupe(t *testing.T) {
 
 	checked := 0
 	for _, l := range testW.LDNSes {
-		cands := sn.CANSCandidates(l.Endpoint().ID)
-		if cands == nil {
+		row := sn.CANSCandidates(l.Endpoint().ID)
+		if row.Head == nil {
 			if len(l.Blocks) > 0 {
 				t.Fatalf("LDNS %v has %d blocks but no CANS candidates", l.Addr, len(l.Blocks))
 			}
 			continue
 		}
 		checked++
+		var cands []Ranked
+		row.Walk(func(_ int, c Ranked) bool {
+			cands = append(cands, c)
+			return true
+		})
 		seen := make(map[uint64]bool, len(cands))
 		for _, c := range cands {
 			if seen[depOf(c).ID] {
@@ -60,8 +65,8 @@ func TestSnapshotCANSDedupe(t *testing.T) {
 
 // TestSnapshotMatchesScorer checks the published tables against the
 // scoring layer they were built from: for a sample of blocks and LDNSes,
-// the snapshot's rank table must be the scorer's ranking for the same
-// endpoint.
+// the head of the snapshot's row must be the head of the scorer's ranking
+// for the same endpoint.
 func TestSnapshotMatchesScorer(t *testing.T) {
 	sys := newSystem(t, EndUser)
 	sn := sys.Current()
@@ -69,8 +74,8 @@ func TestSnapshotMatchesScorer(t *testing.T) {
 
 	for i := 0; i < len(testW.Blocks); i += 257 {
 		b := testW.Blocks[i]
-		got := sn.RankOf(b.ID, true)
-		want := sc.Rank(b.Endpoint())
+		got := sn.RankOf(b.ID, true).Head
+		want := sc.Rank(b.Endpoint())[:sn.lay.TableLen]
 		if len(got) != len(want) {
 			t.Fatalf("block %v: %d ranked, want %d", b.Prefix, len(got), len(want))
 		}
@@ -83,7 +88,7 @@ func TestSnapshotMatchesScorer(t *testing.T) {
 	}
 	for i := 0; i < len(testW.LDNSes); i += 61 {
 		l := testW.LDNSes[i]
-		got := sn.RankOf(l.Endpoint().ID, false)
+		got := sn.RankOf(l.Endpoint().ID, false).Head
 		want := sc.Rank(l.Endpoint())
 		if len(got) == 0 || depOf(got[0]) != depOf(want[0]) {
 			t.Fatalf("LDNS %v: top-ranked mismatch", l.Addr)
@@ -96,10 +101,10 @@ func TestSnapshotMatchesScorer(t *testing.T) {
 func TestSnapshotFallbackTables(t *testing.T) {
 	sys := newSystem(t, EndUser)
 	sn := sys.Current()
-	if sn.RankOf(^uint64(0)-7, false) == nil {
+	if sn.RankOf(^uint64(0)-7, false).Head == nil {
 		t.Fatal("unknown LDNS endpoint has no fallback table")
 	}
-	if sn.RankOf(^uint64(0)-7, true) == nil {
+	if sn.RankOf(^uint64(0)-7, true).Head == nil {
 		t.Fatal("unknown client endpoint has no fallback table")
 	}
 	if d, _ := sn.Best(^uint64(0)-7, true); d == nil {

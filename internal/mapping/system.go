@@ -292,10 +292,11 @@ func (s *System) Map(req Request) (*Response, error) {
 }
 
 // MapAt answers a mapping request against a specific snapshot (nil means
-// the current one). It is the data plane: a pure reader — rank tables and
-// the CANS candidate lists come precomputed from the snapshot, liveness
-// and load are read per server at pick time, and nothing on this path
-// scores, locks, or invalidates. Callers that must keep a set of
+// the current one). It is the data plane: a pure reader — the candidate row
+// (the endpoint's own head, its region's tail) and the CANS candidate
+// lists come precomputed from the snapshot, liveness and load are read per
+// server at pick time, and nothing on this path scores, locks, allocates
+// for the walk, or invalidates. Callers that must keep a set of
 // decisions mutually consistent (a deterministic simulation day, a wire
 // answer checked against its oracle) pin one snapshot and pass it for
 // every request.
@@ -310,13 +311,13 @@ func (s *System) MapAt(sn *Snapshot, req Request) (*Response, error) {
 
 	// Decide the candidate list for the endpoint whose latency the
 	// snapshot's policy optimises.
-	var candidates []Ranked
+	var candidates Row
 	switch {
 	case req.Degraded:
 		// Too-stale map: per-endpoint tables are distrusted, serve from the
 		// generic fallback table. The decision no longer depends on the
 		// client subnet, so the scope stays 0.
-		candidates = sn.fallbackTable(sn.policy == EndUser && req.ClientSubnet.IsValid())
+		candidates = sn.fallbackRow(sn.policy == EndUser && req.ClientSubnet.IsValid())
 	case sn.policy == EndUser && req.ClientSubnet.IsValid():
 		unit := s.cfg.Units.UnitFor(req.ClientSubnet.Addr())
 		p := int32(-1)
@@ -327,7 +328,7 @@ func (s *System) MapAt(sn *Snapshot, req Request) (*Response, error) {
 		// boot map covers nothing, and its fallback answer must carry
 		// scope 0 like any other.
 		if p >= 0 {
-			candidates = sn.table(p)
+			candidates = sn.row(p)
 			resp.UsedClientSubnet = true
 			// Answer scope: the mapping-unit granularity for this
 			// address family (CIDR units may be coarser), never more
@@ -339,13 +340,13 @@ func (s *System) MapAt(sn *Snapshot, req Request) (*Response, error) {
 			}
 			resp.ScopePrefix = scope
 		} else {
-			candidates = sn.fallbackTable(true)
+			candidates = sn.fallbackRow(true)
 		}
 	case sn.policy == ClientAwareNS:
 		if l, ok := s.index.ldnsByAddr(req.LDNS); ok {
 			candidates = sn.CANSCandidates(l.Endpoint().ID)
 		}
-		if candidates == nil {
+		if candidates.Head == nil {
 			candidates = s.ldnsCandidates(sn, req.LDNS)
 		}
 	default:
@@ -365,13 +366,13 @@ func (s *System) MapAt(sn *Snapshot, req Request) (*Response, error) {
 	return resp, nil
 }
 
-// ldnsCandidates returns the snapshot rank table for a resolver address:
-// its measured endpoint's table, or the resolver fallback table.
-func (s *System) ldnsCandidates(sn *Snapshot, addr netip.Addr) []Ranked {
+// ldnsCandidates returns the snapshot's candidates for a resolver address:
+// its measured endpoint's row, or the resolver fallback row.
+func (s *System) ldnsCandidates(sn *Snapshot, addr netip.Addr) Row {
 	if l, ok := s.index.ldnsByAddr(addr); ok {
 		return sn.RankOf(l.Endpoint().ID, false)
 	}
-	return sn.fallbackTable(false)
+	return sn.fallbackRow(false)
 }
 
 // clientEndpointID resolves a mapping unit to the endpoint ID scored on

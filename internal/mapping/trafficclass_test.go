@@ -80,7 +80,7 @@ func TestClassScorerUsableBySystemComponents(t *testing.T) {
 		t.Fatalf("rank size %d", len(rank))
 	}
 	lb := NewLoadBalancer()
-	d, err := lb.PickDeployment(testP.Deployments, rank, 0)
+	d, err := lb.PickDeployment(testP.Deployments, Row{Head: rank}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,21 +47,22 @@ func WireOrder(b []byte) {
 // it.
 func (sn *Snapshot) Layout() *Layout { return sn.lay }
 
-// SegmentTable returns arena segment s's rank table (TableLen entries,
-// best first). The slice is immutable; callers must not modify it.
-func (sn *Snapshot) SegmentTable(s int) []Ranked { return sn.segs[s] }
+// RowTable returns row i of the snapshot's layout (Layout.RowLen(i)
+// entries, best first): segment i's head, or past the segments a tail. The
+// slice is immutable; callers must not modify it.
+func (sn *Snapshot) RowTable(i int) []Ranked { return sn.rows[i] }
 
-// ChangedSince lists, ascending, the segments whose tables were re-ranked
-// after the given epoch — what a delta patching a snapshot of that epoch
-// (same layout, same lineage of builds) must carry.
+// ChangedSince lists, ascending, the rows re-ranked after the given epoch —
+// what a delta patching a snapshot of that epoch (same layout, same
+// lineage of builds) must carry.
 func (sn *Snapshot) ChangedSince(epoch uint64) []int32 {
-	var segs []int32
-	for s, e := range sn.segEpoch {
+	var rows []int32
+	for i, e := range sn.rowEpoch {
 		if e > epoch {
-			segs = append(segs, int32(s))
+			rows = append(rows, int32(i))
 		}
 	}
-	return segs
+	return rows
 }
 
 // CANSTables returns the snapshot's precomputed ClientAwareNS candidate
@@ -75,8 +76,8 @@ func (sn *Snapshot) CANSTables() map[uint64][]Ranked { return sn.cans }
 func (sn *Snapshot) ArenaChainLen() int { return sn.chain }
 
 // LayoutFingerprint returns a hash of the snapshot's partition layout:
-// the index arrays, segment interning and table geometry, but not the
-// table contents. Two processes that built their layouts from the same
+// the index arrays, segment interning, tail sharing and row geometry, but
+// not the row contents. Two processes that built their layouts from the same
 // world, platform and config agree on it; the wire protocol uses it to
 // negotiate deltas (which only make sense against an identical layout)
 // and to reject snapshots built for a different universe.
@@ -96,6 +97,7 @@ func (lay *Layout) fingerprint() uint64 {
 		}
 		mix(uint64(lay.NParts))
 		mix(uint64(lay.TableLen))
+		mix(uint64(lay.TailLen))
 		mix(uint64(lay.Endpoints))
 		mix(uint64(uint32(lay.FallbackLDNS)))
 		mix(uint64(uint32(lay.FallbackClient)))
@@ -121,63 +123,83 @@ func (lay *Layout) fingerprint() uint64 {
 			mix(uint64(seg.Rep.ASN))
 			mix(uint64(seg.Rep.Access))
 		}
+		for _, v := range lay.SegTail {
+			mix(uint64(uint32(v)))
+		}
+		mix(uint64(len(lay.TailSeg)))
+		for _, v := range lay.TailSeg {
+			mix(uint64(uint32(v)))
+		}
 		lay.fp = h
 	})
 	return lay.fp
 }
 
-// NewSnapshot assembles a snapshot over one base arena holding segment s
-// at offset s*TableLen, every table stamped as ranked at this epoch. Full
-// builds and the wire decoder both end here; the decoder is responsible
-// for validating that every index in lay and every Dep in arena and cans
-// is in range — NewSnapshot trusts its input and keeps arena as given.
+// NewSnapshot assembles a snapshot over one base arena holding every row of
+// the layout back to back — segment heads, then tails — each stamped as
+// ranked at this epoch. Full builds and the wire decoder both end here; the
+// decoder is responsible for validating that every index in lay and every
+// Dep in arena and cans is in range, and that every tail ranks every
+// deployment — NewSnapshot trusts its input and keeps arena as given.
 func NewSnapshot(epoch uint64, policy Policy, ttl time.Duration, lay *Layout,
 	p *cdn.Platform, arena []Ranked, cans map[uint64][]Ranked) *Snapshot {
 
-	tl := lay.TableLen
 	sn := &Snapshot{
 		epoch: epoch, policy: policy, ttl: ttl, lay: lay, deps: p.Deployments,
-		segs:     make([][]Ranked, len(lay.Segments)),
-		segEpoch: make([]uint64, len(lay.Segments)),
+		rows:     make([][]Ranked, lay.Rows()),
+		rowEpoch: make([]uint64, lay.Rows()),
 		chain:    1,
 		cans:     cans,
 	}
-	for s := range sn.segs {
-		sn.segs[s] = arena[s*tl : (s+1)*tl : (s+1)*tl]
-		sn.segEpoch[s] = epoch
+	sn.layOut(arena)
+	for i := range sn.rowEpoch {
+		sn.rowEpoch[i] = epoch
 	}
 	return sn
 }
 
-// WithDeltaSegments derives a new snapshot from sn by replacing the given
-// arena segments (ascending) with fresh tables: delta holds len(segs)
-// tables of TableLen entries, in segs order, and is kept as given. It is
-// the builder's incremental path and the replica's delta apply alike. The
+// layOut points every row at its window of a base arena.
+func (sn *Snapshot) layOut(arena []Ranked) {
+	off := 0
+	for i := range sn.rows {
+		end := off + sn.lay.RowLen(i)
+		sn.rows[i] = arena[off:end:end]
+		off = end
+	}
+}
+
+// WithDeltaRows derives a new snapshot from sn by replacing the given rows
+// (ascending) with fresh ones: delta holds them back to back, in rows
+// order, each at its layout length, and is kept as given. It is the
+// builder's incremental path and the replica's delta apply alike. The
 // layout is shared; the delta rides as a new arena until the chain would
 // exceed maxArenaChain or the accumulated delta data would outweigh the
 // base arena, at which point the result is compacted into one fresh base
 // arena — so memory stays bounded however many deltas are applied. The
 // result never carries CANS tables (the builder recomputes them, the
 // encoder refuses deltas for CANS snapshots).
-func (sn *Snapshot) WithDeltaSegments(epoch uint64, policy Policy,
-	ttl time.Duration, segs []int32, delta []Ranked) *Snapshot {
+func (sn *Snapshot) WithDeltaRows(epoch uint64, policy Policy,
+	ttl time.Duration, rows []int32, delta []Ranked) *Snapshot {
 
-	tl := sn.lay.TableLen
 	out := *sn
 	out.epoch, out.policy, out.ttl, out.cans = epoch, policy, ttl, nil
-	out.segs = append([][]Ranked(nil), sn.segs...)
-	out.segEpoch = append([]uint64(nil), sn.segEpoch...)
-	for i, s := range segs {
-		out.segs[s] = delta[i*tl : (i+1)*tl : (i+1)*tl]
-		out.segEpoch[s] = epoch
+	out.rows = append([][]Ranked(nil), sn.rows...)
+	out.rowEpoch = append([]uint64(nil), sn.rowEpoch...)
+	off := 0
+	for _, i := range rows {
+		end := off + sn.lay.RowLen(int(i))
+		out.rows[i] = delta[off:end:end]
+		out.rowEpoch[i] = epoch
+		off = end
 	}
 	out.chain++
 	out.deltaEntries += len(delta)
-	if out.chain > maxArenaChain || out.deltaEntries > len(out.segs)*tl {
-		arena := make([]Ranked, len(out.segs)*tl)
-		for s, t := range out.segs {
-			out.segs[s] = arena[s*tl : (s+1)*tl : (s+1)*tl]
-			copy(out.segs[s], t)
+	if out.chain > maxArenaChain || out.deltaEntries > sn.lay.ArenaLen() {
+		current := out.rows
+		out.rows = make([][]Ranked, len(current))
+		out.layOut(make([]Ranked, sn.lay.ArenaLen()))
+		for i, t := range current {
+			copy(out.rows[i], t)
 		}
 		out.chain, out.deltaEntries = 1, 0
 	}

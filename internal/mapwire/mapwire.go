@@ -5,21 +5,21 @@
 // encoding a decoded snapshot — produces byte-identical output, so the
 // distribution plane can compare, cache and checksum images without
 // normalisation. A full image carries the partition layout (dense index,
-// spill arrays, partition→segment map, segment headers) followed by one
-// flat rank-table arena and, for ClientAwareNS snapshots, the candidate
-// map; a delta image carries only the arena segments re-ranked since a
-// base epoch. A rank table has one representation: the 12-byte entries of
-// mapping.Ranked are written from, and read into, the memory they are
-// served from, as bulk copies, and the checksum runs over those same
-// bytes. A decoded snapshot therefore answers bitwise-identically to the
-// original — provided both sides hold the same platform, which the
-// header's platform fingerprint enforces.
+// spill arrays, partition→table map, table headers, table→tail map)
+// followed by one flat arena of rows — a head per table, then the tails
+// tables share — and, for ClientAwareNS snapshots, the candidate map; a
+// delta image carries only the rows re-ranked since a base epoch. A row has
+// one representation: the 12-byte entries of mapping.Ranked are written
+// from, and read into, the memory they are served from, as bulk copies, and
+// the checksum runs over those same bytes. A decoded snapshot therefore
+// answers bitwise-identically to the original — provided both sides hold
+// the same platform, which the header's platform fingerprint enforces.
 //
-// Layout, version 2 (all integers little-endian):
+// Layout, version 3 (all integers little-endian):
 //
 //	offset  size  field
 //	     0     4  magic "EUMw"
-//	     4     2  format version (2)
+//	     4     2  format version (3)
 //	     6     1  kind (0 full, 1 delta)
 //	     7     1  policy
 //	     8     8  epoch
@@ -28,8 +28,8 @@
 //	    32     8  platform fingerprint
 //	    40     8  layout fingerprint
 //	    48     4  partitions P (excluding the two fallbacks)
-//	    52     4  tables T (arena segments)
-//	    56     4  table length L (entries per table = deployments)
+//	    52     4  tables T
+//	    56     4  head length L (entries a table keeps of its own ranking)
 //	    60     4  endpoints indexed
 //	    64     …  body (kind-dependent)
 //	  last     4  CRC-32C (Castagnoli) of everything before it
@@ -42,16 +42,21 @@
 //	u32 P+2, then (P+2) × i32   partition → table
 //	T × i32                ping target ranked into each table (-1: its own representative)
 //	T × 29 bytes           representatives: u64 id, f64 lat, f64 lon, u32 asn, u8 access
-//	T × L × 12 bytes       the arena: table s at entry s×L
-//	u32 C, then C × (u64 LDNS id, u32 n, n × 12 bytes)   CANS candidate lists, ascending id
+//	T × i32                table → tail
+//	u32 N, u32 tail length (= deployments), then N × i32   the table whose endpoint ranks each tail
+//	(T × L + N × deployments) × 12 bytes   the arena: heads in table order, then tails
+//	u32 C, then C × (u64 LDNS id, u32 n, n × 12 bytes)   CANS candidate heads, ascending id
 //
 // Delta body:
 //
-//	u32 N, then N × i32    re-ranked tables, strictly ascending
-//	N × L × 12 bytes       their new contents, in that order
+//	u32 N, then N × i32    re-ranked rows, strictly ascending: a table's head, or T + a tail
+//	their new contents, in that order, each at its own length
 //
 // A rank entry is u32 deployment index (into the platform's deployment
 // list), then the score's IEEE-754 bits as u32 low word, u32 high word.
+// Every tail ranks every deployment exactly once; the decoder refuses one
+// that does not, since the serving walk relies on it to reach a live
+// deployment whenever there is one.
 package mapwire
 
 import (
@@ -71,12 +76,12 @@ import (
 )
 
 // Version is the wire format version this package encodes and decodes.
-const Version = 2
+const Version = 3
 
 // Image kinds.
 const (
 	KindFull  = 0 // complete snapshot: layout + full arena (+ CANS tables)
-	KindDelta = 1 // re-ranked arena segments against a base epoch
+	KindDelta = 1 // re-ranked rows against a base epoch
 )
 
 const (
@@ -185,9 +190,9 @@ func ParseHeader(data []byte) (Header, error) {
 // EncodeFull serializes a complete snapshot image.
 func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 	lay := sn.Layout()
-	if lay.TableLen != len(c.platform.Deployments) {
+	if lay.TailLen != len(c.platform.Deployments) {
 		return nil, fmt.Errorf("mapwire: snapshot ranks %d deployments, the codec's platform has %d",
-			lay.TableLen, len(c.platform.Deployments))
+			lay.TailLen, len(c.platform.Deployments))
 	}
 	cans := sn.CANSTables()
 	cansIDs := make([]uint64, 0, len(cans))
@@ -201,7 +206,9 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 		4 + 4*len(lay.Dense) +
 		4 + 12*len(lay.SpillIDs) +
 		4 + 4*len(lay.PartSeg) +
-		len(lay.Segments)*(4+repSize+lay.TableLen*rankedSize) +
+		len(lay.Segments)*(4+repSize+4) +
+		4 + 4 + 4*len(lay.TailSeg) +
+		lay.ArenaLen()*rankedSize +
 		4 + trailerSize // cans count + checksum
 	for _, id := range cansIDs {
 		size += 8 + 4 + len(cans[id])*rankedSize
@@ -237,8 +244,16 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 		w.u32(seg.Rep.ASN)
 		w.u8(uint8(seg.Rep.Access))
 	}
-	for s := range lay.Segments {
-		w.table(sn.SegmentTable(s))
+	for _, t := range lay.SegTail {
+		w.i32(t)
+	}
+	w.u32(uint32(len(lay.TailSeg)))
+	w.u32(uint32(lay.TailLen))
+	for _, s := range lay.TailSeg {
+		w.i32(s)
+	}
+	for i := 0; i < lay.Rows(); i++ {
+		w.table(sn.RowTable(i))
 	}
 	w.u32(uint32(len(cansIDs)))
 	for _, id := range cansIDs {
@@ -249,34 +264,38 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 	return w.finish(), nil
 }
 
-// EncodeDelta serializes the arena segments re-ranked after prev's epoch
-// as a delta image patching that epoch; next must descend from prev
-// through the same builder (the publisher's retention ring guarantees it).
-// ok is false — with no error — when a delta is not expressible (different
-// layouts, a CANS snapshot whose candidate map has no delta form, or so
-// many changed segments that a full image is smaller); the publisher then
-// falls back to EncodeFull.
+// EncodeDelta serializes the rows re-ranked after prev's epoch as a delta
+// image patching that epoch; next must descend from prev through the same
+// builder (the publisher's retention ring guarantees it). ok is false —
+// with no error — when a delta is not expressible (different layouts, a
+// CANS snapshot whose candidate map has no delta form, or so much changed
+// that a full image is no larger); the publisher then falls back to
+// EncodeFull.
 func (c *Codec) EncodeDelta(prev, next *mapping.Snapshot) (data []byte, ok bool, err error) {
 	if prev == nil || prev.LayoutFingerprint() != next.LayoutFingerprint() ||
 		next.CANSTables() != nil || prev.Epoch() >= next.Epoch() {
 		return nil, false, nil
 	}
-	segs := next.ChangedSince(prev.Epoch())
+	lay := next.Layout()
+	rows := next.ChangedSince(prev.Epoch())
+	entries := 0
+	for _, i := range rows {
+		entries += lay.RowLen(int(i))
+	}
 	// A delta that rewrites most of the arena is worse than a full image:
 	// it costs the same bytes but pins the replica to a chain of patches.
-	if len(segs)*2 >= next.Tables() {
+	if entries*2 >= lay.ArenaLen() {
 		return nil, false, nil
 	}
 
-	tl := next.Layout().TableLen
-	w := newWriter(headerSize + 4 + len(segs)*(4+tl*rankedSize) + trailerSize)
+	w := newWriter(headerSize + 4 + len(rows)*4 + entries*rankedSize + trailerSize)
 	c.putHeader(w, next, KindDelta, prev.Epoch())
-	w.u32(uint32(len(segs)))
-	for _, s := range segs {
-		w.i32(s)
+	w.u32(uint32(len(rows)))
+	for _, i := range rows {
+		w.i32(i)
 	}
-	for _, s := range segs {
-		w.table(next.SegmentTable(int(s)))
+	for _, i := range rows {
+		w.table(next.RowTable(int(i)))
 	}
 	return w.finish(), true, nil
 }
@@ -316,9 +335,9 @@ func (c *Codec) DecodeFrom(src io.Reader, size int64, prev *mapping.Snapshot) (*
 	if h.PlatformFP != c.fp {
 		return nil, h, fmt.Errorf("%w: image %016x, codec %016x", ErrPlatformMismatch, h.PlatformFP, c.fp)
 	}
-	if h.TableLen != uint32(len(c.platform.Deployments)) {
-		return nil, h, fmt.Errorf("%w: table length %d, platform has %d deployments",
-			ErrFormat, h.TableLen, len(c.platform.Deployments))
+	if want := mapping.HeadLen(len(c.platform.Deployments)); h.TableLen != uint32(want) {
+		return nil, h, fmt.Errorf("%w: head length %d, this build keeps %d of %d deployments",
+			ErrFormat, h.TableLen, want, len(c.platform.Deployments))
 	}
 	var sn *mapping.Snapshot
 	if h.Kind == KindDelta {
@@ -333,7 +352,8 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 	tables, nDeps := int(h.Tables), len(c.platform.Deployments)
 	lay := &mapping.Layout{
 		NParts:    int(h.Partitions),
-		TableLen:  nDeps,
+		TableLen:  int(h.TableLen),
+		TailLen:   nDeps,
 		Endpoints: int(h.Endpoints),
 	}
 	// nSlots is the partition-index value space: universe partitions plus
@@ -346,7 +366,7 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 	lay.SpillIDs = r.u64s(nSpill)
 	lay.SpillIdx = r.i32s(nSpill)
 	lay.PartSeg = r.i32s(r.sliceLen(4))
-	if !r.fits(uint64(tables), 4+repSize+nDeps*rankedSize) {
+	if !r.fits(uint64(tables), 4+repSize+4+lay.TableLen*rankedSize) {
 		return nil, r.err
 	}
 	lay.Segments = make([]mapping.Segment, tables)
@@ -364,7 +384,16 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 			Access: netmodel.AccessType(b[28]),
 		}
 	})
-	arena := r.tables(uint64(tables)*uint64(nDeps), nDeps)
+	lay.SegTail = r.i32s(tables)
+	nTails := int(r.u32())
+	if tailLen := r.u32(); r.err == nil && tailLen != uint32(nDeps) {
+		return nil, fmt.Errorf("%w: tails rank %d deployments, the platform has %d", ErrFormat, tailLen, nDeps)
+	}
+	if !r.fits(uint64(nTails), 4+nDeps*rankedSize) {
+		return nil, r.err
+	}
+	lay.TailSeg = r.i32s(nTails)
+	arena := r.tables(uint64(lay.ArenaLen()), nDeps)
 	var cansMap map[uint64][]mapping.Ranked
 	nCANS := r.sliceLen(12)
 	if nCANS > 0 {
@@ -379,21 +408,22 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 	}
 
 	// Structural validation: every partition index must land inside the
-	// declared slot space and every segment reference inside the table
-	// list, or a hostile image could crash the serving hot path later.
+	// declared slot space, every table and tail reference inside its list,
+	// and every tail must rank the whole platform, or a hostile image could
+	// crash the serving hot path later — or leave it with nothing to answer.
 	if int64(len(lay.PartSeg)) != nSlots {
 		return nil, fmt.Errorf("%w: %d partition segments for %d slots", ErrFormat, len(lay.PartSeg), nSlots)
 	}
-	if !validIdx(lay.FallbackLDNS, nSlots) || !validIdx(lay.FallbackClient, nSlots) {
+	if !inRange(lay.FallbackLDNS, nSlots) || !inRange(lay.FallbackClient, nSlots) {
 		return nil, fmt.Errorf("%w: fallback partition out of range", ErrFormat)
 	}
 	for _, p := range lay.Dense {
-		if !validIdx(p, nSlots) {
+		if p != -1 && !inRange(p, nSlots) {
 			return nil, fmt.Errorf("%w: dense partition index out of range", ErrFormat)
 		}
 	}
 	for i, p := range lay.SpillIdx {
-		if !validIdx(p, nSlots) {
+		if p != -1 && !inRange(p, nSlots) {
 			return nil, fmt.Errorf("%w: spill partition index out of range", ErrFormat)
 		}
 		if i > 0 && lay.SpillIDs[i-1] >= lay.SpillIDs[i] {
@@ -401,11 +431,27 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 		}
 	}
 	for _, s := range lay.PartSeg {
-		if s < 0 || int(s) >= tables {
+		if !inRange(s, int64(tables)) {
 			return nil, fmt.Errorf("%w: partition segment out of range", ErrFormat)
 		}
 	}
-	return mapping.NewSnapshot(h.Epoch, h.Policy, h.TTL, lay, c.platform, arena, cansMap), nil
+	for _, t := range lay.SegTail {
+		if !inRange(t, int64(nTails)) {
+			return nil, fmt.Errorf("%w: tail index out of range", ErrFormat)
+		}
+	}
+	for _, s := range lay.TailSeg {
+		if !inRange(s, int64(tables)) {
+			return nil, fmt.Errorf("%w: tail source table out of range", ErrFormat)
+		}
+	}
+	sn := mapping.NewSnapshot(h.Epoch, h.Policy, h.TTL, lay, c.platform, arena, cansMap)
+	for i := tables; i < lay.Rows(); i++ {
+		if err := checkTail(sn.RowTable(i)); err != nil {
+			return nil, err
+		}
+	}
+	return sn, nil
 }
 
 func (c *Codec) decodeDelta(h Header, r *reader, prev *mapping.Snapshot) (*mapping.Snapshot, error) {
@@ -418,24 +464,47 @@ func (c *Codec) decodeDelta(h Header, r *reader, prev *mapping.Snapshot) (*mappi
 	if prev.LayoutFingerprint() != h.LayoutFP {
 		return nil, fmt.Errorf("%w: layout fingerprint mismatch", ErrDeltaBase)
 	}
-	tables, nDeps := prev.Tables(), len(c.platform.Deployments)
-	if int(h.Tables) != tables {
+	lay, nDeps := prev.Layout(), len(c.platform.Deployments)
+	if int(h.Tables) != prev.Tables() {
 		return nil, fmt.Errorf("%w: geometry mismatch", ErrDeltaBase)
 	}
-	segs := r.i32s(r.sliceLen(4 + nDeps*rankedSize))
-	for i, s := range segs {
-		if s < 0 || int(s) >= tables {
-			return nil, fmt.Errorf("%w: delta segment out of range", ErrFormat)
+	rows := r.i32s(r.sliceLen(4 + lay.TableLen*rankedSize))
+	entries := uint64(0)
+	for i, row := range rows {
+		if !inRange(row, int64(lay.Rows())) {
+			return nil, fmt.Errorf("%w: delta row out of range", ErrFormat)
 		}
-		if i > 0 && segs[i-1] >= s {
-			return nil, fmt.Errorf("%w: delta segments not strictly ascending", ErrFormat)
+		if i > 0 && rows[i-1] >= row {
+			return nil, fmt.Errorf("%w: delta rows not strictly ascending", ErrFormat)
 		}
+		entries += uint64(lay.RowLen(int(row)))
 	}
-	delta := r.tables(uint64(len(segs))*uint64(nDeps), nDeps)
+	delta := r.tables(entries, nDeps)
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
-	return prev.WithDeltaSegments(h.Epoch, h.Policy, h.TTL, segs, delta), nil
+	sn := prev.WithDeltaRows(h.Epoch, h.Policy, h.TTL, rows, delta)
+	for _, row := range rows {
+		if int(row) >= prev.Tables() {
+			if err := checkTail(sn.RowTable(int(row))); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return sn, nil
+}
+
+// checkTail verifies that a tail, whose deployment indexes are already
+// known to be in range, names every deployment exactly once.
+func checkTail(tail []mapping.Ranked) error {
+	seen := make([]bool, len(tail))
+	for _, e := range tail {
+		if seen[e.Dep] {
+			return fmt.Errorf("%w: a tail ranks deployment %d twice", ErrFormat, e.Dep)
+		}
+		seen[e.Dep] = true
+	}
+	return nil
 }
 
 // putHeader writes the fixed header for sn.
@@ -456,6 +525,5 @@ func (c *Codec) putHeader(w *writer, sn *mapping.Snapshot, kind uint8, baseEpoch
 	w.u32(uint32(lay.Endpoints))
 }
 
-// validIdx reports whether a partition index is -1 (unassigned) or inside
-// the slot space.
-func validIdx(p int32, nSlots int64) bool { return p >= -1 && int64(p) < nSlots }
+// inRange reports whether an index read off the wire is inside [0, n).
+func inRange(i int32, n int64) bool { return i >= 0 && int64(i) < n }

@@ -2,7 +2,9 @@ package mapwire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"slices"
 	"sync"
 	"testing"
@@ -51,14 +53,11 @@ func sameAnswers(t *testing.T, got, want *mapping.Snapshot, w *world.World) {
 	check := func(id uint64, client bool, what string) {
 		t.Helper()
 		g, wnt := got.RankOf(id, client), want.RankOf(id, client)
-		if len(g) != len(wnt) {
-			t.Fatalf("%s %d: %d ranked, want %d", what, id, len(g), len(wnt))
+		if !slices.Equal(g.Head, wnt.Head) {
+			t.Fatalf("%s %d: heads differ:\n got %v\nwant %v", what, id, g.Head, wnt.Head)
 		}
-		for j := range g {
-			if g[j] != wnt[j] {
-				t.Fatalf("%s %d rank %d: deployment %d/%v, want %d/%v", what, id, j,
-					g[j].Dep, g[j].Score(), wnt[j].Dep, wnt[j].Score())
-			}
+		if !slices.Equal(g.Tail, wnt.Tail) {
+			t.Fatalf("%s %d: tails differ", what, id)
 		}
 	}
 	for _, blk := range w.Blocks {
@@ -119,13 +118,21 @@ func TestDeltaRoundTrip(t *testing.T) {
 	b := mapping.NewSnapshotBuilder(w, p, prober, fixCfg)
 	sn1 := b.Build(1, mapping.EndUser)
 
-	target, ok := b.Scorer().TargetFor(w.LDNSes[3].Endpoint())
-	if !ok {
-		t.Fatal("no ping target for LDNS 3")
+	// Two dirty targets: LDNS 3's, and LDNS 0's — the first segment of the
+	// layout, whose endpoint therefore ranks its region's tail, so the delta
+	// carries a re-ranked tail as well as heads.
+	for _, l := range []int{0, 3} {
+		target, ok := b.Scorer().TargetFor(w.LDNSes[l].Endpoint())
+		if !ok {
+			t.Fatalf("no ping target for LDNS %d", l)
+		}
+		prober.shift[target.ID] += 40
+		b.MarkMeasurementsDirty(target.ID)
 	}
-	prober.shift[target.ID] += 40
-	b.MarkMeasurementsDirty(target.ID)
 	sn2 := b.Build(2, mapping.EndUser)
+	if changed := sn2.ChangedSince(1); len(changed) == 0 || int(changed[len(changed)-1]) < sn2.Tables() {
+		t.Fatalf("rows %v re-ranked: no tail among them", changed)
+	}
 
 	c := NewCodec(p)
 	full1, err := c.EncodeFull(sn1)
@@ -175,9 +182,12 @@ func TestDeltaRoundTrip(t *testing.T) {
 }
 
 // TestDeltaAcrossCompactions: a build that compacts the arena chain moves
-// every table to fresh memory but re-ranks only the dirty ones, and its
-// delta must say so. (Dirtiness used to be read off backing-array
-// addresses, so every maxArenaChain-th publish shipped a full image.)
+// every row to fresh memory but re-ranks only the dirty ones, and its
+// delta must say so: one head, plus the region's tail when the dirty
+// target is the one that ranks it. (Dirtiness used to be read off
+// backing-array addresses, so every maxArenaChain-th publish shipped a full
+// image.) The replica compacts on its own schedule and must keep every
+// tail through it.
 func TestDeltaAcrossCompactions(t *testing.T) {
 	w, p := fixture()
 	prober := &shiftNet{base: netmodel.NewDefault(), shift: map[uint64]float64{}}
@@ -199,8 +209,9 @@ func TestDeltaAcrossCompactions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneTable := headerSize + 4 + (4 + len(p.Deployments)*rankedSize) + trailerSize
-	compactions := 0
+	oneHead := headerSize + 4 + (4 + prev.Layout().TableLen*rankedSize) + trailerSize
+	headAndTail := oneHead + 4 + len(p.Deployments)*rankedSize
+	compactions, tails := 0, 0
 	for i := 0; i < 200; i++ {
 		id := targets[i%len(targets)]
 		prober.shift[id] += 3
@@ -213,17 +224,19 @@ func TestDeltaAcrossCompactions(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("build %d (chain %d): EncodeDelta ok=%v err=%v", i, next.ArenaChainLen(), ok, err)
 		}
-		if len(delta) != oneTable {
-			t.Fatalf("build %d (chain %d): delta is %d bytes, one re-ranked table is %d",
-				i, next.ArenaChainLen(), len(delta), oneTable)
+		if len(delta) == headAndTail {
+			tails++
+		} else if len(delta) != oneHead {
+			t.Fatalf("build %d (chain %d): delta is %d bytes, one re-ranked head is %d, with its tail %d",
+				i, next.ArenaChainLen(), len(delta), oneHead, headAndTail)
 		}
 		if replica, err = c.Decode(delta, replica); err != nil {
 			t.Fatalf("build %d: applying the delta: %v", i, err)
 		}
 		prev = next
 	}
-	if compactions < 3 {
-		t.Fatalf("%d compactions in 200 builds, want at least 3", compactions)
+	if compactions < 3 || tails == 0 {
+		t.Fatalf("%d compactions and %d tail-carrying deltas in 200 builds, want at least 3 and 1", compactions, tails)
 	}
 	want, err := c.EncodeFull(prev)
 	if err != nil {
@@ -283,18 +296,89 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 		t.Fatal("trailing byte decoded successfully")
 	}
 
-	// An image of the previous format version is refused by name, not
-	// misread: replicas and publishers must be upgraded together.
-	v1 := append([]byte(nil), data...)
-	v1[4], v1[5] = 1, 0
-	if _, err := c.Decode(v1, nil); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version 1 image: %v", err)
-	}
-
 	// A codec for a different platform must refuse the image outright.
 	otherP := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 99, NumDeployments: 80, ServersPerDeployment: 4})
 	if _, err := NewCodec(otherP).Decode(data, nil); !errors.Is(err, ErrPlatformMismatch) {
 		t.Fatalf("foreign platform: %v", err)
+	}
+}
+
+// TestDecodeRejectsHostileImages: images that carry a valid checksum and a
+// wrong structure — what a buggy or malicious publisher would send — are
+// refused by category, never installed. Each case patches one field of a
+// good image and seals it again.
+func TestDecodeRejectsHostileImages(t *testing.T) {
+	w, p := fixture()
+	prober := &shiftNet{base: netmodel.NewDefault(), shift: map[uint64]float64{}}
+	b := mapping.NewSnapshotBuilder(w, p, prober, fixCfg)
+	sn1 := b.Build(1, mapping.EndUser)
+	target, _ := b.Scorer().TargetFor(w.LDNSes[0].Endpoint())
+	prober.shift[target.ID] += 25
+	b.MarkMeasurementsDirty(target.ID)
+	sn2 := b.Build(2, mapping.EndUser)
+	c := NewCodec(p)
+	full, err := c.EncodeFull(sn1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, ok, err := c.EncodeDelta(sn1, sn2)
+	if err != nil || !ok {
+		t.Fatalf("EncodeDelta: ok=%v err=%v", ok, err)
+	}
+
+	// Field offsets in the full image, from the layout it encodes.
+	lay := sn1.Layout()
+	tables, nDeps := len(lay.Segments), len(p.Deployments)
+	fallbacks := headerSize
+	segTail := fallbacks + 8 + 4 + 4*len(lay.Dense) + 4 + 12*len(lay.SpillIDs) +
+		4 + 4*len(lay.PartSeg) + tables*(4+repSize)
+	tailCount := segTail + 4*tables
+	tailSeg := tailCount + 8
+	firstTail := tailSeg + 4*len(lay.TailSeg) + tables*lay.TableLen*rankedSize
+	// In the delta: the row list, then a head, then the tail it dirtied.
+	deltaRows := headerSize + 4
+	deltaTail := deltaRows + 2*4 + lay.TableLen*rankedSize
+
+	put := func(img []byte, off int, v uint32) []byte {
+		out := append([]byte(nil), img...)
+		binary.LittleEndian.PutUint32(out[off:], v)
+		binary.LittleEndian.PutUint32(out[len(out)-trailerSize:],
+			crc32.Checksum(out[:len(out)-trailerSize], castagnoli))
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		img  []byte
+		prev *mapping.Snapshot
+		want error
+	}{
+		{"resolver fallback unassigned", put(full, fallbacks, ^uint32(0)), nil, ErrFormat},
+		{"client fallback unassigned", put(full, fallbacks+4, ^uint32(0)), nil, ErrFormat},
+		{"client fallback past the partitions", put(full, fallbacks+4, uint32(len(lay.PartSeg))), nil, ErrFormat},
+		{"tail index out of range", put(full, segTail, uint32(len(lay.TailSeg))), nil, ErrFormat},
+		{"tail index negative", put(full, segTail+4, ^uint32(0)), nil, ErrFormat},
+		{"tail ranked by a table that does not exist", put(full, tailSeg, uint32(tables)), nil, ErrFormat},
+		{"tails shorter than the platform", put(full, tailCount+4, uint32(nDeps-1)), nil, ErrFormat},
+		{"tail names one deployment twice", put(full, firstTail+rankedSize,
+			binary.LittleEndian.Uint32(full[firstTail:])), nil, ErrFormat},
+		{"tail names a deployment the platform lacks", put(full, firstTail, uint32(nDeps)), nil, ErrFormat},
+		{"head longer than this build keeps", put(full, 56, uint32(lay.TableLen+1)), nil, ErrFormat},
+		{"previous format version", put(full, 4, 2|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
+		{"delta row out of range", put(delta, deltaRows+4, uint32(lay.Rows())), sn1, ErrFormat},
+		{"delta rows descending", put(delta, deltaRows+4, 0), sn1, ErrFormat},
+		{"delta tail names one deployment twice", put(delta, deltaTail+rankedSize,
+			binary.LittleEndian.Uint32(delta[deltaTail:])), sn1, ErrFormat},
+	} {
+		if sn, err := c.Decode(tc.img, tc.prev); !errors.Is(err, tc.want) {
+			t.Errorf("%s: decoded to %v, error %v; want %v", tc.name, sn, err, tc.want)
+		}
+	}
+	// The untouched images are good, so every refusal above is the patch's.
+	if _, err := c.Decode(put(full, fallbacks, uint32(lay.FallbackLDNS)), nil); err != nil {
+		t.Fatalf("resealed clean image: %v", err)
+	}
+	if _, err := c.Decode(delta, sn1); err != nil {
+		t.Fatalf("clean delta: %v", err)
 	}
 }
 
