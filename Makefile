@@ -16,7 +16,7 @@ SNAPBENCH = BenchmarkSnapshotSwap|BenchmarkServingUnderMapChurn
 # figures are BENCHMARK.json's serve_qps and dnsserver.packets_per_wakeup).
 QPSBENCH = BenchmarkShardedThroughput
 
-.PHONY: all check vet build test loc race chaos load-chaos dist-chaos obs crossbuild scale-smoke ecsgrid-smoke figures-check figures-golden bench-smoke bench-e2e bench bench-hot bench-sim bench-snapshot bench-qps bench-figures
+.PHONY: all check vet build test loc race chaos load-chaos dist-chaos obs crossbuild scale-smoke ecsgrid-smoke figures-check figures-golden bench-smoke bench-e2e bench-pair bench bench-hot bench-sim bench-snapshot bench-qps bench-figures
 
 all: check
 
@@ -118,6 +118,16 @@ bench-smoke:
 W ?= hot_zipf
 bench-e2e:
 	bash bench/run.sh --workload $(W) --seed 1 --seconds 20 --trace 0
+
+# Paired runs for a performance claim: make bench-pair BASE=<rev> W=cold_wide
+# N=10 exports BASE into .bench_build/pair/, alternates bench/run.sh between
+# that tree and this one, and prints per metric both medians with quartiles,
+# the pairs won and whether the medians differ by more than the parent's IQR
+# (see bench-pair.sh; ten pairs of cold_wide take about twenty minutes).
+BASE ?= HEAD
+N ?= 10
+bench-pair:
+	bash bench-pair.sh $(BASE) $(W) $(N)
 
 # Hot-path benchmarks with allocation counts. TestServeDNSAllocGuard runs
 # first: it fails the target if ServeDNS (telemetry armed) exceeds its

@@ -1,0 +1,130 @@
+package bench
+
+import (
+	"encoding/binary"
+	"sync"
+	"testing"
+
+	"eum/internal/cdn"
+	"eum/internal/mapping"
+	"eum/internal/mapwire"
+	"eum/internal/netmodel"
+	"eum/internal/world"
+)
+
+// The guards here count work instead of timing it: this VM's clock moves
+// 10–28 % between runs of the same code, and a count repeats exactly.
+
+// countingProber answers from the network model and keeps how often each
+// (deployment, measured endpoint) pair was asked for. It has no row form,
+// so a scorer over it asks pair by pair and every measurement is seen.
+type countingProber struct {
+	net   *netmodel.Model
+	mu    sync.Mutex
+	pairs map[[2]uint64]int
+}
+
+func (c *countingProber) PingMs(a, b netmodel.Endpoint) float64 {
+	c.mu.Lock()
+	c.pairs[[2]uint64{a.ID, b.ID}]++
+	c.mu.Unlock()
+	return c.net.PingMs(a, b)
+}
+
+// take returns how many pairs were measured since the last take, failing
+// the test if any was measured more than once.
+func (c *countingProber) take(t *testing.T, when string) int {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.pairs)
+	for pair, times := range c.pairs {
+		if times != 1 {
+			t.Fatalf("%s: deployment %d was measured against endpoint %d %d times", when, pair[0], pair[1], times)
+		}
+	}
+	clear(c.pairs)
+	return n
+}
+
+// TestBuildMeasuresEachPairOnce pins what a build costs in measurements:
+// a full build asks for every (table, deployment) pair exactly once — the
+// shared tails add nothing, a tail being ranked from the scores of the
+// table that owns it — a one-target refresh asks for that target's tables
+// and nothing else, and a replica's boot for the two fallback tables.
+func TestBuildMeasuresEachPairOnce(t *testing.T) {
+	w := world.MustGenerate(world.Config{Seed: 17, NumBlocks: 4000, IPv6Fraction: 0.1})
+	p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 17, NumDeployments: 150, ServersPerDeployment: 4})
+	cfg := mapping.Config{Policy: mapping.EndUser, PingTargets: 400, PartitionMiles: 50}
+	deployments := len(p.Deployments)
+	prober := &countingProber{net: netmodel.NewDefault(), pairs: map[[2]uint64]int{}}
+
+	sys := mapping.NewSystem(w, p, prober, cfg)
+	first := sys.Builder().BuildStats()
+	if first.RerankedTails == 0 {
+		t.Fatal("the layout has no shared tail, so the build cannot show that tails cost no measurement")
+	}
+	if got, want := prober.take(t, "first build"), sys.Current().Tables()*deployments; got != want {
+		t.Fatalf("the first build measured %d pairs; %d tables x %d deployments is %d",
+			got, sys.Current().Tables(), deployments, want)
+	}
+
+	target, ok := sys.Scorer().TargetFor(w.Blocks[0].Endpoint())
+	if !ok {
+		t.Fatal("no ping target for block 0")
+	}
+	prober.take(t, "target lookup") // looked up by distance: nothing measured, nothing to keep
+	sys.Builder().MarkMeasurementsDirty(target.ID)
+	sys.Rebuild()
+	after := sys.Builder().BuildStats()
+	tables := int(after.RerankedTables - first.RerankedTables)
+	if after.Incremental != first.Incremental+1 || tables == 0 {
+		t.Fatalf("a one-target refresh was not an incremental build: %+v, then %+v", first, after)
+	}
+	if got, want := prober.take(t, "one-target build"), tables*deployments; got != want {
+		t.Fatalf("a one-target build re-ranked %d tables and measured %d pairs, want %d", tables, got, want)
+	}
+
+	// The two fallback endpoints sit at one location; under clustering they
+	// share a ping target and so one table.
+	rep := mapping.NewReplica(w, p, prober, cfg)
+	if got, tables := prober.take(t, "replica boot"), rep.Current().Tables(); got != tables*deployments || tables > 2 {
+		t.Fatalf("a replica's boot measured %d pairs for %d tables; want the fallback tables x %d deployments and nothing else",
+			got, tables, deployments)
+	}
+}
+
+// TestRingAllocsBounded keeps ring construction — paid for every deployment
+// by every process, publisher and replica, at every boot — to a constant
+// number of allocations per ring: the points, the two arrays it keeps and
+// the ring, not a key string per virtual node.
+func TestRingAllocsBounded(t *testing.T) {
+	w := world.MustGenerate(world.Config{Seed: 17, NumBlocks: 500})
+	p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 17, NumDeployments: 40, ServersPerDeployment: 6})
+	lb := mapping.NewLoadBalancer()
+	perRing := testing.AllocsPerRun(5, func() { lb.Prepare(p) }) / float64(len(p.Deployments))
+	// Measured 4.1: four per ring and the map that holds them.
+	if perRing > 6 {
+		t.Fatalf("%.1f allocations per ring of %d virtual nodes", perRing, 6*lb.VirtualNodes)
+	}
+}
+
+// coldWideImageCRC is the checksum trailer of the full wire image of the
+// cold_wide benchmark's universe at its first epoch. Scores are compared,
+// sorted and shipped as raw float64 bits, so a score that moves in its last
+// place can reorder a tie and changes this number; a change that means to
+// move it says so and re-pins it.
+const coldWideImageCRC = 0x59c31519
+
+func TestWireImagePinned(t *testing.T) {
+	w := world.MustGenerate(world.Config{Seed: 1, NumBlocks: 50000})
+	p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 1, NumDeployments: 600})
+	cfg := mapping.Config{Policy: mapping.EndUser, PingTargets: 5000, PartitionMiles: 50}
+	image, err := mapwire.NewCodec(p).EncodeFull(mapping.NewSystem(w, p, netmodel.NewDefault(), cfg).Current())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint32(image[len(image)-4:]); got != coldWideImageCRC {
+		t.Fatalf("the cold_wide full image (%d bytes) has CRC-32C %#08x, pinned %#08x", len(image), got, coldWideImageCRC)
+	}
+}

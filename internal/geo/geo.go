@@ -7,6 +7,13 @@
 // client cluster's radius as the demand-weighted mean distance of its
 // members to the demand-weighted centroid. This package implements exactly
 // those definitions.
+//
+// Prepared.DistanceTo owns the haversine; it is the only one in the
+// repository. Distance prepares both points and calls it, and callers that
+// measure one point against many (the network model's row kernel, the
+// scorer's nearest-target search) prepare each point once and call it
+// directly. Both routes do the same operations in the same order, so they
+// return the same bits.
 package geo
 
 import (
@@ -40,21 +47,42 @@ func (p Point) String() string {
 
 func radians(deg float64) float64 { return deg * math.Pi / 180 }
 
-// Distance returns the great-circle distance in miles between p and q,
-// computed with the haversine formula, which is numerically stable for
-// nearby points (unlike the spherical law of cosines).
-func Distance(p, q Point) float64 {
-	lat1, lat2 := radians(p.Lat), radians(q.Lat)
-	dLat := lat2 - lat1
-	dLon := radians(q.Lon - p.Lon)
+// Prepared is a point with its latitude trigonometry done: the form to keep
+// when one point is measured against many (a deployment against every ping
+// target, a ping target against every deployment), so that radians(lat) and
+// cos(lat) are computed once per point instead of once per pair.
+type Prepared struct {
+	latRad, cosLat float64 // radians(Lat), cos(radians(Lat))
+	lon            float64 // degrees, as given
+}
+
+// Prepare does p's share of every distance it will take part in.
+func Prepare(p Point) Prepared {
+	lat := radians(p.Lat)
+	return Prepared{latRad: lat, cosLat: math.Cos(lat), lon: p.Lon}
+}
+
+// DistanceTo returns the great-circle distance in miles from p to q by the
+// haversine formula, which is numerically stable for nearby points (unlike
+// the spherical law of cosines). This is the repository's one haversine:
+// Distance, the network model's metrics and the scorer's row kernel all end
+// here, so they agree to the last bit.
+func (p Prepared) DistanceTo(q Prepared) float64 {
+	dLat := q.latRad - p.latRad
+	dLon := radians(q.lon - p.lon)
 	sinLat := math.Sin(dLat / 2)
 	sinLon := math.Sin(dLon / 2)
-	a := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
+	a := sinLat*sinLat + p.cosLat*q.cosLat*sinLon*sinLon
 	// Clamp to [0,1] to guard against floating-point drift for antipodes.
 	if a > 1 {
 		a = 1
 	}
 	return 2 * EarthRadiusMiles * math.Asin(math.Sqrt(a))
+}
+
+// Distance returns the great-circle distance in miles between p and q.
+func Distance(p, q Point) float64 {
+	return Prepare(p).DistanceTo(Prepare(q))
 }
 
 // Weighted pairs a point with a nonnegative weight, typically the client

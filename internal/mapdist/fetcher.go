@@ -103,9 +103,22 @@ func NewFetcher(sys *mapping.System, platform *cdn.Platform, cfg FetcherConfig) 
 // Interval returns the configured fetch interval.
 func (f *Fetcher) Interval() time.Duration { return f.interval }
 
+// bootRetry is the first wait after a failed boot fetch; it doubles up to
+// the fetch interval.
+const bootRetry = 100 * time.Millisecond
+
 // Run fetches immediately, then on every interval tick until ctx ends.
+// Until the first fetch succeeds the waits are short — bootRetry, doubling
+// up to the interval — so a replica started a moment before its publisher
+// does not answer from the epoch-0 fallback map for a whole interval.
 func (f *Fetcher) Run(ctx context.Context) {
-	_ = f.FetchOnce(ctx)
+	for wait := min(bootRetry, f.interval); f.FetchOnce(ctx) != nil; wait = min(2*wait, f.interval) {
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(wait):
+		}
+	}
 	t := time.NewTicker(f.interval)
 	defer t.Stop()
 	for {

@@ -2,11 +2,14 @@ package mapdist
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"eum/internal/cdn"
 	"eum/internal/mapping"
@@ -188,5 +191,50 @@ func TestFetcherRejectsForeignPlatform(t *testing.T) {
 	}
 	if st := fetcher.Status(); st.Failures != 1 || st.LastError == "" {
 		t.Fatalf("status after failure: %+v", st)
+	}
+}
+
+// TestRunRetriesBootFetch starts a replica before its publisher answers:
+// the first three fetches are refused, and the replica must still have the
+// publisher's map within a second at a five-second interval — then fall
+// back to the interval's cadence.
+func TestRunRetriesBootFetch(t *testing.T) {
+	w, p := distFixture()
+	pubSys := mapping.NewSystem(w, p, netmodel.NewDefault(), distCfg)
+	pub := NewPublisher(pubSys, p, PublisherConfig{})
+	var refused atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if refused.Add(1) <= 3 {
+			http.Error(rw, "publisher not up yet", http.StatusServiceUnavailable)
+			return
+		}
+		pub.ServeHTTP(rw, r)
+	}))
+	defer srv.Close()
+
+	repSys := mapping.NewReplica(w, p, netmodel.NewDefault(), distCfg)
+	f, err := NewFetcher(repSys, p, FetcherConfig{Source: strings.TrimPrefix(srv.URL, "http://"), Interval: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { f.Run(ctx); close(done) }()
+	defer func() { cancel(); <-done }()
+
+	start := time.Now()
+	for repSys.Current().Epoch() != pubSys.Current().Epoch() {
+		if time.Since(start) > time.Second {
+			t.Fatalf("replica still at epoch %d a second after boot (status %+v)", repSys.Current().Epoch(), f.Status())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := f.Status(); st.Failures != 3 || st.Fetches != 4 || st.FullImages != 1 {
+		t.Fatalf("boot took %d fetches, %d failures, %d full images; want 4, 3, 1", st.Fetches, st.Failures, st.FullImages)
+	}
+	// Synced: the next fetch is a whole interval away, not a backoff step.
+	time.Sleep(4 * bootRetry)
+	if st := f.Status(); st.Fetches != 4 {
+		t.Fatalf("%d fetches %v after the install; the interval is %v", st.Fetches, 4*bootRetry, f.Interval())
 	}
 }

@@ -1,8 +1,11 @@
 package mapping
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -148,7 +151,7 @@ func (lb *LoadBalancer) pickLoadAware(deps []*cdn.Deployment, candidates Row, de
 // on the first (primary) server.
 func (lb *LoadBalancer) PickServers(d *cdn.Deployment, domain string, demand float64) ([]*cdn.Server, error) {
 	r := lb.ringFor(d)
-	servers := r.pick(hashString(domain), lb.ServersPerAnswer)
+	servers := r.pick(fnv1a(domain), lb.ServersPerAnswer)
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("mapping: deployment %s has no live servers", d.Name)
 	}
@@ -208,25 +211,37 @@ type ring struct {
 	servers []*cdn.Server // parallel to points
 }
 
+// newRing places vnodes points per server at FNV-1a("<server ID>/<virtual
+// node>") and sorts them; equal points (which a 64-bit hash all but never
+// produces) order by server ID, then virtual node, so a ring is a pure
+// function of its membership.
 func newRing(d *cdn.Deployment, vnodes int) *ring {
-	r := &ring{}
-	for _, s := range d.Servers {
+	type point struct {
+		hash   uint64
+		server int32 // index into d.Servers
+		vnode  int32
+	}
+	pts := make([]point, 0, len(d.Servers)*vnodes)
+	var key [41]byte // two 64-bit decimals and the slash
+	for i, s := range d.Servers {
+		id := append(strconv.AppendUint(key[:0], s.ID, 10), '/')
 		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, hashString(fmt.Sprintf("%d/%d", s.ID, v)))
-			r.servers = append(r.servers, s)
+			pts = append(pts, point{fnv1a(strconv.AppendUint(id, uint64(v), 10)), int32(i), int32(v)})
 		}
 	}
-	idx := make([]int, len(r.points))
-	for i := range idx {
-		idx[i] = i
+	slices.SortFunc(pts, func(a, b point) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(d.Servers[a.server].ID, d.Servers[b.server].ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.vnode, b.vnode)
+	})
+	r := &ring{points: make([]uint64, len(pts)), servers: make([]*cdn.Server, len(pts))}
+	for i, p := range pts {
+		r.points[i], r.servers[i] = p.hash, d.Servers[p.server]
 	}
-	sort.Slice(idx, func(i, j int) bool { return r.points[idx[i]] < r.points[idx[j]] })
-	points := make([]uint64, len(idx))
-	servers := make([]*cdn.Server, len(idx))
-	for i, j := range idx {
-		points[i], servers[i] = r.points[j], r.servers[j]
-	}
-	r.points, r.servers = points, servers
 	return r
 }
 
@@ -262,10 +277,10 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// hashString is FNV-1a over the string bytes, allocation-free. It
-// produces the same values as hash/fnv's New64a, preserving consistent-
-// hash ring placement across this change.
-func hashString(s string) uint64 {
+// fnv1a is FNV-1a over the bytes of a string or a byte slice, allocation-
+// free. It produces the same values as hash/fnv's New64a, which is what
+// places a server on its ring and a domain on the ring's circle.
+func fnv1a[T string | []byte](s T) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

@@ -119,7 +119,7 @@ func (b *SnapshotBuilder) loadFactors(utils []float64) []float64 {
 	return f
 }
 
-// loadOrder returns the table order under the given load factors: the
+// rowOrder is the table order under a vector of load factors: the
 // composite distance-vs-load order, ascending Score·(1 + β·util²) — ping
 // milliseconds inflated for hot deployments, so rows spill to next-nearest
 // deployments as utilization climbs, and a saturated deployment can leave a
@@ -129,16 +129,25 @@ func (b *SnapshotBuilder) loadFactors(utils []float64) []float64 {
 // them as latency). Idle deployments (factor 1) keep the exact proximity
 // order, and nil factors are that order itself, so β>0 at zero load is
 // byte-identical to β=0.
-func loadOrder(factors []float64) func(a, b Ranked) int {
-	if factors == nil {
-		return compareRanked
+type rowOrder struct{ factors []float64 }
+
+// key is what the order sorts by first; entries with equal keys fall to
+// compare's tie-breaks.
+func (o rowOrder) key(r Ranked) float64 {
+	if o.factors == nil {
+		return r.Score()
 	}
-	return func(a, b Ranked) int {
-		if c := cmp.Compare(a.Score()*factors[a.Dep], b.Score()*factors[b.Dep]); c != 0 {
+	return r.Score() * o.factors[r.Dep]
+}
+
+// compare is the total order.
+func (o rowOrder) compare(a, b Ranked) int {
+	if o.factors != nil {
+		if c := cmp.Compare(o.key(a), o.key(b)); c != 0 {
 			return c
 		}
-		return compareRanked(a, b)
 	}
+	return compareRanked(a, b)
 }
 
 // equalFloat64s reports element-wise equality (nil equals nil).

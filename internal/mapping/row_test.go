@@ -30,7 +30,7 @@ func walked(r Row) []Ranked {
 // against proxy, sorted (ties by deployment index, as Rank breaks them).
 func fullRank(sc *Scorer, proxy netmodel.Endpoint) []Ranked {
 	full := make([]Ranked, len(sc.platform.Deployments))
-	sc.scoreInto(full, proxy)
+	sc.scoreInto(full, make([]float64, len(full)), proxy)
 	slices.SortFunc(full, compareRanked)
 	return full
 }
@@ -248,10 +248,10 @@ func TestBestIntoSelectsThePrefix(t *testing.T) {
 	}
 	scored, full := make([]Ranked, n), make([]Ranked, n)
 	for i := 0; i < len(testW.Blocks); i += 211 {
-		sc.scoreInto(scored, testW.Blocks[i].Endpoint())
-		for _, order := range []func(a, b Ranked) int{loadOrder(nil), loadOrder(factors)} {
+		sc.scoreInto(scored, make([]float64, len(scored)), testW.Blocks[i].Endpoint())
+		for _, order := range []rowOrder{{}, {factors}} {
 			bestInto(full, scored, order)
-			if !slices.IsSortedFunc(full, order) {
+			if !slices.IsSortedFunc(full, order.compare) {
 				t.Fatalf("block %d: the full ranking is not sorted", i)
 			}
 			for _, k := range []int{1, 2, rankHead, n - 1} {
@@ -281,7 +281,7 @@ func TestLoadMovesDeploymentsOutOfHeads(t *testing.T) {
 	hot.Servers[0].AddLoad(4 * hot.Capacity())
 	warm := b.Build(2, EndUser)
 
-	order := loadOrder(b.loadFactors(b.prevUtil))
+	order := rowOrder{b.loadFactors(b.prevUtil)}
 	holds := func(head []Ranked) bool {
 		return slices.ContainsFunc(head, func(c Ranked) bool { return c.Dep == hotAt })
 	}
@@ -289,7 +289,7 @@ func TestLoadMovesDeploymentsOutOfHeads(t *testing.T) {
 	for s, seg := range warm.lay.Segments {
 		before, after := cold.rows[s], warm.rows[s]
 		full := fullRank(b.Scorer(), b.Scorer().segProxy(seg))
-		slices.SortFunc(full, order)
+		slices.SortFunc(full, order.compare)
 		if !slices.Equal(after, full[:warm.lay.TableLen]) {
 			t.Fatalf("segment %d: head is not the first %d of the composite order", s, warm.lay.TableLen)
 		}

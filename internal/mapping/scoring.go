@@ -23,6 +23,17 @@ type Prober interface {
 	PingMs(a, b netmodel.Endpoint) float64
 }
 
+// rowProber is a Prober that can also measure one target against many
+// prepared sites in a single call — dst[i] = PingMs(from[i].Endpoint, to),
+// bit for bit — doing each endpoint's share of the arithmetic once per row
+// instead of once per pair. The network model is one. A prober that serves
+// stored observations (measure.DB, the test fakes) is not, and is asked pair
+// by pair; that loop is also the reference the row form is tested against.
+type rowProber interface {
+	Prober
+	PingRow(dst []float64, from []netmodel.Site, to netmodel.Endpoint)
+}
+
 // Scorer evaluates which deployments serve a given network location best.
 // It reproduces the measurement methodology of §6: rather than measuring
 // every client block directly, blocks are clustered to a bounded set of
@@ -37,7 +48,15 @@ type Prober interface {
 type Scorer struct {
 	platform *cdn.Platform
 	net      Prober
-	targets  []netmodel.Endpoint
+	// rows is net when it can measure a row at a time (decided once, in
+	// NewScorer), else nil; sites are the platform's deployments prepared
+	// for it, in deployment order.
+	rows    rowProber
+	sites   []netmodel.Site
+	targets []netmodel.Endpoint
+	// targetAt holds each target's location prepared for the nearest-target
+	// search, which measures one endpoint against many of them.
+	targetAt []geo.Prepared
 
 	// targetIdx maps a ping target's endpoint ID to its index, so
 	// measurement updates scoped to specific targets (the MapMaker's
@@ -112,6 +131,13 @@ func NewScorer(w *world.World, p *cdn.Platform, net Prober, numTargets int) *Sco
 		nearest:  map[uint64]int32{},
 		best:     map[int32]Ranked{},
 	}
+	if rows, ok := net.(rowProber); ok {
+		s.rows = rows
+		s.sites = make([]netmodel.Site, len(p.Deployments))
+		for i, d := range p.Deployments {
+			s.sites[i] = netmodel.SiteOf(d.Endpoint())
+		}
+	}
 	if numTargets > 0 {
 		blocks := append([]*world.ClientBlock{}, w.Blocks...)
 		sort.Slice(blocks, func(i, j int) bool { return blocks[i].Demand > blocks[j].Demand })
@@ -120,6 +146,7 @@ func NewScorer(w *world.World, p *cdn.Platform, net Prober, numTargets int) *Sco
 		}
 		for _, b := range blocks[:numTargets] {
 			s.targets = append(s.targets, b.Endpoint())
+			s.targetAt = append(s.targetAt, geo.Prepare(b.Loc))
 		}
 		s.targetIdx = make(map[uint64]int, len(s.targets))
 		for i, t := range s.targets {
@@ -182,9 +209,10 @@ func (s *Scorer) nearestTarget(ep netmodel.Endpoint) int {
 	j := sort.SearchFloat64s(s.latSorted, ep.Loc.Lat)
 	i := j - 1
 	best, bestD := -1, math.Inf(1)
+	at := geo.Prepare(ep.Loc)
 	consider := func(k int) {
 		t := int(s.latOrder[k])
-		d := geo.Distance(ep.Loc, s.targets[t].Loc)
+		d := at.DistanceTo(s.targetAt[t])
 		if d < bestD || (d == bestD && t < best) {
 			best, bestD = t, d
 		}
@@ -234,38 +262,68 @@ func (s *Scorer) segProxy(seg Segment) netmodel.Endpoint {
 	return seg.Rep
 }
 
-// scoreInto writes every deployment's entry — its index and its ping to
-// proxy — into scored, in deployment order.
-func (s *Scorer) scoreInto(scored []Ranked, proxy netmodel.Endpoint) {
+// pingRow measures proxy from every deployment: dst[i] is deployment i's
+// ping to it. Each pair is measured exactly once.
+func (s *Scorer) pingRow(dst []float64, proxy netmodel.Endpoint) {
+	if s.rows != nil {
+		s.rows.PingRow(dst, s.sites, proxy)
+		return
+	}
 	for i, d := range s.platform.Deployments {
-		scored[i] = MakeRanked(uint32(i), s.net.PingMs(d.Endpoint(), proxy))
+		dst[i] = s.net.PingMs(d.Endpoint(), proxy)
+	}
+}
+
+// scoreInto writes every deployment's entry — its index and its ping to
+// proxy — into scored, in deployment order. pings is scratch of the same
+// length.
+func (s *Scorer) scoreInto(scored []Ranked, pings []float64, proxy netmodel.Endpoint) {
+	s.pingRow(pings, proxy)
+	for i, ms := range pings {
+		scored[i] = MakeRanked(uint32(i), ms)
 	}
 }
 
 // bestInto writes the len(dst) best of scored into dst, best first under
-// order, which must be a total order: the whole ranking when dst is as long
-// as scored (they may be the same slice), otherwise exactly its first
-// len(dst) entries, selected without sorting the rest.
-func bestInto(dst, scored []Ranked, order func(a, b Ranked) int) {
+// order: the whole ranking when dst is as long as scored (they may be the
+// same slice), otherwise exactly its first len(dst) entries, selected
+// without sorting the rest.
+func bestInto(dst, scored []Ranked, order rowOrder) {
 	if len(dst) == len(scored) {
 		copy(dst, scored)
-		slices.SortFunc(dst, order)
+		slices.SortFunc(dst, order.compare)
 		return
 	}
-	// Insertion into a sorted window of len(dst): almost every candidate
-	// loses to the window's worst entry and costs one comparison.
-	n := 0
+	// Insertion into a sorted window of len(dst). Almost every candidate
+	// loses to the window's worst entry, and a key above the worst's says so
+	// in one float compare; the rest are placed by binary search on the
+	// keys. Only equal keys need the order's tie-breaks.
+	before := func(a Ranked, ka float64, b Ranked, kb float64) bool {
+		return ka < kb || ka == kb && order.compare(a, b) < 0
+	}
+	n, worst := 0, 0.0
 	for _, r := range scored {
+		k := order.key(r)
 		if n == len(dst) {
-			if order(r, dst[n-1]) >= 0 {
+			if !before(r, k, dst[n-1], worst) {
 				continue
 			}
 			n--
 		}
-		i, _ := slices.BinarySearchFunc(dst[:n], r, order)
-		copy(dst[i+1:n+1], dst[i:n])
-		dst[i] = r
-		n++
+		lo, hi := 0, n
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if before(dst[m], order.key(dst[m]), r, k) {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		copy(dst[lo+1:n+1], dst[lo:n])
+		dst[lo] = r
+		if n++; n == len(dst) {
+			worst = order.key(dst[n-1])
+		}
 	}
 }
 
@@ -274,7 +332,7 @@ func bestInto(dst, scored []Ranked, order func(a, b Ranked) int) {
 func (s *Scorer) Rank(ep netmodel.Endpoint) []Ranked {
 	proxy, _ := s.proxyEndpoint(ep)
 	r := make([]Ranked, len(s.platform.Deployments))
-	s.scoreInto(r, proxy)
+	s.scoreInto(r, make([]float64, len(r)), proxy)
 	slices.SortFunc(r, compareRanked)
 	return r
 }
@@ -296,12 +354,13 @@ func (s *Scorer) Best(ep netmodel.Endpoint) (*cdn.Deployment, float64) {
 	}
 	var best *cdn.Deployment
 	bestAt, bestScore := 0, 0.0
+	pings := make([]float64, len(s.platform.Deployments))
+	s.pingRow(pings, proxy)
 	for i, d := range s.platform.Deployments {
 		if !d.Alive() {
 			continue
 		}
-		sc := s.net.PingMs(d.Endpoint(), proxy)
-		if best == nil || sc < bestScore {
+		if sc := pings[i]; best == nil || sc < bestScore {
 			best, bestAt, bestScore = d, i, sc
 		}
 	}
@@ -374,30 +433,31 @@ func (s *Scorer) bestWeighted(eps []netmodel.Endpoint, weights []float64) (int, 
 	if len(eps) == 0 {
 		return -1, 0
 	}
-	proxies := make([]netmodel.Endpoint, len(eps))
+	// One row per endpoint, accumulated per deployment in endpoint order.
+	n := len(s.platform.Deployments)
+	sums, pings := make([]float64, n), make([]float64, n)
+	var wsum float64
 	for i, ep := range eps {
-		proxies[i], _ = s.proxyEndpoint(ep)
+		proxy, _ := s.proxyEndpoint(ep)
+		w := 1.0
+		if weights != nil {
+			w = weights[i]
+		}
+		s.pingRow(pings, proxy)
+		for d, ms := range pings {
+			sums[d] += w * ms
+		}
+		wsum += w
+	}
+	if wsum == 0 {
+		return -1, 0
 	}
 	best, bestScore := -1, 0.0
 	for di, d := range s.platform.Deployments {
 		if !d.Alive() {
 			continue
 		}
-		de := d.Endpoint()
-		var sum, wsum float64
-		for i, p := range proxies {
-			w := 1.0
-			if weights != nil {
-				w = weights[i]
-			}
-			sum += w * s.net.PingMs(de, p)
-			wsum += w
-		}
-		if wsum == 0 {
-			continue
-		}
-		sc := sum / wsum
-		if best < 0 || sc < bestScore {
+		if sc := sums[di] / wsum; best < 0 || sc < bestScore {
 			best, bestScore = di, sc
 		}
 	}

@@ -415,8 +415,9 @@ func (b *SnapshotBuilder) layoutLocked() *Layout {
 // into b.raw, on the worker pool.
 func (b *SnapshotBuilder) measure(lay *Layout, segs []int32) {
 	par.MapShards(len(segs), func(_, lo, hi int) struct{} {
+		pings := make([]float64, lay.TailLen)
 		for _, s := range segs[lo:hi] {
-			b.scorer.scoreInto(b.raw[int(s)*lay.TailLen:][:lay.TailLen], b.scorer.segProxy(lay.Segments[s]))
+			b.scorer.scoreInto(b.raw[int(s)*lay.TailLen:][:lay.TailLen], pings, b.scorer.segProxy(lay.Segments[s]))
 		}
 		return struct{}{}
 	})
@@ -427,7 +428,7 @@ func (b *SnapshotBuilder) measure(lay *Layout, segs []int32) {
 // of the segment that ranks it. Each segment is scored once — out of b.raw
 // when the builder keeps it, else into the worker's scratch — and from the
 // scores its head is selected and the tail it ranks, if any, sorted, both
-// under loadOrder: at a positive balance factor a head is the best of the
+// under rowOrder: at a positive balance factor a head is the best of the
 // composite order, not the nearest re-shuffled.
 func (b *SnapshotBuilder) fillRows(lay *Layout, rows []int32, arena []Ranked, factors []float64) {
 	nSegs := len(lay.Segments)
@@ -439,15 +440,15 @@ func (b *SnapshotBuilder) fillRows(lay *Layout, rows []int32, arena []Ranked, fa
 			tailAt[lay.TailSeg[int(i)-nSegs]] = k
 		}
 	}
-	order := loadOrder(factors)
+	order := rowOrder{factors}
 	par.MapShards(len(rows)-len(tailAt), func(_, lo, hi int) struct{} {
-		scratch := make([]Ranked, lay.TailLen)
+		scratch, pings := make([]Ranked, lay.TailLen), make([]float64, lay.TailLen)
 		for k := lo; k < hi; k++ {
 			s, scored := rows[k], scratch
 			if b.raw != nil {
 				scored = b.raw[int(s)*lay.TailLen:][:lay.TailLen]
 			} else {
-				b.scorer.scoreInto(scored, b.scorer.segProxy(lay.Segments[s]))
+				b.scorer.scoreInto(scored, pings, b.scorer.segProxy(lay.Segments[s]))
 			}
 			bestInto(arena[offs[k]:offs[k+1]], scored, order)
 			if t, ok := tailAt[s]; ok {

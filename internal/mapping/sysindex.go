@@ -1,8 +1,9 @@
 package mapping
 
 import (
+	"cmp"
 	"net/netip"
-	"sort"
+	"slices"
 	"unsafe"
 
 	"eum/internal/world"
@@ -47,14 +48,14 @@ type unit6Key struct {
 	bits   uint8
 }
 
-func (k unit6Key) less(o unit6Key) bool {
-	if k.hi != o.hi {
-		return k.hi < o.hi
+func (k unit6Key) compare(o unit6Key) int {
+	if c := cmp.Compare(k.hi, o.hi); c != 0 {
+		return c
 	}
-	if k.lo != o.lo {
-		return k.lo < o.lo
+	if c := cmp.Compare(k.lo, o.lo); c != 0 {
+		return c
 	}
-	return k.bits < o.bits
+	return cmp.Compare(k.bits, o.bits)
 }
 
 // addr128 splits an address's 16-byte form into two uint64 halves.
@@ -131,14 +132,14 @@ func buildSysIndex(w *world.World, units UnitPolicy) *sysIndex {
 		}
 	}
 
-	sort.Slice(leaf4, func(i, j int) bool { return leaf4[i].k < leaf4[j].k })
+	slices.SortFunc(leaf4, func(a, b p32) int { return cmp.Compare(a.k, b.k) })
 	ix.leaf4Keys = make([]uint32, len(leaf4))
 	ix.leaf4Blocks = make([]int32, len(leaf4))
 	for i, e := range leaf4 {
 		ix.leaf4Keys[i] = e.k
 		ix.leaf4Blocks[i] = e.idx
 	}
-	sort.Slice(leaf6, func(i, j int) bool { return leaf6[i].k < leaf6[j].k })
+	slices.SortFunc(leaf6, func(a, b p64) int { return cmp.Compare(a.k, b.k) })
 	ix.leaf6Keys = make([]uint64, len(leaf6))
 	ix.leaf6Blocks = make([]int32, len(leaf6))
 	for i, e := range leaf6 {
@@ -150,7 +151,7 @@ func buildSysIndex(w *world.World, units UnitPolicy) *sysIndex {
 	for k, idx := range rep4 {
 		u4 = append(u4, p64{k, idx})
 	}
-	sort.Slice(u4, func(i, j int) bool { return u4[i].k < u4[j].k })
+	slices.SortFunc(u4, func(a, b p64) int { return cmp.Compare(a.k, b.k) })
 	ix.unit4Keys = make([]uint64, len(u4))
 	ix.unit4Blocks = make([]int32, len(u4))
 	for i, e := range u4 {
@@ -161,7 +162,7 @@ func buildSysIndex(w *world.World, units UnitPolicy) *sysIndex {
 	for k, idx := range rep6 {
 		u6 = append(u6, p128{k, idx})
 	}
-	sort.Slice(u6, func(i, j int) bool { return u6[i].k.less(u6[j].k) })
+	slices.SortFunc(u6, func(a, b p128) int { return a.k.compare(b.k) })
 	ix.unit6Keys = make([]unit6Key, len(u6))
 	ix.unit6Blocks = make([]int32, len(u6))
 	for i, e := range u6 {
@@ -177,7 +178,7 @@ func buildSysIndex(w *world.World, units UnitPolicy) *sysIndex {
 	for i, l := range w.LDNSes {
 		la[i] = pAddr{l.Addr, int32(i)}
 	}
-	sort.Slice(la, func(i, j int) bool { return la[i].a.Compare(la[j].a) < 0 })
+	slices.SortFunc(la, func(a, b pAddr) int { return a.a.Compare(b.a) })
 	ix.ldnsAddrs = make([]netip.Addr, len(la))
 	ix.ldnsIdx = make([]int32, len(la))
 	for i, e := range la {
@@ -254,7 +255,7 @@ func searchUnit6(keys []unit6Key, k unit6Key) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if keys[m].less(k) {
+		if keys[m].compare(k) < 0 {
 			lo = m + 1
 		} else {
 			hi = m

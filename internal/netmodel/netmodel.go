@@ -20,6 +20,13 @@
 // seed, so the model is a pure function: the same pair always sees the same
 // base path quality, with an optional epoch input to model day-to-day
 // congestion variation.
+//
+// Every metric is arithmetic on a path — the pair's great-circle distance
+// and the AS crossings it implies — measured once per call. The distance is
+// geo's (geo.Prepared.DistanceTo owns the haversine; there is none here),
+// and PingRow is PingMs for one target against many prepared sites, equal
+// to it bit for bit: rank ties, the figures' checksums and the wire image's
+// CRC all depend on a score not moving in its last place.
 package netmodel
 
 import (
@@ -153,24 +160,32 @@ func DefaultParams() Params {
 // use; all methods are pure functions of their inputs.
 type Model struct {
 	p Params
+	// The inner hash of hash01 for the three salts that do not vary by
+	// epoch, mixed with the seed once here instead of once per pair.
+	crossSalt, pingSalt, lossSalt uint64
 }
 
 // New returns a Model with the given parameters.
 func New(p Params) *Model {
-	return &Model{p: p}
+	return &Model{
+		p:         p,
+		crossSalt: mix64(0xA5 ^ p.Seed),
+		pingSalt:  mix64(0x9147 ^ p.Seed),
+		lossSalt:  mix64(0x10555 ^ p.Seed),
+	}
 }
 
 // NewDefault returns a Model with DefaultParams.
 func NewDefault() *Model { return New(DefaultParams()) }
 
 // hash01 derives a deterministic uniform value in [0,1) from the pair and
-// a salt. The pair is unordered so metrics are symmetric.
-func (m *Model) hash01(a, b Endpoint, salt uint64) float64 {
+// a salted seed. The pair is unordered so metrics are symmetric.
+func hash01(a, b *Endpoint, salted uint64) float64 {
 	x, y := a.ID, b.ID
 	if x > y {
 		x, y = y, x
 	}
-	h := mix64(x ^ mix64(y^mix64(salt^m.p.Seed)))
+	h := mix64(x ^ mix64(y^salted))
 	return float64(h>>11) / float64(1<<53)
 }
 
@@ -182,45 +197,98 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// ASCrossings estimates the number of AS boundaries a path between a and b
-// traverses: zero inside one AS, plus roughly one extra transit hop per
-// 2500 miles (transnational links, peering points).
-func (m *Model) ASCrossings(a, b Endpoint) int {
-	if a.ASN == b.ASN {
-		return 0
-	}
-	d := geo.Distance(a.Loc, b.Loc)
-	crossings := 1 + int(d/2500)
-	// Some pairs peer directly; some go through extra intermediaries.
-	u := m.hash01(a, b, 0xA5)
-	if u < 0.25 && crossings > 1 {
-		crossings--
-	} else if u > 0.85 {
-		crossings++
-	}
-	return crossings
+// path is a pair of endpoints measured once: the great-circle distance
+// between them and the AS crossings it implies. Every metric below is
+// arithmetic on a path, so none measures the pair a second time.
+type path struct {
+	a, b      *Endpoint
+	miles     float64
+	crossings int
 }
+
+// pathOver is the path between a and b given their distance in miles: zero
+// AS crossings inside one AS, otherwise one plus roughly one extra transit
+// hop per 2500 miles (transnational links, peering points).
+func (m *Model) pathOver(a, b *Endpoint, miles float64) path {
+	pt := path{a: a, b: b, miles: miles}
+	if a.ASN == b.ASN {
+		return pt
+	}
+	pt.crossings = 1 + int(miles/2500)
+	// Some pairs peer directly; some go through extra intermediaries.
+	u := hash01(a, b, m.crossSalt)
+	if u < 0.25 && pt.crossings > 1 {
+		pt.crossings--
+	} else if u > 0.85 {
+		pt.crossings++
+	}
+	return pt
+}
+
+// path measures the pair. geo owns the haversine; this is the model's one
+// call to it for endpoints that were not prepared (see PingRow).
+func (m *Model) path(a, b *Endpoint) path {
+	return m.pathOver(a, b, geo.Distance(a.Loc, b.Loc))
+}
+
+// backboneMs is the round trip between the two ends' access routers:
+// propagation plus AS crossings, no last mile.
+func (m *Model) backboneMs(pt path) float64 {
+	prop := 2 * pt.miles * m.p.RouteInflation / m.p.FiberMilesPerMs
+	cross := 2 * float64(pt.crossings) * m.p.PerASCrossingMs
+	return prop + cross
+}
+
+// baseRTTMs adds both last miles to the backbone round trip.
+func (m *Model) baseRTTMs(pt path) float64 {
+	return m.backboneMs(pt) + lastMileMs[pt.a.Access] + lastMileMs[pt.b.Access]
+}
+
+// congestionMs is the epoch's heavy-tailed congestion term, growing with
+// the number of AS crossings: the inverse CDF of a Pareto-ish tail, so most
+// epochs sit near zero congestion and a few are heavily congested.
+func (m *Model) congestionMs(pt path, epoch uint64) float64 {
+	u := hash01(pt.a, pt.b, mix64(0xC0FFEE^epoch^m.p.Seed))
+	return m.p.CongestionMs * float64(1+pt.crossings) * paretoTail(u)
+}
+
+// rttMs is the epoch's round trip: base plus congestion.
+func (m *Model) rttMs(pt path, epoch uint64) float64 {
+	return m.baseRTTMs(pt) + m.congestionMs(pt, epoch)
+}
+
+// pingMs is the probe reading: the backbone round trip scaled by the
+// pair's measurement-noise factor.
+func (m *Model) pingMs(pt path) float64 {
+	noise := 1 - m.p.PingNoise*hash01(pt.a, pt.b, m.pingSalt)
+	return m.backboneMs(pt) * noise
+}
+
+// loss is the path's packet-loss probability.
+func (m *Model) loss(pt path) float64 {
+	loss := m.p.BaseLoss + m.p.LossPerCrossing*float64(pt.crossings)
+	// Per-pair variation of ±50%.
+	loss *= 0.5 + hash01(pt.a, pt.b, m.lossSalt)
+	if loss > 0.25 {
+		loss = 0.25
+	}
+	return loss
+}
+
+// ASCrossings estimates the number of AS boundaries a path between a and b
+// traverses.
+func (m *Model) ASCrossings(a, b Endpoint) int { return m.path(&a, &b).crossings }
 
 // BaseRTTMs is the congestion-free round-trip time in milliseconds:
 // propagation + AS crossings + both last miles.
-func (m *Model) BaseRTTMs(a, b Endpoint) float64 {
-	d := geo.Distance(a.Loc, b.Loc)
-	prop := 2 * d * m.p.RouteInflation / m.p.FiberMilesPerMs
-	cross := 2 * float64(m.ASCrossings(a, b)) * m.p.PerASCrossingMs
-	return prop + cross + lastMileMs[a.Access] + lastMileMs[b.Access]
-}
+func (m *Model) BaseRTTMs(a, b Endpoint) float64 { return m.baseRTTMs(m.path(&a, &b)) }
 
 // RTTMs is the modelled round-trip time in milliseconds for the given
 // epoch (e.g. day number). The congestion term is heavy-tailed and grows
 // with the number of AS crossings, modelling the paper's observation that
 // paths crossing more AS boundaries and peering points see more congestion.
 func (m *Model) RTTMs(a, b Endpoint, epoch uint64) float64 {
-	base := m.BaseRTTMs(a, b)
-	u := m.hash01(a, b, 0xC0FFEE^epoch)
-	// Inverse-CDF of a Pareto-ish tail: most epochs near zero congestion,
-	// a few heavily congested.
-	congestion := m.p.CongestionMs * float64(1+m.ASCrossings(a, b)) * paretoTail(u)
-	return base + congestion
+	return m.rttMs(m.path(&a, &b), epoch)
 }
 
 // paretoTail maps u in [0,1) to a nonnegative multiplier with mean ~1 and
@@ -238,22 +306,15 @@ func paretoTail(u float64) float64 {
 }
 
 // Loss returns the modelled packet-loss probability on the path.
-func (m *Model) Loss(a, b Endpoint) float64 {
-	loss := m.p.BaseLoss + m.p.LossPerCrossing*float64(m.ASCrossings(a, b))
-	// Per-pair variation of ±50%.
-	loss *= 0.5 + m.hash01(a, b, 0x10555)
-	if loss > 0.25 {
-		loss = 0.25
-	}
-	return loss
-}
+func (m *Model) Loss(a, b Endpoint) float64 { return m.loss(m.path(&a, &b)) }
 
 // ThroughputMbps returns the achievable TCP throughput in Mbit/s, the
 // minimum of the Mathis law MSS/(RTT·sqrt(loss)) and the client's last-mile
 // bandwidth.
 func (m *Model) ThroughputMbps(a, b Endpoint, epoch uint64) float64 {
-	rtt := m.RTTMs(a, b, epoch) / 1000 // seconds
-	loss := m.Loss(a, b)
+	pt := m.path(&a, &b)
+	rtt := m.rttMs(pt, epoch) / 1000 // seconds
+	loss := m.loss(pt)
 	if loss <= 0 {
 		loss = 1e-6
 	}
@@ -271,20 +332,36 @@ func (m *Model) ThroughputMbps(a, b Endpoint, epoch uint64) float64 {
 // en route to a client block. Per the paper (§6), ping latency is a lower
 // bound on the true client RTT since the target sits before the last mile;
 // we model it as the base RTT without either endpoint's last-mile term.
-func (m *Model) PingMs(a, b Endpoint) float64 {
-	d := geo.Distance(a.Loc, b.Loc)
-	prop := 2 * d * m.p.RouteInflation / m.p.FiberMilesPerMs
-	cross := 2 * float64(m.ASCrossings(a, b)) * m.p.PerASCrossingMs
-	noise := 1 - m.p.PingNoise*m.hash01(a, b, 0x9147)
-	return (prop + cross) * noise
-}
+func (m *Model) PingMs(a, b Endpoint) float64 { return m.pingMs(m.path(&a, &b)) }
 
 // PingMsAt is PingMs plus the congestion the probe would observe in the
 // given epoch: measurement pipelines see the network's time-varying state,
 // which is why measurement freshness matters to mapping quality (the
 // "real-time" half of the paper's measurement component).
 func (m *Model) PingMsAt(a, b Endpoint, epoch uint64) float64 {
-	u := m.hash01(a, b, 0xC0FFEE^epoch)
-	congestion := 0.5 * m.p.CongestionMs * float64(1+m.ASCrossings(a, b)) * paretoTail(u)
-	return m.PingMs(a, b) + congestion
+	pt := m.path(&a, &b)
+	// A probe sees half the congestion a client's round trip does (halving
+	// a float64 is exact, so where in the product it happens is immaterial).
+	return m.pingMs(pt) + 0.5*m.congestionMs(pt, epoch)
+}
+
+// Site is an endpoint with the latitude trigonometry of its location done,
+// for the side of a row that is measured against many targets.
+type Site struct {
+	Endpoint
+	at geo.Prepared
+}
+
+// SiteOf prepares an endpoint.
+func SiteOf(ep Endpoint) Site { return Site{Endpoint: ep, at: geo.Prepare(ep.Loc)} }
+
+// PingRow is the row form of PingMs: dst[i] = PingMs(from[i].Endpoint, to),
+// bit for bit, with to's trigonometry done once for the row and each
+// site's once for all rows.
+func (m *Model) PingRow(dst []float64, from []Site, to Endpoint) {
+	at := geo.Prepare(to.Loc)
+	for i := range from {
+		s := &from[i]
+		dst[i] = m.pingMs(m.pathOver(&s.Endpoint, &to, s.at.DistanceTo(at)))
+	}
 }
