@@ -11,12 +11,7 @@ SIMBENCH = BenchmarkWorldGenerate|BenchmarkRolloutTimeline|BenchmarkFig25Sweep
 # under map churn (see DESIGN.md "Control plane / data plane").
 SNAPBENCH = BenchmarkSnapshotSwap|BenchmarkServingUnderMapChurn
 
-# Sharded serving-plane sweep: SO_REUSEPORT shards x recvmmsg batch size,
-# in-process clients (see DESIGN.md "Sharded serving plane"; the measured
-# figures are BENCHMARK.json's serve_qps and dnsserver.packets_per_wakeup).
-QPSBENCH = BenchmarkShardedThroughput
-
-.PHONY: all check vet build test loc race chaos load-chaos dist-chaos obs crossbuild scale-smoke ecsgrid-smoke figures-check figures-golden bench-smoke bench-e2e bench-pair bench bench-hot bench-sim bench-snapshot bench-qps bench-figures
+.PHONY: all check vet build test loc race chaos load-chaos dist-chaos obs crossbuild scale-smoke ecsgrid-smoke figures-check figures-golden bench-smoke bench-e2e bench-pair bench bench-hot bench-sim bench-snapshot bench-figures
 
 all: check
 
@@ -54,7 +49,8 @@ loc:
 # Chaos harness: the full UDP serving plane under injected packet loss,
 # duplication, reordering, latency jitter, server outages and MapMaker
 # build crashes (see DESIGN.md "Failure model & degradation ladder").
-# -v so the shed/stale/RRL counter log lines land in CI output.
+# -v so the server's deadline-drop/RRL/panic counters and the authority's
+# stale/fallback counts land in CI output.
 chaos:
 	$(GO) test -race -v -run 'TestChaos|TestEndToEndThroughFaults' ./internal/faultnet/
 
@@ -144,19 +140,18 @@ bench-sim:
 bench-snapshot:
 	$(GO) test -run 'TestNone' -bench '$(SNAPBENCH)' -benchmem .
 
-# Sharded serving plane: shard-count x batch-size throughput sweep.
-bench-qps:
-	$(GO) test -run 'TestNone' -bench '$(QPSBENCH)' -benchmem -benchtime 2s .
-
 # The SO_REUSEPORT and recvmmsg/sendmmsg code is build-tagged per OS and
 # arch; compile the portable fallbacks so a tag typo can't rot unnoticed.
+# linux/386 is the one Linux build on the single-datagram path: SO_REUSEPORT
+# shards, no recvmmsg wiring.
 crossbuild:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=windows GOARCH=amd64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=386 $(GO) build ./...
 
 # Regenerate every paper figure as benchmarks (slow; see EXPERIMENTS.md).
 bench-figures:
 	$(GO) test -run 'TestNone' -bench . -benchmem .
 
-bench: bench-hot bench-sim bench-qps
+bench: bench-hot bench-sim

@@ -9,11 +9,9 @@ package bench
 
 import (
 	"context"
-	"net"
 	"net/netip"
 	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -911,90 +909,6 @@ func BenchmarkAuthorityServeDNS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if resp := auth.ServeDNS(remote, q); resp == nil || resp.RCode != dnsmsg.RCodeSuccess {
 			b.Fatal("bad response")
-		}
-	}
-}
-
-// BenchmarkShardedThroughput sweeps the sharded serving plane over
-// listener-shard counts (SO_REUSEPORT sockets) and syscall batch sizes
-// (recvmmsg/sendmmsg) under parallel ping-pong clients, each owning a UDP
-// socket. Beside the qps metric it reports pkts-per-wakeup — packets delivered per receive
-// syscall return, summed over shards — which is the direct evidence the
-// batched path amortises syscalls (1.0 on the single-packet path).
-// Non-default shard/batch settings are linux-only and skipped elsewhere.
-func BenchmarkShardedThroughput(b *testing.B) {
-	l := benchLab(b)
-	sys := mapping.NewSystem(l.World, l.Platform, l.Net, mapping.Config{
-		Policy: mapping.EndUser, PingTargets: 400,
-	})
-	auth, err := authority.New("cdn.example.net", sys)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blk := l.World.Blocks[0]
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, batch := range []int{1, 32} {
-			name := "shards-" + strconv.Itoa(shards) + "/batch-" + strconv.Itoa(batch)
-			b.Run(name, func(b *testing.B) {
-				if (shards > 1 || batch > 1) && runtime.GOOS != "linux" {
-					b.Skip("SO_REUSEPORT sharding and batched I/O are linux-only")
-				}
-				srv, err := dnsserver.ListenConfig("127.0.0.1:0", auth,
-					dnsserver.Config{ListenerShards: shards, BatchSize: batch})
-				if err != nil {
-					b.Fatal(err)
-				}
-				go func() { _ = srv.Serve() }()
-				defer srv.Close()
-				addr := srv.Addr().String()
-
-				b.SetParallelism(8)
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					conn, err := net.Dial("udp", addr)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					defer conn.Close()
-					_ = conn.SetDeadline(time.Now().Add(5 * time.Minute))
-					q := dnsmsg.NewQuery(9, "img.cdn.example.net", dnsmsg.TypeA)
-					_ = q.SetClientSubnet(blk.Prefix.Addr(), 24)
-					wire, err := q.Pack()
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					buf := make([]byte, 4096)
-					for pb.Next() {
-						if _, err := conn.Write(wire); err != nil {
-							b.Error(err)
-							return
-						}
-						n, err := conn.Read(buf)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						if n < 12 || buf[0] != wire[0] || buf[1] != wire[1] {
-							b.Error("short or mismatched response")
-							return
-						}
-					}
-				})
-				b.StopTimer()
-				var wakeups, packets uint64
-				for _, st := range srv.ShardStats() {
-					wakeups += st.Wakeups
-					packets += st.BatchedPackets
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
-				if wakeups > 0 {
-					b.ReportMetric(float64(packets)/float64(wakeups), "pkts-per-wakeup")
-				}
-			})
 		}
 	}
 }

@@ -276,7 +276,7 @@ func runLoadMonitor(ctx context.Context, lm *mapmaker.LoadMonitor, p *cdn.Platfo
 
 // runSelfProbe periodically resolves a name against this process's own
 // listener through a real dnsclient — a blackbox check that the whole
-// socket → queue → authority path stays live, feeding the selfprobe_*
+// socket → serve loop → authority path stays live, feeding the selfprobe_*
 // counters (attempts with no retries = healthy).
 func runSelfProbe(ctx context.Context, c *dnsclient.Client, server string, name dnsmsg.Name, every time.Duration) {
 	t := time.NewTicker(every)

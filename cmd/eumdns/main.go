@@ -144,11 +144,7 @@ func main() {
 		handler = dnsserver.WithLogging(handler, slog.New(slog.NewJSONHandler(os.Stderr, nil)))
 	}
 
-	serverCfg, err := cfg.ServerConfig()
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv, err := dnsserver.ListenConfig(addr, handler, serverCfg)
+	srv, err := dnsserver.ListenConfig(addr, handler, cfg.ServerConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -286,17 +282,13 @@ func loadConfig(fs *flag.FlagSet, args []string) (cfg config.Config, addr string
 	seed := fs.Int64("seed", 1, "generation seed")
 	mapRefresh := fs.Duration("map-refresh", 10*time.Second,
 		"MapMaker publish cadence in whole seconds (0 disables the background refresh loop)")
-	queueDepth := fs.Int("queue-depth", 0, "pending-query queue bound (0 = 4x workers)")
-	shed := fs.String("shed", "block", "overload policy when the queue is full: block, drop or refuse")
 	serveDeadline := fs.Duration("serve-deadline", 0,
-		"drop queued queries older than this, in whole milliseconds, before serving (0 disables)")
+		"drop a query that waited longer than this, in whole milliseconds, behind the answers ahead of it in its batch (0 disables)")
 	rrlRate := fs.Float64("rrl-rate", 0,
 		"response-rate limit per source prefix, responses/second (0 disables)")
 	rrlBurst := fs.Int("rrl-burst", 0, "response-rate limiter burst allowance (0 = default 8)")
 	shards := fs.Int("shards", 0,
 		"SO_REUSEPORT listener shards (0 = one per CPU on linux, 1 elsewhere)")
-	batch := fs.Int("batch", 0,
-		"datagrams drained/flushed per syscall via recvmmsg/sendmmsg, linux only (0 or 1 = single-packet)")
 	staleMaxAge := fs.Duration("stale-max-age", 30*time.Second,
 		"serve-stale watchdog: map age, in whole seconds, entering degraded answers (0 disables)")
 	balanceFactor := fs.Float64("balance-factor", 0,
@@ -337,13 +329,10 @@ func loadConfig(fs *flag.FlagSet, args []string) (cfg config.Config, addr string
 		cfg.Policy = strings.ToLower(*policyName)
 		cfg.World = config.WorldConfig{Seed: *seed, Blocks: *blocks}
 		cfg.Platform = config.PlatformConfig{Seed: *seed, Deployments: *deployments}
-		cfg.QueueDepth = *queueDepth
-		cfg.ShedPolicy = *shed
 		cfg.ServeDeadlineMillis = whole("serve-deadline", *serveDeadline, time.Millisecond)
 		cfg.RRLRate = *rrlRate
 		cfg.RRLBurst = *rrlBurst
 		cfg.ListenerShards = *shards
-		cfg.BatchSize = *batch
 		cfg.StaleMaxAgeSeconds = whole("stale-max-age", *staleMaxAge, time.Second)
 		cfg.MapRefreshSeconds = whole("map-refresh", *mapRefresh, time.Second)
 		cfg.BalanceFactor = *balanceFactor

@@ -55,14 +55,9 @@ type Config struct {
 	// its fetch cadence.
 	MapFetchSeconds int `json:"map_fetch_seconds,omitempty"`
 
-	// QueueDepth bounds the DNS server's pending-query queue; 0 keeps the
-	// server default (4x workers).
-	QueueDepth int `json:"queue_depth,omitempty"`
-	// ShedPolicy is what happens to queries arriving while the queue is
-	// full: "block", "drop" or "refuse" (default "block").
-	ShedPolicy string `json:"shed_policy,omitempty"`
-	// ServeDeadlineMillis drops queued queries older than this before
-	// serving them; 0 disables the deadline.
+	// ServeDeadlineMillis drops a received query that waited longer than
+	// this behind the answers ahead of it in its batch; 0 disables the
+	// deadline.
 	ServeDeadlineMillis int `json:"serve_deadline_ms,omitempty"`
 	// RRLRate enables per-source-prefix response-rate limiting at this
 	// many responses per second; 0 disables it.
@@ -74,10 +69,6 @@ type Config struct {
 	// shards the DNS server binds; 0 keeps the server default (one per
 	// GOMAXPROCS on Linux, 1 elsewhere). Values above 1 require Linux.
 	ListenerShards int `json:"listener_shards,omitempty"`
-	// BatchSize is how many datagrams each shard may drain or flush per
-	// syscall via recvmmsg/sendmmsg (Linux only); 0 or 1 selects the
-	// portable single-packet path. Maximum 64.
-	BatchSize int `json:"batch_size,omitempty"`
 	// AdminAddr, when set, serves the admin HTTP endpoints (/metrics,
 	// /healthz, /mapz, pprof) on this address, e.g. "127.0.0.1:9153".
 	// Empty disables the admin listener.
@@ -173,7 +164,6 @@ func Default() Config {
 		Policy:              "eu",
 		TTLSeconds:          20,
 		MapRefreshSeconds:   10,
-		ShedPolicy:          "block",
 		StaleMaxAgeSeconds:  30,
 		HealthFlapThreshold: 3,
 		World:               WorldConfig{Seed: 1, Blocks: 8000},
@@ -219,17 +209,11 @@ func (c Config) Validate() error {
 	if c.MapRefreshSeconds < 0 {
 		return fmt.Errorf("config: negative map_refresh_seconds")
 	}
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("config: negative queue_depth")
-	}
 	if c.PartitionMiles < 0 {
 		return fmt.Errorf("config: negative partition_miles (0 disables clustering)")
 	}
 	if err := c.validateLoadKnobs(); err != nil {
 		return err
-	}
-	if _, err := dnsserver.ParseShedPolicy(c.ShedPolicy); err != nil {
-		return fmt.Errorf("config: shed_policy: %w", err)
 	}
 	if c.ServeDeadlineMillis < 0 {
 		return fmt.Errorf("config: negative serve_deadline_ms")
@@ -251,12 +235,6 @@ func (c Config) Validate() error {
 	}
 	if c.ListenerShards > 1 && serverGOOS != "linux" {
 		return fmt.Errorf("config: listener_shards %d requires SO_REUSEPORT, which this build only wires up on linux (running on %s); set listener_shards to 1", c.ListenerShards, serverGOOS)
-	}
-	if c.BatchSize < 0 || c.BatchSize > 64 {
-		return fmt.Errorf("config: batch_size %d out of range [1, 64] (0 selects the single-packet default)", c.BatchSize)
-	}
-	if c.BatchSize > 1 && serverGOOS != "linux" {
-		return fmt.Errorf("config: batch_size %d requires recvmmsg/sendmmsg, which this build only wires up on linux (running on %s); set batch_size to 1", c.BatchSize, serverGOOS)
 	}
 	if c.AdminAddr != "" {
 		if _, err := netip.ParseAddrPort(c.AdminAddr); err != nil {
@@ -448,22 +426,14 @@ func (c Config) MappingPolicy() (mapping.Policy, error) {
 	return 0, fmt.Errorf("config: unknown policy %q (want ns, eu, or cans)", c.Policy)
 }
 
-// ServerConfig translates the serving-plane knobs into a dnsserver.Config
-// (concurrency fields left at server defaults).
-func (c Config) ServerConfig() (dnsserver.Config, error) {
-	shed, err := dnsserver.ParseShedPolicy(c.ShedPolicy)
-	if err != nil {
-		return dnsserver.Config{}, fmt.Errorf("config: shed_policy: %w", err)
-	}
+// ServerConfig translates the serving-plane knobs into a dnsserver.Config.
+func (c Config) ServerConfig() dnsserver.Config {
 	return dnsserver.Config{
-		QueueDepth:     c.QueueDepth,
-		OnOverload:     shed,
 		ServeDeadline:  time.Duration(c.ServeDeadlineMillis) * time.Millisecond,
 		RRLRate:        c.RRLRate,
 		RRLBurst:       c.RRLBurst,
 		ListenerShards: c.ListenerShards,
-		BatchSize:      c.BatchSize,
-	}, nil
+	}
 }
 
 // LoadSignalConfig translates the load-feedback knobs into the map

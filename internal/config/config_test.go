@@ -57,9 +57,23 @@ func TestParseDefaultsApply(t *testing.T) {
 	}
 }
 
+// TestParseRejectsUnknownFields covers a made-up key and the serve-loop
+// keys that no longer exist (queue_depth, shed_policy, batch_size): the
+// decoder names each as unknown instead of silently ignoring it.
 func TestParseRejectsUnknownFields(t *testing.T) {
-	if _, err := Parse(strings.NewReader(`{"zone": "z.net", "bogus": 1}`)); err == nil {
-		t.Error("unknown field accepted")
+	for _, tc := range []struct{ name, field, doc string }{
+		{"bogus", "bogus", `"bogus": 1`},
+		{"negative-queue-depth", "queue_depth", `"queue_depth": -1`},
+		{"bad-shed-policy", "shed_policy", `"shed_policy": "panic"`},
+		{"negative-batch-size", "batch_size", `"batch_size": -1`},
+		{"batch-size-above-64", "batch_size", `"batch_size": 65`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse(strings.NewReader(`{"zone": "z.net", ` + tc.doc + `}`))
+			if want := `unknown field "` + tc.field + `"`; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("error = %v, want %s", err, want)
+			}
+		})
 	}
 }
 
@@ -90,8 +104,6 @@ func TestValidateErrors(t *testing.T) {
 		{"site-bad-index", func(c *Config) {
 			c.Sites = []SiteConfig{{Host: "n.cdn.example.net", Addr: "10.0.0.1", DeploymentIndex: 10_000}}
 		}},
-		{"negative-queue-depth", func(c *Config) { c.QueueDepth = -1 }},
-		{"bad-shed-policy", func(c *Config) { c.ShedPolicy = "panic" }},
 		{"negative-serve-deadline", func(c *Config) { c.ServeDeadlineMillis = -5 }},
 		{"negative-rrl-rate", func(c *Config) { c.RRLRate = -1 }},
 		{"rrl-rate-above-1e9", func(c *Config) { c.RRLRate = 2e9; c.RRLBurst = 8 }},
@@ -104,8 +116,6 @@ func TestValidateErrors(t *testing.T) {
 		}},
 		{"negative-flap-threshold", func(c *Config) { c.HealthFlapThreshold = -1 }},
 		{"negative-listener-shards", func(c *Config) { c.ListenerShards = -2 }},
-		{"negative-batch-size", func(c *Config) { c.BatchSize = -1 }},
-		{"batch-size-above-64", func(c *Config) { c.BatchSize = 65 }},
 		{"negative-balance-factor", func(c *Config) { c.BalanceFactor = -1 }},
 		{"negative-load-threshold", func(c *Config) { c.BalanceFactor = 2; c.LoadRebuildThreshold = -0.5 }},
 		{"negative-load-hysteresis", func(c *Config) { c.BalanceFactor = 2; c.LoadHysteresis = -0.1 }},
@@ -245,23 +255,18 @@ func TestDistModes(t *testing.T) {
 	}
 }
 
-// TestShardingKnobs covers listener_shards/batch_size validation and
-// translation, including the off-Linux rejections (exercised by swapping
-// the package's serverGOOS hook, since CI runs on Linux).
+// TestShardingKnobs covers listener_shards validation and translation,
+// including the off-Linux rejection (exercised by swapping the package's
+// serverGOOS hook, since CI runs on Linux).
 func TestShardingKnobs(t *testing.T) {
 	cfg := Default()
 	cfg.ListenerShards = 4
-	cfg.BatchSize = 32
 	if serverGOOS == "linux" {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("linux sharding config rejected: %v", err)
 		}
-		sc, err := cfg.ServerConfig()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sc.ListenerShards != 4 || sc.BatchSize != 32 {
-			t.Errorf("server config = %+v, want shards 4 batch 32", sc)
+		if sc := cfg.ServerConfig(); sc.ListenerShards != 4 {
+			t.Errorf("server config = %+v, want shards 4", sc)
 		}
 	}
 
@@ -272,13 +277,8 @@ func TestShardingKnobs(t *testing.T) {
 		t.Errorf("off-linux listener_shards error = %v, want actionable SO_REUSEPORT message", err)
 	}
 	cfg.ListenerShards = 1
-	err = cfg.Validate()
-	if err == nil || !strings.Contains(err.Error(), "recvmmsg") || !strings.Contains(err.Error(), "batch_size") {
-		t.Errorf("off-linux batch_size error = %v, want actionable recvmmsg message", err)
-	}
-	cfg.BatchSize = 1
 	if err := cfg.Validate(); err != nil {
-		t.Errorf("single-packet single-shard config rejected off linux: %v", err)
+		t.Errorf("single-shard config rejected off linux: %v", err)
 	}
 }
 
@@ -307,8 +307,6 @@ func TestLoadMissingFile(t *testing.T) {
 
 func TestServingKnobsTranslate(t *testing.T) {
 	cfg := Default()
-	cfg.QueueDepth = 128
-	cfg.ShedPolicy = "refuse"
 	cfg.ServeDeadlineMillis = 250
 	cfg.RRLRate = 20
 	cfg.RRLBurst = 5
@@ -317,13 +315,7 @@ func TestServingKnobsTranslate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc, err := cfg.ServerConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.QueueDepth != 128 || sc.OnOverload != dnsserver.ShedRefuse {
-		t.Errorf("server config = %+v", sc)
-	}
+	sc := cfg.ServerConfig()
 	if sc.ServeDeadline != 250*time.Millisecond {
 		t.Errorf("serve deadline = %v", sc.ServeDeadline)
 	}
@@ -410,14 +402,10 @@ func TestLoadSignalConfigTranslate(t *testing.T) {
 
 func TestDefaultServingKnobs(t *testing.T) {
 	cfg := Default()
-	if cfg.StaleMaxAgeSeconds != 30 || cfg.HealthFlapThreshold != 3 || cfg.ShedPolicy != "block" {
+	if cfg.StaleMaxAgeSeconds != 30 || cfg.HealthFlapThreshold != 3 {
 		t.Errorf("defaults = %+v", cfg)
 	}
-	sc, err := cfg.ServerConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.OnOverload != dnsserver.ShedBlock || sc.RRLRate != 0 {
-		t.Errorf("default server config = %+v", sc)
+	if sc := cfg.ServerConfig(); sc != (dnsserver.Config{}) {
+		t.Errorf("default server config = %+v, want the server's defaults", sc)
 	}
 }

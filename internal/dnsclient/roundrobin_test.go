@@ -40,7 +40,7 @@ func TestRoundRobinFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	primary, err := dnsserver.NewConn(inj.WrapPacketConn(inner), echoHandler(), dnsserver.Config{Workers: 2})
+	primary, err := dnsserver.NewConn(inj.WrapPacketConn(inner), echoHandler(), dnsserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,14 @@
 //go:build linux && (amd64 || arm64)
 
-// Batched UDP I/O: recvmmsg/sendmmsg through raw syscalls, so one reader
-// wakeup drains up to BatchSize datagrams and one writer flush sends up to
-// BatchSize responses — amortising the dominant remaining per-query cost
-// (syscall entry/exit) once the hot path itself is allocation-free.
+// Batched UDP I/O: recvmmsg/sendmmsg through raw syscalls, so one wakeup
+// of a shard receives up to batchSize datagrams and one flush sends their
+// answers — amortising the per-query syscall entry and exit.
 //
 // The syscalls run non-blocking (MSG_DONTWAIT) inside RawConn.Read/Write
 // callbacks: returning false from the callback parks the goroutine on the
 // runtime poller until the socket is ready again, which keeps deadline
-// semantics intact — Server.Close's SetReadDeadline(now) still wakes a
-// reader parked here, exactly as it wakes one parked in ReadFromUDPAddrPort.
+// semantics intact — Server.Close's SetReadDeadline(now) wakes a shard
+// parked here exactly as it wakes one parked in ReadFromUDPAddrPort.
 //
 // The stdlib syscall package predates these calls on some architectures,
 // so the syscall numbers are pinned per-arch in batch_sysnum_*.go rather
@@ -25,6 +24,10 @@ import (
 	"unsafe"
 )
 
+// batched reports that this platform has the recvmmsg/sendmmsg path: a
+// shard over a *net.UDPConn takes it.
+const batched = true
+
 // mmsghdr mirrors the kernel's struct mmsghdr: a msghdr plus the number of
 // bytes the kernel transferred for that message. The trailing pad keeps
 // the 8-byte alignment the kernel expects for arrays of these.
@@ -34,133 +37,131 @@ type mmsghdr struct {
 	_   [4]byte
 }
 
-// slots is one owner's set of mmsghdr scatter/gather state: hdrs[i] points
-// at names[i] (the peer sockaddr) and iovs[i] (one datagram buffer). Recv
-// slots belong to exactly one reader goroutine and send slots to the
-// shard's writer goroutine, so none of this needs locking.
-type slots struct {
-	hdrs  []mmsghdr
-	iovs  []syscall.Iovec
-	names []syscall.RawSockaddrInet6 // large enough for both families
-	// bufs pins the Go buffer each iov points into (recv side only).
-	bufs []*[]byte
-}
-
-func newSlots(k int) *slots {
-	s := &slots{
-		hdrs:  make([]mmsghdr, k),
-		iovs:  make([]syscall.Iovec, k),
-		names: make([]syscall.RawSockaddrInet6, k),
-		bufs:  make([]*[]byte, k),
-	}
-	for i := range s.hdrs {
-		s.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&s.names[i]))
-		s.hdrs[i].hdr.Iov = &s.iovs[i]
-		s.hdrs[i].hdr.Iovlen = 1
-	}
-	return s
-}
-
-// batchIO is a shard's batched-syscall state over one UDP socket.
+// batchIO is a shard's recvmmsg/sendmmsg state over its slots. The receive
+// headers point at the slots' buffers and at names, once, at construction;
+// the two syscall callbacks are built once too and report through the
+// struct's fields, so a batch allocates nothing. Only the shard's goroutine
+// touches it.
 type batchIO struct {
-	rc syscall.RawConn
-	k  int
-	// send is the writer goroutine's slot set. Readers build their own
-	// slot sets locally (there may be several reader goroutines).
-	send *slots
+	rc    syscall.RawConn
+	slots []slot
+
+	recv  [batchSize]mmsghdr
+	rIovs [batchSize]syscall.Iovec
+	names [batchSize]syscall.RawSockaddrInet6 // large enough for both families
+	send  [batchSize]mmsghdr
+	sIovs [batchSize]syscall.Iovec
+
+	recvFn, sendFn func(fd uintptr) bool
+	// What the callbacks report: datagrams received and the error of the
+	// last recvmmsg; answers queued, the next one to send, and how many
+	// the kernel took.
+	n           int
+	errno       syscall.Errno
+	k, off, ack int
 }
 
-// newBatchIO prepares batched I/O over conn with batches of k datagrams.
-func newBatchIO(conn *net.UDPConn, k int) (*batchIO, error) {
+// newBatchIO prepares batched I/O over conn into slots (batchSize of them).
+func newBatchIO(conn *net.UDPConn, slots []slot) (*batchIO, error) {
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil, err
 	}
-	return &batchIO{rc: rc, k: k, send: newSlots(k)}, nil
+	b := &batchIO{rc: rc, slots: slots}
+	for i := range b.recv {
+		b.rIovs[i] = syscall.Iovec{Base: &slots[i].in[0], Len: slotSize}
+		b.recv[i].hdr.Name = (*byte)(unsafe.Pointer(&b.names[i]))
+		b.recv[i].hdr.Iov = &b.rIovs[i]
+		b.recv[i].hdr.Iovlen = 1
+		b.send[i].hdr.Iov = &b.sIovs[i]
+		b.send[i].hdr.Iovlen = 1
+	}
+	b.recvFn, b.sendFn = b.recvmmsg, b.sendmmsg
+	return b, nil
 }
 
-// recvBatch drains up to k datagrams in one recvmmsg, delivering each to
-// sh.enqueue in arrival order. It blocks (on the runtime poller, not in
-// the syscall) until at least one datagram is available, the read deadline
-// expires, or the socket closes. Returns the number delivered; n == 0 with
-// err == nil means a signal interrupted the call — the caller just retries.
-func (b *batchIO) recvBatch(sh *shard, s *slots) (int, error) {
-	for i := 0; i < b.k; i++ {
-		if s.bufs[i] == nil {
-			bp := sh.bufPool.Get().(*[]byte)
-			s.bufs[i] = bp
-			s.iovs[i].Base = &(*bp)[0]
-			s.iovs[i].Len = uint64(len(*bp))
-		}
-		// The kernel overwrites these per call; reset so a short sockaddr
-		// from the previous batch can't leak into this one.
-		s.hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(s.names[i]))
-		s.hdrs[i].n = 0
+// recvBatch fills slots[:n] in one recvmmsg. It blocks (on the runtime
+// poller, not in the syscall) until at least one datagram is queued, the
+// read deadline expires, or the socket closes. n == 0 with a nil error
+// means a signal interrupted the call — the caller just retries.
+func (b *batchIO) recvBatch() (int, error) {
+	for i := range b.recv {
+		// The kernel overwrites the length per call; reset it so a short
+		// sockaddr from the previous batch can't cut this one's short.
+		b.recv[i].hdr.Namelen = uint32(unsafe.Sizeof(b.names[i]))
 	}
-	var n int
-	var errno syscall.Errno
-	err := b.rc.Read(func(fd uintptr) bool {
-		r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&s.hdrs[0])), uintptr(b.k),
-			uintptr(syscall.MSG_DONTWAIT), 0, 0)
-		if e == syscall.EAGAIN {
-			return false // park on the poller until readable
-		}
-		n, errno = int(r1), e
-		return true
-	})
-	if err != nil {
+	if err := b.rc.Read(b.recvFn); err != nil {
 		return 0, err // deadline exceeded or socket closed
 	}
-	if errno != 0 {
-		if errno == syscall.EINTR {
+	if b.errno != 0 {
+		if b.errno == syscall.EINTR {
 			return 0, nil
 		}
-		return 0, errno
+		return 0, b.errno
 	}
-	for i := 0; i < n; i++ {
-		bp := s.bufs[i]
-		s.bufs[i] = nil
-		sh.enqueue(bp, int(s.hdrs[i].n), decodeSockaddr(&s.names[i]))
+	for i := range b.n {
+		b.slots[i].n = int(b.recv[i].n)
+		b.slots[i].raddr = decodeSockaddr(&b.names[i])
 	}
-	return n, nil
+	return b.n, nil
 }
 
-// sendBatch flushes the pending responses with sendmmsg, returning how
-// many datagrams were handed to the kernel. A datagram the kernel rejects
-// outright (unreachable peer, oversized) is skipped so the rest of the
-// batch still goes out.
-func (b *batchIO) sendBatch(pend []outPacket) int {
-	k := len(pend)
-	for i := 0; i < k; i++ {
-		wire := *pend[i].buf
-		b.send.iovs[i].Base = &wire[0]
-		b.send.iovs[i].Len = uint64(len(wire))
-		b.send.hdrs[i].hdr.Namelen = encodeSockaddr(&b.send.names[i], pend[i].raddr)
-		b.send.hdrs[i].n = 0
+func (b *batchIO) recvmmsg(fd uintptr) bool {
+	r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
+		uintptr(unsafe.Pointer(&b.recv[0])), batchSize,
+		uintptr(syscall.MSG_DONTWAIT), 0, 0)
+	if e == syscall.EAGAIN {
+		return false // park on the poller until readable
 	}
-	sent := 0
-	off := 0
-	_ = b.rc.Write(func(fd uintptr) bool {
-		for off < k {
-			r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&b.send.hdrs[off])), uintptr(k-off),
-				uintptr(syscall.MSG_DONTWAIT), 0, 0)
-			switch {
-			case e == syscall.EAGAIN:
-				return false // socket buffer full: wait for writability
-			case e == syscall.EINTR:
-				continue
-			case e != 0 || int(r1) == 0:
-				off++ // first datagram failed: skip it, keep the rest moving
-			default:
-				off += int(r1)
-				sent += int(r1)
-			}
+	b.n, b.errno = int(r1), e
+	if e != 0 {
+		b.n = 0
+	}
+	return true
+}
+
+// sendBatch sends the answers held in slots[:n] — each to the sockaddr
+// its query arrived from, as the kernel wrote it — and returns how many
+// datagrams the kernel accepted. A datagram the kernel rejects outright
+// (unreachable peer, oversized) is skipped so the rest still go out.
+func (b *batchIO) sendBatch(n int) int {
+	k := 0
+	for i := range b.slots[:n] {
+		out := b.slots[i].out
+		if len(out) == 0 {
+			continue
 		}
-		return true
-	})
-	return sent
+		b.sIovs[k] = syscall.Iovec{Base: &out[0], Len: uint64(len(out))}
+		b.send[k].hdr.Name = b.recv[i].hdr.Name
+		b.send[k].hdr.Namelen = b.recv[i].hdr.Namelen
+		k++
+	}
+	if k == 0 {
+		return 0
+	}
+	b.k, b.off, b.ack = k, 0, 0
+	_ = b.rc.Write(b.sendFn)
+	return b.ack
+}
+
+func (b *batchIO) sendmmsg(fd uintptr) bool {
+	for b.off < b.k {
+		r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&b.send[b.off])), uintptr(b.k-b.off),
+			uintptr(syscall.MSG_DONTWAIT), 0, 0)
+		switch {
+		case e == syscall.EAGAIN:
+			return false // socket buffer full: wait for writability
+		case e == syscall.EINTR:
+			continue
+		case e != 0 || int(r1) == 0:
+			b.off++ // first datagram failed: skip it, keep the rest moving
+		default:
+			b.off += int(r1)
+			b.ack += int(r1)
+		}
+	}
+	return true
 }
 
 // decodeSockaddr converts a kernel-written sockaddr to a netip.AddrPort,
@@ -174,31 +175,10 @@ func decodeSockaddr(sa *syscall.RawSockaddrInet6) netip.AddrPort {
 	return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr), ntohs(sa.Port))
 }
 
-// encodeSockaddr fills sa for raddr and returns the sockaddr length,
-// mirroring decodeSockaddr's family choice so replies go out on the same
-// family the query arrived with.
-func encodeSockaddr(sa *syscall.RawSockaddrInet6, raddr netip.AddrPort) uint32 {
-	addr := raddr.Addr()
-	if addr.Is4() {
-		sa4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
-		*sa4 = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Port: htons(raddr.Port()), Addr: addr.As4()}
-		return syscall.SizeofSockaddrInet4
-	}
-	*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Port: htons(raddr.Port()), Addr: addr.As16()}
-	return syscall.SizeofSockaddrInet6
-}
-
-// ntohs/htons convert the sockaddr port field, which is stored in network
-// byte order regardless of host endianness. Reading byte-wise keeps this
+// ntohs converts the sockaddr port field, which is stored in network byte
+// order regardless of host endianness. Reading byte-wise keeps this
 // correct on any host.
 func ntohs(p uint16) uint16 {
 	b := (*[2]byte)(unsafe.Pointer(&p))
 	return uint16(b[0])<<8 | uint16(b[1])
-}
-
-func htons(p uint16) uint16 {
-	var out uint16
-	b := (*[2]byte)(unsafe.Pointer(&out))
-	b[0], b[1] = byte(p>>8), byte(p)
-	return out
 }

@@ -2,28 +2,17 @@
 
 package dnsserver
 
-import (
-	"errors"
-	"net"
-)
+import "net"
 
-// batchIO is the portable stub: platforms without recvmmsg/sendmmsg
-// wiring never construct one, so the batched read/write loops are
-// unreachable and exist only to satisfy the compiler.
+// batched reports that this platform has no recvmmsg/sendmmsg wiring:
+// every shard takes the single-datagram path, and what follows only
+// satisfies the compiler.
+const batched = false
+
 type batchIO struct{}
 
-// slots is unused on the portable path.
-type slots struct{}
+func newBatchIO(*net.UDPConn, []slot) (*batchIO, error) { return nil, nil }
 
-func newSlots(k int) *slots { return &slots{} }
+func (b *batchIO) recvBatch() (int, error) { return 0, nil }
 
-// newBatchIO reports that batching is unavailable. Config validation in
-// internal/config rejects batch_size > 1 off Linux before a server is
-// built; this error covers direct API users with the same guidance.
-func newBatchIO(conn *net.UDPConn, k int) (*batchIO, error) {
-	return nil, errors.New("dnsserver: batched I/O (BatchSize > 1) requires linux on amd64 or arm64; set BatchSize to 1")
-}
-
-func (b *batchIO) recvBatch(sh *shard, s *slots) (int, error) { return 0, nil }
-
-func (b *batchIO) sendBatch(pend []outPacket) int { return 0 }
+func (b *batchIO) sendBatch(int) int { return 0 }

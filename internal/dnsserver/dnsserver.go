@@ -6,17 +6,18 @@
 // servers (§2.2 component 3): handlers implement the mapping behaviour,
 // this package owns sockets, concurrency and message hygiene.
 //
-// The serve plane is built for the paper's query rates (§5: millions of
-// queries per second platform-wide) and is sharded shared-nothing: the
-// server runs N listener shards, each owning its own UDP socket (bound
-// with SO_REUSEPORT on Linux so the kernel fans flows out across the
-// sockets by 4-tuple hash), its own buffer pools, bounded work queue,
-// worker goroutines and response-rate-limiter table. No mutable state is
-// shared between shards on the hot path — only the monotone aggregate
-// counters in Metrics, which tolerate contention by construction. On
-// Linux a shard can additionally drain and flush up to Config.BatchSize
-// datagrams per syscall via recvmmsg/sendmmsg (see batch_linux.go), with
-// a portable single-packet fallback everywhere else.
+// The serve plane is sharded shared-nothing: the server runs N listener
+// shards, each owning its own UDP socket (bound with SO_REUSEPORT on Linux
+// so the kernel fans flows out across the sockets by 4-tuple hash). A
+// shard is one goroutine running to completion: receive a batch, answer
+// each datagram inline, send the answers. Everything that goroutine
+// touches — receive slots, response buffers, the query scratch message,
+// the response-rate-limiter table — belongs to its shard; the only shared
+// state is the monotone aggregate counters in Metrics. The I/O is chosen
+// by the conn, not configured: recvmmsg/sendmmsg on a Linux amd64/arm64
+// *net.UDPConn (see batch_linux.go), one ReadFrom/WriteTo per datagram on
+// anything else. Overload lands in the kernel socket buffer, which drops
+// what the loop does not get to.
 package dnsserver
 
 import (
@@ -24,7 +25,6 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,15 +64,13 @@ type Metrics struct {
 	Queries atomic.Uint64
 	// Responses is the number of responses sent.
 	Responses atomic.Uint64
-	// Malformed is the number of datagrams that failed to parse.
+	// Malformed is the number of datagrams that failed to parse or were
+	// longer than maxAdvertisedUDPSize.
 	Malformed atomic.Uint64
 	// Dropped is the number of queries the handler chose not to answer.
 	Dropped atomic.Uint64
-	// Shed is the number of datagrams rejected at enqueue because the
-	// pending-work queue was full (ShedDrop and ShedRefuse policies).
-	Shed atomic.Uint64
-	// DeadlineDrops is the number of queued queries discarded because they
-	// aged past the serve deadline before a worker picked them up.
+	// DeadlineDrops is the number of received datagrams discarded because
+	// the answers ahead of them in their batch ran past the serve deadline.
 	DeadlineDrops atomic.Uint64
 	// RateLimited is the number of queries suppressed by response-rate
 	// limiting (see Config.RRLRate).
@@ -92,16 +90,14 @@ type ShardMetrics struct {
 	Queries atomic.Uint64
 	// Responses is the number of responses this shard sent.
 	Responses atomic.Uint64
-	// Shed is the number of datagrams this shard rejected at enqueue.
-	Shed atomic.Uint64
 	// RateLimited is the number of queries this shard's RRL suppressed.
 	RateLimited atomic.Uint64
 	// Wakeups counts receive syscall returns that delivered >= 1 packet.
 	Wakeups atomic.Uint64
 	// BatchedPackets counts packets delivered across those wakeups, so
 	// BatchedPackets/Wakeups is the measured packets-per-syscall ratio
-	// (1.0 on the portable single-packet path, up to BatchSize with
-	// recvmmsg under load).
+	// (1.0 on the single-datagram path, up to batchSize with recvmmsg
+	// under load).
 	BatchedPackets atomic.Uint64
 }
 
@@ -110,75 +106,28 @@ type ShardStats struct {
 	Shard          int
 	Queries        uint64
 	Responses      uint64
-	Shed           uint64
 	RateLimited    uint64
 	Wakeups        uint64
 	BatchedPackets uint64
-	// QueueLen is the instantaneous depth of the shard's work queue.
-	QueueLen int
-}
-
-// ShedPolicy selects what happens to a datagram that arrives while the
-// pending-work queue is full — the server's explicit overload posture.
-type ShedPolicy int
-
-const (
-	// ShedBlock: readers block until a worker frees a slot. Backpressure
-	// lands in the kernel socket buffer, which drops datagrams silently
-	// once it fills. This is the legacy default.
-	ShedBlock ShedPolicy = iota
-	// ShedDrop: the datagram is discarded immediately and counted, keeping
-	// readers draining the socket so the kernel buffer holds fresh traffic
-	// instead of a stale backlog.
-	ShedDrop
-	// ShedRefuse: as ShedDrop, but well-formed queries get a minimal
-	// REFUSED response so resolvers fail over to another authority at once
-	// instead of timing out.
-	ShedRefuse
-)
-
-// String names the policy (the inverse of ParseShedPolicy).
-func (p ShedPolicy) String() string {
-	switch p {
-	case ShedBlock:
-		return "block"
-	case ShedDrop:
-		return "drop"
-	case ShedRefuse:
-		return "refuse"
-	}
-	return fmt.Sprintf("ShedPolicy(%d)", int(p))
-}
-
-// ParseShedPolicy maps a config/flag string to a ShedPolicy.
-func ParseShedPolicy(s string) (ShedPolicy, error) {
-	switch s {
-	case "", "block":
-		return ShedBlock, nil
-	case "drop":
-		return ShedDrop, nil
-	case "refuse":
-		return ShedRefuse, nil
-	}
-	return 0, fmt.Errorf("dnsserver: unknown shed policy %q (want block, drop or refuse)", s)
 }
 
 // maxAdvertisedUDPSize caps the EDNS UDP payload size the server honours.
 // RFC 6891 §6.2.5 recommends 4096 octets as the upper bound of what is
 // reliably deliverable; clients advertising more are clamped rather than
-// trusted, bounding response buffers and fragmentation exposure.
+// trusted, bounding response buffers and fragmentation exposure. It also
+// bounds what the server parses: no legitimate query comes near it.
 const maxAdvertisedUDPSize = 4096
 
-// maxPacketSize is the read buffer size: the largest UDP datagram.
-const maxPacketSize = 65535
+// slotSize is a receive slot's length: one byte more than the largest
+// datagram the server parses, so a longer one shows as a full slot and is
+// counted Malformed instead of being parsed truncated.
+const slotSize = maxAdvertisedUDPSize + 1
 
-// maxBatchSize bounds Config.BatchSize: beyond 64 datagrams per syscall
-// the syscall amortisation has flattened while the per-shard slot memory
-// (BatchSize full-size read buffers pinned per reader) keeps growing.
-const maxBatchSize = 64
+// batchSize is how many datagrams one wakeup of the batched path receives
+// and sends: 32 measured 7.96 packets per recvmmsg under load.
+const batchSize = 32
 
-// Config tunes the server's concurrency model. The zero value selects the
-// pooled defaults. Reader/worker/queue knobs are per shard.
+// Config tunes the server. The zero value selects the defaults.
 type Config struct {
 	// ListenerShards is the number of shared-nothing listener shards.
 	// ListenConfig binds each shard its own SO_REUSEPORT socket so the
@@ -187,34 +136,12 @@ type Config struct {
 	// when sockets are bound by this package; NewConns accepts any number
 	// of caller-supplied conns on any platform.
 	ListenerShards int
-	// BatchSize is the number of datagrams a shard may drain or flush per
-	// syscall using recvmmsg/sendmmsg. 1 (the default) selects the
-	// portable single-packet path. Values > 1 require Linux on amd64 or
-	// arm64 and a real UDP socket; injected non-UDP conns (faultnet
-	// wrappers) silently fall back to the single-packet path.
-	BatchSize int
-	// Readers is the number of goroutines blocked reading each shard's
-	// socket. More than one keeps the socket drained while packets are
-	// being dispatched. Default 2 for a single unbatched shard (the
-	// legacy layout); 1 per shard otherwise — a sharded or batched plane
-	// gets its parallelism from shards, not stacked readers.
-	Readers int
-	// Workers is the number of handler goroutines draining each shard's
-	// packet queue. Mapping decisions are CPU-bound, so the default is
-	// GOMAXPROCS divided across the shards (at least 1).
-	Workers int
-	// QueueDepth bounds each shard's pending-packet channel. When the
-	// queue is full, readers block — backpressure lands in the kernel
-	// socket buffer, which sheds load by dropping datagrams (the correct
-	// behaviour for DNS over UDP). Default 4x Workers.
-	QueueDepth int
-	// OnOverload selects what happens to datagrams arriving while the
-	// queue is full. Default ShedBlock (kernel-buffer backpressure).
-	OnOverload ShedPolicy
-	// ServeDeadline bounds how long a query may wait in the queue before a
-	// worker starts on it; overdue queries are dropped (DeadlineDrops), on
-	// the theory that the resolver has already retried or failed over and
-	// a late answer only wastes a worker. Zero disables the deadline.
+	// ServeDeadline bounds how long a received datagram may wait behind
+	// the answers ahead of it in its batch: the receive is stamped once,
+	// and a datagram reached after the deadline has passed is dropped
+	// (DeadlineDrops), on the theory that the resolver has already retried
+	// or failed over. It cannot fire on the single-datagram path, where
+	// every datagram is first in its batch. Zero disables the deadline.
 	ServeDeadline time.Duration
 	// RRLRate enables response-rate limiting when positive: each source
 	// prefix (IPv4 /24, IPv6 /56) is allowed this many responses per
@@ -237,28 +164,6 @@ func (c Config) withDefaults() Config {
 	if c.ListenerShards <= 0 {
 		c.ListenerShards = defaultListenerShards()
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 1
-	}
-	if c.BatchSize > maxBatchSize {
-		c.BatchSize = maxBatchSize
-	}
-	if c.Readers <= 0 {
-		if c.ListenerShards > 1 || c.BatchSize > 1 {
-			c.Readers = 1
-		} else {
-			c.Readers = 2
-		}
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0) / c.ListenerShards
-		if c.Workers < 1 {
-			c.Workers = 1
-		}
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.Workers
-	}
 	if c.RRLBurst <= 0 {
 		c.RRLBurst = 8
 	}
@@ -268,56 +173,40 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// packet is one received datagram travelling from a reader to a worker.
-// buf is a pooled full-size buffer (passed by pointer so re-pooling it
-// does not re-box the slice header); the datagram occupies (*buf)[:n].
-// enq is the enqueue instant (unix nanoseconds), stamped only when a serve
-// deadline is configured.
-type packet struct {
-	buf   *[]byte
+// slot is one datagram's place in a shard: the query received into in[:n]
+// from raddr, and the answer packed into out (empty: no answer). out
+// starts nil and keeps whatever capacity the answers packed into it grew.
+type slot struct {
+	in    [slotSize]byte
 	n     int
 	raddr netip.AddrPort
-	enq   int64
+	out   []byte
 }
 
-// outPacket is one response datagram travelling from a worker to a shard's
-// batching writer. buf is a pooled wire buffer owned by the writer from
-// enqueue until it is re-pooled after the send.
-type outPacket struct {
-	buf   *[]byte
-	raddr netip.AddrPort
-}
-
-// shard is one shared-nothing serving unit: a socket, its pools, its work
-// queue, its RRL table and its counters. Nothing in here is touched by any
-// other shard.
+// shard is one shared-nothing serving unit: a socket, its slots, its query
+// scratch, its RRL table and its counters, all owned by the one goroutine
+// that runs serve.
 type shard struct {
 	id  int
 	srv *Server
 
 	conn net.PacketConn
 	// udpConn is conn when it is a *net.UDPConn, enabling the
-	// allocation-free ReadFromUDPAddrPort/WriteToUDPAddrPort pair and the
-	// batched recvmmsg/sendmmsg path.
+	// allocation-free ReadFromUDPAddrPort/WriteToUDPAddrPort pair.
 	udpConn *net.UDPConn
+	// batch is the recvmmsg/sendmmsg state, nil on the single-datagram
+	// path.
+	batch *batchIO
 
 	// rrl is this shard's response-rate limiter, nil unless Config.RRLRate
 	// is positive. Per shard by design: the kernel's REUSEPORT hash pins a
 	// flow to one shard, so accounting stays coherent without sharing.
 	rrl *rateLimiter
 
-	// queue is the bounded reader->worker channel, created at construction
-	// so its depth can be exported as a gauge before Serve runs.
-	queue chan packet
-	// out is the worker->writer channel for batched sends, nil when the
-	// shard is on the synchronous single-packet write path.
-	out chan outPacket
-	// batch is the platform recvmmsg/sendmmsg state, nil when unbatched.
-	batch *batchIO
-
-	bufPool  sync.Pool // *[]byte, len maxPacketSize
-	packPool sync.Pool // *[]byte, len 0: response wire buffers
-	msgPool  sync.Pool // *dnsmsg.Message: recycled query messages
+	// slots holds batchSize slots on the batched path, one otherwise.
+	slots []slot
+	// query is the message every datagram is unpacked into.
+	query dnsmsg.Message
 
 	// Stats counts this shard's activity.
 	Stats ShardMetrics
@@ -328,8 +217,8 @@ type Server struct {
 	handler Handler
 	cfg     Config
 	shards  []*shard
-	// latency, when non-nil, records per-query handler latency (unpack
-	// through response write). Set by RegisterMetrics before Serve.
+	// latency, when non-nil, records per-query handler latency. Set by
+	// RegisterMetrics before Serve.
 	latency *telemetry.Histogram
 
 	// Metrics exposes live counters aggregated across shards.
@@ -341,30 +230,18 @@ type Server struct {
 }
 
 // Listen binds a UDP socket on addr (e.g. "127.0.0.1:0") and returns a
-// server with default pooled concurrency, ready to Serve. The handler must
+// server with the default configuration, ready to Serve. The handler must
 // not be nil.
 func Listen(addr string, h Handler) (*Server, error) {
 	return ListenConfig(addr, h, Config{})
 }
 
-// ListenConfig is Listen with an explicit concurrency configuration. With
+// ListenConfig is Listen with an explicit configuration. With
 // ListenerShards > 1 it binds one SO_REUSEPORT socket per shard on the
 // same address, so the kernel fans incoming flows out across the shards;
 // that path requires Linux.
 func ListenConfig(addr string, h Handler, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if cfg.ListenerShards == 1 {
-		conn, err := net.ListenPacket("udp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("dnsserver: %w", err)
-		}
-		s, err := newConns([]net.PacketConn{conn}, h, cfg)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		return s, nil
-	}
 	conns := make([]net.PacketConn, 0, cfg.ListenerShards)
 	closeAll := func() {
 		for _, c := range conns {
@@ -372,7 +249,13 @@ func ListenConfig(addr string, h Handler, cfg Config) (*Server, error) {
 		}
 	}
 	for i := 0; i < cfg.ListenerShards; i++ {
-		conn, err := listenReusePort(addr)
+		var conn net.PacketConn
+		var err error
+		if cfg.ListenerShards == 1 {
+			conn, err = net.ListenPacket("udp", addr)
+		} else {
+			conn, err = listenReusePort(addr)
+		}
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("dnsserver: shard %d: %w", i, err)
@@ -398,11 +281,7 @@ func ListenConfig(addr string, h Handler, cfg Config) (*Server, error) {
 // transport (see internal/faultnet) between the server and the wire. The
 // server owns the connection from here on; Close closes it.
 func NewConn(conn net.PacketConn, h Handler, cfg Config) (*Server, error) {
-	if conn == nil {
-		return nil, errors.New("dnsserver: nil conn")
-	}
-	cfg.ListenerShards = 1
-	return newConns([]net.PacketConn{conn}, h, cfg.withDefaults())
+	return NewConns([]net.PacketConn{conn}, h, cfg)
 }
 
 // NewConns builds a server with one shard per supplied connection. Unlike
@@ -437,25 +316,17 @@ func newConns(conns []net.PacketConn, h Handler, cfg Config) (*Server, error) {
 		if cfg.RRLRate > 0 {
 			sh.rrl = newRateLimiter(cfg.RRLRate, cfg.RRLBurst, cfg.RRLSlip)
 		}
-		sh.queue = make(chan packet, cfg.QueueDepth)
-		sh.bufPool.New = func() any {
-			b := make([]byte, maxPacketSize)
-			return &b
+		n := 1
+		if batched && sh.udpConn != nil {
+			n = batchSize
 		}
-		sh.packPool.New = func() any {
-			b := make([]byte, 0, maxAdvertisedUDPSize)
-			return &b
-		}
-		sh.msgPool.New = func() any { return &dnsmsg.Message{} }
-		if cfg.BatchSize > 1 && sh.udpConn != nil {
-			b, err := newBatchIO(sh.udpConn, cfg.BatchSize)
+		sh.slots = make([]slot, n)
+		if n > 1 {
+			b, err := newBatchIO(sh.udpConn, sh.slots)
 			if err != nil {
 				return nil, err
 			}
 			sh.batch = b
-			// Sized so every worker can park a response and the writer a
-			// full batch without the workers stalling on a healthy writer.
-			sh.out = make(chan outPacket, cfg.BatchSize+cfg.Workers)
 		}
 		s.shards[i] = sh
 	}
@@ -481,257 +352,119 @@ func (s *Server) ShardStats() []ShardStats {
 			Shard:          i,
 			Queries:        sh.Stats.Queries.Load(),
 			Responses:      sh.Stats.Responses.Load(),
-			Shed:           sh.Stats.Shed.Load(),
 			RateLimited:    sh.Stats.RateLimited.Load(),
 			Wakeups:        sh.Stats.Wakeups.Load(),
 			BatchedPackets: sh.Stats.BatchedPackets.Load(),
-			QueueLen:       len(sh.queue),
 		}
 	}
 	return out
 }
 
-// Serve runs every shard's serve loop until the server is closed,
-// dispatching queries to each shard's worker pool. Serve returns nil after
-// Close.
+// Serve runs every shard's loop — shard 0 on the calling goroutine, each
+// other shard on one of its own — until the server is closed. Serve
+// returns nil after Close.
 func (s *Server) Serve() error {
-	// Close waits on wg, so it does not return until queued packets have
-	// drained and every worker on every shard has exited.
+	// Close waits on wg, so it does not return until every shard has sent
+	// the answers of the batch it held and exited.
 	s.wg.Add(1)
 	defer s.wg.Done()
-	errs := make(chan error, len(s.shards))
-	var shards sync.WaitGroup
-	for _, sh := range s.shards {
-		shards.Add(1)
-		go func(sh *shard) {
-			defer shards.Done()
-			errs <- sh.serve()
-		}(sh)
+	errs := make([]error, len(s.shards))
+	var others sync.WaitGroup
+	for i, sh := range s.shards[1:] {
+		others.Add(1)
+		go func() {
+			defer others.Done()
+			errs[i+1] = sh.serve()
+		}()
 	}
-	shards.Wait()
-	var firstErr error
-	for range s.shards {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	errs[0] = s.shards[0].serve()
+	others.Wait()
+	return errors.Join(errs...)
 }
 
-// serve is one shard's pooled serve loop: readers feed the bounded queue,
-// workers drain it, and (in batch mode) a writer goroutine flushes
-// responses with sendmmsg.
+// serve is one shard's loop: receive a batch, answer each datagram inline
+// into its slot, send the answers, until a receive fails — normally
+// because Close set a read deadline, which it returns nil for.
 func (sh *shard) serve() error {
-	cfg := sh.srv.cfg
-
-	var workers sync.WaitGroup
-	for i := 0; i < cfg.Workers; i++ {
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			for pkt := range sh.queue {
-				if pkt.enq != 0 && time.Now().UnixNano()-pkt.enq > int64(cfg.ServeDeadline) {
-					// The query aged out in the queue: the resolver has
-					// retried or failed over by now, so a late answer only
-					// wastes the worker.
-					sh.srv.Metrics.DeadlineDrops.Add(1)
-				} else {
-					sh.handlePacket(pkt.raddr, (*pkt.buf)[:pkt.n])
-				}
-				sh.bufPool.Put(pkt.buf)
-			}
-		}()
-	}
-
-	var writer sync.WaitGroup
-	if sh.out != nil {
-		writer.Add(1)
-		go func() {
-			defer writer.Done()
-			sh.writeLoop()
-		}()
-	}
-
-	var readers sync.WaitGroup
-	errs := make(chan error, cfg.Readers)
-	for i := 0; i < cfg.Readers; i++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			if sh.batch != nil {
-				errs <- sh.readLoopBatch()
-			} else {
-				errs <- sh.readLoop()
-			}
-		}()
-	}
-	readers.Wait()
-	close(sh.queue)
-	workers.Wait()
-	if sh.out != nil {
-		close(sh.out)
-		writer.Wait()
-	}
-
-	var firstErr error
-	for i := 0; i < cfg.Readers; i++ {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// readLoop pulls datagrams off the socket into pooled buffers until the
-// socket errors (normally: is closed). It returns nil on clean shutdown.
-func (sh *shard) readLoop() error {
+	deadline := int64(sh.srv.cfg.ServeDeadline)
 	for {
-		bp := sh.bufPool.Get().(*[]byte)
-		n, raddr, err := sh.readFrom(*bp)
+		n, err := sh.recv()
 		if err != nil {
-			sh.bufPool.Put(bp)
 			if sh.srv.isClosed() {
 				return nil
 			}
 			return fmt.Errorf("dnsserver: read: %w", err)
 		}
-		if !raddr.IsValid() {
-			sh.bufPool.Put(bp)
+		if n == 0 {
 			continue
 		}
 		sh.Stats.Wakeups.Add(1)
-		sh.Stats.BatchedPackets.Add(1)
-		sh.enqueue(bp, n, raddr)
-	}
-}
-
-// readLoopBatch is readLoop over recvmmsg: each wakeup drains up to
-// BatchSize datagrams in one syscall. Each reader goroutine owns its own
-// slot set, so multiple batch readers never share scatter/gather state.
-func (sh *shard) readLoopBatch() error {
-	slots := newSlots(sh.srv.cfg.BatchSize)
-	for {
-		n, err := sh.batch.recvBatch(sh, slots)
-		if err != nil {
-			if sh.srv.isClosed() {
-				return nil
+		sh.Stats.BatchedPackets.Add(uint64(n))
+		var received int64
+		if deadline > 0 {
+			received = time.Now().UnixNano()
+		}
+		for i := range sh.slots[:n] {
+			sl := &sh.slots[i]
+			sl.out = sl.out[:0]
+			if deadline > 0 && time.Now().UnixNano()-received > deadline {
+				// A slow answer ahead of this datagram used up its time:
+				// the resolver has retried or failed over by now.
+				sh.srv.Metrics.DeadlineDrops.Add(1)
+				continue
 			}
-			return fmt.Errorf("dnsserver: recvmmsg: %w", err)
+			sh.answer(sl)
 		}
-		if n > 0 {
-			sh.Stats.Wakeups.Add(1)
-			sh.Stats.BatchedPackets.Add(uint64(n))
-		}
-	}
-}
-
-// enqueue hands one received datagram to the shard's workers, applying the
-// configured overload posture when the queue is full. It owns bp and
-// either forwards it or re-pools it.
-func (sh *shard) enqueue(bp *[]byte, n int, raddr netip.AddrPort) {
-	cfg := sh.srv.cfg
-	pkt := packet{buf: bp, n: n, raddr: raddr}
-	if cfg.ServeDeadline > 0 {
-		pkt.enq = time.Now().UnixNano()
-	}
-	if cfg.OnOverload == ShedBlock {
-		sh.queue <- pkt
-		return
-	}
-	select {
-	case sh.queue <- pkt:
-	default:
-		// Queue full: shed here, explicitly and counted, instead of
-		// letting the backlog smear into the kernel buffer. The reader
-		// goes straight back to the socket, so it keeps draining fresh
-		// traffic.
-		sh.srv.Metrics.Shed.Add(1)
-		sh.Stats.Shed.Add(1)
-		if cfg.OnOverload == ShedRefuse {
-			sh.refuse(raddr, (*bp)[:n])
-		}
-		sh.bufPool.Put(bp)
-	}
-}
-
-// writeLoop is the batch writer: it blocks for one response, then
-// opportunistically drains more without blocking, and flushes the batch
-// with one sendmmsg. Under load batches fill toward BatchSize; idle, each
-// response leaves immediately — batching never adds latency.
-func (sh *shard) writeLoop() {
-	pend := make([]outPacket, 0, sh.srv.cfg.BatchSize)
-	for {
-		p, ok := <-sh.out
-		if !ok {
-			return
-		}
-		pend = append(pend[:0], p)
-	drain:
-		for len(pend) < cap(pend) {
-			select {
-			case p, ok := <-sh.out:
-				if !ok {
-					break drain
-				}
-				pend = append(pend, p)
-			default:
-				break drain
-			}
-		}
-		sent := sh.batch.sendBatch(pend)
-		sh.srv.Metrics.Responses.Add(uint64(sent))
-		sh.Stats.Responses.Add(uint64(sent))
-		for i := range pend {
-			*pend[i].buf = (*pend[i].buf)[:0] // keep growth for reuse
-			sh.packPool.Put(pend[i].buf)
-			pend[i].buf = nil
+		if sent := sh.send(n); sent > 0 {
+			sh.srv.Metrics.Responses.Add(uint64(sent))
+			sh.Stats.Responses.Add(uint64(sent))
 		}
 	}
 }
 
-// refuse answers a shed datagram with a minimal REFUSED response, so the
-// resolver fails over to another authority immediately instead of burning
-// its timeout. Runs on the shed path only; allocations are acceptable.
-func (sh *shard) refuse(raddr netip.AddrPort, pkt []byte) {
-	query := sh.msgPool.Get().(*dnsmsg.Message)
-	defer sh.msgPool.Put(query)
-	if err := dnsmsg.UnpackInto(query, pkt); err != nil || query.Response {
-		return
+// recv fills slots[:n] with the next datagrams: a batch on the batched
+// path, one otherwise. n == 0 with a nil error means nothing usable
+// arrived and the caller just receives again.
+func (sh *shard) recv() (int, error) {
+	if sh.batch != nil {
+		return sh.batch.recvBatch()
 	}
-	resp := query.Reply()
-	resp.RCode = dnsmsg.RCodeRefused
-	wire, err := resp.Pack()
-	if err != nil {
-		return
-	}
-	if sh.writeTo(wire, raddr) == nil {
-		sh.srv.Metrics.Responses.Add(1)
-		sh.Stats.Responses.Add(1)
-	}
-}
-
-// readFrom reads one datagram, preferring the AddrPort-returning UDP path
-// that avoids a net.Addr allocation per packet.
-func (sh *shard) readFrom(buf []byte) (int, netip.AddrPort, error) {
+	sl := &sh.slots[0]
+	var err error
 	if sh.udpConn != nil {
-		return sh.udpConn.ReadFromUDPAddrPort(buf)
+		sl.n, sl.raddr, err = sh.udpConn.ReadFromUDPAddrPort(sl.in[:])
+	} else {
+		var remote net.Addr
+		sl.n, remote, err = sh.conn.ReadFrom(sl.in[:])
+		if err == nil {
+			sl.raddr, _ = remoteAddrPort(remote)
+		}
 	}
-	n, remote, err := sh.conn.ReadFrom(buf)
-	if err != nil {
-		return 0, netip.AddrPort{}, err
+	if err != nil || !sl.raddr.IsValid() {
+		return 0, err
 	}
-	raddr, _ := remoteAddrPort(remote)
-	return n, raddr, nil
+	return 1, nil
 }
 
-// writeTo sends one response datagram synchronously.
-func (sh *shard) writeTo(wire []byte, raddr netip.AddrPort) error {
-	if sh.udpConn != nil {
-		_, err := sh.udpConn.WriteToUDPAddrPort(wire, raddr)
-		return err
+// send sends the answers held in slots[:n] and reports how many went out.
+func (sh *shard) send(n int) int {
+	if sh.batch != nil {
+		return sh.batch.sendBatch(n)
 	}
-	_, err := sh.conn.WriteTo(wire, net.UDPAddrFromAddrPort(raddr))
-	return err
+	sl := &sh.slots[0]
+	if len(sl.out) == 0 {
+		return 0
+	}
+	var err error
+	if sh.udpConn != nil {
+		_, err = sh.udpConn.WriteToUDPAddrPort(sl.out, sl.raddr)
+	} else {
+		_, err = sh.conn.WriteTo(sl.out, net.UDPAddrFromAddrPort(sl.raddr))
+	}
+	if err != nil {
+		return 0
+	}
+	return 1
 }
 
 func (s *Server) isClosed() bool {
@@ -740,95 +473,67 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-func (sh *shard) handlePacket(raddr netip.AddrPort, pkt []byte) {
+// answer parses the slot's datagram, serves it and packs the response
+// into sl.out, leaving sl.out empty when the query gets no answer.
+func (sh *shard) answer(sl *slot) {
 	s := sh.srv
-	query := sh.msgPool.Get().(*dnsmsg.Message)
-	defer sh.msgPool.Put(query)
-	if err := dnsmsg.UnpackInto(query, pkt); err != nil || query.Response {
+	query := &sh.query
+	if sl.n > maxAdvertisedUDPSize || dnsmsg.UnpackInto(query, sl.in[:sl.n]) != nil || query.Response {
 		s.Metrics.Malformed.Add(1)
 		return
 	}
 	s.Metrics.Queries.Add(1)
 	sh.Stats.Queries.Add(1)
-	if sh.rrl != nil && !sh.rrl.allow(raddr.Addr(), time.Now().UnixNano()) {
+	var resp *dnsmsg.Message
+	if sh.rrl != nil && !sh.rrl.allow(sl.raddr.Addr(), time.Now().UnixNano()) {
 		s.Metrics.RateLimited.Add(1)
 		sh.Stats.RateLimited.Add(1)
-		if sh.rrl.shouldSlip() {
-			sh.slip(raddr, query)
+		if !sh.rrl.shouldSlip() {
+			return
 		}
-		return
-	}
-	var startNs int64
-	if s.latency != nil {
-		startNs = time.Now().UnixNano()
-	}
-	resp := safeServe(s.handler, &s.Metrics, raddr, query)
-	if s.latency != nil {
-		s.latency.ObserveNanos(time.Now().UnixNano() - startNs)
-	}
-	if resp == nil {
-		s.Metrics.Dropped.Add(1)
-		return
-	}
-	// Respect the client's advertised UDP payload size (512 octets for
-	// non-EDNS queries, RFC 1035), clamped to maxAdvertisedUDPSize per
-	// RFC 6891 §6.2.5 rather than trusting arbitrary advertised sizes:
-	// oversized answers are truncated with TC=1 so the client retries
-	// over TCP.
-	maxSize := 512
-	if query.EDNS {
-		maxSize = int(query.UDPSize)
-		if maxSize < 512 {
-			maxSize = 512
+		// Slip: a minimal TC=1 response with no records steers a
+		// legitimate client behind the offending prefix to retry over TCP,
+		// where the handshake verifies its source address.
+		s.Metrics.Slips.Add(1)
+		resp = query.Reply()
+		resp.Truncated = true
+	} else {
+		var startNs int64
+		if s.latency != nil {
+			startNs = time.Now().UnixNano()
 		}
-		if maxSize > maxAdvertisedUDPSize {
-			maxSize = maxAdvertisedUDPSize
+		resp = safeServe(s.handler, &s.Metrics, sl.raddr, query)
+		if s.latency != nil {
+			s.latency.ObserveNanos(time.Now().UnixNano() - startNs)
+		}
+		if resp == nil {
+			s.Metrics.Dropped.Add(1)
+			return
 		}
 	}
-	wp := sh.packPool.Get().(*[]byte)
-	wire, err := TruncateAppend((*wp)[:0], resp, maxSize)
+	wire, err := TruncateAppend(sl.out[:0], resp, udpPayloadSize(query))
 	if err != nil {
 		// A handler bug; answer SERVFAIL so the client doesn't hang.
 		servfail := query.Reply()
 		servfail.RCode = dnsmsg.RCodeServerFailure
-		if wire, err = servfail.AppendPack((*wp)[:0]); err != nil {
+		if wire, err = servfail.AppendPack(sl.out[:0]); err != nil {
 			s.Metrics.Dropped.Add(1)
-			*wp = (*wp)[:0]
-			sh.packPool.Put(wp)
 			return
 		}
 	}
-	if sh.out != nil {
-		// Batched path: hand buffer ownership to the writer, which
-		// re-pools it after the sendmmsg flush.
-		*wp = wire
-		sh.out <- outPacket{buf: wp, raddr: raddr}
-		return
-	}
-	*wp = wire[:0] // keep any growth for the next response
-	if err := sh.writeTo(wire, raddr); err == nil {
-		s.Metrics.Responses.Add(1)
-		sh.Stats.Responses.Add(1)
-	}
-	sh.packPool.Put(wp)
+	sl.out = wire
 }
 
-// slip answers a rate-limited query with a minimal TC=1 response: no
-// records, just the truncation bit, steering a legitimate client behind
-// the offending prefix to retry over TCP (where its source address is
-// verified by the handshake). Runs on the limited path only.
-func (sh *shard) slip(raddr netip.AddrPort, query *dnsmsg.Message) {
-	resp := query.Reply()
-	resp.Truncated = true
-	wire, err := resp.Pack()
-	if err != nil {
-		return
+// udpPayloadSize is how large an answer to query may be: the client's
+// advertised UDP payload size (512 octets for non-EDNS queries, RFC 1035),
+// clamped to maxAdvertisedUDPSize per RFC 6891 §6.2.5 rather than trusting
+// arbitrary advertised sizes. Larger answers are truncated with TC=1 so
+// the client retries over TCP.
+func udpPayloadSize(query *dnsmsg.Message) int {
+	if !query.EDNS {
+		return 512
 	}
-	if sh.writeTo(wire, raddr) == nil {
-		sh.srv.Metrics.Slips.Add(1)
-		sh.srv.Metrics.Responses.Add(1)
-		sh.Stats.Responses.Add(1)
-	}
+	return min(max(int(query.UDPSize), 512), maxAdvertisedUDPSize)
 }
 
 // safeServe invokes the handler, converting a panic into a SERVFAIL
@@ -846,11 +551,12 @@ func safeServe(h Handler, m *Metrics, raddr netip.AddrPort, query *dnsmsg.Messag
 	return h.ServeDNS(raddr, query)
 }
 
-// Close shuts the server down gracefully: every shard's readers are woken
-// and stop accepting new datagrams, queued and in-flight queries drain
-// through the workers (their responses still go out), and only then are
-// the sockets closed. Late datagrams arriving during the drain stay in the
-// kernel buffers and die with the sockets.
+// Close shuts the server down gracefully: a read deadline in the past wakes
+// every shard parked in a receive — recvmmsg included, which RawConn.Read
+// runs under the same deadline — without tearing the socket down, so a
+// shard busy with a batch answers and sends all of it before its next
+// receive fails and it exits. Only then are the sockets closed. Datagrams
+// arriving meanwhile stay in the kernel buffers and die with the sockets.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -859,10 +565,6 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	// A read deadline in the past wakes every reader blocked on its socket
-	// — including readers parked in recvmmsg via RawConn.Read, which
-	// honours deadlines — without tearing down the socket, so workers can
-	// still write responses for queries already accepted.
 	for _, sh := range s.shards {
 		_ = sh.conn.SetReadDeadline(time.Now())
 	}

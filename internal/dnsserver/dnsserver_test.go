@@ -10,6 +10,7 @@ import (
 
 	"eum/internal/dnsclient"
 	"eum/internal/dnsmsg"
+	"eum/internal/faultnet"
 )
 
 // echoHandler answers every A query with a fixed address and records the
@@ -145,6 +146,52 @@ func TestMalformedDatagramCounted(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Error("malformed datagram not counted")
+}
+
+// TestOversizedDatagramMalformed sends a valid query padded to 5 000
+// bytes — longer than any answer the server sends, so longer than any
+// query it parses — over the loopback socket (the batched path on Linux)
+// and through a faultnet-wrapped conn (the single-datagram path): it is
+// counted Malformed unparsed, and the next query is still answered.
+func TestOversizedDatagramMalformed(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		wrapped bool
+	}{{"loopback", false}, {"faultnet", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.wrapped {
+				pc = faultnet.NewInjector(faultnet.Config{}).WrapPacketConn(pc)
+			}
+			s, err := NewConn(pc, &echoHandler{}, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() { _ = s.Serve() }()
+			t.Cleanup(func() { _ = s.Close() })
+			conn, err := net.Dial("udp", s.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+
+			wire, _ := dnsmsg.NewQuery(1, "big.example.net", dnsmsg.TypeA).Pack()
+			big := make([]byte, 5000)
+			copy(big, wire)
+			if _, err := conn.Write(big); err != nil {
+				t.Fatal(err)
+			}
+			if resp := exchange(t, conn, 2, "next.example.net"); resp.ID != 2 {
+				t.Fatalf("answer to the next query has ID %d, want 2", resp.ID)
+			}
+			if m, q := s.Metrics.Malformed.Load(), s.Metrics.Queries.Load(); m != 1 || q != 1 {
+				t.Errorf("Malformed = %d, Queries = %d; want 1 and 1", m, q)
+			}
+		})
+	}
 }
 
 func TestDroppedQueries(t *testing.T) {

@@ -9,8 +9,8 @@ import (
 	"eum/internal/dnsmsg"
 )
 
-// gatedHandler blocks every query on release, so tests can pin workers and
-// fill the queue deterministically.
+// gatedHandler blocks every query on release, so tests can hold a shard
+// inside a batch deterministically.
 type gatedHandler struct {
 	release chan struct{}
 }
@@ -32,117 +32,59 @@ func startConfigServer(t *testing.T, h Handler, cfg Config) *Server {
 	return s
 }
 
-// floodUntil sends packed queries from conn until cond holds or the
-// deadline passes, reporting whether cond held.
-func floodUntil(t *testing.T, conn net.Conn, wire []byte, cond func() bool) bool {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		for i := 0; i < 16; i++ {
-			if _, err := conn.Write(wire); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if cond() {
-			return true
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return cond()
-}
-
-func TestShedDropCountsOverflow(t *testing.T) {
-	h := &gatedHandler{release: make(chan struct{})}
-	s := startConfigServer(t, h, Config{
-		Readers: 1, Workers: 1, QueueDepth: 1, OnOverload: ShedDrop,
-	})
-	defer close(h.release)
-
-	conn, err := net.Dial("udp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	wire, _ := dnsmsg.NewQuery(7, "shed.example.net", dnsmsg.TypeA).Pack()
-
-	// One query pins the worker, one fills the queue; everything after
-	// that must be shed rather than queued.
-	if !floodUntil(t, conn, wire, func() bool { return s.Metrics.Shed.Load() >= 1 }) {
-		t.Fatalf("no shedding under sustained overload: shed=%d", s.Metrics.Shed.Load())
-	}
-}
-
-func TestShedRefuseAnswersRefused(t *testing.T) {
-	h := &gatedHandler{release: make(chan struct{})}
-	s := startConfigServer(t, h, Config{
-		Readers: 1, Workers: 1, QueueDepth: 1, OnOverload: ShedRefuse,
-	})
-	defer close(h.release)
-
-	conn, err := net.Dial("udp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	wire, _ := dnsmsg.NewQuery(7, "refuse.example.net", dnsmsg.TypeA).Pack()
-	if !floodUntil(t, conn, wire, func() bool { return s.Metrics.Shed.Load() >= 1 }) {
-		t.Fatal("no shedding under sustained overload")
-	}
-
-	// A shed query must have produced a REFUSED response on the wire.
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 512)
-	for {
-		n, err := conn.Read(buf)
-		if err != nil {
-			t.Fatalf("no REFUSED response read: %v", err)
-		}
-		resp, err := dnsmsg.Unpack(buf[:n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.RCode == dnsmsg.RCodeRefused {
-			if resp.ID != 7 {
-				t.Fatalf("REFUSED response ID = %d, want 7", resp.ID)
-			}
-			return
-		}
-	}
-}
-
+// TestServeDeadlineDropsStaleQueries queues six queries before Serve
+// starts, so one recvmmsg receives them all, and makes the first answer
+// outlast the deadline: the five behind it are DeadlineDrops and get no
+// answer.
 func TestServeDeadlineDropsStaleQueries(t *testing.T) {
-	h := &gatedHandler{release: make(chan struct{})}
-	s := startConfigServer(t, h, Config{
-		Readers: 1, Workers: 1, QueueDepth: 8,
-		ServeDeadline: 20 * time.Millisecond,
+	if !batched {
+		t.Skip("the deadline cannot fire on the single-datagram path")
+	}
+	const deadline = 20 * time.Millisecond
+	h := HandlerFunc(func(_ netip.AddrPort, q *dnsmsg.Message) *dnsmsg.Message {
+		if q.ID == 0 {
+			time.Sleep(3 * deadline)
+		}
+		return q.Reply()
 	})
-
+	s, err := ListenConfig("127.0.0.1:0", h, Config{ListenerShards: 1, ServeDeadline: deadline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
 	conn, err := net.Dial("udp", s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	wire, _ := dnsmsg.NewQuery(7, "late.example.net", dnsmsg.TypeA).Pack()
-
-	// Pin the worker, queue a few more queries, and let them age past the
-	// deadline before releasing the worker.
-	for i := 0; i < 6; i++ {
+	for id := range 6 {
+		wire, _ := dnsmsg.NewQuery(uint16(id), "late.example.net", dnsmsg.TypeA).Pack()
 		if _, err := conn.Write(wire); err != nil {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(100 * time.Millisecond)
-	close(h.release)
+	go func() { _ = s.Serve() }()
 
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if s.Metrics.DeadlineDrops.Load() >= 1 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	buf := make([]byte, 512)
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	n, err := conn.Read(buf)
+	if err != nil {
+		t.Fatalf("the slow first query got no answer: %v", err)
 	}
-	t.Fatalf("no deadline drops: drops=%d queries=%d",
-		s.Metrics.DeadlineDrops.Load(), s.Metrics.Queries.Load())
+	if resp, err := dnsmsg.Unpack(buf[:n]); err != nil || resp.ID != 0 {
+		t.Fatalf("first answer = %v, %v; want ID 0", resp, err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	if n, err := conn.Read(buf); err == nil {
+		resp, _ := dnsmsg.Unpack(buf[:n])
+		t.Fatalf("a query queued behind the deadline was answered: %v", resp)
+	}
+	if got := s.Metrics.DeadlineDrops.Load(); got != 5 {
+		t.Errorf("DeadlineDrops = %d, want 5", got)
+	}
+	if got := s.Metrics.Queries.Load(); got != 1 {
+		t.Errorf("Queries = %d, want 1 (dropped datagrams are not parsed)", got)
+	}
 }
 
 func TestHandlerPanicAnsweredServfail(t *testing.T) {
@@ -154,7 +96,7 @@ func TestHandlerPanicAnsweredServfail(t *testing.T) {
 		}
 		return q.Reply()
 	})
-	s := startConfigServer(t, h, Config{Readers: 1, Workers: 1})
+	s := startServer(t, h)
 
 	conn, err := net.Dial("udp", s.Addr().String())
 	if err != nil {
@@ -225,22 +167,5 @@ func TestHandlerPanicTCP(t *testing.T) {
 	}
 	if got := s.Metrics.HandlerPanics.Load(); got != 1 {
 		t.Fatalf("HandlerPanics = %d, want 1", got)
-	}
-}
-
-func TestParseShedPolicy(t *testing.T) {
-	for in, want := range map[string]ShedPolicy{
-		"": ShedBlock, "block": ShedBlock, "drop": ShedDrop, "refuse": ShedRefuse,
-	} {
-		got, err := ParseShedPolicy(in)
-		if err != nil || got != want {
-			t.Errorf("ParseShedPolicy(%q) = %v, %v", in, got, err)
-		}
-		if in != "" && got.String() != in {
-			t.Errorf("String() = %q, want %q", got.String(), in)
-		}
-	}
-	if _, err := ParseShedPolicy("nonsense"); err == nil {
-		t.Error("nonsense policy accepted")
 	}
 }

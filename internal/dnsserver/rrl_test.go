@@ -122,7 +122,6 @@ func TestRRLOverWire(t *testing.T) {
 		return q.Reply()
 	})
 	s := startConfigServer(t, h, Config{
-		Readers: 1, Workers: 1,
 		RRLRate: 5, RRLBurst: 3, RRLSlip: 2,
 	})
 

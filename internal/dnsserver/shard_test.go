@@ -103,11 +103,11 @@ func TestListenReusePortSharded(t *testing.T) {
 // query is answered and the wakeup counters prove the batch loop (not the
 // portable fallback) was doing the work.
 func TestBatchedIOServes(t *testing.T) {
-	if runtime.GOOS != "linux" {
-		t.Skip("batched I/O is linux-only")
+	if !batched {
+		t.Skip("no recvmmsg/sendmmsg on this platform")
 	}
 	h := &echoHandler{}
-	s, err := ListenConfig("127.0.0.1:0", h, Config{ListenerShards: 1, BatchSize: 8})
+	s, err := ListenConfig("127.0.0.1:0", h, Config{ListenerShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestBatchedIOServes(t *testing.T) {
 	}
 }
 
-// TestBatchShutdownWakes closes a server whose batch readers are parked in
+// TestBatchShutdownWakes closes a server whose shards are parked in
 // recvmmsg with nothing arriving; Close's read deadline must wake them.
 func TestBatchShutdownWakes(t *testing.T) {
 	if runtime.GOOS != "linux" {
@@ -150,13 +150,13 @@ func TestBatchShutdownWakes(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	s, err := ListenConfig("127.0.0.1:0", HandlerFunc(
 		func(_ netip.AddrPort, q *dnsmsg.Message) *dnsmsg.Message { return q.Reply() },
-	), Config{ListenerShards: 2, BatchSize: 4})
+	), Config{ListenerShards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	serveDone := make(chan struct{})
 	go func() { defer close(serveDone); _ = s.Serve() }()
-	time.Sleep(20 * time.Millisecond) // let readers park in recvmmsg
+	time.Sleep(20 * time.Millisecond) // let the shards park in recvmmsg
 
 	done := make(chan error, 1)
 	go func() { done <- s.Close() }()
@@ -166,7 +166,7 @@ func TestBatchShutdownWakes(t *testing.T) {
 			t.Fatalf("Close: %v", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Close hung: batch reader never woke from recvmmsg")
+		t.Fatal("Close hung: a shard never woke from recvmmsg")
 	}
 	select {
 	case <-serveDone:
@@ -195,7 +195,6 @@ func TestShardIndependenceRaceHammer(t *testing.T) {
 		conns[i] = pc
 	}
 	s, err := NewConns(conns, &echoHandler{}, Config{
-		Readers: 1, Workers: 2, QueueDepth: 64,
 		RRLRate: 50, RRLBurst: 8, RRLSlip: -1,
 	})
 	if err != nil {
@@ -299,7 +298,7 @@ func TestShardedGracefulShutdown(t *testing.T) {
 		conns[i] = pc
 	}
 	h := &gatedHandler{release: make(chan struct{})}
-	s, err := NewConns(conns, h, Config{Readers: 1, Workers: 1, QueueDepth: 4})
+	s, err := NewConns(conns, h, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestGracefulShutdown(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	h := &gatedHandler{release: make(chan struct{})}
-	s, err := ListenConfig("127.0.0.1:0", h, Config{Readers: 2, Workers: 2, QueueDepth: 4})
+	s, err := ListenConfig("127.0.0.1:0", h, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,5 +94,72 @@ func TestGracefulShutdown(t *testing.T) {
 
 	if got := waitGoroutines(baseline); got > baseline+2 {
 		t.Fatalf("goroutines leaked: %d -> %d", baseline, got)
+	}
+}
+
+// TestCloseDuringBatchSendsItsAnswers queues four queries before Serve so
+// one recvmmsg takes them all, holds the first in the handler and closes
+// the server: Close waits, and every answer of the batch still goes out.
+func TestCloseDuringBatchSendsItsAnswers(t *testing.T) {
+	if !batched {
+		t.Skip("a batch holds one datagram on the single-datagram path")
+	}
+	h := &gatedHandler{release: make(chan struct{})}
+	s, err := ListenConfig("127.0.0.1:0", h, Config{ListenerShards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("udp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const queries = 4
+	for id := range queries {
+		wire, _ := dnsmsg.NewQuery(uint16(id), "batch.example.net", dnsmsg.TypeA).Pack()
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serveDone := make(chan struct{})
+	go func() { defer close(serveDone); _ = s.Serve() }()
+	deadline := time.Now().Add(2 * time.Second)
+	for s.Metrics.Queries.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("query never reached the handler")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	closeDone := make(chan error, 1)
+	go func() { closeDone <- s.Close() }()
+	select {
+	case <-closeDone:
+		t.Fatal("Close returned while a batch was being answered")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(h.release)
+
+	seen := make(map[uint16]bool)
+	buf := make([]byte, 512)
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	for len(seen) < queries {
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatalf("batch lost answers on Close: got IDs %v: %v", seen, err)
+		}
+		resp, err := dnsmsg.Unpack(buf[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[resp.ID] = true
+	}
+	if err := <-closeDone; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	<-serveDone
+	if got := s.ShardStats()[0]; got.Wakeups != 1 || got.BatchedPackets != queries {
+		t.Errorf("wakeups = %d, packets = %d; want the %d queries in one batch",
+			got.Wakeups, got.BatchedPackets, queries)
 	}
 }

@@ -19,6 +19,10 @@ const maxTCPMessage = 65535
 // queries before the server closes it.
 const tcpReadTimeout = 10 * time.Second
 
+// tcpWriteTimeout bounds how long one response may take to write: a client
+// that stops reading loses its connection instead of pinning a goroutine.
+const tcpWriteTimeout = 10 * time.Second
+
 // TCPServer serves DNS over TCP (RFC 1035 §4.2.2 two-byte length framing).
 // Authoritative servers need it for responses that exceed the client's UDP
 // payload size: the UDP path answers with TC=1 and the client retries over
@@ -32,6 +36,7 @@ type TCPServer struct {
 
 	mu     sync.Mutex
 	closed bool
+	conns  map[net.Conn]struct{} // live connections, for Close to wake
 	wg     sync.WaitGroup
 }
 
@@ -44,7 +49,7 @@ func ListenTCP(addr string, h Handler) (*TCPServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dnsserver: %w", err)
 	}
-	return &TCPServer{ln: ln, handler: h}, nil
+	return &TCPServer{ln: ln, handler: h, conns: make(map[net.Conn]struct{})}, nil
 }
 
 // Addr returns the bound address.
@@ -64,7 +69,15 @@ func (s *TCPServer) Serve() error {
 			}
 			return fmt.Errorf("dnsserver: accept: %w", err)
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return nil
+		}
+		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			s.serveConn(conn)
@@ -72,14 +85,33 @@ func (s *TCPServer) Serve() error {
 	}
 }
 
+// extend arms conn's deadline d from now, unless Close has begun: then the
+// past deadline Close set stays and extend reports false.
+func (s *TCPServer) extend(conn net.Conn, d time.Duration) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	_ = conn.SetDeadline(time.Now().Add(d))
+	return true
+}
+
 func (s *TCPServer) serveConn(conn net.Conn) {
-	defer conn.Close()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		conn.Close()
+	}()
 	raddr, ok := remoteAddrPort(conn.RemoteAddr())
 	if !ok {
 		return
 	}
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(tcpReadTimeout))
+		if !s.extend(conn, tcpReadTimeout) {
+			return
+		}
 		msg, err := ReadTCPMessage(conn)
 		if err != nil {
 			return
@@ -96,7 +128,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			return
 		}
 		wire, err := resp.Pack()
-		if err != nil {
+		if err != nil || !s.extend(conn, tcpWriteTimeout) {
 			return
 		}
 		if err := WriteTCPMessage(conn, wire); err != nil {
@@ -106,7 +138,9 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}
 }
 
-// Close stops the listener and waits for in-flight connections.
+// Close stops the listener, sets a past deadline on every live connection
+// — waking one idle in a read or stalled in a write behind a client that
+// stopped reading — and waits for their goroutines to exit.
 func (s *TCPServer) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -114,6 +148,9 @@ func (s *TCPServer) Close() error {
 		return nil
 	}
 	s.closed = true
+	for conn := range s.conns {
+		_ = conn.SetDeadline(time.Now())
+	}
 	s.mu.Unlock()
 	err := s.ln.Close()
 	s.wg.Wait()

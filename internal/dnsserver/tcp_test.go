@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -297,5 +298,77 @@ func TestTCPCloseIdempotent(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTCPCloseIdleConnection: a client that connects and sends nothing
+// must not hold Close for the idle read timeout.
+func TestTCPCloseIdleConnection(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	s, err := ListenTCP("127.0.0.1:0", &bigHandler{n: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = s.Serve() }()
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	time.Sleep(50 * time.Millisecond) // let the server start reading
+
+	start := time.Now()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v with one idle connection", d)
+	}
+	if got := waitGoroutines(baseline); got > baseline+2 {
+		t.Fatalf("goroutines leaked: %d -> %d", baseline, got)
+	}
+}
+
+// TestTCPCloseStalledWriter: a client that pipelines queries for ~60 KB
+// answers and never reads stalls the server's write once the socket
+// buffers fill. Close must still return promptly and leak nothing.
+func TestTCPCloseStalledWriter(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	s, err := ListenTCP("127.0.0.1:0", &bigHandler{n: 3700})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = s.Serve() }()
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	wire, _ := dnsmsg.NewQuery(1, "stall.example.net", dnsmsg.TypeA).Pack()
+	for i := 0; i < 200; i++ {
+		if err := WriteTCPMessage(conn, wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Wait until the server stops making progress: its write is blocked.
+	for last := uint64(0); ; {
+		time.Sleep(100 * time.Millisecond)
+		n := s.Metrics.Responses.Load()
+		if n > 0 && n == last {
+			t.Logf("server stalled after %d of 200 answers", n)
+			break
+		}
+		last = n
+	}
+
+	start := time.Now()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v behind a client that stopped reading", d)
+	}
+	if got := waitGoroutines(baseline); got > baseline+2 {
+		t.Fatalf("goroutines leaked: %d -> %d", baseline, got)
 	}
 }

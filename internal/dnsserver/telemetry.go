@@ -17,10 +17,10 @@ import (
 // not synchronised against a running serve loop.
 //
 // Beyond the aggregate counters, every listener shard exports its own
-// gauges under dnsserver_shard<i>_: queue depth, shed and query totals, a
-// scrape-windowed qps rate, and the measured packets-per-wakeup ratio of
-// the batched-I/O path. The registry has no label dimension, so the shard
-// index is folded into the metric name.
+// gauges under dnsserver_shard<i>_: the query total, a scrape-windowed qps
+// rate, and the measured packets-per-wakeup ratio of its receive path. The
+// registry has no label dimension, so the shard index is folded into the
+// metric name.
 func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 	m := &s.Metrics
 	reg.Counter("dnsserver_queries_total",
@@ -31,10 +31,8 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 		"Datagrams that failed to parse.", m.Malformed.Load)
 	reg.Counter("dnsserver_dropped_total",
 		"Queries the handler chose not to answer.", m.Dropped.Load)
-	reg.Counter("dnsserver_shed_total",
-		"Datagrams rejected at enqueue because the queue was full.", m.Shed.Load)
 	reg.Counter("dnsserver_deadline_drops_total",
-		"Queued queries discarded past the serve deadline.", m.DeadlineDrops.Load)
+		"Received datagrams discarded past the serve deadline.", m.DeadlineDrops.Load)
 	reg.Counter("dnsserver_rate_limited_total",
 		"Queries suppressed by response-rate limiting.", m.RateLimited.Load)
 	reg.Counter("dnsserver_slips_total",
@@ -52,13 +50,8 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 		prefix := fmt.Sprintf("dnsserver_shard%d_", sh.id)
 		reg.Counter(prefix+"queries_total",
 			"Well-formed queries received on this shard.", sh.Stats.Queries.Load)
-		reg.Counter(prefix+"shed_total",
-			"Datagrams this shard rejected at enqueue.", sh.Stats.Shed.Load)
-		reg.Gauge(prefix+"queue_depth",
-			"Instantaneous depth of this shard's work queue.",
-			func() float64 { return float64(len(sh.queue)) })
 		reg.Gauge(prefix+"packets_per_wakeup",
-			"Datagrams drained per receive syscall on this shard (1.0 unbatched).",
+			"Datagrams received per receive syscall on this shard (1.0 on the single-datagram path).",
 			func() float64 {
 				w := sh.Stats.Wakeups.Load()
 				if w == 0 {

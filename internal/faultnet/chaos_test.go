@@ -58,7 +58,7 @@ func (h *epochCheckHandler) ServeDNS(remote netip.AddrPort, q *dnsmsg.Message) *
 }
 
 // TestChaosServingPlane is the chaos harness: the full UDP stack — real
-// sockets, pooled server, retrying client — under simultaneous
+// sockets, the serve loop, retrying client — under simultaneous
 //
 //   - transport faults: >=10% packet loss each way, duplication,
 //     reordering, latency jitter (faultnet);
@@ -72,7 +72,7 @@ func (h *epochCheckHandler) ServeDNS(remote netip.AddrPort, q *dnsmsg.Message) *
 // succeed, every answer's snapshot epoch was live at decision time, and the
 // MapMaker survived its build crashes.
 //
-// The sharded variant runs the same storm against a 4-shard server,
+// "pooled" runs the single-shard layout; the sharded variant runs the same storm against a 4-shard server,
 // clients spread across the shards — the resilience contract must hold
 // regardless of the serving-plane layout.
 func TestChaosServingPlane(t *testing.T) {
@@ -131,8 +131,6 @@ func runChaosServingPlane(t *testing.T, shards int) {
 		addrs[i] = inner.LocalAddr().String()
 	}
 	srv, err := dnsserver.NewConns(conns, handler, dnsserver.Config{
-		Readers: 2, Workers: 4, QueueDepth: 64,
-		OnOverload:    dnsserver.ShedDrop,
 		ServeDeadline: 500 * time.Millisecond,
 	})
 	if err != nil {
@@ -206,9 +204,9 @@ func runChaosServingPlane(t *testing.T, shards int) {
 	t.Logf("transport: forwarded=%d dropped=%d duplicated=%d delayed=%d",
 		inj.Stats.Forwarded.Load(), inj.Stats.Dropped.Load(),
 		inj.Stats.Duplicated.Load(), inj.Stats.Delayed.Load())
-	t.Logf("server: queries=%d responses=%d shed=%d deadline_drops=%d rate_limited=%d panics=%d",
+	t.Logf("server: queries=%d responses=%d deadline_drops=%d rate_limited=%d panics=%d",
 		srv.Metrics.Queries.Load(), srv.Metrics.Responses.Load(),
-		srv.Metrics.Shed.Load(), srv.Metrics.DeadlineDrops.Load(),
+		srv.Metrics.DeadlineDrops.Load(),
 		srv.Metrics.RateLimited.Load(), srv.Metrics.HandlerPanics.Load())
 	t.Logf("authority: stale=%d fallback=%d servfails=%d level=%v",
 		auth.StaleAnswers.Load(), auth.FallbackAnswers.Load(),

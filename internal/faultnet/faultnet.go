@@ -1,7 +1,7 @@
 // Package faultnet wraps net transports with deterministic, seedable
 // fault injection: packet drops, duplication, reordering, latency, and
 // truncation. It exists so the DNS stack's resilience machinery — client
-// retries and backoff, server shedding and deadlines, TCP fallback — can
+// retries and backoff, server deadlines and rate limiting, TCP fallback — can
 // be exercised over a hostile wire inside ordinary Go tests, with failures
 // reproducible from the seed.
 //

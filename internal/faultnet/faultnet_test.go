@@ -119,7 +119,7 @@ func TestEndToEndThroughFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := dnsserver.NewConn(in.WrapPacketConn(inner), h, dnsserver.Config{Workers: 2})
+	s, err := dnsserver.NewConn(in.WrapPacketConn(inner), h, dnsserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

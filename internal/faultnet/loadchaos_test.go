@@ -78,8 +78,6 @@ func TestLoadChaos(t *testing.T) {
 	}
 	addr := inner.LocalAddr().String()
 	srv, err := dnsserver.NewConns([]net.PacketConn{inj.WrapPacketConn(inner)}, auth, dnsserver.Config{
-		Readers: 2, Workers: 4, QueueDepth: 64,
-		OnOverload:    dnsserver.ShedDrop,
 		ServeDeadline: 500 * time.Millisecond,
 	})
 	if err != nil {
