@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"sync"
 	"testing"
 
@@ -109,22 +110,38 @@ func TestRingAllocsBounded(t *testing.T) {
 	}
 }
 
-// coldWideImageCRC is the checksum trailer of the full wire image of the
+// coldWideImageCRC and coldWideImageSize pin the full wire image of the
 // cold_wide benchmark's universe at its first epoch. Scores are compared,
 // sorted and shipped as raw float64 bits, so a score that moves in its last
-// place can reorder a tie and changes this number; a change that means to
-// move it says so and re-pins it.
-const coldWideImageCRC = 0x59c31519
+// place can reorder a tie and changes the checksum; a change that means to
+// move it says so and re-pins it. coldWideRowsCRC is the CRC-32C of the rank
+// rows alone (every RowTable's TableBytes, in row order), which a change to
+// the format around the rows leaves where it is.
+const (
+	coldWideImageCRC  = 0xcf9794d2
+	coldWideImageSize = 3405524
+	coldWideRowsCRC   = 0x9096ab1c
+)
 
 func TestWireImagePinned(t *testing.T) {
 	w := world.MustGenerate(world.Config{Seed: 1, NumBlocks: 50000})
 	p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 1, NumDeployments: 600})
 	cfg := mapping.Config{Policy: mapping.EndUser, PingTargets: 5000, PartitionMiles: 50}
-	image, err := mapwire.NewCodec(p).EncodeFull(mapping.NewSystem(w, p, netmodel.NewDefault(), cfg).Current())
+	sn := mapping.NewSystem(w, p, netmodel.NewDefault(), cfg).Current()
+	image, err := mapwire.NewCodec(p).EncodeFull(sn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := binary.LittleEndian.Uint32(image[len(image)-4:]); got != coldWideImageCRC {
-		t.Fatalf("the cold_wide full image (%d bytes) has CRC-32C %#08x, pinned %#08x", len(image), got, coldWideImageCRC)
+	if got := binary.LittleEndian.Uint32(image[len(image)-4:]); got != coldWideImageCRC || len(image) != coldWideImageSize {
+		t.Fatalf("the cold_wide full image is %d bytes with CRC-32C %#08x, pinned %d bytes and %#08x",
+			len(image), got, coldWideImageSize, coldWideImageCRC)
+	}
+	var rows uint32
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for i := 0; i < sn.Layout().Rows(); i++ {
+		rows = crc32.Update(rows, castagnoli, mapping.TableBytes(sn.RowTable(i)))
+	}
+	if rows != coldWideRowsCRC {
+		t.Fatalf("the cold_wide rank rows have CRC-32C %#08x, pinned %#08x", rows, coldWideRowsCRC)
 	}
 }

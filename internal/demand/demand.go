@@ -207,24 +207,3 @@ func LDNSDemands(w *world.World) []float64 {
 	}
 	return out
 }
-
-// PairRecord is one NetSession-style client-LDNS association record
-// (§3.1): a /24 client block, the LDNS its clients use, and the relative
-// frequency of that association.
-type PairRecord struct {
-	Block     *world.ClientBlock
-	LDNS      *world.LDNS
-	Frequency float64
-}
-
-// CollectPairs emulates the NetSession measurement: for every client
-// block, report its LDNS association. (In this synthetic world each block
-// has a single resolver, so frequencies are 1; the record shape matches
-// the paper's aggregation.)
-func CollectPairs(w *world.World) []PairRecord {
-	out := make([]PairRecord, 0, len(w.Blocks))
-	for _, b := range w.Blocks {
-		out = append(out, PairRecord{Block: b, LDNS: b.LDNS, Frequency: 1})
-	}
-	return out
-}

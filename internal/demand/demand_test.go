@@ -160,15 +160,3 @@ func TestLDNSCoverageSteeperThanBlocks(t *testing.T) {
 		t.Errorf("coverage ratio = %.1f, want >= 3", float64(nb)/float64(nl))
 	}
 }
-
-func TestCollectPairs(t *testing.T) {
-	pairs := CollectPairs(testW)
-	if len(pairs) != len(testW.Blocks) {
-		t.Fatalf("pairs = %d, want %d", len(pairs), len(testW.Blocks))
-	}
-	for _, p := range pairs[:100] {
-		if p.LDNS != p.Block.LDNS || p.Frequency != 1 {
-			t.Fatalf("pair malformed: %+v", p)
-		}
-	}
-}

@@ -171,8 +171,8 @@ func RankRegret(lab *Lab) ([]RankRegretRow, []*Report, error) {
 	walkRep := &Report{
 		ID: "rankregret-walk",
 		Caption: fmt.Sprintf("Ping added per step by walking a shared tail instead of the endpoint's own ranking, positions %d-%d of %d (%d heads of %d + %d tails = %.1f%% of %d full rows)",
-			lo, hi-1, nDeps, len(lay.Segments), lay.TableLen, len(lay.TailSeg),
-			100*float64(lay.ArenaLen())/float64(len(lay.Segments)*nDeps), len(lay.Segments)),
+			lo, hi-1, nDeps, lay.Tables(), lay.TableLen, len(lay.TailSeg),
+			100*float64(lay.ArenaLen())/float64(lay.Tables()*nDeps), lay.Tables()),
 		Columns: []string{"tail", "samples", "true-mean-ms", "mean-regret-ms", "p99-regret-ms", "worst-regret-ms"},
 	}
 	var rows []RankRegretRow

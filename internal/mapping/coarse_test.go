@@ -65,7 +65,7 @@ func makeTruncHarness() truncHarness {
 			}
 			if key&^0xF == hole {
 				// Survivor inside the /20: track the expected representative
-				// (highest demand, ties to the lowest key — coarseRep's order).
+				// (highest demand, ties to the lowest key — blockIn's order).
 				if want == nil || b.Demand > want.Demand || (b.Demand == want.Demand && key < wantKey) {
 					want, wantKey = b, key
 				}
@@ -81,36 +81,36 @@ func makeTruncHarness() truncHarness {
 // TestCoarseRepRangeScan pins the index-level contract: a prefix coarser
 // than the leaf granularity resolves to the highest-demand block inside
 // it via a range scan, even when the prefix's base leaf is empty — the
-// case exact unit/leaf probing cannot see.
+// case probing only the base leaf cannot see.
 func TestCoarseRepRangeScan(t *testing.T) {
-	ix := buildSysIndex(truncH.w, PrefixUnits{X: 24})
+	ix := buildSysIndex(truncH.w)
 
-	got, ok := ix.coarseRep(truncH.query)
+	got, ok := ix.blockIn(truncH.query)
 	if !ok {
-		t.Fatalf("coarseRep(%v) found nothing; want block %v", truncH.query, truncH.want.Prefix)
+		t.Fatalf("blockIn(%v) found nothing; want block %v", truncH.query, truncH.want.Prefix)
 	}
 	if got != truncH.want {
-		t.Errorf("coarseRep(%v) = %v (demand %.2f), want %v (demand %.2f)",
+		t.Errorf("blockIn(%v) = %v (demand %.2f), want %v (demand %.2f)",
 			truncH.query, got.Prefix, got.Demand, truncH.want.Prefix, truncH.want.Demand)
 	}
 
 	// Leaf-width and narrower queries delegate to the exact leaf lookup.
 	b := truncH.w.Blocks[0]
-	if got, ok := ix.coarseRep(b.Prefix); !ok || got != b {
-		t.Errorf("coarseRep(%v) = %v, %v; want the leaf block itself", b.Prefix, got, ok)
+	if got, ok := ix.blockIn(b.Prefix); !ok || got != b {
+		t.Errorf("blockIn(%v) = %v, %v; want the leaf block itself", b.Prefix, got, ok)
 	}
 
 	// A genuinely empty /20 still reports unknown.
 	empty := netip.MustParsePrefix("198.18.0.0/20")
-	if _, ok := ix.coarseRep(empty); ok {
-		t.Errorf("coarseRep(%v) found a block in an unpopulated range", empty)
+	if _, ok := ix.blockIn(empty); ok {
+		t.Errorf("blockIn(%v) found a block in an unpopulated range", empty)
 	}
 }
 
 // TestCoarseRepIPv6 covers the v6 half of the range scan: a /44 (coarser
 // than the /48 leaf) resolves to the highest-demand contained block.
 func TestCoarseRepIPv6(t *testing.T) {
-	ix := buildSysIndex(v6World, PrefixUnits{X: 24})
+	ix := buildSysIndex(v6World)
 	var query netip.Prefix
 	var want *world.ClientBlock
 	for _, b := range v6World.Blocks {
@@ -133,13 +133,13 @@ func TestCoarseRepIPv6(t *testing.T) {
 	if want == nil {
 		t.Fatal("no v6 blocks")
 	}
-	got, ok := ix.coarseRep(query)
+	got, ok := ix.blockIn(query)
 	if !ok || got != want {
-		t.Errorf("coarseRep(%v) = %v, %v; want %v", query, got, ok, want.Prefix)
+		t.Errorf("blockIn(%v) = %v, %v; want %v", query, got, ok, want.Prefix)
 	}
 	// Exact /48 delegates to the leaf lookup.
-	if got, ok := ix.coarseRep(want.Prefix); !ok || got != want {
-		t.Errorf("coarseRep(%v) = %v, %v; want the leaf block", want.Prefix, got, ok)
+	if got, ok := ix.blockIn(want.Prefix); !ok || got != want {
+		t.Errorf("blockIn(%v) = %v, %v; want the leaf block", want.Prefix, got, ok)
 	}
 }
 

@@ -1,0 +1,182 @@
+package mapping
+
+import (
+	"net/netip"
+	"testing"
+
+	"eum/internal/world"
+)
+
+// unitIndexRef is the client lookup as a mapping-unit index answered it,
+// kept as the reference for the one range query that replaced it: a query
+// coarser than its unit resolves to the highest-demand block among the
+// leaves inside the query (ties to the lowest leaf); any other to the
+// unit's representative — its highest-demand block, ties to the first in
+// world order — and failing that to the leaf block holding the address.
+type unitIndexRef struct {
+	rep  map[netip.Prefix]*world.ClientBlock
+	leaf map[netip.Prefix]*world.ClientBlock
+}
+
+func newUnitIndexRef(t *testing.T, w *world.World, units UnitPolicy) *unitIndexRef {
+	r := &unitIndexRef{rep: map[netip.Prefix]*world.ClientBlock{}, leaf: map[netip.Prefix]*world.ClientBlock{}}
+	for _, b := range w.Blocks {
+		u := units.UnitFor(b.Prefix.Addr())
+		if cur, ok := r.rep[u]; !ok || b.Demand > cur.Demand {
+			r.rep[u] = b
+		}
+		l := leafOf(b.Prefix.Addr())
+		if _, dup := r.leaf[l]; dup {
+			t.Fatalf("two blocks in leaf %v", l)
+		}
+		r.leaf[l] = b
+	}
+	return r
+}
+
+// leafOf returns the /24 or /48 holding a.
+func leafOf(a netip.Addr) netip.Prefix {
+	a = a.Unmap()
+	bits := 48
+	if a.Is4() {
+		bits = 24
+	}
+	p, _ := a.Prefix(bits)
+	return p
+}
+
+func (r *unitIndexRef) lookup(unit, query netip.Prefix) (*world.ClientBlock, bool) {
+	if query.Bits() < unit.Bits() {
+		return r.coarse(query)
+	}
+	if b, ok := r.rep[unit]; ok {
+		return b, true
+	}
+	b, ok := r.leaf[leafOf(query.Addr())]
+	return b, ok
+}
+
+// coarse walks every leaf inside q in ascending order.
+func (r *unitIndexRef) coarse(q netip.Prefix) (*world.ClientBlock, bool) {
+	l := leafOf(q.Addr())
+	if q.Bits() >= l.Bits() {
+		b, ok := r.leaf[l]
+		return b, ok
+	}
+	var best *world.ClientBlock
+	a := q.Masked().Addr()
+	for n := 1 << (l.Bits() - q.Bits()); n > 0; n-- {
+		if b, ok := r.leaf[leafOf(a)]; ok && (best == nil || b.Demand > best.Demand) {
+			best = b
+		}
+		a = nextLeaf(a)
+	}
+	return best, best != nil
+}
+
+// nextLeaf returns the first address of the leaf after a's.
+func nextLeaf(a netip.Addr) netip.Addr {
+	if a.Is4() {
+		b := a.As4()
+		i := 2 // the last byte of a /24
+		for ; b[i] == 0xff; i-- {
+			b[i] = 0
+		}
+		b[i]++
+		return netip.AddrFrom4(b)
+	}
+	b := a.As16()
+	i := 5 // the last byte of a /48
+	for ; b[i] == 0xff; i-- {
+		b[i] = 0
+	}
+	b[i]++
+	return netip.AddrFrom16(b)
+}
+
+// TestClientLookupMatchesUnitIndex: the one range query clientEndpointID
+// makes — the highest-demand block inside the coarser of unit and query —
+// returns what the mapping-unit index it replaced returned, block for block
+// and found for found, under fixed /x units coarser and finer than the
+// leaves, coarse and fine IPv6 units, and BGP-CIDR units, on a v4-only and
+// a mixed world, for queries at and around every block.
+func TestClientLookupMatchesUnitIndex(t *testing.T) {
+	worlds := map[string]*world.World{
+		"v4":    world.MustGenerate(world.Config{Seed: 3, NumBlocks: 2000}),
+		"mixed": world.MustGenerate(world.Config{Seed: 3, NumBlocks: 2000, IPv6Fraction: 0.3}),
+	}
+	for name, w := range worlds {
+		s := &System{index: buildSysIndex(w)}
+		policies := []UnitPolicy{
+			PrefixUnits{X: 16}, PrefixUnits{X: 20}, PrefixUnits{X: 22}, PrefixUnits{X: 24}, PrefixUnits{X: 28},
+			PrefixUnits{X: 24, X6: 40}, PrefixUnits{X: 24, X6: 56},
+			NewCIDRUnits(PrefixUnits{X: 24}, w.BGPCIDRs()),
+		}
+		lookups, found := 0, 0
+		for _, units := range policies {
+			ref := newUnitIndexRef(t, w, units)
+			for _, b := range w.Blocks {
+				a := b.Prefix.Addr()
+				bits := []int{32, 24, 21, 20, 16}
+				if a.Is6() {
+					bits = []int{64, 56, 48, 40}
+				}
+				// A host inside the block, and one in the next leaf, which
+				// is often unknown.
+				for _, host := range []netip.Addr{a.Next().Next(), nextLeaf(a)} {
+					for _, n := range bits {
+						q, _ := host.Prefix(n)
+						want, wantOK := ref.lookup(units.UnitFor(q.Addr()), q)
+						id, ok := s.clientEndpointID(units.UnitFor(q.Addr()), q)
+						if ok != wantOK || (ok && id != want.ID) {
+							t.Fatalf("%s world, %v, query %v: block %d (found %v), the unit index gave %v (found %v)",
+								name, units, q, id, ok, want, wantOK)
+						}
+						lookups++
+						if ok {
+							found++
+						}
+					}
+				}
+			}
+		}
+		if found == 0 || found == lookups {
+			t.Fatalf("%s world: %d of %d lookups found a block; want both outcomes", name, found, lookups)
+		}
+		t.Logf("%s world: %d lookups, %d found a block, 0 differences", name, lookups, found)
+	}
+}
+
+// TestCIDRUnitsMixedFamilies: with IPv6 announcements in the BGP table, an
+// IPv4 block's unit is still the announcement holding it (the probe for it
+// once started at the table's longest IPv6 length and gave up), and so is
+// every IPv6 block's.
+func TestCIDRUnitsMixedFamilies(t *testing.T) {
+	w := world.MustGenerate(world.Config{Seed: 3, NumBlocks: 3000, IPv6Fraction: 0.3})
+	cidrs := w.BGPCIDRs()
+	units := NewCIDRUnits(PrefixUnits{X: 24}, cidrs)
+	var v4, v6 int
+	for _, b := range w.Blocks {
+		var holding netip.Prefix
+		for _, c := range cidrs {
+			if c.Contains(b.Prefix.Addr()) {
+				holding = c
+				break
+			}
+		}
+		if !holding.IsValid() {
+			t.Fatalf("no announcement holds block %v", b.Prefix)
+		}
+		if got := units.UnitFor(b.Prefix.Addr()); got != holding {
+			t.Fatalf("block %v: unit %v, the announcement holding it is %v", b.Prefix, got, holding)
+		}
+		if b.Prefix.Addr().Is4() {
+			v4++
+		} else {
+			v6++
+		}
+	}
+	if v4 == 0 || v6 == 0 {
+		t.Fatalf("%d v4 and %d v6 blocks; want both families", v4, v6)
+	}
+}

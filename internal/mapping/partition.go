@@ -2,7 +2,6 @@ package mapping
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"unsafe"
 
@@ -56,59 +55,51 @@ const tailMiles = 250
 // that are whole rankings.
 func HeadLen(deployments int) int { return min(max(rankHead, deployments/headShare), deployments) }
 
-// Segment describes one distinct rank table (an arena segment).
+// segment is what the builder ranks one distinct rank table from.
 // Partitions whose representatives resolve to the same scorer ping target
-// are interned onto one segment; Target is the scorer target index ranked
-// into the segment, or -1 when clustering is off and Rep itself is ranked.
-type Segment struct {
-	Target int32
-	Rep    netmodel.Endpoint
+// are interned onto one segment; target is the scorer target index ranked
+// into the segment, or -1 when clustering is off and rep itself is ranked.
+// Serving never reads it, so it stays with the builder (SnapshotBuilder
+// .segs) and never travels.
+type segment struct {
+	target int32
+	rep    netmodel.Endpoint
 }
 
 // Layout is the partitioner's output: the immutable shape shared by every
-// snapshot built until the endpoint universe changes. It holds the
-// block→partition index (dense array for the world's compact ID space,
-// sorted spill arrays for hashed IDs), the per-partition table headers, the
-// interned segment list and the tails the segments share. A snapshot
-// stores one row per segment — its head, the first TableLen entries of its
-// ranking — followed by one row per tail, a ranking of every deployment;
-// rows are numbered in that order (see RowLen). The fields are exported
-// because internal/mapwire writes and reads them one for one; nothing may
-// modify a layout once a snapshot refers to it.
+// snapshot built until the endpoint universe changes, and no more than
+// serving reads. It holds the endpoint→partition index, the partition→table
+// map and which tail each table continues in. A snapshot stores one row per
+// table (segment) — its head, the first TableLen entries of its ranking —
+// followed by one row per tail, a ranking of every deployment; rows are
+// numbered in that order (see RowLen). The fields are exported because
+// internal/mapwire writes and reads them one for one; nothing may modify a
+// layout once a snapshot refers to it.
 type Layout struct {
 	NParts int // universe partitions, excluding the two fallbacks
 
-	// Endpoint-ID → partition. IDs below len(Dense) index the dense array
-	// (-1 = unknown); larger (hashed) IDs binary-search the spill arrays.
-	Dense    []int32
-	SpillIDs []uint64
-	SpillIdx []int32
+	// Dense maps an endpoint ID to its partition (-1 = unknown). World IDs
+	// come from one small counter, so the array is as long as the largest.
+	Dense []int32
 
 	// FallbackLDNS / FallbackClient are the partition indexes of the two
 	// synthetic fallback endpoints (always the last two partitions).
 	FallbackLDNS   int32
 	FallbackClient int32
 
-	// PartSeg maps partition → arena segment (4 bytes per partition;
-	// partitions interned onto the same ping target share a segment).
+	// PartSeg maps partition → table (4 bytes per partition; partitions
+	// interned onto the same ping target share a table).
 	PartSeg []int32
 
-	// Segments are the distinct rank tables.
-	Segments []Segment
-
-	// SegTail maps segment → tail, and TailSeg tail → the segment whose
-	// measured endpoint ranks it: the first segment seen in the tail's cell,
-	// or the fallback segment a tail was made for.
+	// SegTail maps table → tail, one entry per table, and TailSeg tail → the
+	// table whose measured endpoint ranks it: the first table seen in the
+	// tail's cell, or the fallback table a tail was made for.
 	SegTail []int32
 	TailSeg []int32
 
 	TableLen  int // entries per head = HeadLen(TailLen)
 	TailLen   int // entries per tail = len(platform.Deployments)
-	Endpoints int // universe endpoints indexed (dense + spill entries)
-
-	// targetSeg inverts the interning (scorer target index → segment) for
-	// incremental re-ranks; only layouts a builder made carry it.
-	targetSeg map[int32]int32
+	Endpoints int // universe endpoints indexed
 
 	// fpOnce/fp cache the layout fingerprint the wire protocol negotiates
 	// deltas with (see Snapshot.LayoutFingerprint). Layouts are immutable
@@ -122,28 +113,19 @@ func (lay *Layout) partitionOf(id uint64) int32 {
 	if id < uint64(len(lay.Dense)) {
 		return lay.Dense[id]
 	}
-	lo, hi := 0, len(lay.SpillIDs)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if lay.SpillIDs[m] < id {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if lo < len(lay.SpillIDs) && lay.SpillIDs[lo] == id {
-		return lay.SpillIdx[lo]
-	}
 	return -1
 }
 
+// Tables returns the number of distinct rank tables (segment heads).
+func (lay *Layout) Tables() int { return len(lay.SegTail) }
+
 // Rows returns how many rows a snapshot of this layout stores: a head per
-// segment, then the tails.
-func (lay *Layout) Rows() int { return len(lay.Segments) + len(lay.TailSeg) }
+// table, then the tails.
+func (lay *Layout) Rows() int { return lay.Tables() + len(lay.TailSeg) }
 
 // RowLen returns the number of entries in row i.
 func (lay *Layout) RowLen(i int) int {
-	if i < len(lay.Segments) {
+	if i < lay.Tables() {
 		return lay.TableLen
 	}
 	return lay.TailLen
@@ -152,30 +134,17 @@ func (lay *Layout) RowLen(i int) int {
 // rowOffset returns where row i starts in an arena holding every row in
 // order.
 func (lay *Layout) rowOffset(i int) int {
-	heads := min(i, len(lay.Segments))
+	heads := min(i, lay.Tables())
 	return heads*lay.TableLen + (i-heads)*lay.TailLen
 }
 
 // ArenaLen returns the number of entries in all rows together.
 func (lay *Layout) ArenaLen() int { return lay.rowOffset(lay.Rows()) }
 
-// rowSegment returns the segment whose measured endpoint ranks row i.
-func (lay *Layout) rowSegment(i int) Segment {
-	if n := len(lay.Segments); i >= n {
-		i = int(lay.TailSeg[i-n])
-	}
-	return lay.Segments[i]
-}
-
 // memoryBytes is the resident size of the layout's index structures.
 func (lay *Layout) memoryBytes() uint64 {
 	const i32 = uint64(unsafe.Sizeof(int32(0)))
-	return uint64(len(lay.Dense))*i32 +
-		uint64(len(lay.SpillIDs))*uint64(unsafe.Sizeof(uint64(0))) +
-		uint64(len(lay.SpillIdx))*i32 +
-		uint64(len(lay.PartSeg))*i32 +
-		uint64(len(lay.Segments))*uint64(unsafe.Sizeof(Segment{})) +
-		uint64(len(lay.SegTail)+len(lay.TailSeg))*i32
+	return uint64(len(lay.Dense)+len(lay.PartSeg)+len(lay.SegTail)+len(lay.TailSeg)) * i32
 }
 
 // signatureFor quantizes an endpoint's routing signature at the given cell
@@ -192,14 +161,15 @@ func signatureFor(ep netmodel.Endpoint, miles float64) sigKey {
 	}
 }
 
-// buildLayout partitions the endpoint universe. miles <= 0 selects identity
+// buildLayout partitions the endpoint universe and returns the layout with
+// the segments its tables are ranked from. miles <= 0 selects identity
 // partitioning: every distinct endpoint ID is its own partition, which
 // reproduces the pre-partition per-endpoint tables exactly (the equivalence
 // property pinned by TestPartitionIdentityEquivalence). miles > 0 clusters
 // endpoints by routing signature; the first member seen (universe order, so
 // deterministic) represents the partition.
 func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
-	miles float64, sc *Scorer) *Layout {
+	miles float64, sc *Scorer) (*Layout, []segment) {
 
 	nDeps := len(sc.platform.Deployments)
 	lay := &Layout{TableLen: HeadLen(nDeps), TailLen: nDeps}
@@ -240,73 +210,45 @@ func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
 	lay.FallbackClient = int32(len(reps))
 	reps = append(reps, fClient)
 
-	// Pass 2: the endpoint index. World IDs are allocated from one small
-	// counter, so almost everything lands in the dense array at 4 bytes per
-	// endpoint; hashed IDs (extra experiment endpoints) spill to sorted
-	// arrays.
-	denseLimit := uint64(2*len(universe) + 1024)
-	maxDense := uint64(0)
+	// Pass 2: the endpoint index, 4 bytes per endpoint ID.
+	maxID := uint64(0)
 	for _, ep := range universe {
-		if ep.ID < denseLimit && ep.ID > maxDense {
-			maxDense = ep.ID
-		}
+		maxID = max(maxID, ep.ID)
 	}
-	lay.Dense = make([]int32, maxDense+1)
+	lay.Dense = make([]int32, maxID+1)
 	for i := range lay.Dense {
 		lay.Dense[i] = -1
 	}
-	type spillEnt struct {
-		id  uint64
-		idx int32
-	}
-	var spill []spillEnt
 	for i, ep := range universe {
-		if ep.ID < denseLimit {
-			if lay.Dense[ep.ID] < 0 {
-				lay.Endpoints++
-			}
-			lay.Dense[ep.ID] = assign[i]
-		} else {
-			spill = append(spill, spillEnt{ep.ID, assign[i]})
-		}
-	}
-	if len(spill) > 0 {
-		sort.Slice(spill, func(i, j int) bool { return spill[i].id < spill[j].id })
-		lay.SpillIDs = make([]uint64, 0, len(spill))
-		lay.SpillIdx = make([]int32, 0, len(spill))
-		for _, e := range spill {
-			if n := len(lay.SpillIDs); n > 0 && lay.SpillIDs[n-1] == e.id {
-				lay.SpillIdx[n-1] = e.idx // later universe entries win, as before
-				continue
-			}
-			lay.SpillIDs = append(lay.SpillIDs, e.id)
-			lay.SpillIdx = append(lay.SpillIdx, e.idx)
+		if lay.Dense[ep.ID] < 0 {
 			lay.Endpoints++
 		}
+		lay.Dense[ep.ID] = assign[i]
 	}
 
-	// Pass 3: intern partitions onto arena segments. With clustering on,
+	// Pass 3: intern partitions onto segments. With clustering on,
 	// partitions resolving to the same ping target share one table, so the
 	// arena is bounded by the distinct targets in use — not by the
 	// partition count; with clustering off each partition ranks its own
 	// representative.
+	var segs []segment
 	lay.PartSeg = make([]int32, len(reps))
 	if sc.Targeted() {
 		tIdx := par.Map(len(reps), func(i int) int { return sc.nearestTarget(reps[i]) })
-		lay.targetSeg = make(map[int32]int32, 64)
+		byTarget := make(map[int32]int32, 64)
 		for p, rep := range reps {
 			t := int32(tIdx[p])
-			seg, ok := lay.targetSeg[t]
+			s, ok := byTarget[t]
 			if !ok {
-				seg = int32(len(lay.Segments))
-				lay.targetSeg[t] = seg
-				lay.Segments = append(lay.Segments, Segment{Target: t, Rep: rep})
+				s = int32(len(segs))
+				byTarget[t] = s
+				segs = append(segs, segment{target: t, rep: rep})
 			}
-			lay.PartSeg[p] = seg
+			lay.PartSeg[p] = s
 		}
 	} else {
 		for p, rep := range reps {
-			lay.Segments = append(lay.Segments, Segment{Target: -1, Rep: rep})
+			segs = append(segs, segment{target: -1, rep: rep})
 			lay.PartSeg[p] = int32(p)
 		}
 	}
@@ -316,10 +258,10 @@ func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
 	// longer tell rankings apart. The fallback segments get tails of their
 	// own, so a fallback row is the fallback endpoint's exact ranking from
 	// first entry to last.
-	lay.SegTail = make([]int32, len(lay.Segments))
+	lay.SegTail = make([]int32, len(segs))
 	fbLDNS, fbClient := lay.PartSeg[lay.FallbackLDNS], lay.PartSeg[lay.FallbackClient]
 	byCell := make(map[sigKey]int32, 64)
-	for s, seg := range lay.Segments {
+	for s, seg := range segs {
 		cell := signatureFor(sc.segProxy(seg), tailMiles)
 		cell.asn, cell.access = 0, 0
 		t, shared := byCell[cell]
@@ -333,5 +275,5 @@ func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
 		}
 		lay.SegTail[s] = t
 	}
-	return lay
+	return lay, segs
 }

@@ -66,24 +66,24 @@ func TestHeadIsPrefixOfFullRank(t *testing.T) {
 			if lay.TableLen != min(max(32, nDeps/16), nDeps) || lay.TailLen != nDeps {
 				t.Fatalf("geometry: heads of %d, tails of %d, for %d deployments", lay.TableLen, lay.TailLen, nDeps)
 			}
-			if len(lay.TailSeg) == 0 || len(lay.TailSeg) > len(lay.Segments) {
-				t.Fatalf("%d tails for %d segments", len(lay.TailSeg), len(lay.Segments))
+			if len(lay.TailSeg) == 0 || len(lay.TailSeg) > len(b.segs) {
+				t.Fatalf("%d tails for %d segments", len(lay.TailSeg), len(b.segs))
 			}
-			full := make([][]Ranked, len(lay.Segments))
-			for s, seg := range lay.Segments {
+			full := make([][]Ranked, len(b.segs))
+			for s, seg := range b.segs {
 				proxy := sc.segProxy(seg)
 				full[s] = fullRank(sc, proxy)
 				if head := sn.rows[s]; !slices.Equal(head, full[s][:lay.TableLen]) {
 					t.Fatalf("segment %d: head is not the first %d of its endpoint's ranking", s, lay.TableLen)
 				}
-				own := sc.segProxy(lay.Segments[lay.TailSeg[lay.SegTail[s]]])
+				own := sc.segProxy(b.segs[lay.TailSeg[lay.SegTail[s]]])
 				a, b := signatureFor(proxy, 250), signatureFor(own, 250)
 				if a.row != b.row || a.col != b.col {
 					t.Fatalf("segment %d continues in a tail ranked from another cell", s)
 				}
 			}
 			for tl, src := range lay.TailSeg {
-				if !slices.Equal(sn.rows[len(lay.Segments)+tl], full[src]) {
+				if !slices.Equal(sn.rows[len(b.segs)+tl], full[src]) {
 					t.Fatalf("tail %d is not the full ranking of segment %d's endpoint", tl, src)
 				}
 			}
@@ -150,7 +150,7 @@ func TestTwoLevelPickMatchesFullRow(t *testing.T) {
 	// The reference row of a block is the full ranking of the endpoint
 	// measured for its partition — what the parent stored whole.
 	fullRow := func(id uint64) []Ranked {
-		return fullRank(sc, sc.segProxy(sn.lay.Segments[sn.lay.PartSeg[sn.lay.partitionOf(id)]]))
+		return fullRank(sc, sc.segProxy(sys.builder.segs[sn.lay.PartSeg[sn.lay.partitionOf(id)]]))
 	}
 
 	var inHead, pastHead, allSaturated, allDead int
@@ -286,7 +286,7 @@ func TestLoadMovesDeploymentsOutOfHeads(t *testing.T) {
 		return slices.ContainsFunc(head, func(c Ranked) bool { return c.Dep == hotAt })
 	}
 	left := 0
-	for s, seg := range warm.lay.Segments {
+	for s, seg := range b.segs {
 		before, after := cold.rows[s], warm.rows[s]
 		full := fullRank(b.Scorer(), b.Scorer().segProxy(seg))
 		slices.SortFunc(full, order.compare)
@@ -299,7 +299,7 @@ func TestLoadMovesDeploymentsOutOfHeads(t *testing.T) {
 		case holds(before) && !holds(after):
 			left++
 		}
-		if tail := warm.rows[len(warm.lay.Segments)+int(warm.lay.SegTail[s])]; !holds(tail) {
+		if tail := warm.rows[len(b.segs)+int(warm.lay.SegTail[s])]; !holds(tail) {
 			t.Fatalf("segment %d: the hot deployment is not in its tail", s)
 		}
 	}

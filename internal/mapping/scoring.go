@@ -255,11 +255,11 @@ func (s *Scorer) proxyEndpoint(ep netmodel.Endpoint) (netmodel.Endpoint, int) {
 
 // segProxy returns the endpoint measured on a segment's behalf: its ping
 // target under clustering, else its representative.
-func (s *Scorer) segProxy(seg Segment) netmodel.Endpoint {
-	if seg.Target >= 0 {
-		return s.targets[seg.Target]
+func (s *Scorer) segProxy(seg segment) netmodel.Endpoint {
+	if seg.target >= 0 {
+		return s.targets[seg.target]
 	}
-	return seg.Rep
+	return seg.rep
 }
 
 // pingRow measures proxy from every deployment: dst[i] is deployment i's

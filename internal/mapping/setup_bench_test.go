@@ -49,7 +49,7 @@ func BenchmarkSetupBudget(b *testing.B) {
 	})
 	b.Run("index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			buildSysIndex(w, PrefixUnits{X: 24})
+			buildSysIndex(w)
 		}
 	})
 	b.Run("rings", func(b *testing.B) {
@@ -71,7 +71,7 @@ func BenchmarkSetupBudget(b *testing.B) {
 		arena := make([]Ranked, lay.ArenaLen())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sb.fillRows(lay, upTo(lay.Rows()), arena, nil)
+			sb.fillRows(lay, sb.segs, upTo(lay.Rows()), arena, nil)
 		}
 	})
 	b.Run("boot", func(b *testing.B) {

@@ -144,7 +144,7 @@ func (sn *Snapshot) TTL() time.Duration { return sn.ttl }
 // Tables returns the number of distinct rank tables (arena segments) in
 // the snapshot. Interning keeps this bounded by the ping-target set, not
 // the endpoint count.
-func (sn *Snapshot) Tables() int { return len(sn.lay.Segments) }
+func (sn *Snapshot) Tables() int { return sn.lay.Tables() }
 
 // Partitions returns the number of mapping partitions the endpoint
 // universe was clustered into (excluding the two fallback partitions).
@@ -168,7 +168,7 @@ func (sn *Snapshot) MemoryBytes() uint64 {
 // row returns partition p's candidates.
 func (sn *Snapshot) row(p int32) Row {
 	s := sn.lay.PartSeg[p]
-	return Row{Head: sn.rows[s], Tail: sn.rows[len(sn.lay.Segments)+int(sn.lay.SegTail[s])]}
+	return Row{Head: sn.rows[s], Tail: sn.rows[sn.lay.Tables()+int(sn.lay.SegTail[s])]}
 }
 
 // fallbackRow returns the shared candidates for endpoints the map does not
@@ -247,10 +247,12 @@ type SnapshotBuilder struct {
 	fallbackLoc    geo.Point
 	partitionMiles float64
 
-	mu    sync.Mutex
-	extra []netmodel.Endpoint
-	lay   *Layout
-	prev  *Snapshot
+	mu  sync.Mutex
+	lay *Layout
+	// segs are what lay's tables are ranked from, one per table: serving
+	// never reads them, so they stay here and never travel.
+	segs []segment
+	prev *Snapshot
 	// expectedGen is the scorer generation the builder has accounted for.
 	// A mismatch at Build time means someone invalidated the scorer behind
 	// the builder's back (e.g. a simulation calling Scorer.Invalidate after
@@ -327,18 +329,6 @@ func newSnapshotBuilder(w *world.World, scorer *Scorer, cfg Config) *SnapshotBui
 // measurement refresh, or to share with a System).
 func (b *SnapshotBuilder) Scorer() *Scorer { return b.scorer }
 
-// AddClientEndpoints extends the set of client endpoints the snapshot will
-// cover beyond the world's blocks (e.g. a sampled block universe an
-// experiment replays). The partition layout is recomputed on the next
-// build.
-func (b *SnapshotBuilder) AddClientEndpoints(eps ...netmodel.Endpoint) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.extra = append(b.extra, eps...)
-	b.lay = nil
-	b.dirtyAll = true
-}
-
 // MarkMeasurementsDirty records which ping targets' measurements changed
 // since the last build, so the next Build re-ranks only the partitions
 // interned onto those targets. Called with no IDs — or with an ID that is
@@ -388,50 +378,51 @@ func (b *SnapshotBuilder) fallbackEndpoints() (ldns, client netmodel.Endpoint) {
 	return ldns, client
 }
 
-// layoutLocked returns the cached partition layout, computing it on first
-// use or after AddClientEndpoints. The layout depends only on the endpoint
-// universe, the partitioning threshold and the (fixed) ping-target set —
-// never on measurements — so it survives every invalidation.
+// layoutLocked returns the cached partition layout, computing it (and the
+// segments its tables are ranked from) on first use. The layout depends only
+// on the endpoint universe — every world LDNS and client block — the
+// partitioning threshold and the (fixed) ping-target set, never on
+// measurements, so it survives every invalidation.
 func (b *SnapshotBuilder) layoutLocked() *Layout {
 	if b.lay != nil {
 		return b.lay
 	}
 	w := b.world
-	universe := make([]netmodel.Endpoint, 0, len(w.LDNSes)+len(w.Blocks)+len(b.extra))
+	universe := make([]netmodel.Endpoint, 0, len(w.LDNSes)+len(w.Blocks))
 	for _, l := range w.LDNSes {
 		universe = append(universe, l.Endpoint())
 	}
 	for _, blk := range w.Blocks {
 		universe = append(universe, blk.Endpoint())
 	}
-	universe = append(universe, b.extra...)
 	fLDNS, fClient := b.fallbackEndpoints()
-	b.lay = buildLayout(universe, fLDNS, fClient, b.partitionMiles, b.scorer)
+	b.lay, b.segs = buildLayout(universe, fLDNS, fClient, b.partitionMiles, b.scorer)
 	return b.lay
 }
 
-// measure scores the given segments' measured endpoints — the interned ping
+// measure scores the given tables' measured endpoints — the interned ping
 // target under clustering, the partition representative's own without —
 // into b.raw, on the worker pool.
-func (b *SnapshotBuilder) measure(lay *Layout, segs []int32) {
-	par.MapShards(len(segs), func(_, lo, hi int) struct{} {
+func (b *SnapshotBuilder) measure(lay *Layout, tables []int32) {
+	par.MapShards(len(tables), func(_, lo, hi int) struct{} {
 		pings := make([]float64, lay.TailLen)
-		for _, s := range segs[lo:hi] {
-			b.scorer.scoreInto(b.raw[int(s)*lay.TailLen:][:lay.TailLen], pings, b.scorer.segProxy(lay.Segments[s]))
+		for _, s := range tables[lo:hi] {
+			b.scorer.scoreInto(b.raw[int(s)*lay.TailLen:][:lay.TailLen], pings, b.scorer.segProxy(b.segs[s]))
 		}
 		return struct{}{}
 	})
 }
 
-// fillRows ranks the given rows into arena, where they lie back to back in
-// that order: ascending, heads before tails, and every tail after the head
-// of the segment that ranks it. Each segment is scored once — out of b.raw
-// when the builder keeps it, else into the worker's scratch — and from the
-// scores its head is selected and the tail it ranks, if any, sorted, both
-// under rowOrder: at a positive balance factor a head is the best of the
-// composite order, not the nearest re-shuffled.
-func (b *SnapshotBuilder) fillRows(lay *Layout, rows []int32, arena []Ranked, factors []float64) {
-	nSegs := len(lay.Segments)
+// fillRows ranks the given rows of lay, whose tables are ranked from segs,
+// into arena, where they lie back to back in that order: ascending, heads
+// before tails, and every tail after the head of the segment that ranks it.
+// Each segment is scored once — out of b.raw when the builder keeps it, else
+// into the worker's scratch — and from the scores its head is selected and
+// the tail it ranks, if any, sorted, both under rowOrder: at a positive
+// balance factor a head is the best of the composite order, not the nearest
+// re-shuffled.
+func (b *SnapshotBuilder) fillRows(lay *Layout, segs []segment, rows []int32, arena []Ranked, factors []float64) {
+	nSegs := lay.Tables()
 	offs := make([]int, len(rows)+1)
 	tailAt := map[int32]int{} // segment → where in rows the tail it ranks lies
 	for k, i := range rows {
@@ -448,7 +439,7 @@ func (b *SnapshotBuilder) fillRows(lay *Layout, rows []int32, arena []Ranked, fa
 			if b.raw != nil {
 				scored = b.raw[int(s)*lay.TailLen:][:lay.TailLen]
 			} else {
-				b.scorer.scoreInto(scored, pings, b.scorer.segProxy(lay.Segments[s]))
+				b.scorer.scoreInto(scored, pings, b.scorer.segProxy(segs[s]))
 			}
 			bestInto(arena[offs[k]:offs[k+1]], scored, order)
 			if t, ok := tailAt[s]; ok {
@@ -477,14 +468,14 @@ func upTo(n int) []int32 {
 func (b *SnapshotBuilder) bootSnapshot(policy Policy) *Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.lay, b.prev, b.raw, b.prevUtil = nil, nil, nil, nil
+	b.lay, b.segs, b.prev, b.raw, b.prevUtil = nil, nil, nil, nil, nil
 	b.dirtyAll = true
 	b.scorer.Invalidate()
 
 	fLDNS, fClient := b.fallbackEndpoints()
-	lay := buildLayout(nil, fLDNS, fClient, b.partitionMiles, b.scorer)
+	lay, segs := buildLayout(nil, fLDNS, fClient, b.partitionMiles, b.scorer)
 	arena := make([]Ranked, lay.ArenaLen())
-	b.fillRows(lay, upTo(lay.Rows()), arena, nil)
+	b.fillRows(lay, segs, upTo(lay.Rows()), arena, nil)
 	return NewSnapshot(0, policy, b.ttl, lay, b.scorer.Platform(), arena, nil)
 }
 
@@ -499,8 +490,8 @@ func (b *SnapshotBuilder) bootSnapshot(policy Policy) *Snapshot {
 const maxArenaChain = 64
 
 // Build produces the snapshot for one epoch under the given policy. The
-// endpoint universe is every world LDNS, every client block, any extra
-// endpoints, and the two fallbacks. The result is a pure function of
+// endpoint universe is every world LDNS, every client block, and the two
+// fallbacks. The result is a pure function of
 // (world, platform liveness, measurements, policy) — par fan-out inside is
 // index-deterministic — so simulation epochs are reproducible regardless
 // of worker count.
@@ -530,7 +521,7 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 
 	lay := b.layoutLocked()
 	sc := b.scorer
-	nSegs := len(lay.Segments)
+	nSegs := lay.Tables()
 	full := b.dirtyAll || b.prev == nil || b.prev.lay != lay || sc.Generation() != b.expectedGen ||
 		(b.balance > 0 && len(b.raw) != nSegs*lay.TailLen)
 	// Load-aware ordering: capture this build's utilization vector (nil at
@@ -543,19 +534,18 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 
 	// The rows whose measurements were refreshed: the segments interned onto
 	// the dirty ping targets, then the tails those segments rank.
-	var segs, rows []int32
+	var dirty, rows []int32
 	if full {
-		segs = upTo(nSegs)
+		dirty = upTo(nSegs)
 	} else {
-		for t := range b.dirtyTargets {
-			if s, ok := lay.targetSeg[int32(t)]; ok {
-				segs = append(segs, s)
+		for s, seg := range b.segs {
+			if _, ok := b.dirtyTargets[int(seg.target)]; ok {
+				dirty = append(dirty, int32(s))
 			}
 		}
-		slices.Sort(segs)
-		rows = slices.Clone(segs)
+		rows = slices.Clone(dirty)
 		for t, src := range lay.TailSeg {
-			if _, dirty := slices.BinarySearch(segs, src); dirty {
+			if _, ok := slices.BinarySearch(dirty, src); ok {
 				rows = append(rows, int32(nSegs+t))
 			}
 		}
@@ -564,14 +554,14 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 		if full {
 			b.raw = make([]Ranked, nSegs*lay.TailLen)
 		}
-		b.measure(lay, segs)
+		b.measure(lay, dirty)
 	}
 
 	var sn *Snapshot
 	switch {
 	case full || loadChanged:
 		arena := make([]Ranked, lay.ArenaLen())
-		b.fillRows(lay, upTo(lay.Rows()), arena, factors)
+		b.fillRows(lay, b.segs, upTo(lay.Rows()), arena, factors)
 		sn = NewSnapshot(epoch, policy, b.ttl, lay, sc.Platform(), arena, nil)
 		if full {
 			b.stats.Full++
@@ -592,11 +582,11 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 			entries += lay.RowLen(int(i))
 		}
 		delta := make([]Ranked, entries)
-		b.fillRows(lay, rows, delta, factors)
+		b.fillRows(lay, b.segs, rows, delta, factors)
 		sn = b.prev.WithDeltaRows(epoch, policy, b.ttl, rows, delta)
 		b.stats.Incremental++
-		b.stats.RerankedTables += uint64(len(segs))
-		b.stats.RerankedTails += uint64(len(rows) - len(segs))
+		b.stats.RerankedTables += uint64(len(dirty))
+		b.stats.RerankedTails += uint64(len(rows) - len(dirty))
 	}
 	b.dirtyAll = false
 	clear(b.dirtyTargets)

@@ -118,9 +118,8 @@ type System struct {
 	publishedAt atomic.Int64
 
 	// index holds the flat sorted lookup arrays (leaf prefix → block,
-	// mapping unit → representative block, resolver address → LDNS): a few
-	// bytes per block resident, allocation-free binary search on the hot
-	// path.
+	// resolver address → LDNS): a few bytes per block resident,
+	// allocation-free binary search on the hot path.
 	index *sysIndex
 }
 
@@ -162,7 +161,7 @@ func newBareSystem(w *world.World, p *cdn.Platform, net Prober, cfg Config) *Sys
 		platform: p,
 		scorer:   NewScorer(w, p, net, cfg.PingTargets),
 		lb:       NewLoadBalancer(),
-		index:    buildSysIndex(w, cfg.Units),
+		index:    buildSysIndex(w),
 	}
 	s.desiredPolicy.Store(int32(cfg.Policy))
 	s.lb.LoadPenalty = cfg.LoadPenalty
@@ -375,31 +374,24 @@ func (s *System) ldnsCandidates(sn *Snapshot, addr netip.Addr) Row {
 	return sn.fallbackRow(false)
 }
 
-// clientEndpointID resolves a mapping unit to the endpoint ID scored on
-// its behalf: the unit's highest-demand known block, or the exact leaf
-// block when the unit itself is unknown. The bool reports whether the
-// prefix was recognised; unknown prefixes use the snapshot's client
-// fallback table.
+// clientEndpointID resolves a client prefix to the endpoint ID scored on
+// its behalf: the highest-demand known block inside the coarser of the
+// mapping unit and the query's source prefix — at /24 (/48) and finer, the
+// one leaf block holding the address. The bool reports whether any block
+// was found; unknown prefixes use the snapshot's client fallback table.
 //
 // A query coarser than the mapping unit — a truncated ECS source from a
-// privacy-limiting resolver — takes the range-scan path instead: the
-// unit derived from the query's base address probes only one leaf, which
-// may be empty even when sibling leaves inside the coarse prefix are
-// known. Falling through to the generic fallback there is the bug this
-// guards against: the fallback answer carries scope 0, which the
-// resolver files in its subnet-blind cache, shadowing answers for every
-// client it serves.
+// privacy-limiting resolver — is searched whole: the unit around its base
+// address may hold no block even when sibling leaves inside the coarse
+// prefix do. Falling through to the generic fallback there is the bug this
+// guards against: the fallback answer carries scope 0, which the resolver
+// files in its subnet-blind cache, shadowing answers for every client it
+// serves.
 func (s *System) clientEndpointID(unit, query netip.Prefix) (uint64, bool) {
 	if query.Bits() < unit.Bits() {
-		if b, ok := s.index.coarseRep(query); ok {
-			return b.ID, true
-		}
-		return 0, false
+		unit = query
 	}
-	if b, ok := s.index.unitRep(unit); ok {
-		return b.ID, true
-	}
-	if b, ok := s.index.blockByLeaf(query.Addr()); ok {
+	if b, ok := s.index.blockIn(unit); ok {
 		return b.ID, true
 	}
 	return 0, false
@@ -431,21 +423,13 @@ func (s *System) LookupLDNS(addr netip.Addr) (*world.LDNS, bool) {
 // LookupBlock returns the world client block owning the leaf prefix
 // (IPv4 /24 or IPv6 /48) around addr.
 func (s *System) LookupBlock(addr netip.Addr) (*world.ClientBlock, bool) {
-	return s.index.blockByLeaf(addr)
+	return s.index.blockIn(netip.PrefixFrom(addr, addr.BitLen()))
 }
 
 // IndexBytes returns the resident size of the system's flat lookup
 // arrays; with Snapshot.MemoryBytes it is the scale guard's
 // bytes-per-block accounting.
 func (s *System) IndexBytes() uint64 { return s.index.memoryBytes() }
-
-// leafBits is the finest-grain block size per family: /24 v4, /48 v6.
-func leafBits(addr netip.Addr) int {
-	if addr.Unmap().Is4() {
-		return 24
-	}
-	return 48
-}
 
 // hashAddr hashes an address by its 16-byte expanded form (FNV-1a),
 // avoiding the String() allocation the presentation form would cost on

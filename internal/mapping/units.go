@@ -22,12 +22,9 @@ import (
 // made (§5.1). Coarser units mean fewer entries to measure and cache but a
 // larger cluster radius and hence lower mapping accuracy (Fig 22).
 type UnitPolicy interface {
-	// UnitFor returns the canonical mapping-unit prefix containing addr.
+	// UnitFor returns the canonical mapping-unit prefix containing addr;
+	// its length is the ECS scope of answers for the unit.
 	UnitFor(addr netip.Addr) netip.Prefix
-	// Bits returns the unit granularity in prefix bits for ECS scope
-	// answers; CIDR-aggregated policies return the covering CIDR's bits
-	// via UnitFor and use their base granularity here.
-	Bits() uint8
 }
 
 // PrefixUnits maps clients to fixed /x blocks. The natural choices are
@@ -56,9 +53,6 @@ func (p PrefixUnits) UnitFor(addr netip.Addr) netip.Prefix {
 	}
 	return pre
 }
-
-// Bits implements UnitPolicy (the IPv4 granularity).
-func (p PrefixUnits) Bits() uint8 { return p.X }
 
 // String returns "/x units".
 func (p PrefixUnits) String() string { return fmt.Sprintf("/%d units", p.X) }
@@ -91,10 +85,13 @@ func NewCIDRUnits(base PrefixUnits, cidrs []netip.Prefix) *CIDRUnits {
 	return c
 }
 
-// Lookup returns the most specific announced CIDR containing addr.
+// Lookup returns the most specific announced CIDR containing addr. The
+// probe starts no longer than addr's own family allows: a table holding
+// IPv6 announcements longer than /32 must still match IPv4 addresses.
 func (c *CIDRUnits) Lookup(addr netip.Addr) (netip.Prefix, bool) {
-	for bits := c.maxBits; bits >= c.minBits; bits-- {
-		p, err := addr.Unmap().Prefix(bits)
+	addr = addr.Unmap()
+	for bits := min(c.maxBits, addr.BitLen()); bits >= c.minBits; bits-- {
+		p, err := addr.Prefix(bits)
 		if err != nil {
 			return netip.Prefix{}, false
 		}
@@ -114,9 +111,6 @@ func (c *CIDRUnits) UnitFor(addr netip.Addr) netip.Prefix {
 	}
 	return c.Base.UnitFor(addr)
 }
-
-// Bits implements UnitPolicy.
-func (c *CIDRUnits) Bits() uint8 { return c.Base.X }
 
 // String describes the policy.
 func (c *CIDRUnits) String() string {

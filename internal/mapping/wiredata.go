@@ -1,7 +1,6 @@
 package mapping
 
 import (
-	"math"
 	"time"
 	"unsafe"
 
@@ -75,12 +74,13 @@ func (sn *Snapshot) CANSTables() map[uint64][]Ranked { return sn.cans }
 // delta applies until compaction).
 func (sn *Snapshot) ArenaChainLen() int { return sn.chain }
 
-// LayoutFingerprint returns a hash of the snapshot's partition layout:
-// the index arrays, segment interning, tail sharing and row geometry, but
-// not the row contents. Two processes that built their layouts from the same
-// world, platform and config agree on it; the wire protocol uses it to
-// negotiate deltas (which only make sense against an identical layout)
-// and to reject snapshots built for a different universe.
+// LayoutFingerprint returns a hash of the snapshot's partition layout —
+// exactly what a full wire image carries of it: the index arrays, the
+// partition→table map, tail sharing and row geometry, but not the row
+// contents. Two processes that built their layouts from the same world,
+// platform and config agree on it; the wire protocol uses it to negotiate
+// deltas (which only make sense against an identical layout) and to reject
+// snapshots built for a different universe.
 func (sn *Snapshot) LayoutFingerprint() uint64 { return sn.lay.fingerprint() }
 
 // fingerprint lazily computes and caches the layout hash. Layouts are
@@ -95,41 +95,22 @@ func (lay *Layout) fingerprint() uint64 {
 				h *= fnvPrime64
 			}
 		}
+		mixAll := func(vs []int32) {
+			mix(uint64(len(vs)))
+			for _, v := range vs {
+				mix(uint64(uint32(v)))
+			}
+		}
 		mix(uint64(lay.NParts))
 		mix(uint64(lay.TableLen))
 		mix(uint64(lay.TailLen))
 		mix(uint64(lay.Endpoints))
 		mix(uint64(uint32(lay.FallbackLDNS)))
 		mix(uint64(uint32(lay.FallbackClient)))
-		mix(uint64(len(lay.Dense)))
-		for _, v := range lay.Dense {
-			mix(uint64(uint32(v)))
-		}
-		mix(uint64(len(lay.SpillIDs)))
-		for i, id := range lay.SpillIDs {
-			mix(id)
-			mix(uint64(uint32(lay.SpillIdx[i])))
-		}
-		mix(uint64(len(lay.PartSeg)))
-		for _, v := range lay.PartSeg {
-			mix(uint64(uint32(v)))
-		}
-		mix(uint64(len(lay.Segments)))
-		for _, seg := range lay.Segments {
-			mix(uint64(uint32(seg.Target)))
-			mix(seg.Rep.ID)
-			mix(math.Float64bits(seg.Rep.Loc.Lat))
-			mix(math.Float64bits(seg.Rep.Loc.Lon))
-			mix(uint64(seg.Rep.ASN))
-			mix(uint64(seg.Rep.Access))
-		}
-		for _, v := range lay.SegTail {
-			mix(uint64(uint32(v)))
-		}
-		mix(uint64(len(lay.TailSeg)))
-		for _, v := range lay.TailSeg {
-			mix(uint64(uint32(v)))
-		}
+		mixAll(lay.Dense)
+		mixAll(lay.PartSeg)
+		mixAll(lay.SegTail)
+		mixAll(lay.TailSeg)
 		lay.fp = h
 	})
 	return lay.fp

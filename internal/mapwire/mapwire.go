@@ -4,22 +4,23 @@
 // The format is deterministic: encoding the same snapshot twice — or
 // encoding a decoded snapshot — produces byte-identical output, so the
 // distribution plane can compare, cache and checksum images without
-// normalisation. A full image carries the partition layout (dense index,
-// spill arrays, partition→table map, table headers, table→tail map)
+// normalisation. A full image carries the partition layout as serving
+// reads it (endpoint→partition index, partition→table map, table→tail map)
 // followed by one flat arena of rows — a head per table, then the tails
 // tables share — and, for ClientAwareNS snapshots, the candidate map; a
-// delta image carries only the rows re-ranked since a base epoch. A row has
+// delta image carries only the rows re-ranked since a base epoch. What a
+// table was ranked from stays with the builder that ranked it. A row has
 // one representation: the 12-byte entries of mapping.Ranked are written
 // from, and read into, the memory they are served from, as bulk copies, and
 // the checksum runs over those same bytes. A decoded snapshot therefore
 // answers bitwise-identically to the original — provided both sides hold
 // the same platform, which the header's platform fingerprint enforces.
 //
-// Layout, version 3 (all integers little-endian):
+// Layout, version 4 (all integers little-endian):
 //
 //	offset  size  field
 //	     0     4  magic "EUMw"
-//	     4     2  format version (3)
+//	     4     2  format version (4)
 //	     6     1  kind (0 full, 1 delta)
 //	     7     1  policy
 //	     8     8  epoch
@@ -38,10 +39,7 @@
 //
 //	i32 fallback-LDNS partition, i32 fallback-client partition
 //	u32 D, then D × i32    dense endpoint-ID → partition index (-1 unknown)
-//	u32 S, then S × u64 spill IDs (ascending), then S × i32 their partitions
 //	u32 P+2, then (P+2) × i32   partition → table
-//	T × i32                ping target ranked into each table (-1: its own representative)
-//	T × 29 bytes           representatives: u64 id, f64 lat, f64 lon, u32 asn, u8 access
 //	T × i32                table → tail
 //	u32 N, u32 tail length (= deployments), then N × i32   the table whose endpoint ranks each tail
 //	(T × L + N × deployments) × 12 bytes   the arena: heads in table order, then tails
@@ -70,13 +68,11 @@ import (
 	"time"
 
 	"eum/internal/cdn"
-	"eum/internal/geo"
 	"eum/internal/mapping"
-	"eum/internal/netmodel"
 )
 
 // Version is the wire format version this package encodes and decodes.
-const Version = 3
+const Version = 4
 
 // Image kinds.
 const (
@@ -90,8 +86,6 @@ const (
 	trailerSize = 4
 	// rankedSize is one rank entry: deployment index + score bits.
 	rankedSize = 12
-	// repSize is one wire segment representative: id, lat, lon, asn, access.
-	repSize = 8 + 8 + 8 + 4 + 1
 )
 
 // Decode error categories, wrapped by the errors Decode returns.
@@ -204,9 +198,8 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 	size := headerSize +
 		4 + 4 + // fallback indexes
 		4 + 4*len(lay.Dense) +
-		4 + 12*len(lay.SpillIDs) +
 		4 + 4*len(lay.PartSeg) +
-		len(lay.Segments)*(4+repSize+4) +
+		4*len(lay.SegTail) +
 		4 + 4 + 4*len(lay.TailSeg) +
 		lay.ArenaLen()*rankedSize +
 		4 + trailerSize // cans count + checksum
@@ -223,26 +216,9 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 	for _, v := range lay.Dense {
 		w.i32(v)
 	}
-	w.u32(uint32(len(lay.SpillIDs)))
-	for _, id := range lay.SpillIDs {
-		w.u64(id)
-	}
-	for _, v := range lay.SpillIdx {
-		w.i32(v)
-	}
 	w.u32(uint32(len(lay.PartSeg)))
 	for _, v := range lay.PartSeg {
 		w.i32(v)
-	}
-	for _, seg := range lay.Segments {
-		w.i32(seg.Target)
-	}
-	for _, seg := range lay.Segments {
-		w.u64(seg.Rep.ID)
-		w.f64(seg.Rep.Loc.Lat)
-		w.f64(seg.Rep.Loc.Lon)
-		w.u32(seg.Rep.ASN)
-		w.u8(uint8(seg.Rep.Access))
 	}
 	for _, t := range lay.SegTail {
 		w.i32(t)
@@ -362,28 +338,10 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 	lay.FallbackLDNS = r.i32()
 	lay.FallbackClient = r.i32()
 	lay.Dense = r.i32s(r.sliceLen(4))
-	nSpill := r.sliceLen(12)
-	lay.SpillIDs = r.u64s(nSpill)
-	lay.SpillIdx = r.i32s(nSpill)
 	lay.PartSeg = r.i32s(r.sliceLen(4))
-	if !r.fits(uint64(tables), 4+repSize+4+lay.TableLen*rankedSize) {
+	if !r.fits(uint64(tables), 4+lay.TableLen*rankedSize) {
 		return nil, r.err
 	}
-	lay.Segments = make([]mapping.Segment, tables)
-	r.each(tables, 4, func(s int, b []byte) {
-		lay.Segments[s].Target = int32(binary.LittleEndian.Uint32(b))
-	})
-	r.each(tables, repSize, func(s int, b []byte) {
-		lay.Segments[s].Rep = netmodel.Endpoint{
-			ID: binary.LittleEndian.Uint64(b),
-			Loc: geo.Point{
-				Lat: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
-				Lon: math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
-			},
-			ASN:    binary.LittleEndian.Uint32(b[24:]),
-			Access: netmodel.AccessType(b[28]),
-		}
-	})
 	lay.SegTail = r.i32s(tables)
 	nTails := int(r.u32())
 	if tailLen := r.u32(); r.err == nil && tailLen != uint32(nDeps) {
@@ -420,14 +378,6 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 	for _, p := range lay.Dense {
 		if p != -1 && !inRange(p, nSlots) {
 			return nil, fmt.Errorf("%w: dense partition index out of range", ErrFormat)
-		}
-	}
-	for i, p := range lay.SpillIdx {
-		if p != -1 && !inRange(p, nSlots) {
-			return nil, fmt.Errorf("%w: spill partition index out of range", ErrFormat)
-		}
-		if i > 0 && lay.SpillIDs[i-1] >= lay.SpillIDs[i] {
-			return nil, fmt.Errorf("%w: spill IDs not strictly ascending", ErrFormat)
 		}
 	}
 	for _, s := range lay.PartSeg {
@@ -520,7 +470,7 @@ func (c *Codec) putHeader(w *writer, sn *mapping.Snapshot, kind uint8, baseEpoch
 	w.u64(c.fp)
 	w.u64(sn.LayoutFingerprint())
 	w.u32(uint32(lay.NParts))
-	w.u32(uint32(len(lay.Segments)))
+	w.u32(uint32(lay.Tables()))
 	w.u32(uint32(lay.TableLen))
 	w.u32(uint32(lay.Endpoints))
 }

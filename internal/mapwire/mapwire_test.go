@@ -328,10 +328,9 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 
 	// Field offsets in the full image, from the layout it encodes.
 	lay := sn1.Layout()
-	tables, nDeps := len(lay.Segments), len(p.Deployments)
+	tables, nDeps := lay.Tables(), len(p.Deployments)
 	fallbacks := headerSize
-	segTail := fallbacks + 8 + 4 + 4*len(lay.Dense) + 4 + 12*len(lay.SpillIDs) +
-		4 + 4*len(lay.PartSeg) + tables*(4+repSize)
+	segTail := fallbacks + 8 + 4 + 4*len(lay.Dense) + 4 + 4*len(lay.PartSeg)
 	tailCount := segTail + 4*tables
 	tailSeg := tailCount + 8
 	firstTail := tailSeg + 4*len(lay.TailSeg) + tables*lay.TableLen*rankedSize
@@ -363,7 +362,8 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 			binary.LittleEndian.Uint32(full[firstTail:])), nil, ErrFormat},
 		{"tail names a deployment the platform lacks", put(full, firstTail, uint32(nDeps)), nil, ErrFormat},
 		{"head longer than this build keeps", put(full, 56, uint32(lay.TableLen+1)), nil, ErrFormat},
-		{"previous format version", put(full, 4, 2|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
+		{"previous format version", put(full, 4, 3|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
+		{"format version 2", put(full, 4, 2|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"delta row out of range", put(delta, deltaRows+4, uint32(lay.Rows())), sn1, ErrFormat},
 		{"delta rows descending", put(delta, deltaRows+4, 0), sn1, ErrFormat},
 		{"delta tail names one deployment twice", put(delta, deltaTail+rankedSize,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"eum/internal/mapping"
 )
@@ -28,9 +27,6 @@ func (w *writer) u16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) 
 func (w *writer) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 func (w *writer) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 func (w *writer) i32(v int32)  { w.u32(uint32(v)) }
-func (w *writer) f64(v float64) {
-	w.u64(math.Float64bits(v))
-}
 
 // table appends a rank table: one copy of its memory.
 func (w *writer) table(t []mapping.Ranked) {
@@ -139,12 +135,6 @@ func (r *reader) each(n, size int, f func(i int, rec []byte)) {
 func (r *reader) i32s(n int) []int32 {
 	out := make([]int32, n)
 	r.each(n, 4, func(i int, b []byte) { out[i] = int32(binary.LittleEndian.Uint32(b)) })
-	return out
-}
-
-func (r *reader) u64s(n int) []uint64 {
-	out := make([]uint64, n)
-	r.each(n, 8, func(i int, b []byte) { out[i] = binary.LittleEndian.Uint64(b) })
 	return out
 }
 
