@@ -40,11 +40,11 @@ race:
 
 # Non-test Go lines outside bench/ — the number CHANGES.md quotes when a PR
 # reports itself net-negative — for the whole repo, the three packages of
-# the serving path, and the map and its wire format.
+# the serving path, and the map, its wire format and its distribution.
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l; }; \
 	printf '%-20s %6d\n' repo "$$(count .)"; \
-	for p in internal/authority internal/dnsserver cmd/eumdns internal/mapping internal/mapwire; do printf '%-20s %6d\n' $$p "$$(count $$p)"; done
+	for p in internal/authority internal/dnsserver cmd/eumdns internal/mapping internal/mapwire internal/mapdist; do printf '%-20s %6d\n' $$p "$$(count $$p)"; done
 
 # Chaos harness: the full UDP serving plane under injected packet loss,
 # duplication, reordering, latency jitter, server outages and MapMaker

@@ -107,7 +107,6 @@ func main() {
 		mm = mapmaker.New(system, mapmaker.Config{Interval: refresh})
 		if mode == config.ModePublisher {
 			pub = mapdist.NewPublisher(system, platform, mapdist.PublisherConfig{})
-			mm.SetOnPublish(pub.Observe)
 			log.Printf("publisher: serving snapshots at %s%s", cfg.AdminAddr, mapdist.SnapshotPath)
 		}
 		if refresh > 0 {

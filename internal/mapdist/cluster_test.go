@@ -29,16 +29,33 @@ type distReplica struct {
 	addr    string
 }
 
+// pubNode is the MapMaker node of the cluster test: a system, the prober
+// its churn shifts, and the publisher serving it.
+type pubNode struct {
+	sys    *mapping.System
+	prober *shiftNet
+	pub    *Publisher
+}
+
+// sameMap reports whether two snapshots are one map: the same epoch of the
+// same lineage.
+func sameMap(a, b *mapping.Snapshot) bool {
+	return a.Lineage() == b.Lineage() && a.Epoch() == b.Epoch()
+}
+
 // TestDistClusterPartitionHeal runs the distribution plane end to end: a
 // MapMaker node publishing a churning map over HTTP, three replicas
 // fetching it over a faultnet-controlled control network, and a
 // round-robin stub resolver querying all three over real UDP sockets.
 //
-// The drill: converge, then cut the control network completely. Replicas
-// must keep answering (>=99% success) while walking the degradation
-// ladder independently — the data plane never sees the partition. After
-// the heal, every replica must reconverge on the publisher's frozen
-// epoch within two fetch intervals.
+// The drill: converge, then restart the publisher behind the same
+// listener — a fresh system whose epochs start again at 1 — and require
+// every replica on the new lineage within two fetch intervals. Then cut
+// the control network completely. Replicas must keep answering (>=99%
+// success throughout) while walking the degradation ladder independently
+// — the data plane never sees the partition. After the heal, every
+// replica must reconverge on the publisher's frozen map within two fetch
+// intervals.
 func TestDistClusterPartitionHeal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster drill takes a few seconds")
@@ -47,15 +64,26 @@ func TestDistClusterPartitionHeal(t *testing.T) {
 	const fetchEvery = 200 * time.Millisecond
 
 	// MapMaker node: the publisher serves encoded snapshots over a real
-	// TCP listener, exactly like the admin plane mounts it.
-	prober := &shiftNet{base: netmodel.NewDefault(), shift: map[uint64]float64{}}
-	pubSys := mapping.NewSystem(w, p, prober, distCfg)
-	pub := NewPublisher(pubSys, p, PublisherConfig{})
+	// TCP listener, exactly like the admin plane mounts it. A restart
+	// replaces the whole node behind the same listener.
+	var live atomic.Pointer[pubNode]
+	var nodes []*pubNode
+	startPublisher := func() *pubNode {
+		prober := &shiftNet{base: netmodel.NewDefault(), shift: map[uint64]float64{}}
+		sys := mapping.NewSystem(w, p, prober, distCfg)
+		n := &pubNode{sys: sys, prober: prober, pub: NewPublisher(sys, p, PublisherConfig{})}
+		nodes = append(nodes, n)
+		live.Store(n)
+		return n
+	}
+	startPublisher()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: pub}
+	httpSrv := &http.Server{Handler: http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		live.Load().pub.ServeHTTP(rw, r)
+	})}
 	go func() { _ = httpSrv.Serve(ln) }()
 	defer httpSrv.Close()
 
@@ -64,7 +92,7 @@ func TestDistClusterPartitionHeal(t *testing.T) {
 	var targets []uint64
 	seen := map[uint64]bool{}
 	for i := 0; i < len(w.LDNSes) && len(targets) < 5; i += 13 {
-		if ep, ok := pubSys.Builder().Scorer().TargetFor(w.LDNSes[i].Endpoint()); ok && !seen[ep.ID] {
+		if ep, ok := live.Load().sys.Builder().Scorer().TargetFor(w.LDNSes[i].Endpoint()); ok && !seen[ep.ID] {
 			seen[ep.ID] = true
 			targets = append(targets, ep.ID)
 		}
@@ -85,10 +113,10 @@ func TestDistClusterPartitionHeal(t *testing.T) {
 				return
 			case <-tick.C:
 			}
-			id := targets[i%len(targets)]
-			prober.shift[id] += 2
-			pubSys.Builder().MarkMeasurementsDirty(id)
-			pub.Observe(pubSys.Rebuild())
+			id, n := targets[i%len(targets)], live.Load()
+			n.prober.shift[id] += 2
+			n.sys.Builder().MarkMeasurementsDirty(id)
+			n.sys.Rebuild()
 		}
 	}()
 
@@ -177,29 +205,71 @@ func TestDistClusterPartitionHeal(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Phase 2: total partition of the control network. The publisher keeps
+	// Queries run from here to the heal: ten every 20ms, round-robin over
+	// the replicas, and at least 99% must succeed.
+	var total, failures atomic.Uint64
+	queriesStop, queriesDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(queriesDone)
+		for {
+			select {
+			case <-queriesStop:
+				return
+			case <-ctx.Done():
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+			for i := 0; i < 10; i++ {
+				blk := w.Blocks[(int(total.Add(1))*17)%len(w.Blocks)]
+				resp, err := rr.Lookup(ctx, "img.cdn.example.net", dnsmsg.TypeA, blk.Prefix)
+				if err != nil || resp.RCode != dnsmsg.RCodeSuccess || len(resp.Answers) == 0 {
+					failures.Add(1)
+				}
+			}
+		}
+	}()
+
+	// Phase 2: restart the publisher. The new system's epochs start again
+	// at 1, below every replica's; the churn moves to it. Each replica's
+	// next fetch must install the new lineage.
+	old := live.Load().sys.Current()
+	restarted := startPublisher()
+	restartAt := time.Now()
+	for {
+		moved := 0
+		for _, r := range replicas {
+			if r.sys.Current().Lineage() == restarted.sys.Current().Lineage() {
+				moved++
+			}
+		}
+		if moved == len(replicas) {
+			break
+		}
+		if time.Since(restartAt) > 2*fetchEvery {
+			for i, r := range replicas {
+				t.Logf("replica %d: epoch=%d lineage=%016x status=%+v",
+					i, r.sys.Current().Epoch(), r.sys.Current().Lineage(), r.fetcher.Status())
+			}
+			t.Fatalf("replicas still on lineage %016x (epoch %d) two fetch intervals after the restart",
+				old.Lineage(), old.Epoch())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Logf("restart: every replica left epoch %d for the new lineage in %v", old.Epoch(), time.Since(restartAt))
+
+	// Phase 3: total partition of the control network. The publisher keeps
 	// churning; replicas must keep answering from their last map and walk
 	// the staleness ladder on their own clocks.
 	ctrl.SetPartitioned(true)
 	partitionAt := time.Now()
-	var total, failures atomic.Uint64
-	queryUntil := partitionAt.Add(1600 * time.Millisecond)
-	for time.Now().Before(queryUntil) {
-		for i := 0; i < 10; i++ {
-			total.Add(1)
-			blk := w.Blocks[(int(total.Load())*17)%len(w.Blocks)]
-			resp, err := rr.Lookup(ctx, "img.cdn.example.net", dnsmsg.TypeA, blk.Prefix)
-			if err != nil || resp.RCode != dnsmsg.RCodeSuccess || len(resp.Answers) == 0 {
-				failures.Add(1)
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	time.Sleep(1600 * time.Millisecond)
+	close(queriesStop)
+	<-queriesDone
 	success := 1 - float64(failures.Load())/float64(total.Load())
-	t.Logf("partition: %d queries, %.2f%% success, partition_dropped=%d",
+	t.Logf("restart and partition: %d queries, %.2f%% success, partition_dropped=%d",
 		total.Load(), success*100, ctrl.Stats.PartitionDropped.Load())
 	if success < 0.99 {
-		t.Errorf("success rate %.4f < 0.99 during partition", success)
+		t.Errorf("success rate %.4f < 0.99 through the restart and the partition", success)
 	}
 	for i, r := range replicas {
 		if lvl := r.auth.Degradation(); lvl < authority.DegradeStale {
@@ -211,17 +281,17 @@ func TestDistClusterPartitionHeal(t *testing.T) {
 		}
 	}
 
-	// Phase 3: freeze the publisher, heal, and require convergence on its
-	// final epoch within two fetch intervals.
+	// Phase 4: freeze the publisher, heal, and require convergence on its
+	// final map within two fetch intervals.
 	close(churnStop)
 	churn.Wait()
-	final := pubSys.Current().Epoch()
+	final := restarted.sys.Current()
 	healAt := time.Now()
 	ctrl.SetPartitioned(false)
 	for {
 		converged := 0
 		for _, r := range replicas {
-			if r.sys.Current().Epoch() == final {
+			if sameMap(r.sys.Current(), final) {
 				converged++
 			}
 		}
@@ -231,21 +301,25 @@ func TestDistClusterPartitionHeal(t *testing.T) {
 		if time.Since(healAt) > 2*fetchEvery {
 			for i, r := range replicas {
 				t.Logf("replica %d: epoch=%d (want %d) status=%+v",
-					i, r.sys.Current().Epoch(), final, r.fetcher.Status())
+					i, r.sys.Current().Epoch(), final.Epoch(), r.fetcher.Status())
 			}
 			t.Fatalf("replicas did not reconverge within two fetch intervals (%v)", 2*fetchEvery)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Logf("heal: reconverged on epoch %d in %v", final, time.Since(healAt))
+	t.Logf("heal: reconverged on epoch %d in %v", final.Epoch(), time.Since(healAt))
 
 	for i, r := range replicas {
 		if lag := r.fetcher.EpochLag(); lag != 0 {
 			t.Errorf("replica %d epoch lag %d after heal", i, lag)
 		}
 	}
-	fullB, deltaB := pub.BytesShipped()
-	t.Logf("publisher shipped %d full bytes, %d delta bytes (retained %d)", fullB, deltaB, pub.Retained())
+	var fullB, deltaB uint64
+	for _, n := range nodes {
+		f, d := n.pub.BytesShipped()
+		fullB, deltaB = fullB+f, deltaB+d
+	}
+	t.Logf("publishers shipped %d full bytes, %d delta bytes", fullB, deltaB)
 	if fullB == 0 || deltaB == 0 {
 		t.Errorf("expected both full and delta traffic, got full=%d delta=%d", fullB, deltaB)
 	}

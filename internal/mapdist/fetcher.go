@@ -70,9 +70,11 @@ type Fetcher struct {
 }
 
 // NewFetcher builds a fetcher feeding sys from the publisher at
-// cfg.Source, decoding against the given platform. sys must be in replica
-// state (mapping.NewReplica, or System.BootstrapReplica) before the first
-// fetch, so the publisher's epochs always win the install comparison.
+// cfg.Source, decoding against the given platform. sys should be in
+// replica state (mapping.NewReplica, or System.BootstrapReplica): the
+// publisher's snapshots are of another lineage than anything sys built, so
+// the first one installs whatever its epoch, as does the first after a
+// publisher restart.
 func NewFetcher(sys *mapping.System, platform *cdn.Platform, cfg FetcherConfig) (*Fetcher, error) {
 	if cfg.Source == "" {
 		return nil, errors.New("mapdist: fetcher needs a source address")
@@ -149,11 +151,11 @@ func (f *Fetcher) FetchOnce(ctx context.Context) error {
 
 func (f *Fetcher) fetch(ctx context.Context) error {
 	cur := f.sys.Current()
-	have, layout := cur.Epoch(), cur.LayoutFingerprint()
+	have := cur.Epoch()
 	if f.forceFull.Load() {
 		have = 0
 	}
-	url := fmt.Sprintf("%s?have=%d&layout=%016x", f.url, have, layout)
+	url := fmt.Sprintf("%s?have=%d&layout=%016x&lineage=%016x", f.url, have, cur.LayoutFingerprint(), cur.Lineage())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return err
@@ -191,6 +193,14 @@ func (f *Fetcher) fetch(ctx context.Context) error {
 		}
 		return err
 	}
+	f.forceFull.Store(false)
+	// Install is the same atomic swap a local build uses. It refuses only
+	// an image no newer than the installed map of the same lineage, which
+	// the publisher never sends: whatever did is a failed fetch.
+	if !f.sys.Install(sn) {
+		return fmt.Errorf("mapdist: image at epoch %d of lineage %016x does not supersede the installed epoch %d of lineage %016x",
+			sn.Epoch(), sn.Lineage(), cur.Epoch(), cur.Lineage())
+	}
 	if hdr.Kind == mapwire.KindDelta {
 		f.deltaImages.Add(1)
 		f.deltaBytes.Add(uint64(resp.ContentLength))
@@ -198,10 +208,6 @@ func (f *Fetcher) fetch(ctx context.Context) error {
 		f.fullImages.Add(1)
 		f.fullBytes.Add(uint64(resp.ContentLength))
 	}
-	f.forceFull.Store(false)
-	// Install is the same atomic swap a local build uses; an older image
-	// racing a newer install simply loses and the next tick reconverges.
-	f.sys.Install(sn)
 	return nil
 }
 

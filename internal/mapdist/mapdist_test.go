@@ -2,9 +2,12 @@ package mapdist
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +16,7 @@ import (
 
 	"eum/internal/cdn"
 	"eum/internal/mapping"
+	"eum/internal/mapwire"
 	"eum/internal/netmodel"
 	"eum/internal/world"
 )
@@ -43,19 +47,34 @@ func (p *shiftNet) PingMs(a, b netmodel.Endpoint) float64 {
 	return p.base.PingMs(a, b) + p.shift[a.ID] + p.shift[b.ID]
 }
 
-// dirtyOne shifts one live ping target on the publisher and rebuilds,
-// returning the new snapshot (already installed and observed).
-func dirtyOne(t *testing.T, sys *mapping.System, prober *shiftNet, pub *Publisher) *mapping.Snapshot {
+// dirtyOne shifts the ping target of the given LDNS on the publisher's
+// system and rebuilds, returning the new (installed) snapshot.
+func dirtyOne(t *testing.T, sys *mapping.System, prober *shiftNet, ldns int) *mapping.Snapshot {
 	t.Helper()
-	target, ok := sys.Builder().Scorer().TargetFor(distW.LDNSes[5].Endpoint())
+	target, ok := sys.Builder().Scorer().TargetFor(distW.LDNSes[ldns].Endpoint())
 	if !ok {
-		t.Fatal("no ping target for LDNS 5")
+		t.Fatalf("no ping target for LDNS %d", ldns)
 	}
 	prober.shift[target.ID] += 15
 	sys.Builder().MarkMeasurementsDirty(target.ID)
-	sn := sys.Rebuild()
-	pub.Observe(sn)
-	return sn
+	return sys.Rebuild()
+}
+
+// sameRows fails unless every row of got equals the same row of want.
+func sameRows(t *testing.T, got, want *mapping.Snapshot) {
+	t.Helper()
+	if got.LayoutFingerprint() != want.LayoutFingerprint() {
+		t.Fatal("replica and publisher hold different layouts")
+	}
+	differ := 0
+	for i := 0; i < want.Layout().Rows(); i++ {
+		if !slices.Equal(got.RowTable(i), want.RowTable(i)) {
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d rows differ from the publisher's", differ, want.Layout().Rows())
+	}
 }
 
 // newReplica builds a replica system over the same world/platform and a
@@ -107,7 +126,7 @@ func TestPublisherFetcherSync(t *testing.T) {
 
 	// A one-target refresh ships as a delta, and the delta-applied replica
 	// answers exactly like the publisher.
-	want := dirtyOne(t, pubSys, prober, pub)
+	want := dirtyOne(t, pubSys, prober, 5)
 	if err := fetcher.FetchOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +152,14 @@ func TestPublisherFetcherSync(t *testing.T) {
 	}
 }
 
-func TestPublisherFallsBackToFullWhenBaseEvicted(t *testing.T) {
+// TestPublisherDeltaForLaggingReplica: the publisher keeps no history, so
+// a replica any number of epochs behind gets a delta cut from the current
+// snapshot: exactly the rows re-ranked since the replica's epoch.
+func TestPublisherDeltaForLaggingReplica(t *testing.T) {
 	w, p := distFixture()
 	prober := &shiftNet{base: netmodel.NewDefault(), shift: map[uint64]float64{}}
 	pubSys := mapping.NewSystem(w, p, prober, distCfg)
-	pub := NewPublisher(pubSys, p, PublisherConfig{History: 4})
+	pub := NewPublisher(pubSys, p, PublisherConfig{})
 	srv := httptest.NewServer(pub)
 	defer srv.Close()
 
@@ -148,25 +170,167 @@ func TestPublisherFallsBackToFullWhenBaseEvicted(t *testing.T) {
 	}
 	base := repSys.Current().Epoch()
 
-	// Publish far past the retention ring while the replica sleeps.
-	for i := 0; i < 8; i++ {
-		dirtyOne(t, pubSys, prober, pub)
+	// Twenty epochs pass while the replica sleeps, refreshing three
+	// targets in turn.
+	for i := 0; i < 20; i++ {
+		dirtyOne(t, pubSys, prober, []int{5, 40, 90}[i%3])
 	}
-	if pub.Retained() > 4 {
-		t.Fatalf("retained %d snapshots, history cap 4", pub.Retained())
+	want := pubSys.Current()
+	if want.Epoch() != base+20 {
+		t.Fatalf("publisher at epoch %d, want %d", want.Epoch(), base+20)
 	}
 	if err := fetcher.FetchOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
+	if st := fetcher.Status(); st.FullImages != 1 || st.DeltaImages != 1 || pub.DeltaMisses() != 0 {
+		t.Fatalf("a replica 20 epochs behind got %d full / %d delta images, %d delta misses; want 1 / 1 / 0",
+			st.FullImages, st.DeltaImages, pub.DeltaMisses())
+	}
+	// The replica's rows stamped after its old epoch are the ones the
+	// delta carried, and they are exactly the publisher's re-ranked rows.
+	got := repSys.Current()
+	if rows, wantRows := got.ChangedSince(base), want.ChangedSince(base); len(wantRows) == 0 || !slices.Equal(rows, wantRows) {
+		t.Fatalf("the delta carried rows %v, re-ranked since epoch %d: %v", rows, base, wantRows)
+	}
+	if got.Epoch() != want.Epoch() || got.Lineage() != want.Lineage() {
+		t.Fatalf("replica at epoch %d lineage %016x, publisher at %d lineage %016x",
+			got.Epoch(), got.Lineage(), want.Epoch(), want.Lineage())
+	}
+	sameRows(t, got, want)
+}
+
+// TestPublisherDeltaWithoutLineage: a request that names no lineage is
+// taken to hold the publisher's own, so it still gets a delta; the header
+// of that delta names the lineage, and a base of another is refused.
+func TestPublisherDeltaWithoutLineage(t *testing.T) {
+	w, p := distFixture()
+	prober := &shiftNet{base: netmodel.NewDefault(), shift: map[uint64]float64{}}
+	pubSys := mapping.NewSystem(w, p, prober, distCfg)
+	pub := NewPublisher(pubSys, p, PublisherConfig{})
+	base := pubSys.Current()
+	next := dirtyOne(t, pubSys, prober, 5)
+
+	rec := httptest.NewRecorder()
+	pub.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
+		fmt.Sprintf("%s?have=%d&layout=%016x", SnapshotPath, base.Epoch(), base.LayoutFingerprint()), nil))
+	if kind := rec.Header().Get(headerKind); rec.Code != http.StatusOK || kind != "delta" {
+		t.Fatalf("lineage-less request answered %d %q, want a delta", rec.Code, kind)
+	}
+	codec := mapwire.NewCodec(p)
+	if got, err := codec.Decode(rec.Body.Bytes(), base); err != nil || !slices.Equal(got.ChangedSince(base.Epoch()), next.ChangedSince(base.Epoch())) {
+		t.Fatalf("applying it to its base: %v", err)
+	}
+	other := mapping.NewSystem(w, p, netmodel.NewDefault(), distCfg).Current()
+	if _, err := codec.Decode(rec.Body.Bytes(), other); !errors.Is(err, mapwire.ErrDeltaBase) {
+		t.Fatalf("applying it to epoch %d of another lineage: %v", other.Epoch(), err)
+	}
+}
+
+// TestReplicaFollowsPublisherRestart: the publisher restarts behind the
+// same address with a fresh system — its epochs start again at 1, under
+// another policy and other measurements. The first fetch after the restart
+// must install the new publisher's map, and once the new epochs pass the
+// old ones the replica must still hold exactly the live publisher's rows,
+// never a mix of the two publishers'.
+func TestReplicaFollowsPublisherRestart(t *testing.T) {
+	w, p := distFixture()
+	var live atomic.Pointer[Publisher]
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		live.Load().ServeHTTP(rw, r)
+	}))
+	defer srv.Close()
+	ctx := context.Background()
+
+	oldProber := &shiftNet{base: netmodel.NewDefault(), shift: map[uint64]float64{}}
+	oldSys := mapping.NewSystem(w, p, oldProber, distCfg)
+	live.Store(NewPublisher(oldSys, p, PublisherConfig{}))
+	for oldSys.Current().Epoch() < 6 {
+		dirtyOne(t, oldSys, oldProber, 5)
+	}
+	repSys, fetcher := newReplica(t, srv.URL)
+	if err := fetcher.FetchOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := repSys.Current().Epoch(); got != 6 {
+		t.Fatalf("replica at epoch %d before the restart, want 6", got)
+	}
+
+	// The restart: a new system refreshing another target, under NS.
+	newProber := &shiftNet{base: netmodel.NewDefault(), shift: map[uint64]float64{}}
+	nsCfg := distCfg
+	nsCfg.Policy = mapping.NSBased
+	newSys := mapping.NewSystem(w, p, newProber, nsCfg)
+	live.Store(NewPublisher(newSys, p, PublisherConfig{}))
+	if err := fetcher.FetchOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := repSys.Current(); got.Epoch() != 1 || got.Policy() != mapping.NSBased {
+		t.Fatalf("first fetch after the restart left the replica at epoch %d under %v; the live publisher is at epoch 1 under %v",
+			got.Epoch(), got.Policy(), mapping.NSBased)
+	}
+	for newSys.Current().Epoch() < 9 {
+		dirtyOne(t, newSys, newProber, 40)
+		if err := fetcher.FetchOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, want := repSys.Current(), newSys.Current()
+	if got.Epoch() != want.Epoch() || got.Policy() != want.Policy() {
+		t.Fatalf("replica at epoch %d under %v, publisher at %d under %v",
+			got.Epoch(), got.Policy(), want.Epoch(), want.Policy())
+	}
+	for _, blk := range w.Blocks {
+		g, wnt := got.RankOf(blk.ID, true), want.RankOf(blk.ID, true)
+		if !slices.Equal(g.Head, wnt.Head) || !slices.Equal(g.Tail, wnt.Tail) {
+			t.Fatalf("block %d ranks differently from the live publisher at epoch %d", blk.ID, want.Epoch())
+		}
+	}
+	sameRows(t, got, want)
+	if st := fetcher.Status(); st.Failures != 0 || st.EpochLag != 0 {
+		t.Fatalf("after following the restart: %+v", st)
+	}
+}
+
+// TestFetcherCountsRefusedInstall: an image Install refuses — an older
+// epoch of the lineage the replica already serves, as a stale cache in
+// front of the publisher would send — is a failed fetch whose error names
+// both epochs and lineages, not a silent success.
+func TestFetcherCountsRefusedInstall(t *testing.T) {
+	w, p := distFixture()
+	prober := &shiftNet{base: netmodel.NewDefault(), shift: map[uint64]float64{}}
+	pubSys := mapping.NewSystem(w, p, prober, distCfg)
+	stale, err := mapwire.NewCodec(p).EncodeFull(pubSys.Current())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := NewPublisher(pubSys, p, PublisherConfig{})
+	dirtyOne(t, pubSys, prober, 5)
+	var serveStale atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if !serveStale.Load() {
+			pub.ServeHTTP(rw, r)
+			return
+		}
+		rw.Header().Set("Content-Length", strconv.Itoa(len(stale)))
+		_, _ = rw.Write(stale)
+	}))
+	defer srv.Close()
+
+	repSys, fetcher := newReplica(t, srv.URL)
+	ctx := context.Background()
+	if err := fetcher.FetchOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	serveStale.Store(true)
+	err = fetcher.FetchOnce(ctx)
+	lineage := fmt.Sprintf("%016x", pubSys.Current().Lineage())
+	if err == nil || !strings.Contains(err.Error(), "epoch 1 of lineage "+lineage) ||
+		!strings.Contains(err.Error(), "epoch 2 of lineage "+lineage) {
+		t.Fatalf("fetching an older image of the installed lineage: %v", err)
+	}
 	st := fetcher.Status()
-	if st.FullImages != 2 || st.DeltaImages != 0 {
-		t.Fatalf("evicted base should force a full image: %d full / %d delta", st.FullImages, st.DeltaImages)
-	}
-	if pub.DeltaMisses() == 0 {
-		t.Fatal("publisher never counted the delta miss")
-	}
-	if got := repSys.Current().Epoch(); got != base+8 {
-		t.Fatalf("replica at epoch %d, want %d", got, base+8)
+	if st.Failures != 1 || st.LastError != err.Error() || st.FullImages != 1 || repSys.Current().Epoch() != 2 {
+		t.Fatalf("after a refused install: epoch %d, status %+v", repSys.Current().Epoch(), st)
 	}
 }
 

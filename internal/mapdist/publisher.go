@@ -3,20 +3,23 @@
 // HTTP plane, as mapwire images.
 //
 // The protocol is one idempotent GET with resumable epoch negotiation.
-// A replica reports what it has (`?have=<epoch>&layout=<fingerprint>`);
-// the publisher answers with nothing (204, already current), a delta
-// image patching exactly that epoch, or a full image when no delta is
-// possible — first contact, a base epoch that aged out of the retention
-// ring, a layout rebuilt for a new universe, or a change so large a full
-// image is smaller. The replica never needs to know which it asked for:
-// the image header says what arrived, and a failed delta application just
-// degrades the next request to `have=0`.
+// A replica reports what it has
+// (`?have=<epoch>&layout=<fingerprint>&lineage=<lineage>`); the publisher
+// answers with nothing (204, already current), a delta image patching
+// exactly that snapshot, or a full image when no delta is possible — first
+// contact, a replica of another lineage (a publisher restart), a layout
+// rebuilt for a new universe, or a change so large a full image is
+// smaller. The publisher keeps no history: it cuts every delta from its
+// current snapshot, whose rows record the epoch that last re-ranked them.
+// The replica never needs to know which it asked for: the image header
+// says what arrived, and a failed delta application just degrades the next
+// request to `have=0`. A replica follows one publisher: two live
+// publishers behind one address would each replace the other's map.
 package mapdist
 
 import (
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"eum/internal/cdn"
@@ -34,30 +37,19 @@ const (
 	headerKind  = "X-Mapdist-Kind"
 )
 
-// PublisherConfig tunes a Publisher.
-type PublisherConfig struct {
-	// History is how many recent snapshots the publisher retains as delta
-	// bases. A replica whose `have` epoch fell out of the ring gets a full
-	// image. Default 16 — at one publish per refresh interval, that is the
-	// window a replica may lag and still resync with a delta.
-	History int
-}
+// PublisherConfig tunes a Publisher. It has no fields left: the publisher
+// keeps no history to size.
+type PublisherConfig struct{}
 
-// Publisher serves the current map snapshot — and deltas against recent
-// ones — on the MapMaker node's admin plane. It observes published
-// snapshots either through MapMaker.SetOnPublish (preferred: retention
-// then sees every epoch) or lazily at request time from the system's
-// current pointer.
+// Publisher serves the system's current map snapshot — whole, or as a
+// delta against whatever snapshot of its lineage a replica holds — on the
+// MapMaker node's admin plane.
 type Publisher struct {
-	sys     *mapping.System
-	codec   *mapwire.Codec
-	history int
+	sys   *mapping.System
+	codec *mapwire.Codec
 
-	mu       sync.Mutex
-	retained []*mapping.Snapshot // ascending epoch order
-
-	// cachedFull memoises the encoded full image for one epoch, so a fleet
-	// of replicas bootstrapping against the same epoch encodes it once.
+	// cachedFull memoises the encoded full image of one snapshot, so a
+	// fleet of replicas bootstrapping against it encodes it once.
 	cachedFull atomic.Pointer[encodedImage]
 
 	requests       atomic.Uint64
@@ -71,93 +63,64 @@ type Publisher struct {
 }
 
 type encodedImage struct {
-	epoch uint64
-	data  []byte
+	base mapwire.Base
+	data []byte
 }
 
 // NewPublisher builds a publisher over the system's snapshots, encoding
 // against the given platform.
-func NewPublisher(sys *mapping.System, platform *cdn.Platform, cfg PublisherConfig) *Publisher {
-	if cfg.History <= 0 {
-		cfg.History = 16
-	}
-	p := &Publisher{sys: sys, codec: mapwire.NewCodec(platform), history: cfg.History}
-	p.Observe(sys.Current())
-	return p
+func NewPublisher(sys *mapping.System, platform *cdn.Platform, _ PublisherConfig) *Publisher {
+	return &Publisher{sys: sys, codec: mapwire.NewCodec(platform)}
 }
 
-// Observe retains a published snapshot as a future delta base. Wire it to
-// MapMaker.SetOnPublish so every epoch enters the ring; ServeHTTP also
-// calls it with the current snapshot, so even without the hook the
-// publisher always serves the latest map — it just retains fewer bases.
-func (p *Publisher) Observe(sn *mapping.Snapshot) {
-	if sn == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.retained); n > 0 && p.retained[n-1].Epoch() >= sn.Epoch() {
-		return
-	}
-	p.retained = append(p.retained, sn)
-	if len(p.retained) > p.history {
-		copy(p.retained, p.retained[len(p.retained)-p.history:])
-		p.retained = p.retained[:p.history]
-	}
-}
-
-// retainedAt returns the retained snapshot at exactly the given epoch.
-func (p *Publisher) retainedAt(epoch uint64) *mapping.Snapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := len(p.retained) - 1; i >= 0; i-- {
-		if p.retained[i].Epoch() == epoch {
-			return p.retained[i]
-		}
-		if p.retained[i].Epoch() < epoch {
-			break
-		}
-	}
-	return nil
-}
+// Observe does nothing. It is kept so a MapMaker.SetOnPublish hook still
+// compiles: the publisher reads the system's current snapshot on every
+// request and cuts deltas from its row epochs, so it needs to see no
+// snapshot before that.
+func (p *Publisher) Observe(*mapping.Snapshot) {}
 
 // ServeHTTP answers one snapshot fetch. Responses:
 //
-//	204 — the replica's epoch and layout match the current snapshot
+//	204 — the replica holds the current snapshot
 //	200 — a mapwire image (X-Mapdist-Kind: full|delta)
 //	500 — encoding failed (should not happen; counted)
 func (p *Publisher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p.requests.Add(1)
 	cur := p.sys.Current()
-	p.Observe(cur)
-
-	have, _ := strconv.ParseUint(r.URL.Query().Get("have"), 10, 64)
-	layout, _ := strconv.ParseUint(r.URL.Query().Get("layout"), 16, 64)
+	// A request naming no lineage (a client older than lineages, like the
+	// benchmark harness's) is taken to hold the current one: a delta names
+	// its lineage in its header, and the decoder refuses it against a base
+	// of another.
+	q := r.URL.Query()
+	have := mapwire.Base{Lineage: cur.Lineage()}
+	have.Epoch, _ = strconv.ParseUint(q.Get("have"), 10, 64)
+	have.Layout, _ = strconv.ParseUint(q.Get("layout"), 16, 64)
+	if l := q.Get("lineage"); l != "" {
+		have.Lineage, _ = strconv.ParseUint(l, 16, 64)
+	}
 
 	w.Header().Set(headerEpoch, strconv.FormatUint(cur.Epoch(), 10))
-	if have == cur.Epoch() && layout == cur.LayoutFingerprint() {
+	if have == mapwire.BaseOf(cur) {
 		p.unchanged.Add(1)
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
 
-	if have > 0 {
-		if base := p.retainedAt(have); base != nil && base.LayoutFingerprint() == layout {
-			data, ok, err := p.codec.EncodeDelta(base, cur)
-			if err == nil && ok {
-				p.deltaImages.Add(1)
-				p.deltaBytes.Add(uint64(len(data)))
-				p.respond(w, "delta", data)
-				return
-			}
-			if err != nil {
-				p.encodeFailures.Add(1)
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
+	if have.Epoch > 0 {
+		data, ok, err := p.codec.EncodeDeltaSince(have, cur)
+		if err != nil {
+			p.encodeFailures.Add(1)
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
-		// The base aged out, the layout changed, or the delta would not
-		// pay for itself: fall through to a full image.
+		if ok {
+			p.deltaImages.Add(1)
+			p.deltaBytes.Add(uint64(len(data)))
+			p.respond(w, "delta", data)
+			return
+		}
+		// Another lineage or layout, or a delta that would not pay for
+		// itself: fall through to a full image.
 		p.deltaMisses.Add(1)
 	}
 
@@ -173,16 +136,17 @@ func (p *Publisher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // fullImage returns the encoded full image for sn, reusing the cached
-// encoding when the epoch matches.
+// encoding when it is of the same snapshot.
 func (p *Publisher) fullImage(sn *mapping.Snapshot) ([]byte, error) {
-	if c := p.cachedFull.Load(); c != nil && c.epoch == sn.Epoch() {
+	base := mapwire.BaseOf(sn)
+	if c := p.cachedFull.Load(); c != nil && c.base == base {
 		return c.data, nil
 	}
 	data, err := p.codec.EncodeFull(sn)
 	if err != nil {
 		return nil, err
 	}
-	p.cachedFull.Store(&encodedImage{epoch: sn.Epoch(), data: data})
+	p.cachedFull.Store(&encodedImage{base: base, data: data})
 	return data, nil
 }
 
@@ -193,15 +157,8 @@ func (p *Publisher) respond(w http.ResponseWriter, kind string, data []byte) {
 	_, _ = w.Write(data)
 }
 
-// Retained returns how many snapshots the delta-base ring currently holds.
-func (p *Publisher) Retained() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.retained)
-}
-
 // DeltaMisses returns how many requests wanted a delta but got a full
-// image (base evicted, layout changed, or delta bigger than full).
+// image (another lineage or layout, or a delta bigger than full).
 func (p *Publisher) DeltaMisses() uint64 { return p.deltaMisses.Load() }
 
 // BytesShipped returns the total image bytes served, split full vs delta
@@ -229,6 +186,4 @@ func (p *Publisher) RegisterMetrics(reg *telemetry.Registry) {
 		"Delta requests downgraded to a full image.", p.deltaMisses.Load)
 	reg.Counter("mapdist_publish_encode_failures_total",
 		"Snapshot encodings that failed (answered 500).", p.encodeFailures.Load)
-	reg.Gauge("mapdist_publish_retained",
-		"Snapshots retained as delta bases.", func() float64 { return float64(p.Retained()) })
 }

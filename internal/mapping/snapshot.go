@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"time"
@@ -41,9 +42,13 @@ const (
 // and scoring feed a map-making pipeline that publishes maps on a cadence,
 // and the authoritative name servers serve whichever map is current.
 type Snapshot struct {
-	epoch  uint64
-	policy Policy
-	ttl    time.Duration
+	epoch uint64
+	// lineage names the run of builds the snapshot descends from: every
+	// snapshot one builder derives from its predecessors carries the
+	// builder's lineage, and epochs order snapshots only within one.
+	lineage uint64
+	policy  Policy
+	ttl     time.Duration
 
 	// lay is the partition layout (index + partition→segment map), shared
 	// across every snapshot built for the same endpoint universe.
@@ -132,8 +137,14 @@ func (r Row) Walk(visit func(pos int, c Ranked) bool) {
 }
 
 // Epoch returns the snapshot's publication number. Epochs are strictly
-// increasing.
+// increasing within a lineage.
 func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
+
+// Lineage returns the non-zero random number naming the run of builds the
+// snapshot descends from. Epochs order snapshots only within a lineage: a
+// restarted builder draws a new one, so its epochs, which start again at
+// 1, are never mistaken for its predecessor's.
+func (sn *Snapshot) Lineage() uint64 { return sn.lineage }
 
 // Policy returns the routing policy the snapshot was built under.
 func (sn *Snapshot) Policy() Policy { return sn.policy }
@@ -247,8 +258,11 @@ type SnapshotBuilder struct {
 	fallbackLoc    geo.Point
 	partitionMiles float64
 
-	mu  sync.Mutex
-	lay *Layout
+	mu sync.Mutex
+	// lineage stamps every snapshot this builder makes; it is redrawn
+	// whenever the builder forgets its previous snapshot (bootSnapshot).
+	lineage uint64
+	lay     *Layout
 	// segs are what lay's tables are ranked from, one per table: serving
 	// never reads them, so they stay here and never travel.
 	segs []segment
@@ -320,10 +334,15 @@ func newSnapshotBuilder(w *world.World, scorer *Scorer, cfg Config) *SnapshotBui
 		fallbackLoc:    cfg.FallbackLoc,
 		partitionMiles: cfg.PartitionMiles,
 		balance:        cfg.BalanceFactor,
+		lineage:        newLineage(),
 		dirtyAll:       true,
 		dirtyTargets:   map[int]struct{}{},
 	}
 }
+
+// newLineage draws a lineage: random, so a restarted builder does not reuse
+// its predecessor's, and odd, so never zero.
+func newLineage() uint64 { return rand.Uint64() | 1 }
 
 // Scorer returns the builder's scoring stage (to invalidate after a
 // measurement refresh, or to share with a System).
@@ -463,12 +482,13 @@ func upTo(n int) []int32 {
 // install: a layout with no partitions, so every endpoint resolves to the
 // two shared fallback rows — the degradation ladder's fallback rung. It
 // also forgets whatever a local build left behind (layout, previous
-// snapshot, proximity copy, scorer memos): a replica holds the one map it
-// installed and nothing else.
+// snapshot, proximity copy, scorer memos), and with it the lineage: a
+// replica holds the one map it installed and nothing else.
 func (b *SnapshotBuilder) bootSnapshot(policy Policy) *Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.lay, b.segs, b.prev, b.raw, b.prevUtil = nil, nil, nil, nil, nil
+	b.lineage = newLineage()
 	b.dirtyAll = true
 	b.scorer.Invalidate()
 
@@ -476,7 +496,7 @@ func (b *SnapshotBuilder) bootSnapshot(policy Policy) *Snapshot {
 	lay, segs := buildLayout(nil, fLDNS, fClient, b.partitionMiles, b.scorer)
 	arena := make([]Ranked, lay.ArenaLen())
 	b.fillRows(lay, segs, upTo(lay.Rows()), arena, nil)
-	return NewSnapshot(0, policy, b.ttl, lay, b.scorer.Platform(), arena, nil)
+	return NewSnapshot(b.lineage, 0, policy, b.ttl, lay, b.scorer.Platform(), arena, nil)
 }
 
 // maxArenaChain bounds the delta-arena chain incremental builds and delta
@@ -562,7 +582,7 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 	case full || loadChanged:
 		arena := make([]Ranked, lay.ArenaLen())
 		b.fillRows(lay, b.segs, upTo(lay.Rows()), arena, factors)
-		sn = NewSnapshot(epoch, policy, b.ttl, lay, sc.Platform(), arena, nil)
+		sn = NewSnapshot(b.lineage, epoch, policy, b.ttl, lay, sc.Platform(), arena, nil)
 		if full {
 			b.stats.Full++
 		} else {

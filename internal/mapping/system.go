@@ -106,7 +106,8 @@ type System struct {
 	// desiredPolicy is the policy the next published snapshot is built
 	// under; the active policy is whatever the current snapshot carries.
 	desiredPolicy atomic.Int32
-	// epoch allocates strictly increasing snapshot numbers.
+	// epoch allocates strictly increasing snapshot numbers within the
+	// builder's lineage, which is redrawn when BootstrapReplica rewinds it.
 	epoch atomic.Uint64
 	// snap is the currently published map. Installed by a single pointer
 	// swap; non-nil from NewSystem / NewReplica on.
@@ -195,13 +196,16 @@ func (s *System) SetPolicy(p Policy) {
 // It is never nil.
 func (s *System) Current() *Snapshot { return s.snap.Load() }
 
-// Install publishes a snapshot if it is newer than the current one,
-// reporting whether it was installed. Concurrent rebuilds may race; the
-// epoch order decides, so an older build can never clobber a newer map.
+// Install publishes a snapshot unless it is no newer than the current one
+// of the same lineage, reporting whether it was installed. Concurrent
+// rebuilds may race; within a lineage the epoch order decides, so an older
+// build can never clobber a newer map. A snapshot of another lineage — a
+// replica's first fetch, or the first after its publisher restarted and
+// began again at epoch 1 — replaces the current map whatever its epoch.
 func (s *System) Install(sn *Snapshot) bool {
 	for {
 		cur := s.snap.Load()
-		if cur != nil && cur.epoch >= sn.epoch {
+		if cur != nil && cur.lineage == sn.lineage && cur.epoch >= sn.epoch {
 			return false
 		}
 		if s.snap.CompareAndSwap(cur, sn) {

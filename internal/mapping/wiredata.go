@@ -53,7 +53,7 @@ func (sn *Snapshot) RowTable(i int) []Ranked { return sn.rows[i] }
 
 // ChangedSince lists, ascending, the rows re-ranked after the given epoch —
 // what a delta patching a snapshot of that epoch (same layout, same
-// lineage of builds) must carry.
+// lineage) must carry.
 func (sn *Snapshot) ChangedSince(epoch uint64) []int32 {
 	var rows []int32
 	for i, e := range sn.rowEpoch {
@@ -116,17 +116,18 @@ func (lay *Layout) fingerprint() uint64 {
 	return lay.fp
 }
 
-// NewSnapshot assembles a snapshot over one base arena holding every row of
-// the layout back to back — segment heads, then tails — each stamped as
-// ranked at this epoch. Full builds and the wire decoder both end here; the
-// decoder is responsible for validating that every index in lay and every
-// Dep in arena and cans is in range, and that every tail ranks every
-// deployment — NewSnapshot trusts its input and keeps arena as given.
-func NewSnapshot(epoch uint64, policy Policy, ttl time.Duration, lay *Layout,
+// NewSnapshot assembles a snapshot of the given lineage over one base arena
+// holding every row of the layout back to back — segment heads, then tails
+// — each stamped as ranked at this epoch. Full builds and the wire decoder
+// both end here; the decoder is responsible for validating that every index
+// in lay and every Dep in arena and cans is in range, and that every tail
+// ranks every deployment — NewSnapshot trusts its input and keeps arena as
+// given.
+func NewSnapshot(lineage, epoch uint64, policy Policy, ttl time.Duration, lay *Layout,
 	p *cdn.Platform, arena []Ranked, cans map[uint64][]Ranked) *Snapshot {
 
 	sn := &Snapshot{
-		epoch: epoch, policy: policy, ttl: ttl, lay: lay, deps: p.Deployments,
+		epoch: epoch, lineage: lineage, policy: policy, ttl: ttl, lay: lay, deps: p.Deployments,
 		rows:     make([][]Ranked, lay.Rows()),
 		rowEpoch: make([]uint64, lay.Rows()),
 		chain:    1,
@@ -149,15 +150,15 @@ func (sn *Snapshot) layOut(arena []Ranked) {
 	}
 }
 
-// WithDeltaRows derives a new snapshot from sn by replacing the given rows
-// (ascending) with fresh ones: delta holds them back to back, in rows
-// order, each at its layout length, and is kept as given. It is the
-// builder's incremental path and the replica's delta apply alike. The
-// layout is shared; the delta rides as a new arena until the chain would
-// exceed maxArenaChain or the accumulated delta data would outweigh the
-// base arena, at which point the result is compacted into one fresh base
-// arena — so memory stays bounded however many deltas are applied. The
-// result never carries CANS tables (the builder recomputes them, the
+// WithDeltaRows derives a new snapshot of sn's lineage from sn by replacing
+// the given rows (ascending) with fresh ones: delta holds them back to
+// back, in rows order, each at its layout length, and is kept as given. It
+// is the builder's incremental path and the replica's delta apply alike.
+// The layout is shared; the delta rides as a new arena until the chain
+// would exceed maxArenaChain or the accumulated delta data would outweigh
+// the base arena, at which point the result is compacted into one fresh
+// base arena — so memory stays bounded however many deltas are applied.
+// The result never carries CANS tables (the builder recomputes them, the
 // encoder refuses deltas for CANS snapshots).
 func (sn *Snapshot) WithDeltaRows(epoch uint64, policy Policy,
 	ttl time.Duration, rows []int32, delta []Ranked) *Snapshot {
@@ -188,11 +189,11 @@ func (sn *Snapshot) WithDeltaRows(epoch uint64, policy Policy,
 }
 
 // BootstrapReplica puts the system in replica state: it installs, as epoch
-// 0, a map holding nothing but the two shared fallback tables, rewinds the
-// epoch counter so that the first snapshot fetched from a MapMaker
-// publisher — whose epochs start at 1 — always wins the Install
-// comparison, and releases everything a local build may have left in the
-// builder and the scorer. No builder ever emits epoch 0, so the serving
+// 0 of a fresh lineage, a map holding nothing but the two shared fallback
+// tables, rewinds the epoch counter, and releases everything a local build
+// may have left in the builder and the scorer. The first snapshot fetched
+// from a publisher is of the publisher's lineage, so Install takes it
+// whatever its epoch. No builder ever emits epoch 0, so the serving
 // plane treats it as the degradation ladder's fallback rung (or worse, by
 // age) until the first Install. NewReplica calls it on a system that has
 // built nothing; calling it on a built system discards that map.

@@ -16,23 +16,24 @@
 // answers bitwise-identically to the original — provided both sides hold
 // the same platform, which the header's platform fingerprint enforces.
 //
-// Layout, version 4 (all integers little-endian):
+// Layout, version 5 (all integers little-endian):
 //
 //	offset  size  field
 //	     0     4  magic "EUMw"
-//	     4     2  format version (4)
+//	     4     2  format version (5)
 //	     6     1  kind (0 full, 1 delta)
 //	     7     1  policy
 //	     8     8  epoch
-//	    16     8  base epoch (deltas; 0 for full images)
-//	    24     8  answer TTL, nanoseconds
-//	    32     8  platform fingerprint
-//	    40     8  layout fingerprint
-//	    48     4  partitions P (excluding the two fallbacks)
-//	    52     4  tables T
-//	    56     4  head length L (entries a table keeps of its own ranking)
-//	    60     4  endpoints indexed
-//	    64     …  body (kind-dependent)
+//	    16     8  lineage (the builder run epochs are ordered within)
+//	    24     8  base epoch (deltas; 0 for full images)
+//	    32     8  answer TTL, nanoseconds
+//	    40     8  platform fingerprint
+//	    48     8  layout fingerprint
+//	    56     4  partitions P (excluding the two fallbacks)
+//	    60     4  tables T
+//	    64     4  head length L (entries a table keeps of its own ranking)
+//	    68     4  endpoints indexed
+//	    72     …  body (kind-dependent)
 //	  last     4  CRC-32C (Castagnoli) of everything before it
 //
 // Full body:
@@ -45,7 +46,8 @@
 //	(T × L + N × deployments) × 12 bytes   the arena: heads in table order, then tails
 //	u32 C, then C × (u64 LDNS id, u32 n, n × 12 bytes)   CANS candidate heads, ascending id
 //
-// Delta body:
+// Delta body (patches the snapshot of the header's lineage at the base
+// epoch, under the header's layout fingerprint):
 //
 //	u32 N, then N × i32    re-ranked rows, strictly ascending: a table's head, or T + a tail
 //	their new contents, in that order, each at its own length
@@ -72,7 +74,7 @@ import (
 )
 
 // Version is the wire format version this package encodes and decodes.
-const Version = 4
+const Version = 5
 
 // Image kinds.
 const (
@@ -82,7 +84,7 @@ const (
 
 const (
 	magic       = "EUMw"
-	headerSize  = 64
+	headerSize  = 72
 	trailerSize = 4
 	// rankedSize is one rank entry: deployment index + score bits.
 	rankedSize = 12
@@ -105,7 +107,8 @@ type Header struct {
 	Kind       uint8
 	Policy     mapping.Policy
 	Epoch      uint64
-	BaseEpoch  uint64 // deltas: the epoch the segments patch; full: 0
+	Lineage    uint64
+	BaseEpoch  uint64 // deltas: the epoch the rows patch; full: 0
 	TTL        time.Duration
 	PlatformFP uint64
 	LayoutFP   uint64
@@ -170,14 +173,15 @@ func ParseHeader(data []byte) (Header, error) {
 	}
 	h.Policy = mapping.Policy(data[7])
 	h.Epoch = binary.LittleEndian.Uint64(data[8:])
-	h.BaseEpoch = binary.LittleEndian.Uint64(data[16:])
-	h.TTL = time.Duration(binary.LittleEndian.Uint64(data[24:]))
-	h.PlatformFP = binary.LittleEndian.Uint64(data[32:])
-	h.LayoutFP = binary.LittleEndian.Uint64(data[40:])
-	h.Partitions = binary.LittleEndian.Uint32(data[48:])
-	h.Tables = binary.LittleEndian.Uint32(data[52:])
-	h.TableLen = binary.LittleEndian.Uint32(data[56:])
-	h.Endpoints = binary.LittleEndian.Uint32(data[60:])
+	h.Lineage = binary.LittleEndian.Uint64(data[16:])
+	h.BaseEpoch = binary.LittleEndian.Uint64(data[24:])
+	h.TTL = time.Duration(binary.LittleEndian.Uint64(data[32:]))
+	h.PlatformFP = binary.LittleEndian.Uint64(data[40:])
+	h.LayoutFP = binary.LittleEndian.Uint64(data[48:])
+	h.Partitions = binary.LittleEndian.Uint32(data[56:])
+	h.Tables = binary.LittleEndian.Uint32(data[60:])
+	h.TableLen = binary.LittleEndian.Uint32(data[64:])
+	h.Endpoints = binary.LittleEndian.Uint32(data[68:])
 	return h, nil
 }
 
@@ -240,20 +244,42 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 	return w.finish(), nil
 }
 
-// EncodeDelta serializes the rows re-ranked after prev's epoch as a delta
-// image patching that epoch; next must descend from prev through the same
-// builder (the publisher's retention ring guarantees it). ok is false —
-// with no error — when a delta is not expressible (different layouts, a
-// CANS snapshot whose candidate map has no delta form, or so much changed
-// that a full image is no larger); the publisher then falls back to
-// EncodeFull.
+// Base names the snapshot a delta patches by what the delta needs of it:
+// its lineage, its epoch and its layout fingerprint. It is what a replica
+// reports it holds; the rows themselves never have to be at hand.
+type Base struct {
+	Lineage, Epoch, Layout uint64
+}
+
+// BaseOf returns sn as a delta base.
+func BaseOf(sn *mapping.Snapshot) Base {
+	return Base{Lineage: sn.Lineage(), Epoch: sn.Epoch(), Layout: sn.LayoutFingerprint()}
+}
+
+// EncodeDelta serializes next as a delta image patching prev: it is
+// EncodeDeltaSince with prev as the base, and ok is false when prev is nil.
 func (c *Codec) EncodeDelta(prev, next *mapping.Snapshot) (data []byte, ok bool, err error) {
-	if prev == nil || prev.LayoutFingerprint() != next.LayoutFingerprint() ||
-		next.CANSTables() != nil || prev.Epoch() >= next.Epoch() {
+	if prev == nil {
+		return nil, false, nil
+	}
+	return c.EncodeDeltaSince(BaseOf(prev), next)
+}
+
+// EncodeDeltaSince serializes the rows of next re-ranked after the base's
+// epoch (next.ChangedSince) as a delta image patching that base. Only the
+// current snapshot is read: the rows of next's lineage that no build has
+// touched since the base epoch are the base's rows. ok is false — with no
+// error — when a delta is not expressible (another lineage, another layout,
+// a base no older than next, a CANS snapshot whose candidate map has no
+// delta form, or so much changed that a full image is no larger); the
+// publisher then falls back to EncodeFull.
+func (c *Codec) EncodeDeltaSince(base Base, next *mapping.Snapshot) (data []byte, ok bool, err error) {
+	if base.Lineage != next.Lineage() || base.Layout != next.LayoutFingerprint() ||
+		next.CANSTables() != nil || base.Epoch >= next.Epoch() {
 		return nil, false, nil
 	}
 	lay := next.Layout()
-	rows := next.ChangedSince(prev.Epoch())
+	rows := next.ChangedSince(base.Epoch)
 	entries := 0
 	for _, i := range rows {
 		entries += lay.RowLen(int(i))
@@ -265,7 +291,7 @@ func (c *Codec) EncodeDelta(prev, next *mapping.Snapshot) (data []byte, ok bool,
 	}
 
 	w := newWriter(headerSize + 4 + len(rows)*4 + entries*rankedSize + trailerSize)
-	c.putHeader(w, next, KindDelta, prev.Epoch())
+	c.putHeader(w, next, KindDelta, base.Epoch)
 	w.u32(uint32(len(rows)))
 	for _, i := range rows {
 		w.i32(i)
@@ -286,10 +312,11 @@ func (c *Codec) Decode(data []byte, prev *mapping.Snapshot) (*mapping.Snapshot, 
 // DecodeFrom reconstructs a snapshot from an image of exactly size bytes
 // read from src — an HTTP response body and its Content-Length — without
 // ever holding the image: rank tables are read into the memory they will
-// be served from. For delta images, prev must be the installed snapshot at
-// the image's base epoch (the fetcher's last install); DecodeFrom returns
-// ErrDeltaBase when it is missing or does not match, signalling the
-// fetcher to re-request a full image.
+// be served from. For delta images, prev must be the installed snapshot the
+// image patches — its lineage, at its base epoch, under its layout (the
+// fetcher's last install); DecodeFrom returns ErrDeltaBase when it is
+// missing or does not match, signalling the fetcher to re-request a full
+// image.
 //
 // DecodeFrom is hardened against corrupt or adversarial input: every
 // length and index is bounds-checked against the bytes left and the
@@ -395,7 +422,7 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 			return nil, fmt.Errorf("%w: tail source table out of range", ErrFormat)
 		}
 	}
-	sn := mapping.NewSnapshot(h.Epoch, h.Policy, h.TTL, lay, c.platform, arena, cansMap)
+	sn := mapping.NewSnapshot(h.Lineage, h.Epoch, h.Policy, h.TTL, lay, c.platform, arena, cansMap)
 	for i := tables; i < lay.Rows(); i++ {
 		if err := checkTail(sn.RowTable(i)); err != nil {
 			return nil, err
@@ -407,6 +434,9 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 func (c *Codec) decodeDelta(h Header, r *reader, prev *mapping.Snapshot) (*mapping.Snapshot, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("%w: no base snapshot", ErrDeltaBase)
+	}
+	if prev.Lineage() != h.Lineage {
+		return nil, fmt.Errorf("%w: lineage %016x, have %016x", ErrDeltaBase, h.Lineage, prev.Lineage())
 	}
 	if prev.Epoch() != h.BaseEpoch {
 		return nil, fmt.Errorf("%w: base epoch %d, have %d", ErrDeltaBase, h.BaseEpoch, prev.Epoch())
@@ -465,6 +495,7 @@ func (c *Codec) putHeader(w *writer, sn *mapping.Snapshot, kind uint8, baseEpoch
 	w.u8(kind)
 	w.u8(uint8(sn.Policy()))
 	w.u64(sn.Epoch())
+	w.u64(sn.Lineage())
 	w.u64(baseEpoch)
 	w.u64(uint64(sn.TTL()))
 	w.u64(c.fp)

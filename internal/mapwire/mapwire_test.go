@@ -264,6 +264,13 @@ func TestEncodeDeltaRefusals(t *testing.T) {
 	if _, ok, err := c.EncodeDelta(sn2, sn1); ok || err != nil {
 		t.Fatalf("epoch regression: ok=%v err=%v", ok, err)
 	}
+	other := mapping.NewSnapshotBuilder(w, p, netmodel.NewDefault(), fixCfg).Build(1, mapping.EndUser)
+	if other.LayoutFingerprint() != sn1.LayoutFingerprint() || other.Lineage() == sn1.Lineage() {
+		t.Fatal("a second builder should share the layout and draw another lineage")
+	}
+	if _, ok, err := c.EncodeDelta(other, sn2); ok || err != nil {
+		t.Fatalf("base of another lineage: ok=%v err=%v", ok, err)
+	}
 	cans := mapping.NewSnapshotBuilder(w, p, netmodel.NewDefault(), fixCfg).Build(3, mapping.ClientAwareNS)
 	if _, ok, err := c.EncodeDelta(sn2, cans); ok || err != nil {
 		t.Fatalf("CANS target: ok=%v err=%v", ok, err)
@@ -361,9 +368,11 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"tail names one deployment twice", put(full, firstTail+rankedSize,
 			binary.LittleEndian.Uint32(full[firstTail:])), nil, ErrFormat},
 		{"tail names a deployment the platform lacks", put(full, firstTail, uint32(nDeps)), nil, ErrFormat},
-		{"head longer than this build keeps", put(full, 56, uint32(lay.TableLen+1)), nil, ErrFormat},
-		{"previous format version", put(full, 4, 3|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
+		{"head longer than this build keeps", put(full, 64, uint32(lay.TableLen+1)), nil, ErrFormat},
+		{"previous format version", put(full, 4, 4|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
+		{"format version 3", put(full, 4, 3|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 2", put(full, 4, 2|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
+		{"delta of another lineage", put(delta, 16, binary.LittleEndian.Uint32(delta[16:])^1), sn1, ErrDeltaBase},
 		{"delta row out of range", put(delta, deltaRows+4, uint32(lay.Rows())), sn1, ErrFormat},
 		{"delta rows descending", put(delta, deltaRows+4, 0), sn1, ErrFormat},
 		{"delta tail names one deployment twice", put(delta, deltaTail+rankedSize,
@@ -405,6 +414,11 @@ func TestDecodeDeltaBaseMismatch(t *testing.T) {
 	}
 	if _, err := c.Decode(delta, sn2); !errors.Is(err, ErrDeltaBase) {
 		t.Fatalf("wrong-epoch base: %v", err)
+	}
+	// Epoch 1 of another builder: same epoch, same layout, other rows.
+	other := mapping.NewSnapshotBuilder(w, p, netmodel.NewDefault(), fixCfg).Build(1, mapping.EndUser)
+	if _, err := c.Decode(delta, other); !errors.Is(err, ErrDeltaBase) {
+		t.Fatalf("base of another lineage: %v", err)
 	}
 }
 
