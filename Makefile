@@ -11,7 +11,7 @@ SIMBENCH = BenchmarkWorldGenerate|BenchmarkRolloutTimeline|BenchmarkFig25Sweep
 # under map churn (see DESIGN.md "Control plane / data plane").
 SNAPBENCH = BenchmarkSnapshotSwap|BenchmarkServingUnderMapChurn
 
-.PHONY: all check vet build test loc race chaos load-chaos dist-chaos obs crossbuild scale-smoke ecsgrid-smoke figures-check figures-golden bench-smoke bench-e2e bench-pair bench bench-hot bench-sim bench-snapshot bench-figures
+.PHONY: all check vet build test loc setup-budget race chaos load-chaos dist-chaos obs crossbuild scale-smoke ecsgrid-smoke figures-check figures-golden bench-smoke bench-e2e bench-pair bench bench-hot bench-sim bench-snapshot bench-figures
 
 all: check
 
@@ -45,6 +45,12 @@ loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l; }; \
 	printf '%-20s %6d\n' repo "$$(count .)"; \
 	for p in internal/authority internal/dnsserver cmd/eumdns internal/mapping internal/mapwire internal/mapdist; do printf '%-20s %6d\n' $$p "$$(count $$p)"; done
+
+# The set-up budget: every stage between a seed and a served map, at the
+# cold_wide benchmark's size on one CPU — the rows of DESIGN.md's set-up
+# budget table ("before" is the same target at the parent commit).
+setup-budget:
+	$(GO) test -run '^$$' -bench SetupBudget -benchtime 5x -cpu 1 ./internal/mapping
 
 # Chaos harness: the full UDP serving plane under injected packet loss,
 # duplication, reordering, latency jitter, server outages and MapMaker

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"eum/internal/cdn"
+	"eum/internal/geo"
 	"eum/internal/mapping"
 	"eum/internal/mapwire"
 	"eum/internal/netmodel"
@@ -92,6 +93,91 @@ func TestBuildMeasuresEachPairOnce(t *testing.T) {
 	if got, tables := prober.take(t, "replica boot"), rep.Current().Tables(); got != tables*deployments || tables > 2 {
 		t.Fatalf("a replica's boot measured %d pairs for %d tables; want the fallback tables x %d deployments and nothing else",
 			got, tables, deployments)
+	}
+}
+
+// countingRows is the network model, row form included, keeping how many
+// pairs it measured against each measured endpoint. Unlike countingProber
+// it lets a scorer measure a head from only the deployments that could
+// enter it, which is what it counts.
+type countingRows struct {
+	*netmodel.Model
+	mu    sync.Mutex
+	pairs map[uint64]int // measured endpoint ID → pairs measured
+}
+
+func (c *countingRows) count(to uint64, n int) {
+	c.mu.Lock()
+	c.pairs[to] += n
+	c.mu.Unlock()
+}
+
+func (c *countingRows) PingMs(a, b netmodel.Endpoint) float64 {
+	c.count(b.ID, 1)
+	return c.Model.PingMs(a, b)
+}
+
+func (c *countingRows) PingRow(dst []float64, from []netmodel.Site, to netmodel.Endpoint) {
+	c.count(to.ID, len(from))
+	c.Model.PingRow(dst, from, to)
+}
+
+func (c *countingRows) PingAt(s *netmodel.Site, to *netmodel.Endpoint, at geo.Prepared) float64 {
+	c.count(to.ID, 1)
+	return c.Model.PingAt(s, to, at)
+}
+
+// take returns the pairs measured since the last take and the endpoints
+// they were measured against.
+func (c *countingRows) take() (pairs int, endpoints map[uint64]int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, n := range c.pairs {
+		pairs += n
+	}
+	endpoints, c.pairs = c.pairs, map[uint64]int{}
+	return pairs, endpoints
+}
+
+// TestFullBuildMeasuresFewPairs pins what a build costs in measurements
+// when the prober has a row form, at the cold_wide benchmark's shape: a
+// head that ranks no tail is measured only for the deployments that could
+// enter it, so a full build measures under 30 % of tables × deployments
+// (16.4 % when this was written), and a one-target refresh measures that
+// target and nothing else.
+func TestFullBuildMeasuresFewPairs(t *testing.T) {
+	w := world.MustGenerate(world.Config{Seed: 1, NumBlocks: 50000})
+	p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 1, NumDeployments: 600})
+	cfg := mapping.Config{Policy: mapping.EndUser, PingTargets: 5000, PartitionMiles: 50}
+	deployments := len(p.Deployments)
+	prober := &countingRows{Model: netmodel.NewDefault(), pairs: map[uint64]int{}}
+
+	sys := mapping.NewSystem(w, p, prober, cfg)
+	tables := sys.Current().Tables()
+	got, _ := prober.take()
+	t.Logf("a full build measured %d of %d tables x %d deployments = %d pairs (%.1f %%)",
+		got, tables, deployments, tables*deployments, 100*float64(got)/float64(tables*deployments))
+	if got > tables*deployments*3/10 {
+		t.Fatalf("a full build measured %d pairs, over 30 %% of %d tables x %d deployments", got, tables, deployments)
+	}
+
+	target, ok := sys.Scorer().TargetFor(w.Blocks[0].Endpoint())
+	if !ok {
+		t.Fatal("no ping target for block 0")
+	}
+	prober.take() // looked up by distance: nothing measured
+	before := sys.Builder().BuildStats()
+	sys.Builder().MarkMeasurementsDirty(target.ID)
+	sys.Rebuild()
+	after := sys.Builder().BuildStats()
+	reranked := int(after.RerankedTables - before.RerankedTables)
+	if after.Incremental != before.Incremental+1 || reranked == 0 {
+		t.Fatalf("a one-target refresh was not an incremental build: %+v, then %+v", before, after)
+	}
+	got, endpoints := prober.take()
+	if len(endpoints) != 1 || endpoints[target.ID] != got || got == 0 || got > reranked*deployments {
+		t.Fatalf("a one-target build re-ranked %d tables and measured %d pairs against %d endpoints; want only target %d, at most %d pairs",
+			reranked, got, len(endpoints), target.ID, reranked*deployments)
 	}
 }
 

@@ -14,6 +14,11 @@
 // scorer's nearest-target search) prepare each point once and call it
 // directly. Both routes do the same operations in the same order, so they
 // return the same bits.
+//
+// Prepared.FloorTo is the cheap side of a search: the straight-line chord
+// between the two points, scaled to miles and shaved by a margin, so it is
+// never above DistanceTo. A search that only wants the nearest few of many
+// points skips the haversine of any point whose floor already loses.
 package geo
 
 import (
@@ -50,14 +55,25 @@ func radians(deg float64) float64 { return deg * math.Pi / 180 }
 // Prepared is a point with its latitude trigonometry done: the form to keep
 // when one point is measured against many (a deployment against every ping
 // target, a ping target against every deployment), so that radians(lat) and
-// cos(lat) are computed once per point instead of once per pair.
+// cos(lat) are computed once per point instead of once per pair. It also
+// holds the point as a unit vector, which FloorTo measures chords between.
 type Prepared struct {
 	latRad, cosLat float64 // radians(Lat), cos(radians(Lat))
 	lon            float64 // degrees, as given
+	x, y, z        float64 // the point on the unit sphere
 }
 
 // Prepare does p's share of every distance it will take part in.
 func Prepare(p Point) Prepared {
+	q := prepareLat(p)
+	lon := radians(p.Lon)
+	q.x, q.y, q.z = q.cosLat*math.Cos(lon), q.cosLat*math.Sin(lon), math.Sin(q.latRad)
+	return q
+}
+
+// prepareLat is Prepare without the unit vector: all DistanceTo reads, for
+// a point measured once.
+func prepareLat(p Point) Prepared {
 	lat := radians(p.Lat)
 	return Prepared{latRad: lat, cosLat: math.Cos(lat), lon: p.Lon}
 }
@@ -80,9 +96,30 @@ func (p Prepared) DistanceTo(q Prepared) float64 {
 	return 2 * EarthRadiusMiles * math.Asin(math.Sqrt(a))
 }
 
+// Margins that keep FloorTo below DistanceTo despite rounding in both: a
+// relative one, far wider than the few ulps either computation is off by,
+// and an absolute one for points so close that the chord's subtraction
+// cancels to its rounding error.
+const (
+	floorShave = 1 - 1e-9
+	floorSlack = 1e-6 // miles
+)
+
+// FloorTo returns a lower bound on p.DistanceTo(q) in miles: the chord
+// between the two points on the unit sphere — never longer than the arc —
+// times the Earth's radius, less the margins. It costs one square root
+// where the haversine costs two sines, an arcsine and a square root, and
+// it falls short of the arc by less than a mile up to ~700 miles apart, so
+// a search for the nearest few of many points can discard the rest on it
+// without taking their distances.
+func (p Prepared) FloorTo(q Prepared) float64 {
+	dx, dy, dz := p.x-q.x, p.y-q.y, p.z-q.z
+	return EarthRadiusMiles*math.Sqrt(dx*dx+dy*dy+dz*dz)*floorShave - floorSlack
+}
+
 // Distance returns the great-circle distance in miles between p and q.
 func Distance(p, q Point) float64 {
-	return Prepare(p).DistanceTo(Prepare(q))
+	return prepareLat(p).DistanceTo(prepareLat(q))
 }
 
 // Weighted pairs a point with a nonnegative weight, typically the client

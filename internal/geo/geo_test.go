@@ -255,3 +255,61 @@ func wrapLon(v float64) float64 {
 	}
 	return math.Mod(math.Abs(v), 360) - 180
 }
+
+// hostile lists the geometry a distance gets wrong first: one point twice,
+// the poles, both sides of the antimeridian, and antipodes, where rounding
+// can push the haversine's argument past 1.
+var hostile = []Point{
+	{0, 0}, {0, 180}, {0, -180},
+	{90, 0}, {90, 77}, {-90, 0}, {-90, -120},
+	{12.5, 179.9999}, {12.5, -179.9999}, {-12.5, 0.0001},
+	{42.36, -71.06}, {-42.36, 108.94},
+	{45, 45}, {-45, -135},
+	{1e-9, 1e-9}, {89.999999, 179.999999},
+}
+
+// TestFloorToIsALowerBound holds FloorTo at or below DistanceTo — the
+// soundness a search that discards points on the floor rests on — over the
+// hostile geometry — every pair of it, and each point against itself
+// nudged by a few ulps — and 10⁶ random pairs, two thirds of them a random
+// point and one nearby at every scale from a micrometre to a hemisphere.
+// Below 100 miles the floor must also be within a hundredth of a mile of
+// the distance, or it would discard nothing.
+func TestFloorToIsALowerBound(t *testing.T) {
+	check := func(p, q Point) {
+		t.Helper()
+		pp, pq := Prepare(p), Prepare(q)
+		d, f := pp.DistanceTo(pq), pp.FloorTo(pq)
+		if !(f <= d) {
+			t.Fatalf("FloorTo(%v, %v) = %v, DistanceTo = %v", p, q, f, d)
+		}
+		if d < 100 && d-f > 0.01 {
+			t.Fatalf("FloorTo(%v, %v) = %v is %v below a %v-mile distance", p, q, f, d-f, d)
+		}
+	}
+	for _, p := range hostile {
+		for _, q := range hostile {
+			check(p, q)
+		}
+		near := p
+		for k := 0; k < 4; k++ {
+			near.Lat, near.Lon = math.Nextafter(near.Lat, 0), math.Nextafter(near.Lon, 0)
+			check(p, near)
+			check(near, p)
+		}
+	}
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 1_000_000; i++ {
+		p := randPoint(rng)
+		q := randPoint(rng)
+		if i%3 != 0 {
+			// Up to 90° away, log-uniform down to 1e-11° (about a micrometre).
+			scale := math.Pow(10, -11+rng.Float64()*12.95)
+			q = Point{
+				Lat: math.Max(-90, math.Min(90, p.Lat+scale*(rng.Float64()*2-1))),
+				Lon: math.Mod(p.Lon+scale*(rng.Float64()*2-1)+540, 360) - 180,
+			}
+		}
+		check(p, q)
+	}
+}

@@ -140,6 +140,12 @@ func (o rowOrder) key(r Ranked) float64 {
 	return r.Score() * o.factors[r.Dep]
 }
 
+// before reports whether a, at key ka, ranks ahead of b, at key kb: the
+// keys decide unless they are equal.
+func (o rowOrder) before(a Ranked, ka float64, b Ranked, kb float64) bool {
+	return ka < kb || ka == kb && o.compare(a, b) < 0
+}
+
 // compare is the total order.
 func (o rowOrder) compare(a, b Ranked) int {
 	if o.factors != nil {

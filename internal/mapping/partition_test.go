@@ -1,12 +1,14 @@
 package mapping
 
 import (
-	"unsafe"
-
+	"cmp"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"eum/internal/geo"
 	"eum/internal/netmodel"
+	"eum/internal/world"
 )
 
 // TestPartitionIdentityEquivalence is the partition-equivalence property
@@ -116,28 +118,52 @@ func TestPartitionThresholdClusters(t *testing.T) {
 
 // TestNearestTargetMatchesLinearScan pins the latitude-band nearest-target
 // search to the semantics of the linear argmin it replaced: smallest
-// distance, ties to the lowest target index.
+// distance, ties to the lowest target index. It also runs over a world
+// whose top blocks, and so ping targets, sit in threes at one point: ties
+// in distance that only the index breaks, which the chord floor must not
+// turn away.
 func TestNearestTargetMatchesLinearScan(t *testing.T) {
-	sc := NewScorer(testW, testP, testNet, 700)
-	linear := func(ep netmodel.Endpoint) int {
-		best, bestD := 0, distanceFor(sc, 0, ep)
-		for i := 1; i < len(sc.targets); i++ {
-			if d := distanceFor(sc, i, ep); d < bestD {
-				best, bestD = i, d
+	stacked := world.MustGenerate(world.Config{Seed: 9, NumBlocks: 3000})
+	top := slices.Clone(stacked.Blocks)
+	slices.SortStableFunc(top, func(a, b *world.ClientBlock) int { return cmp.Compare(b.Demand, a.Demand) })
+	for k := 0; k+2 < 700; k += 9 {
+		top[k+1].Loc, top[k+2].Loc = top[k].Loc, top[k].Loc
+	}
+	for _, w := range []*world.World{testW, stacked} {
+		sc := NewScorer(w, testP, testNet, 700)
+		linear := func(ep netmodel.Endpoint) int {
+			best, bestD := 0, distanceFor(sc, 0, ep)
+			for i := 1; i < len(sc.targets); i++ {
+				if d := distanceFor(sc, i, ep); d < bestD {
+					best, bestD = i, d
+				}
+			}
+			return best
+		}
+		ties := 0
+		for i, tgt := range sc.targets {
+			ep := tgt
+			ep.ID = 1 << 40 // not a target's own ID: found by distance alone
+			if got, want := sc.nearestTarget(ep), linear(ep); got != want {
+				t.Fatalf("the point of target %d: nearestTarget = %d, linear scan = %d", i, got, want)
+			} else if got != i {
+				ties++
 			}
 		}
-		return best
-	}
-	for i := 0; i < len(testW.Blocks); i += 13 {
-		ep := testW.Blocks[i].Endpoint()
-		if got, want := sc.nearestTarget(ep), linear(ep); got != want {
-			t.Fatalf("block %d: nearestTarget = %d, linear scan = %d", ep.ID, got, want)
+		if w == stacked && ties == 0 {
+			t.Fatal("no two ping targets share a point")
 		}
-	}
-	for _, l := range testW.LDNSes {
-		ep := l.Endpoint()
-		if got, want := sc.nearestTarget(ep), linear(ep); got != want {
-			t.Fatalf("ldns %d: nearestTarget = %d, linear scan = %d", ep.ID, got, want)
+		for i := 0; i < len(w.Blocks); i += 13 {
+			ep := w.Blocks[i].Endpoint()
+			if got, want := sc.nearestTarget(ep), linear(ep); got != want {
+				t.Fatalf("block %d: nearestTarget = %d, linear scan = %d", ep.ID, got, want)
+			}
+		}
+		for _, l := range w.LDNSes {
+			ep := l.Endpoint()
+			if got, want := sc.nearestTarget(ep), linear(ep); got != want {
+				t.Fatalf("ldns %d: nearestTarget = %d, linear scan = %d", ep.ID, got, want)
+			}
 		}
 	}
 }

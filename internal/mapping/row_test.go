@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"eum/internal/cdn"
+	"eum/internal/geo"
 	"eum/internal/netmodel"
 )
 
@@ -43,10 +44,13 @@ func fullRank(sc *Scorer, proxy netmodel.Endpoint) []Ranked {
 // 250-mile cell, and a walk visits each deployment once. Checked with
 // clustering and partitioning on, off, and under identity partitioning, on
 // a platform small enough that heads are whole rows and on one large enough
-// that they grow.
+// that they grow — and on one where equal scores straddle the cut between
+// head and tail, so the deployment index alone decides what a head holds.
 func TestHeadIsPrefixOfFullRank(t *testing.T) {
 	small := cdn.MustGenerateUniverse(testW, cdn.Config{Seed: 3, NumDeployments: 20, ServersPerDeployment: 2})
 	large := cdn.MustGenerateUniverse(testW, cdn.Config{Seed: 3, NumDeployments: 800, ServersPerDeployment: 1})
+	tiedCfg := Config{Policy: EndUser, PingTargets: 300, PartitionMiles: 50}
+	tied := tiedAtCut(cdn.MustGenerateUniverse(testW, cdn.Config{Seed: 3, NumDeployments: 800, ServersPerDeployment: 1}), tiedCfg)
 	for _, tc := range []struct {
 		name string
 		p    *cdn.Platform
@@ -57,6 +61,7 @@ func TestHeadIsPrefixOfFullRank(t *testing.T) {
 		{"unclustered", testP, Config{Policy: EndUser, PartitionMiles: 200}},
 		{"all-head", small, Config{Policy: EndUser, PingTargets: 300, PartitionMiles: 50}},
 		{"grown-head", large, Config{Policy: EndUser, PingTargets: 300, PartitionMiles: 50}},
+		{"tied-at-cut", tied, tiedCfg},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := NewSnapshotBuilder(testW, tc.p, testNet, tc.cfg)
@@ -70,17 +75,24 @@ func TestHeadIsPrefixOfFullRank(t *testing.T) {
 				t.Fatalf("%d tails for %d segments", len(lay.TailSeg), len(b.segs))
 			}
 			full := make([][]Ranked, len(b.segs))
+			cutInTies := 0
 			for s, seg := range b.segs {
 				proxy := sc.segProxy(seg)
 				full[s] = fullRank(sc, proxy)
 				if head := sn.rows[s]; !slices.Equal(head, full[s][:lay.TableLen]) {
 					t.Fatalf("segment %d: head is not the first %d of its endpoint's ranking", s, lay.TableLen)
 				}
+				if n := lay.TableLen; n < nDeps && full[s][n-1].Score() == full[s][n].Score() && lay.TailSeg[lay.SegTail[s]] != int32(s) {
+					cutInTies++
+				}
 				own := sc.segProxy(b.segs[lay.TailSeg[lay.SegTail[s]]])
 				a, b := signatureFor(proxy, 250), signatureFor(own, 250)
 				if a.row != b.row || a.col != b.col {
 					t.Fatalf("segment %d continues in a tail ranked from another cell", s)
 				}
+			}
+			if tc.p == tied && cutInTies == 0 {
+				t.Fatal("no head that ranks no tail is cut inside a run of equal scores")
 			}
 			for tl, src := range lay.TailSeg {
 				if !slices.Equal(sn.rows[len(b.segs)+tl], full[src]) {
@@ -111,6 +123,37 @@ func TestHeadIsPrefixOfFullRank(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tiedAtCut moves deployments of p so that equal scores straddle the cut
+// between head and tail: ten more than a head holds go to each of two
+// ping targets' points, in the target's AS — they all ping it 0 ms, so the
+// deployment index alone orders them — and as many again share one point
+// and one AS elsewhere. The two targets are measured for heads that rank no
+// tail (under cfg), which a build selects without scoring every
+// deployment. It returns p.
+func tiedAtCut(p *cdn.Platform, cfg Config) *cdn.Platform {
+	probe := NewSnapshotBuilder(testW, p, testNet, cfg)
+	probe.mu.Lock()
+	lay := probe.layoutLocked()
+	probe.mu.Unlock()
+	var at []netmodel.Endpoint
+	for s, seg := range probe.segs {
+		if lay.TailSeg[lay.SegTail[s]] != int32(s) {
+			at = append(at, probe.scorer.segProxy(seg))
+		}
+	}
+	group := HeadLen(len(p.Deployments)) + 10
+	for i := 0; i < 3*group; i++ {
+		d := p.Deployments[i*len(p.Deployments)/(3*group)]
+		if g := i % 3; g < 2 {
+			ep := at[g*len(at)/2]
+			d.Loc, d.ASN = ep.Loc, ep.ASN
+		} else {
+			d.Loc, d.ASN = geo.Point{Lat: 48.85, Lon: 2.35}, 1
+		}
+	}
+	return p
 }
 
 // referencePick is PickDeployment as it was over a full row: the first
@@ -259,6 +302,71 @@ func TestBestIntoSelectsThePrefix(t *testing.T) {
 				bestInto(head, scored, order)
 				if !slices.Equal(head, full[:k]) {
 					t.Fatalf("block %d: the %d selected are not the first %d sorted", i, k, k)
+				}
+			}
+		}
+	}
+}
+
+// TestHeadIntoMatchesBestInto holds the pruned head selection to the one
+// that scores every deployment, entry for entry and bit for bit: at every
+// head length from one to the whole platform, in proximity order and in a
+// composite order (load factors of at least 1 only raise keys above the
+// pings the floor bounds), for blocks, resolvers, the poles, the
+// antimeridian and a point one of the tied-at-cut platform's groups of
+// deployments sits on — and with the walk meeting deployments at one
+// latitude in falling index order, so that a tie the window holds is
+// offered before the lower index that beats it.
+func TestHeadIntoMatchesBestInto(t *testing.T) {
+	tied := tiedAtCut(cdn.MustGenerateUniverse(testW, cdn.Config{Seed: 3, NumDeployments: 800, ServersPerDeployment: 1}),
+		Config{Policy: EndUser, PingTargets: 300, PartitionMiles: 50})
+	for _, c := range []struct {
+		p        *cdn.Platform
+		reversed bool
+	}{{testP, false}, {tied, false}, {tied, true}} {
+		p := c.p
+		sc := NewScorer(testW, p, testNet, 0)
+		if c.reversed {
+			lat, order := sc.siteLat.lat, sc.siteLat.order
+			for i := 0; i < len(lat); {
+				j := i + 1
+				for j < len(lat) && lat[j] == lat[i] {
+					j++
+				}
+				slices.Reverse(order[i:j])
+				i = j
+			}
+		}
+		n := len(p.Deployments)
+		factors := make([]float64, n)
+		for i := range factors {
+			factors[i] = 1 + float64(i%5)*0.25
+		}
+		eps := []netmodel.Endpoint{
+			{ID: 1 << 40, Loc: geo.Point{Lat: 90, Lon: 0}},
+			{ID: 1<<40 + 1, Loc: geo.Point{Lat: -90, Lon: 120}},
+			{ID: 1<<40 + 2, Loc: geo.Point{Lat: 12.5, Lon: 179.9999}},
+			{ID: 1<<40 + 3, Loc: geo.Point{Lat: -12.5, Lon: -180}},
+			{ID: 1<<40 + 4, Loc: geo.Point{Lat: 48.85, Lon: 2.35}, ASN: 1},
+		}
+		for i := 0; i < len(testW.Blocks); i += 97 {
+			eps = append(eps, testW.Blocks[i].Endpoint())
+		}
+		for i := 0; i < len(testW.LDNSes); i += 7 {
+			eps = append(eps, testW.LDNSes[i].Endpoint())
+		}
+		scored, want := make([]Ranked, n), make([]Ranked, n)
+		for _, ep := range eps {
+			sc.scoreInto(scored, make([]float64, n), ep)
+			for _, order := range []rowOrder{{}, {factors}} {
+				for _, k := range []int{1, 2, rankHead, HeadLen(n), n - 1, n} {
+					bestInto(want[:k], scored, order)
+					got := make([]Ranked, k)
+					sc.headInto(got, ep, order, sc.newHeadScratch(k))
+					if !slices.Equal(got, want[:k]) {
+						t.Fatalf("%d deployments, endpoint at %v, head of %d (factors %v): headInto differs from bestInto",
+							n, ep.Loc, k, order.factors != nil)
+					}
 				}
 			}
 		}

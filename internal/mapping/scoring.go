@@ -23,15 +23,24 @@ type Prober interface {
 	PingMs(a, b netmodel.Endpoint) float64
 }
 
-// rowProber is a Prober that can also measure one target against many
-// prepared sites in a single call — dst[i] = PingMs(from[i].Endpoint, to),
-// bit for bit — doing each endpoint's share of the arithmetic once per row
-// instead of once per pair. The network model is one. A prober that serves
-// stored observations (measure.DB, the test fakes) is not, and is asked pair
-// by pair; that loop is also the reference the row form is tested against.
+// rowProber is a Prober that measures from prepared sites, bit for bit
+// what PingMs says, doing each endpoint's share of the arithmetic once per
+// row instead of once per pair: PingRow is one target against many sites,
+// dst[i] = PingMs(from[i].Endpoint, to); PingAt one site against a target
+// prepared as at. It also bounds its pings from below by distance and AS —
+// PingFloorPerMile() per mile of any lower bound on the pair's distance
+// (geo.Prepared.FloorTo), plus PingFloorCrossingMs() for a pair in two
+// ASes — which is what lets headInto pass over a deployment that cannot
+// make a head without measuring it. The network model is one. A prober
+// that serves stored observations (measure.DB, the test fakes) is not, and
+// is asked pair by pair for every deployment; that loop is also the
+// reference the row form is tested against.
 type rowProber interface {
 	Prober
 	PingRow(dst []float64, from []netmodel.Site, to netmodel.Endpoint)
+	PingAt(s *netmodel.Site, to *netmodel.Endpoint, at geo.Prepared) float64
+	PingFloorPerMile() float64
+	PingFloorCrossingMs() float64
 }
 
 // Scorer evaluates which deployments serve a given network location best.
@@ -43,16 +52,19 @@ type rowProber interface {
 //
 // Scores are ping milliseconds: lower is better. The scorer is a
 // control-plane component: the snapshot builder ranks straight into the
-// arena it publishes (scoreInto, bestInto), so no rank table is held here. Rank and
-// Best serve experiments and tests; they are safe for concurrent use.
+// arena it publishes (headInto, or scoreInto and bestInto), so no rank
+// table is held here. Rank and Best serve experiments and tests; they are
+// safe for concurrent use.
 type Scorer struct {
 	platform *cdn.Platform
 	net      Prober
 	// rows is net when it can measure a row at a time (decided once, in
 	// NewScorer), else nil; sites are the platform's deployments prepared
-	// for it, in deployment order.
+	// for it, in deployment order, and siteLat indexes them by latitude for
+	// headInto.
 	rows    rowProber
 	sites   []netmodel.Site
+	siteLat latIndex
 	targets []netmodel.Endpoint
 	// targetAt holds each target's location prepared for the nearest-target
 	// search, which measures one endpoint against many of them.
@@ -63,14 +75,11 @@ type Scorer struct {
 	// NotifyMeasurement feed) can invalidate just those tables.
 	targetIdx map[uint64]int
 
-	// latSorted/latOrder index the targets by latitude for nearest-target
-	// search: latSorted is ascending target latitudes, latOrder the target
-	// index at each sorted position. Latitude difference lower-bounds
-	// great-circle distance, so the search scans outward from the query
-	// latitude and stops once the band cannot beat the best hit — exact,
-	// but examining a narrow band instead of every target.
-	latSorted []float64
-	latOrder  []int32
+	// targetLat indexes the targets by latitude for the nearest-target
+	// search, which scans outward from the query latitude and stops once
+	// the band cannot beat the best hit — exact, but examining a narrow
+	// band instead of every target.
+	targetLat latIndex
 
 	// gen counts invalidations; the snapshot builder compares it to detect
 	// a measurement refresh it was not told about.
@@ -134,9 +143,12 @@ func NewScorer(w *world.World, p *cdn.Platform, net Prober, numTargets int) *Sco
 	if rows, ok := net.(rowProber); ok {
 		s.rows = rows
 		s.sites = make([]netmodel.Site, len(p.Deployments))
+		lats := make([]float64, len(p.Deployments))
 		for i, d := range p.Deployments {
 			s.sites[i] = netmodel.SiteOf(d.Endpoint())
+			lats[i] = d.Loc.Lat
 		}
+		s.siteLat = newLatIndex(lats)
 	}
 	if numTargets > 0 {
 		blocks := append([]*world.ClientBlock{}, w.Blocks...)
@@ -144,6 +156,8 @@ func NewScorer(w *world.World, p *cdn.Platform, net Prober, numTargets int) *Sco
 		if numTargets > len(blocks) {
 			numTargets = len(blocks)
 		}
+		s.targets = make([]netmodel.Endpoint, 0, numTargets)
+		s.targetAt = make([]geo.Prepared, 0, numTargets)
 		for _, b := range blocks[:numTargets] {
 			s.targets = append(s.targets, b.Endpoint())
 			s.targetAt = append(s.targetAt, geo.Prepare(b.Loc))
@@ -154,20 +168,83 @@ func NewScorer(w *world.World, p *cdn.Platform, net Prober, numTargets int) *Sco
 				s.targetIdx[t.ID] = i
 			}
 		}
-		order := make([]int32, len(s.targets))
-		for i := range order {
-			order[i] = int32(i)
+		lats := make([]float64, len(s.targets))
+		for i, t := range s.targets {
+			lats[i] = t.Loc.Lat
 		}
-		sort.SliceStable(order, func(i, j int) bool {
-			return s.targets[order[i]].Loc.Lat < s.targets[order[j]].Loc.Lat
-		})
-		s.latOrder = order
-		s.latSorted = make([]float64, len(order))
-		for i, t := range order {
-			s.latSorted[i] = s.targets[t].Loc.Lat
-		}
+		s.targetLat = newLatIndex(lats)
 	}
 	return s
+}
+
+// latIndex orders points by latitude, for searches that scan outward from
+// a query point and stop once no point left can matter: the latitude gap
+// between two points, times milesPerDegreeLat (which rounds down), is a
+// lower bound on the great-circle distance between them.
+type latIndex struct {
+	lat   []float64 // ascending latitudes
+	order []int32   // the point at each sorted position
+}
+
+// newLatIndex indexes points by their latitudes, lats[i] being point i's.
+func newLatIndex(lats []float64) latIndex {
+	order := make([]int32, len(lats))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(lats[a], lats[b]) })
+	sorted := make([]float64, len(order))
+	for i, p := range order {
+		sorted[i] = lats[p]
+	}
+	return latIndex{lat: sorted, order: order}
+}
+
+// walkFrom starts a walk over the points outward from latitude lat. Its
+// gaps are latitude gaps in miles times perMile: 1 for miles, a ping
+// floor's per-mile rate for milliseconds.
+func (x *latIndex) walkFrom(lat, perMile float64) latWalk {
+	j := sort.SearchFloat64s(x.lat, lat)
+	return latWalk{x: x, lat: lat, perMile: perMile, below: j - 1, above: j}
+}
+
+// latWalk meets the points of a latIndex nearest latitude first — the
+// frontier below the start or the one above, whichever has the smaller gap
+// — so the gaps it meets never shrink, and a point's gap is at most its
+// great-circle distance (times perMile) from any point at the start.
+type latWalk struct {
+	x            *latIndex
+	lat, perMile float64
+	below, above int // the next position on each frontier
+}
+
+// next returns the next point if its gap is at most bound. Once it returns
+// false no point left is within bound, and the walk can be taken further
+// with a larger one.
+func (w *latWalk) next(bound float64) (int, bool) {
+	n := len(w.x.lat)
+	if w.below < 0 && w.above == n {
+		return -1, false
+	}
+	gb, ga := math.Inf(1), math.Inf(1)
+	if w.below >= 0 {
+		gb = (w.lat - w.x.lat[w.below]) * milesPerDegreeLat * w.perMile
+	}
+	if w.above < n {
+		ga = (w.x.lat[w.above] - w.lat) * milesPerDegreeLat * w.perMile
+	}
+	if gb <= ga {
+		if !(gb <= bound) {
+			return -1, false
+		}
+		w.below--
+		return int(w.x.order[w.below+1]), true
+	}
+	if !(ga <= bound) {
+		return -1, false
+	}
+	w.above++
+	return int(w.x.order[w.above-1]), true
 }
 
 // Platform returns the scored platform.
@@ -200,44 +277,23 @@ func (s *Scorer) targetFor(ep netmodel.Endpoint) int {
 // nearestTarget finds the ping target geographically closest to ep,
 // breaking distance ties toward the lowest target index (the semantics of
 // a linear argmin scan with strict <). It walks the latitude-sorted target
-// index outward from ep's latitude, pruning with the invariant that
-// great-circle distance is at least the latitude difference — so only a
-// narrow latitude band is ever examined, which is what makes million-block
-// partition layouts affordable.
+// index outward from ep's latitude, so only a narrow latitude band is ever
+// examined — which is what makes million-block partition layouts
+// affordable — and takes the distance of a target in the band only when
+// its chord floor does not already lose.
 func (s *Scorer) nearestTarget(ep netmodel.Endpoint) int {
-	n := len(s.latSorted)
-	j := sort.SearchFloat64s(s.latSorted, ep.Loc.Lat)
-	i := j - 1
 	best, bestD := -1, math.Inf(1)
 	at := geo.Prepare(ep.Loc)
-	consider := func(k int) {
-		t := int(s.latOrder[k])
-		d := at.DistanceTo(s.targetAt[t])
-		if d < bestD || (d == bestD && t < best) {
+	// A target farther than the best hit cannot beat it — nor tie, since
+	// ties can win on index — and the latitude gap and the chord floor are
+	// both at most the distance.
+	walk := s.targetLat.walkFrom(ep.Loc.Lat, 1)
+	for t, ok := walk.next(bestD); ok; t, ok = walk.next(bestD) {
+		if at.FloorTo(s.targetAt[t]) > bestD {
+			continue
+		}
+		if d := at.DistanceTo(s.targetAt[t]); d < bestD || (d == bestD && t < best) {
 			best, bestD = t, d
-		}
-	}
-	for i >= 0 || j < n {
-		// Lower-bound each frontier by its latitude gap (milesPerDegreeLat
-		// rounds down, keeping the bound sound); a frontier that cannot
-		// beat — or tie, since ties can win on index — the best hit is
-		// done, and when both are done so is the search.
-		di, dj := math.Inf(1), math.Inf(1)
-		if i >= 0 {
-			di = math.Abs(ep.Loc.Lat-s.latSorted[i]) * milesPerDegreeLat
-		}
-		if j < n {
-			dj = math.Abs(s.latSorted[j]-ep.Loc.Lat) * milesPerDegreeLat
-		}
-		if best >= 0 && di > bestD && dj > bestD {
-			break
-		}
-		if di <= dj {
-			consider(i)
-			i--
-		} else {
-			consider(j)
-			j++
 		}
 	}
 	return best
@@ -294,37 +350,136 @@ func bestInto(dst, scored []Ranked, order rowOrder) {
 		slices.SortFunc(dst, order.compare)
 		return
 	}
-	// Insertion into a sorted window of len(dst). Almost every candidate
-	// loses to the window's worst entry, and a key above the worst's says so
-	// in one float compare; the rest are placed by binary search on the
-	// keys. Only equal keys need the order's tie-breaks.
-	before := func(a Ranked, ka float64, b Ranked, kb float64) bool {
-		return ka < kb || ka == kb && order.compare(a, b) < 0
-	}
-	n, worst := 0, 0.0
+	w := window{dst: dst, order: order}
 	for _, r := range scored {
-		k := order.key(r)
-		if n == len(dst) {
-			if !before(r, k, dst[n-1], worst) {
-				continue
-			}
-			n--
+		w.offer(r)
+	}
+}
+
+// window selects the best entries offered to it, sorted under order, into
+// dst: once len(dst) are held, an entry offered goes in only if it ranks
+// ahead of the worst held, which it displaces. The order is total, so what
+// the window ends up holding does not depend on the order of the offers.
+type window struct {
+	dst   []Ranked
+	n     int     // entries held, dst[:n]
+	worst float64 // order.key(dst[n-1]) once the window is full
+	order rowOrder
+}
+
+// full reports whether the window holds len(dst) entries, and so whether
+// worst is set.
+func (w *window) full() bool { return w.n == len(w.dst) }
+
+// bound returns the key above which an offer cannot go in: the worst held
+// once the window is full, +Inf until then.
+func (w *window) bound() float64 {
+	if w.full() {
+		return w.worst
+	}
+	return math.Inf(1)
+}
+
+// offer places r. Almost every candidate loses to the window's worst entry,
+// and a key above the worst's says so in one float compare; the rest are
+// placed by binary search on the keys. Only equal keys need the order's
+// tie-breaks.
+func (w *window) offer(r Ranked) {
+	k := w.order.key(r)
+	if w.full() {
+		if !w.order.before(r, k, w.dst[w.n-1], w.worst) {
+			return
 		}
-		lo, hi := 0, n
-		for lo < hi {
-			m := int(uint(lo+hi) >> 1)
-			if before(dst[m], order.key(dst[m]), r, k) {
-				lo = m + 1
-			} else {
-				hi = m
-			}
-		}
-		copy(dst[lo+1:n+1], dst[lo:n])
-		dst[lo] = r
-		if n++; n == len(dst) {
-			worst = order.key(dst[n-1])
+		w.n--
+	}
+	lo, hi := 0, w.n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if w.order.before(w.dst[m], w.order.key(w.dst[m]), r, k) {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
+	copy(w.dst[lo+1:w.n+1], w.dst[lo:w.n])
+	w.dst[lo] = r
+	if w.n++; w.full() {
+		w.worst = w.order.key(w.dst[w.n-1])
+	}
+}
+
+// headScratch is headInto's working space, one per worker: low is where
+// it selects the deployments with the lowest floors, met holds the floors
+// of the deployments its walk has met, and held marks, by deployment index,
+// the ones it measured for being in low.
+type headScratch struct {
+	low, met []Ranked
+	held     []bool
+}
+
+// newHeadScratch sizes a headScratch for heads of headLen entries.
+func (s *Scorer) newHeadScratch(headLen int) *headScratch {
+	return &headScratch{
+		low:  make([]Ranked, headLen),
+		met:  make([]Ranked, 0, len(s.sites)),
+		held: make([]bool, len(s.sites)),
+	}
+}
+
+// headInto writes into dst what scoreInto and then bestInto would — the
+// len(dst) best deployments for proxy, best first under order — measuring
+// only the deployments that could enter it. A deployment's ping floor is
+// PingFloorPerMile times its chord floor (geo.Prepared.FloorTo), plus
+// PingFloorCrossingMs when it is in another AS than proxy; a latitude
+// frontier's is PingFloorPerMile times its latitude gap. It walks outward
+// from proxy's latitude, first measuring nothing: it takes floors until
+// both frontiers' are above the len(dst)-th lowest floor met, and measures
+// the deployments with the len(dst) lowest to fill dst. Then it offers dst
+// every other deployment met whose floor is not strictly above dst's worst
+// key, and walks on until both frontiers' floors are. What the first part
+// picks decides only how much is measured. A deployment passed over pings
+// above that key — and keys no lower than its ping, order's load factors
+// being at least 1 — so it would lose even a tie. Kept scores come from the
+// same kernel as every other and the window's order is total, so dst's
+// bits are bestInto's. It needs the row form (s.rows).
+func (s *Scorer) headInto(dst []Ranked, proxy netmodel.Endpoint, order rowOrder, scratch *headScratch) {
+	at := geo.Prepare(proxy.Loc)
+	perMile, crossing := s.rows.PingFloorPerMile(), s.rows.PingFloorCrossingMs()
+	floor := func(i int) float64 {
+		f := perMile * at.FloorTo(s.sites[i].At)
+		if s.sites[i].ASN != proxy.ASN {
+			f += crossing
+		}
+		return f
+	}
+	measure := func(i uint32) Ranked { return MakeRanked(i, s.rows.PingAt(&s.sites[i], &proxy, at)) }
+
+	walk := s.siteLat.walkFrom(proxy.Loc.Lat, perMile)
+	low, met := window{dst: scratch.low[:len(dst)]}, scratch.met[:0]
+	for i, ok := walk.next(low.bound()); ok; i, ok = walk.next(low.bound()) {
+		r := MakeRanked(uint32(i), floor(i))
+		met = append(met, r)
+		low.offer(r)
+	}
+	head := window{dst: dst, order: order}
+	for _, r := range low.dst[:low.n] {
+		scratch.held[r.Dep] = true
+		head.offer(measure(r.Dep))
+	}
+	for _, r := range met {
+		if !scratch.held[r.Dep] && r.Score() <= head.bound() {
+			head.offer(measure(r.Dep))
+		}
+	}
+	for i, ok := walk.next(head.bound()); ok; i, ok = walk.next(head.bound()) {
+		if floor(i) <= head.bound() {
+			head.offer(measure(uint32(i)))
+		}
+	}
+	for _, r := range low.dst[:low.n] {
+		scratch.held[r.Dep] = false
+	}
+	scratch.met = met
 }
 
 // Rank returns all deployments ordered by ascending ping score for ep, in

@@ -435,11 +435,14 @@ func (b *SnapshotBuilder) measure(lay *Layout, tables []int32) {
 // fillRows ranks the given rows of lay, whose tables are ranked from segs,
 // into arena, where they lie back to back in that order: ascending, heads
 // before tails, and every tail after the head of the segment that ranks it.
-// Each segment is scored once — out of b.raw when the builder keeps it, else
-// into the worker's scratch — and from the scores its head is selected and
-// the tail it ranks, if any, sorted, both under rowOrder: at a positive
-// balance factor a head is the best of the composite order, not the nearest
-// re-shuffled.
+// A segment that ranks a tail, or that the builder keeps scores for (b.raw,
+// at a positive balance factor), or whose prober has no row form, is scored
+// once for every deployment — out of b.raw, else into the worker's scratch
+// — and from the scores its head is selected and its tail, if any, sorted,
+// both under rowOrder: at a positive balance factor a head is the best of
+// the composite order, not the nearest re-shuffled. Any other head — nearly
+// all of them — measures only the deployments that could enter it
+// (headInto), with the same bits.
 func (b *SnapshotBuilder) fillRows(lay *Layout, segs []segment, rows []int32, arena []Ranked, factors []float64) {
 	nSegs := lay.Tables()
 	offs := make([]int, len(rows)+1)
@@ -453,15 +456,24 @@ func (b *SnapshotBuilder) fillRows(lay *Layout, segs []segment, rows []int32, ar
 	order := rowOrder{factors}
 	par.MapShards(len(rows)-len(tailAt), func(_, lo, hi int) struct{} {
 		scratch, pings := make([]Ranked, lay.TailLen), make([]float64, lay.TailLen)
+		var heads *headScratch
+		if b.scorer.rows != nil {
+			heads = b.scorer.newHeadScratch(lay.TableLen)
+		}
 		for k := lo; k < hi; k++ {
 			s, scored := rows[k], scratch
-			if b.raw != nil {
+			t, ranksTail := tailAt[s]
+			switch {
+			case b.raw != nil:
 				scored = b.raw[int(s)*lay.TailLen:][:lay.TailLen]
-			} else {
+			case !ranksTail && b.scorer.rows != nil:
+				b.scorer.headInto(arena[offs[k]:offs[k+1]], b.scorer.segProxy(segs[s]), order, heads)
+				continue
+			default:
 				b.scorer.scoreInto(scored, pings, b.scorer.segProxy(segs[s]))
 			}
 			bestInto(arena[offs[k]:offs[k+1]], scored, order)
-			if t, ok := tailAt[s]; ok {
+			if ranksTail {
 				bestInto(arena[offs[t]:offs[t+1]], scored, order)
 			}
 		}

@@ -163,9 +163,11 @@ func TestRowKernelMatchesPingMs(t *testing.T) {
 	row := make([]float64, len(sites))
 	for ti, to := range tos {
 		m.PingRow(row, sites, to)
+		at := geo.Prepare(to.Loc)
 		for i, from := range froms {
 			want := r.ping(from, to)
 			same("PingRow", from, to, row[i], want)
+			same("PingAt", from, to, m.PingAt(&sites[i], &to, at), want)
 			same("PingMs", from, to, m.PingMs(from, to), want)
 			same("PingMs reversed", to, from, m.PingMs(to, from), want)
 			same("geo.Distance", from, to, geo.Distance(from.Loc, to.Loc), r.distance(from.Loc, to.Loc))
@@ -190,6 +192,69 @@ func TestRowKernelMatchesPingMs(t *testing.T) {
 	for _, pair := range [][2]geo.Point{{hostile[0], hostile[1]}, {hostile[3], hostile[5]}, {hostile[10], hostile[11]}, {hostile[12], hostile[13]}} {
 		if d := geo.Distance(pair[0], pair[1]); math.Abs(d-half) > 1e-3 {
 			t.Fatalf("antipodes %v and %v are %v miles apart, want %v", pair[0], pair[1], d, half)
+		}
+	}
+}
+
+// TestPingFloorIsALowerBound holds PingMs at or above its floor —
+// PingFloorPerMile times the chord floor of the pair's distance, plus
+// PingFloorCrossingMs for a pair in two ASes — which is what lets a ranking
+// pass over a deployment unmeasured: over the hostile geometry and random
+// pairs, a third of them in one AS (no crossing adds to the ping), and over
+// pairs picked for a noise draw within a thousandth of its top, where the
+// ping is nearest its floor. There, up to 500 miles apart and with no more
+// crossings than the floor counts, the floor must also be within 1 % of the
+// ping, or it would pass over nothing.
+func TestPingFloorIsALowerBound(t *testing.T) {
+	m := NewDefault()
+	perMile, crossing := m.PingFloorPerMile(), m.PingFloorCrossingMs()
+	rng := rand.New(rand.NewSource(27))
+	point := func() geo.Point {
+		return geo.Point{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180}
+	}
+	check := func(a, b Endpoint) (ping, floor float64) {
+		t.Helper()
+		ping, floor = m.PingMs(a, b), perMile*geo.Prepare(a.Loc).FloorTo(geo.Prepare(b.Loc))
+		if a.ASN != b.ASN {
+			floor += crossing
+		}
+		if !(floor <= ping) {
+			t.Fatalf("PingMs(%+v, %+v) = %v, below its floor %v", a, b, ping, floor)
+		}
+		return ping, floor
+	}
+	endpoint := func(loc geo.Point, asn uint32) Endpoint {
+		return Endpoint{ID: rng.Uint64(), Loc: loc, ASN: asn}
+	}
+	for _, p := range hostile {
+		for _, q := range hostile {
+			check(endpoint(p, 7), endpoint(q, 7))
+			check(endpoint(p, 7), endpoint(q, 8))
+		}
+	}
+	for i := 0; i < 300_000; i++ {
+		asn := uint32(rng.Intn(40))
+		if i%3 == 0 {
+			asn = 0
+		}
+		check(endpoint(point(), 0), endpoint(point(), asn))
+	}
+	// The top of the noise draw, in one AS and in two: the ping is
+	// propagation and crossings at nearly the floor's rate.
+	for found := 0; found < 4000; {
+		a := endpoint(point(), 3)
+		b := endpoint(a.Loc, 3+uint32(found%2))
+		if hash01(&a, &b, m.pingSalt) < 0.999 {
+			continue
+		}
+		found++
+		for _, miles := range []float64{0, 1e-6, 0.01, 1, 50, 500, 3000, 12000} {
+			b.Loc = geo.Offset(a.Loc, rng.Float64()*360, miles)
+			ping, floor := check(a, b)
+			if miles >= 1 && miles <= 500 && m.ASCrossings(a, b) <= 1 && floor < 0.99*ping {
+				t.Fatalf("%v miles apart at noise draw %v: floor %v is under 99 %% of ping %v",
+					miles, hash01(&a, &b, m.pingSalt), floor, ping)
+			}
 		}
 	}
 }

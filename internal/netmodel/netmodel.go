@@ -24,9 +24,14 @@
 // Every metric is arithmetic on a path — the pair's great-circle distance
 // and the AS crossings it implies — measured once per call. The distance is
 // geo's (geo.Prepared.DistanceTo owns the haversine; there is none here),
-// and PingRow is PingMs for one target against many prepared sites, equal
+// and PingAt is PingMs for one prepared site and a prepared target, equal
 // to it bit for bit: rank ties, the figures' checksums and the wire image's
-// CRC all depend on a score not moving in its last place.
+// CRC all depend on a score not moving in its last place. PingRow is PingAt
+// over many sites. PingFloorPerMile and PingFloorCrossingMs bound a ping
+// from below by the pair's distance and ASes alone — propagation and the
+// one AS crossing two ASes imply, at the lowest noise draw — so that with
+// geo.Prepared.FloorTo a ranking can pass over a site that provably pings
+// worse than the ones it keeps, without pinging it.
 package netmodel
 
 import (
@@ -226,7 +231,7 @@ func (m *Model) pathOver(a, b *Endpoint, miles float64) path {
 }
 
 // path measures the pair. geo owns the haversine; this is the model's one
-// call to it for endpoints that were not prepared (see PingRow).
+// call to it for endpoints that were not prepared (see PingAt).
 func (m *Model) path(a, b *Endpoint) path {
 	return m.pathOver(a, b, geo.Distance(a.Loc, b.Loc))
 }
@@ -349,11 +354,19 @@ func (m *Model) PingMsAt(a, b Endpoint, epoch uint64) float64 {
 // for the side of a row that is measured against many targets.
 type Site struct {
 	Endpoint
-	at geo.Prepared
+	At geo.Prepared // Loc, prepared
 }
 
 // SiteOf prepares an endpoint.
-func SiteOf(ep Endpoint) Site { return Site{Endpoint: ep, at: geo.Prepare(ep.Loc)} }
+func SiteOf(ep Endpoint) Site { return Site{Endpoint: ep, At: geo.Prepare(ep.Loc)} }
+
+// PingAt is PingMs(s.Endpoint, *to), bit for bit, for a site and a target
+// whose locations are prepared — at is geo.Prepare(to.Loc) — so neither
+// side's trigonometry is redone per pair. It is the model's one ping
+// kernel: PingRow loops over it.
+func (m *Model) PingAt(s *Site, to *Endpoint, at geo.Prepared) float64 {
+	return m.pingMs(m.pathOver(&s.Endpoint, to, s.At.DistanceTo(at)))
+}
 
 // PingRow is the row form of PingMs: dst[i] = PingMs(from[i].Endpoint, to),
 // bit for bit, with to's trigonometry done once for the row and each
@@ -361,7 +374,33 @@ func SiteOf(ep Endpoint) Site { return Site{Endpoint: ep, at: geo.Prepare(ep.Loc
 func (m *Model) PingRow(dst []float64, from []Site, to Endpoint) {
 	at := geo.Prepare(to.Loc)
 	for i := range from {
-		s := &from[i]
-		dst[i] = m.pingMs(m.pathOver(&s.Endpoint, &to, s.at.DistanceTo(at)))
+		dst[i] = m.PingAt(&from[i], &to, at)
 	}
+}
+
+// pingFloorShave keeps the ping floors below the rates a ping is computed
+// at, whatever the rounding of either: a relative margin far wider than the
+// few ulps the ping's products are off by.
+const pingFloorShave = 1 - 1e-9
+
+// PingFloorPerMile and PingFloorCrossingMs bound a ping from below by what
+// the pair's endpoints and distance alone say:
+//
+//	PingMs(a, b) >= PingFloorPerMile()·d + PingFloorCrossingMs()   if a.ASN != b.ASN
+//	PingMs(a, b) >= PingFloorPerMile()·d                           otherwise
+//
+// for any d at most the pair's great-circle distance (geo.Prepared.FloorTo,
+// say). A ping is the backbone round trip — propagation plus AS crossings,
+// of which a pair in two ASes has at least one — scaled by a noise factor
+// of at least 1 - PingNoise; the floors are those terms at that factor,
+// less a margin. They hold for non-negative parameters with PingNoise at
+// most 1.
+func (m *Model) PingFloorPerMile() float64 {
+	return (1 - m.p.PingNoise) * 2 * m.p.RouteInflation / m.p.FiberMilesPerMs * pingFloorShave
+}
+
+// PingFloorCrossingMs is the least one AS crossing adds to a ping; see
+// PingFloorPerMile.
+func (m *Model) PingFloorCrossingMs() float64 {
+	return (1 - m.p.PingNoise) * 2 * m.p.PerASCrossingMs * pingFloorShave
 }

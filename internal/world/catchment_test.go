@@ -1,6 +1,8 @@
 package world
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"eum/internal/geo"
@@ -248,5 +250,33 @@ func TestECSModeString(t *testing.T) {
 	}
 	if ECSMode(99).String() != "unknown" {
 		t.Error("invalid mode should stringify to unknown")
+	}
+}
+
+// TestSitesFromMatchesSortedScan holds the catchment ranking, made once
+// per (provider, exit cell) and kept, to the per-block sort it replaced —
+// every site's distance from the exit, ties on site ID — for every
+// provider from every catchment cell on the globe, asked twice.
+func TestSitesFromMatchesSortedScan(t *testing.T) {
+	g := &countryGen{providers: testWorld.Providers, publicSites: testWorld.publicSites}
+	for lat := -90.0; lat < 90; lat += catchmentCellDeg {
+		for lon := -180.0; lon < 180; lon += catchmentCellDeg {
+			exit := quantizeCell(geo.Point{Lat: lat, Lon: lon})
+			for prov, spec := range g.providers {
+				want := slices.Clone(g.publicSites[spec.Name])
+				sort.Slice(want, func(i, j int) bool {
+					di, dj := geo.Distance(want[i].Loc, exit), geo.Distance(want[j].Loc, exit)
+					if di != dj {
+						return di < dj
+					}
+					return want[i].ID < want[j].ID
+				})
+				for range 2 {
+					if got := g.sitesFrom(prov, exit); !slices.Equal(got, want) {
+						t.Fatalf("provider %s from %v: sites ranked %v, the sort says %v", spec.Name, exit, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -12,10 +12,12 @@
 package world
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"eum/internal/geo"
@@ -339,6 +341,8 @@ type countryGen struct {
 	c    *Country
 	rng  *rand.Rand
 	hubs []CitySpec // the country's hub cities (BGP exit candidates)
+	// catchRanks memoises sitesFrom.
+	catchRanks map[catchKey][]*LDNS
 
 	nextID  uint64
 	nextASN uint32
@@ -619,20 +623,9 @@ func (g *countryGen) catchmentSite(blk *ClientBlock, provIdx int) *LDNS {
 	}
 	exit := quantizeCell(exitHub.Loc)
 
-	// Rank sites by distance from the exit cell (ties break on site ID so
-	// the order is total), then pick per the exit cell's path preference.
-	order := make([]int, len(sites))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		di := geo.Distance(sites[order[i]].Loc, exit)
-		dj := geo.Distance(sites[order[j]].Loc, exit)
-		if di != dj {
-			return di < dj
-		}
-		return sites[order[i]].ID < sites[order[j]].ID
-	})
+	// Pick among the sites ranked from the exit cell per its path
+	// preference.
+	ranked := g.sitesFrom(provIdx, exit)
 	idx := 0
 	if len(sites) > 1 && spec.MisrouteProb > 0 {
 		cellLat := int64(math.Floor(exit.Lat / catchmentCellDeg))
@@ -642,7 +635,47 @@ func (g *countryGen) catchmentSite(blk *ClientBlock, provIdx int) *LDNS {
 			idx = 1 + int(splitmix64(h)%uint64(min(2, len(sites)-1)))
 		}
 	}
-	return sites[order[idx]]
+	return ranked[idx]
+}
+
+// catchKey names one ranking of a provider's sites: from one exit cell.
+type catchKey struct {
+	prov int
+	exit geo.Point
+}
+
+// sitesFrom returns provider provIdx's sites by distance from exit, ties
+// broken on site ID so the order is total. Exits are cell centres of the
+// country's few hubs, so each ranking is made once per country and kept.
+func (g *countryGen) sitesFrom(provIdx int, exit geo.Point) []*LDNS {
+	key := catchKey{provIdx, exit}
+	if ranked, ok := g.catchRanks[key]; ok {
+		return ranked
+	}
+	type siteAt struct {
+		miles float64
+		l     *LDNS
+	}
+	sites := g.publicSites[g.providers[provIdx].Name]
+	byDist := make([]siteAt, len(sites))
+	for i, l := range sites {
+		byDist[i] = siteAt{geo.Distance(l.Loc, exit), l}
+	}
+	slices.SortFunc(byDist, func(a, b siteAt) int {
+		if c := cmp.Compare(a.miles, b.miles); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.l.ID, b.l.ID)
+	})
+	ranked := make([]*LDNS, len(byDist))
+	for i, s := range byDist {
+		ranked[i] = s.l
+	}
+	if g.catchRanks == nil {
+		g.catchRanks = map[catchKey][]*LDNS{}
+	}
+	g.catchRanks[key] = ranked
+	return ranked
 }
 
 // catchHash derives a deterministic 64-bit value for a (seed, country,
