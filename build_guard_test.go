@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"sync"
@@ -53,7 +54,8 @@ func (c *countingProber) take(t *testing.T, when string) int {
 // a full build asks for every (table, deployment) pair exactly once — the
 // shared tails add nothing, a tail being ranked from the scores of the
 // table that owns it — a one-target refresh asks for that target's tables
-// and nothing else, and a replica's boot for the two fallback tables.
+// and nothing else, a replica built from the map's image for nothing, and a
+// rewind to replica state for the two fallback tables.
 func TestBuildMeasuresEachPairOnce(t *testing.T) {
 	w := world.MustGenerate(world.Config{Seed: 17, NumBlocks: 4000, IPv6Fraction: 0.1})
 	p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 17, NumDeployments: 150, ServersPerDeployment: 4})
@@ -87,11 +89,26 @@ func TestBuildMeasuresEachPairOnce(t *testing.T) {
 		t.Fatalf("a one-target build re-ranked %d tables and measured %d pairs, want %d", tables, got, want)
 	}
 
-	// The two fallback endpoints sit at one location; under clustering they
-	// share a ping target and so one table.
-	rep := mapping.NewReplica(w, p, prober, cfg)
-	if got, tables := prober.take(t, "replica boot"), rep.Current().Tables(); got != tables*deployments || tables > 2 {
-		t.Fatalf("a replica's boot measured %d pairs for %d tables; want the fallback tables x %d deployments and nothing else",
+	// A replica built from the map's image measures nothing.
+	image, err := mapwire.NewCodec(p).EncodeFull(sys.Current())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, sn, err := mapwire.DecodeBoot(bytes.NewReader(image), int64(len(image)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapping.NewReplica(c.Platform(), sn, cfg)
+	if got := prober.take(t, "replica boot"); got != 0 {
+		t.Fatalf("a replica's boot measured %d pairs", got)
+	}
+
+	// Rewinding the system to replica state ranks the epoch-0 map: the two
+	// fallback endpoints sit at one location; under clustering they share a
+	// ping target and so one table.
+	sys.BootstrapReplica()
+	if got, tables := prober.take(t, "rewind"), sys.Current().Tables(); got != tables*deployments || tables > 2 {
+		t.Fatalf("a rewind measured %d pairs for %d tables; want the fallback tables x %d deployments and nothing else",
 			got, tables, deployments)
 	}
 }
@@ -206,8 +223,8 @@ func TestRingAllocsBounded(t *testing.T) {
 // rows alone (every RowTable's TableBytes, in row order), which a change to
 // the format around the rows leaves where it is.
 const (
-	coldWideImageCRC  = 0x2c313570
-	coldWideImageSize = 3405532
+	coldWideImageCRC  = 0x3493ca6d
+	coldWideImageSize = 4180676
 	coldWideRowsCRC   = 0x9096ab1c
 )
 

@@ -174,12 +174,16 @@ func (st adminState) mapz(w http.ResponseWriter, _ *http.Request) {
 	if st.blocks > 0 {
 		b.BytesPerBlock = float64(b.ResidentBytes) / float64(st.blocks)
 	}
-	bs := st.system.Builder().BuildStats()
-	b.FullBuilds, b.IncrementalBuilds, b.RerankedTables, b.RerankedTails = bs.Full, bs.Incremental, bs.RerankedTables, bs.RerankedTails
+	// A replica has no builder: its build counters stay 0.
+	builder := st.system.Builder()
+	if builder != nil {
+		bs := builder.BuildStats()
+		b.FullBuilds, b.IncrementalBuilds, b.RerankedTables, b.RerankedTails = bs.Full, bs.Incremental, bs.RerankedTables, bs.RerankedTails
+	}
 	doc.Build = b
-	if st.balance > 0 {
+	if st.balance > 0 && builder != nil {
 		l := &mapzLoad{BalanceFactor: st.balance}
-		l.LoadRebuilds, l.StaleSignals = st.system.Builder().LoadStats()
+		l.LoadRebuilds, l.StaleSignals = builder.LoadStats()
 		if st.lm != nil {
 			l.Notifies = st.lm.Notifies()
 			l.Damped = st.lm.Damped()

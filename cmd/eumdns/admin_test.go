@@ -196,17 +196,15 @@ func TestAdminDistRoles(t *testing.T) {
 		t.Fatalf("published image header %+v, err=%v", h, err)
 	}
 
-	// A replica builds nothing, and until its first install it is not
-	// fresh, however young: epoch 0 is the fallback rung, with the
-	// staleness watchdog armed at its production default and the boot map
-	// a few milliseconds old.
-	repSys := mapping.NewReplica(w, platform, netmodel.NewDefault(), mapCfg)
-	fetcher, err := mapdist.NewFetcher(repSys, platform, mapdist.FetcherConfig{
+	// A replica holds no world and builds nothing: it boots from the
+	// publisher's full image, and serves it fresh.
+	fetcher, err := mapdist.Boot(context.Background(), mapdist.FetcherConfig{
 		Source: strings.TrimPrefix(pubAdmin.URL, "http://"),
-	})
+	}, mapCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	repSys := fetcher.System()
 	repAuth, err := authority.New("cdn.example.net", repSys)
 	if err != nil {
 		t.Fatal(err)
@@ -219,16 +217,6 @@ func TestAdminDistRoles(t *testing.T) {
 		fetcher: fetcher, mode: config.ModeReplica, blocks: 400,
 	}))
 	defer repAdmin.Close()
-	if body := get(t, repAdmin.URL+"/healthz", http.StatusServiceUnavailable); !strings.Contains(body, "degrade=fallback map_epoch=0") {
-		t.Errorf("never-synced replica /healthz = %q", body)
-	}
-	if body := get(t, repAdmin.URL+"/metrics", http.StatusOK); !strings.Contains(body, "authority_degrade_level 2") {
-		t.Error("never-synced replica /metrics does not report degrade level 2 (fallback)")
-	}
-
-	if err := fetcher.FetchOnce(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	if body := get(t, repAdmin.URL+"/healthz", http.StatusOK); !strings.Contains(body, "degrade=fresh") {
 		t.Errorf("synced replica /healthz = %q", body)
 	}

@@ -55,15 +55,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	log.Printf("generating world (%d blocks) and platform (%d deployments)...",
-		cfg.World.Blocks, cfg.Platform.Deployments)
-	w := world.MustGenerate(world.Config{
-		Seed: cfg.World.Seed, NumBlocks: cfg.World.Blocks, IPv6Fraction: cfg.World.IPv6Fraction,
-	})
-	platform := cdn.MustGenerateUniverse(w, cdn.Config{
-		Seed: cfg.Platform.Seed, NumDeployments: cfg.Platform.Deployments,
-		ServersPerDeployment: cfg.Platform.ServersPer,
-	})
 	mcfg := mapping.Config{
 		Policy:         policy,
 		PingTargets:    cfg.World.Blocks / 10,
@@ -71,38 +62,49 @@ func main() {
 		BalanceFactor:  cfg.BalanceFactor,
 	}
 
-	// Control plane. Standalone and publisher nodes build the first map
-	// here and run a background MapMaker republishing it on a cadence (and
-	// on change-feed signals); a publisher additionally encodes each
-	// published snapshot for replicas. A replica builds nothing: it boots
-	// at epoch 0 on the two fallback tables and installs whatever the
-	// MapMaker node ships. Either way the serving path below only ever
-	// reads the currently installed snapshot.
-	var system *mapping.System
-	if mode == config.ModeReplica {
-		system = mapping.NewReplica(w, platform, netmodel.NewDefault(), mcfg)
-	} else {
-		system = mapping.NewSystem(w, platform, netmodel.NewDefault(), mcfg)
-	}
+	// Control plane. Standalone and publisher nodes generate the world and
+	// platform, build the first map here and run a background MapMaker
+	// republishing it on a cadence (and on change-feed signals); a
+	// publisher additionally encodes each published snapshot for replicas.
+	// A replica generates and builds nothing: before it listens it fetches
+	// the MapMaker node's current full image, which carries the platform's
+	// roster and the block index along with the map, and from then on
+	// installs whatever that node ships. Either way the serving path below
+	// only ever reads the currently installed snapshot.
 	ctx, stopControl := context.WithCancel(context.Background())
 	defer stopControl()
 	var (
-		mm      *mapmaker.MapMaker
-		lm      *mapmaker.LoadMonitor
-		pub     *mapdist.Publisher
-		fetcher *mapdist.Fetcher
+		system   *mapping.System
+		platform *cdn.Platform
+		mm       *mapmaker.MapMaker
+		lm       *mapmaker.LoadMonitor
+		pub      *mapdist.Publisher
+		fetcher  *mapdist.Fetcher
 	)
 	if mode == config.ModeReplica {
-		fetcher, err = mapdist.NewFetcher(system, platform, mapdist.FetcherConfig{
+		log.Printf("replica: fetching the first map from %s", cfg.MapMakerAddr)
+		fetcher, err = mapdist.Boot(ctx, mapdist.FetcherConfig{
 			Source:   cfg.MapMakerAddr,
 			Interval: cfg.FetchInterval(),
-		})
+		}, mcfg)
 		if err != nil {
 			log.Fatal(err)
 		}
+		system, platform = fetcher.System(), fetcher.Platform()
 		go fetcher.Run(ctx)
-		log.Printf("replica: fetching maps from %s every %v", cfg.MapMakerAddr, cfg.FetchInterval())
+		log.Printf("replica: serving epoch %d on %d deployments; fetching maps from %s every %v",
+			system.Current().Epoch(), len(platform.Deployments), cfg.MapMakerAddr, cfg.FetchInterval())
 	} else {
+		log.Printf("generating world (%d blocks) and platform (%d deployments)...",
+			cfg.World.Blocks, cfg.Platform.Deployments)
+		w := world.MustGenerate(world.Config{
+			Seed: cfg.World.Seed, NumBlocks: cfg.World.Blocks, IPv6Fraction: cfg.World.IPv6Fraction,
+		})
+		platform = cdn.MustGenerateUniverse(w, cdn.Config{
+			Seed: cfg.Platform.Seed, NumDeployments: cfg.Platform.Deployments,
+			ServersPerDeployment: cfg.Platform.ServersPer,
+		})
+		system = mapping.NewSystem(w, platform, netmodel.NewDefault(), mcfg)
 		refresh := time.Duration(cfg.MapRefreshSeconds) * time.Second
 		mm = mapmaker.New(system, mapmaker.Config{Interval: refresh})
 		if mode == config.ModePublisher {
@@ -127,6 +129,7 @@ func main() {
 				lm.Config().EnterUtil-lm.Config().Hysteresis, lm.Config().EWMA)
 		}
 	}
+	index := system.Current().Layout().Index
 
 	handler, auth, described, err := buildHandler(cfg, system, platform)
 	if err != nil {
@@ -187,7 +190,7 @@ func main() {
 		}
 		mux := newAdminMux(adminState{
 			reg: reg, system: system, mm: mm, lm: lm, auth: auth,
-			fetcher: fetcher, pub: pub, mode: mode, blocks: cfg.World.Blocks,
+			fetcher: fetcher, pub: pub, mode: mode, blocks: len(index.V4.Keys) + len(index.V6.Keys),
 			platform: platform, balance: cfg.BalanceFactor,
 		})
 		go func() {
@@ -202,11 +205,8 @@ func main() {
 
 	// Print a few real client subnets to try.
 	fmt.Println("example queries:")
-	for i, b := range w.Blocks {
-		if i >= 3 {
-			break
-		}
-		fmt.Printf("  digecs -server %s -subnet %s www.b.%s\n", srv.Addr(), b.Prefix, cfg.Zone)
+	for _, p := range index.Prefixes(3) {
+		fmt.Printf("  digecs -server %s -subnet %s www.b.%s\n", srv.Addr(), p, cfg.Zone)
 	}
 	fmt.Printf("  digecs -server %s whoami.%s TXT\n", srv.Addr(), cfg.Zone)
 

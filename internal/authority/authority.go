@@ -193,8 +193,8 @@ func (a *Authority) Degradation() DegradeLevel {
 // levelOf picks the ladder rung for answers from snap. With the watchdog
 // armed, the age of the last successful snapshot publish decides. Armed or
 // not, epoch 0 is at least the fallback rung: no builder emits it — it is
-// the boot map of a replica that has not yet reached its publisher, and
-// holds nothing but the fallback tables.
+// the map of a system rewound to replica state that has not yet reached
+// its publisher, and holds nothing but the fallback tables.
 func (a *Authority) levelOf(snap *mapping.Snapshot) DegradeLevel {
 	level := DegradeFresh
 	if a.degrade.StaleAfter > 0 {
@@ -365,7 +365,7 @@ func (a *Authority) serveMapping(remote netip.AddrPort, query *dnsmsg.Message, q
 // versa.
 //
 // The rung is picked first: stale maps still serve (the caller clamps the
-// TTL), fallback-age maps and a replica's epoch-0 boot map answer from the
+// TTL), fallback-age maps and a rewound system's epoch-0 map answer from the
 // generic fallback tables, and beyond ServfailAfter the decision is
 // refused.
 func (a *Authority) decide(req mapping.Request) (*mapping.Response, DegradeLevel, error) {

@@ -1,6 +1,7 @@
 package authority
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"eum/internal/cdn"
 	"eum/internal/dnsmsg"
 	"eum/internal/mapping"
+	"eum/internal/mapwire"
 	"eum/internal/netmodel"
 	"eum/internal/world"
 )
@@ -118,9 +120,10 @@ func sourceBits(b *world.ClientBlock) (bits []uint8, unit int) {
 
 // TestWireMatchesMapAt is the differential table under the serving path:
 // for every policy, address family, ECS source prefix length, resolver and
-// degradation rung — and for a replica still on its epoch-0 boot map — the
+// degradation rung — and for a system rewound to its epoch-0 boot map — the
 // A records that come back over the wire are exactly the servers MapAt
-// picks on the same snapshot, the echoed scope is min(unit bits, source
+// picks on the same snapshot; a world-free replica's are exactly the ones
+// MapAt picks on its publisher's; the echoed scope is min(unit bits, source
 // bits) when the subnet decided and 0 when it did not, and the TTL is the
 // map's, clamped once degraded.
 func TestWireMatchesMapAt(t *testing.T) {
@@ -138,8 +141,11 @@ func TestWireMatchesMapAt(t *testing.T) {
 	blocks := append(v4, v6...)
 	domains := []string{"img.cdn.example.net", "video.cdn.example.net"}
 
-	check := func(t *testing.T, a *Authority, level DegradeLevel, clampTTL bool) {
-		snap := a.system.Current()
+	// check answers over a's wire and holds every answer to what MapAt on
+	// oracle's current snapshot picks: a's own system, or for a replica the
+	// publisher's.
+	check := func(t *testing.T, a *Authority, oracle *mapping.System, level DegradeLevel, clampTTL bool) {
+		snap, osnap := a.system.Current(), oracle.Current()
 		pol := snap.Policy()
 		for _, b := range blocks {
 			bits, unit := sourceBits(b)
@@ -164,7 +170,7 @@ func TestWireMatchesMapAt(t *testing.T) {
 							t.Errorf("%s: rcode %v", name, resp.RCode)
 							continue
 						}
-						want, err := a.system.MapAt(snap, req)
+						want, err := oracle.MapAt(osnap, req)
 						if err != nil {
 							t.Fatalf("%s: MapAt: %v", name, err)
 						}
@@ -219,21 +225,43 @@ func TestWireMatchesMapAt(t *testing.T) {
 				if got := a.Degradation(); got != r.level {
 					t.Fatalf("rung = %v, want %v", got, r.level)
 				}
-				check(t, a, r.level, true)
+				check(t, a, a.system, r.level, true)
 			})
 		}
 
-		// A replica that has not reached its publisher yet: epoch 0, the
-		// fallback rung with the watchdog unarmed, so no TTL clamp.
-		t.Run(fmt.Sprintf("%v/replica-epoch-0", pol), func(t *testing.T) {
-			r, err := New("cdn.example.net", mapping.NewReplica(diffW, diffP, netmodel.NewDefault(), cfg(pol)))
+		// A replica, which holds no world: built from the publisher's full
+		// image alone, it answers fresh.
+		t.Run(fmt.Sprintf("%v/replica", pol), func(t *testing.T) {
+			image, err := mapwire.NewCodec(diffP).EncodeFull(a.system.Current())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e, lvl := r.system.Current().Epoch(), r.Degradation(); e != 0 || lvl != DegradeFallback {
-				t.Fatalf("replica boots at epoch %d, rung %v", e, lvl)
+			c, sn, err := mapwire.DecodeBoot(bytes.NewReader(image), int64(len(image)))
+			if err != nil {
+				t.Fatal(err)
 			}
-			check(t, r, DegradeFallback, false)
+			r, err := New("cdn.example.net", mapping.NewReplica(c.Platform(), sn, cfg(pol)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.system.Scorer() != nil || r.Degradation() != DegradeFresh {
+				t.Fatalf("replica has a scorer, or serves at rung %v", r.Degradation())
+			}
+			check(t, r, a.system, DegradeFresh, false)
+		})
+
+		// A publisher rewound to replica state (BootstrapReplica): epoch 0,
+		// the fallback rung with the watchdog unarmed, so no TTL clamp.
+		t.Run(fmt.Sprintf("%v/replica-epoch-0", pol), func(t *testing.T) {
+			r, err := New("cdn.example.net", mapping.NewSystem(diffW, diffP, netmodel.NewDefault(), cfg(pol)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.system.BootstrapReplica()
+			if e, lvl := r.system.Current().Epoch(), r.Degradation(); e != 0 || lvl != DegradeFallback {
+				t.Fatalf("rewound system at epoch %d, rung %v", e, lvl)
+			}
+			check(t, r, r.system, DegradeFallback, false)
 		})
 	}
 }

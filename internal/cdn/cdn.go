@@ -110,6 +110,16 @@ type Deployment struct {
 	capLoss atomic.Uint64
 }
 
+// AddServer appends a live, unloaded server of the given capacity to the
+// deployment and returns it. Generation and the roster a replica decodes
+// from a map image both build deployments this way.
+func (d *Deployment) AddServer(id uint64, addr netip.Addr, capacity float64) *Server {
+	s := &Server{ID: id, Addr: addr, Deployment: d, cap: capacity}
+	s.alive.Store(true)
+	d.Servers = append(d.Servers, s)
+	return s
+}
+
 // Endpoint returns the deployment as a network-model endpoint.
 func (d *Deployment) Endpoint() netmodel.Endpoint {
 	return netmodel.Endpoint{ID: d.ID, Loc: d.Loc, ASN: d.ASN, Access: netmodel.AccessBackbone}
@@ -308,16 +318,9 @@ func GenerateUniverse(w *world.World, cfg Config) (*Platform, error) {
 		id++
 		nSrv := 1 + rng.Intn(2*cfg.ServersPerDeployment)
 		for s := 0; s < nSrv; s++ {
-			srv := &Server{
-				ID:         id,
-				Addr:       ipv4(serverIP),
-				Deployment: d,
-				cap:        1,
-			}
-			srv.alive.Store(true)
+			d.AddServer(id, ipv4(serverIP), 1)
 			id++
 			serverIP++
-			d.Servers = append(d.Servers, srv)
 		}
 		p.Deployments = append(p.Deployments, d)
 	}

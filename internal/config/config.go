@@ -7,6 +7,7 @@ package config
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
@@ -25,6 +26,11 @@ import (
 // A variable (not runtime.GOOS inline) so tests can exercise the
 // off-Linux rejection paths from a Linux CI box.
 var serverGOOS = runtime.GOOS
+
+// ErrReplicaSites refuses low-level NS sites on a replica: the top level
+// ranks sites with the mapping system's scorer, and a replica, which holds
+// no world, has none.
+var ErrReplicaSites = errors.New(`config: mode "replica" cannot serve sites: the top level ranks them with a scorer, which a replica does not have; serve them from a standalone or publisher node`)
 
 // Config is the top-level configuration document.
 type Config struct {
@@ -247,6 +253,9 @@ func (c Config) Validate() error {
 	}
 	switch mode {
 	case ModeReplica:
+		if len(c.Sites) > 0 {
+			return ErrReplicaSites
+		}
 		if c.MapMakerAddr == "" {
 			return fmt.Errorf("config: mode %q needs mapmaker_addr (the publisher's admin address, e.g. \"127.0.0.1:9153\") to fetch maps from", mode)
 		}

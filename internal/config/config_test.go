@@ -229,6 +229,11 @@ func TestDistModes(t *testing.T) {
 			c.MapMakerAddr = "127.0.0.1:9153"
 			c.MapFetchSeconds = -1
 		}, "map_fetch_seconds"},
+		{"replica-with-sites", func(c *Config) {
+			c.Mode = "replica"
+			c.MapMakerAddr = "127.0.0.1:9153"
+			c.Sites = []SiteConfig{{Host: "ns1.cdn.example.net", Addr: "192.0.2.1"}}
+		}, ErrReplicaSites.Error()},
 		{"replica-stale-below-fetch", func(c *Config) {
 			c.Mode = "replica"
 			c.MapMakerAddr = "127.0.0.1:9153"

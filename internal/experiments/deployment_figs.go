@@ -149,7 +149,7 @@ func evalPolicy(lab *Lab, snap *mapping.Snapshot, blocks []*world.ClientBlock, p
 			}
 			var dep *cdn.Deployment
 			if pol == mapping.ClientAwareNS {
-				dep, _ = snap.FirstLive(snap.CANSCandidates(id))
+				dep, _ = snap.FirstLive(snap.CANSCandidates(b.LDNS.Addr))
 			} else {
 				dep, _ = snap.Best(id, false)
 			}

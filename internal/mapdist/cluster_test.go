@@ -129,7 +129,21 @@ func TestDistClusterPartitionHeal(t *testing.T) {
 
 	replicas := make([]*distReplica, 3)
 	for i := range replicas {
-		sys := mapping.NewReplica(w, p, netmodel.NewDefault(), distCfg)
+		// Boot: a replica holds no world and builds nothing; it fetches the
+		// publisher's map, roster and index before it serves.
+		fetcher, err := Boot(ctx, FetcherConfig{
+			Source:   ln.Addr().String(),
+			Interval: fetchEvery,
+			Timeout:  150 * time.Millisecond,
+			Dialer:   ctrl.NewDialer(),
+		}, distCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := fetcher.System()
+		if sys.Builder() != nil || sys.Scorer() != nil || !sameMap(sys.Current(), live.Load().sys.Current()) {
+			t.Fatalf("replica %d booted with a builder, or off the publisher's map", i)
+		}
 		auth, err := authority.New("cdn.example.net", sys)
 		if err != nil {
 			t.Fatal(err)
@@ -140,24 +154,6 @@ func TestDistClusterPartitionHeal(t *testing.T) {
 			ServfailAfter: time.Hour,
 			StaleTTL:      time.Second,
 		})
-		// Boot: nothing built, and nothing fresh to serve until the first
-		// install — a replica that has never reached its publisher sits on
-		// the fallback rung from its first millisecond.
-		if st := sys.Builder().BuildStats(); st != (mapping.BuildStats{}) {
-			t.Fatalf("replica %d built at boot: %+v", i, st)
-		}
-		if lvl := auth.Degradation(); sys.Current().Epoch() != 0 || lvl != authority.DegradeFallback {
-			t.Fatalf("replica %d boots at epoch %d, %v; want epoch 0, fallback", i, sys.Current().Epoch(), lvl)
-		}
-		fetcher, err := NewFetcher(sys, p, FetcherConfig{
-			Source:   ln.Addr().String(),
-			Interval: fetchEvery,
-			Timeout:  150 * time.Millisecond,
-			Dialer:   ctrl.NewDialer(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		srv, err := dnsserver.Listen("127.0.0.1:0", auth)
 		if err != nil {
 			t.Fatal(err)

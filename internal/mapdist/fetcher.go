@@ -46,8 +46,12 @@ type FetcherConfig struct {
 // degradation ladder exactly like a stalled local control plane, because
 // Install is what advances PublishedAtNanos.
 type Fetcher struct {
+	// sys and codec are nil on a fetcher Boot has not finished yet: its
+	// first image brings the platform the codec decodes against and the
+	// map the system serves.
 	sys      *mapping.System
 	codec    *mapwire.Codec
+	boot     mapping.Config
 	url      string
 	source   string
 	interval time.Duration
@@ -70,12 +74,42 @@ type Fetcher struct {
 }
 
 // NewFetcher builds a fetcher feeding sys from the publisher at
-// cfg.Source, decoding against the given platform. sys should be in
-// replica state (mapping.NewReplica, or System.BootstrapReplica): the
-// publisher's snapshots are of another lineage than anything sys built, so
-// the first one installs whatever its epoch, as does the first after a
-// publisher restart.
+// cfg.Source, decoding against the given platform. The publisher's
+// snapshots are of another lineage than anything sys built, so the first
+// one installs whatever its epoch, as does the first after a publisher
+// restart. A replica that holds no world starts with Boot instead.
 func NewFetcher(sys *mapping.System, platform *cdn.Platform, cfg FetcherConfig) (*Fetcher, error) {
+	f, err := newFetcher(cfg)
+	if err != nil {
+		return nil, err
+	}
+	f.sys, f.codec = sys, mapwire.NewCodec(platform)
+	return f, nil
+}
+
+// Boot builds a replica from nothing but its publisher: it fetches the
+// publisher's current full image — retrying after bootRetry, doubling up
+// to the interval, until one arrives or ctx ends — and returns the
+// fetcher that keeps in sync the replica system (System) serving that
+// image's map on the platform decoded from its roster (Platform). Images
+// built for another platform are refused from then on, as fetch failures.
+func Boot(ctx context.Context, cfg FetcherConfig, mcfg mapping.Config) (*Fetcher, error) {
+	f, err := newFetcher(cfg)
+	if err != nil {
+		return nil, err
+	}
+	f.boot = mcfg
+	for wait := min(bootRetry, f.interval); f.FetchOnce(ctx) != nil; wait = min(2*wait, f.interval) {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(wait):
+		}
+	}
+	return f, nil
+}
+
+func newFetcher(cfg FetcherConfig) (*Fetcher, error) {
 	if cfg.Source == "" {
 		return nil, errors.New("mapdist: fetcher needs a source address")
 	}
@@ -93,8 +127,6 @@ func NewFetcher(sys *mapping.System, platform *cdn.Platform, cfg FetcherConfig) 
 		tr.DialContext = cfg.Dialer.DialContext
 	}
 	return &Fetcher{
-		sys:      sys,
-		codec:    mapwire.NewCodec(platform),
 		url:      "http://" + cfg.Source + SnapshotPath,
 		source:   cfg.Source,
 		interval: cfg.Interval,
@@ -105,22 +137,20 @@ func NewFetcher(sys *mapping.System, platform *cdn.Platform, cfg FetcherConfig) 
 // Interval returns the configured fetch interval.
 func (f *Fetcher) Interval() time.Duration { return f.interval }
 
+// System returns the mapping system the fetcher installs into.
+func (f *Fetcher) System() *mapping.System { return f.sys }
+
+// Platform returns the platform the fetcher decodes against: the roster of
+// the first image, on a fetcher Boot made.
+func (f *Fetcher) Platform() *cdn.Platform { return f.codec.Platform() }
+
 // bootRetry is the first wait after a failed boot fetch; it doubles up to
-// the fetch interval.
+// the fetch interval, so a replica started a moment before its publisher
+// boots within a second or so of the publisher answering.
 const bootRetry = 100 * time.Millisecond
 
-// Run fetches immediately, then on every interval tick until ctx ends.
-// Until the first fetch succeeds the waits are short — bootRetry, doubling
-// up to the interval — so a replica started a moment before its publisher
-// does not answer from the epoch-0 fallback map for a whole interval.
+// Run fetches on every interval tick until ctx ends.
 func (f *Fetcher) Run(ctx context.Context) {
-	for wait := min(bootRetry, f.interval); f.FetchOnce(ctx) != nil; wait = min(2*wait, f.interval) {
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(wait):
-		}
-	}
 	t := time.NewTicker(f.interval)
 	defer t.Stop()
 	for {
@@ -150,12 +180,16 @@ func (f *Fetcher) FetchOnce(ctx context.Context) error {
 }
 
 func (f *Fetcher) fetch(ctx context.Context) error {
-	cur := f.sys.Current()
-	have := cur.Epoch()
-	if f.forceFull.Load() {
-		have = 0
+	url := f.url + "?have=0"
+	var cur *mapping.Snapshot
+	if f.sys != nil {
+		cur = f.sys.Current()
+		have := cur.Epoch()
+		if f.forceFull.Load() {
+			have = 0
+		}
+		url = fmt.Sprintf("%s?have=%d&layout=%016x&lineage=%016x", f.url, have, cur.LayoutFingerprint(), cur.Lineage())
 	}
-	url := fmt.Sprintf("%s?have=%d&layout=%016x&lineage=%016x", f.url, have, cur.LayoutFingerprint(), cur.Lineage())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return err
@@ -171,6 +205,9 @@ func (f *Fetcher) fetch(ctx context.Context) error {
 	}
 	switch resp.StatusCode {
 	case http.StatusNoContent:
+		if f.sys == nil {
+			return errors.New("mapdist: publisher sent no image to boot from")
+		}
 		f.unchanged.Add(1)
 		return nil
 	case http.StatusOK:
@@ -183,6 +220,16 @@ func (f *Fetcher) fetch(ctx context.Context) error {
 	// will be served from, and the image itself is never held.
 	if resp.ContentLength < 0 {
 		return errors.New("mapdist: publisher sent an image of unknown length")
+	}
+	if f.sys == nil {
+		codec, sn, err := mapwire.DecodeBoot(resp.Body, resp.ContentLength)
+		if err != nil {
+			return err
+		}
+		f.codec, f.sys = codec, mapping.NewReplica(codec.Platform(), sn, f.boot)
+		f.fullImages.Add(1)
+		f.fullBytes.Add(uint64(resp.ContentLength))
+		return nil
 	}
 	sn, hdr, err := f.codec.DecodeFrom(resp.Body, resp.ContentLength, cur)
 	if err != nil {

@@ -77,17 +77,29 @@ func sameRows(t *testing.T, got, want *mapping.Snapshot) {
 	}
 }
 
-// newReplica builds a replica system over the same world/platform and a
-// fetcher pointed at the test publisher.
+// newReplica boots a replica system from the test publisher — which ships
+// it the publisher's current map in a full image — and returns it with its
+// fetcher.
 func newReplica(t *testing.T, srvURL string) (*mapping.System, *Fetcher) {
 	t.Helper()
-	w, p := distFixture()
-	sys := mapping.NewReplica(w, p, netmodel.NewDefault(), distCfg)
-	f, err := NewFetcher(sys, p, FetcherConfig{Source: strings.TrimPrefix(srvURL, "http://")})
+	f, err := Boot(context.Background(), FetcherConfig{Source: strings.TrimPrefix(srvURL, "http://")}, distCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys, f
+	return f.System(), f
+}
+
+// sameBlocks fails unless the replica's map answers every block's prefix
+// with the row the publisher's ranks its endpoint ID with.
+func sameBlocks(t *testing.T, got, want *mapping.Snapshot, blocks []*world.ClientBlock) {
+	t.Helper()
+	for _, blk := range blocks {
+		g, _ := got.ClientRow(blk.Prefix)
+		wnt := want.RankOf(blk.ID, true)
+		if !slices.Equal(g.Head, wnt.Head) || !slices.Equal(g.Tail, wnt.Tail) {
+			t.Fatalf("block %v ranks differently on the replica at epoch %d", blk.Prefix, got.Epoch())
+		}
+	}
 }
 
 func TestPublisherFetcherSync(t *testing.T) {
@@ -98,16 +110,9 @@ func TestPublisherFetcherSync(t *testing.T) {
 	srv := httptest.NewServer(pub)
 	defer srv.Close()
 
+	// The boot fetch ships a full image.
 	repSys, fetcher := newReplica(t, srv.URL)
-	if got := repSys.Current().Epoch(); got != 0 {
-		t.Fatalf("bootstrapped replica at epoch %d, want 0", got)
-	}
 	ctx := context.Background()
-
-	// First fetch ships a full image.
-	if err := fetcher.FetchOnce(ctx); err != nil {
-		t.Fatal(err)
-	}
 	if got, want := repSys.Current().Epoch(), pubSys.Current().Epoch(); got != want {
 		t.Fatalf("replica at epoch %d, publisher at %d", got, want)
 	}
@@ -141,12 +146,7 @@ func TestPublisherFetcherSync(t *testing.T) {
 	if got.Epoch() != want.Epoch() {
 		t.Fatalf("replica epoch %d, want %d", got.Epoch(), want.Epoch())
 	}
-	for _, blk := range w.Blocks[:40] {
-		g, wnt := got.RankOf(blk.ID, true), want.RankOf(blk.ID, true)
-		if !slices.Equal(g.Head, wnt.Head) || !slices.Equal(g.Tail, wnt.Tail) {
-			t.Fatalf("block %d ranks differently after delta apply", blk.ID)
-		}
-	}
+	sameBlocks(t, got, want, w.Blocks[:40])
 	if lag := fetcher.EpochLag(); lag != 0 {
 		t.Fatalf("epoch lag %d after sync", lag)
 	}
@@ -165,9 +165,6 @@ func TestPublisherDeltaForLaggingReplica(t *testing.T) {
 
 	repSys, fetcher := newReplica(t, srv.URL)
 	ctx := context.Background()
-	if err := fetcher.FetchOnce(ctx); err != nil {
-		t.Fatal(err)
-	}
 	base := repSys.Current().Epoch()
 
 	// Twenty epochs pass while the replica sleeps, refreshing three
@@ -248,9 +245,6 @@ func TestReplicaFollowsPublisherRestart(t *testing.T) {
 		dirtyOne(t, oldSys, oldProber, 5)
 	}
 	repSys, fetcher := newReplica(t, srv.URL)
-	if err := fetcher.FetchOnce(ctx); err != nil {
-		t.Fatal(err)
-	}
 	if got := repSys.Current().Epoch(); got != 6 {
 		t.Fatalf("replica at epoch %d before the restart, want 6", got)
 	}
@@ -279,12 +273,7 @@ func TestReplicaFollowsPublisherRestart(t *testing.T) {
 		t.Fatalf("replica at epoch %d under %v, publisher at %d under %v",
 			got.Epoch(), got.Policy(), want.Epoch(), want.Policy())
 	}
-	for _, blk := range w.Blocks {
-		g, wnt := got.RankOf(blk.ID, true), want.RankOf(blk.ID, true)
-		if !slices.Equal(g.Head, wnt.Head) || !slices.Equal(g.Tail, wnt.Tail) {
-			t.Fatalf("block %d ranks differently from the live publisher at epoch %d", blk.ID, want.Epoch())
-		}
-	}
+	sameBlocks(t, got, want, w.Blocks)
 	sameRows(t, got, want)
 	if st := fetcher.Status(); st.Failures != 0 || st.EpochLag != 0 {
 		t.Fatalf("after following the restart: %+v", st)
@@ -318,9 +307,6 @@ func TestFetcherCountsRefusedInstall(t *testing.T) {
 
 	repSys, fetcher := newReplica(t, srv.URL)
 	ctx := context.Background()
-	if err := fetcher.FetchOnce(ctx); err != nil {
-		t.Fatal(err)
-	}
 	serveStale.Store(true)
 	err = fetcher.FetchOnce(ctx)
 	lineage := fmt.Sprintf("%016x", pubSys.Current().Lineage())
@@ -334,34 +320,41 @@ func TestFetcherCountsRefusedInstall(t *testing.T) {
 	}
 }
 
+// TestFetcherRejectsForeignPlatform: a replica serves the roster its first
+// image carried, and a later image for another platform — a publisher
+// restarted on another roster behind the same address — is a fetch
+// failure, not an install.
 func TestFetcherRejectsForeignPlatform(t *testing.T) {
 	w, p := distFixture()
-	pubSys := mapping.NewSystem(w, p, netmodel.NewDefault(), distCfg)
-	pub := NewPublisher(pubSys, p, PublisherConfig{})
-	srv := httptest.NewServer(pub)
+	var live atomic.Pointer[Publisher]
+	live.Store(NewPublisher(mapping.NewSystem(w, p, netmodel.NewDefault(), distCfg), p, PublisherConfig{}))
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		live.Load().ServeHTTP(rw, r)
+	}))
 	defer srv.Close()
+	repSys, fetcher := newReplica(t, srv.URL)
+	booted := repSys.Current()
+	if fetcher.Platform() == p || mapwire.PlatformFingerprint(fetcher.Platform()) != mapwire.PlatformFingerprint(p) {
+		t.Fatal("the replica's platform is not a decoded copy of the publisher's roster")
+	}
 
 	otherP := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 77, NumDeployments: 60, ServersPerDeployment: 4})
-	repSys := mapping.NewReplica(w, otherP, netmodel.NewDefault(), distCfg)
-	fetcher, err := NewFetcher(repSys, otherP, FetcherConfig{Source: strings.TrimPrefix(srv.URL, "http://")})
-	if err != nil {
-		t.Fatal(err)
+	live.Store(NewPublisher(mapping.NewSystem(w, otherP, netmodel.NewDefault(), distCfg), otherP, PublisherConfig{}))
+	if err := fetcher.FetchOnce(context.Background()); !errors.Is(err, mapwire.ErrPlatformMismatch) {
+		t.Fatalf("fetch against a foreign platform: %v", err)
 	}
-	if err := fetcher.FetchOnce(context.Background()); err == nil {
-		t.Fatal("fetch against a foreign platform succeeded")
-	}
-	if got := repSys.Current().Epoch(); got != 0 {
-		t.Fatalf("foreign image was installed (epoch %d)", got)
+	if repSys.Current() != booted {
+		t.Fatalf("foreign image was installed (epoch %d)", repSys.Current().Epoch())
 	}
 	if st := fetcher.Status(); st.Failures != 1 || st.LastError == "" {
 		t.Fatalf("status after failure: %+v", st)
 	}
 }
 
-// TestRunRetriesBootFetch starts a replica before its publisher answers:
-// the first three fetches are refused, and the replica must still have the
-// publisher's map within a second at a five-second interval — then fall
-// back to the interval's cadence.
+// TestRunRetriesBootFetch boots a replica before its publisher answers:
+// the first three fetches are refused, and Boot must still return with the
+// publisher's map within a second at a five-second interval — after which
+// Run fetches on the interval's cadence.
 func TestRunRetriesBootFetch(t *testing.T) {
 	w, p := distFixture()
 	pubSys := mapping.NewSystem(w, p, netmodel.NewDefault(), distCfg)
@@ -376,26 +369,21 @@ func TestRunRetriesBootFetch(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	repSys := mapping.NewReplica(w, p, netmodel.NewDefault(), distCfg)
-	f, err := NewFetcher(repSys, p, FetcherConfig{Source: strings.TrimPrefix(srv.URL, "http://"), Interval: 5 * time.Second})
+	ctx, cancel := context.WithCancel(context.Background())
+	start := time.Now()
+	f, err := Boot(ctx, FetcherConfig{Source: strings.TrimPrefix(srv.URL, "http://"), Interval: 5 * time.Second}, distCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { f.Run(ctx); close(done) }()
-	defer func() { cancel(); <-done }()
-
-	start := time.Now()
-	for repSys.Current().Epoch() != pubSys.Current().Epoch() {
-		if time.Since(start) > time.Second {
-			t.Fatalf("replica still at epoch %d a second after boot (status %+v)", repSys.Current().Epoch(), f.Status())
-		}
-		time.Sleep(5 * time.Millisecond)
+	if took := time.Since(start); took > time.Second || f.System().Current().Epoch() != pubSys.Current().Epoch() {
+		t.Fatalf("replica at epoch %d %v after boot (status %+v)", f.System().Current().Epoch(), took, f.Status())
 	}
 	if st := f.Status(); st.Failures != 3 || st.Fetches != 4 || st.FullImages != 1 {
 		t.Fatalf("boot took %d fetches, %d failures, %d full images; want 4, 3, 1", st.Fetches, st.Failures, st.FullImages)
 	}
+	done := make(chan struct{})
+	go func() { f.Run(ctx); close(done) }()
+	defer func() { cancel(); <-done }()
 	// Synced: the next fetch is a whole interval away, not a backoff step.
 	time.Sleep(4 * bootRetry)
 	if st := f.Status(); st.Fetches != 4 {

@@ -65,7 +65,7 @@ func makeTruncHarness() truncHarness {
 			}
 			if key&^0xF == hole {
 				// Survivor inside the /20: track the expected representative
-				// (highest demand, ties to the lowest key — blockIn's order).
+				// (highest demand, ties to the lowest key — the index's rank order).
 				if want == nil || b.Demand > want.Demand || (b.Demand == want.Demand && key < wantKey) {
 					want, wantKey = b, key
 				}
@@ -83,9 +83,9 @@ func makeTruncHarness() truncHarness {
 // it via a range scan, even when the prefix's base leaf is empty — the
 // case probing only the base leaf cannot see.
 func TestCoarseRepRangeScan(t *testing.T) {
-	ix := buildSysIndex(truncH.w)
+	ix := blockIndex(truncH.w)
 
-	got, ok := ix.blockIn(truncH.query)
+	got, ok := blockIn(ix, truncH.w, truncH.query)
 	if !ok {
 		t.Fatalf("blockIn(%v) found nothing; want block %v", truncH.query, truncH.want.Prefix)
 	}
@@ -96,13 +96,13 @@ func TestCoarseRepRangeScan(t *testing.T) {
 
 	// Leaf-width and narrower queries delegate to the exact leaf lookup.
 	b := truncH.w.Blocks[0]
-	if got, ok := ix.blockIn(b.Prefix); !ok || got != b {
+	if got, ok := blockIn(ix, truncH.w, b.Prefix); !ok || got != b {
 		t.Errorf("blockIn(%v) = %v, %v; want the leaf block itself", b.Prefix, got, ok)
 	}
 
 	// A genuinely empty /20 still reports unknown.
 	empty := netip.MustParsePrefix("198.18.0.0/20")
-	if _, ok := ix.blockIn(empty); ok {
+	if _, ok := blockIn(ix, truncH.w, empty); ok {
 		t.Errorf("blockIn(%v) found a block in an unpopulated range", empty)
 	}
 }
@@ -110,7 +110,7 @@ func TestCoarseRepRangeScan(t *testing.T) {
 // TestCoarseRepIPv6 covers the v6 half of the range scan: a /44 (coarser
 // than the /48 leaf) resolves to the highest-demand contained block.
 func TestCoarseRepIPv6(t *testing.T) {
-	ix := buildSysIndex(v6World)
+	ix := blockIndex(v6World)
 	var query netip.Prefix
 	var want *world.ClientBlock
 	for _, b := range v6World.Blocks {
@@ -133,12 +133,12 @@ func TestCoarseRepIPv6(t *testing.T) {
 	if want == nil {
 		t.Fatal("no v6 blocks")
 	}
-	got, ok := ix.blockIn(query)
+	got, ok := blockIn(ix, v6World, query)
 	if !ok || got != want {
 		t.Errorf("blockIn(%v) = %v, %v; want %v", query, got, ok, want.Prefix)
 	}
 	// Exact /48 delegates to the leaf lookup.
-	if got, ok := ix.blockIn(want.Prefix); !ok || got != want {
+	if got, ok := blockIn(ix, v6World, want.Prefix); !ok || got != want {
 		t.Errorf("blockIn(%v) = %v, %v; want the leaf block", want.Prefix, got, ok)
 	}
 }
@@ -166,5 +166,40 @@ func TestTruncatedECSSiblingBlock(t *testing.T) {
 	}
 	if resp.ScopePrefix != 20 {
 		t.Errorf("scope = %d, want 20 (the truncated source, not 0 and not the /24 unit)", resp.ScopePrefix)
+	}
+}
+
+// TestCoarseRepTiesToLowestKey: blocks of equal demand inside one coarse
+// prefix resolve to the one with the lowest leaf key, whatever their order
+// in the world — the tie-break the index's demand ranks encode.
+func TestCoarseRepTiesToLowestKey(t *testing.T) {
+	w := world.MustGenerate(world.Config{Seed: 9, NumBlocks: 3000})
+	lowest := map[netip.Prefix]*world.ClientBlock{}
+	by20 := map[netip.Prefix][]*world.ClientBlock{}
+	for _, b := range w.Blocks {
+		if a := b.Prefix.Addr(); a.Is4() {
+			p, _ := a.Prefix(20)
+			by20[p] = append(by20[p], b)
+		}
+	}
+	for p, bs := range by20 {
+		if len(bs) < 2 {
+			continue
+		}
+		for _, b := range bs {
+			b.Demand = 1
+			if low := lowest[p]; low == nil || b.Prefix.Addr().Less(low.Prefix.Addr()) {
+				lowest[p] = b
+			}
+		}
+	}
+	if len(lowest) == 0 {
+		t.Fatal("no /20 holds two blocks")
+	}
+	ix := blockIndex(w)
+	for p, want := range lowest {
+		if got, ok := blockIn(ix, w, p); !ok || got != want {
+			t.Fatalf("blockIn(%v) among %d blocks of equal demand is not the lowest, %v (found %v)", p, len(by20[p]), want.Prefix, ok)
+		}
 	}
 }

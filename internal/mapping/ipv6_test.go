@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"eum/internal/cdn"
@@ -92,9 +93,10 @@ func TestLookupBlockIPv6(t *testing.T) {
 	sys := NewSystem(v6World, v6Platform, testNet, Config{PingTargets: 100})
 	b := v6Block(t)
 	host := b.Prefix.Addr().Next() // an address inside the /48
-	got, ok := sys.LookupBlock(host)
-	if !ok || got != b {
-		t.Errorf("LookupBlock(%v) = %v, %v", host, got, ok)
+	sn := sys.Current()
+	got, ok := sn.ClientRow(netip.PrefixFrom(host, 128))
+	if want := sn.RankOf(b.ID, true); !ok || !slices.Equal(got.Head, want.Head) || !slices.Equal(got.Tail, want.Tail) {
+		t.Errorf("ClientRow(%v) is not the row of block %v (found %v)", host, b.Prefix, ok)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"eum/internal/cdn"
 	"eum/internal/world"
 )
 
@@ -94,56 +95,107 @@ func nextLeaf(a netip.Addr) netip.Addr {
 	return netip.AddrFrom16(b)
 }
 
-// TestClientLookupMatchesUnitIndex: the one range query clientEndpointID
-// makes — the highest-demand block inside the coarser of unit and query —
-// returns what the mapping-unit index it replaced returned, block for block
-// and found for found, under fixed /x units coarser and finer than the
-// leaves, coarse and fine IPv6 units, and BGP-CIDR units, on a v4-only and
-// a mixed world, for queries at and around every block.
+// blockIndex indexes w with every block its own partition — its position
+// in w.Blocks — so a lookup names the block it found.
+func blockIndex(w *world.World) *Index {
+	maxID := uint64(0)
+	for _, b := range w.Blocks {
+		maxID = max(maxID, b.ID)
+	}
+	for _, l := range w.LDNSes {
+		maxID = max(maxID, l.ID)
+	}
+	byID := make([]int32, maxID+1)
+	for i, b := range w.Blocks {
+		byID[b.ID] = int32(i)
+	}
+	ix, _ := buildIndex(w, byID)
+	return ix
+}
+
+// blockIn returns the block a blockIndex lookup of p finds.
+func blockIn(ix *Index, w *world.World, p netip.Prefix) (*world.ClientBlock, bool) {
+	if part, ok := ix.client(p); ok {
+		return w.Blocks[part], true
+	}
+	return nil, false
+}
+
+// TestClientLookupMatchesUnitIndex: the one range query MapAt makes — the
+// highest-demand block inside the coarser of unit and query — resolves to
+// the partition of the block the mapping-unit index it replaced returned,
+// partition for partition and found for found, under identity partitions
+// (one block per partition, so the block itself) and under 50-mile
+// partitions, with fixed /x units coarser and finer than the leaves, coarse
+// and fine IPv6 units, and BGP-CIDR units, on a v4-only and a mixed world,
+// for queries at and around every block.
 func TestClientLookupMatchesUnitIndex(t *testing.T) {
 	worlds := map[string]*world.World{
 		"v4":    world.MustGenerate(world.Config{Seed: 3, NumBlocks: 2000}),
 		"mixed": world.MustGenerate(world.Config{Seed: 3, NumBlocks: 2000, IPv6Fraction: 0.3}),
 	}
 	for name, w := range worlds {
-		s := &System{index: buildSysIndex(w)}
+		p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 3, NumDeployments: 60, ServersPerDeployment: 2})
+		sb := NewSnapshotBuilder(w, p, testNet, Config{PingTargets: 200, PartitionMiles: 50})
+		sb.mu.Lock()
+		miles50 := sb.layoutLocked()
+		sb.mu.Unlock()
+		identity := blockIndex(w)
+		pos := make(map[*world.ClientBlock]int32, len(w.Blocks))
+		for i, b := range w.Blocks {
+			pos[b] = int32(i)
+		}
+		partitionings := []struct {
+			name   string
+			ix     *Index
+			partOf func(*world.ClientBlock) int32
+		}{
+			{"identity", identity, func(b *world.ClientBlock) int32 { return pos[b] }},
+			{"50-mile", miles50.Index, func(b *world.ClientBlock) int32 { return miles50.byID[b.ID] }},
+		}
 		policies := []UnitPolicy{
 			PrefixUnits{X: 16}, PrefixUnits{X: 20}, PrefixUnits{X: 22}, PrefixUnits{X: 24}, PrefixUnits{X: 28},
 			PrefixUnits{X: 24, X6: 40}, PrefixUnits{X: 24, X6: 56},
 			NewCIDRUnits(PrefixUnits{X: 24}, w.BGPCIDRs()),
 		}
-		lookups, found := 0, 0
-		for _, units := range policies {
-			ref := newUnitIndexRef(t, w, units)
-			for _, b := range w.Blocks {
-				a := b.Prefix.Addr()
-				bits := []int{32, 24, 21, 20, 16}
-				if a.Is6() {
-					bits = []int{64, 56, 48, 40}
-				}
-				// A host inside the block, and one in the next leaf, which
-				// is often unknown.
-				for _, host := range []netip.Addr{a.Next().Next(), nextLeaf(a)} {
-					for _, n := range bits {
-						q, _ := host.Prefix(n)
-						want, wantOK := ref.lookup(units.UnitFor(q.Addr()), q)
-						id, ok := s.clientEndpointID(units.UnitFor(q.Addr()), q)
-						if ok != wantOK || (ok && id != want.ID) {
-							t.Fatalf("%s world, %v, query %v: block %d (found %v), the unit index gave %v (found %v)",
-								name, units, q, id, ok, want, wantOK)
-						}
-						lookups++
-						if ok {
-							found++
+		for _, part := range partitionings {
+			lookups, found := 0, 0
+			for _, units := range policies {
+				ref := newUnitIndexRef(t, w, units)
+				for _, b := range w.Blocks {
+					a := b.Prefix.Addr()
+					bits := []int{32, 24, 21, 20, 16}
+					if a.Is6() {
+						bits = []int{64, 56, 48, 40}
+					}
+					// A host inside the block, and one in the next leaf, which
+					// is often unknown.
+					for _, host := range []netip.Addr{a.Next().Next(), nextLeaf(a)} {
+						for _, n := range bits {
+							q, _ := host.Prefix(n)
+							want, wantOK := ref.lookup(units.UnitFor(q.Addr()), q)
+							unit := units.UnitFor(q.Addr())
+							if q.Bits() < unit.Bits() {
+								unit = q
+							}
+							got, ok := part.ix.client(unit)
+							if ok != wantOK || (ok && got != part.partOf(want)) {
+								t.Fatalf("%s world, %s partitions, %v, query %v: partition %d (found %v), the unit index gave block %v (found %v)",
+									name, part.name, units, q, got, ok, want, wantOK)
+							}
+							lookups++
+							if ok {
+								found++
+							}
 						}
 					}
 				}
 			}
+			if found == 0 || found == lookups {
+				t.Fatalf("%s world, %s partitions: %d of %d lookups found a block; want both outcomes", name, part.name, found, lookups)
+			}
+			t.Logf("%s world, %s partitions: %d lookups, %d found a block, 0 differences", name, part.name, lookups, found)
 		}
-		if found == 0 || found == lookups {
-			t.Fatalf("%s world: %d of %d lookups found a block; want both outcomes", name, found, lookups)
-		}
-		t.Logf("%s world: %d lookups, %d found a block, 0 differences", name, lookups, found)
 	}
 }
 

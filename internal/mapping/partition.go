@@ -7,6 +7,7 @@ import (
 
 	"eum/internal/netmodel"
 	"eum/internal/par"
+	"eum/internal/world"
 )
 
 // milesPerDegreeLat is a conservative (slightly low) miles-per-degree-of-
@@ -68,19 +69,19 @@ type segment struct {
 
 // Layout is the partitioner's output: the immutable shape shared by every
 // snapshot built until the endpoint universe changes, and no more than
-// serving reads. It holds the endpoint→partition index, the partition→table
-// map and which tail each table continues in. A snapshot stores one row per
-// table (segment) — its head, the first TableLen entries of its ranking —
-// followed by one row per tail, a ranking of every deployment; rows are
-// numbered in that order (see RowLen). The fields are exported because
-// internal/mapwire writes and reads them one for one; nothing may modify a
-// layout once a snapshot refers to it.
+// serving reads. It holds the index (client leaf or resolver address →
+// partition), the partition→table map and which tail each table continues
+// in. A snapshot stores one row per table (segment) — its head, the first
+// TableLen entries of its ranking — followed by one row per tail, a ranking
+// of every deployment; rows are numbered in that order (see RowLen). The
+// exported fields are what internal/mapwire writes and reads one for one;
+// nothing may modify a layout once a snapshot refers to it.
 type Layout struct {
 	NParts int // universe partitions, excluding the two fallbacks
 
-	// Dense maps an endpoint ID to its partition (-1 = unknown). World IDs
-	// come from one small counter, so the array is as long as the largest.
-	Dense []int32
+	// Index resolves a query's client prefix or resolver address to its
+	// partition.
+	Index *Index
 
 	// FallbackLDNS / FallbackClient are the partition indexes of the two
 	// synthetic fallback endpoints (always the last two partitions).
@@ -97,9 +98,17 @@ type Layout struct {
 	SegTail []int32
 	TailSeg []int32
 
-	TableLen  int // entries per head = HeadLen(TailLen)
-	TailLen   int // entries per tail = len(platform.Deployments)
-	Endpoints int // universe endpoints indexed
+	TableLen int // entries per head = HeadLen(TailLen)
+	TailLen  int // entries per tail = len(platform.Deployments)
+
+	// byID (endpoint ID → partition, -1 unknown; world IDs come from one
+	// small counter, so the array is as long as the largest) and ldnses
+	// (resolver slot → world LDNS) are what the builder knew of the world
+	// the index was made from: the figure plane looks rows up by endpoint
+	// ID through them. Serving never reads them and they never travel, so
+	// a decoded layout has neither.
+	byID   []int32
+	ldnses []*world.LDNS
 
 	// fpOnce/fp cache the layout fingerprint the wire protocol negotiates
 	// deltas with (see Snapshot.LayoutFingerprint). Layouts are immutable
@@ -108,10 +117,11 @@ type Layout struct {
 	fp     uint64
 }
 
-// partitionOf resolves an endpoint ID to its partition, or -1.
+// partitionOf resolves an endpoint ID to its partition, or -1 — always -1
+// on a decoded layout, which knows addresses, not IDs.
 func (lay *Layout) partitionOf(id uint64) int32 {
-	if id < uint64(len(lay.Dense)) {
-		return lay.Dense[id]
+	if id < uint64(len(lay.byID)) {
+		return lay.byID[id]
 	}
 	return -1
 }
@@ -141,10 +151,11 @@ func (lay *Layout) rowOffset(i int) int {
 // ArenaLen returns the number of entries in all rows together.
 func (lay *Layout) ArenaLen() int { return lay.rowOffset(lay.Rows()) }
 
-// memoryBytes is the resident size of the layout's index structures.
+// memoryBytes is the resident size of the layout's table maps; the index
+// is System.IndexBytes'.
 func (lay *Layout) memoryBytes() uint64 {
 	const i32 = uint64(unsafe.Sizeof(int32(0)))
-	return uint64(len(lay.Dense)+len(lay.PartSeg)+len(lay.SegTail)+len(lay.TailSeg)) * i32
+	return uint64(len(lay.PartSeg)+len(lay.SegTail)+len(lay.TailSeg)) * i32
 }
 
 // signatureFor quantizes an endpoint's routing signature at the given cell
@@ -172,7 +183,7 @@ func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
 	miles float64, sc *Scorer) (*Layout, []segment) {
 
 	nDeps := len(sc.platform.Deployments)
-	lay := &Layout{TableLen: HeadLen(nDeps), TailLen: nDeps}
+	lay := &Layout{Index: &Index{}, TableLen: HeadLen(nDeps), TailLen: nDeps}
 
 	// Pass 1: assign partitions first-seen by signature.
 	assign := make([]int32, len(universe))
@@ -210,20 +221,20 @@ func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
 	lay.FallbackClient = int32(len(reps))
 	reps = append(reps, fClient)
 
-	// Pass 2: the endpoint index, 4 bytes per endpoint ID.
-	maxID := uint64(0)
-	for _, ep := range universe {
-		maxID = max(maxID, ep.ID)
-	}
-	lay.Dense = make([]int32, maxID+1)
-	for i := range lay.Dense {
-		lay.Dense[i] = -1
-	}
-	for i, ep := range universe {
-		if lay.Dense[ep.ID] < 0 {
-			lay.Endpoints++
+	// Pass 2: the builder's endpoint ID → partition map, which the index
+	// is made from.
+	if len(universe) > 0 {
+		maxID := uint64(0)
+		for _, ep := range universe {
+			maxID = max(maxID, ep.ID)
 		}
-		lay.Dense[ep.ID] = assign[i]
+		lay.byID = make([]int32, maxID+1)
+		for i := range lay.byID {
+			lay.byID[i] = -1
+		}
+		for i, ep := range universe {
+			lay.byID[ep.ID] = assign[i]
+		}
 	}
 
 	// Pass 3: intern partitions onto segments. With clustering on,

@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"math/rand/v2"
+	"net/netip"
 	"slices"
 	"sync"
 	"time"
@@ -34,9 +35,9 @@ const (
 // resolve to the same ping target share one segment, and a segment stores
 // only the head of its ranking — the tail, a ranking of every deployment,
 // is shared by all segments of one region (see Row). Every row is a window
-// into a shared, pointer-free []Ranked arena. The endpoint→partition index
-// is a flat int32 array over the world's dense ID space, so resident
-// memory per block is a few bytes.
+// into a shared, pointer-free []Ranked arena. The index from client leaf
+// or resolver address to partition is sorted flat arrays (see Index), so
+// resident memory per block is a few bytes.
 //
 // This is the paper's two-plane architecture (§3–§5): topology discovery
 // and scoring feed a map-making pipeline that publishes maps on a cadence,
@@ -72,12 +73,13 @@ type Snapshot struct {
 	chain        int
 	deltaEntries int
 
-	// cans maps an LDNS ID to the head of its precomputed ClientAwareNS
-	// candidate list: the traffic-weighted winner first, then the head of
-	// the LDNS's own rank table for capacity spill, deduplicated at build
-	// time; the walk continues in the LDNS's tail. Only populated when the
-	// snapshot's policy is ClientAwareNS.
-	cans map[uint64][]Ranked
+	// cans maps a resolver slot (see Index.Resolvers) to the head of its
+	// precomputed ClientAwareNS candidate list: the traffic-weighted winner
+	// first, then the head of the resolver's own rank table for capacity
+	// spill, deduplicated at build time; the walk continues in the
+	// resolver's tail. Only populated when the snapshot's policy is
+	// ClientAwareNS.
+	cans map[int32][]Ranked
 }
 
 // Row is a candidate list in its two stored levels: Head, the best few
@@ -161,14 +163,16 @@ func (sn *Snapshot) Tables() int { return sn.lay.Tables() }
 // universe was clustered into (excluding the two fallback partitions).
 func (sn *Snapshot) Partitions() int { return sn.lay.NParts }
 
-// Endpoints returns how many distinct endpoint IDs the snapshot indexes.
-func (sn *Snapshot) Endpoints() int { return sn.lay.Endpoints }
+// Endpoints returns how many endpoints — client leaves and resolvers — the
+// snapshot's index holds.
+func (sn *Snapshot) Endpoints() int { return sn.lay.Index.Len() }
 
 // MemoryBytes returns the resident size of the snapshot's table storage:
 // the arena chain — heads and tails, superseded rows in older arenas
 // included, which stay resident until compaction drops them — plus the
-// partition index, the segment→tail index and the per-row headers and
-// epochs. The CANS candidate map (ClientAwareNS only) is excluded.
+// partition→table and table→tail maps and the per-row headers and epochs.
+// The index is System.IndexBytes', and the CANS candidate map
+// (ClientAwareNS only) is excluded.
 func (sn *Snapshot) MemoryBytes() uint64 {
 	entries := uint64(sn.lay.ArenaLen() + sn.deltaEntries)
 	return sn.lay.memoryBytes() + entries*uint64(unsafe.Sizeof(Ranked{})) +
@@ -193,9 +197,32 @@ func (sn *Snapshot) fallbackRow(client bool) Row {
 	return sn.row(sn.lay.FallbackLDNS)
 }
 
+// ClientRow returns the candidates for a client prefix — the row of the
+// highest-demand known block inside p, or of the one leaf holding p when p
+// is no coarser than a leaf — and whether the map covers any; when it does
+// not, the row is the client fallback row.
+func (sn *Snapshot) ClientRow(p netip.Prefix) (Row, bool) {
+	if part, ok := sn.lay.Index.client(p); ok {
+		return sn.row(part), true
+	}
+	return sn.fallbackRow(true), false
+}
+
+// ResolverRow returns the candidates for a resolver address and whether
+// the map covers it; when it does not, the row is the resolver fallback
+// row.
+func (sn *Snapshot) ResolverRow(addr netip.Addr) (Row, bool) {
+	if slot, ok := sn.lay.Index.resolver(addr); ok {
+		return sn.row(sn.lay.Index.ResolverPart[slot]), true
+	}
+	return sn.fallbackRow(false), false
+}
+
 // RankOf returns the candidates serving endpoint id — the head of its
 // partition's ranking and the tail its region shares — falling back to the
-// shared fallback row when the map does not cover it.
+// shared fallback row when the map does not cover it. Only the process
+// that built the snapshot knows endpoint IDs: on a decoded snapshot every
+// ID falls back, and ClientRow and ResolverRow look rows up by address.
 func (sn *Snapshot) RankOf(id uint64, client bool) Row {
 	if p := sn.lay.partitionOf(id); p >= 0 {
 		return sn.row(p)
@@ -225,16 +252,16 @@ func (sn *Snapshot) FirstLive(row Row) (*cdn.Deployment, float64) {
 	return nil, 0
 }
 
-// CANSCandidates returns the precomputed ClientAwareNS candidates for an
-// LDNS ID — the winner and the LDNS's own head, then the LDNS's tail — or
-// a row with a nil Head when the snapshot has none (wrong policy, or an
-// LDNS with no discovered client blocks).
-func (sn *Snapshot) CANSCandidates(id uint64) Row {
-	head := sn.cans[id]
-	if head == nil {
+// CANSCandidates returns the precomputed ClientAwareNS candidates for a
+// resolver address — the winner and the resolver's own head, then its
+// tail — or a row with a nil Head when the snapshot has none (wrong
+// policy, an unknown resolver, or one with no discovered client blocks).
+func (sn *Snapshot) CANSCandidates(addr netip.Addr) Row {
+	slot, ok := sn.lay.Index.resolver(addr)
+	if !ok || sn.cans[int32(slot)] == nil {
 		return Row{}
 	}
-	return Row{Head: head, Tail: sn.RankOf(id, false).Tail}
+	return Row{Head: sn.cans[int32(slot)], Tail: sn.row(sn.lay.Index.ResolverPart[slot]).Tail}
 }
 
 // SnapshotBuilder assembles snapshots. It is the control plane's compute
@@ -315,12 +342,7 @@ type BuildStats struct {
 // that evaluate policies without a full System (e.g. the Fig 25 deployment
 // sweep) use this directly.
 func NewSnapshotBuilder(w *world.World, p *cdn.Platform, net Prober, cfg Config) *SnapshotBuilder {
-	if cfg.TTL == 0 {
-		cfg.TTL = 20 * time.Second
-	}
-	if (cfg.FallbackLoc == geo.Point{}) {
-		cfg.FallbackLoc = geo.Point{Lat: 40.71, Lon: -74.01}
-	}
+	cfg = withDefaults(cfg)
 	return newSnapshotBuilder(w, NewScorer(w, p, net, cfg.PingTargets), cfg)
 }
 
@@ -416,6 +438,7 @@ func (b *SnapshotBuilder) layoutLocked() *Layout {
 	}
 	fLDNS, fClient := b.fallbackEndpoints()
 	b.lay, b.segs = buildLayout(universe, fLDNS, fClient, b.partitionMiles, b.scorer)
+	b.lay.Index, b.lay.ldnses = buildIndex(w, b.lay.byID)
 	return b.lay
 }
 
@@ -490,8 +513,9 @@ func upTo(n int) []int32 {
 	return all
 }
 
-// bootSnapshot returns the epoch-0 map a replica serves until its first
-// install: a layout with no partitions, so every endpoint resolves to the
+// bootSnapshot returns the epoch-0 map a system rewound to replica state
+// (BootstrapReplica) serves until its first install: a layout with no
+// partitions, so every endpoint resolves to the
 // two shared fallback rows — the degradation ladder's fallback rung. It
 // also forgets whatever a local build left behind (layout, previous
 // snapshot, proximity copy, scorer memos), and with it the lineage: a
@@ -632,15 +656,16 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 	return sn
 }
 
-// buildCANS precomputes the ClientAwareNS candidate list for every LDNS
-// with discovered client blocks: the deployment minimising the
-// traffic-weighted mean ping to the LDNS's clients (§6's CANS objective)
-// first, then the head of the LDNS's own NS ranking for capacity spill —
-// with the winner deduplicated out of the spill list, so no deployment
-// appears twice in the candidates handed to the load balancer. Past that
-// head the walk continues in the LDNS's tail (see CANSCandidates).
-func (b *SnapshotBuilder) buildCANS(sn *Snapshot) map[uint64][]Ranked {
-	ldnses := b.world.LDNSes
+// buildCANS precomputes the ClientAwareNS candidate list for every
+// resolver with discovered client blocks, keyed by its slot: the deployment
+// minimising the traffic-weighted mean ping to the LDNS's clients (§6's
+// CANS objective) first, then the head of the LDNS's own NS ranking for
+// capacity spill — with the winner deduplicated out of the spill list, so
+// no deployment appears twice in the candidates handed to the load
+// balancer. Past that head the walk continues in the LDNS's tail (see
+// CANSCandidates).
+func (b *SnapshotBuilder) buildCANS(sn *Snapshot) map[int32][]Ranked {
+	ldnses := sn.lay.ldnses
 	sc := b.scorer
 	lists := par.Map(len(ldnses), func(i int) []Ranked {
 		l := ldnses[i]
@@ -657,7 +682,7 @@ func (b *SnapshotBuilder) buildCANS(sn *Snapshot) map[uint64][]Ranked {
 		if win < 0 {
 			return nil
 		}
-		ns := sn.RankOf(l.Endpoint().ID, false).Head
+		ns := sn.row(sn.lay.Index.ResolverPart[i]).Head
 		out := make([]Ranked, 0, len(ns)+1)
 		out = append(out, MakeRanked(uint32(win), score))
 		for _, r := range ns {
@@ -667,10 +692,10 @@ func (b *SnapshotBuilder) buildCANS(sn *Snapshot) map[uint64][]Ranked {
 		}
 		return out
 	})
-	cans := make(map[uint64][]Ranked, len(ldnses))
-	for i, l := range ldnses {
-		if lists[i] != nil {
-			cans[l.Endpoint().ID] = lists[i]
+	cans := make(map[int32][]Ranked, len(ldnses))
+	for i, list := range lists {
+		if list != nil {
+			cans[int32(i)] = list
 		}
 	}
 	return cans

@@ -20,7 +20,7 @@ func TestSnapshotCANSDedupe(t *testing.T) {
 
 	checked := 0
 	for _, l := range testW.LDNSes {
-		row := sn.CANSCandidates(l.Endpoint().ID)
+		row := sn.CANSCandidates(l.Addr)
 		if row.Head == nil {
 			if len(l.Blocks) > 0 {
 				t.Fatalf("LDNS %v has %d blocks but no CANS candidates", l.Addr, len(l.Blocks))

@@ -97,11 +97,11 @@ type Config struct {
 //     publishes fresh epoch-numbered snapshots in the background.
 type System struct {
 	cfg      Config
-	world    *world.World
 	platform *cdn.Platform
-	scorer   *Scorer
 	lb       *LoadBalancer
-	builder  *SnapshotBuilder
+	// builder ranks the maps a publisher or a standalone node serves. A
+	// replica (NewReplica) has none: it only installs.
+	builder *SnapshotBuilder
 
 	// desiredPolicy is the policy the next published snapshot is built
 	// under; the active policy is whatever the current snapshot carries.
@@ -117,11 +117,6 @@ type System struct {
 	// to detect a stalled or dead control plane: a MapMaker whose builds
 	// keep failing never advances it.
 	publishedAt atomic.Int64
-
-	// index holds the flat sorted lookup arrays (leaf prefix → block,
-	// resolver address → LDNS): a few bytes per block resident,
-	// allocation-free binary search on the hot path.
-	index *sysIndex
 }
 
 // NewSystem builds a mapping system over the given world and platform and
@@ -129,24 +124,28 @@ type System struct {
 // computes anything on the hot path. The prober is typically the network
 // model itself, or a measure.DB fed by periodic sweeps.
 func NewSystem(w *world.World, p *cdn.Platform, net Prober, cfg Config) *System {
-	s := newBareSystem(w, p, net, cfg)
+	cfg = withDefaults(cfg)
+	s := bareSystem(p, cfg)
+	s.builder = newSnapshotBuilder(w, NewScorer(w, p, net, cfg.PingTargets), cfg)
 	s.Rebuild()
 	return s
 }
 
 // NewReplica builds a mapping system that installs maps instead of
-// building them: the lookup index and the load balancer's rings are ready,
-// nothing is ranked beyond the two fallback tables of the epoch-0 boot map
-// (see BootstrapReplica), and the first Install of a fetched snapshot
-// replaces it.
-func NewReplica(w *world.World, p *cdn.Platform, net Prober, cfg Config) *System {
-	s := newBareSystem(w, p, net, cfg)
-	s.BootstrapReplica()
+// building them, serving sn — a snapshot decoded from a full image — on p,
+// the platform decoded from the same image's roster (see
+// mapwire.DecodeBoot). It holds the map, its index and the load balancer's
+// rings, and no world, scorer or builder: Rebuild, SetPolicy and
+// BootstrapReplica are for systems NewSystem made.
+func NewReplica(p *cdn.Platform, sn *Snapshot, cfg Config) *System {
+	s := bareSystem(p, withDefaults(cfg))
+	s.desiredPolicy.Store(int32(sn.Policy()))
+	s.Install(sn)
 	return s
 }
 
-// newBareSystem wires a system with no map installed yet.
-func newBareSystem(w *world.World, p *cdn.Platform, net Prober, cfg Config) *System {
+// withDefaults fills in the Config fields left zero.
+func withDefaults(cfg Config) Config {
 	if cfg.Units == nil {
 		cfg.Units = PrefixUnits{X: 24}
 	}
@@ -156,17 +155,14 @@ func newBareSystem(w *world.World, p *cdn.Platform, net Prober, cfg Config) *Sys
 	if (cfg.FallbackLoc == geo.Point{}) {
 		cfg.FallbackLoc = geo.Point{Lat: 40.71, Lon: -74.01}
 	}
-	s := &System{
-		cfg:      cfg,
-		world:    w,
-		platform: p,
-		scorer:   NewScorer(w, p, net, cfg.PingTargets),
-		lb:       NewLoadBalancer(),
-		index:    buildSysIndex(w),
-	}
+	return cfg
+}
+
+// bareSystem wires a system with no map installed and no builder yet.
+func bareSystem(p *cdn.Platform, cfg Config) *System {
+	s := &System{cfg: cfg, platform: p, lb: NewLoadBalancer()}
 	s.desiredPolicy.Store(int32(cfg.Policy))
 	s.lb.LoadPenalty = cfg.LoadPenalty
-	s.builder = newSnapshotBuilder(w, s.scorer, cfg)
 	s.lb.Prepare(p)
 	return s
 }
@@ -233,7 +229,7 @@ func (s *System) Rebuild() *Snapshot {
 }
 
 // Builder exposes the snapshot builder (the control plane's compute
-// stage).
+// stage); nil on a replica.
 func (s *System) Builder() *SnapshotBuilder { return s.builder }
 
 // SetUtilizationSource attaches the smoothed load-signal feed the builder
@@ -243,8 +239,14 @@ func (s *System) SetUtilizationSource(src UtilizationSource) {
 	s.builder.SetUtilizationSource(src)
 }
 
-// Scorer exposes the scoring layer (for simulations and tests).
-func (s *System) Scorer() *Scorer { return s.scorer }
+// Scorer exposes the scoring layer (for simulations and tests); nil on a
+// replica.
+func (s *System) Scorer() *Scorer {
+	if s.builder == nil {
+		return nil
+	}
+	return s.builder.Scorer()
+}
 
 // LoadBalancer exposes the load-balancing layer.
 func (s *System) LoadBalancer() *LoadBalancer { return s.lb }
@@ -322,38 +324,35 @@ func (s *System) MapAt(sn *Snapshot, req Request) (*Response, error) {
 		// client subnet, so the scope stays 0.
 		candidates = sn.fallbackRow(sn.policy == EndUser && req.ClientSubnet.IsValid())
 	case sn.policy == EndUser && req.ClientSubnet.IsValid():
+		// A query coarser than its mapping unit — a truncated ECS source
+		// from a privacy-limiting resolver — is searched whole: the unit
+		// around its base address may hold no block even when sibling
+		// leaves inside the coarse prefix do. Falling through to the
+		// generic fallback there would answer with scope 0, which the
+		// resolver files in its subnet-blind cache, shadowing answers for
+		// every client it serves.
 		unit := s.cfg.Units.UnitFor(req.ClientSubnet.Addr())
-		p := int32(-1)
-		if id, known := s.clientEndpointID(unit, req.ClientSubnet); known {
-			p = sn.lay.partitionOf(id)
+		scope := uint8(unit.Bits())
+		if req.ClientSubnet.Bits() < unit.Bits() {
+			unit = req.ClientSubnet
 		}
-		// Known to the index and covered by this map: a replica's epoch-0
-		// boot map covers nothing, and its fallback answer must carry
-		// scope 0 like any other.
-		if p >= 0 {
-			candidates = sn.row(p)
+		var known bool
+		// Not covered — unknown to the index, or any prefix on a boot map
+		// — answers from the client fallback row at scope 0 like any
+		// other fallback answer.
+		if candidates, known = sn.ClientRow(unit); known {
 			resp.UsedClientSubnet = true
-			// Answer scope: the mapping-unit granularity for this
-			// address family (CIDR units may be coarser), never more
-			// specific than what the query revealed (RFC 7871 §7.2.1
-			// privacy: y <= x).
-			scope := uint8(unit.Bits())
-			if int(scope) > req.ClientSubnet.Bits() {
-				scope = uint8(req.ClientSubnet.Bits())
-			}
-			resp.ScopePrefix = scope
-		} else {
-			candidates = sn.fallbackRow(true)
+			// Answer scope: the mapping-unit granularity for this address
+			// family (CIDR units may be coarser), never more specific than
+			// what the query revealed (RFC 7871 §7.2.1 privacy: y <= x).
+			resp.ScopePrefix = min(scope, uint8(req.ClientSubnet.Bits()))
 		}
 	case sn.policy == ClientAwareNS:
-		if l, ok := s.index.ldnsByAddr(req.LDNS); ok {
-			candidates = sn.CANSCandidates(l.Endpoint().ID)
-		}
-		if candidates.Head == nil {
-			candidates = s.ldnsCandidates(sn, req.LDNS)
+		if candidates = sn.CANSCandidates(req.LDNS); candidates.Head == nil {
+			candidates, _ = sn.ResolverRow(req.LDNS)
 		}
 	default:
-		candidates = s.ldnsCandidates(sn, req.LDNS)
+		candidates, _ = sn.ResolverRow(req.LDNS)
 	}
 
 	d, err := s.lb.PickDeployment(s.platform.Deployments, candidates, req.Demand)
@@ -369,71 +368,25 @@ func (s *System) MapAt(sn *Snapshot, req Request) (*Response, error) {
 	return resp, nil
 }
 
-// ldnsCandidates returns the snapshot's candidates for a resolver address:
-// its measured endpoint's row, or the resolver fallback row.
-func (s *System) ldnsCandidates(sn *Snapshot, addr netip.Addr) Row {
-	if l, ok := s.index.ldnsByAddr(addr); ok {
-		return sn.RankOf(l.Endpoint().ID, false)
-	}
-	return sn.fallbackRow(false)
-}
-
-// clientEndpointID resolves a client prefix to the endpoint ID scored on
-// its behalf: the highest-demand known block inside the coarser of the
-// mapping unit and the query's source prefix — at /24 (/48) and finer, the
-// one leaf block holding the address. The bool reports whether any block
-// was found; unknown prefixes use the snapshot's client fallback table.
-//
-// A query coarser than the mapping unit — a truncated ECS source from a
-// privacy-limiting resolver — is searched whole: the unit around its base
-// address may hold no block even when sibling leaves inside the coarse
-// prefix do. Falling through to the generic fallback there is the bug this
-// guards against: the fallback answer carries scope 0, which the resolver
-// files in its subnet-blind cache, shadowing answers for every client it
-// serves.
-func (s *System) clientEndpointID(unit, query netip.Prefix) (uint64, bool) {
-	if query.Bits() < unit.Bits() {
-		unit = query
-	}
-	if b, ok := s.index.blockIn(unit); ok {
-		return b.ID, true
-	}
-	return 0, false
-}
-
-// ldnsEndpoint resolves a resolver address to its measured endpoint, or a
-// fallback endpoint for unknown resolvers.
-func (s *System) ldnsEndpoint(addr netip.Addr) netmodel.Endpoint {
-	if l, ok := s.index.ldnsByAddr(addr); ok {
-		return l.Endpoint()
+// LDNSEndpoint returns the network endpoint the system scores for queries
+// arriving from the given resolver address: the world LDNS the current
+// map was built for, or a fallback endpoint for resolvers it does not know
+// — and for every resolver on a replica, which holds no world. Top-level
+// name servers use it to pick the low-level name-server cluster to
+// delegate to.
+func (s *System) LDNSEndpoint(addr netip.Addr) netmodel.Endpoint {
+	lay := s.Current().lay
+	if slot, ok := lay.Index.resolver(addr); ok && slot < len(lay.ldnses) {
+		return lay.ldnses[slot].Endpoint()
 	}
 	return netmodel.Endpoint{ID: hashAddr(addr), Loc: s.cfg.FallbackLoc,
 		Access: netmodel.AccessBackbone}
 }
 
-// LDNSEndpoint returns the network endpoint the system scores for queries
-// arriving from the given resolver address (a fallback endpoint for
-// unknown resolvers). Top-level name servers use it to pick the low-level
-// name-server cluster to delegate to.
-func (s *System) LDNSEndpoint(addr netip.Addr) netmodel.Endpoint {
-	return s.ldnsEndpoint(addr)
-}
-
-// LookupLDNS returns the world LDNS behind addr, if known.
-func (s *System) LookupLDNS(addr netip.Addr) (*world.LDNS, bool) {
-	return s.index.ldnsByAddr(addr)
-}
-
-// LookupBlock returns the world client block owning the leaf prefix
-// (IPv4 /24 or IPv6 /48) around addr.
-func (s *System) LookupBlock(addr netip.Addr) (*world.ClientBlock, bool) {
-	return s.index.blockIn(netip.PrefixFrom(addr, addr.BitLen()))
-}
-
-// IndexBytes returns the resident size of the system's flat lookup
-// arrays; with Snapshot.MemoryBytes it is the scale guard's
+// IndexBytes returns the resident size of the current map's index; with
+// Snapshot.MemoryBytes, which leaves it out, it is the scale guard's
 // bytes-per-block accounting.
-func (s *System) IndexBytes() uint64 { return s.index.memoryBytes() }
+func (s *System) IndexBytes() uint64 { return s.Current().lay.Index.memoryBytes() }
 
 // hashAddr hashes an address by its 16-byte expanded form (FNV-1a),
 // avoiding the String() allocation the presentation form would cost on

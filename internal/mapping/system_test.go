@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -354,14 +355,19 @@ func TestSetPolicy(t *testing.T) {
 
 func TestLookupHelpers(t *testing.T) {
 	s := newSystem(t, NSBased)
+	sn := s.Current()
 	b := testW.Blocks[0]
-	if got, ok := s.LookupBlock(b.Prefix.Addr().Next()); !ok || got != b {
-		t.Error("LookupBlock failed for in-block address")
+	same := func(g, w Row) bool { return slices.Equal(g.Head, w.Head) && slices.Equal(g.Tail, w.Tail) }
+	if got, ok := sn.ClientRow(netip.PrefixFrom(b.Prefix.Addr().Next(), 32)); !ok || !same(got, sn.RankOf(b.ID, true)) {
+		t.Error("ClientRow failed for an in-block address")
 	}
-	if _, ok := s.LookupBlock(netip.MustParseAddr("255.255.255.1")); ok {
-		t.Error("LookupBlock found nonexistent block")
+	if got, ok := sn.ClientRow(netip.MustParsePrefix("255.255.255.1/32")); ok || !same(got, sn.fallbackRow(true)) {
+		t.Error("ClientRow found a nonexistent block")
 	}
-	if got, ok := s.LookupLDNS(b.LDNS.Addr); !ok || got != b.LDNS {
-		t.Error("LookupLDNS failed")
+	if got, ok := sn.ResolverRow(b.LDNS.Addr); !ok || !same(got, sn.RankOf(b.LDNS.ID, false)) {
+		t.Error("ResolverRow failed")
+	}
+	if got := s.LDNSEndpoint(b.LDNS.Addr); got != b.LDNS.Endpoint() {
+		t.Errorf("LDNSEndpoint = %+v, want the world LDNS %+v", got, b.LDNS.Endpoint())
 	}
 }

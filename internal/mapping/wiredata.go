@@ -65,9 +65,9 @@ func (sn *Snapshot) ChangedSince(epoch uint64) []int32 {
 }
 
 // CANSTables returns the snapshot's precomputed ClientAwareNS candidate
-// lists keyed by LDNS ID, or nil for other policies. Callers must not
-// modify the map or the tables.
-func (sn *Snapshot) CANSTables() map[uint64][]Ranked { return sn.cans }
+// lists keyed by resolver slot, or nil for other policies. Callers must
+// not modify the map or the tables.
+func (sn *Snapshot) CANSTables() map[int32][]Ranked { return sn.cans }
 
 // ArenaChainLen returns the length of the snapshot's arena chain (1 for a
 // freshly built or decoded snapshot; grows with incremental builds and
@@ -75,7 +75,7 @@ func (sn *Snapshot) CANSTables() map[uint64][]Ranked { return sn.cans }
 func (sn *Snapshot) ArenaChainLen() int { return sn.chain }
 
 // LayoutFingerprint returns a hash of the snapshot's partition layout —
-// exactly what a full wire image carries of it: the index arrays, the
+// exactly what a full wire image carries of it: the index, the
 // partition→table map, tail sharing and row geometry, but not the row
 // contents. Two processes that built their layouts from the same world,
 // platform and config agree on it; the wire protocol uses it to negotiate
@@ -101,13 +101,26 @@ func (lay *Layout) fingerprint() uint64 {
 				mix(uint64(uint32(v)))
 			}
 		}
+		ix := lay.Index
 		mix(uint64(lay.NParts))
 		mix(uint64(lay.TableLen))
 		mix(uint64(lay.TailLen))
-		mix(uint64(lay.Endpoints))
 		mix(uint64(uint32(lay.FallbackLDNS)))
 		mix(uint64(uint32(lay.FallbackClient)))
-		mixAll(lay.Dense)
+		mixAll(ix.V4.Part)
+		for i, k := range ix.V4.Keys {
+			mix(uint64(k)<<32 | uint64(ix.V4.Rank[i]))
+		}
+		mixAll(ix.V6.Part)
+		for i, k := range ix.V6.Keys {
+			mix(k)
+			mix(uint64(ix.V6.Rank[i]))
+		}
+		mixAll(ix.ResolverPart)
+		for _, a := range ix.Resolvers {
+			mix(a[0])
+			mix(a[1])
+		}
 		mixAll(lay.PartSeg)
 		mixAll(lay.SegTail)
 		mixAll(lay.TailSeg)
@@ -124,7 +137,7 @@ func (lay *Layout) fingerprint() uint64 {
 // ranks every deployment — NewSnapshot trusts its input and keeps arena as
 // given.
 func NewSnapshot(lineage, epoch uint64, policy Policy, ttl time.Duration, lay *Layout,
-	p *cdn.Platform, arena []Ranked, cans map[uint64][]Ranked) *Snapshot {
+	p *cdn.Platform, arena []Ranked, cans map[int32][]Ranked) *Snapshot {
 
 	sn := &Snapshot{
 		epoch: epoch, lineage: lineage, policy: policy, ttl: ttl, lay: lay, deps: p.Deployments,
@@ -188,15 +201,15 @@ func (sn *Snapshot) WithDeltaRows(epoch uint64, policy Policy,
 	return &out
 }
 
-// BootstrapReplica puts the system in replica state: it installs, as epoch
-// 0 of a fresh lineage, a map holding nothing but the two shared fallback
-// tables, rewinds the epoch counter, and releases everything a local build
-// may have left in the builder and the scorer. The first snapshot fetched
-// from a publisher is of the publisher's lineage, so Install takes it
-// whatever its epoch. No builder ever emits epoch 0, so the serving
-// plane treats it as the degradation ladder's fallback rung (or worse, by
-// age) until the first Install. NewReplica calls it on a system that has
-// built nothing; calling it on a built system discards that map.
+// BootstrapReplica rewinds a system NewSystem made to replica state: it
+// installs, as epoch 0 of a fresh lineage, a map holding nothing but the
+// two shared fallback tables, rewinds the epoch counter, and releases
+// everything a local build left in the builder and the scorer, discarding
+// the map. The first snapshot fetched from a publisher is of the
+// publisher's lineage, so Install takes it whatever its epoch. No builder
+// ever emits epoch 0, so the serving plane treats it as the degradation
+// ladder's fallback rung (or worse, by age) until the first Install. A
+// replica NewReplica made has no builder and never serves epoch 0.
 func (s *System) BootstrapReplica() {
 	s.snap.Store(s.builder.bootSnapshot(s.DesiredPolicy()))
 	s.epoch.Store(0)

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
+	"net/netip"
 	"slices"
 	"sync"
 	"testing"
@@ -45,29 +47,40 @@ func (p *shiftNet) PingMs(a, b netmodel.Endpoint) float64 {
 	return p.base.PingMs(a, b) + p.shift[a.ID] + p.shift[b.ID]
 }
 
-// sameAnswers fails unless both snapshots rank identically (deployment
-// index and bitwise score) for every block and LDNS in the world,
-// plus the unknown-ID fallback rows.
+// sameAnswers fails unless got — a decoded snapshot, which knows
+// addresses, not endpoint IDs — ranks every block's prefix and every
+// LDNS's address identically (deployment index and bitwise score) to how
+// want, the snapshot built from the world, ranks their endpoint IDs; and
+// unknown prefixes and resolvers like unknown IDs.
 func sameAnswers(t *testing.T, got, want *mapping.Snapshot, w *world.World) {
 	t.Helper()
-	check := func(id uint64, client bool, what string) {
+	check := func(g, wnt mapping.Row, what string) {
 		t.Helper()
-		g, wnt := got.RankOf(id, client), want.RankOf(id, client)
 		if !slices.Equal(g.Head, wnt.Head) {
-			t.Fatalf("%s %d: heads differ:\n got %v\nwant %v", what, id, g.Head, wnt.Head)
+			t.Fatalf("%s: heads differ:\n got %v\nwant %v", what, g.Head, wnt.Head)
 		}
 		if !slices.Equal(g.Tail, wnt.Tail) {
-			t.Fatalf("%s %d: tails differ", what, id)
+			t.Fatalf("%s: tails differ", what)
 		}
 	}
 	for _, blk := range w.Blocks {
-		check(blk.ID, true, "block")
+		g, ok := got.ClientRow(blk.Prefix)
+		if !ok {
+			t.Fatalf("block %v is not in the decoded index", blk.Prefix)
+		}
+		check(g, want.RankOf(blk.ID, true), "block "+blk.Prefix.String())
 	}
 	for _, l := range w.LDNSes {
-		check(l.ID, false, "ldns")
+		g, ok := got.ResolverRow(l.Addr)
+		if !ok {
+			t.Fatalf("LDNS %v is not in the decoded index", l.Addr)
+		}
+		check(g, want.RankOf(l.ID, false), "ldns "+l.Addr.String())
 	}
-	check(1<<63+12345, true, "unknown-block")
-	check(1<<63+54321, false, "unknown-ldns")
+	g, _ := got.ClientRow(netip.MustParsePrefix("198.18.0.0/24"))
+	check(g, want.RankOf(1<<63+12345, true), "unknown block")
+	g, _ = got.ResolverRow(netip.MustParseAddr("198.51.100.9"))
+	check(g, want.RankOf(1<<63+54321, false), "unknown ldns")
 }
 
 func TestFullRoundTrip(t *testing.T) {
@@ -333,11 +346,21 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		t.Fatalf("EncodeDelta: ok=%v err=%v", ok, err)
 	}
 
-	// Field offsets in the full image, from the layout it encodes.
-	lay := sn1.Layout()
+	// Field offsets in the full image, from the platform and the layout it
+	// encodes.
+	lay, ix := sn1.Layout(), sn1.Layout().Index
 	tables, nDeps := lay.Tables(), len(p.Deployments)
-	fallbacks := headerSize
-	segTail := fallbacks + 8 + 4 + 4*len(lay.Dense) + 4 + 4*len(lay.PartSeg)
+	if len(ix.V4.Keys) < 2 || len(ix.V6.Keys) < 2 || len(ix.Resolvers) < 2 {
+		t.Fatal("the fixture needs two leaves of each family and two resolvers")
+	}
+	roster := headerSize
+	d0 := p.Deployments[0]
+	d0Servers := roster + 4 + 8 + 8 + 8 + 4 + 4 + len(d0.Name) + 4 + len(d0.Country)
+	v4 := roster + rosterSize(p) + 4
+	v6 := v4 + 12*len(ix.V4.Keys) + 4
+	resolvers := v6 + 16*len(ix.V6.Keys) + 4
+	fallbacks := resolvers + 20*len(ix.Resolvers)
+	segTail := fallbacks + 8 + 4 + 4*len(lay.PartSeg)
 	tailCount := segTail + 4*tables
 	tailSeg := tailCount + 8
 	firstTail := tailSeg + 4*len(lay.TailSeg) + tables*lay.TableLen*rankedSize
@@ -358,6 +381,21 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		prev *mapping.Snapshot
 		want error
 	}{
+		{"empty roster", put(full, roster, 0), nil, ErrFormat},
+		{"a deployment with no servers", put(full, d0Servers, 0), nil, ErrFormat},
+		{"roster fingerprint differs from the header's", put(full, roster+4+24, d0.ASN^1), nil, ErrFormat},
+		{"a deployment renamed", put(full, roster+4+32, binary.LittleEndian.Uint32(full[roster+4+32:])^1), nil, ErrFormat},
+		{"a server readdressed", put(full, d0Servers+4+8+12, binary.LittleEndian.Uint32(full[d0Servers+4+8+12:])^1), nil, ErrFormat},
+		{"a server's capacity changed", put(full, d0Servers+4+24+4, binary.LittleEndian.Uint32(full[d0Servers+4+24+4:])^1), nil, ErrFormat},
+		{"IPv4 leaf keys unsorted", put(full, v4, ix.V4.Keys[1]+1), nil, ErrFormat},
+		{"IPv4 leaf key duplicated", put(full, v4+12, ix.V4.Keys[0]), nil, ErrFormat},
+		{"IPv6 leaf keys unsorted", put(full, v6, uint32(ix.V6.Keys[1]+1)), nil, ErrFormat},
+		{"leaf partition out of range", put(full, v4+4, uint32(lay.NParts)), nil, ErrFormat},
+		{"leaf partition negative", put(full, v6+8, ^uint32(0)), nil, ErrFormat},
+		{"leaf ranks not a permutation", put(full, v4+8, ix.V4.Rank[1]), nil, ErrFormat},
+		{"leaf rank past the leaves", put(full, v6+12, uint32(len(ix.V6.Keys))), nil, ErrFormat},
+		{"resolvers unsorted", put(full, resolvers+20+12, binary.BigEndian.Uint32(full[resolvers+12:])), nil, ErrFormat},
+		{"resolver partition out of range", put(full, resolvers+16, uint32(lay.NParts)), nil, ErrFormat},
 		{"resolver fallback unassigned", put(full, fallbacks, ^uint32(0)), nil, ErrFormat},
 		{"client fallback unassigned", put(full, fallbacks+4, ^uint32(0)), nil, ErrFormat},
 		{"client fallback past the partitions", put(full, fallbacks+4, uint32(len(lay.PartSeg))), nil, ErrFormat},
@@ -369,7 +407,8 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 			binary.LittleEndian.Uint32(full[firstTail:])), nil, ErrFormat},
 		{"tail names a deployment the platform lacks", put(full, firstTail, uint32(nDeps)), nil, ErrFormat},
 		{"head longer than this build keeps", put(full, 64, uint32(lay.TableLen+1)), nil, ErrFormat},
-		{"previous format version", put(full, 4, 4|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
+		{"previous format version", put(full, 4, 5|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
+		{"format version 4", put(full, 4, 4|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 3", put(full, 4, 3|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 2", put(full, 4, 2|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"delta of another lineage", put(delta, 16, binary.LittleEndian.Uint32(delta[16:])^1), sn1, ErrDeltaBase},
@@ -381,6 +420,13 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		if sn, err := c.Decode(tc.img, tc.prev); !errors.Is(err, tc.want) {
 			t.Errorf("%s: decoded to %v, error %v; want %v", tc.name, sn, err, tc.want)
 		}
+		// A replica booting from a full image reads the roster itself
+		// rather than holding it to a codec's, and must refuse it as well.
+		if tc.img[6] == KindFull {
+			if _, sn, err := DecodeBoot(bytes.NewReader(tc.img), int64(len(tc.img))); !errors.Is(err, tc.want) {
+				t.Errorf("%s: booted to %v, error %v; want %v", tc.name, sn, err, tc.want)
+			}
+		}
 	}
 	// The untouched images are good, so every refusal above is the patch's.
 	if _, err := c.Decode(put(full, fallbacks, uint32(lay.FallbackLDNS)), nil); err != nil {
@@ -388,6 +434,60 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 	}
 	if _, err := c.Decode(delta, sn1); err != nil {
 		t.Fatalf("clean delta: %v", err)
+	}
+}
+
+// TestRosterRoundTrip: a replica's platform is the roster of its first
+// image. It must fingerprint like the publisher's, carry every deployment
+// field and every server's address and capacity, and serve the image's
+// map bitwise-identically; a later image for another platform is refused.
+func TestRosterRoundTrip(t *testing.T) {
+	w, p := fixture()
+	sn := mapping.NewSnapshotBuilder(w, p, netmodel.NewDefault(), fixCfg).Build(1, mapping.ClientAwareNS)
+	data, err := NewCodec(p).EncodeFull(sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, dec, err := DecodeBoot(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := c.Platform()
+	if PlatformFingerprint(got) != PlatformFingerprint(p) || len(got.Deployments) != len(p.Deployments) {
+		t.Fatal("the decoded roster fingerprints differently from the publisher's platform")
+	}
+	for i, d := range p.Deployments {
+		g := got.Deployments[i]
+		if g.ID != d.ID || g.Name != d.Name || g.Loc != d.Loc || g.ASN != d.ASN || g.Country != d.Country ||
+			len(g.Servers) != len(d.Servers) {
+			t.Fatalf("deployment %d decoded as %+v, want %+v", i, g, d)
+		}
+		for j, s := range d.Servers {
+			if gs := g.Servers[j]; gs.ID != s.ID || gs.Addr != s.Addr ||
+				math.Float64bits(gs.Capacity()) != math.Float64bits(s.Capacity()) || gs.Deployment != g || !gs.Alive() {
+				t.Fatalf("server %d of deployment %d decoded as %v %v cap %v", j, i, gs.ID, gs.Addr, gs.Capacity())
+			}
+		}
+	}
+	sameAnswers(t, dec, sn, w)
+	for _, l := range w.LDNSes {
+		if g, wnt := dec.CANSCandidates(l.Addr), sn.CANSCandidates(l.Addr); !slices.Equal(g.Head, wnt.Head) || !slices.Equal(g.Tail, wnt.Tail) {
+			t.Fatalf("LDNS %v: CANS candidates differ after the round trip", l.Addr)
+		}
+	}
+	if again, err := c.EncodeFull(dec); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("re-encoding against the decoded roster differs (err %v)", err)
+	}
+	if _, _, err := DecodeBoot(bytes.NewReader(data[:len(data)-1]), int64(len(data)-1)); err == nil {
+		t.Fatal("a truncated image booted")
+	}
+	otherP := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 99, NumDeployments: 80, ServersPerDeployment: 4})
+	foreign, err := NewCodec(otherP).EncodeFull(mapping.NewSnapshotBuilder(w, otherP, netmodel.NewDefault(), fixCfg).Build(2, mapping.EndUser))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Decode(foreign, nil); !errors.Is(err, ErrPlatformMismatch) {
+		t.Fatalf("an image for another roster: %v", err)
 	}
 }
 

@@ -1,11 +1,14 @@
 package mapwire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
+	"eum/internal/cdn"
 	"eum/internal/mapping"
 )
 
@@ -27,6 +30,37 @@ func (w *writer) u16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) 
 func (w *writer) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 func (w *writer) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 func (w *writer) i32(v int32)  { w.u32(uint32(v)) }
+
+// addr appends a 16-byte address, network order.
+func (w *writer) addr(a [2]uint64) {
+	w.b = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(w.b, a[0]), a[1])
+}
+
+// str appends a length-prefixed string.
+func (w *writer) str(s string) {
+	w.u32(uint32(len(s)))
+	w.b = append(w.b, s...)
+}
+
+// roster appends a platform's deployment roster.
+func (w *writer) roster(p *cdn.Platform) {
+	w.u32(uint32(len(p.Deployments)))
+	for _, d := range p.Deployments {
+		w.u64(d.ID)
+		w.u64(math.Float64bits(d.Loc.Lat))
+		w.u64(math.Float64bits(d.Loc.Lon))
+		w.u32(d.ASN)
+		w.str(d.Name)
+		w.str(d.Country)
+		w.u32(uint32(len(d.Servers)))
+		for _, s := range d.Servers {
+			a := s.Addr.As16()
+			w.u64(s.ID)
+			w.raw(a[:])
+			w.u64(math.Float64bits(s.Capacity()))
+		}
+	}
+}
 
 // table appends a rank table: one copy of its memory.
 func (w *writer) table(t []mapping.Ranked) {
@@ -81,6 +115,18 @@ func (r *reader) read(p []byte) bool {
 	return true
 }
 
+// expect reads len(want) bytes and reports whether they are want.
+func (r *reader) expect(want []byte) bool {
+	for len(want) > 0 {
+		n := min(len(want), len(r.buf))
+		if !r.read(r.buf[:n]) || !bytes.Equal(r.buf[:n], want[:n]) {
+			return false
+		}
+		want = want[n:]
+	}
+	return true
+}
+
 func (r *reader) u32() uint32 {
 	if !r.read(r.buf[:4]) {
 		return 0
@@ -96,6 +142,15 @@ func (r *reader) u64() uint64 {
 }
 
 func (r *reader) i32() int32 { return int32(r.u32()) }
+
+// str reads a length-prefixed string.
+func (r *reader) str() string {
+	b := make([]byte, r.sliceLen(1))
+	if !r.read(b) {
+		return ""
+	}
+	return string(b)
+}
 
 // fits reports whether n records of size bytes each are still to come,
 // latching an error when they are not: a corrupt count can never size a
@@ -184,7 +239,7 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// fnvHasher accumulates u64 words; PlatformFingerprint uses it.
+// fnvHasher accumulates u64 words and strings; PlatformFingerprint uses it.
 type fnvHasher struct{ sum uint64 }
 
 func newFNV() *fnvHasher { return &fnvHasher{sum: fnvOffset64} }
@@ -192,6 +247,14 @@ func newFNV() *fnvHasher { return &fnvHasher{sum: fnvOffset64} }
 func (h *fnvHasher) u64(v uint64) {
 	for i := 0; i < 8; i++ {
 		h.sum ^= (v >> (8 * i)) & 0xff
+		h.sum *= fnvPrime64
+	}
+}
+
+func (h *fnvHasher) str(s string) {
+	h.u64(uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h.sum ^= uint64(s[i])
 		h.sum *= fnvPrime64
 	}
 }

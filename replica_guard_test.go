@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"bytes"
 	"net/netip"
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"eum/internal/cdn"
 	"eum/internal/mapping"
@@ -13,27 +15,35 @@ import (
 	"eum/internal/world"
 )
 
-// TestReplicaBootBuildsNothing pins the replica's life cycle: it boots
-// without ranking a map, answers from the shared fallback tables at scope 0
-// while it sits at epoch 0, and once a decoded full image is installed it
-// ranks bitwise-identically to the publisher — having still built nothing.
+// bootReplica builds a world-free replica from a full image, as eumdns does
+// with the first image it fetches.
+func bootReplica(t *testing.T, image []byte, cfg mapping.Config) (*mapwire.Codec, *mapping.System) {
+	t.Helper()
+	c, sn, err := mapwire.DecodeBoot(bytes.NewReader(image), int64(len(image)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, mapping.NewReplica(c.Platform(), sn, cfg)
+}
+
+// TestReplicaBootBuildsNothing pins the replica's life cycle: built from
+// its publisher's full image alone, it has no builder and no scorer to
+// rank with, and after installing the publisher's next epoch it ranks
+// every block's prefix and every resolver's address bitwise-identically to
+// how the publisher ranks their endpoints, and answers /20-truncated
+// queries as the publisher does. The epoch-0 boot map a system rewound to
+// replica state serves answers from the client fallback table at scope 0.
 func TestReplicaBootBuildsNothing(t *testing.T) {
 	w := world.MustGenerate(world.Config{Seed: 17, NumBlocks: 4000, IPv6Fraction: 0.1})
 	p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 17, NumDeployments: 150, ServersPerDeployment: 4})
 	cfg := mapping.Config{Policy: mapping.EndUser, PingTargets: 400, PartitionMiles: 50}
 	net := netmodel.NewDefault()
 	pub := mapping.NewSystem(w, p, net, cfg)
-	rep := mapping.NewReplica(w, p, net, cfg)
 
-	built := func(when string) {
-		t.Helper()
-		if st := rep.Builder().BuildStats(); st != (mapping.BuildStats{}) {
-			t.Fatalf("%s: replica built: %+v", when, st)
-		}
-	}
-	built("at boot")
-
-	boot := rep.Current()
+	// The rewind: epoch 0, nothing but the fallback tables, scope 0.
+	rewound := mapping.NewSystem(w, p, net, cfg)
+	rewound.BootstrapReplica()
+	boot := rewound.Current()
 	if boot.Epoch() != 0 || boot.Partitions() != 0 || boot.Tables() > 2 {
 		t.Fatalf("boot map: epoch %d, %d partitions, %d tables; want epoch 0 and only the fallback tables",
 			boot.Epoch(), boot.Partitions(), boot.Tables())
@@ -41,7 +51,7 @@ func TestReplicaBootBuildsNothing(t *testing.T) {
 	const unknown = 1<<63 + 99
 	for i := 0; i < len(w.Blocks); i += 97 {
 		b := w.Blocks[i]
-		resp, err := rep.Map(mapping.Request{Domain: "boot.example.net", LDNS: b.LDNS.Addr, ClientSubnet: b.Prefix})
+		resp, err := rewound.Map(mapping.Request{Domain: "boot.example.net", LDNS: b.LDNS.Addr, ClientSubnet: b.Prefix})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,23 +70,38 @@ func TestReplicaBootBuildsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := codec.Decode(image, rep.Current())
+	repCodec, rep := bootReplica(t, image, cfg)
+	if rep.Builder() != nil || rep.Scorer() != nil {
+		t.Fatal("a replica has a builder or a scorer")
+	}
+	target, ok := pub.Scorer().TargetFor(w.Blocks[0].Endpoint())
+	if !ok {
+		t.Fatal("no ping target for block 0")
+	}
+	prev := pub.Current()
+	pub.Builder().MarkMeasurementsDirty(target.ID)
+	pub.Rebuild()
+	delta, ok, err := codec.EncodeDelta(prev, pub.Current())
+	if err != nil || !ok {
+		t.Fatalf("EncodeDelta: ok=%v err=%v", ok, err)
+	}
+	decoded, err := repCodec.Decode(delta, rep.Current())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Install(decoded) {
-		t.Fatal("the publisher's first epoch did not install over the boot map")
+		t.Fatal("the publisher's next epoch did not install")
 	}
-	built("after install")
 
 	got, want := rep.Current(), pub.Current()
+	same := func(g, w mapping.Row) bool { return slices.Equal(g.Head, w.Head) && slices.Equal(g.Tail, w.Tail) }
 	for _, b := range w.Blocks {
-		if g, w := got.RankOf(b.ID, true), want.RankOf(b.ID, true); !slices.Equal(g.Head, w.Head) || !slices.Equal(g.Tail, w.Tail) {
+		if g, ok := got.ClientRow(b.Prefix); !ok || !same(g, want.RankOf(b.ID, true)) {
 			t.Fatalf("block %v ranks differently on the replica", b.Prefix)
 		}
 	}
 	for _, l := range w.LDNSes {
-		if g, w := got.RankOf(l.ID, false), want.RankOf(l.ID, false); !slices.Equal(g.Head, w.Head) || !slices.Equal(g.Tail, w.Tail) {
+		if g, ok := got.ResolverRow(l.Addr); !ok || !same(g, want.RankOf(l.ID, false)) {
 			t.Fatalf("LDNS %v ranks differently on the replica", l.Addr)
 		}
 	}
@@ -98,7 +123,7 @@ func TestReplicaBootBuildsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.Deployment != wnt.Deployment || g.ScopePrefix != wnt.ScopePrefix || !slices.Equal(g.Servers, wnt.Servers) {
+		if g.Deployment.ID != wnt.Deployment.ID || g.ScopePrefix != wnt.ScopePrefix || !sameServers(g.Servers, wnt.Servers) {
 			t.Fatalf("%v: replica answers %s /%d, publisher %s /%d", req.ClientSubnet,
 				g.Deployment.Name, g.ScopePrefix, wnt.Deployment.Name, wnt.ScopePrefix)
 		}
@@ -109,22 +134,34 @@ func TestReplicaBootBuildsNothing(t *testing.T) {
 	}
 }
 
-// TestReplicaHeapGuard holds an installed replica to one copy of its map:
-// at the cold_wide benchmark's shape (50 000 blocks, 50-mile partitions)
-// installing a decoded image must grow the heap by the snapshot's own
-// accounted size plus a tenth and no more, and before the install the
-// replica must hold nothing map-sized besides its lookup index and rings.
-// With heads and shared tails the map is 3.75 MB of a 9.7 MB replica, so
-// "twice the map" would no longer bound anything. The replica here gets
-// into replica state the hard way, from a system that has built a map of
-// its own: keeping that build, the scorer's tables or the wire image would
-// hold two to three times the map.
+// sameServers compares two answers' servers by identity and address: a
+// replica's servers are its decoded roster's, not the publisher's objects.
+func sameServers(a, b []*cdn.Server) bool {
+	return slices.EqualFunc(a, b, func(x, y *cdn.Server) bool { return x.ID == y.ID && x.Addr == y.Addr })
+}
+
+// rosterBytes is the resident size of a decoded platform: its deployments,
+// their names and server lists, and the servers.
+func rosterBytes(p *cdn.Platform) uint64 {
+	n := uint64(cap(p.Deployments)) * 8
+	for _, d := range p.Deployments {
+		n += uint64(unsafe.Sizeof(*d)) + uint64(len(d.Name)+len(d.Country)) +
+			uint64(cap(d.Servers))*8 + uint64(len(d.Servers))*uint64(unsafe.Sizeof(cdn.Server{}))
+	}
+	return n
+}
+
+// TestReplicaHeapGuard holds a replica to what it serves: at the cold_wide
+// benchmark's shape (50 000 blocks, 600 deployments, 50-mile partitions) a
+// replica built from one full image must hold no more than its map, its
+// index, its roster and the load balancer's rings (two words per virtual
+// node), plus a tenth. A world, a scorer or a second copy of the map would
+// each break it.
 func TestReplicaHeapGuard(t *testing.T) {
 	w := world.MustGenerate(world.Config{Seed: 1, NumBlocks: 50000})
 	p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 1, NumDeployments: 600})
 	cfg := mapping.Config{Policy: mapping.EndUser, PingTargets: 5000, PartitionMiles: 50}
-	codec := mapwire.NewCodec(p)
-	image, err := codec.EncodeFull(mapping.NewSystem(w, p, netmodel.NewDefault(), cfg).Current())
+	image, err := mapwire.NewCodec(p).EncodeFull(mapping.NewSystem(w, p, netmodel.NewDefault(), cfg).Current())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,39 +174,22 @@ func TestReplicaHeapGuard(t *testing.T) {
 		return m.HeapAlloc
 	}
 	before := heap() // world, platform and image, all of which outlive the replica
-
-	rep := mapping.NewSystem(w, p, netmodel.NewDefault(), cfg)
-	rep.BootstrapReplica()
-	booted := heap() - before
-	decoded, err := codec.Decode(image, rep.Current())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Install(decoded) {
-		t.Fatal("decoded image did not install")
-	}
+	c, rep := bootReplica(t, image, cfg)
 	held := heap() - before
 	runtime.KeepAlive(image)
 
-	snapshot := rep.Current().MemoryBytes()
-	t.Logf("replica holds %.2f MB: %.2f MB before the install, a %.2f MB map (%.1f B/block with the %.2f MB index)",
-		float64(held)/1e6, float64(booted)/1e6, float64(snapshot)/1e6,
-		float64(snapshot+rep.IndexBytes())/float64(len(w.Blocks)), float64(rep.IndexBytes())/1e6)
-	// Measured: the install adds 3.77 MB for a 3.75 MB snapshot.
-	if grew := held - booted; grew > snapshot+snapshot/10 {
-		t.Fatalf("installing a %d-byte map grew the replica by %d bytes", snapshot, grew)
+	snapshot, index, roster := rep.Current().MemoryBytes(), rep.IndexBytes(), rosterBytes(c.Platform())
+	rings := uint64(0)
+	for _, d := range c.Platform().Deployments {
+		rings += uint64(len(d.Servers) * rep.LoadBalancer().VirtualNodes * 16)
 	}
-	// Before any install a replica holds its lookup index and the load
-	// balancer's rings (two words per virtual node), neither of which is
-	// map state. Whatever a local build left behind — its snapshot, layout
-	// or scores — would be a whole map or more, so everything else gets
-	// half of one (measured: 0.75 MB of 5.89 MB, against a 3.75 MB map).
-	rings := 0
-	for _, d := range p.Deployments {
-		rings += len(d.Servers) * rep.LoadBalancer().VirtualNodes * 16
-	}
-	if ceiling := rep.IndexBytes() + uint64(rings) + snapshot/2; booted > ceiling {
-		t.Fatalf("a replica holds %d bytes before any install, ceiling %d", booted, ceiling)
+	t.Logf("replica holds %.2f MB: a %.2f MB map, a %.2f MB index, a %.2f MB roster, %.2f MB of rings (%.1f B/block in map and index)",
+		float64(held)/1e6, float64(snapshot)/1e6, float64(index)/1e6, float64(roster)/1e6, float64(rings)/1e6,
+		float64(snapshot+index)/float64(len(w.Blocks)))
+	if ceiling := snapshot + index + roster + rings; held > ceiling+ceiling/10 {
+		t.Fatalf("a replica holds %d bytes; its map, index, roster and rings are %d", held, ceiling)
 	}
 	runtime.KeepAlive(rep)
+	runtime.KeepAlive(w)
+	runtime.KeepAlive(p)
 }
