@@ -40,11 +40,12 @@ race:
 
 # Non-test Go lines outside bench/ — the number CHANGES.md quotes when a PR
 # reports itself net-negative — for the whole repo, the three packages of
-# the serving path, and the map, its wire format and its distribution.
+# the serving path, the map, its wire format and its distribution, and the
+# control plane and the config.
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l; }; \
 	printf '%-20s %6d\n' repo "$$(count .)"; \
-	for p in internal/authority internal/dnsserver cmd/eumdns internal/mapping internal/mapwire internal/mapdist; do printf '%-20s %6d\n' $$p "$$(count $$p)"; done
+	for p in internal/authority internal/dnsserver cmd/eumdns internal/mapping internal/mapwire internal/mapdist internal/mapmaker internal/config; do printf '%-20s %6d\n' $$p "$$(count $$p)"; done
 
 # The set-up budget: every stage between a seed and a served map, at the
 # cold_wide benchmark's size on one CPU — the rows of DESIGN.md's set-up
@@ -60,11 +61,11 @@ setup-budget:
 chaos:
 	$(GO) test -race -v -run 'TestChaos|TestEndToEndThroughFaults' ./internal/faultnet/
 
-# Load-feedback chaos drill: flash crowd + deployment brownout + 10%
-# packet loss + continuous map churn against the closed feedback loop,
-# asserting >=99% lookup success, zero damping-window violations, and
-# graceful proximity-only degradation when the load feed dies (see
-# DESIGN.md "Load-aware mapping & feedback control").
+# Load-aware picking chaos drill: flash crowd + deployment brownout + 10%
+# packet loss + continuous map churn with the balance factor on, asserting
+# >=99% lookup success, answers moved off deployments that still had room,
+# and no degradation when the load feed dies (see DESIGN.md "Load-aware
+# picks: the balance factor").
 load-chaos:
 	$(GO) test -race -v -run 'TestLoadChaos' ./internal/faultnet/
 

@@ -498,18 +498,18 @@ func BenchmarkAblationLocalLB(b *testing.B) {
 
 // BenchmarkAblationLoadAwareLB compares hard capacity spill against
 // load-aware balancing under a 0.7x regional surge: hard spill pegs the
-// best clusters to 100% while others idle; the penalty spreads the load
+// best clusters to 100% while others idle; the balance factor spreads the load
 // earlier, at a small mean-distance cost.
 func BenchmarkAblationLoadAwareLB(b *testing.B) {
 	l := benchLab(b)
 	for _, tc := range []struct {
-		name    string
-		penalty float64
+		name string
+		beta float64
 	}{{"hard-spill", 0}, {"load-aware", 4}} {
 		b.Run(tc.name, func(b *testing.B) {
 			var pegged, meanDist float64
 			for i := 0; i < b.N; i++ {
-				pegged, meanDist = surgeRun(b, l, tc.penalty)
+				pegged, meanDist = surgeRun(b, l, tc.beta)
 			}
 			b.ReportMetric(pegged, "pegged-deployments")
 			b.ReportMetric(meanDist, "mean-dist-mi")
@@ -519,12 +519,12 @@ func BenchmarkAblationLoadAwareLB(b *testing.B) {
 
 // surgeRun drives a 0.7x-capacity surge in Germany and reports how many
 // deployments ended above 95% utilisation and the mean mapping distance.
-func surgeRun(b *testing.B, l *experiments.Lab, penalty float64) (pegged, meanDist float64) {
+func surgeRun(b *testing.B, l *experiments.Lab, beta float64) (pegged, meanDist float64) {
 	b.Helper()
 	l.Platform.ResetLoad()
 	defer l.Platform.ResetLoad()
 	sys := mapping.NewSystem(l.World, l.Platform, l.Net, mapping.Config{
-		Policy: mapping.EndUser, PingTargets: 800, LoadPenalty: penalty,
+		Policy: mapping.EndUser, PingTargets: 800, BalanceFactor: beta,
 	})
 	var localCap float64
 	for _, d := range l.Platform.Deployments {

@@ -30,14 +30,12 @@ type adminState struct {
 	reg     *telemetry.Registry
 	system  *mapping.System
 	mm      *mapmaker.MapMaker
-	lm      *mapmaker.LoadMonitor
 	auth    *authority.Authority
 	fetcher *mapdist.Fetcher
 	pub     *mapdist.Publisher
 	mode    string
 	blocks  int
-	// platform and balance feed the /mapz load section; lm is non-nil only
-	// on map-building nodes with the feedback loop enabled.
+	// platform and balance feed the /mapz load section.
 	platform *cdn.Platform
 	balance  float64
 }
@@ -104,19 +102,11 @@ type mapzBuild struct {
 	RerankedTails     uint64  `json:"reranked_tails"`
 }
 
-// mapzLoad is the /mapz view of the load-feedback loop: the balance knob
-// in force, the builder's load-triggered work and stale-signal tripwires,
-// the monitor's notification counters, and the instantaneous utilization
-// of every deployment currently carrying load.
+// mapzLoad is the /mapz view of load-aware picking: the balance factor in
+// force and the instantaneous utilization the picker weighs, for every
+// deployment currently carrying load.
 type mapzLoad struct {
-	BalanceFactor    float64 `json:"balance_factor"`
-	LoadRebuilds     uint64  `json:"load_rebuilds"`
-	StaleSignals     uint64  `json:"stale_signals"`
-	Notifies         uint64  `json:"notifies,omitempty"`
-	Damped           uint64  `json:"damped,omitempty"`
-	Crossings        uint64  `json:"crossings,omitempty"`
-	Overloaded       int     `json:"overloaded_deployments,omitempty"`
-	WindowViolations uint64  `json:"window_violations,omitempty"`
+	BalanceFactor float64 `json:"balance_factor"`
 	// Utilisation lists only deployments with non-zero load, so the
 	// document stays small on an idle platform.
 	Utilisation map[string]float64 `json:"utilisation,omitempty"`
@@ -181,21 +171,8 @@ func (st adminState) mapz(w http.ResponseWriter, _ *http.Request) {
 		b.FullBuilds, b.IncrementalBuilds, b.RerankedTables, b.RerankedTails = bs.Full, bs.Incremental, bs.RerankedTables, bs.RerankedTails
 	}
 	doc.Build = b
-	if st.balance > 0 && builder != nil {
+	if st.balance > 0 {
 		l := &mapzLoad{BalanceFactor: st.balance}
-		l.LoadRebuilds, l.StaleSignals = builder.LoadStats()
-		if st.lm != nil {
-			l.Notifies = st.lm.Notifies()
-			l.Damped = st.lm.Damped()
-			l.Crossings = st.lm.Crossings()
-			l.Overloaded = st.lm.Overloaded()
-			l.WindowViolations = st.lm.WindowViolations()
-			// The monitor's stale tripwire counts reads the builder never
-			// saw a fresh signal for; surface the larger of the two.
-			if s := st.lm.StaleSignals(); s > l.StaleSignals {
-				l.StaleSignals = s
-			}
-		}
 		if st.platform != nil {
 			for _, d := range st.platform.Deployments {
 				if d.Load() > 0 {
@@ -257,23 +234,24 @@ func runHealthMonitor(ctx context.Context, mon *cdn.Monitor, every time.Duration
 	}
 }
 
-// runLoadMonitor drives the load-feedback loop until ctx is cancelled.
-// Each tick first decays the platform's cumulative demand counters toward
-// zero on the monitor's EWMA time constant — turning the authority's
-// per-answer demand increments into a rate-like gauge — then samples
-// every deployment's utilization into the monitor, which republishes the
-// map through the change feed on smoothed threshold crossings.
-func runLoadMonitor(ctx context.Context, lm *mapmaker.LoadMonitor, p *cdn.Platform, every time.Duration) {
-	decay := math.Exp(-float64(every) / float64(lm.Config().EWMA))
+// loadDecay is the time constant on which runLoadDecay drains the
+// platform's demand counters.
+const loadDecay = 30 * time.Second
+
+// runLoadDecay decays the platform's cumulative demand counters toward
+// zero on the loadDecay time constant, once per tick, until ctx is
+// cancelled — turning the authority's per-answer demand increments into
+// the rate-like utilization the load-aware picker weighs.
+func runLoadDecay(ctx context.Context, p *cdn.Platform, every time.Duration) {
+	decay := math.Exp(-float64(every) / float64(loadDecay))
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case now := <-t.C:
+		case <-t.C:
 			p.ScaleLoad(decay)
-			lm.Tick(p, now)
 		}
 	}
 }

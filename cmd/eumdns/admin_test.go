@@ -297,9 +297,9 @@ func TestHealthzDegraded(t *testing.T) {
 	}
 }
 
-// TestMapzLoadSection checks the load-feedback view of /mapz: present
-// exactly when the balance knob is on, carrying the monitor counters and
-// the per-deployment utilisation of loaded deployments; and the matching
+// TestMapzLoadSection checks the load view of /mapz: present exactly when
+// the balance factor is on, carrying the factor and the per-deployment
+// utilisation of loaded deployments and nothing else; and the matching
 // per-deployment gauges appear on /metrics.
 func TestMapzLoadSection(t *testing.T) {
 	w := world.MustGenerate(world.Config{Seed: 3, NumBlocks: 400})
@@ -307,14 +307,12 @@ func TestMapzLoadSection(t *testing.T) {
 	system := mapping.NewSystem(w, platform, netmodel.NewDefault(),
 		mapping.Config{PingTargets: 40, BalanceFactor: 2})
 	mm := mapmaker.New(system, mapmaker.Config{})
-	lm := mapmaker.NewLoadMonitor(mm, mapmaker.LoadSignalConfig{})
-	system.SetUtilizationSource(lm)
 
 	hot := platform.Deployments[0]
 	hot.Servers[0].AddLoad(3)
 
 	st := adminState{
-		reg: telemetry.NewRegistry(), system: system, mm: mm, lm: lm,
+		reg: telemetry.NewRegistry(), system: system, mm: mm,
 		platform: platform, balance: 2, blocks: 400,
 	}
 	rec := httptest.NewRecorder()
@@ -330,6 +328,17 @@ func TestMapzLoadSection(t *testing.T) {
 	}
 	if doc.Load == nil || doc.Load.BalanceFactor != 2 {
 		t.Fatalf("/mapz load section = %+v", doc.Load)
+	}
+	var keys struct {
+		Load map[string]json.RawMessage `json:"load"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &keys); err != nil {
+		t.Fatal(err)
+	}
+	for k := range keys.Load {
+		if k != "balance_factor" && k != "utilisation" {
+			t.Errorf("/mapz load section carries %q, want only balance_factor and utilisation", k)
+		}
 	}
 	if u := doc.Load.Utilisation[hot.Name]; u <= 0 {
 		t.Errorf("loaded deployment %s utilisation = %g, want > 0", hot.Name, u)
@@ -348,14 +357,11 @@ func TestMapzLoadSection(t *testing.T) {
 
 	// The per-deployment gauge reaches /metrics through the registry.
 	platform.RegisterLoadMetrics(st.reg)
-	lm.RegisterMetrics(st.reg)
 	rec = httptest.NewRecorder()
 	st.reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body := rec.Body.String()
-	for _, want := range []string{"cdn_deployment_utilisation_", "mapmaker_load_notifies_total"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %s", want)
-		}
+	if !strings.Contains(body, "cdn_deployment_utilisation_") {
+		t.Error("/metrics missing cdn_deployment_utilisation_")
 	}
 }
 

@@ -107,3 +107,24 @@ func TestRoleFlagsOverlay(t *testing.T) {
 		t.Error("-publisher without -admin accepted")
 	}
 }
+
+// TestRemovedLoadFlags: the flags of the build-time load monitor went with
+// it, and are parse errors rather than silently ignored; -balance-factor
+// stays.
+func TestRemovedLoadFlags(t *testing.T) {
+	for _, tc := range [][2]string{
+		{"load-threshold", "0.8"},
+		{"load-hysteresis", "0.15"},
+		{"load-ewma", "30s"},
+		{"load-max-age", "90s"},
+	} {
+		_, err := parse(t, "-balance-factor", "2", "-"+tc[0], tc[1])
+		if err == nil || !strings.Contains(err.Error(), tc[0]) {
+			t.Errorf("-%s %s: error = %v, want a parse error naming the flag", tc[0], tc[1], err)
+		}
+	}
+	cfg, err := parse(t, "-balance-factor", "2")
+	if err != nil || cfg.BalanceFactor != 2 {
+		t.Errorf("-balance-factor 2 = %g, %v", cfg.BalanceFactor, err)
+	}
+}

@@ -77,7 +77,6 @@ func main() {
 		system   *mapping.System
 		platform *cdn.Platform
 		mm       *mapmaker.MapMaker
-		lm       *mapmaker.LoadMonitor
 		pub      *mapdist.Publisher
 		fetcher  *mapdist.Fetcher
 	)
@@ -115,19 +114,6 @@ func main() {
 			go mm.Run(ctx)
 			log.Printf("map maker publishing every %v", refresh)
 		}
-		// Load-feedback loop: a monitor smooths the platform's demand
-		// gauges, republishes through the change feed on overload
-		// crossings, and serves the builder its utilization signal. Only
-		// map-building nodes run one — a replica serves whatever order the
-		// publisher's loop already baked into the snapshot.
-		if lc, ok := cfg.LoadSignalConfig(); ok {
-			lm = mapmaker.NewLoadMonitor(mm, lc)
-			system.SetUtilizationSource(lm)
-			go runLoadMonitor(ctx, lm, platform, time.Second)
-			log.Printf("load feedback: balance %g, overload enter %g / exit %g, ewma %v",
-				cfg.BalanceFactor, lm.Config().EnterUtil,
-				lm.Config().EnterUtil-lm.Config().Hysteresis, lm.Config().EWMA)
-		}
 	}
 	index := system.Current().Layout().Index
 
@@ -135,12 +121,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// With the feedback loop on, every mapping answer records one demand
-	// unit on its picked server, so the utilization gauges the monitor
-	// samples actually move with query traffic (runLoadMonitor decays them
-	// back toward zero on the EWMA time constant).
+	// With a balance factor, every mapping answer records one demand unit
+	// on its picked server, so the utilization the picker weighs moves with
+	// this node's own query traffic; runLoadDecay drains it back toward
+	// zero, turning the counters into a rate.
 	if auth != nil && cfg.BalanceFactor > 0 {
 		auth.SetAnswerDemand(1)
+		go runLoadDecay(ctx, platform, time.Second)
+		log.Printf("load-aware picks: balance %g, load decay %v", cfg.BalanceFactor, loadDecay)
 	}
 	if verbose {
 		handler = dnsserver.WithLogging(handler, slog.New(slog.NewJSONHandler(os.Stderr, nil)))
@@ -185,11 +173,8 @@ func main() {
 			pub.RegisterMetrics(reg)
 		}
 		platform.RegisterLoadMetrics(reg)
-		if lm != nil {
-			lm.RegisterMetrics(reg)
-		}
 		mux := newAdminMux(adminState{
-			reg: reg, system: system, mm: mm, lm: lm, auth: auth,
+			reg: reg, system: system, mm: mm, auth: auth,
 			fetcher: fetcher, pub: pub, mode: mode, blocks: len(index.V4.Keys) + len(index.V6.Keys),
 			platform: platform, balance: cfg.BalanceFactor,
 		})
@@ -291,15 +276,7 @@ func loadConfig(fs *flag.FlagSet, args []string) (cfg config.Config, addr string
 	staleMaxAge := fs.Duration("stale-max-age", 30*time.Second,
 		"serve-stale watchdog: map age, in whole seconds, entering degraded answers (0 disables)")
 	balanceFactor := fs.Float64("balance-factor", 0,
-		"distance-vs-load balance knob: rank tables order deployments by ping x (1 + balance x util^2); 0 keeps pure proximity mapping")
-	loadThreshold := fs.Float64("load-threshold", 0,
-		"smoothed utilization entering the overloaded state (0 = default 0.8; requires -balance-factor)")
-	loadHysteresis := fs.Float64("load-hysteresis", 0,
-		"overload exit threshold is the enter threshold minus this band (0 = default 0.15; requires -balance-factor)")
-	loadEWMA := fs.Duration("load-ewma", 0,
-		"utilization smoothing time constant (0 = default 30s; requires -balance-factor)")
-	loadMaxAge := fs.Duration("load-max-age", 0,
-		"load observations older than this score proximity-only (0 = default 3x the EWMA window; requires -balance-factor)")
+		"distance-vs-load balance knob: each answer re-ranks its first few live candidates by ping x (1 + balance x util^2); 0 keeps pure proximity mapping")
 	mapmakerAddr := fs.String("mapmaker-addr", "",
 		"replica mode: fetch maps from this MapMaker admin address instead of building locally")
 	publisher := fs.Bool("publisher", false,
@@ -335,10 +312,6 @@ func loadConfig(fs *flag.FlagSet, args []string) (cfg config.Config, addr string
 		cfg.StaleMaxAgeSeconds = whole("stale-max-age", *staleMaxAge, time.Second)
 		cfg.MapRefreshSeconds = whole("map-refresh", *mapRefresh, time.Second)
 		cfg.BalanceFactor = *balanceFactor
-		cfg.LoadRebuildThreshold = *loadThreshold
-		cfg.LoadHysteresis = *loadHysteresis
-		cfg.LoadEWMASeconds = loadEWMA.Seconds()
-		cfg.LoadSignalMaxAgeSeconds = loadMaxAge.Seconds()
 	}
 	if *adminAddr != "" {
 		cfg.AdminAddr = *adminAddr

@@ -121,9 +121,8 @@ type Authority struct {
 	// the zero value disables it. Set before serving begins.
 	degrade DegradeConfig
 	// answerDemand is the demand recorded against the picked server for
-	// every mapping answer. Feeds the deployment load gauges the
-	// load-feedback loop watches; 0 disables accounting. Set before
-	// serving begins.
+	// every mapping answer. Feeds the deployment load gauges load-aware
+	// picks weigh; 0 disables accounting. Set before serving begins.
 	answerDemand float64
 	// epochDebug, when set, appends a TXT record carrying the decision's
 	// snapshot epoch to every mapping answer, so transport-level tests can

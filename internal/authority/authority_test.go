@@ -385,9 +385,9 @@ func TestDeadDeploymentAvoidedAtOnce(t *testing.T) {
 
 // TestDemandRecordedPerAnswer: with demand accounting on, every answer
 // records its demand unit on the deployment it handed out — N identical
-// queries inside one TTL are N units, which is what the load-feedback
-// loop's gauges must see (and what lets the global load balancer spill the
-// N+1st off a deployment the first N filled).
+// queries inside one TTL are N units, which is what the load gauges must
+// see (and what lets the global load balancer spill the N+1st off a
+// deployment the first N filled).
 func TestDemandRecordedPerAnswer(t *testing.T) {
 	a := newAuthority(t, mapping.EndUser)
 	a.SetAnswerDemand(1)

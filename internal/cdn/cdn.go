@@ -69,8 +69,8 @@ func (s *Server) ResetLoad() { s.load.Store(0) }
 
 // ScaleLoad multiplies the server's load by f (clamped at zero). Live
 // servers accumulate demand units per answer; a periodic exponential decay
-// via ScaleLoad turns the cumulative counter into a rate-like gauge for
-// the load-feedback loop.
+// via ScaleLoad turns the cumulative counter into the rate-like gauge
+// load-aware picks weigh.
 func (s *Server) ScaleLoad(f float64) {
 	if f < 0 {
 		f = 0
@@ -378,7 +378,7 @@ func (p *Platform) ResetLoad() {
 }
 
 // ScaleLoad multiplies load on all deployments by f — the periodic decay
-// step of the live load-feedback loop.
+// step that turns per-answer demand into a rate.
 func (p *Platform) ScaleLoad(f float64) {
 	for _, d := range p.Deployments {
 		d.ScaleLoad(f)

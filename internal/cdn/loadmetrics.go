@@ -9,7 +9,7 @@ import (
 // RegisterLoadMetrics wires the platform's load/utilisation gauges into reg
 // under the cdn_ namespace: platform-wide aggregates plus one utilisation
 // gauge per deployment. Load and liveness are atomics, so scraping is safe
-// beside live query traffic and a ticking load monitor.
+// beside live query traffic and the periodic load decay.
 //
 // The registry has no label support by design (see telemetry package doc),
 // so per-deployment series are flat gauges with the deployment name mangled

@@ -18,7 +18,6 @@ import (
 
 	"eum/internal/authority"
 	"eum/internal/dnsserver"
-	"eum/internal/mapmaker"
 	"eum/internal/mapping"
 )
 
@@ -97,34 +96,12 @@ type Config struct {
 	// want a metro-sized radius such as 50.
 	PartitionMiles float64 `json:"partition_miles,omitempty"`
 
-	// BalanceFactor is the distance-vs-load balance knob β: published rank
-	// tables order deployments by ping·(1 + β·utilization²), spilling
-	// demand to next-nearest deployments as utilization climbs. 0 (the
-	// default) keeps pure proximity mapping and disables the load-feedback
-	// loop below.
+	// BalanceFactor is the distance-vs-load balance knob β: each answer
+	// re-ranks the first few live candidates of its row by
+	// ping·(1 + β·utilization²), moving demand to next-nearest deployments
+	// as utilization climbs. The map itself is the same at every β. 0 (the
+	// default) keeps pure proximity mapping with hard capacity spill.
 	BalanceFactor float64 `json:"balance_factor,omitempty"`
-	// LoadRebuildThreshold is the smoothed utilization at which a
-	// deployment counts as overloaded and the map is republished (the
-	// feedback loop's enter threshold). 0 keeps the default 0.8. Requires
-	// balance_factor.
-	LoadRebuildThreshold float64 `json:"load_rebuild_threshold,omitempty"`
-	// LoadHysteresis is how far below the rebuild threshold the smoothed
-	// utilization must fall before the deployment counts as recovered
-	// (exit threshold = load_rebuild_threshold − load_hysteresis); the
-	// band prevents republish flip-flop around a single threshold. 0 keeps
-	// the default 0.15. Requires balance_factor.
-	LoadHysteresis float64 `json:"load_hysteresis,omitempty"`
-	// LoadEWMASeconds is the smoothing time constant over the raw
-	// utilization gauges; the loop reacts to sustained overload, not
-	// instantaneous spikes. 0 keeps the default 30. Requires
-	// balance_factor.
-	LoadEWMASeconds float64 `json:"load_ewma_seconds,omitempty"`
-	// LoadSignalMaxAgeSeconds is how stale a deployment's last load
-	// observation may be before builds ignore it and score that deployment
-	// proximity-only (a dead telemetry feed must not freeze demand on old
-	// readings). 0 keeps the default of 3× the EWMA window; must exceed
-	// the EWMA window when set. Requires balance_factor.
-	LoadSignalMaxAgeSeconds float64 `json:"load_signal_max_age_seconds,omitempty"`
 
 	// World parameterises the synthetic Internet.
 	World WorldConfig `json:"world"`
@@ -218,8 +195,8 @@ func (c Config) Validate() error {
 	if c.PartitionMiles < 0 {
 		return fmt.Errorf("config: negative partition_miles (0 disables clustering)")
 	}
-	if err := c.validateLoadKnobs(); err != nil {
-		return err
+	if c.BalanceFactor < 0 {
+		return fmt.Errorf("config: negative balance_factor (0 disables load-aware picks)")
 	}
 	if c.ServeDeadlineMillis < 0 {
 		return fmt.Errorf("config: negative serve_deadline_ms")
@@ -339,57 +316,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// validateLoadKnobs cross-checks the load-feedback knobs: negatives are
-// rejected, load_* knobs are inert without balance_factor, the hysteresis
-// band must leave a usable exit threshold below the enter threshold, and
-// the staleness limit must exceed the smoothing window it judges.
-func (c Config) validateLoadKnobs() error {
-	if c.BalanceFactor < 0 {
-		return fmt.Errorf("config: negative balance_factor (0 disables load-aware scoring)")
-	}
-	loadKnobs := []struct {
-		name string
-		v    float64
-	}{
-		{"load_rebuild_threshold", c.LoadRebuildThreshold},
-		{"load_hysteresis", c.LoadHysteresis},
-		{"load_ewma_seconds", c.LoadEWMASeconds},
-		{"load_signal_max_age_seconds", c.LoadSignalMaxAgeSeconds},
-	}
-	for _, k := range loadKnobs {
-		if k.v < 0 {
-			return fmt.Errorf("config: negative %s", k.name)
-		}
-	}
-	if c.BalanceFactor == 0 {
-		for _, k := range loadKnobs {
-			if k.v != 0 {
-				return fmt.Errorf("config: %s is set but balance_factor is 0, so the load-feedback loop is disabled and the knob has no effect; set balance_factor (e.g. 2) to enable load-aware mapping, or remove %s", k.name, k.name)
-			}
-		}
-		return nil
-	}
-	enter := c.LoadRebuildThreshold
-	if enter == 0 {
-		enter = mapmaker.DefaultLoadEnterUtil
-	}
-	hyst := c.LoadHysteresis
-	if hyst == 0 {
-		hyst = mapmaker.DefaultLoadHysteresis
-	}
-	if hyst >= enter {
-		return fmt.Errorf("config: load_hysteresis (%g) at or above the enter threshold load_rebuild_threshold (%g): the exit threshold is enter minus hysteresis, so a band this wide puts it at or below zero and an overloaded deployment could never be declared recovered; lower load_hysteresis or raise load_rebuild_threshold", hyst, enter)
-	}
-	ewma := c.LoadEWMASeconds
-	if ewma == 0 {
-		ewma = mapmaker.DefaultLoadEWMA.Seconds()
-	}
-	if c.LoadSignalMaxAgeSeconds > 0 && c.LoadSignalMaxAgeSeconds <= ewma {
-		return fmt.Errorf("config: load_signal_max_age_seconds (%g) at or below the smoothing window load_ewma_seconds (%g): every reading would age out before the EWMA could accumulate a full window of history, permanently degrading scoring to proximity-only; raise load_signal_max_age_seconds above the window (the default is 3x it)", c.LoadSignalMaxAgeSeconds, ewma)
-	}
-	return nil
-}
-
 // Distribution-plane modes (see Config.Mode).
 const (
 	ModeStandalone = "standalone"
@@ -443,28 +369,6 @@ func (c Config) ServerConfig() dnsserver.Config {
 		RRLBurst:       c.RRLBurst,
 		ListenerShards: c.ListenerShards,
 	}
-}
-
-// LoadSignalConfig translates the load-feedback knobs into the map
-// maker's monitor configuration. ok is false when balance_factor is 0:
-// the loop is disabled and no monitor should be started. Zero-valued
-// fields in the returned config take the monitor defaults; MinRepublish
-// is derived from the map refresh cadence so load-triggered republishes
-// never outpace the periodic rebuild by more than 2x.
-func (c Config) LoadSignalConfig() (mapmaker.LoadSignalConfig, bool) {
-	if c.BalanceFactor <= 0 {
-		return mapmaker.LoadSignalConfig{}, false
-	}
-	lc := mapmaker.LoadSignalConfig{
-		EnterUtil:    c.LoadRebuildThreshold,
-		Hysteresis:   c.LoadHysteresis,
-		EWMA:         time.Duration(c.LoadEWMASeconds * float64(time.Second)),
-		MaxSignalAge: time.Duration(c.LoadSignalMaxAgeSeconds * float64(time.Second)),
-	}
-	if c.MapRefreshSeconds > 0 {
-		lc.MinRepublish = time.Duration(c.MapRefreshSeconds) * time.Second / 2
-	}
-	return lc, true
 }
 
 // DegradeConfig translates the staleness knob into the authority's

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -117,29 +118,6 @@ func TestValidateErrors(t *testing.T) {
 		{"negative-flap-threshold", func(c *Config) { c.HealthFlapThreshold = -1 }},
 		{"negative-listener-shards", func(c *Config) { c.ListenerShards = -2 }},
 		{"negative-balance-factor", func(c *Config) { c.BalanceFactor = -1 }},
-		{"negative-load-threshold", func(c *Config) { c.BalanceFactor = 2; c.LoadRebuildThreshold = -0.5 }},
-		{"negative-load-hysteresis", func(c *Config) { c.BalanceFactor = 2; c.LoadHysteresis = -0.1 }},
-		{"negative-load-ewma", func(c *Config) { c.BalanceFactor = 2; c.LoadEWMASeconds = -30 }},
-		{"negative-load-max-age", func(c *Config) { c.BalanceFactor = 2; c.LoadSignalMaxAgeSeconds = -90 }},
-		{"load-knob-without-balance", func(c *Config) { c.LoadRebuildThreshold = 0.9 }},
-		{"hysteresis-swallows-enter", func(c *Config) {
-			c.BalanceFactor = 2
-			c.LoadRebuildThreshold = 0.7
-			c.LoadHysteresis = 0.7
-		}},
-		{"hysteresis-above-default-enter", func(c *Config) {
-			c.BalanceFactor = 2
-			c.LoadHysteresis = 0.9 // enter defaults to 0.8
-		}},
-		{"max-age-below-ewma", func(c *Config) {
-			c.BalanceFactor = 2
-			c.LoadEWMASeconds = 60
-			c.LoadSignalMaxAgeSeconds = 45
-		}},
-		{"max-age-below-default-ewma", func(c *Config) {
-			c.BalanceFactor = 2
-			c.LoadSignalMaxAgeSeconds = 10 // EWMA defaults to 30s
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,6 +125,26 @@ func TestValidateErrors(t *testing.T) {
 			tc.mutate(&cfg)
 			if err := cfg.Validate(); err == nil {
 				t.Error("invalid config accepted")
+			}
+		})
+	}
+	// The build-time load monitor's keys are gone: each document these
+	// cases once refused for its values is now refused for naming one.
+	for _, tc := range []struct{ name, key, doc string }{
+		{"negative-load-threshold", "load_rebuild_threshold", `"balance_factor": 2, "load_rebuild_threshold": -0.5`},
+		{"negative-load-hysteresis", "load_hysteresis", `"balance_factor": 2, "load_hysteresis": -0.1`},
+		{"negative-load-ewma", "load_ewma_seconds", `"balance_factor": 2, "load_ewma_seconds": -30`},
+		{"negative-load-max-age", "load_signal_max_age_seconds", `"balance_factor": 2, "load_signal_max_age_seconds": -90`},
+		{"load-knob-without-balance", "load_rebuild_threshold", `"load_rebuild_threshold": 0.9`},
+		{"hysteresis-swallows-enter", "load_rebuild_threshold", `"balance_factor": 2, "load_rebuild_threshold": 0.7, "load_hysteresis": 0.7`},
+		{"hysteresis-above-default-enter", "load_hysteresis", `"balance_factor": 2, "load_hysteresis": 0.9`},
+		{"max-age-below-ewma", "load_ewma_seconds", `"balance_factor": 2, "load_ewma_seconds": 60, "load_signal_max_age_seconds": 45`},
+		{"max-age-below-default-ewma", "load_signal_max_age_seconds", `"balance_factor": 2, "load_signal_max_age_seconds": 10`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse(strings.NewReader(`{"zone": "z.net", ` + tc.doc + `}`))
+			if want := `unknown field "` + tc.key + `"`; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("error = %v, want %s", err, want)
 			}
 		})
 	}
@@ -334,74 +332,31 @@ func TestServingKnobsTranslate(t *testing.T) {
 	}
 }
 
-// TestValidateLoadKnobMessages pins the load-feedback validation errors
-// to actionable text: each names the conflicting knobs and says which way
-// to move them.
+// TestValidateLoadKnobMessages pins what is left of the load knobs through
+// config.Load: a file carrying a key of the build-time load monitor, which
+// is gone, fails by naming it instead of loading as a no-op (TestValidateErrors
+// covers all four keys); balance_factor still loads, and a negative one is
+// still refused with a message that names it.
 func TestValidateLoadKnobMessages(t *testing.T) {
-	cfg := Default()
-	cfg.BalanceFactor = 2
-	cfg.LoadRebuildThreshold = 0.6
-	cfg.LoadHysteresis = 0.8
-	err := cfg.Validate()
-	if err == nil || !strings.Contains(err.Error(), "never be declared recovered") {
-		t.Errorf("wide hysteresis error = %v, want mention of the unreachable exit threshold", err)
+	load := func(t *testing.T, keys string) (Config, error) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "eumdns.json")
+		doc := `{"zone": "cdn.example.net", ` + keys + `}`
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return Load(path)
 	}
-
-	cfg = Default()
-	cfg.BalanceFactor = 2
-	cfg.LoadEWMASeconds = 120
-	cfg.LoadSignalMaxAgeSeconds = 60
-	err = cfg.Validate()
-	if err == nil || !strings.Contains(err.Error(), "proximity-only") {
-		t.Errorf("short max-age error = %v, want mention of permanent proximity-only degradation", err)
+	if _, err := load(t, `"balance_factor": 2, "load_ewma_seconds": 30`); err == nil ||
+		!strings.Contains(err.Error(), `unknown field "load_ewma_seconds"`) {
+		t.Errorf("load_ewma_seconds error = %v, want it named as unknown", err)
 	}
-
-	cfg = Default()
-	cfg.LoadEWMASeconds = 60 // without balance_factor
-	err = cfg.Validate()
-	if err == nil || !strings.Contains(err.Error(), "balance_factor") {
-		t.Errorf("inert knob error = %v, want mention of balance_factor", err)
+	cfg, err := load(t, `"balance_factor": 2.5`)
+	if err != nil || cfg.BalanceFactor != 2.5 {
+		t.Errorf("balance_factor 2.5 loaded as %g, %v", cfg.BalanceFactor, err)
 	}
-}
-
-func TestLoadSignalConfigTranslate(t *testing.T) {
-	cfg := Default()
-	if _, ok := cfg.LoadSignalConfig(); ok {
-		t.Fatal("balance_factor 0 produced a load signal config")
-	}
-
-	cfg.BalanceFactor = 2
-	cfg.LoadRebuildThreshold = 0.9
-	cfg.LoadHysteresis = 0.25
-	cfg.LoadEWMASeconds = 12.5
-	cfg.LoadSignalMaxAgeSeconds = 60
-	cfg.MapRefreshSeconds = 8
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	lc, ok := cfg.LoadSignalConfig()
-	if !ok {
-		t.Fatal("load signal config missing despite balance_factor")
-	}
-	if lc.EnterUtil != 0.9 || lc.Hysteresis != 0.25 {
-		t.Errorf("thresholds = %g/%g", lc.EnterUtil, lc.Hysteresis)
-	}
-	if lc.EWMA != 12500*time.Millisecond {
-		t.Errorf("ewma = %v, want 12.5s", lc.EWMA)
-	}
-	if lc.MaxSignalAge != time.Minute {
-		t.Errorf("max signal age = %v", lc.MaxSignalAge)
-	}
-	if lc.MinRepublish != 4*time.Second {
-		t.Errorf("min republish = %v, want half the 8s refresh cadence", lc.MinRepublish)
-	}
-
-	// Unset knobs stay zero so the monitor applies its own defaults.
-	cfg = Default()
-	cfg.BalanceFactor = 1
-	lc, ok = cfg.LoadSignalConfig()
-	if !ok || lc.EnterUtil != 0 || lc.EWMA != 0 {
-		t.Errorf("partial config = %+v, %v (zero fields should defer to monitor defaults)", lc, ok)
+	if _, err := load(t, `"balance_factor": -1`); err == nil || !strings.Contains(err.Error(), "negative balance_factor") {
+		t.Errorf("negative balance_factor error = %v, want it named", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"eum/internal/cdn"
 	"eum/internal/demand"
@@ -13,36 +12,28 @@ import (
 	"eum/internal/world"
 )
 
-// loadLoopT0 anchors the simulated clock every closed-loop experiment
-// advances; wall time never leaks into the results.
-var loadLoopT0 = time.Unix(1_700_000_000, 0)
-
 // ClosedLoopConfig parameterises the closed-loop flash-crowd drill.
 // Zero-valued fields take the defaults from DefaultClosedLoopConfig.
 type ClosedLoopConfig struct {
 	// Country hosts the surge.
 	Country string
-	// Beta is the snapshot builder's balance factor.
+	// Beta is the load balancer's balance factor.
 	Beta float64
 	// Multiples is the per-round surge intensity (regional demand as a
 	// multiple of local capacity): the timeline the loop walks through.
 	Multiples []float64
-	// Interval is the simulated time between rounds (one load-monitor
-	// tick per round).
-	Interval time.Duration
 	// PingTargets bounds the mapping system's measured endpoint set.
 	PingTargets int
 }
 
 // DefaultClosedLoopConfig is a surge-and-recede timeline: quiet, ramp to
-// 4x local capacity, recede, then enough quiet rounds for the smoothed
-// signal to drain and the map to reconverge.
+// 4x local capacity, recede, then quiet rounds in which the assignments
+// must be back where they started.
 func DefaultClosedLoopConfig() ClosedLoopConfig {
 	return ClosedLoopConfig{
 		Country:     "DE",
 		Beta:        2,
 		Multiples:   []float64{0, 1, 2, 4, 4, 2, 1, 0.25, 0, 0, 0, 0},
-		Interval:    10 * time.Second,
 		PingTargets: 800,
 	}
 }
@@ -57,9 +48,6 @@ func (c ClosedLoopConfig) withDefaults() ClosedLoopConfig {
 	}
 	if len(c.Multiples) == 0 {
 		c.Multiples = d.Multiples
-	}
-	if c.Interval <= 0 {
-		c.Interval = d.Interval
 	}
 	if c.PingTargets <= 0 {
 		c.PingTargets = d.PingTargets
@@ -88,29 +76,17 @@ type ClosedLoopRow struct {
 	// OverloadShare is the fraction of the round's demand sitting above
 	// deployment capacity — demand that would be served degraded. The
 	// global balancer only places demand over capacity when every
-	// candidate is saturated, so this measures how often the published
-	// map left a block no unsaturated choice.
+	// candidate is saturated, so this measures how often a block's row
+	// left it no unsaturated choice.
 	OverloadShare float64
-	// Overloaded is the monitor's overloaded-deployment count after the
-	// round's tick.
+	// Overloaded counts the deployments over capacity once the round's
+	// demand landed.
 	Overloaded int
 }
 
-// ClosedLoopResult is the drill's outcome plus its control-loop health
-// counters.
+// ClosedLoopResult is the drill's outcome.
 type ClosedLoopResult struct {
 	Rows []ClosedLoopRow
-	// Notifies / Damped / WindowViolations are the monitor's counters:
-	// how often the loop republished, how many crossings the damping
-	// interval absorbed, and whether any notification violated the
-	// damping window (must be 0).
-	Notifies         uint64
-	Damped           uint64
-	WindowViolations uint64
-	// MaxFlips is the worst per-deployment overload state-transition
-	// count — the oscillation measure. A clean surge-and-recede pass is
-	// at most 2 (one enter, one exit).
-	MaxFlips uint64
 	// TotalRemaps counts block assignment changes summed over all rounds;
 	// a stable loop re-maps each block a bounded number of times, not
 	// once per round.
@@ -120,14 +96,14 @@ type ClosedLoopResult struct {
 	Reconverged bool
 }
 
-// ClosedLoopFlashCrowd runs the regional flash crowd with the feedback
-// loop closed: each round assigns the surge demand through the published
-// map, the load monitor smooths the resulting utilization and republishes
-// on threshold crossings, and the next round maps through the shifted
-// tables. The paper's mapping system reacts to "liveness, capacity, and
-// other real-time information" — this drill checks the reaction is
-// proportionate: demand spills while the surge lasts, the map returns to
-// proximity when it recedes, and neither transition oscillates.
+// ClosedLoopFlashCrowd runs the regional flash crowd with the load
+// feedback closed at the pick: each round assigns the surge demand through
+// the published map, and every answer weighs the load the answers before it
+// landed (the balance factor re-ranks the first live head entries by
+// utilization). The paper's mapping system reacts to "liveness, capacity,
+// and other real-time information" — this drill checks the reaction is
+// proportionate: demand spills while the surge lasts and the assignments
+// return to proximity when it recedes.
 func ClosedLoopFlashCrowd(lab *Lab, cfg ClosedLoopConfig) (*ClosedLoopResult, *Report, error) {
 	return closedLoopFlashCrowd(lab, cfg, nil)
 }
@@ -164,17 +140,6 @@ func closedLoopFlashCrowd(lab *Lab, cfg ClosedLoopConfig, depths *spillDepths) (
 		Policy: mapping.EndUser, PingTargets: cfg.PingTargets, BalanceFactor: cfg.Beta,
 	})
 	mm := mapmaker.New(sys, mapmaker.Config{})
-	// EWMA at half the round interval keeps the smoothed signal responsive
-	// (a sustained surge crosses within a round) while still draining to
-	// zero within the quiet tail.
-	lm := mapmaker.NewLoadMonitor(mm, mapmaker.LoadSignalConfig{
-		EWMA:         cfg.Interval / 2,
-		MinRepublish: cfg.Interval / 2,
-		MaxSignalAge: time.Hour,
-	})
-	now := loadLoopT0
-	lm.SetClock(func() time.Time { return now })
-	sys.SetUtilizationSource(lm)
 
 	res := &ClosedLoopResult{}
 	rep := &Report{
@@ -188,7 +153,7 @@ func closedLoopFlashCrowd(lab *Lab, cfg ClosedLoopConfig, depths *spillDepths) (
 	for r, mult := range cfg.Multiples {
 		lab.Platform.ResetLoad()
 		// Model the standalone refresh cadence: one periodic rebuild per
-		// round, plus whatever ReasonLoad crossings the monitor queued.
+		// round.
 		mm.Notify(mapmaker.ReasonPeriodic)
 		sn := mm.Sync()
 
@@ -217,28 +182,20 @@ func closedLoopFlashCrowd(lab *Lab, cfg ClosedLoopConfig, depths *spillDepths) (
 			}
 			dist.Add(geo.Distance(b.Loc, resp.Deployment.Loc), b.Demand)
 		}
-		maxUtil, overflow, landed := 0.0, 0.0, 0.0
-		for _, d := range lab.Platform.Deployments {
-			if u := d.Utilisation(); u > maxUtil {
-				maxUtil = u
-			}
-			landed += d.Load()
-			if over := d.Load() - d.Capacity(); over > 0 {
-				overflow += over
-			}
-		}
-		// Close the loop: the monitor observes this round's utilization at
-		// the round boundary and republishes on smoothed crossings.
-		now = now.Add(cfg.Interval)
-		lm.Tick(lab.Platform, now)
-
 		row1 := ClosedLoopRow{
 			Round: r, LoadMultiple: mult, Epoch: sn.Epoch(),
 			SpillFraction: spilled / total,
 			MeanDistance:  dist.Mean(),
 			P95Distance:   dist.Percentile(95),
-			MaxUtil:       maxUtil,
-			Overloaded:    lm.Overloaded(),
+		}
+		overflow, landed := 0.0, 0.0
+		for _, d := range lab.Platform.Deployments {
+			row1.MaxUtil = max(row1.MaxUtil, d.Utilisation())
+			landed += d.Load()
+			if over := d.Load() - d.Capacity(); over > 0 {
+				overflow += over
+				row1.Overloaded++
+			}
 		}
 		if landed > 0 {
 			row1.OverloadShare = overflow / landed
@@ -249,21 +206,13 @@ func closedLoopFlashCrowd(lab *Lab, cfg ClosedLoopConfig, depths *spillDepths) (
 		}
 		res.Rows = append(res.Rows, row1)
 		rep.Rows = append(rep.Rows, row(r, mult, fmt.Sprint(row1.Epoch), 100*row1.SpillFraction,
-			row1.MeanDistance, 100*row1.RemapFraction, fmt.Sprintf("%.2f", maxUtil), row1.Overloaded))
+			row1.MeanDistance, 100*row1.RemapFraction, fmt.Sprintf("%.2f", row1.MaxUtil), row1.Overloaded))
 		if first == nil {
 			first = cur
 		}
 		prev = cur
 	}
 
-	res.Notifies = lm.Notifies()
-	res.Damped = lm.Damped()
-	res.WindowViolations = lm.WindowViolations()
-	for _, d := range lab.Platform.Deployments {
-		if f := lm.Flips(d.ID); f > res.MaxFlips {
-			res.MaxFlips = f
-		}
-	}
 	res.Reconverged = true
 	for id, dep := range first {
 		if prev[id] != dep {
@@ -282,24 +231,12 @@ type BrownoutRow struct {
 	BaselineTargetUtil float64
 	// PeakTargetUtil is its worst utilization across the brownout rounds.
 	PeakTargetUtil float64
-	// FinalTargetUtil is its utilization once the loop settled, averaged
-	// over the last two rounds: a closed loop facing demand that exceeds
-	// remaining capacity has no stable fixed point (a successful shed
-	// drains the very signal that caused it), so the steady state is a
-	// small limit cycle and one round is a biased sample of it.
+	// FinalTargetUtil is its utilization in the final rounds, averaged
+	// over the last two.
 	FinalTargetUtil float64
-	// ShedFraction is how much of its baseline demand the final round
-	// moved elsewhere. The global balancer's hard capacity spill pins a
-	// saturated deployment at exactly its capacity regardless of policy,
-	// so this converges to the same value for every beta.
+	// ShedFraction is how much of its baseline demand the final rounds
+	// moved elsewhere.
 	ShedFraction float64
-	// MapShedFraction is how much of the baseline demand whose rank-table
-	// head was the target deployment the *published map* moved off it by
-	// the final round. At beta=0 the tables never change (the head stays
-	// pinned on the browned-out deployment and every shed request pays a
-	// per-query rescue spill); with the loop closed the map itself
-	// redirects, which is what keeps DNS answers cacheable and consistent.
-	MapShedFraction float64
 	// MeanDistance is the final round's demand-weighted mapping distance.
 	MeanDistance float64
 }
@@ -309,17 +246,17 @@ type BrownoutRow struct {
 // the deployment stays up at reduced capacity). Half capacity at a 0.6
 // healthy utilization leaves the deployment offered 1.2x its remaining
 // capacity: deep enough to saturate it, shallow enough that a map-level
-// shed can bring it back under — the regime where closed-loop feedback
-// and per-query rescue spill behave observably differently.
+// shed can bring it back under — the regime where load-aware picks and
+// hard capacity spill behave observably differently.
 const brownoutCapacityFactor = 0.5
 
 // BrownoutZipf dims the platform's hottest deployment to half capacity
 // under Zipf-distributed content demand and compares how the mapping
 // plane absorbs it across balance factors. At beta=0 only the hard
 // capacity spill in the global load balancer reacts — the deployment
-// saturates and sheds at the margin. With the feedback loop on, the
-// published map itself moves demand off the browned-out deployment
-// before saturation, at a bounded distance cost.
+// saturates and sheds at the margin. With a balance factor, picks move
+// demand off the browned-out deployment before saturation, at a bounded
+// distance cost.
 func BrownoutZipf(lab *Lab, betas []float64) ([]BrownoutRow, *Report, error) {
 	return brownoutZipf(lab, betas, nil)
 }
@@ -338,7 +275,7 @@ func brownoutZipf(lab *Lab, betas []float64, depths *spillDepths) ([]BrownoutRow
 	rep := &Report{
 		ID:      "brownout",
 		Caption: fmt.Sprintf("Deployment brownout to %d%% capacity under Zipf demand, by balance factor", int(100*brownoutCapacityFactor)),
-		Columns: []string{"beta", "baseline-util", "peak-util", "final-util", "shed-pct", "map-shed-pct", "mean-dist-mi"},
+		Columns: []string{"beta", "baseline-util", "peak-util", "final-util", "shed-pct", "mean-dist-mi"},
 	}
 	for _, beta := range betas {
 		row1, err := brownoutRun(lab, cat, beta, depths)
@@ -348,17 +285,15 @@ func brownoutZipf(lab *Lab, betas []float64, depths *spillDepths) ([]BrownoutRow
 		rows = append(rows, row1)
 		rep.Rows = append(rep.Rows, row(fmt.Sprintf("%g", beta),
 			fmt.Sprintf("%.2f", row1.BaselineTargetUtil), fmt.Sprintf("%.2f", row1.PeakTargetUtil),
-			fmt.Sprintf("%.2f", row1.FinalTargetUtil), 100*row1.ShedFraction,
-			100*row1.MapShedFraction, row1.MeanDistance))
+			fmt.Sprintf("%.2f", row1.FinalTargetUtil), 100*row1.ShedFraction, row1.MeanDistance))
 	}
 	return rows, rep, nil
 }
 
 // brownoutRun is one balance-factor setting: a healthy calibration round,
-// then brownout rounds with the loop closed.
+// then brownout rounds.
 func brownoutRun(lab *Lab, cat *demand.Catalogue, beta float64, depths *spillDepths) (BrownoutRow, error) {
 	const rounds = 7
-	interval := 10 * time.Second
 
 	lab.Platform.ResetLoad()
 	defer lab.Platform.ResetLoad()
@@ -366,27 +301,15 @@ func brownoutRun(lab *Lab, cat *demand.Catalogue, beta float64, depths *spillDep
 		Policy: mapping.EndUser, PingTargets: 800, BalanceFactor: beta,
 	})
 	mm := mapmaker.New(sys, mapmaker.Config{})
-	var lm *mapmaker.LoadMonitor
-	now := loadLoopT0
-	if beta > 0 {
-		// EWMA at the full round interval damps the loop: a penalty
-		// overshoot (the map shedding everything at once) decays over
-		// several rounds instead of whipsawing the next one.
-		lm = mapmaker.NewLoadMonitor(mm, mapmaker.LoadSignalConfig{
-			EWMA: interval, MinRepublish: interval / 2, MaxSignalAge: time.Hour,
-		})
-		lm.SetClock(func() time.Time { return now })
-		sys.SetUtilizationSource(lm)
-	}
 
 	// Calibration: map the workload once at unit scale to find the
 	// most-utilised deployment, then choose the demand scale that puts it
 	// at 60% utilization while healthy. Calibrating on utilization (not
 	// raw demand) caps the whole platform at 60%, so the brownout is the
 	// only overload in the system — warm enough that losing half the
-	// target's capacity saturates it, cool enough that nothing else trips
-	// the loop.
-	demandOf, _, _, err := brownoutAssign(lab, sys, mm, cat, 1, nil)
+	// target's capacity saturates it, cool enough that nothing else comes
+	// near saturation.
+	demandOf, _, err := brownoutAssign(lab, sys, mm, cat, 1, nil)
 	if err != nil {
 		return BrownoutRow{}, err
 	}
@@ -401,14 +324,14 @@ func brownoutRun(lab *Lab, cat *demand.Catalogue, beta float64, depths *spillDep
 
 	res := BrownoutRow{Beta: beta}
 	defer target.SetCapacityFactor(1)
-	var baselineTargetDemand, baselineHeadDemand float64
-	const settled = 2 // rounds averaged: one full period of the limit cycle
+	var baselineTargetDemand float64
+	const settled = 2 // final rounds averaged
 	for r := 0; r < rounds; r++ {
 		lab.Platform.ResetLoad()
 		if r == 1 {
 			target.SetCapacityFactor(brownoutCapacityFactor)
 		}
-		demandOf, headOf, dist, err := brownoutAssign(lab, sys, mm, cat, scale, depths)
+		demandOf, dist, err := brownoutAssign(lab, sys, mm, cat, scale, depths)
 		if err != nil {
 			return BrownoutRow{}, err
 		}
@@ -417,7 +340,6 @@ func brownoutRun(lab *Lab, cat *demand.Catalogue, beta float64, depths *spillDep
 		case r == 0:
 			res.BaselineTargetUtil = util
 			baselineTargetDemand = demandOf[target.ID]
-			baselineHeadDemand = headOf[target.ID]
 		default:
 			if util > res.PeakTargetUtil {
 				res.PeakTargetUtil = util
@@ -426,56 +348,40 @@ func brownoutRun(lab *Lab, cat *demand.Catalogue, beta float64, depths *spillDep
 		if r >= rounds-settled {
 			res.FinalTargetUtil += util / settled
 			res.ShedFraction += (1 - demandOf[target.ID]/baselineTargetDemand) / settled
-			if baselineHeadDemand > 0 {
-				res.MapShedFraction += (1 - headOf[target.ID]/baselineHeadDemand) / settled
-			}
 			res.MeanDistance += dist.Mean() / settled
-		}
-		now = now.Add(interval)
-		if lm != nil {
-			lm.Tick(lab.Platform, now)
 		}
 	}
 	return res, nil
 }
 
 // brownoutAssign maps every (block, domain) demand share through the
-// current snapshot, returning demand by serving deployment (after the
-// balancer's per-query spill), demand by the block's published rank-table
-// head (before it — what the map alone would do), and the distance
+// current snapshot, returning demand by serving deployment and the distance
 // dataset. One periodic rebuild precedes the pass, as the refresh cadence
 // would in a live process.
-func brownoutAssign(lab *Lab, sys *mapping.System, mm *mapmaker.MapMaker, cat *demand.Catalogue, scale float64, depths *spillDepths) (demandOf, headOf map[uint64]float64, _ *stats.Dataset, _ error) {
+func brownoutAssign(lab *Lab, sys *mapping.System, mm *mapmaker.MapMaker, cat *demand.Catalogue, scale float64, depths *spillDepths) (map[uint64]float64, *stats.Dataset, error) {
 	mm.Notify(mapmaker.ReasonPeriodic)
 	sn := mm.Sync()
-	demandOf = make(map[uint64]float64, len(lab.Platform.Deployments))
-	headOf = make(map[uint64]float64, len(lab.Platform.Deployments))
+	demandOf := make(map[uint64]float64, len(lab.Platform.Deployments))
 	var dist stats.Dataset
 	for _, b := range lab.World.Blocks {
-		if head, _ := sn.Best(b.Endpoint().ID, true); head != nil {
-			headOf[head.ID] += b.Demand * scale
-		}
 		for _, dom := range cat.Domains {
 			d := b.Demand * dom.Popularity * scale
 			resp, err := sys.MapAt(sn, mapping.Request{
 				Domain: dom.Name, LDNS: b.LDNS.Addr, ClientSubnet: b.Prefix, Demand: d,
 			})
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 			depths.record(sn, b.Endpoint().ID, resp.Deployment)
 			demandOf[resp.Deployment.ID] += d
 			dist.Add(geo.Distance(b.Loc, resp.Deployment.Loc), d)
 		}
 	}
-	return demandOf, headOf, &dist, nil
+	return demandOf, &dist, nil
 }
 
 // FrontierRow is one balance-factor point of the cost-vs-balance
-// frontier. Every metric is averaged over the sweep's final rounds: the
-// closed loop hunts around its fixed point (a republish sheds load, the
-// overload exits, the next periodic rebuild pulls demand back), so a
-// single round is a noisy sample of the steady state.
+// frontier. Every metric is averaged over the sweep's final rounds.
 type FrontierRow struct {
 	Beta          float64
 	MeanDistance  float64
@@ -517,8 +423,7 @@ func balanceFrontier(lab *Lab, betas []float64, country string, depths *spillDep
 		cfg := ClosedLoopConfig{
 			Country: country,
 			Beta:    beta,
-			// Enough sustained rounds for the loop to reach its fixed point
-			// before the rounds the row averages over.
+			// The sustained surge; the row averages its final rounds.
 			Multiples: []float64{0, 2, 2, 2, 2, 2, 2, 2},
 		}
 		if beta == 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,9 +22,10 @@ import (
 	"eum/internal/world"
 )
 
-// TestLoadChaos is the load-feedback chaos drill: the full UDP serving
-// stack with the closed feedback loop live — per-answer demand
-// accounting, EWMA load monitor, load-aware map rebuilds — under
+// TestLoadChaos is the load-aware picking chaos drill: the full UDP serving
+// stack with load-aware picks live — per-answer demand accounting, the
+// decay that turns it into a rate, the balance factor re-ranking each
+// answer's first live candidates — under
 //
 //   - a regional flash crowd (the middle phase hammers one country's
 //     blocks),
@@ -32,39 +34,39 @@ import (
 //   - >=10% packet loss with duplication and reordering on every socket,
 //   - continuous map churn (a publish every few milliseconds).
 //
-// The resilience contract: at least 99% of lookups still succeed, the
-// monitor never violates its own damping window (zero oscillation-window
-// violations), the loop demonstrably engaged (threshold crossings
-// happened), and when the load feed is killed at the end the builder
-// degrades to proximity-only scoring via the stale-signal tripwire
-// instead of acting on dead gauges — while queries keep succeeding.
+// The resilience contract: at least 99% of lookups still succeed, and when
+// the load feed is killed at the end queries keep succeeding. And the
+// balance factor demonstrably acted: some surge answers passed over a
+// deployment ranked ahead of theirs that still had a fifth of its capacity
+// free. Hard capacity spill (β = 0) passes a deployment over only when the
+// answer's demand does not fit in it, so that count is 0 without β.
 func TestLoadChaos(t *testing.T) {
+	const (
+		beta = 2
+		// demand is what each answer records on its primary server (whose
+		// capacity is 1): small enough that the drill's few hundred
+		// answers load the platform without saturating all of it, which
+		// leaves the picker a choice.
+		demand = 0.05
+		// decayTau drains the demand counters into a rate, on eumdns's
+		// time constant.
+		decayTau = 30 * time.Second
+	)
 	w := world.MustGenerate(world.Config{Seed: 11, NumBlocks: 400})
 	p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 11, NumDeployments: 12, ServersPerDeployment: 4})
 	sys := mapping.NewSystem(w, p, netmodel.NewDefault(), mapping.Config{
 		Policy: mapping.EndUser, TTL: 500 * time.Millisecond, PingTargets: 100,
-		BalanceFactor: 2,
+		BalanceFactor: beta,
 	})
 	mm := mapmaker.New(sys, mapmaker.Config{Interval: time.Hour})
-	lm := mapmaker.NewLoadMonitor(mm, mapmaker.LoadSignalConfig{
-		EnterUtil:  0.8,
-		Hysteresis: 0.3,
-		EWMA:       150 * time.Millisecond,
-		// Aggressive republish cadence so the loop reacts within the
-		// test's short phases; the window-violation tripwire still must
-		// hold at any cadence.
-		MinRepublish: 50 * time.Millisecond,
-		MaxSignalAge: 400 * time.Millisecond,
-	})
-	sys.SetUtilizationSource(lm)
 
 	auth, err := authority.New("cdn.example.net", sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Close the loop through the real answer path: every answer records one
-	// demand unit against the deployment it handed out.
-	auth.SetAnswerDemand(1)
+	// Close the loop through the real answer path: every answer records
+	// demand against the deployment it handed out.
+	auth.SetAnswerDemand(demand)
 
 	// Transport: >=10% loss both directions, duplication, reordering.
 	inj := faultnet.NewInjector(faultnet.Config{
@@ -86,9 +88,8 @@ func TestLoadChaos(t *testing.T) {
 	go func() { _ = srv.Serve() }()
 	defer srv.Close()
 
-	// Map churn: a publish every 5ms for the whole run. Each build reads
-	// the monitor's smoothed gauges, so load-aware rebuilds and the stale
-	// fence both run constantly under fire.
+	// Map churn: a publish every 5ms for the whole run, so picks read a
+	// freshly installed snapshot under fire.
 	churnStop := make(chan struct{})
 	var churn sync.WaitGroup
 	churn.Add(1)
@@ -110,32 +111,64 @@ func TestLoadChaos(t *testing.T) {
 		churn.Wait()
 	}()
 
-	// The feedback loop's sampling goroutine, as cmd/eumdns runs it: decay
-	// the cumulative demand counters toward a rate, then sample.
+	// The load feed, as cmd/eumdns runs it: decay the cumulative demand
+	// counters toward a rate.
 	tickStop := make(chan struct{})
 	var ticker sync.WaitGroup
 	ticker.Add(1)
 	go func() {
 		defer ticker.Done()
 		const every = 10 * time.Millisecond
-		decay := math.Exp(-float64(every) / float64(lm.Config().EWMA))
+		decay := math.Exp(-float64(every) / float64(decayTau))
 		tick := time.NewTicker(every)
 		defer tick.Stop()
 		for {
 			select {
 			case <-tickStop:
 				return
-			case now := <-tick.C:
+			case <-tick.C:
 				p.ScaleLoad(decay)
-				lm.Tick(p, now)
 			}
 		}
 	}()
 
+	// passedWithRoom counts answers that passed over a deployment ranked
+	// ahead of theirs while it had at least a fifth of its capacity free,
+	// read as each answer arrives. Hard spill passes a deployment over
+	// only when the demand does not fit, and the decay frees under 0.1%
+	// of a load per 10 ms tick, so without β the count stays 0.
+	var passedWithRoom atomic.Uint64
+	serving := map[netip.Addr]*cdn.Deployment{}
+	for _, d := range p.Deployments {
+		for _, srv := range d.Servers {
+			serving[srv.Addr] = d
+		}
+	}
+	checkPick := func(block *world.ClientBlock, resp *dnsmsg.Message) {
+		a, ok := resp.Answers[0].Data.(*dnsmsg.A)
+		if !ok {
+			return
+		}
+		picked := serving[a.Addr]
+		row, _ := sys.Current().ClientRow(block.Prefix)
+		row.Walk(func(_ int, c mapping.Ranked) bool {
+			ahead := p.Deployments[c.Dep]
+			if ahead == picked {
+				return false
+			}
+			if ahead.Load()+demand <= 0.8*ahead.Capacity() {
+				passedWithRoom.Add(1)
+				return false
+			}
+			return true
+		})
+	}
+
 	// lookupBurst fires clients*perClient ECS lookups drawn from blocks,
-	// retrying through the lossy path, and tallies failures.
+	// retrying through the lossy path, and tallies failures; with check
+	// set it also checks every answer's pick (checkPick).
 	var failures, total atomic.Uint64
-	lookupBurst := func(clients, perClient int, blocks []*world.ClientBlock) {
+	lookupBurst := func(clients, perClient int, blocks []*world.ClientBlock, check bool) {
 		var wg sync.WaitGroup
 		for g := 0; g < clients; g++ {
 			wg.Add(1)
@@ -154,6 +187,8 @@ func TestLoadChaos(t *testing.T) {
 						"img.cdn.example.net", dnsmsg.TypeA, block.Prefix)
 					if err != nil || resp.RCode != dnsmsg.RCodeSuccess || len(resp.Answers) == 0 {
 						failures.Add(1)
+					} else if check {
+						checkPick(block, resp)
 					}
 				}
 			}(g)
@@ -162,7 +197,7 @@ func TestLoadChaos(t *testing.T) {
 	}
 
 	// Phase A — baseline: global traffic warms the demand gauges.
-	lookupBurst(4, 50, w.Blocks)
+	lookupBurst(4, 50, w.Blocks, false)
 
 	// Phase B — flash crowd + brownout: the country with the most blocks
 	// surges, and mid-surge the currently hottest deployment browns out to
@@ -180,58 +215,29 @@ func TestLoadChaos(t *testing.T) {
 		}
 	}
 	hot.SetCapacityFactor(0.15)
-	lookupBurst(8, 60, surge.Blocks)
+	lookupBurst(8, 60, surge.Blocks, true)
 	hot.SetCapacityFactor(1)
 
-	// Phase C — kill the load feed: stop the sampling goroutine and let
-	// every gauge age past MaxSignalAge while churn keeps rebuilding. The
-	// builder must fall back to proximity-only scoring (tripwire counts
-	// up) and serving must not degrade.
+	// Phase C — kill the load feed: stop the decay goroutine, so the
+	// demand counters only grow. Serving must not degrade.
 	close(tickStop)
 	ticker.Wait()
-	time.Sleep(lm.Config().MaxSignalAge + 200*time.Millisecond)
-	staleBefore := lm.StaleSignals()
-	lookupBurst(4, 50, w.Blocks)
-	// One more churn interval so at least one build definitely ran after
-	// the burst began.
-	time.Sleep(20 * time.Millisecond)
+	lookupBurst(4, 50, w.Blocks, false)
 
 	success := 1 - float64(failures.Load())/float64(total.Load())
-	loadRebuilds, builderStale := sys.Builder().LoadStats()
-	t.Logf("load chaos: %d queries, %.2f%% success, %d failures", total.Load(), success*100, failures.Load())
-	t.Logf("monitor: notifies=%d damped=%d crossings=%d window_violations=%d overloaded=%d",
-		lm.Notifies(), lm.Damped(), lm.Crossings(), lm.WindowViolations(), lm.Overloaded())
-	t.Logf("builder: load_rebuilds=%d stale_signals=%d (monitor tripwire %d); published=%d",
-		loadRebuilds, builderStale, lm.StaleSignals(), mm.Published())
+	t.Logf("load chaos: %d queries, %.2f%% success, %d failures; published=%d",
+		total.Load(), success*100, failures.Load(), mm.Published())
+	t.Logf("balance factor %g: %d surge answers passed over a deployment with room", float64(beta), passedWithRoom.Load())
 	t.Logf("transport: forwarded=%d dropped=%d duplicated=%d",
 		inj.Stats.Forwarded.Load(), inj.Stats.Dropped.Load(), inj.Stats.Duplicated.Load())
 
 	if success < 0.99 {
 		t.Errorf("success rate %.4f < 0.99", success)
 	}
-	if v := lm.WindowViolations(); v != 0 {
-		t.Errorf("window violations = %d, want 0 (notification outside the damping window)", v)
-	}
-	if lm.Crossings() == 0 {
-		t.Error("no overload crossings — the feedback loop never engaged")
-	}
-	if lm.Notifies() == 0 {
-		t.Error("no load notifies reached the change feed")
-	}
-	if lm.StaleSignals() <= staleBefore {
-		t.Errorf("stale-signal tripwire did not advance after the feed died (%d -> %d)",
-			staleBefore, lm.StaleSignals())
-	}
 	if mm.Published() < 50 {
 		t.Errorf("published only %d snapshots — map churn too slow", mm.Published())
 	}
-	// Oscillation guard: a surge-and-recede plus one brownout gives each
-	// deployment a handful of overload transitions, not dozens. The bound
-	// is loose because wall-clock timing under load varies, but it fails
-	// loudly if the loop thrashes every tick.
-	for _, d := range p.Deployments {
-		if f := lm.Flips(d.ID); f > 20 {
-			t.Errorf("deployment %s flipped overload state %d times — oscillating", d.Name, f)
-		}
+	if passedWithRoom.Load() == 0 {
+		t.Error("no surge answer passed over a deployment with room — the balance factor never acted")
 	}
 }

@@ -44,11 +44,6 @@ const (
 	ReasonMeasurement
 	// ReasonPeriodic: the refresh cadence elapsed.
 	ReasonPeriodic
-	// ReasonLoad: the smoothed load signal crossed an overload (or
-	// recovery) threshold — the map's distance-vs-load order is stale (see
-	// LoadMonitor). The build re-captures utilization and re-ranks tables
-	// against it.
-	ReasonLoad
 )
 
 // Config parameterises a MapMaker.
@@ -307,12 +302,6 @@ func (m *MapMaker) tryBuild(r Reason, scopeAll bool, scopeIDs []uint64) (sn *map
 		} else {
 			m.sys.Builder().MarkMeasurementsDirty(scopeIDs...)
 		}
-	}
-	if r&ReasonLoad != 0 {
-		// A load-threshold crossing: force the builder to re-capture the
-		// utilization vector and re-rank against it (no measurement
-		// recompute — scorer caches stay warm).
-		m.sys.Builder().MarkLoadDirty()
 	}
 	start := time.Now()
 	sn = m.sys.Rebuild()

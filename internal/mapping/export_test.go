@@ -15,7 +15,7 @@ func LayoutOf(sb *SnapshotBuilder) *Layout {
 
 // FillAll ranks every row of the builder's layout into arena.
 func FillAll(sb *SnapshotBuilder, lay *Layout, arena []Ranked) {
-	sb.fillRows(lay, sb.segs, upTo(lay.Rows()), arena, nil)
+	sb.fillRows(lay, sb.segs, upTo(lay.Rows()), arena)
 }
 
 // BootSnapshot builds a replica's epoch-0 map.

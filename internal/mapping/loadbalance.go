@@ -26,18 +26,19 @@ type LoadBalancer struct {
 	ServersPerAnswer int
 	// VirtualNodes is the number of ring positions per server. Default 32.
 	VirtualNodes int
-	// LoadPenalty, when positive, makes the global choice load-aware
-	// before hard saturation: candidates are re-ranked among the best few
-	// by score x (1 + LoadPenalty x utilisation^2), shifting traffic off
-	// busy clusters early at a small latency cost. Zero keeps the pure
-	// best-score-first behaviour with hard capacity spill.
-	LoadPenalty float64
+	// BalanceFactor is the distance-vs-load balance factor β. When
+	// positive, the global choice is load-aware before hard saturation:
+	// the first loadAwareWindow live head entries are re-ranked by
+	// score x (1 + β x utilisation^2), shifting traffic off busy clusters
+	// early at a small latency cost. Zero keeps the pure best-score-first
+	// behaviour with hard capacity spill.
+	BalanceFactor float64
 
 	// prepared holds the consistent-hash rings built eagerly by Prepare
-	// for every deployment of the served platform. The map pointed to is
-	// immutable — InvalidateRing replaces the whole map (copy-on-write) —
-	// so the query hot path reads it with one atomic load and no lock.
-	prepared atomic.Pointer[map[uint64]*ring]
+	// for every deployment of the served platform. Prepare fills it before
+	// the balancer is shared and nothing writes it afterwards, so the
+	// query hot path reads it with no lock.
+	prepared map[uint64]*ring
 
 	// tailPicks counts PickDeployment calls the head did not decide.
 	tailPicks atomic.Uint64
@@ -57,15 +58,12 @@ func NewLoadBalancer() *LoadBalancer {
 
 // Prepare eagerly builds the consistent-hash ring for every deployment of
 // the platform, so the per-query path never takes the ring lock. Call it
-// once before serving; server membership changes in prepared deployments
-// still go through InvalidateRing, which rebuilds the affected ring into
-// a fresh map.
+// once, before the balancer is shared.
 func (lb *LoadBalancer) Prepare(p *cdn.Platform) {
-	prepared := make(map[uint64]*ring, len(p.Deployments))
+	lb.prepared = make(map[uint64]*ring, len(p.Deployments))
 	for _, d := range p.Deployments {
-		prepared[d.ID] = newRing(d, lb.VirtualNodes)
+		lb.prepared[d.ID] = newRing(d, lb.VirtualNodes)
 	}
-	lb.prepared.Store(&prepared)
 }
 
 // PickDeployment walks candidates (the head, then the shared tail; each
@@ -79,7 +77,7 @@ func (lb *LoadBalancer) Prepare(p *cdn.Platform) {
 // deployment, so the walk fails only when none is alive; a pick the head
 // alone could not decide is counted in TailPicks.
 func (lb *LoadBalancer) PickDeployment(deps []*cdn.Deployment, candidates Row, demand float64) (*cdn.Deployment, error) {
-	if lb.LoadPenalty > 0 {
+	if lb.BalanceFactor > 0 {
 		if d := lb.pickLoadAware(deps, candidates, demand); d != nil {
 			return d, nil
 		}
@@ -114,8 +112,11 @@ func (lb *LoadBalancer) PickDeployment(deps []*cdn.Deployment, candidates Row, d
 // the shared tail was read.
 func (lb *LoadBalancer) TailPicks() uint64 { return lb.tailPicks.Load() }
 
-// loadAwareWindow is how many top candidates the load-aware picker
+// loadAwareWindow is how many top live candidates the load-aware picker
 // re-ranks; beyond it, scores are already too poor to be worth the trade.
+// On the Full lab's balance-factor frontier, windows of 2 to 16 land within
+// a few miles of each other; re-ranking the whole head costs up to 30 mi of
+// mean distance more.
 const loadAwareWindow = 8
 
 // pickLoadAware re-ranks the best few live candidates of the head by
@@ -138,7 +139,7 @@ func (lb *LoadBalancer) pickLoadAware(deps []*cdn.Deployment, candidates Row, de
 			continue
 		}
 		util := d.Load() / cap
-		eff := c.Score() * (1 + lb.LoadPenalty*util*util)
+		eff := c.Score() * (1 + lb.BalanceFactor*util*util)
 		if best == nil || eff < bestEff {
 			best, bestEff = d, eff
 		}
@@ -163,10 +164,8 @@ func (lb *LoadBalancer) PickServers(d *cdn.Deployment, domain string, demand flo
 
 func (lb *LoadBalancer) ringFor(d *cdn.Deployment) *ring {
 	// Fast path: the prepared, immutable ring set — no lock.
-	if pm := lb.prepared.Load(); pm != nil {
-		if r, ok := (*pm)[d.ID]; ok {
-			return r
-		}
+	if r, ok := lb.prepared[d.ID]; ok {
+		return r
 	}
 	lb.mu.RLock()
 	r, ok := lb.rings[d.ID]
@@ -182,27 +181,6 @@ func (lb *LoadBalancer) ringFor(d *cdn.Deployment) *ring {
 	r = newRing(d, lb.VirtualNodes)
 	lb.rings[d.ID] = r
 	return r
-}
-
-// InvalidateRing drops the cached ring for a deployment (e.g. after server
-// membership changes). For prepared deployments the ring is rebuilt into a
-// fresh copy of the prepared map and swapped in atomically. Liveness
-// changes alone do not require invalidation: dead servers are skipped at
-// pick time.
-func (lb *LoadBalancer) InvalidateRing(d *cdn.Deployment) {
-	lb.mu.Lock()
-	delete(lb.rings, d.ID)
-	if pm := lb.prepared.Load(); pm != nil {
-		if _, ok := (*pm)[d.ID]; ok {
-			next := make(map[uint64]*ring, len(*pm))
-			for k, v := range *pm {
-				next[k] = v
-			}
-			next[d.ID] = newRing(d, lb.VirtualNodes)
-			lb.prepared.Store(&next)
-		}
-	}
-	lb.mu.Unlock()
 }
 
 // ring is a consistent-hash ring over a deployment's servers.

@@ -210,33 +210,6 @@ func TestConsistentHashingBalance(t *testing.T) {
 	}
 }
 
-func TestInvalidateRing(t *testing.T) {
-	lb := NewLoadBalancer()
-	d := testDeployment(14, 4)
-	if _, err := lb.PickServers(d, "a.net", 0); err != nil {
-		t.Fatal(err)
-	}
-	// Add a server out-of-band; ring must be rebuilt after invalidation.
-	extra := testDeployment(15, 1).Servers[0]
-	d.Servers = append(d.Servers, extra)
-	lb.InvalidateRing(d)
-	found := false
-	for i := 0; i < 500 && !found; i++ {
-		s, err := lb.PickServers(d, fmt.Sprintf("n%d.net", i), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, srv := range s {
-			if srv.ID == extra.ID {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Error("new server never selected after ring invalidation")
-	}
-}
-
 func TestScorerBestMatchesRankHead(t *testing.T) {
 	sc := NewScorer(testW, testP, testNet, 500)
 	ep := testW.Blocks[10].Endpoint()
@@ -299,7 +272,7 @@ func TestScorerBestWeighted(t *testing.T) {
 
 func TestLoadAwareSheddingBeforeSaturation(t *testing.T) {
 	lb := NewLoadBalancer()
-	lb.LoadPenalty = 10
+	lb.BalanceFactor = 10
 	d1 := testDeployment(20, 4) // best score
 	d2 := testDeployment(21, 4) // slightly worse score
 	deps := []*cdn.Deployment{d1, d2}
@@ -336,9 +309,50 @@ func TestLoadAwareSheddingBeforeSaturation(t *testing.T) {
 	}
 }
 
+// TestBalanceZeroByteIdentical: the balance factor acts where the pick is
+// made, so the published map is the same bytes at every β, idle or under
+// load — and only the pick differs: with the deployment nearest a block at
+// 90% utilisation, β = 2 moves the block's answer to another head entry
+// before saturation while β = 0 stays until hard spill.
+func TestBalanceZeroByteIdentical(t *testing.T) {
+	testP.ResetLoad()
+	defer testP.ResetLoad()
+	base := NewSystem(testW, testP, testNet, Config{Policy: EndUser, PingTargets: 600})
+	balanced := NewSystem(testW, testP, testNet, Config{Policy: EndUser, PingTargets: 600, BalanceFactor: 2})
+	sameRows := func(a, b *Snapshot, what string) {
+		t.Helper()
+		if len(a.rows) != len(b.rows) {
+			t.Fatalf("%s: %d rows vs %d", what, len(a.rows), len(b.rows))
+		}
+		for i := range a.rows {
+			if !slices.Equal(a.rows[i], b.rows[i]) {
+				t.Fatalf("%s: row %d differs", what, i)
+			}
+		}
+	}
+	idle := base.Current()
+	sameRows(idle, balanced.Current(), "idle, β=2 vs β=0")
+
+	blk := testW.Blocks[0]
+	hot := depOf(idle.RankOf(blk.Endpoint().ID, true).Head[0])
+	for _, s := range hot.Servers {
+		s.AddLoad(0.9 * s.Capacity())
+	}
+	sameRows(idle, base.Rebuild(), "β=0 under load vs idle")
+	sameRows(idle, balanced.Rebuild(), "β=2 under load vs idle")
+
+	req := Request{Domain: "a.net", LDNS: blk.LDNS.Addr, ClientSubnet: blk.Prefix}
+	if r, err := base.Map(req); err != nil || r.Deployment != hot {
+		t.Fatalf("β=0 pick = %v (%v), want the unsaturated nearest deployment %s", r, err, hot.Name)
+	}
+	if r, err := balanced.Map(req); err != nil || r.Deployment == hot {
+		t.Fatalf("β=2 pick = %v (%v), want it moved off %s at 90%% utilisation", r, err, hot.Name)
+	}
+}
+
 func TestLoadAwareFallsBackWhenAllSaturated(t *testing.T) {
 	lb := NewLoadBalancer()
-	lb.LoadPenalty = 5
+	lb.BalanceFactor = 5
 	d1 := testDeployment(22, 2)
 	for _, s := range d1.Servers {
 		s.AddLoad(s.Capacity() * 2)

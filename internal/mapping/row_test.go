@@ -280,29 +280,22 @@ func TestTwoLevelPickMatchesFullRow(t *testing.T) {
 
 // TestBestIntoSelectsThePrefix checks the head selection against the sort
 // it replaces, ties included — a prober that returns few distinct pings
-// makes the deployment index decide most positions — in proximity order and
-// in a composite order that moves loaded deployments back.
+// makes the deployment index decide most positions.
 func TestBestIntoSelectsThePrefix(t *testing.T) {
 	sc := NewScorer(testW, testP, coarseProber{}, 0)
 	n := len(testP.Deployments)
-	factors := make([]float64, n)
-	for i := range factors {
-		factors[i] = 1 + float64(i%5)
-	}
 	scored, full := make([]Ranked, n), make([]Ranked, n)
 	for i := 0; i < len(testW.Blocks); i += 211 {
 		sc.scoreInto(scored, make([]float64, len(scored)), testW.Blocks[i].Endpoint())
-		for _, order := range []rowOrder{{}, {factors}} {
-			bestInto(full, scored, order)
-			if !slices.IsSortedFunc(full, order.compare) {
-				t.Fatalf("block %d: the full ranking is not sorted", i)
-			}
-			for _, k := range []int{1, 2, rankHead, n - 1} {
-				head := make([]Ranked, k)
-				bestInto(head, scored, order)
-				if !slices.Equal(head, full[:k]) {
-					t.Fatalf("block %d: the %d selected are not the first %d sorted", i, k, k)
-				}
+		bestInto(full, scored)
+		if !slices.IsSortedFunc(full, compareRanked) {
+			t.Fatalf("block %d: the full ranking is not sorted", i)
+		}
+		for _, k := range []int{1, 2, rankHead, n - 1} {
+			head := make([]Ranked, k)
+			bestInto(head, scored)
+			if !slices.Equal(head, full[:k]) {
+				t.Fatalf("block %d: the %d selected are not the first %d sorted", i, k, k)
 			}
 		}
 	}
@@ -310,9 +303,8 @@ func TestBestIntoSelectsThePrefix(t *testing.T) {
 
 // TestHeadIntoMatchesBestInto holds the pruned head selection to the one
 // that scores every deployment, entry for entry and bit for bit: at every
-// head length from one to the whole platform, in proximity order and in a
-// composite order (load factors of at least 1 only raise keys above the
-// pings the floor bounds), for blocks, resolvers, the poles, the
+// head length from one to the whole platform, for blocks, resolvers, the
+// poles, the
 // antimeridian and a point one of the tied-at-cut platform's groups of
 // deployments sits on — and with the walk meeting deployments at one
 // latitude in falling index order, so that a tie the window holds is
@@ -338,10 +330,6 @@ func TestHeadIntoMatchesBestInto(t *testing.T) {
 			}
 		}
 		n := len(p.Deployments)
-		factors := make([]float64, n)
-		for i := range factors {
-			factors[i] = 1 + float64(i%5)*0.25
-		}
 		eps := []netmodel.Endpoint{
 			{ID: 1 << 40, Loc: geo.Point{Lat: 90, Lon: 0}},
 			{ID: 1<<40 + 1, Loc: geo.Point{Lat: -90, Lon: 120}},
@@ -358,64 +346,16 @@ func TestHeadIntoMatchesBestInto(t *testing.T) {
 		scored, want := make([]Ranked, n), make([]Ranked, n)
 		for _, ep := range eps {
 			sc.scoreInto(scored, make([]float64, n), ep)
-			for _, order := range []rowOrder{{}, {factors}} {
-				for _, k := range []int{1, 2, rankHead, HeadLen(n), n - 1, n} {
-					bestInto(want[:k], scored, order)
-					got := make([]Ranked, k)
-					sc.headInto(got, ep, order, sc.newHeadScratch(k))
-					if !slices.Equal(got, want[:k]) {
-						t.Fatalf("%d deployments, endpoint at %v, head of %d (factors %v): headInto differs from bestInto",
-							n, ep.Loc, k, order.factors != nil)
-					}
+			for _, k := range []int{1, 2, rankHead, HeadLen(n), n - 1, n} {
+				bestInto(want[:k], scored)
+				got := make([]Ranked, k)
+				sc.headInto(got, ep, sc.newHeadScratch(k))
+				if !slices.Equal(got, want[:k]) {
+					t.Fatalf("%d deployments, endpoint at %v, head of %d: headInto differs from bestInto",
+						n, ep.Loc, k)
 				}
 			}
 		}
-	}
-}
-
-// TestLoadMovesDeploymentsOutOfHeads pins what the balance factor is for
-// on a two-level map: a head is the best of the composite distance-vs-load
-// order over the whole platform, so a deployment hot enough leaves the
-// heads it was nearest in and the walk reaches it only in the tail, while
-// heads that never held it are untouched — and every row, head then tail,
-// is the composite order of the full ranking it was cut from.
-func TestLoadMovesDeploymentsOutOfHeads(t *testing.T) {
-	testP.ResetLoad()
-	defer testP.ResetLoad()
-	b := NewSnapshotBuilder(testW, testP, testNet, Config{Policy: EndUser, PingTargets: 300, BalanceFactor: 8})
-	cold := b.Build(1, EndUser)
-	hot, _ := cold.Best(testW.Blocks[0].ID, true)
-	hotAt := uint32(slices.Index(testP.Deployments, hot))
-	hot.Servers[0].AddLoad(4 * hot.Capacity())
-	warm := b.Build(2, EndUser)
-
-	order := rowOrder{b.loadFactors(b.prevUtil)}
-	holds := func(head []Ranked) bool {
-		return slices.ContainsFunc(head, func(c Ranked) bool { return c.Dep == hotAt })
-	}
-	left := 0
-	for s, seg := range b.segs {
-		before, after := cold.rows[s], warm.rows[s]
-		full := fullRank(b.Scorer(), b.Scorer().segProxy(seg))
-		slices.SortFunc(full, order.compare)
-		if !slices.Equal(after, full[:warm.lay.TableLen]) {
-			t.Fatalf("segment %d: head is not the first %d of the composite order", s, warm.lay.TableLen)
-		}
-		switch {
-		case !holds(before) && !slices.Equal(before, after):
-			t.Fatalf("segment %d: head changed though it never held the hot deployment", s)
-		case holds(before) && !holds(after):
-			left++
-		}
-		if tail := warm.rows[len(b.segs)+int(warm.lay.SegTail[s])]; !holds(tail) {
-			t.Fatalf("segment %d: the hot deployment is not in its tail", s)
-		}
-	}
-	if left == 0 {
-		t.Fatal("the hot deployment left no head")
-	}
-	if d, _ := warm.Best(testW.Blocks[0].ID, true); d == hot {
-		t.Fatal("the block nearest the hot deployment is still mapped to it first")
 	}
 }
 

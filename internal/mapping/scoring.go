@@ -340,39 +340,39 @@ func (s *Scorer) scoreInto(scored []Ranked, pings []float64, proxy netmodel.Endp
 	}
 }
 
-// bestInto writes the len(dst) best of scored into dst, best first under
-// order: the whole ranking when dst is as long as scored (they may be the
-// same slice), otherwise exactly its first len(dst) entries, selected
-// without sorting the rest.
-func bestInto(dst, scored []Ranked, order rowOrder) {
+// bestInto writes the len(dst) best of scored into dst, best first: the
+// whole ranking when dst is as long as scored (they may be the same slice),
+// otherwise exactly its first len(dst) entries, selected without sorting
+// the rest.
+func bestInto(dst, scored []Ranked) {
 	if len(dst) == len(scored) {
 		copy(dst, scored)
-		slices.SortFunc(dst, order.compare)
+		slices.SortFunc(dst, compareRanked)
 		return
 	}
-	w := window{dst: dst, order: order}
+	w := window{dst: dst}
 	for _, r := range scored {
 		w.offer(r)
 	}
 }
 
-// window selects the best entries offered to it, sorted under order, into
-// dst: once len(dst) are held, an entry offered goes in only if it ranks
-// ahead of the worst held, which it displaces. The order is total, so what
-// the window ends up holding does not depend on the order of the offers.
+// window selects the best entries offered to it, sorted under
+// compareRanked, into dst: once len(dst) are held, an entry offered goes in
+// only if it ranks ahead of the worst held, which it displaces. The order
+// is total, so what the window ends up holding does not depend on the
+// order of the offers.
 type window struct {
 	dst   []Ranked
 	n     int     // entries held, dst[:n]
-	worst float64 // order.key(dst[n-1]) once the window is full
-	order rowOrder
+	worst float64 // dst[n-1]'s score once the window is full
 }
 
 // full reports whether the window holds len(dst) entries, and so whether
 // worst is set.
 func (w *window) full() bool { return w.n == len(w.dst) }
 
-// bound returns the key above which an offer cannot go in: the worst held
-// once the window is full, +Inf until then.
+// bound returns the score above which an offer cannot go in: the worst
+// held once the window is full, +Inf until then.
 func (w *window) bound() float64 {
 	if w.full() {
 		return w.worst
@@ -380,14 +380,20 @@ func (w *window) bound() float64 {
 	return math.Inf(1)
 }
 
+// before reports whether a, scoring sa, ranks ahead of b, scoring sb: the
+// scores decide unless they are equal, and then the deployment index does.
+func before(a Ranked, sa float64, b Ranked, sb float64) bool {
+	return sa < sb || sa == sb && a.Dep < b.Dep
+}
+
 // offer places r. Almost every candidate loses to the window's worst entry,
-// and a key above the worst's says so in one float compare; the rest are
-// placed by binary search on the keys. Only equal keys need the order's
-// tie-breaks.
+// and a score above the worst's says so in one float compare; the rest are
+// placed by binary search on the scores. Only equal scores need the
+// deployment tie-break.
 func (w *window) offer(r Ranked) {
-	k := w.order.key(r)
+	k := r.Score()
 	if w.full() {
-		if !w.order.before(r, k, w.dst[w.n-1], w.worst) {
+		if !before(r, k, w.dst[w.n-1], w.worst) {
 			return
 		}
 		w.n--
@@ -395,7 +401,7 @@ func (w *window) offer(r Ranked) {
 	lo, hi := 0, w.n
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if w.order.before(w.dst[m], w.order.key(w.dst[m]), r, k) {
+		if before(w.dst[m], w.dst[m].Score(), r, k) {
 			lo = m + 1
 		} else {
 			hi = m
@@ -404,7 +410,7 @@ func (w *window) offer(r Ranked) {
 	copy(w.dst[lo+1:w.n+1], w.dst[lo:w.n])
 	w.dst[lo] = r
 	if w.n++; w.full() {
-		w.worst = w.order.key(w.dst[w.n-1])
+		w.worst = w.dst[w.n-1].Score()
 	}
 }
 
@@ -427,7 +433,7 @@ func (s *Scorer) newHeadScratch(headLen int) *headScratch {
 }
 
 // headInto writes into dst what scoreInto and then bestInto would — the
-// len(dst) best deployments for proxy, best first under order — measuring
+// len(dst) best deployments for proxy, best first — measuring
 // only the deployments that could enter it. A deployment's ping floor is
 // PingFloorPerMile times its chord floor (geo.Prepared.FloorTo), plus
 // PingFloorCrossingMs when it is in another AS than proxy; a latitude
@@ -436,13 +442,12 @@ func (s *Scorer) newHeadScratch(headLen int) *headScratch {
 // both frontiers' are above the len(dst)-th lowest floor met, and measures
 // the deployments with the len(dst) lowest to fill dst. Then it offers dst
 // every other deployment met whose floor is not strictly above dst's worst
-// key, and walks on until both frontiers' floors are. What the first part
+// score, and walks on until both frontiers' floors are. What the first part
 // picks decides only how much is measured. A deployment passed over pings
-// above that key — and keys no lower than its ping, order's load factors
-// being at least 1 — so it would lose even a tie. Kept scores come from the
+// above that score, so it would lose even a tie. Kept scores come from the
 // same kernel as every other and the window's order is total, so dst's
 // bits are bestInto's. It needs the row form (s.rows).
-func (s *Scorer) headInto(dst []Ranked, proxy netmodel.Endpoint, order rowOrder, scratch *headScratch) {
+func (s *Scorer) headInto(dst []Ranked, proxy netmodel.Endpoint, scratch *headScratch) {
 	at := geo.Prepare(proxy.Loc)
 	perMile, crossing := s.rows.PingFloorPerMile(), s.rows.PingFloorCrossingMs()
 	floor := func(i int) float64 {
@@ -461,7 +466,7 @@ func (s *Scorer) headInto(dst []Ranked, proxy netmodel.Endpoint, order rowOrder,
 		met = append(met, r)
 		low.offer(r)
 	}
-	head := window{dst: dst, order: order}
+	head := window{dst: dst}
 	for _, r := range low.dst[:low.n] {
 		scratch.held[r.Dep] = true
 		head.offer(measure(r.Dep))

@@ -272,8 +272,8 @@ func (sn *Snapshot) CANSCandidates(addr netip.Addr) Row {
 // incremental: only partitions whose ping targets were marked dirty since
 // the last build are re-ranked, untouched table segments are shared with
 // the previous snapshot. Tables are ranked straight into the arena that is
-// published, so at a zero balance factor the published snapshot is the
-// only copy of the map the process holds.
+// published, so the published snapshot is the only copy of the map the
+// process holds.
 //
 // A builder is safe for concurrent use; builds serialize on an internal
 // mutex. The intended use is a single MapMaker goroutine building
@@ -302,30 +302,7 @@ type SnapshotBuilder struct {
 	dirtyAll     bool
 	dirtyTargets map[int]struct{}
 
-	// balance is the distance-vs-load balance factor β (Config
-	// .BalanceFactor): tables are ordered by ping·(1 + β·util²). 0 keeps
-	// pure proximity order, byte-identical to the pre-load-scoring builder.
-	balance float64
-	// loadSrc feeds per-deployment utilization at build time (nil: raw
-	// platform gauges); see UtilizationSource.
-	loadSrc UtilizationSource
-	// loadDirty forces the next build to re-rank against a freshly captured
-	// utilization vector (MapMaker's ReasonLoad).
-	loadDirty bool
-	// prevUtil is the quantized utilization vector the previous snapshot's
-	// tables were ordered under; a build whose captured vector differs must
-	// re-rank every table (mixing orders across delta arenas would serve an
-	// inconsistent map).
-	prevUtil []float64
-	// raw, kept only at a positive balance factor, holds every segment's
-	// deployments scored against its measured endpoint (one TailLen-entry
-	// run per segment, in deployment order), so a load re-rank selects and
-	// sorts out of it instead of recomputing measurements.
-	raw []Ranked
-
-	stats            BuildStats
-	loadRebuilds     uint64
-	staleLoadSignals uint64
+	stats BuildStats
 }
 
 // BuildStats reports how a builder has been working: full builds (every
@@ -355,7 +332,6 @@ func newSnapshotBuilder(w *world.World, scorer *Scorer, cfg Config) *SnapshotBui
 		ttl:            cfg.TTL,
 		fallbackLoc:    cfg.FallbackLoc,
 		partitionMiles: cfg.PartitionMiles,
-		balance:        cfg.BalanceFactor,
 		lineage:        newLineage(),
 		dirtyAll:       true,
 		dirtyTargets:   map[int]struct{}{},
@@ -442,31 +418,15 @@ func (b *SnapshotBuilder) layoutLocked() *Layout {
 	return b.lay
 }
 
-// measure scores the given tables' measured endpoints — the interned ping
-// target under clustering, the partition representative's own without —
-// into b.raw, on the worker pool.
-func (b *SnapshotBuilder) measure(lay *Layout, tables []int32) {
-	par.MapShards(len(tables), func(_, lo, hi int) struct{} {
-		pings := make([]float64, lay.TailLen)
-		for _, s := range tables[lo:hi] {
-			b.scorer.scoreInto(b.raw[int(s)*lay.TailLen:][:lay.TailLen], pings, b.scorer.segProxy(b.segs[s]))
-		}
-		return struct{}{}
-	})
-}
-
 // fillRows ranks the given rows of lay, whose tables are ranked from segs,
 // into arena, where they lie back to back in that order: ascending, heads
 // before tails, and every tail after the head of the segment that ranks it.
-// A segment that ranks a tail, or that the builder keeps scores for (b.raw,
-// at a positive balance factor), or whose prober has no row form, is scored
-// once for every deployment — out of b.raw, else into the worker's scratch
-// — and from the scores its head is selected and its tail, if any, sorted,
-// both under rowOrder: at a positive balance factor a head is the best of
-// the composite order, not the nearest re-shuffled. Any other head — nearly
-// all of them — measures only the deployments that could enter it
+// A segment that ranks a tail, or whose prober has no row form, is scored
+// once for every deployment into the worker's scratch, and from the scores
+// its head is selected and its tail, if any, sorted. Any other head —
+// nearly all of them — measures only the deployments that could enter it
 // (headInto), with the same bits.
-func (b *SnapshotBuilder) fillRows(lay *Layout, segs []segment, rows []int32, arena []Ranked, factors []float64) {
+func (b *SnapshotBuilder) fillRows(lay *Layout, segs []segment, rows []int32, arena []Ranked) {
 	nSegs := lay.Tables()
 	offs := make([]int, len(rows)+1)
 	tailAt := map[int32]int{} // segment → where in rows the tail it ranks lies
@@ -476,7 +436,6 @@ func (b *SnapshotBuilder) fillRows(lay *Layout, segs []segment, rows []int32, ar
 			tailAt[lay.TailSeg[int(i)-nSegs]] = k
 		}
 	}
-	order := rowOrder{factors}
 	par.MapShards(len(rows)-len(tailAt), func(_, lo, hi int) struct{} {
 		scratch, pings := make([]Ranked, lay.TailLen), make([]float64, lay.TailLen)
 		var heads *headScratch
@@ -484,20 +443,16 @@ func (b *SnapshotBuilder) fillRows(lay *Layout, segs []segment, rows []int32, ar
 			heads = b.scorer.newHeadScratch(lay.TableLen)
 		}
 		for k := lo; k < hi; k++ {
-			s, scored := rows[k], scratch
+			s := rows[k]
 			t, ranksTail := tailAt[s]
-			switch {
-			case b.raw != nil:
-				scored = b.raw[int(s)*lay.TailLen:][:lay.TailLen]
-			case !ranksTail && b.scorer.rows != nil:
-				b.scorer.headInto(arena[offs[k]:offs[k+1]], b.scorer.segProxy(segs[s]), order, heads)
+			if !ranksTail && heads != nil {
+				b.scorer.headInto(arena[offs[k]:offs[k+1]], b.scorer.segProxy(segs[s]), heads)
 				continue
-			default:
-				b.scorer.scoreInto(scored, pings, b.scorer.segProxy(segs[s]))
 			}
-			bestInto(arena[offs[k]:offs[k+1]], scored, order)
+			b.scorer.scoreInto(scratch, pings, b.scorer.segProxy(segs[s]))
+			bestInto(arena[offs[k]:offs[k+1]], scratch)
 			if ranksTail {
-				bestInto(arena[offs[t]:offs[t+1]], scored, order)
+				bestInto(arena[offs[t]:offs[t+1]], scratch)
 			}
 		}
 		return struct{}{}
@@ -518,12 +473,12 @@ func upTo(n int) []int32 {
 // partitions, so every endpoint resolves to the
 // two shared fallback rows — the degradation ladder's fallback rung. It
 // also forgets whatever a local build left behind (layout, previous
-// snapshot, proximity copy, scorer memos), and with it the lineage: a
+// snapshot, scorer memos), and with it the lineage: a
 // replica holds the one map it installed and nothing else.
 func (b *SnapshotBuilder) bootSnapshot(policy Policy) *Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.lay, b.segs, b.prev, b.raw, b.prevUtil = nil, nil, nil, nil, nil
+	b.lay, b.segs, b.prev = nil, nil, nil
 	b.lineage = newLineage()
 	b.dirtyAll = true
 	b.scorer.Invalidate()
@@ -531,7 +486,7 @@ func (b *SnapshotBuilder) bootSnapshot(policy Policy) *Snapshot {
 	fLDNS, fClient := b.fallbackEndpoints()
 	lay, segs := buildLayout(nil, fLDNS, fClient, b.partitionMiles, b.scorer)
 	arena := make([]Ranked, lay.ArenaLen())
-	b.fillRows(lay, segs, upTo(lay.Rows()), arena, nil)
+	b.fillRows(lay, segs, upTo(lay.Rows()), arena)
 	return NewSnapshot(b.lineage, 0, policy, b.ttl, lay, b.scorer.Platform(), arena, nil)
 }
 
@@ -578,15 +533,7 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 	lay := b.layoutLocked()
 	sc := b.scorer
 	nSegs := lay.Tables()
-	full := b.dirtyAll || b.prev == nil || b.prev.lay != lay || sc.Generation() != b.expectedGen ||
-		(b.balance > 0 && len(b.raw) != nSegs*lay.TailLen)
-	// Load-aware ordering: capture this build's utilization vector (nil at
-	// β=0) and re-rank everything when it moved — the previous arenas were
-	// ordered under prevUtil and cannot be mixed with rows ordered under
-	// the new vector.
-	utils := b.captureUtilLocked()
-	loadChanged := b.balance > 0 && (b.loadDirty || !equalFloat64s(utils, b.prevUtil))
-	factors := b.loadFactors(utils)
+	full := b.dirtyAll || b.prev == nil || b.prev.lay != lay || sc.Generation() != b.expectedGen
 
 	// The rows whose measurements were refreshed: the segments interned onto
 	// the dirty ping targets, then the tails those segments rank.
@@ -606,24 +553,14 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 			}
 		}
 	}
-	if b.balance > 0 {
-		if full {
-			b.raw = make([]Ranked, nSegs*lay.TailLen)
-		}
-		b.measure(lay, dirty)
-	}
 
 	var sn *Snapshot
 	switch {
-	case full || loadChanged:
+	case full:
 		arena := make([]Ranked, lay.ArenaLen())
-		b.fillRows(lay, b.segs, upTo(lay.Rows()), arena, factors)
+		b.fillRows(lay, b.segs, upTo(lay.Rows()), arena)
 		sn = NewSnapshot(b.lineage, epoch, policy, b.ttl, lay, sc.Platform(), arena, nil)
-		if full {
-			b.stats.Full++
-		} else {
-			b.loadRebuilds++
-		}
+		b.stats.Full++
 		b.stats.RerankedTables += uint64(nSegs)
 		b.stats.RerankedTails += uint64(len(lay.TailSeg))
 	case len(rows) == 0:
@@ -638,7 +575,7 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 			entries += lay.RowLen(int(i))
 		}
 		delta := make([]Ranked, entries)
-		b.fillRows(lay, b.segs, rows, delta, factors)
+		b.fillRows(lay, b.segs, rows, delta)
 		sn = b.prev.WithDeltaRows(epoch, policy, b.ttl, rows, delta)
 		b.stats.Incremental++
 		b.stats.RerankedTables += uint64(len(dirty))
@@ -647,8 +584,6 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 	b.dirtyAll = false
 	clear(b.dirtyTargets)
 	b.expectedGen = sc.Generation()
-	b.prevUtil = utils
-	b.loadDirty = false
 	if policy == ClientAwareNS {
 		sn.cans = b.buildCANS(sn)
 	}

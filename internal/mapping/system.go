@@ -71,16 +71,12 @@ type Config struct {
 	// FallbackLoc locates resolvers the system has never measured (e.g.
 	// a lab resolver); default New York.
 	FallbackLoc geo.Point
-	// LoadPenalty enables load-aware global balancing (see
-	// LoadBalancer.LoadPenalty); zero keeps hard capacity spill only.
-	LoadPenalty float64
-	// BalanceFactor is the build-time distance-vs-load balance knob β:
-	// snapshot tables are ordered by ping·(1 + β·util²), spilling candidate
-	// lists to next-nearest deployments as utilization climbs. 0 (default)
-	// keeps pure proximity order, byte-identical to β-less builds. Where
-	// LoadPenalty re-ranks a small window per query from instantaneous
-	// load, BalanceFactor shifts the published map itself from the smoothed
-	// load-feedback signal (see mapmaker.LoadMonitor).
+	// BalanceFactor is the distance-vs-load balance knob β, applied where
+	// the pick is made (see LoadBalancer.BalanceFactor): the first few live
+	// head entries are re-ranked per query by ping·(1 + β·util²), so
+	// demand moves off a busy deployment before it saturates. 0 (default)
+	// keeps best-score-first with hard capacity spill. The published map
+	// is the same at every β.
 	BalanceFactor float64
 }
 
@@ -162,7 +158,7 @@ func withDefaults(cfg Config) Config {
 func bareSystem(p *cdn.Platform, cfg Config) *System {
 	s := &System{cfg: cfg, platform: p, lb: NewLoadBalancer()}
 	s.desiredPolicy.Store(int32(cfg.Policy))
-	s.lb.LoadPenalty = cfg.LoadPenalty
+	s.lb.BalanceFactor = cfg.BalanceFactor
 	s.lb.Prepare(p)
 	return s
 }
@@ -231,13 +227,6 @@ func (s *System) Rebuild() *Snapshot {
 // Builder exposes the snapshot builder (the control plane's compute
 // stage); nil on a replica.
 func (s *System) Builder() *SnapshotBuilder { return s.builder }
-
-// SetUtilizationSource attaches the smoothed load-signal feed the builder
-// consults when BalanceFactor is positive (see SnapshotBuilder
-// .SetUtilizationSource). Takes effect on the next rebuild.
-func (s *System) SetUtilizationSource(src UtilizationSource) {
-	s.builder.SetUtilizationSource(src)
-}
 
 // Scorer exposes the scoring layer (for simulations and tests); nil on a
 // replica.
