@@ -472,6 +472,7 @@ func distMi(blk *world.ClientBlock, resp *mapping.Response) float64 {
 func BenchmarkAblationLocalLB(b *testing.B) {
 	l := benchLab(b)
 	lb := mapping.NewLoadBalancer()
+	lb.Prepare(l.Platform)
 	dep := l.Platform.Deployments[0]
 	domains := make([]string, 64)
 	for i := range domains {

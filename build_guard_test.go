@@ -198,18 +198,21 @@ func TestFullBuildMeasuresFewPairs(t *testing.T) {
 	}
 }
 
-// TestRingAllocsBounded keeps ring construction — paid for every deployment
-// by every process, publisher and replica, at every boot — to a constant
-// number of allocations per ring: the points, the two arrays it keeps and
-// the ring, not a key string per virtual node.
+// TestRingAllocsBounded keeps ring construction — paid by every process,
+// publisher and replica, at every boot — to a constant number of
+// allocations per platform: the arena's three arrays, the scratch of one
+// ring and the deployment index, whose map takes a table per thousand
+// deployments — not a ring or a key string per deployment or virtual node.
 func TestRingAllocsBounded(t *testing.T) {
 	w := world.MustGenerate(world.Config{Seed: 17, NumBlocks: 500})
-	p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 17, NumDeployments: 40, ServersPerDeployment: 6})
-	lb := mapping.NewLoadBalancer()
-	perRing := testing.AllocsPerRun(5, func() { lb.Prepare(p) }) / float64(len(p.Deployments))
-	// Measured 4.1: four per ring and the map that holds them.
-	if perRing > 6 {
-		t.Fatalf("%.1f allocations per ring of %d virtual nodes", perRing, 6*lb.VirtualNodes)
+	// Measured 10 and 17.
+	for n, most := range map[int]float64{40: 12, 2642: 20} {
+		p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 17, NumDeployments: n, ServersPerDeployment: 6})
+		allocs := testing.AllocsPerRun(5, func() { mapping.NewLoadBalancer().Prepare(p) })
+		t.Logf("%d deployments: %.0f allocations", n, allocs)
+		if allocs > most {
+			t.Fatalf("%.0f allocations to prepare the rings of %d deployments", allocs, n)
+		}
 	}
 }
 

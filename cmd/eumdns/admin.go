@@ -94,7 +94,10 @@ type mapzBuild struct {
 	TailLen           int     `json:"tail_len"`
 	ArenaChain        int     `json:"arena_chain"`
 	Endpoints         int     `json:"endpoints"`
-	ResidentBytes     uint64  `json:"resident_bytes"`
+	ResidentBytes     uint64  `json:"resident_bytes"` // snapshot_bytes + index_bytes
+	SnapshotBytes     uint64  `json:"snapshot_bytes"`
+	IndexBytes        uint64  `json:"index_bytes"`
+	RingBytes         uint64  `json:"ring_bytes"` // the load balancer's, outside resident_bytes
 	BytesPerBlock     float64 `json:"bytes_per_block,omitempty"`
 	FullBuilds        uint64  `json:"full_builds"`
 	IncrementalBuilds uint64  `json:"incremental_builds"`
@@ -159,8 +162,11 @@ func (st adminState) mapz(w http.ResponseWriter, _ *http.Request) {
 		TailLen:       lay.TailLen,
 		ArenaChain:    snap.ArenaChainLen(),
 		Endpoints:     snap.Endpoints(),
-		ResidentBytes: snap.MemoryBytes() + st.system.IndexBytes(),
+		SnapshotBytes: snap.MemoryBytes(),
+		IndexBytes:    st.system.IndexBytes(),
+		RingBytes:     st.system.LoadBalancer().RingBytes(),
 	}
+	b.ResidentBytes = b.SnapshotBytes + b.IndexBytes
 	if st.blocks > 0 {
 		b.BytesPerBlock = float64(b.ResidentBytes) / float64(st.blocks)
 	}

@@ -228,6 +228,10 @@ func TestAdminDistRoles(t *testing.T) {
 		Build          struct {
 			FullBuilds        uint64 `json:"full_builds"`
 			IncrementalBuilds uint64 `json:"incremental_builds"`
+			ResidentBytes     uint64 `json:"resident_bytes"`
+			SnapshotBytes     uint64 `json:"snapshot_bytes"`
+			IndexBytes        uint64 `json:"index_bytes"`
+			RingBytes         uint64 `json:"ring_bytes"`
 		} `json:"build"`
 		Sync *struct {
 			Source         string `json:"source"`
@@ -251,6 +255,23 @@ func TestAdminDistRoles(t *testing.T) {
 	}
 	if mapz.Epoch != pubSys.Current().Epoch() {
 		t.Errorf("replica serves epoch %d, publisher at %d", mapz.Epoch, pubSys.Current().Epoch())
+	}
+	// Both roles show the heap split, and a replica's rings are its
+	// publisher's: the same roster, the same arena.
+	repBuild := mapz.Build
+	if err := json.Unmarshal([]byte(get(t, pubAdmin.URL+"/mapz", http.StatusOK)), &mapz); err != nil {
+		t.Fatal(err)
+	}
+	for role, b := range map[string]struct{ resident, snapshot, index, rings uint64 }{
+		"publisher": {mapz.Build.ResidentBytes, mapz.Build.SnapshotBytes, mapz.Build.IndexBytes, mapz.Build.RingBytes},
+		"replica":   {repBuild.ResidentBytes, repBuild.SnapshotBytes, repBuild.IndexBytes, repBuild.RingBytes},
+	} {
+		if b.snapshot == 0 || b.index == 0 || b.resident != b.snapshot+b.index {
+			t.Errorf("%s /mapz build: resident %d B, snapshot %d B, index %d B", role, b.resident, b.snapshot, b.index)
+		}
+		if want := pubSys.LoadBalancer().RingBytes(); b.rings != want || want == 0 {
+			t.Errorf("%s /mapz build: %d B of rings, the publisher's load balancer holds %d", role, b.rings, want)
+		}
 	}
 
 	// A replica's mux must not serve snapshots (no publisher mounted).

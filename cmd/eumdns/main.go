@@ -99,10 +99,13 @@ func main() {
 		w := world.MustGenerate(world.Config{
 			Seed: cfg.World.Seed, NumBlocks: cfg.World.Blocks, IPv6Fraction: cfg.World.IPv6Fraction,
 		})
-		platform = cdn.MustGenerateUniverse(w, cdn.Config{
+		platform, err = cdn.GenerateUniverse(w, cdn.Config{
 			Seed: cfg.Platform.Seed, NumDeployments: cfg.Platform.Deployments,
 			ServersPerDeployment: cfg.Platform.ServersPer,
 		})
+		if err != nil {
+			log.Fatalf("platform: %v", err)
+		}
 		system = mapping.NewSystem(w, platform, netmodel.NewDefault(), mcfg)
 		refresh := time.Duration(cfg.MapRefreshSeconds) * time.Second
 		mm = mapmaker.New(system, mapmaker.Config{Interval: refresh})

@@ -218,6 +218,11 @@ func (d *Deployment) ScaleLoad(f float64) {
 	}
 }
 
+// MaxServers is the most servers one deployment may hold: the mapping
+// system's consistent-hash rings name a point by a 16-bit ordinal, server
+// index × 32 + virtual node.
+const MaxServers = 2048
+
 // Platform is a set of deployments with their servers.
 type Platform struct {
 	Deployments []*Deployment
@@ -231,7 +236,7 @@ type Config struct {
 	// (the paper's universe has 2642).
 	NumDeployments int
 	// ServersPerDeployment is the mean cluster size; actual sizes vary
-	// around it.
+	// around it, up to twice the mean. At most MaxServers/2.
 	ServersPerDeployment int
 }
 
@@ -250,6 +255,10 @@ func GenerateUniverse(w *world.World, cfg Config) (*Platform, error) {
 	}
 	if cfg.ServersPerDeployment <= 0 {
 		cfg.ServersPerDeployment = 12
+	}
+	if cfg.ServersPerDeployment > MaxServers/2 {
+		return nil, fmt.Errorf("cdn: ServersPerDeployment is a mean of at most %d (sizes reach twice it), got %d",
+			MaxServers/2, cfg.ServersPerDeployment)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	p := &Platform{}

@@ -1,6 +1,7 @@
 package cdn
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -36,6 +37,21 @@ func TestGenerateUniverse(t *testing.T) {
 func TestGenerateUniverseRejectsBadConfig(t *testing.T) {
 	if _, err := GenerateUniverse(testW, Config{Seed: 1, NumDeployments: 0}); err == nil {
 		t.Error("zero deployments accepted")
+	}
+	// A mean past MaxServers/2 could draw a deployment the rings cannot
+	// address; the largest mean allowed draws at most MaxServers.
+	if _, err := GenerateUniverse(testW, Config{Seed: 1, NumDeployments: 1, ServersPerDeployment: MaxServers/2 + 1}); err == nil ||
+		!strings.Contains(err.Error(), "ServersPerDeployment") {
+		t.Errorf("a mean of %d servers: %v", MaxServers/2+1, err)
+	}
+	p, err := GenerateUniverse(testW, Config{Seed: 1, NumDeployments: 20, ServersPerDeployment: MaxServers / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range p.Deployments {
+		if len(d.Servers) > MaxServers {
+			t.Fatalf("%s has %d servers", d.Name, len(d.Servers))
+		}
 	}
 }
 

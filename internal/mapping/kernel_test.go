@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"net/netip"
 	"slices"
 	"sort"
 	"testing"
@@ -64,58 +65,157 @@ func TestScorerRowPathMatchesPairwise(t *testing.T) {
 	}
 }
 
-// oldRing is newRing as it was: Sprintf keys through hash/fnv, an index
-// sort. Kept as the reference for ring placement.
-func oldRing(d *cdn.Deployment, vnodes int) *ring {
-	r := &ring{}
+// refRing is a consistent-hash ring as the load balancer kept one per
+// deployment before the arena: every point's full hash beside its server.
+type refRing struct {
+	points  []uint64
+	servers []*cdn.Server // parallel to points
+}
+
+// oldRing is the reference ring: Sprintf keys through hash/fnv, sorted by
+// hash, then server ID, then virtual node.
+func oldRing(d *cdn.Deployment) *refRing {
+	type point struct {
+		hash  uint64
+		s     *cdn.Server
+		vnode int
+	}
+	var pts []point
 	for _, s := range d.Servers {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			h := fnv.New64a()
 			h.Write([]byte(fmt.Sprintf("%d/%d", s.ID, v)))
-			r.points = append(r.points, h.Sum64())
-			r.servers = append(r.servers, s)
+			pts = append(pts, point{h.Sum64(), s, v})
 		}
 	}
-	sort.Sort(byPoint{r})
+	sort.Slice(pts, func(i, j int) bool {
+		a, b := pts[i], pts[j]
+		if a.hash != b.hash {
+			return a.hash < b.hash
+		}
+		if a.s.ID != b.s.ID {
+			return a.s.ID < b.s.ID
+		}
+		return a.vnode < b.vnode
+	})
+	r := &refRing{}
+	for _, p := range pts {
+		r.points = append(r.points, p.hash)
+		r.servers = append(r.servers, p.s)
+	}
 	return r
 }
 
-type byPoint struct{ *ring }
-
-func (b byPoint) Len() int           { return len(b.points) }
-func (b byPoint) Less(i, j int) bool { return b.points[i] < b.points[j] }
-func (b byPoint) Swap(i, j int) {
-	b.points[i], b.points[j] = b.points[j], b.points[i]
-	b.servers[i], b.servers[j] = b.servers[j], b.servers[i]
-}
-
-// TestRingPlacementUnchanged pins consistent-hash placement across the
-// ring rewrite: every point is hash/fnv's New64a over "<server>/<vnode>",
-// sorted, and a thousand domains land on the servers the old ring gave
-// them, on fifty deployments.
-func TestRingPlacementUnchanged(t *testing.T) {
-	lb := NewLoadBalancer()
-	for _, d := range testP.Deployments[:50] {
-		got, want := newRing(d, lb.VirtualNodes), oldRing(d, lb.VirtualNodes)
-		if !slices.Equal(got.points, want.points) {
-			t.Fatalf("%s: ring points moved", d.Name)
+// pick is the reference pick: up to n distinct live servers clockwise from
+// the first point at or past key.
+func (r *refRing) pick(key uint64, n int) []*cdn.Server {
+	if len(r.points) == 0 {
+		return nil
+	}
+	start := sort.Search(len(r.points), func(i int) bool { return r.points[i] >= key })
+	var out []*cdn.Server
+scan:
+	for i := 0; i < len(r.points) && len(out) < n; i++ {
+		s := r.servers[(start+i)%len(r.points)]
+		if !s.Alive() {
+			continue
 		}
-		if !slices.Equal(got.servers, want.servers) {
-			t.Fatalf("%s: ring points are the same but belong to other servers", d.Name)
-		}
-		for i := 0; i < 1000; i++ {
-			key := fnv1a(fmt.Sprintf("c%d.cdn.example.net", i))
-			if g, w := got.pick(key, lb.ServersPerAnswer), want.pick(key, lb.ServersPerAnswer); !slices.Equal(g, w) {
-				t.Fatalf("%s: domain %d picks %v, the old ring picked %v", d.Name, i, g, w)
+		for _, prev := range out {
+			if prev.ID == s.ID {
+				continue scan
 			}
 		}
+		out = append(out, s)
 	}
-	// Server IDs at the width limit still fit the key buffer.
-	wide := testDeployment(9, 3)
-	for i, s := range wide.Servers {
-		s.ID = math.MaxUint64 - uint64(i)
+	return out
+}
+
+func serverIDs(ss []*cdn.Server) []uint64 {
+	ids := make([]uint64, len(ss))
+	for i, s := range ss {
+		ids[i] = s.ID
 	}
-	if got, want := newRing(wide, lb.VirtualNodes), oldRing(wide, lb.VirtualNodes); !slices.Equal(got.points, want.points) {
-		t.Fatal("ring points moved for 20-digit server IDs")
+	return ids
+}
+
+// handMade returns a deployment of unit-capacity servers with the given IDs.
+func handMade(id uint64, name string, servers ...uint64) *cdn.Deployment {
+	d := &cdn.Deployment{ID: id, Name: name}
+	for i, sid := range servers {
+		d.AddServer(sid, netip.AddrFrom4([4]byte{10, 9, byte(id), byte(i)}), 1)
+	}
+	return d
+}
+
+// sharedPrefixDeployment is a deployment in which two servers have points
+// whose hashes share their top 32 bits — the case the arena's pick settles
+// on the full hash — found by a birthday search over server IDs, plus a
+// third server.
+func sharedPrefixDeployment(t *testing.T) *cdn.Deployment {
+	seen := map[uint32]uint64{} // top half -> the server ID with a point there
+	for id := uint64(1); id < 1<<20; id++ {
+		for v := 0; v < virtualNodes; v++ {
+			top := uint32(fnv1a(fmt.Sprintf("%d/%d", id, v)) >> 32)
+			if other, ok := seen[top]; ok && other != id {
+				return handMade(1<<40, "shared-prefix", other, id, id+1)
+			}
+			seen[top] = id
+		}
+	}
+	t.Fatal("no two servers share a 32-bit point prefix")
+	return nil
+}
+
+// TestRingPlacementUnchanged pins consistent-hash placement and every pick
+// to the reference ring: each deployment's arena holds the reference's
+// points, top halves and servers in the same order, and every key picks
+// the servers the reference picks — keys at, beside and around every
+// point's top half, the ends of the circle and a thousand domains — with
+// all servers alive and again with one dead. The deployments are testP's,
+// one with two servers' points sharing a top half, and one with server IDs
+// at the width limit of the key buffer.
+func TestRingPlacementUnchanged(t *testing.T) {
+	shared := sharedPrefixDeployment(t)
+	wide := handMade(1<<41, "wide", math.MaxUint64, math.MaxUint64-1, math.MaxUint64-2)
+	deps := append(slices.Clone(testP.Deployments), shared, wide)
+	lb := NewLoadBalancer()
+	lb.Prepare(&cdn.Platform{Deployments: deps})
+	domains := []uint64{0, math.MaxUint64}
+	for i := 0; i < 1000; i++ {
+		domains = append(domains, fnv1a(fmt.Sprintf("c%d.cdn.example.net", i)))
+	}
+	sharedTops := 0
+	for i, d := range deps {
+		ref, at := oldRing(d), int(lb.off[i])
+		if n := int(lb.off[i+1]) - at; n != len(ref.points) {
+			t.Fatalf("%s: %d points, the reference has %d", d.Name, n, len(ref.points))
+		}
+		keys := slices.Clone(domains)
+		for j, p := range ref.points {
+			if lb.hi[at+j] != uint32(p>>32) || d.Servers[lb.pt[at+j]>>vnodeBits] != ref.servers[j] {
+				t.Fatalf("%s: point %d moved", d.Name, j)
+			}
+			if pointHash(d.Servers, lb.pt[at+j]) != p {
+				t.Fatalf("%s: point %d rehashes to another place", d.Name, j)
+			}
+			if j > 0 && lb.hi[at+j] == lb.hi[at+j-1] {
+				sharedTops++
+			}
+			keys = append(keys, p-1, p, p+1, p&^0xffffffff, p|0xffffffff)
+		}
+		victim := d.Servers[len(d.Servers)/2]
+		for _, alive := range []bool{true, false} {
+			victim.SetAlive(alive)
+			for _, key := range keys {
+				if got, want := lb.pick(i, key), ref.pick(key, serversPerAnswer); !slices.Equal(got, want) {
+					t.Fatalf("%s (server %d alive: %v): key %#x picks servers %v, the reference %v",
+						d.Name, victim.ID, alive, key, serverIDs(got), serverIDs(want))
+				}
+			}
+		}
+		victim.SetAlive(true)
+	}
+	if sharedTops == 0 {
+		t.Fatal("no two adjacent points share a top half: the full-hash path went untested")
 	}
 }

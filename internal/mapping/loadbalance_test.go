@@ -21,6 +21,13 @@ func testDeployment(id uint64, n int) *cdn.Deployment {
 	return d
 }
 
+// preparedFor returns a load balancer prepared for a platform of ds.
+func preparedFor(ds ...*cdn.Deployment) *LoadBalancer {
+	lb := NewLoadBalancer()
+	lb.Prepare(&cdn.Platform{Deployments: ds})
+	return lb
+}
+
 func TestPickDeploymentSkipsDead(t *testing.T) {
 	lb := NewLoadBalancer()
 	d1 := testDeployment(1, 4)
@@ -86,8 +93,8 @@ func TestPickDeploymentAllDead(t *testing.T) {
 }
 
 func TestPickServersConsistency(t *testing.T) {
-	lb := NewLoadBalancer()
 	d := testDeployment(8, 8)
+	lb := preparedFor(d)
 	a, err := lb.PickServers(d, "domain-a.net", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +115,8 @@ func TestPickServersConsistency(t *testing.T) {
 }
 
 func TestPickServersSkipsDead(t *testing.T) {
-	lb := NewLoadBalancer()
 	d := testDeployment(9, 6)
+	lb := preparedFor(d)
 	a, _ := lb.PickServers(d, "victim.net", 0)
 	a[0].SetAlive(false)
 	b, err := lb.PickServers(d, "victim.net", 0)
@@ -127,8 +134,8 @@ func TestPickServersSkipsDead(t *testing.T) {
 }
 
 func TestPickServersSingleServer(t *testing.T) {
-	lb := NewLoadBalancer()
 	d := testDeployment(10, 1)
+	lb := preparedFor(d)
 	got, err := lb.PickServers(d, "only.net", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +146,8 @@ func TestPickServersSingleServer(t *testing.T) {
 }
 
 func TestPickServersNoLiveServers(t *testing.T) {
-	lb := NewLoadBalancer()
 	d := testDeployment(11, 2)
+	lb := preparedFor(d)
 	for _, s := range d.Servers {
 		s.SetAlive(false)
 	}
@@ -149,11 +156,28 @@ func TestPickServersNoLiveServers(t *testing.T) {
 	}
 }
 
+// TestPickServersNeedsPreparedDeployment: a load balancer serves the
+// platform it was prepared for, and refuses a deployment of any other,
+// even one that shares an ID with a prepared deployment.
+func TestPickServersNeedsPreparedDeployment(t *testing.T) {
+	d, other := testDeployment(14, 3), testDeployment(15, 3)
+	if _, err := NewLoadBalancer().PickServers(d, "a.net", 0); err == nil {
+		t.Error("an unprepared load balancer picked servers")
+	}
+	lb := preparedFor(d)
+	if _, err := lb.PickServers(other, "a.net", 0); err == nil {
+		t.Error("a deployment the load balancer was not prepared for got servers")
+	}
+	if _, err := lb.PickServers(d, "a.net", 0); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestConsistentHashingStability(t *testing.T) {
 	// Killing one server should re-map only the domains it served:
 	// most domains keep their primary server.
-	lb := NewLoadBalancer()
 	d := testDeployment(12, 10)
+	lb := preparedFor(d)
 	before := map[string]uint64{}
 	for i := 0; i < 200; i++ {
 		dom := fmt.Sprintf("site-%d.example.net", i)
@@ -188,8 +212,8 @@ func TestConsistentHashingStability(t *testing.T) {
 
 func TestConsistentHashingBalance(t *testing.T) {
 	// With many domains, load should spread across servers reasonably.
-	lb := NewLoadBalancer()
 	d := testDeployment(13, 8)
+	lb := preparedFor(d)
 	counts := map[uint64]int{}
 	n := 4000
 	for i := 0; i < n; i++ {
@@ -429,8 +453,8 @@ func TestPickDeploymentAllSaturatedLeastUtilised(t *testing.T) {
 // TestPickServersDemandAccounting pins where assigned demand lands: on the
 // primary (first) picked server only, once per decision.
 func TestPickServersDemandAccounting(t *testing.T) {
-	lb := NewLoadBalancer()
 	d := testDeployment(60, 6)
+	lb := preparedFor(d)
 	before := map[uint64]float64{}
 	for _, s := range d.Servers {
 		before[s.ID] = s.Load()
@@ -449,5 +473,21 @@ func TestPickServersDemandAccounting(t *testing.T) {
 	}
 	if d.Load() != 2.5 {
 		t.Errorf("deployment load = %v, want 2.5", d.Load())
+	}
+}
+
+// BenchmarkPickServers is the local pick of one answer: a domain onto the
+// ring of one of testP's deployments, two live servers out.
+func BenchmarkPickServers(b *testing.B) {
+	lb := preparedFor(testP.Deployments...)
+	domains := make([]string, 1024)
+	for i := range domains {
+		domains[i] = fmt.Sprintf("c%d.cdn.example.net", i)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := lb.PickServers(testP.Deployments[i%len(testP.Deployments)], domains[i%len(domains)], 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -461,15 +461,17 @@ func (c *Codec) checkHeadLen(h Header) error {
 }
 
 // readRoster reads a full image's deployment roster into a fresh platform,
-// refusing an empty one, a deployment with no servers or one named twice,
-// a capacity that is not a finite non-negative number, and a roster whose
-// fingerprint is not the header's.
+// refusing an empty one, a deployment with no servers, more than
+// cdn.MaxServers or one named twice, a server ID used twice, a capacity
+// that is not a finite non-negative number, and a roster whose fingerprint
+// is not the header's.
 func readRoster(r *reader, h Header) (*cdn.Platform, error) {
 	p := &cdn.Platform{Deployments: make([]*cdn.Deployment, r.sliceLen(rosterMin))}
 	if r.err == nil && len(p.Deployments) == 0 {
 		return nil, fmt.Errorf("%w: the roster names no deployment", ErrFormat)
 	}
 	seen := make(map[uint64]bool, len(p.Deployments))
+	servers := map[uint64]bool{}
 	for i := range p.Deployments {
 		d := &cdn.Deployment{ID: r.u64()}
 		d.Loc.Lat = math.Float64frombits(r.u64())
@@ -484,15 +486,23 @@ func readRoster(r *reader, h Header) (*cdn.Platform, error) {
 		if n == 0 || seen[d.ID] {
 			return nil, fmt.Errorf("%w: roster deployment %d has no servers or is named twice", ErrFormat, d.ID)
 		}
+		if n > cdn.MaxServers {
+			return nil, fmt.Errorf("%w: roster deployment %d has %d servers, more than %d", ErrFormat, d.ID, n, cdn.MaxServers)
+		}
 		seen[d.ID] = true
-		bad := false
+		badCap, twice := false, false
 		r.each(n, serverSize, func(_ int, b []byte) {
-			capacity := math.Float64frombits(binary.LittleEndian.Uint64(b[24:]))
-			bad = bad || !(capacity >= 0) || math.IsInf(capacity, 0)
-			d.AddServer(binary.LittleEndian.Uint64(b), netip.AddrFrom16([16]byte(b[8:24])).Unmap(), capacity)
+			id, capacity := binary.LittleEndian.Uint64(b), math.Float64frombits(binary.LittleEndian.Uint64(b[24:]))
+			badCap = badCap || !(capacity >= 0) || math.IsInf(capacity, 0)
+			twice = twice || servers[id]
+			servers[id] = true
+			d.AddServer(id, netip.AddrFrom16([16]byte(b[8:24])).Unmap(), capacity)
 		})
-		if bad {
+		if badCap {
 			return nil, fmt.Errorf("%w: roster deployment %d has a server of no finite capacity", ErrFormat, d.ID)
+		}
+		if twice {
+			return nil, fmt.Errorf("%w: roster deployment %d has a server ID the roster already used", ErrFormat, d.ID)
 		}
 		p.Deployments[i] = d
 	}

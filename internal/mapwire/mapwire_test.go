@@ -368,6 +368,25 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 	deltaRows := headerSize + 4
 	deltaTail := deltaRows + 2*4 + lay.TableLen*rankedSize
 
+	// sealed re-encodes sn1 on a copy of the platform that edit changes, so
+	// the image's roster carries its own fingerprint and only the roster's
+	// own checks can refuse it; a codec on p refuses it as foreign.
+	sealed := func(edit func(ds []*cdn.Deployment)) []byte {
+		q := &cdn.Platform{}
+		for _, d := range p.Deployments {
+			nd := &cdn.Deployment{ID: d.ID, Name: d.Name, Loc: d.Loc, ASN: d.ASN, Country: d.Country}
+			for _, s := range d.Servers {
+				nd.AddServer(s.ID, s.Addr, s.Capacity())
+			}
+			q.Deployments = append(q.Deployments, nd)
+		}
+		edit(q.Deployments)
+		img, err := NewCodec(q).EncodeFull(sn1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
 	put := func(img []byte, off int, v uint32) []byte {
 		out := append([]byte(nil), img...)
 		binary.LittleEndian.PutUint32(out[off:], v)
@@ -382,6 +401,14 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		want error
 	}{
 		{"empty roster", put(full, roster, 0), nil, ErrFormat},
+		{"a server ID used twice", sealed(func(ds []*cdn.Deployment) {
+			ds[1].Servers[0].ID = ds[0].Servers[0].ID
+		}), nil, ErrFormat},
+		{"a deployment of more servers than the rings address", sealed(func(ds []*cdn.Deployment) {
+			for len(ds[0].Servers) <= cdn.MaxServers {
+				ds[0].AddServer(1<<50+uint64(len(ds[0].Servers)), netip.AddrFrom4([4]byte{10, 0, 0, 1}), 1)
+			}
+		}), nil, ErrFormat},
 		{"a deployment with no servers", put(full, d0Servers, 0), nil, ErrFormat},
 		{"roster fingerprint differs from the header's", put(full, roster+4+24, d0.ASN^1), nil, ErrFormat},
 		{"a deployment renamed", put(full, roster+4+32, binary.LittleEndian.Uint32(full[roster+4+32:])^1), nil, ErrFormat},
@@ -417,8 +444,14 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"delta tail names one deployment twice", put(delta, deltaTail+rankedSize,
 			binary.LittleEndian.Uint32(delta[deltaTail:])), sn1, ErrFormat},
 	} {
-		if sn, err := c.Decode(tc.img, tc.prev); !errors.Is(err, tc.want) {
-			t.Errorf("%s: decoded to %v, error %v; want %v", tc.name, sn, err, tc.want)
+		// An image sealed on another roster is foreign to c, which refuses
+		// it on the header's fingerprint before reading the roster.
+		want := tc.want
+		if h, err := ParseHeader(tc.img); err == nil && h.PlatformFP != c.fp {
+			want = ErrPlatformMismatch
+		}
+		if sn, err := c.Decode(tc.img, tc.prev); !errors.Is(err, want) {
+			t.Errorf("%s: decoded to %v, error %v; want %v", tc.name, sn, err, want)
 		}
 		// A replica booting from a full image reads the roster itself
 		// rather than holding it to a codec's, and must refuse it as well.

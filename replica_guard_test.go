@@ -154,7 +154,7 @@ func rosterBytes(p *cdn.Platform) uint64 {
 // TestReplicaHeapGuard holds a replica to what it serves: at the cold_wide
 // benchmark's shape (50 000 blocks, 600 deployments, 50-mile partitions) a
 // replica built from one full image must hold no more than its map, its
-// index, its roster and the load balancer's rings (two words per virtual
+// index, its roster and the load balancer's rings (six bytes per virtual
 // node), plus a tenth. A world, a scorer or a second copy of the map would
 // each break it.
 func TestReplicaHeapGuard(t *testing.T) {
@@ -179,13 +179,19 @@ func TestReplicaHeapGuard(t *testing.T) {
 	runtime.KeepAlive(image)
 
 	snapshot, index, roster := rep.Current().MemoryBytes(), rep.IndexBytes(), rosterBytes(c.Platform())
-	rings := uint64(0)
-	for _, d := range c.Platform().Deployments {
-		rings += uint64(len(d.Servers) * rep.LoadBalancer().VirtualNodes * 16)
+	// The rings are one arena: 32 virtual nodes a server at 6 bytes a
+	// point, and a 4-byte offset a deployment and one more.
+	deps := c.Platform().Deployments
+	rings := uint64(4 * (len(deps) + 1))
+	for _, d := range deps {
+		rings += uint64(len(d.Servers) * 32 * 6)
 	}
-	t.Logf("replica holds %.2f MB: a %.2f MB map, a %.2f MB index, a %.2f MB roster, %.2f MB of rings (%.1f B/block in map and index)",
+	if got := rep.LoadBalancer().RingBytes(); got != rings {
+		t.Fatalf("the load balancer reports %d bytes of rings; %d servers in %d deployments take %d", got, c.Platform().NumServers(), len(deps), rings)
+	}
+	t.Logf("replica holds %.2f MB: a %.2f MB map, a %.2f MB index, a %.2f MB roster, %.2f MB of rings for %d points (%.1f B/block in map and index)",
 		float64(held)/1e6, float64(snapshot)/1e6, float64(index)/1e6, float64(roster)/1e6, float64(rings)/1e6,
-		float64(snapshot+index)/float64(len(w.Blocks)))
+		c.Platform().NumServers()*32, float64(snapshot+index)/float64(len(w.Blocks)))
 	if ceiling := snapshot + index + roster + rings; held > ceiling+ceiling/10 {
 		t.Fatalf("a replica holds %d bytes; its map, index, roster and rings are %d", held, ceiling)
 	}
