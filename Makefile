@@ -3,15 +3,11 @@ GO ?= go
 # Hot-path micro-benchmarks (see DESIGN.md "Hot path & concurrency model").
 HOTBENCH = BenchmarkDNSMessagePack|BenchmarkDNSMessageUnpack|BenchmarkMappingMap|BenchmarkAuthorityServeDNS|BenchmarkEndToEndUDP
 
-# Serial-vs-parallel simulation benchmarks (see DESIGN.md "Parallel
-# simulation & determinism model"; numbers recorded in BENCH_sim.json).
-SIMBENCH = BenchmarkWorldGenerate|BenchmarkRolloutTimeline|BenchmarkFig25Sweep
-
 # Control-plane/data-plane benchmarks: snapshot publish latency and serving
 # under map churn (see DESIGN.md "Control plane / data plane").
 SNAPBENCH = BenchmarkSnapshotSwap|BenchmarkServingUnderMapChurn
 
-.PHONY: all check vet build test loc setup-budget race chaos load-chaos dist-chaos obs crossbuild scale-smoke ecsgrid-smoke figures-check figures-golden bench-smoke bench-e2e bench-pair bench bench-hot bench-sim bench-snapshot bench-figures
+.PHONY: all check vet build test loc setup-budget race chaos load-chaos dist-chaos obs crossbuild scale-smoke ecsgrid-smoke figures-check figures-golden bench-smoke bench-e2e bench-pair bench bench-hot bench-snapshot bench-figures
 
 all: check
 
@@ -138,11 +134,6 @@ bench-pair:
 bench-hot:
 	$(GO) test -run 'TestServeDNSAllocGuard' -bench '$(HOTBENCH)' -benchmem .
 
-# Parallel simulation engine: serial vs parallel for world generation, the
-# roll-out timeline and the Fig 25 deployment sweep.
-bench-sim:
-	$(GO) test -run 'TestNone' -bench '$(SIMBENCH)' -benchmem .
-
 # Snapshot publish latency and churn serving comparison.
 bench-snapshot:
 	$(GO) test -run 'TestNone' -bench '$(SNAPBENCH)' -benchmem .
@@ -161,4 +152,4 @@ crossbuild:
 bench-figures:
 	$(GO) test -run 'TestNone' -bench . -benchmem .
 
-bench: bench-hot bench-sim
+bench: bench-hot

@@ -37,8 +37,6 @@ type Config struct {
 	Zone string `json:"zone"`
 	// Policy is "ns", "eu" or "cans" (default "eu").
 	Policy string `json:"policy,omitempty"`
-	// TTLSeconds is the DNS answer TTL (default 20).
-	TTLSeconds int `json:"ttl_seconds,omitempty"`
 	// MapRefreshSeconds is the MapMaker's periodic publish cadence — how
 	// often the control plane rebuilds and swaps in a fresh map snapshot
 	// even without health or policy signals (default 10).
@@ -145,7 +143,6 @@ func Default() Config {
 	return Config{
 		Zone:                "cdn.example.net",
 		Policy:              "eu",
-		TTLSeconds:          20,
 		MapRefreshSeconds:   10,
 		StaleMaxAgeSeconds:  30,
 		HealthFlapThreshold: 3,
@@ -185,9 +182,6 @@ func (c Config) Validate() error {
 	}
 	if _, err := c.MappingPolicy(); err != nil {
 		return err
-	}
-	if c.TTLSeconds < 0 {
-		return fmt.Errorf("config: negative ttl_seconds")
 	}
 	if c.MapRefreshSeconds < 0 {
 		return fmt.Errorf("config: negative map_refresh_seconds")

@@ -21,7 +21,6 @@ func TestParseFull(t *testing.T) {
 	doc := `{
 		"zone": "cdn.example.net",
 		"policy": "cans",
-		"ttl_seconds": 30,
 		"world": {"seed": 7, "blocks": 2000, "ipv6_fraction": 0.2},
 		"platform": {"seed": 7, "deployments": 100, "servers_per_deployment": 4},
 		"customers": {"www.shop.example": "e1.b.cdn.example.net"},
@@ -33,7 +32,7 @@ func TestParseFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Zone != "cdn.example.net" || cfg.TTLSeconds != 30 {
+	if cfg.Zone != "cdn.example.net" {
 		t.Errorf("cfg = %+v", cfg)
 	}
 	pol, err := cfg.MappingPolicy()
@@ -50,20 +49,19 @@ func TestParseDefaultsApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.TTLSeconds != 20 {
-		t.Errorf("default TTL = %d", cfg.TTLSeconds)
-	}
 	if pol, _ := cfg.MappingPolicy(); pol != mapping.EndUser {
 		t.Errorf("default policy = %v", pol)
 	}
 }
 
-// TestParseRejectsUnknownFields covers a made-up key and the serve-loop
-// keys that no longer exist (queue_depth, shed_policy, batch_size): the
-// decoder names each as unknown instead of silently ignoring it.
+// TestParseRejectsUnknownFields covers a made-up key and keys that no
+// longer exist — the serve loop's (queue_depth, shed_policy, batch_size)
+// and ttl_seconds, which never reached the map: the decoder names each as
+// unknown instead of silently ignoring it.
 func TestParseRejectsUnknownFields(t *testing.T) {
 	for _, tc := range []struct{ name, field, doc string }{
 		{"bogus", "bogus", `"bogus": 1`},
+		{"answer-ttl", "ttl_seconds", `"ttl_seconds": 30`},
 		{"negative-queue-depth", "queue_depth", `"queue_depth": -1`},
 		{"bad-shed-policy", "shed_policy", `"shed_policy": "panic"`},
 		{"negative-batch-size", "batch_size", `"batch_size": -1`},
@@ -86,7 +84,6 @@ func TestValidateErrors(t *testing.T) {
 	}{
 		{"empty-zone", func(c *Config) { c.Zone = " " }},
 		{"bad-policy", func(c *Config) { c.Policy = "anycast" }},
-		{"negative-ttl", func(c *Config) { c.TTLSeconds = -1 }},
 		{"zero-blocks", func(c *Config) { c.World.Blocks = 0 }},
 		{"bad-v6-fraction", func(c *Config) { c.World.IPv6Fraction = 1.5 }},
 		{"zero-deployments", func(c *Config) { c.Platform.Deployments = 0 }},

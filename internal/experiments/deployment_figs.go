@@ -151,7 +151,8 @@ func evalPolicy(lab *Lab, snap *mapping.Snapshot, blocks []*world.ClientBlock, p
 			if pol == mapping.ClientAwareNS {
 				dep, _ = snap.FirstLive(snap.CANSCandidates(b.LDNS.Addr))
 			} else {
-				dep, _ = snap.Best(id, false)
+				row, _ := snap.ResolverRow(b.LDNS.Addr)
+				dep, _ = snap.FirstLive(row)
 			}
 			if dep != nil {
 				ldnsChoice[id] = dep.Endpoint()
@@ -164,7 +165,8 @@ func evalPolicy(lab *Lab, snap *mapping.Snapshot, blocks []*world.ClientBlock, p
 		for _, b := range blocks[lo:hi] {
 			var depEp netmodel.Endpoint
 			if pol == mapping.EndUser {
-				dep, _ := snap.Best(b.Endpoint().ID, true)
+				row, _ := snap.ClientRow(b.Prefix)
+				dep, _ := snap.FirstLive(row)
 				if dep == nil {
 					continue
 				}

@@ -171,7 +171,7 @@ func closedLoopFlashCrowd(lab *Lab, cfg ClosedLoopConfig, depths *spillDepths) (
 				return nil, nil, err
 			}
 			id := b.Endpoint().ID
-			depths.record(sn, id, resp.Deployment)
+			depths.record(sn, b, resp.Deployment)
 			cur[id] = resp.Deployment.ID
 			if prev != nil && prev[id] != resp.Deployment.ID {
 				remapped++
@@ -372,7 +372,7 @@ func brownoutAssign(lab *Lab, sys *mapping.System, mm *mapmaker.MapMaker, cat *d
 			if err != nil {
 				return nil, nil, err
 			}
-			depths.record(sn, b.Endpoint().ID, resp.Deployment)
+			depths.record(sn, b, resp.Deployment)
 			demandOf[resp.Deployment.ID] += d
 			dist.Add(geo.Distance(b.Loc, resp.Deployment.Loc), d)
 		}

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"net/netip"
 
 	"eum/internal/cdn"
 	"eum/internal/mapping"
 	"eum/internal/par"
 	"eum/internal/stats"
+	"eum/internal/world"
 )
 
 // spillDepths is the histogram of how deep in its candidate row a pick
@@ -25,12 +27,12 @@ type spillDepths struct {
 var spillBucketNames = [...]string{"0", "1", "2-3", "4-7", "8-15", "16-31", "32-63", "64-127", "128+"}
 
 // record files the position of the picked deployment in the row the
-// snapshot serves endpoint id from.
-func (h *spillDepths) record(sn *mapping.Snapshot, id uint64, picked *cdn.Deployment) {
+// snapshot serves blk's subnet from — the row MapAt picked from.
+func (h *spillDepths) record(sn *mapping.Snapshot, blk *world.ClientBlock, picked *cdn.Deployment) {
 	if h == nil {
 		return
 	}
-	row := sn.RankOf(id, true)
+	row, _ := sn.ClientRow(blk.Prefix)
 	depth := -1
 	row.Walk(func(pos int, c mapping.Ranked) bool {
 		if h.deps[c.Dep] == picked {
@@ -132,7 +134,8 @@ func RankRegret(lab *Lab) ([]RankRegretRow, []*Report, error) {
 	sn, sc, lay := sys.Current(), sys.Scorer(), sys.Current().Layout()
 	nDeps := len(lab.Platform.Deployments)
 	lo, hi := lay.TableLen, min(4*lay.TableLen, nDeps)
-	fallback := sn.RankOf(^uint64(0)>>1, false).Tail // an ID no world allocates
+	unknown, _ := sn.ResolverRow(netip.IPv6Unspecified()) // no world's resolver
+	fallback := unknown.Tail
 
 	type regrets struct{ truth, regional, fallback stats.Dataset }
 	shards := par.MapShards(len(lab.World.Blocks), func(_, from, to int) *regrets {
@@ -146,7 +149,7 @@ func RankRegret(lab *Lab) ([]RankRegretRow, []*Report, error) {
 			for _, c := range full[lo:hi] {
 				r.truth.AddUnweighted(c.Score())
 			}
-			own := sn.RankOf(b.ID, true)
+			own, _ := sn.ClientRow(b.Prefix)
 			for _, v := range []struct {
 				tail []mapping.Ranked
 				into *stats.Dataset

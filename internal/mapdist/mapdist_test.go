@@ -90,12 +90,12 @@ func newReplica(t *testing.T, srvURL string) (*mapping.System, *Fetcher) {
 }
 
 // sameBlocks fails unless the replica's map answers every block's prefix
-// with the row the publisher's ranks its endpoint ID with.
+// with the row the publisher's answers it with.
 func sameBlocks(t *testing.T, got, want *mapping.Snapshot, blocks []*world.ClientBlock) {
 	t.Helper()
 	for _, blk := range blocks {
 		g, _ := got.ClientRow(blk.Prefix)
-		wnt := want.RankOf(blk.ID, true)
+		wnt, _ := want.ClientRow(blk.Prefix)
 		if !slices.Equal(g.Head, wnt.Head) || !slices.Equal(g.Tail, wnt.Tail) {
 			t.Fatalf("block %v ranks differently on the replica at epoch %d", blk.Prefix, got.Epoch())
 		}

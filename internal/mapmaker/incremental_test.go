@@ -1,6 +1,7 @@
 package mapmaker
 
 import (
+	"net/netip"
 	"slices"
 	"sync"
 	"testing"
@@ -97,24 +98,26 @@ func TestIncrementalBuildOneTarget(t *testing.T) {
 	if cold.Epoch() != sn.Epoch() || cold.Policy() != sn.Policy() {
 		t.Fatal("cold rebuild epoch/policy mismatch")
 	}
-	checkEqual := func(id uint64, client bool, what string) {
+	checkEqual := func(got, want mapping.Row, what string) {
 		t.Helper()
-		got, want := sn.RankOf(id, client), cold.RankOf(id, client)
 		if !slices.Equal(got.Head, want.Head) {
-			t.Fatalf("%s %d: incremental head %v, cold %v", what, id, got.Head, want.Head)
+			t.Fatalf("%s: incremental head %v, cold %v", what, got.Head, want.Head)
 		}
 		if !slices.Equal(got.Tail, want.Tail) {
-			t.Fatalf("%s %d: incremental tail differs from the cold build's", what, id)
+			t.Fatalf("%s: incremental tail differs from the cold build's", what)
 		}
 	}
+	clientRow := func(sn *mapping.Snapshot, p netip.Prefix) mapping.Row { r, _ := sn.ClientRow(p); return r }
+	resolverRow := func(sn *mapping.Snapshot, a netip.Addr) mapping.Row { r, _ := sn.ResolverRow(a); return r }
 	for _, b := range testW.Blocks {
-		checkEqual(b.ID, true, "block")
+		checkEqual(clientRow(sn, b.Prefix), clientRow(cold, b.Prefix), "block "+b.Prefix.String())
 	}
 	for _, l := range testW.LDNSes {
-		checkEqual(l.ID, false, "ldns")
+		checkEqual(resolverRow(sn, l.Addr), resolverRow(cold, l.Addr), "ldns "+l.Addr.String())
 	}
-	checkEqual(^uint64(0)-9, true, "client fallback")
-	checkEqual(^uint64(0)-9, false, "ldns fallback")
+	unknownClient, unknownLDNS := netip.MustParsePrefix("255.255.255.0/24"), netip.MustParseAddr("198.51.100.9")
+	checkEqual(clientRow(sn, unknownClient), clientRow(cold, unknownClient), "client fallback")
+	checkEqual(resolverRow(sn, unknownLDNS), resolverRow(cold, unknownLDNS), "ldns fallback")
 
 	// An unscoped measurement refresh still re-ranks everything.
 	mm.Notify(ReasonMeasurement)
@@ -166,7 +169,8 @@ func TestIncrementalScopeSurvivesFailedBuild(t *testing.T) {
 		Build(sn.Epoch(), sn.Policy())
 	for i := 0; i < len(testW.Blocks); i += 7 {
 		b := testW.Blocks[i]
-		got, want := sn.RankOf(b.ID, true), cold.RankOf(b.ID, true)
+		got, _ := sn.ClientRow(b.Prefix)
+		want, _ := cold.ClientRow(b.Prefix)
 		if !slices.Equal(got.Head, want.Head) || !slices.Equal(got.Tail, want.Tail) {
 			t.Fatalf("block %v ranking diverged after failed-build retry", b.Prefix)
 		}

@@ -83,23 +83,23 @@ func TestArenaChainCompaction(t *testing.T) {
 	}
 
 	cold := NewSnapshotBuilder(testW, testP, prober, cfg).Build(sn.Epoch(), EndUser)
-	check := func(id uint64, client bool, what string) {
+	check := func(row func(*Snapshot) Row, what string) {
 		t.Helper()
-		got, want := flat(sn.RankOf(id, client)), flat(cold.RankOf(id, client))
+		got, want := flat(row(sn)), flat(row(cold))
 		if len(got) != len(want) {
-			t.Fatalf("%s %d: %d ranked vs cold %d", what, id, len(got), len(want))
+			t.Fatalf("%s: %d ranked vs cold %d", what, len(got), len(want))
 		}
 		for j := range got {
 			if got[j] != want[j] {
-				t.Fatalf("%s %d rank %d: %s/%v, cold %s/%v", what, id, j,
+				t.Fatalf("%s rank %d: %s/%v, cold %s/%v", what, j,
 					depOf(got[j]).Name, got[j].Score(), depOf(want[j]).Name, want[j].Score())
 			}
 		}
 	}
 	for _, blk := range testW.Blocks {
-		check(blk.ID, true, "block")
+		check(func(sn *Snapshot) Row { return blockRow(sn, blk) }, "block "+blk.Prefix.String())
 	}
 	for _, l := range testW.LDNSes {
-		check(l.ID, false, "ldns")
+		check(func(sn *Snapshot) Row { return ldnsRow(sn, l) }, "ldns "+l.Addr.String())
 	}
 }

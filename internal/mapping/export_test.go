@@ -13,6 +13,13 @@ func LayoutOf(sb *SnapshotBuilder) *Layout {
 	return sb.layoutLocked()
 }
 
+// Partitions lays out the builder's universe afresh and returns the
+// partition of each position in it, which BuildIndex indexes.
+func Partitions(sb *SnapshotBuilder) []int32 {
+	_, _, assign := sb.partition()
+	return assign
+}
+
 // FillAll ranks every row of the builder's layout into arena.
 func FillAll(sb *SnapshotBuilder, lay *Layout, arena []Ranked) {
 	sb.fillRows(lay, sb.segs, upTo(lay.Rows()), arena)
@@ -21,8 +28,8 @@ func FillAll(sb *SnapshotBuilder, lay *Layout, arena []Ranked) {
 // BootSnapshot builds a replica's epoch-0 map.
 func BootSnapshot(sb *SnapshotBuilder) *Snapshot { return sb.bootSnapshot(EndUser) }
 
-// BuildIndex indexes w under the partitions lay assigns.
-func BuildIndex(w *world.World, lay *Layout) *Index {
-	ix, _ := buildIndex(w, lay.byID)
+// BuildIndex indexes w under the partitions Partitions returned.
+func BuildIndex(w *world.World, assign []int32) *Index {
+	ix, _ := buildIndex(w, assign)
 	return ix
 }

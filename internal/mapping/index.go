@@ -99,26 +99,29 @@ func newLeaves[K uint32 | uint64](ls []leaf[K]) Leaves[K] {
 }
 
 // buildIndex indexes the world's client blocks and resolvers under the
-// partitions byID assigns their endpoint IDs, and returns with it the
-// world LDNS in each resolver slot. Two resolvers at one address keep the
-// first in world order.
-func buildIndex(w *world.World, byID []int32) (*Index, []*world.LDNS) {
+// partitions buildLayout assigned them, by position in the builder's
+// universe: assign[i] is w.LDNSes[i]'s partition and assign[len(w.LDNSes)+i]
+// w.Blocks[i]'s. It returns with the index the world LDNS in each resolver
+// slot. Two resolvers at one address keep the first in world order.
+func buildIndex(w *world.World, assign []int32) (*Index, []*world.LDNS) {
+	ldnsPart, blockPart := assign[:len(w.LDNSes)], assign[len(w.LDNSes):]
 	var v4 []leaf[uint32]
 	var v6 []leaf[uint64]
-	for _, b := range w.Blocks {
+	for i, b := range w.Blocks {
 		if a := b.Prefix.Addr().Unmap(); a.Is4() {
-			v4 = append(v4, leaf[uint32]{addr32(a) >> 8, byID[b.ID], b.Demand})
+			v4 = append(v4, leaf[uint32]{addr32(a) >> 8, blockPart[i], b.Demand})
 		} else {
-			v6 = append(v6, leaf[uint64]{addr128(a)[0] >> 16, byID[b.ID], b.Demand})
+			v6 = append(v6, leaf[uint64]{addr128(a)[0] >> 16, blockPart[i], b.Demand})
 		}
 	}
 	type resolver struct {
 		addr [2]uint64
+		part int32
 		ldns *world.LDNS
 	}
 	rs := make([]resolver, len(w.LDNSes))
 	for i, l := range w.LDNSes {
-		rs[i] = resolver{addr128(l.Addr), l}
+		rs[i] = resolver{addr128(l.Addr), ldnsPart[i], l}
 	}
 	slices.SortStableFunc(rs, func(a, b resolver) int { return compare128(a.addr, b.addr) })
 	rs = slices.CompactFunc(rs, func(a, b resolver) bool { return a.addr == b.addr })
@@ -130,7 +133,7 @@ func buildIndex(w *world.World, byID []int32) (*Index, []*world.LDNS) {
 	}
 	ldnses := make([]*world.LDNS, len(rs))
 	for i, r := range rs {
-		ix.Resolvers[i], ix.ResolverPart[i], ldnses[i] = r.addr, byID[r.ldns.ID], r.ldns
+		ix.Resolvers[i], ix.ResolverPart[i], ldnses[i] = r.addr, r.part, r.ldns
 	}
 	return ix, ldnses
 }

@@ -95,7 +95,7 @@ func TestLookupBlockIPv6(t *testing.T) {
 	host := b.Prefix.Addr().Next() // an address inside the /48
 	sn := sys.Current()
 	got, ok := sn.ClientRow(netip.PrefixFrom(host, 128))
-	if want := sn.RankOf(b.ID, true); !ok || !slices.Equal(got.Head, want.Head) || !slices.Equal(got.Tail, want.Tail) {
+	if want := blockRow(sn, b); !ok || !slices.Equal(got.Head, want.Head) || !slices.Equal(got.Tail, want.Tail) {
 		t.Errorf("ClientRow(%v) is not the row of block %v (found %v)", host, b.Prefix, ok)
 	}
 }

@@ -358,7 +358,7 @@ func TestBalanceZeroByteIdentical(t *testing.T) {
 	sameRows(idle, balanced.Current(), "idle, β=2 vs β=0")
 
 	blk := testW.Blocks[0]
-	hot := depOf(idle.RankOf(blk.Endpoint().ID, true).Head[0])
+	hot := depOf(blockRow(idle, blk).Head[0])
 	for _, s := range hot.Servers {
 		s.AddLoad(0.9 * s.Capacity())
 	}

@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"eum/internal/cdn"
@@ -98,18 +99,11 @@ func nextLeaf(a netip.Addr) netip.Addr {
 // blockIndex indexes w with every block its own partition — its position
 // in w.Blocks — so a lookup names the block it found.
 func blockIndex(w *world.World) *Index {
-	maxID := uint64(0)
-	for _, b := range w.Blocks {
-		maxID = max(maxID, b.ID)
+	assign := make([]int32, len(w.LDNSes)+len(w.Blocks))
+	for i := range w.Blocks {
+		assign[len(w.LDNSes)+i] = int32(i)
 	}
-	for _, l := range w.LDNSes {
-		maxID = max(maxID, l.ID)
-	}
-	byID := make([]int32, maxID+1)
-	for i, b := range w.Blocks {
-		byID[b.ID] = int32(i)
-	}
-	ix, _ := buildIndex(w, byID)
+	ix, _ := buildIndex(w, assign)
 	return ix
 }
 
@@ -140,6 +134,7 @@ func TestClientLookupMatchesUnitIndex(t *testing.T) {
 		sb.mu.Lock()
 		miles50 := sb.layoutLocked()
 		sb.mu.Unlock()
+		_, miles50Parts := assigned(sb)
 		identity := blockIndex(w)
 		pos := make(map[*world.ClientBlock]int32, len(w.Blocks))
 		for i, b := range w.Blocks {
@@ -151,7 +146,7 @@ func TestClientLookupMatchesUnitIndex(t *testing.T) {
 			partOf func(*world.ClientBlock) int32
 		}{
 			{"identity", identity, func(b *world.ClientBlock) int32 { return pos[b] }},
-			{"50-mile", miles50.Index, func(b *world.ClientBlock) int32 { return miles50.byID[b.ID] }},
+			{"50-mile", miles50.Index, func(b *world.ClientBlock) int32 { return miles50Parts[pos[b]] }},
 		}
 		policies := []UnitPolicy{
 			PrefixUnits{X: 16}, PrefixUnits{X: 20}, PrefixUnits{X: 22}, PrefixUnits{X: 24}, PrefixUnits{X: 28},
@@ -195,6 +190,48 @@ func TestClientLookupMatchesUnitIndex(t *testing.T) {
 				t.Fatalf("%s world, %s partitions: %d of %d lookups found a block; want both outcomes", name, part.name, found, lookups)
 			}
 			t.Logf("%s world, %s partitions: %d lookups, %d found a block, 0 differences", name, part.name, lookups, found)
+		}
+	}
+}
+
+// TestRowsByAddressMatchAssignedPartitions: every world block's subnet and
+// every world resolver's address is in the map, and reads the row of the
+// partition buildLayout assigned that block or resolver — the one way the
+// figures and the authority ask the map. Checked for every block and
+// resolver of the Small and Full labs' sizes (seed 1), v4-only and with
+// 30% IPv6 blocks, under identity and 50-mile partitions, at one ping
+// target per ten blocks — and at the Small size at 800 targets and with
+// clustering off too, where every partition has a row of its own.
+func TestRowsByAddressMatchAssignedPartitions(t *testing.T) {
+	same := func(a, b Row) bool { return slices.Equal(a.Head, b.Head) && slices.Equal(a.Tail, b.Tail) }
+	sizes := []struct {
+		blocks, deps int
+		targets      []int
+	}{{4000, 400, []int{0, 800, 400}}, {20000, 2642, []int{2000}}}
+	for _, size := range sizes {
+		for _, v6 := range []float64{0, 0.3} {
+			w := world.MustGenerate(world.Config{Seed: 1, NumBlocks: size.blocks, IPv6Fraction: v6})
+			p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 1, NumDeployments: size.deps, ServersPerDeployment: 8})
+			for _, miles := range []float64{0, 50} {
+				for _, targets := range size.targets {
+					sb := NewSnapshotBuilder(w, p, testNet, Config{PingTargets: targets, PartitionMiles: miles})
+					sn := sb.Build(1, EndUser)
+					ldnsParts, blockParts := assigned(sb)
+					for i, b := range w.Blocks {
+						if got, ok := sn.ClientRow(b.Prefix); !ok || !same(got, sn.row(blockParts[i])) {
+							t.Fatalf("%d blocks, v6 %g, %g miles, %d targets: block %v reads another row (found %v)",
+								size.blocks, v6, miles, targets, b.Prefix, ok)
+						}
+					}
+					for i, l := range w.LDNSes {
+						if got, ok := sn.ResolverRow(l.Addr); !ok || !same(got, sn.row(ldnsParts[i])) {
+							t.Fatalf("%d blocks, v6 %g, %g miles, %d targets: resolver %v reads another row (found %v)",
+								size.blocks, v6, miles, targets, l.Addr, ok)
+						}
+					}
+				}
+			}
+			t.Logf("%d blocks, %d resolvers, v6 %g: every row by address is the assigned partition's", len(w.Blocks), len(w.LDNSes), v6)
 		}
 	}
 }

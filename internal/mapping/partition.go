@@ -7,7 +7,6 @@ import (
 
 	"eum/internal/netmodel"
 	"eum/internal/par"
-	"eum/internal/world"
 )
 
 // milesPerDegreeLat is a conservative (slightly low) miles-per-degree-of-
@@ -73,9 +72,10 @@ type segment struct {
 // partition), the partition→table map and which tail each table continues
 // in. A snapshot stores one row per table (segment) — its head, the first
 // TableLen entries of its ranking — followed by one row per tail, a ranking
-// of every deployment; rows are numbered in that order (see RowLen). The
-// exported fields are what internal/mapwire writes and reads one for one;
-// nothing may modify a layout once a snapshot refers to it.
+// of every deployment; rows are numbered in that order (see RowLen). Its
+// exported fields are all it holds besides the fingerprint cache, and what
+// internal/mapwire writes and reads one for one, so a decoded layout is the
+// built one; nothing may modify a layout once a snapshot refers to it.
 type Layout struct {
 	NParts int // universe partitions, excluding the two fallbacks
 
@@ -101,29 +101,11 @@ type Layout struct {
 	TableLen int // entries per head = HeadLen(TailLen)
 	TailLen  int // entries per tail = len(platform.Deployments)
 
-	// byID (endpoint ID → partition, -1 unknown; world IDs come from one
-	// small counter, so the array is as long as the largest) and ldnses
-	// (resolver slot → world LDNS) are what the builder knew of the world
-	// the index was made from: the figure plane looks rows up by endpoint
-	// ID through them. Serving never reads them and they never travel, so
-	// a decoded layout has neither.
-	byID   []int32
-	ldnses []*world.LDNS
-
 	// fpOnce/fp cache the layout fingerprint the wire protocol negotiates
 	// deltas with (see Snapshot.LayoutFingerprint). Layouts are immutable
 	// after buildLayout, so the hash is computed at most once.
 	fpOnce sync.Once
 	fp     uint64
-}
-
-// partitionOf resolves an endpoint ID to its partition, or -1 — always -1
-// on a decoded layout, which knows addresses, not IDs.
-func (lay *Layout) partitionOf(id uint64) int32 {
-	if id < uint64(len(lay.byID)) {
-		return lay.byID[id]
-	}
-	return -1
 }
 
 // Tables returns the number of distinct rank tables (segment heads).
@@ -173,14 +155,15 @@ func signatureFor(ep netmodel.Endpoint, miles float64) sigKey {
 }
 
 // buildLayout partitions the endpoint universe and returns the layout with
-// the segments its tables are ranked from. miles <= 0 selects identity
-// partitioning: every distinct endpoint ID is its own partition, which
-// reproduces the pre-partition per-endpoint tables exactly (the equivalence
-// property pinned by TestPartitionIdentityEquivalence). miles > 0 clusters
-// endpoints by routing signature; the first member seen (universe order, so
-// deterministic) represents the partition.
+// the segments its tables are ranked from and the partition of each
+// universe position, which the index is made from. miles <= 0 selects
+// identity partitioning: every distinct endpoint ID is its own partition,
+// which reproduces the pre-partition per-endpoint tables exactly (the
+// equivalence property pinned by TestPartitionIdentityEquivalence). miles > 0
+// clusters endpoints by routing signature; the first member seen (universe
+// order, so deterministic) represents the partition.
 func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
-	miles float64, sc *Scorer) (*Layout, []segment) {
+	miles float64, sc *Scorer) (*Layout, []segment, []int32) {
 
 	nDeps := len(sc.platform.Deployments)
 	lay := &Layout{Index: &Index{}, TableLen: HeadLen(nDeps), TailLen: nDeps}
@@ -189,12 +172,12 @@ func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
 	assign := make([]int32, len(universe))
 	var reps []netmodel.Endpoint
 	if miles <= 0 {
-		byID := make(map[uint64]int32, len(universe))
+		seen := make(map[uint64]int32, len(universe))
 		for i, ep := range universe {
-			p, ok := byID[ep.ID]
+			p, ok := seen[ep.ID]
 			if !ok {
 				p = int32(len(reps))
-				byID[ep.ID] = p
+				seen[ep.ID] = p
 				reps = append(reps, ep)
 			}
 			assign[i] = p
@@ -221,23 +204,7 @@ func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
 	lay.FallbackClient = int32(len(reps))
 	reps = append(reps, fClient)
 
-	// Pass 2: the builder's endpoint ID → partition map, which the index
-	// is made from.
-	if len(universe) > 0 {
-		maxID := uint64(0)
-		for _, ep := range universe {
-			maxID = max(maxID, ep.ID)
-		}
-		lay.byID = make([]int32, maxID+1)
-		for i := range lay.byID {
-			lay.byID[i] = -1
-		}
-		for i, ep := range universe {
-			lay.byID[ep.ID] = assign[i]
-		}
-	}
-
-	// Pass 3: intern partitions onto segments. With clustering on,
+	// Pass 2: intern partitions onto segments. With clustering on,
 	// partitions resolving to the same ping target share one table, so the
 	// arena is bounded by the distinct targets in use — not by the
 	// partition count; with clustering off each partition ranks its own
@@ -264,7 +231,7 @@ func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
 		}
 	}
 
-	// Pass 4: tails. Segments share the tail of their measured endpoint's
+	// Pass 3: tails. Segments share the tail of their measured endpoint's
 	// cell — geography alone, since beyond the head AS and access tier no
 	// longer tell rankings apart. The fallback segments get tails of their
 	// own, so a fallback row is the fallback endpoint's exact ranking from
@@ -286,5 +253,5 @@ func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
 		}
 		lay.SegTail[s] = t
 	}
-	return lay, segs
+	return lay, segs, assign
 }

@@ -14,9 +14,10 @@ import (
 // TestPartitionIdentityEquivalence is the partition-equivalence property
 // test: with the similarity threshold at 0 (identity partitioning — every
 // endpoint its own partition), the partitioned, interned-arena snapshot
-// must return byte-identical heads and Best answers to the pre-partition
-// per-endpoint tables, whose contract is the scorer's own ranking for the
-// same endpoint. Checked for every block and every LDNS, not a sample.
+// must return byte-identical heads and first live picks to the
+// pre-partition per-endpoint tables, whose contract is the scorer's own
+// ranking for the same endpoint. Checked for every block and every LDNS,
+// not a sample, each looked up by the address a query carries.
 func TestPartitionIdentityEquivalence(t *testing.T) {
 	sys := NewSystem(testW, testP, testNet, Config{Policy: EndUser, PingTargets: 1000})
 	sn := sys.Current()
@@ -26,9 +27,9 @@ func TestPartitionIdentityEquivalence(t *testing.T) {
 		t.Fatalf("identity partitioning: %d partitions for %d endpoints", got, want)
 	}
 
-	checkEndpoint := func(ep netmodel.Endpoint, client bool, what string) {
+	checkEndpoint := func(ep netmodel.Endpoint, row Row, what string) {
 		t.Helper()
-		got := sn.RankOf(ep.ID, client).Head
+		got := row.Head
 		want := sc.Rank(ep)
 		if len(got) != sn.lay.TableLen {
 			t.Fatalf("%s %d: head of %d, want %d", what, ep.ID, len(got), sn.lay.TableLen)
@@ -43,8 +44,8 @@ func TestPartitionIdentityEquivalence(t *testing.T) {
 					depOf(got[j]).Name, got[j].Score(), depOf(want[j]).Name, want[j].Score())
 			}
 		}
-		// Best = first live entry of the reference table.
-		gotD, gotS := sn.Best(ep.ID, client)
+		// The first live entry of the row is the reference table's.
+		gotD, gotS := sn.FirstLive(row)
 		var wantD = gotD
 		var wantS = gotS
 		for _, r := range want {
@@ -54,15 +55,15 @@ func TestPartitionIdentityEquivalence(t *testing.T) {
 			}
 		}
 		if gotD != wantD || gotS != wantS {
-			t.Fatalf("%s %d: Best = %v/%v, want %v/%v", what, ep.ID, gotD, gotS, wantD, wantS)
+			t.Fatalf("%s %d: FirstLive = %v/%v, want %v/%v", what, ep.ID, gotD, gotS, wantD, wantS)
 		}
 	}
 
 	for _, b := range testW.Blocks {
-		checkEndpoint(b.Endpoint(), true, "block")
+		checkEndpoint(b.Endpoint(), blockRow(sn, b), "block")
 	}
 	for _, l := range testW.LDNSes {
-		checkEndpoint(l.Endpoint(), false, "ldns")
+		checkEndpoint(l.Endpoint(), ldnsRow(sn, l), "ldns")
 	}
 }
 
@@ -84,10 +85,11 @@ func TestPartitionThresholdClusters(t *testing.T) {
 	}
 	for i := 0; i < len(testW.Blocks); i += 97 {
 		b := testW.Blocks[i]
-		if r := sn.RankOf(b.ID, true); r.Len() != len(testP.Deployments) {
-			t.Fatalf("block %v: row has %d candidates, want %d", b.Prefix, r.Len(), len(testP.Deployments))
+		r, ok := sn.ClientRow(b.Prefix)
+		if !ok || r.Len() != len(testP.Deployments) {
+			t.Fatalf("block %v: row has %d candidates (found %v), want %d", b.Prefix, r.Len(), ok, len(testP.Deployments))
 		}
-		if d, _ := sn.Best(b.ID, true); d == nil {
+		if d, _ := sn.FirstLive(r); d == nil {
 			t.Fatalf("block %v: no live deployment", b.Prefix)
 		}
 	}
@@ -97,8 +99,8 @@ func TestPartitionThresholdClusters(t *testing.T) {
 	seen := map[int32][]Ranked{}
 	shared := 0
 	for _, b := range testW.Blocks {
-		p := sn.lay.partitionOf(b.ID)
-		if p < 0 {
+		p, ok := sn.lay.Index.client(b.Prefix)
+		if !ok {
 			t.Fatalf("block %v not indexed", b.Prefix)
 		}
 		if prev, ok := seen[p]; ok {

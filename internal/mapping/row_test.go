@@ -111,7 +111,7 @@ func TestHeadIsPrefixOfFullRank(t *testing.T) {
 			}
 			for i := 0; i < len(testW.Blocks); i += 101 {
 				seen := make([]bool, nDeps)
-				for _, c := range walked(sn.RankOf(testW.Blocks[i].ID, true)) {
+				for _, c := range walked(blockRow(sn, testW.Blocks[i])) {
 					if seen[c.Dep] {
 						t.Fatalf("block %d: walk visits deployment %d twice", i, c.Dep)
 					}
@@ -192,8 +192,9 @@ func TestTwoLevelPickMatchesFullRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	// The reference row of a block is the full ranking of the endpoint
 	// measured for its partition — what the parent stored whole.
-	fullRow := func(id uint64) []Ranked {
-		return fullRank(sc, sc.segProxy(sys.builder.segs[sn.lay.PartSeg[sn.lay.partitionOf(id)]]))
+	_, parts := assigned(sys.builder)
+	fullRow := func(i int) []Ranked {
+		return fullRank(sc, sc.segProxy(sys.builder.segs[sn.lay.PartSeg[parts[i]]]))
 	}
 
 	var inHead, pastHead, allSaturated, allDead int
@@ -229,7 +230,7 @@ func TestTwoLevelPickMatchesFullRow(t *testing.T) {
 		tailWant := uint64(0)
 		for i := trial; i < len(testW.Blocks); i += 61 {
 			b := testW.Blocks[i]
-			want, pos := referencePick(deps, fullRow(b.ID), 0)
+			want, pos := referencePick(deps, fullRow(i), 0)
 			resp, err := sys.MapAt(sn, Request{Domain: "diff.example.net", LDNS: b.LDNS.Addr, ClientSubnet: b.Prefix})
 			if live == 0 {
 				allDead++

@@ -46,10 +46,10 @@ func BenchmarkSetupBudget(b *testing.B) {
 		}
 	})
 	b.Run("index", func(b *testing.B) {
-		lay := mapping.LayoutOf(builder())
+		assign := mapping.Partitions(builder())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			mapping.BuildIndex(w, lay)
+			mapping.BuildIndex(w, assign)
 		}
 	})
 	b.Run("rings", func(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -82,11 +83,12 @@ type Snapshot struct {
 	cans map[int32][]Ranked
 }
 
-// Row is a candidate list in its two stored levels: Head, the best few
-// entries of the endpoint's own ranking, and Tail, a ranking of every
-// deployment that the endpoint's whole region shares. Candidates are tried
-// head first, then tail (see lists). Both slices are immutable; callers must
-// not modify them.
+// Row is a candidate list in its two stored levels, as ClientRow,
+// ResolverRow and CANSCandidates return it for what a query carries: Head,
+// the best few entries of its partition's own ranking, and Tail, a ranking
+// of every deployment that the partition's whole region shares. Candidates
+// are tried head first, then tail (see lists). Both slices are immutable;
+// callers must not modify them.
 type Row struct {
 	Head, Tail []Ranked
 }
@@ -218,29 +220,11 @@ func (sn *Snapshot) ResolverRow(addr netip.Addr) (Row, bool) {
 	return sn.fallbackRow(false), false
 }
 
-// RankOf returns the candidates serving endpoint id — the head of its
-// partition's ranking and the tail its region shares — falling back to the
-// shared fallback row when the map does not cover it. Only the process
-// that built the snapshot knows endpoint IDs: on a decoded snapshot every
-// ID falls back, and ClientRow and ResolverRow look rows up by address.
-func (sn *Snapshot) RankOf(id uint64, client bool) Row {
-	if p := sn.lay.partitionOf(id); p >= 0 {
-		return sn.row(p)
-	}
-	return sn.fallbackRow(client)
-}
-
-// Best returns the best-ranked deployment for endpoint id that is live
-// right now, with its score. Liveness is read at query time, so a snapshot
-// built before a failure still routes around it; the epoch bump on the
-// next publish is only needed to orphan cached answers.
-func (sn *Snapshot) Best(id uint64, client bool) (*cdn.Deployment, float64) {
-	return sn.FirstLive(sn.RankOf(id, client))
-}
-
 // FirstLive returns the first deployment in a row of this snapshot
-// (RankOf, CANSCandidates) that is live right now, with its score. Past the
-// head the score is the tail's: the ping to the endpoint that ranked it.
+// (ClientRow, ResolverRow, CANSCandidates) that is live right now, with its
+// score. Liveness is read at call time, so a snapshot built before a
+// failure still routes around it. Past the head the score is the tail's:
+// the ping to the endpoint that ranked it.
 func (sn *Snapshot) FirstLive(row Row) (*cdn.Deployment, float64) {
 	for _, list := range row.lists() {
 		for _, c := range list {
@@ -294,6 +278,12 @@ type SnapshotBuilder struct {
 	// never reads them, so they stay here and never travel.
 	segs []segment
 	prev *Snapshot
+	// ldnses is the world LDNS in each resolver slot of lay's index, which
+	// buildCANS reads the resolver's clients from and System.LDNSEndpoint
+	// its endpoint. Like segs it never travels; it is published atomically
+	// because LDNSEndpoint reads it on the top level's query path, without
+	// the lock. Nil until the first layout and after bootSnapshot.
+	ldnses atomic.Pointer[slotLDNSes]
 	// expectedGen is the scorer generation the builder has accounted for.
 	// A mismatch at Build time means someone invalidated the scorer behind
 	// the builder's back (e.g. a simulation calling Scorer.Invalidate after
@@ -303,6 +293,27 @@ type SnapshotBuilder struct {
 	dirtyTargets map[int]struct{}
 
 	stats BuildStats
+}
+
+// slotLDNSes pairs an index with the world LDNS in each of its resolver
+// slots.
+type slotLDNSes struct {
+	ix     *Index
+	ldnses []*world.LDNS
+}
+
+// worldLDNS returns the world LDNS at a resolver address of the builder's
+// layout, or nil when the builder has laid out no world or the address is
+// not one of its resolvers.
+func (b *SnapshotBuilder) worldLDNS(addr netip.Addr) *world.LDNS {
+	known := b.ldnses.Load()
+	if known == nil {
+		return nil
+	}
+	if slot, ok := known.ix.resolver(addr); ok {
+		return known.ldnses[slot]
+	}
+	return nil
 }
 
 // BuildStats reports how a builder has been working: full builds (every
@@ -389,9 +400,9 @@ func (b *SnapshotBuilder) BuildStats() BuildStats {
 // fallbackEndpoints returns the two synthetic endpoints standing in for
 // anything the map was not built for. All unknowns share them (and hence
 // one rank table per kind), anchored at the configured fallback location.
-func (b *SnapshotBuilder) fallbackEndpoints() (ldns, client netmodel.Endpoint) {
-	ldns = netmodel.Endpoint{ID: fallbackLDNSID, Loc: b.fallbackLoc, Access: netmodel.AccessBackbone}
-	client = netmodel.Endpoint{ID: fallbackClientID, Loc: b.fallbackLoc, Access: netmodel.AccessCable}
+func fallbackEndpoints(loc geo.Point) (ldns, client netmodel.Endpoint) {
+	ldns = netmodel.Endpoint{ID: fallbackLDNSID, Loc: loc, Access: netmodel.AccessBackbone}
+	client = netmodel.Endpoint{ID: fallbackClientID, Loc: loc, Access: netmodel.AccessCable}
 	return ldns, client
 }
 
@@ -404,6 +415,17 @@ func (b *SnapshotBuilder) layoutLocked() *Layout {
 	if b.lay != nil {
 		return b.lay
 	}
+	lay, segs, assign := b.partition()
+	ix, ldnses := buildIndex(b.world, assign)
+	lay.Index = ix
+	b.lay, b.segs = lay, segs
+	b.ldnses.Store(&slotLDNSes{ix, ldnses})
+	return lay
+}
+
+// partition lays out the builder's endpoint universe: every world LDNS,
+// then every client block, in world order (see buildLayout).
+func (b *SnapshotBuilder) partition() (*Layout, []segment, []int32) {
 	w := b.world
 	universe := make([]netmodel.Endpoint, 0, len(w.LDNSes)+len(w.Blocks))
 	for _, l := range w.LDNSes {
@@ -412,10 +434,8 @@ func (b *SnapshotBuilder) layoutLocked() *Layout {
 	for _, blk := range w.Blocks {
 		universe = append(universe, blk.Endpoint())
 	}
-	fLDNS, fClient := b.fallbackEndpoints()
-	b.lay, b.segs = buildLayout(universe, fLDNS, fClient, b.partitionMiles, b.scorer)
-	b.lay.Index, b.lay.ldnses = buildIndex(w, b.lay.byID)
-	return b.lay
+	fLDNS, fClient := fallbackEndpoints(b.fallbackLoc)
+	return buildLayout(universe, fLDNS, fClient, b.partitionMiles, b.scorer)
 }
 
 // fillRows ranks the given rows of lay, whose tables are ranked from segs,
@@ -479,12 +499,13 @@ func (b *SnapshotBuilder) bootSnapshot(policy Policy) *Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.lay, b.segs, b.prev = nil, nil, nil
+	b.ldnses.Store(nil)
 	b.lineage = newLineage()
 	b.dirtyAll = true
 	b.scorer.Invalidate()
 
-	fLDNS, fClient := b.fallbackEndpoints()
-	lay, segs := buildLayout(nil, fLDNS, fClient, b.partitionMiles, b.scorer)
+	fLDNS, fClient := fallbackEndpoints(b.fallbackLoc)
+	lay, segs, _ := buildLayout(nil, fLDNS, fClient, b.partitionMiles, b.scorer)
 	arena := make([]Ranked, lay.ArenaLen())
 	b.fillRows(lay, segs, upTo(lay.Rows()), arena)
 	return NewSnapshot(b.lineage, 0, policy, b.ttl, lay, b.scorer.Platform(), arena, nil)
@@ -600,7 +621,7 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 // balancer. Past that head the walk continues in the LDNS's tail (see
 // CANSCandidates).
 func (b *SnapshotBuilder) buildCANS(sn *Snapshot) map[int32][]Ranked {
-	ldnses := sn.lay.ldnses
+	ldnses := b.ldnses.Load().ldnses
 	sc := b.scorer
 	lists := par.Map(len(ldnses), func(i int) []Ranked {
 		l := ldnses[i]

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"net/netip"
 	"testing"
 
 	"eum/internal/netmodel"
@@ -74,7 +75,7 @@ func TestSnapshotMatchesScorer(t *testing.T) {
 
 	for i := 0; i < len(testW.Blocks); i += 257 {
 		b := testW.Blocks[i]
-		got := sn.RankOf(b.ID, true).Head
+		got := blockRow(sn, b).Head
 		want := sc.Rank(b.Endpoint())[:sn.lay.TableLen]
 		if len(got) != len(want) {
 			t.Fatalf("block %v: %d ranked, want %d", b.Prefix, len(got), len(want))
@@ -88,7 +89,7 @@ func TestSnapshotMatchesScorer(t *testing.T) {
 	}
 	for i := 0; i < len(testW.LDNSes); i += 61 {
 		l := testW.LDNSes[i]
-		got := sn.RankOf(l.Endpoint().ID, false).Head
+		got := ldnsRow(sn, l).Head
 		want := sc.Rank(l.Endpoint())
 		if len(got) == 0 || depOf(got[0]) != depOf(want[0]) {
 			t.Fatalf("LDNS %v: top-ranked mismatch", l.Addr)
@@ -101,13 +102,14 @@ func TestSnapshotMatchesScorer(t *testing.T) {
 func TestSnapshotFallbackTables(t *testing.T) {
 	sys := newSystem(t, EndUser)
 	sn := sys.Current()
-	if sn.RankOf(^uint64(0)-7, false).Head == nil {
-		t.Fatal("unknown LDNS endpoint has no fallback table")
+	if r, ok := sn.ResolverRow(netip.MustParseAddr("198.51.100.9")); ok || r.Head == nil {
+		t.Fatalf("unknown LDNS address: found %v, fallback head %v", ok, r.Head)
 	}
-	if sn.RankOf(^uint64(0)-7, true).Head == nil {
-		t.Fatal("unknown client endpoint has no fallback table")
+	client, ok := sn.ClientRow(netip.MustParsePrefix("255.255.255.0/24"))
+	if ok || client.Head == nil {
+		t.Fatalf("unknown client subnet: found %v, fallback head %v", ok, client.Head)
 	}
-	if d, _ := sn.Best(^uint64(0)-7, true); d == nil {
+	if d, _ := sn.FirstLive(client); d == nil {
 		t.Fatal("no live deployment for the fallback table")
 	}
 }

@@ -358,34 +358,24 @@ func (s *System) MapAt(sn *Snapshot, req Request) (*Response, error) {
 }
 
 // LDNSEndpoint returns the network endpoint the system scores for queries
-// arriving from the given resolver address: the world LDNS the current
-// map was built for, or a fallback endpoint for resolvers it does not know
-// — and for every resolver on a replica, which holds no world. Top-level
-// name servers use it to pick the low-level name-server cluster to
-// delegate to.
+// arriving from the given resolver address: the world LDNS the builder laid
+// its map out for, or the builder's one fallback resolver endpoint for an
+// address it does not know — and for every address on a replica, which
+// holds no world. Every unknown resolver shares that endpoint, so scoring
+// them memoizes one nearest ping target, however many addresses ask.
+// Top-level name servers use it to pick the low-level name-server cluster
+// to delegate to.
 func (s *System) LDNSEndpoint(addr netip.Addr) netmodel.Endpoint {
-	lay := s.Current().lay
-	if slot, ok := lay.Index.resolver(addr); ok && slot < len(lay.ldnses) {
-		return lay.ldnses[slot].Endpoint()
+	if s.builder != nil {
+		if l := s.builder.worldLDNS(addr); l != nil {
+			return l.Endpoint()
+		}
 	}
-	return netmodel.Endpoint{ID: hashAddr(addr), Loc: s.cfg.FallbackLoc,
-		Access: netmodel.AccessBackbone}
+	ldns, _ := fallbackEndpoints(s.cfg.FallbackLoc)
+	return ldns
 }
 
 // IndexBytes returns the resident size of the current map's index; with
 // Snapshot.MemoryBytes, which leaves it out, it is the scale guard's
 // bytes-per-block accounting.
 func (s *System) IndexBytes() uint64 { return s.Current().lay.Index.memoryBytes() }
-
-// hashAddr hashes an address by its 16-byte expanded form (FNV-1a),
-// avoiding the String() allocation the presentation form would cost on
-// every unknown-endpoint query.
-func hashAddr(a netip.Addr) uint64 {
-	b := a.As16()
-	h := uint64(fnvOffset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
-}

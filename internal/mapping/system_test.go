@@ -22,6 +22,25 @@ var (
 // depOf resolves a rank entry against the test platform.
 func depOf(r Ranked) *cdn.Deployment { return testP.Deployments[r.Dep] }
 
+// blockRow and ldnsRow return the rows a query reads for a world block's
+// subnet and from a world resolver's address.
+func blockRow(sn *Snapshot, b *world.ClientBlock) Row {
+	r, _ := sn.ClientRow(b.Prefix)
+	return r
+}
+
+func ldnsRow(sn *Snapshot, l *world.LDNS) Row {
+	r, _ := sn.ResolverRow(l.Addr)
+	return r
+}
+
+// assigned returns the partitions the builder's layout gives the world's
+// LDNSes and blocks, in world order.
+func assigned(b *SnapshotBuilder) (ldnses, blocks []int32) {
+	_, _, assign := b.partition()
+	return assign[:len(b.world.LDNSes)], assign[len(b.world.LDNSes):]
+}
+
 func newSystem(t testing.TB, pol Policy) *System {
 	t.Helper()
 	return NewSystem(testW, testP, testNet, Config{Policy: pol, PingTargets: 1000})
@@ -358,16 +377,50 @@ func TestLookupHelpers(t *testing.T) {
 	sn := s.Current()
 	b := testW.Blocks[0]
 	same := func(g, w Row) bool { return slices.Equal(g.Head, w.Head) && slices.Equal(g.Tail, w.Tail) }
-	if got, ok := sn.ClientRow(netip.PrefixFrom(b.Prefix.Addr().Next(), 32)); !ok || !same(got, sn.RankOf(b.ID, true)) {
+	ldnsParts, blockParts := assigned(s.builder)
+	if got, ok := sn.ClientRow(netip.PrefixFrom(b.Prefix.Addr().Next(), 32)); !ok || !same(got, sn.row(blockParts[0])) {
 		t.Error("ClientRow failed for an in-block address")
 	}
 	if got, ok := sn.ClientRow(netip.MustParsePrefix("255.255.255.1/32")); ok || !same(got, sn.fallbackRow(true)) {
 		t.Error("ClientRow found a nonexistent block")
 	}
-	if got, ok := sn.ResolverRow(b.LDNS.Addr); !ok || !same(got, sn.RankOf(b.LDNS.ID, false)) {
+	if got, ok := sn.ResolverRow(b.LDNS.Addr); !ok || !same(got, sn.row(ldnsParts[slices.Index(testW.LDNSes, b.LDNS)])) {
 		t.Error("ResolverRow failed")
 	}
 	if got := s.LDNSEndpoint(b.LDNS.Addr); got != b.LDNS.Endpoint() {
 		t.Errorf("LDNSEndpoint = %+v, want the world LDNS %+v", got, b.LDNS.Endpoint())
+	}
+}
+
+// TestUnknownResolversShareOneEndpoint: every resolver address the map does
+// not know is scored as the builder's one fallback resolver, so a flood of
+// queries from distinct unknown (say spoofed) sources adds at most one
+// entry to the scorer's nearest-target memo instead of one per address.
+// A rewound system, which holds no world, scores every address that way.
+func TestUnknownResolversShareOneEndpoint(t *testing.T) {
+	s := newSystem(t, NSBased)
+	fallback, _ := fallbackEndpoints(s.cfg.FallbackLoc)
+	a, b := netip.MustParseAddr("198.51.100.9"), netip.MustParseAddr("2001:db8::53")
+	if ea, eb := s.LDNSEndpoint(a), s.LDNSEndpoint(b); ea != fallback || eb != fallback {
+		t.Fatalf("unknown resolvers scored as %+v and %+v, want the fallback resolver %+v", ea, eb, fallback)
+	}
+	memo := func() int {
+		s.Scorer().mu.RLock()
+		defer s.Scorer().mu.RUnlock()
+		return len(s.Scorer().nearest)
+	}
+	before := memo()
+	for i := 0; i < 20000; i++ {
+		addr := netip.AddrFrom4([4]byte{198, 18 + byte(i>>16), byte(i >> 8), byte(i)})
+		s.Scorer().Score(testP.Deployments[0], s.LDNSEndpoint(addr))
+	}
+	if grew := memo() - before; grew > 1 {
+		t.Fatalf("scoring 20000 unknown resolvers added %d memo entries, want at most 1", grew)
+	}
+
+	l := testW.LDNSes[0]
+	s.BootstrapReplica()
+	if got := s.LDNSEndpoint(l.Addr); got != fallback {
+		t.Fatalf("a rewound system scores world resolver %v as %+v, want the fallback resolver", l.Addr, got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"net/netip"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -47,11 +48,10 @@ func (p *shiftNet) PingMs(a, b netmodel.Endpoint) float64 {
 	return p.base.PingMs(a, b) + p.shift[a.ID] + p.shift[b.ID]
 }
 
-// sameAnswers fails unless got — a decoded snapshot, which knows
-// addresses, not endpoint IDs — ranks every block's prefix and every
-// LDNS's address identically (deployment index and bitwise score) to how
-// want, the snapshot built from the world, ranks their endpoint IDs; and
-// unknown prefixes and resolvers like unknown IDs.
+// sameAnswers fails unless got — a decoded snapshot — ranks every block's
+// prefix and every LDNS's address identically (deployment index and
+// bitwise score) to want, the snapshot built from the world, and unknown
+// prefixes and resolvers alike.
 func sameAnswers(t *testing.T, got, want *mapping.Snapshot, w *world.World) {
 	t.Helper()
 	check := func(g, wnt mapping.Row, what string) {
@@ -68,19 +68,30 @@ func sameAnswers(t *testing.T, got, want *mapping.Snapshot, w *world.World) {
 		if !ok {
 			t.Fatalf("block %v is not in the decoded index", blk.Prefix)
 		}
-		check(g, want.RankOf(blk.ID, true), "block "+blk.Prefix.String())
+		wnt, _ := want.ClientRow(blk.Prefix)
+		check(g, wnt, "block "+blk.Prefix.String())
 	}
 	for _, l := range w.LDNSes {
 		g, ok := got.ResolverRow(l.Addr)
 		if !ok {
 			t.Fatalf("LDNS %v is not in the decoded index", l.Addr)
 		}
-		check(g, want.RankOf(l.ID, false), "ldns "+l.Addr.String())
+		wnt, _ := want.ResolverRow(l.Addr)
+		check(g, wnt, "ldns "+l.Addr.String())
 	}
-	g, _ := got.ClientRow(netip.MustParsePrefix("198.18.0.0/24"))
-	check(g, want.RankOf(1<<63+12345, true), "unknown block")
-	g, _ = got.ResolverRow(netip.MustParseAddr("198.51.100.9"))
-	check(g, want.RankOf(1<<63+54321, false), "unknown ldns")
+	unknownBlock, unknownLDNS := netip.MustParsePrefix("198.18.0.0/24"), netip.MustParseAddr("198.51.100.9")
+	g, gotOK := got.ClientRow(unknownBlock)
+	wnt, wantOK := want.ClientRow(unknownBlock)
+	if gotOK || wantOK {
+		t.Fatalf("unknown block %v found: decoded %v, built %v", unknownBlock, gotOK, wantOK)
+	}
+	check(g, wnt, "unknown block")
+	g, gotOK = got.ResolverRow(unknownLDNS)
+	wnt, wantOK = want.ResolverRow(unknownLDNS)
+	if gotOK || wantOK {
+		t.Fatalf("unknown ldns %v found: decoded %v, built %v", unknownLDNS, gotOK, wantOK)
+	}
+	check(g, wnt, "unknown ldns")
 }
 
 func TestFullRoundTrip(t *testing.T) {
@@ -122,6 +133,38 @@ func TestFullRoundTrip(t *testing.T) {
 				t.Fatalf("re-encode differs: %d vs %d bytes", len(again), len(data))
 			}
 		})
+	}
+}
+
+// TestLayoutIsWhatTravels: a layout holds nothing a full image does not
+// carry. Decoding a built snapshot's full image gives back its layout in
+// every field but the fingerprint cache — so no field may be unexported
+// besides that cache, for nothing writes one — under threshold and
+// identity partitions, on a world with both address families.
+func TestLayoutIsWhatTravels(t *testing.T) {
+	w, p := fixture()
+	cache := map[string]bool{"fpOnce": true, "fp": true}
+	for _, cfg := range []mapping.Config{fixCfg, {Policy: mapping.NSBased, PingTargets: 150}} {
+		built := mapping.NewSnapshotBuilder(w, p, netmodel.NewDefault(), cfg).Build(3, cfg.Policy)
+		image, err := NewCodec(p).EncodeFull(built)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, decoded, err := DecodeBoot(bytes.NewReader(image), int64(len(image)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := reflect.ValueOf(built.Layout()).Elem(), reflect.ValueOf(decoded.Layout()).Elem()
+		for i := 0; i < want.NumField(); i++ {
+			f := want.Type().Field(i)
+			switch {
+			case cache[f.Name]:
+			case !f.IsExported():
+				t.Errorf("%g miles: Layout.%s does not travel", cfg.PartitionMiles, f.Name)
+			case !reflect.DeepEqual(want.Field(i).Interface(), got.Field(i).Interface()):
+				t.Errorf("%g miles: decoded Layout.%s differs from the built one", cfg.PartitionMiles, f.Name)
+			}
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ func TestReplicaBootBuildsNothing(t *testing.T) {
 		t.Fatalf("boot map: epoch %d, %d partitions, %d tables; want epoch 0 and only the fallback tables",
 			boot.Epoch(), boot.Partitions(), boot.Tables())
 	}
-	const unknown = 1<<63 + 99
+	unknown := netip.MustParsePrefix("255.255.255.0/24")
 	for i := 0; i < len(w.Blocks); i += 97 {
 		b := w.Blocks[i]
 		resp, err := rewound.Map(mapping.Request{Domain: "boot.example.net", LDNS: b.LDNS.Addr, ClientSubnet: b.Prefix})
@@ -59,7 +59,8 @@ func TestReplicaBootBuildsNothing(t *testing.T) {
 			t.Fatalf("epoch-0 answer for %v: scope /%d, used subnet %v, epoch %d",
 				b.Prefix, resp.ScopePrefix, resp.UsedClientSubnet, resp.Epoch)
 		}
-		if want, _ := boot.FirstLive(boot.RankOf(unknown, true)); resp.Deployment != want {
+		fallback, _ := boot.ClientRow(unknown)
+		if want, _ := boot.FirstLive(fallback); resp.Deployment != want {
 			t.Fatalf("epoch-0 answer for %v is %s, the client fallback table says %s",
 				b.Prefix, resp.Deployment.Name, want.Name)
 		}
@@ -96,12 +97,14 @@ func TestReplicaBootBuildsNothing(t *testing.T) {
 	got, want := rep.Current(), pub.Current()
 	same := func(g, w mapping.Row) bool { return slices.Equal(g.Head, w.Head) && slices.Equal(g.Tail, w.Tail) }
 	for _, b := range w.Blocks {
-		if g, ok := got.ClientRow(b.Prefix); !ok || !same(g, want.RankOf(b.ID, true)) {
+		w, _ := want.ClientRow(b.Prefix)
+		if g, ok := got.ClientRow(b.Prefix); !ok || !same(g, w) {
 			t.Fatalf("block %v ranks differently on the replica", b.Prefix)
 		}
 	}
 	for _, l := range w.LDNSes {
-		if g, ok := got.ResolverRow(l.Addr); !ok || !same(g, want.RankOf(l.ID, false)) {
+		w, _ := want.ResolverRow(l.Addr)
+		if g, ok := got.ResolverRow(l.Addr); !ok || !same(g, w) {
 			t.Fatalf("LDNS %v ranks differently on the replica", l.Addr)
 		}
 	}
