@@ -20,7 +20,11 @@ all: check
 # tests.
 check: vet build race chaos load-chaos dist-chaos obs scale-smoke ecsgrid-smoke figures-check crossbuild bench-smoke
 
+# vet also fails on any Go file gofmt would change, outside the parent
+# trees bench-pair exports under .bench_build/.
 vet:
+	@unformatted="$$(gofmt -l . | grep -v '^\.bench_build/')"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) vet ./cmd/...
 

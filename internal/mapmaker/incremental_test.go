@@ -4,7 +4,9 @@ import (
 	"net/netip"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"eum/internal/cdn"
 	"eum/internal/mapping"
@@ -174,5 +176,67 @@ func TestIncrementalScopeSurvivesFailedBuild(t *testing.T) {
 		if !slices.Equal(got.Head, want.Head) || !slices.Equal(got.Tail, want.Tail) {
 			t.Fatalf("block %v ranking diverged after failed-build retry", b.Prefix)
 		}
+	}
+}
+
+// parkProber wraps the network model and, once armed, parks every
+// measurement until released: a build in flight that a test can hold open.
+type parkProber struct {
+	base    *netmodel.Model
+	armed   atomic.Bool
+	entered chan struct{} // closed by the first parked measurement
+	once    sync.Once
+	release chan struct{}
+}
+
+func (p *parkProber) PingMs(a, b netmodel.Endpoint) float64 {
+	if p.armed.Load() {
+		p.once.Do(func() { close(p.entered) })
+		<-p.release
+	}
+	return p.base.PingMs(a, b)
+}
+
+// TestMeasurementMarkDuringBuild: a scoped measurement mark made while a
+// full build is running neither waits for that build nor is lost by it —
+// the next build re-ranks exactly the marked target's table.
+func TestMeasurementMarkDuringBuild(t *testing.T) {
+	prober := &parkProber{base: testNet, entered: make(chan struct{}), release: make(chan struct{})}
+	platform := cdn.MustGenerateUniverse(testW, cdn.Config{Seed: 7, NumDeployments: 40, ServersPerDeployment: 4})
+	sys := mapping.NewSystem(testW, platform, prober,
+		mapping.Config{Policy: mapping.EndUser, PingTargets: 100, PartitionMiles: 75})
+	mm := New(sys, Config{})
+	targetEp, ok := sys.Scorer().TargetFor(testW.LDNSes[0].Endpoint())
+	if !ok {
+		t.Fatal("clustering off")
+	}
+
+	prober.armed.Store(true)
+	mm.Notify(ReasonMeasurement)
+	built := make(chan struct{})
+	go func() { defer close(built); mm.Sync() }()
+	select {
+	case <-prober.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the full build never measured anything")
+	}
+
+	marked := make(chan struct{})
+	go func() { defer close(marked); mm.NotifyMeasurement(targetEp.ID) }()
+	select {
+	case <-marked:
+	case <-time.After(2 * time.Second):
+		close(prober.release)
+		t.Fatal("NotifyMeasurement waited for the running build")
+	}
+	prober.armed.Store(false)
+	close(prober.release)
+	<-built
+
+	st0 := sys.Builder().BuildStats()
+	mm.Sync()
+	st1 := sys.Builder().BuildStats()
+	if st1.Full != st0.Full || st1.Incremental != st0.Incremental+1 || st1.RerankedTables != st0.RerankedTables+1 {
+		t.Fatalf("build after a mid-build mark: builds %+v → %+v, want one incremental re-ranking one table", st0, st1)
 	}
 }

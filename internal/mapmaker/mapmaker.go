@@ -9,7 +9,9 @@
 // Signals arrive through a coalescing change feed: the CDN health monitor
 // reports deployment state flips (OnDeploymentChange), operators flip the
 // routing policy (SetPolicy), and measurement sweeps mark the scoring
-// tables dirty (Notify with ReasonMeasurement). The feed never builds
+// tables dirty (Notify with ReasonMeasurement, or NotifyMeasurement for
+// specific ping targets) in the snapshot builder's dirty set, the one
+// record of which tables the next build re-ranks. The feed never builds
 // anything itself — it marks reasons dirty and wakes the pipeline, which
 // folds however many signals accumulated into one rebuild. Simulations
 // drive the pipeline deterministically with Sync/Publish instead of the
@@ -20,7 +22,6 @@ package mapmaker
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -67,14 +68,6 @@ type MapMaker struct {
 	// wake nudges the Run loop; buffered so signal producers never block.
 	wake chan struct{}
 
-	// scopeMu guards the measurement scope: which ping targets the pending
-	// ReasonMeasurement covers. scopeAll means an unscoped refresh (every
-	// table re-ranked); scopeIDs accumulates target endpoint IDs from
-	// NotifyMeasurement so the builder re-ranks only their partitions.
-	scopeMu  sync.Mutex
-	scopeAll bool
-	scopeIDs map[uint64]struct{}
-
 	published atomic.Uint64 // snapshots built and installed
 	buildNs   atomic.Int64  // duration of the last build, nanoseconds
 	// buildHist, when non-nil, records every successful build's duration.
@@ -92,8 +85,8 @@ type MapMaker struct {
 	buildFault atomic.Pointer[func()]
 
 	// onPublish, when set, observes every successfully built and installed
-	// snapshot. The distribution plane's publisher hooks here so its
-	// delta-base retention ring sees every epoch (see mapdist.Publisher).
+	// snapshot. The distribution plane's publisher hooks here so it serves
+	// each epoch as soon as it is installed (see mapdist.Publisher.Observe).
 	onPublish atomic.Pointer[func(*mapping.Snapshot)]
 }
 
@@ -126,78 +119,34 @@ func (m *MapMaker) System() *mapping.System { return m.sys }
 
 // Notify marks the map dirty for the given reasons and wakes the pipeline.
 // It never blocks and never builds; any number of notifications between
-// builds fold into one. A plain ReasonMeasurement is unscoped: every
-// scoring table is considered stale (use NotifyMeasurement to scope the
-// refresh to specific ping targets).
+// builds fold into one. A plain ReasonMeasurement is unscoped: it marks
+// every scoring table dirty in the builder (use NotifyMeasurement to scope
+// the refresh to specific ping targets).
 func (m *MapMaker) Notify(r Reason) {
 	if r&ReasonMeasurement != 0 {
-		m.scopeMu.Lock()
-		m.scopeAll = true
-		m.scopeMu.Unlock()
+		m.sys.Builder().MarkMeasurementsDirty()
 	}
+	m.signal(r)
+}
+
+// NotifyMeasurement feeds a measurement refresh scoped to specific ping
+// targets (by endpoint ID) through the change feed: it marks them dirty in
+// the builder, so the next build re-ranks only the mapping partitions
+// those targets serve and shares every untouched table with the previous
+// snapshot. Marks from successive notifications accumulate until a build
+// claims them. Called with no IDs it is equivalent to
+// Notify(ReasonMeasurement).
+func (m *MapMaker) NotifyMeasurement(targetIDs ...uint64) {
+	m.sys.Builder().MarkMeasurementsDirty(targetIDs...)
+	m.signal(ReasonMeasurement)
+}
+
+// signal marks reasons dirty and wakes the loop without blocking.
+func (m *MapMaker) signal(r Reason) {
 	m.markDirty(r)
 	select {
 	case m.wake <- struct{}{}:
 	default:
-	}
-}
-
-// NotifyMeasurement feeds a measurement refresh scoped to specific ping
-// targets (by endpoint ID) through the change feed: the next build
-// invalidates and re-ranks only the mapping partitions those targets
-// serve, copying every untouched table from the previous snapshot. Scopes
-// from successive notifications accumulate until a build claims them.
-// Called with no IDs it is equivalent to Notify(ReasonMeasurement).
-func (m *MapMaker) NotifyMeasurement(targetIDs ...uint64) {
-	m.scopeMu.Lock()
-	if len(targetIDs) == 0 {
-		m.scopeAll = true
-	} else if !m.scopeAll {
-		if m.scopeIDs == nil {
-			m.scopeIDs = make(map[uint64]struct{}, len(targetIDs))
-		}
-		for _, id := range targetIDs {
-			m.scopeIDs[id] = struct{}{}
-		}
-	}
-	m.scopeMu.Unlock()
-	m.markDirty(ReasonMeasurement)
-	select {
-	case m.wake <- struct{}{}:
-	default:
-	}
-}
-
-// takeMeasurementScope atomically claims and clears the pending
-// measurement scope.
-func (m *MapMaker) takeMeasurementScope() (all bool, ids []uint64) {
-	m.scopeMu.Lock()
-	defer m.scopeMu.Unlock()
-	all = m.scopeAll
-	m.scopeAll = false
-	if !all {
-		for id := range m.scopeIDs {
-			ids = append(ids, id)
-		}
-	}
-	m.scopeIDs = nil
-	return all, ids
-}
-
-// rearmMeasurementScope puts a claimed scope back after a failed build so
-// the retry re-ranks at least as much as the failed attempt would have.
-func (m *MapMaker) rearmMeasurementScope(all bool, ids []uint64) {
-	m.scopeMu.Lock()
-	defer m.scopeMu.Unlock()
-	if all {
-		m.scopeAll = true
-		return
-	}
-	if m.scopeIDs == nil {
-		m.scopeIDs = make(map[uint64]struct{}, len(ids))
-	}
-	for _, id := range ids {
-		m.scopeIDs[id] = struct{}{}
 	}
 }
 
@@ -234,33 +183,26 @@ func (m *MapMaker) takeDirty() Reason {
 	return Reason(m.dirty.Swap(0))
 }
 
-// build runs one pipeline pass for the claimed reasons: a measurement
-// refresh drops the scoring tables first (so the build recomputes them),
-// then a snapshot is built at the next epoch and installed.
+// build runs one pipeline pass for the claimed reasons: a snapshot is
+// built at the next epoch, re-ranking what the builder's dirty set names,
+// and installed.
 //
 // A build that panics must never wedge the pipeline or tear down the last
 // good map: the panic is recovered, recorded, and the claimed reasons are
 // re-marked dirty so the next cadence tick (or signal) retries the build.
+// The measurement marks need no re-arming: a fault hook panics before the
+// builder claims them, and a builder that panics marks every table dirty.
 // The currently published snapshot stays in place — the data plane keeps
 // serving it, and the authority's staleness watchdog degrades answers if
 // the failures persist long enough.
 func (m *MapMaker) build(r Reason) *mapping.Snapshot {
-	var scopeAll bool
-	var scopeIDs []uint64
-	if r&ReasonMeasurement != 0 {
-		scopeAll, scopeIDs = m.takeMeasurementScope()
-	}
-	sn, err := m.tryBuild(r, scopeAll, scopeIDs)
+	sn, err := m.tryBuild()
 	if err != nil {
 		m.buildFailures.Add(1)
 		m.lastFailure.Store(&BuildFailure{Reasons: r, Err: err, At: time.Now()})
-		// Re-arm the claimed reasons (and measurement scope) without waking
-		// the loop: an immediate wake would spin a persistently failing
-		// build into a hot retry loop; the periodic tick is the retry
-		// cadence.
-		if r&ReasonMeasurement != 0 {
-			m.rearmMeasurementScope(scopeAll, scopeIDs)
-		}
+		// Re-arm the claimed reasons without waking the loop: an immediate
+		// wake would spin a persistently failing build into a hot retry
+		// loop; the periodic tick is the retry cadence.
 		m.markDirty(r)
 		return m.sys.Current()
 	}
@@ -283,8 +225,8 @@ func (m *MapMaker) SetOnPublish(f func(*mapping.Snapshot)) {
 }
 
 // tryBuild performs the build, converting a panic anywhere in the pipeline
-// (fault hook, scorer invalidation, snapshot construction) into an error.
-func (m *MapMaker) tryBuild(r Reason, scopeAll bool, scopeIDs []uint64) (sn *mapping.Snapshot, err error) {
+// (fault hook, snapshot construction) into an error.
+func (m *MapMaker) tryBuild() (sn *mapping.Snapshot, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("mapmaker: build panicked: %v", p)
@@ -292,16 +234,6 @@ func (m *MapMaker) tryBuild(r Reason, scopeAll bool, scopeIDs []uint64) (sn *map
 	}()
 	if f := m.buildFault.Load(); f != nil && *f != nil {
 		(*f)()
-	}
-	if r&ReasonMeasurement != 0 {
-		// Hand the refresh scope to the builder: scoped IDs re-rank only
-		// the partitions interned on those ping targets; an unscoped
-		// refresh (or an ID that is not a target) re-ranks everything.
-		if scopeAll || len(scopeIDs) == 0 {
-			m.sys.Builder().MarkMeasurementsDirty()
-		} else {
-			m.sys.Builder().MarkMeasurementsDirty(scopeIDs...)
-		}
 	}
 	start := time.Now()
 	sn = m.sys.Rebuild()

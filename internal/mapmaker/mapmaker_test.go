@@ -132,24 +132,25 @@ func TestSetPolicyFlowsThroughFeed(t *testing.T) {
 	}
 }
 
-// TestMeasurementRefreshRecomputes: a measurement signal must drop the
-// scoring tables so the next build recomputes them, visible as a scorer
-// generation bump.
+// TestMeasurementRefreshRecomputes: a measurement signal must make the
+// next build re-rank the scoring tables, visible as one more full build on
+// the builder; a health-only publish re-ranks nothing.
 func TestMeasurementRefreshRecomputes(t *testing.T) {
 	mm, _ := newMapMaker(t, mapping.EndUser)
-	sc := mm.System().Scorer()
-	g0 := sc.Generation()
+	b := mm.System().Builder()
+	st0 := b.BuildStats()
 
 	mm.Notify(ReasonHealth)
 	mm.Sync()
-	if sc.Generation() != g0 {
-		t.Fatal("health-only publish must not recompute scoring tables")
+	st1 := b.BuildStats()
+	if st1.Full != st0.Full || st1.RerankedTables != st0.RerankedTables {
+		t.Fatalf("health-only publish re-ranked tables: builds %+v → %+v", st0, st1)
 	}
 
 	mm.Notify(ReasonMeasurement)
 	sn := mm.Sync()
-	if sc.Generation() != g0+1 {
-		t.Fatalf("measurement publish: scorer generation %d, want %d", sc.Generation(), g0+1)
+	if st2 := b.BuildStats(); st2.Full != st1.Full+1 {
+		t.Fatalf("measurement publish: full builds %d → %d, want +1", st1.Full, st2.Full)
 	}
 	if mm.Current() != sn {
 		t.Fatal("measurement publish not installed")

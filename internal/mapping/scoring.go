@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"eum/internal/cdn"
 	"eum/internal/geo"
@@ -72,7 +71,7 @@ type Scorer struct {
 
 	// targetIdx maps a ping target's endpoint ID to its index, so
 	// measurement updates scoped to specific targets (the MapMaker's
-	// NotifyMeasurement feed) can invalidate just those tables.
+	// NotifyMeasurement feed) can mark just those tables dirty.
 	targetIdx map[uint64]int
 
 	// targetLat indexes the targets by latitude for the nearest-target
@@ -81,14 +80,11 @@ type Scorer struct {
 	// band instead of every target.
 	targetLat latIndex
 
-	// gen counts invalidations; the snapshot builder compares it to detect
-	// a measurement refresh it was not told about.
-	gen atomic.Uint64
-
 	// mu guards the two memos experiments lean on when they call Best for
 	// the same endpoints day after day: endpoint ID → nearest ping target
 	// (without it internal/experiments' tests run 40% longer), and ping
-	// target → best live deployment. A replica never fills them.
+	// target → best live deployment. Only Best fills the second, and
+	// Invalidate empties it; builds never read it. A replica fills neither.
 	mu      sync.RWMutex
 	nearest map[uint64]int32
 	best    map[int32]Ranked
@@ -249,11 +245,6 @@ func (w *latWalk) next(bound float64) (int, bool) {
 
 // Platform returns the scored platform.
 func (s *Scorer) Platform() *cdn.Platform { return s.platform }
-
-// Generation returns the invalidation counter: it increases every time
-// cached scoring state is dropped (liveness or measurement changes), so
-// layered caches can stamp entries and discard stale ones.
-func (s *Scorer) Generation() uint64 { return s.gen.Load() }
 
 // targetFor returns the index of the ping target standing in for ep, or -1
 // when clustering is disabled.
@@ -532,27 +523,14 @@ func (s *Scorer) Best(ep netmodel.Endpoint) (*cdn.Deployment, float64) {
 	return best, bestScore
 }
 
-// Invalidate drops every remembered best deployment and bumps the
-// generation counter, so the next snapshot Build re-ranks its tables. The
-// MapMaker calls it on a measurement refresh, simulations after failure
-// injection; it has no effect on already-published snapshots.
+// Invalidate drops every remembered best deployment, so the next Best
+// measures afresh. SnapshotBuilder.MarkMeasurementsDirty calls it, and
+// simulations after a measurement sweep or failure injection. It does not
+// make a builder re-rank anything: only MarkMeasurementsDirty does that.
 func (s *Scorer) Invalidate() {
 	s.mu.Lock()
 	clear(s.best)
 	s.mu.Unlock()
-	s.gen.Add(1)
-}
-
-// InvalidateTargets is Invalidate scoped to specific ping targets, used
-// when a measurement sweep refreshed a known subset of them. The
-// generation counter still advances so the builder sees the change.
-func (s *Scorer) InvalidateTargets(idxs ...int) {
-	s.mu.Lock()
-	for _, i := range idxs {
-		delete(s.best, int32(i))
-	}
-	s.mu.Unlock()
-	s.gen.Add(1)
 }
 
 // TargetIndex resolves an endpoint ID to its ping-target index, reporting
@@ -576,19 +554,11 @@ func (s *Scorer) TargetFor(ep netmodel.Endpoint) (netmodel.Endpoint, bool) {
 // Targeted reports whether clustering is on (a bounded ping-target set).
 func (s *Scorer) Targeted() bool { return len(s.targets) > 0 }
 
-// BestWeighted returns the live deployment minimising the demand-weighted
-// mean ping to the given endpoints — the CANS objective: "map client to the
-// deployment that minimizes the traffic-weighted average of the latencies
-// from the deployment to its cluster of clients" (§6).
-func (s *Scorer) BestWeighted(eps []netmodel.Endpoint, weights []float64) (*cdn.Deployment, float64) {
-	if i, score := s.bestWeighted(eps, weights); i >= 0 {
-		return s.platform.Deployments[i], score
-	}
-	return nil, 0
-}
-
-// bestWeighted is BestWeighted returning the winner's deployment index, or
-// -1 when no deployment is alive.
+// bestWeighted returns the index of the live deployment minimising the
+// demand-weighted mean ping to the given endpoints, and that mean — the
+// CANS objective: "map client to the deployment that minimizes the
+// traffic-weighted average of the latencies from the deployment to its
+// cluster of clients" (§6). It returns -1 when no deployment is alive.
 func (s *Scorer) bestWeighted(eps []netmodel.Endpoint, weights []float64) (int, float64) {
 	if len(eps) == 0 {
 		return -1, 0

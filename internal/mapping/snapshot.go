@@ -284,15 +284,17 @@ type SnapshotBuilder struct {
 	// because LDNSEndpoint reads it on the top level's query path, without
 	// the lock. Nil until the first layout and after bootSnapshot.
 	ldnses atomic.Pointer[slotLDNSes]
-	// expectedGen is the scorer generation the builder has accounted for.
-	// A mismatch at Build time means someone invalidated the scorer behind
-	// the builder's back (e.g. a simulation calling Scorer.Invalidate after
-	// failure injection), so the build conservatively re-ranks everything.
-	expectedGen  uint64
-	dirtyAll     bool
-	dirtyTargets map[int]struct{}
 
 	stats BuildStats
+
+	// dirtyMu guards the measurement dirty set: the ping targets (by index)
+	// whose tables the next Build must re-rank, or dirtyAll for every table.
+	// It is the only record of what is stale. Its own lock, not mu, so a
+	// mark never waits behind a running build; Build claims the set when it
+	// starts, so a mark that lands mid-build is kept for the next one.
+	dirtyMu      sync.Mutex
+	dirtyAll     bool
+	dirtyTargets map[int]struct{}
 }
 
 // slotLDNSes pairs an index with the world LDNS in each of its resolver
@@ -353,41 +355,43 @@ func newSnapshotBuilder(w *world.World, scorer *Scorer, cfg Config) *SnapshotBui
 // its predecessor's, and odd, so never zero.
 func newLineage() uint64 { return rand.Uint64() | 1 }
 
-// Scorer returns the builder's scoring stage (to invalidate after a
-// measurement refresh, or to share with a System).
+// Scorer returns the builder's scoring stage (to share with a System, or
+// to ask which ping target stands in for an endpoint).
 func (b *SnapshotBuilder) Scorer() *Scorer { return b.scorer }
 
-// MarkMeasurementsDirty records which ping targets' measurements changed
-// since the last build, so the next Build re-ranks only the partitions
-// interned onto those targets. Called with no IDs — or with an ID that is
-// not a ping target, or when clustering is off — it degrades to a full
-// invalidation: every table is re-ranked. The scorer's remembered best
-// deployments for those targets are dropped either way.
+// MarkMeasurementsDirty records which ping targets' measurements changed,
+// so the next Build re-ranks only the partitions interned onto those
+// targets; marks accumulate until a Build claims them. Called with no IDs
+// — or with an ID that is not a ping target, or when clustering is off —
+// it marks every table dirty. It never waits for a running build, and it
+// empties the scorer's memo of best deployments (Scorer.Invalidate).
 func (b *SnapshotBuilder) MarkMeasurementsDirty(targetIDs ...uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(targetIDs) == 0 {
-		b.scorer.Invalidate()
-		b.dirtyAll = true
-		b.expectedGen = b.scorer.Generation()
-		return
-	}
+	b.scorer.Invalidate()
 	idxs := make([]int, 0, len(targetIDs))
 	for _, id := range targetIDs {
 		i, ok := b.scorer.TargetIndex(id)
 		if !ok {
-			b.scorer.Invalidate()
-			b.dirtyAll = true
-			b.expectedGen = b.scorer.Generation()
-			return
+			idxs = idxs[:0]
+			break
 		}
 		idxs = append(idxs, i)
 	}
-	b.scorer.InvalidateTargets(idxs...)
+	b.dirtyMu.Lock()
+	defer b.dirtyMu.Unlock()
+	if len(idxs) == 0 {
+		b.dirtyAll = true
+		return
+	}
 	for _, i := range idxs {
 		b.dirtyTargets[i] = struct{}{}
 	}
-	b.expectedGen = b.scorer.Generation()
+}
+
+// markAllDirty makes the next Build re-rank every table.
+func (b *SnapshotBuilder) markAllDirty() {
+	b.dirtyMu.Lock()
+	b.dirtyAll = true
+	b.dirtyMu.Unlock()
 }
 
 // BuildStats returns the builder's counters.
@@ -501,7 +505,7 @@ func (b *SnapshotBuilder) bootSnapshot(policy Policy) *Snapshot {
 	b.lay, b.segs, b.prev = nil, nil, nil
 	b.ldnses.Store(nil)
 	b.lineage = newLineage()
-	b.dirtyAll = true
+	b.markAllDirty()
 	b.scorer.Invalidate()
 
 	fLDNS, fClient := fallbackEndpoints(b.fallbackLoc)
@@ -534,27 +538,31 @@ const maxArenaChain = 64
 // delta arena (in parallel, across disjoint slices) and shares everything
 // else with the previous snapshot; when nothing was marked dirty at all,
 // the rows are shared wholesale and the build is a near-free epoch bump.
-// Any unaccounted scorer invalidation, layout change, or
-// MarkMeasurementsDirty with no target scope forces a full re-rank, so an
-// incremental build is always bitwise-identical to the cold build at the
-// same epoch.
+// An unscoped MarkMeasurementsDirty, a layout change or an earlier build's
+// panic forces a full re-rank, so an incremental build is always
+// bitwise-identical to the cold build at the same epoch. Build claims the
+// dirty set when it starts: a mark made while it runs is the next build's.
 func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// A build that panics mid-way (a crashing prober in chaos tests) may
-	// have partially consumed the dirty state; poison the next build to a
-	// full re-rank so a stale arena can never be shared.
+	// A build that panics mid-way (a crashing prober in chaos tests) has
+	// claimed the dirty set but published nothing; poison the next build to
+	// a full re-rank so a stale arena can never be shared.
 	defer func() {
 		if p := recover(); p != nil {
-			b.dirtyAll = true
+			b.markAllDirty()
 			panic(p)
 		}
 	}()
+	b.dirtyMu.Lock()
+	dirtyAll, dirtyTargets := b.dirtyAll, b.dirtyTargets
+	b.dirtyAll, b.dirtyTargets = false, map[int]struct{}{}
+	b.dirtyMu.Unlock()
 
 	lay := b.layoutLocked()
 	sc := b.scorer
 	nSegs := lay.Tables()
-	full := b.dirtyAll || b.prev == nil || b.prev.lay != lay || sc.Generation() != b.expectedGen
+	full := dirtyAll || b.prev == nil || b.prev.lay != lay
 
 	// The rows whose measurements were refreshed: the segments interned onto
 	// the dirty ping targets, then the tails those segments rank.
@@ -563,7 +571,7 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 		dirty = upTo(nSegs)
 	} else {
 		for s, seg := range b.segs {
-			if _, ok := b.dirtyTargets[int(seg.target)]; ok {
+			if _, ok := dirtyTargets[int(seg.target)]; ok {
 				dirty = append(dirty, int32(s))
 			}
 		}
@@ -602,9 +610,6 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 		b.stats.RerankedTables += uint64(len(dirty))
 		b.stats.RerankedTails += uint64(len(rows) - len(dirty))
 	}
-	b.dirtyAll = false
-	clear(b.dirtyTargets)
-	b.expectedGen = sc.Generation()
 	if policy == ClientAwareNS {
 		sn.cans = b.buildCANS(sn)
 	}

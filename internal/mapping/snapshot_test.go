@@ -9,7 +9,7 @@ import (
 
 // TestSnapshotCANSDedupe is the regression test for the CANS duplicate-
 // candidate bug: the old lazy path appended the full NS ranking after the
-// BestWeighted winner, so the winning deployment appeared twice in the
+// bestWeighted winner, so the winning deployment appeared twice in the
 // candidate list handed to the load balancer. Snapshot CANS lists must
 // start with the weighted winner and contain each deployment exactly once.
 func TestSnapshotCANSDedupe(t *testing.T) {
@@ -48,10 +48,10 @@ func TestSnapshotCANSDedupe(t *testing.T) {
 			eps[i] = b.Endpoint()
 			weights[i] = b.Demand
 		}
-		win, _ := sys.Scorer().BestWeighted(eps, weights)
-		if depOf(cands[0]) != win {
-			t.Fatalf("LDNS %v: candidate[0] = %s, want weighted winner %s",
-				l.Addr, depOf(cands[0]).Name, win.Name)
+		win, _ := sys.Scorer().bestWeighted(eps, weights)
+		if int(cands[0].Dep) != win {
+			t.Fatalf("LDNS %v: candidate[0] = deployment %d, want weighted winner %d",
+				l.Addr, cands[0].Dep, win)
 		}
 		// Every platform deployment is reachable for capacity spill.
 		if len(cands) != len(testP.Deployments) {

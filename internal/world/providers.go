@@ -14,10 +14,10 @@ type ECSMode uint8
 // pre-existing specs: it resolves to full forwarding when SupportsECS is
 // set and none otherwise.
 const (
-	ECSDefault ECSMode = iota
-	ECSFull            // forward /24 (v4) and /48 (v6)
-	ECSTruncated       // forward a privacy-truncated prefix (default /20, /56)
-	ECSNone            // never attach ECS
+	ECSDefault   ECSMode = iota
+	ECSFull              // forward /24 (v4) and /48 (v6)
+	ECSTruncated         // forward a privacy-truncated prefix (default /20, /56)
+	ECSNone              // never attach ECS
 )
 
 // String returns the mode name.
