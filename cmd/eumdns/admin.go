@@ -204,7 +204,7 @@ func (st adminState) mapz(w http.ResponseWriter, _ *http.Request) {
 // registerAll wires every subsystem's counters into one registry. Any nil
 // component is skipped, so the flat and two-level deployments both work.
 func registerAll(reg *telemetry.Registry, system *mapping.System, srv *dnsserver.Server, auth *authority.Authority,
-	mm *mapmaker.MapMaker, mon *cdn.Monitor, probe *dnsclient.Client) {
+	mm *mapmaker.MapMaker, probe *dnsclient.Client) {
 	reg.Counter("mapping_tail_picks_total",
 		"Mapping decisions the head of the rank row could not make: everything in it was dead or saturated and the walk went on into the region's shared tail.",
 		system.LoadBalancer().TailPicks)
@@ -217,26 +217,8 @@ func registerAll(reg *telemetry.Registry, system *mapping.System, srv *dnsserver
 	if mm != nil {
 		mm.RegisterMetrics(reg)
 	}
-	if mon != nil {
-		mon.RegisterMetrics(reg)
-	}
 	if probe != nil {
 		probe.Stats.Register(reg, "selfprobe")
-	}
-}
-
-// runHealthMonitor drives the liveness monitor until ctx is cancelled. The
-// monitor itself decides when a tick actually probes (its own interval).
-func runHealthMonitor(ctx context.Context, mon *cdn.Monitor, every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-t.C:
-			mon.Tick(now)
-		}
 	}
 }
 

@@ -30,7 +30,8 @@ import (
 // one telemetry registry, serves one real DNS query through a real client,
 // then scrapes the admin endpoints exactly as an operator (or `make obs`)
 // would. It is the acceptance check that /metrics aggregates counters from
-// all five instrumented packages.
+// all five instrumented packages a standalone node registers: dnsserver,
+// authority, mapping, mapmaker and dnsclient.
 func TestObsSmoke(t *testing.T) {
 	cfg := config.Default()
 	cfg.World.Blocks = 800
@@ -58,18 +59,13 @@ func TestObsSmoke(t *testing.T) {
 	defer srv.Close()
 
 	reg := telemetry.NewRegistry()
-	mon, err := cdn.NewMonitor(platform, &cdn.ScheduledFaults{}, time.Millisecond, mm.OnDeploymentChange)
-	if err != nil {
-		t.Fatal(err)
-	}
 	probe := &dnsclient.Client{}
-	registerAll(reg, system, srv, auth, mm, mon, probe)
+	registerAll(reg, system, srv, auth, mm, probe)
 	go func() { _ = srv.Serve() }()
 
-	// Populate the planes: one map publish, one health sweep, one real DNS
-	// query (with ECS) through the self-probe client over the live socket.
+	// Populate the planes: one map publish and one real DNS query (with
+	// ECS) through the self-probe client over the live socket.
 	mm.Publish()
-	mon.Tick(time.Now())
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	block := w.Blocks[10]
@@ -99,9 +95,7 @@ func TestObsSmoke(t *testing.T) {
 		"authority_map_epoch",
 		"mapping_tail_picks_total 0", // internal/mapping: the healthy platform decides in the head
 		"mapmaker_published_total",   // internal/mapmaker
-		"cdn_health_probes_total",    // internal/cdn
-		"cdn_servers_live",
-		"selfprobe_attempts_total", // internal/dnsclient
+		"selfprobe_attempts_total",   // internal/dnsclient
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %s", want)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"io"
 	"os"
@@ -20,63 +21,57 @@ func parse(t *testing.T, args ...string) (config.Config, error) {
 	return cfg, err
 }
 
-// TestDurationFlagTruncation: a duration flag below its config field's
-// resolution used to truncate to 0 — silently disabling the watchdog or the
-// deadline, or selecting the default — and is now refused by name and unit.
-// Whole-unit values, and an explicit 0, still pass.
-func TestDurationFlagTruncation(t *testing.T) {
-	replica := []string{"-mapmaker-addr", "127.0.0.1:9300"}
-	for _, tc := range []struct {
-		flag, value, unit string
-		extra             []string
-	}{
-		{"stale-max-age", "500ms", "1s", nil},
-		{"map-refresh", "500ms", "1s", nil},
-		{"serve-deadline", "500us", "1ms", nil},
-		{"map-fetch", "500ms", "1s", replica},
-		{"map-fetch", "-500ms", "1s", replica},
-	} {
-		_, err := parse(t, append([]string{"-" + tc.flag, tc.value}, tc.extra...)...)
-		if err == nil {
-			t.Errorf("-%s %s accepted", tc.flag, tc.value)
-			continue
-		}
-		if msg := err.Error(); !strings.Contains(msg, "-"+tc.flag) || !strings.Contains(msg, tc.unit) {
-			t.Errorf("-%s %s: error %q does not name the flag and its unit %s", tc.flag, tc.value, msg, tc.unit)
-		}
-	}
-
-	cfg, err := parse(t, "-stale-max-age", "40s", "-map-refresh", "2s", "-serve-deadline", "3ms",
-		"-map-fetch", "1s", "-mapmaker-addr", "127.0.0.1:9300")
-	if err != nil {
+// writeDoc writes a -config document into a fresh temporary directory and
+// returns its path.
+func writeDoc(t *testing.T, doc string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "eumdns.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.StaleMaxAgeSeconds != 40 || cfg.MapRefreshSeconds != 2 || cfg.ServeDeadlineMillis != 3 ||
-		cfg.FetchInterval() != time.Second {
-		t.Errorf("whole-unit flags = %+v", cfg)
+	return path
+}
+
+// TestDurationFlagTruncation: -map-fetch lands in the whole-second
+// map_fetch_seconds, where 0 selects the default, so a cadence below a
+// second, which would truncate to it, is refused by name and unit. A
+// whole-second value applies, and an explicit 0 keeps the default.
+func TestDurationFlagTruncation(t *testing.T) {
+	replica := []string{"-mapmaker-addr", "127.0.0.1:9300"}
+	for _, value := range []string{"500ms", "-500ms"} {
+		_, err := parse(t, append([]string{"-map-fetch", value}, replica...)...)
+		if err == nil {
+			t.Errorf("-map-fetch %s accepted", value)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "-map-fetch") || !strings.Contains(msg, "1s") {
+			t.Errorf("-map-fetch %s: error %q does not name the flag and its unit 1s", value, msg)
+		}
 	}
-	if cfg, err = parse(t, "-stale-max-age", "0", "-map-refresh", "0", "-serve-deadline", "0"); err != nil {
-		t.Fatalf("explicit zeroes refused: %v", err)
-	} else if cfg.StaleMaxAgeSeconds != 0 || cfg.MapRefreshSeconds != 0 || cfg.ServeDeadlineMillis != 0 {
-		t.Errorf("explicit zeroes = %+v", cfg)
+	for value, want := range map[string]time.Duration{"1s": time.Second, "0": 5 * time.Second} {
+		cfg, err := parse(t, append([]string{"-map-fetch", value}, replica...)...)
+		if err != nil {
+			t.Fatalf("-map-fetch %s: %v", value, err)
+		}
+		if got := cfg.FetchInterval(); got != want {
+			t.Errorf("-map-fetch %s fetches every %v, want %v", value, got, want)
+		}
 	}
 }
 
 // TestRoleFlagsOverlay: the listen and role flags apply identically on top
-// of the flag-built defaults and on top of a -config document (the
-// benchmark harness starts its replica the second way), and everything else
-// comes from the document when one is named.
+// of the defaults and on top of a -config document (the benchmark harness
+// starts its replica the second way), and everything else comes from the
+// document. No role flag is dropped: -map-fetch reaches a replica the
+// document declares, -mapmaker-addr alone keeps the document's cadence, and
+// a combination that cannot take effect is refused.
 func TestRoleFlagsOverlay(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "eumdns.json")
-	doc := `{"zone": "cdn.example.net", "policy": "eu", "map_refresh_seconds": 7,
-		"world": {"seed": 3, "blocks": 900}, "platform": {"seed": 3, "deployments": 40}}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := writeDoc(t, `{"zone": "cdn.example.net", "policy": "eu", "map_refresh_seconds": 7,
+		"world": {"seed": 3, "blocks": 900}, "platform": {"seed": 3, "deployments": 40}}`)
 	role := []string{"-mapmaker-addr", "127.0.0.1:9300", "-map-fetch", "1s", "-admin", "127.0.0.1:9301"}
 	for name, args := range map[string][]string{
-		"flags":  role,
-		"config": append([]string{"-config", path, "-map-refresh", "2s"}, role...),
+		"defaults": role,
+		"config":   append([]string{"-config", path}, role...),
 	} {
 		cfg, err := parse(t, args...)
 		if err != nil {
@@ -96,7 +91,18 @@ func TestRoleFlagsOverlay(t *testing.T) {
 		}
 	}
 
-	cfg, err := parse(t, "-config", path, "-publisher", "-admin", "127.0.0.1:9301")
+	replica := writeDoc(t, `{"zone": "cdn.example.net", "mode": "replica",
+		"mapmaker_addr": "127.0.0.1:9300", "map_fetch_seconds": 3}`)
+	if cfg, err := parse(t, "-config", replica, "-map-fetch", "2s"); err != nil || cfg.FetchInterval() != 2*time.Second {
+		t.Errorf("-map-fetch 2s on a replica document: fetch %v, %v", cfg.FetchInterval(), err)
+	}
+	cfg, err := parse(t, "-config", replica, "-mapmaker-addr", "127.0.0.1:9400")
+	if err != nil || cfg.MapMakerAddr != "127.0.0.1:9400" || cfg.FetchInterval() != 3*time.Second {
+		t.Errorf("-mapmaker-addr on a replica document: source %q fetch %v, %v, want 127.0.0.1:9400 every 3s",
+			cfg.MapMakerAddr, cfg.FetchInterval(), err)
+	}
+
+	cfg, err = parse(t, "-config", path, "-publisher", "-admin", "127.0.0.1:9301")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,25 +112,119 @@ func TestRoleFlagsOverlay(t *testing.T) {
 	if _, err := parse(t, "-publisher"); err == nil {
 		t.Error("-publisher without -admin accepted")
 	}
-}
-
-// TestRemovedLoadFlags: the flags of the build-time load monitor went with
-// it, and are parse errors rather than silently ignored; -balance-factor
-// stays.
-func TestRemovedLoadFlags(t *testing.T) {
-	for _, tc := range [][2]string{
-		{"load-threshold", "0.8"},
-		{"load-hysteresis", "0.15"},
-		{"load-ewma", "30s"},
-		{"load-max-age", "90s"},
+	_, err = parse(t, "-publisher", "-mapmaker-addr", "127.0.0.1:9300", "-admin", "127.0.0.1:9301")
+	if err == nil || !strings.Contains(err.Error(), "-publisher") || !strings.Contains(err.Error(), "-mapmaker-addr") {
+		t.Errorf("-publisher beside -mapmaker-addr: error = %v, want one naming both flags", err)
+	}
+	for name, args := range map[string][]string{
+		"defaults":  {"-map-fetch", "2s"},
+		"config":    {"-config", path, "-map-fetch", "2s"},
+		"publisher": {"-publisher", "-admin", "127.0.0.1:9301", "-map-fetch", "0"},
 	} {
-		_, err := parse(t, "-balance-factor", "2", "-"+tc[0], tc[1])
-		if err == nil || !strings.Contains(err.Error(), tc[0]) {
-			t.Errorf("-%s %s: error = %v, want a parse error naming the flag", tc[0], tc[1], err)
+		if _, err := parse(t, args...); err == nil || !strings.Contains(err.Error(), "-map-fetch") {
+			t.Errorf("%s: -map-fetch without a replica: error = %v, want one naming the flag", name, err)
 		}
 	}
-	cfg, err := parse(t, "-balance-factor", "2")
-	if err != nil || cfg.BalanceFactor != 2 {
-		t.Errorf("-balance-factor 2 = %g, %v", cfg.BalanceFactor, err)
+}
+
+// TestSettingFlagsRemoved: every setting is a key of the -config document,
+// and the flags that copied one are gone — as are those of the build-time
+// load monitor. Each is a parse error naming the flag, on its own and beside
+// -config, rather than a value silently dropped.
+func TestSettingFlagsRemoved(t *testing.T) {
+	path := writeDoc(t, `{"zone": "cdn.example.net"}`)
+	for _, tc := range [][2]string{
+		{"zone", "example.org"},
+		{"policy", "ns"},
+		{"blocks", "900"},
+		{"deployments", "40"},
+		{"seed", "3"},
+		{"map-refresh", "2s"},
+		{"serve-deadline", "3ms"},
+		{"rrl-rate", "20"},
+		{"rrl-burst", "8"},
+		{"shards", "2"},
+		{"stale-max-age", "40s"},
+		{"balance-factor", "2"},
+		{"load-threshold", "0.8"},
+	} {
+		for _, args := range [][]string{
+			{"-" + tc[0], tc[1]},
+			{"-config", path, "-" + tc[0], tc[1]},
+		} {
+			_, err := parse(t, args...)
+			if err == nil || !strings.Contains(err.Error(), "not defined: -"+tc[0]) {
+				t.Errorf("%s: error = %v, want a parse error naming -%s", strings.Join(args, " "), err, tc[0])
+			}
+		}
 	}
+}
+
+// TestDocumentedInvocationsParse: every eumdns command line in the README
+// and the verify skill parses, so the docs cannot name a flag eumdns no
+// longer has. A command line is one starting with /tmp/eumdns or `go run`
+// of cmd/eumdns, with its backslash continuations joined, up to a comment,
+// `&`, `&&`, `|` or `;`. Only flag errors fail it: a document the example
+// names but the test does not have (deploy.json) is not its business.
+func TestDocumentedInvocationsParse(t *testing.T) {
+	for _, doc := range []string{"../../README.md", "../../.claude/skills/verify/SKILL.md"} {
+		lines := commandLines(t, doc)
+		if len(lines) == 0 {
+			t.Errorf("%s: no eumdns command lines found", doc)
+		}
+		for _, args := range lines {
+			_, err := parse(t, args...)
+			if err != nil && (strings.Contains(err.Error(), "provided but not defined") ||
+				strings.Contains(err.Error(), "invalid value")) {
+				t.Errorf("%s: eumdns %s: %v", doc, strings.Join(args, " "), err)
+			}
+		}
+	}
+}
+
+// commandLines returns the arguments of every eumdns invocation in a
+// markdown file (see TestDocumentedInvocationsParse).
+func commandLines(t *testing.T, path string) [][]string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var (
+		out    [][]string
+		joined string
+	)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if cont, ok := strings.CutSuffix(line, `\`); ok {
+			joined += cont + " "
+			continue
+		}
+		fields := strings.Fields(joined + line)
+		joined = ""
+		start := -1
+		switch {
+		case len(fields) > 0 && fields[0] == "/tmp/eumdns":
+			start = 1
+		case len(fields) > 2 && fields[0] == "go" && fields[1] == "run" && strings.HasSuffix(fields[2], "cmd/eumdns"):
+			start = 3
+		}
+		if start < 0 {
+			continue
+		}
+		args := []string{}
+		for _, a := range fields[start:] {
+			if strings.HasPrefix(a, "#") || a == "&" || a == "&&" || a == "|" || a == ";" {
+				break
+			}
+			args = append(args, a)
+		}
+		out = append(out, args)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -3,18 +3,22 @@
 // UDP and TCP sockets. Query it with cmd/digecs (or any stub resolver that
 // can set the EDNS0 client-subnet option).
 //
-//	eumdns -addr 127.0.0.1:5300 -policy eu
+//	eumdns -addr 127.0.0.1:5300
 //	digecs -server 127.0.0.1:5300 -subnet 203.0.113.0/24 www.cdn.example.net
 //
-// With -config, the zone, policy, world, platform, hosted customer CNAMEs
-// and low-level NS sites come from a JSON document (see internal/config);
-// when the config lists sites, eumdns serves the two-level Figure 3
-// hierarchy: this process is the top level, delegating to the listed
-// low-level sites.
+// Every setting — zone, policy, world, platform, serving and load knobs,
+// hosted customer CNAMEs and low-level NS sites — comes from the JSON
+// document named by -config (see internal/config), or from its defaults
+// when there is none. The flags only say where the process listens (-addr,
+// -admin) and which distribution role it plays (-publisher, or a replica of
+// -mapmaker-addr fetching every -map-fetch). When the config lists sites,
+// eumdns serves the two-level Figure 3 hierarchy: this process is the top
+// level, delegating to the listed low-level sites.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -23,7 +27,6 @@ import (
 	"net/netip"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -148,27 +151,12 @@ func main() {
 	log.Printf("%s on %s (udp+tcp, %d shards), policy %s", described, srv.Addr(), srv.Shards(), policy)
 
 	// Observability plane: one registry aggregating every subsystem's
-	// counters, served over a separate admin HTTP listener. The health
-	// monitor (no fault injection in a live process — it reflects real
-	// liveness flags) feeds the MapMaker's change feed, and a low-rate
-	// self-probe exercises the full socket path through a real DNS client.
+	// counters, served over a separate admin HTTP listener, and a low-rate
+	// self-probe exercising the full socket path through a real DNS client.
 	if cfg.AdminAddr != "" {
 		reg := telemetry.NewRegistry()
-		// A replica has no MapMaker to nudge; its health monitor still
-		// tracks liveness for the metrics plane, it just signals nobody.
-		onChange := func(*cdn.Deployment) {}
-		if mm != nil {
-			onChange = mm.OnDeploymentChange
-		}
-		mon, err := cdn.NewMonitor(platform, &cdn.ScheduledFaults{}, 10*time.Second, onChange)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if cfg.HealthFlapThreshold > 0 {
-			mon.SetFlapThreshold(cfg.HealthFlapThreshold)
-		}
 		probe := &dnsclient.Client{}
-		registerAll(reg, system, srv, auth, mm, mon, probe)
+		registerAll(reg, system, srv, auth, mm, probe)
 		if fetcher != nil {
 			fetcher.RegisterMetrics(reg)
 		}
@@ -187,7 +175,6 @@ func main() {
 				log.Printf("admin listener: %v", err)
 			}
 		}()
-		go runHealthMonitor(ctx, mon, time.Second)
 		go runSelfProbe(ctx, probe, srv.Addr().String(), dnsmsg.Name("whoami."+cfg.Zone), 10*time.Second)
 	}
 
@@ -255,66 +242,34 @@ func buildHandler(cfg config.Config, system *mapping.System, platform *cdn.Platf
 }
 
 // loadConfig parses the command line into the validated configuration the
-// process runs with: the -config document when one is named, the defaults
-// overlaid with the tuning flags otherwise. Listen addresses and the
-// distribution role stay operator-controlled and apply on top of both.
+// process runs with. Every setting comes from the -config document, or from
+// config.Default() when none is named; the flags only say where the process
+// listens and which distribution role it plays, and apply on top.
 func loadConfig(fs *flag.FlagSet, args []string) (cfg config.Config, addr string, verbose bool, err error) {
 	fs.StringVar(&addr, "addr", "127.0.0.1:5300", "UDP+TCP listen address")
-	adminAddr := fs.String("admin", "", "admin HTTP listen address for /metrics, /healthz, /mapz and /debug/pprof (empty disables)")
-	configPath := fs.String("config", "", "JSON config file (overrides the flags below)")
-	zone := fs.String("zone", "cdn.example.net", "served zone")
-	policyName := fs.String("policy", "eu", "mapping policy: ns, eu, or cans")
-	blocks := fs.Int("blocks", 8000, "synthetic world size in /24 client blocks")
-	deployments := fs.Int("deployments", 600, "CDN deployment locations")
-	seed := fs.Int64("seed", 1, "generation seed")
-	mapRefresh := fs.Duration("map-refresh", 10*time.Second,
-		"MapMaker publish cadence in whole seconds (0 disables the background refresh loop)")
-	serveDeadline := fs.Duration("serve-deadline", 0,
-		"drop a query that waited longer than this, in whole milliseconds, behind the answers ahead of it in its batch (0 disables)")
-	rrlRate := fs.Float64("rrl-rate", 0,
-		"response-rate limit per source prefix, responses/second (0 disables)")
-	rrlBurst := fs.Int("rrl-burst", 0, "response-rate limiter burst allowance (0 = default 8)")
-	shards := fs.Int("shards", 0,
-		"SO_REUSEPORT listener shards (0 = one per CPU on linux, 1 elsewhere)")
-	staleMaxAge := fs.Duration("stale-max-age", 30*time.Second,
-		"serve-stale watchdog: map age, in whole seconds, entering degraded answers (0 disables)")
-	balanceFactor := fs.Float64("balance-factor", 0,
-		"distance-vs-load balance knob: each answer re-ranks its first few live candidates by ping x (1 + balance x util^2); 0 keeps pure proximity mapping")
+	adminAddr := fs.String("admin", "",
+		"admin HTTP listen address for /metrics, /healthz, /mapz and /debug/pprof (empty keeps the document's admin_addr; none by default)")
+	configPath := fs.String("config", "", "JSON config document (see internal/config) holding every other setting; empty runs the defaults")
 	mapmakerAddr := fs.String("mapmaker-addr", "",
 		"replica mode: fetch maps from this MapMaker admin address instead of building locally")
 	publisher := fs.Bool("publisher", false,
 		"serve encoded map snapshots to replicas on the admin listener (requires -admin)")
-	mapFetch := fs.Duration("map-fetch", 5*time.Second,
-		"replica mode: map fetch cadence against the MapMaker, in whole seconds")
+	mapFetch := fs.Duration("map-fetch", 0,
+		"replica mode: map fetch cadence against the MapMaker, in whole seconds (unset keeps the document's map_fetch_seconds, default 5s)")
 	fs.BoolVar(&verbose, "verbose", false, "log every query (structured JSON on stderr)")
 	if err = fs.Parse(args); err != nil {
 		return
 	}
-
-	// Duration flags land in whole-unit config integers, where zero means
-	// "disabled" or "the default": refuse one that would truncate to zero.
-	whole := func(name string, d, unit time.Duration) int {
-		n := int(d / unit)
-		if n == 0 && d != 0 && err == nil {
-			err = fmt.Errorf("-%s %v: the flag is counted in whole units of %v and would truncate to 0", name, d, unit)
-		}
-		return n
+	if *publisher && *mapmakerAddr != "" {
+		err = errors.New("-publisher and -mapmaker-addr exclude each other: a publisher builds the maps a replica fetches from -mapmaker-addr")
+		return
 	}
+
+	cfg = config.Default()
 	if *configPath != "" {
-		cfg, err = config.Load(*configPath)
-	} else {
-		cfg = config.Default()
-		cfg.Zone = *zone
-		cfg.Policy = strings.ToLower(*policyName)
-		cfg.World = config.WorldConfig{Seed: *seed, Blocks: *blocks}
-		cfg.Platform = config.PlatformConfig{Seed: *seed, Deployments: *deployments}
-		cfg.ServeDeadlineMillis = whole("serve-deadline", *serveDeadline, time.Millisecond)
-		cfg.RRLRate = *rrlRate
-		cfg.RRLBurst = *rrlBurst
-		cfg.ListenerShards = *shards
-		cfg.StaleMaxAgeSeconds = whole("stale-max-age", *staleMaxAge, time.Second)
-		cfg.MapRefreshSeconds = whole("map-refresh", *mapRefresh, time.Second)
-		cfg.BalanceFactor = *balanceFactor
+		if cfg, err = config.Load(*configPath); err != nil {
+			return
+		}
 	}
 	if *adminAddr != "" {
 		cfg.AdminAddr = *adminAddr
@@ -322,10 +277,22 @@ func loadConfig(fs *flag.FlagSet, args []string) (cfg config.Config, addr string
 	if *mapmakerAddr != "" {
 		cfg.Mode = config.ModeReplica
 		cfg.MapMakerAddr = *mapmakerAddr
-		cfg.MapFetchSeconds = whole("map-fetch", *mapFetch, time.Second)
 	} else if *publisher {
 		cfg.Mode = config.ModePublisher
 	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name != "map-fetch" {
+			return
+		}
+		// map_fetch_seconds is a whole-second integer where 0 means the
+		// default: refuse a cadence that would truncate to it.
+		cfg.MapFetchSeconds = int(*mapFetch / time.Second)
+		if mode, _ := cfg.DistMode(); mode != config.ModeReplica {
+			err = fmt.Errorf("-map-fetch %v: only a replica fetches maps; add -mapmaker-addr, or set mode \"replica\" in the -config document", *mapFetch)
+		} else if cfg.MapFetchSeconds == 0 && *mapFetch != 0 {
+			err = fmt.Errorf("-map-fetch %v: the flag is counted in whole units of %v and would truncate to 0", *mapFetch, time.Second)
+		}
+	})
 	if err == nil {
 		err = cfg.Validate()
 	}

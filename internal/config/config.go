@@ -82,9 +82,6 @@ type Config struct {
 	// default 30. Must be at least map_refresh_seconds, or every map
 	// would count as stale the moment it published.
 	StaleMaxAgeSeconds int `json:"stale_max_age_seconds,omitempty"`
-	// HealthFlapThreshold is how many consecutive disagreeing probes flip
-	// a server's liveness (flap damping); default 3, minimum 1.
-	HealthFlapThreshold int `json:"health_flap_threshold,omitempty"`
 
 	// PartitionMiles clusters client blocks and resolvers into mapping
 	// partitions by routing signature (geo cell of this radius + origin
@@ -141,13 +138,12 @@ type SiteConfig struct {
 // Default returns a runnable default configuration.
 func Default() Config {
 	return Config{
-		Zone:                "cdn.example.net",
-		Policy:              "eu",
-		MapRefreshSeconds:   10,
-		StaleMaxAgeSeconds:  30,
-		HealthFlapThreshold: 3,
-		World:               WorldConfig{Seed: 1, Blocks: 8000},
-		Platform:            PlatformConfig{Seed: 1, Deployments: 600},
+		Zone:               "cdn.example.net",
+		Policy:             "eu",
+		MapRefreshSeconds:  10,
+		StaleMaxAgeSeconds: 30,
+		World:              WorldConfig{Seed: 1, Blocks: 8000},
+		Platform:           PlatformConfig{Seed: 1, Deployments: 600},
 	}
 }
 
@@ -273,9 +269,6 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	if c.HealthFlapThreshold < 0 {
-		return fmt.Errorf("config: negative health_flap_threshold")
-	}
 	if c.World.Blocks <= 0 {
 		return fmt.Errorf("config: world.blocks must be positive")
 	}
@@ -371,13 +364,4 @@ func (c Config) DegradeConfig() authority.DegradeConfig {
 	return authority.DegradeConfig{
 		StaleAfter: time.Duration(c.StaleMaxAgeSeconds) * time.Second,
 	}
-}
-
-// Save writes the configuration as formatted JSON.
-func (c Config) Save(path string) error {
-	data, err := json.MarshalIndent(c, "", "  ")
-	if err != nil {
-		return fmt.Errorf("config: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -55,13 +55,15 @@ func TestParseDefaultsApply(t *testing.T) {
 }
 
 // TestParseRejectsUnknownFields covers a made-up key and keys that no
-// longer exist — the serve loop's (queue_depth, shed_policy, batch_size)
-// and ttl_seconds, which never reached the map: the decoder names each as
-// unknown instead of silently ignoring it.
+// longer exist — the serve loop's (queue_depth, shed_policy, batch_size),
+// ttl_seconds, which never reached the map, and health_flap_threshold,
+// which tuned a health monitor eumdns no longer runs: the decoder names
+// each as unknown instead of silently ignoring it.
 func TestParseRejectsUnknownFields(t *testing.T) {
 	for _, tc := range []struct{ name, field, doc string }{
 		{"bogus", "bogus", `"bogus": 1`},
 		{"answer-ttl", "ttl_seconds", `"ttl_seconds": 30`},
+		{"health-flap-threshold", "health_flap_threshold", `"health_flap_threshold": 3`},
 		{"negative-queue-depth", "queue_depth", `"queue_depth": -1`},
 		{"bad-shed-policy", "shed_policy", `"shed_policy": "panic"`},
 		{"negative-batch-size", "batch_size", `"batch_size": -1`},
@@ -112,7 +114,6 @@ func TestValidateErrors(t *testing.T) {
 			c.MapRefreshSeconds = 60
 			c.StaleMaxAgeSeconds = 10
 		}},
-		{"negative-flap-threshold", func(c *Config) { c.HealthFlapThreshold = -1 }},
 		{"negative-listener-shards", func(c *Config) { c.ListenerShards = -2 }},
 		{"negative-balance-factor", func(c *Config) { c.BalanceFactor = -1 }},
 	}
@@ -282,23 +283,6 @@ func TestShardingKnobs(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	cfg := Default()
-	cfg.Policy = "ns"
-	cfg.Customers = map[string]string{"www.shop.example": "e9.b.cdn.example.net"}
-	path := filepath.Join(t.TempDir(), "eum.json")
-	if err := cfg.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Policy != "ns" || got.Customers["www.shop.example"] != "e9.b.cdn.example.net" {
-		t.Errorf("round trip = %+v", got)
-	}
-}
-
 func TestLoadMissingFile(t *testing.T) {
 	if _, err := Load("/nonexistent/eum.json"); err == nil {
 		t.Error("missing file accepted")
@@ -359,7 +343,7 @@ func TestValidateLoadKnobMessages(t *testing.T) {
 
 func TestDefaultServingKnobs(t *testing.T) {
 	cfg := Default()
-	if cfg.StaleMaxAgeSeconds != 30 || cfg.HealthFlapThreshold != 3 {
+	if cfg.StaleMaxAgeSeconds != 30 {
 		t.Errorf("defaults = %+v", cfg)
 	}
 	if sc := cfg.ServerConfig(); sc != (dnsserver.Config{}) {

@@ -266,7 +266,6 @@ type SnapshotBuilder struct {
 	world          *world.World
 	scorer         *Scorer
 	ttl            time.Duration
-	fallbackLoc    geo.Point
 	partitionMiles float64
 
 	mu sync.Mutex
@@ -343,7 +342,6 @@ func newSnapshotBuilder(w *world.World, scorer *Scorer, cfg Config) *SnapshotBui
 		world:          w,
 		scorer:         scorer,
 		ttl:            cfg.TTL,
-		fallbackLoc:    cfg.FallbackLoc,
 		partitionMiles: cfg.PartitionMiles,
 		lineage:        newLineage(),
 		dirtyAll:       true,
@@ -401,12 +399,16 @@ func (b *SnapshotBuilder) BuildStats() BuildStats {
 	return b.stats
 }
 
+// fallbackLoc locates everything the map was not built for, such as a lab
+// resolver the system has never measured: New York.
+var fallbackLoc = geo.Point{Lat: 40.71, Lon: -74.01}
+
 // fallbackEndpoints returns the two synthetic endpoints standing in for
 // anything the map was not built for. All unknowns share them (and hence
-// one rank table per kind), anchored at the configured fallback location.
-func fallbackEndpoints(loc geo.Point) (ldns, client netmodel.Endpoint) {
-	ldns = netmodel.Endpoint{ID: fallbackLDNSID, Loc: loc, Access: netmodel.AccessBackbone}
-	client = netmodel.Endpoint{ID: fallbackClientID, Loc: loc, Access: netmodel.AccessCable}
+// one rank table per kind), anchored at fallbackLoc.
+func fallbackEndpoints() (ldns, client netmodel.Endpoint) {
+	ldns = netmodel.Endpoint{ID: fallbackLDNSID, Loc: fallbackLoc, Access: netmodel.AccessBackbone}
+	client = netmodel.Endpoint{ID: fallbackClientID, Loc: fallbackLoc, Access: netmodel.AccessCable}
 	return ldns, client
 }
 
@@ -438,7 +440,7 @@ func (b *SnapshotBuilder) partition() (*Layout, []segment, []int32) {
 	for _, blk := range w.Blocks {
 		universe = append(universe, blk.Endpoint())
 	}
-	fLDNS, fClient := fallbackEndpoints(b.fallbackLoc)
+	fLDNS, fClient := fallbackEndpoints()
 	return buildLayout(universe, fLDNS, fClient, b.partitionMiles, b.scorer)
 }
 
@@ -508,7 +510,7 @@ func (b *SnapshotBuilder) bootSnapshot(policy Policy) *Snapshot {
 	b.markAllDirty()
 	b.scorer.Invalidate()
 
-	fLDNS, fClient := fallbackEndpoints(b.fallbackLoc)
+	fLDNS, fClient := fallbackEndpoints()
 	lay, segs, _ := buildLayout(nil, fLDNS, fClient, b.partitionMiles, b.scorer)
 	arena := make([]Ranked, lay.ArenaLen())
 	b.fillRows(lay, segs, upTo(lay.Rows()), arena)

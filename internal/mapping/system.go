@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"eum/internal/cdn"
-	"eum/internal/geo"
 	"eum/internal/netmodel"
 	"eum/internal/world"
 )
@@ -68,9 +67,6 @@ type Config struct {
 	// (e.g. 50) for million-block worlds, where it cuts table and index
 	// cost by orders of magnitude.
 	PartitionMiles float64
-	// FallbackLoc locates resolvers the system has never measured (e.g.
-	// a lab resolver); default New York.
-	FallbackLoc geo.Point
 	// BalanceFactor is the distance-vs-load balance knob β, applied where
 	// the pick is made (see LoadBalancer.BalanceFactor): the first few live
 	// head entries are re-ranked per query by ping·(1 + β·util²), so
@@ -147,9 +143,6 @@ func withDefaults(cfg Config) Config {
 	}
 	if cfg.TTL == 0 {
 		cfg.TTL = 20 * time.Second
-	}
-	if (cfg.FallbackLoc == geo.Point{}) {
-		cfg.FallbackLoc = geo.Point{Lat: 40.71, Lon: -74.01}
 	}
 	return cfg
 }
@@ -371,7 +364,7 @@ func (s *System) LDNSEndpoint(addr netip.Addr) netmodel.Endpoint {
 			return l.Endpoint()
 		}
 	}
-	ldns, _ := fallbackEndpoints(s.cfg.FallbackLoc)
+	ldns, _ := fallbackEndpoints()
 	return ldns
 }
 

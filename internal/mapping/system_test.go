@@ -399,7 +399,7 @@ func TestLookupHelpers(t *testing.T) {
 // A rewound system, which holds no world, scores every address that way.
 func TestUnknownResolversShareOneEndpoint(t *testing.T) {
 	s := newSystem(t, NSBased)
-	fallback, _ := fallbackEndpoints(s.cfg.FallbackLoc)
+	fallback, _ := fallbackEndpoints()
 	a, b := netip.MustParseAddr("198.51.100.9"), netip.MustParseAddr("2001:db8::53")
 	if ea, eb := s.LDNSEndpoint(a), s.LDNSEndpoint(b); ea != fallback || eb != fallback {
 		t.Fatalf("unknown resolvers scored as %+v and %+v, want the fallback resolver %+v", ea, eb, fallback)
