@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"eum/internal/cdn"
 	"eum/internal/dnsmsg"
 	"eum/internal/mapping"
 	"eum/internal/telemetry"
@@ -112,6 +113,7 @@ var errStaleMap = errors.New("authority: map too stale to serve")
 // balancer hashes the domain onto the picked deployment's ring.
 type Authority struct {
 	zone   dnsmsg.Name
+	whoami dnsmsg.Name // the canonical WhoamiName
 	system *mapping.System
 
 	// nowNanos is the staleness watchdog's clock, overridable in tests.
@@ -162,6 +164,7 @@ func New(zone dnsmsg.Name, system *mapping.System) (*Authority, error) {
 	}
 	return &Authority{
 		zone:     zone.Canonical(),
+		whoami:   "whoami." + zone.Canonical(),
 		system:   system,
 		nowNanos: func() int64 { return time.Now().UnixNano() },
 	}, nil
@@ -218,7 +221,7 @@ func (a *Authority) Zone() dnsmsg.Name { return a.zone }
 
 // WhoamiName returns the diagnostic name whose answer reveals the LDNS.
 func (a *Authority) WhoamiName() dnsmsg.Name {
-	return dnsmsg.Name("whoami." + string(a.zone))
+	return a.whoami
 }
 
 // ServeDNS implements dnsserver.Handler.
@@ -244,7 +247,7 @@ func (a *Authority) ServeDNS(remote netip.AddrPort, query *dnsmsg.Message) *dnsm
 	}
 	a.TotalQueries.Add(1)
 
-	if name == a.WhoamiName().Canonical() {
+	if name == a.whoami {
 		return a.serveWhoami(remote, q, resp)
 	}
 
@@ -312,7 +315,8 @@ func (a *Authority) serveMapping(remote netip.AddrPort, query *dnsmsg.Message, q
 	if a.decisionLatency != nil {
 		startNs = time.Now().UnixNano()
 	}
-	decision, level, err := a.decide(req)
+	var scratch [mapping.ServersPerAnswer]*cdn.Server
+	decision, level, err := a.decide(req, scratch[:0])
 	if a.decisionLatency != nil {
 		a.decisionLatency.ObserveNanos(time.Now().UnixNano() - startNs)
 	}
@@ -331,10 +335,7 @@ func (a *Authority) serveMapping(remote netip.AddrPort, query *dnsmsg.Message, q
 		}
 	}
 	for _, srv := range decision.Servers {
-		resp.Answers = append(resp.Answers, dnsmsg.RR{
-			Name: q.Name, Class: dnsmsg.ClassINET, TTL: ttl,
-			Data: &dnsmsg.A{Addr: srv.Addr},
-		})
+		resp.AnswerA(q.Name, ttl, srv.Addr)
 	}
 	if a.epochDebug {
 		resp.Additionals = append(resp.Additionals, dnsmsg.RR{
@@ -347,12 +348,7 @@ func (a *Authority) serveMapping(remote netip.AddrPort, query *dnsmsg.Message, q
 	// server receiving ECS must include the option with its scope, even
 	// when the scope is zero, so caches know how to file the answer).
 	if ecs != nil {
-		resp.Options = append(resp.Options, &dnsmsg.ClientSubnet{
-			Family:       ecs.Family,
-			SourcePrefix: ecs.SourcePrefix,
-			ScopePrefix:  decision.ScopePrefix,
-			Address:      ecs.Address,
-		})
+		resp.EchoClientSubnet(ecs, decision.ScopePrefix)
 	}
 	return resp
 }
@@ -366,21 +362,21 @@ func (a *Authority) serveMapping(remote netip.AddrPort, query *dnsmsg.Message, q
 // The rung is picked first: stale maps still serve (the caller clamps the
 // TTL), fallback-age maps and a rewound system's epoch-0 map answer from the
 // generic fallback tables, and beyond ServfailAfter the decision is
-// refused.
-func (a *Authority) decide(req mapping.Request) (*mapping.Response, DegradeLevel, error) {
+// refused. The servers are appended to scratch[:0].
+func (a *Authority) decide(req mapping.Request, scratch []*cdn.Server) (mapping.Response, DegradeLevel, error) {
 	snap := a.system.Current()
 	level := a.levelOf(snap)
 	switch {
 	case level >= DegradeServfail:
 		a.DegradeServfails.Add(1)
-		return nil, level, errStaleMap
+		return mapping.Response{}, level, errStaleMap
 	case level >= DegradeFallback:
 		a.FallbackAnswers.Add(1)
 		req.Degraded = true
 	case level == DegradeStale:
 		a.StaleAnswers.Add(1)
 	}
-	decision, err := a.system.MapAt(snap, req)
+	decision, err := a.system.MapInto(snap, req, scratch)
 	return decision, level, err
 }
 

@@ -189,7 +189,7 @@ func TestAuthorityEpochHammer(t *testing.T) {
 					req.ClientSubnet = testW.Blocks[(g*perG+i*3)%len(testW.Blocks)].Prefix
 				}
 				before := a.system.Current().Epoch()
-				decision, _, err := a.decide(req)
+				decision, _, err := a.decide(req, nil)
 				after := a.system.Current().Epoch()
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d query %d: %v", g, i, err)

@@ -42,7 +42,12 @@ type OPT struct {
 func (*OPT) Type() Type { return TypeOPT }
 
 func (o *OPT) packData(buf []byte, _ compressor) ([]byte, error) {
-	for _, opt := range o.Options {
+	return packOptions(buf, o.Options)
+}
+
+// packOptions appends the wire form of an OPT record's options.
+func packOptions(buf []byte, opts []EDNSOption) ([]byte, error) {
+	for _, opt := range opts {
 		buf = appendUint16(buf, opt.Code())
 		lenAt := len(buf)
 		buf = appendUint16(buf, 0)
@@ -59,8 +64,11 @@ func (o *OPT) packData(buf []byte, _ compressor) ([]byte, error) {
 // String lists the contained options.
 func (o *OPT) String() string { return fmt.Sprintf("OPT %v", o.Options) }
 
-func unpackOptions(rd []byte) ([]EDNSOption, error) {
-	var out []EDNSOption
+// appendOptions decodes the options in an OPT record's RDATA onto out.
+// The first ECS option is decoded into *ecs when ecs is not nil, so a
+// message decodes it into storage of its own; every other option is
+// allocated.
+func appendOptions(out []EDNSOption, ecs *ClientSubnet, rd []byte) ([]EDNSOption, error) {
 	for len(rd) > 0 {
 		if len(rd) < 4 {
 			return nil, fmt.Errorf("%w: truncated EDNS option header", ErrUnpack)
@@ -73,11 +81,15 @@ func unpackOptions(rd []byte) ([]EDNSOption, error) {
 		body := rd[4 : 4+olen]
 		switch code {
 		case OptionCodeClientSubnet:
-			ecs, err := unpackClientSubnet(body)
-			if err != nil {
+			c := ecs
+			if c == nil {
+				c = new(ClientSubnet)
+			}
+			ecs = nil
+			if err := c.unpack(body); err != nil {
 				return nil, err
 			}
-			out = append(out, ecs)
+			out = append(out, c)
 		default:
 			cp := make([]byte, olen)
 			copy(cp, body)
@@ -261,47 +273,48 @@ func (c *ClientSubnet) packOption(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-func unpackClientSubnet(body []byte) (*ClientSubnet, error) {
+// unpack decodes an ECS option body into c.
+func (c *ClientSubnet) unpack(body []byte) error {
 	if len(body) < 4 {
-		return nil, fmt.Errorf("%w: ECS option shorter than 4 octets", ErrUnpack)
+		return fmt.Errorf("%w: ECS option shorter than 4 octets", ErrUnpack)
 	}
-	c := &ClientSubnet{
+	*c = ClientSubnet{
 		Family:       binary.BigEndian.Uint16(body),
 		SourcePrefix: body[2],
 		ScopePrefix:  body[3],
 	}
 	addrLen := (int(c.SourcePrefix) + 7) / 8
 	if len(body) != 4+addrLen {
-		return nil, fmt.Errorf("%w: ECS address length %d does not match source prefix /%d",
+		return fmt.Errorf("%w: ECS address length %d does not match source prefix /%d",
 			ErrUnpack, len(body)-4, c.SourcePrefix)
 	}
 	switch c.Family {
 	case ECSFamilyIPv4:
 		if c.SourcePrefix > 32 {
-			return nil, fmt.Errorf("%w: ECS IPv4 source prefix /%d", ErrUnpack, c.SourcePrefix)
+			return fmt.Errorf("%w: ECS IPv4 source prefix /%d", ErrUnpack, c.SourcePrefix)
 		}
 		if c.ScopePrefix > 32 {
 			// RFC 7871 §7.3: a response scope wider than the family's bit
 			// length is malformed; accepting it would leave caches with a
 			// prefix they cannot represent. ErrECSScope under ErrUnpack so
 			// callers can classify either way.
-			return nil, fmt.Errorf("%w: %w: IPv4 scope /%d", ErrUnpack, ErrECSScope, c.ScopePrefix)
+			return fmt.Errorf("%w: %w: IPv4 scope /%d", ErrUnpack, ErrECSScope, c.ScopePrefix)
 		}
 		var b [4]byte
 		copy(b[:], body[4:])
 		c.Address = netip.AddrFrom4(b)
 	case ECSFamilyIPv6:
 		if c.SourcePrefix > 128 {
-			return nil, fmt.Errorf("%w: ECS IPv6 source prefix /%d", ErrUnpack, c.SourcePrefix)
+			return fmt.Errorf("%w: ECS IPv6 source prefix /%d", ErrUnpack, c.SourcePrefix)
 		}
 		if c.ScopePrefix > 128 {
-			return nil, fmt.Errorf("%w: %w: IPv6 scope /%d", ErrUnpack, ErrECSScope, c.ScopePrefix)
+			return fmt.Errorf("%w: %w: IPv6 scope /%d", ErrUnpack, ErrECSScope, c.ScopePrefix)
 		}
 		var b [16]byte
 		copy(b[:], body[4:])
 		c.Address = netip.AddrFrom16(b)
 	default:
-		return nil, fmt.Errorf("%w: ECS family %d", ErrUnpack, c.Family)
+		return fmt.Errorf("%w: ECS family %d", ErrUnpack, c.Family)
 	}
 	// RFC 7871 §6 requires every address bit beyond SOURCE PREFIX-LENGTH
 	// to be zero. The length check above already rejects surplus whole
@@ -313,5 +326,5 @@ func unpackClientSubnet(body []byte) (*ClientSubnet, error) {
 			c.NonZeroPad = true
 		}
 	}
-	return c, nil
+	return nil
 }

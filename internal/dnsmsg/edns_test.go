@@ -12,6 +12,15 @@ import (
 // the query's SOURCE PREFIX-LENGTH. ScopedPrefix used to return a /0 in
 // that case, which would have let one client's answer shadow the entire
 // address family in any cache keyed by ScopedPrefix.
+// unpackClientSubnet decodes an ECS option body into an option of its own.
+func unpackClientSubnet(body []byte) (*ClientSubnet, error) {
+	c := new(ClientSubnet)
+	if err := c.unpack(body); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 func TestScopedPrefixZeroScopeFallsBack(t *testing.T) {
 	ecs, err := NewClientSubnet(netip.MustParseAddr("203.0.113.77"), 24)
 	if err != nil {

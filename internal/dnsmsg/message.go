@@ -41,6 +41,13 @@ type Message struct {
 	// Options are the EDNS0 options carried in the OPT record, e.g. the
 	// ClientSubnet option.
 	Options []EDNSOption
+
+	// Storage the message owns and reuses, so that a server answering
+	// every query from one reused message allocates nothing per query.
+	names []byte       // the arena UnpackInto decodes names into
+	ecs   ClientSubnet // the first ECS option, as decoded or attached
+	as    []A          // the RDATA of the records AnswerA appends
+	reply *Message     // what Reply builds into
 }
 
 // NewQuery builds a standard recursive query for (name, type) with a fresh
@@ -58,23 +65,52 @@ func NewQuery(id uint16, name Name, typ Type) *Message {
 	}
 }
 
-// Reply builds a response skeleton for q: same ID, same question, QR set,
-// and EDNS mirrored if the query used it.
+// Reply builds a response skeleton for m: same ID, same question, QR set,
+// and EDNS mirrored if the query used it. The reply belongs to m: it is
+// allocated on m's first call and reset and rebuilt on every later one, so
+// a reply is valid until the next Reply or UnpackInto on m, and replying
+// to a reused query allocates nothing once warm. Its question names alias
+// m's.
 func (m *Message) Reply() *Message {
-	r := &Message{
-		Header: Header{
-			ID:               m.ID,
-			Response:         true,
-			OpCode:           m.OpCode,
-			RecursionDesired: m.RecursionDesired,
-		},
-		EDNS: m.EDNS,
+	r := m.reply
+	if r == nil {
+		r = new(Message)
+		m.reply = r
 	}
+	r.Reset()
+	r.Header = Header{
+		ID:               m.ID,
+		Response:         true,
+		OpCode:           m.OpCode,
+		RecursionDesired: m.RecursionDesired,
+	}
+	r.EDNS = m.EDNS
 	if m.EDNS {
 		r.UDPSize = DefaultUDPSize
 	}
 	r.Questions = append(r.Questions, m.Questions...)
 	return r
+}
+
+// AnswerA appends an A record for name to the answer section. Its RDATA
+// lives in storage m keeps across Reset, so a reused reply appends
+// records without allocating.
+func (m *Message) AnswerA(name Name, ttl uint32, addr netip.Addr) {
+	m.as = append(m.as, A{Addr: addr})
+	m.Answers = append(m.Answers, RR{Name: name, Class: ClassINET, TTL: ttl, Data: &m.as[len(m.as)-1]})
+}
+
+// EchoClientSubnet attaches the response side of the query's ECS option
+// q: its family, source prefix and address, with the answer's scope (RFC
+// 7871 §7.2.2). Like SetClientSubnet it replaces any ECS option m carries
+// and enables EDNS, and the option is stored in m itself.
+func (m *Message) EchoClientSubnet(q *ClientSubnet, scope uint8) {
+	m.setClientSubnet(ClientSubnet{
+		Family:       q.Family,
+		SourcePrefix: q.SourcePrefix,
+		ScopePrefix:  scope,
+		Address:      q.Address,
+	})
 }
 
 // ClientSubnet returns the first ECS option in the message, or nil.
@@ -94,6 +130,13 @@ func (m *Message) SetClientSubnet(addr netip.Addr, sourcePrefix uint8) error {
 	if err != nil {
 		return err
 	}
+	m.setClientSubnet(*ecs)
+	return nil
+}
+
+// setClientSubnet stores c as the message's one ECS option and enables
+// EDNS.
+func (m *Message) setClientSubnet(c ClientSubnet) {
 	m.EDNS = true
 	if m.UDPSize == 0 {
 		m.UDPSize = DefaultUDPSize
@@ -104,8 +147,8 @@ func (m *Message) SetClientSubnet(addr netip.Addr, sourcePrefix uint8) error {
 			out = append(out, o)
 		}
 	}
-	m.Options = append(out, ecs)
-	return nil
+	m.ecs = c
+	m.Options = append(out, &m.ecs)
 }
 
 // compressorPool recycles compression maps across Pack calls, so the
@@ -187,21 +230,25 @@ func (m *Message) AppendPack(buf []byte) ([]byte, error) {
 			size = DefaultUDPSize
 		}
 		extRCode := uint32(m.RCode>>4) & 0xFF
-		opt := RR{
-			Name:  "", // root
-			Class: Class(size),
-			TTL:   extRCode << 24,
-			Data:  &OPT{Options: m.Options},
-		}
-		if buf, err = opt.pack(buf, cmp); err != nil {
+		// The OPT record, written in place rather than boxed as an RR:
+		// root owner, the UDP size as its class, the extended RCODE in
+		// its TTL.
+		if buf, err = packHeader(buf, "", TypeOPT, Class(size), extRCode<<24, cmp); err != nil {
 			return nil, err
 		}
+		lenAt := len(buf) - 2
+		if buf, err = packOptions(buf, m.Options); err != nil {
+			return nil, err
+		}
+		return setRDLength(buf, lenAt)
 	}
 	return buf, nil
 }
 
 // Reset clears the message for reuse, keeping the capacity of its section
-// slices so a recycled message can be unpacked into without reallocating.
+// slices and of the storage it owns, so a recycled message can be unpacked
+// or built into without reallocating. Names decoded into m and records
+// appended with AnswerA are written over by what follows.
 func (m *Message) Reset() {
 	m.Header = Header{}
 	m.Questions = m.Questions[:0]
@@ -210,22 +257,32 @@ func (m *Message) Reset() {
 	m.Additionals = m.Additionals[:0]
 	m.EDNS = false
 	m.UDPSize = 0
-	m.Options = nil
+	clear(m.Options)
+	m.Options = m.Options[:0]
+	m.names = m.names[:0]
+	m.as = m.as[:0]
 }
 
-// Unpack decodes a wire-format message.
+// Unpack decodes a wire-format message. Its names are its own: nothing
+// decoded later writes over them.
 func Unpack(wire []byte) (*Message, error) {
 	m := &Message{}
 	if err := UnpackInto(m, wire); err != nil {
 		return nil, err
 	}
+	m.names = nil // a later UnpackInto of m decodes into a new arena
 	return m, nil
 }
 
 // UnpackInto decodes a wire-format message into m, resetting it first.
-// Reusing one message across datagrams (e.g. from a sync.Pool) avoids the
-// per-query Message and section-slice allocations on a server's read path.
-// Strings and RData values still allocate: they outlive the wire buffer.
+// Reusing one message across datagrams is how a server decodes without
+// allocating: the section slices, the first ECS option and the names all
+// land in storage m keeps. Every name decoded — in the question, in a
+// record, in RDATA — aliases m's name arena, and so does every name in a
+// reply built with m.Reply: they hold until the next UnpackInto of m
+// writes over them. A caller that keeps a name longer copies it
+// (strings.Clone); Unpack returns names that are never written over.
+// RData values other than names still allocate.
 func UnpackInto(m *Message, wire []byte) error {
 	m.Reset()
 	if len(wire) < 12 {
@@ -250,7 +307,7 @@ func UnpackInto(m *Message, wire []byte) error {
 	var err error
 	for i := 0; i < qd; i++ {
 		var q Question
-		if q, off, err = unpackQuestion(wire, off); err != nil {
+		if q, off, err = unpackQuestion(wire, off, &m.names); err != nil {
 			return err
 		}
 		m.Questions = append(m.Questions, q)
@@ -261,16 +318,23 @@ func UnpackInto(m *Message, wire []byte) error {
 	}{{an, &m.Answers}, {ns, &m.Authorities}, {ar, &m.Additionals}} {
 		for i := 0; i < sec.n; i++ {
 			var rr RR
-			if rr, off, err = unpackRR(wire, off); err != nil {
+			var opt []byte
+			if rr, opt, off, err = unpackRR(wire, off, &m.names); err != nil {
 				return err
 			}
-			if opt, ok := rr.Data.(*OPT); ok {
+			if rr.Data == nil {
+				// The OPT record: its options go straight into m.Options,
+				// the first ECS option into m's own.
 				if m.EDNS {
 					return fmt.Errorf("%w: multiple OPT records", ErrUnpack)
 				}
+				opts, err := appendOptions(m.Options, &m.ecs, opt)
+				if err != nil {
+					return err
+				}
+				m.Options = opts
 				m.EDNS = true
 				m.UDPSize = uint16(rr.Class)
-				m.Options = opt.Options
 				m.RCode |= RCode(rr.TTL>>24&0xFF) << 4
 				continue
 			}

@@ -3,6 +3,7 @@ package dnsmsg
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 )
 
 // Name is a fully-qualified domain name in presentation form. Names are
@@ -32,7 +33,7 @@ func (n Name) IsSubdomainOf(parent Name) bool {
 	if ps == "" {
 		return true
 	}
-	return ns == ps || strings.HasSuffix(ns, "."+ps)
+	return ns == ps || len(ns) > len(ps) && ns[len(ns)-len(ps)-1] == '.' && strings.HasSuffix(ns, ps)
 }
 
 // validate checks RFC 1035 length limits: each label <= 63 octets and the
@@ -99,11 +100,16 @@ func packName(buf []byte, n Name, cmp compressor) ([]byte, error) {
 	return append(buf, 0), nil
 }
 
-// unpackName decodes a possibly-compressed name starting at off in msg.
-// It returns the name and the offset of the first byte after the name's
-// encoding in the original (non-pointer-following) stream.
-func unpackName(msg []byte, off int) (Name, int, error) {
-	var sb strings.Builder
+// appendName decodes a possibly-compressed name starting at off in msg
+// into the arena *names. It returns the name and the offset of the first
+// byte after the name's encoding in the original (non-pointer-following)
+// stream. The name aliases the bytes it appended to the arena, so it reads
+// what they hold until the arena is written over (see UnpackInto). A name
+// that outgrows the arena's capacity moves it to a new array, leaving the
+// names already returned where they were.
+func appendName(names *[]byte, msg []byte, off int) (Name, int, error) {
+	buf := *names
+	start := len(buf)
 	// next is the offset to return: set the first time we follow a pointer.
 	next := -1
 	ptrHops := 0
@@ -117,7 +123,11 @@ func unpackName(msg []byte, off int) (Name, int, error) {
 			if next == -1 {
 				next = off + 1
 			}
-			return Name(sb.String()), next, nil
+			*names = buf
+			if len(buf) == start {
+				return "", next, nil
+			}
+			return Name(unsafe.String(&buf[start], len(buf)-start)), next, nil
 		case b&0xC0 == 0xC0:
 			if off+1 >= len(msg) {
 				return "", 0, ErrBufferTooSmall
@@ -140,11 +150,11 @@ func unpackName(msg []byte, off int) (Name, int, error) {
 			if off+1+l > len(msg) {
 				return "", 0, ErrBufferTooSmall
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			if len(buf) > start {
+				buf = append(buf, '.')
 			}
-			sb.Write(msg[off+1 : off+1+l])
-			if sb.Len() > 255 {
+			buf = append(buf, msg[off+1:off+1+l]...)
+			if len(buf)-start > 255 {
 				return "", 0, fmt.Errorf("%w: name too long", ErrUnpack)
 			}
 			off += 1 + l

@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+// unpackName decodes the name at off into an arena of its own, so nothing
+// decoded later writes over it.
+func unpackName(msg []byte, off int) (Name, int, error) {
+	var names []byte
+	return appendName(&names, msg, off)
+}
+
 func TestNameCanonical(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"Foo.EXAMPLE.com.", "foo.example.com"},

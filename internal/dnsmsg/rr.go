@@ -26,8 +26,8 @@ func (q Question) pack(buf []byte, cmp compressor) ([]byte, error) {
 	return appendUint16(appendUint16(buf, uint16(q.Type)), uint16(q.Class)), nil
 }
 
-func unpackQuestion(msg []byte, off int) (Question, int, error) {
-	name, off, err := unpackName(msg, off)
+func unpackQuestion(msg []byte, off int, names *[]byte) (Question, int, error) {
+	name, off, err := appendName(names, msg, off)
 	if err != nil {
 		return Question{}, 0, err
 	}
@@ -69,19 +69,33 @@ func (rr RR) pack(buf []byte, cmp compressor) ([]byte, error) {
 	if rr.Data == nil {
 		return nil, fmt.Errorf("%w: RR %q has nil Data", ErrPack, string(rr.Name))
 	}
-	buf, err := packName(buf, rr.Name, cmp)
+	buf, err := packHeader(buf, rr.Name, rr.Data.Type(), rr.Class, rr.TTL, cmp)
 	if err != nil {
 		return nil, err
 	}
-	buf = appendUint16(buf, uint16(rr.Data.Type()))
-	buf = appendUint16(buf, uint16(rr.Class))
-	buf = binary.BigEndian.AppendUint32(buf, rr.TTL)
-	lenAt := len(buf)
-	buf = appendUint16(buf, 0) // placeholder RDLENGTH
-	buf, err = rr.Data.packData(buf, cmp)
+	lenAt := len(buf) - 2
+	if buf, err = rr.Data.packData(buf, cmp); err != nil {
+		return nil, err
+	}
+	return setRDLength(buf, lenAt)
+}
+
+// packHeader appends a record's owner name, type, class, TTL and a
+// placeholder RDLENGTH, which setRDLength fills once the RDATA follows.
+func packHeader(buf []byte, name Name, typ Type, class Class, ttl uint32, cmp compressor) ([]byte, error) {
+	buf, err := packName(buf, name, cmp)
 	if err != nil {
 		return nil, err
 	}
+	buf = appendUint16(buf, uint16(typ))
+	buf = appendUint16(buf, uint16(class))
+	buf = binary.BigEndian.AppendUint32(buf, ttl)
+	return appendUint16(buf, 0), nil
+}
+
+// setRDLength writes the length of the RDATA that follows offset lenAt
+// into the RDLENGTH there.
+func setRDLength(buf []byte, lenAt int) ([]byte, error) {
 	rdlen := len(buf) - lenAt - 2
 	if rdlen > 0xFFFF {
 		return nil, fmt.Errorf("%w: RDATA exceeds 65535 octets", ErrPack)
@@ -90,30 +104,38 @@ func (rr RR) pack(buf []byte, cmp compressor) ([]byte, error) {
 	return buf, nil
 }
 
-func unpackRR(msg []byte, off int) (RR, int, error) {
-	name, off, err := unpackName(msg, off)
+// unpackRR decodes the record at off, its names into the arena *names. An
+// OPT record comes back with nil Data and its RDATA in opt, for the
+// message to lift into its EDNS fields.
+func unpackRR(msg []byte, off int, names *[]byte) (rr RR, opt []byte, next int, err error) {
+	name, off, err := appendName(names, msg, off)
 	if err != nil {
-		return RR{}, 0, err
+		return RR{}, nil, 0, err
 	}
 	if off+10 > len(msg) {
-		return RR{}, 0, ErrBufferTooSmall
+		return RR{}, nil, 0, ErrBufferTooSmall
 	}
 	typ := Type(binary.BigEndian.Uint16(msg[off:]))
-	class := Class(binary.BigEndian.Uint16(msg[off+2:]))
-	ttl := binary.BigEndian.Uint32(msg[off+4:])
+	rr = RR{
+		Name:  name,
+		Class: Class(binary.BigEndian.Uint16(msg[off+2:])),
+		TTL:   binary.BigEndian.Uint32(msg[off+4:]),
+	}
 	rdlen := int(binary.BigEndian.Uint16(msg[off+8:]))
 	off += 10
 	if off+rdlen > len(msg) {
-		return RR{}, 0, ErrBufferTooSmall
+		return RR{}, nil, 0, ErrBufferTooSmall
 	}
-	data, err := unpackRData(typ, msg, off, rdlen)
-	if err != nil {
-		return RR{}, 0, err
+	if typ == TypeOPT {
+		return rr, msg[off : off+rdlen], off + rdlen, nil
 	}
-	return RR{Name: name, Class: class, TTL: ttl, Data: data}, off + rdlen, nil
+	if rr.Data, err = unpackRData(typ, msg, off, rdlen, names); err != nil {
+		return RR{}, nil, 0, err
+	}
+	return rr, nil, off + rdlen, nil
 }
 
-func unpackRData(typ Type, msg []byte, off, rdlen int) (RData, error) {
+func unpackRData(typ Type, msg []byte, off, rdlen int, names *[]byte) (RData, error) {
 	rd := msg[off : off+rdlen]
 	switch typ {
 	case TypeA:
@@ -127,33 +149,27 @@ func unpackRData(typ Type, msg []byte, off, rdlen int) (RData, error) {
 		}
 		return &AAAA{Addr: netip.AddrFrom16([16]byte(rd))}, nil
 	case TypeCNAME:
-		n, _, err := unpackName(msg, off)
+		n, _, err := appendName(names, msg, off)
 		if err != nil {
 			return nil, err
 		}
 		return &CNAME{Target: n}, nil
 	case TypeNS:
-		n, _, err := unpackName(msg, off)
+		n, _, err := appendName(names, msg, off)
 		if err != nil {
 			return nil, err
 		}
 		return &NS{Host: n}, nil
 	case TypePTR:
-		n, _, err := unpackName(msg, off)
+		n, _, err := appendName(names, msg, off)
 		if err != nil {
 			return nil, err
 		}
 		return &PTR{Target: n}, nil
 	case TypeSOA:
-		return unpackSOA(msg, off, rdlen)
+		return unpackSOA(msg, off, rdlen, names)
 	case TypeTXT:
 		return unpackTXT(rd)
-	case TypeOPT:
-		opts, err := unpackOptions(rd)
-		if err != nil {
-			return nil, err
-		}
-		return &OPT{Options: opts}, nil
 	default:
 		cp := make([]byte, rdlen)
 		copy(cp, rd)
@@ -283,13 +299,13 @@ func (s *SOA) String() string {
 		s.MName.Canonical(), s.RName.Canonical(), s.Serial, s.Refresh, s.Retry, s.Expire, s.Minimum)
 }
 
-func unpackSOA(msg []byte, off, rdlen int) (*SOA, error) {
+func unpackSOA(msg []byte, off, rdlen int, names *[]byte) (*SOA, error) {
 	end := off + rdlen
-	mname, off, err := unpackName(msg, off)
+	mname, off, err := appendName(names, msg, off)
 	if err != nil {
 		return nil, err
 	}
-	rname, off, err := unpackName(msg, off)
+	rname, off, err := appendName(names, msg, off)
 	if err != nil {
 		return nil, err
 	}

@@ -37,10 +37,11 @@ import (
 // use. Returning nil drops the query (no response), which a handler may use
 // for malformed or abusive traffic.
 //
-// The query message is only valid for the duration of the call: the server
-// recycles it once ServeDNS returns. Handlers that need query state beyond
-// the call must copy it (the response returned may freely reference the
-// query's strings, which are immutable).
+// The query, its names and any reply built with query.Reply are valid
+// until the server reuses the query for the next datagram: the response
+// returned may reference them, but a handler that keeps any of it beyond
+// the call must copy it (strings.Clone for a name, which aliases the
+// query's decode storage; see dnsmsg.UnpackInto).
 type Handler interface {
 	ServeDNS(remote netip.AddrPort, query *dnsmsg.Message) *dnsmsg.Message
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"log/slog"
 	"net/netip"
+	"strings"
 	"time"
 
 	"eum/internal/dnsmsg"
@@ -53,7 +54,10 @@ func (l *loggingHandler) log(remote netip.AddrPort, query, resp *dnsmsg.Message,
 	if len(query.Questions) > 0 {
 		q := query.Questions[0]
 		attrs = append(attrs,
-			slog.String("name", string(q.Name.Canonical())),
+			// The name aliases the query's storage, which the next
+			// datagram writes over; a handler that keeps records must
+			// not see it change.
+			slog.String("name", strings.Clone(string(q.Name.Canonical()))),
 			slog.String("type", q.Type.String()),
 		)
 	}

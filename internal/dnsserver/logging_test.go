@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"log/slog"
 	"net/netip"
@@ -52,6 +53,51 @@ func TestWithLoggingDropped(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "WARN") {
 		t.Errorf("drop not logged at WARN:\n%s", buf.String())
+	}
+}
+
+// keptRecords is a slog handler that keeps every record it is handed, as
+// a handler that buffers or batches its output does.
+type keptRecords struct{ records []slog.Record }
+
+func (*keptRecords) Enabled(context.Context, slog.Level) bool { return true }
+func (k *keptRecords) Handle(_ context.Context, r slog.Record) error {
+	k.records = append(k.records, r)
+	return nil
+}
+func (k *keptRecords) WithAttrs([]slog.Attr) slog.Handler { return k }
+func (k *keptRecords) WithGroup(string) slog.Handler      { return k }
+
+// TestWithLoggingKeepsNamesOfReusedQueries: the server decodes every
+// datagram into one reused message whose names alias its storage, so the
+// logger must copy the name it records; a handler that keeps records must
+// still read the first query's name after a second is decoded over it.
+func TestWithLoggingKeepsNamesOfReusedQueries(t *testing.T) {
+	kept := &keptRecords{}
+	h := WithLogging(&echoHandler{}, slog.New(kept))
+	remote := netip.MustParseAddrPort("198.51.100.9:5353")
+	var query dnsmsg.Message
+	for _, name := range []dnsmsg.Name{"first.example.net", "later.example.net"} {
+		wire, err := dnsmsg.NewQuery(1, name, dnsmsg.TypeA).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dnsmsg.UnpackInto(&query, wire); err != nil {
+			t.Fatal(err)
+		}
+		h.ServeDNS(remote, &query)
+	}
+	var got []string
+	for _, r := range kept.records {
+		r.Attrs(func(a slog.Attr) bool {
+			if a.Key == "name" {
+				got = append(got, a.Value.String())
+			}
+			return true
+		})
+	}
+	if len(got) != 2 || got[0] != "first.example.net" || got[1] != "later.example.net" {
+		t.Errorf("kept records name %q, want [first.example.net later.example.net]", got)
 	}
 }
 

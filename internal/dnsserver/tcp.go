@@ -108,6 +108,10 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	if !ok {
 		return
 	}
+	// One query message and one output buffer serve every query on the
+	// connection, as a UDP shard's do.
+	var query dnsmsg.Message
+	var wire []byte
 	for {
 		if !s.extend(conn, tcpReadTimeout) {
 			return
@@ -116,18 +120,17 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		query, err := dnsmsg.Unpack(msg)
-		if err != nil || query.Response {
+		if err := dnsmsg.UnpackInto(&query, msg); err != nil || query.Response {
 			s.Metrics.Malformed.Add(1)
 			return
 		}
 		s.Metrics.Queries.Add(1)
-		resp := safeServe(s.handler, &s.Metrics, raddr, query)
+		resp := safeServe(s.handler, &s.Metrics, raddr, &query)
 		if resp == nil {
 			s.Metrics.Dropped.Add(1)
 			return
 		}
-		wire, err := resp.Pack()
+		wire, err = resp.AppendPack(wire[:0])
 		if err != nil || !s.extend(conn, tcpWriteTimeout) {
 			return
 		}

@@ -107,6 +107,57 @@ func TestTCPMultipleQueriesPerConnection(t *testing.T) {
 	}
 }
 
+// TestTCPReusesQueryAcrossQueries: a connection decodes every query into
+// one reused message, so two different queries in a row — a long name
+// with ECS, then a shorter one without — must each get their own answer,
+// with nothing of the first left in the second.
+func TestTCPReusesQueryAcrossQueries(t *testing.T) {
+	s := startTCP(t, HandlerFunc(func(_ netip.AddrPort, q *dnsmsg.Message) *dnsmsg.Message {
+		r := q.Reply()
+		r.AnswerA(q.Questions[0].Name, 30, netip.MustParseAddr("192.0.2.53"))
+		if ecs := q.ClientSubnet(); ecs != nil {
+			r.EchoClientSubnet(ecs, 20)
+		}
+		return r
+	}))
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	first := dnsmsg.NewQuery(1, "a-much-longer-first-name.tcp.example.net", dnsmsg.TypeA)
+	_ = first.SetClientSubnet(netip.MustParseAddr("203.0.113.0"), 24)
+	second := dnsmsg.NewQuery(2, "second.tcp.example.net", dnsmsg.TypeA)
+	for _, q := range []*dnsmsg.Message{first, second} {
+		wire, _ := q.Pack()
+		if err := WriteTCPMessage(conn, wire); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := ReadTCPMessage(conn)
+		if err != nil {
+			t.Fatalf("query %d: %v", q.ID, err)
+		}
+		resp, err := dnsmsg.Unpack(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := q.Questions[0].Name
+		if resp.ID != q.ID || len(resp.Questions) != 1 || resp.Questions[0].Name != name ||
+			len(resp.Answers) != 1 || resp.Answers[0].Name != name {
+			t.Fatalf("query %d for %s answered with %v", q.ID, name, resp)
+		}
+		switch ecs := resp.ClientSubnet(); {
+		case q.ClientSubnet() == nil && ecs != nil:
+			t.Errorf("query %d: no ECS asked, %v echoed", q.ID, ecs)
+		case q.ClientSubnet() != nil && (ecs == nil || ecs.Prefix() != q.ClientSubnet().Prefix() || ecs.ScopePrefix != 20):
+			t.Errorf("query %d: ECS echo %v, want %v scope 20", q.ID, ecs, q.ClientSubnet())
+		}
+	}
+	if got := s.Metrics.Responses.Load(); got != 2 {
+		t.Errorf("responses = %d, want 2", got)
+	}
+}
+
 func TestUDPTruncatesOversizedResponse(t *testing.T) {
 	// 100 A records ≈ 1.6KB+, beyond a 512-byte non-EDNS limit.
 	h := &bigHandler{n: 100}

@@ -207,7 +207,7 @@ func TestRingPlacementUnchanged(t *testing.T) {
 		for _, alive := range []bool{true, false} {
 			victim.SetAlive(alive)
 			for _, key := range keys {
-				if got, want := lb.pick(i, key), ref.pick(key, serversPerAnswer); !slices.Equal(got, want) {
+				if got, want := lb.pick(nil, i, key), ref.pick(key, ServersPerAnswer); !slices.Equal(got, want) {
 					t.Fatalf("%s (server %d alive: %v): key %#x picks servers %v, the reference %v",
 						d.Name, victim.ID, alive, key, serverIDs(got), serverIDs(want))
 				}

@@ -45,10 +45,10 @@ type LoadBalancer struct {
 }
 
 const (
-	// serversPerAnswer is how many server IPs each DNS answer carries;
+	// ServersPerAnswer is how many server IPs each DNS answer carries;
 	// the paper returns "two or more" as a precaution against transient
 	// failures.
-	serversPerAnswer = 2
+	ServersPerAnswer = 2
 	// virtualNodes is the number of ring points per server; a point's
 	// ordinal keeps its virtual node in the low vnodeBits bits.
 	vnodeBits    = 5
@@ -190,16 +190,21 @@ func (lb *LoadBalancer) pickLoadAware(deps []*cdn.Deployment, candidates Row, de
 	return best
 }
 
-// PickServers chooses up to serversPerAnswer live servers in d, a
+// PickServers chooses up to ServersPerAnswer live servers in d, a
 // deployment of the prepared platform, for the given content domain using
 // consistent hashing, and records demand load on the first (primary)
 // server.
 func (lb *LoadBalancer) PickServers(d *cdn.Deployment, domain string, demand float64) ([]*cdn.Server, error) {
+	return lb.appendServers(make([]*cdn.Server, 0, ServersPerAnswer), d, domain, demand)
+}
+
+// appendServers is PickServers appending the servers to dst[:0].
+func (lb *LoadBalancer) appendServers(dst []*cdn.Server, d *cdn.Deployment, domain string, demand float64) ([]*cdn.Server, error) {
 	i, ok := lb.index[d.ID]
 	if !ok || lb.deps[i] != d {
 		return nil, fmt.Errorf("mapping: deployment %s is not on the platform the load balancer was prepared for", d.Name)
 	}
-	servers := lb.pick(int(i), fnv1a(domain))
+	servers := lb.pick(dst[:0], int(i), fnv1a(domain))
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("mapping: deployment %s has no live servers", d.Name)
 	}
@@ -209,11 +214,12 @@ func (lb *LoadBalancer) PickServers(d *cdn.Deployment, domain string, demand flo
 	return servers, nil
 }
 
-// pick returns up to serversPerAnswer distinct live servers of deployment
-// i, clockwise from key: from the first point whose hash is at least key.
-// Answers carry few servers, so distinctness is a linear scan of the
-// output rather than a per-query map allocation.
-func (lb *LoadBalancer) pick(i int, key uint64) []*cdn.Server {
+// pick appends to out, which must be empty, up to ServersPerAnswer
+// distinct live servers of deployment i, clockwise from key: from the
+// first point whose hash is at least key. Answers carry few servers, so
+// distinctness is a linear scan of the output rather than a per-query map
+// allocation.
+func (lb *LoadBalancer) pick(out []*cdn.Server, i int, key uint64) []*cdn.Server {
 	lo, end := int(lb.off[i]), int(lb.off[i+1])
 	n := end - lo
 	servers := lb.deps[i].Servers
@@ -225,9 +231,8 @@ func (lb *LoadBalancer) pick(i int, key uint64) []*cdn.Server {
 	for start < end && lb.hi[start] == top && pointHash(servers, lb.pt[start]) < key {
 		start++
 	}
-	out := make([]*cdn.Server, 0, serversPerAnswer)
 scan:
-	for j := 0; j < n && len(out) < serversPerAnswer; j++ {
+	for j := 0; j < n && len(out) < ServersPerAnswer; j++ {
 		at := start + j
 		if at >= end {
 			at -= n

@@ -255,7 +255,8 @@ type Request struct {
 	Degraded bool
 }
 
-// Response is the mapping decision.
+// Response is the mapping decision. It is small enough to pass by value,
+// which MapInto does so that a caller's server scratch stays on its stack.
 type Response struct {
 	// Deployment is the chosen server cluster.
 	Deployment *cdn.Deployment
@@ -279,22 +280,35 @@ func (s *System) Map(req Request) (*Response, error) {
 }
 
 // MapAt answers a mapping request against a specific snapshot (nil means
-// the current one). It is the data plane: a pure reader — the candidate row
-// (the endpoint's own head, its region's tail) and the CANS candidate
-// lists come precomputed from the snapshot, liveness and load are read per
-// server at pick time, and nothing on this path scores, locks, allocates
-// for the walk, or invalidates. Callers that must keep a set of
-// decisions mutually consistent (a deterministic simulation day, a wire
-// answer checked against its oracle) pin one snapshot and pass it for
-// every request.
+// the current one): MapInto with a decision and a server slice of the
+// caller's own.
 func (s *System) MapAt(sn *Snapshot, req Request) (*Response, error) {
+	resp, err := s.MapInto(sn, req, make([]*cdn.Server, 0, ServersPerAnswer))
+	if err != nil {
+		return nil, err
+	}
+	return &resp, nil
+}
+
+// MapInto answers a mapping request against a specific snapshot (nil means
+// the current one), appending the picked servers to scratch[:0] and
+// returning the decision by value: a caller that passes ServersPerAnswer
+// of scratch from its stack decides without a heap allocation. It is the
+// data plane: a pure reader — the candidate row (the endpoint's own head,
+// its region's tail) and the CANS candidate lists come precomputed from
+// the snapshot, liveness and load are read per server at pick time, and
+// nothing on this path scores, locks, allocates or invalidates. Callers
+// that must keep a set of decisions mutually consistent (a deterministic
+// simulation day, a wire answer checked against its oracle) pin one
+// snapshot and pass it for every request.
+func (s *System) MapInto(sn *Snapshot, req Request, scratch []*cdn.Server) (Response, error) {
 	if req.Domain == "" {
-		return nil, fmt.Errorf("mapping: empty domain")
+		return Response{}, fmt.Errorf("mapping: empty domain")
 	}
 	if sn == nil {
 		sn = s.snap.Load()
 	}
-	resp := &Response{TTL: sn.ttl, Epoch: sn.epoch}
+	resp := Response{TTL: sn.ttl, Epoch: sn.epoch}
 
 	// Decide the candidate list for the endpoint whose latency the
 	// snapshot's policy optimises.
@@ -339,11 +353,11 @@ func (s *System) MapAt(sn *Snapshot, req Request) (*Response, error) {
 
 	d, err := s.lb.PickDeployment(s.platform.Deployments, candidates, req.Demand)
 	if err != nil {
-		return nil, err
+		return Response{}, err
 	}
-	servers, err := s.lb.PickServers(d, req.Domain, req.Demand)
+	servers, err := s.lb.appendServers(scratch, d, req.Domain, req.Demand)
 	if err != nil {
-		return nil, err
+		return Response{}, err
 	}
 	resp.Deployment = d
 	resp.Servers = servers
