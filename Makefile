@@ -145,12 +145,15 @@ bench-snapshot:
 # The SO_REUSEPORT and recvmmsg/sendmmsg code is build-tagged per OS and
 # arch; compile the portable fallbacks so a tag typo can't rot unnoticed.
 # linux/386 is the one Linux build on the single-datagram path: SO_REUSEPORT
-# shards, no recvmmsg wiring.
+# shards, no recvmmsg wiring. linux/s390x is big-endian, where mapwire swaps
+# the words of the row columns it copies (TestColumnsRoundTripSwapped runs
+# that path on this host).
 crossbuild:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=windows GOARCH=amd64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) build ./...
+	GOOS=linux GOARCH=s390x $(GO) build ./...
 
 # Regenerate every paper figure as benchmarks (slow; see EXPERIMENTS.md).
 bench-figures:

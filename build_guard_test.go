@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"sync"
 	"testing"
 
@@ -222,13 +223,17 @@ func TestRingAllocsBounded(t *testing.T) {
 // eight bytes zeroed. Scores are compared, sorted and shipped as raw
 // float64 bits, so a score that moves in its last place can reorder a tie
 // and changes the checksum; a change that means to move it says so and
-// re-pins it. coldWideRowsCRC is the CRC-32C of the rank
-// rows alone (every RowTable's TableBytes, in row order), which a change to
-// the format around the rows leaves where it is.
+// re-pins it. coldWideRowsCRC is the CRC-32C of the rank rows alone —
+// every row's deployment indexes as u16 little-endian, in row order, then
+// every head's scores as the u64 little-endian bits of their float64, in
+// head order — which a change to the format around the rows, or to how
+// they are stored, leaves where it is: it is the value the 12-byte rows of
+// wire format v6 gave before they were split into an order column for
+// every row and a score column for heads.
 const (
-	coldWideImageCRC  = 0x3493ca6d
-	coldWideImageSize = 4180676
-	coldWideRowsCRC   = 0x9096ab1c
+	coldWideImageCRC  = 0x544c6cc9
+	coldWideImageSize = 3037472
+	coldWideRowsCRC   = 0x176bd683
 )
 
 func TestWireImagePinned(t *testing.T) {
@@ -250,8 +255,16 @@ func TestWireImagePinned(t *testing.T) {
 			len(image), got, coldWideImageSize, coldWideImageCRC)
 	}
 	var rows uint32
+	var word []byte
 	for i := 0; i < sn.Layout().Rows(); i++ {
-		rows = crc32.Update(rows, castagnoli, mapping.TableBytes(sn.RowTable(i)))
+		for _, d := range sn.RowOrder(i) {
+			rows = crc32.Update(rows, castagnoli, binary.LittleEndian.AppendUint16(word[:0], d))
+		}
+	}
+	for i := 0; i < sn.Layout().Tables(); i++ {
+		for _, s := range sn.HeadScores(i) {
+			rows = crc32.Update(rows, castagnoli, binary.LittleEndian.AppendUint64(word[:0], math.Float64bits(s)))
+		}
 	}
 	if rows != coldWideRowsCRC {
 		t.Fatalf("the cold_wide rank rows have CRC-32C %#08x, pinned %#08x", rows, coldWideRowsCRC)

@@ -42,13 +42,18 @@ type TopLevel struct {
 }
 
 // NewTopLevel creates a top-level authority for zone, delegating
-// "b.<zone>" to registered low-level sites.
+// "b.<zone>" to registered low-level sites. It ranks sites with the
+// system's scorer, so it refuses a replica (mapping.NewReplica), which has
+// none.
 func NewTopLevel(zone dnsmsg.Name, system *mapping.System) (*TopLevel, error) {
 	if zone.Canonical() == "" {
 		return nil, fmt.Errorf("authority: empty zone")
 	}
 	if system == nil {
 		return nil, fmt.Errorf("authority: nil mapping system")
+	}
+	if system.Scorer() == nil {
+		return nil, fmt.Errorf("authority: the top level ranks sites with a scorer, and a replica's mapping system has none")
 	}
 	z := zone.Canonical()
 	return &TopLevel{

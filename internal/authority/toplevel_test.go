@@ -60,6 +60,12 @@ func TestNewTopLevelValidation(t *testing.T) {
 	if _, err := NewTopLevel("z.net", nil); err == nil {
 		t.Error("nil system accepted")
 	}
+	// A replica has no scorer to rank sites with: refused here, where the
+	// first referral would otherwise have dereferenced it.
+	replica := mapping.NewReplica(testP, sys.Current(), mapping.Config{})
+	if _, err := NewTopLevel("z.net", replica); err == nil {
+		t.Error("a replica, which has no scorer, accepted")
+	}
 }
 
 func TestAddSiteValidation(t *testing.T) {

@@ -26,10 +26,11 @@ import (
 // off-Linux rejection paths from a Linux CI box.
 var serverGOOS = runtime.GOOS
 
-// ErrReplicaSites refuses low-level NS sites on a replica: the top level
-// ranks sites with the mapping system's scorer, and a replica, which holds
-// no world, has none.
-var ErrReplicaSites = errors.New(`config: mode "replica" cannot serve sites: the top level ranks them with a scorer, which a replica does not have; serve them from a standalone or publisher node`)
+// ErrReplicaSites refuses low-level NS sites, and customer CNAMEs, on a
+// replica: either makes eumdns serve the top level, which ranks sites with
+// the mapping system's scorer, and a replica, which holds no world, has
+// none.
+var ErrReplicaSites = errors.New(`config: mode "replica" cannot serve sites or customers: the top level ranks sites with a scorer, which a replica does not have; serve them from a standalone or publisher node`)
 
 // Config is the top-level configuration document.
 type Config struct {
@@ -220,7 +221,7 @@ func (c Config) Validate() error {
 	}
 	switch mode {
 	case ModeReplica:
-		if len(c.Sites) > 0 {
+		if len(c.Sites) > 0 || len(c.Customers) > 0 {
 			return ErrReplicaSites
 		}
 		if c.MapMakerAddr == "" {

@@ -230,6 +230,11 @@ func TestDistModes(t *testing.T) {
 			c.MapMakerAddr = "127.0.0.1:9153"
 			c.Sites = []SiteConfig{{Host: "ns1.cdn.example.net", Addr: "192.0.2.1"}}
 		}, ErrReplicaSites.Error()},
+		{"replica-with-customers", func(c *Config) {
+			c.Mode = "replica"
+			c.MapMakerAddr = "127.0.0.1:9153"
+			c.Customers = map[string]string{"www.shop.example": "e1.b.cdn.example.net"}
+		}, ErrReplicaSites.Error()},
 		{"replica-stale-below-fetch", func(c *Config) {
 			c.Mode = "replica"
 			c.MapMakerAddr = "127.0.0.1:9153"

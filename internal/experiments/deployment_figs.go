@@ -149,10 +149,10 @@ func evalPolicy(lab *Lab, snap *mapping.Snapshot, blocks []*world.ClientBlock, p
 			}
 			var dep *cdn.Deployment
 			if pol == mapping.ClientAwareNS {
-				dep, _ = snap.FirstLive(snap.CANSCandidates(b.LDNS.Addr))
+				dep = snap.FirstLive(snap.CANSCandidates(b.LDNS.Addr))
 			} else {
 				row, _ := snap.ResolverRow(b.LDNS.Addr)
-				dep, _ = snap.FirstLive(row)
+				dep = snap.FirstLive(row)
 			}
 			if dep != nil {
 				ldnsChoice[id] = dep.Endpoint()
@@ -166,7 +166,7 @@ func evalPolicy(lab *Lab, snap *mapping.Snapshot, blocks []*world.ClientBlock, p
 			var depEp netmodel.Endpoint
 			if pol == mapping.EndUser {
 				row, _ := snap.ClientRow(b.Prefix)
-				dep, _ := snap.FirstLive(row)
+				dep := snap.FirstLive(row)
 				if dep == nil {
 					continue
 				}

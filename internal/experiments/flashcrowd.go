@@ -90,7 +90,13 @@ func flashCrowd(lab *Lab, country string, fullRows bool) ([]FlashCrowdRow, *Repo
 			var d *cdn.Deployment
 			if fullRows {
 				lb := sys.LoadBalancer()
-				own := mapping.Row{Head: sys.Scorer().Rank(b.Endpoint())}
+				// The block's whole ranking as one head. β is 0, so the
+				// pick reads the order alone.
+				rank := sys.Scorer().Rank(b.Endpoint())
+				own := mapping.Row{Head: make([]uint16, len(rank))}
+				for k, r := range rank {
+					own.Head[k] = uint16(r.Dep)
+				}
 				var err error
 				if d, err = lb.PickDeployment(lab.Platform.Deployments, own, req.Demand); err != nil {
 					return nil, nil, err

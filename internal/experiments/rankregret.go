@@ -34,8 +34,8 @@ func (h *spillDepths) record(sn *mapping.Snapshot, blk *world.ClientBlock, picke
 	}
 	row, _ := sn.ClientRow(blk.Prefix)
 	depth := -1
-	row.Walk(func(pos int, c mapping.Ranked) bool {
-		if h.deps[c.Dep] == picked {
+	row.Walk(func(pos int, c uint16) bool {
+		if h.deps[c] == picked {
 			depth = pos
 		}
 		return depth < 0
@@ -151,12 +151,12 @@ func RankRegret(lab *Lab) ([]RankRegretRow, []*Report, error) {
 			}
 			own, _ := sn.ClientRow(b.Prefix)
 			for _, v := range []struct {
-				tail []mapping.Ranked
+				tail []uint16
 				into *stats.Dataset
 			}{{own.Tail, &r.regional}, {fallback, &r.fallback}} {
-				mapping.Row{Head: own.Head, Tail: v.tail}.Walk(func(pos int, c mapping.Ranked) bool {
+				mapping.Row{Head: own.Head, Tail: v.tail}.Walk(func(pos int, c uint16) bool {
 					if pos >= lo && pos < hi {
-						v.into.AddUnweighted(ping[c.Dep] - full[pos].Score())
+						v.into.AddUnweighted(ping[c] - full[pos].Score())
 					}
 					return pos < hi
 				})

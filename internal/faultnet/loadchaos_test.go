@@ -151,8 +151,8 @@ func TestLoadChaos(t *testing.T) {
 		}
 		picked := serving[a.Addr]
 		row, _ := sys.Current().ClientRow(block.Prefix)
-		row.Walk(func(_ int, c mapping.Ranked) bool {
-			ahead := p.Deployments[c.Dep]
+		row.Walk(func(_ int, c uint16) bool {
+			ahead := p.Deployments[c]
 			if ahead == picked {
 				return false
 			}

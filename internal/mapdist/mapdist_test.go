@@ -68,7 +68,8 @@ func sameRows(t *testing.T, got, want *mapping.Snapshot) {
 	}
 	differ := 0
 	for i := 0; i < want.Layout().Rows(); i++ {
-		if !slices.Equal(got.RowTable(i), want.RowTable(i)) {
+		if !slices.Equal(got.RowOrder(i), want.RowOrder(i)) ||
+			i < want.Tables() && !slices.Equal(got.HeadScores(i), want.HeadScores(i)) {
 			differ++
 		}
 	}

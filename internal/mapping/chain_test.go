@@ -1,6 +1,8 @@
 package mapping
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"eum/internal/netmodel"
@@ -74,7 +76,7 @@ func TestArenaChainCompaction(t *testing.T) {
 		b.MarkMeasurementsDirty(targets...)
 		sn = b.Build(epoch, EndUser)
 		epoch++
-		if delta := sn.deltaEntries; delta > base {
+		if delta := sn.deltaEntries(); delta > base {
 			t.Fatalf("broad build %d: %d delta entries outweigh the %d-entry base", i, delta, base)
 		}
 	}
@@ -91,9 +93,11 @@ func TestArenaChainCompaction(t *testing.T) {
 		}
 		for j := range got {
 			if got[j] != want[j] {
-				t.Fatalf("%s rank %d: %s/%v, cold %s/%v", what, j,
-					depOf(got[j]).Name, got[j].Score(), depOf(want[j]).Name, want[j].Score())
+				t.Fatalf("%s rank %d: %s, cold %s", what, j, depOf(got[j]).Name, depOf(want[j]).Name)
 			}
+		}
+		if g, w := row(sn).Scores, row(cold).Scores; !slices.Equal(g, w) {
+			t.Fatalf("%s: head scores %v, cold %v", what, g, w)
 		}
 	}
 	for _, blk := range testW.Blocks {
@@ -102,4 +106,70 @@ func TestArenaChainCompaction(t *testing.T) {
 	for _, l := range testW.LDNSes {
 		check(func(sn *Snapshot) Row { return ldnsRow(sn, l) }, "ldns "+l.Addr.String())
 	}
+}
+
+// heldBytes sums capacity × element size over every array reachable from
+// v, each counted once by its address, passing over the fields skip names.
+func heldBytes(v reflect.Value, skip map[string]bool, seen map[uintptr]bool) uint64 {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return heldBytes(v.Elem(), skip, seen)
+		}
+	case reflect.Struct:
+		n := uint64(0)
+		for i := 0; i < v.NumField(); i++ {
+			if !skip[v.Type().Field(i).Name] {
+				n += heldBytes(v.Field(i), skip, seen)
+			}
+		}
+		return n
+	case reflect.Slice:
+		if v.Cap() == 0 || seen[v.Pointer()] {
+			return 0
+		}
+		seen[v.Pointer()] = true
+		n := uint64(v.Cap()) * uint64(v.Type().Elem().Size())
+		if k := v.Type().Elem().Kind(); k == reflect.Struct || k == reflect.Slice || k == reflect.Pointer {
+			for i := 0; i < v.Len(); i++ {
+				n += heldBytes(v.Index(i), skip, seen)
+			}
+		}
+		return n
+	}
+	return 0
+}
+
+// TestMemoryBytesCountsColumns: MemoryBytes is the storage a snapshot
+// holds — every array reachable from it, at capacity times element size,
+// but the platform's deployments, the index (System.IndexBytes) and the
+// CANS lists — after a full build, after incremental builds that chain
+// arenas, and after a compaction forced past maxArenaChain.
+func TestMemoryBytesCountsColumns(t *testing.T) {
+	skip := map[string]bool{"deps": true, "Index": true, "cans": true}
+	check := func(sn *Snapshot, what string) {
+		t.Helper()
+		if got, want := sn.MemoryBytes(), heldBytes(reflect.ValueOf(sn), skip, map[uintptr]bool{}); got != want {
+			t.Fatalf("%s (chain of %d): MemoryBytes %d, the snapshot holds %d", what, sn.ArenaChainLen(), got, want)
+		}
+	}
+	prober := &shiftNet{base: testNet, shift: map[uint64]float64{}}
+	b := NewSnapshotBuilder(testW, testP, prober, Config{Policy: EndUser, PingTargets: 500, PartitionMiles: 75})
+	sn := b.Build(1, EndUser)
+	check(sn, "full build")
+	target, _ := b.Scorer().TargetFor(testW.LDNSes[0].Endpoint())
+	chained := false
+	for epoch := uint64(2); epoch < 2+maxArenaChain; epoch++ {
+		prober.shift[target.ID]++
+		b.MarkMeasurementsDirty(target.ID)
+		sn = b.Build(epoch, EndUser)
+		if sn.ArenaChainLen() > 1 {
+			chained = true
+			check(sn, "incremental build")
+		} else if chained {
+			check(sn, "compaction")
+			return
+		}
+	}
+	t.Fatalf("%d one-target builds never compacted the chain", maxArenaChain)
 }

@@ -20,9 +20,9 @@ func Partitions(sb *SnapshotBuilder) []int32 {
 	return assign
 }
 
-// FillAll ranks every row of the builder's layout into arena.
-func FillAll(sb *SnapshotBuilder, lay *Layout, arena []Ranked) {
-	sb.fillRows(lay, sb.segs, upTo(lay.Rows()), arena)
+// FillAll ranks every row of the builder's layout into an arena's columns.
+func FillAll(sb *SnapshotBuilder, lay *Layout, order []uint16, scores []float64) {
+	sb.fillRows(lay, sb.segs, upTo(lay.Rows()), order, scores)
 }
 
 // BootSnapshot builds a replica's epoch-0 map.

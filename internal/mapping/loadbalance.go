@@ -132,7 +132,7 @@ func (lb *LoadBalancer) PickDeployment(deps []*cdn.Deployment, candidates Row, d
 			lb.tailPicks.Add(1)
 		}
 		for _, c := range list {
-			d := deps[c.Dep]
+			d := deps[c]
 			if !d.Alive() {
 				continue
 			}
@@ -164,13 +164,14 @@ const loadAwareWindow = 8
 
 // pickLoadAware re-ranks the best few live candidates of the head by
 // load-penalised score and returns the best unsaturated one, or nil when
-// none qualifies (the caller falls back to the hard-spill path).
+// none qualifies (the caller falls back to the hard-spill path). It is the
+// one reader of a row's scores.
 func (lb *LoadBalancer) pickLoadAware(deps []*cdn.Deployment, candidates Row, demand float64) *cdn.Deployment {
 	var best *cdn.Deployment
 	bestEff := 0.0
 	seen := 0
-	for _, c := range candidates.Head {
-		d := deps[c.Dep]
+	for k, c := range candidates.Head {
+		d := deps[c]
 		if !d.Alive() {
 			continue
 		}
@@ -182,7 +183,7 @@ func (lb *LoadBalancer) pickLoadAware(deps []*cdn.Deployment, candidates Row, de
 			continue
 		}
 		util := d.Load() / cap
-		eff := c.Score() * (1 + lb.BalanceFactor*util*util)
+		eff := candidates.Scores[k] * (1 + lb.BalanceFactor*util*util)
 		if best == nil || eff < bestEff {
 			best, bestEff = d, eff
 		}

@@ -35,7 +35,7 @@ func TestPickDeploymentSkipsDead(t *testing.T) {
 	for _, s := range d1.Servers {
 		s.SetAlive(false)
 	}
-	got, err := lb.PickDeployment([]*cdn.Deployment{d1, d2}, Row{Head: []Ranked{{Dep: 0}, {Dep: 1}}}, 0)
+	got, err := lb.PickDeployment([]*cdn.Deployment{d1, d2}, Row{Head: []uint16{0, 1}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestPickDeploymentSpillsOnCapacity(t *testing.T) {
 	for _, s := range d1.Servers {
 		s.AddLoad(s.Capacity())
 	}
-	got, err := lb.PickDeployment([]*cdn.Deployment{d1, d2}, Row{Head: []Ranked{{Dep: 0}, {Dep: 1}}}, 0.5)
+	got, err := lb.PickDeployment([]*cdn.Deployment{d1, d2}, Row{Head: []uint16{0, 1}}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestPickDeploymentDegradedWhenAllSaturated(t *testing.T) {
 			s.AddLoad(s.Capacity() * 3)
 		}
 	}
-	got, err := lb.PickDeployment([]*cdn.Deployment{d1, d2}, Row{Head: []Ranked{{Dep: 0}, {Dep: 1}}}, 1)
+	got, err := lb.PickDeployment([]*cdn.Deployment{d1, d2}, Row{Head: []uint16{0, 1}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestPickDeploymentAllDead(t *testing.T) {
 	for _, s := range d.Servers {
 		s.SetAlive(false)
 	}
-	if _, err := lb.PickDeployment([]*cdn.Deployment{d}, Row{Head: []Ranked{{Dep: 0}}}, 0); err == nil {
+	if _, err := lb.PickDeployment([]*cdn.Deployment{d}, Row{Head: []uint16{0}}, 0); err == nil {
 		t.Error("no-live-deployment case did not error")
 	}
 	if _, err := lb.PickDeployment(nil, Row{}, 0); err == nil {
@@ -242,9 +242,9 @@ func TestScorerBestMatchesRankHead(t *testing.T) {
 	if best == nil {
 		t.Fatal("no best deployment")
 	}
-	if depOf(rank[0]) != best || rank[0].Score() != score {
+	if depOf(rank[0].Dep) != best || rank[0].Score() != score {
 		t.Errorf("Rank head %v/%.2f != Best %v/%.2f",
-			depOf(rank[0]).Name, rank[0].Score(), best.Name, score)
+			depOf(rank[0].Dep).Name, rank[0].Score(), best.Name, score)
 	}
 	for i := 1; i < len(rank); i++ {
 		if rank[i].Score() < rank[i-1].Score() {
@@ -300,7 +300,7 @@ func TestLoadAwareSheddingBeforeSaturation(t *testing.T) {
 	d1 := testDeployment(20, 4) // best score
 	d2 := testDeployment(21, 4) // slightly worse score
 	deps := []*cdn.Deployment{d1, d2}
-	candidates := Row{Head: []Ranked{MakeRanked(0, 10), MakeRanked(1, 11)}}
+	candidates := Row{Head: []uint16{0, 1}, Scores: []float64{10, 11}}
 
 	// Empty: best-scoring wins.
 	got, err := lb.PickDeployment(deps, candidates, 0.1)
@@ -349,7 +349,7 @@ func TestBalanceZeroByteIdentical(t *testing.T) {
 			t.Fatalf("%s: %d rows vs %d", what, len(a.rows), len(b.rows))
 		}
 		for i := range a.rows {
-			if !slices.Equal(a.rows[i], b.rows[i]) {
+			if !slices.Equal(a.RowOrder(i), b.RowOrder(i)) || i < a.Tables() && !slices.Equal(a.HeadScores(i), b.HeadScores(i)) {
 				t.Fatalf("%s: row %d differs", what, i)
 			}
 		}
@@ -381,7 +381,7 @@ func TestLoadAwareFallsBackWhenAllSaturated(t *testing.T) {
 	for _, s := range d1.Servers {
 		s.AddLoad(s.Capacity() * 2)
 	}
-	got, err := lb.PickDeployment([]*cdn.Deployment{d1}, Row{Head: []Ranked{MakeRanked(0, 3)}}, 0.5)
+	got, err := lb.PickDeployment([]*cdn.Deployment{d1}, Row{Head: []uint16{0}, Scores: []float64{3}}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestPickDeploymentAllSaturatedLeastUtilised(t *testing.T) {
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var deps []*cdn.Deployment
-			var cands []Ranked
+			var cands Row
 			for i, u := range tc.utils {
 				d := mk(uint64(ci*10+i), u)
 				if i == tc.dead {
@@ -435,9 +435,9 @@ func TestPickDeploymentAllSaturatedLeastUtilised(t *testing.T) {
 					d.SetCapacityFactor(0)
 				}
 				deps = append(deps, d)
-				cands = append(cands, MakeRanked(uint32(i), float64(1+i)))
+				cands.Head, cands.Scores = append(cands.Head, uint16(i)), append(cands.Scores, float64(1+i))
 			}
-			got, err := lb.PickDeployment(deps, Row{Head: cands}, tc.demand)
+			got, err := lb.PickDeployment(deps, cands, tc.demand)
 			if err != nil {
 				t.Fatal(err)
 			}

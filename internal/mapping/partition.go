@@ -50,6 +50,10 @@ const (
 // distance from New York (eumsim -fig rankregret).
 const tailMiles = 250
 
+// MaxDeployments is the most deployments a map ranks: a row names each by
+// a uint16 index.
+const MaxDeployments = math.MaxUint16
+
 // HeadLen returns how many rank entries a segment keeps of its own for a
 // platform of the given size; worlds no larger than rankHead have heads
 // that are whole rankings.
@@ -133,11 +137,17 @@ func (lay *Layout) rowOffset(i int) int {
 // ArenaLen returns the number of entries in all rows together.
 func (lay *Layout) ArenaLen() int { return lay.rowOffset(lay.Rows()) }
 
+// columns allocates the two columns of an arena of n rows, the first heads
+// of them heads (see arena).
+func (lay *Layout) columns(n, heads int) ([]uint16, []float64) {
+	return make([]uint16, heads*lay.TableLen+(n-heads)*lay.TailLen), make([]float64, heads*lay.TableLen)
+}
+
 // memoryBytes is the resident size of the layout's table maps; the index
 // is System.IndexBytes'.
 func (lay *Layout) memoryBytes() uint64 {
 	const i32 = uint64(unsafe.Sizeof(int32(0)))
-	return uint64(len(lay.PartSeg)+len(lay.SegTail)+len(lay.TailSeg)) * i32
+	return uint64(cap(lay.PartSeg)+cap(lay.SegTail)+cap(lay.TailSeg)) * i32
 }
 
 // signatureFor quantizes an endpoint's routing signature at the given cell

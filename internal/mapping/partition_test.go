@@ -2,10 +2,13 @@ package mapping
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
+	"eum/internal/cdn"
 	"eum/internal/geo"
 	"eum/internal/netmodel"
 	"eum/internal/world"
@@ -29,7 +32,7 @@ func TestPartitionIdentityEquivalence(t *testing.T) {
 
 	checkEndpoint := func(ep netmodel.Endpoint, row Row, what string) {
 		t.Helper()
-		got := row.Head
+		got := headOf(row)
 		want := sc.Rank(ep)
 		if len(got) != sn.lay.TableLen {
 			t.Fatalf("%s %d: head of %d, want %d", what, ep.ID, len(got), sn.lay.TableLen)
@@ -39,23 +42,22 @@ func TestPartitionIdentityEquivalence(t *testing.T) {
 			t.Fatalf("%s %d: %d ranked, want %d", what, ep.ID, len(got), len(want))
 		}
 		for j := range got {
-			if depOf(got[j]) != depOf(want[j]) || got[j].Score() != want[j].Score() {
+			if got[j] != want[j] {
 				t.Fatalf("%s %d rank %d: %s/%v, want %s/%v", what, ep.ID, j,
-					depOf(got[j]).Name, got[j].Score(), depOf(want[j]).Name, want[j].Score())
+					depOf(got[j].Dep).Name, got[j].Score(), depOf(want[j].Dep).Name, want[j].Score())
 			}
 		}
 		// The first live entry of the row is the reference table's.
-		gotD, gotS := sn.FirstLive(row)
+		gotD := sn.FirstLive(row)
 		var wantD = gotD
-		var wantS = gotS
 		for _, r := range want {
-			if depOf(r).Alive() {
-				wantD, wantS = depOf(r), r.Score()
+			if depOf(r.Dep).Alive() {
+				wantD = depOf(r.Dep)
 				break
 			}
 		}
-		if gotD != wantD || gotS != wantS {
-			t.Fatalf("%s %d: FirstLive = %v/%v, want %v/%v", what, ep.ID, gotD, gotS, wantD, wantS)
+		if gotD != wantD {
+			t.Fatalf("%s %d: FirstLive = %v, want %v", what, ep.ID, gotD, wantD)
 		}
 	}
 
@@ -89,14 +91,14 @@ func TestPartitionThresholdClusters(t *testing.T) {
 		if !ok || r.Len() != len(testP.Deployments) {
 			t.Fatalf("block %v: row has %d candidates (found %v), want %d", b.Prefix, r.Len(), ok, len(testP.Deployments))
 		}
-		if d, _ := sn.FirstLive(r); d == nil {
+		if d := sn.FirstLive(r); d == nil {
 			t.Fatalf("block %v: no live deployment", b.Prefix)
 		}
 	}
 
 	// Partition sharing must respect the routing signature: two blocks in
 	// the same partition share a rank table (same backing segment).
-	seen := map[int32][]Ranked{}
+	seen := map[int32][]uint16{}
 	shared := 0
 	for _, b := range testW.Blocks {
 		p, ok := sn.lay.Index.client(b.Prefix)
@@ -183,7 +185,8 @@ func TestSnapshotMemoryAccounting(t *testing.T) {
 	// The per-endpoint cost of everything but the target-bounded arena
 	// chain — the index (12 bytes a v4 leaf, 20 a resolver), the table maps
 	// and the row headers — must be a few bytes per endpoint.
-	arena := uint64(sn.lay.ArenaLen()) * uint64(unsafe.Sizeof(Ranked{}))
+	arena := uint64(sn.lay.ArenaLen())*uint64(unsafe.Sizeof(uint16(0))) +
+		uint64(sn.lay.Tables()*sn.lay.TableLen)*uint64(unsafe.Sizeof(float64(0)))
 	perEndpoint := float64(sn.MemoryBytes()+sys.IndexBytes()-arena) / float64(sn.Endpoints())
 	if perEndpoint > 24 {
 		t.Fatalf("index cost %.1f bytes/endpoint, want a few", perEndpoint)
@@ -192,4 +195,18 @@ func TestSnapshotMemoryAccounting(t *testing.T) {
 
 func distanceFor(sc *Scorer, i int, ep netmodel.Endpoint) float64 {
 	return geo.Distance(ep.Loc, sc.targets[i].Loc)
+}
+
+// TestBuildRefusesTooManyDeployments: a row names a deployment by a uint16
+// index, so a builder takes a platform of MaxDeployments and refuses one
+// more. The platforms are lists of empty slots, not generated ones.
+func TestBuildRefusesTooManyDeployments(t *testing.T) {
+	slots := func(n int) *Scorer { return &Scorer{platform: &cdn.Platform{Deployments: make([]*cdn.Deployment, n)}} }
+	newSnapshotBuilder(testW, slots(MaxDeployments), withDefaults(Config{}))
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "a row indexes at most 65535") {
+			t.Fatalf("a builder over %d deployments: recovered %v", MaxDeployments+1, p)
+		}
+	}()
+	newSnapshotBuilder(testW, slots(MaxDeployments+1), withDefaults(Config{}))
 }

@@ -11,13 +11,31 @@ import (
 )
 
 // flat lays a row's two stored levels end to end, for comparing what two
-// snapshots hold entry by entry.
-func flat(r Row) []Ranked { return append(slices.Clone(r.Head), r.Tail...) }
+// snapshots hold entry by entry; the head's scores are Row.Scores.
+func flat(r Row) []uint16 { return append(slices.Clone(r.Head), r.Tail...) }
+
+// headOf returns a row's head as the ranking it was written from.
+func headOf(r Row) []Ranked {
+	out := make([]Ranked, len(r.Head))
+	for k, d := range r.Head {
+		out[k] = MakeRanked(uint32(d), r.Scores[k])
+	}
+	return out
+}
+
+// order lists a ranking's deployment indexes, as a row stores them.
+func order(rs []Ranked) []uint16 {
+	out := make([]uint16, len(rs))
+	for k, r := range rs {
+		out[k] = uint16(r.Dep)
+	}
+	return out
+}
 
 // walked lists a row's candidates in pick order.
-func walked(r Row) []Ranked {
-	var out []Ranked
-	r.Walk(func(pos int, c Ranked) bool {
+func walked(r Row) []uint16 {
+	var out []uint16
+	r.Walk(func(pos int, c uint16) bool {
 		if pos != len(out) {
 			panic("Walk positions are not consecutive")
 		}
@@ -79,7 +97,7 @@ func TestHeadIsPrefixOfFullRank(t *testing.T) {
 			for s, seg := range b.segs {
 				proxy := sc.segProxy(seg)
 				full[s] = fullRank(sc, proxy)
-				if head := sn.rows[s]; !slices.Equal(head, full[s][:lay.TableLen]) {
+				if head := headOf(Row{Head: sn.RowOrder(s), Scores: sn.HeadScores(s)}); !slices.Equal(head, full[s][:lay.TableLen]) {
 					t.Fatalf("segment %d: head is not the first %d of its endpoint's ranking", s, lay.TableLen)
 				}
 				if n := lay.TableLen; n < nDeps && full[s][n-1].Score() == full[s][n].Score() && lay.TailSeg[lay.SegTail[s]] != int32(s) {
@@ -95,7 +113,7 @@ func TestHeadIsPrefixOfFullRank(t *testing.T) {
 				t.Fatal("no head that ranks no tail is cut inside a run of equal scores")
 			}
 			for tl, src := range lay.TailSeg {
-				if !slices.Equal(sn.rows[len(b.segs)+tl], full[src]) {
+				if !slices.Equal(sn.RowOrder(len(b.segs)+tl), order(full[src])) {
 					t.Fatalf("tail %d is not the full ranking of segment %d's endpoint", tl, src)
 				}
 			}
@@ -105,17 +123,17 @@ func TestHeadIsPrefixOfFullRank(t *testing.T) {
 				if client {
 					p = lay.FallbackClient
 				}
-				if got := walked(sn.fallbackRow(client)); !slices.Equal(got, full[lay.PartSeg[p]]) {
+				if got := walked(sn.fallbackRow(client)); !slices.Equal(got, order(full[lay.PartSeg[p]])) {
 					t.Fatalf("fallback row (client=%v) is not its endpoint's full ranking", client)
 				}
 			}
 			for i := 0; i < len(testW.Blocks); i += 101 {
 				seen := make([]bool, nDeps)
 				for _, c := range walked(blockRow(sn, testW.Blocks[i])) {
-					if seen[c.Dep] {
-						t.Fatalf("block %d: walk visits deployment %d twice", i, c.Dep)
+					if seen[c] {
+						t.Fatalf("block %d: walk visits deployment %d twice", i, c)
 					}
-					seen[c.Dep] = true
+					seen[c] = true
 				}
 				if slices.Contains(seen, false) {
 					t.Fatalf("block %d: walk misses a deployment", i)

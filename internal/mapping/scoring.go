@@ -50,10 +50,11 @@ type rowProber interface {
 // and a client inherits the measurements of its nearest target.
 //
 // Scores are ping milliseconds: lower is better. The scorer is a
-// control-plane component: the snapshot builder ranks straight into the
-// arena it publishes (headInto, or scoreInto and bestInto), so no rank
-// table is held here. Rank and Best serve experiments and tests; they are
-// safe for concurrent use.
+// control-plane component: the snapshot builder ranks each row in a
+// worker's scratch (headInto, or scoreInto and bestInto) and writes it
+// straight into the arena it publishes, so no rank table is held here.
+// Rank and Best serve experiments and tests; they are safe for concurrent
+// use.
 type Scorer struct {
 	platform *cdn.Platform
 	net      Prober
@@ -90,26 +91,20 @@ type Scorer struct {
 	best    map[int32]Ranked
 }
 
-// Ranked is one rank-table entry: a deployment, named by its index in the
-// platform's Deployments list, and its score. It holds no pointers and is
-// three 32-bit words — deployment index, then the score's IEEE-754 bits
-// low word first — so on a little-endian host a table's bytes in memory
-// are its bytes on the wire (see TableBytes), at 12 bytes an entry.
+// Ranked is one entry of a ranking while the builder makes it: a
+// deployment, named by its index in the platform's Deployments list, and
+// its score. Rows are ranked in Ranked and stored as columns (see arena):
+// every row keeps the deployment indexes, a head its scores too.
 type Ranked struct {
-	Dep    uint32
-	lo, hi uint32
+	Dep   uint32
+	score float64
 }
 
 // MakeRanked builds the entry for deployment index dep at the given score.
-func MakeRanked(dep uint32, score float64) Ranked {
-	b := math.Float64bits(score)
-	return Ranked{Dep: dep, lo: uint32(b), hi: uint32(b >> 32)}
-}
+func MakeRanked(dep uint32, score float64) Ranked { return Ranked{Dep: dep, score: score} }
 
 // Score returns the entry's score (ping milliseconds, lower is better).
-func (r Ranked) Score() float64 {
-	return math.Float64frombits(uint64(r.hi)<<32 | uint64(r.lo))
-}
+func (r Ranked) Score() float64 { return r.score }
 
 // compareRanked is the table order: ascending score, ties broken by
 // deployment index, so equal pings rank the same way on every build.

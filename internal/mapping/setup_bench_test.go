@@ -68,10 +68,10 @@ func BenchmarkSetupBudget(b *testing.B) {
 	b.Run("rows", func(b *testing.B) {
 		sb := builder()
 		lay := mapping.LayoutOf(sb)
-		arena := make([]mapping.Ranked, lay.ArenaLen())
+		order, scores := make([]uint16, lay.ArenaLen()), make([]float64, lay.Tables()*lay.TableLen)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			mapping.FillAll(sb, lay, arena)
+			mapping.FillAll(sb, lay, order, scores)
 		}
 	})
 	b.Run("boot", func(b *testing.B) {

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"net/netip"
 	"slices"
@@ -35,10 +36,12 @@ const (
 // into mapping partitions (see buildLayout), partitions whose measurements
 // resolve to the same ping target share one segment, and a segment stores
 // only the head of its ranking — the tail, a ranking of every deployment,
-// is shared by all segments of one region (see Row). Every row is a window
-// into a shared, pointer-free []Ranked arena. The index from client leaf
-// or resolver address to partition is sorted flat arrays (see Index), so
-// resident memory per block is a few bytes.
+// is shared by all segments of one region (see Row). A row is an order: it
+// keeps its deployments as uint16 indexes in a pointer-free arena column,
+// and only a head keeps their scores beside them, for the load-aware pick
+// (see arena). The index from client leaf or resolver address to partition
+// is sorted flat arrays (see Index), so resident memory per block is a few
+// bytes.
 //
 // This is the paper's two-plane architecture (§3–§5): topology discovery
 // and scoring feed a map-making pipeline that publishes maps on a cadence,
@@ -55,42 +58,58 @@ type Snapshot struct {
 	// lay is the partition layout (index + partition→segment map), shared
 	// across every snapshot built for the same endpoint universe.
 	lay *Layout
-	// deps is the platform's deployment list, which Ranked.Dep indexes.
+	// deps is the platform's deployment list, which the rows index.
 	deps []*cdn.Deployment
-	// rows[i] is row i of the layout — segment heads, then tails — ordered
-	// best (lowest ping) first: a window into the base arena a full build
-	// or a decode laid out (every row in order), or into one of the small
-	// delta arenas incremental builds add for the rows they re-ranked.
-	// rowEpoch[i] is the epoch whose build last re-ranked row i, which is
-	// how a delta against any older epoch knows what to carry. A republish
-	// that changed nothing shares both slices wholesale.
-	rows     [][]Ranked
+	// arenas is the chain the rows lie in: first the base a full build, a
+	// decode or a compaction laid out (every row in order), then the small
+	// delta arenas incremental builds and delta applies add for the rows
+	// they re-ranked. Superseded rows stay resident while their arena is in
+	// the chain, so a build or delta apply that would take it past
+	// maxArenaChain, or the deltas past the base's own size, compacts into
+	// one fresh base instead.
+	arenas []arena
+	// rows[i] locates row i of the layout — segment heads, then tails —
+	// ordered best (lowest ping) first. rowEpoch[i] is the epoch whose
+	// build last re-ranked row i, which is how a delta against any older
+	// epoch knows what to carry. A republish that changed nothing shares
+	// both slices wholesale.
+	rows     []rowAt
 	rowEpoch []uint64
-	// chain counts the arenas behind rows and deltaEntries the entries in
-	// all but the base: superseded rows stay resident while anything
-	// points into their arena, so a build or delta apply that would take
-	// the chain past maxArenaChain, or the deltas past the base's own
-	// size, compacts into one fresh base arena instead.
-	chain        int
-	deltaEntries int
 
 	// cans maps a resolver slot (see Index.Resolvers) to the head of its
-	// precomputed ClientAwareNS candidate list: the traffic-weighted winner
-	// first, then the head of the resolver's own rank table for capacity
-	// spill, deduplicated at build time; the walk continues in the
-	// resolver's tail. Only populated when the snapshot's policy is
-	// ClientAwareNS.
-	cans map[int32][]Ranked
+	// precomputed ClientAwareNS candidate list, Head and Scores with no
+	// Tail: the traffic-weighted winner first, then the head of the
+	// resolver's own rank table for capacity spill, deduplicated at build
+	// time; the walk continues in the resolver's tail. Only populated when
+	// the snapshot's policy is ClientAwareNS.
+	cans map[int32]Row
 }
+
+// arena holds rows back to back as two columns: order, the deployment
+// indexes of every row, best first, and scores, those of the heads among
+// them. Its rows are in ascending row order, so its heads come first, and a
+// head's scores start at the same offset in scores as its indexes in order.
+type arena struct {
+	order  []uint16
+	scores []float64
+}
+
+// rowAt locates a row: the arena in the chain it lies in, and the offset of
+// its first entry there — in order, and for a head in scores too.
+type rowAt struct{ arena, off uint32 }
 
 // Row is a candidate list in its two stored levels, as ClientRow,
 // ResolverRow and CANSCandidates return it for what a query carries: Head,
-// the best few entries of its partition's own ranking, and Tail, a ranking
-// of every deployment that the partition's whole region shares. Candidates
-// are tried head first, then tail (see lists). Both slices are immutable;
-// callers must not modify them.
+// the best few deployments of its partition's own ranking, with Scores[k]
+// Head[k]'s score (ping milliseconds), and Tail, a ranking of every
+// deployment that the partition's whole region shares, which keeps the
+// order alone. Deployments are indexes into the platform's Deployments
+// list. Candidates are tried head first, then tail (see lists). The slices
+// are immutable; callers must not modify them.
 type Row struct {
-	Head, Tail []Ranked
+	Head   []uint16
+	Scores []float64
+	Tail   []uint16
 }
 
 // Len returns the number of distinct candidates in the row.
@@ -102,19 +121,19 @@ func (r Row) Len() int { return max(len(r.Head), len(r.Tail)) }
 // them, so a walk to the end meets those twice; a pick passes over a
 // candidate for being dead or saturated, which it still is the second
 // time, so picks do not look for the repetition.
-func (r Row) lists() [2][]Ranked {
+func (r Row) lists() [2][]uint16 {
 	if len(r.Head) >= len(r.Tail) {
-		return [2][]Ranked{r.Head}
+		return [2][]uint16{r.Head}
 	}
-	return [2][]Ranked{r.Head, r.Tail}
+	return [2][]uint16{r.Head, r.Tail}
 }
 
 // Walk calls visit for each distinct candidate in pick order, with its
-// position, until visit returns false: lists with the tail's repetitions
-// of the head dropped, so the walk reaches each deployment exactly once.
-// It is the view experiments and tests measure positions on, and allocates
-// once it leaves the head.
-func (r Row) Walk(visit func(pos int, c Ranked) bool) {
+// position and deployment index, until visit returns false: lists with the
+// tail's repetitions of the head dropped, so the walk reaches each
+// deployment exactly once. It is the view experiments and tests measure
+// positions on, and allocates once it leaves the head.
+func (r Row) Walk(visit func(pos int, dep uint16) bool) {
 	lists := r.lists()
 	for i, c := range lists[0] {
 		if !visit(i, c) {
@@ -126,11 +145,11 @@ func (r Row) Walk(visit func(pos int, c Ranked) bool) {
 	}
 	held := make([]bool, len(lists[1]))
 	for _, c := range lists[0] {
-		held[c.Dep] = true
+		held[c] = true
 	}
 	pos := len(lists[0])
 	for _, c := range lists[1] {
-		if held[c.Dep] {
+		if held[c] {
 			continue
 		}
 		if !visit(pos, c) {
@@ -169,23 +188,29 @@ func (sn *Snapshot) Partitions() int { return sn.lay.NParts }
 // snapshot's index holds.
 func (sn *Snapshot) Endpoints() int { return sn.lay.Index.Len() }
 
-// MemoryBytes returns the resident size of the snapshot's table storage:
-// the arena chain — heads and tails, superseded rows in older arenas
-// included, which stay resident until compaction drops them — plus the
-// partition→table and table→tail maps and the per-row headers and epochs.
-// The index is System.IndexBytes', and the CANS candidate map
-// (ClientAwareNS only) is excluded.
+// MemoryBytes returns the resident size of the snapshot's table storage,
+// the capacity of every array it holds times its element size: both
+// columns of every arena in the chain — superseded rows in older arenas
+// included, which stay resident until compaction drops them — the chain
+// itself, the per-row locations and epochs, and the partition→table and
+// table→tail maps. The index is System.IndexBytes', and the CANS candidate
+// map (ClientAwareNS only) is excluded.
 func (sn *Snapshot) MemoryBytes() uint64 {
-	entries := uint64(sn.lay.ArenaLen() + sn.deltaEntries)
-	return sn.lay.memoryBytes() + entries*uint64(unsafe.Sizeof(Ranked{})) +
-		uint64(len(sn.rows))*uint64(unsafe.Sizeof([]Ranked(nil))) +
-		uint64(len(sn.rowEpoch))*uint64(unsafe.Sizeof(uint64(0)))
+	n := sn.lay.memoryBytes() +
+		uint64(cap(sn.arenas))*uint64(unsafe.Sizeof(arena{})) +
+		uint64(cap(sn.rows))*uint64(unsafe.Sizeof(rowAt{})) +
+		uint64(cap(sn.rowEpoch))*uint64(unsafe.Sizeof(uint64(0)))
+	for _, a := range sn.arenas {
+		n += uint64(cap(a.order))*uint64(unsafe.Sizeof(uint16(0))) +
+			uint64(cap(a.scores))*uint64(unsafe.Sizeof(float64(0)))
+	}
+	return n
 }
 
 // row returns partition p's candidates.
 func (sn *Snapshot) row(p int32) Row {
-	s := sn.lay.PartSeg[p]
-	return Row{Head: sn.rows[s], Tail: sn.rows[sn.lay.Tables()+int(sn.lay.SegTail[s])]}
+	s := int(sn.lay.PartSeg[p])
+	return Row{Head: sn.RowOrder(s), Scores: sn.HeadScores(s), Tail: sn.RowOrder(sn.lay.Tables() + int(sn.lay.SegTail[s]))}
 }
 
 // fallbackRow returns the shared candidates for endpoints the map does not
@@ -221,19 +246,18 @@ func (sn *Snapshot) ResolverRow(addr netip.Addr) (Row, bool) {
 }
 
 // FirstLive returns the first deployment in a row of this snapshot
-// (ClientRow, ResolverRow, CANSCandidates) that is live right now, with its
-// score. Liveness is read at call time, so a snapshot built before a
-// failure still routes around it. Past the head the score is the tail's:
-// the ping to the endpoint that ranked it.
-func (sn *Snapshot) FirstLive(row Row) (*cdn.Deployment, float64) {
+// (ClientRow, ResolverRow, CANSCandidates) that is live right now, or nil
+// when none is. Liveness is read at call time, so a snapshot built before a
+// failure still routes around it.
+func (sn *Snapshot) FirstLive(row Row) *cdn.Deployment {
 	for _, list := range row.lists() {
 		for _, c := range list {
-			if d := sn.deps[c.Dep]; d.Alive() {
-				return d, c.Score()
+			if d := sn.deps[c]; d.Alive() {
+				return d
 			}
 		}
 	}
-	return nil, 0
+	return nil
 }
 
 // CANSCandidates returns the precomputed ClientAwareNS candidates for a
@@ -242,10 +266,15 @@ func (sn *Snapshot) FirstLive(row Row) (*cdn.Deployment, float64) {
 // policy, an unknown resolver, or one with no discovered client blocks).
 func (sn *Snapshot) CANSCandidates(addr netip.Addr) Row {
 	slot, ok := sn.lay.Index.resolver(addr)
-	if !ok || sn.cans[int32(slot)] == nil {
+	if !ok {
 		return Row{}
 	}
-	return Row{Head: sn.cans[int32(slot)], Tail: sn.row(sn.lay.Index.ResolverPart[slot]).Tail}
+	c, ok := sn.cans[int32(slot)]
+	if !ok {
+		return Row{}
+	}
+	c.Tail = sn.row(sn.lay.Index.ResolverPart[slot]).Tail
+	return c
 }
 
 // SnapshotBuilder assembles snapshots. It is the control plane's compute
@@ -336,8 +365,12 @@ func NewSnapshotBuilder(w *world.World, p *cdn.Platform, net Prober, cfg Config)
 }
 
 // newSnapshotBuilder wires a builder around an existing scorer; cfg must
-// already have defaults applied.
+// already have defaults applied. It panics on a platform of more than
+// MaxDeployments deployments, which its rows could not index.
 func newSnapshotBuilder(w *world.World, scorer *Scorer, cfg Config) *SnapshotBuilder {
+	if n := len(scorer.Platform().Deployments); n > MaxDeployments {
+		panic(fmt.Sprintf("mapping: %d deployments, but a row indexes at most %d", n, MaxDeployments))
+	}
 	return &SnapshotBuilder{
 		world:          w,
 		scorer:         scorer,
@@ -445,14 +478,16 @@ func (b *SnapshotBuilder) partition() (*Layout, []segment, []int32) {
 }
 
 // fillRows ranks the given rows of lay, whose tables are ranked from segs,
-// into arena, where they lie back to back in that order: ascending, heads
-// before tails, and every tail after the head of the segment that ranks it.
-// A segment that ranks a tail, or whose prober has no row form, is scored
-// once for every deployment into the worker's scratch, and from the scores
-// its head is selected and its tail, if any, sorted. Any other head —
-// nearly all of them — measures only the deployments that could enter it
-// (headInto), with the same bits.
-func (b *SnapshotBuilder) fillRows(lay *Layout, segs []segment, rows []int32, arena []Ranked) {
+// into the columns of an arena (see arena), where they lie back to back in
+// that order: ascending, heads before tails, and every tail after the head
+// of the segment that ranks it. order takes every row's deployment indexes
+// and scores the heads' scores. A segment that ranks a tail, or whose
+// prober has no row form, is scored once for every deployment into the
+// worker's scratch, and from the scores its tail, if any, is sorted and its
+// head selected. Any other head — nearly all of them — measures only the
+// deployments that could enter it (headInto), with the same bits. A row is
+// ranked in float64 Ranked entries, and written out once it is whole.
+func (b *SnapshotBuilder) fillRows(lay *Layout, segs []segment, rows []int32, order []uint16, scores []float64) {
 	nSegs := lay.Tables()
 	offs := make([]int, len(rows)+1)
 	tailAt := map[int32]int{} // segment → where in rows the tail it ranks lies
@@ -464,6 +499,7 @@ func (b *SnapshotBuilder) fillRows(lay *Layout, segs []segment, rows []int32, ar
 	}
 	par.MapShards(len(rows)-len(tailAt), func(_, lo, hi int) struct{} {
 		scratch, pings := make([]Ranked, lay.TailLen), make([]float64, lay.TailLen)
+		head := make([]Ranked, lay.TableLen)
 		var heads *headScratch
 		if b.scorer.rows != nil {
 			heads = b.scorer.newHeadScratch(lay.TableLen)
@@ -471,18 +507,34 @@ func (b *SnapshotBuilder) fillRows(lay *Layout, segs []segment, rows []int32, ar
 		for k := lo; k < hi; k++ {
 			s := rows[k]
 			t, ranksTail := tailAt[s]
-			if !ranksTail && heads != nil {
-				b.scorer.headInto(arena[offs[k]:offs[k+1]], b.scorer.segProxy(segs[s]), heads)
-				continue
+			ranked := head
+			switch proxy := b.scorer.segProxy(segs[s]); {
+			case !ranksTail && heads != nil:
+				b.scorer.headInto(head, proxy, heads)
+			case ranksTail:
+				b.scorer.scoreInto(scratch, pings, proxy)
+				bestInto(scratch, scratch)
+				putRow(order[offs[t]:offs[t+1]], nil, scratch)
+				ranked = scratch[:lay.TableLen]
+			default:
+				b.scorer.scoreInto(scratch, pings, proxy)
+				bestInto(head, scratch)
 			}
-			b.scorer.scoreInto(scratch, pings, b.scorer.segProxy(segs[s]))
-			bestInto(arena[offs[k]:offs[k+1]], scratch)
-			if ranksTail {
-				bestInto(arena[offs[t]:offs[t+1]], scratch)
-			}
+			putRow(order[offs[k]:offs[k+1]], scores[offs[k]:offs[k+1]], ranked)
 		}
 		return struct{}{}
 	})
+}
+
+// putRow writes a ranking out as columns: every deployment index into order
+// and, for a head, every score into scores.
+func putRow(order []uint16, scores []float64, ranked []Ranked) {
+	for k, r := range ranked {
+		order[k] = uint16(r.Dep)
+	}
+	for k := range scores {
+		scores[k] = ranked[k].Score()
+	}
 }
 
 // upTo lists 0..n-1: every segment, or every row, of a layout.
@@ -512,15 +564,15 @@ func (b *SnapshotBuilder) bootSnapshot(policy Policy) *Snapshot {
 
 	fLDNS, fClient := fallbackEndpoints()
 	lay, segs, _ := buildLayout(nil, fLDNS, fClient, b.partitionMiles, b.scorer)
-	arena := make([]Ranked, lay.ArenaLen())
-	b.fillRows(lay, segs, upTo(lay.Rows()), arena)
-	return NewSnapshot(b.lineage, 0, policy, b.ttl, lay, b.scorer.Platform(), arena, nil)
+	order, scores := lay.columns(lay.Rows(), lay.Tables())
+	b.fillRows(lay, segs, upTo(lay.Rows()), order, scores)
+	return NewSnapshot(b.lineage, 0, policy, b.ttl, lay, b.scorer.Platform(), order, scores, nil)
 }
 
 // maxArenaChain bounds the delta-arena chain incremental builds and delta
 // applies may grow. At the cap — or as soon as the accumulated delta data
-// would outweigh the base arena — the snapshot compacts: every segment's
-// current table is copied into one fresh base arena, dropping the
+// would outweigh the base arena — the snapshot compacts: every row is
+// copied into one fresh base arena, dropping the
 // superseded garbage the deltas accumulated. The size trigger keeps the
 // worst-case resident overhead at 2× the base; the length cap bounds the
 // amortized compaction cost for tiny (one-target) refreshes at
@@ -588,9 +640,9 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 	var sn *Snapshot
 	switch {
 	case full:
-		arena := make([]Ranked, lay.ArenaLen())
-		b.fillRows(lay, b.segs, upTo(lay.Rows()), arena)
-		sn = NewSnapshot(b.lineage, epoch, policy, b.ttl, lay, sc.Platform(), arena, nil)
+		order, scores := lay.columns(lay.Rows(), nSegs)
+		b.fillRows(lay, b.segs, upTo(lay.Rows()), order, scores)
+		sn = NewSnapshot(b.lineage, epoch, policy, b.ttl, lay, sc.Platform(), order, scores, nil)
 		b.stats.Full++
 		b.stats.RerankedTables += uint64(nSegs)
 		b.stats.RerankedTails += uint64(len(lay.TailSeg))
@@ -601,13 +653,9 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 		sn = &shared
 		b.stats.Incremental++
 	default:
-		entries := 0
-		for _, i := range rows {
-			entries += lay.RowLen(int(i))
-		}
-		delta := make([]Ranked, entries)
-		b.fillRows(lay, b.segs, rows, delta)
-		sn = b.prev.WithDeltaRows(epoch, policy, b.ttl, rows, delta)
+		order, scores := lay.columns(len(rows), len(dirty))
+		b.fillRows(lay, b.segs, rows, order, scores)
+		sn = b.prev.WithDeltaRows(epoch, policy, b.ttl, rows, order, scores)
 		b.stats.Incremental++
 		b.stats.RerankedTables += uint64(len(dirty))
 		b.stats.RerankedTails += uint64(len(rows) - len(dirty))
@@ -627,13 +675,13 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 // no deployment appears twice in the candidates handed to the load
 // balancer. Past that head the walk continues in the LDNS's tail (see
 // CANSCandidates).
-func (b *SnapshotBuilder) buildCANS(sn *Snapshot) map[int32][]Ranked {
+func (b *SnapshotBuilder) buildCANS(sn *Snapshot) map[int32]Row {
 	ldnses := b.ldnses.Load().ldnses
 	sc := b.scorer
-	lists := par.Map(len(ldnses), func(i int) []Ranked {
+	lists := par.Map(len(ldnses), func(i int) Row {
 		l := ldnses[i]
 		if len(l.Blocks) == 0 {
-			return nil
+			return Row{}
 		}
 		eps := make([]netmodel.Endpoint, len(l.Blocks))
 		weights := make([]float64, len(l.Blocks))
@@ -643,21 +691,21 @@ func (b *SnapshotBuilder) buildCANS(sn *Snapshot) map[int32][]Ranked {
 		}
 		win, score := sc.bestWeighted(eps, weights)
 		if win < 0 {
-			return nil
+			return Row{}
 		}
-		ns := sn.row(sn.lay.Index.ResolverPart[i]).Head
-		out := make([]Ranked, 0, len(ns)+1)
-		out = append(out, MakeRanked(uint32(win), score))
-		for _, r := range ns {
-			if r.Dep != uint32(win) {
-				out = append(out, r)
+		ns := sn.row(sn.lay.Index.ResolverPart[i])
+		out := Row{Head: make([]uint16, 1, len(ns.Head)+1), Scores: make([]float64, 1, len(ns.Head)+1)}
+		out.Head[0], out.Scores[0] = uint16(win), score
+		for k, d := range ns.Head {
+			if d != uint16(win) {
+				out.Head, out.Scores = append(out.Head, d), append(out.Scores, ns.Scores[k])
 			}
 		}
 		return out
 	})
-	cans := make(map[int32][]Ranked, len(ldnses))
+	cans := make(map[int32]Row, len(ldnses))
 	for i, list := range lists {
-		if list != nil {
+		if list.Head != nil {
 			cans[int32(i)] = list
 		}
 	}

@@ -29,11 +29,7 @@ func TestSnapshotCANSDedupe(t *testing.T) {
 			continue
 		}
 		checked++
-		var cands []Ranked
-		row.Walk(func(_ int, c Ranked) bool {
-			cands = append(cands, c)
-			return true
-		})
+		cands := walked(row)
 		seen := make(map[uint64]bool, len(cands))
 		for _, c := range cands {
 			if seen[depOf(c).ID] {
@@ -49,9 +45,9 @@ func TestSnapshotCANSDedupe(t *testing.T) {
 			weights[i] = b.Demand
 		}
 		win, _ := sys.Scorer().bestWeighted(eps, weights)
-		if int(cands[0].Dep) != win {
+		if int(cands[0]) != win {
 			t.Fatalf("LDNS %v: candidate[0] = deployment %d, want weighted winner %d",
-				l.Addr, cands[0].Dep, win)
+				l.Addr, cands[0], win)
 		}
 		// Every platform deployment is reachable for capacity spill.
 		if len(cands) != len(testP.Deployments) {
@@ -75,15 +71,15 @@ func TestSnapshotMatchesScorer(t *testing.T) {
 
 	for i := 0; i < len(testW.Blocks); i += 257 {
 		b := testW.Blocks[i]
-		got := blockRow(sn, b).Head
+		got := headOf(blockRow(sn, b))
 		want := sc.Rank(b.Endpoint())[:sn.lay.TableLen]
 		if len(got) != len(want) {
 			t.Fatalf("block %v: %d ranked, want %d", b.Prefix, len(got), len(want))
 		}
 		for j := range got {
-			if depOf(got[j]) != depOf(want[j]) || got[j].Score() != want[j].Score() {
+			if got[j] != want[j] {
 				t.Fatalf("block %v rank %d: %s/%g, want %s/%g", b.Prefix, j,
-					depOf(got[j]).Name, got[j].Score(), depOf(want[j]).Name, want[j].Score())
+					depOf(got[j].Dep).Name, got[j].Score(), depOf(want[j].Dep).Name, want[j].Score())
 			}
 		}
 	}
@@ -91,7 +87,7 @@ func TestSnapshotMatchesScorer(t *testing.T) {
 		l := testW.LDNSes[i]
 		got := ldnsRow(sn, l).Head
 		want := sc.Rank(l.Endpoint())
-		if len(got) == 0 || depOf(got[0]) != depOf(want[0]) {
+		if len(got) == 0 || depOf(got[0]) != depOf(want[0].Dep) {
 			t.Fatalf("LDNS %v: top-ranked mismatch", l.Addr)
 		}
 	}
@@ -109,7 +105,7 @@ func TestSnapshotFallbackTables(t *testing.T) {
 	if ok || client.Head == nil {
 		t.Fatalf("unknown client subnet: found %v, fallback head %v", ok, client.Head)
 	}
-	if d, _ := sn.FirstLive(client); d == nil {
+	if d := sn.FirstLive(client); d == nil {
 		t.Fatal("no live deployment for the fallback table")
 	}
 }

@@ -19,8 +19,8 @@ var (
 	testP   = cdn.MustGenerateUniverse(testW, cdn.Config{Seed: 5, NumDeployments: 300, ServersPerDeployment: 6})
 )
 
-// depOf resolves a rank entry against the test platform.
-func depOf(r Ranked) *cdn.Deployment { return testP.Deployments[r.Dep] }
+// depOf resolves a deployment index against the test platform.
+func depOf[I uint16 | uint32](i I) *cdn.Deployment { return testP.Deployments[i] }
 
 // blockRow and ldnsRow return the rows a query reads for a world block's
 // subnet and from a world resolver's address.

@@ -80,11 +80,11 @@ func TestClassScorerUsableBySystemComponents(t *testing.T) {
 		t.Fatalf("rank size %d", len(rank))
 	}
 	lb := NewLoadBalancer()
-	d, err := lb.PickDeployment(testP.Deployments, Row{Head: rank}, 0)
+	d, err := lb.PickDeployment(testP.Deployments, Row{Head: order(rank)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != depOf(rank[0]) {
+	if d != depOf(rank[0].Dep) {
 		t.Error("unloaded pick should be rank head")
 	}
 }

@@ -1,55 +1,35 @@
 package mapping
 
 import (
+	"slices"
 	"time"
-	"unsafe"
 
 	"eum/internal/cdn"
 )
 
 // This file is the snapshot's wire-support surface: what internal/mapwire
 // needs beyond the exported Layout to serialize a snapshot and to rebuild
-// an installable one. A rank table has one representation — its []Ranked
-// memory is what travels — so there is nothing to translate, only to view.
-
-// hostBigEndian reports a host whose 32-bit words are stored high byte
-// first, where a table's memory is its wire image only after WireOrder.
-var hostBigEndian = func() bool {
-	x := uint16(1)
-	return *(*byte)(unsafe.Pointer(&x)) == 0
-}()
-
-// TableBytes returns the memory of a rank table — or of a whole arena — as
-// bytes, 12 per entry, without copying. The wire format is that memory as a
-// little-endian host lays it out; pass the bytes through WireOrder after
-// copying them out (encode) or reading them in (decode).
-func TableBytes(t []Ranked) []byte {
-	if len(t) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&t[0])), len(t)*int(unsafe.Sizeof(Ranked{})))
-}
-
-// WireOrder converts table bytes between host memory order and wire order
-// in place. Every field of an entry is a 32-bit word, so it is a no-op on
-// little-endian hosts and a per-word byte swap on big-endian ones.
-func WireOrder(b []byte) {
-	if !hostBigEndian {
-		return
-	}
-	for i := 0; i+4 <= len(b); i += 4 {
-		b[i], b[i+1], b[i+2], b[i+3] = b[i+3], b[i+2], b[i+1], b[i]
-	}
-}
+// an installable one. A row has one representation — its columns are what
+// travels — so there is nothing to translate, only to view.
 
 // Layout returns the snapshot's partition layout; callers must not modify
 // it.
 func (sn *Snapshot) Layout() *Layout { return sn.lay }
 
-// RowTable returns row i of the snapshot's layout (Layout.RowLen(i)
-// entries, best first): segment i's head, or past the segments a tail. The
-// slice is immutable; callers must not modify it.
-func (sn *Snapshot) RowTable(i int) []Ranked { return sn.rows[i] }
+// RowOrder returns the deployment indexes of row i of the snapshot's layout
+// (Layout.RowLen(i) of them, best first): segment i's head, or past the
+// segments a tail. The slice is immutable; callers must not modify it.
+func (sn *Snapshot) RowOrder(i int) []uint16 {
+	at, n := sn.rows[i], uint32(sn.lay.RowLen(i))
+	return sn.arenas[at.arena].order[at.off : at.off+n : at.off+n]
+}
+
+// HeadScores returns the scores of head i (i < Tables()), one per entry of
+// RowOrder(i). The slice is immutable; callers must not modify it.
+func (sn *Snapshot) HeadScores(i int) []float64 {
+	at, n := sn.rows[i], uint32(sn.lay.TableLen)
+	return sn.arenas[at.arena].scores[at.off : at.off+n : at.off+n]
+}
 
 // ChangedSince lists, ascending, the rows re-ranked after the given epoch —
 // what a delta patching a snapshot of that epoch (same layout, same
@@ -65,14 +45,15 @@ func (sn *Snapshot) ChangedSince(epoch uint64) []int32 {
 }
 
 // CANSTables returns the snapshot's precomputed ClientAwareNS candidate
-// lists keyed by resolver slot, or nil for other policies. Callers must
-// not modify the map or the tables.
-func (sn *Snapshot) CANSTables() map[int32][]Ranked { return sn.cans }
+// lists keyed by resolver slot — rows with a Head and its Scores, and no
+// Tail — or nil for other policies. Callers must not modify the map or the
+// lists.
+func (sn *Snapshot) CANSTables() map[int32]Row { return sn.cans }
 
 // ArenaChainLen returns the length of the snapshot's arena chain (1 for a
 // freshly built or decoded snapshot; grows with incremental builds and
 // delta applies until compaction).
-func (sn *Snapshot) ArenaChainLen() int { return sn.chain }
+func (sn *Snapshot) ArenaChainLen() int { return len(sn.arenas) }
 
 // LayoutFingerprint returns a hash of the snapshot's partition layout —
 // exactly what a full wire image carries of it: the index, the
@@ -131,74 +112,85 @@ func (lay *Layout) fingerprint() uint64 {
 
 // NewSnapshot assembles a snapshot of the given lineage over one base arena
 // holding every row of the layout back to back — segment heads, then tails
-// — each stamped as ranked at this epoch. Full builds and the wire decoder
-// both end here; the decoder is responsible for validating that every index
-// in lay and every Dep in arena and cans is in range, and that every tail
-// ranks every deployment — NewSnapshot trusts its input and keeps arena as
-// given.
+// — each stamped as ranked at this epoch: order holds every row's
+// deployment indexes and scores the heads' scores, in table order. Full
+// builds and the wire decoder both end here; the decoder is responsible
+// for validating that every index in lay and every deployment index in
+// order and cans is in range, that the columns are as long as lay says, and
+// that every tail ranks every deployment — NewSnapshot trusts its input and
+// keeps the columns as given.
 func NewSnapshot(lineage, epoch uint64, policy Policy, ttl time.Duration, lay *Layout,
-	p *cdn.Platform, arena []Ranked, cans map[int32][]Ranked) *Snapshot {
+	p *cdn.Platform, order []uint16, scores []float64, cans map[int32]Row) *Snapshot {
 
 	sn := &Snapshot{
 		epoch: epoch, lineage: lineage, policy: policy, ttl: ttl, lay: lay, deps: p.Deployments,
-		rows:     make([][]Ranked, lay.Rows()),
+		arenas:   []arena{{order, scores}},
+		rows:     make([]rowAt, lay.Rows()),
 		rowEpoch: make([]uint64, lay.Rows()),
-		chain:    1,
 		cans:     cans,
 	}
-	sn.layOut(arena)
-	for i := range sn.rowEpoch {
+	for i := range sn.rows {
+		sn.rows[i] = rowAt{0, uint32(lay.rowOffset(i))}
 		sn.rowEpoch[i] = epoch
 	}
 	return sn
 }
 
-// layOut points every row at its window of a base arena.
-func (sn *Snapshot) layOut(arena []Ranked) {
-	off := 0
-	for i := range sn.rows {
-		end := off + sn.lay.RowLen(i)
-		sn.rows[i] = arena[off:end:end]
-		off = end
-	}
-}
-
 // WithDeltaRows derives a new snapshot of sn's lineage from sn by replacing
-// the given rows (ascending) with fresh ones: delta holds them back to
-// back, in rows order, each at its layout length, and is kept as given. It
-// is the builder's incremental path and the replica's delta apply alike.
-// The layout is shared; the delta rides as a new arena until the chain
-// would exceed maxArenaChain or the accumulated delta data would outweigh
-// the base arena, at which point the result is compacted into one fresh
-// base arena — so memory stays bounded however many deltas are applied.
-// The result never carries CANS tables (the builder recomputes them, the
-// encoder refuses deltas for CANS snapshots).
+// the given rows (ascending) with fresh ones, held back to back in rows
+// order, each at its layout length, as the columns of one arena: order the
+// rows' deployment indexes, scores the scores of the heads among them. It
+// is the builder's incremental path and the replica's delta apply alike,
+// and keeps the columns as given. The layout is shared; the delta rides as
+// a new arena until the chain would exceed maxArenaChain or the
+// accumulated delta data would outweigh the base arena, at which point the
+// result is compacted into one fresh base arena — so memory stays bounded
+// however many deltas are applied. The result never carries CANS tables
+// (the builder recomputes them, the encoder refuses deltas for CANS
+// snapshots).
 func (sn *Snapshot) WithDeltaRows(epoch uint64, policy Policy,
-	ttl time.Duration, rows []int32, delta []Ranked) *Snapshot {
+	ttl time.Duration, rows []int32, order []uint16, scores []float64) *Snapshot {
 
 	out := *sn
 	out.epoch, out.policy, out.ttl, out.cans = epoch, policy, ttl, nil
-	out.rows = append([][]Ranked(nil), sn.rows...)
-	out.rowEpoch = append([]uint64(nil), sn.rowEpoch...)
-	off := 0
+	out.arenas = append(slices.Clip(sn.arenas), arena{order, scores})
+	out.rows = slices.Clone(sn.rows)
+	out.rowEpoch = slices.Clone(sn.rowEpoch)
+	at := rowAt{arena: uint32(len(sn.arenas))}
 	for _, i := range rows {
-		end := off + sn.lay.RowLen(int(i))
-		out.rows[i] = delta[off:end:end]
+		out.rows[i] = at
 		out.rowEpoch[i] = epoch
-		off = end
+		at.off += uint32(sn.lay.RowLen(int(i)))
 	}
-	out.chain++
-	out.deltaEntries += len(delta)
-	if out.chain > maxArenaChain || out.deltaEntries > sn.lay.ArenaLen() {
-		current := out.rows
-		out.rows = make([][]Ranked, len(current))
-		out.layOut(make([]Ranked, sn.lay.ArenaLen()))
-		for i, t := range current {
-			copy(out.rows[i], t)
-		}
-		out.chain, out.deltaEntries = 1, 0
+	if len(out.arenas) > maxArenaChain || out.deltaEntries() > sn.lay.ArenaLen() {
+		out.compact()
 	}
 	return &out
+}
+
+// deltaEntries counts the entries of every arena in the chain but the base.
+func (sn *Snapshot) deltaEntries() int {
+	n := 0
+	for _, a := range sn.arenas[1:] {
+		n += len(a.order)
+	}
+	return n
+}
+
+// compact copies every row into one fresh base arena, in layout order, and
+// drops the chain. The rows must not be shared with another snapshot.
+func (sn *Snapshot) compact() {
+	lay := sn.lay
+	order, scores := lay.columns(lay.Rows(), lay.Tables())
+	for i := range sn.rows {
+		off := lay.rowOffset(i)
+		copy(order[off:], sn.RowOrder(i))
+		if i < lay.Tables() {
+			copy(scores[off:], sn.HeadScores(i))
+		}
+		sn.rows[i] = rowAt{0, uint32(off)}
+	}
+	sn.arenas = []arena{{order, scores}}
 }
 
 // BootstrapReplica rewinds a system NewSystem made to replica state: it

@@ -8,22 +8,24 @@
 // and nothing else: the deployment roster (the platform the rows index),
 // the block index (client leaf or resolver address → partition), the
 // partition layout as serving reads it (partition→table map, table→tail
-// map), one flat arena of rows — a head per table, then the tails tables
-// share — and, for ClientAwareNS snapshots, the candidate map. A replica
-// boots from one (DecodeBoot) with no world at hand. A delta image carries
-// only the rows re-ranked since a base epoch. What a table was ranked from
-// stays with the builder that ranked it. A row has one representation: the
-// 12-byte entries of mapping.Ranked are written from, and read into, the
-// memory they are served from, as bulk copies, and the checksum runs over
-// those same bytes. A decoded snapshot therefore answers
-// bitwise-identically to the original, on a platform whose fingerprint —
-// carried in the header, and recomputed from the roster — matches.
+// map), the rows as two columns — the order of every row, a head per table
+// then the tails tables share, and the scores of the heads — and, for
+// ClientAwareNS snapshots, the candidate map. A replica boots from one
+// (DecodeBoot) with no world at hand. A delta image carries only the rows
+// re-ranked since a base epoch. What a table was ranked from stays with
+// the builder that ranked it. A row has one representation: its columns,
+// u16 deployment indexes and, for a head, float64 scores, are written
+// from, and read into, the memory they are served from, as bulk copies,
+// and the checksum runs over those same bytes. A decoded snapshot
+// therefore answers bitwise-identically to the original, on a platform
+// whose fingerprint — carried in the header, and recomputed from the
+// roster — matches.
 //
-// Layout, version 6 (all integers little-endian):
+// Layout, version 7 (all integers little-endian):
 //
 //	offset  size  field
 //	     0     4  magic "EUMw"
-//	     4     2  format version (6)
+//	     4     2  format version (7)
 //	     6     1  kind (0 full, 1 delta)
 //	     7     1  policy
 //	     8     8  epoch
@@ -41,7 +43,7 @@
 //
 // Full body:
 //
-//	u32 D, then D deployments, each:
+//	u32 D ≤ 65 535, then D deployments, each:
 //	    u64 id, u64 latitude bits, u64 longitude bits, u32 ASN,
 //	    u32 n + n bytes name, u32 n + n bytes country,
 //	    u32 S ≥ 1, then S × (u64 server id, 16-byte address, u64 capacity bits)
@@ -52,8 +54,9 @@
 //	u32 P+2, then (P+2) × i32   partition → table
 //	T × i32                table → tail
 //	u32 N, u32 tail length (= deployments), then N × i32   the table whose endpoint ranks each tail
-//	(T × L + N × deployments) × 12 bytes   the arena: heads in table order, then tails
-//	u32 C, then C × (u32 resolver, u32 n, n × 12 bytes)   CANS candidate heads, ascending resolver
+//	(T × L + N × D) × u16   the order column: every row's deployment indexes, heads in table order, then tails
+//	T × L × u64             the score column: every head's scores, in table order
+//	u32 C, then C × (u32 resolver, u32 n, n × u16, n × u64)   CANS candidate heads, ascending resolver
 //
 // Addresses travel as their 16 network-order bytes, IPv4 as IPv4-mapped. A
 // leaf's rank is its place among its family's leaves by block demand,
@@ -66,13 +69,16 @@
 // epoch, under the header's layout fingerprint):
 //
 //	u32 N, then N × i32    re-ranked rows, strictly ascending: a table's head, or T + a tail
-//	their new contents, in that order, each at its own length
+//	their order column, in that order, each at its own length
+//	the score column of the heads among them, in that order
 //
-// A rank entry is u32 deployment index (into the roster's deployment
-// list), then the score's IEEE-754 bits as u32 low word, u32 high word.
-// Every tail ranks every deployment exactly once; the decoder refuses one
-// that does not, since the serving walk relies on it to reach a live
-// deployment whenever there is one.
+// A row is best first. An order entry is a u16 deployment index, into the
+// roster's deployment list, and a score the IEEE-754 bits of a float64
+// (ping milliseconds). Only heads keep scores: the load-aware pick reads
+// them, and past the head a pick needs the order alone. Every tail ranks
+// every deployment exactly once; the decoder refuses one that does not,
+// since the serving walk relies on it to reach a live deployment whenever
+// there is one.
 package mapwire
 
 import (
@@ -91,11 +97,11 @@ import (
 )
 
 // Version is the wire format version this package encodes and decodes.
-const Version = 6
+const Version = 7
 
 // Image kinds.
 const (
-	KindFull  = 0 // complete snapshot: roster, index, layout, full arena (+ CANS tables)
+	KindFull  = 0 // complete snapshot: roster, index, layout, both columns of every row (+ CANS tables)
 	KindDelta = 1 // re-ranked rows against a base epoch
 )
 
@@ -103,8 +109,10 @@ const (
 	magic       = "EUMw"
 	headerSize  = 72
 	trailerSize = 4
-	// rankedSize is one rank entry: deployment index + score bits.
-	rankedSize = 12
+	// orderSize is one order entry, a deployment index, and scoreSize one
+	// head score's bits.
+	orderSize = 2
+	scoreSize = 8
 	// serverSize is one roster server: ID, address, capacity bits; and
 	// rosterMin the fewest bytes a roster deployment takes.
 	serverSize = 8 + 16 + 8
@@ -252,10 +260,10 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 		4 + 4*len(lay.PartSeg) +
 		4*len(lay.SegTail) +
 		4 + 4 + 4*len(lay.TailSeg) +
-		lay.ArenaLen()*rankedSize +
+		lay.ArenaLen()*orderSize + lay.Tables()*lay.TableLen*scoreSize +
 		4 + trailerSize // cans count + checksum
 	for _, slot := range slots {
-		size += 4 + 4 + len(cans[slot])*rankedSize
+		size += 4 + 4 + len(cans[slot].Head)*(orderSize+scoreSize)
 	}
 
 	w := newWriter(size)
@@ -294,13 +302,17 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 		w.i32(s)
 	}
 	for i := 0; i < lay.Rows(); i++ {
-		w.table(sn.RowTable(i))
+		putColumn(w, sn.RowOrder(i))
+	}
+	for i := 0; i < lay.Tables(); i++ {
+		putColumn(w, sn.HeadScores(i))
 	}
 	w.u32(uint32(len(slots)))
 	for _, slot := range slots {
 		w.i32(slot)
-		w.u32(uint32(len(cans[slot])))
-		w.table(cans[slot])
+		w.u32(uint32(len(cans[slot].Head)))
+		putColumn(w, cans[slot].Head)
+		putColumn(w, cans[slot].Scores)
 	}
 	return w.finish(), nil
 }
@@ -341,9 +353,12 @@ func (c *Codec) EncodeDeltaSince(base Base, next *mapping.Snapshot) (data []byte
 	}
 	lay := next.Layout()
 	rows := next.ChangedSince(base.Epoch)
-	entries := 0
+	entries, heads := 0, 0
 	for _, i := range rows {
 		entries += lay.RowLen(int(i))
+		if int(i) < lay.Tables() {
+			heads++
+		}
 	}
 	// A delta that rewrites most of the arena is worse than a full image:
 	// it costs the same bytes but pins the replica to a chain of patches.
@@ -351,14 +366,17 @@ func (c *Codec) EncodeDeltaSince(base Base, next *mapping.Snapshot) (data []byte
 		return nil, false, nil
 	}
 
-	w := newWriter(headerSize + 4 + len(rows)*4 + entries*rankedSize + trailerSize)
+	w := newWriter(headerSize + 4 + len(rows)*4 + entries*orderSize + heads*lay.TableLen*scoreSize + trailerSize)
 	c.putHeader(w, next, KindDelta, base.Epoch)
 	w.u32(uint32(len(rows)))
 	for _, i := range rows {
 		w.i32(i)
 	}
 	for _, i := range rows {
-		w.table(next.RowTable(int(i)))
+		putColumn(w, next.RowOrder(int(i)))
+	}
+	for _, i := range rows[:heads] {
+		putColumn(w, next.HeadScores(int(i)))
 	}
 	return w.finish(), true, nil
 }
@@ -461,15 +479,23 @@ func (c *Codec) checkHeadLen(h Header) error {
 }
 
 // readRoster reads a full image's deployment roster into a fresh platform,
-// refusing an empty one, a deployment with no servers, more than
+// refusing an empty one, one of more deployments than a row indexes
+// (mapping.MaxDeployments), a deployment with no servers, more than
 // cdn.MaxServers or one named twice, a server ID used twice, a capacity
 // that is not a finite non-negative number, and a roster whose fingerprint
 // is not the header's.
 func readRoster(r *reader, h Header) (*cdn.Platform, error) {
-	p := &cdn.Platform{Deployments: make([]*cdn.Deployment, r.sliceLen(rosterMin))}
-	if r.err == nil && len(p.Deployments) == 0 {
+	n := r.u32()
+	if n > mapping.MaxDeployments {
+		return nil, fmt.Errorf("%w: the roster names %d deployments, a row indexes at most %d", ErrFormat, n, mapping.MaxDeployments)
+	}
+	if !r.fits(uint64(n), rosterMin) {
+		return nil, r.err
+	}
+	if n == 0 {
 		return nil, fmt.Errorf("%w: the roster names no deployment", ErrFormat)
 	}
+	p := &cdn.Platform{Deployments: make([]*cdn.Deployment, n)}
 	seen := make(map[uint64]bool, len(p.Deployments))
 	servers := map[uint64]bool{}
 	for i := range p.Deployments {
@@ -602,7 +628,7 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 	lay.FallbackLDNS = r.i32()
 	lay.FallbackClient = r.i32()
 	lay.PartSeg = r.i32s(r.sliceLen(4))
-	if !r.fits(uint64(tables), 4+lay.TableLen*rankedSize) {
+	if !r.fits(uint64(tables), 4+lay.TableLen*(orderSize+scoreSize)) {
 		return nil, r.err
 	}
 	lay.SegTail = r.i32s(tables)
@@ -610,15 +636,19 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 	if tailLen := r.u32(); r.err == nil && tailLen != uint32(nDeps) {
 		return nil, fmt.Errorf("%w: tails rank %d deployments, the platform has %d", ErrFormat, tailLen, nDeps)
 	}
-	if !r.fits(uint64(nTails), 4+nDeps*rankedSize) {
+	if !r.fits(uint64(nTails), 4+nDeps*orderSize) {
 		return nil, r.err
 	}
 	lay.TailSeg = r.i32s(nTails)
-	arena := r.tables(uint64(lay.ArenaLen()), nDeps)
-	var cansMap map[int32][]mapping.Ranked
+	if uint64(lay.ArenaLen()) > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: %d row entries, more than a snapshot addresses", ErrFormat, lay.ArenaLen())
+	}
+	order := readOrder(r, uint64(lay.ArenaLen()), nDeps)
+	scores := readColumn[float64](r, uint64(tables*lay.TableLen))
+	var cansMap map[int32]mapping.Row
 	nCANS := r.sliceLen(8)
 	if nCANS > 0 {
-		cansMap = make(map[int32][]mapping.Ranked, nCANS)
+		cansMap = make(map[int32]mapping.Row, nCANS)
 	}
 	for i, last := 0, int32(-1); i < nCANS && r.err == nil; i++ {
 		slot := r.i32()
@@ -626,7 +656,8 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 			return nil, fmt.Errorf("%w: CANS resolvers not ascending inside the index", ErrFormat)
 		}
 		last = slot
-		cansMap[slot] = r.tables(uint64(r.sliceLen(rankedSize)), nDeps)
+		n := uint64(r.sliceLen(orderSize + scoreSize))
+		cansMap[slot] = mapping.Row{Head: readOrder(r, n, nDeps), Scores: readColumn[float64](r, n)}
 	}
 	if err := r.finish(); err != nil {
 		return nil, err
@@ -657,9 +688,9 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 			return nil, fmt.Errorf("%w: tail source table out of range", ErrFormat)
 		}
 	}
-	sn := mapping.NewSnapshot(h.Lineage, h.Epoch, h.Policy, h.TTL, lay, c.platform, arena, cansMap)
+	sn := mapping.NewSnapshot(h.Lineage, h.Epoch, h.Policy, h.TTL, lay, c.platform, order, scores, cansMap)
 	for i := tables; i < lay.Rows(); i++ {
-		if err := checkTail(sn.RowTable(i)); err != nil {
+		if err := checkTail(sn.RowOrder(i)); err != nil {
 			return nil, err
 		}
 	}
@@ -683,8 +714,8 @@ func (c *Codec) decodeDelta(h Header, r *reader, prev *mapping.Snapshot) (*mappi
 	if int(h.Tables) != prev.Tables() {
 		return nil, fmt.Errorf("%w: geometry mismatch", ErrDeltaBase)
 	}
-	rows := r.i32s(r.sliceLen(4 + lay.TableLen*rankedSize))
-	entries := uint64(0)
+	rows := r.i32s(r.sliceLen(4 + lay.TableLen*orderSize))
+	entries, heads := uint64(0), 0
 	for i, row := range rows {
 		if !inRange(row, int64(lay.Rows())) {
 			return nil, fmt.Errorf("%w: delta row out of range", ErrFormat)
@@ -693,15 +724,19 @@ func (c *Codec) decodeDelta(h Header, r *reader, prev *mapping.Snapshot) (*mappi
 			return nil, fmt.Errorf("%w: delta rows not strictly ascending", ErrFormat)
 		}
 		entries += uint64(lay.RowLen(int(row)))
+		if int(row) < lay.Tables() {
+			heads++
+		}
 	}
-	delta := r.tables(entries, nDeps)
+	order := readOrder(r, entries, nDeps)
+	scores := readColumn[float64](r, uint64(heads*lay.TableLen))
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
-	sn := prev.WithDeltaRows(h.Epoch, h.Policy, h.TTL, rows, delta)
+	sn := prev.WithDeltaRows(h.Epoch, h.Policy, h.TTL, rows, order, scores)
 	for _, row := range rows {
 		if int(row) >= prev.Tables() {
-			if err := checkTail(sn.RowTable(int(row))); err != nil {
+			if err := checkTail(sn.RowOrder(int(row))); err != nil {
 				return nil, err
 			}
 		}
@@ -711,13 +746,13 @@ func (c *Codec) decodeDelta(h Header, r *reader, prev *mapping.Snapshot) (*mappi
 
 // checkTail verifies that a tail, whose deployment indexes are already
 // known to be in range, names every deployment exactly once.
-func checkTail(tail []mapping.Ranked) error {
+func checkTail(tail []uint16) error {
 	seen := make([]bool, len(tail))
-	for _, e := range tail {
-		if seen[e.Dep] {
-			return fmt.Errorf("%w: a tail ranks deployment %d twice", ErrFormat, e.Dep)
+	for _, d := range tail {
+		if seen[d] {
+			return fmt.Errorf("%w: a tail ranks deployment %d twice", ErrFormat, d)
 		}
-		seen[e.Dep] = true
+		seen[d] = true
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"net/netip"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -265,8 +266,8 @@ func TestDeltaAcrossCompactions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneHead := headerSize + 4 + (4 + prev.Layout().TableLen*rankedSize) + trailerSize
-	headAndTail := oneHead + 4 + len(p.Deployments)*rankedSize
+	oneHead := headerSize + 4 + (4 + prev.Layout().TableLen*(orderSize+scoreSize)) + trailerSize
+	headAndTail := oneHead + 4 + len(p.Deployments)*orderSize
 	compactions, tails := 0, 0
 	for i := 0; i < 200; i++ {
 		id := targets[i%len(targets)]
@@ -406,10 +407,13 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 	segTail := fallbacks + 8 + 4 + 4*len(lay.PartSeg)
 	tailCount := segTail + 4*tables
 	tailSeg := tailCount + 8
-	firstTail := tailSeg + 4*len(lay.TailSeg) + tables*lay.TableLen*rankedSize
-	// In the delta: the row list, then a head, then the tail it dirtied.
+	firstHead := tailSeg + 4*len(lay.TailSeg)
+	firstTail := firstHead + tables*lay.TableLen*orderSize
+	scoreColumn := firstHead + lay.ArenaLen()*orderSize
+	// In the delta: the row list, then the order of a head and of the tail
+	// it dirtied, then the head's scores.
 	deltaRows := headerSize + 4
-	deltaTail := deltaRows + 2*4 + lay.TableLen*rankedSize
+	deltaTail := deltaRows + 2*4 + lay.TableLen*orderSize
 
 	// sealed re-encodes sn1 on a copy of the platform that edit changes, so
 	// the image's roster carries its own fingerprint and only the roster's
@@ -430,12 +434,21 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		}
 		return img
 	}
+	// cut keeps the first n bytes of an image and seals them; put and put16
+	// patch a field of a copy and seal it.
+	cut := func(img []byte, n int) []byte {
+		out := slices.Clone(img[:n])
+		return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
+	}
 	put := func(img []byte, off int, v uint32) []byte {
-		out := append([]byte(nil), img...)
+		out := slices.Clone(img)
 		binary.LittleEndian.PutUint32(out[off:], v)
-		binary.LittleEndian.PutUint32(out[len(out)-trailerSize:],
-			crc32.Checksum(out[:len(out)-trailerSize], castagnoli))
-		return out
+		return cut(out, len(out)-trailerSize)
+	}
+	put16 := func(img []byte, off int, v uint16) []byte {
+		out := slices.Clone(img)
+		binary.LittleEndian.PutUint16(out[off:], v)
+		return cut(out, len(out)-trailerSize)
 	}
 	for _, tc := range []struct {
 		name string
@@ -444,6 +457,7 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		want error
 	}{
 		{"empty roster", put(full, roster, 0), nil, ErrFormat},
+		{"a roster of more deployments than a row indexes", put(full, roster, mapping.MaxDeployments+1), nil, ErrFormat},
 		{"a server ID used twice", sealed(func(ds []*cdn.Deployment) {
 			ds[1].Servers[0].ID = ds[0].Servers[0].ID
 		}), nil, ErrFormat},
@@ -473,19 +487,24 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"tail index negative", put(full, segTail+4, ^uint32(0)), nil, ErrFormat},
 		{"tail ranked by a table that does not exist", put(full, tailSeg, uint32(tables)), nil, ErrFormat},
 		{"tails shorter than the platform", put(full, tailCount+4, uint32(nDeps-1)), nil, ErrFormat},
-		{"tail names one deployment twice", put(full, firstTail+rankedSize,
-			binary.LittleEndian.Uint32(full[firstTail:])), nil, ErrFormat},
-		{"tail names a deployment the platform lacks", put(full, firstTail, uint32(nDeps)), nil, ErrFormat},
+		{"tail is not a permutation: it names one deployment twice", put16(full, firstTail+orderSize,
+			binary.LittleEndian.Uint16(full[firstTail:])), nil, ErrFormat},
+		{"tail names a deployment the platform lacks", put16(full, firstTail, uint16(nDeps)), nil, ErrFormat},
+		{"head names a deployment the platform lacks", put16(full, firstHead, uint16(nDeps)), nil, ErrFormat},
+		{"score column truncated", cut(full, scoreColumn+tables*lay.TableLen*scoreSize/2), nil, ErrFormat},
 		{"head longer than this build keeps", put(full, 64, uint32(lay.TableLen+1)), nil, ErrFormat},
-		{"previous format version", put(full, 4, 5|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
+		{"previous format version", put(full, 4, 6|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
+		{"format version 5", put(full, 4, 5|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 4", put(full, 4, 4|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 3", put(full, 4, 3|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 2", put(full, 4, 2|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"delta of another lineage", put(delta, 16, binary.LittleEndian.Uint32(delta[16:])^1), sn1, ErrDeltaBase},
 		{"delta row out of range", put(delta, deltaRows+4, uint32(lay.Rows())), sn1, ErrFormat},
 		{"delta rows descending", put(delta, deltaRows+4, 0), sn1, ErrFormat},
-		{"delta tail names one deployment twice", put(delta, deltaTail+rankedSize,
-			binary.LittleEndian.Uint32(delta[deltaTail:])), sn1, ErrFormat},
+		{"delta tail names one deployment twice", put16(delta, deltaTail+orderSize,
+			binary.LittleEndian.Uint16(delta[deltaTail:])), sn1, ErrFormat},
+		{"delta head names a deployment the platform lacks", put16(delta, deltaRows+2*4, uint16(nDeps)), sn1, ErrFormat},
+		{"delta score column truncated", cut(delta, len(delta)-trailerSize-scoreSize), sn1, ErrFormat},
 	} {
 		// An image sealed on another roster is foreign to c, which refuses
 		// it on the header's fingerprint before reading the roster.
@@ -504,12 +523,66 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 			}
 		}
 	}
+	// A roster too large for a row's indexes is refused for its size, before
+	// its length is held to the bytes left.
+	if _, _, err := DecodeBoot(bytes.NewReader(put(full, roster, mapping.MaxDeployments+1)), int64(len(full))); err == nil ||
+		!strings.Contains(err.Error(), "a row indexes at most 65535") {
+		t.Errorf("a roster of %d deployments: %v", mapping.MaxDeployments+1, err)
+	}
 	// The untouched images are good, so every refusal above is the patch's.
 	if _, err := c.Decode(put(full, fallbacks, uint32(lay.FallbackLDNS)), nil); err != nil {
 		t.Fatalf("resealed clean image: %v", err)
 	}
 	if _, err := c.Decode(delta, sn1); err != nil {
 		t.Fatalf("clean delta: %v", err)
+	}
+}
+
+// TestColumnsRoundTripSwapped runs the big-endian path on this host: with
+// wireOrder's swap forced, an image carries every order entry with its two
+// bytes swapped and every score with its eight reversed, and nothing else
+// moves; decoded with the swap still forced, it gives back both columns.
+func TestColumnsRoundTripSwapped(t *testing.T) {
+	w, p := fixture()
+	sn := mapping.NewSnapshotBuilder(w, p, netmodel.NewDefault(), fixCfg).Build(1, mapping.EndUser)
+	lay, c := sn.Layout(), NewCodec(p)
+	plain, err := c.EncodeFull(sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(host bool) { hostBigEndian = host }(hostBigEndian)
+	hostBigEndian = !hostBigEndian
+	swapped, err := c.EncodeFull(sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The columns end where the CANS count starts, the scores last.
+	scores := len(plain) - trailerSize - 4 - lay.Tables()*lay.TableLen*scoreSize
+	order := scores - lay.ArenaLen()*orderSize
+	want := slices.Clone(plain[:len(plain)-trailerSize])
+	for i := order; i < scores; i += orderSize {
+		slices.Reverse(want[i : i+orderSize])
+	}
+	for i := scores; i < len(want)-4; i += scoreSize {
+		slices.Reverse(want[i : i+scoreSize])
+	}
+	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(want, castagnoli))
+	if !bytes.Equal(swapped, want) {
+		t.Fatal("the swapped image is not the plain one with every column word reversed")
+	}
+
+	dec, err := c.Decode(swapped, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < lay.Rows(); i++ {
+		if !slices.Equal(dec.RowOrder(i), sn.RowOrder(i)) {
+			t.Fatalf("row %d: order %v, encoded %v", i, dec.RowOrder(i), sn.RowOrder(i))
+		}
+		if i < lay.Tables() && !slices.Equal(dec.HeadScores(i), sn.HeadScores(i)) {
+			t.Fatalf("head %d: scores %v, encoded %v", i, dec.HeadScores(i), sn.HeadScores(i))
+		}
 	}
 }
 

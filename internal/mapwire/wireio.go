@@ -7,9 +7,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
+	"unsafe"
 
 	"eum/internal/cdn"
-	"eum/internal/mapping"
 )
 
 // castagnoli is the CRC-32C table of the checksum trailer; amd64 and arm64
@@ -62,11 +63,40 @@ func (w *writer) roster(p *cdn.Platform) {
 	}
 }
 
-// table appends a rank table: one copy of its memory.
-func (w *writer) table(t []mapping.Ranked) {
+// putColumn appends a row column — deployment indexes or scores — as one
+// copy of its memory, in wire order.
+func putColumn[E uint16 | float64](w *writer, col []E) {
+	b, width := columnBytes(col)
 	start := len(w.b)
-	w.b = append(w.b, mapping.TableBytes(t)...)
-	mapping.WireOrder(w.b[start:])
+	w.b = append(w.b, b...)
+	wireOrder(w.b[start:], width)
+}
+
+// hostBigEndian reports a host that stores a word high byte first, where a
+// column's memory is its wire image only after wireOrder.
+var hostBigEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 0
+}()
+
+// columnBytes views a column's memory as bytes, without copying, and
+// returns the width of its words.
+func columnBytes[E uint16 | float64](col []E) ([]byte, int) {
+	var e E
+	width := int(unsafe.Sizeof(e))
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(col))), len(col)*width), width
+}
+
+// wireOrder converts a column's bytes, words of width bytes, between host
+// memory order and wire order in place: a no-op on little-endian hosts,
+// and a byte swap of every word on big-endian ones.
+func wireOrder(b []byte, width int) {
+	if !hostBigEndian {
+		return
+	}
+	for i := 0; i+width <= len(b); i += width {
+		slices.Reverse(b[i : i+width])
+	}
 }
 
 // finish appends the checksum trailer and returns the image.
@@ -193,21 +223,29 @@ func (r *reader) i32s(n int) []int32 {
 	return out
 }
 
-// tables reads n rank entries straight into the memory they will be served
-// from, and checks every deployment index against the platform's nDeps.
-func (r *reader) tables(n uint64, nDeps int) []mapping.Ranked {
-	if n == 0 || !r.fits(n, rankedSize) {
+// readColumn reads a row column of n words straight into the memory it
+// will be served from.
+func readColumn[E uint16 | float64](r *reader, n uint64) []E {
+	var e E
+	if n == 0 || !r.fits(n, int(unsafe.Sizeof(e))) {
 		return nil
 	}
-	out := make([]mapping.Ranked, n)
-	b := mapping.TableBytes(out)
+	out := make([]E, n)
+	b, width := columnBytes(out)
 	if !r.read(b) {
 		return nil
 	}
-	mapping.WireOrder(b)
-	for _, e := range out {
-		if int(e.Dep) >= nDeps {
-			r.err = fmt.Errorf("%w: deployment index %d of %d", ErrFormat, e.Dep, nDeps)
+	wireOrder(b, width)
+	return out
+}
+
+// readOrder reads an order column of n deployment indexes, checking every
+// index against the platform's nDeps.
+func readOrder(r *reader, n uint64, nDeps int) []uint16 {
+	out := readColumn[uint16](r, n)
+	for _, d := range out {
+		if int(d) >= nDeps {
+			r.err = fmt.Errorf("%w: deployment index %d of %d", ErrFormat, d, nDeps)
 			return nil
 		}
 	}

@@ -60,7 +60,7 @@ func TestReplicaBootBuildsNothing(t *testing.T) {
 				b.Prefix, resp.ScopePrefix, resp.UsedClientSubnet, resp.Epoch)
 		}
 		fallback, _ := boot.ClientRow(unknown)
-		if want, _ := boot.FirstLive(fallback); resp.Deployment != want {
+		if want := boot.FirstLive(fallback); resp.Deployment != want {
 			t.Fatalf("epoch-0 answer for %v is %s, the client fallback table says %s",
 				b.Prefix, resp.Deployment.Name, want.Name)
 		}
