@@ -99,7 +99,8 @@ ecsgrid-smoke:
 
 # Figure drift: every `eumsim -fig <f> -scale small -seed 1` table, at
 # -workers 1 and at -workers 4, must hash to the line FIGURES.sha256 holds
-# for it (the `scale` figure's wall-clock rows are left out of its hash). A
+# for it (the `scale` figure's wall-clock rows are left out of its hash, and
+# its byte counts are hashed apart, on the `scale-memory` line). A
 # change that means to move a figure regenerates the list with `make
 # figures-golden` and says which rows moved; one that does not is caught
 # here rather than by eye.

@@ -25,10 +25,12 @@ import (
 const serveDNSAllocBudget = 0
 
 // guardQuery is one query of the guard stream: its wire form and the
-// resolver it arrives from.
+// resolver it arrives from. A query whose name was sent in randomised case
+// also carries lower, the same query with its name lower-cased.
 type guardQuery struct {
 	wire   []byte
 	remote netip.AddrPort
+	lower  []byte
 }
 
 // newGuardAuthority is the authority both serving guards answer through:
@@ -53,9 +55,12 @@ func newGuardAuthority(t *testing.T) (*world.World, *authority.Authority) {
 // answers: Zipf-popular names out of ten thousand content domains, clients
 // drawn in proportion to their block's demand, asking from their block's
 // resolver with an ECS /24 (60 %), a truncated /20 (25 %) or no ECS (15 %).
+// A third of the names are sent in randomised case, as resolvers that use
+// DNS 0x20 send them.
 func guardStream(t *testing.T, w *world.World, n int) []guardQuery {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(5, 34))
+	caseRNG := rand.New(rand.NewPCG(0x20, 37))
 	domains := rand.NewZipf(rng, 1.1, 1, 9_999)
 	cum := make([]float64, len(w.Blocks))
 	total := 0.0
@@ -66,20 +71,64 @@ func guardStream(t *testing.T, w *world.World, n int) []guardQuery {
 	out := make([]guardQuery, n)
 	for i := range out {
 		blk := w.Blocks[min(len(w.Blocks)-1, sort(cum, rng.Float64()*total))]
-		q := dnsmsg.NewQuery(uint16(i), dnsmsg.Name(fmt.Sprintf("d%d.cdn.example.net", domains.Uint64())), dnsmsg.TypeA)
+		name := fmt.Sprintf("d%d.cdn.example.net", domains.Uint64())
+		q := dnsmsg.NewQuery(uint16(i), dnsmsg.Name(name), dnsmsg.TypeA)
 		switch r := rng.IntN(100); {
 		case r < 60:
 			_ = q.SetClientSubnet(blk.Prefix.Addr(), 24)
 		case r < 85:
 			_ = q.SetClientSubnet(blk.Prefix.Addr(), 20)
 		}
-		wire, err := q.Pack()
-		if err != nil {
-			t.Fatal(err)
+		out[i].remote = netip.AddrPortFrom(blk.LDNS.Addr, 53)
+		if caseRNG.IntN(3) == 0 {
+			out[i].lower = pack(t, q)
+			q.Questions[0].Name = dnsmsg.Name(randomCase(caseRNG, name))
 		}
-		out[i] = guardQuery{wire, netip.AddrPortFrom(blk.LDNS.Addr, 53)}
+		out[i].wire = pack(t, q)
 	}
 	return out
+}
+
+// randomCase upper-cases each letter of name with probability one half,
+// and its first letter always.
+func randomCase(rng *rand.Rand, name string) string {
+	b := []byte(name)
+	for i, c := range b {
+		if 'a' <= c && c <= 'z' && (i == 0 || rng.IntN(2) == 0) {
+			b[i] = c - 'a' + 'A'
+		}
+	}
+	return string(b)
+}
+
+func pack(t *testing.T, q *dnsmsg.Message) []byte {
+	t.Helper()
+	wire, err := q.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+// answerOf serves one query's wire form and decodes the packed reply: the
+// question it echoes and the addresses it answers with.
+func answerOf(t *testing.T, auth *authority.Authority, remote netip.AddrPort, wire []byte) (dnsmsg.Name, []netip.Addr) {
+	t.Helper()
+	q, err := dnsmsg.Unpack(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := dnsmsg.Unpack(pack(t, auth.ServeDNS(remote, q)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs []netip.Addr
+	for _, rr := range resp.Answers {
+		if a, ok := rr.Data.(*dnsmsg.A); ok {
+			addrs = append(addrs, a.Addr)
+		}
+	}
+	return resp.Questions[0].Name, addrs
 }
 
 // sort returns the index of the first cumulative weight above x.
@@ -93,9 +142,43 @@ func sort(cum []float64, x float64) int {
 // unpacked into one reused message, served and packed into one reused
 // buffer. A change that adds even one allocation per answer fails here
 // instead of filling the heap the collector then has to make room for.
+// The stream's names in randomised case count too, and first each of them
+// must get the servers its lower-case twin gets, with its question echoed
+// as sent.
 func TestServeDNSAllocGuard(t *testing.T) {
 	w, auth := newGuardAuthority(t)
 	stream := guardStream(t, w, 1000)
+
+	mixed := 0
+	for _, q := range stream {
+		if q.lower == nil {
+			continue
+		}
+		mixed++
+		sent, err := dnsmsg.Unpack(q.wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		echoed, addrs := answerOf(t, auth, q.remote, q.wire)
+		if _, want := answerOf(t, auth, q.remote, q.lower); echoed != sent.Questions[0].Name || len(addrs) == 0 || !slices.Equal(addrs, want) {
+			t.Fatalf("%s was echoed as %s with servers %v; in lower case it gets %v", sent.Questions[0].Name, echoed, addrs, want)
+		}
+	}
+	if mixed < len(stream)/4 {
+		t.Fatalf("%d of %d guard queries in randomised case", mixed, len(stream))
+	}
+	foo := func(name string) *dnsmsg.Message {
+		q := dnsmsg.NewQuery(1, "", dnsmsg.TypeA)
+		q.Questions[0].Name = dnsmsg.Name(name)
+		_ = q.SetClientSubnet(w.Blocks[0].Prefix.Addr(), 24)
+		return q
+	}
+	remote := netip.AddrPortFrom(w.Blocks[0].LDNS.Addr, 53)
+	upper, upperAddrs := answerOf(t, auth, remote, pack(t, foo("Foo.CDN.example.net")))
+	lower, lowerAddrs := answerOf(t, auth, remote, pack(t, foo("foo.cdn.example.net")))
+	if upper != "Foo.CDN.example.net" || lower != "foo.cdn.example.net" || len(upperAddrs) == 0 || !slices.Equal(upperAddrs, lowerAddrs) {
+		t.Fatalf("%s got %v, %s got %v", upper, upperAddrs, lower, lowerAddrs)
+	}
 
 	var msg dnsmsg.Message
 	out := make([]byte, 0, 4096)

@@ -466,13 +466,12 @@ func distMi(blk *world.ClientBlock, resp *mapping.Response) float64 {
 	return geo.Distance(blk.Loc, resp.Deployment.Loc)
 }
 
-// BenchmarkAblationLocalLB compares consistent-hash local load balancing
+// BenchmarkAblationLocalLB compares rendezvous-hash local load balancing
 // against the spread a random pick would produce: the same domain must
 // concentrate on few servers for cache locality.
 func BenchmarkAblationLocalLB(b *testing.B) {
 	l := benchLab(b)
 	lb := mapping.NewLoadBalancer()
-	lb.Prepare(l.Platform)
 	dep := l.Platform.Deployments[0]
 	domains := make([]string, 64)
 	for i := range domains {

@@ -199,24 +199,6 @@ func TestFullBuildMeasuresFewPairs(t *testing.T) {
 	}
 }
 
-// TestRingAllocsBounded keeps ring construction — paid by every process,
-// publisher and replica, at every boot — to a constant number of
-// allocations per platform: the arena's three arrays, the scratch of one
-// ring and the deployment index, whose map takes a table per thousand
-// deployments — not a ring or a key string per deployment or virtual node.
-func TestRingAllocsBounded(t *testing.T) {
-	w := world.MustGenerate(world.Config{Seed: 17, NumBlocks: 500})
-	// Measured 10 and 17.
-	for n, most := range map[int]float64{40: 12, 2642: 20} {
-		p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 17, NumDeployments: n, ServersPerDeployment: 6})
-		allocs := testing.AllocsPerRun(5, func() { mapping.NewLoadBalancer().Prepare(p) })
-		t.Logf("%d deployments: %.0f allocations", n, allocs)
-		if allocs > most {
-			t.Fatalf("%.0f allocations to prepare the rings of %d deployments", allocs, n)
-		}
-	}
-}
-
 // coldWideImageCRC and coldWideImageSize pin the full wire image of the
 // cold_wide benchmark's universe at its first epoch. The lineage in its
 // header is random, so the CRC-32C is taken over the image with those

@@ -97,7 +97,6 @@ type mapzBuild struct {
 	ResidentBytes     uint64  `json:"resident_bytes"` // snapshot_bytes + index_bytes
 	SnapshotBytes     uint64  `json:"snapshot_bytes"`
 	IndexBytes        uint64  `json:"index_bytes"`
-	RingBytes         uint64  `json:"ring_bytes"` // the load balancer's, outside resident_bytes
 	BytesPerBlock     float64 `json:"bytes_per_block,omitempty"`
 	FullBuilds        uint64  `json:"full_builds"`
 	IncrementalBuilds uint64  `json:"incremental_builds"`
@@ -164,7 +163,6 @@ func (st adminState) mapz(w http.ResponseWriter, _ *http.Request) {
 		Endpoints:     snap.Endpoints(),
 		SnapshotBytes: snap.MemoryBytes(),
 		IndexBytes:    st.system.IndexBytes(),
-		RingBytes:     st.system.LoadBalancer().RingBytes(),
 	}
 	b.ResidentBytes = b.SnapshotBytes + b.IndexBytes
 	if st.blocks > 0 {

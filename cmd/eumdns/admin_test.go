@@ -225,7 +225,6 @@ func TestAdminDistRoles(t *testing.T) {
 			ResidentBytes     uint64 `json:"resident_bytes"`
 			SnapshotBytes     uint64 `json:"snapshot_bytes"`
 			IndexBytes        uint64 `json:"index_bytes"`
-			RingBytes         uint64 `json:"ring_bytes"`
 		} `json:"build"`
 		Sync *struct {
 			Source         string `json:"source"`
@@ -250,21 +249,17 @@ func TestAdminDistRoles(t *testing.T) {
 	if mapz.Epoch != pubSys.Current().Epoch() {
 		t.Errorf("replica serves epoch %d, publisher at %d", mapz.Epoch, pubSys.Current().Epoch())
 	}
-	// Both roles show the heap split, and a replica's rings are its
-	// publisher's: the same roster, the same arena.
+	// Both roles show the heap split.
 	repBuild := mapz.Build
 	if err := json.Unmarshal([]byte(get(t, pubAdmin.URL+"/mapz", http.StatusOK)), &mapz); err != nil {
 		t.Fatal(err)
 	}
-	for role, b := range map[string]struct{ resident, snapshot, index, rings uint64 }{
-		"publisher": {mapz.Build.ResidentBytes, mapz.Build.SnapshotBytes, mapz.Build.IndexBytes, mapz.Build.RingBytes},
-		"replica":   {repBuild.ResidentBytes, repBuild.SnapshotBytes, repBuild.IndexBytes, repBuild.RingBytes},
+	for role, b := range map[string]struct{ resident, snapshot, index uint64 }{
+		"publisher": {mapz.Build.ResidentBytes, mapz.Build.SnapshotBytes, mapz.Build.IndexBytes},
+		"replica":   {repBuild.ResidentBytes, repBuild.SnapshotBytes, repBuild.IndexBytes},
 	} {
 		if b.snapshot == 0 || b.index == 0 || b.resident != b.snapshot+b.index {
 			t.Errorf("%s /mapz build: resident %d B, snapshot %d B, index %d B", role, b.resident, b.snapshot, b.index)
-		}
-		if want := pubSys.LoadBalancer().RingBytes(); b.rings != want || want == 0 {
-			t.Errorf("%s /mapz build: %d B of rings, the publisher's load balancer holds %d", role, b.rings, want)
 		}
 	}
 

@@ -110,7 +110,7 @@ var errStaleMap = errors.New("authority: map too stale to serve")
 // Every mapping answer is read from the installed map at the moment of the
 // query (System.MapAt: block → partition → rank row). Within one TTL a
 // repeated query still gets the same servers, because the local load
-// balancer hashes the domain onto the picked deployment's ring.
+// balancer ranks the picked deployment's servers by a hash of the domain.
 type Authority struct {
 	zone   dnsmsg.Name
 	whoami dnsmsg.Name // the canonical WhoamiName
@@ -235,7 +235,9 @@ func (a *Authority) ServeDNS(remote netip.AddrPort, query *dnsmsg.Message) *dnsm
 		return resp
 	}
 	q := query.Questions[0]
-	name := q.Name.Canonical()
+	// One fold serves the zone match and the domain the servers are picked
+	// by; the reply echoes q.Name as sent.
+	name := query.Canonical(q.Name)
 	if q.Class != dnsmsg.ClassINET {
 		resp.RCode = dnsmsg.RCodeRefused
 		return resp
@@ -253,7 +255,7 @@ func (a *Authority) ServeDNS(remote netip.AddrPort, query *dnsmsg.Message) *dnsm
 
 	switch q.Type {
 	case dnsmsg.TypeA, dnsmsg.TypeANY:
-		return a.serveMapping(remote, query, q, resp)
+		return a.serveMapping(remote, query, q, name, resp)
 	case dnsmsg.TypeAAAA, dnsmsg.TypeTXT, dnsmsg.TypeNS, dnsmsg.TypeCNAME:
 		// Name exists (any content domain under the zone does), but we
 		// have no records of this type: NOERROR/NODATA with an SOA.
@@ -285,10 +287,11 @@ func (a *Authority) serveWhoami(remote netip.AddrPort, q dnsmsg.Question, resp *
 	return resp
 }
 
-// serveMapping asks the mapping system for servers and builds the answer.
-func (a *Authority) serveMapping(remote netip.AddrPort, query *dnsmsg.Message, q dnsmsg.Question, resp *dnsmsg.Message) *dnsmsg.Message {
+// serveMapping asks the mapping system for servers for name, q's name
+// folded, and builds the answer.
+func (a *Authority) serveMapping(remote netip.AddrPort, query *dnsmsg.Message, q dnsmsg.Question, name dnsmsg.Name, resp *dnsmsg.Message) *dnsmsg.Message {
 	req := mapping.Request{
-		Domain: string(q.Name.Canonical()),
+		Domain: string(name),
 		LDNS:   remote.Addr().Unmap(),
 		Demand: a.answerDemand,
 	}

@@ -14,7 +14,7 @@ import (
 // goroutines with a mix of ECS and non-ECS queries and checks that every
 // response is well-formed and the metrics add up exactly. Run with -race
 // this doubles as the data-race check for the whole serving stack
-// (authority counters, mapping system, load balancer rings, server load
+// (authority counters, mapping system, load balancer, server load
 // atomics).
 func TestAuthorityConcurrentQueries(t *testing.T) {
 	a := newAuthority(t, mapping.EndUser)

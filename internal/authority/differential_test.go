@@ -296,9 +296,10 @@ func TestSameUnitSameAnswer(t *testing.T) {
 		t.Errorf("two hosts of one /24: %+v vs %+v, want equal with scope 24", first, second)
 	}
 
-	// The domain picks the servers inside the deployment (the ring hash),
-	// the unit picks the deployment: each equals MapAt for its own key, so
-	// it is enough here that they are decided independently.
+	// The domain picks the servers inside the deployment (by their
+	// rendezvous weights), the unit picks the deployment: each equals MapAt
+	// for its own key, so it is enough here that they are decided
+	// independently.
 	snap := a.system.Current()
 	for _, k := range []struct {
 		domain string

@@ -218,9 +218,10 @@ func (d *Deployment) ScaleLoad(f float64) {
 	}
 }
 
-// MaxServers is the most servers one deployment may hold: the mapping
-// system's consistent-hash rings name a point by a 16-bit ordinal, server
-// index × 32 + virtual node.
+// MaxServers is the most servers one deployment may hold. The mapping
+// system weighs every server of the picked deployment on every answer, so
+// this bounds the work one answer costs on a roster that arrives from
+// outside (a decoded map image) as well as on a generated one.
 const MaxServers = 2048
 
 // Platform is a set of deployments with their servers.

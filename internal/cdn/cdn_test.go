@@ -38,8 +38,9 @@ func TestGenerateUniverseRejectsBadConfig(t *testing.T) {
 	if _, err := GenerateUniverse(testW, Config{Seed: 1, NumDeployments: 0}); err == nil {
 		t.Error("zero deployments accepted")
 	}
-	// A mean past MaxServers/2 could draw a deployment the rings cannot
-	// address; the largest mean allowed draws at most MaxServers.
+	// A mean past MaxServers/2 could draw a deployment larger than an
+	// answer's scan is bounded by; the largest mean allowed draws at most
+	// MaxServers.
 	if _, err := GenerateUniverse(testW, Config{Seed: 1, NumDeployments: 1, ServersPerDeployment: MaxServers/2 + 1}); err == nil ||
 		!strings.Contains(err.Error(), "ServersPerDeployment") {
 		t.Errorf("a mean of %d servers: %v", MaxServers/2+1, err)

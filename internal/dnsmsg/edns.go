@@ -41,7 +41,7 @@ type OPT struct {
 // Type implements RData.
 func (*OPT) Type() Type { return TypeOPT }
 
-func (o *OPT) packData(buf []byte, _ compressor) ([]byte, error) {
+func (o *OPT) packData(buf []byte, _ *compressor) ([]byte, error) {
 	return packOptions(buf, o.Options)
 }
 

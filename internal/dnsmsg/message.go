@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // Header is the fixed 12-octet DNS message header (RFC 1035 §4.1.1),
@@ -92,6 +93,22 @@ func (m *Message) Reply() *Message {
 	return r
 }
 
+// Canonical returns n.Canonical() without allocating once m's storage is
+// warm: a name already canonical is returned as it is, and any other is
+// lower-cased into m's name arena, so, like the names decoded into m, it
+// holds until the next UnpackInto of m writes over it. A server that
+// receives names of randomised case (DNS 0x20) folds each question once
+// this way.
+func (m *Message) Canonical(n Name) Name {
+	s := strings.TrimSuffix(string(n), ".")
+	if !hasUpper(s) {
+		return Name(s)
+	}
+	start := len(m.names)
+	m.names = appendLower(m.names, s)
+	return Name(unsafe.String(&m.names[start], len(s)))
+}
+
 // AnswerA appends an A record for name to the answer section. Its RDATA
 // lives in storage m keeps across Reset, so a reused reply appends
 // records without allocating.
@@ -151,10 +168,10 @@ func (m *Message) setClientSubnet(c ClientSubnet) {
 	m.Options = append(out, &m.ecs)
 }
 
-// compressorPool recycles compression maps across Pack calls, so the
-// serving hot path does not allocate a fresh map per response.
+// compressorPool recycles compressors across Pack calls, so the serving
+// hot path does not allocate one per response.
 var compressorPool = sync.Pool{
-	New: func() any { return make(compressor, 8) },
+	New: func() any { return new(compressor) },
 }
 
 // Pack encodes the message to wire format with name compression.
@@ -206,9 +223,9 @@ func (m *Message) AppendPack(buf []byte) ([]byte, error) {
 	buf = appendUint16(buf, uint16(len(m.Authorities)))
 	buf = appendUint16(buf, uint16(additionals))
 
-	cmp := compressorPool.Get().(compressor)
+	cmp := compressorPool.Get().(*compressor)
 	defer func() {
-		clear(cmp)
+		cmp.reset()
 		compressorPool.Put(cmp)
 	}()
 	var err error

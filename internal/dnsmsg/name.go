@@ -12,10 +12,41 @@ import (
 type Name string
 
 // Canonical returns the name lower-cased with any trailing dot removed,
-// the form used as map keys throughout the mapping system.
+// the form used as map keys throughout the mapping system. Only ASCII
+// letters fold (RFC 4343); a name already in that form is returned without
+// allocating.
 func (n Name) Canonical() Name {
 	s := strings.TrimSuffix(string(n), ".")
-	return Name(strings.ToLower(s))
+	if !hasUpper(s) {
+		return Name(s)
+	}
+	return Name(appendLower(nil, s))
+}
+
+// lower returns c lower-cased if it is an ASCII letter.
+func lower(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+// hasUpper reports whether s holds an ASCII upper-case letter.
+func hasUpper(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if lower(s[i]) != s[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// appendLower appends s to dst with its ASCII letters lower-cased.
+func appendLower(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		dst = append(dst, lower(s[i]))
+	}
+	return dst
 }
 
 // Labels splits the name into its labels; the root name has no labels.
@@ -37,11 +68,11 @@ func (n Name) IsSubdomainOf(parent Name) bool {
 }
 
 // validate checks RFC 1035 length limits: each label <= 63 octets and the
-// whole encoded name <= 255 octets. It scans the canonical string directly
-// rather than splitting it, so validation performs no allocation on the
-// packing hot path.
+// whole encoded name <= 255 octets. It scans the string directly rather
+// than splitting it, so validation performs no allocation on the packing
+// hot path.
 func (n Name) validate() error {
-	s := string(n.Canonical())
+	s := strings.TrimSuffix(string(n), ".")
 	if s == "" {
 		return nil
 	}
@@ -69,25 +100,75 @@ func (n Name) validate() error {
 
 // compressor tracks names already emitted during packing so later
 // occurrences can be replaced by 2-byte compression pointers (RFC 1035
-// §4.1.4). Pointers may only target offsets < 0x4000.
-type compressor map[string]int
+// §4.1.4). Pointers may only target offsets < 0x4000. Names match
+// case-insensitively (RFC 1035 §2.3.3), so each suffix is kept as written
+// and compared folded. It holds a fixed number of suffixes, which a reply
+// of a few records never fills; past them, later names are written out in
+// full. Its storage is one array, so a compressor is one allocation.
+type compressor struct {
+	n      int
+	suffix [maxCompressed]string
+	off    [maxCompressed]uint16
+}
+
+// maxCompressed is how many suffixes a compressor remembers.
+const maxCompressed = 64
+
+// find returns the offset an earlier suffix equal to s but for case was
+// written at.
+func (c *compressor) find(s string) (int, bool) {
+	for i, prev := range c.suffix[:c.n] {
+		if len(prev) == len(s) && equalFold(prev, s) {
+			return int(c.off[i]), true
+		}
+	}
+	return 0, false
+}
+
+// add records that suffix s is written at off, while there is room and
+// off can be pointed at.
+func (c *compressor) add(s string, off int) {
+	if c.n < maxCompressed && off < 0x4000 {
+		c.suffix[c.n], c.off[c.n] = s, uint16(off)
+		c.n++
+	}
+}
+
+// reset forgets every suffix.
+func (c *compressor) reset() {
+	clear(c.suffix[:c.n])
+	c.n = 0
+}
+
+// equalFold reports whether a and b, of equal length, are the same but
+// for the case of ASCII letters.
+func equalFold(a, b string) bool {
+	for i := 0; i < len(a); i++ {
+		if lower(a[i]) != lower(b[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // packName appends the wire encoding of n to buf, compressing against
-// previously packed names, and returns the extended buffer. Suffix keys
-// are substrings of the canonical name, so packing an already-canonical
-// name allocates nothing beyond buffer growth.
-func packName(buf []byte, n Name, cmp compressor) ([]byte, error) {
+// previously packed names (none when cmp is nil), and returns the extended
+// buffer. A name keeps the case it is given, so a reply echoes its
+// question byte for byte, as resolvers that randomise case (DNS 0x20)
+// check; a later name that differs only in case points at the earlier
+// one. Packing allocates nothing beyond buffer growth.
+func packName(buf []byte, n Name, cmp *compressor) ([]byte, error) {
 	if err := n.validate(); err != nil {
 		return nil, err
 	}
-	s := string(n.Canonical())
+	s := strings.TrimSuffix(string(n), ".")
 	for start := 0; start < len(s); {
 		suffix := s[start:]
-		if off, ok := cmp[suffix]; ok {
-			return append(buf, 0xC0|byte(off>>8), byte(off)), nil
-		}
-		if off := len(buf); off < 0x4000 && cmp != nil {
-			cmp[suffix] = off
+		if cmp != nil {
+			if off, ok := cmp.find(suffix); ok {
+				return append(buf, 0xC0|byte(off>>8), byte(off)), nil
+			}
+			cmp.add(suffix, len(buf))
 		}
 		end := strings.IndexByte(suffix, '.')
 		if end < 0 {

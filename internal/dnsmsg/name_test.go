@@ -59,7 +59,7 @@ func TestIsSubdomainOf(t *testing.T) {
 func TestPackNameRoundTrip(t *testing.T) {
 	names := []Name{"", "com", "example.com", "a.very.deep.sub.domain.example.org"}
 	for _, n := range names {
-		buf, err := packName(nil, n, make(compressor))
+		buf, err := packName(nil, n, new(compressor))
 		if err != nil {
 			t.Fatalf("packName(%q): %v", n, err)
 		}
@@ -77,7 +77,7 @@ func TestPackNameRoundTrip(t *testing.T) {
 }
 
 func TestPackNameCompression(t *testing.T) {
-	cmp := make(compressor)
+	cmp := new(compressor)
 	buf, err := packName(nil, "www.example.com", cmp)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestPackNameCompression(t *testing.T) {
 }
 
 func TestPackNameFullPointer(t *testing.T) {
-	cmp := make(compressor)
+	cmp := new(compressor)
 	buf, _ := packName(nil, "example.com", cmp)
 	first := len(buf)
 	buf, _ = packName(buf, "example.com", cmp)
@@ -174,7 +174,7 @@ func TestUnpackNameReservedLabelType(t *testing.T) {
 func TestUnpackNameCaseInsensitiveCompression(t *testing.T) {
 	// Pack "WWW.Example.COM" then "www.example.com": compressor must
 	// treat them as the same name.
-	cmp := make(compressor)
+	cmp := new(compressor)
 	buf, _ := packName(nil, "WWW.Example.COM", cmp)
 	l1 := len(buf)
 	buf, _ = packName(buf, "www.example.com", cmp)

@@ -18,7 +18,7 @@ func (q Question) String() string {
 	return fmt.Sprintf("%s %s %s", q.Name.Canonical(), q.Class, q.Type)
 }
 
-func (q Question) pack(buf []byte, cmp compressor) ([]byte, error) {
+func (q Question) pack(buf []byte, cmp *compressor) ([]byte, error) {
 	buf, err := packName(buf, q.Name, cmp)
 	if err != nil {
 		return nil, err
@@ -49,7 +49,7 @@ type RData interface {
 	// packData appends the wire form of the RDATA (without the length
 	// prefix). Compression is only legal inside RDATA for the name types
 	// grandfathered by RFC 3597 (NS, CNAME, SOA, PTR).
-	packData(buf []byte, cmp compressor) ([]byte, error)
+	packData(buf []byte, cmp *compressor) ([]byte, error)
 }
 
 // RR is a resource record.
@@ -65,7 +65,7 @@ func (rr RR) String() string {
 	return fmt.Sprintf("%s %d %s %s %v", rr.Name.Canonical(), rr.TTL, rr.Class, rr.Data.Type(), rr.Data)
 }
 
-func (rr RR) pack(buf []byte, cmp compressor) ([]byte, error) {
+func (rr RR) pack(buf []byte, cmp *compressor) ([]byte, error) {
 	if rr.Data == nil {
 		return nil, fmt.Errorf("%w: RR %q has nil Data", ErrPack, string(rr.Name))
 	}
@@ -82,7 +82,7 @@ func (rr RR) pack(buf []byte, cmp compressor) ([]byte, error) {
 
 // packHeader appends a record's owner name, type, class, TTL and a
 // placeholder RDLENGTH, which setRDLength fills once the RDATA follows.
-func packHeader(buf []byte, name Name, typ Type, class Class, ttl uint32, cmp compressor) ([]byte, error) {
+func packHeader(buf []byte, name Name, typ Type, class Class, ttl uint32, cmp *compressor) ([]byte, error) {
 	buf, err := packName(buf, name, cmp)
 	if err != nil {
 		return nil, err
@@ -185,7 +185,7 @@ type A struct {
 // Type implements RData.
 func (*A) Type() Type { return TypeA }
 
-func (a *A) packData(buf []byte, _ compressor) ([]byte, error) {
+func (a *A) packData(buf []byte, _ *compressor) ([]byte, error) {
 	if !a.Addr.Is4() {
 		return nil, fmt.Errorf("%w: A record address %v is not IPv4", ErrPack, a.Addr)
 	}
@@ -204,7 +204,7 @@ type AAAA struct {
 // Type implements RData.
 func (*AAAA) Type() Type { return TypeAAAA }
 
-func (a *AAAA) packData(buf []byte, _ compressor) ([]byte, error) {
+func (a *AAAA) packData(buf []byte, _ *compressor) ([]byte, error) {
 	if !a.Addr.Is6() || a.Addr.Is4In6() {
 		return nil, fmt.Errorf("%w: AAAA record address %v is not IPv6", ErrPack, a.Addr)
 	}
@@ -225,7 +225,7 @@ type CNAME struct {
 // Type implements RData.
 func (*CNAME) Type() Type { return TypeCNAME }
 
-func (c *CNAME) packData(buf []byte, cmp compressor) ([]byte, error) {
+func (c *CNAME) packData(buf []byte, cmp *compressor) ([]byte, error) {
 	return packName(buf, c.Target, cmp)
 }
 
@@ -241,7 +241,7 @@ type NS struct {
 // Type implements RData.
 func (*NS) Type() Type { return TypeNS }
 
-func (n *NS) packData(buf []byte, cmp compressor) ([]byte, error) {
+func (n *NS) packData(buf []byte, cmp *compressor) ([]byte, error) {
 	return packName(buf, n.Host, cmp)
 }
 
@@ -256,7 +256,7 @@ type PTR struct {
 // Type implements RData.
 func (*PTR) Type() Type { return TypePTR }
 
-func (p *PTR) packData(buf []byte, cmp compressor) ([]byte, error) {
+func (p *PTR) packData(buf []byte, cmp *compressor) ([]byte, error) {
 	return packName(buf, p.Target, cmp)
 }
 
@@ -277,7 +277,7 @@ type SOA struct {
 // Type implements RData.
 func (*SOA) Type() Type { return TypeSOA }
 
-func (s *SOA) packData(buf []byte, cmp compressor) ([]byte, error) {
+func (s *SOA) packData(buf []byte, cmp *compressor) ([]byte, error) {
 	buf, err := packName(buf, s.MName, cmp)
 	if err != nil {
 		return nil, err
@@ -332,7 +332,7 @@ type TXT struct {
 // Type implements RData.
 func (*TXT) Type() Type { return TypeTXT }
 
-func (t *TXT) packData(buf []byte, _ compressor) ([]byte, error) {
+func (t *TXT) packData(buf []byte, _ *compressor) ([]byte, error) {
 	if len(t.Strings) == 0 {
 		return nil, fmt.Errorf("%w: TXT record needs at least one string", ErrPack)
 	}
@@ -384,7 +384,7 @@ type Unknown struct {
 // Type implements RData.
 func (u *Unknown) Type() Type { return u.Typ }
 
-func (u *Unknown) packData(buf []byte, _ compressor) ([]byte, error) {
+func (u *Unknown) packData(buf []byte, _ *compressor) ([]byte, error) {
 	return append(buf, u.Raw...), nil
 }
 

@@ -16,7 +16,7 @@ import (
 // 600 deployments, 5 000 ping targets, 50-mile partitions): the rows of
 // DESIGN.md's set-up budget. A publisher runs world to rows; a replica
 // runs one stage, replica: it decodes the publisher's full image — roster,
-// index, layout and rows — into a serving system with its rings.
+// index, layout and rows — into a serving system.
 //
 //	go test -run '^$' -bench SetupBudget -benchtime 5x -cpu 1 ./internal/mapping
 func BenchmarkSetupBudget(b *testing.B) {
@@ -50,11 +50,6 @@ func BenchmarkSetupBudget(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			mapping.BuildIndex(w, assign)
-		}
-	})
-	b.Run("rings", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mapping.NewLoadBalancer().Prepare(p)
 		}
 	})
 	b.Run("layout", func(b *testing.B) {

@@ -82,8 +82,8 @@ type Config struct {
 //
 //   - The data plane — Map / MapAt — is a pure reader of the currently
 //     published Snapshot: one atomic pointer load per query, then lock-free
-//     table lookups and the load balancer's prepared rings. It never scores,
-//     never takes a lock, never invalidates.
+//     table lookups and a rendezvous-hash pick among the chosen deployment's
+//     servers. It never scores, never takes a lock, never invalidates.
 //   - The control plane — Rebuild / Install, normally driven by a
 //     mapmaker.MapMaker — consumes health and measurement signals and
 //     publishes fresh epoch-numbered snapshots in the background.
@@ -126,9 +126,9 @@ func NewSystem(w *world.World, p *cdn.Platform, net Prober, cfg Config) *System 
 // NewReplica builds a mapping system that installs maps instead of
 // building them, serving sn — a snapshot decoded from a full image — on p,
 // the platform decoded from the same image's roster (see
-// mapwire.DecodeBoot). It holds the map, its index and the load balancer's
-// rings, and no world, scorer or builder: Rebuild, SetPolicy and
-// BootstrapReplica are for systems NewSystem made.
+// mapwire.DecodeBoot). It holds the map, its index and the roster, and no
+// world, scorer or builder: Rebuild, SetPolicy and BootstrapReplica are for
+// systems NewSystem made.
 func NewReplica(p *cdn.Platform, sn *Snapshot, cfg Config) *System {
 	s := bareSystem(p, withDefaults(cfg))
 	s.desiredPolicy.Store(int32(sn.Policy()))
@@ -152,7 +152,6 @@ func bareSystem(p *cdn.Platform, cfg Config) *System {
 	s := &System{cfg: cfg, platform: p, lb: NewLoadBalancer()}
 	s.desiredPolicy.Store(int32(cfg.Policy))
 	s.lb.BalanceFactor = cfg.BalanceFactor
-	s.lb.Prepare(p)
 	return s
 }
 

@@ -461,7 +461,7 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"a server ID used twice", sealed(func(ds []*cdn.Deployment) {
 			ds[1].Servers[0].ID = ds[0].Servers[0].ID
 		}), nil, ErrFormat},
-		{"a deployment of more servers than the rings address", sealed(func(ds []*cdn.Deployment) {
+		{"a deployment of more servers than an answer scans", sealed(func(ds []*cdn.Deployment) {
 			for len(ds[0].Servers) <= cdn.MaxServers {
 				ds[0].AddServer(1<<50+uint64(len(ds[0].Servers)), netip.AddrFrom4([4]byte{10, 0, 0, 1}), 1)
 			}
