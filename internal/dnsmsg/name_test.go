@@ -3,6 +3,7 @@ package dnsmsg
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -99,6 +100,38 @@ func TestPackNameCompression(t *testing.T) {
 	n2, _, err := unpackName(buf, off)
 	if err != nil || n2 != "ftp.example.com" {
 		t.Fatalf("second name: %q, %v", n2, err)
+	}
+}
+
+// TestPackNamePastCompressorLimit packs more distinct names than a
+// compressor remembers suffixes. Every name still round-trips; a name past
+// the limit is written in full up to a suffix remembered before it.
+func TestPackNamePastCompressorLimit(t *testing.T) {
+	cmp := new(compressor)
+	var buf []byte
+	var offs []int
+	for i := range 2 * maxCompressed {
+		offs = append(offs, len(buf))
+		var err error
+		if buf, err = packName(buf, Name(fmt.Sprintf("h%d.example.com", i)), cmp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, off := range offs {
+		n, _, err := unpackName(buf, off)
+		if want := fmt.Sprintf("h%d.example.com", i); err != nil || string(n) != want {
+			t.Fatalf("name %d: %q, %v; want %q", i, n, err, want)
+		}
+	}
+	label := fmt.Sprintf("h%d", 2*maxCompressed-1)
+	last := Name(label + ".example.com")
+	before := len(buf)
+	buf, err := packName(buf, last, cmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(buf)-before, 1+len(label)+2; got != want {
+		t.Errorf("%s again, past the limit, packed to %d bytes, want %d (its first label and a pointer)", last, got, want)
 	}
 }
 

@@ -152,7 +152,7 @@ func pickServers(out, servers []*cdn.Server, key uint64) []*cdn.Server {
 	for _, s := range servers {
 		w := weight(key, s.ID)
 		j := n
-		for j > 0 && (w > heavy[j-1] || w == heavy[j-1] && s.ID < top[j-1].ID) {
+		for j > 0 && w > heavy[j-1] {
 			j--
 		}
 		if j == ServersPerAnswer || !s.Alive() {

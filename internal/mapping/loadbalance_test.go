@@ -283,9 +283,10 @@ func TestRendezvousPickOracle(t *testing.T) {
 
 // TestConsistentHashingBalance is the third property of the rendezvous
 // oracle: over 10 000 domains, on the deployments of a cold_wide-sized
-// roster with at least eight servers, the busiest primary carries at most
-// 1.3 times the mean share on average and 1.5 times at worst. A 32-point
-// ring per server gave 2.86 and 5.07.
+// roster with at least eight servers, every server is the primary of at
+// least a quarter of the mean share, and the busiest primary carries at
+// most 1.3 times the mean share on average and 1.5 times at worst. A
+// 32-point ring per server gave 2.86 and 5.07.
 func TestConsistentHashingBalance(t *testing.T) {
 	lb := NewLoadBalancer()
 	domains := make([]string, 10000)
@@ -305,6 +306,15 @@ func TestConsistentHashingBalance(t *testing.T) {
 			}
 			counts[s[0]]++
 			busiest = max(busiest, counts[s[0]])
+		}
+		if len(counts) != len(d.Servers) {
+			t.Fatalf("%s: only %d of its %d servers are ever a primary", d.Name, len(counts), len(d.Servers))
+		}
+		fair := float64(len(domains)) / float64(len(d.Servers))
+		for s, c := range counts {
+			if float64(c) < fair/4 {
+				t.Errorf("%s: server %d is the primary of %d domains, under a quarter of the mean %.0f", d.Name, s.ID, c, fair)
+			}
 		}
 		r := float64(busiest) * float64(len(d.Servers)) / float64(len(domains))
 		sum += r
