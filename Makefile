@@ -80,9 +80,10 @@ dist-chaos:
 # Observability smoke test: boots the full stack (world, platform, map
 # maker, authority, live UDP server) in-process, serves a real query, and
 # scrapes /metrics, /healthz and /mapz (see DESIGN.md "Observability
-# plane").
+# plane"); then a publisher and a replica serving the top level, whose
+# referrals must equal a standalone's.
 obs:
-	$(GO) test -race -v -run 'TestObsSmoke|TestHealthzDegraded|TestAdminDistRoles' ./cmd/eumdns/
+	$(GO) test -race -v -run 'TestObsSmoke|TestHealthzDegraded|TestAdminDistRoles|TestReplicaTopLevel' ./cmd/eumdns/
 
 # Small-N smoke of the million-block (Huge) codepath: partitioned layout,
 # interned arena, incremental republish and the resident bytes/block

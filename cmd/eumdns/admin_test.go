@@ -3,9 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -265,6 +267,98 @@ func TestAdminDistRoles(t *testing.T) {
 
 	// A replica's mux must not serve snapshots (no publisher mounted).
 	get(t, repAdmin.URL+mapdist.SnapshotPath, http.StatusNotFound)
+}
+
+// TestReplicaTopLevel: a replica serves the top level from the map it
+// fetched. Booted from a publisher in-process, with sites in its config, it
+// refers every world LDNS to the site a standalone top level over the
+// publisher's map picks — over a live socket too — and refuses, by name, a
+// site whose deployment_index is past the roster it fetched.
+func TestReplicaTopLevel(t *testing.T) {
+	w := world.MustGenerate(world.Config{Seed: 13, NumBlocks: 400})
+	platform := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 13, NumDeployments: 40})
+	mapCfg := mapping.Config{Policy: mapping.EndUser, PingTargets: 40}
+	pubSys := mapping.NewSystem(w, platform, netmodel.NewDefault(), mapCfg)
+	pubAdmin := httptest.NewServer(newAdminMux(adminState{
+		reg: telemetry.NewRegistry(), system: pubSys,
+		pub:  mapdist.NewPublisher(pubSys, platform, mapdist.PublisherConfig{}),
+		mode: config.ModePublisher, blocks: 400,
+	}))
+	defer pubAdmin.Close()
+	fetcher, err := mapdist.Boot(context.Background(), mapdist.FetcherConfig{
+		Source: strings.TrimPrefix(pubAdmin.URL, "http://"),
+	}, mapCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := config.Default()
+	for i, d := range []int{0, 9, 17, 26, 39} {
+		cfg.Sites = append(cfg.Sites, config.SiteConfig{
+			Host: fmt.Sprintf("n%d.ns.cdn.example.net", i), Addr: fmt.Sprintf("10.0.0.%d", i+1), DeploymentIndex: d,
+		})
+	}
+	standalone, _, _, err := buildHandler(cfg, pubSys, platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Mode, cfg.MapMakerAddr = config.ModeReplica, strings.TrimPrefix(pubAdmin.URL, "http://")
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	replica, _, described, err := buildHandler(cfg, fetcher.System(), fetcher.Platform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(described, "top-level authority") {
+		t.Fatalf("a replica with sites serves %q", described)
+	}
+
+	glue := func(h dnsserver.Handler, from netip.Addr) netip.Addr {
+		t.Helper()
+		resp := h.ServeDNS(netip.AddrPortFrom(from, 53), dnsmsg.NewQuery(7, "x.b.cdn.example.net", dnsmsg.TypeA))
+		if len(resp.Additionals) != 1 {
+			t.Fatalf("no referral for %v: rcode %v", from, resp.RCode)
+		}
+		return resp.Additionals[0].Data.(*dnsmsg.A).Addr
+	}
+	spread := map[netip.Addr]bool{}
+	for _, l := range w.LDNSes {
+		want := glue(standalone, l.Addr)
+		if got := glue(replica, l.Addr); got != want {
+			t.Errorf("LDNS %v: the replica refers to %v, the standalone to %v", l.Addr, got, want)
+		}
+		spread[want] = true
+	}
+	if len(spread) < 2 {
+		t.Errorf("every LDNS referred to one of %d sites", len(cfg.Sites))
+	}
+
+	srv, err := dnsserver.Listen("127.0.0.1:0", replica)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go func() { _ = srv.Serve() }()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	resp, err := (&dnsclient.Client{}).Exchange(ctx, srv.Addr().String(), dnsmsg.NewQuery(8, "x.b.cdn.example.net", dnsmsg.TypeA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := glue(standalone, netip.MustParseAddr("127.0.0.1")); len(resp.Additionals) != 1 || resp.Additionals[0].Data.(*dnsmsg.A).Addr != want {
+		t.Errorf("referral over UDP = %v, the standalone refers 127.0.0.1 to %v", resp, want)
+	}
+
+	// Validate cannot bound a replica's sites; buildHandler checks them
+	// against the roster the replica fetched.
+	cfg.Sites = append(cfg.Sites, config.SiteConfig{Host: "far.ns.cdn.example.net", Addr: "10.0.1.1", DeploymentIndex: len(platform.Deployments)})
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := buildHandler(cfg, fetcher.System(), fetcher.Platform()); err == nil || !strings.Contains(err.Error(), "far.ns.cdn.example.net") {
+		t.Errorf("a site past the fetched roster: err = %v, want one naming the site", err)
+	}
 }
 
 // TestHealthzDegraded checks the load-balancer contract: once the

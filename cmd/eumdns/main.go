@@ -230,6 +230,11 @@ func buildHandler(cfg config.Config, system *mapping.System, platform *cdn.Platf
 		if err != nil {
 			return nil, nil, "", err
 		}
+		// config.Validate bounds the index by platform.deployments, which
+		// a replica ignores: check it against the roster this node serves.
+		if s.DeploymentIndex < 0 || s.DeploymentIndex >= len(platform.Deployments) {
+			return nil, nil, "", fmt.Errorf("site %s: deployment_index %d is outside the %d deployments this node serves", s.Host, s.DeploymentIndex, len(platform.Deployments))
+		}
 		if err := tl.AddSite(authority.NSSite{
 			Host:       dnsmsg.Name(s.Host),
 			Addr:       addr,

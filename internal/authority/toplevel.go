@@ -3,7 +3,7 @@ package authority
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 
 	"eum/internal/cdn"
@@ -20,7 +20,8 @@ type NSSite struct {
 	Host dnsmsg.Name
 	// Addr is the glue address of the low-level server.
 	Addr netip.Addr
-	// Deployment locates the site for scoring.
+	// Deployment is the platform deployment the site sits in: the one the
+	// map's rank rows name.
 	Deployment *cdn.Deployment
 }
 
@@ -29,31 +30,36 @@ type NSSite struct {
 // queries for the delegated content subzone with an NS referral to the
 // low-level name-server site nearest the querying LDNS. Different LDNSes
 // receive different delegations — that is the global load balancer acting
-// at the DNS layer.
+// at the DNS layer. Nearest is read off the installed map: the first live
+// site in the resolver's rank row, so a replica serves the top level as a
+// standalone does.
 type TopLevel struct {
 	zone     dnsmsg.Name // e.g. "cdn.example.net"
 	subzone  dnsmsg.Name // delegated content zone, e.g. "b.cdn.example.net"
 	system   *mapping.System
 	delegTTL uint32
 
-	mu        sync.RWMutex
-	sites     []NSSite
+	mu sync.RWMutex
+	// byDep is the site hosted in each deployment of the map's roster,
+	// indexed like a row; nil where there is none.
+	byDep     []*site
 	customers map[dnsmsg.Name]dnsmsg.Name // alias -> CDN domain
 }
 
+// site is a registered NSSite with its referral records, built once.
+type site struct {
+	deployment *cdn.Deployment
+	ns, glue   dnsmsg.RR
+}
+
 // NewTopLevel creates a top-level authority for zone, delegating
-// "b.<zone>" to registered low-level sites. It ranks sites with the
-// system's scorer, so it refuses a replica (mapping.NewReplica), which has
-// none.
+// "b.<zone>" to registered low-level sites.
 func NewTopLevel(zone dnsmsg.Name, system *mapping.System) (*TopLevel, error) {
 	if zone.Canonical() == "" {
 		return nil, fmt.Errorf("authority: empty zone")
 	}
 	if system == nil {
 		return nil, fmt.Errorf("authority: nil mapping system")
-	}
-	if system.Scorer() == nil {
-		return nil, fmt.Errorf("authority: the top level ranks sites with a scorer, and a replica's mapping system has none")
 	}
 	z := zone.Canonical()
 	return &TopLevel{
@@ -68,10 +74,8 @@ func NewTopLevel(zone dnsmsg.Name, system *mapping.System) (*TopLevel, error) {
 // Zone returns the top-level zone.
 func (t *TopLevel) Zone() dnsmsg.Name { return t.zone }
 
-// Subzone returns the delegated content zone.
-func (t *TopLevel) Subzone() dnsmsg.Name { return t.subzone }
-
-// AddSite registers a low-level name-server site.
+// AddSite registers a low-level name-server site. Its deployment must be
+// one of the mapping system's, and host no other site.
 func (t *TopLevel) AddSite(s NSSite) error {
 	if !s.Host.IsSubdomainOf(t.zone) {
 		return fmt.Errorf("authority: NS host %q outside zone %q", s.Host, t.zone)
@@ -79,9 +83,26 @@ func (t *TopLevel) AddSite(s NSSite) error {
 	if s.Deployment == nil {
 		return fmt.Errorf("authority: NS site %q has no deployment", s.Host)
 	}
+	roster := t.system.Current().Deployments()
+	i := slices.Index(roster, s.Deployment)
+	if i < 0 {
+		return fmt.Errorf("authority: NS site %q is in deployment %q, which the mapping system does not map to", s.Host, s.Deployment.Name)
+	}
 	t.mu.Lock()
-	t.sites = append(t.sites, s)
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	if t.byDep == nil {
+		t.byDep = make([]*site, len(roster))
+	}
+	if prev := t.byDep[i]; prev != nil {
+		return fmt.Errorf("authority: NS site %q is in deployment %q, which already hosts %q", s.Host, s.Deployment.Name, prev.glue.Name)
+	}
+	t.byDep[i] = &site{
+		deployment: s.Deployment,
+		ns: dnsmsg.RR{Name: t.subzone, Class: dnsmsg.ClassINET, TTL: t.delegTTL,
+			Data: &dnsmsg.NS{Host: s.Host}},
+		glue: dnsmsg.RR{Name: s.Host, Class: dnsmsg.ClassINET, TTL: t.delegTTL,
+			Data: &dnsmsg.A{Addr: s.Addr}},
+	}
 	return nil
 }
 
@@ -106,7 +127,7 @@ func (t *TopLevel) ServeDNS(remote netip.AddrPort, query *dnsmsg.Message) *dnsms
 		return resp
 	}
 	q := query.Questions[0]
-	name := q.Name.Canonical()
+	name := query.Canonical(q.Name)
 
 	// Customer CNAME hosting.
 	t.mu.RLock()
@@ -129,22 +150,16 @@ func (t *TopLevel) ServeDNS(remote netip.AddrPort, query *dnsmsg.Message) *dnsms
 	// Names under the content subzone: refer to the low-level site the
 	// global load balancer picks for this LDNS.
 	if name.IsSubdomainOf(t.subzone) {
-		site, ok := t.pickSite(remote.Addr().Unmap())
-		if !ok {
+		s := t.pickSite(remote.Addr().Unmap())
+		if s == nil {
 			resp.RCode = dnsmsg.RCodeServerFailure
 			return resp
 		}
 		// A referral: not authoritative, NS in the authority section,
 		// glue A in the additional section.
 		resp.Authoritative = false
-		resp.Authorities = append(resp.Authorities, dnsmsg.RR{
-			Name: t.subzone, Class: dnsmsg.ClassINET, TTL: t.delegTTL,
-			Data: &dnsmsg.NS{Host: site.Host},
-		})
-		resp.Additionals = append(resp.Additionals, dnsmsg.RR{
-			Name: site.Host, Class: dnsmsg.ClassINET, TTL: t.delegTTL,
-			Data: &dnsmsg.A{Addr: site.Addr},
-		})
+		resp.Authorities = append(resp.Authorities, s.ns)
+		resp.Additionals = append(resp.Additionals, s.glue)
 		return resp
 	}
 
@@ -160,24 +175,22 @@ func (t *TopLevel) ServeDNS(remote netip.AddrPort, query *dnsmsg.Message) *dnsms
 	return resp
 }
 
-// pickSite chooses the registered low-level site whose deployment scores
-// best for the querying LDNS.
-func (t *TopLevel) pickSite(ldns netip.Addr) (NSSite, bool) {
+// pickSite returns the site the installed map ranks first for the
+// querying LDNS: walking the resolver's row, head then tail, the first
+// live deployment that hosts a registered site.
+func (t *TopLevel) pickSite(ldns netip.Addr) *site {
 	t.mu.RLock()
-	sites := append([]NSSite{}, t.sites...)
-	t.mu.RUnlock()
-	if len(sites) == 0 {
-		return NSSite{}, false
+	defer t.mu.RUnlock()
+	if t.byDep == nil {
+		return nil
 	}
-	ep := t.system.LDNSEndpoint(ldns)
-	scorer := t.system.Scorer()
-	sort.Slice(sites, func(i, j int) bool {
-		return scorer.Score(sites[i].Deployment, ep) < scorer.Score(sites[j].Deployment, ep)
-	})
-	for _, s := range sites {
-		if s.Deployment.Alive() {
-			return s, true
+	row, _ := t.system.Current().ResolverRow(ldns)
+	for _, list := range [2][]uint16{row.Head, row.Tail} {
+		for _, d := range list {
+			if s := t.byDep[d]; s != nil && s.deployment.Alive() {
+				return s
+			}
 		}
 	}
-	return NSSite{}, false
+	return nil
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
-
-	"eum/internal/telemetry"
 )
 
 // FaultInjector decides which servers are failed at a given simulated
@@ -130,33 +128,6 @@ func (m *Monitor) Probes() uint64 { return m.probes.Load() }
 
 // Transitions returns how many server liveness flips have been applied.
 func (m *Monitor) Transitions() uint64 { return m.transitions.Load() }
-
-// RegisterMetrics wires the monitor's probe/transition counters and the
-// platform's live-server gauges into reg under the cdn_ namespace. The
-// gauges walk the deployment list at scrape time — liveness flags are
-// atomics, so scraping is safe beside a ticking monitor.
-func (m *Monitor) RegisterMetrics(reg *telemetry.Registry) {
-	reg.Counter("cdn_health_probes_total",
-		"Liveness probes issued.", m.probes.Load)
-	reg.Counter("cdn_health_transitions_total",
-		"Server liveness flips applied after flap damping.", m.transitions.Load)
-	reg.Gauge("cdn_servers_live",
-		"CDN servers currently considered alive.", func() float64 {
-			live := 0
-			for _, d := range m.platform.Deployments {
-				for _, s := range d.Servers {
-					if s.Alive() {
-						live++
-					}
-				}
-			}
-			return float64(live)
-		})
-	reg.Gauge("cdn_servers_total",
-		"CDN servers in the platform.", func() float64 {
-			return float64(m.platform.NumServers())
-		})
-}
 
 // SetFlapThreshold sets how many consecutive probes must disagree with a
 // server's current liveness before the monitor flips it (flap damping).

@@ -7,7 +7,6 @@ package config
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/netip"
@@ -25,12 +24,6 @@ import (
 // A variable (not runtime.GOOS inline) so tests can exercise the
 // off-Linux rejection paths from a Linux CI box.
 var serverGOOS = runtime.GOOS
-
-// ErrReplicaSites refuses low-level NS sites, and customer CNAMEs, on a
-// replica: either makes eumdns serve the top level, which ranks sites with
-// the mapping system's scorer, and a replica, which holds no world, has
-// none.
-var ErrReplicaSites = errors.New(`config: mode "replica" cannot serve sites or customers: the top level ranks sites with a scorer, which a replica does not have; serve them from a standalone or publisher node`)
 
 // Config is the top-level configuration document.
 type Config struct {
@@ -132,7 +125,8 @@ type SiteConfig struct {
 	Host string `json:"host"`
 	// Addr is the glue address.
 	Addr string `json:"addr"`
-	// DeploymentIndex selects the platform deployment hosting the site.
+	// DeploymentIndex selects the platform deployment hosting the site: on
+	// a replica, a deployment of the roster its publisher ships.
 	DeploymentIndex int `json:"deployment_index"`
 }
 
@@ -221,9 +215,6 @@ func (c Config) Validate() error {
 	}
 	switch mode {
 	case ModeReplica:
-		if len(c.Sites) > 0 || len(c.Customers) > 0 {
-			return ErrReplicaSites
-		}
 		if c.MapMakerAddr == "" {
 			return fmt.Errorf("config: mode %q needs mapmaker_addr (the publisher's admin address, e.g. \"127.0.0.1:9153\") to fetch maps from", mode)
 		}
@@ -297,7 +288,9 @@ func (c Config) Validate() error {
 		if _, err := netip.ParseAddr(s.Addr); err != nil {
 			return fmt.Errorf("config: site %d addr: %w", i, err)
 		}
-		if s.DeploymentIndex < 0 || s.DeploymentIndex >= c.Platform.Deployments {
+		// A replica serves the roster its publisher ships, not platform:
+		// eumdns checks its sites against that once it has arrived.
+		if s.DeploymentIndex < 0 || (mode != ModeReplica && s.DeploymentIndex >= c.Platform.Deployments) {
 			return fmt.Errorf("config: site %d deployment_index %d out of range", i, s.DeploymentIndex)
 		}
 	}

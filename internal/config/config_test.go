@@ -191,6 +191,19 @@ func TestDistModes(t *testing.T) {
 			c.AdminAddr = "127.0.0.1:9153"
 		}},
 		{"explicit-standalone", func(c *Config) { c.Mode = "Standalone" }},
+		// A replica's top level reads the map it fetched. Its sites index
+		// the roster that map ships, which platform does not size, so an
+		// index past platform.deployments is eumdns's to check.
+		{"replica-with-sites", func(c *Config) {
+			c.Mode = "replica"
+			c.MapMakerAddr = "127.0.0.1:9153"
+			c.Sites = []SiteConfig{{Host: "ns1.cdn.example.net", Addr: "192.0.2.1", DeploymentIndex: c.Platform.Deployments}}
+		}},
+		{"replica-with-customers", func(c *Config) {
+			c.Mode = "replica"
+			c.MapMakerAddr = "127.0.0.1:9153"
+			c.Customers = map[string]string{"www.shop.example": "e1.b.cdn.example.net"}
+		}},
 	}
 	for _, tc := range valid {
 		t.Run(tc.name, func(t *testing.T) {
@@ -225,16 +238,6 @@ func TestDistModes(t *testing.T) {
 			c.MapMakerAddr = "127.0.0.1:9153"
 			c.MapFetchSeconds = -1
 		}, "map_fetch_seconds"},
-		{"replica-with-sites", func(c *Config) {
-			c.Mode = "replica"
-			c.MapMakerAddr = "127.0.0.1:9153"
-			c.Sites = []SiteConfig{{Host: "ns1.cdn.example.net", Addr: "192.0.2.1"}}
-		}, ErrReplicaSites.Error()},
-		{"replica-with-customers", func(c *Config) {
-			c.Mode = "replica"
-			c.MapMakerAddr = "127.0.0.1:9153"
-			c.Customers = map[string]string{"www.shop.example": "e1.b.cdn.example.net"}
-		}, ErrReplicaSites.Error()},
 		{"replica-stale-below-fetch", func(c *Config) {
 			c.Mode = "replica"
 			c.MapMakerAddr = "127.0.0.1:9153"

@@ -111,7 +111,8 @@ func TestBatchedIOServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = s.Serve() }()
+	serveDone := make(chan struct{})
+	go func() { defer close(serveDone); _ = s.Serve() }()
 	defer s.Close()
 
 	conn, err := net.Dial("udp", s.Addr().String())
@@ -128,6 +129,13 @@ func TestBatchedIOServes(t *testing.T) {
 		}
 	}
 
+	// A shard counts a response once sendmmsg has returned, which may be
+	// after the client already holds it: read the counters once the
+	// shards have stopped.
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	<-serveDone
 	st := s.ShardStats()[0]
 	if st.Queries != queries || st.Responses != queries {
 		t.Errorf("shard stats = %+v, want %d queries/responses", st, queries)
@@ -200,7 +208,8 @@ func TestShardIndependenceRaceHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = s.Serve() }()
+	serveDone := make(chan struct{})
+	go func() { defer close(serveDone); _ = s.Serve() }()
 	defer s.Close()
 
 	// Flood shard 0 from one socket: 500 back-to-back queries against a
@@ -265,6 +274,12 @@ func TestShardIndependenceRaceHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Responses are counted after the send returns: read them once the
+	// shards have stopped.
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	<-serveDone
 	stats := s.ShardStats()
 	if stats[0].RateLimited == 0 {
 		t.Error("flooded shard 0 never rate-limited: RRL not active")

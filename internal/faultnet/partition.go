@@ -21,9 +21,6 @@ func (in *Injector) SetPartitioned(v bool) {
 	in.partitioned.Store(v)
 }
 
-// Partitioned reports whether the injector is currently partitioned.
-func (in *Injector) Partitioned() bool { return in.partitioned.Load() }
-
 // partitionDropSend implements the send-side partition check shared by
 // PacketConn.WriteTo and Conn.Write.
 func (in *Injector) partitionDropSend() bool {

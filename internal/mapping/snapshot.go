@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -260,6 +259,10 @@ func (sn *Snapshot) FirstLive(row Row) *cdn.Deployment {
 	return nil
 }
 
+// Deployments returns the roster this snapshot's rows index: row entry c
+// names Deployments()[c]. The slice is shared; callers must not modify it.
+func (sn *Snapshot) Deployments() []*cdn.Deployment { return sn.deps }
+
 // CANSCandidates returns the precomputed ClientAwareNS candidates for a
 // resolver address — the winner and the resolver's own head, then its
 // tail — or a row with a nil Head when the snapshot has none (wrong
@@ -307,11 +310,9 @@ type SnapshotBuilder struct {
 	segs []segment
 	prev *Snapshot
 	// ldnses is the world LDNS in each resolver slot of lay's index, which
-	// buildCANS reads the resolver's clients from and System.LDNSEndpoint
-	// its endpoint. Like segs it never travels; it is published atomically
-	// because LDNSEndpoint reads it on the top level's query path, without
-	// the lock. Nil until the first layout and after bootSnapshot.
-	ldnses atomic.Pointer[slotLDNSes]
+	// buildCANS reads the resolver's clients from. Like segs it never
+	// travels. Nil until the first layout and after bootSnapshot.
+	ldnses []*world.LDNS
 
 	stats BuildStats
 
@@ -323,27 +324,6 @@ type SnapshotBuilder struct {
 	dirtyMu      sync.Mutex
 	dirtyAll     bool
 	dirtyTargets map[int]struct{}
-}
-
-// slotLDNSes pairs an index with the world LDNS in each of its resolver
-// slots.
-type slotLDNSes struct {
-	ix     *Index
-	ldnses []*world.LDNS
-}
-
-// worldLDNS returns the world LDNS at a resolver address of the builder's
-// layout, or nil when the builder has laid out no world or the address is
-// not one of its resolvers.
-func (b *SnapshotBuilder) worldLDNS(addr netip.Addr) *world.LDNS {
-	known := b.ldnses.Load()
-	if known == nil {
-		return nil
-	}
-	if slot, ok := known.ix.resolver(addr); ok {
-		return known.ldnses[slot]
-	}
-	return nil
 }
 
 // BuildStats reports how a builder has been working: full builds (every
@@ -457,8 +437,7 @@ func (b *SnapshotBuilder) layoutLocked() *Layout {
 	lay, segs, assign := b.partition()
 	ix, ldnses := buildIndex(b.world, assign)
 	lay.Index = ix
-	b.lay, b.segs = lay, segs
-	b.ldnses.Store(&slotLDNSes{ix, ldnses})
+	b.lay, b.segs, b.ldnses = lay, segs, ldnses
 	return lay
 }
 
@@ -556,8 +535,7 @@ func upTo(n int) []int32 {
 func (b *SnapshotBuilder) bootSnapshot(policy Policy) *Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.lay, b.segs, b.prev = nil, nil, nil
-	b.ldnses.Store(nil)
+	b.lay, b.segs, b.prev, b.ldnses = nil, nil, nil, nil
 	b.lineage = newLineage()
 	b.markAllDirty()
 	b.scorer.Invalidate()
@@ -676,10 +654,9 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 // balancer. Past that head the walk continues in the LDNS's tail (see
 // CANSCandidates).
 func (b *SnapshotBuilder) buildCANS(sn *Snapshot) map[int32]Row {
-	ldnses := b.ldnses.Load().ldnses
 	sc := b.scorer
-	lists := par.Map(len(ldnses), func(i int) Row {
-		l := ldnses[i]
+	lists := par.Map(len(b.ldnses), func(i int) Row {
+		l := b.ldnses[i]
 		if len(l.Blocks) == 0 {
 			return Row{}
 		}
@@ -703,7 +680,7 @@ func (b *SnapshotBuilder) buildCANS(sn *Snapshot) map[int32]Row {
 		}
 		return out
 	})
-	cans := make(map[int32]Row, len(ldnses))
+	cans := make(map[int32]Row, len(b.ldnses))
 	for i, list := range lists {
 		if list.Head != nil {
 			cans[int32(i)] = list

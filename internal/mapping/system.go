@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"eum/internal/cdn"
-	"eum/internal/netmodel"
 	"eum/internal/world"
 )
 
@@ -361,24 +360,6 @@ func (s *System) MapInto(sn *Snapshot, req Request, scratch []*cdn.Server) (Resp
 	resp.Deployment = d
 	resp.Servers = servers
 	return resp, nil
-}
-
-// LDNSEndpoint returns the network endpoint the system scores for queries
-// arriving from the given resolver address: the world LDNS the builder laid
-// its map out for, or the builder's one fallback resolver endpoint for an
-// address it does not know — and for every address on a replica, which
-// holds no world. Every unknown resolver shares that endpoint, so scoring
-// them memoizes one nearest ping target, however many addresses ask.
-// Top-level name servers use it to pick the low-level name-server cluster
-// to delegate to.
-func (s *System) LDNSEndpoint(addr netip.Addr) netmodel.Endpoint {
-	if s.builder != nil {
-		if l := s.builder.worldLDNS(addr); l != nil {
-			return l.Endpoint()
-		}
-	}
-	ldns, _ := fallbackEndpoints()
-	return ldns
 }
 
 // IndexBytes returns the resident size of the current map's index; with

@@ -17,7 +17,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -129,16 +128,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Names returns every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.metrics))
-	for _, m := range r.metrics {
-		out = append(out, m.name)
-	}
-	sort.Strings(out)
-	return out
 }
