@@ -1,13 +1,6 @@
 GO ?= go
 
-# Hot-path micro-benchmarks (see DESIGN.md "Hot path & concurrency model").
-HOTBENCH = BenchmarkDNSMessagePack|BenchmarkDNSMessageUnpack|BenchmarkMappingMap|BenchmarkAuthorityServeDNS|BenchmarkEndToEndUDP
-
-# Control-plane/data-plane benchmarks: snapshot publish latency and serving
-# under map churn (see DESIGN.md "Control plane / data plane").
-SNAPBENCH = BenchmarkSnapshotSwap|BenchmarkServingUnderMapChurn
-
-.PHONY: all check vet build test loc setup-budget race chaos load-chaos dist-chaos obs crossbuild scale-smoke ecsgrid-smoke figures-check figures-golden bench-smoke bench-e2e bench-pair bench bench-hot bench-snapshot bench-figures
+.PHONY: all check vet build test loc setup-budget race chaos load-chaos dist-chaos obs crossbuild scale-smoke ecsgrid-smoke figures-check figures-golden bench-once bench-smoke bench-e2e bench-pair
 
 all: check
 
@@ -16,9 +9,9 @@ all: check
 # distribution-plane partition/heal drill, then the observability smoke
 # test against a live in-process stack, then every figure's checksum
 # against the golden list, then cross-compiles of the non-linux /
-# non-amd64 fallback paths, then the benchmark module's own vet and short
-# tests.
-check: vet build race chaos load-chaos dist-chaos obs scale-smoke ecsgrid-smoke figures-check crossbuild bench-smoke
+# non-amd64 fallback paths, then one pass of every kept micro-benchmark,
+# then the benchmark module's own vet and short tests.
+check: vet build race chaos load-chaos dist-chaos obs scale-smoke ecsgrid-smoke figures-check crossbuild bench-once bench-smoke
 
 # vet also fails on any Go file gofmt would change, outside the parent
 # trees bench-pair exports under .bench_build/.
@@ -111,6 +104,15 @@ figures-check:
 figures-golden:
 	sh figures-check.sh golden
 
+# One iteration of each micro-benchmark a measurement in CHANGES.md or
+# DESIGN.md quotes, so none can rot unrun: the wire packer, the map's
+# answer, the local server pick, a publish, serving under map churn and
+# world generation. Regenerate a figure with `eumsim -fig <id>`, not here.
+bench-once:
+	$(GO) test -run '^$$' -benchtime 1x \
+		-bench '^(BenchmarkDNSMessagePack|BenchmarkMappingMap|BenchmarkPickServers|BenchmarkSnapshotSwap|BenchmarkServingUnderMapChurn|BenchmarkWorldGenerate)$$' \
+		./internal/dnsmsg ./internal/mapping ./internal/mapmaker ./internal/world
+
 # The benchmark is its own module (bench/go.mod), outside the root ./...:
 # it reaches the product only through the symbols bench/internal/layers/
 # api.go lists, so a rename there breaks nothing else. Vet it and run its
@@ -134,16 +136,6 @@ N ?= 10
 bench-pair:
 	bash bench-pair.sh $(BASE) $(W) $(N)
 
-# Hot-path benchmarks with allocation counts. TestServeDNSAllocGuard runs
-# first: it fails the target if ServeDNS (telemetry armed) exceeds its
-# allocs/op budget.
-bench-hot:
-	$(GO) test -run 'TestServeDNSAllocGuard' -bench '$(HOTBENCH)' -benchmem .
-
-# Snapshot publish latency and churn serving comparison.
-bench-snapshot:
-	$(GO) test -run 'TestNone' -bench '$(SNAPBENCH)' -benchmem .
-
 # The SO_REUSEPORT and recvmmsg/sendmmsg code is build-tagged per OS and
 # arch; compile the portable fallbacks so a tag typo can't rot unnoticed.
 # linux/386 is the one Linux build on the single-datagram path: SO_REUSEPORT
@@ -156,9 +148,3 @@ crossbuild:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) build ./...
 	GOOS=linux GOARCH=s390x $(GO) build ./...
-
-# Regenerate every paper figure as benchmarks (slow; see EXPERIMENTS.md).
-bench-figures:
-	$(GO) test -run 'TestNone' -bench . -benchmem .
-
-bench: bench-hot

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"flag"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -177,6 +179,77 @@ func TestDocumentedInvocationsParse(t *testing.T) {
 			if err != nil && (strings.Contains(err.Error(), "provided but not defined") ||
 				strings.Contains(err.Error(), "invalid value")) {
 				t.Errorf("%s: eumdns %s: %v", doc, strings.Join(args, " "), err)
+			}
+		}
+	}
+}
+
+// TestDocumentedNamesExist: every benchmark the README, DESIGN.md and
+// EXPERIMENTS.md name is defined in a test file of this module, and every
+// `make <target>` they quote is a Makefile target, so the docs cannot send
+// a reader to a benchmark or a target that is gone. A quoted make opens a
+// backtick span, or is a command line in a fenced code block.
+func TestDocumentedNamesExist(t *testing.T) {
+	const root = "../.."
+	benchDef := regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`)
+	defined := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		// bench/ is a module of its own; .bench_build/ holds exported
+		// parent trees.
+		if d.IsDir() && path != root && (strings.HasPrefix(d.Name(), ".") || path == filepath.Join(root, "bench")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range benchDef.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([\w-]+):`).FindAllSubmatch(makefile, -1) {
+		targets[string(m[1])] = true
+	}
+
+	benchRef := regexp.MustCompile(`Benchmark\w+`)
+	makeRef := regexp.MustCompile("`make ([\\w-]+)")
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		src, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, name := range benchRef.FindAllString(line, -1) {
+				if !defined[name] {
+					t.Errorf("%s:%d names %s, which no test file defines", doc, i+1, name)
+				}
+			}
+			var made []string
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+			} else if f := strings.Fields(line); fenced && len(f) > 1 && f[0] == "make" {
+				made = append(made, f[1])
+			}
+			for _, m := range makeRef.FindAllStringSubmatch(line, -1) {
+				made = append(made, m[1])
+			}
+			for _, target := range made {
+				if !targets[target] {
+					t.Errorf("%s:%d quotes make %s, which is not a Makefile target", doc, i+1, target)
+				}
 			}
 		}
 	}

@@ -142,8 +142,8 @@ var figures = map[string]struct {
 		return []*experiments.Report{rep}, nil
 	}},
 	"overlay": {"overlay transport benefit for origin fetches", func(lab *experiments.Lab, s experiments.Scale) ([]*experiments.Report, error) {
-		_, rep, err := experiments.OverlayBenefit(lab)
-		return []*experiments.Report{rep}, err
+		_, rep := experiments.OverlayBenefit(lab)
+		return []*experiments.Report{rep}, nil
 	}},
 	"sec8": {"broad ECS adoption what-if (Section 8)", func(lab *experiments.Lab, s experiments.Scale) ([]*experiments.Report, error) {
 		rep, err := experiments.BroadRolloutReport(lab)

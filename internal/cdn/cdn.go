@@ -167,17 +167,6 @@ func (d *Deployment) Load() float64 {
 	return sum
 }
 
-// LiveServers returns the deployment's live servers.
-func (d *Deployment) LiveServers() []*Server {
-	out := make([]*Server, 0, len(d.Servers))
-	for _, s := range d.Servers {
-		if s.Alive() {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Alive reports whether the deployment has at least one live server. It
 // scans directly rather than materialising the live-server slice: the
 // load balancer asks this for every candidate on every query.

@@ -171,7 +171,7 @@ func TestLivenessAndCapacity(t *testing.T) {
 		t.Error("dead deployment has capacity")
 	}
 	d.Servers[0].SetAlive(true)
-	if !d.Alive() || len(d.LiveServers()) != 1 {
+	if !d.Alive() || d.Capacity() != d.Servers[0].Capacity()*d.CapacityFactor() {
 		t.Error("single revived server not reflected")
 	}
 }

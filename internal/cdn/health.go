@@ -78,13 +78,8 @@ func splitmix(z uint64) uint64 {
 // Monitor is the liveness-probing loop: on each interval it asks the fault
 // injector about every server and updates platform liveness, notifying the
 // listener about deployments whose live-server set changed (so scoring
-// caches can be invalidated).
-//
-// Liveness transitions are flap-damped: a server only changes state after
-// flapK consecutive probes disagree with its current state, so a flapping
-// injector (or a machine rebooting in a loop) cannot thrash the change
-// feed with a map rebuild per probe. The default threshold of 1 keeps the
-// legacy react-immediately behaviour.
+// caches can be invalidated). A server flips on the first probe that
+// disagrees with its current liveness.
 type Monitor struct {
 	platform *Platform
 	faults   FaultInjector
@@ -98,13 +93,6 @@ type Monitor struct {
 	// transitions counts liveness flips actually applied (atomic, as
 	// probes).
 	transitions atomic.Uint64
-	// flapK is how many consecutive probes must disagree with a server's
-	// current liveness before it flips (>= 1).
-	flapK int
-	// streaks tracks, per server ID, how many consecutive probes have
-	// disagreed with its current state. Entries are removed as soon as a
-	// probe agrees again or the server flips.
-	streaks map[uint64]int
 }
 
 // NewMonitor creates a liveness monitor. onChange may be nil. The interval
@@ -116,11 +104,7 @@ func NewMonitor(p *Platform, f FaultInjector, interval time.Duration, onChange f
 	if interval <= 0 {
 		interval = 10 * time.Second
 	}
-	return &Monitor{
-		platform: p, faults: f, interval: interval, onChange: onChange,
-		flapK:   1,
-		streaks: map[uint64]int{},
-	}, nil
+	return &Monitor{platform: p, faults: f, interval: interval, onChange: onChange}, nil
 }
 
 // Probes returns the number of liveness probes issued so far.
@@ -128,21 +112,6 @@ func (m *Monitor) Probes() uint64 { return m.probes.Load() }
 
 // Transitions returns how many server liveness flips have been applied.
 func (m *Monitor) Transitions() uint64 { return m.transitions.Load() }
-
-// SetFlapThreshold sets how many consecutive probes must disagree with a
-// server's current liveness before the monitor flips it (flap damping).
-// Values below 1 are clamped to 1 (flip on the first disagreeing probe,
-// the legacy behaviour). Call before the first Tick; the monitor is driven
-// from a single goroutine.
-func (m *Monitor) SetFlapThreshold(k int) {
-	if k < 1 {
-		k = 1
-	}
-	m.flapK = k
-}
-
-// FlapThreshold returns the configured flap-damping threshold.
-func (m *Monitor) FlapThreshold() int { return m.flapK }
 
 // Tick probes all servers if the interval has elapsed, returning how many
 // deployments changed liveness state (and false if it was not yet time).
@@ -157,18 +126,7 @@ func (m *Monitor) Tick(now time.Time) (changed int, probed bool) {
 			m.probes.Add(1)
 			wantAlive := !m.faults.Failed(s, now)
 			if s.Alive() == wantAlive {
-				if len(m.streaks) > 0 {
-					delete(m.streaks, s.ID)
-				}
 				continue
-			}
-			if m.flapK > 1 {
-				streak := m.streaks[s.ID] + 1
-				if streak < m.flapK {
-					m.streaks[s.ID] = streak
-					continue
-				}
-				delete(m.streaks, s.ID)
 			}
 			s.SetAlive(wantAlive)
 			m.transitions.Add(1)

@@ -131,82 +131,6 @@ func TestRandomFaultsIndependentAcrossServers(t *testing.T) {
 	}
 }
 
-func TestFlapDampingDelaysTransitions(t *testing.T) {
-	p := healthPlatform(t)
-	victim := p.Deployments[0].Servers[0]
-	faults := &ScheduledFaults{}
-	faults.Add(victim.ID, h0, h0.Add(time.Hour))
-
-	var notified int
-	mon, err := NewMonitor(p, faults, 10*time.Second, func(*Deployment) { notified++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon.SetFlapThreshold(3)
-
-	// Probes 1 and 2 disagree with the server's liveness but must not flip
-	// it yet; probe 3 completes the streak.
-	for i := 0; i < 2; i++ {
-		if changed, _ := mon.Tick(h0.Add(time.Duration(i) * 10 * time.Second)); changed != 0 {
-			t.Fatalf("probe %d flipped liveness before the flap threshold", i+1)
-		}
-		if !victim.Alive() {
-			t.Fatalf("probe %d: server dead before the flap threshold", i+1)
-		}
-	}
-	if changed, _ := mon.Tick(h0.Add(20 * time.Second)); changed != 1 {
-		t.Fatal("third consecutive probe did not flip liveness")
-	}
-	if victim.Alive() {
-		t.Fatal("server alive after three down probes")
-	}
-	if notified != 1 {
-		t.Fatalf("notifications = %d, want 1", notified)
-	}
-	if mon.Transitions() != 1 {
-		t.Fatalf("transitions = %d, want 1", mon.Transitions())
-	}
-}
-
-// alternatingFaults reports a server failed on every other probe — the
-// worst-case flapping injector.
-type alternatingFaults struct{ n int }
-
-func (f *alternatingFaults) Failed(*Server, time.Time) bool {
-	f.n++
-	return f.n%2 == 1
-}
-
-func TestFlapDampingSuppressesFlapping(t *testing.T) {
-	p := &Platform{Deployments: []*Deployment{healthPlatform(t).Deployments[0]}}
-	p.Deployments[0].Servers = p.Deployments[0].Servers[:1]
-	mon, err := NewMonitor(p, &alternatingFaults{}, 10*time.Second, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon.SetFlapThreshold(2)
-	for i := 0; i < 20; i++ {
-		if changed, _ := mon.Tick(h0.Add(time.Duration(i) * 10 * time.Second)); changed != 0 {
-			t.Fatalf("tick %d: flapping injector flipped liveness", i)
-		}
-	}
-	if mon.Transitions() != 0 {
-		t.Fatalf("transitions = %d, want 0 under per-probe flapping", mon.Transitions())
-	}
-	if !p.Deployments[0].Servers[0].Alive() {
-		t.Fatal("server thrashed dead by a flapping injector")
-	}
-}
-
-func TestFlapThresholdClamped(t *testing.T) {
-	p := healthPlatform(t)
-	mon, _ := NewMonitor(p, &ScheduledFaults{}, time.Minute, nil)
-	mon.SetFlapThreshold(0)
-	if mon.FlapThreshold() != 1 {
-		t.Fatalf("threshold = %d, want clamp to 1", mon.FlapThreshold())
-	}
-}
-
 func TestZeroProbabilityNeverFails(t *testing.T) {
 	f := &RandomFaults{P: 0}
 	p := healthPlatform(t)

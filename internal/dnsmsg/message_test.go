@@ -373,3 +373,14 @@ func abs(v int) int {
 	}
 	return v
 }
+
+func BenchmarkDNSMessagePack(b *testing.B) {
+	q := NewQuery(1, "e0042.b.cdn.example.net", TypeA)
+	_ = q.SetClientSubnet(netip.MustParseAddr("203.0.113.5"), 24)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := q.Pack(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -49,15 +49,6 @@ func appendLower(dst []byte, s string) []byte {
 	return dst
 }
 
-// Labels splits the name into its labels; the root name has no labels.
-func (n Name) Labels() []string {
-	s := string(n.Canonical())
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, ".")
-}
-
 // IsSubdomainOf reports whether n is equal to or a subdomain of parent.
 func (n Name) IsSubdomainOf(parent Name) bool {
 	ns, ps := string(n.Canonical()), string(parent.Canonical())

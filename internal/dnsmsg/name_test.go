@@ -29,15 +29,6 @@ func TestNameCanonical(t *testing.T) {
 	}
 }
 
-func TestNameLabels(t *testing.T) {
-	if got := Name("a.b.c").Labels(); len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Errorf("Labels = %v", got)
-	}
-	if got := Name("").Labels(); got != nil {
-		t.Errorf("root Labels = %v, want nil", got)
-	}
-}
-
 func TestIsSubdomainOf(t *testing.T) {
 	cases := []struct {
 		name, parent string

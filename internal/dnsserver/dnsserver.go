@@ -277,14 +277,6 @@ func ListenConfig(addr string, h Handler, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// NewConn builds a single-shard server over an already-open packet
-// connection — the entry point for tests that interpose a fault-injecting
-// transport (see internal/faultnet) between the server and the wire. The
-// server owns the connection from here on; Close closes it.
-func NewConn(conn net.PacketConn, h Handler, cfg Config) (*Server, error) {
-	return NewConns([]net.PacketConn{conn}, h, cfg)
-}
-
 // NewConns builds a server with one shard per supplied connection. Unlike
 // the SO_REUSEPORT path the conns need not share an address: tests bind
 // distinct loopback ports so individual shards stay addressable, and chaos

@@ -166,7 +166,7 @@ func TestOversizedDatagramMalformed(t *testing.T) {
 			if tc.wrapped {
 				pc = faultnet.NewInjector(faultnet.Config{}).WrapPacketConn(pc)
 			}
-			s, err := NewConn(pc, &echoHandler{}, Config{})
+			s, err := NewConns([]net.PacketConn{pc}, &echoHandler{}, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -191,16 +191,12 @@ func WriteTCPMessage(w io.Writer, msg []byte) error {
 	return err
 }
 
-// TruncateFor shrinks resp to fit within size bytes when packed, per the
-// conventional minimal-truncation strategy: drop all records and set TC=1
-// so the client retries over TCP (RFC 2181 §9 warns against partial
-// answer sets). It returns the packed wire form.
-func TruncateFor(resp *dnsmsg.Message, size int) ([]byte, error) {
-	return TruncateAppend(nil, resp, size)
-}
-
-// TruncateAppend is TruncateFor packing into buf (which must be empty,
-// see dnsmsg.AppendPack), so servers can recycle response wire buffers.
+// TruncateAppend shrinks resp to fit within size bytes when packed, per
+// the conventional minimal-truncation strategy: drop all records and set
+// TC=1 so the client retries over TCP (RFC 2181 §9 warns against partial
+// answer sets). It packs into buf (which must be empty, see
+// dnsmsg.AppendPack), so servers can recycle response wire buffers, and
+// returns the packed wire form.
 func TruncateAppend(buf []byte, resp *dnsmsg.Message, size int) ([]byte, error) {
 	wire, err := resp.AppendPack(buf)
 	if err != nil {

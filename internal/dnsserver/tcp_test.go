@@ -308,7 +308,7 @@ func TestTCPMessageFraming(t *testing.T) {
 	}
 }
 
-func TestTruncateFor(t *testing.T) {
+func TestTruncateAppend(t *testing.T) {
 	h := &bigHandler{n: 50}
 	resp := h.ServeDNS(netip.MustParseAddrPort("127.0.0.1:1"),
 		dnsmsg.NewQuery(3, "t.example.net", dnsmsg.TypeA))
@@ -317,7 +317,7 @@ func TestTruncateFor(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Large enough: untouched.
-	wire, err := TruncateFor(resp, len(full))
+	wire, err := TruncateAppend(nil, resp, len(full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestTruncateFor(t *testing.T) {
 		t.Error("unnecessary truncation")
 	}
 	// Too small: TC set, sections dropped.
-	wire, err = TruncateFor(resp, 100)
+	wire, err = TruncateAppend(nil, resp, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestTruncateFor(t *testing.T) {
 	}
 	// Original response must be untouched.
 	if resp.Truncated || len(resp.Answers) != 50 {
-		t.Error("TruncateFor mutated the original response")
+		t.Error("TruncateAppend mutated the original response")
 	}
 }
 

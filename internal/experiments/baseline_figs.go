@@ -4,14 +4,14 @@ import (
 	"fmt"
 
 	"eum/internal/mapping"
-	"eum/internal/redirect"
 	"eum/internal/stats"
 )
 
 // BaselineRow summarises one mechanism across the public-resolver client
 // population for one download size.
 type BaselineRow struct {
-	Mechanism redirect.Mechanism
+	// Mechanism is "ns-only", "ecs", "metafile" or "http-redirect".
+	Mechanism string
 	SizeBytes int
 	// MeanStartupMs and MeanTotalMs are demand-weighted means.
 	MeanStartupMs float64
@@ -26,11 +26,10 @@ type BaselineRow struct {
 // "acceptable only for larger downloads" and ECS is the general solution.
 func BaselineMechanisms(lab *Lab) ([]BaselineRow, *Report) {
 	scorer := mapping.NewScorer(lab.World, lab.Platform, lab.Net, 1000)
-	eval := redirect.NewEvaluator(scorer, lab.Net)
 
 	sizes := []int{100_000, 50_000_000} // 100 KB page, 50 MB download
 	type key struct {
-		mech redirect.Mechanism
+		mech mechanism
 		size int
 	}
 	startup := map[key]*stats.Dataset{}
@@ -45,7 +44,7 @@ func BaselineMechanisms(lab *Lab) ([]BaselineRow, *Report) {
 			break
 		}
 		for _, size := range sizes {
-			rs, err := eval.Evaluate(b, size, 1)
+			rs, err := mechanismTimes(scorer, lab.Net, b, size, 1)
 			if err != nil {
 				continue
 			}
@@ -68,19 +67,19 @@ func BaselineMechanisms(lab *Lab) ([]BaselineRow, *Report) {
 		Columns: []string{"mechanism", "size", "mean-startup-ms", "mean-total-ms"},
 	}
 	for _, size := range sizes {
-		for _, mech := range []redirect.Mechanism{redirect.NSOnly, redirect.ECS, redirect.Metafile, redirect.HTTPRedirect} {
+		for _, mech := range []mechanism{nsOnly, viaECS, metafile, httpRedirect} {
 			k := key{mech, size}
 			if startup[k] == nil {
 				continue
 			}
 			row1 := BaselineRow{
-				Mechanism:     mech,
+				Mechanism:     mech.String(),
 				SizeBytes:     size,
 				MeanStartupMs: startup[k].Mean(),
 				MeanTotalMs:   total[k].Mean(),
 			}
 			out = append(out, row1)
-			rep.Rows = append(rep.Rows, row(mech.String(), fmt.Sprintf("%dKB", size/1000),
+			rep.Rows = append(rep.Rows, row(row1.Mechanism, fmt.Sprintf("%dKB", size/1000),
 				row1.MeanStartupMs, row1.MeanTotalMs))
 		}
 	}

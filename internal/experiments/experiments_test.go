@@ -391,7 +391,7 @@ func TestBaselineMechanisms(t *testing.T) {
 	}
 	byKey := map[string]BaselineRow{}
 	for _, r := range rows {
-		byKey[r.Mechanism.String()+"/"+strconv.Itoa(r.SizeBytes)] = r
+		byKey[r.Mechanism+"/"+strconv.Itoa(r.SizeBytes)] = r
 	}
 	small, large := "100000", "50000000"
 	// ECS has the best startup at both sizes.
@@ -522,10 +522,7 @@ func TestGeoErrorImpact(t *testing.T) {
 }
 
 func TestOverlayBenefit(t *testing.T) {
-	rows, rep, err := OverlayBenefit(lab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, rep := OverlayBenefit(lab)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}

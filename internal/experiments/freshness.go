@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"eum/internal/mapping"
-	"eum/internal/measure"
 	"eum/internal/netmodel"
 )
 
@@ -48,7 +47,7 @@ func MeasurementFreshness(lab *Lab, scale Scale) ([]FreshnessRow, *Report) {
 		Columns: []string{"sweep-every-days", "mean-realized-ms", "probes"},
 	}
 	for _, every := range []int{1, 7, 30} {
-		db := measure.NewDB(lab.Net)
+		db := newMeasureDB(lab.Net)
 		dbScorer := mapping.NewScorer(lab.World, lab.Platform, db, 0)
 
 		var sumMs, sumW float64
@@ -56,10 +55,10 @@ func MeasurementFreshness(lab *Lab, scale Scale) ([]FreshnessRow, *Report) {
 		for day := 0; day < horizon; day++ {
 			now := start.AddDate(0, 0, day)
 			if day%every == 0 {
-				probes += db.Sweep(now, lab.Platform, targets)
+				probes += db.sweep(now, lab.Platform, targets)
 				dbScorer.Invalidate()
 			}
-			epoch := measure.EpochOf(now)
+			epoch := epochOf(now)
 			for i, b := range blocks {
 				dep, _ := dbScorer.Best(targets[i])
 				if dep == nil {

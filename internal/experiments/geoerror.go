@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"eum/internal/geodb"
 	"eum/internal/mapping"
 	"eum/internal/netmodel"
-	"eum/internal/overlay"
 	"eum/internal/par"
 	"eum/internal/simulation"
 	"eum/internal/stats"
@@ -49,9 +47,7 @@ func GeoErrorImpact(lab *Lab) ([]GeoErrorRow, *Report) {
 		frac  float64
 		miles float64
 	}{{0, 0}, {0.1, 250}, {0.3, 250}, {0.3, 1000}} {
-		db := geodb.Build(lab.World, geodb.Options{
-			Seed: 11, MislocateFraction: lvl.frac, ErrorMiles: lvl.miles,
-		})
+		db := buildGeoDB(lab.World, 11, lvl.frac, lvl.miles)
 		// A fresh scorer per level: target assignment caches key on
 		// endpoint identity, and each level distorts locations differently.
 		scorer := mapping.NewScorer(lab.World, lab.Platform, lab.Net, 1000)
@@ -60,8 +56,8 @@ func GeoErrorImpact(lab *Lab) ([]GeoErrorRow, *Report) {
 			for _, b := range blocks[lo:hi] {
 				// The mapping system sees the database's view of the client.
 				seen := b.Endpoint()
-				if e, ok := db.Locate(b.Prefix.Addr()); ok {
-					seen.Loc = e.Loc
+				if loc, ok := db.locate(b.Prefix.Addr()); ok {
+					seen.Loc = loc
 				}
 				dep, _ := scorer.Best(seen)
 				if dep == nil {
@@ -122,11 +118,8 @@ type OverlayRow struct {
 // origin acceleration): across server-origin pairs and several congestion
 // epochs, how often a one-hop relay beats the direct Internet path and by
 // how much.
-func OverlayBenefit(lab *Lab) ([]OverlayRow, *Report, error) {
-	o, err := overlay.New(lab.Platform, lab.Net, 30)
-	if err != nil {
-		return nil, nil, err
-	}
+func OverlayBenefit(lab *Lab) ([]OverlayRow, *Report) {
+	o := newOverlay(lab.Platform, lab.Net, 30)
 	// Server-origin pairs: edge deployments fetching from distant origin
 	// sites (content providers' data centres, placed at far block sites).
 	var pairs [][2]netmodel.Endpoint
@@ -143,7 +136,7 @@ func OverlayBenefit(lab *Lab) ([]OverlayRow, *Report, error) {
 		Columns: []string{"epoch", "relayed-pct", "mean-improvement-pct", "relayed-improvement-pct"},
 	}
 	for _, epoch := range []uint64{1, 2, 3} {
-		s := o.Evaluate(pairs, epoch)
+		s := o.evaluate(pairs, epoch)
 		r := OverlayRow{
 			Epoch:                 epoch,
 			RelayedPct:            100 * s.RelayedFraction,
@@ -153,12 +146,13 @@ func OverlayBenefit(lab *Lab) ([]OverlayRow, *Report, error) {
 		out = append(out, r)
 		rep.Rows = append(rep.Rows, row(epoch, r.RelayedPct, r.MeanImprovementPct, r.RelayedImprovementPct))
 	}
-	return out, rep, nil
+	return out, rep
 }
 
 // TrafficClassRow reports one traffic class's chosen-path properties.
 type TrafficClassRow struct {
-	Class          mapping.TrafficClass
+	// Class is "web", "video" or "application".
+	Class          string
 	MeanPingMs     float64
 	MeanLossPct    float64
 	MeanThroughput float64 // Mbit/s
@@ -176,8 +170,8 @@ func TrafficClasses(lab *Lab) ([]TrafficClassRow, *Report) {
 		Caption: "Per-traffic-class scoring: chosen-path properties",
 		Columns: []string{"class", "mean-ping-ms", "mean-loss-pct", "mean-throughput-mbps"},
 	}
-	for _, class := range []mapping.TrafficClass{mapping.ClassWeb, mapping.ClassVideo, mapping.ClassApplication} {
-		scorer := mapping.NewClassScorer(lab.World, lab.Platform, lab.Net, class, 800)
+	for _, class := range []trafficClass{classWeb, classVideo, classApplication} {
+		scorer := mapping.NewScorer(lab.World, lab.Platform, classProber{lab.Net, class}, 800)
 		type classPart struct{ ping, loss, tp stats.Dataset }
 		parts := par.MapShards(len(blocks), func(_, lo, hi int) *classPart {
 			p := &classPart{}
@@ -201,13 +195,13 @@ func TrafficClasses(lab *Lab) ([]TrafficClassRow, *Report) {
 			tp.Merge(&p.tp)
 		}
 		r := TrafficClassRow{
-			Class:          class,
+			Class:          class.String(),
 			MeanPingMs:     ping.Mean(),
 			MeanLossPct:    loss.Mean(),
 			MeanThroughput: tp.Mean(),
 		}
 		out = append(out, r)
-		rep.Rows = append(rep.Rows, row(class.String(), r.MeanPingMs, r.MeanLossPct, r.MeanThroughput))
+		rep.Rows = append(rep.Rows, row(r.Class, r.MeanPingMs, r.MeanLossPct, r.MeanThroughput))
 	}
 	return out, rep
 }

@@ -1,28 +1,14 @@
-// Package overlay implements the transport overlay the paper's platform
-// uses to speed up server-origin communication for dynamic content
-// (§4.1, citing "Overlay networks: An Akamai perspective"): instead of
-// fetching from the origin over the direct Internet path, an edge server
-// may relay the fetch through an intermediate CDN cluster when the two-hop
-// path is faster — which happens whenever the direct path is congested,
-// lossy, or poorly routed.
-//
-// The roll-out does not change this component (the paper notes overlay
-// transport "is not impacted by the end-user mapping roll-out"), but TTFB
-// depends on it: the origin-fetch component of page construction rides the
-// overlay, which is why end-user mapping only improves TTFB by ~30% while
-// halving RTT.
-package overlay
+package experiments
 
 import (
-	"fmt"
 	"sort"
 
 	"eum/internal/cdn"
 	"eum/internal/netmodel"
 )
 
-// Path is a chosen server-to-origin route.
-type Path struct {
+// overlayPath is a chosen server-to-origin route.
+type overlayPath struct {
 	// Via is the relay deployment, or nil for the direct path.
 	Via *cdn.Deployment
 	// LatencyMs is the end-to-end round-trip latency of the path.
@@ -31,16 +17,27 @@ type Path struct {
 	DirectMs float64
 }
 
-// Improvement returns the fractional latency reduction versus direct.
-func (p Path) Improvement() float64 {
+// improvement returns the fractional latency reduction versus direct.
+func (p overlayPath) improvement() float64 {
 	if p.DirectMs <= 0 {
 		return 0
 	}
 	return 1 - p.LatencyMs/p.DirectMs
 }
 
-// Network selects overlay routes over a CDN platform's deployments.
-type Network struct {
+// overlayNet is the overlay figure's transport: the platform speeds up server-origin
+// communication for dynamic content (§4.1, citing "Overlay networks: An
+// Akamai perspective"). Instead of fetching from the origin over the direct
+// Internet path, an edge server may relay the fetch through an intermediate
+// CDN cluster when the two-hop path is faster — which happens whenever the
+// direct path is congested, lossy, or poorly routed.
+//
+// The roll-out does not change this component (the paper notes overlay
+// transport "is not impacted by the end-user mapping roll-out"), but TTFB
+// depends on it: the origin-fetch component of page construction rides the
+// overlay, which is why end-user mapping only improves TTFB by ~30% while
+// halving RTT.
+type overlayNet struct {
 	net *netmodel.Model
 	// relays are the candidate intermediate clusters.
 	relays []*cdn.Deployment
@@ -49,24 +46,21 @@ type Network struct {
 	maxRelays int
 }
 
-// New creates an overlay over the platform's deployments. maxRelays
+// newOverlay creates an overlay over the platform's deployments. maxRelays
 // bounds the per-path candidate set (0 = consider every deployment).
-func New(p *cdn.Platform, net *netmodel.Model, maxRelays int) (*Network, error) {
-	if p == nil || net == nil {
-		return nil, fmt.Errorf("overlay: nil platform or network model")
-	}
-	return &Network{net: net, relays: p.Deployments, maxRelays: maxRelays}, nil
+func newOverlay(p *cdn.Platform, net *netmodel.Model, maxRelays int) *overlayNet {
+	return &overlayNet{net: net, relays: p.Deployments, maxRelays: maxRelays}
 }
 
-// BestPath returns the fastest path from server to origin at the given
-// epoch: the direct path, or a one-hop relay path when a live relay makes
-// the trip faster. Relay forwarding adds a small per-hop processing cost.
+// relayOverheadMs is the per-hop processing cost of relay forwarding.
 const relayOverheadMs = 1.0
 
-// BestPath evaluates the direct path against every candidate relay.
-func (o *Network) BestPath(server, origin netmodel.Endpoint, epoch uint64) Path {
+// bestPath returns the fastest path from server to origin at the given
+// epoch: the direct path, or a one-hop relay path when a live relay makes
+// the trip faster.
+func (o *overlayNet) bestPath(server, origin netmodel.Endpoint, epoch uint64) overlayPath {
 	direct := o.net.RTTMs(server, origin, epoch)
-	best := Path{Via: nil, LatencyMs: direct, DirectMs: direct}
+	best := overlayPath{Via: nil, LatencyMs: direct, DirectMs: direct}
 
 	candidates := o.relays
 	if o.maxRelays > 0 && len(candidates) > o.maxRelays {
@@ -92,7 +86,7 @@ func (o *Network) BestPath(server, origin netmodel.Endpoint, epoch uint64) Path 
 // nearCorridor returns the n relays with the smallest detour
 // (distance(server, relay) + distance(relay, origin)), the standard
 // pruning for one-hop overlay route search.
-func (o *Network) nearCorridor(server, origin netmodel.Endpoint, n int) []*cdn.Deployment {
+func (o *overlayNet) nearCorridor(server, origin netmodel.Endpoint, n int) []*cdn.Deployment {
 	type scored struct {
 		d      *cdn.Deployment
 		detour float64
@@ -113,8 +107,9 @@ func (o *Network) nearCorridor(server, origin netmodel.Endpoint, n int) []*cdn.D
 	return out
 }
 
-// Stats summarises overlay benefit over a set of (server, origin) pairs.
-type Stats struct {
+// overlayStats summarises overlay benefit over a set of (server, origin)
+// pairs.
+type overlayStats struct {
 	// RelayedFraction is the fraction of pairs where a relay path won.
 	RelayedFraction float64
 	// MeanImprovement is the mean fractional latency reduction across
@@ -124,23 +119,23 @@ type Stats struct {
 	MeanImprovementWhenRelayed float64
 }
 
-// Evaluate computes overlay statistics over the given endpoint pairs.
-func (o *Network) Evaluate(pairs [][2]netmodel.Endpoint, epoch uint64) Stats {
+// evaluate computes overlay statistics over the given endpoint pairs.
+func (o *overlayNet) evaluate(pairs [][2]netmodel.Endpoint, epoch uint64) overlayStats {
 	if len(pairs) == 0 {
-		return Stats{}
+		return overlayStats{}
 	}
 	var relayed int
 	var sumAll, sumRelayed float64
 	for _, pr := range pairs {
-		p := o.BestPath(pr[0], pr[1], epoch)
-		imp := p.Improvement()
+		p := o.bestPath(pr[0], pr[1], epoch)
+		imp := p.improvement()
 		sumAll += imp
 		if p.Via != nil {
 			relayed++
 			sumRelayed += imp
 		}
 	}
-	s := Stats{
+	s := overlayStats{
 		RelayedFraction: float64(relayed) / float64(len(pairs)),
 		MeanImprovement: sumAll / float64(len(pairs)),
 	}

@@ -1,4 +1,4 @@
-package overlay
+package experiments
 
 import (
 	"testing"
@@ -9,49 +9,37 @@ import (
 )
 
 var (
-	testW   = world.MustGenerate(world.Config{Seed: 97, NumBlocks: 1500})
-	testNet = netmodel.NewDefault()
-	testP   = cdn.MustGenerateUniverse(testW, cdn.Config{Seed: 97, NumDeployments: 250})
+	overlayW     = world.MustGenerate(world.Config{Seed: 97, NumBlocks: 1500})
+	overlayModel = netmodel.NewDefault()
+	overlayP     = cdn.MustGenerateUniverse(overlayW, cdn.Config{Seed: 97, NumDeployments: 250})
 )
 
-// originFor returns a far-away "origin" endpoint (a content provider's
-// data centre) for a given server.
+// originPairs pairs the first n deployments with far-away "origin"
+// endpoints (content providers' data centres).
 func originPairs(n int) [][2]netmodel.Endpoint {
 	var out [][2]netmodel.Endpoint
-	for i := 0; i < n && i < len(testP.Deployments); i++ {
-		server := testP.Deployments[i].Endpoint()
+	for i := 0; i < n && i < len(overlayP.Deployments); i++ {
+		server := overlayP.Deployments[i].Endpoint()
 		// Use a distant client block's location as the origin site.
-		origin := testW.Blocks[(i*37+500)%len(testW.Blocks)].Endpoint()
+		origin := overlayW.Blocks[(i*37+500)%len(overlayW.Blocks)].Endpoint()
 		origin.Access = netmodel.AccessBackbone
 		out = append(out, [2]netmodel.Endpoint{server, origin})
 	}
 	return out
 }
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, testNet, 0); err == nil {
-		t.Error("nil platform accepted")
-	}
-	if _, err := New(testP, nil, 0); err == nil {
-		t.Error("nil model accepted")
-	}
-}
-
 func TestBestPathNeverWorseThanDirect(t *testing.T) {
-	o, err := New(testP, testNet, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := newOverlay(overlayP, overlayModel, 0)
 	for _, pr := range originPairs(60) {
-		p := o.BestPath(pr[0], pr[1], 3)
+		p := o.bestPath(pr[0], pr[1], 3)
 		if p.LatencyMs > p.DirectMs {
 			t.Fatalf("overlay path %.1f worse than direct %.1f", p.LatencyMs, p.DirectMs)
 		}
 		if p.Via == nil && p.LatencyMs != p.DirectMs {
 			t.Fatal("direct path with mismatched latency")
 		}
-		if p.Improvement() < 0 || p.Improvement() >= 1 {
-			t.Fatalf("improvement = %v", p.Improvement())
+		if p.improvement() < 0 || p.improvement() >= 1 {
+			t.Fatalf("improvement = %v", p.improvement())
 		}
 	}
 }
@@ -59,11 +47,8 @@ func TestBestPathNeverWorseThanDirect(t *testing.T) {
 func TestOverlayFindsRelays(t *testing.T) {
 	// Over many long paths with congestion variation, some relay paths
 	// must win — the overlay's reason to exist.
-	o, err := New(testP, testNet, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := o.Evaluate(originPairs(120), 5)
+	o := newOverlay(overlayP, overlayModel, 0)
+	s := o.evaluate(originPairs(120), 5)
 	if s.RelayedFraction <= 0 {
 		t.Fatal("no pair benefited from a relay")
 	}
@@ -77,19 +62,13 @@ func TestOverlayFindsRelays(t *testing.T) {
 
 func TestCorridorPruningClose(t *testing.T) {
 	// Pruned search must stay close to the exhaustive optimum.
-	full, err := New(testP, testNet, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, err := New(testP, testNet, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := newOverlay(overlayP, overlayModel, 0)
+	pruned := newOverlay(overlayP, overlayModel, 25)
 	var worse int
 	pairs := originPairs(60)
 	for _, pr := range pairs {
-		pf := full.BestPath(pr[0], pr[1], 7)
-		pp := pruned.BestPath(pr[0], pr[1], 7)
+		pf := full.bestPath(pr[0], pr[1], 7)
+		pp := pruned.bestPath(pr[0], pr[1], 7)
 		if pp.LatencyMs > pf.LatencyMs*1.25+2 {
 			worse++
 		}
@@ -100,14 +79,11 @@ func TestCorridorPruningClose(t *testing.T) {
 }
 
 func TestDeadRelaysSkipped(t *testing.T) {
-	o, err := New(testP, testNet, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := newOverlay(overlayP, overlayModel, 0)
 	pairs := originPairs(40)
 	// Find a pair that uses a relay, kill the relay, re-route.
 	for _, pr := range pairs {
-		p := o.BestPath(pr[0], pr[1], 9)
+		p := o.bestPath(pr[0], pr[1], 9)
 		if p.Via == nil {
 			continue
 		}
@@ -115,7 +91,7 @@ func TestDeadRelaysSkipped(t *testing.T) {
 		for _, s := range victim.Servers {
 			s.SetAlive(false)
 		}
-		p2 := o.BestPath(pr[0], pr[1], 9)
+		p2 := o.bestPath(pr[0], pr[1], 9)
 		for _, s := range victim.Servers {
 			s.SetAlive(true)
 		}
@@ -130,9 +106,9 @@ func TestDeadRelaysSkipped(t *testing.T) {
 	t.Skip("no relayed pair found to test failover")
 }
 
-func TestEvaluateEmpty(t *testing.T) {
-	o, _ := New(testP, testNet, 0)
-	if s := o.Evaluate(nil, 0); s.RelayedFraction != 0 || s.MeanImprovement != 0 {
+func TestOverlayEvaluateEmpty(t *testing.T) {
+	o := newOverlay(overlayP, overlayModel, 0)
+	if s := o.evaluate(nil, 0); s.RelayedFraction != 0 || s.MeanImprovement != 0 {
 		t.Errorf("empty evaluate = %+v", s)
 	}
 }

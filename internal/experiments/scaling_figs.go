@@ -8,10 +8,10 @@ import (
 
 	"eum/internal/demand"
 	"eum/internal/geo"
-	"eum/internal/mapping"
 	"eum/internal/par"
 	"eum/internal/simulation"
 	"eum/internal/stats"
+	"eum/internal/world"
 )
 
 // Fig02QueryVolume reproduces Fig 2: client requests served versus DNS
@@ -106,8 +106,7 @@ func Fig22PrefixTradeoff(lab *Lab) ([]Fig22Row, *Report) {
 	lengths := []int{8, 10, 12, 14, 16, 18, 20, 22, 24}
 	out := par.Map(len(lengths), func(i int) Fig22Row {
 		bits := lengths[i]
-		u := mapping.PrefixUnits{X: uint8(bits)}
-		clusters := mapping.UnitClusters(lab.World, u)
+		clusters := unitClusters(lab.World, prefixUnits(bits).unitFor)
 		keys := make([]netip.Prefix, 0, len(clusters))
 		for k := range clusters {
 			keys = append(keys, k)
@@ -139,9 +138,85 @@ func Fig22PrefixTradeoff(lab *Lab) ([]Fig22Row, *Report) {
 		rep.Rows = append(rep.Rows, row(fmt.Sprintf("/%d", r.PrefixBits), r.Units, r.RadiusP50, 100*r.Within100mi))
 	}
 	// BGP-CIDR aggregation of /24s (the §5.1 heuristic).
-	cidrUnits := mapping.NewCIDRUnits(mapping.PrefixUnits{X: 24}, lab.World.BGPCIDRs())
-	rep.Rows = append(rep.Rows, row("cidr(24)", mapping.CountUnits(lab.World, cidrUnits), "", ""))
+	cidr := newCIDRUnits(lab.World.BGPCIDRs())
+	rep.Rows = append(rep.Rows, row("cidr(24)", len(unitClusters(lab.World, cidr.unitFor)), "", ""))
 	return out, rep
+}
+
+// prefixUnits is a /x mapping-unit policy (§5.1): an IPv4 client maps to
+// its /x block, an IPv6 client to its /48. The server's own units are /24
+// and /48; coarser ones trade accuracy for fewer units (Fig 22).
+type prefixUnits int
+
+// unitFor returns the mapping unit holding addr.
+func (x prefixUnits) unitFor(addr netip.Addr) netip.Prefix {
+	addr = addr.Unmap()
+	bits := int(x)
+	if addr.Is6() {
+		bits = 48
+	}
+	p, _ := addr.Prefix(bits)
+	return p
+}
+
+// cidrUnits maps clients to BGP-announced CIDRs: /24 blocks within the same
+// announcement are combined, since they are likely proximal in the network
+// sense (§5.1 reduced 3.76M /24 blocks to 444K units this way). Addresses
+// not covered by any announcement fall back to their /24 or /48.
+type cidrUnits struct {
+	// set indexes announced CIDRs for longest-prefix matching; minBits
+	// and maxBits bound the probe range.
+	set              map[netip.Prefix]bool
+	minBits, maxBits int
+}
+
+// newCIDRUnits builds a CIDR-aggregating unit policy from a BGP table.
+func newCIDRUnits(cidrs []netip.Prefix) *cidrUnits {
+	c := &cidrUnits{set: make(map[netip.Prefix]bool, len(cidrs)), minBits: 32, maxBits: 0}
+	for _, p := range cidrs {
+		p = p.Masked()
+		c.set[p] = true
+		c.minBits = min(c.minBits, p.Bits())
+		c.maxBits = max(c.maxBits, p.Bits())
+	}
+	return c
+}
+
+// lookup returns the most specific announced CIDR containing addr. The
+// probe starts no longer than addr's own family allows: a table holding
+// IPv6 announcements longer than /32 must still match IPv4 addresses.
+func (c *cidrUnits) lookup(addr netip.Addr) (netip.Prefix, bool) {
+	addr = addr.Unmap()
+	for bits := min(c.maxBits, addr.BitLen()); bits >= c.minBits; bits-- {
+		p, err := addr.Prefix(bits)
+		if err != nil {
+			return netip.Prefix{}, false
+		}
+		if c.set[p] {
+			return p, true
+		}
+	}
+	return netip.Prefix{}, false
+}
+
+// unitFor returns the covering CIDR when one exists, else the /24 or /48.
+func (c *cidrUnits) unitFor(addr netip.Addr) netip.Prefix {
+	if p, ok := c.lookup(addr); ok {
+		return p
+	}
+	return prefixUnits(24).unitFor(addr)
+}
+
+// unitClusters groups the world's client blocks by the mapping unit unitFor
+// puts each in: the cluster-radius analysis of Fig 22a, and by its length
+// the unit count of Fig 22b.
+func unitClusters(w *world.World, unitFor func(netip.Addr) netip.Prefix) map[netip.Prefix][]*world.ClientBlock {
+	out := map[netip.Prefix][]*world.ClientBlock{}
+	for _, b := range w.Blocks {
+		k := unitFor(b.Prefix.Addr())
+		out[k] = append(out[k], b)
+	}
+	return out
 }
 
 // Fig23QueryRateIncrease reproduces Fig 23: total DNS queries per second

@@ -63,8 +63,8 @@ func (h *epochCheckHandler) ServeDNS(remote netip.AddrPort, q *dnsmsg.Message) *
 //   - transport faults: >=10% packet loss each way, duplication,
 //     reordering, latency jitter (faultnet);
 //   - server faults: a scheduled whole-deployment outage plus random
-//     per-server failures, flap-damped health probing feeding the change
-//     feed;
+//     per-server failures, health probing feeding the change feed, a
+//     server flipping on the first probe that disagrees;
 //   - control-plane churn: continuous MapMaker republishing every few
 //     milliseconds with every 7th build panicking.
 //
@@ -97,7 +97,7 @@ func runChaosServingPlane(t *testing.T, shards int) {
 	auth.SetDegradeConfig(authority.DegradeConfig{StaleAfter: 30 * time.Second})
 
 	// Health: deployment 0 scheduled hard-down for a window mid-test, every
-	// server also failing randomly ~10% of 50ms epochs, flap-damped.
+	// server also failing randomly ~10% of 50ms epochs.
 	start := time.Now()
 	sched := &cdn.ScheduledFaults{}
 	for _, srv := range p.Deployments[0].Servers {
@@ -108,7 +108,6 @@ func runChaosServingPlane(t *testing.T, shards int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.SetFlapThreshold(2)
 
 	var epochViolations atomic.Uint64
 	handler := &epochCheckHandler{auth: auth, sys: sys, violations: &epochViolations}

@@ -119,7 +119,7 @@ func TestEndToEndThroughFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := dnsserver.NewConn(in.WrapPacketConn(inner), h, dnsserver.Config{})
+	s, err := dnsserver.NewConns([]net.PacketConn{in.WrapPacketConn(inner)}, h, dnsserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

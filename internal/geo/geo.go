@@ -190,15 +190,6 @@ func MeanDistanceTo(points []Weighted, ref Point) float64 {
 	return sum / total
 }
 
-// Midpoint returns the point halfway along the great circle from p to q.
-func Midpoint(p, q Point) Point {
-	c, ok := Centroid([]Weighted{{p, 1}, {q, 1}})
-	if !ok {
-		return p
-	}
-	return c
-}
-
 // Offset returns the point reached by travelling dist miles from p on the
 // initial bearing (degrees clockwise from north). It is used by the world
 // generator to scatter clients around city centres.

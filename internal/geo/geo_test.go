@@ -173,18 +173,6 @@ func TestMeanDistanceTo(t *testing.T) {
 	}
 }
 
-func TestMidpoint(t *testing.T) {
-	m := Midpoint(boston, london)
-	d1, d2 := Distance(m, boston), Distance(m, london)
-	if math.Abs(d1-d2) > 5 {
-		t.Errorf("midpoint distances differ: %.1f vs %.1f", d1, d2)
-	}
-	total := Distance(boston, london)
-	if math.Abs(d1+d2-total) > total*0.01 {
-		t.Errorf("midpoint not on great circle: %.1f + %.1f != %.1f", d1, d2, total)
-	}
-}
-
 func TestOffsetRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 200; i++ {

@@ -64,6 +64,25 @@ func addr32(a netip.Addr) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
+// The mapping units (§5.1): an IPv4 client's /24 and an IPv6 client's /48,
+// the widths of the index's leaves and the ECS scope of an answer that
+// found its unit.
+const (
+	v4UnitBits = 24
+	v6UnitBits = 48
+)
+
+// unitOf returns the mapping unit holding a.
+func unitOf(a netip.Addr) netip.Prefix {
+	a = a.Unmap()
+	bits := v4UnitBits
+	if a.Is6() {
+		bits = v6UnitBits
+	}
+	p, _ := a.Prefix(bits)
+	return p
+}
+
 // leaf is one client block as the index builder sorts it.
 type leaf[K uint32 | uint64] struct {
 	key    K
@@ -144,9 +163,9 @@ func buildIndex(w *world.World, assign []int32) (*Index, []*world.LDNS) {
 // leaf key, so the answer is deterministic.
 func (ix *Index) client(p netip.Prefix) (int32, bool) {
 	if a := p.Addr().Unmap(); a.Is4() {
-		return ix.V4.best(addr32(a)>>8, 24-p.Bits())
+		return ix.V4.best(addr32(a)>>(32-v4UnitBits), v4UnitBits-p.Bits())
 	}
-	return ix.V6.best(addr128(p.Addr())[0]>>16, 48-p.Bits())
+	return ix.V6.best(addr128(p.Addr())[0]>>(64-v6UnitBits), v6UnitBits-p.Bits())
 }
 
 // best scans the sorted keys sharing key's bits above the lowest span

@@ -31,22 +31,6 @@ func v6Block(t *testing.T) *world.ClientBlock {
 	return nil
 }
 
-func TestPrefixUnitsIPv6(t *testing.T) {
-	u := PrefixUnits{X: 24}
-	a6 := netip.MustParseAddr("2600:1234:5678:9abc::1")
-	if got := u.UnitFor(a6); got != netip.MustParsePrefix("2600:1234:5678::/48") {
-		t.Errorf("default v6 unit = %v, want /48", got)
-	}
-	u = PrefixUnits{X: 24, X6: 56}
-	if got := u.UnitFor(a6); got.Bits() != 56 {
-		t.Errorf("explicit X6 unit = %v", got)
-	}
-	// v4 unaffected.
-	if got := u.UnitFor(netip.MustParseAddr("10.1.2.3")); got != netip.MustParsePrefix("10.1.2.0/24") {
-		t.Errorf("v4 unit = %v", got)
-	}
-}
-
 func TestMapEndUserIPv6(t *testing.T) {
 	sys := NewSystem(v6World, v6Platform, testNet, Config{Policy: EndUser, PingTargets: 500})
 	b := v6Block(t)
@@ -97,30 +81,5 @@ func TestLookupBlockIPv6(t *testing.T) {
 	got, ok := sn.ClientRow(netip.PrefixFrom(host, 128))
 	if want := blockRow(sn, b); !ok || !slices.Equal(got.Head, want.Head) || !slices.Equal(got.Tail, want.Tail) {
 		t.Errorf("ClientRow(%v) is not the row of block %v (found %v)", host, b.Prefix, ok)
-	}
-}
-
-func TestCountUnitsMixedFamilies(t *testing.T) {
-	// /24+/48 leaf units must count every block once.
-	n := CountUnits(v6World, PrefixUnits{X: 24})
-	if n != len(v6World.Blocks) {
-		t.Errorf("leaf units = %d, want %d", n, len(v6World.Blocks))
-	}
-	// Coarsening v6 only shrinks v6 units.
-	coarse := CountUnits(v6World, PrefixUnits{X: 24, X6: 40})
-	if coarse >= n {
-		t.Errorf("coarser v6 units did not reduce count: %d -> %d", n, coarse)
-	}
-}
-
-func TestCIDRUnitsIPv6(t *testing.T) {
-	units := NewCIDRUnits(PrefixUnits{X: 24}, v6World.BGPCIDRs())
-	b := v6Block(t)
-	u := units.UnitFor(b.Prefix.Addr())
-	if !u.Contains(b.Prefix.Addr()) {
-		t.Fatalf("unit %v does not contain %v", u, b.Prefix.Addr())
-	}
-	if u.Addr().Is4() {
-		t.Fatal("v6 address mapped to v4 unit")
 	}
 }

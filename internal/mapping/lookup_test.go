@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"fmt"
 	"net/netip"
 	"slices"
 	"testing"
@@ -20,10 +21,47 @@ type unitIndexRef struct {
 	leaf map[netip.Prefix]*world.ClientBlock
 }
 
-func newUnitIndexRef(t *testing.T, w *world.World, units UnitPolicy) *unitIndexRef {
+// unitPolicy names a mapping-unit policy the unit index was built under.
+type unitPolicy struct {
+	name    string
+	unitFor func(netip.Addr) netip.Prefix
+}
+
+// prefixUnits maps IPv4 clients to /x blocks and IPv6 clients to /x6.
+func prefixUnits(x, x6 int) unitPolicy {
+	return unitPolicy{fmt.Sprintf("/%d and /%d units", x, x6), func(a netip.Addr) netip.Prefix {
+		a = a.Unmap()
+		bits := x
+		if a.Is6() {
+			bits = x6
+		}
+		p, _ := a.Prefix(bits)
+		return p
+	}}
+}
+
+// cidrUnits maps clients to the most specific BGP announcement holding
+// them, and failing one to their leaf.
+func cidrUnits(cidrs []netip.Prefix) unitPolicy {
+	set := map[netip.Prefix]bool{}
+	for _, c := range cidrs {
+		set[c.Masked()] = true
+	}
+	return unitPolicy{"BGP-CIDR units", func(a netip.Addr) netip.Prefix {
+		a = a.Unmap()
+		for bits := a.BitLen(); bits >= 0; bits-- {
+			if p, _ := a.Prefix(bits); set[p] {
+				return p
+			}
+		}
+		return leafOf(a)
+	}}
+}
+
+func newUnitIndexRef(t *testing.T, w *world.World, units unitPolicy) *unitIndexRef {
 	r := &unitIndexRef{rep: map[netip.Prefix]*world.ClientBlock{}, leaf: map[netip.Prefix]*world.ClientBlock{}}
 	for _, b := range w.Blocks {
-		u := units.UnitFor(b.Prefix.Addr())
+		u := units.unitFor(b.Prefix.Addr())
 		if cur, ok := r.rep[u]; !ok || b.Demand > cur.Demand {
 			r.rep[u] = b
 		}
@@ -148,10 +186,10 @@ func TestClientLookupMatchesUnitIndex(t *testing.T) {
 			{"identity", identity, func(b *world.ClientBlock) int32 { return pos[b] }},
 			{"50-mile", miles50.Index, func(b *world.ClientBlock) int32 { return miles50Parts[pos[b]] }},
 		}
-		policies := []UnitPolicy{
-			PrefixUnits{X: 16}, PrefixUnits{X: 20}, PrefixUnits{X: 22}, PrefixUnits{X: 24}, PrefixUnits{X: 28},
-			PrefixUnits{X: 24, X6: 40}, PrefixUnits{X: 24, X6: 56},
-			NewCIDRUnits(PrefixUnits{X: 24}, w.BGPCIDRs()),
+		policies := []unitPolicy{
+			prefixUnits(16, 48), prefixUnits(20, 48), prefixUnits(22, 48), prefixUnits(24, 48), prefixUnits(28, 48),
+			prefixUnits(24, 40), prefixUnits(24, 56),
+			cidrUnits(w.BGPCIDRs()),
 		}
 		for _, part := range partitionings {
 			lookups, found := 0, 0
@@ -168,15 +206,15 @@ func TestClientLookupMatchesUnitIndex(t *testing.T) {
 					for _, host := range []netip.Addr{a.Next().Next(), nextLeaf(a)} {
 						for _, n := range bits {
 							q, _ := host.Prefix(n)
-							want, wantOK := ref.lookup(units.UnitFor(q.Addr()), q)
-							unit := units.UnitFor(q.Addr())
+							want, wantOK := ref.lookup(units.unitFor(q.Addr()), q)
+							unit := units.unitFor(q.Addr())
 							if q.Bits() < unit.Bits() {
 								unit = q
 							}
 							got, ok := part.ix.client(unit)
 							if ok != wantOK || (ok && got != part.partOf(want)) {
 								t.Fatalf("%s world, %s partitions, %v, query %v: partition %d (found %v), the unit index gave block %v (found %v)",
-									name, part.name, units, q, got, ok, want, wantOK)
+									name, part.name, units.name, q, got, ok, want, wantOK)
 							}
 							lookups++
 							if ok {
@@ -233,39 +271,5 @@ func TestRowsByAddressMatchAssignedPartitions(t *testing.T) {
 			}
 			t.Logf("%d blocks, %d resolvers, v6 %g: every row by address is the assigned partition's", len(w.Blocks), len(w.LDNSes), v6)
 		}
-	}
-}
-
-// TestCIDRUnitsMixedFamilies: with IPv6 announcements in the BGP table, an
-// IPv4 block's unit is still the announcement holding it (the probe for it
-// once started at the table's longest IPv6 length and gave up), and so is
-// every IPv6 block's.
-func TestCIDRUnitsMixedFamilies(t *testing.T) {
-	w := world.MustGenerate(world.Config{Seed: 3, NumBlocks: 3000, IPv6Fraction: 0.3})
-	cidrs := w.BGPCIDRs()
-	units := NewCIDRUnits(PrefixUnits{X: 24}, cidrs)
-	var v4, v6 int
-	for _, b := range w.Blocks {
-		var holding netip.Prefix
-		for _, c := range cidrs {
-			if c.Contains(b.Prefix.Addr()) {
-				holding = c
-				break
-			}
-		}
-		if !holding.IsValid() {
-			t.Fatalf("no announcement holds block %v", b.Prefix)
-		}
-		if got := units.UnitFor(b.Prefix.Addr()); got != holding {
-			t.Fatalf("block %v: unit %v, the announcement holding it is %v", b.Prefix, got, holding)
-		}
-		if b.Prefix.Addr().Is4() {
-			v4++
-		} else {
-			v6++
-		}
-	}
-	if v4 == 0 || v6 == 0 {
-		t.Fatalf("%d v4 and %d v6 blocks; want both families", v4, v6)
 	}
 }

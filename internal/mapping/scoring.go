@@ -14,10 +14,10 @@ import (
 )
 
 // Prober measures path quality between two endpoints. The network model
-// itself satisfies it (direct probing), as does a measurement database
-// (measure.DB) that serves stored sweep observations — the production
-// information flow, where scoring reads measurements rather than the
-// network.
+// itself satisfies it (direct probing), as does a database that serves
+// stored sweep observations (the freshness figure's, in
+// internal/experiments) — the production information flow, where scoring
+// reads measurements rather than the network.
 type Prober interface {
 	PingMs(a, b netmodel.Endpoint) float64
 }
@@ -31,9 +31,10 @@ type Prober interface {
 // (geo.Prepared.FloorTo), plus PingFloorCrossingMs() for a pair in two
 // ASes — which is what lets headInto pass over a deployment that cannot
 // make a head without measuring it. The network model is one. A prober
-// that serves stored observations (measure.DB, the test fakes) is not, and
-// is asked pair by pair for every deployment; that loop is also the
-// reference the row form is tested against.
+// that serves stored observations or a cost of its own (the freshness and
+// traffic-class figures', the test fakes) is not, and is asked pair by
+// pair for every deployment; that loop is also the reference the row form
+// is tested against.
 type rowProber interface {
 	Prober
 	PingRow(dst []float64, from []netmodel.Site, to netmodel.Endpoint)

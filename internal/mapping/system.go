@@ -1,3 +1,14 @@
+// Package mapping implements the paper's primary contribution: the CDN
+// mapping system that routes each DNS request to a proximal server cluster.
+//
+// It provides the three request-routing policies the paper evaluates —
+// traditional NS-based mapping (route by the LDNS), end-user mapping (route
+// by the EDNS0 client-subnet prefix), and client-aware NS-based mapping
+// (route by the LDNS's measured client cluster) — together with the scoring
+// layer built on ping-target measurements, the two-level (global + local)
+// load balancer, and the map a name server answers from. A client's
+// mapping unit, the finest grain an answer is decided at, is its /24 or
+// /48 block (§5.1).
 package mapping
 
 import (
@@ -48,9 +59,6 @@ type Config struct {
 	// Policy is the request-routing policy. Default NSBased (the
 	// traditional system; enable EndUser to roll out EU mapping).
 	Policy Policy
-	// Units is the mapping-unit policy for client prefixes; nil means
-	// /24 blocks.
-	Units UnitPolicy
 	// TTL is the DNS answer TTL. The paper's CDN uses short TTLs so load
 	// balancing reacts quickly; default 20s.
 	TTL time.Duration
@@ -113,7 +121,7 @@ type System struct {
 // NewSystem builds a mapping system over the given world and platform and
 // publishes its first map before returning, so the data plane never
 // computes anything on the hot path. The prober is typically the network
-// model itself, or a measure.DB fed by periodic sweeps.
+// model itself.
 func NewSystem(w *world.World, p *cdn.Platform, net Prober, cfg Config) *System {
 	cfg = withDefaults(cfg)
 	s := bareSystem(p, cfg)
@@ -137,9 +145,6 @@ func NewReplica(p *cdn.Platform, sn *Snapshot, cfg Config) *System {
 
 // withDefaults fills in the Config fields left zero.
 func withDefaults(cfg Config) Config {
-	if cfg.Units == nil {
-		cfg.Units = PrefixUnits{X: 24}
-	}
 	if cfg.TTL == 0 {
 		cfg.TTL = 20 * time.Second
 	}
@@ -325,7 +330,7 @@ func (s *System) MapInto(sn *Snapshot, req Request, scratch []*cdn.Server) (Resp
 		// generic fallback there would answer with scope 0, which the
 		// resolver files in its subnet-blind cache, shadowing answers for
 		// every client it serves.
-		unit := s.cfg.Units.UnitFor(req.ClientSubnet.Addr())
+		unit := unitOf(req.ClientSubnet.Addr())
 		scope := uint8(unit.Bits())
 		if req.ClientSubnet.Bits() < unit.Bits() {
 			unit = req.ClientSubnet
@@ -336,9 +341,9 @@ func (s *System) MapInto(sn *Snapshot, req Request, scratch []*cdn.Server) (Resp
 		// other fallback answer.
 		if candidates, known = sn.ClientRow(unit); known {
 			resp.UsedClientSubnet = true
-			// Answer scope: the mapping-unit granularity for this address
-			// family (CIDR units may be coarser), never more specific than
-			// what the query revealed (RFC 7871 §7.2.1 privacy: y <= x).
+			// Answer scope: the mapping unit's width for this address
+			// family, never more specific than what the query revealed
+			// (RFC 7871 §7.2.1 privacy: y <= x).
 			resp.ScopePrefix = min(scope, uint8(req.ClientSubnet.Bits()))
 		}
 	case sn.policy == ClientAwareNS:

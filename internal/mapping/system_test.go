@@ -3,6 +3,7 @@ package mapping
 import (
 	"net/netip"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -229,20 +230,6 @@ func TestScopeNeverExceedsSource(t *testing.T) {
 	}
 }
 
-func TestCoarseUnitsCoarseScope(t *testing.T) {
-	s := NewSystem(testW, testP, testNet, Config{
-		Policy: EndUser, Units: PrefixUnits{X: 20}, PingTargets: 500,
-	})
-	b := publicBlock(t)
-	resp, err := s.Map(Request{Domain: "d.net", LDNS: b.LDNS.Addr, ClientSubnet: b.Prefix})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.ScopePrefix != 20 {
-		t.Errorf("scope = %d, want 20 for /20 units", resp.ScopePrefix)
-	}
-}
-
 func TestSameDomainSameServers(t *testing.T) {
 	// Local LB cache locality: repeated requests for one domain from the
 	// same unit must hit the same servers.
@@ -386,5 +373,36 @@ func TestLookupHelpers(t *testing.T) {
 	}
 	if got, ok := sn.ResolverRow(b.LDNS.Addr); !ok || !same(got, sn.row(ldnsParts[slices.Index(testW.LDNSes, b.LDNS)])) {
 		t.Error("ResolverRow failed")
+	}
+}
+
+// lab is a world, its platform and the network between them.
+type lab struct {
+	World    *world.World
+	Platform *cdn.Platform
+	Net      *netmodel.Model
+}
+
+// smallLab is the figures' Small lab universe — seed 1, 4 000 blocks, 400
+// deployments of 8 servers — built on first use, for the benchmarks.
+var smallLab = sync.OnceValue(func() lab {
+	w := world.MustGenerate(world.Config{Seed: 1, NumBlocks: 4000})
+	p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 1, NumDeployments: 400, ServersPerDeployment: 8})
+	return lab{World: w, Platform: p, Net: netmodel.NewDefault()}
+})
+
+func BenchmarkMappingMap(b *testing.B) {
+	l := smallLab()
+	sys := NewSystem(l.World, l.Platform, l.Net, Config{
+		Policy: EndUser, PingTargets: 800,
+	})
+	blk := l.World.Blocks[0]
+	req := Request{Domain: "bench.net", LDNS: blk.LDNS.Addr, ClientSubnet: blk.Prefix}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Map(req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

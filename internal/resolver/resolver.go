@@ -121,11 +121,6 @@ func (r *Resolver) Addr() netip.Addr { return r.cfg.Addr }
 // ECSEnabled reports whether the resolver forwards client subnets.
 func (r *Resolver) ECSEnabled() bool { return r.cfg.ECSEnabled }
 
-// SetECSEnabled flips ECS forwarding — how providers "turned on the EDNS0
-// extension" during the roll-out. The cache is kept: pre-existing global
-// entries remain valid; new answers begin accumulating per-scope.
-func (r *Resolver) SetECSEnabled(v bool) { r.cfg.ECSEnabled = v }
-
 // Query resolves domain on behalf of the client at clientAddr at simulated
 // time now.
 func (r *Resolver) Query(now time.Time, domain string, clientAddr netip.Addr) (Answer, error) {

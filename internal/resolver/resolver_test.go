@@ -240,29 +240,6 @@ func TestQueryRateMultiplier(t *testing.T) {
 	}
 }
 
-func TestSetECSEnabledMidstream(t *testing.T) {
-	up := &stubUpstream{ttl: 20 * time.Second, scope: 24}
-	r := newTestResolver(t, false, up)
-	if _, err := r.Query(t0, "foo.net", client1); err != nil {
-		t.Fatal(err)
-	}
-	r.SetECSEnabled(true)
-	if !r.ECSEnabled() {
-		t.Fatal("SetECSEnabled failed")
-	}
-	// Existing global entry still valid.
-	if a, _ := r.Query(t0.Add(time.Second), "foo.net", client4); !a.FromCache {
-		t.Error("pre-rollout entry dropped on enable")
-	}
-	// After expiry, entries go per-block.
-	later := t0.Add(time.Minute)
-	_, _ = r.Query(later, "foo.net", client1)
-	_, _ = r.Query(later, "foo.net", client4)
-	if up.queries != 3 {
-		t.Errorf("upstream queries = %d, want 3", up.queries)
-	}
-}
-
 func TestUpstreamErrorPropagates(t *testing.T) {
 	wantErr := errors.New("SERVFAIL")
 	up := &stubUpstream{err: wantErr}

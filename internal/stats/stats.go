@@ -249,28 +249,3 @@ func (d *Dataset) LogHistogram(lo, hi float64, binsPerDecade int) []HistogramBin
 	}
 	return bins
 }
-
-// LinearHistogram builds nBins equal-width bins over [lo, hi), with
-// out-of-range values clamped into the end bins.
-func (d *Dataset) LinearHistogram(lo, hi float64, nBins int) []HistogramBin {
-	if hi <= lo || nBins <= 0 || d.total == 0 {
-		return nil
-	}
-	bins := make([]HistogramBin, nBins)
-	width := (hi - lo) / float64(nBins)
-	for i := range bins {
-		bins[i].Lo = lo + float64(i)*width
-		bins[i].Hi = lo + float64(i+1)*width
-	}
-	for _, s := range d.samples {
-		idx := int((s.Value - lo) / width)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= nBins {
-			idx = nBins - 1
-		}
-		bins[idx].Fraction += s.Weight / d.total
-	}
-	return bins
-}

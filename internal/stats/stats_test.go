@@ -204,26 +204,6 @@ func TestLogHistogramInvalidArgs(t *testing.T) {
 	}
 }
 
-func TestLinearHistogram(t *testing.T) {
-	var d Dataset
-	for v := 0.5; v < 10; v++ {
-		d.AddUnweighted(v)
-	}
-	d.AddUnweighted(-5) // clamps into first bin
-	d.AddUnweighted(50) // clamps into last bin
-	bins := d.LinearHistogram(0, 10, 5)
-	var sum float64
-	for _, b := range bins {
-		sum += b.Fraction
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("linear histogram sums to %v", sum)
-	}
-	if bins[0].Fraction < 2.0/12.0-1e-9 {
-		t.Errorf("clamped low value missing from first bin: %+v", bins[0])
-	}
-}
-
 func TestPercentileMatchesFraction(t *testing.T) {
 	// Percentile and FractionAtOrBelow are (approximately) inverse.
 	rng := rand.New(rand.NewSource(4))

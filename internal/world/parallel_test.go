@@ -2,6 +2,7 @@ package world
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"eum/internal/par"
@@ -54,5 +55,31 @@ func TestGenerateWorkerCountInvariant(t *testing.T) {
 				t.Fatalf("AS %d CIDR %d differs: %v vs %v", i, j, a.CIDRs[j], b.CIDRs[j])
 			}
 		}
+	}
+}
+
+// BenchmarkWorldGenerate measures full-world generation (per-country
+// fan-out plus the serial renumbering pass), at one worker and at every
+// core: the pairing measures the fan-out speedup, and
+// TestGenerateWorkerCountInvariant holds the two to one world.
+func BenchmarkWorldGenerate(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{
+		{"serial", 1},
+		{"parallel", runtime.GOMAXPROCS(0)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			par.SetWorkers(tc.workers)
+			defer par.SetWorkers(0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := MustGenerate(Config{Seed: 3, NumBlocks: 20000, IPv6Fraction: 0.15})
+				if len(w.Blocks) == 0 {
+					b.Fatal("empty world")
+				}
+			}
+		})
 	}
 }

@@ -787,16 +787,6 @@ func (w *World) BGPCIDRs() []netip.Prefix {
 	return out
 }
 
-// BlockByPrefix returns the client block owning the given /24, or nil.
-func (w *World) BlockByPrefix(p netip.Prefix) *ClientBlock {
-	for _, b := range w.Blocks {
-		if b.Prefix == p {
-			return b
-		}
-	}
-	return nil
-}
-
 // --- generation helpers ---
 
 func pickWeighted(rng *rand.Rand, weights []float64, sum float64) int {

@@ -363,16 +363,6 @@ func TestAggregateCIDRsCapped(t *testing.T) {
 	}
 }
 
-func TestBlockByPrefix(t *testing.T) {
-	b := testWorld.Blocks[17]
-	if got := testWorld.BlockByPrefix(b.Prefix); got != b {
-		t.Error("BlockByPrefix did not find existing block")
-	}
-	if got := testWorld.BlockByPrefix(netip.MustParsePrefix("203.0.113.0/24")); got != nil {
-		t.Error("BlockByPrefix found a nonexistent block")
-	}
-}
-
 func TestAnycastMisrouting(t *testing.T) {
 	// Some public-resolver blocks should land at a non-nearest site.
 	misrouted := 0
