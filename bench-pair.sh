@@ -3,7 +3,8 @@
 # revision against this checkout.
 #
 # BASE is exported into .bench_build/pair/<commit>/ (git archive: a plain
-# tree, nothing registered in .git), and `bash bench/run.sh` is alternated
+# tree, nothing registered in .git; the exports of other commits are
+# removed first, the current one's is reused), and `bash bench/run.sh` is alternated
 # between that tree and this one, swapping who goes first each pair, so that
 # a drift of the machine lands on both sides alike. Then, per metric: both
 # medians with their quartiles, how many pairs the change won (ties count
@@ -26,6 +27,14 @@ trace=${TRACE:-0}
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)
 commit=$(git -C "$root" rev-parse --verify "$base_rev^{commit}")
 base="$root/.bench_build/pair/$commit"
+# One parent tree at a time: an export of any other commit (and its build
+# output) is removed before this one is made or reused.
+for old in "$root"/.bench_build/pair/*/; do
+	old=${old%/}
+	if [[ $(basename "$old") =~ ^[0-9a-f]{40}$ ]] && [ "$old" != "$base" ]; then
+		rm -rf "$old"
+	fi
+done
 if [ ! -f "$base/bench/run.sh" ]; then
 	rm -rf "$base"
 	mkdir -p "$base"

@@ -211,11 +211,18 @@ func TestFullBuildMeasuresFewPairs(t *testing.T) {
 // head order — which a change to the format around the rows, or to how
 // they are stored, leaves where it is: it is the value the 12-byte rows of
 // wire format v6 gave before they were split into an order column for
-// every row and a score column for heads.
+// every row and a score column for heads. coldWideIndexCRC is the CRC-32C of
+// the table every client and resolver reads — the table of every IPv4
+// leaf in key order, then of every IPv6 leaf, then of every resolver, then
+// the fallback-LDNS and the fallback-client tables, each as u32
+// little-endian — which is the value wire format v7 gave when the index
+// named partitions and the layout mapped each to its table: no client
+// reads another row since the index names tables itself.
 const (
-	coldWideImageCRC  = 0x544c6cc9
-	coldWideImageSize = 3037472
+	coldWideImageCRC  = 0x2c2f67ed
+	coldWideImageSize = 2933136
 	coldWideRowsCRC   = 0x176bd683
+	coldWideIndexCRC  = 0xf9cc0443
 )
 
 func TestWireImagePinned(t *testing.T) {
@@ -250,5 +257,15 @@ func TestWireImagePinned(t *testing.T) {
 	}
 	if rows != coldWideRowsCRC {
 		t.Fatalf("the cold_wide rank rows have CRC-32C %#08x, pinned %#08x", rows, coldWideRowsCRC)
+	}
+	lay := sn.Layout()
+	var tables uint32
+	for _, list := range [][]int32{lay.Index.V4.Table, lay.Index.V6.Table, lay.Index.ResolverTable, {lay.FallbackLDNS, lay.FallbackClient}} {
+		for _, tb := range list {
+			tables = crc32.Update(tables, castagnoli, binary.LittleEndian.AppendUint32(word[:0], uint32(tb)))
+		}
+	}
+	if tables != coldWideIndexCRC {
+		t.Fatalf("the cold_wide index's tables have CRC-32C %#08x, pinned %#08x", tables, coldWideIndexCRC)
 	}
 }

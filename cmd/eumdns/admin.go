@@ -157,7 +157,7 @@ func (st adminState) mapz(w http.ResponseWriter, _ *http.Request) {
 		Partitions:    snap.Partitions(),
 		Tables:        snap.Tables(),
 		TableLen:      lay.TableLen,
-		Tails:         len(lay.TailSeg),
+		Tails:         lay.Tails,
 		TailLen:       lay.TailLen,
 		ArenaChain:    snap.ArenaChainLen(),
 		Endpoints:     snap.Endpoints(),

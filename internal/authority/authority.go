@@ -108,7 +108,7 @@ var errStaleMap = errors.New("authority: map too stale to serve")
 // for concurrent use.
 //
 // Every mapping answer is read from the installed map at the moment of the
-// query (System.MapAt: block → partition → rank row). Within one TTL a
+// query (System.MapAt: block → table → rank row). Within one TTL a
 // repeated query still gets the same servers, because the local load
 // balancer ranks the picked deployment's servers by a hash of the domain.
 type Authority struct {

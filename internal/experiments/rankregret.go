@@ -144,10 +144,10 @@ func RankRegret(lab *Lab) ([]RankRegretRow, []*Report, error) {
 		for _, b := range lab.World.Blocks[from:to] {
 			full := sc.Rank(b.Endpoint())
 			for _, c := range full {
-				ping[c.Dep] = c.Score()
+				ping[c.Dep] = c.Score
 			}
 			for _, c := range full[lo:hi] {
-				r.truth.AddUnweighted(c.Score())
+				r.truth.AddUnweighted(c.Score)
 			}
 			own, _ := sn.ClientRow(b.Prefix)
 			for _, v := range []struct {
@@ -156,7 +156,7 @@ func RankRegret(lab *Lab) ([]RankRegretRow, []*Report, error) {
 			}{{own.Tail, &r.regional}, {fallback, &r.fallback}} {
 				mapping.Row{Head: own.Head, Tail: v.tail}.Walk(func(pos int, c uint16) bool {
 					if pos >= lo && pos < hi {
-						v.into.AddUnweighted(ping[c] - full[pos].Score())
+						v.into.AddUnweighted(ping[c] - full[pos].Score)
 					}
 					return pos < hi
 				})
@@ -174,7 +174,7 @@ func RankRegret(lab *Lab) ([]RankRegretRow, []*Report, error) {
 	walkRep := &Report{
 		ID: "rankregret-walk",
 		Caption: fmt.Sprintf("Ping added per step by walking a shared tail instead of the endpoint's own ranking, positions %d-%d of %d (%d heads of %d + %d tails = %.1f%% of %d full rows)",
-			lo, hi-1, nDeps, lay.Tables(), lay.TableLen, len(lay.TailSeg),
+			lo, hi-1, nDeps, lay.Tables(), lay.TableLen, lay.Tails,
 			100*float64(lay.ArenaLen())/float64(lay.Tables()*nDeps), lay.Tables()),
 		Columns: []string{"tail", "samples", "true-mean-ms", "mean-regret-ms", "p99-regret-ms", "worst-regret-ms"},
 	}

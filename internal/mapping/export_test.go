@@ -13,22 +13,22 @@ func LayoutOf(sb *SnapshotBuilder) *Layout {
 	return sb.layoutLocked()
 }
 
-// Partitions lays out the builder's universe afresh and returns the
-// partition of each position in it, which BuildIndex indexes.
-func Partitions(sb *SnapshotBuilder) []int32 {
-	_, _, assign := sb.partition()
+// IndexTables lays out the builder's universe afresh and returns the table
+// of each position in it, which BuildIndex indexes.
+func IndexTables(sb *SnapshotBuilder) []int32 {
+	_, _, _, assign := sb.partition()
 	return assign
 }
 
 // FillAll ranks every row of the builder's layout into an arena's columns.
 func FillAll(sb *SnapshotBuilder, lay *Layout, order []uint16, scores []float64) {
-	sb.fillRows(lay, sb.segs, upTo(lay.Rows()), order, scores)
+	sb.fillRows(lay, sb.segs, sb.tailSeg, upTo(lay.Rows()), order, scores)
 }
 
 // BootSnapshot builds a replica's epoch-0 map.
 func BootSnapshot(sb *SnapshotBuilder) *Snapshot { return sb.bootSnapshot(EndUser) }
 
-// BuildIndex indexes w under the partitions Partitions returned.
+// BuildIndex indexes w under the tables IndexTables returned.
 func BuildIndex(w *world.World, assign []int32) *Index {
 	ix, _ := buildIndex(w, assign)
 	return ix

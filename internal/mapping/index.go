@@ -8,9 +8,9 @@ import (
 	"eum/internal/world"
 )
 
-// Index is the map's lookup from what a query carries to the partition
-// whose row answers it: client leaves (IPv4 /24s, IPv6 /48s) and resolver
-// addresses, each with its partition. It is the only per-block state a name
+// Index is the map's lookup from what a query carries to the table whose
+// row answers it: client leaves (IPv4 /24s, IPv6 /48s) and resolver
+// addresses, each with its table. It is the only per-block state a name
 // server holds, so it travels in every full image and a replica answers
 // from it without knowing the world the publisher built it from. Arrays
 // are sorted and flat — a few bytes per block resident, allocation-free
@@ -22,22 +22,22 @@ type Index struct {
 	V6 Leaves[uint64] // keys: the /48 network, the address's top 48 bits
 
 	// Resolvers holds resolver addresses in their 16-byte form (an IPv4
-	// address as IPv4-mapped), strictly ascending, and ResolverPart the
-	// partition of each. A resolver's position here is its slot, which the
+	// address as IPv4-mapped), strictly ascending, and ResolverTable the
+	// table of each. A resolver's position here is its slot, which the
 	// ClientAwareNS candidate lists are keyed by.
-	Resolvers    [][2]uint64
-	ResolverPart []int32
+	Resolvers     [][2]uint64
+	ResolverTable []int32
 }
 
 // Leaves is one address family's client leaves: Keys strictly ascending,
-// Part the partition of each, and Rank each leaf's place among the
+// Table the table of each, and Rank each leaf's place among the
 // family's leaves in (block demand descending, key ascending) order — a
 // permutation of 0..len-1. A query coarser than a leaf resolves to the
 // lowest rank inside it: the highest-demand block, ties to the lowest key.
 type Leaves[K uint32 | uint64] struct {
-	Keys []K
-	Part []int32
-	Rank []uint32
+	Keys  []K
+	Table []int32
+	Rank  []uint32
 }
 
 // addr128 splits an address's 16-byte form into two uint64 halves.
@@ -86,21 +86,21 @@ func unitOf(a netip.Addr) netip.Prefix {
 // leaf is one client block as the index builder sorts it.
 type leaf[K uint32 | uint64] struct {
 	key    K
-	part   int32
+	table  int32
 	demand float64
 }
 
 // newLeaves lays out one family's leaves in key order and ranks them.
 func newLeaves[K uint32 | uint64](ls []leaf[K]) Leaves[K] {
 	slices.SortFunc(ls, func(a, b leaf[K]) int { return cmp.Compare(a.key, b.key) })
-	out := Leaves[K]{Keys: make([]K, len(ls)), Part: make([]int32, len(ls)), Rank: make([]uint32, len(ls))}
+	out := Leaves[K]{Keys: make([]K, len(ls)), Table: make([]int32, len(ls)), Rank: make([]uint32, len(ls))}
 	type byDemand struct {
 		demand float64
 		pos    uint32 // ascends with the key, so it breaks demand ties
 	}
 	order := make([]byDemand, len(ls))
 	for i, l := range ls {
-		out.Keys[i], out.Part[i], order[i] = l.key, l.part, byDemand{l.demand, uint32(i)}
+		out.Keys[i], out.Table[i], order[i] = l.key, l.table, byDemand{l.demand, uint32(i)}
 	}
 	slices.SortFunc(order, func(a, b byDemand) int {
 		switch {
@@ -118,46 +118,46 @@ func newLeaves[K uint32 | uint64](ls []leaf[K]) Leaves[K] {
 }
 
 // buildIndex indexes the world's client blocks and resolvers under the
-// partitions buildLayout assigned them, by position in the builder's
-// universe: assign[i] is w.LDNSes[i]'s partition and assign[len(w.LDNSes)+i]
+// tables buildLayout assigned them, by position in the builder's universe:
+// assign[i] is w.LDNSes[i]'s table and assign[len(w.LDNSes)+i]
 // w.Blocks[i]'s. It returns with the index the world LDNS in each resolver
 // slot. Two resolvers at one address keep the first in world order.
 func buildIndex(w *world.World, assign []int32) (*Index, []*world.LDNS) {
-	ldnsPart, blockPart := assign[:len(w.LDNSes)], assign[len(w.LDNSes):]
+	ldnsTable, blockTable := assign[:len(w.LDNSes)], assign[len(w.LDNSes):]
 	var v4 []leaf[uint32]
 	var v6 []leaf[uint64]
 	for i, b := range w.Blocks {
 		if a := b.Prefix.Addr().Unmap(); a.Is4() {
-			v4 = append(v4, leaf[uint32]{addr32(a) >> 8, blockPart[i], b.Demand})
+			v4 = append(v4, leaf[uint32]{addr32(a) >> 8, blockTable[i], b.Demand})
 		} else {
-			v6 = append(v6, leaf[uint64]{addr128(a)[0] >> 16, blockPart[i], b.Demand})
+			v6 = append(v6, leaf[uint64]{addr128(a)[0] >> 16, blockTable[i], b.Demand})
 		}
 	}
 	type resolver struct {
-		addr [2]uint64
-		part int32
-		ldns *world.LDNS
+		addr  [2]uint64
+		table int32
+		ldns  *world.LDNS
 	}
 	rs := make([]resolver, len(w.LDNSes))
 	for i, l := range w.LDNSes {
-		rs[i] = resolver{addr128(l.Addr), ldnsPart[i], l}
+		rs[i] = resolver{addr128(l.Addr), ldnsTable[i], l}
 	}
 	slices.SortStableFunc(rs, func(a, b resolver) int { return compare128(a.addr, b.addr) })
 	rs = slices.CompactFunc(rs, func(a, b resolver) bool { return a.addr == b.addr })
 	ix := &Index{
-		V4:           newLeaves(v4),
-		V6:           newLeaves(v6),
-		Resolvers:    make([][2]uint64, len(rs)),
-		ResolverPart: make([]int32, len(rs)),
+		V4:            newLeaves(v4),
+		V6:            newLeaves(v6),
+		Resolvers:     make([][2]uint64, len(rs)),
+		ResolverTable: make([]int32, len(rs)),
 	}
 	ldnses := make([]*world.LDNS, len(rs))
 	for i, r := range rs {
-		ix.Resolvers[i], ix.ResolverPart[i], ldnses[i] = r.addr, r.part, r.ldns
+		ix.Resolvers[i], ix.ResolverTable[i], ldnses[i] = r.addr, r.table, r.ldns
 	}
 	return ix, ldnses
 }
 
-// client returns the partition of the highest-demand block inside p — a
+// client returns the table of the highest-demand block inside p — a
 // mapping unit, a truncated ECS source, or anything at or below the leaf
 // granularity, which is the single leaf holding p. Ties go to the lowest
 // leaf key, so the answer is deterministic.
@@ -169,8 +169,8 @@ func (ix *Index) client(p netip.Prefix) (int32, bool) {
 }
 
 // best scans the sorted keys sharing key's bits above the lowest span
-// (none when span <= 0: the one leaf equal to key) and returns the
-// partition of the lowest-ranked among them.
+// (none when span <= 0: the one leaf equal to key) and returns the table
+// of the lowest-ranked among them.
 func (l *Leaves[K]) best(key K, span int) (int32, bool) {
 	span = max(span, 0)
 	best := -1
@@ -183,7 +183,7 @@ func (l *Leaves[K]) best(key K, span int) (int32, bool) {
 	if best < 0 {
 		return -1, false
 	}
-	return l.Part[best], true
+	return l.Table[best], true
 }
 
 // resolver returns the slot of a resolver address.

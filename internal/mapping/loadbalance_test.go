@@ -344,12 +344,12 @@ func TestScorerBestMatchesRankHead(t *testing.T) {
 	if best == nil {
 		t.Fatal("no best deployment")
 	}
-	if depOf(rank[0].Dep) != best || rank[0].Score() != score {
+	if depOf(rank[0].Dep) != best || rank[0].Score != score {
 		t.Errorf("Rank head %v/%.2f != Best %v/%.2f",
-			depOf(rank[0].Dep).Name, rank[0].Score(), best.Name, score)
+			depOf(rank[0].Dep).Name, rank[0].Score, best.Name, score)
 	}
 	for i := 1; i < len(rank); i++ {
-		if rank[i].Score() < rank[i-1].Score() {
+		if rank[i].Score < rank[i-1].Score {
 			t.Fatal("Rank not sorted")
 		}
 	}

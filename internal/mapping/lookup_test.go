@@ -134,8 +134,8 @@ func nextLeaf(a netip.Addr) netip.Addr {
 	return netip.AddrFrom16(b)
 }
 
-// blockIndex indexes w with every block its own partition — its position
-// in w.Blocks — so a lookup names the block it found.
+// blockIndex indexes w with every block its own table — its position in
+// w.Blocks — so a lookup names the block it found.
 func blockIndex(w *world.World) *Index {
 	assign := make([]int32, len(w.LDNSes)+len(w.Blocks))
 	for i := range w.Blocks {
@@ -147,18 +147,18 @@ func blockIndex(w *world.World) *Index {
 
 // blockIn returns the block a blockIndex lookup of p finds.
 func blockIn(ix *Index, w *world.World, p netip.Prefix) (*world.ClientBlock, bool) {
-	if part, ok := ix.client(p); ok {
-		return w.Blocks[part], true
+	if i, ok := ix.client(p); ok {
+		return w.Blocks[i], true
 	}
 	return nil, false
 }
 
 // TestClientLookupMatchesUnitIndex: the one range query MapAt makes — the
 // highest-demand block inside the coarser of unit and query — resolves to
-// the partition of the block the mapping-unit index it replaced returned,
-// partition for partition and found for found, under identity partitions
-// (one block per partition, so the block itself) and under 50-mile
-// partitions, with fixed /x units coarser and finer than the leaves, coarse
+// the table of the block the mapping-unit index it replaced returned, table
+// for table and found for found, under an index of block positions (one
+// block per table, so the block itself: the leaf-exact reference) and under
+// 50-mile partitions, with fixed /x units coarser and finer than the leaves, coarse
 // and fine IPv6 units, and BGP-CIDR units, on a v4-only and a mixed world,
 // for queries at and around every block.
 func TestClientLookupMatchesUnitIndex(t *testing.T) {
@@ -172,19 +172,19 @@ func TestClientLookupMatchesUnitIndex(t *testing.T) {
 		sb.mu.Lock()
 		miles50 := sb.layoutLocked()
 		sb.mu.Unlock()
-		_, miles50Parts := assigned(sb)
+		_, miles50Tables := assigned(sb)
 		identity := blockIndex(w)
 		pos := make(map[*world.ClientBlock]int32, len(w.Blocks))
 		for i, b := range w.Blocks {
 			pos[b] = int32(i)
 		}
 		partitionings := []struct {
-			name   string
-			ix     *Index
-			partOf func(*world.ClientBlock) int32
+			name    string
+			ix      *Index
+			tableOf func(*world.ClientBlock) int32
 		}{
 			{"identity", identity, func(b *world.ClientBlock) int32 { return pos[b] }},
-			{"50-mile", miles50.Index, func(b *world.ClientBlock) int32 { return miles50Parts[pos[b]] }},
+			{"50-mile", miles50.Index, func(b *world.ClientBlock) int32 { return miles50Tables[pos[b]] }},
 		}
 		policies := []unitPolicy{
 			prefixUnits(16, 48), prefixUnits(20, 48), prefixUnits(22, 48), prefixUnits(24, 48), prefixUnits(28, 48),
@@ -212,8 +212,8 @@ func TestClientLookupMatchesUnitIndex(t *testing.T) {
 								unit = q
 							}
 							got, ok := part.ix.client(unit)
-							if ok != wantOK || (ok && got != part.partOf(want)) {
-								t.Fatalf("%s world, %s partitions, %v, query %v: partition %d (found %v), the unit index gave block %v (found %v)",
+							if ok != wantOK || (ok && got != part.tableOf(want)) {
+								t.Fatalf("%s world, %s partitions, %v, query %v: table %d (found %v), the unit index gave block %v (found %v)",
 									name, part.name, units.name, q, got, ok, want, wantOK)
 							}
 							lookups++
@@ -234,8 +234,8 @@ func TestClientLookupMatchesUnitIndex(t *testing.T) {
 
 // TestRowsByAddressMatchAssignedPartitions: every world block's subnet and
 // every world resolver's address is in the map, and reads the row of the
-// partition buildLayout assigned that block or resolver — the one way the
-// figures and the authority ask the map. Checked for every block and
+// table buildLayout gave that block's or resolver's partition — the one
+// way the figures and the authority ask the map. Checked for every block and
 // resolver of the Small and Full labs' sizes (seed 1), v4-only and with
 // 30% IPv6 blocks, under identity and 50-mile partitions, at one ping
 // target per ten blocks — and at the Small size at 800 targets and with
@@ -254,22 +254,22 @@ func TestRowsByAddressMatchAssignedPartitions(t *testing.T) {
 				for _, targets := range size.targets {
 					sb := NewSnapshotBuilder(w, p, testNet, Config{PingTargets: targets, PartitionMiles: miles})
 					sn := sb.Build(1, EndUser)
-					ldnsParts, blockParts := assigned(sb)
+					ldnsTables, blockTables := assigned(sb)
 					for i, b := range w.Blocks {
-						if got, ok := sn.ClientRow(b.Prefix); !ok || !same(got, sn.row(blockParts[i])) {
+						if got, ok := sn.ClientRow(b.Prefix); !ok || !same(got, sn.row(blockTables[i])) {
 							t.Fatalf("%d blocks, v6 %g, %g miles, %d targets: block %v reads another row (found %v)",
 								size.blocks, v6, miles, targets, b.Prefix, ok)
 						}
 					}
 					for i, l := range w.LDNSes {
-						if got, ok := sn.ResolverRow(l.Addr); !ok || !same(got, sn.row(ldnsParts[i])) {
+						if got, ok := sn.ResolverRow(l.Addr); !ok || !same(got, sn.row(ldnsTables[i])) {
 							t.Fatalf("%d blocks, v6 %g, %g miles, %d targets: resolver %v reads another row (found %v)",
 								size.blocks, v6, miles, targets, l.Addr, ok)
 						}
 					}
 				}
 			}
-			t.Logf("%d blocks, %d resolvers, v6 %g: every row by address is the assigned partition's", len(w.Blocks), len(w.LDNSes), v6)
+			t.Logf("%d blocks, %d resolvers, v6 %g: every row by address is its partition's table's", len(w.Blocks), len(w.LDNSes), v6)
 		}
 	}
 }

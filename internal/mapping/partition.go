@@ -73,34 +73,32 @@ type segment struct {
 // Layout is the partitioner's output: the immutable shape shared by every
 // snapshot built until the endpoint universe changes, and no more than
 // serving reads. It holds the index (client leaf or resolver address →
-// partition), the partition→table map and which tail each table continues
-// in. A snapshot stores one row per table (segment) — its head, the first
-// TableLen entries of its ranking — followed by one row per tail, a ranking
-// of every deployment; rows are numbered in that order (see RowLen). Its
-// exported fields are all it holds besides the fingerprint cache, and what
-// internal/mapwire writes and reads one for one, so a decoded layout is the
-// built one; nothing may modify a layout once a snapshot refers to it.
+// table) and which tail each table continues in. A snapshot stores one row
+// per table (segment) — its head, the first TableLen entries of its
+// ranking — followed by one row per tail, a ranking of every deployment;
+// rows are numbered in that order (see RowLen). Its exported fields are all
+// it holds besides the fingerprint cache, and what internal/mapwire writes
+// and reads one for one, so a decoded layout is the built one; nothing may
+// modify a layout once a snapshot refers to it.
 type Layout struct {
-	NParts int // universe partitions, excluding the two fallbacks
+	// NParts is how many partitions the universe was clustered into,
+	// excluding the two fallbacks: the count Snapshot.Partitions reports.
+	// Serving never reads a partition; the index names tables.
+	NParts int
 
 	// Index resolves a query's client prefix or resolver address to its
-	// partition.
+	// table.
 	Index *Index
 
-	// FallbackLDNS / FallbackClient are the partition indexes of the two
-	// synthetic fallback endpoints (always the last two partitions).
+	// FallbackLDNS / FallbackClient are the tables of the two synthetic
+	// fallback endpoints.
 	FallbackLDNS   int32
 	FallbackClient int32
 
-	// PartSeg maps partition → table (4 bytes per partition; partitions
-	// interned onto the same ping target share a table).
-	PartSeg []int32
-
-	// SegTail maps table → tail, one entry per table, and TailSeg tail → the
-	// table whose measured endpoint ranks it: the first table seen in the
-	// tail's cell, or the fallback table a tail was made for.
+	// SegTail maps table → tail, one entry per table; Tails counts the
+	// tails.
 	SegTail []int32
-	TailSeg []int32
+	Tails   int
 
 	TableLen int // entries per head = HeadLen(TailLen)
 	TailLen  int // entries per tail = len(platform.Deployments)
@@ -117,7 +115,7 @@ func (lay *Layout) Tables() int { return len(lay.SegTail) }
 
 // Rows returns how many rows a snapshot of this layout stores: a head per
 // table, then the tails.
-func (lay *Layout) Rows() int { return lay.Tables() + len(lay.TailSeg) }
+func (lay *Layout) Rows() int { return lay.Tables() + lay.Tails }
 
 // RowLen returns the number of entries in row i.
 func (lay *Layout) RowLen(i int) int {
@@ -143,11 +141,10 @@ func (lay *Layout) columns(n, heads int) ([]uint16, []float64) {
 	return make([]uint16, heads*lay.TableLen+(n-heads)*lay.TailLen), make([]float64, heads*lay.TableLen)
 }
 
-// memoryBytes is the resident size of the layout's table maps; the index
-// is System.IndexBytes'.
+// memoryBytes is the resident size of the layout's table→tail map; the
+// index is System.IndexBytes'.
 func (lay *Layout) memoryBytes() uint64 {
-	const i32 = uint64(unsafe.Sizeof(int32(0)))
-	return uint64(cap(lay.PartSeg)+cap(lay.SegTail)+cap(lay.TailSeg)) * i32
+	return uint64(cap(lay.SegTail)) * uint64(unsafe.Sizeof(int32(0)))
 }
 
 // signatureFor quantizes an endpoint's routing signature at the given cell
@@ -164,63 +161,63 @@ func signatureFor(ep netmodel.Endpoint, miles float64) sigKey {
 	}
 }
 
-// buildLayout partitions the endpoint universe and returns the layout with
-// the segments its tables are ranked from and the partition of each
-// universe position, which the index is made from. miles <= 0 selects
-// identity partitioning: every distinct endpoint ID is its own partition,
-// which reproduces the pre-partition per-endpoint tables exactly (the
-// equivalence property pinned by TestPartitionIdentityEquivalence). miles > 0
-// clusters endpoints by routing signature; the first member seen (universe
-// order, so deterministic) represents the partition.
-func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
-	miles float64, sc *Scorer) (*Layout, []segment, []int32) {
+// partitionUniverse clusters the endpoint universe into partitions and
+// returns the partition of each universe position with the representative
+// of each partition: the first member seen, in universe order, so
+// deterministic. miles <= 0 selects identity partitioning: every distinct
+// endpoint ID is its own partition, which reproduces the pre-partition
+// per-endpoint tables exactly (the equivalence property pinned by
+// TestPartitionIdentityEquivalence). miles > 0 clusters endpoints by
+// routing signature.
+func partitionUniverse(universe []netmodel.Endpoint, miles float64) ([]int32, []netmodel.Endpoint) {
+	if miles <= 0 {
+		return firstSeen(universe, len(universe), func(ep netmodel.Endpoint) uint64 { return ep.ID })
+	}
+	return firstSeen(universe, len(universe)/4+16, func(ep netmodel.Endpoint) sigKey { return signatureFor(ep, miles) })
+}
 
-	nDeps := len(sc.platform.Deployments)
-	lay := &Layout{Index: &Index{}, TableLen: HeadLen(nDeps), TailLen: nDeps}
-
-	// Pass 1: assign partitions first-seen by signature.
+// firstSeen numbers the distinct keys of the universe's endpoints in the
+// order they are first seen, about hint of them, and returns each
+// position's number with the endpoint each number was first seen at.
+func firstSeen[K comparable](universe []netmodel.Endpoint, hint int, key func(netmodel.Endpoint) K) ([]int32, []netmodel.Endpoint) {
 	assign := make([]int32, len(universe))
 	var reps []netmodel.Endpoint
-	if miles <= 0 {
-		seen := make(map[uint64]int32, len(universe))
-		for i, ep := range universe {
-			p, ok := seen[ep.ID]
-			if !ok {
-				p = int32(len(reps))
-				seen[ep.ID] = p
-				reps = append(reps, ep)
-			}
-			assign[i] = p
+	seen := make(map[K]int32, hint)
+	for i, ep := range universe {
+		k := key(ep)
+		p, ok := seen[k]
+		if !ok {
+			p = int32(len(reps))
+			seen[k] = p
+			reps = append(reps, ep)
 		}
-	} else {
-		bySig := make(map[sigKey]int32, len(universe)/4+16)
-		for i, ep := range universe {
-			k := signatureFor(ep, miles)
-			p, ok := bySig[k]
-			if !ok {
-				p = int32(len(reps))
-				bySig[k] = p
-				reps = append(reps, ep)
-			}
-			assign[i] = p
-		}
+		assign[i] = p
 	}
+	return assign, reps
+}
+
+// buildLayout partitions the endpoint universe (partitionUniverse), interns
+// the partitions onto tables and returns the layout with the segments its
+// tables are ranked from, the table whose segment ranks each tail, and the
+// table of each universe position, which the index is made from.
+func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
+	miles float64, sc *Scorer) (lay *Layout, segs []segment, tailSeg, assign []int32) {
+
+	nDeps := len(sc.platform.Deployments)
+	lay = &Layout{Index: &Index{}, TableLen: HeadLen(nDeps), TailLen: nDeps}
+	assign, reps := partitionUniverse(universe, miles)
 	lay.NParts = len(reps)
 
 	// The two fallback partitions ride at the end; their synthetic IDs (top
 	// of the uint64 space) never enter the index.
-	lay.FallbackLDNS = int32(len(reps))
-	reps = append(reps, fLDNS)
-	lay.FallbackClient = int32(len(reps))
-	reps = append(reps, fClient)
+	reps = append(reps, fLDNS, fClient)
 
-	// Pass 2: intern partitions onto segments. With clustering on,
-	// partitions resolving to the same ping target share one table, so the
-	// arena is bounded by the distinct targets in use — not by the
-	// partition count; with clustering off each partition ranks its own
-	// representative.
-	var segs []segment
-	lay.PartSeg = make([]int32, len(reps))
+	// Intern partitions onto segments. With clustering on, partitions
+	// resolving to the same ping target share one table, so the arena is
+	// bounded by the distinct targets in use — not by the partition count;
+	// with clustering off each partition ranks its own representative.
+	// Serving needs only the table, so every position is rewritten to it.
+	partSeg := make([]int32, len(reps))
 	if sc.Targeted() {
 		tIdx := par.Map(len(reps), func(i int) int { return sc.nearestTarget(reps[i]) })
 		byTarget := make(map[int32]int32, 64)
@@ -232,36 +229,40 @@ func buildLayout(universe []netmodel.Endpoint, fLDNS, fClient netmodel.Endpoint,
 				byTarget[t] = s
 				segs = append(segs, segment{target: t, rep: rep})
 			}
-			lay.PartSeg[p] = s
+			partSeg[p] = s
 		}
 	} else {
 		for p, rep := range reps {
 			segs = append(segs, segment{target: -1, rep: rep})
-			lay.PartSeg[p] = int32(p)
+			partSeg[p] = int32(p)
 		}
 	}
+	for i, p := range assign {
+		assign[i] = partSeg[p]
+	}
+	lay.FallbackLDNS, lay.FallbackClient = partSeg[lay.NParts], partSeg[lay.NParts+1]
 
-	// Pass 3: tails. Segments share the tail of their measured endpoint's
-	// cell — geography alone, since beyond the head AS and access tier no
-	// longer tell rankings apart. The fallback segments get tails of their
-	// own, so a fallback row is the fallback endpoint's exact ranking from
-	// first entry to last.
+	// Tails. Segments share the tail of their measured endpoint's cell —
+	// geography alone, since beyond the head AS and access tier no longer
+	// tell rankings apart. The fallback segments get tails of their own, so
+	// a fallback row is the fallback endpoint's exact ranking from first
+	// entry to last.
 	lay.SegTail = make([]int32, len(segs))
-	fbLDNS, fbClient := lay.PartSeg[lay.FallbackLDNS], lay.PartSeg[lay.FallbackClient]
 	byCell := make(map[sigKey]int32, 64)
 	for s, seg := range segs {
 		cell := signatureFor(sc.segProxy(seg), tailMiles)
 		cell.asn, cell.access = 0, 0
 		t, shared := byCell[cell]
-		fallback := int32(s) == fbLDNS || int32(s) == fbClient
+		fallback := int32(s) == lay.FallbackLDNS || int32(s) == lay.FallbackClient
 		if fallback || !shared {
-			t = int32(len(lay.TailSeg))
-			lay.TailSeg = append(lay.TailSeg, int32(s))
+			t = int32(len(tailSeg))
+			tailSeg = append(tailSeg, int32(s))
 			if !fallback {
 				byCell[cell] = t
 			}
 		}
 		lay.SegTail[s] = t
 	}
-	return lay, segs, assign
+	lay.Tails = len(tailSeg)
+	return lay, segs, tailSeg, assign
 }

@@ -44,7 +44,7 @@ func TestPartitionIdentityEquivalence(t *testing.T) {
 		for j := range got {
 			if got[j] != want[j] {
 				t.Fatalf("%s %d rank %d: %s/%v, want %s/%v", what, ep.ID, j,
-					depOf(got[j].Dep).Name, got[j].Score(), depOf(want[j].Dep).Name, want[j].Score())
+					depOf(got[j].Dep).Name, got[j].Score, depOf(want[j].Dep).Name, want[j].Score)
 			}
 		}
 		// The first live entry of the row is the reference table's.
@@ -96,23 +96,30 @@ func TestPartitionThresholdClusters(t *testing.T) {
 		}
 	}
 
-	// Partition sharing must respect the routing signature: two blocks in
-	// the same partition share a rank table (same backing segment).
+	// Partition sharing must respect the routing signature: every block
+	// reads the table the builder gave its partition, so two blocks in the
+	// same partition share a rank table (same backing segment).
+	parts, _ := partitionUniverse(sys.builder.universe(), 100)
+	_, tables := assigned(sys.builder)
 	seen := map[int32][]uint16{}
 	shared := 0
-	for _, b := range testW.Blocks {
-		p, ok := sn.lay.Index.client(b.Prefix)
+	for i, b := range testW.Blocks {
+		tb, ok := sn.lay.Index.client(b.Prefix)
 		if !ok {
 			t.Fatalf("block %v not indexed", b.Prefix)
 		}
+		if tb != tables[i] {
+			t.Fatalf("block %v reads table %d, the builder gave its partition table %d", b.Prefix, tb, tables[i])
+		}
+		p := parts[len(testW.LDNSes)+i]
 		if prev, ok := seen[p]; ok {
-			cur := sn.row(p).Head
+			cur := sn.row(tb).Head
 			if &prev[0] != &cur[0] {
 				t.Fatalf("partition %d: table backing changed between lookups", p)
 			}
 			shared++
 		} else {
-			seen[p] = sn.row(p).Head
+			seen[p] = sn.row(tb).Head
 		}
 	}
 	if shared == 0 {

@@ -18,7 +18,7 @@ func flat(r Row) []uint16 { return append(slices.Clone(r.Head), r.Tail...) }
 func headOf(r Row) []Ranked {
 	out := make([]Ranked, len(r.Head))
 	for k, d := range r.Head {
-		out[k] = MakeRanked(uint32(d), r.Scores[k])
+		out[k] = Ranked{uint32(d), r.Scores[k]}
 	}
 	return out
 }
@@ -89,8 +89,8 @@ func TestHeadIsPrefixOfFullRank(t *testing.T) {
 			if lay.TableLen != min(max(32, nDeps/16), nDeps) || lay.TailLen != nDeps {
 				t.Fatalf("geometry: heads of %d, tails of %d, for %d deployments", lay.TableLen, lay.TailLen, nDeps)
 			}
-			if len(lay.TailSeg) == 0 || len(lay.TailSeg) > len(b.segs) {
-				t.Fatalf("%d tails for %d segments", len(lay.TailSeg), len(b.segs))
+			if lay.Tails == 0 || lay.Tails != len(b.tailSeg) || lay.Tails > len(b.segs) {
+				t.Fatalf("%d tails (%d sources) for %d segments", lay.Tails, len(b.tailSeg), len(b.segs))
 			}
 			full := make([][]Ranked, len(b.segs))
 			cutInTies := 0
@@ -100,10 +100,10 @@ func TestHeadIsPrefixOfFullRank(t *testing.T) {
 				if head := headOf(Row{Head: sn.RowOrder(s), Scores: sn.HeadScores(s)}); !slices.Equal(head, full[s][:lay.TableLen]) {
 					t.Fatalf("segment %d: head is not the first %d of its endpoint's ranking", s, lay.TableLen)
 				}
-				if n := lay.TableLen; n < nDeps && full[s][n-1].Score() == full[s][n].Score() && lay.TailSeg[lay.SegTail[s]] != int32(s) {
+				if n := lay.TableLen; n < nDeps && full[s][n-1].Score == full[s][n].Score && b.tailSeg[lay.SegTail[s]] != int32(s) {
 					cutInTies++
 				}
-				own := sc.segProxy(b.segs[lay.TailSeg[lay.SegTail[s]]])
+				own := sc.segProxy(b.segs[b.tailSeg[lay.SegTail[s]]])
 				a, b := signatureFor(proxy, 250), signatureFor(own, 250)
 				if a.row != b.row || a.col != b.col {
 					t.Fatalf("segment %d continues in a tail ranked from another cell", s)
@@ -112,18 +112,18 @@ func TestHeadIsPrefixOfFullRank(t *testing.T) {
 			if tc.p == tied && cutInTies == 0 {
 				t.Fatal("no head that ranks no tail is cut inside a run of equal scores")
 			}
-			for tl, src := range lay.TailSeg {
+			for tl, src := range b.tailSeg {
 				if !slices.Equal(sn.RowOrder(len(b.segs)+tl), order(full[src])) {
 					t.Fatalf("tail %d is not the full ranking of segment %d's endpoint", tl, src)
 				}
 			}
 			// The fallback rows are the fallback segments' exact rankings.
 			for _, client := range []bool{false, true} {
-				p := lay.FallbackLDNS
+				tb := lay.FallbackLDNS
 				if client {
-					p = lay.FallbackClient
+					tb = lay.FallbackClient
 				}
-				if got := walked(sn.fallbackRow(client)); !slices.Equal(got, order(full[lay.PartSeg[p]])) {
+				if got := walked(sn.fallbackRow(client)); !slices.Equal(got, order(full[tb])) {
 					t.Fatalf("fallback row (client=%v) is not its endpoint's full ranking", client)
 				}
 			}
@@ -157,7 +157,7 @@ func tiedAtCut(p *cdn.Platform, cfg Config) *cdn.Platform {
 	probe.mu.Unlock()
 	var at []netmodel.Endpoint
 	for s, seg := range probe.segs {
-		if lay.TailSeg[lay.SegTail[s]] != int32(s) {
+		if probe.tailSeg[lay.SegTail[s]] != int32(s) {
 			at = append(at, probe.scorer.segProxy(seg))
 		}
 	}
@@ -209,10 +209,10 @@ func TestTwoLevelPickMatchesFullRow(t *testing.T) {
 	head := sn.lay.TableLen
 	rng := rand.New(rand.NewSource(7))
 	// The reference row of a block is the full ranking of the endpoint
-	// measured for its partition — what the parent stored whole.
-	_, parts := assigned(sys.builder)
+	// measured for its table — what the parent stored whole.
+	_, tables := assigned(sys.builder)
 	fullRow := func(i int) []Ranked {
-		return fullRank(sc, sc.segProxy(sys.builder.segs[sn.lay.PartSeg[parts[i]]]))
+		return fullRank(sc, sc.segProxy(sys.builder.segs[tables[i]]))
 	}
 
 	var inHead, pastHead, allSaturated, allDead int

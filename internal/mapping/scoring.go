@@ -98,19 +98,13 @@ type Scorer struct {
 // every row keeps the deployment indexes, a head its scores too.
 type Ranked struct {
 	Dep   uint32
-	score float64
+	Score float64 // ping milliseconds, lower is better
 }
-
-// MakeRanked builds the entry for deployment index dep at the given score.
-func MakeRanked(dep uint32, score float64) Ranked { return Ranked{Dep: dep, score: score} }
-
-// Score returns the entry's score (ping milliseconds, lower is better).
-func (r Ranked) Score() float64 { return r.score }
 
 // compareRanked is the table order: ascending score, ties broken by
 // deployment index, so equal pings rank the same way on every build.
 func compareRanked(a, b Ranked) int {
-	switch sa, sb := a.Score(), b.Score(); {
+	switch sa, sb := a.Score, b.Score; {
 	case sa < sb:
 		return -1
 	case sa > sb:
@@ -323,7 +317,7 @@ func (s *Scorer) pingRow(dst []float64, proxy netmodel.Endpoint) {
 func (s *Scorer) scoreInto(scored []Ranked, pings []float64, proxy netmodel.Endpoint) {
 	s.pingRow(pings, proxy)
 	for i, ms := range pings {
-		scored[i] = MakeRanked(uint32(i), ms)
+		scored[i] = Ranked{uint32(i), ms}
 	}
 }
 
@@ -378,7 +372,7 @@ func before(a Ranked, sa float64, b Ranked, sb float64) bool {
 // placed by binary search on the scores. Only equal scores need the
 // deployment tie-break.
 func (w *window) offer(r Ranked) {
-	k := r.Score()
+	k := r.Score
 	if w.full() {
 		if !before(r, k, w.dst[w.n-1], w.worst) {
 			return
@@ -388,7 +382,7 @@ func (w *window) offer(r Ranked) {
 	lo, hi := 0, w.n
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if before(w.dst[m], w.dst[m].Score(), r, k) {
+		if before(w.dst[m], w.dst[m].Score, r, k) {
 			lo = m + 1
 		} else {
 			hi = m
@@ -397,7 +391,7 @@ func (w *window) offer(r Ranked) {
 	copy(w.dst[lo+1:w.n+1], w.dst[lo:w.n])
 	w.dst[lo] = r
 	if w.n++; w.full() {
-		w.worst = w.dst[w.n-1].Score()
+		w.worst = w.dst[w.n-1].Score
 	}
 }
 
@@ -444,12 +438,12 @@ func (s *Scorer) headInto(dst []Ranked, proxy netmodel.Endpoint, scratch *headSc
 		}
 		return f
 	}
-	measure := func(i uint32) Ranked { return MakeRanked(i, s.rows.PingAt(&s.sites[i], &proxy, at)) }
+	measure := func(i uint32) Ranked { return Ranked{i, s.rows.PingAt(&s.sites[i], &proxy, at)} }
 
 	walk := s.siteLat.walkFrom(proxy.Loc.Lat, perMile)
 	low, met := window{dst: scratch.low[:len(dst)]}, scratch.met[:0]
 	for i, ok := walk.next(low.bound()); ok; i, ok = walk.next(low.bound()) {
-		r := MakeRanked(uint32(i), floor(i))
+		r := Ranked{uint32(i), floor(i)}
 		met = append(met, r)
 		low.offer(r)
 	}
@@ -459,7 +453,7 @@ func (s *Scorer) headInto(dst []Ranked, proxy netmodel.Endpoint, scratch *headSc
 		head.offer(measure(r.Dep))
 	}
 	for _, r := range met {
-		if !scratch.held[r.Dep] && r.Score() <= head.bound() {
+		if !scratch.held[r.Dep] && r.Score <= head.bound() {
 			head.offer(measure(r.Dep))
 		}
 	}
@@ -496,7 +490,7 @@ func (s *Scorer) Best(ep netmodel.Endpoint) (*cdn.Deployment, float64) {
 		r, ok := s.best[int32(idx)]
 		s.mu.RUnlock()
 		if ok {
-			return s.platform.Deployments[r.Dep], r.Score()
+			return s.platform.Deployments[r.Dep], r.Score
 		}
 	}
 	var best *cdn.Deployment
@@ -513,7 +507,7 @@ func (s *Scorer) Best(ep netmodel.Endpoint) (*cdn.Deployment, float64) {
 	}
 	if idx >= 0 && best != nil {
 		s.mu.Lock()
-		s.best[int32(idx)] = MakeRanked(uint32(bestAt), bestScore)
+		s.best[int32(idx)] = Ranked{uint32(bestAt), bestScore}
 		s.mu.Unlock()
 	}
 	return best, bestScore

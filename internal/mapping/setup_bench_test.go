@@ -46,7 +46,7 @@ func BenchmarkSetupBudget(b *testing.B) {
 		}
 	})
 	b.Run("index", func(b *testing.B) {
-		assign := mapping.Partitions(builder())
+		assign := mapping.IndexTables(builder())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			mapping.BuildIndex(w, assign)

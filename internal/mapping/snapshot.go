@@ -38,8 +38,8 @@ const (
 // is shared by all segments of one region (see Row). A row is an order: it
 // keeps its deployments as uint16 indexes in a pointer-free arena column,
 // and only a head keeps their scores beside them, for the load-aware pick
-// (see arena). The index from client leaf or resolver address to partition
-// is sorted flat arrays (see Index), so resident memory per block is a few
+// (see arena). The index from client leaf or resolver address to table is
+// sorted flat arrays (see Index), so resident memory per block is a few
 // bytes.
 //
 // This is the paper's two-plane architecture (§3–§5): topology discovery
@@ -54,8 +54,8 @@ type Snapshot struct {
 	policy  Policy
 	ttl     time.Duration
 
-	// lay is the partition layout (index + partition→segment map), shared
-	// across every snapshot built for the same endpoint universe.
+	// lay is the layout (index + table→tail map), shared across every
+	// snapshot built for the same endpoint universe.
 	lay *Layout
 	// deps is the platform's deployment list, which the rows index.
 	deps []*cdn.Deployment
@@ -99,9 +99,9 @@ type rowAt struct{ arena, off uint32 }
 
 // Row is a candidate list in its two stored levels, as ClientRow,
 // ResolverRow and CANSCandidates return it for what a query carries: Head,
-// the best few deployments of its partition's own ranking, with Scores[k]
+// the best few deployments of its table's own ranking, with Scores[k]
 // Head[k]'s score (ping milliseconds), and Tail, a ranking of every
-// deployment that the partition's whole region shares, which keeps the
+// deployment that the table's whole region shares, which keeps the
 // order alone. Deployments are indexes into the platform's Deployments
 // list. Candidates are tried head first, then tail (see lists). The slices
 // are immutable; callers must not modify them.
@@ -191,9 +191,9 @@ func (sn *Snapshot) Endpoints() int { return sn.lay.Index.Len() }
 // the capacity of every array it holds times its element size: both
 // columns of every arena in the chain — superseded rows in older arenas
 // included, which stay resident until compaction drops them — the chain
-// itself, the per-row locations and epochs, and the partition→table and
-// table→tail maps. The index is System.IndexBytes', and the CANS candidate
-// map (ClientAwareNS only) is excluded.
+// itself, the per-row locations and epochs, and the table→tail map. The
+// index is System.IndexBytes', and the CANS candidate map (ClientAwareNS
+// only) is excluded.
 func (sn *Snapshot) MemoryBytes() uint64 {
 	n := sn.lay.memoryBytes() +
 		uint64(cap(sn.arenas))*uint64(unsafe.Sizeof(arena{})) +
@@ -206,10 +206,9 @@ func (sn *Snapshot) MemoryBytes() uint64 {
 	return n
 }
 
-// row returns partition p's candidates.
-func (sn *Snapshot) row(p int32) Row {
-	s := int(sn.lay.PartSeg[p])
-	return Row{Head: sn.RowOrder(s), Scores: sn.HeadScores(s), Tail: sn.RowOrder(sn.lay.Tables() + int(sn.lay.SegTail[s]))}
+// row returns table t's candidates.
+func (sn *Snapshot) row(t int32) Row {
+	return Row{Head: sn.RowOrder(int(t)), Scores: sn.HeadScores(int(t)), Tail: sn.RowOrder(sn.lay.Tables() + int(sn.lay.SegTail[t]))}
 }
 
 // fallbackRow returns the shared candidates for endpoints the map does not
@@ -228,8 +227,8 @@ func (sn *Snapshot) fallbackRow(client bool) Row {
 // is no coarser than a leaf — and whether the map covers any; when it does
 // not, the row is the client fallback row.
 func (sn *Snapshot) ClientRow(p netip.Prefix) (Row, bool) {
-	if part, ok := sn.lay.Index.client(p); ok {
-		return sn.row(part), true
+	if t, ok := sn.lay.Index.client(p); ok {
+		return sn.row(t), true
 	}
 	return sn.fallbackRow(true), false
 }
@@ -239,7 +238,7 @@ func (sn *Snapshot) ClientRow(p netip.Prefix) (Row, bool) {
 // row.
 func (sn *Snapshot) ResolverRow(addr netip.Addr) (Row, bool) {
 	if slot, ok := sn.lay.Index.resolver(addr); ok {
-		return sn.row(sn.lay.Index.ResolverPart[slot]), true
+		return sn.row(sn.lay.Index.ResolverTable[slot]), true
 	}
 	return sn.fallbackRow(false), false
 }
@@ -276,7 +275,7 @@ func (sn *Snapshot) CANSCandidates(addr netip.Addr) Row {
 	if !ok {
 		return Row{}
 	}
-	c.Tail = sn.row(sn.lay.Index.ResolverPart[slot]).Tail
+	c.Tail = sn.row(sn.lay.Index.ResolverTable[slot]).Tail
 	return c
 }
 
@@ -305,10 +304,12 @@ type SnapshotBuilder struct {
 	// whenever the builder forgets its previous snapshot (bootSnapshot).
 	lineage uint64
 	lay     *Layout
-	// segs are what lay's tables are ranked from, one per table: serving
-	// never reads them, so they stay here and never travel.
-	segs []segment
-	prev *Snapshot
+	// segs are what lay's tables are ranked from, one per table, and
+	// tailSeg the table whose segment ranks each tail: serving never reads
+	// them, so they stay here and never travel.
+	segs    []segment
+	tailSeg []int32
+	prev    *Snapshot
 	// ldnses is the world LDNS in each resolver slot of lay's index, which
 	// buildCANS reads the resolver's clients from. Like segs it never
 	// travels. Nil until the first layout and after bootSnapshot.
@@ -425,8 +426,8 @@ func fallbackEndpoints() (ldns, client netmodel.Endpoint) {
 	return ldns, client
 }
 
-// layoutLocked returns the cached partition layout, computing it (and the
-// segments its tables are ranked from) on first use. The layout depends only
+// layoutLocked returns the cached layout, computing it (and the segments
+// its tables and tails are ranked from) on first use. The layout depends only
 // on the endpoint universe — every world LDNS and client block — the
 // partitioning threshold and the (fixed) ping-target set, never on
 // measurements, so it survives every invalidation.
@@ -434,16 +435,22 @@ func (b *SnapshotBuilder) layoutLocked() *Layout {
 	if b.lay != nil {
 		return b.lay
 	}
-	lay, segs, assign := b.partition()
+	lay, segs, tailSeg, assign := b.partition()
 	ix, ldnses := buildIndex(b.world, assign)
 	lay.Index = ix
-	b.lay, b.segs, b.ldnses = lay, segs, ldnses
+	b.lay, b.segs, b.tailSeg, b.ldnses = lay, segs, tailSeg, ldnses
 	return lay
 }
 
-// partition lays out the builder's endpoint universe: every world LDNS,
-// then every client block, in world order (see buildLayout).
-func (b *SnapshotBuilder) partition() (*Layout, []segment, []int32) {
+// partition lays out the builder's endpoint universe (see buildLayout).
+func (b *SnapshotBuilder) partition() (*Layout, []segment, []int32, []int32) {
+	fLDNS, fClient := fallbackEndpoints()
+	return buildLayout(b.universe(), fLDNS, fClient, b.partitionMiles, b.scorer)
+}
+
+// universe lists the builder's endpoints: every world LDNS, then every
+// client block, in world order.
+func (b *SnapshotBuilder) universe() []netmodel.Endpoint {
 	w := b.world
 	universe := make([]netmodel.Endpoint, 0, len(w.LDNSes)+len(w.Blocks))
 	for _, l := range w.LDNSes {
@@ -452,12 +459,11 @@ func (b *SnapshotBuilder) partition() (*Layout, []segment, []int32) {
 	for _, blk := range w.Blocks {
 		universe = append(universe, blk.Endpoint())
 	}
-	fLDNS, fClient := fallbackEndpoints()
-	return buildLayout(universe, fLDNS, fClient, b.partitionMiles, b.scorer)
+	return universe
 }
 
-// fillRows ranks the given rows of lay, whose tables are ranked from segs,
-// into the columns of an arena (see arena), where they lie back to back in
+// fillRows ranks the given rows of lay, whose tables are ranked from segs
+// and whose tails from the tables tailSeg names, into the columns of an arena (see arena), where they lie back to back in
 // that order: ascending, heads before tails, and every tail after the head
 // of the segment that ranks it. order takes every row's deployment indexes
 // and scores the heads' scores. A segment that ranks a tail, or whose
@@ -466,14 +472,14 @@ func (b *SnapshotBuilder) partition() (*Layout, []segment, []int32) {
 // head selected. Any other head — nearly all of them — measures only the
 // deployments that could enter it (headInto), with the same bits. A row is
 // ranked in float64 Ranked entries, and written out once it is whole.
-func (b *SnapshotBuilder) fillRows(lay *Layout, segs []segment, rows []int32, order []uint16, scores []float64) {
+func (b *SnapshotBuilder) fillRows(lay *Layout, segs []segment, tailSeg, rows []int32, order []uint16, scores []float64) {
 	nSegs := lay.Tables()
 	offs := make([]int, len(rows)+1)
 	tailAt := map[int32]int{} // segment → where in rows the tail it ranks lies
 	for k, i := range rows {
 		offs[k+1] = offs[k] + lay.RowLen(int(i))
 		if int(i) >= nSegs {
-			tailAt[lay.TailSeg[int(i)-nSegs]] = k
+			tailAt[tailSeg[int(i)-nSegs]] = k
 		}
 	}
 	par.MapShards(len(rows)-len(tailAt), func(_, lo, hi int) struct{} {
@@ -512,7 +518,7 @@ func putRow(order []uint16, scores []float64, ranked []Ranked) {
 		order[k] = uint16(r.Dep)
 	}
 	for k := range scores {
-		scores[k] = ranked[k].Score()
+		scores[k] = ranked[k].Score
 	}
 }
 
@@ -535,15 +541,15 @@ func upTo(n int) []int32 {
 func (b *SnapshotBuilder) bootSnapshot(policy Policy) *Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.lay, b.segs, b.prev, b.ldnses = nil, nil, nil, nil
+	b.lay, b.segs, b.tailSeg, b.prev, b.ldnses = nil, nil, nil, nil, nil
 	b.lineage = newLineage()
 	b.markAllDirty()
 	b.scorer.Invalidate()
 
 	fLDNS, fClient := fallbackEndpoints()
-	lay, segs, _ := buildLayout(nil, fLDNS, fClient, b.partitionMiles, b.scorer)
+	lay, segs, tailSeg, _ := buildLayout(nil, fLDNS, fClient, b.partitionMiles, b.scorer)
 	order, scores := lay.columns(lay.Rows(), lay.Tables())
-	b.fillRows(lay, segs, upTo(lay.Rows()), order, scores)
+	b.fillRows(lay, segs, tailSeg, upTo(lay.Rows()), order, scores)
 	return NewSnapshot(b.lineage, 0, policy, b.ttl, lay, b.scorer.Platform(), order, scores, nil)
 }
 
@@ -608,7 +614,7 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 			}
 		}
 		rows = slices.Clone(dirty)
-		for t, src := range lay.TailSeg {
+		for t, src := range b.tailSeg {
 			if _, ok := slices.BinarySearch(dirty, src); ok {
 				rows = append(rows, int32(nSegs+t))
 			}
@@ -619,11 +625,11 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 	switch {
 	case full:
 		order, scores := lay.columns(lay.Rows(), nSegs)
-		b.fillRows(lay, b.segs, upTo(lay.Rows()), order, scores)
+		b.fillRows(lay, b.segs, b.tailSeg, upTo(lay.Rows()), order, scores)
 		sn = NewSnapshot(b.lineage, epoch, policy, b.ttl, lay, sc.Platform(), order, scores, nil)
 		b.stats.Full++
 		b.stats.RerankedTables += uint64(nSegs)
-		b.stats.RerankedTails += uint64(len(lay.TailSeg))
+		b.stats.RerankedTails += uint64(lay.Tails)
 	case len(rows) == 0:
 		// Nothing changed since the last build: share the rows wholesale.
 		shared := *b.prev
@@ -632,7 +638,7 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 		b.stats.Incremental++
 	default:
 		order, scores := lay.columns(len(rows), len(dirty))
-		b.fillRows(lay, b.segs, rows, order, scores)
+		b.fillRows(lay, b.segs, b.tailSeg, rows, order, scores)
 		sn = b.prev.WithDeltaRows(epoch, policy, b.ttl, rows, order, scores)
 		b.stats.Incremental++
 		b.stats.RerankedTables += uint64(len(dirty))
@@ -670,7 +676,7 @@ func (b *SnapshotBuilder) buildCANS(sn *Snapshot) map[int32]Row {
 		if win < 0 {
 			return Row{}
 		}
-		ns := sn.row(sn.lay.Index.ResolverPart[i])
+		ns := sn.row(sn.lay.Index.ResolverTable[i])
 		out := Row{Head: make([]uint16, 1, len(ns.Head)+1), Scores: make([]float64, 1, len(ns.Head)+1)}
 		out.Head[0], out.Scores[0] = uint16(win), score
 		for k, d := range ns.Head {

@@ -79,7 +79,7 @@ func TestSnapshotMatchesScorer(t *testing.T) {
 		for j := range got {
 			if got[j] != want[j] {
 				t.Fatalf("block %v rank %d: %s/%g, want %s/%g", b.Prefix, j,
-					depOf(got[j].Dep).Name, got[j].Score(), depOf(want[j].Dep).Name, want[j].Score())
+					depOf(got[j].Dep).Name, got[j].Score, depOf(want[j].Dep).Name, want[j].Score)
 			}
 		}
 	}

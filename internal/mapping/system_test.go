@@ -35,10 +35,10 @@ func ldnsRow(sn *Snapshot, l *world.LDNS) Row {
 	return r
 }
 
-// assigned returns the partitions the builder's layout gives the world's
-// LDNSes and blocks, in world order.
+// assigned returns the tables the builder's layout gives the world's
+// LDNSes and blocks, in world order: the table of each one's partition.
 func assigned(b *SnapshotBuilder) (ldnses, blocks []int32) {
-	_, _, assign := b.partition()
+	_, _, _, assign := b.partition()
 	return assign[:len(b.world.LDNSes)], assign[len(b.world.LDNSes):]
 }
 
@@ -364,14 +364,14 @@ func TestLookupHelpers(t *testing.T) {
 	sn := s.Current()
 	b := testW.Blocks[0]
 	same := func(g, w Row) bool { return slices.Equal(g.Head, w.Head) && slices.Equal(g.Tail, w.Tail) }
-	ldnsParts, blockParts := assigned(s.builder)
-	if got, ok := sn.ClientRow(netip.PrefixFrom(b.Prefix.Addr().Next(), 32)); !ok || !same(got, sn.row(blockParts[0])) {
+	ldnsTables, blockTables := assigned(s.builder)
+	if got, ok := sn.ClientRow(netip.PrefixFrom(b.Prefix.Addr().Next(), 32)); !ok || !same(got, sn.row(blockTables[0])) {
 		t.Error("ClientRow failed for an in-block address")
 	}
 	if got, ok := sn.ClientRow(netip.MustParsePrefix("255.255.255.1/32")); ok || !same(got, sn.fallbackRow(true)) {
 		t.Error("ClientRow found a nonexistent block")
 	}
-	if got, ok := sn.ResolverRow(b.LDNS.Addr); !ok || !same(got, sn.row(ldnsParts[slices.Index(testW.LDNSes, b.LDNS)])) {
+	if got, ok := sn.ResolverRow(b.LDNS.Addr); !ok || !same(got, sn.row(ldnsTables[slices.Index(testW.LDNSes, b.LDNS)])) {
 		t.Error("ResolverRow failed")
 	}
 }
@@ -391,6 +391,9 @@ var smallLab = sync.OnceValue(func() lab {
 	return lab{World: w, Platform: p, Net: netmodel.NewDefault()}
 })
 
+// BenchmarkMappingMap times the map's answer as the server asks for it:
+// MapInto against the installed snapshot, the servers picked into a
+// scratch array on the stack.
 func BenchmarkMappingMap(b *testing.B) {
 	l := smallLab()
 	sys := NewSystem(l.World, l.Platform, l.Net, Config{
@@ -401,7 +404,8 @@ func BenchmarkMappingMap(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Map(req); err != nil {
+		var scratch [ServersPerAnswer]*cdn.Server
+		if _, err := sys.MapInto(nil, req, scratch[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

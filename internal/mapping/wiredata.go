@@ -12,8 +12,7 @@ import (
 // an installable one. A row has one representation — its columns are what
 // travels — so there is nothing to translate, only to view.
 
-// Layout returns the snapshot's partition layout; callers must not modify
-// it.
+// Layout returns the snapshot's layout; callers must not modify it.
 func (sn *Snapshot) Layout() *Layout { return sn.lay }
 
 // RowOrder returns the deployment indexes of row i of the snapshot's layout
@@ -55,10 +54,9 @@ func (sn *Snapshot) CANSTables() map[int32]Row { return sn.cans }
 // delta applies until compaction).
 func (sn *Snapshot) ArenaChainLen() int { return len(sn.arenas) }
 
-// LayoutFingerprint returns a hash of the snapshot's partition layout —
-// exactly what a full wire image carries of it: the index, the
-// partition→table map, tail sharing and row geometry, but not the row
-// contents. Two processes that built their layouts from the same world,
+// LayoutFingerprint returns a hash of the snapshot's layout — exactly what
+// a full wire image carries of it: the index, tail sharing and row
+// geometry, but not the row contents. Two processes that built their layouts from the same world,
 // platform and config agree on it; the wire protocol uses it to negotiate
 // deltas (which only make sense against an identical layout) and to reject
 // snapshots built for a different universe.
@@ -86,25 +84,24 @@ func (lay *Layout) fingerprint() uint64 {
 		mix(uint64(lay.NParts))
 		mix(uint64(lay.TableLen))
 		mix(uint64(lay.TailLen))
+		mix(uint64(lay.Tails))
 		mix(uint64(uint32(lay.FallbackLDNS)))
 		mix(uint64(uint32(lay.FallbackClient)))
-		mixAll(ix.V4.Part)
+		mixAll(ix.V4.Table)
 		for i, k := range ix.V4.Keys {
 			mix(uint64(k)<<32 | uint64(ix.V4.Rank[i]))
 		}
-		mixAll(ix.V6.Part)
+		mixAll(ix.V6.Table)
 		for i, k := range ix.V6.Keys {
 			mix(k)
 			mix(uint64(ix.V6.Rank[i]))
 		}
-		mixAll(ix.ResolverPart)
+		mixAll(ix.ResolverTable)
 		for _, a := range ix.Resolvers {
 			mix(a[0])
 			mix(a[1])
 		}
-		mixAll(lay.PartSeg)
 		mixAll(lay.SegTail)
-		mixAll(lay.TailSeg)
 		lay.fp = h
 	})
 	return lay.fp

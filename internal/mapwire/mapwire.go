@@ -6,9 +6,8 @@
 // distribution plane can compare, cache and checksum images without
 // normalisation. A full image is everything a name server needs to serve,
 // and nothing else: the deployment roster (the platform the rows index),
-// the block index (client leaf or resolver address → partition), the
-// partition layout as serving reads it (partition→table map, table→tail
-// map), the rows as two columns — the order of every row, a head per table
+// the block index (client leaf or resolver address → table), the table→tail
+// map, the rows as two columns — the order of every row, a head per table
 // then the tails tables share, and the scores of the heads — and, for
 // ClientAwareNS snapshots, the candidate map. A replica boots from one
 // (DecodeBoot) with no world at hand. A delta image carries only the rows
@@ -21,11 +20,11 @@
 // whose fingerprint — carried in the header, and recomputed from the
 // roster — matches.
 //
-// Layout, version 7 (all integers little-endian):
+// Layout, version 8 (all integers little-endian):
 //
 //	offset  size  field
 //	     0     4  magic "EUMw"
-//	     4     2  format version (7)
+//	     4     2  format version (8)
 //	     6     1  kind (0 full, 1 delta)
 //	     7     1  policy
 //	     8     8  epoch
@@ -47,23 +46,25 @@
 //	    u64 id, u64 latitude bits, u64 longitude bits, u32 ASN,
 //	    u32 n + n bytes name, u32 n + n bytes country,
 //	    u32 S ≥ 1, then S × (u64 server id, 16-byte address, u64 capacity bits)
-//	u32 N4, then N4 × (u32 /24 network, i32 partition, u32 rank)   IPv4 leaves, ascending
-//	u32 N6, then N6 × (u64 /48 network, i32 partition, u32 rank)   IPv6 leaves, ascending
-//	u32 R, then R × (16-byte address, i32 partition)               resolvers, ascending
-//	i32 fallback-LDNS partition, i32 fallback-client partition
-//	u32 P+2, then (P+2) × i32   partition → table
+//	u32 N4, then N4 × (u32 /24 network, i32 table, u32 rank)   IPv4 leaves, ascending
+//	u32 N6, then N6 × (u64 /48 network, i32 table, u32 rank)   IPv6 leaves, ascending
+//	u32 R, then R × (16-byte address, i32 table)               resolvers, ascending
+//	i32 fallback-LDNS table, i32 fallback-client table
 //	T × i32                table → tail
-//	u32 N, u32 tail length (= deployments), then N × i32   the table whose endpoint ranks each tail
+//	u32 N tails, u32 tail length (= deployments)
 //	(T × L + N × D) × u16   the order column: every row's deployment indexes, heads in table order, then tails
 //	T × L × u64             the score column: every head's scores, in table order
 //	u32 C, then C × (u32 resolver, u32 n, n × u16, n × u64)   CANS candidate heads, ascending resolver
 //
-// Addresses travel as their 16 network-order bytes, IPv4 as IPv4-mapped. A
-// leaf's rank is its place among its family's leaves by block demand,
-// highest first, ties to the lower network: a query coarser than a leaf is
-// answered by the lowest rank inside it, and the decoder refuses ranks
-// that are not a permutation. A resolver is named in the CANS map by its
-// position in the resolver list.
+// Addresses travel as their 16 network-order bytes, IPv4 as IPv4-mapped.
+// Every table a leaf, a resolver or a fallback names is one of the T, and
+// every tail a table names one of the N. P counts the partitions the
+// publisher clustered its universe into; serving never reads a partition,
+// so none travels. A leaf's rank is its place among its family's leaves by
+// block demand, highest first, ties to the lower network: a query coarser
+// than a leaf is answered by the lowest rank inside it, and the decoder
+// refuses ranks that are not a permutation. A resolver is named in the
+// CANS map by its position in the resolver list.
 //
 // Delta body (patches the snapshot of the header's lineage at the base
 // epoch, under the header's layout fingerprint):
@@ -97,7 +98,7 @@ import (
 )
 
 // Version is the wire format version this package encodes and decodes.
-const Version = 7
+const Version = 8
 
 // Image kinds.
 const (
@@ -256,10 +257,9 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 	size := headerSize +
 		len(c.roster) +
 		4 + 12*len(ix.V4.Keys) + 4 + 16*len(ix.V6.Keys) + 4 + 20*len(ix.Resolvers) +
-		4 + 4 + // fallback indexes
-		4 + 4*len(lay.PartSeg) +
+		4 + 4 + // fallback tables
 		4*len(lay.SegTail) +
-		4 + 4 + 4*len(lay.TailSeg) +
+		4 + 4 + // tail count and length
 		lay.ArenaLen()*orderSize + lay.Tables()*lay.TableLen*scoreSize +
 		4 + trailerSize // cans count + checksum
 	for _, slot := range slots {
@@ -272,35 +272,28 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 	w.u32(uint32(len(ix.V4.Keys)))
 	for i, k := range ix.V4.Keys {
 		w.u32(k)
-		w.i32(ix.V4.Part[i])
+		w.i32(ix.V4.Table[i])
 		w.u32(ix.V4.Rank[i])
 	}
 	w.u32(uint32(len(ix.V6.Keys)))
 	for i, k := range ix.V6.Keys {
 		w.u64(k)
-		w.i32(ix.V6.Part[i])
+		w.i32(ix.V6.Table[i])
 		w.u32(ix.V6.Rank[i])
 	}
 	w.u32(uint32(len(ix.Resolvers)))
 	for i, a := range ix.Resolvers {
 		w.addr(a)
-		w.i32(ix.ResolverPart[i])
+		w.i32(ix.ResolverTable[i])
 	}
 
 	w.i32(lay.FallbackLDNS)
 	w.i32(lay.FallbackClient)
-	w.u32(uint32(len(lay.PartSeg)))
-	for _, v := range lay.PartSeg {
-		w.i32(v)
-	}
 	for _, t := range lay.SegTail {
 		w.i32(t)
 	}
-	w.u32(uint32(len(lay.TailSeg)))
+	w.u32(uint32(lay.Tails))
 	w.u32(uint32(lay.TailLen))
-	for _, s := range lay.TailSeg {
-		w.i32(s)
-	}
 	for i := 0; i < lay.Rows(); i++ {
 		putColumn(w, sn.RowOrder(i))
 	}
@@ -542,46 +535,46 @@ func readRoster(r *reader, h Header) (*cdn.Platform, error) {
 }
 
 // readIndex reads and validates a full image's block index: keys strictly
-// ascending and inside their family's space, every partition one of the
-// image's nParts, ranks a permutation per family.
+// ascending and inside their family's space, every table one of the
+// image's, ranks a permutation per family.
 func readIndex(r *reader, h Header) (*mapping.Index, error) {
 	ix := &mapping.Index{}
-	nParts := int64(h.Partitions)
+	tables := int64(h.Tables)
 	n4 := r.sliceLen(12)
-	ix.V4 = mapping.Leaves[uint32]{Keys: make([]uint32, n4), Part: make([]int32, n4), Rank: make([]uint32, n4)}
+	ix.V4 = mapping.Leaves[uint32]{Keys: make([]uint32, n4), Table: make([]int32, n4), Rank: make([]uint32, n4)}
 	r.each(n4, 12, func(i int, b []byte) {
 		ix.V4.Keys[i] = binary.LittleEndian.Uint32(b)
-		ix.V4.Part[i] = int32(binary.LittleEndian.Uint32(b[4:]))
+		ix.V4.Table[i] = int32(binary.LittleEndian.Uint32(b[4:]))
 		ix.V4.Rank[i] = binary.LittleEndian.Uint32(b[8:])
 	})
 	n6 := r.sliceLen(16)
-	ix.V6 = mapping.Leaves[uint64]{Keys: make([]uint64, n6), Part: make([]int32, n6), Rank: make([]uint32, n6)}
+	ix.V6 = mapping.Leaves[uint64]{Keys: make([]uint64, n6), Table: make([]int32, n6), Rank: make([]uint32, n6)}
 	r.each(n6, 16, func(i int, b []byte) {
 		ix.V6.Keys[i] = binary.LittleEndian.Uint64(b)
-		ix.V6.Part[i] = int32(binary.LittleEndian.Uint32(b[8:]))
+		ix.V6.Table[i] = int32(binary.LittleEndian.Uint32(b[8:]))
 		ix.V6.Rank[i] = binary.LittleEndian.Uint32(b[12:])
 	})
 	nr := r.sliceLen(20)
-	ix.Resolvers, ix.ResolverPart = make([][2]uint64, nr), make([]int32, nr)
+	ix.Resolvers, ix.ResolverTable = make([][2]uint64, nr), make([]int32, nr)
 	r.each(nr, 20, func(i int, b []byte) {
 		ix.Resolvers[i] = [2]uint64{binary.BigEndian.Uint64(b), binary.BigEndian.Uint64(b[8:])}
-		ix.ResolverPart[i] = int32(binary.LittleEndian.Uint32(b[16:]))
+		ix.ResolverTable[i] = int32(binary.LittleEndian.Uint32(b[16:]))
 	})
 	if r.err != nil {
 		return nil, r.err
 	}
-	if err := checkLeaves(ix.V4, 1<<24, nParts); err != nil {
+	if err := checkLeaves(ix.V4, 1<<24, tables); err != nil {
 		return nil, fmt.Errorf("%w: IPv4 leaves: %v", ErrFormat, err)
 	}
-	if err := checkLeaves(ix.V6, 1<<48, nParts); err != nil {
+	if err := checkLeaves(ix.V6, 1<<48, tables); err != nil {
 		return nil, fmt.Errorf("%w: IPv6 leaves: %v", ErrFormat, err)
 	}
 	for i, a := range ix.Resolvers {
 		if i > 0 && (ix.Resolvers[i-1][0] > a[0] || ix.Resolvers[i-1][0] == a[0] && ix.Resolvers[i-1][1] >= a[1]) {
 			return nil, fmt.Errorf("%w: resolvers not strictly ascending", ErrFormat)
 		}
-		if !inRange(ix.ResolverPart[i], nParts) {
-			return nil, fmt.Errorf("%w: resolver partition out of range", ErrFormat)
+		if !inRange(ix.ResolverTable[i], tables) {
+			return nil, fmt.Errorf("%w: resolver table out of range", ErrFormat)
 		}
 	}
 	if ix.Len() != int(h.Endpoints) {
@@ -591,15 +584,15 @@ func readIndex(r *reader, h Header) (*mapping.Index, error) {
 }
 
 // checkLeaves validates one family's leaves against its key space and the
-// image's partition count.
-func checkLeaves[K uint32 | uint64](l mapping.Leaves[K], keySpace K, nParts int64) error {
+// image's table count.
+func checkLeaves[K uint32 | uint64](l mapping.Leaves[K], keySpace K, tables int64) error {
 	ranked := make([]bool, len(l.Keys))
 	for i, k := range l.Keys {
 		if k >= keySpace || i > 0 && l.Keys[i-1] >= k {
 			return errors.New("keys not strictly ascending inside the family's networks")
 		}
-		if !inRange(l.Part[i], nParts) {
-			return errors.New("partition out of range")
+		if !inRange(l.Table[i], tables) {
+			return errors.New("table out of range")
 		}
 		rk := l.Rank[i]
 		if rk >= uint32(len(ranked)) || ranked[rk] {
@@ -622,24 +615,19 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 		TableLen: int(h.TableLen),
 		TailLen:  nDeps,
 	}
-	// nSlots is the partition-index value space: universe partitions plus
-	// the two fallbacks. Every partition reference must stay inside it.
-	nSlots := int64(h.Partitions) + 2
 	lay.FallbackLDNS = r.i32()
 	lay.FallbackClient = r.i32()
-	lay.PartSeg = r.i32s(r.sliceLen(4))
 	if !r.fits(uint64(tables), 4+lay.TableLen*(orderSize+scoreSize)) {
 		return nil, r.err
 	}
 	lay.SegTail = r.i32s(tables)
-	nTails := int(r.u32())
+	lay.Tails = int(r.u32())
 	if tailLen := r.u32(); r.err == nil && tailLen != uint32(nDeps) {
 		return nil, fmt.Errorf("%w: tails rank %d deployments, the platform has %d", ErrFormat, tailLen, nDeps)
 	}
-	if !r.fits(uint64(nTails), 4+nDeps*orderSize) {
+	if !r.fits(uint64(lay.Tails), nDeps*orderSize) {
 		return nil, r.err
 	}
-	lay.TailSeg = r.i32s(nTails)
 	if uint64(lay.ArenaLen()) > math.MaxUint32 {
 		return nil, fmt.Errorf("%w: %d row entries, more than a snapshot addresses", ErrFormat, lay.ArenaLen())
 	}
@@ -663,29 +651,16 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 		return nil, err
 	}
 
-	// Structural validation: every partition index must land inside the
-	// declared slot space, every table and tail reference inside its list,
-	// and every tail must rank the whole platform, or a hostile image could
-	// crash the serving hot path later — or leave it with nothing to answer.
-	if int64(len(lay.PartSeg)) != nSlots {
-		return nil, fmt.Errorf("%w: %d partition segments for %d slots", ErrFormat, len(lay.PartSeg), nSlots)
-	}
-	if !inRange(lay.FallbackLDNS, nSlots) || !inRange(lay.FallbackClient, nSlots) {
-		return nil, fmt.Errorf("%w: fallback partition out of range", ErrFormat)
-	}
-	for _, s := range lay.PartSeg {
-		if !inRange(s, int64(tables)) {
-			return nil, fmt.Errorf("%w: partition segment out of range", ErrFormat)
-		}
+	// Structural validation: every table and tail reference must land
+	// inside its list, and every tail must rank the whole platform, or a
+	// hostile image could crash the serving hot path later — or leave it
+	// with nothing to answer. The index's tables were checked as read.
+	if !inRange(lay.FallbackLDNS, int64(tables)) || !inRange(lay.FallbackClient, int64(tables)) {
+		return nil, fmt.Errorf("%w: fallback table out of range", ErrFormat)
 	}
 	for _, t := range lay.SegTail {
-		if !inRange(t, int64(nTails)) {
+		if !inRange(t, int64(lay.Tails)) {
 			return nil, fmt.Errorf("%w: tail index out of range", ErrFormat)
-		}
-	}
-	for _, s := range lay.TailSeg {
-		if !inRange(s, int64(tables)) {
-			return nil, fmt.Errorf("%w: tail source table out of range", ErrFormat)
 		}
 	}
 	sn := mapping.NewSnapshot(h.Lineage, h.Epoch, h.Policy, h.TTL, lay, c.platform, order, scores, cansMap)

@@ -404,10 +404,9 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 	v6 := v4 + 12*len(ix.V4.Keys) + 4
 	resolvers := v6 + 16*len(ix.V6.Keys) + 4
 	fallbacks := resolvers + 20*len(ix.Resolvers)
-	segTail := fallbacks + 8 + 4 + 4*len(lay.PartSeg)
+	segTail := fallbacks + 8
 	tailCount := segTail + 4*tables
-	tailSeg := tailCount + 8
-	firstHead := tailSeg + 4*len(lay.TailSeg)
+	firstHead := tailCount + 8
 	firstTail := firstHead + tables*lay.TableLen*orderSize
 	scoreColumn := firstHead + lay.ArenaLen()*orderSize
 	// In the delta: the row list, then the order of a head and of the tail
@@ -474,18 +473,17 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"IPv4 leaf keys unsorted", put(full, v4, ix.V4.Keys[1]+1), nil, ErrFormat},
 		{"IPv4 leaf key duplicated", put(full, v4+12, ix.V4.Keys[0]), nil, ErrFormat},
 		{"IPv6 leaf keys unsorted", put(full, v6, uint32(ix.V6.Keys[1]+1)), nil, ErrFormat},
-		{"leaf partition out of range", put(full, v4+4, uint32(lay.NParts)), nil, ErrFormat},
-		{"leaf partition negative", put(full, v6+8, ^uint32(0)), nil, ErrFormat},
+		{"leaf table past the tables", put(full, v4+4, uint32(tables)), nil, ErrFormat},
+		{"leaf table negative", put(full, v6+8, ^uint32(0)), nil, ErrFormat},
 		{"leaf ranks not a permutation", put(full, v4+8, ix.V4.Rank[1]), nil, ErrFormat},
 		{"leaf rank past the leaves", put(full, v6+12, uint32(len(ix.V6.Keys))), nil, ErrFormat},
 		{"resolvers unsorted", put(full, resolvers+20+12, binary.BigEndian.Uint32(full[resolvers+12:])), nil, ErrFormat},
-		{"resolver partition out of range", put(full, resolvers+16, uint32(lay.NParts)), nil, ErrFormat},
+		{"resolver table past the tables", put(full, resolvers+16, uint32(tables)), nil, ErrFormat},
 		{"resolver fallback unassigned", put(full, fallbacks, ^uint32(0)), nil, ErrFormat},
 		{"client fallback unassigned", put(full, fallbacks+4, ^uint32(0)), nil, ErrFormat},
-		{"client fallback past the partitions", put(full, fallbacks+4, uint32(len(lay.PartSeg))), nil, ErrFormat},
-		{"tail index out of range", put(full, segTail, uint32(len(lay.TailSeg))), nil, ErrFormat},
+		{"client fallback past the tables", put(full, fallbacks+4, uint32(tables)), nil, ErrFormat},
+		{"tail index out of range", put(full, segTail, uint32(lay.Tails)), nil, ErrFormat},
 		{"tail index negative", put(full, segTail+4, ^uint32(0)), nil, ErrFormat},
-		{"tail ranked by a table that does not exist", put(full, tailSeg, uint32(tables)), nil, ErrFormat},
 		{"tails shorter than the platform", put(full, tailCount+4, uint32(nDeps-1)), nil, ErrFormat},
 		{"tail is not a permutation: it names one deployment twice", put16(full, firstTail+orderSize,
 			binary.LittleEndian.Uint16(full[firstTail:])), nil, ErrFormat},
@@ -493,7 +491,8 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"head names a deployment the platform lacks", put16(full, firstHead, uint16(nDeps)), nil, ErrFormat},
 		{"score column truncated", cut(full, scoreColumn+tables*lay.TableLen*scoreSize/2), nil, ErrFormat},
 		{"head longer than this build keeps", put(full, 64, uint32(lay.TableLen+1)), nil, ErrFormat},
-		{"previous format version", put(full, 4, 6|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
+		{"format version 7, which carried the partition→table map", put(full, 4, 7|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
+		{"format version 6", put(full, 4, 6|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 5", put(full, 4, 5|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 4", put(full, 4, 4|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 3", put(full, 4, 3|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
