@@ -33,12 +33,12 @@ race:
 
 # Non-test Go lines outside bench/ — the number CHANGES.md quotes when a PR
 # reports itself net-negative — for the whole repo, the three packages of
-# the serving path, the map, its wire format and its distribution, and the
-# control plane and the config.
+# the serving path, the map, its wire format and its distribution, the
+# control plane and the config, and the figures.
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l; }; \
 	printf '%-20s %6d\n' repo "$$(count .)"; \
-	for p in internal/authority internal/dnsserver cmd/eumdns internal/mapping internal/mapwire internal/mapdist internal/mapmaker internal/config; do printf '%-20s %6d\n' $$p "$$(count $$p)"; done
+	for p in internal/authority internal/dnsserver cmd/eumdns internal/mapping internal/mapwire internal/mapdist internal/mapmaker internal/config internal/experiments; do printf '%-20s %6d\n' $$p "$$(count $$p)"; done
 
 # The set-up budget: every stage between a seed and a served map, at the
 # cold_wide benchmark's size on one CPU — the rows of DESIGN.md's set-up
@@ -64,8 +64,8 @@ load-chaos:
 
 # Distribution-plane drill: one publisher and three fetching replicas over
 # real sockets, a total control-network partition cut with faultnet, >=99%
-# query success through the round-robin client while replicas degrade
-# independently, reconvergence within two fetch intervals after the heal
+# query success through a client rotating over the replicas while they
+# degrade independently, reconvergence within two fetch intervals after the heal
 # (see DESIGN.md "Distributed map distribution").
 dist-chaos:
 	$(GO) test -race -v -run 'TestDistClusterPartitionHeal' ./internal/mapdist/

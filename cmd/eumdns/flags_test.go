@@ -185,10 +185,12 @@ func TestDocumentedInvocationsParse(t *testing.T) {
 }
 
 // TestDocumentedNamesExist: every benchmark the README, DESIGN.md and
-// EXPERIMENTS.md name is defined in a test file of this module, and every
-// `make <target>` they quote is a Makefile target, so the docs cannot send
-// a reader to a benchmark or a target that is gone. A quoted make opens a
-// backtick span, or is a command line in a fenced code block.
+// EXPERIMENTS.md name is defined in a test file of this module, every
+// `make <target>` they quote is a Makefile target, and every repository
+// path they quote (`internal/<pkg>`, `cmd/<name>`, `examples/<name>`) is a
+// directory, so the docs cannot send a reader to a benchmark, a target or a
+// package that is gone. A quoted make or path sits in a backtick span, or
+// on a line of a fenced code block.
 func TestDocumentedNamesExist(t *testing.T) {
 	const root = "../.."
 	benchDef := regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`)
@@ -225,6 +227,8 @@ func TestDocumentedNamesExist(t *testing.T) {
 
 	benchRef := regexp.MustCompile(`Benchmark\w+`)
 	makeRef := regexp.MustCompile("`make ([\\w-]+)")
+	codeSpan := regexp.MustCompile("`[^`]+`")
+	pathRef := regexp.MustCompile(`(?:^|[\s(]|\./)((?:internal|cmd|examples)/[\w-]+)`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		src, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
@@ -249,6 +253,17 @@ func TestDocumentedNamesExist(t *testing.T) {
 			for _, target := range made {
 				if !targets[target] {
 					t.Errorf("%s:%d quotes make %s, which is not a Makefile target", doc, i+1, target)
+				}
+			}
+			code := codeSpan.FindAllString(line, -1)
+			if fenced {
+				code = []string{line}
+			}
+			for _, span := range code {
+				for _, m := range pathRef.FindAllStringSubmatch(strings.Trim(span, "`"), -1) {
+					if st, err := os.Stat(filepath.Join(root, m[1])); err != nil || !st.IsDir() {
+						t.Errorf("%s:%d names %s, which is not a directory of this repository", doc, i+1, m[1])
+					}
 				}
 			}
 		}

@@ -81,17 +81,7 @@ var figures = map[string]struct {
 		return []*experiments.Report{rep}, nil
 	}},
 	"12-20": {"roll-out RUM figures (volume, distance, RTT, TTFB, download)", func(lab *experiments.Lab, s experiments.Scale) ([]*experiments.Report, error) {
-		rf, err := experiments.RunRolloutFigures(lab, s)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Report{
-			rf.Fig12RUMVolume(),
-			rf.Fig13MappingDistance(),
-			rf.Fig15RTT(),
-			rf.Fig17TTFB(),
-			rf.Fig19Download(),
-		}, nil
+		return experiments.RolloutReports(lab, s)
 	}},
 	"21": {"mapping unit coverage (/24 blocks vs LDNSes)", func(lab *experiments.Lab, s experiments.Scale) ([]*experiments.Report, error) {
 		_, rep := experiments.Fig21MappingUnitCoverage(lab)

@@ -1,8 +1,8 @@
-package simulation
+package experiments
 
 import (
 	"fmt"
-	"net/netip"
+	"math/rand"
 	"time"
 
 	"eum/internal/cdn"
@@ -16,11 +16,11 @@ import (
 	"eum/internal/world"
 )
 
-// ECSCell is one configuration of the resolver population: which LDNSes
+// ecsCell is one configuration of the resolver population: which LDNSes
 // forward ECS, and at what truncation. Cell grids sweep adoption against
 // prefix length for the public-resolver era experiments (EU-mapping win
 // vs a /20 ECS reveal; query amplification vs prefix length).
-type ECSCell struct {
+type ecsCell struct {
 	// Name labels the cell in results.
 	Name string
 	// Enabled decides whether a given LDNS forwards ECS in this cell.
@@ -56,48 +56,22 @@ type ECSCellResult struct {
 	CacheEntries int
 }
 
-// ldnsResolverConfig builds a site's resolver configuration: the source
-// prefixes come from the site's provider ECS policy (a truncating public
-// provider stamps /20 (/56) on its sites), overridable per cell, with the
-// /24 and /56 conventions as the final default.
-func ldnsResolverConfig(l *world.LDNS, enabled bool, pfx4, pfx6 uint8) resolver.Config {
-	cfg := resolver.Config{Addr: l.Addr, ECSEnabled: enabled, SourcePrefix: 24}
-	if l.ECSPrefixV4 > 0 {
-		cfg.SourcePrefix = l.ECSPrefixV4
-	}
-	if l.ECSPrefixV6 > 0 {
-		cfg.SourcePrefix6 = l.ECSPrefixV6
-	}
-	if pfx4 > 0 {
-		cfg.SourcePrefix = pfx4
-	}
-	if pfx6 > 0 {
-		cfg.SourcePrefix6 = pfx6
-	}
-	return cfg
-}
-
-// RunECSCells evaluates each cell on one substrate: every client block
+// runECSCells evaluates each cell on one substrate: every client block
 // resolves and is measured through per-LDNS caching resolvers configured
 // per the cell, then an identical dense query workload replays through
 // the same caches for the authoritative-rate and cache-size cost. All
 // cells read the same pinned map snapshot, so differences between cells
 // are purely resolver-population effects. Results are deterministic in
 // (world, platform, seed) and invariant to the worker count.
-func RunECSCells(w *world.World, p *cdn.Platform, net *netmodel.Model, seed int64, cells []ECSCell) ([]ECSCellResult, error) {
+func runECSCells(w *world.World, p *cdn.Platform, net *netmodel.Model, seed int64, cells []ecsCell) ([]ECSCellResult, error) {
 	if len(cells) == 0 {
-		return nil, fmt.Errorf("simulation: no ECS cells")
+		return nil, fmt.Errorf("experiments: no ECS cells")
 	}
 	sys := mapping.NewSystem(w, p, net, mapping.Config{Policy: mapping.EndUser, PingTargets: len(w.Blocks) / 10})
-	up := &resolver.SystemUpstream{System: sys, Snapshot: sys.Current()}
+	up := &systemUpstream{sys: sys, snap: sys.Current()}
 	rumModel := rum.NewModel(net)
 
-	depByAddr := map[netip.Addr]*cdn.Deployment{}
-	for _, d := range p.Deployments {
-		for _, s := range d.Servers {
-			depByAddr[s.Addr] = d
-		}
-	}
+	depByAddr := deploymentsByAddr(p)
 
 	// Group block indices by LDNS (first-seen order): a resolver's cache
 	// sees only its own clients' queries, in block order, so groups replay
@@ -115,14 +89,11 @@ func RunECSCells(w *world.World, p *cdn.Platform, net *netmodel.Model, seed int6
 	var baselineQPS, baselinePubQPS float64
 	for ci, cell := range cells {
 		// Fresh resolvers per cell.
-		resolvers := map[uint64]*resolver.Resolver{}
-		for _, l := range w.LDNSes {
-			enabled := cell.Enabled != nil && cell.Enabled(l)
-			r, err := resolver.New(ldnsResolverConfig(l, enabled, cell.PrefixV4, cell.PrefixV6), up)
-			if err != nil {
-				return nil, err
-			}
-			resolvers[l.ID] = r
+		resolvers, err := newFleet(w.LDNSes, up, func(l *world.LDNS) bool {
+			return cell.Enabled != nil && cell.Enabled(l)
+		}, cell.PrefixV4, cell.PrefixV6)
+		if err != nil {
+			return nil, err
 		}
 
 		// Performance: every block resolves once and is measured, fanned
@@ -146,7 +117,7 @@ func RunECSCells(w *world.World, p *cdn.Platform, net *netmodel.Model, seed int6
 				}
 				dep := depByAddr[ans.Servers[0]]
 				if dep == nil {
-					gp.err = fmt.Errorf("simulation: unknown server %v", ans.Servers[0])
+					gp.err = fmt.Errorf("experiments: unknown server %v", ans.Servers[0])
 					return gp
 				}
 				gp.rtt.Add(net.BaseRTTMs(b.Endpoint(), dep.Endpoint()), b.Demand)
@@ -193,4 +164,95 @@ func RunECSCells(w *world.World, p *cdn.Platform, net *netmodel.Model, seed int6
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// runBroadRollout quantifies the paper's conclusion (§8): "a broad
+// roll-out of this technology across the entire Internet population will
+// be quite beneficial ... more ISPs would need to support the EDNS0
+// extension". It is the classic three-cell instance of the cell grid: no
+// ECS anywhere, the paper's actual roll-out (public resolvers only), and
+// universal adoption including ISP resolvers.
+func runBroadRollout(w *world.World, p *cdn.Platform, net *netmodel.Model, seed int64) ([]ECSCellResult, error) {
+	return runECSCells(w, p, net, seed, []ecsCell{
+		{Name: "no-ecs"},
+		{Name: "public-only", Enabled: func(l *world.LDNS) bool { return l.IsPublic() }},
+		{Name: "universal", Enabled: func(*world.LDNS) bool { return true }},
+	})
+}
+
+// stageQueryRate replays a fixed dense workload through the resolvers and
+// returns the authoritative query rate (total, and the public-resolver
+// slice of it) plus the live cache entry count at the window's end. The
+// event stream is drawn up front (a pure function of the seed), then
+// replayed per resolver concurrently: each cache sees exactly its own
+// slice of the stream, in time order.
+func stageQueryRate(w *world.World, resolvers map[uint64]*resolver.Resolver, seed int64) (float64, float64, int, error) {
+	rng := rand.New(rand.NewSource(seed))
+	cat := demand.MustNewCatalogue(80, 1.35, seed)
+	sampler, err := demand.NewSampler(w, nil)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	isPublic := map[uint64]bool{}
+	for _, l := range w.LDNSes {
+		if l.IsPublic() {
+			isPublic[l.ID] = true
+		}
+	}
+	var before, beforePub uint64
+	for id, r := range resolvers {
+		before += r.Metrics.UpstreamQueries
+		if isPublic[id] {
+			beforePub += r.Metrics.UpstreamQueries
+		}
+	}
+	window := 2 * time.Minute
+	events := 60000
+	start := time.Date(2014, 7, 2, 0, 0, 0, 0, time.UTC)
+	step := window / time.Duration(events+1)
+
+	type event struct {
+		blk *world.ClientBlock
+		dom demand.Domain
+	}
+	evs := make([]event, events)
+	for i := range evs {
+		evs[i] = event{sampler.Sample(rng), cat.Sample(rng)}
+	}
+	var order []uint64
+	byLDNS := map[uint64][]int{}
+	for i, ev := range evs {
+		id := ev.blk.LDNS.ID
+		if _, ok := byLDNS[id]; !ok {
+			order = append(order, id)
+		}
+		byLDNS[id] = append(byLDNS[id], i)
+	}
+	errs := par.Map(len(order), func(gi int) error {
+		r := resolvers[order[gi]]
+		for _, i := range byLDNS[order[gi]] {
+			now := start.Add(time.Duration(i) * step)
+			if _, err := r.Query(now, evs[i].dom.Name, hostInBlock(evs[i].blk)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	var after, afterPub uint64
+	entries := 0
+	end := start.Add(window)
+	for id, r := range resolvers {
+		after += r.Metrics.UpstreamQueries
+		if isPublic[id] {
+			afterPub += r.Metrics.UpstreamQueries
+		}
+		entries += r.CacheSize(end)
+	}
+	return float64(after-before) / window.Seconds(),
+		float64(afterPub-beforePub) / window.Seconds(), entries, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"eum/internal/simulation"
 	"eum/internal/world"
 )
 
@@ -39,7 +38,7 @@ func largeISPLDNS(w *world.World) map[uint64]bool {
 // baseline. The paper's §8 conclusion — broad roll-out is beneficial —
 // holds only if truncated reveals still map well; the win column is the
 // demand-weighted mean mapping-distance reduction versus no ECS at all.
-func ECSGrid(lab *Lab, truncV4 uint8) ([]simulation.ECSCellResult, *Report, error) {
+func ECSGrid(lab *Lab, truncV4 uint8) ([]ECSCellResult, *Report, error) {
 	if truncV4 == 0 {
 		truncV4 = world.ECSTruncatedPrefixV4
 	}
@@ -62,10 +61,10 @@ func ECSGrid(lab *Lab, truncV4 uint8) ([]simulation.ECSCellResult, *Report, erro
 		{fmt.Sprintf("/%d", truncV4), truncV4, world.ECSTruncatedPrefixV6},
 		{"/24", world.ECSFullPrefixV4, world.ECSFullPrefixV6},
 	}
-	cells := []simulation.ECSCell{{Name: "no-ecs"}}
+	cells := []ecsCell{{Name: "no-ecs"}}
 	for _, a := range adoptions {
 		for _, p := range prefixes {
-			cells = append(cells, simulation.ECSCell{
+			cells = append(cells, ecsCell{
 				Name:     a.name + " " + p.name,
 				Enabled:  a.enabled,
 				PrefixV4: p.v4,
@@ -73,7 +72,7 @@ func ECSGrid(lab *Lab, truncV4 uint8) ([]simulation.ECSCellResult, *Report, erro
 			})
 		}
 	}
-	results, err := simulation.RunECSCells(lab.World, lab.Platform, lab.Net, 8, cells)
+	results, err := runECSCells(lab.World, lab.Platform, lab.Net, 8, cells)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -102,24 +101,24 @@ func ECSGrid(lab *Lab, truncV4 uint8) ([]simulation.ECSCellResult, *Report, erro
 // public resolvers' own rate — ISP resolvers never change, so the total
 // moves far less, exactly as the paper's Fig 14 total did). pubAmp should
 // rise monotonically as the prefix approaches the mapping unit.
-func AmpGrid(lab *Lab, prefixes []uint8) ([]simulation.ECSCellResult, *Report, error) {
+func AmpGrid(lab *Lab, prefixes []uint8) ([]ECSCellResult, *Report, error) {
 	if len(prefixes) == 0 {
 		prefixes = []uint8{8, 12, 16, 20, 24}
 	}
-	cells := []simulation.ECSCell{{Name: "no-ecs"}}
+	cells := []ecsCell{{Name: "no-ecs"}}
 	public := func(l *world.LDNS) bool { return l.IsPublic() }
 	for _, p := range prefixes {
 		if err := ValidateECSTruncation(p); err != nil {
 			return nil, nil, err
 		}
-		cells = append(cells, simulation.ECSCell{
+		cells = append(cells, ecsCell{
 			Name:     fmt.Sprintf("/%d", p),
 			Enabled:  public,
 			PrefixV4: p,
 			PrefixV6: p + 32, // keep the v6 reveal in step (/24 -> /56)
 		})
 	}
-	results, err := simulation.RunECSCells(lab.World, lab.Platform, lab.Net, 8, cells)
+	results, err := runECSCells(lab.World, lab.Platform, lab.Net, 8, cells)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -345,17 +345,14 @@ func TestAdoptionExtrapolation(t *testing.T) {
 }
 
 func TestRolloutFiguresReports(t *testing.T) {
-	rf, err := RunRolloutFigures(lab, Small)
+	reps, err := RolloutReports(lab, Small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rep := range []*Report{
-		rf.Fig12RUMVolume(),
-		rf.Fig13MappingDistance(),
-		rf.Fig15RTT(),
-		rf.Fig17TTFB(),
-		rf.Fig19Download(),
-	} {
+	if len(reps) != 5 {
+		t.Fatalf("%d reports, want Figs 12, 13-14, 15-16, 17-18 and 19-20", len(reps))
+	}
+	for _, rep := range reps {
 		if len(rep.Rows) == 0 {
 			t.Errorf("%s: empty report", rep.ID)
 		}
@@ -365,7 +362,10 @@ func TestRolloutFiguresReports(t *testing.T) {
 	}
 	// Spot-check the metric report content: high-exp before mean exceeds
 	// after mean for mapping distance.
-	before, after := positionalMeans(rf.Fig13MappingDistance())
+	if reps[1].ID != "fig13-14" {
+		t.Fatalf("second report is %s, want fig13-14", reps[1].ID)
+	}
+	before, after := positionalMeans(reps[1])
 	if before <= after {
 		t.Errorf("fig13 high-exp before mean %.1f <= after %.1f", before, after)
 	}

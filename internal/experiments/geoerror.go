@@ -4,14 +4,8 @@ import (
 	"eum/internal/mapping"
 	"eum/internal/netmodel"
 	"eum/internal/par"
-	"eum/internal/simulation"
 	"eum/internal/stats"
 )
-
-// simulationBroadRollout indirection keeps the experiment signature simple.
-func simulationBroadRollout(lab *Lab) (*simulation.BroadRolloutResult, error) {
-	return simulation.RunBroadRollout(lab.World, lab.Platform, lab.Net, 8)
-}
 
 // GeoErrorRow is one geolocation-error level's outcome.
 type GeoErrorRow struct {
@@ -84,10 +78,10 @@ func GeoErrorImpact(lab *Lab) ([]GeoErrorRow, *Report) {
 	return out, rep
 }
 
-// BroadRolloutReport runs the §8 what-if (simulation.RunBroadRollout) and
-// formats it as a figure report.
+// BroadRolloutReport runs the §8 what-if (runBroadRollout) and formats it
+// as a figure report.
 func BroadRolloutReport(lab *Lab) (*Report, error) {
-	res, err := simulationBroadRollout(lab)
+	stages, err := runBroadRollout(lab.World, lab.Platform, lab.Net, 8)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +90,7 @@ func BroadRolloutReport(lab *Lab) (*Report, error) {
 		Caption: "Broad ECS adoption what-if: no ECS vs public-only vs universal",
 		Columns: []string{"stage", "mean-rtt-ms", "p95-rtt-ms", "mean-dist-mi", "auth-query-x"},
 	}
-	for _, st := range res.Stages {
+	for _, st := range stages {
 		rep.Rows = append(rep.Rows, row(st.Name, st.MeanRTTMs, st.P95RTTMs, st.MeanDistance, st.AuthQueryMultiplier))
 	}
 	return rep, nil

@@ -1,4 +1,4 @@
-package simulation
+package experiments
 
 import (
 	"fmt"
@@ -13,37 +13,41 @@ import (
 	"eum/internal/world"
 )
 
-// QueryRateConfig parameterises the authoritative-side DNS query-volume
+// The query-rate simulations' fixed inputs: the seed of the enable days
+// and the query streams; the simulated slice of each day (query streams are
+// dense, so a window per day suffices to estimate rates); the
+// authoritative answer TTL and ECS scope; and the domain catalogue's size
+// and Zipf exponent (public-resolver query streams concentrate on popular
+// domains, and a steep Zipf reproduces that concentration).
+const (
+	queryRateSeed      = 1
+	queryRateWindow    = 2 * time.Minute
+	queryRateTTL       = 20 * time.Second
+	queryRateScope     = 24
+	queryRateDomains   = 120
+	queryRateZipfAlpha = 1.35
+)
+
+// queryRateConfig parameterises the authoritative-side DNS query-volume
 // simulation behind Figs 2, 23 and 24.
-type QueryRateConfig struct {
-	Seed int64
+type queryRateConfig struct {
 	// Days is the timeline length.
 	Days int
 	// RolloutStartDay..RolloutEndDay is when public sites enable ECS.
 	RolloutStartDay, RolloutEndDay int
-	// WindowPerDay is the simulated slice of each day (query streams are
-	// dense, so a window per day suffices to estimate rates).
-	WindowPerDay time.Duration
 	// EventsPerWindow is the number of client DNS queries simulated in
 	// each day's window.
 	EventsPerWindow int
-	// TTL is the authoritative answer TTL.
-	TTL time.Duration
-	// Catalogue is the domain workload; nil builds a default.
-	Catalogue *demand.Catalogue
 }
 
-// DefaultQueryRateConfig returns a timeline shaped like the paper's:
+// defaultQueryRateConfig returns a timeline shaped like the paper's:
 // 180 days with the roll-out around day 87-105.
-func DefaultQueryRateConfig() QueryRateConfig {
-	return QueryRateConfig{
-		Seed:            1,
+func defaultQueryRateConfig() queryRateConfig {
+	return queryRateConfig{
 		Days:            180,
 		RolloutStartDay: 87,
 		RolloutEndDay:   105,
-		WindowPerDay:    2 * time.Minute,
 		EventsPerWindow: 200000,
-		TTL:             20 * time.Second,
 	}
 }
 
@@ -60,26 +64,25 @@ type QueryRatePoint struct {
 	PublicAuthQPS float64
 }
 
-// FixedUpstream is a minimal authoritative stand-in for rate simulations:
-// answers carry a constant TTL and are ECS-scoped at Scope when the query
-// carries a subnet. (The query-rate effects of §5 depend only on TTL and
-// scope semantics, not on which servers are answered; use
-// resolver.SystemUpstream to run against the full mapping system instead.)
-type FixedUpstream struct {
-	TTL   time.Duration
-	Scope uint8
+// fixedUpstream is the authoritative stand-in of the query-rate
+// simulations: answers carry a constant TTL and are ECS-scoped at scope
+// when the query carries a subnet. (The query-rate effects of §5 depend
+// only on TTL and scope semantics, not on which servers are answered.)
+type fixedUpstream struct {
+	ttl   time.Duration
+	scope uint8
 }
 
 // Resolve implements resolver.Upstream. The answered scope is clamped to
 // the query's source prefix (RFC 7871 §7.2.1: y <= x) so a truncating
 // resolver revealing /20 never receives a /24 scope it cannot file.
-func (u *FixedUpstream) Resolve(domain string, ldns netip.Addr, subnet netip.Prefix) (resolver.Answer, error) {
+func (u *fixedUpstream) Resolve(domain string, ldns netip.Addr, subnet netip.Prefix) (resolver.Answer, error) {
 	a := resolver.Answer{
 		Servers: []netip.Addr{netip.AddrFrom4([4]byte{23, 0, 0, 1})},
-		TTL:     u.TTL,
+		TTL:     u.ttl,
 	}
 	if subnet.IsValid() {
-		a.ScopePrefix = u.Scope
+		a.ScopePrefix = u.scope
 		if int(a.ScopePrefix) > subnet.Bits() {
 			a.ScopePrefix = uint8(subnet.Bits())
 		}
@@ -87,29 +90,19 @@ func (u *FixedUpstream) Resolve(domain string, ldns netip.Addr, subnet netip.Pre
 	return a, nil
 }
 
-// RunQueryRate simulates DNS query volumes before, during and after the
+// runQueryRate simulates DNS query volumes before, during and after the
 // roll-out. Each simulated day replays a fixed-size window of
 // demand-weighted client queries through per-LDNS caching resolvers;
 // public resolver sites enable ECS on a schedule inside the roll-out
 // window. Growth in underlying traffic (~3%/month in the period) is
 // applied on top, matching Fig 23's gradual rise outside the roll-out.
-func RunQueryRate(w *world.World, cfg QueryRateConfig, up resolver.Upstream) ([]QueryRatePoint, error) {
+func runQueryRate(w *world.World, cfg queryRateConfig) ([]QueryRatePoint, error) {
 	if cfg.Days <= 0 || cfg.EventsPerWindow <= 0 {
-		return nil, fmt.Errorf("simulation: Days and EventsPerWindow must be positive")
+		return nil, fmt.Errorf("experiments: Days and EventsPerWindow must be positive")
 	}
-	if cfg.WindowPerDay <= 0 {
-		cfg.WindowPerDay = 10 * time.Minute
-	}
-	if cfg.TTL <= 0 {
-		cfg.TTL = 20 * time.Second
-	}
-	if cfg.Catalogue == nil {
-		// Public-resolver query streams concentrate on popular domains;
-		// a steep Zipf reproduces that concentration.
-		cfg.Catalogue = demand.MustNewCatalogue(120, 1.35, cfg.Seed)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	up = pinUpstream(up)
+	catalogue := demand.MustNewCatalogue(queryRateDomains, queryRateZipfAlpha, queryRateSeed)
+	rng := rand.New(rand.NewSource(queryRateSeed))
+	up := &fixedUpstream{ttl: queryRateTTL, scope: queryRateScope}
 
 	enableDay := drawEnableDays(w, cfg, rng)
 	sampler, err := demand.NewSampler(w, nil)
@@ -128,29 +121,24 @@ func RunQueryRate(w *world.World, cfg QueryRateConfig, up resolver.Upstream) ([]
 		err error
 	}
 	parts := par.Map(cfg.Days, func(day int) dayPart {
-		resolvers := map[uint64]*resolver.Resolver{}
-		for _, l := range w.LDNSes {
-			ecs := false
-			if d, ok := enableDay[l.ID]; ok && day >= d {
-				ecs = true
-			}
-			r, err := resolver.New(ldnsResolverConfig(l, ecs, 0, 0), up)
-			if err != nil {
-				return dayPart{err: err}
-			}
-			resolvers[l.ID] = r
+		resolvers, err := newFleet(w.LDNSes, up, func(l *world.LDNS) bool {
+			d, ok := enableDay[l.ID]
+			return ok && day >= d
+		}, 0, 0)
+		if err != nil {
+			return dayPart{err: err}
 		}
 		// Organic traffic growth over the period.
 		grow := 1 + 0.18*float64(day)/float64(cfg.Days)
 		events := int(float64(cfg.EventsPerWindow) * grow)
 
 		windowStart := base.AddDate(0, 0, day)
-		dayRNG := rand.New(rand.NewSource(par.ChildSeed(cfg.Seed, uint64(day))))
-		step := cfg.WindowPerDay / time.Duration(events+1)
+		dayRNG := rand.New(rand.NewSource(par.ChildSeed(queryRateSeed, uint64(day))))
+		step := queryRateWindow / time.Duration(events+1)
 		for i := 0; i < events; i++ {
 			now := windowStart.Add(time.Duration(i) * step)
 			blk := sampler.Sample(dayRNG)
-			dom := cfg.Catalogue.Sample(dayRNG)
+			dom := catalogue.Sample(dayRNG)
 			if _, err := resolvers[blk.LDNS.ID].Query(now, dom.Name, hostInBlock(blk)); err != nil {
 				return dayPart{err: err}
 			}
@@ -164,7 +152,7 @@ func RunQueryRate(w *world.World, cfg QueryRateConfig, up resolver.Upstream) ([]
 				pub += n
 			}
 		}
-		secs := cfg.WindowPerDay.Seconds()
+		secs := queryRateWindow.Seconds()
 		return dayPart{pt: QueryRatePoint{
 			Day:           day,
 			ClientQPS:     float64(events) / secs,
@@ -182,24 +170,11 @@ func RunQueryRate(w *world.World, cfg QueryRateConfig, up resolver.Upstream) ([]
 	return out, nil
 }
 
-// pinUpstream pins a mapping-system upstream to the snapshot published
-// when the simulation starts, so every parallel day shard resolves against
-// the same map epoch even if a control plane publishes concurrently.
-// Other upstream kinds (and already-pinned ones) pass through unchanged.
-func pinUpstream(up resolver.Upstream) resolver.Upstream {
-	if su, ok := up.(*resolver.SystemUpstream); ok && su.Snapshot == nil {
-		pinned := *su
-		pinned.Snapshot = su.System.Current()
-		return &pinned
-	}
-	return up
-}
-
 // drawEnableDays assigns each public site its ECS enable day, in world
 // LDNS order so the schedule is a pure function of the seed. Sites of
 // providers that never ship ECS (the public-resolver era's no-subnet
 // operators) are excluded: they have no enable day at all.
-func drawEnableDays(w *world.World, cfg QueryRateConfig, rng *rand.Rand) map[uint64]int {
+func drawEnableDays(w *world.World, cfg queryRateConfig, rng *rand.Rand) map[uint64]int {
 	enableDay := map[uint64]int{}
 	for _, l := range w.LDNSes {
 		if !l.IsPublic() || !l.SupportsECS {
@@ -229,24 +204,16 @@ type PopularityBucket struct {
 	PreQueryShare float64
 }
 
-// RunPopularity reproduces Fig 24's analysis: the same client workload is
+// runPopularity reproduces Fig 24's analysis: the same client workload is
 // replayed twice through public-resolver caches — once with ECS off (pre
 // roll-out) and once with ECS on — and (domain, LDNS) pairs are bucketed by
 // pre-roll-out queries per TTL.
-func RunPopularity(w *world.World, cfg QueryRateConfig, up resolver.Upstream) ([]PopularityBucket, error) {
+func runPopularity(w *world.World, cfg queryRateConfig) ([]PopularityBucket, error) {
 	if cfg.EventsPerWindow <= 0 {
-		return nil, fmt.Errorf("simulation: EventsPerWindow must be positive")
+		return nil, fmt.Errorf("experiments: EventsPerWindow must be positive")
 	}
-	if cfg.WindowPerDay <= 0 {
-		cfg.WindowPerDay = 10 * time.Minute
-	}
-	if cfg.TTL <= 0 {
-		cfg.TTL = 20 * time.Second
-	}
-	if cfg.Catalogue == nil {
-		cfg.Catalogue = demand.MustNewCatalogue(120, 1.35, cfg.Seed)
-	}
-	up = pinUpstream(up)
+	catalogue := demand.MustNewCatalogue(queryRateDomains, queryRateZipfAlpha, queryRateSeed)
+	up := &fixedUpstream{ttl: queryRateTTL, scope: queryRateScope}
 
 	type pairKey struct {
 		ldns   uint64
@@ -259,14 +226,14 @@ func RunPopularity(w *world.World, cfg QueryRateConfig, up resolver.Upstream) ([
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(queryRateSeed))
 	type event struct {
 		blk *world.ClientBlock
 		dom demand.Domain
 	}
 	events := make([]event, cfg.EventsPerWindow)
 	for i := range events {
-		events[i] = event{sampler.Sample(rng), cfg.Catalogue.Sample(rng)}
+		events[i] = event{sampler.Sample(rng), catalogue.Sample(rng)}
 	}
 	// Bucket event indices by resolver (first-seen order). A resolver's
 	// cache evolution depends only on its own queries in time order, which
@@ -283,17 +250,18 @@ func RunPopularity(w *world.World, cfg QueryRateConfig, up resolver.Upstream) ([
 
 	run := func(ecs bool) (map[pairKey]uint64, error) {
 		base := time.Date(2014, 3, 1, 12, 0, 0, 0, time.UTC)
-		step := cfg.WindowPerDay / time.Duration(cfg.EventsPerWindow+1)
+		step := queryRateWindow / time.Duration(cfg.EventsPerWindow+1)
+		resolvers, err := newFleet(order, up, func(*world.LDNS) bool { return ecs }, 0, 0)
+		if err != nil {
+			return nil, err
+		}
 		type bucketPart struct {
 			counts map[string]uint64
 			err    error
 		}
 		parts := par.Map(len(order), func(gi int) bucketPart {
 			l := order[gi]
-			r, err := resolver.New(ldnsResolverConfig(l, ecs, 0, 0), up)
-			if err != nil {
-				return bucketPart{err: err}
-			}
+			r := resolvers[l.ID]
 			r.TrackDomains()
 			for _, i := range byLDNS[l.ID] {
 				now := base.Add(time.Duration(i) * step)
@@ -326,7 +294,7 @@ func RunPopularity(w *world.World, cfg QueryRateConfig, up resolver.Upstream) ([
 
 	// Bucket pairs by pre-roll-out queries per TTL, in tenths of the
 	// maximum of 1 query/TTL (a cache bounds the pre rate at 1/TTL).
-	windows := cfg.WindowPerDay.Seconds() / cfg.TTL.Seconds()
+	windows := queryRateWindow.Seconds() / queryRateTTL.Seconds()
 	const nBuckets = 10
 	type agg struct {
 		factorSum float64

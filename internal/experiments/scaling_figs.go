@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"time"
 
 	"eum/internal/demand"
 	"eum/internal/geo"
 	"eum/internal/par"
-	"eum/internal/simulation"
 	"eum/internal/stats"
 	"eum/internal/world"
 )
@@ -18,15 +16,14 @@ import (
 // queries resolved by the mapping system, as daily rates over a 12-day
 // window (the paper shows Jan 07-19). No roll-out happens in this window;
 // the figure's point is the ~20:1 ratio between the two rates.
-func Fig02QueryVolume(lab *Lab, scale Scale) ([]simulation.QueryRatePoint, *Report, error) {
-	cfg := simulation.DefaultQueryRateConfig()
+func Fig02QueryVolume(lab *Lab, scale Scale) ([]QueryRatePoint, *Report, error) {
+	cfg := defaultQueryRateConfig()
 	cfg.Days = 12
 	cfg.RolloutStartDay, cfg.RolloutEndDay = 10000, 10001 // never
 	if scale == Small {
 		cfg.EventsPerWindow = 120000
 	}
-	pts, err := simulation.RunQueryRate(lab.World, cfg,
-		&simulation.FixedUpstream{TTL: cfg.TTL, Scope: 24})
+	pts, err := runQueryRate(lab.World, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -222,15 +219,14 @@ func unitClusters(w *world.World, unitFor func(netip.Addr) netip.Prefix) map[net
 // Fig23QueryRateIncrease reproduces Fig 23: total DNS queries per second
 // at the authoritative name servers across the roll-out, with the public
 // resolver component broken out.
-func Fig23QueryRateIncrease(lab *Lab, scale Scale) ([]simulation.QueryRatePoint, *Report, error) {
-	cfg := simulation.DefaultQueryRateConfig()
+func Fig23QueryRateIncrease(lab *Lab, scale Scale) ([]QueryRatePoint, *Report, error) {
+	cfg := defaultQueryRateConfig()
 	if scale == Small {
 		cfg.Days = 30
 		cfg.RolloutStartDay, cfg.RolloutEndDay = 12, 18
 		cfg.EventsPerWindow = 60000
 	}
-	pts, err := simulation.RunQueryRate(lab.World, cfg,
-		&simulation.FixedUpstream{TTL: cfg.TTL, Scope: 24})
+	pts, err := runQueryRate(lab.World, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -251,13 +247,12 @@ func Fig23QueryRateIncrease(lab *Lab, scale Scale) ([]simulation.QueryRatePoint,
 
 // Fig24PopularityFactor reproduces Fig 24: factor increase in query rate
 // by pre-roll-out (domain, LDNS) popularity.
-func Fig24PopularityFactor(lab *Lab, scale Scale) ([]simulation.PopularityBucket, *Report, error) {
-	cfg := simulation.DefaultQueryRateConfig()
+func Fig24PopularityFactor(lab *Lab, scale Scale) ([]PopularityBucket, *Report, error) {
+	cfg := defaultQueryRateConfig()
 	if scale == Small {
 		cfg.EventsPerWindow = 60000
 	}
-	buckets, err := simulation.RunPopularity(lab.World, cfg,
-		&simulation.FixedUpstream{TTL: cfg.TTL, Scope: 24})
+	buckets, err := runPopularity(lab.World, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -272,93 +267,4 @@ func Fig24PopularityFactor(lab *Lab, scale Scale) ([]simulation.PopularityBucket
 			b.FactorIncrease, b.Pairs, 100*b.PreQueryShare))
 	}
 	return buckets, rep, nil
-}
-
-// RolloutFigures bundles Figs 12-20: the roll-out simulation's timelines
-// and before/after distributions for all four §4.1 metrics.
-type RolloutFigures struct {
-	Result *simulation.RolloutResult
-}
-
-// RunRolloutFigures runs the roll-out simulation once; the individual
-// figure accessors below slice it.
-func RunRolloutFigures(lab *Lab, scale Scale) (*RolloutFigures, error) {
-	cfg := simulation.DefaultRolloutConfig()
-	if scale == Small {
-		cfg.Start = time.Date(2014, 2, 20, 0, 0, 0, 0, time.UTC)
-		cfg.End = time.Date(2014, 5, 20, 0, 0, 0, 0, time.UTC)
-		cfg.DailyMeasurements = 120
-	}
-	res, err := simulation.RunRollout(lab.World, lab.Platform, lab.Net, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &RolloutFigures{Result: res}, nil
-}
-
-// metricReport builds the paired timeline (odd figures 13,15,17,19) and
-// before/after CDF summary (even figures 14,16,18,20) for one metric.
-func (rf *RolloutFigures) metricReport(id, name, unit string, g *simulation.GroupSeries) *Report {
-	rep := &Report{
-		ID:      id,
-		Caption: fmt.Sprintf("%s (%s): daily means and before/after percentiles", name, unit),
-		Columns: []string{"series", "mean", "p25", "p50", "p75", "p95"},
-	}
-	for _, grp := range []struct {
-		label string
-		high  bool
-	}{{"high", true}, {"low", false}} {
-		before, after := simulation.BeforeAfter(g, grp.high, rf.Result)
-		for _, phase := range []struct {
-			label string
-			d     *stats.Dataset
-		}{{"before", before}, {"after", after}} {
-			rep.Rows = append(rep.Rows, row(
-				fmt.Sprintf("%s-exp %s", grp.label, phase.label),
-				phase.d.Mean(), phase.d.Percentile(25), phase.d.Percentile(50),
-				phase.d.Percentile(75), phase.d.Percentile(95)))
-		}
-	}
-	return rep
-}
-
-// Fig13MappingDistance returns the Fig 13/14 report (mapping distance).
-func (rf *RolloutFigures) Fig13MappingDistance() *Report {
-	return rf.metricReport("fig13-14", "Mapping distance", "miles", &rf.Result.MappingDistance)
-}
-
-// Fig15RTT returns the Fig 15/16 report (round-trip time).
-func (rf *RolloutFigures) Fig15RTT() *Report {
-	return rf.metricReport("fig15-16", "RTT", "ms", &rf.Result.RTT)
-}
-
-// Fig17TTFB returns the Fig 17/18 report (time to first byte).
-func (rf *RolloutFigures) Fig17TTFB() *Report {
-	return rf.metricReport("fig17-18", "TTFB", "ms", &rf.Result.TTFB)
-}
-
-// Fig19Download returns the Fig 19/20 report (content download time).
-func (rf *RolloutFigures) Fig19Download() *Report {
-	return rf.metricReport("fig19-20", "Content download time", "ms", &rf.Result.Download)
-}
-
-// Fig12RUMVolume returns the Fig 12 report: RUM measurements per month by
-// expectation group.
-func (rf *RolloutFigures) Fig12RUMVolume() *Report {
-	rep := &Report{
-		ID:      "fig12",
-		Caption: "RUM measurements per month (weighted volume, high/low expectation)",
-		Columns: []string{"month", "high", "low"},
-	}
-	high := rf.Result.RTT.High.MonthlyMeans()
-	low := rf.Result.RTT.Low.MonthlyMeans()
-	lowByMonth := map[string]float64{}
-	for _, p := range low {
-		lowByMonth[p.Start.Format("2006-01")] = p.Weight
-	}
-	for _, p := range high {
-		m := p.Start.Format("2006-01")
-		rep.Rows = append(rep.Rows, row(m, p.Weight, lowByMonth[m]))
-	}
-	return rep
 }

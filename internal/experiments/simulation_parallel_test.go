@@ -1,4 +1,4 @@
-package simulation
+package experiments
 
 import (
 	"math"
@@ -12,10 +12,10 @@ import (
 
 // simOutputs bundles everything the worker-count invariance test compares.
 type simOutputs struct {
-	rollout *RolloutResult
+	rollout *rolloutResult
 	rates   []QueryRatePoint
 	pop     []PopularityBucket
-	broad   *BroadRolloutResult
+	broad   []ECSCellResult
 }
 
 func runSims(t *testing.T, workers int) *simOutputs {
@@ -26,30 +26,29 @@ func runSims(t *testing.T, workers int) *simOutputs {
 	w := world.MustGenerate(world.Config{Seed: 9, NumBlocks: 1200})
 	p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 9, NumDeployments: 120, ServersPerDeployment: 4})
 
-	rcfg := DefaultRolloutConfig()
+	rcfg := defaultRolloutConfig()
 	rcfg.Start = time.Date(2014, 3, 20, 0, 0, 0, 0, time.UTC)
 	rcfg.End = time.Date(2014, 4, 20, 0, 0, 0, 0, time.UTC)
 	rcfg.DailyMeasurements = 40
-	rollout, err := RunRollout(w, p, net, rcfg)
+	rollout, err := runRollout(w, p, simNet, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	qcfg := DefaultQueryRateConfig()
+	qcfg := defaultQueryRateConfig()
 	qcfg.Days = 10
 	qcfg.RolloutStartDay, qcfg.RolloutEndDay = 3, 6
 	qcfg.EventsPerWindow = 20000
-	up := &FixedUpstream{TTL: 20 * time.Second, Scope: 24}
-	rates, err := RunQueryRate(w, qcfg, up)
+	rates, err := runQueryRate(w, qcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pop, err := RunPopularity(w, qcfg, up)
+	pop, err := runPopularity(w, qcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	broad, err := RunBroadRollout(w, p, net, 5)
+	broad, err := runBroadRollout(w, p, simNet, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,15 +71,15 @@ func TestSimulationWorkerCountInvariant(t *testing.T) {
 	// Roll-out: compare each metric's daily timeline. Daily means are
 	// weighted float sums in observation order, so equality also proves the
 	// merged observation order matches the serial one.
-	groups := func(s *simOutputs) []*GroupSeries {
+	groups := func(s *simOutputs) []*groupSeries {
 		r := s.rollout
-		return []*GroupSeries{&r.MappingDistance, &r.RTT, &r.TTFB, &r.Download}
+		return []*groupSeries{&r.MappingDistance, &r.RTT, &r.TTFB, &r.Download}
 	}
 	g1, g8 := groups(s1), groups(s8)
 	for gi := range g1 {
 		for _, high := range []bool{true, false} {
-			d1 := g1[gi].Series(high).DailyMeans()
-			d8 := g8[gi].Series(high).DailyMeans()
+			d1 := g1[gi].series(high).DailyMeans()
+			d8 := g8[gi].series(high).DailyMeans()
 			if len(d1) != len(d8) {
 				t.Fatalf("metric %d high=%v: %d vs %d daily points", gi, high, len(d1), len(d8))
 			}
@@ -115,11 +114,11 @@ func TestSimulationWorkerCountInvariant(t *testing.T) {
 		}
 	}
 
-	if len(s1.broad.Stages) != len(s8.broad.Stages) {
-		t.Fatalf("broad stages: %d vs %d", len(s1.broad.Stages), len(s8.broad.Stages))
+	if len(s1.broad) != len(s8.broad) {
+		t.Fatalf("broad stages: %d vs %d", len(s1.broad), len(s8.broad))
 	}
-	for i := range s1.broad.Stages {
-		a, b := s1.broad.Stages[i], s8.broad.Stages[i]
+	for i := range s1.broad {
+		a, b := s1.broad[i], s8.broad[i]
 		if a.Name != b.Name || !sameF64(a.MeanRTTMs, b.MeanRTTMs) ||
 			!sameF64(a.P95RTTMs, b.P95RTTMs) || !sameF64(a.MeanDistance, b.MeanDistance) ||
 			!sameF64(a.AuthQueryMultiplier, b.AuthQueryMultiplier) {

@@ -1,4 +1,4 @@
-package simulation
+package experiments
 
 import (
 	"net/netip"
@@ -11,28 +11,28 @@ import (
 )
 
 var (
-	testW = world.MustGenerate(world.Config{Seed: 61, NumBlocks: 5000})
-	testP = cdn.MustGenerateUniverse(testW, cdn.Config{Seed: 61, NumDeployments: 400, ServersPerDeployment: 6})
-	net   = netmodel.NewDefault()
+	simW   = world.MustGenerate(world.Config{Seed: 61, NumBlocks: 5000})
+	simP   = cdn.MustGenerateUniverse(simW, cdn.Config{Seed: 61, NumDeployments: 400, ServersPerDeployment: 6})
+	simNet = netmodel.NewDefault()
 )
 
 // smallRollout runs a shortened roll-out simulation shared by tests.
-func smallRollout(t *testing.T) *RolloutResult {
+func smallRollout(t *testing.T) *rolloutResult {
 	t.Helper()
-	cfg := DefaultRolloutConfig()
+	cfg := defaultRolloutConfig()
 	cfg.Start = time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
 	cfg.End = time.Date(2014, 5, 10, 0, 0, 0, 0, time.UTC)
 	cfg.DailyMeasurements = 80
-	res, err := RunRollout(testW, testP, net, cfg)
+	res, err := runRollout(simW, simP, simNet, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-var cachedRollout *RolloutResult
+var cachedRollout *rolloutResult
 
-func rollout(t *testing.T) *RolloutResult {
+func rollout(t *testing.T) *rolloutResult {
 	if cachedRollout == nil {
 		cachedRollout = smallRollout(t)
 	}
@@ -40,16 +40,16 @@ func rollout(t *testing.T) *RolloutResult {
 }
 
 func TestRolloutRejectsEmptyPeriod(t *testing.T) {
-	cfg := DefaultRolloutConfig()
+	cfg := defaultRolloutConfig()
 	cfg.End = cfg.Start
-	if _, err := RunRollout(testW, testP, net, cfg); err == nil {
+	if _, err := runRollout(simW, simP, simNet, cfg); err == nil {
 		t.Error("empty period accepted")
 	}
 }
 
 func TestRolloutMappingDistanceDrops(t *testing.T) {
 	res := rollout(t)
-	before, after := BeforeAfter(&res.MappingDistance, true, res)
+	before, after := beforeAfter(&res.MappingDistance, true)
 	if before.Len() == 0 || after.Len() == 0 {
 		t.Fatal("missing before/after data")
 	}
@@ -60,7 +60,7 @@ func TestRolloutMappingDistanceDrops(t *testing.T) {
 	if ratio < 5 {
 		t.Errorf("high-exp mapping distance ratio = %.1fx, want >= 5x", ratio)
 	}
-	lb, la := BeforeAfter(&res.MappingDistance, false, res)
+	lb, la := beforeAfter(&res.MappingDistance, false)
 	lowRatio := lb.Mean() / la.Mean()
 	if lowRatio < 1.2 {
 		t.Errorf("low-exp group saw no improvement: %.2fx", lowRatio)
@@ -69,13 +69,13 @@ func TestRolloutMappingDistanceDrops(t *testing.T) {
 
 func TestRolloutRTTHalves(t *testing.T) {
 	res := rollout(t)
-	before, after := BeforeAfter(&res.RTT, true, res)
+	before, after := beforeAfter(&res.RTT, true)
 	ratio := before.Mean() / after.Mean()
 	// Paper: two-fold decrease for the high-expectation group.
 	if ratio < 1.6 || ratio > 6 {
 		t.Errorf("high-exp RTT ratio = %.2fx, want ~2-4x", ratio)
 	}
-	lb, la := BeforeAfter(&res.RTT, false, res)
+	lb, la := beforeAfter(&res.RTT, false)
 	if low := lb.Mean() / la.Mean(); low >= ratio {
 		t.Errorf("low-exp RTT gain (%.2fx) should be below high-exp (%.2fx)", low, ratio)
 	}
@@ -83,14 +83,14 @@ func TestRolloutRTTHalves(t *testing.T) {
 
 func TestRolloutTTFBImprovesModestly(t *testing.T) {
 	res := rollout(t)
-	before, after := BeforeAfter(&res.TTFB, true, res)
+	before, after := beforeAfter(&res.TTFB, true)
 	improvement := 1 - after.Mean()/before.Mean()
 	// Paper: ~30% improvement — far less than RTT's 50% because page
 	// construction is not mapping-sensitive.
 	if improvement < 0.15 || improvement > 0.55 {
 		t.Errorf("high-exp TTFB improvement = %.0f%%, want ~30%%", 100*improvement)
 	}
-	rttB, rttA := BeforeAfter(&res.RTT, true, res)
+	rttB, rttA := beforeAfter(&res.RTT, true)
 	rttImprovement := 1 - rttA.Mean()/rttB.Mean()
 	if improvement >= rttImprovement {
 		t.Errorf("TTFB improvement (%.0f%%) should be below RTT improvement (%.0f%%)",
@@ -100,7 +100,7 @@ func TestRolloutTTFBImprovesModestly(t *testing.T) {
 
 func TestRolloutDownloadHalves(t *testing.T) {
 	res := rollout(t)
-	before, after := BeforeAfter(&res.Download, true, res)
+	before, after := beforeAfter(&res.Download, true)
 	ratio := before.Mean() / after.Mean()
 	// Paper: two-fold decrease in content download time. Download means are
 	// heavy-tailed (transfer time divides by per-block throughput), so the
@@ -116,14 +116,14 @@ func TestRolloutAllPercentilesImprove(t *testing.T) {
 	res := rollout(t)
 	for _, tc := range []struct {
 		name string
-		g    *GroupSeries
+		g    *groupSeries
 	}{
 		{"mapping-distance", &res.MappingDistance},
 		{"rtt", &res.RTT},
 		{"ttfb", &res.TTFB},
 		{"download", &res.Download},
 	} {
-		before, after := BeforeAfter(tc.g, true, res)
+		before, after := beforeAfter(tc.g, true)
 		for _, p := range []float64{25, 50, 75, 90} {
 			if after.Percentile(p) > before.Percentile(p) {
 				t.Errorf("%s P%.0f regressed: %.1f -> %.1f",
@@ -145,10 +145,10 @@ func TestRolloutTimelineTransitions(t *testing.T) {
 	var preN, postN int
 	for _, d := range days {
 		switch {
-		case d.Start.Before(res.RolloutStart):
+		case d.Start.Before(rolloutStart):
 			preSum += d.Mean
 			preN++
-		case d.Start.After(res.RolloutEnd):
+		case d.Start.After(rolloutEnd):
 			postSum += d.Mean
 			postN++
 		}
@@ -175,12 +175,11 @@ func TestRolloutMeasurementVolumeGrows(t *testing.T) {
 }
 
 func TestQueryRateIncrease(t *testing.T) {
-	cfg := DefaultQueryRateConfig()
+	cfg := defaultQueryRateConfig()
 	cfg.Days = 24
 	cfg.RolloutStartDay, cfg.RolloutEndDay = 8, 14
 	cfg.EventsPerWindow = 120000
-	up := &FixedUpstream{TTL: 20 * time.Second, Scope: 24}
-	pts, err := RunQueryRate(testW, cfg, up)
+	pts, err := runQueryRate(simW, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,20 +214,18 @@ func TestQueryRateIncrease(t *testing.T) {
 }
 
 func TestQueryRateValidation(t *testing.T) {
-	up := &FixedUpstream{TTL: time.Second, Scope: 24}
-	if _, err := RunQueryRate(testW, QueryRateConfig{Days: 0, EventsPerWindow: 10}, up); err == nil {
+	if _, err := runQueryRate(simW, queryRateConfig{Days: 0, EventsPerWindow: 10}); err == nil {
 		t.Error("zero days accepted")
 	}
-	if _, err := RunPopularity(testW, QueryRateConfig{}, up); err == nil {
+	if _, err := runPopularity(simW, queryRateConfig{}); err == nil {
 		t.Error("zero events accepted")
 	}
 }
 
 func TestPopularityFactorRisesWithPopularity(t *testing.T) {
-	cfg := DefaultQueryRateConfig()
+	cfg := defaultQueryRateConfig()
 	cfg.EventsPerWindow = 120000
-	up := &FixedUpstream{TTL: 20 * time.Second, Scope: 24}
-	buckets, err := RunPopularity(testW, cfg, up)
+	buckets, err := runPopularity(simW, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +253,8 @@ func TestPopularityFactorRisesWithPopularity(t *testing.T) {
 }
 
 func TestFixedUpstream(t *testing.T) {
-	up := &FixedUpstream{TTL: 7 * time.Second, Scope: 20}
-	a, err := up.Resolve("x.net", hostInBlock(testW.Blocks[0]), testW.Blocks[0].Prefix)
+	up := &fixedUpstream{ttl: 7 * time.Second, scope: 20}
+	a, err := up.Resolve("x.net", hostInBlock(simW.Blocks[0]), simW.Blocks[0].Prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,14 +262,20 @@ func TestFixedUpstream(t *testing.T) {
 		t.Errorf("answer = %+v", a)
 	}
 	// Without ECS, scope must be 0.
-	a, _ = up.Resolve("x.net", hostInBlock(testW.Blocks[0]), netip.Prefix{})
+	a, _ = up.Resolve("x.net", hostInBlock(simW.Blocks[0]), netip.Prefix{})
 	if a.ScopePrefix != 0 {
 		t.Errorf("no-ECS scope = %d", a.ScopePrefix)
+	}
+	// A scope finer than the query's source prefix is clamped to it
+	// (RFC 7871 §7.2.1).
+	a, _ = up.Resolve("x.net", hostInBlock(simW.Blocks[0]), netip.MustParsePrefix("10.0.0.0/16"))
+	if a.ScopePrefix != 16 {
+		t.Errorf("/16 query answered at scope %d, want 16", a.ScopePrefix)
 	}
 }
 
 func TestHostInBlock(t *testing.T) {
-	b := testW.Blocks[0]
+	b := simW.Blocks[0]
 	h := hostInBlock(b)
 	if !b.Prefix.Contains(h) {
 		t.Errorf("host %v outside block %v", h, b.Prefix)
@@ -280,14 +283,14 @@ func TestHostInBlock(t *testing.T) {
 }
 
 func TestBroadRollout(t *testing.T) {
-	res, err := RunBroadRollout(testW, testP, net, 3)
+	stages, err := runBroadRollout(simW, simP, simNet, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Stages) != 3 {
-		t.Fatalf("stages = %d", len(res.Stages))
+	if len(stages) != 3 {
+		t.Fatalf("stages = %d", len(stages))
 	}
-	noECS, public, universal := res.Stages[0], res.Stages[1], res.Stages[2]
+	noECS, public, universal := stages[0], stages[1], stages[2]
 	// Each adoption stage improves global performance.
 	if !(universal.MeanRTTMs < public.MeanRTTMs && public.MeanRTTMs < noECS.MeanRTTMs) {
 		t.Errorf("RTT not improving with adoption: %.1f -> %.1f -> %.1f",
@@ -314,36 +317,5 @@ func TestBroadRollout(t *testing.T) {
 	}
 	if universal.AuthQueryMultiplier < 1.5 {
 		t.Errorf("universal adoption multiplier = %.2f, want a clear increase", universal.AuthQueryMultiplier)
-	}
-}
-
-func TestRolloutSurvivesFailureChurn(t *testing.T) {
-	// The roll-out simulation with a random failure process churning 10%
-	// of servers per day: every measurement must still be produced, and
-	// the roll-out improvement must still show through the churn.
-	cfg := DefaultRolloutConfig()
-	cfg.Start = time.Date(2014, 3, 10, 0, 0, 0, 0, time.UTC)
-	cfg.End = time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC)
-	cfg.DailyMeasurements = 60
-	cfg.Faults = &cdn.RandomFaults{P: 0.1, EpochLength: 24 * time.Hour, Seed: 7}
-	// A private platform: the monitor mutates liveness.
-	p := cdn.MustGenerateUniverse(testW, cdn.Config{Seed: 77, NumDeployments: 300, ServersPerDeployment: 6})
-	res, err := RunRollout(testW, p, net, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, after := BeforeAfter(&res.MappingDistance, true, res)
-	if before.Len() == 0 || after.Len() == 0 {
-		t.Fatal("missing measurements under churn")
-	}
-	if after.Mean() >= before.Mean() {
-		t.Errorf("roll-out improvement lost under churn: %.0f -> %.0f", before.Mean(), after.Mean())
-	}
-	// Servers must all be alive again afterwards is not guaranteed (the
-	// monitor leaves the last epoch's state); restore for other tests.
-	for _, d := range p.Deployments {
-		for _, s := range d.Servers {
-			s.SetAlive(true)
-		}
 	}
 }

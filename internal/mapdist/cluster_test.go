@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -41,6 +42,31 @@ type pubNode struct {
 // same lineage.
 func sameMap(a, b *mapping.Snapshot) bool {
 	return a.Lineage() == b.Lineage() && a.Epoch() == b.Epoch()
+}
+
+// rotation is the anycast VIP stand-in: real anycast spreads resolvers
+// across replicas by routing, the rotation spreads its lookups by turn, and
+// either way a lookup whose replica fails moves on to the next one.
+type rotation struct {
+	client  *dnsclient.Client
+	servers []string
+	next    int
+}
+
+// Lookup asks the replica whose turn it is, then the others in order until
+// one answers.
+func (r *rotation) Lookup(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type, clientPrefix netip.Prefix) (*dnsmsg.Message, error) {
+	start := r.next
+	r.next++
+	var err error
+	for i := range r.servers {
+		var resp *dnsmsg.Message
+		server := r.servers[(start+i)%len(r.servers)]
+		if resp, err = r.client.Lookup(ctx, server, name, typ, clientPrefix); err == nil || ctx.Err() != nil {
+			return resp, err
+		}
+	}
+	return nil, err
 }
 
 // TestDistClusterPartitionHeal runs the distribution plane end to end: a
@@ -167,15 +193,13 @@ func TestDistClusterPartitionHeal(t *testing.T) {
 		defer srv.Close()
 	}
 
-	// The anycast VIP stand-in: one resolver rotating across all three
-	// replicas with per-server health tracking.
-	rr, err := dnsclient.NewRoundRobin(&dnsclient.Client{
-		Timeout: 250 * time.Millisecond, Retries: 1,
-		BackoffBase: 5 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
-		Seed: 1,
-	}, dnsclient.RoundRobinConfig{}, replicas[0].addr, replicas[1].addr, replicas[2].addr)
-	if err != nil {
-		t.Fatal(err)
+	rr := &rotation{
+		client: &dnsclient.Client{
+			Timeout: 250 * time.Millisecond, Retries: 1,
+			BackoffBase: 5 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
+			Seed: 1,
+		},
+		servers: []string{replicas[0].addr, replicas[1].addr, replicas[2].addr},
 	}
 
 	// Phase 1: converge. Every replica must install images and start

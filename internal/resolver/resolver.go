@@ -30,8 +30,8 @@ type Answer struct {
 }
 
 // Upstream is the authoritative side the resolver queries on cache misses —
-// in this repository, the mapping system (via SystemUpstream) or a test
-// stub.
+// in this repository, the mapping system or a fixed-answer stand-in (the
+// figures' resolver fleet in internal/experiments), or a test stub.
 type Upstream interface {
 	// Resolve answers a query for domain made by resolver ldns,
 	// optionally carrying the client's subnet (invalid prefix = no ECS).
