@@ -34,11 +34,12 @@ race:
 # Non-test Go lines outside bench/ — the number CHANGES.md quotes when a PR
 # reports itself net-negative — for the whole repo, the three packages of
 # the serving path, the map, its wire format and its distribution, the
-# control plane and the config, and the figures.
+# control plane and the config, the figures, and the world and platform
+# the map is built from.
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l; }; \
 	printf '%-20s %6d\n' repo "$$(count .)"; \
-	for p in internal/authority internal/dnsserver cmd/eumdns internal/mapping internal/mapwire internal/mapdist internal/mapmaker internal/config internal/experiments; do printf '%-20s %6d\n' $$p "$$(count $$p)"; done
+	for p in internal/authority internal/dnsserver cmd/eumdns internal/mapping internal/mapwire internal/mapdist internal/mapmaker internal/config internal/experiments internal/world internal/cdn; do printf '%-20s %6d\n' $$p "$$(count $$p)"; done
 
 # The set-up budget: every stage between a seed and a served map, at the
 # cold_wide benchmark's size on one CPU — the rows of DESIGN.md's set-up

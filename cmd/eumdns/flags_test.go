@@ -184,16 +184,16 @@ func TestDocumentedInvocationsParse(t *testing.T) {
 	}
 }
 
-// TestDocumentedNamesExist: every benchmark the README, DESIGN.md and
-// EXPERIMENTS.md name is defined in a test file of this module, every
-// `make <target>` they quote is a Makefile target, and every repository
-// path they quote (`internal/<pkg>`, `cmd/<name>`, `examples/<name>`) is a
-// directory, so the docs cannot send a reader to a benchmark, a target or a
-// package that is gone. A quoted make or path sits in a backtick span, or
+// TestDocumentedNamesExist: every test, fuzz target and benchmark the
+// README, DESIGN.md and EXPERIMENTS.md name is defined in a test file of
+// this module, every `make <target>` they quote is a Makefile target, and
+// every repository path they quote (`internal/<pkg>`, `cmd/<name>`,
+// `examples/<name>`) is a directory, so the docs cannot send a reader to a
+// test, a target or a package that is gone. A quoted make or path sits in a backtick span, or
 // on a line of a fenced code block.
 func TestDocumentedNamesExist(t *testing.T) {
 	const root = "../.."
-	benchDef := regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`)
+	testDef := regexp.MustCompile(`(?m)^func ((?:Benchmark|Test|Fuzz)\w+)\(`)
 	defined := map[string]bool{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -208,7 +208,7 @@ func TestDocumentedNamesExist(t *testing.T) {
 			return nil
 		}
 		src, err := os.ReadFile(path)
-		for _, m := range benchDef.FindAllSubmatch(src, -1) {
+		for _, m := range testDef.FindAllSubmatch(src, -1) {
 			defined[string(m[1])] = true
 		}
 		return err
@@ -225,7 +225,7 @@ func TestDocumentedNamesExist(t *testing.T) {
 		targets[string(m[1])] = true
 	}
 
-	benchRef := regexp.MustCompile(`Benchmark\w+`)
+	testRef := regexp.MustCompile(`\b(?:Benchmark\w+|(?:Test|Fuzz)[A-Z]\w*)`)
 	makeRef := regexp.MustCompile("`make ([\\w-]+)")
 	codeSpan := regexp.MustCompile("`[^`]+`")
 	pathRef := regexp.MustCompile(`(?:^|[\s(]|\./)((?:internal|cmd|examples)/[\w-]+)`)
@@ -236,7 +236,7 @@ func TestDocumentedNamesExist(t *testing.T) {
 		}
 		fenced := false
 		for i, line := range strings.Split(string(src), "\n") {
-			for _, name := range benchRef.FindAllString(line, -1) {
+			for _, name := range testRef.FindAllString(line, -1) {
 				if !defined[name] {
 					t.Errorf("%s:%d names %s, which no test file defines", doc, i+1, name)
 				}

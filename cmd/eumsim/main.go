@@ -169,6 +169,19 @@ var figures = map[string]struct {
 	}},
 }
 
+// parseScale reads the -scale flag: small, full or huge, in any case.
+func parseScale(name string) (experiments.Scale, error) {
+	for _, s := range []struct {
+		name  string
+		scale experiments.Scale
+	}{{"small", experiments.Small}, {"full", experiments.Full}, {"huge", experiments.Huge}} {
+		if strings.EqualFold(name, s.name) {
+			return s.scale, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown -scale %q; want small, full or huge", name)
+}
+
 func main() {
 	fig := flag.String("fig", "all", "figure to reproduce (e.g. 5, 12-20, 25, 4.5, all)")
 	scaleName := flag.String("scale", "small", "small (seconds), full (benchmark scale), or huge (million-block lab)")
@@ -203,12 +216,10 @@ func main() {
 		return
 	}
 
-	scale := experiments.Small
-	switch {
-	case strings.EqualFold(*scaleName, "full"):
-		scale = experiments.Full
-	case strings.EqualFold(*scaleName, "huge"):
-		scale = experiments.Huge
+	scale, err := parseScale(*scaleName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		os.Exit(2)
 	}
 	fmt.Fprintf(os.Stderr, "building lab (scale=%s, seed=%d, workers=%d)...\n",
 		*scaleName, *seed, par.Workers())

@@ -31,6 +31,13 @@ func newAuthority(t *testing.T, pol mapping.Policy) *Authority {
 	return a
 }
 
+// installPolicy installs a map built under pol at the epoch after the
+// current one: a switch of policy as a replica sees it, one installed map
+// to the next.
+func installPolicy(sys *mapping.System, pol mapping.Policy) {
+	sys.Install(sys.Builder().Build(sys.Current().Epoch()+1, pol))
+}
+
 func query(name string, typ dnsmsg.Type) *dnsmsg.Message {
 	return dnsmsg.NewQuery(42, dnsmsg.Name(name), typ)
 }

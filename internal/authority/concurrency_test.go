@@ -123,9 +123,9 @@ func TestAuthorityConcurrentInvalidation(t *testing.T) {
 		defer wg.Done()
 		pols := [...]mapping.Policy{mapping.NSBased, mapping.EndUser, mapping.ClientAwareNS, mapping.EndUser}
 		for i := 0; i < flips; i++ {
-			a.system.SetPolicy(pols[i%len(pols)])
+			installPolicy(a.system, pols[i%len(pols)])
 		}
-		a.system.SetPolicy(mapping.EndUser)
+		installPolicy(a.system, mapping.EndUser)
 	}()
 	go func() {
 		defer wg.Done()

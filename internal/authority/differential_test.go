@@ -368,7 +368,7 @@ func TestPolicyFlipChangesAnswer(t *testing.T) {
 	if eu.scope != 24 {
 		t.Fatalf("EU answer scope = %d, want 24", eu.scope)
 	}
-	a.system.SetPolicy(mapping.NSBased)
+	installPolicy(a.system, mapping.NSBased)
 	ns := ask()
 	want, err := a.system.MapAt(nil, mapping.Request{Domain: "img.cdn.example.net", LDNS: resolverAddr.Addr(), ClientSubnet: blk.Prefix})
 	if err != nil {
@@ -377,7 +377,7 @@ func TestPolicyFlipChangesAnswer(t *testing.T) {
 	if ns.scope != 0 || ns.servers != serversOf(want) {
 		t.Errorf("after the flip to NS: %+v, want scope 0 and MapAt's %s", ns, serversOf(want))
 	}
-	a.system.SetPolicy(mapping.EndUser)
+	installPolicy(a.system, mapping.EndUser)
 	if back := ask(); back != eu {
 		t.Errorf("after the flip back: %+v, want the first EU answer %+v", back, eu)
 	}

@@ -154,8 +154,7 @@ func closedLoopFlashCrowd(lab *Lab, cfg ClosedLoopConfig, depths *spillDepths) (
 		lab.Platform.ResetLoad()
 		// Model the standalone refresh cadence: one periodic rebuild per
 		// round.
-		mm.Notify(mapmaker.ReasonPeriodic)
-		sn := mm.Sync()
+		sn := mm.Publish()
 
 		scale := mult * localCap / regionDemand
 		var dist stats.Dataset
@@ -359,8 +358,7 @@ func brownoutRun(lab *Lab, cat *demand.Catalogue, beta float64, depths *spillDep
 // dataset. One periodic rebuild precedes the pass, as the refresh cadence
 // would in a live process.
 func brownoutAssign(lab *Lab, sys *mapping.System, mm *mapmaker.MapMaker, cat *demand.Catalogue, scale float64, depths *spillDepths) (map[uint64]float64, *stats.Dataset, error) {
-	mm.Notify(mapmaker.ReasonPeriodic)
-	sn := mm.Sync()
+	sn := mm.Publish()
 	demandOf := make(map[uint64]float64, len(lab.Platform.Deployments))
 	var dist stats.Dataset
 	for _, b := range lab.World.Blocks {

@@ -22,11 +22,19 @@ import (
 	"eum/internal/world"
 )
 
-// combinedFaults fails a server when either injector does.
-type combinedFaults struct{ a, b cdn.FaultInjector }
+// randomlyFailed reports whether a server is down in a failure epoch: each
+// server fails independently in about a fraction p of epochs, by a seeded
+// splitmix64 hash of its ID and the epoch, so a run's fault pattern is
+// reproducible.
+func randomlyFailed(id, epoch, seed uint64, p float64) bool {
+	return float64(splitmix(id^splitmix(epoch^seed))>>11)/(1<<53) < p
+}
 
-func (c combinedFaults) Failed(s *cdn.Server, now time.Time) bool {
-	return c.a.Failed(s, now) || c.b.Failed(s, now)
+func splitmix(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // epochCheckHandler wraps the authority with the wire-level epoch
@@ -63,8 +71,8 @@ func (h *epochCheckHandler) ServeDNS(remote netip.AddrPort, q *dnsmsg.Message) *
 //   - transport faults: >=10% packet loss each way, duplication,
 //     reordering, latency jitter (faultnet);
 //   - server faults: a scheduled whole-deployment outage plus random
-//     per-server failures, health probing feeding the change feed, a
-//     server flipping on the first probe that disagrees;
+//     per-server failures, each server's liveness flipped by the churn
+//     loop whenever the schedule disagrees with it;
 //   - control-plane churn: continuous MapMaker republishing every few
 //     milliseconds with every 7th build panicking.
 //
@@ -96,17 +104,23 @@ func runChaosServingPlane(t *testing.T, shards int) {
 	// anyway so the degraded paths are live code under chaos.
 	auth.SetDegradeConfig(authority.DegradeConfig{StaleAfter: 30 * time.Second})
 
-	// Health: deployment 0 scheduled hard-down for a window mid-test, every
-	// server also failing randomly ~10% of 50ms epochs.
+	// Liveness: deployment 0 hard-down for a window mid-test, every server
+	// also failing randomly ~10% of 50ms epochs. The churn loop applies it.
 	start := time.Now()
-	sched := &cdn.ScheduledFaults{}
-	for _, srv := range p.Deployments[0].Servers {
-		sched.Add(srv.ID, start.Add(300*time.Millisecond), start.Add(900*time.Millisecond))
-	}
-	rand := &cdn.RandomFaults{P: 0.1, EpochLength: 50 * time.Millisecond, Seed: 7}
-	mon, err := cdn.NewMonitor(p, combinedFaults{sched, rand}, time.Millisecond, mm.OnDeploymentChange)
-	if err != nil {
-		t.Fatal(err)
+	transitions := 0 // written by the churn loop, read after it stops
+	applyFaults := func(now time.Time) {
+		since := now.Sub(start)
+		outage := since >= 300*time.Millisecond && since < 900*time.Millisecond
+		epoch := uint64(now.UnixNano() / int64(50*time.Millisecond))
+		for i, d := range p.Deployments {
+			for _, srv := range d.Servers {
+				alive := !(i == 0 && outage) && !randomlyFailed(srv.ID, epoch, 7, 0.1)
+				if srv.Alive() != alive {
+					srv.SetAlive(alive)
+					transitions++
+				}
+			}
+		}
 	}
 
 	var epochViolations atomic.Uint64
@@ -137,8 +151,8 @@ func runChaosServingPlane(t *testing.T, shards int) {
 	}
 	go func() { _ = srv.Serve() }()
 
-	// Control-plane churn: republish every ~5ms, ticking health probes in
-	// the same loop; every 7th build panics via the fault hook.
+	// Control-plane churn: republish every ~5ms, applying the liveness
+	// faults in the same loop; every 7th build panics via the fault hook.
 	churnStop := make(chan struct{})
 	var churn sync.WaitGroup
 	churn.Add(1)
@@ -159,7 +173,7 @@ func runChaosServingPlane(t *testing.T, shards int) {
 			} else {
 				mm.SetBuildFault(nil)
 			}
-			mon.Tick(time.Now())
+			applyFaults(time.Now())
 			mm.Publish()
 		}
 	}()
@@ -210,8 +224,8 @@ func runChaosServingPlane(t *testing.T, shards int) {
 	t.Logf("authority: stale=%d fallback=%d servfails=%d level=%v",
 		auth.StaleAnswers.Load(), auth.FallbackAnswers.Load(),
 		auth.DegradeServfails.Load(), auth.Degradation())
-	t.Logf("mapmaker: published=%d build_failures=%d; health: probes=%d transitions=%d",
-		mm.Published(), mm.BuildFailures(), mon.Probes(), mon.Transitions())
+	t.Logf("mapmaker: published=%d build_failures=%d; liveness transitions=%d",
+		mm.Published(), mm.BuildFailures(), transitions)
 
 	if success < 0.99 {
 		t.Errorf("success rate %.4f < 0.99", success)
@@ -230,7 +244,7 @@ func runChaosServingPlane(t *testing.T, shards int) {
 	if mm.Published() < 50 {
 		t.Errorf("published only %d snapshots — map churn too slow", mm.Published())
 	}
-	if mon.Transitions() == 0 {
+	if transitions == 0 {
 		t.Error("no health transitions — server faults not exercised")
 	}
 }

@@ -54,7 +54,7 @@ func BenchmarkSnapshotSwap(b *testing.B) {
 	b.Run("measurement", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			mm.Notify(ReasonMeasurement)
+			mm.NotifyMeasurement()
 			mm.Sync()
 		}
 		mapSize(b)

@@ -122,7 +122,7 @@ func TestIncrementalBuildOneTarget(t *testing.T) {
 	checkEqual(resolverRow(sn, unknownLDNS), resolverRow(cold, unknownLDNS), "ldns fallback")
 
 	// An unscoped measurement refresh still re-ranks everything.
-	mm.Notify(ReasonMeasurement)
+	mm.NotifyMeasurement()
 	mm.Sync()
 	st3 := sys.Builder().BuildStats()
 	if st3.Full != st2.Full+1 {
@@ -212,7 +212,7 @@ func TestMeasurementMarkDuringBuild(t *testing.T) {
 	}
 
 	prober.armed.Store(true)
-	mm.Notify(ReasonMeasurement)
+	mm.NotifyMeasurement()
 	built := make(chan struct{})
 	go func() { defer close(built); mm.Sync() }()
 	select {

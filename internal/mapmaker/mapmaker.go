@@ -1,22 +1,20 @@
 // Package mapmaker is the control plane of the mapping stack: the
-// background pipeline that turns health and measurement signals into
-// published maps. It reproduces the paper's map-making architecture
-// (§3–§5): topology discovery and scoring feed a MapMaker that builds a
-// fresh map on a cadence, and the authoritative name servers (the data
-// plane) only ever read the currently published, epoch-numbered
-// mapping.Snapshot.
+// background pipeline that turns measurements into published maps. It
+// reproduces the paper's map-making architecture (§3–§5): topology
+// discovery and scoring feed a MapMaker that builds a fresh map on a
+// cadence, and the authoritative name servers (the data plane) only ever
+// read the currently published, epoch-numbered mapping.Snapshot.
 //
-// Signals arrive through a coalescing change feed: the CDN health monitor
-// reports deployment state flips (OnDeploymentChange), operators flip the
-// routing policy (SetPolicy), and measurement sweeps mark the scoring
-// tables dirty (Notify with ReasonMeasurement, or NotifyMeasurement for
-// specific ping targets) in the snapshot builder's dirty set, the one
-// record of which tables the next build re-ranks. The feed never builds
-// anything itself — it marks reasons dirty and wakes the pipeline, which
-// folds however many signals accumulated into one rebuild. Simulations
-// drive the pipeline deterministically with Sync/Publish instead of the
-// wall-clock Run loop, so snapshot epochs are a pure function of the
-// simulated event sequence.
+// Measurements are the one signal: NotifyMeasurement marks the refreshed
+// ping targets in the snapshot builder's dirty set, the one record of
+// which tables the next build re-ranks, and records that a build is
+// pending. It never builds anything itself; any number of notifications
+// fold into one rebuild. What a map is built from otherwise — the policy,
+// the world, the roster — is fixed when the system is made, and server
+// liveness is read per pick on the answer path, so it needs no rebuild.
+// Simulations drive the pipeline deterministically with Sync/Publish
+// instead of the wall-clock Run loop, so snapshot epochs are a pure
+// function of the simulated event sequence.
 package mapmaker
 
 import (
@@ -25,33 +23,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"eum/internal/cdn"
 	"eum/internal/mapping"
 	"eum/internal/telemetry"
-)
-
-// Reason classifies why the map must be rebuilt. Reasons are a bitmask so
-// the change feed can coalesce any number of pending signals into one
-// build.
-type Reason uint32
-
-const (
-	// ReasonHealth: a deployment's liveness changed (health monitor).
-	ReasonHealth Reason = 1 << iota
-	// ReasonPolicy: the routing policy was flipped.
-	ReasonPolicy
-	// ReasonMeasurement: new measurements arrived; scoring tables must be
-	// recomputed, not just re-published.
-	ReasonMeasurement
-	// ReasonPeriodic: the refresh cadence elapsed.
-	ReasonPeriodic
 )
 
 // Config parameterises a MapMaker.
 type Config struct {
 	// Interval is the publish cadence of the Run loop — how often a fresh
-	// snapshot goes out even without signals, mirroring the paper's
-	// periodic map publication. Default 10s.
+	// snapshot goes out, mirroring the paper's periodic map publication.
+	// Default 10s.
 	Interval time.Duration
 }
 
@@ -62,11 +42,9 @@ type MapMaker struct {
 	sys      *mapping.System
 	interval time.Duration
 
-	// dirty accumulates Reasons since the last build; the feed is
-	// coalescing, so a burst of signals costs one rebuild.
-	dirty atomic.Uint32
-	// wake nudges the Run loop; buffered so signal producers never block.
-	wake chan struct{}
+	// pending records a measurement notification no build has claimed
+	// yet; a burst of notifications costs one rebuild.
+	pending atomic.Bool
 
 	published atomic.Uint64 // snapshots built and installed
 	buildNs   atomic.Int64  // duration of the last build, nanoseconds
@@ -92,8 +70,6 @@ type MapMaker struct {
 
 // BuildFailure describes one failed map build.
 type BuildFailure struct {
-	// Reasons are the change-feed reasons the failed build was claiming.
-	Reasons Reason
 	// Err is the recovered build error.
 	Err error
 	// At is when the build failed.
@@ -107,103 +83,41 @@ func New(sys *mapping.System, cfg Config) *MapMaker {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 10 * time.Second
 	}
-	return &MapMaker{
-		sys:      sys,
-		interval: cfg.Interval,
-		wake:     make(chan struct{}, 1),
-	}
+	return &MapMaker{sys: sys, interval: cfg.Interval}
 }
 
 // System returns the system whose maps this MapMaker publishes.
 func (m *MapMaker) System() *mapping.System { return m.sys }
 
-// Notify marks the map dirty for the given reasons and wakes the pipeline.
-// It never blocks and never builds; any number of notifications between
-// builds fold into one. A plain ReasonMeasurement is unscoped: it marks
-// every scoring table dirty in the builder (use NotifyMeasurement to scope
-// the refresh to specific ping targets).
-func (m *MapMaker) Notify(r Reason) {
-	if r&ReasonMeasurement != 0 {
-		m.sys.Builder().MarkMeasurementsDirty()
-	}
-	m.signal(r)
-}
-
-// NotifyMeasurement feeds a measurement refresh scoped to specific ping
-// targets (by endpoint ID) through the change feed: it marks them dirty in
-// the builder, so the next build re-ranks only the mapping partitions
-// those targets serve and shares every untouched table with the previous
-// snapshot. Marks from successive notifications accumulate until a build
-// claims them. Called with no IDs it is equivalent to
-// Notify(ReasonMeasurement).
+// NotifyMeasurement records a measurement refresh scoped to specific ping
+// targets (by endpoint ID): it marks them dirty in the builder, so the
+// next build re-ranks only the mapping partitions those targets serve and
+// shares every untouched table with the previous snapshot, and marks a
+// build pending for Sync. Marks from successive notifications accumulate
+// until a build claims them. Called with no IDs it marks every scoring
+// table dirty. It never blocks and never builds.
 func (m *MapMaker) NotifyMeasurement(targetIDs ...uint64) {
 	m.sys.Builder().MarkMeasurementsDirty(targetIDs...)
-	m.signal(ReasonMeasurement)
+	m.pending.Store(true)
 }
 
-// signal marks reasons dirty and wakes the loop without blocking.
-func (m *MapMaker) signal(r Reason) {
-	m.markDirty(r)
-	select {
-	case m.wake <- struct{}{}:
-	default:
-	}
-}
-
-// markDirty folds reasons into the pending set without waking the loop.
-// Failed builds use it to re-arm their claimed reasons for the next cadence
-// tick without spinning the Run loop into an immediate retry.
-func (m *MapMaker) markDirty(r Reason) {
-	// CAS loop instead of atomic.Uint32.Or, which needs go1.23.
-	for {
-		old := m.dirty.Load()
-		if m.dirty.CompareAndSwap(old, old|uint32(r)) {
-			break
-		}
-	}
-}
-
-// OnDeploymentChange adapts the MapMaker to the cdn health monitor's
-// callback: wire it as the Monitor's onChange so liveness flips flow
-// through the change feed instead of invalidating scorer caches from the
-// probe path.
-func (m *MapMaker) OnDeploymentChange(*cdn.Deployment) { m.Notify(ReasonHealth) }
-
-// SetPolicy records the desired routing policy and feeds the flip through
-// the change feed. The flip takes effect at the next build (Sync, Publish
-// or the Run loop) — policy is part of the published map, not of the query
-// path.
-func (m *MapMaker) SetPolicy(p mapping.Policy) {
-	m.sys.SetDesiredPolicy(p)
-	m.Notify(ReasonPolicy)
-}
-
-// takeDirty atomically claims and clears the pending reasons.
-func (m *MapMaker) takeDirty() Reason {
-	return Reason(m.dirty.Swap(0))
-}
-
-// build runs one pipeline pass for the claimed reasons: a snapshot is
-// built at the next epoch, re-ranking what the builder's dirty set names,
-// and installed.
+// build runs one pipeline pass: a snapshot is built at the next epoch,
+// re-ranking what the builder's dirty set names, and installed.
 //
 // A build that panics must never wedge the pipeline or tear down the last
-// good map: the panic is recovered, recorded, and the claimed reasons are
-// re-marked dirty so the next cadence tick (or signal) retries the build.
-// The measurement marks need no re-arming: a fault hook panics before the
+// good map: the panic is recovered, recorded, and the build is marked
+// pending again so the next Sync or cadence tick retries it. The
+// measurement marks need no re-arming: a fault hook panics before the
 // builder claims them, and a builder that panics marks every table dirty.
 // The currently published snapshot stays in place — the data plane keeps
 // serving it, and the authority's staleness watchdog degrades answers if
 // the failures persist long enough.
-func (m *MapMaker) build(r Reason) *mapping.Snapshot {
+func (m *MapMaker) build() *mapping.Snapshot {
 	sn, err := m.tryBuild()
 	if err != nil {
 		m.buildFailures.Add(1)
-		m.lastFailure.Store(&BuildFailure{Reasons: r, Err: err, At: time.Now()})
-		// Re-arm the claimed reasons without waking the loop: an immediate
-		// wake would spin a persistently failing build into a hot retry
-		// loop; the periodic tick is the retry cadence.
-		m.markDirty(r)
+		m.lastFailure.Store(&BuildFailure{Err: err, At: time.Now()})
+		m.pending.Store(true)
 		return m.sys.Current()
 	}
 	m.published.Add(1)
@@ -284,27 +198,28 @@ func (m *MapMaker) BuildFailures() uint64 { return m.buildFailures.Load() }
 // build so far succeeded.
 func (m *MapMaker) LastBuildFailure() *BuildFailure { return m.lastFailure.Load() }
 
-// Sync publishes a fresh snapshot if any signals are pending, else returns
-// the current one unchanged. Deterministic drivers (simulations) call it
-// at fixed points — e.g. once per simulated day after ticking the health
-// monitor — so the epoch sequence depends only on the event sequence,
-// never on wall-clock timing or worker count.
+// Sync publishes a fresh snapshot if a measurement notification or a
+// failed build is pending, else returns the current one unchanged.
+// Deterministic callers (simulations, the benchmark) call it at fixed
+// points, so the epoch sequence depends only on the event sequence, never
+// on wall-clock timing or worker count.
 func (m *MapMaker) Sync() *mapping.Snapshot {
-	if r := m.takeDirty(); r != 0 {
-		return m.build(r)
+	if m.pending.Swap(false) {
+		return m.build()
 	}
 	return m.sys.Current()
 }
 
-// Publish unconditionally builds and installs a fresh snapshot, folding in
-// any pending signals.
+// Publish unconditionally builds and installs a fresh snapshot, claiming
+// any pending notification.
 func (m *MapMaker) Publish() *mapping.Snapshot {
-	return m.build(m.takeDirty() | ReasonPeriodic)
+	m.pending.Store(false)
+	return m.build()
 }
 
 // Run is the production pipeline loop: it publishes on the configured
-// cadence and additionally whenever the change feed wakes it, until ctx is
-// cancelled. Start it as a goroutine next to the DNS servers.
+// cadence until ctx is cancelled. Start it as a goroutine next to the DNS
+// servers.
 func (m *MapMaker) Run(ctx context.Context) {
 	t := time.NewTicker(m.interval)
 	defer t.Stop()
@@ -314,8 +229,6 @@ func (m *MapMaker) Run(ctx context.Context) {
 			return
 		case <-t.C:
 			m.Publish()
-		case <-m.wake:
-			m.Sync()
 		}
 	}
 }

@@ -17,17 +17,17 @@ var (
 	testNet = netmodel.NewDefault()
 )
 
-func newMapMaker(t testing.TB, pol mapping.Policy) (*MapMaker, *cdn.Platform) {
+func newMapMaker(t testing.TB, cfg Config) *MapMaker {
 	t.Helper()
 	p := cdn.MustGenerateUniverse(testW, cdn.Config{Seed: 7, NumDeployments: 40, ServersPerDeployment: 4})
-	sys := mapping.NewSystem(testW, p, testNet, mapping.Config{Policy: pol, PingTargets: 100})
-	return New(sys, Config{}), p
+	sys := mapping.NewSystem(testW, p, testNet, mapping.Config{Policy: mapping.EndUser, PingTargets: 100})
+	return New(sys, cfg)
 }
 
 // TestPublishEpochsMonotonic: every Publish installs a strictly newer
 // epoch.
 func TestPublishEpochsMonotonic(t *testing.T) {
-	mm, _ := newMapMaker(t, mapping.EndUser)
+	mm := newMapMaker(t, Config{})
 	last := mm.Current().Epoch()
 	for i := 0; i < 5; i++ {
 		sn := mm.Publish()
@@ -47,14 +47,14 @@ func TestPublishEpochsMonotonic(t *testing.T) {
 	}
 }
 
-// TestSyncCoalesces: any number of signals between builds fold into one
-// rebuild, and a Sync with no pending signals publishes nothing.
+// TestSyncCoalesces: any number of notifications between builds fold into
+// one rebuild, and a Sync with none pending publishes nothing.
 func TestSyncCoalesces(t *testing.T) {
-	mm, _ := newMapMaker(t, mapping.EndUser)
+	mm := newMapMaker(t, Config{})
 	e0 := mm.Current().Epoch()
 
 	for i := 0; i < 10; i++ {
-		mm.Notify(ReasonHealth)
+		mm.NotifyMeasurement(uint64(i))
 	}
 	sn := mm.Sync()
 	if sn.Epoch() != e0+1 {
@@ -68,12 +68,12 @@ func TestSyncCoalesces(t *testing.T) {
 	}
 }
 
-// TestHealthSignalFlow wires a health monitor's change callback into the
-// change feed and checks the loop end to end: an outage makes the feed
-// dirty, Sync publishes a fresh epoch, and the data plane routes the
-// client around the dead deployment.
+// TestHealthSignalFlow checks liveness end to end through a publish: the
+// deployment a client maps to goes down, the next published epoch routes
+// the client around it, and its recovery brings the client home. Liveness
+// is read per pick, so the map itself need not change.
 func TestHealthSignalFlow(t *testing.T) {
-	mm, p := newMapMaker(t, mapping.EndUser)
+	mm := newMapMaker(t, Config{})
 	sys := mm.System()
 
 	blk := testW.Blocks[0]
@@ -84,25 +84,17 @@ func TestHealthSignalFlow(t *testing.T) {
 	}
 	home := before.Deployment
 
-	t0 := time.Date(2014, 4, 1, 0, 0, 0, 0, time.UTC)
-	faults := &cdn.ScheduledFaults{}
-	for _, s := range home.Servers {
-		faults.Add(s.ID, t0.Add(time.Minute), t0.Add(3*time.Minute))
-	}
-	mon, err := cdn.NewMonitor(p, faults, 10*time.Second, mm.OnDeploymentChange)
-	if err != nil {
-		t.Fatal(err)
+	setAlive := func(alive bool) {
+		for _, s := range home.Servers {
+			s.SetAlive(alive)
+		}
 	}
 
-	mon.Tick(t0)
-	e0 := mm.Sync().Epoch()
-
-	if changed, _ := mon.Tick(t0.Add(time.Minute)); changed != 1 {
-		t.Fatalf("outage not detected: changed=%d", changed)
-	}
-	sn := mm.Sync()
+	e0 := mm.Current().Epoch()
+	setAlive(false)
+	sn := mm.Publish()
 	if sn.Epoch() <= e0 {
-		t.Fatalf("health event did not publish: epoch %d after %d", sn.Epoch(), e0)
+		t.Fatalf("publish after the outage did not advance: epoch %d after %d", sn.Epoch(), e0)
 	}
 	after, err := sys.Map(req)
 	if err != nil {
@@ -114,40 +106,34 @@ func TestHealthSignalFlow(t *testing.T) {
 	if after.Epoch != sn.Epoch() {
 		t.Fatalf("decision epoch %d, want published %d", after.Epoch, sn.Epoch())
 	}
-}
 
-// TestSetPolicyFlowsThroughFeed: the flip is recorded immediately but the
-// served policy only changes when the pipeline publishes.
-func TestSetPolicyFlowsThroughFeed(t *testing.T) {
-	mm, _ := newMapMaker(t, mapping.NSBased)
-	sys := mm.System()
-
-	mm.SetPolicy(mapping.EndUser)
-	if got := sys.Policy(); got != mapping.NSBased {
-		t.Fatalf("policy flipped before publish: %v", got)
+	setAlive(true)
+	mm.Publish()
+	back, err := sys.Map(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sn := mm.Sync()
-	if sn.Policy() != mapping.EndUser || sys.Policy() != mapping.EndUser {
-		t.Fatalf("policy after Sync = %v (snapshot %v), want EU", sys.Policy(), sn.Policy())
+	if back.Deployment != home {
+		t.Fatalf("client did not return home after recovery: %s", back.Deployment.Name)
 	}
 }
 
-// TestMeasurementRefreshRecomputes: a measurement signal must make the
-// next build re-rank the scoring tables, visible as one more full build on
-// the builder; a health-only publish re-ranks nothing.
+// TestMeasurementRefreshRecomputes: a measurement notification must make
+// the next build re-rank the scoring tables, visible as one more full
+// build on the builder; a periodic publish with none pending re-ranks
+// nothing.
 func TestMeasurementRefreshRecomputes(t *testing.T) {
-	mm, _ := newMapMaker(t, mapping.EndUser)
+	mm := newMapMaker(t, Config{})
 	b := mm.System().Builder()
 	st0 := b.BuildStats()
 
-	mm.Notify(ReasonHealth)
-	mm.Sync()
+	mm.Publish()
 	st1 := b.BuildStats()
 	if st1.Full != st0.Full || st1.RerankedTables != st0.RerankedTables {
-		t.Fatalf("health-only publish re-ranked tables: builds %+v → %+v", st0, st1)
+		t.Fatalf("periodic publish re-ranked tables: builds %+v → %+v", st0, st1)
 	}
 
-	mm.Notify(ReasonMeasurement)
+	mm.NotifyMeasurement()
 	sn := mm.Sync()
 	if st2 := b.BuildStats(); st2.Full != st1.Full+1 {
 		t.Fatalf("measurement publish: full builds %d → %d, want +1", st1.Full, st2.Full)
@@ -157,12 +143,10 @@ func TestMeasurementRefreshRecomputes(t *testing.T) {
 	}
 }
 
-// TestRunPublishesOnCadence: the production loop publishes periodically
-// and reacts to the change feed, then stops with its context.
+// TestRunPublishesOnCadence: the production loop publishes periodically,
+// then stops with its context.
 func TestRunPublishesOnCadence(t *testing.T) {
-	p := cdn.MustGenerateUniverse(testW, cdn.Config{Seed: 7, NumDeployments: 40, ServersPerDeployment: 4})
-	sys := mapping.NewSystem(testW, p, testNet, mapping.Config{Policy: mapping.EndUser, PingTargets: 100})
-	mm := New(sys, Config{Interval: 5 * time.Millisecond})
+	mm := newMapMaker(t, Config{Interval: 5 * time.Millisecond})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -175,7 +159,6 @@ func TestRunPublishesOnCadence(t *testing.T) {
 	for mm.Published() < 3 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	mm.Notify(ReasonHealth)
 	cancel()
 	<-done
 
@@ -188,11 +171,11 @@ func TestRunPublishesOnCadence(t *testing.T) {
 // published map or advance the publish counter — the data plane keeps
 // serving the last good snapshot and the failure is recorded.
 func TestBuildFailureKeepsLastGood(t *testing.T) {
-	mm, _ := newMapMaker(t, mapping.EndUser)
+	mm := newMapMaker(t, Config{})
 	good := mm.Publish()
 
 	mm.SetBuildFault(func() { panic("pipeline crash") })
-	mm.Notify(ReasonMeasurement)
+	mm.NotifyMeasurement()
 	if sn := mm.Publish(); sn != good {
 		t.Fatalf("failed build replaced the published snapshot: epoch %d -> %d",
 			good.Epoch(), sn.Epoch())
@@ -210,25 +193,22 @@ func TestBuildFailureKeepsLastGood(t *testing.T) {
 	if f == nil || f.Err == nil {
 		t.Fatalf("LastBuildFailure = %+v, want recorded error", f)
 	}
-	if f.Reasons&ReasonMeasurement == 0 || f.Reasons&ReasonPeriodic == 0 {
-		t.Fatalf("failure reasons = %b, want measurement|periodic", f.Reasons)
-	}
 }
 
-// TestFailedBuildRetainsDirty: the reasons a failed build claimed stay
-// pending, so the next build (here a Sync with no new signals) retries them.
+// TestFailedBuildRetainsDirty: a failed build leaves its work pending, so
+// the next Sync, with no new notification, retries it.
 func TestFailedBuildRetainsDirty(t *testing.T) {
-	mm, _ := newMapMaker(t, mapping.EndUser)
+	mm := newMapMaker(t, Config{})
 	e0 := mm.Current().Epoch()
 
 	mm.SetBuildFault(func() { panic("transient") })
-	mm.Notify(ReasonHealth)
+	mm.NotifyMeasurement()
 	if sn := mm.Sync(); sn.Epoch() != e0 {
 		t.Fatalf("failed Sync advanced the epoch to %d", sn.Epoch())
 	}
 
 	mm.SetBuildFault(nil)
-	// No new Notify: the retained reasons alone must trigger the rebuild.
+	// No new notification: the retained one alone must trigger the rebuild.
 	if sn := mm.Sync(); sn.Epoch() != e0+1 {
 		t.Fatalf("recovered Sync epoch = %d, want %d", sn.Epoch(), e0+1)
 	}
@@ -237,7 +217,7 @@ func TestFailedBuildRetainsDirty(t *testing.T) {
 // TestRunSurvivesBuildPanics: the Run loop keeps publishing after builds
 // panic mid-flight.
 func TestRunSurvivesBuildPanics(t *testing.T) {
-	mm, _ := newMapMaker(t, mapping.EndUser)
+	mm := newMapMaker(t, Config{Interval: time.Millisecond})
 	var n atomic.Uint64
 	mm.SetBuildFault(func() {
 		if n.Add(1) <= 2 {
@@ -252,7 +232,6 @@ func TestRunSurvivesBuildPanics(t *testing.T) {
 	e0 := mm.Current().Epoch()
 	deadline := time.After(5 * time.Second)
 	for mm.Current().Epoch() == e0 {
-		mm.Notify(ReasonHealth)
 		select {
 		case <-deadline:
 			t.Fatal("Run loop never recovered from panicking builds")

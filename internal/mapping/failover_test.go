@@ -2,18 +2,23 @@ package mapping
 
 import (
 	"testing"
-	"time"
 
 	"eum/internal/cdn"
 )
 
-// TestFailoverUnderMonitor drives the full liveness loop: a scheduled
-// outage takes down the deployment a client maps to; the health monitor
-// detects it and the control plane republishes the map; mapping fails the
-// client over to the next cluster; recovery restores the original
-// assignment. (Failover itself does not even need the republish — the
-// data plane skips dead deployments at read time.)
-func TestFailoverUnderMonitor(t *testing.T) {
+// setAlive flips every server of a deployment up or down.
+func setAlive(d *cdn.Deployment, alive bool) {
+	for _, s := range d.Servers {
+		s.SetAlive(alive)
+	}
+}
+
+// TestFailoverOnOutage drives the liveness loop: the deployment a client
+// maps to goes down and the control plane republishes the map; mapping
+// fails the client over to the next cluster; recovery restores the
+// original assignment. (Failover itself does not even need the republish —
+// the data plane skips dead deployments at read time.)
+func TestFailoverOnOutage(t *testing.T) {
 	// A private platform: this test mutates liveness.
 	platform := cdn.MustGenerateUniverse(testW, cdn.Config{Seed: 99, NumDeployments: 80, ServersPerDeployment: 4})
 	sys := NewSystem(testW, platform, testNet, Config{Policy: EndUser, PingTargets: 400})
@@ -26,20 +31,8 @@ func TestFailoverUnderMonitor(t *testing.T) {
 	}
 	home := before.Deployment
 
-	t0 := time.Date(2014, 4, 1, 0, 0, 0, 0, time.UTC)
-	faults := &cdn.ScheduledFaults{}
-	for _, s := range home.Servers {
-		faults.Add(s.ID, t0.Add(time.Minute), t0.Add(3*time.Minute))
-	}
-	mon, err := cdn.NewMonitor(platform, faults, 10*time.Second, func(*cdn.Deployment) {
-		sys.Rebuild()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Healthy probe: same assignment.
-	mon.Tick(t0)
+	// A republish with everything alive: same assignment.
+	sys.Rebuild()
 	r, err := sys.Map(req)
 	if err != nil {
 		t.Fatal(err)
@@ -48,10 +41,9 @@ func TestFailoverUnderMonitor(t *testing.T) {
 		t.Fatalf("assignment moved without an outage: %s -> %s", home.Name, r.Deployment.Name)
 	}
 
-	// Outage detected: client fails over.
-	if changed, _ := mon.Tick(t0.Add(time.Minute)); changed != 1 {
-		t.Fatalf("outage not detected: changed=%d", changed)
-	}
+	// Outage: client fails over.
+	setAlive(home, false)
+	sys.Rebuild()
 	r, err = sys.Map(req)
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +58,8 @@ func TestFailoverUnderMonitor(t *testing.T) {
 	}
 
 	// Recovery: assignment returns home.
-	if changed, _ := mon.Tick(t0.Add(3 * time.Minute)); changed != 1 {
-		t.Fatalf("recovery not detected: changed=%d", changed)
-	}
+	setAlive(home, true)
+	sys.Rebuild()
 	r, err = sys.Map(req)
 	if err != nil {
 		t.Fatal(err)
@@ -78,32 +69,52 @@ func TestFailoverUnderMonitor(t *testing.T) {
 	}
 }
 
+// failedIn reports whether a server is down in a failure epoch: each
+// server fails independently in about a fraction p of epochs, by a seeded
+// splitmix64 hash of its ID and the epoch, so a run is reproducible.
+func failedIn(id, epoch, seed uint64, p float64) bool {
+	return float64(splitmix(id^splitmix(epoch^seed))>>11)/(1<<53) < p
+}
+
+func splitmix(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 // TestChurnUnderRandomFaults verifies the system keeps answering while a
 // random failure process churns server liveness.
 func TestChurnUnderRandomFaults(t *testing.T) {
 	platform := cdn.MustGenerateUniverse(testW, cdn.Config{Seed: 100, NumDeployments: 40, ServersPerDeployment: 3})
 	sys := NewSystem(testW, platform, testNet, Config{Policy: EndUser, PingTargets: 200})
-	mon, err := cdn.NewMonitor(platform, &cdn.RandomFaults{P: 0.2, EpochLength: time.Minute, Seed: 3},
-		time.Minute, func(*cdn.Deployment) { sys.Rebuild() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Date(2014, 4, 1, 0, 0, 0, 0, time.UTC)
 	blk := publicBlock(t)
-	for i := 0; i < 30; i++ {
-		now := t0.Add(time.Duration(i) * time.Minute)
-		mon.Tick(now)
+	flips := 0
+	for minute := uint64(0); minute < 30; minute++ {
+		changed := false
+		for _, d := range platform.Deployments {
+			for _, s := range d.Servers {
+				if alive := !failedIn(s.ID, minute, 3, 0.2); alive != s.Alive() {
+					s.SetAlive(alive)
+					changed = true
+					flips++
+				}
+			}
+		}
+		if changed {
+			sys.Rebuild()
+		}
 		r, err := sys.Map(Request{Domain: "churn.net", LDNS: blk.LDNS.Addr, ClientSubnet: blk.Prefix})
 		if err != nil {
-			t.Fatalf("minute %d: %v", i, err)
+			t.Fatalf("minute %d: %v", minute, err)
 		}
 		for _, srv := range r.Servers {
 			if !srv.Alive() {
-				t.Fatalf("minute %d: dead server answered", i)
+				t.Fatalf("minute %d: dead server answered", minute)
 			}
 		}
 	}
-	if mon.Probes() == 0 {
-		t.Fatal("monitor never probed")
+	if flips == 0 {
+		t.Fatal("no server ever changed liveness")
 	}
 }

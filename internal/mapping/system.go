@@ -92,7 +92,7 @@ type Config struct {
 //     table lookups and a rendezvous-hash pick among the chosen deployment's
 //     servers. It never scores, never takes a lock, never invalidates.
 //   - The control plane — Rebuild / Install, normally driven by a
-//     mapmaker.MapMaker — consumes health and measurement signals and
+//     mapmaker.MapMaker — re-ranks what measurements refreshed and
 //     publishes fresh epoch-numbered snapshots in the background.
 type System struct {
 	cfg      Config
@@ -102,9 +102,6 @@ type System struct {
 	// replica (NewReplica) has none: it only installs.
 	builder *SnapshotBuilder
 
-	// desiredPolicy is the policy the next published snapshot is built
-	// under; the active policy is whatever the current snapshot carries.
-	desiredPolicy atomic.Int32
 	// epoch allocates strictly increasing snapshot numbers within the
 	// builder's lineage, which is redrawn when BootstrapReplica rewinds it.
 	epoch atomic.Uint64
@@ -134,11 +131,10 @@ func NewSystem(w *world.World, p *cdn.Platform, net Prober, cfg Config) *System 
 // building them, serving sn — a snapshot decoded from a full image — on p,
 // the platform decoded from the same image's roster (see
 // mapwire.DecodeBoot). It holds the map, its index and the roster, and no
-// world, scorer or builder: Rebuild, SetPolicy and BootstrapReplica are for
-// systems NewSystem made.
+// world, scorer or builder: Rebuild and BootstrapReplica are for systems
+// NewSystem made.
 func NewReplica(p *cdn.Platform, sn *Snapshot, cfg Config) *System {
 	s := bareSystem(p, withDefaults(cfg))
-	s.desiredPolicy.Store(int32(sn.Policy()))
 	s.Install(sn)
 	return s
 }
@@ -154,31 +150,12 @@ func withDefaults(cfg Config) Config {
 // bareSystem wires a system with no map installed and no builder yet.
 func bareSystem(p *cdn.Platform, cfg Config) *System {
 	s := &System{cfg: cfg, platform: p, lb: NewLoadBalancer()}
-	s.desiredPolicy.Store(int32(cfg.Policy))
 	s.lb.BalanceFactor = cfg.BalanceFactor
 	return s
 }
 
 // Policy returns the routing policy of the currently published snapshot.
 func (s *System) Policy() Policy { return s.Current().Policy() }
-
-// SetDesiredPolicy records the policy the next published snapshot will be
-// built under without publishing one. The MapMaker uses this, then
-// publishes on its own cadence.
-func (s *System) SetDesiredPolicy(p Policy) { s.desiredPolicy.Store(int32(p)) }
-
-// DesiredPolicy returns the policy the next snapshot will be built under.
-func (s *System) DesiredPolicy() Policy { return Policy(s.desiredPolicy.Load()) }
-
-// SetPolicy switches the routing policy and synchronously publishes a
-// snapshot built under it — how the roll-out was performed: the same
-// system serving the same domains flips from NS to EU mapping. The next
-// query is answered under the new policy. Under a MapMaker, prefer its
-// SetPolicy so the flip flows through the change feed.
-func (s *System) SetPolicy(p Policy) {
-	s.desiredPolicy.Store(int32(p))
-	s.Rebuild()
-}
 
 // Current returns the published snapshot the data plane is serving from.
 // It is never nil.
@@ -209,13 +186,13 @@ func (s *System) Install(sn *Snapshot) bool {
 // regardless of how many builds failed in between.
 func (s *System) PublishedAtNanos() int64 { return s.publishedAt.Load() }
 
-// Rebuild builds a snapshot at the next epoch under the desired policy and
-// installs it. This is the control plane's one entry point: the MapMaker
-// calls it on its cadence and when health or measurement signals arrive;
+// Rebuild builds a snapshot at the next epoch under the configured policy
+// and installs it. This is the control plane's one entry point: the
+// MapMaker calls it on its cadence and after measurement refreshes;
 // standalone users (tests, examples) call it directly after mutating the
 // platform.
 func (s *System) Rebuild() *Snapshot {
-	sn := s.builder.Build(s.epoch.Add(1), s.DesiredPolicy())
+	sn := s.builder.Build(s.epoch.Add(1), s.cfg.Policy)
 	s.Install(sn)
 	return sn
 }

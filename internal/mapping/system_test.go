@@ -345,14 +345,16 @@ func TestTTLDefault(t *testing.T) {
 	}
 }
 
-func TestSetPolicy(t *testing.T) {
+// TestPolicyOfInstalledSnapshot: the policy is part of the map, so the
+// system serves under the policy of whatever snapshot is installed.
+func TestPolicyOfInstalledSnapshot(t *testing.T) {
 	s := newSystem(t, NSBased)
 	if s.Policy() != NSBased {
 		t.Fatal("initial policy wrong")
 	}
-	s.SetPolicy(EndUser)
+	s.Install(s.Builder().Build(s.Current().Epoch()+1, EndUser))
 	if s.Policy() != EndUser {
-		t.Fatal("SetPolicy failed")
+		t.Fatal("installing an EU snapshot left the policy at NS")
 	}
 	if NSBased.String() != "NS" || EndUser.String() != "EU" || ClientAwareNS.String() != "CANS" {
 		t.Error("policy names wrong")

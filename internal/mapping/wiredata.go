@@ -200,7 +200,7 @@ func (sn *Snapshot) compact() {
 // ladder's fallback rung (or worse, by age) until the first Install. A
 // replica NewReplica made has no builder and never serves epoch 0.
 func (s *System) BootstrapReplica() {
-	s.snap.Store(s.builder.bootSnapshot(s.DesiredPolicy()))
+	s.snap.Store(s.builder.bootSnapshot(s.cfg.Policy))
 	s.epoch.Store(0)
 	s.publishedAt.Store(time.Now().UnixNano())
 }

@@ -156,103 +156,6 @@ func TestCatchmentMisrouteIsPerNetwork(t *testing.T) {
 	}
 }
 
-// TestECSPolicyPrefixes pins the policy -> prefix resolution table.
-func TestECSPolicyPrefixes(t *testing.T) {
-	cases := []struct {
-		name   string
-		spec   ProviderSpec
-		v4, v6 uint8
-	}{
-		{"default-on", ProviderSpec{SupportsECS: true}, 24, 48},
-		{"default-off", ProviderSpec{}, 0, 0},
-		{"full", ProviderSpec{ECS: ECSPolicy{Mode: ECSFull}}, 24, 48},
-		{"truncated", ProviderSpec{ECS: ECSPolicy{Mode: ECSTruncated}}, 20, 56},
-		{"truncated-custom", ProviderSpec{ECS: ECSPolicy{Mode: ECSTruncated, PrefixV4: 16, PrefixV6: 40}}, 16, 40},
-		{"none-wins", ProviderSpec{SupportsECS: true, ECS: ECSPolicy{Mode: ECSNone}}, 0, 0},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			v4, v6 := c.spec.ECSPrefixes()
-			if v4 != c.v4 || v6 != c.v6 {
-				t.Errorf("ECSPrefixes() = (%d, %d), want (%d, %d)", v4, v6, c.v4, c.v6)
-			}
-		})
-	}
-}
-
-// TestModernProvidersWorld generates a world on the public-resolver era
-// provider set and checks the per-site ECS policy threading: truncating
-// providers stamp /20 (/56) on their sites, no-ECS providers produce
-// public sites that do not support ECS at all.
-func TestModernProvidersWorld(t *testing.T) {
-	var share float64
-	for _, p := range ModernProviders() {
-		share += p.Share
-	}
-	if share < 0.999 || share > 1.001 {
-		t.Fatalf("modern provider shares sum to %v", share)
-	}
-	w := MustGenerate(Config{Seed: 3, NumBlocks: 3000, Providers: ModernProviders()})
-	counts := map[string]int{}
-	for _, l := range w.LDNSes {
-		if !l.IsPublic() {
-			if l.SupportsECS || l.ECSPrefixV4 != 0 {
-				t.Fatalf("ISP LDNS %v carries public ECS policy", l.Addr)
-			}
-			continue
-		}
-		counts[l.Provider]++
-		switch l.Provider {
-		case "globaldns", "openresolve":
-			if !l.SupportsECS || l.ECSPrefixV4 != 24 || l.ECSPrefixV6 != 48 {
-				t.Fatalf("%s/%s: full provider site has prefixes (%d, %d)",
-					l.Provider, l.Site, l.ECSPrefixV4, l.ECSPrefixV6)
-			}
-		case "quadtrunc":
-			if !l.SupportsECS || l.ECSPrefixV4 != 20 || l.ECSPrefixV6 != 56 {
-				t.Fatalf("%s/%s: truncating provider site has prefixes (%d, %d)",
-					l.Provider, l.Site, l.ECSPrefixV4, l.ECSPrefixV6)
-			}
-		case "nullsubnet":
-			if l.SupportsECS || l.ECSPrefixV4 != 0 || l.ECSPrefixV6 != 0 {
-				t.Fatalf("%s/%s: no-ECS provider site claims ECS support", l.Provider, l.Site)
-			}
-		default:
-			t.Fatalf("unexpected provider %q", l.Provider)
-		}
-	}
-	for _, name := range []string{"globaldns", "quadtrunc", "nullsubnet", "openresolve"} {
-		if counts[name] == 0 {
-			t.Fatalf("provider %s has no sites in the world", name)
-		}
-	}
-	// Demand flows to no-ECS sites too: the share draw is policy-blind.
-	var null float64
-	for _, b := range w.Blocks {
-		if b.LDNS.IsPublic() && b.LDNS.Provider == "nullsubnet" {
-			null += b.Demand
-		}
-	}
-	if null == 0 {
-		t.Fatal("no demand routed to the no-ECS provider")
-	}
-}
-
-// TestECSModeString covers the mode name table.
-func TestECSModeString(t *testing.T) {
-	want := map[ECSMode]string{
-		ECSDefault: "default", ECSFull: "full", ECSTruncated: "truncated", ECSNone: "none",
-	}
-	for m, s := range want {
-		if m.String() != s {
-			t.Errorf("mode %d stringifies to %q, want %q", m, m.String(), s)
-		}
-	}
-	if ECSMode(99).String() != "unknown" {
-		t.Error("invalid mode should stringify to unknown")
-	}
-}
-
 // TestSitesFromMatchesSortedScan holds the catchment ranking, made once
 // per (provider, exit cell) and kept, to the per-block sort it replaced —
 // every site's distance from the exit, ties on site ID — for every

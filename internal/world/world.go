@@ -32,9 +32,6 @@ type Config struct {
 	Seed int64
 	// NumBlocks is the approximate total number of /24 client blocks.
 	NumBlocks int
-	// Providers are the public resolver providers; nil means
-	// DefaultProviders.
-	Providers []ProviderSpec
 	// IPv6Fraction is the fraction of client blocks numbered from IPv6
 	// space (/48 blocks) instead of IPv4 /24s. Zero disables IPv6.
 	IPv6Fraction float64
@@ -192,11 +189,8 @@ func Generate(cfg Config) (*World, error) {
 	if cfg.NumBlocks <= 0 {
 		return nil, fmt.Errorf("world: NumBlocks must be positive, got %d", cfg.NumBlocks)
 	}
-	if cfg.Providers == nil {
-		cfg.Providers = DefaultProviders()
-	}
 	w := &World{
-		Config: cfg, Providers: cfg.Providers,
+		Config: cfg, Providers: DefaultProviders(),
 		publicSites: map[string][]*LDNS{},
 		nextV6:      0x260000000000, // 2600::/24-style synthetic space
 	}
@@ -306,7 +300,10 @@ func (w *World) id() uint64 {
 func (w *World) createPublicResolverSites() {
 	var siteIP uint32 = 0xD0000000 // 208.0.0.0
 	for _, p := range w.Providers {
-		v4, v6 := p.ECSPrefixes()
+		var v4, v6 uint8
+		if p.SupportsECS {
+			v4, v6 = ECSFullPrefixV4, ECSFullPrefixV6
+		}
 		for _, s := range p.Sites {
 			l := &LDNS{
 				ID:          w.id(),
@@ -316,7 +313,7 @@ func (w *World) createPublicResolverSites() {
 				ASN:         64512, // shared provider ASN space
 				Provider:    p.Name,
 				Site:        s.Name,
-				SupportsECS: v4 > 0 || v6 > 0,
+				SupportsECS: p.SupportsECS,
 				ECSPrefixV4: v4,
 				ECSPrefixV6: v6,
 			}

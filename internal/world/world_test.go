@@ -124,14 +124,29 @@ func TestPublicAdoptionWorldwide(t *testing.T) {
 	}
 }
 
+// TestECSSupport pins the ECS reach the resolver fleet reads: every public
+// site forwards the full /24 and /48, the 2014 setup the paper measures
+// (Figs 7–9), and no ISP resolver forwards any.
 func TestECSSupport(t *testing.T) {
+	sites := 0
 	for _, l := range testWorld.LDNSes {
-		if l.IsPublic() && !l.SupportsECS {
-			t.Errorf("public resolver %s/%s does not support ECS", l.Provider, l.Site)
+		if l.IsPublic() {
+			sites++
+			if !l.SupportsECS || l.ECSPrefixV4 != 24 || l.ECSPrefixV6 != 48 {
+				t.Errorf("public resolver %s/%s: SupportsECS %v, prefixes (%d, %d), want true (24, 48)",
+					l.Provider, l.Site, l.SupportsECS, l.ECSPrefixV4, l.ECSPrefixV6)
+			}
+		} else if l.SupportsECS || l.ECSPrefixV4 != 0 || l.ECSPrefixV6 != 0 {
+			t.Errorf("ISP LDNS %v: SupportsECS %v, prefixes (%d, %d), want none",
+				l.Addr, l.SupportsECS, l.ECSPrefixV4, l.ECSPrefixV6)
 		}
-		if !l.IsPublic() && l.SupportsECS {
-			t.Errorf("ISP LDNS %v unexpectedly supports ECS", l.Addr)
-		}
+	}
+	want := 0
+	for _, p := range DefaultProviders() {
+		want += len(p.Sites)
+	}
+	if sites != want {
+		t.Errorf("%d public sites in the world, want the default providers' %d", sites, want)
 	}
 }
 
