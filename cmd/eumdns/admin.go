@@ -25,7 +25,7 @@ import (
 // when this process serves the two-level hierarchy: the top level delegates
 // instead of mapping, so it has no degradation ladder of its own. mm is
 // nil on replicas (no local control plane); fetcher is non-nil only on
-// replicas; pub is non-nil only in publisher mode.
+// replicas; pub is non-nil exactly when mm is.
 type adminState struct {
 	reg     *telemetry.Registry
 	system  *mapping.System
@@ -33,16 +33,16 @@ type adminState struct {
 	auth    *authority.Authority
 	fetcher *mapdist.Fetcher
 	pub     *mapdist.Publisher
-	mode    string
 	blocks  int
 	// platform and balance feed the /mapz load section.
 	platform *cdn.Platform
 	balance  float64
 }
 
-// newAdminMux builds the admin HTTP surface: /metrics (Prometheus text, or
-// JSON via ?format=json), /healthz keyed off the degradation ladder, /mapz
-// describing the installed map snapshot, and the standard pprof endpoints.
+// newAdminMux builds the admin HTTP surface: /metrics (Prometheus text),
+// /healthz keyed off the degradation ladder, /mapz describing the installed
+// map snapshot, the standard pprof endpoints and, on a node that builds its
+// map, the snapshots replicas fetch.
 func newAdminMux(st adminState) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", st.reg.Handler())
@@ -123,7 +123,6 @@ func (st adminState) mapz(w http.ResponseWriter, _ *http.Request) {
 	doc := struct {
 		Epoch          uint64              `json:"epoch"`
 		Policy         string              `json:"policy"`
-		Mode           string              `json:"mode,omitempty"`
 		TTLSeconds     float64             `json:"ttl_seconds"`
 		Tables         int                 `json:"tables"`
 		PublishedAt    string              `json:"published_at"`
@@ -137,7 +136,6 @@ func (st adminState) mapz(w http.ResponseWriter, _ *http.Request) {
 	}{
 		Epoch:      snap.Epoch(),
 		Policy:     snap.Policy().String(),
-		Mode:       st.mode,
 		TTLSeconds: snap.TTL().Seconds(),
 		Tables:     snap.Tables(),
 	}

@@ -81,8 +81,7 @@ func TestObsSmoke(t *testing.T) {
 	}
 
 	admin := httptest.NewServer(newAdminMux(adminState{
-		reg: reg, system: system, mm: mm, auth: auth,
-		mode: config.ModeStandalone, blocks: cfg.World.Blocks,
+		reg: reg, system: system, mm: mm, auth: auth, blocks: cfg.World.Blocks,
 	}))
 	defer admin.Close()
 
@@ -110,12 +109,6 @@ func TestObsSmoke(t *testing.T) {
 		t.Error("self-probe attempt not counted")
 	}
 
-	// The JSON exposition serves the same registry.
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(get(t, admin.URL+"/metrics?format=json", http.StatusOK)), &doc); err != nil {
-		t.Fatalf("/metrics?format=json: %v", err)
-	}
-
 	// /healthz reflects the (fresh) ladder rung.
 	if body := get(t, admin.URL+"/healthz", http.StatusOK); !strings.Contains(body, "degrade=fresh") {
 		t.Errorf("/healthz = %q, want fresh", body)
@@ -126,7 +119,6 @@ func TestObsSmoke(t *testing.T) {
 	var mapz struct {
 		Epoch          uint64 `json:"epoch"`
 		Policy         string `json:"policy"`
-		Mode           string `json:"mode"`
 		PublishedTotal uint64 `json:"published_total"`
 		Degrade        string `json:"degrade"`
 		Build          *struct {
@@ -148,9 +140,6 @@ func TestObsSmoke(t *testing.T) {
 	if mapz.Epoch == 0 || mapz.Policy == "" || mapz.PublishedTotal == 0 || mapz.Degrade != "fresh" {
 		t.Errorf("/mapz = %+v", mapz)
 	}
-	if mapz.Mode != config.ModeStandalone {
-		t.Errorf("/mapz mode = %q, want standalone", mapz.Mode)
-	}
 	if b := mapz.Build; b == nil {
 		t.Error("/mapz missing the build section")
 	} else if b.Partitions == 0 || b.Tables == 0 || b.ArenaChain == 0 ||
@@ -161,7 +150,7 @@ func TestObsSmoke(t *testing.T) {
 		t.Errorf("/mapz row geometry = heads of %d, %d tails of %d", b.TableLen, b.Tails, b.TailLen)
 	}
 	if mapz.Sync != nil {
-		t.Error("/mapz grew a sync section on a standalone node")
+		t.Error("/mapz grew a sync section on a building node")
 	}
 
 	// pprof rides along on the same mux.
@@ -169,9 +158,10 @@ func TestObsSmoke(t *testing.T) {
 }
 
 // TestAdminDistRoles exercises the admin plane in the two distribution
-// roles: a publisher's mux must serve wire images at /mapdist/snapshot,
-// and a replica's /mapz — with no local MapMaker at all — must report
-// its sync status instead of panicking on the missing control plane.
+// roles: a building node's mux must serve wire images at
+// /mapdist/snapshot that a replica boots from, and a replica's /mapz —
+// with no local MapMaker at all — must report its sync status instead of
+// panicking on the missing control plane.
 func TestAdminDistRoles(t *testing.T) {
 	w := world.MustGenerate(world.Config{Seed: 13, NumBlocks: 400})
 	platform := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 13, NumDeployments: 40})
@@ -182,11 +172,11 @@ func TestAdminDistRoles(t *testing.T) {
 	pubAdmin := httptest.NewServer(newAdminMux(adminState{
 		reg: telemetry.NewRegistry(), system: pubSys,
 		mm:  mapmaker.New(pubSys, mapmaker.Config{}),
-		pub: pub, mode: config.ModePublisher, blocks: 400,
+		pub: pub, blocks: 400,
 	}))
 	defer pubAdmin.Close()
 
-	// The publisher's admin mux serves a decodable full image.
+	// The building node's admin mux serves a decodable full image.
 	img := get(t, pubAdmin.URL+mapdist.SnapshotPath+"?have=0", http.StatusOK)
 	if h, err := mapwire.ParseHeader([]byte(img)); err != nil || h.Epoch != pubSys.Current().Epoch() {
 		t.Fatalf("published image header %+v, err=%v", h, err)
@@ -210,7 +200,7 @@ func TestAdminDistRoles(t *testing.T) {
 	repAuth.RegisterMetrics(repReg)
 	repAdmin := httptest.NewServer(newAdminMux(adminState{
 		reg: repReg, system: repSys, auth: repAuth,
-		fetcher: fetcher, mode: config.ModeReplica, blocks: 400,
+		fetcher: fetcher, blocks: 400,
 	}))
 	defer repAdmin.Close()
 	if body := get(t, repAdmin.URL+"/healthz", http.StatusOK); !strings.Contains(body, "degrade=fresh") {
@@ -219,7 +209,6 @@ func TestAdminDistRoles(t *testing.T) {
 
 	var mapz struct {
 		Epoch          uint64 `json:"epoch"`
-		Mode           string `json:"mode"`
 		PublishedTotal uint64 `json:"published_total"`
 		Build          struct {
 			FullBuilds        uint64 `json:"full_builds"`
@@ -238,7 +227,7 @@ func TestAdminDistRoles(t *testing.T) {
 	if err := json.Unmarshal([]byte(get(t, repAdmin.URL+"/mapz", http.StatusOK)), &mapz); err != nil {
 		t.Fatal(err)
 	}
-	if mapz.Mode != config.ModeReplica || mapz.PublishedTotal != 0 ||
+	if mapz.PublishedTotal != 0 ||
 		mapz.Build.FullBuilds != 0 || mapz.Build.IncrementalBuilds != 0 {
 		t.Errorf("replica /mapz = %+v", mapz)
 	}
@@ -281,8 +270,8 @@ func TestReplicaTopLevel(t *testing.T) {
 	pubSys := mapping.NewSystem(w, platform, netmodel.NewDefault(), mapCfg)
 	pubAdmin := httptest.NewServer(newAdminMux(adminState{
 		reg: telemetry.NewRegistry(), system: pubSys,
-		pub:  mapdist.NewPublisher(pubSys, platform, mapdist.PublisherConfig{}),
-		mode: config.ModePublisher, blocks: 400,
+		pub:    mapdist.NewPublisher(pubSys, platform, mapdist.PublisherConfig{}),
+		blocks: 400,
 	}))
 	defer pubAdmin.Close()
 	fetcher, err := mapdist.Boot(context.Background(), mapdist.FetcherConfig{
@@ -302,7 +291,7 @@ func TestReplicaTopLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Mode, cfg.MapMakerAddr = config.ModeReplica, strings.TrimPrefix(pubAdmin.URL, "http://")
+	cfg.MapMakerAddr = strings.TrimPrefix(pubAdmin.URL, "http://")
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}

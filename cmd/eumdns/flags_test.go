@@ -8,11 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"eum/internal/config"
+	"eum/internal/mapwire"
 )
 
 func parse(t *testing.T, args ...string) (config.Config, error) {
@@ -79,7 +81,7 @@ func TestRoleFlagsOverlay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if cfg.Mode != config.ModeReplica || cfg.MapMakerAddr != "127.0.0.1:9300" ||
+		if cfg.MapMakerAddr != "127.0.0.1:9300" ||
 			cfg.FetchInterval() != time.Second || cfg.AdminAddr != "127.0.0.1:9301" {
 			t.Errorf("%s: role flags not applied: %+v", name, cfg)
 		}
@@ -93,7 +95,7 @@ func TestRoleFlagsOverlay(t *testing.T) {
 		}
 	}
 
-	replica := writeDoc(t, `{"zone": "cdn.example.net", "mode": "replica",
+	replica := writeDoc(t, `{"zone": "cdn.example.net",
 		"mapmaker_addr": "127.0.0.1:9300", "map_fetch_seconds": 3}`)
 	if cfg, err := parse(t, "-config", replica, "-map-fetch", "2s"); err != nil || cfg.FetchInterval() != 2*time.Second {
 		t.Errorf("-map-fetch 2s on a replica document: fetch %v, %v", cfg.FetchInterval(), err)
@@ -104,24 +106,10 @@ func TestRoleFlagsOverlay(t *testing.T) {
 			cfg.MapMakerAddr, cfg.FetchInterval(), err)
 	}
 
-	cfg, err = parse(t, "-config", path, "-publisher", "-admin", "127.0.0.1:9301")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Mode != config.ModePublisher || cfg.MapMakerAddr != "" {
-		t.Errorf("publisher beside a config: %+v", cfg)
-	}
-	if _, err := parse(t, "-publisher"); err == nil {
-		t.Error("-publisher without -admin accepted")
-	}
-	_, err = parse(t, "-publisher", "-mapmaker-addr", "127.0.0.1:9300", "-admin", "127.0.0.1:9301")
-	if err == nil || !strings.Contains(err.Error(), "-publisher") || !strings.Contains(err.Error(), "-mapmaker-addr") {
-		t.Errorf("-publisher beside -mapmaker-addr: error = %v, want one naming both flags", err)
-	}
 	for name, args := range map[string][]string{
-		"defaults":  {"-map-fetch", "2s"},
-		"config":    {"-config", path, "-map-fetch", "2s"},
-		"publisher": {"-publisher", "-admin", "127.0.0.1:9301", "-map-fetch", "0"},
+		"defaults": {"-map-fetch", "2s"},
+		"config":   {"-config", path, "-map-fetch", "2s"},
+		"admin":    {"-admin", "127.0.0.1:9301", "-map-fetch", "0"},
 	} {
 		if _, err := parse(t, args...); err == nil || !strings.Contains(err.Error(), "-map-fetch") {
 			t.Errorf("%s: -map-fetch without a replica: error = %v, want one naming the flag", name, err)
@@ -131,7 +119,8 @@ func TestRoleFlagsOverlay(t *testing.T) {
 
 // TestSettingFlagsRemoved: every setting is a key of the -config document,
 // and the flags that copied one are gone — as are those of the build-time
-// load monitor. Each is a parse error naming the flag, on its own and beside
+// load monitor, and -publisher, whose role every building node with -admin
+// now plays. Each is a parse error naming the flag, on its own and beside
 // -config, rather than a value silently dropped.
 func TestSettingFlagsRemoved(t *testing.T) {
 	path := writeDoc(t, `{"zone": "cdn.example.net"}`)
@@ -149,6 +138,7 @@ func TestSettingFlagsRemoved(t *testing.T) {
 		{"stale-max-age", "40s"},
 		{"balance-factor", "2"},
 		{"load-threshold", "0.8"},
+		{"publisher", "true"},
 	} {
 		for _, args := range [][]string{
 			{"-" + tc[0], tc[1]},
@@ -190,7 +180,8 @@ func TestDocumentedInvocationsParse(t *testing.T) {
 // every repository path they quote (`internal/<pkg>`, `cmd/<name>`,
 // `examples/<name>`) is a directory, so the docs cannot send a reader to a
 // test, a target or a package that is gone. A quoted make or path sits in a backtick span, or
-// on a line of a fenced code block.
+// on a line of a fenced code block. Every "format version (N)" they state,
+// across a line break too, is mapwire.Version.
 func TestDocumentedNamesExist(t *testing.T) {
 	const root = "../.."
 	testDef := regexp.MustCompile(`(?m)^func ((?:Benchmark|Test|Fuzz)\w+)\(`)
@@ -229,10 +220,16 @@ func TestDocumentedNamesExist(t *testing.T) {
 	makeRef := regexp.MustCompile("`make ([\\w-]+)")
 	codeSpan := regexp.MustCompile("`[^`]+`")
 	pathRef := regexp.MustCompile(`(?:^|[\s(]|\./)((?:internal|cmd|examples)/[\w-]+)`)
+	versionRef := regexp.MustCompile(`format\s+version\s+\((\d+)\)`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		src, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, m := range versionRef.FindAllSubmatch(src, -1) {
+			if string(m[1]) != strconv.Itoa(mapwire.Version) {
+				t.Errorf("%s states %q; mapwire.Version is %d", doc, strings.Join(strings.Fields(string(m[0])), " "), mapwire.Version)
+			}
 		}
 		fenced := false
 		for i, line := range strings.Split(string(src), "\n") {

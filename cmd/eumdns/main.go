@@ -10,15 +10,15 @@
 // hosted customer CNAMEs and low-level NS sites — comes from the JSON
 // document named by -config (see internal/config), or from its defaults
 // when there is none. The flags only say where the process listens (-addr,
-// -admin) and which distribution role it plays (-publisher, or a replica of
-// -mapmaker-addr fetching every -map-fetch). When the config lists sites,
+// -admin) and, for a replica, which publisher it fetches maps from
+// (-mapmaker-addr, every -map-fetch); every other process builds its own
+// map and, with -admin, publishes it to replicas. When the config lists sites,
 // eumdns serves the two-level Figure 3 hierarchy: this process is the top
 // level, delegating to the listed low-level sites.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -49,10 +49,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mode, err := cfg.DistMode()
-	if err != nil {
-		log.Fatal(err)
-	}
 	policy, err := cfg.MappingPolicy()
 	if err != nil {
 		log.Fatal(err)
@@ -65,10 +61,10 @@ func main() {
 		BalanceFactor:  cfg.BalanceFactor,
 	}
 
-	// Control plane. Standalone and publisher nodes generate the world and
-	// platform, build the first map here and run a background MapMaker
-	// republishing it on a cadence (and on change-feed signals); a
-	// publisher additionally encodes each published snapshot for replicas.
+	// Control plane. A building node generates the world and platform,
+	// builds the first map here and runs a background MapMaker republishing
+	// it on a cadence; with an admin listener it also publishes each map to
+	// whichever replicas ask for it.
 	// A replica generates and builds nothing: before it listens it fetches
 	// the MapMaker node's current full image, which carries the platform's
 	// roster and the block index along with the map, and from then on
@@ -83,7 +79,7 @@ func main() {
 		pub      *mapdist.Publisher
 		fetcher  *mapdist.Fetcher
 	)
-	if mode == config.ModeReplica {
+	if cfg.MapMakerAddr != "" {
 		log.Printf("replica: fetching the first map from %s", cfg.MapMakerAddr)
 		fetcher, err = mapdist.Boot(ctx, mapdist.FetcherConfig{
 			Source:   cfg.MapMakerAddr,
@@ -112,10 +108,7 @@ func main() {
 		system = mapping.NewSystem(w, platform, netmodel.NewDefault(), mcfg)
 		refresh := time.Duration(cfg.MapRefreshSeconds) * time.Second
 		mm = mapmaker.New(system, mapmaker.Config{Interval: refresh})
-		if mode == config.ModePublisher {
-			pub = mapdist.NewPublisher(system, platform, mapdist.PublisherConfig{})
-			log.Printf("publisher: serving snapshots at %s%s", cfg.AdminAddr, mapdist.SnapshotPath)
-		}
+		pub = mapdist.NewPublisher(system, platform, mapdist.PublisherConfig{})
 		if refresh > 0 {
 			go mm.Run(ctx)
 			log.Printf("map maker publishing every %v", refresh)
@@ -162,11 +155,12 @@ func main() {
 		}
 		if pub != nil {
 			pub.RegisterMetrics(reg)
+			log.Printf("publisher: serving snapshots at %s%s", cfg.AdminAddr, mapdist.SnapshotPath)
 		}
 		platform.RegisterLoadMetrics(reg)
 		mux := newAdminMux(adminState{
 			reg: reg, system: system, mm: mm, auth: auth,
-			fetcher: fetcher, pub: pub, mode: mode, blocks: len(index.V4.Keys) + len(index.V6.Keys),
+			fetcher: fetcher, pub: pub, blocks: len(index.V4.Keys) + len(index.V6.Keys),
 			platform: platform, balance: cfg.BalanceFactor,
 		})
 		go func() {
@@ -249,24 +243,18 @@ func buildHandler(cfg config.Config, system *mapping.System, platform *cdn.Platf
 // loadConfig parses the command line into the validated configuration the
 // process runs with. Every setting comes from the -config document, or from
 // config.Default() when none is named; the flags only say where the process
-// listens and which distribution role it plays, and apply on top.
+// listens and, for a replica, where it fetches maps from, and apply on top.
 func loadConfig(fs *flag.FlagSet, args []string) (cfg config.Config, addr string, verbose bool, err error) {
 	fs.StringVar(&addr, "addr", "127.0.0.1:5300", "UDP+TCP listen address")
 	adminAddr := fs.String("admin", "",
 		"admin HTTP listen address for /metrics, /healthz, /mapz and /debug/pprof (empty keeps the document's admin_addr; none by default)")
 	configPath := fs.String("config", "", "JSON config document (see internal/config) holding every other setting; empty runs the defaults")
 	mapmakerAddr := fs.String("mapmaker-addr", "",
-		"replica mode: fetch maps from this MapMaker admin address instead of building locally")
-	publisher := fs.Bool("publisher", false,
-		"serve encoded map snapshots to replicas on the admin listener (requires -admin)")
+		"make this process a replica: fetch maps from this MapMaker admin address instead of building locally")
 	mapFetch := fs.Duration("map-fetch", 0,
-		"replica mode: map fetch cadence against the MapMaker, in whole seconds (unset keeps the document's map_fetch_seconds, default 5s)")
+		"replica only: map fetch cadence against the MapMaker, in whole seconds (unset keeps the document's map_fetch_seconds, default 5s)")
 	fs.BoolVar(&verbose, "verbose", false, "log every query (structured JSON on stderr)")
 	if err = fs.Parse(args); err != nil {
-		return
-	}
-	if *publisher && *mapmakerAddr != "" {
-		err = errors.New("-publisher and -mapmaker-addr exclude each other: a publisher builds the maps a replica fetches from -mapmaker-addr")
 		return
 	}
 
@@ -280,10 +268,7 @@ func loadConfig(fs *flag.FlagSet, args []string) (cfg config.Config, addr string
 		cfg.AdminAddr = *adminAddr
 	}
 	if *mapmakerAddr != "" {
-		cfg.Mode = config.ModeReplica
 		cfg.MapMakerAddr = *mapmakerAddr
-	} else if *publisher {
-		cfg.Mode = config.ModePublisher
 	}
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name != "map-fetch" {
@@ -292,8 +277,8 @@ func loadConfig(fs *flag.FlagSet, args []string) (cfg config.Config, addr string
 		// map_fetch_seconds is a whole-second integer where 0 means the
 		// default: refuse a cadence that would truncate to it.
 		cfg.MapFetchSeconds = int(*mapFetch / time.Second)
-		if mode, _ := cfg.DistMode(); mode != config.ModeReplica {
-			err = fmt.Errorf("-map-fetch %v: only a replica fetches maps; add -mapmaker-addr, or set mode \"replica\" in the -config document", *mapFetch)
+		if cfg.MapMakerAddr == "" {
+			err = fmt.Errorf("-map-fetch %v: only a replica fetches maps; add -mapmaker-addr, or mapmaker_addr in the -config document", *mapFetch)
 		} else if cfg.MapFetchSeconds == 0 && *mapFetch != 0 {
 			err = fmt.Errorf("-map-fetch %v: the flag is counted in whole units of %v and would truncate to 0", *mapFetch, time.Second)
 		}

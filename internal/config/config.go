@@ -33,21 +33,16 @@ type Config struct {
 	Policy string `json:"policy,omitempty"`
 	// MapRefreshSeconds is the MapMaker's periodic publish cadence — how
 	// often the control plane rebuilds and swaps in a fresh map snapshot
-	// even without health or policy signals (default 10).
+	// (default 10).
 	MapRefreshSeconds int `json:"map_refresh_seconds,omitempty"`
 
-	// Mode selects the process's role in the map-distribution plane:
-	// "standalone" (default: build and serve in one process), "publisher"
-	// (build locally and serve snapshots to replicas on the admin plane),
-	// or "replica" (serve maps fetched from a publisher instead of
-	// building them).
-	Mode string `json:"mode,omitempty"`
-	// MapMakerAddr is the publisher's admin address ("host:port") a
-	// replica fetches snapshots from. Required in replica mode, forbidden
-	// otherwise.
+	// MapMakerAddr, when set, makes the process a replica: it builds no
+	// map and serves the ones it fetches from this publisher's admin
+	// address ("host:port"). Every other process builds its own map and,
+	// with an admin listener, publishes it to replicas.
 	MapMakerAddr string `json:"mapmaker_addr,omitempty"`
 	// MapFetchSeconds is the replica's snapshot fetch interval (default
-	// 5). Replica mode only. Cross-checked against
+	// 5); it needs mapmaker_addr. Cross-checked against
 	// stale_max_age_seconds: a replica's map can never be fresher than
 	// its fetch cadence.
 	MapFetchSeconds int `json:"map_fetch_seconds,omitempty"`
@@ -209,30 +204,13 @@ func (c Config) Validate() error {
 			return fmt.Errorf("config: admin_addr: %w", err)
 		}
 	}
-	mode, err := c.DistMode()
-	if err != nil {
-		return err
-	}
-	switch mode {
-	case ModeReplica:
-		if c.MapMakerAddr == "" {
-			return fmt.Errorf("config: mode %q needs mapmaker_addr (the publisher's admin address, e.g. \"127.0.0.1:9153\") to fetch maps from", mode)
-		}
+	replica := c.MapMakerAddr != ""
+	if replica {
 		if _, err := netip.ParseAddrPort(c.MapMakerAddr); err != nil {
 			return fmt.Errorf("config: mapmaker_addr: %w", err)
 		}
-	case ModePublisher:
-		if c.AdminAddr == "" {
-			return fmt.Errorf("config: mode %q serves snapshots to replicas over the admin plane; set admin_addr (e.g. \"127.0.0.1:9153\")", mode)
-		}
-		fallthrough
-	default:
-		if c.MapMakerAddr != "" {
-			return fmt.Errorf("config: mapmaker_addr is set but mode is %q; set mode to \"replica\" to fetch maps from it, or remove mapmaker_addr", mode)
-		}
-		if c.MapFetchSeconds != 0 {
-			return fmt.Errorf("config: map_fetch_seconds is set but mode is %q; the fetch interval only applies to replicas (set mode to \"replica\", or remove map_fetch_seconds)", mode)
-		}
+	} else if c.MapFetchSeconds != 0 {
+		return fmt.Errorf("config: map_fetch_seconds needs mapmaker_addr: only a replica fetches maps")
 	}
 	if c.MapFetchSeconds < 0 {
 		return fmt.Errorf("config: negative map_fetch_seconds")
@@ -241,18 +219,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: negative stale_max_age_seconds")
 	}
 	// Staleness cross-checks: the watchdog must be slower than whatever
-	// cadence actually refreshes the map — the local rebuild interval in
-	// standalone/publisher mode, the fetch interval on a replica —
-	// or every map would degrade the moment it published.
+	// cadence actually refreshes the map — the local rebuild interval on a
+	// building node, the fetch interval on a replica — or every map would
+	// degrade the moment it published.
 	if c.StaleMaxAgeSeconds > 0 {
-		if mode == ModeReplica {
+		if replica {
 			if fetch := int(c.FetchInterval() / time.Second); c.StaleMaxAgeSeconds < fetch {
 				return fmt.Errorf("config: stale_max_age_seconds (%d) below the replica fetch interval map_fetch_seconds (%d): a replica's map can never be fresher than its fetch cadence, so every fetched map would already count as stale; raise stale_max_age_seconds to a multiple of the fetch interval (headroom for retries) or fetch more often",
 					c.StaleMaxAgeSeconds, fetch)
 			}
 		} else {
 			if c.MapRefreshSeconds == 0 {
-				return fmt.Errorf("config: stale_max_age_seconds (%d) arms the staleness watchdog, but map_refresh_seconds is 0 so the periodic rebuild that would keep the map fresh is disabled: the map would degrade to stale %ds after boot and only ever recover on health or policy signals; set map_refresh_seconds below stale_max_age_seconds, or set stale_max_age_seconds to 0 to disarm the watchdog",
+				return fmt.Errorf("config: stale_max_age_seconds (%d) arms the staleness watchdog, but map_refresh_seconds is 0 so the periodic rebuild that would keep the map fresh is disabled: the map would degrade to stale %ds after boot and never recover; set map_refresh_seconds below stale_max_age_seconds, or set stale_max_age_seconds to 0 to disarm the watchdog",
 					c.StaleMaxAgeSeconds, c.StaleMaxAgeSeconds)
 			}
 			if c.StaleMaxAgeSeconds < c.MapRefreshSeconds {
@@ -290,35 +268,16 @@ func (c Config) Validate() error {
 		}
 		// A replica serves the roster its publisher ships, not platform:
 		// eumdns checks its sites against that once it has arrived.
-		if s.DeploymentIndex < 0 || (mode != ModeReplica && s.DeploymentIndex >= c.Platform.Deployments) {
+		if s.DeploymentIndex < 0 || (!replica && s.DeploymentIndex >= c.Platform.Deployments) {
 			return fmt.Errorf("config: site %d deployment_index %d out of range", i, s.DeploymentIndex)
 		}
 	}
 	return nil
 }
 
-// Distribution-plane modes (see Config.Mode).
-const (
-	ModeStandalone = "standalone"
-	ModePublisher  = "publisher"
-	ModeReplica    = "replica"
-)
-
 // defaultMapFetchSeconds is the replica fetch interval when
 // map_fetch_seconds is unset.
 const defaultMapFetchSeconds = 5
-
-// DistMode normalises the mode string (empty means standalone).
-func (c Config) DistMode() (string, error) {
-	switch m := strings.ToLower(strings.TrimSpace(c.Mode)); m {
-	case "":
-		return ModeStandalone, nil
-	case ModeStandalone, ModePublisher, ModeReplica:
-		return m, nil
-	default:
-		return "", fmt.Errorf("config: unknown mode %q (want standalone, publisher, or replica)", c.Mode)
-	}
-}
 
 // FetchInterval returns the replica's snapshot fetch interval.
 func (c Config) FetchInterval() time.Duration {

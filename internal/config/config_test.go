@@ -56,9 +56,10 @@ func TestParseDefaultsApply(t *testing.T) {
 
 // TestParseRejectsUnknownFields covers a made-up key and keys that no
 // longer exist — the serve loop's (queue_depth, shed_policy, batch_size),
-// ttl_seconds, which never reached the map, and health_flap_threshold,
-// which tuned a health monitor eumdns no longer runs: the decoder names
-// each as unknown instead of silently ignoring it.
+// ttl_seconds, which never reached the map, health_flap_threshold,
+// which tuned a health monitor eumdns no longer runs, and mode, whose
+// role mapmaker_addr implies: the decoder names each as unknown instead of
+// silently ignoring it.
 func TestParseRejectsUnknownFields(t *testing.T) {
 	for _, tc := range []struct{ name, field, doc string }{
 		{"bogus", "bogus", `"bogus": 1`},
@@ -68,6 +69,7 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 		{"bad-shed-policy", "shed_policy", `"shed_policy": "panic"`},
 		{"negative-batch-size", "batch_size", `"batch_size": -1`},
 		{"batch-size-above-64", "batch_size", `"batch_size": 65`},
+		{"mode", "mode", `"mode": "replica"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse(strings.NewReader(`{"zone": "z.net", ` + tc.doc + `}`))
@@ -167,47 +169,37 @@ func TestValidateRRLMessages(t *testing.T) {
 	}
 }
 
-// TestDistModes covers the distribution-plane role knobs: which
-// mode/address/interval combinations are coherent, and that the
-// staleness watchdog cross-checks whichever cadence actually refreshes
-// the map (the local rebuild in standalone/publisher mode, the fetch
+// TestDistModes covers the distribution-plane role, which mapmaker_addr
+// alone decides: with it the process is a replica, without it the process
+// builds its own map. Each case is keyed on mapmaker_addr, and the
+// staleness watchdog is cross-checked against whichever cadence actually
+// refreshes the map (the local rebuild on a building node, the fetch
 // interval on a replica).
 func TestDistModes(t *testing.T) {
+	const source = "127.0.0.1:9153"
 	valid := []struct {
 		name   string
+		source string
 		mutate func(*Config)
 	}{
-		{"replica", func(c *Config) {
-			c.Mode = "replica"
-			c.MapMakerAddr = "127.0.0.1:9153"
-		}},
-		{"replica-explicit-fetch", func(c *Config) {
-			c.Mode = "replica"
-			c.MapMakerAddr = "127.0.0.1:9153"
-			c.MapFetchSeconds = 3
-		}},
-		{"publisher", func(c *Config) {
-			c.Mode = "publisher"
-			c.AdminAddr = "127.0.0.1:9153"
-		}},
-		{"explicit-standalone", func(c *Config) { c.Mode = "Standalone" }},
+		{"standalone", "", func(*Config) {}},
+		{"replica", source, func(*Config) {}},
+		{"replica-explicit-fetch", source, func(c *Config) { c.MapFetchSeconds = 3 }},
+		{"publisher", "", func(c *Config) { c.AdminAddr = "127.0.0.1:9154" }},
 		// A replica's top level reads the map it fetched. Its sites index
 		// the roster that map ships, which platform does not size, so an
 		// index past platform.deployments is eumdns's to check.
-		{"replica-with-sites", func(c *Config) {
-			c.Mode = "replica"
-			c.MapMakerAddr = "127.0.0.1:9153"
+		{"replica-with-sites", source, func(c *Config) {
 			c.Sites = []SiteConfig{{Host: "ns1.cdn.example.net", Addr: "192.0.2.1", DeploymentIndex: c.Platform.Deployments}}
 		}},
-		{"replica-with-customers", func(c *Config) {
-			c.Mode = "replica"
-			c.MapMakerAddr = "127.0.0.1:9153"
+		{"replica-with-customers", source, func(c *Config) {
 			c.Customers = map[string]string{"www.shop.example": "e1.b.cdn.example.net"}
 		}},
 	}
 	for _, tc := range valid {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Default()
+			cfg.MapMakerAddr = tc.source
 			tc.mutate(&cfg)
 			if err := cfg.Validate(); err != nil {
 				t.Errorf("valid config rejected: %v", err)
@@ -217,34 +209,18 @@ func TestDistModes(t *testing.T) {
 
 	invalid := []struct {
 		name   string
+		source string
 		mutate func(*Config)
 		want   string
 	}{
-		{"unknown-mode", func(c *Config) { c.Mode = "anycast" }, "unknown mode"},
-		{"replica-without-addr", func(c *Config) { c.Mode = "replica" }, "mapmaker_addr"},
-		{"replica-bad-addr", func(c *Config) {
-			c.Mode = "replica"
-			c.MapMakerAddr = "not-an-addr"
-		}, "mapmaker_addr"},
-		{"publisher-without-admin", func(c *Config) { c.Mode = "publisher" }, "admin_addr"},
-		{"standalone-with-mapmaker-addr", func(c *Config) {
-			c.MapMakerAddr = "127.0.0.1:9153"
-		}, `set mode to "replica"`},
-		{"standalone-with-fetch-interval", func(c *Config) {
-			c.MapFetchSeconds = 5
-		}, "only applies to replicas"},
-		{"negative-fetch-interval", func(c *Config) {
-			c.Mode = "replica"
-			c.MapMakerAddr = "127.0.0.1:9153"
-			c.MapFetchSeconds = -1
-		}, "map_fetch_seconds"},
-		{"replica-stale-below-fetch", func(c *Config) {
-			c.Mode = "replica"
-			c.MapMakerAddr = "127.0.0.1:9153"
+		{"replica-bad-addr", "not-an-addr", func(*Config) {}, "mapmaker_addr"},
+		{"standalone-with-fetch-interval", "", func(c *Config) { c.MapFetchSeconds = 5 }, "needs mapmaker_addr"},
+		{"negative-fetch-interval", source, func(c *Config) { c.MapFetchSeconds = -1 }, "map_fetch_seconds"},
+		{"replica-stale-below-fetch", source, func(c *Config) {
 			c.MapFetchSeconds = 60
 			c.StaleMaxAgeSeconds = 10
 		}, "fetch cadence"},
-		{"stale-armed-without-refresh", func(c *Config) {
+		{"stale-armed-without-refresh", "", func(c *Config) {
 			c.MapRefreshSeconds = 0
 			c.StaleMaxAgeSeconds = 30
 		}, "map_refresh_seconds is 0"},
@@ -252,6 +228,7 @@ func TestDistModes(t *testing.T) {
 	for _, tc := range invalid {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Default()
+			cfg.MapMakerAddr = tc.source
 			tc.mutate(&cfg)
 			err := cfg.Validate()
 			if err == nil {

@@ -2,8 +2,6 @@ package dnsserver
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"eum/internal/telemetry"
 )
@@ -17,10 +15,10 @@ import (
 // not synchronised against a running serve loop.
 //
 // Beyond the aggregate counters, every listener shard exports its own
-// gauges under dnsserver_shard<i>_: the query total, a scrape-windowed qps
-// rate, and the measured packets-per-wakeup ratio of its receive path. The
-// registry has no label dimension, so the shard index is folded into the
-// metric name.
+// series under dnsserver_shard<i>_: the query total, whose growth between
+// scrapes is the shard's rate, and the measured packets-per-wakeup ratio of
+// its receive path. The registry has no label dimension, so the shard index
+// is folded into the metric name.
 func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 	m := &s.Metrics
 	reg.Counter("dnsserver_queries_total",
@@ -59,36 +57,5 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 				}
 				return float64(sh.Stats.BatchedPackets.Load()) / float64(w)
 			})
-		var win qpsWindow
-		reg.Gauge(prefix+"qps",
-			"Query rate on this shard over the last scrape interval.",
-			func() float64 { return win.rate(sh.Stats.Queries.Load()) })
 	}
-}
-
-// qpsWindow derives a rate gauge from a monotone counter: each read
-// reports the counter's growth since the previous read divided by the
-// elapsed wall time — i.e. the mean qps over the scrape interval. The
-// first read primes the window and reports 0.
-type qpsWindow struct {
-	mu       sync.Mutex
-	lastN    uint64
-	lastTime time.Time
-}
-
-func (w *qpsWindow) rate(n uint64) float64 {
-	now := time.Now()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.lastTime.IsZero() {
-		w.lastN, w.lastTime = n, now
-		return 0
-	}
-	dt := now.Sub(w.lastTime).Seconds()
-	dn := n - w.lastN
-	w.lastN, w.lastTime = n, now
-	if dt <= 0 {
-		return 0
-	}
-	return float64(dn) / dt
 }

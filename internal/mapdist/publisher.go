@@ -20,6 +20,7 @@ package mapdist
 import (
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"eum/internal/cdn"
@@ -45,8 +46,9 @@ type PublisherConfig struct{}
 // delta against whatever snapshot of its lineage a replica holds — on the
 // MapMaker node's admin plane.
 type Publisher struct {
-	sys   *mapping.System
-	codec *mapwire.Codec
+	sys *mapping.System
+	// codec is made on the first fetch: an unfetched node keeps no roster copy.
+	codec func() *mapwire.Codec
 
 	// cachedFull memoises the encoded full image of one snapshot, so a
 	// fleet of replicas bootstrapping against it encodes it once.
@@ -68,15 +70,13 @@ type encodedImage struct {
 }
 
 // NewPublisher builds a publisher over the system's snapshots, encoding
-// against the given platform.
+// against the given platform once the first replica asks.
 func NewPublisher(sys *mapping.System, platform *cdn.Platform, _ PublisherConfig) *Publisher {
-	return &Publisher{sys: sys, codec: mapwire.NewCodec(platform)}
+	return &Publisher{sys: sys, codec: sync.OnceValue(func() *mapwire.Codec { return mapwire.NewCodec(platform) })}
 }
 
-// Observe does nothing. It is kept so a MapMaker.SetOnPublish hook still
-// compiles: the publisher reads the system's current snapshot on every
-// request and cuts deltas from its row epochs, so it needs to see no
-// snapshot before that.
+// Observe does nothing: the publisher reads the system's current snapshot
+// on every request. It is kept for MapMaker.SetOnPublish hooks.
 func (p *Publisher) Observe(*mapping.Snapshot) {}
 
 // ServeHTTP answers one snapshot fetch. Responses:
@@ -107,7 +107,7 @@ func (p *Publisher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if have.Epoch > 0 {
-		data, ok, err := p.codec.EncodeDeltaSince(have, cur)
+		data, ok, err := p.codec().EncodeDeltaSince(have, cur)
 		if err != nil {
 			p.encodeFailures.Add(1)
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -142,7 +142,7 @@ func (p *Publisher) fullImage(sn *mapping.Snapshot) ([]byte, error) {
 	if c := p.cachedFull.Load(); c != nil && c.base == base {
 		return c.data, nil
 	}
-	data, err := p.codec.EncodeFull(sn)
+	data, err := p.codec().EncodeFull(sn)
 	if err != nil {
 		return nil, err
 	}

@@ -63,8 +63,7 @@ type MapMaker struct {
 	buildFault atomic.Pointer[func()]
 
 	// onPublish, when set, observes every successfully built and installed
-	// snapshot. The distribution plane's publisher hooks here so it serves
-	// each epoch as soon as it is installed (see mapdist.Publisher.Observe).
+	// snapshot.
 	onPublish atomic.Pointer[func(*mapping.Snapshot)]
 }
 
@@ -105,19 +104,20 @@ func (m *MapMaker) NotifyMeasurement(targetIDs ...uint64) {
 // re-ranking what the builder's dirty set names, and installed.
 //
 // A build that panics must never wedge the pipeline or tear down the last
-// good map: the panic is recovered, recorded, and the build is marked
-// pending again so the next Sync or cadence tick retries it. The
-// measurement marks need no re-arming: a fault hook panics before the
-// builder claims them, and a builder that panics marks every table dirty.
-// The currently published snapshot stays in place — the data plane keeps
-// serving it, and the authority's staleness watchdog degrades answers if
-// the failures persist long enough.
+// good map: the panic is recovered and recorded, and the build is marked
+// pending again so the next Sync or cadence tick retries it (a fault hook
+// panics before the builder claims the measurement marks, and a builder
+// that panics marks every table dirty). The data plane keeps serving the
+// current map, which the staleness watchdog degrades if failures persist.
 func (m *MapMaker) build() *mapping.Snapshot {
 	sn, err := m.tryBuild()
 	if err != nil {
 		m.buildFailures.Add(1)
 		m.lastFailure.Store(&BuildFailure{Err: err, At: time.Now()})
 		m.pending.Store(true)
+		return m.sys.Current()
+	}
+	if m.sys.Current() != sn { // an Install from elsewhere raced the build
 		return m.sys.Current()
 	}
 	m.published.Add(1)

@@ -131,6 +131,20 @@ func TestSnapshotInstallOrdering(t *testing.T) {
 	}
 }
 
+// TestRebuildFollowsInstalledEpoch: a snapshot installed from outside
+// Rebuild moves the epoch the next Rebuild builds at, so that build is
+// newer, installs, and is the one the system serves.
+func TestRebuildFollowsInstalledEpoch(t *testing.T) {
+	sys := newSystem(t, EndUser)
+	sys.Install(sys.Builder().Build(sys.Current().Epoch()+1, EndUser))
+	before := sys.Current()
+	rebuilt := sys.Rebuild()
+	if rebuilt.Epoch() != before.Epoch()+1 || sys.Current() != rebuilt {
+		t.Fatalf("before %d rebuilt %d current %d installed=%v",
+			before.Epoch(), rebuilt.Epoch(), sys.Current().Epoch(), sys.Current() == rebuilt)
+	}
+}
+
 // TestMapEpochPinned: MapAt against a pinned snapshot keeps answering at
 // that epoch while the system publishes newer maps — the contract the
 // deterministic simulations rely on.

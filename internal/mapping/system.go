@@ -14,6 +14,7 @@ package mapping
 import (
 	"fmt"
 	"net/netip"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -98,13 +99,11 @@ type System struct {
 	cfg      Config
 	platform *cdn.Platform
 	lb       *LoadBalancer
-	// builder ranks the maps a publisher or a standalone node serves. A
-	// replica (NewReplica) has none: it only installs.
+	// builder ranks the maps this node serves; a replica (NewReplica) has none.
 	builder *SnapshotBuilder
 
-	// epoch allocates strictly increasing snapshot numbers within the
-	// builder's lineage, which is redrawn when BootstrapReplica rewinds it.
-	epoch atomic.Uint64
+	// rebuild serialises Rebuild, so each build follows the last one's install.
+	rebuild sync.Mutex
 	// snap is the currently published map. Installed by a single pointer
 	// swap; non-nil from NewSystem / NewReplica on.
 	snap atomic.Pointer[Snapshot]
@@ -123,7 +122,7 @@ func NewSystem(w *world.World, p *cdn.Platform, net Prober, cfg Config) *System 
 	cfg = withDefaults(cfg)
 	s := bareSystem(p, cfg)
 	s.builder = newSnapshotBuilder(w, NewScorer(w, p, net, cfg.PingTargets), cfg)
-	s.Rebuild()
+	s.Install(s.builder.Build(1, cfg.Policy))
 	return s
 }
 
@@ -186,13 +185,15 @@ func (s *System) Install(sn *Snapshot) bool {
 // regardless of how many builds failed in between.
 func (s *System) PublishedAtNanos() int64 { return s.publishedAt.Load() }
 
-// Rebuild builds a snapshot at the next epoch under the configured policy
-// and installs it. This is the control plane's one entry point: the
-// MapMaker calls it on its cadence and after measurement refreshes;
-// standalone users (tests, examples) call it directly after mutating the
-// platform.
+// Rebuild builds a snapshot at the installed epoch plus one under the
+// configured policy and installs it, unless an Install from elsewhere raced
+// it. This is the control plane's one entry point: the MapMaker calls it on
+// its cadence and after measurement refreshes; tests call it directly after
+// mutating the platform.
 func (s *System) Rebuild() *Snapshot {
-	sn := s.builder.Build(s.epoch.Add(1), s.cfg.Policy)
+	s.rebuild.Lock()
+	defer s.rebuild.Unlock()
+	sn := s.builder.Build(s.Current().Epoch()+1, s.cfg.Policy)
 	s.Install(sn)
 	return sn
 }

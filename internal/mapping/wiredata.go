@@ -192,15 +192,14 @@ func (sn *Snapshot) compact() {
 
 // BootstrapReplica rewinds a system NewSystem made to replica state: it
 // installs, as epoch 0 of a fresh lineage, a map holding nothing but the
-// two shared fallback tables, rewinds the epoch counter, and releases
-// everything a local build left in the builder and the scorer, discarding
-// the map. The first snapshot fetched from a publisher is of the
-// publisher's lineage, so Install takes it whatever its epoch. No builder
-// ever emits epoch 0, so the serving plane treats it as the degradation
-// ladder's fallback rung (or worse, by age) until the first Install. A
-// replica NewReplica made has no builder and never serves epoch 0.
+// two shared fallback tables (so the next Rebuild builds epoch 1), and
+// releases everything a local build left in the builder and the scorer.
+// The first snapshot fetched from a publisher is of the publisher's
+// lineage, so Install takes it whatever its epoch. No builder ever emits
+// epoch 0, so the serving plane treats it as the degradation ladder's
+// fallback rung (or worse, by age) until the first Install. A replica
+// NewReplica made has no builder and never serves epoch 0.
 func (s *System) BootstrapReplica() {
 	s.snap.Store(s.builder.bootSnapshot(s.cfg.Policy))
-	s.epoch.Store(0)
 	s.publishedAt.Store(time.Now().UnixNano())
 }

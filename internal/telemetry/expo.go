@@ -1,12 +1,10 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 )
 
 // WritePrometheus emits every registered metric in the Prometheus text
@@ -73,63 +71,10 @@ func writePrometheusHistogram(w io.Writer, name string, s HistogramSnapshot) err
 	return err
 }
 
-// jsonHistogram is the JSON shape of one histogram: summary statistics up
-// front, populated buckets after.
-type jsonHistogram struct {
-	Count   uint64  `json:"count"`
-	SumSecs float64 `json:"sum_seconds"`
-	MeanNs  int64   `json:"mean_ns"`
-	P50Ns   int64   `json:"p50_ns"`
-	P90Ns   int64   `json:"p90_ns"`
-	P99Ns   int64   `json:"p99_ns"`
-	// Buckets maps the bucket's exclusive upper bound in nanoseconds
-	// (as a decimal string, JSON keys being strings) to its count.
-	Buckets map[string]uint64 `json:"buckets"`
-}
-
-// WriteJSON emits every registered metric as one JSON document:
-// {"counters": {...}, "gauges": {...}, "histograms": {...}}.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	snap := r.Snapshot()
-	hists := make(map[string]jsonHistogram, len(snap.Histograms))
-	for name, s := range snap.Histograms {
-		jh := jsonHistogram{
-			Count:   s.Count,
-			SumSecs: float64(s.SumNanos) / 1e9,
-			MeanNs:  int64(s.Mean()),
-			P50Ns:   int64(s.Quantile(0.50)),
-			P90Ns:   int64(s.Quantile(0.90)),
-			P99Ns:   int64(s.Quantile(0.99)),
-			Buckets: map[string]uint64{},
-		}
-		for i, c := range s.Buckets {
-			if c > 0 {
-				jh.Buckets[strconv.FormatInt(BucketBound(i), 10)] = c
-			}
-		}
-		hists[name] = jh
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Counters   map[string]uint64        `json:"counters"`
-		Gauges     map[string]float64       `json:"gauges"`
-		Histograms map[string]jsonHistogram `json:"histograms"`
-	}{snap.Counters, snap.Gauges, hists})
-}
-
-// Handler returns the /metrics HTTP handler: Prometheus text by default,
-// JSON when the request asks for it (?format=json or an Accept header
-// preferring application/json).
+// Handler returns the /metrics HTTP handler, serving the Prometheus text
+// format.
 func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		wantJSON := req.URL.Query().Get("format") == "json" ||
-			strings.Contains(req.Header.Get("Accept"), "application/json")
-		if wantJSON {
-			w.Header().Set("Content-Type", "application/json")
-			_ = r.WriteJSON(w)
-			return
-		}
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})

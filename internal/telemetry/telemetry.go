@@ -9,10 +9,9 @@
 // maintain (registration costs the hot path nothing), and histograms stamp
 // one observation with two atomic adds and no allocation.
 //
-// A Registry serves three consumers: Snapshot() returns a deterministic
-// point-in-time view for tests and programmatic health checks,
-// WritePrometheus emits the text exposition format scraped at /metrics,
-// and WriteJSON emits the same data for humans and scripts.
+// A Registry serves two consumers: Snapshot() returns a deterministic
+// point-in-time view for tests and programmatic health checks, and
+// WritePrometheus emits the text exposition format scraped at /metrics.
 package telemetry
 
 import (
