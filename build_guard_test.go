@@ -202,26 +202,30 @@ func TestFullBuildMeasuresFewPairs(t *testing.T) {
 // coldWideImageCRC and coldWideImageSize pin the full wire image of the
 // cold_wide benchmark's universe at its first epoch. The lineage in its
 // header is random, so the CRC-32C is taken over the image with those
-// eight bytes zeroed. Scores are compared, sorted and shipped as raw
-// float64 bits, so a score that moves in its last place can reorder a tie
-// and changes the checksum; a change that means to move it says so and
-// re-pins it. coldWideRowsCRC is the CRC-32C of the rank rows alone —
-// every row's deployment indexes as u16 little-endian, in row order, then
-// every head's scores as the u64 little-endian bits of their float64, in
-// head order — which a change to the format around the rows, or to how
-// they are stored, leaves where it is: it is the value the 12-byte rows of
-// wire format v6 gave before they were split into an order column for
-// every row and a score column for heads. coldWideIndexCRC is the CRC-32C of
-// the table every client and resolver reads — the table of every IPv4
-// leaf in key order, then of every IPv6 leaf, then of every resolver, then
-// the fallback-LDNS and the fallback-client tables, each as u32
-// little-endian — which is the value wire format v7 gave when the index
-// named partitions and the layout mapped each to its table: no client
-// reads another row since the index names tables itself.
+// eight bytes zeroed. Scores are compared and sorted as float64 and
+// shipped as the raw bits of their nearest float32, so a score that moves
+// in its last place can reorder a tie or move a stored score and changes
+// the checksum; a change that means to move it says so and re-pins it.
+// coldWideOrderCRC is the CRC-32C of the order column alone — every row's
+// deployment indexes as u16 little-endian, in row order — which is the
+// value wire format v8 gave, when heads kept float64 scores: no rank moved
+// when the scores became float32. coldWideScoreCRC is the CRC-32C of the
+// score column — every head's scores as the u32 little-endian bits of
+// their float32, in head order — which is the value v8's float64 scores
+// give rounded to float32: no score moved but by that rounding. Neither
+// moves with the format around the rows.
+// coldWideIndexCRC is the CRC-32C of the table every client and resolver
+// reads — the table of every IPv4 leaf in key order, then of every IPv6
+// leaf, then of every resolver, then the fallback-LDNS and the
+// fallback-client tables, each as u32 little-endian — which is the value
+// wire format v7 gave when the index named partitions and the layout
+// mapped each to its table: no client reads another row since the index
+// names tables itself.
 const (
-	coldWideImageCRC  = 0x2c2f67ed
-	coldWideImageSize = 2933136
-	coldWideRowsCRC   = 0x176bd683
+	coldWideImageCRC  = 0x9b7a1ebf
+	coldWideImageSize = 2230728
+	coldWideOrderCRC  = 0x2d21021b
+	coldWideScoreCRC  = 0xadd71ca4
 	coldWideIndexCRC  = 0xf9cc0443
 )
 
@@ -240,23 +244,26 @@ func TestWireImagePinned(t *testing.T) {
 	}
 	clear(image[16:24]) // the lineage (see the mapwire header layout)
 	if got := crc32.Checksum(image[:len(image)-4], castagnoli); got != coldWideImageCRC || len(image) != coldWideImageSize {
-		t.Fatalf("the cold_wide full image is %d bytes with CRC-32C %#08x, pinned %d bytes and %#08x",
+		t.Errorf("the cold_wide full image is %d bytes with CRC-32C %#08x, pinned %d bytes and %#08x",
 			len(image), got, coldWideImageSize, coldWideImageCRC)
 	}
-	var rows uint32
+	var orderCRC, scoreCRC uint32
 	var word []byte
 	for i := 0; i < sn.Layout().Rows(); i++ {
 		for _, d := range sn.RowOrder(i) {
-			rows = crc32.Update(rows, castagnoli, binary.LittleEndian.AppendUint16(word[:0], d))
+			orderCRC = crc32.Update(orderCRC, castagnoli, binary.LittleEndian.AppendUint16(word[:0], d))
 		}
 	}
 	for i := 0; i < sn.Layout().Tables(); i++ {
 		for _, s := range sn.HeadScores(i) {
-			rows = crc32.Update(rows, castagnoli, binary.LittleEndian.AppendUint64(word[:0], math.Float64bits(s)))
+			scoreCRC = crc32.Update(scoreCRC, castagnoli, binary.LittleEndian.AppendUint32(word[:0], math.Float32bits(s)))
 		}
 	}
-	if rows != coldWideRowsCRC {
-		t.Fatalf("the cold_wide rank rows have CRC-32C %#08x, pinned %#08x", rows, coldWideRowsCRC)
+	if orderCRC != coldWideOrderCRC {
+		t.Errorf("the cold_wide order column has CRC-32C %#08x, pinned %#08x: a rank moved", orderCRC, coldWideOrderCRC)
+	}
+	if scoreCRC != coldWideScoreCRC {
+		t.Errorf("the cold_wide score column has CRC-32C %#08x, pinned %#08x", scoreCRC, coldWideScoreCRC)
 	}
 	lay := sn.Layout()
 	var tables uint32
@@ -266,6 +273,6 @@ func TestWireImagePinned(t *testing.T) {
 		}
 	}
 	if tables != coldWideIndexCRC {
-		t.Fatalf("the cold_wide index's tables have CRC-32C %#08x, pinned %#08x", tables, coldWideIndexCRC)
+		t.Errorf("the cold_wide index's tables have CRC-32C %#08x, pinned %#08x", tables, coldWideIndexCRC)
 	}
 }

@@ -176,6 +176,18 @@ func TestAdminDistRoles(t *testing.T) {
 	}))
 	defer pubAdmin.Close()
 
+	// A fresh building node counts the map it serves, NewSystem's first.
+	var pubMapz struct {
+		Epoch          uint64 `json:"epoch"`
+		PublishedTotal uint64 `json:"published_total"`
+	}
+	if err := json.Unmarshal([]byte(get(t, pubAdmin.URL+"/mapz", http.StatusOK)), &pubMapz); err != nil {
+		t.Fatal(err)
+	}
+	if pubMapz.Epoch != 1 || pubMapz.PublishedTotal < 1 {
+		t.Errorf("fresh building node /mapz: epoch %d, published_total %d; want epoch 1 counted", pubMapz.Epoch, pubMapz.PublishedTotal)
+	}
+
 	// The building node's admin mux serves a decodable full image.
 	img := get(t, pubAdmin.URL+mapdist.SnapshotPath+"?have=0", http.StatusOK)
 	if h, err := mapwire.ParseHeader([]byte(img)); err != nil || h.Epoch != pubSys.Current().Epoch() {

@@ -17,6 +17,7 @@ import (
 	"eum/internal/faultnet"
 	"eum/internal/mapping"
 	"eum/internal/netmodel"
+	"eum/internal/telemetry"
 )
 
 // distReplica is one serving node of the cluster test: its own mapping
@@ -31,11 +32,13 @@ type distReplica struct {
 }
 
 // pubNode is the MapMaker node of the cluster test: a system, the prober
-// its churn shifts, and the publisher serving it.
+// its churn shifts, and the publisher serving it, whose counters reg
+// exposes.
 type pubNode struct {
 	sys    *mapping.System
 	prober *shiftNet
 	pub    *Publisher
+	reg    *telemetry.Registry
 }
 
 // sameMap reports whether two snapshots are one map: the same epoch of the
@@ -97,7 +100,8 @@ func TestDistClusterPartitionHeal(t *testing.T) {
 	startPublisher := func() *pubNode {
 		prober := &shiftNet{base: netmodel.NewDefault(), shift: map[uint64]float64{}}
 		sys := mapping.NewSystem(w, p, prober, distCfg)
-		n := &pubNode{sys: sys, prober: prober, pub: NewPublisher(sys, p, PublisherConfig{})}
+		n := &pubNode{sys: sys, prober: prober, pub: NewPublisher(sys, p, PublisherConfig{}), reg: telemetry.NewRegistry()}
+		n.pub.RegisterMetrics(n.reg)
 		nodes = append(nodes, n)
 		live.Store(n)
 		return n
@@ -334,16 +338,16 @@ func TestDistClusterPartitionHeal(t *testing.T) {
 			t.Errorf("replica %d epoch lag %d after heal", i, lag)
 		}
 	}
-	var fullB, deltaB uint64
+	var fullB, deltaB float64
 	for _, n := range nodes {
-		f, d := n.pub.BytesShipped()
-		fullB, deltaB = fullB+f, deltaB+d
+		fullB += metric(t, n.reg, "mapdist_publish_full_bytes_total")
+		deltaB += metric(t, n.reg, "mapdist_publish_delta_bytes_total")
 	}
-	t.Logf("publishers shipped %d full bytes, %d delta bytes", fullB, deltaB)
+	t.Logf("publishers shipped %.0f full bytes, %.0f delta bytes", fullB, deltaB)
 	if fullB == 0 || deltaB == 0 {
-		t.Errorf("expected both full and delta traffic, got full=%d delta=%d", fullB, deltaB)
+		t.Errorf("expected both full and delta traffic, got full=%.0f delta=%.0f", fullB, deltaB)
 	}
 	if deltaB >= fullB {
-		t.Errorf("delta bytes %d not below full bytes %d", deltaB, fullB)
+		t.Errorf("delta bytes %.0f not below full bytes %.0f", deltaB, fullB)
 	}
 }

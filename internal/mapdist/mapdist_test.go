@@ -18,8 +18,29 @@ import (
 	"eum/internal/mapping"
 	"eum/internal/mapwire"
 	"eum/internal/netmodel"
+	"eum/internal/telemetry"
 	"eum/internal/world"
 )
+
+// metric reads a counter or gauge as /metrics exposes it.
+func metric(t *testing.T, reg *telemetry.Registry, name string) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("/metrics %s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no %s", name)
+	return 0
+}
 
 var (
 	distOnce sync.Once
@@ -161,6 +182,8 @@ func TestPublisherDeltaForLaggingReplica(t *testing.T) {
 	prober := &shiftNet{base: netmodel.NewDefault(), shift: map[uint64]float64{}}
 	pubSys := mapping.NewSystem(w, p, prober, distCfg)
 	pub := NewPublisher(pubSys, p, PublisherConfig{})
+	reg := telemetry.NewRegistry()
+	pub.RegisterMetrics(reg)
 	srv := httptest.NewServer(pub)
 	defer srv.Close()
 
@@ -180,9 +203,9 @@ func TestPublisherDeltaForLaggingReplica(t *testing.T) {
 	if err := fetcher.FetchOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st := fetcher.Status(); st.FullImages != 1 || st.DeltaImages != 1 || pub.DeltaMisses() != 0 {
-		t.Fatalf("a replica 20 epochs behind got %d full / %d delta images, %d delta misses; want 1 / 1 / 0",
-			st.FullImages, st.DeltaImages, pub.DeltaMisses())
+	if st, misses := fetcher.Status(), metric(t, reg, "mapdist_publish_delta_miss_total"); st.FullImages != 1 || st.DeltaImages != 1 || misses != 0 {
+		t.Fatalf("a replica 20 epochs behind got %d full / %d delta images, %v delta misses; want 1 / 1 / 0",
+			st.FullImages, st.DeltaImages, misses)
 	}
 	// The replica's rows stamped after its old epoch are the ones the
 	// delta carried, and they are exactly the publisher's re-ranked rows.

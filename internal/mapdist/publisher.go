@@ -20,7 +20,6 @@ package mapdist
 import (
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"eum/internal/cdn"
@@ -46,9 +45,8 @@ type PublisherConfig struct{}
 // delta against whatever snapshot of its lineage a replica holds — on the
 // MapMaker node's admin plane.
 type Publisher struct {
-	sys *mapping.System
-	// codec is made on the first fetch: an unfetched node keeps no roster copy.
-	codec func() *mapwire.Codec
+	sys   *mapping.System
+	codec *mapwire.Codec
 
 	// cachedFull memoises the encoded full image of one snapshot, so a
 	// fleet of replicas bootstrapping against it encodes it once.
@@ -70,9 +68,10 @@ type encodedImage struct {
 }
 
 // NewPublisher builds a publisher over the system's snapshots, encoding
-// against the given platform once the first replica asks.
+// against the given platform. Its codec encodes the roster only once the
+// first replica asks (see mapwire.Codec).
 func NewPublisher(sys *mapping.System, platform *cdn.Platform, _ PublisherConfig) *Publisher {
-	return &Publisher{sys: sys, codec: sync.OnceValue(func() *mapwire.Codec { return mapwire.NewCodec(platform) })}
+	return &Publisher{sys: sys, codec: mapwire.NewCodec(platform)}
 }
 
 // Observe does nothing: the publisher reads the system's current snapshot
@@ -107,7 +106,7 @@ func (p *Publisher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if have.Epoch > 0 {
-		data, ok, err := p.codec().EncodeDeltaSince(have, cur)
+		data, ok, err := p.codec.EncodeDeltaSince(have, cur)
 		if err != nil {
 			p.encodeFailures.Add(1)
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -142,7 +141,7 @@ func (p *Publisher) fullImage(sn *mapping.Snapshot) ([]byte, error) {
 	if c := p.cachedFull.Load(); c != nil && c.base == base {
 		return c.data, nil
 	}
-	data, err := p.codec().EncodeFull(sn)
+	data, err := p.codec.EncodeFull(sn)
 	if err != nil {
 		return nil, err
 	}
@@ -155,16 +154,6 @@ func (p *Publisher) respond(w http.ResponseWriter, kind string, data []byte) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
-}
-
-// DeltaMisses returns how many requests wanted a delta but got a full
-// image (another lineage or layout, or a delta bigger than full).
-func (p *Publisher) DeltaMisses() uint64 { return p.deltaMisses.Load() }
-
-// BytesShipped returns the total image bytes served, split full vs delta
-// — the distribution plane's headline efficiency numbers.
-func (p *Publisher) BytesShipped() (full, delta uint64) {
-	return p.fullBytes.Load(), p.deltaBytes.Load()
 }
 
 // RegisterMetrics wires the publisher's counters into reg under the

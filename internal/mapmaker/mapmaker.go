@@ -19,7 +19,7 @@ package mapmaker
 
 import (
 	"context"
-	"fmt"
+	"log"
 	"sync/atomic"
 	"time"
 
@@ -46,8 +46,10 @@ type MapMaker struct {
 	// yet; a burst of notifications costs one rebuild.
 	pending atomic.Bool
 
-	published atomic.Uint64 // snapshots built and installed
-	buildNs   atomic.Int64  // duration of the last build, nanoseconds
+	// published counts the snapshots built and installed, the one the
+	// system was made with included.
+	published atomic.Uint64
+	buildNs   atomic.Int64 // duration of the last build, nanoseconds
 	// buildHist, when non-nil, records every successful build's duration.
 	// Set by RegisterMetrics before Run starts.
 	buildHist *telemetry.Histogram
@@ -55,8 +57,6 @@ type MapMaker struct {
 	// buildFailures counts builds that panicked; the Run loop survives
 	// them, keeps serving the last good snapshot, and retries later.
 	buildFailures atomic.Uint64
-	// lastFailure records the most recent failed build, nil if none yet.
-	lastFailure atomic.Pointer[BuildFailure]
 	// buildFault, when set, runs at the start of every build — a fault
 	// injection hook for chaos tests (a panicking hook simulates a build
 	// crash).
@@ -67,22 +67,16 @@ type MapMaker struct {
 	onPublish atomic.Pointer[func(*mapping.Snapshot)]
 }
 
-// BuildFailure describes one failed map build.
-type BuildFailure struct {
-	// Err is the recovered build error.
-	Err error
-	// At is when the build failed.
-	At time.Time
-}
-
 // New creates a MapMaker over a system. The system already serves its
-// initial snapshot (published by NewSystem); the MapMaker takes over from
-// there.
+// initial snapshot (published by NewSystem), which the MapMaker counts as
+// its first publish, and takes over from there.
 func New(sys *mapping.System, cfg Config) *MapMaker {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 10 * time.Second
 	}
-	return &MapMaker{sys: sys, interval: cfg.Interval}
+	m := &MapMaker{sys: sys, interval: cfg.Interval}
+	m.published.Store(1)
+	return m
 }
 
 // System returns the system whose maps this MapMaker publishes.
@@ -104,16 +98,15 @@ func (m *MapMaker) NotifyMeasurement(targetIDs ...uint64) {
 // re-ranking what the builder's dirty set names, and installed.
 //
 // A build that panics must never wedge the pipeline or tear down the last
-// good map: the panic is recovered and recorded, and the build is marked
+// good map: the panic is recovered and counted, and the build is marked
 // pending again so the next Sync or cadence tick retries it (a fault hook
 // panics before the builder claims the measurement marks, and a builder
 // that panics marks every table dirty). The data plane keeps serving the
 // current map, which the staleness watchdog degrades if failures persist.
 func (m *MapMaker) build() *mapping.Snapshot {
-	sn, err := m.tryBuild()
-	if err != nil {
+	sn, ok := m.tryBuild()
+	if !ok {
 		m.buildFailures.Add(1)
-		m.lastFailure.Store(&BuildFailure{Err: err, At: time.Now()})
 		m.pending.Store(true)
 		return m.sys.Current()
 	}
@@ -138,12 +131,12 @@ func (m *MapMaker) SetOnPublish(f func(*mapping.Snapshot)) {
 	m.onPublish.Store(&f)
 }
 
-// tryBuild performs the build, converting a panic anywhere in the pipeline
-// (fault hook, snapshot construction) into an error.
-func (m *MapMaker) tryBuild() (sn *mapping.Snapshot, err error) {
+// tryBuild performs the build, logging a panic anywhere in the pipeline
+// (fault hook, snapshot construction) and reporting it as a failed one.
+func (m *MapMaker) tryBuild() (sn *mapping.Snapshot, ok bool) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("mapmaker: build panicked: %v", p)
+			log.Printf("mapmaker: build failed, still serving epoch %d: %v", m.sys.Current().Epoch(), p)
 		}
 	}()
 	if f := m.buildFault.Load(); f != nil && *f != nil {
@@ -156,7 +149,7 @@ func (m *MapMaker) tryBuild() (sn *mapping.Snapshot, err error) {
 	if m.buildHist != nil {
 		m.buildHist.Observe(elapsed)
 	}
-	return sn, nil
+	return sn, true
 }
 
 // RegisterMetrics wires the MapMaker's publish/failure counters, snapshot
@@ -193,10 +186,6 @@ func (m *MapMaker) SetBuildFault(f func()) {
 
 // BuildFailures returns how many builds have panicked and been recovered.
 func (m *MapMaker) BuildFailures() uint64 { return m.buildFailures.Load() }
-
-// LastBuildFailure returns the most recent failed build, or nil if every
-// build so far succeeded.
-func (m *MapMaker) LastBuildFailure() *BuildFailure { return m.lastFailure.Load() }
 
 // Sync publishes a fresh snapshot if a measurement notification or a
 // failed build is pending, else returns the current one unchanged.
@@ -236,10 +225,6 @@ func (m *MapMaker) Run(ctx context.Context) {
 // Current returns the currently published snapshot.
 func (m *MapMaker) Current() *mapping.Snapshot { return m.sys.Current() }
 
-// Published returns how many snapshots this MapMaker has built.
+// Published returns how many snapshots this MapMaker has published, the
+// system's first included.
 func (m *MapMaker) Published() uint64 { return m.published.Load() }
-
-// LastBuildDuration returns how long the most recent snapshot build took.
-func (m *MapMaker) LastBuildDuration() time.Duration {
-	return time.Duration(m.buildNs.Load())
-}

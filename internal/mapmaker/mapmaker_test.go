@@ -2,6 +2,10 @@ package mapmaker
 
 import (
 	"context"
+	"log"
+	"os"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,6 +13,7 @@ import (
 	"eum/internal/cdn"
 	"eum/internal/mapping"
 	"eum/internal/netmodel"
+	"eum/internal/telemetry"
 	"eum/internal/world"
 )
 
@@ -16,6 +21,26 @@ var (
 	testW   = world.MustGenerate(world.Config{Seed: 7, NumBlocks: 600})
 	testNet = netmodel.NewDefault()
 )
+
+// metric reads a counter or gauge as /metrics exposes it.
+func metric(t *testing.T, reg *telemetry.Registry, name string) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("/metrics %s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no %s", name)
+	return 0
+}
 
 func newMapMaker(t testing.TB, cfg Config) *MapMaker {
 	t.Helper()
@@ -28,6 +53,8 @@ func newMapMaker(t testing.TB, cfg Config) *MapMaker {
 // epoch.
 func TestPublishEpochsMonotonic(t *testing.T) {
 	mm := newMapMaker(t, Config{})
+	reg := telemetry.NewRegistry()
+	mm.RegisterMetrics(reg)
 	last := mm.Current().Epoch()
 	for i := 0; i < 5; i++ {
 		sn := mm.Publish()
@@ -39,11 +66,12 @@ func TestPublishEpochsMonotonic(t *testing.T) {
 		}
 		last = sn.Epoch()
 	}
-	if mm.Published() != 5 {
-		t.Fatalf("Published = %d, want 5", mm.Published())
+	// NewSystem's first map, then five.
+	if mm.Published() != 6 {
+		t.Fatalf("Published = %d, want 6", mm.Published())
 	}
-	if mm.LastBuildDuration() <= 0 {
-		t.Fatal("LastBuildDuration not recorded")
+	if metric(t, reg, "mapmaker_last_build_seconds") <= 0 {
+		t.Fatal("mapmaker_last_build_seconds not recorded")
 	}
 }
 
@@ -63,8 +91,8 @@ func TestSyncCoalesces(t *testing.T) {
 	if again := mm.Sync(); again != sn {
 		t.Fatalf("clean Sync rebuilt: epoch %d -> %d", sn.Epoch(), again.Epoch())
 	}
-	if mm.Published() != 1 {
-		t.Fatalf("Published = %d, want 1", mm.Published())
+	if mm.Published() != 2 {
+		t.Fatalf("Published = %d, want 2 (the first map and one rebuild)", mm.Published())
 	}
 }
 
@@ -156,23 +184,29 @@ func TestRunPublishesOnCadence(t *testing.T) {
 	}()
 
 	deadline := time.Now().Add(2 * time.Second)
-	for mm.Published() < 3 && time.Now().Before(deadline) {
+	for mm.Published() < 4 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	cancel()
 	<-done
 
-	if mm.Published() < 3 {
-		t.Fatalf("Published = %d after cadence window, want >= 3", mm.Published())
+	if mm.Published() < 4 {
+		t.Fatalf("Published = %d after cadence window, want >= 4 (the first map and three ticks)", mm.Published())
 	}
 }
 
 // TestBuildFailureKeepsLastGood: a panicking build must not tear down the
 // published map or advance the publish counter — the data plane keeps
-// serving the last good snapshot and the failure is recorded.
+// serving the last good snapshot, and the failure is counted on /metrics
+// and logged with its cause.
 func TestBuildFailureKeepsLastGood(t *testing.T) {
 	mm := newMapMaker(t, Config{})
+	reg := telemetry.NewRegistry()
+	mm.RegisterMetrics(reg)
 	good := mm.Publish()
+	var logged strings.Builder
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
 
 	mm.SetBuildFault(func() { panic("pipeline crash") })
 	mm.NotifyMeasurement()
@@ -183,15 +217,20 @@ func TestBuildFailureKeepsLastGood(t *testing.T) {
 	if mm.Current() != good {
 		t.Fatal("current snapshot changed after a failed build")
 	}
-	if mm.Published() != 1 {
-		t.Fatalf("Published = %d, want 1 (failed builds must not count)", mm.Published())
+	if mm.Published() != 2 {
+		t.Fatalf("Published = %d, want 2 (failed builds must not count)", mm.Published())
 	}
 	if mm.BuildFailures() != 1 {
 		t.Fatalf("BuildFailures = %d, want 1", mm.BuildFailures())
 	}
-	f := mm.LastBuildFailure()
-	if f == nil || f.Err == nil {
-		t.Fatalf("LastBuildFailure = %+v, want recorded error", f)
+	if got := metric(t, reg, "mapmaker_build_failures_total"); got != 1 {
+		t.Fatalf("mapmaker_build_failures_total = %v, want the failure recorded", got)
+	}
+	if got := metric(t, reg, "mapmaker_published_total"); got != 2 {
+		t.Fatalf("mapmaker_published_total = %v, want 2", got)
+	}
+	if !strings.Contains(logged.String(), "pipeline crash") {
+		t.Fatalf("the failed build logged %q, want its cause", logged.String())
 	}
 }
 

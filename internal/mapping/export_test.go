@@ -1,6 +1,9 @@
 package mapping
 
-import "eum/internal/world"
+import (
+	"eum/internal/cdn"
+	"eum/internal/world"
+)
 
 // Set-up stages for BenchmarkSetupBudget, which lives in the external test
 // package so that it can reach mapwire.
@@ -21,7 +24,7 @@ func IndexTables(sb *SnapshotBuilder) []int32 {
 }
 
 // FillAll ranks every row of the builder's layout into an arena's columns.
-func FillAll(sb *SnapshotBuilder, lay *Layout, order []uint16, scores []float64) {
+func FillAll(sb *SnapshotBuilder, lay *Layout, order []uint16, scores []float32) {
 	sb.fillRows(lay, sb.segs, sb.tailSeg, upTo(lay.Rows()), order, scores)
 }
 
@@ -32,4 +35,32 @@ func BootSnapshot(sb *SnapshotBuilder) *Snapshot { return sb.bootSnapshot(EndUse
 func BuildIndex(w *world.World, assign []int32) *Index {
 	ix, _ := buildIndex(w, assign)
 	return ix
+}
+
+// LoadAwareWindow is how many live head entries the load-aware pick
+// weighs.
+const LoadAwareWindow = loadAwareWindow
+
+// SetLoadAwareProbe has f see every load-aware pick before its load lands,
+// until the returned func is called.
+func SetLoadAwareProbe(f func(lb *LoadBalancer, deps []*cdn.Deployment, candidates Row, demand float64, got *cdn.Deployment)) (undo func()) {
+	loadAwareProbe = f
+	return func() { loadAwareProbe = nil }
+}
+
+// FloatHeads ranks every table of the system's layout, in table order, as
+// a build does before it stores the head: float64 scores, best first.
+func FloatHeads(s *System) [][]Ranked {
+	b := s.builder
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	lay := b.layoutLocked()
+	scratch, pings := make([]Ranked, lay.TailLen), make([]float64, lay.TailLen)
+	heads := make([][]Ranked, lay.Tables())
+	for t := range heads {
+		b.scorer.scoreInto(scratch, pings, b.scorer.segProxy(b.segs[t]))
+		heads[t] = make([]Ranked, lay.TableLen)
+		bestInto(heads[t], scratch)
+	}
+	return heads
 }

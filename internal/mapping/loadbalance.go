@@ -48,7 +48,11 @@ func NewLoadBalancer() *LoadBalancer { return &LoadBalancer{} }
 // alone could not decide is counted in TailPicks.
 func (lb *LoadBalancer) PickDeployment(deps []*cdn.Deployment, candidates Row, demand float64) (*cdn.Deployment, error) {
 	if lb.BalanceFactor > 0 {
-		if d := lb.pickLoadAware(deps, candidates, demand); d != nil {
+		d := lb.pickLoadAware(deps, candidates, demand)
+		if loadAwareProbe != nil {
+			loadAwareProbe(lb, deps, candidates, demand, d)
+		}
+		if d != nil {
 			return d, nil
 		}
 	}
@@ -89,6 +93,10 @@ func (lb *LoadBalancer) TailPicks() uint64 { return lb.tailPicks.Load() }
 // mean distance more.
 const loadAwareWindow = 8
 
+// loadAwareProbe, nil outside tests, sees every load-aware pick before its
+// load lands: the candidates, the demand and the deployment chosen, or nil.
+var loadAwareProbe func(lb *LoadBalancer, deps []*cdn.Deployment, candidates Row, demand float64, got *cdn.Deployment)
+
 // pickLoadAware re-ranks the best few live candidates of the head by
 // load-penalised score and returns the best unsaturated one, or nil when
 // none qualifies (the caller falls back to the hard-spill path). It is the
@@ -110,7 +118,7 @@ func (lb *LoadBalancer) pickLoadAware(deps []*cdn.Deployment, candidates Row, de
 			continue
 		}
 		util := d.Load() / cap
-		eff := candidates.Scores[k] * (1 + lb.BalanceFactor*util*util)
+		eff := float64(candidates.Scores[k]) * (1 + lb.BalanceFactor*util*util)
 		if best == nil || eff < bestEff {
 			best, bestEff = d, eff
 		}

@@ -402,7 +402,7 @@ func TestLoadAwareSheddingBeforeSaturation(t *testing.T) {
 	d1 := testDeployment(20, 4) // best score
 	d2 := testDeployment(21, 4) // slightly worse score
 	deps := []*cdn.Deployment{d1, d2}
-	candidates := Row{Head: []uint16{0, 1}, Scores: []float64{10, 11}}
+	candidates := stored([]Ranked{{0, 10}, {1, 11}})
 
 	// Empty: best-scoring wins.
 	got, err := lb.PickDeployment(deps, candidates, 0.1)
@@ -483,7 +483,7 @@ func TestLoadAwareFallsBackWhenAllSaturated(t *testing.T) {
 	for _, s := range d1.Servers {
 		s.AddLoad(s.Capacity() * 2)
 	}
-	got, err := lb.PickDeployment([]*cdn.Deployment{d1}, Row{Head: []uint16{0}, Scores: []float64{3}}, 0.5)
+	got, err := lb.PickDeployment([]*cdn.Deployment{d1}, stored([]Ranked{{0, 3}}), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func TestPickDeploymentAllSaturatedLeastUtilised(t *testing.T) {
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var deps []*cdn.Deployment
-			var cands Row
+			var ranked []Ranked
 			for i, u := range tc.utils {
 				d := mk(uint64(ci*10+i), u)
 				if i == tc.dead {
@@ -537,8 +537,9 @@ func TestPickDeploymentAllSaturatedLeastUtilised(t *testing.T) {
 					d.SetCapacityFactor(0)
 				}
 				deps = append(deps, d)
-				cands.Head, cands.Scores = append(cands.Head, uint16(i)), append(cands.Scores, float64(1+i))
+				ranked = append(ranked, Ranked{uint32(i), float64(1 + i)})
 			}
+			cands := stored(ranked)
 			got, err := lb.PickDeployment(deps, cands, tc.demand)
 			if err != nil {
 				t.Fatal(err)

@@ -137,8 +137,8 @@ func (lay *Layout) ArenaLen() int { return lay.rowOffset(lay.Rows()) }
 
 // columns allocates the two columns of an arena of n rows, the first heads
 // of them heads (see arena).
-func (lay *Layout) columns(n, heads int) ([]uint16, []float64) {
-	return make([]uint16, heads*lay.TableLen+(n-heads)*lay.TailLen), make([]float64, heads*lay.TableLen)
+func (lay *Layout) columns(n, heads int) ([]uint16, []float32) {
+	return make([]uint16, heads*lay.TableLen+(n-heads)*lay.TailLen), make([]float32, heads*lay.TableLen)
 }
 
 // memoryBytes is the resident size of the layout's table→tail map; the

@@ -32,27 +32,23 @@ func TestPartitionIdentityEquivalence(t *testing.T) {
 
 	checkEndpoint := func(ep netmodel.Endpoint, row Row, what string) {
 		t.Helper()
-		got := headOf(row)
-		want := sc.Rank(ep)
-		if len(got) != sn.lay.TableLen {
-			t.Fatalf("%s %d: head of %d, want %d", what, ep.ID, len(got), sn.lay.TableLen)
+		got := row
+		if len(got.Head) != sn.lay.TableLen {
+			t.Fatalf("%s %d: head of %d, want %d", what, ep.ID, len(got.Head), sn.lay.TableLen)
 		}
-		want = want[:len(got)]
-		if len(got) != len(want) {
-			t.Fatalf("%s %d: %d ranked, want %d", what, ep.ID, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("%s %d rank %d: %s/%v, want %s/%v", what, ep.ID, j,
-					depOf(got[j].Dep).Name, got[j].Score, depOf(want[j].Dep).Name, want[j].Score)
+		want := stored(sc.Rank(ep)[:len(got.Head)])
+		for j := range got.Head {
+			if got.Head[j] != want.Head[j] || got.Scores[j] != want.Scores[j] {
+				t.Fatalf("%s %d rank %d: %s/%g, want %s/%g", what, ep.ID, j,
+					depOf(got.Head[j]).Name, got.Scores[j], depOf(want.Head[j]).Name, want.Scores[j])
 			}
 		}
 		// The first live entry of the row is the reference table's.
 		gotD := sn.FirstLive(row)
 		var wantD = gotD
-		for _, r := range want {
-			if depOf(r.Dep).Alive() {
-				wantD = depOf(r.Dep)
+		for _, d := range want.Head {
+			if depOf(d).Alive() {
+				wantD = depOf(d)
 				break
 			}
 		}
@@ -193,7 +189,7 @@ func TestSnapshotMemoryAccounting(t *testing.T) {
 	// chain — the index (12 bytes a v4 leaf, 20 a resolver), the table maps
 	// and the row headers — must be a few bytes per endpoint.
 	arena := uint64(sn.lay.ArenaLen())*uint64(unsafe.Sizeof(uint16(0))) +
-		uint64(sn.lay.Tables()*sn.lay.TableLen)*uint64(unsafe.Sizeof(float64(0)))
+		uint64(sn.lay.Tables()*sn.lay.TableLen)*uint64(unsafe.Sizeof(float32(0)))
 	perEndpoint := float64(sn.MemoryBytes()+sys.IndexBytes()-arena) / float64(sn.Endpoints())
 	if perEndpoint > 24 {
 		t.Fatalf("index cost %.1f bytes/endpoint, want a few", perEndpoint)

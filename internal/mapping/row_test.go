@@ -14,14 +14,17 @@ import (
 // snapshots hold entry by entry; the head's scores are Row.Scores.
 func flat(r Row) []uint16 { return append(slices.Clone(r.Head), r.Tail...) }
 
-// headOf returns a row's head as the ranking it was written from.
-func headOf(r Row) []Ranked {
-	out := make([]Ranked, len(r.Head))
-	for k, d := range r.Head {
-		out[k] = Ranked{uint32(d), r.Scores[k]}
-	}
-	return out
+// stored returns a ranking as a head stores it: its order and its scores
+// (see putRow).
+func stored(rs []Ranked) Row {
+	r := Row{Head: make([]uint16, len(rs)), Scores: make([]float32, len(rs))}
+	putRow(r.Head, r.Scores, rs)
+	return r
 }
+
+// sameHead reports whether two heads hold the same deployments with the
+// same scores.
+func sameHead(a, b Row) bool { return slices.Equal(a.Head, b.Head) && slices.Equal(a.Scores, b.Scores) }
 
 // order lists a ranking's deployment indexes, as a row stores them.
 func order(rs []Ranked) []uint16 {
@@ -97,7 +100,7 @@ func TestHeadIsPrefixOfFullRank(t *testing.T) {
 			for s, seg := range b.segs {
 				proxy := sc.segProxy(seg)
 				full[s] = fullRank(sc, proxy)
-				if head := headOf(Row{Head: sn.RowOrder(s), Scores: sn.HeadScores(s)}); !slices.Equal(head, full[s][:lay.TableLen]) {
+				if head := (Row{Head: sn.RowOrder(s), Scores: sn.HeadScores(s)}); !sameHead(head, stored(full[s][:lay.TableLen])) {
 					t.Fatalf("segment %d: head is not the first %d of its endpoint's ranking", s, lay.TableLen)
 				}
 				if n := lay.TableLen; n < nDeps && full[s][n-1].Score == full[s][n].Score && b.tailSeg[lay.SegTail[s]] != int32(s) {

@@ -63,7 +63,7 @@ func BenchmarkSetupBudget(b *testing.B) {
 	b.Run("rows", func(b *testing.B) {
 		sb := builder()
 		lay := mapping.LayoutOf(sb)
-		order, scores := make([]uint16, lay.ArenaLen()), make([]float64, lay.Tables()*lay.TableLen)
+		order, scores := make([]uint16, lay.ArenaLen()), make([]float32, lay.Tables()*lay.TableLen)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			mapping.FillAll(sb, lay, order, scores)

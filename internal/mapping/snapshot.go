@@ -86,11 +86,12 @@ type Snapshot struct {
 
 // arena holds rows back to back as two columns: order, the deployment
 // indexes of every row, best first, and scores, those of the heads among
-// them. Its rows are in ascending row order, so its heads come first, and a
-// head's scores start at the same offset in scores as its indexes in order.
+// them as float32 (see putRow). Its rows are in ascending row order, so its
+// heads come first, and a head's scores start at the same offset in scores
+// as its indexes in order.
 type arena struct {
 	order  []uint16
-	scores []float64
+	scores []float32
 }
 
 // rowAt locates a row: the arena in the chain it lies in, and the offset of
@@ -100,14 +101,14 @@ type rowAt struct{ arena, off uint32 }
 // Row is a candidate list in its two stored levels, as ClientRow,
 // ResolverRow and CANSCandidates return it for what a query carries: Head,
 // the best few deployments of its table's own ranking, with Scores[k]
-// Head[k]'s score (ping milliseconds), and Tail, a ranking of every
-// deployment that the table's whole region shares, which keeps the
-// order alone. Deployments are indexes into the platform's Deployments
-// list. Candidates are tried head first, then tail (see lists). The slices
-// are immutable; callers must not modify them.
+// Head[k]'s score (ping milliseconds, rounded to float32), and Tail, a
+// ranking of every deployment that the table's whole region shares, which
+// keeps the order alone. Deployments are indexes into the platform's
+// Deployments list. Candidates are tried head first, then tail (see
+// lists). The slices are immutable; callers must not modify them.
 type Row struct {
 	Head   []uint16
-	Scores []float64
+	Scores []float32
 	Tail   []uint16
 }
 
@@ -201,7 +202,7 @@ func (sn *Snapshot) MemoryBytes() uint64 {
 		uint64(cap(sn.rowEpoch))*uint64(unsafe.Sizeof(uint64(0)))
 	for _, a := range sn.arenas {
 		n += uint64(cap(a.order))*uint64(unsafe.Sizeof(uint16(0))) +
-			uint64(cap(a.scores))*uint64(unsafe.Sizeof(float64(0)))
+			uint64(cap(a.scores))*uint64(unsafe.Sizeof(float32(0)))
 	}
 	return n
 }
@@ -472,7 +473,7 @@ func (b *SnapshotBuilder) universe() []netmodel.Endpoint {
 // head selected. Any other head — nearly all of them — measures only the
 // deployments that could enter it (headInto), with the same bits. A row is
 // ranked in float64 Ranked entries, and written out once it is whole.
-func (b *SnapshotBuilder) fillRows(lay *Layout, segs []segment, tailSeg, rows []int32, order []uint16, scores []float64) {
+func (b *SnapshotBuilder) fillRows(lay *Layout, segs []segment, tailSeg, rows []int32, order []uint16, scores []float32) {
 	nSegs := lay.Tables()
 	offs := make([]int, len(rows)+1)
 	tailAt := map[int32]int{} // segment → where in rows the tail it ranks lies
@@ -512,13 +513,15 @@ func (b *SnapshotBuilder) fillRows(lay *Layout, segs []segment, tailSeg, rows []
 }
 
 // putRow writes a ranking out as columns: every deployment index into order
-// and, for a head, every score into scores.
-func putRow(order []uint16, scores []float64, ranked []Ranked) {
+// and, for a head, every score into scores. The builder ranks in float64;
+// a head keeps each score as the nearest float32, which the load-aware
+// pick, the one reader of a score, needs no closer.
+func putRow(order []uint16, scores []float32, ranked []Ranked) {
 	for k, r := range ranked {
 		order[k] = uint16(r.Dep)
 	}
 	for k := range scores {
-		scores[k] = ranked[k].Score
+		scores[k] = float32(ranked[k].Score)
 	}
 }
 
@@ -677,8 +680,8 @@ func (b *SnapshotBuilder) buildCANS(sn *Snapshot) map[int32]Row {
 			return Row{}
 		}
 		ns := sn.row(sn.lay.Index.ResolverTable[i])
-		out := Row{Head: make([]uint16, 1, len(ns.Head)+1), Scores: make([]float64, 1, len(ns.Head)+1)}
-		out.Head[0], out.Scores[0] = uint16(win), score
+		out := Row{Head: make([]uint16, 1, len(ns.Head)+1), Scores: make([]float32, 1, len(ns.Head)+1)}
+		out.Head[0], out.Scores[0] = uint16(win), float32(score)
 		for k, d := range ns.Head {
 			if d != uint16(win) {
 				out.Head, out.Scores = append(out.Head, d), append(out.Scores, ns.Scores[k])

@@ -71,15 +71,15 @@ func TestSnapshotMatchesScorer(t *testing.T) {
 
 	for i := 0; i < len(testW.Blocks); i += 257 {
 		b := testW.Blocks[i]
-		got := headOf(blockRow(sn, b))
-		want := sc.Rank(b.Endpoint())[:sn.lay.TableLen]
-		if len(got) != len(want) {
-			t.Fatalf("block %v: %d ranked, want %d", b.Prefix, len(got), len(want))
+		got := blockRow(sn, b)
+		want := stored(sc.Rank(b.Endpoint())[:sn.lay.TableLen])
+		if len(got.Head) != len(want.Head) {
+			t.Fatalf("block %v: %d ranked, want %d", b.Prefix, len(got.Head), len(want.Head))
 		}
-		for j := range got {
-			if got[j] != want[j] {
+		for j := range got.Head {
+			if got.Head[j] != want.Head[j] || got.Scores[j] != want.Scores[j] {
 				t.Fatalf("block %v rank %d: %s/%g, want %s/%g", b.Prefix, j,
-					depOf(got[j].Dep).Name, got[j].Score, depOf(want[j].Dep).Name, want[j].Score)
+					depOf(got.Head[j]).Name, got.Scores[j], depOf(want.Head[j]).Name, want.Scores[j])
 			}
 		}
 	}

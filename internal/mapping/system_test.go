@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"fmt"
 	"net/netip"
 	"slices"
 	"sync"
@@ -395,20 +396,34 @@ var smallLab = sync.OnceValue(func() lab {
 
 // BenchmarkMappingMap times the map's answer as the server asks for it:
 // MapInto against the installed snapshot, the servers picked into a
-// scratch array on the stack.
+// scratch array on the stack. At beta=0 the pick walks the order alone; at
+// beta=2 it weighs the first live head entries by their stored scores and
+// load, with every deployment half loaded.
 func BenchmarkMappingMap(b *testing.B) {
 	l := smallLab()
-	sys := NewSystem(l.World, l.Platform, l.Net, Config{
-		Policy: EndUser, PingTargets: 800,
-	})
-	blk := l.World.Blocks[0]
-	req := Request{Domain: "bench.net", LDNS: blk.LDNS.Addr, ClientSubnet: blk.Prefix}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var scratch [ServersPerAnswer]*cdn.Server
-		if _, err := sys.MapInto(nil, req, scratch[:0]); err != nil {
-			b.Fatal(err)
-		}
+	for _, beta := range []float64{0, 2} {
+		b.Run(fmt.Sprintf("beta=%g", beta), func(b *testing.B) {
+			sys := NewSystem(l.World, l.Platform, l.Net, Config{
+				Policy: EndUser, PingTargets: 800, BalanceFactor: beta,
+			})
+			if beta > 0 {
+				for _, d := range l.Platform.Deployments {
+					for _, s := range d.Servers {
+						s.AddLoad(s.Capacity() / 2)
+					}
+				}
+				defer l.Platform.ResetLoad()
+			}
+			blk := l.World.Blocks[0]
+			req := Request{Domain: "bench.net", LDNS: blk.LDNS.Addr, ClientSubnet: blk.Prefix}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var scratch [ServersPerAnswer]*cdn.Server
+				if _, err := sys.MapInto(nil, req, scratch[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

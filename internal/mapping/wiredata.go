@@ -25,7 +25,7 @@ func (sn *Snapshot) RowOrder(i int) []uint16 {
 
 // HeadScores returns the scores of head i (i < Tables()), one per entry of
 // RowOrder(i). The slice is immutable; callers must not modify it.
-func (sn *Snapshot) HeadScores(i int) []float64 {
+func (sn *Snapshot) HeadScores(i int) []float32 {
 	at, n := sn.rows[i], uint32(sn.lay.TableLen)
 	return sn.arenas[at.arena].scores[at.off : at.off+n : at.off+n]
 }
@@ -117,7 +117,7 @@ func (lay *Layout) fingerprint() uint64 {
 // that every tail ranks every deployment — NewSnapshot trusts its input and
 // keeps the columns as given.
 func NewSnapshot(lineage, epoch uint64, policy Policy, ttl time.Duration, lay *Layout,
-	p *cdn.Platform, order []uint16, scores []float64, cans map[int32]Row) *Snapshot {
+	p *cdn.Platform, order []uint16, scores []float32, cans map[int32]Row) *Snapshot {
 
 	sn := &Snapshot{
 		epoch: epoch, lineage: lineage, policy: policy, ttl: ttl, lay: lay, deps: p.Deployments,
@@ -146,7 +146,7 @@ func NewSnapshot(lineage, epoch uint64, policy Policy, ttl time.Duration, lay *L
 // (the builder recomputes them, the encoder refuses deltas for CANS
 // snapshots).
 func (sn *Snapshot) WithDeltaRows(epoch uint64, policy Policy,
-	ttl time.Duration, rows []int32, order []uint16, scores []float64) *Snapshot {
+	ttl time.Duration, rows []int32, order []uint16, scores []float32) *Snapshot {
 
 	out := *sn
 	out.epoch, out.policy, out.ttl, out.cans = epoch, policy, ttl, nil

@@ -13,18 +13,18 @@
 // (DecodeBoot) with no world at hand. A delta image carries only the rows
 // re-ranked since a base epoch. What a table was ranked from stays with
 // the builder that ranked it. A row has one representation: its columns,
-// u16 deployment indexes and, for a head, float64 scores, are written
+// u16 deployment indexes and, for a head, float32 scores, are written
 // from, and read into, the memory they are served from, as bulk copies,
 // and the checksum runs over those same bytes. A decoded snapshot
 // therefore answers bitwise-identically to the original, on a platform
 // whose fingerprint — carried in the header, and recomputed from the
 // roster — matches.
 //
-// Layout, version 8 (all integers little-endian):
+// Layout, version 9 (all integers little-endian):
 //
 //	offset  size  field
 //	     0     4  magic "EUMw"
-//	     4     2  format version (8)
+//	     4     2  format version (9)
 //	     6     1  kind (0 full, 1 delta)
 //	     7     1  policy
 //	     8     8  epoch
@@ -53,8 +53,8 @@
 //	T × i32                table → tail
 //	u32 N tails, u32 tail length (= deployments)
 //	(T × L + N × D) × u16   the order column: every row's deployment indexes, heads in table order, then tails
-//	T × L × u64             the score column: every head's scores, in table order
-//	u32 C, then C × (u32 resolver, u32 n, n × u16, n × u64)   CANS candidate heads, ascending resolver
+//	T × L × u32             the score column: every head's scores, in table order
+//	u32 C, then C × (u32 resolver, u32 n, n × u16, n × u32)   CANS candidate heads, ascending resolver
 //
 // Addresses travel as their 16 network-order bytes, IPv4 as IPv4-mapped.
 // Every table a leaf, a resolver or a fallback names is one of the T, and
@@ -74,7 +74,7 @@
 //	the score column of the heads among them, in that order
 //
 // A row is best first. An order entry is a u16 deployment index, into the
-// roster's deployment list, and a score the IEEE-754 bits of a float64
+// roster's deployment list, and a score the IEEE-754 bits of a float32
 // (ping milliseconds). Only heads keep scores: the load-aware pick reads
 // them, and past the head a pick needs the order alone. Every tail ranks
 // every deployment exactly once; the decoder refuses one that does not,
@@ -91,6 +91,7 @@ import (
 	"math"
 	"net/netip"
 	"slices"
+	"sync"
 	"time"
 
 	"eum/internal/cdn"
@@ -98,7 +99,7 @@ import (
 )
 
 // Version is the wire format version this package encodes and decodes.
-const Version = 8
+const Version = 9
 
 // Image kinds.
 const (
@@ -113,7 +114,7 @@ const (
 	// orderSize is one order entry, a deployment index, and scoreSize one
 	// head score's bits.
 	orderSize = 2
-	scoreSize = 8
+	scoreSize = 4
 	// serverSize is one roster server: ID, address, capacity bits; and
 	// rosterMin the fewest bytes a roster deployment takes.
 	serverSize = 8 + 16 + 8
@@ -166,15 +167,19 @@ type Codec struct {
 	platform *cdn.Platform
 	fp       uint64
 	// roster is the platform's roster as every full image carries it: the
-	// encoder copies it, and the decoder holds an image's to it.
-	roster []byte
+	// encoder copies it, and the decoder holds an image's to it. It is
+	// encoded on first use, so a replica that has decoded only its boot
+	// image, or a node no replica has fetched from, holds no copy.
+	roster func() []byte
 }
 
 // NewCodec builds a codec for the given platform.
 func NewCodec(p *cdn.Platform) *Codec {
-	w := newWriter(rosterSize(p))
-	w.roster(p)
-	return &Codec{platform: p, fp: PlatformFingerprint(p), roster: w.b}
+	return &Codec{platform: p, fp: PlatformFingerprint(p), roster: sync.OnceValue(func() []byte {
+		w := newWriter(rosterSize(p))
+		w.roster(p)
+		return w.b
+	})}
 }
 
 // Platform returns the platform the codec encodes and decodes against.
@@ -254,8 +259,9 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 	}
 	slices.Sort(slots) // the canonical wire order that makes encoding deterministic
 
+	roster := c.roster()
 	size := headerSize +
-		len(c.roster) +
+		len(roster) +
 		4 + 12*len(ix.V4.Keys) + 4 + 16*len(ix.V6.Keys) + 4 + 20*len(ix.Resolvers) +
 		4 + 4 + // fallback tables
 		4*len(lay.SegTail) +
@@ -268,7 +274,7 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 
 	w := newWriter(size)
 	c.putHeader(w, sn, KindFull, 0)
-	w.raw(c.roster)
+	w.raw(roster)
 	w.u32(uint32(len(ix.V4.Keys)))
 	for i, k := range ix.V4.Keys {
 		w.u32(k)
@@ -411,7 +417,7 @@ func (c *Codec) DecodeFrom(src io.Reader, size int64, prev *mapping.Snapshot) (*
 		sn, err := c.decodeDelta(h, r, prev)
 		return sn, h, err
 	}
-	if !r.expect(c.roster) {
+	if !r.expect(c.roster()) {
 		if r.err != nil {
 			return nil, h, r.err
 		}
@@ -632,7 +638,7 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 		return nil, fmt.Errorf("%w: %d row entries, more than a snapshot addresses", ErrFormat, lay.ArenaLen())
 	}
 	order := readOrder(r, uint64(lay.ArenaLen()), nDeps)
-	scores := readColumn[float64](r, uint64(tables*lay.TableLen))
+	scores := readColumn[float32](r, uint64(tables*lay.TableLen))
 	var cansMap map[int32]mapping.Row
 	nCANS := r.sliceLen(8)
 	if nCANS > 0 {
@@ -645,7 +651,7 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 		}
 		last = slot
 		n := uint64(r.sliceLen(orderSize + scoreSize))
-		cansMap[slot] = mapping.Row{Head: readOrder(r, n, nDeps), Scores: readColumn[float64](r, n)}
+		cansMap[slot] = mapping.Row{Head: readOrder(r, n, nDeps), Scores: readColumn[float32](r, n)}
 	}
 	if err := r.finish(); err != nil {
 		return nil, err
@@ -704,7 +710,7 @@ func (c *Codec) decodeDelta(h Header, r *reader, prev *mapping.Snapshot) (*mappi
 		}
 	}
 	order := readOrder(r, entries, nDeps)
-	scores := readColumn[float64](r, uint64(heads*lay.TableLen))
+	scores := readColumn[float32](r, uint64(heads*lay.TableLen))
 	if err := r.finish(); err != nil {
 		return nil, err
 	}

@@ -491,6 +491,7 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"head names a deployment the platform lacks", put16(full, firstHead, uint16(nDeps)), nil, ErrFormat},
 		{"score column truncated", cut(full, scoreColumn+tables*lay.TableLen*scoreSize/2), nil, ErrFormat},
 		{"head longer than this build keeps", put(full, 64, uint32(lay.TableLen+1)), nil, ErrFormat},
+		{"format version 8, which carried float64 head scores", put(full, 4, 8|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 7, which carried the partition→table map", put(full, 4, 7|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 6", put(full, 4, 6|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 5", put(full, 4, 5|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
@@ -539,7 +540,7 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 
 // TestColumnsRoundTripSwapped runs the big-endian path on this host: with
 // wireOrder's swap forced, an image carries every order entry with its two
-// bytes swapped and every score with its eight reversed, and nothing else
+// bytes swapped and every score with its four reversed, and nothing else
 // moves; decoded with the swap still forced, it gives back both columns.
 func TestColumnsRoundTripSwapped(t *testing.T) {
 	w, p := fixture()

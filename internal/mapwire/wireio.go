@@ -65,7 +65,7 @@ func (w *writer) roster(p *cdn.Platform) {
 
 // putColumn appends a row column — deployment indexes or scores — as one
 // copy of its memory, in wire order.
-func putColumn[E uint16 | float64](w *writer, col []E) {
+func putColumn[E uint16 | float32](w *writer, col []E) {
 	b, width := columnBytes(col)
 	start := len(w.b)
 	w.b = append(w.b, b...)
@@ -81,7 +81,7 @@ var hostBigEndian = func() bool {
 
 // columnBytes views a column's memory as bytes, without copying, and
 // returns the width of its words.
-func columnBytes[E uint16 | float64](col []E) ([]byte, int) {
+func columnBytes[E uint16 | float32](col []E) ([]byte, int) {
 	var e E
 	width := int(unsafe.Sizeof(e))
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(col))), len(col)*width), width
@@ -225,7 +225,7 @@ func (r *reader) i32s(n int) []int32 {
 
 // readColumn reads a row column of n words straight into the memory it
 // will be served from.
-func readColumn[E uint16 | float64](r *reader, n uint64) []E {
+func readColumn[E uint16 | float32](r *reader, n uint64) []E {
 	var e E
 	if n == 0 || !r.fits(n, int(unsafe.Sizeof(e))) {
 		return nil

@@ -93,37 +93,3 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	return s
 }
-
-// Quantile estimates the q-quantile (0 <= q <= 1) of the observed
-// distribution from the bucket counts, returning the upper bound of the
-// bucket containing the quantile — an estimate within one power of two of
-// the true value. Returns 0 when the histogram is empty.
-func (s HistogramSnapshot) Quantile(q float64) time.Duration {
-	var total uint64
-	for _, c := range s.Buckets {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var seen uint64
-	for i, c := range s.Buckets {
-		seen += c
-		if seen > rank {
-			return time.Duration(BucketBound(i))
-		}
-	}
-	return time.Duration(BucketBound(histBuckets - 1))
-}
-
-// Mean returns the average observed duration, 0 when empty.
-func (s HistogramSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.SumNanos / int64(s.Count))
-}

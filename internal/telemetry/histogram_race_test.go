@@ -1,9 +1,9 @@
 package telemetry
 
 import (
+	"io"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestHistogramRaceHammer drives concurrent observers against concurrent
@@ -57,7 +57,10 @@ func TestHistogramRaceHammer(t *testing.T) {
 					t.Errorf("bucket total %d undercounts Count %d", total, s.Count)
 					return
 				}
-				_ = s.Quantile(0.99)
+				if err := writePrometheusHistogram(io.Discard, "hammer", s); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}
@@ -77,7 +80,10 @@ func TestHistogramRaceHammer(t *testing.T) {
 	if total != s.Count {
 		t.Fatalf("final bucket total %d != count %d", total, s.Count)
 	}
-	if s.Quantile(1.0) > time.Duration(BucketBound(22)) {
-		t.Fatalf("quantile(1.0) = %v beyond max observed bucket", s.Quantile(1.0))
+	// Every observation is below 2^22 ns, so nothing lies past bucket 22.
+	for i := 23; i < histBuckets; i++ {
+		if s.Buckets[i] != 0 {
+			t.Fatalf("bucket %d holds %d observations, beyond the largest observed", i, s.Buckets[i])
+		}
 	}
 }

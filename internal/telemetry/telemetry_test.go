@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -75,27 +76,86 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantile reads a latency histogram's quantiles and mean the
+// way a scraper does, off /metrics: a quantile is the upper bound of the
+// first bucket whose cumulative count passes that share of the count, the
+// mean is _sum over _count.
 func TestHistogramQuantile(t *testing.T) {
-	var h Histogram
+	r := NewRegistry()
+	h := r.Histogram("lat", "latency")
+	r.Histogram("idle", "never observed")
 	for i := 0; i < 90; i++ {
 		h.Observe(100 * time.Microsecond) // bucket bound 131072ns
 	}
 	for i := 0; i < 10; i++ {
 		h.Observe(50 * time.Millisecond)
 	}
-	s := h.Snapshot()
-	if p50 := s.Quantile(0.5); p50 > 200*time.Microsecond {
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.String()
+	if p50 := exposedQuantile(t, body, "lat", 0.5); p50 > 200*time.Microsecond {
 		t.Errorf("p50 = %v, want <= ~131µs", p50)
 	}
-	if p99 := s.Quantile(0.99); p99 < 10*time.Millisecond {
+	if p99 := exposedQuantile(t, body, "lat", 0.99); p99 < 10*time.Millisecond {
 		t.Errorf("p99 = %v, want >= 10ms", p99)
 	}
-	if m := s.Mean(); m < 4*time.Millisecond || m > 7*time.Millisecond {
+	sum, count := exposedValue(t, body, "lat_sum"), exposedValue(t, body, "lat_count")
+	if m := time.Duration(sum / count * 1e9); m < 4*time.Millisecond || m > 7*time.Millisecond {
 		t.Errorf("mean = %v, want ~5ms", m)
 	}
-	if (HistogramSnapshot{}).Quantile(0.5) != 0 {
+	if exposedQuantile(t, body, "idle", 0.5) != 0 || exposedValue(t, body, "idle_count") != 0 {
 		t.Error("empty histogram quantile should be 0")
 	}
+}
+
+// exposedQuantile estimates the q-quantile of histogram name from its
+// Prometheus exposition: the le bound of the first cumulative bucket
+// holding more than q of the count, 0 when the count is 0.
+func exposedQuantile(t *testing.T, body, name string, q float64) time.Duration {
+	t.Helper()
+	total := exposedValue(t, body, name+"_count")
+	if total == 0 {
+		return 0
+	}
+	rank := min(math.Floor(q*total), total-1)
+	for _, line := range strings.Split(body, "\n") {
+		rest, ok := strings.CutPrefix(line, name+`_bucket{le="`)
+		if !ok {
+			continue
+		}
+		le, cum, _ := strings.Cut(rest, `"} `)
+		n, err := strconv.ParseFloat(cum, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		if n > rank {
+			bound, err := strconv.ParseFloat(le, 64)
+			if err != nil { // +Inf
+				return time.Duration(math.MaxInt64)
+			}
+			return time.Duration(bound * 1e9)
+		}
+	}
+	t.Fatalf("histogram %s has no bucket past rank %v", name, rank)
+	return 0
+}
+
+// exposedValue reads one sample line of the exposition.
+func exposedValue(t *testing.T, body, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("the exposition has no %s", name)
+	return 0
 }
 
 func TestPrometheusExposition(t *testing.T) {
