@@ -205,7 +205,8 @@ func TestFullBuildMeasuresFewPairs(t *testing.T) {
 // eight bytes zeroed. Scores are compared and sorted as float64 and
 // shipped as the raw bits of their nearest float32, so a score that moves
 // in its last place can reorder a tie or move a stored score and changes
-// the checksum; a change that means to move it says so and re-pins it.
+// the checksum; a change that means to move it says so and re-pins it, as
+// wire format v10 did when each leaf's span replaced its rank.
 // coldWideOrderCRC is the CRC-32C of the order column alone — every row's
 // deployment indexes as u16 little-endian, in row order — which is the
 // value wire format v8 gave, when heads kept float64 scores: no rank moved
@@ -222,8 +223,8 @@ func TestFullBuildMeasuresFewPairs(t *testing.T) {
 // mapped each to its table: no client reads another row since the index
 // names tables itself.
 const (
-	coldWideImageCRC  = 0x9b7a1ebf
-	coldWideImageSize = 2230728
+	coldWideImageCRC  = 0x7fbb4860
+	coldWideImageSize = 2030724
 	coldWideOrderCRC  = 0x2d21021b
 	coldWideScoreCRC  = 0xadd71ca4
 	coldWideIndexCRC  = 0xf9cc0443

@@ -1,7 +1,10 @@
 package cdn
 
 import (
+	"bytes"
 	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -172,19 +175,31 @@ func TestRegisterLoadMetrics(t *testing.T) {
 
 	d := p.Deployments[0]
 	d.Servers[0].AddLoad(d.Capacity()) // utilisation 1 on one deployment
-	snap := reg.Snapshot()
-	if got := snap.Gauges["cdn_utilisation_max"]; got != 1 {
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// gauge reads one gauge off the exposition.
+	gauge := func(name string) (float64, bool) {
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				return f, err == nil
+			}
+		}
+		return 0, false
+	}
+	if got, _ := gauge("cdn_utilisation_max"); got != 1 {
 		t.Errorf("cdn_utilisation_max = %v, want 1", got)
 	}
 	name := "cdn_deployment_utilisation_" + metricName(d.Name)
-	if got, ok := snap.Gauges[name]; !ok || got != 1 {
+	if got, ok := gauge(name); !ok || got != 1 {
 		t.Errorf("%s = %v (present=%v), want 1", name, got, ok)
 	}
-	if got := snap.Gauges["cdn_load_total"]; got != d.Load() {
+	if got, _ := gauge("cdn_load_total"); got != d.Load() {
 		t.Errorf("cdn_load_total = %v, want %v", got, d.Load())
 	}
-	mean := snap.Gauges["cdn_utilisation_mean"]
-	if mean <= 0 || mean >= 1 {
+	if mean, _ := gauge("cdn_utilisation_mean"); mean <= 0 || mean >= 1 {
 		t.Errorf("cdn_utilisation_mean = %v, want in (0,1)", mean)
 	}
 }

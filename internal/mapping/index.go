@@ -2,8 +2,10 @@ package mapping
 
 import (
 	"cmp"
+	"math/bits"
 	"net/netip"
 	"slices"
+	"unsafe"
 
 	"eum/internal/world"
 )
@@ -13,10 +15,10 @@ import (
 // addresses, each with its table. It is the only per-block state a name
 // server holds, so it travels in every full image and a replica answers
 // from it without knowing the world the publisher built it from. Arrays
-// are sorted and flat — a few bytes per block resident, allocation-free
-// binary search on the hot path. The fields are exported because
-// internal/mapwire writes and reads them one for one; nothing may modify an
-// index once a layout refers to it.
+// are sorted and flat — a v4 leaf takes 8 bytes resident, a v6 leaf 12 —
+// and searched without allocating on the hot path. The fields are exported
+// because internal/mapwire writes and reads them one for one; nothing may
+// modify an index once a layout refers to it.
 type Index struct {
 	V4 Leaves[uint32] // keys: the /24 network, the address's top 24 bits
 	V6 Leaves[uint64] // keys: the /48 network, the address's top 48 bits
@@ -29,16 +31,27 @@ type Index struct {
 	ResolverTable []int32
 }
 
-// Leaves is one address family's client leaves: Keys strictly ascending,
-// Table the table of each, and Rank each leaf's place among the
-// family's leaves in (block demand descending, key ascending) order — a
-// permutation of 0..len-1. A query coarser than a leaf resolves to the
-// lowest rank inside it: the highest-demand block, ties to the lowest key.
+// Leaves is one address family's client leaves and the table of each.
+// Keys[i] packs a leaf's network above its span: key<<8 | span, strictly
+// ascending by key. Leaves rank by block demand, highest first, ties to the
+// lower key, and a leaf's span is the widest s (up to the family's 24 or 48
+// bits) at which it ranks first among the leaves sharing its key above the
+// low s bits. So every non-empty aligned group of 2^s keys holds exactly
+// one leaf of span ≥ s, its highest-demand block, and a query coarser than
+// a leaf resolves to that one.
 type Leaves[K uint32 | uint64] struct {
 	Keys  []K
 	Table []int32
-	Rank  []uint32
 }
+
+// spanBits is how many low bits of a Leaves key hold the leaf's span.
+const spanBits = 8
+
+// Key returns leaf i's network.
+func (l *Leaves[K]) Key(i int) K { return l.Keys[i] >> spanBits }
+
+// Span returns leaf i's span.
+func (l *Leaves[K]) Span(i int) int { return int(l.Keys[i] & (1<<spanBits - 1)) }
 
 // addr128 splits an address's 16-byte form into two uint64 halves.
 func addr128(a netip.Addr) [2]uint64 {
@@ -90,29 +103,37 @@ type leaf[K uint32 | uint64] struct {
 	demand float64
 }
 
-// newLeaves lays out one family's leaves in key order and ranks them.
-func newLeaves[K uint32 | uint64](ls []leaf[K]) Leaves[K] {
+// newLeaves lays out one family's leaves, whose keys are width bits wide,
+// in key order and stamps each with its span. A leaf ranks first in every
+// group that holds no better leaf, so its span stops one bit short of the
+// longest prefix it shares with a better leaf; in key order the nearest
+// better leaves on either side share the longest ones. One pass with a
+// stack of the leaves no later leaf has beaten yet finds both.
+func newLeaves[K uint32 | uint64](ls []leaf[K], width int) Leaves[K] {
 	slices.SortFunc(ls, func(a, b leaf[K]) int { return cmp.Compare(a.key, b.key) })
-	out := Leaves[K]{Keys: make([]K, len(ls)), Table: make([]int32, len(ls)), Rank: make([]uint32, len(ls))}
-	type byDemand struct {
-		demand float64
-		pos    uint32 // ascends with the key, so it breaks demand ties
-	}
-	order := make([]byDemand, len(ls))
-	for i, l := range ls {
-		out.Keys[i], out.Table[i], order[i] = l.key, l.table, byDemand{l.demand, uint32(i)}
-	}
-	slices.SortFunc(order, func(a, b byDemand) int {
-		switch {
-		case a.demand > b.demand:
-			return -1
-		case a.demand < b.demand:
-			return 1
+	// better reports whether leaf i ranks before leaf j: more demand, or
+	// as much and a lower key.
+	better := func(i, j int) bool { return ls[i].demand > ls[j].demand || ls[i].demand == ls[j].demand && i < j }
+	// split is the widest span at which leaves i and j still fall in
+	// different groups.
+	split := func(i, j int) int { return bits.Len64(uint64(ls[i].key^ls[j].key)) - 1 }
+	span := make([]int, len(ls))
+	var stack []int
+	for i := range ls {
+		span[i] = width
+		for len(stack) > 0 && better(i, stack[len(stack)-1]) {
+			j := stack[len(stack)-1]
+			span[j] = min(span[j], split(i, j))
+			stack = stack[:len(stack)-1]
 		}
-		return int(a.pos) - int(b.pos)
-	})
-	for r, o := range order {
-		out.Rank[o.pos] = uint32(r)
+		if len(stack) > 0 {
+			span[i] = split(i, stack[len(stack)-1])
+		}
+		stack = append(stack, i)
+	}
+	out := Leaves[K]{Keys: make([]K, len(ls)), Table: make([]int32, len(ls))}
+	for i, l := range ls {
+		out.Keys[i], out.Table[i] = l.key<<spanBits|K(span[i]), l.table
 	}
 	return out
 }
@@ -145,8 +166,8 @@ func buildIndex(w *world.World, assign []int32) (*Index, []*world.LDNS) {
 	slices.SortStableFunc(rs, func(a, b resolver) int { return compare128(a.addr, b.addr) })
 	rs = slices.CompactFunc(rs, func(a, b resolver) bool { return a.addr == b.addr })
 	ix := &Index{
-		V4:            newLeaves(v4),
-		V6:            newLeaves(v6),
+		V4:            newLeaves(v4, v4UnitBits),
+		V6:            newLeaves(v6, v6UnitBits),
 		Resolvers:     make([][2]uint64, len(rs)),
 		ResolverTable: make([]int32, len(rs)),
 	}
@@ -168,22 +189,18 @@ func (ix *Index) client(p netip.Prefix) (int32, bool) {
 	return ix.V6.best(addr128(p.Addr())[0]>>(64-v6UnitBits), v6UnitBits-p.Bits())
 }
 
-// best scans the sorted keys sharing key's bits above the lowest span
-// (none when span <= 0: the one leaf equal to key) and returns the table
-// of the lowest-ranked among them.
+// best returns the table of the leaf that spans the group of keys sharing
+// key's bits above the lowest span (none when span <= 0: the one leaf
+// equal to key), found by scanning the group from its lowest key.
 func (l *Leaves[K]) best(key K, span int) (int32, bool) {
 	span = max(span, 0)
-	best := -1
-	i, _ := slices.BinarySearch(l.Keys, key>>span<<span)
-	for ; i < len(l.Keys) && l.Keys[i]>>span == key>>span; i++ {
-		if best < 0 || l.Rank[i] < l.Rank[best] {
-			best = i
+	i, _ := slices.BinarySearch(l.Keys, key>>span<<span<<spanBits)
+	for ; i < len(l.Keys) && l.Key(i)>>span == key>>span; i++ {
+		if l.Span(i) >= span {
+			return l.Table[i], true
 		}
 	}
-	if best < 0 {
-		return -1, false
-	}
-	return l.Table[best], true
+	return -1, false
 }
 
 // resolver returns the slot of a resolver address.
@@ -199,10 +216,12 @@ func (ix *Index) Len() int { return len(ix.V4.Keys) + len(ix.V6.Keys) + len(ix.R
 // order — real client subnets to try a query with.
 func (ix *Index) Prefixes(n int) []netip.Prefix {
 	var out []netip.Prefix
-	for _, k := range ix.V4.Keys[:min(n, len(ix.V4.Keys))] {
+	for i := range min(n, len(ix.V4.Keys)) {
+		k := ix.V4.Key(i)
 		out = append(out, netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(k >> 16), byte(k >> 8), byte(k)}), 24))
 	}
-	for _, k := range ix.V6.Keys[:min(n-len(out), len(ix.V6.Keys))] {
+	for i := range min(n-len(out), len(ix.V6.Keys)) {
+		k := ix.V6.Key(i)
 		var b [16]byte
 		for i := 0; i < 6; i++ {
 			b[i] = byte(k >> (40 - 8*i))
@@ -214,6 +233,10 @@ func (ix *Index) Prefixes(n int) []netip.Prefix {
 
 // memoryBytes is the resident size of the index arrays.
 func (ix *Index) memoryBytes() uint64 {
-	return uint64(len(ix.V4.Keys))*(4+4+4) + uint64(len(ix.V6.Keys))*(8+4+4) +
-		uint64(len(ix.Resolvers))*(16+4)
+	return uint64(cap(ix.V4.Keys))*uint64(unsafe.Sizeof(uint32(0))) +
+		uint64(cap(ix.V4.Table))*uint64(unsafe.Sizeof(int32(0))) +
+		uint64(cap(ix.V6.Keys))*uint64(unsafe.Sizeof(uint64(0))) +
+		uint64(cap(ix.V6.Table))*uint64(unsafe.Sizeof(int32(0))) +
+		uint64(cap(ix.Resolvers))*uint64(unsafe.Sizeof([2]uint64{})) +
+		uint64(cap(ix.ResolverTable))*uint64(unsafe.Sizeof(int32(0)))
 }

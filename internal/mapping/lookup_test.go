@@ -153,6 +153,51 @@ func blockIn(ix *Index, w *world.World, p netip.Prefix) (*world.ClientBlock, boo
 	return nil, false
 }
 
+// TestLeafSpansNameGroupBest: in an index of block positions, at every
+// level of each family and in every non-empty aligned group of leaves there,
+// exactly one leaf spans the group, and it is the group's best block by a
+// brute-force scan — highest demand, ties to the lowest key — on a v4-only
+// Small world and on one with 30 % IPv6 blocks.
+func TestLeafSpansNameGroupBest(t *testing.T) {
+	for name, w := range map[string]*world.World{"v4": smallLab().World, "mixed": v6World} {
+		ix := blockIndex(w)
+		groups := checkSpans(t, name+" IPv4", w, &ix.V4, v4UnitBits) +
+			checkSpans(t, name+" IPv6", w, &ix.V6, v6UnitBits)
+		t.Logf("%s: %d IPv4 and %d IPv6 leaves, %d groups checked", name, len(ix.V4.Keys), len(ix.V6.Keys), groups)
+		if name == "mixed" && len(ix.V6.Keys) == 0 {
+			t.Fatal("the mixed world has no IPv6 leaves")
+		}
+	}
+}
+
+// checkSpans checks one family's spans, whose keys are width bits wide,
+// group by group against a scan of the blocks each leaf indexes, and returns
+// how many groups it checked.
+func checkSpans[K uint32 | uint64](t *testing.T, name string, w *world.World, l *Leaves[K], width int) int {
+	t.Helper()
+	groups := 0
+	for s := 0; s <= width; s++ {
+		for lo := 0; lo < len(l.Keys); {
+			hi, best, spanning := lo, lo, 0
+			for ; hi < len(l.Keys) && l.Key(hi)>>s == l.Key(lo)>>s; hi++ {
+				if w.Blocks[l.Table[hi]].Demand > w.Blocks[l.Table[best]].Demand {
+					best = hi
+				}
+				if l.Span(hi) >= s {
+					spanning++
+				}
+			}
+			if spanning != 1 || l.Span(best) < s {
+				t.Fatalf("%s: the /%d group of leaves %d..%d has %d spanning leaves; its best, leaf %d, spans %d",
+					name, width-s, lo, hi-1, spanning, best, l.Span(best))
+			}
+			groups++
+			lo = hi
+		}
+	}
+	return groups
+}
+
 // TestClientLookupMatchesUnitIndex: the one range query MapAt makes — the
 // highest-demand block inside the coarser of unit and query — resolves to
 // the table of the block the mapping-unit index it replaced returned, table

@@ -3,6 +3,7 @@ package mapping
 import (
 	"cmp"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -186,13 +187,41 @@ func TestSnapshotMemoryAccounting(t *testing.T) {
 		t.Fatal("zero memory accounting")
 	}
 	// The per-endpoint cost of everything but the target-bounded arena
-	// chain — the index (12 bytes a v4 leaf, 20 a resolver), the table maps
+	// chain — the index (8 bytes a v4 leaf, 20 a resolver), the table maps
 	// and the row headers — must be a few bytes per endpoint.
 	arena := uint64(sn.lay.ArenaLen())*uint64(unsafe.Sizeof(uint16(0))) +
 		uint64(sn.lay.Tables()*sn.lay.TableLen)*uint64(unsafe.Sizeof(float32(0)))
 	perEndpoint := float64(sn.MemoryBytes()+sys.IndexBytes()-arena) / float64(sn.Endpoints())
 	if perEndpoint > 24 {
 		t.Fatalf("index cost %.1f bytes/endpoint, want a few", perEndpoint)
+	}
+}
+
+// TestIndexBytesCountsEveryColumn: IndexBytes is the capacity of every
+// slice the index holds times its element's size, found by walking the
+// index's fields, so a column added to it is counted or fails here.
+func TestIndexBytesCountsEveryColumn(t *testing.T) {
+	sys := NewSystem(v6World, v6Platform, testNet, Config{Policy: EndUser, PingTargets: 100})
+	var want uint64
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := range v.NumField() {
+				walk(v.Field(i))
+			}
+		case reflect.Slice:
+			if v.Len() == 0 {
+				t.Fatalf("index column %v is empty; the world needs blocks of both families", v.Type())
+			}
+			want += uint64(v.Cap()) * uint64(v.Type().Elem().Size())
+		default:
+			t.Fatalf("the index holds a %v, neither a column nor a struct of columns", v.Type())
+		}
+	}
+	walk(reflect.ValueOf(*sys.Current().lay.Index))
+	if got := sys.IndexBytes(); got != want {
+		t.Fatalf("IndexBytes = %d, the index's columns hold %d", got, want)
 	}
 }
 

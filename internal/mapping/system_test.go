@@ -1,7 +1,6 @@
 package mapping
 
 import (
-	"fmt"
 	"net/netip"
 	"slices"
 	"sync"
@@ -398,15 +397,21 @@ var smallLab = sync.OnceValue(func() lab {
 // MapInto against the installed snapshot, the servers picked into a
 // scratch array on the stack. At beta=0 the pick walks the order alone; at
 // beta=2 it weighs the first live head entries by their stored scores and
-// load, with every deployment half loaded.
+// load, with every deployment half loaded. The ecs=/20 case asks with the
+// block's /20, a truncated ECS source the index answers by finding the
+// highest-demand leaf inside it.
 func BenchmarkMappingMap(b *testing.B) {
 	l := smallLab()
-	for _, beta := range []float64{0, 2} {
-		b.Run(fmt.Sprintf("beta=%g", beta), func(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		beta float64
+		bits int
+	}{{"beta=0", 0, 24}, {"beta=2", 2, 24}, {"ecs=/20", 0, 20}} {
+		b.Run(bc.name, func(b *testing.B) {
 			sys := NewSystem(l.World, l.Platform, l.Net, Config{
-				Policy: EndUser, PingTargets: 800, BalanceFactor: beta,
+				Policy: EndUser, PingTargets: 800, BalanceFactor: bc.beta,
 			})
-			if beta > 0 {
+			if bc.beta > 0 {
 				for _, d := range l.Platform.Deployments {
 					for _, s := range d.Servers {
 						s.AddLoad(s.Capacity() / 2)
@@ -415,7 +420,11 @@ func BenchmarkMappingMap(b *testing.B) {
 				defer l.Platform.ResetLoad()
 			}
 			blk := l.World.Blocks[0]
-			req := Request{Domain: "bench.net", LDNS: blk.LDNS.Addr, ClientSubnet: blk.Prefix}
+			subnet, err := blk.Prefix.Addr().Prefix(bc.bits)
+			if err != nil || !blk.Prefix.Addr().Is4() {
+				b.Fatalf("block %v has no IPv4 /%d: %v", blk.Prefix, bc.bits, err)
+			}
+			req := Request{Domain: "bench.net", LDNS: blk.LDNS.Addr, ClientSubnet: subnet}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

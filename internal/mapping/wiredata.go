@@ -88,13 +88,12 @@ func (lay *Layout) fingerprint() uint64 {
 		mix(uint64(uint32(lay.FallbackLDNS)))
 		mix(uint64(uint32(lay.FallbackClient)))
 		mixAll(ix.V4.Table)
-		for i, k := range ix.V4.Keys {
-			mix(uint64(k)<<32 | uint64(ix.V4.Rank[i]))
+		for _, k := range ix.V4.Keys { // each leaf's network with its span
+			mix(uint64(k))
 		}
 		mixAll(ix.V6.Table)
-		for i, k := range ix.V6.Keys {
+		for _, k := range ix.V6.Keys {
 			mix(k)
-			mix(uint64(ix.V6.Rank[i]))
 		}
 		mixAll(ix.ResolverTable)
 		for _, a := range ix.Resolvers {

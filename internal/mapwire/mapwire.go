@@ -20,11 +20,11 @@
 // whose fingerprint — carried in the header, and recomputed from the
 // roster — matches.
 //
-// Layout, version 9 (all integers little-endian):
+// Layout, version 10 (all integers little-endian):
 //
 //	offset  size  field
 //	     0     4  magic "EUMw"
-//	     4     2  format version (9)
+//	     4     2  format version (10)
 //	     6     1  kind (0 full, 1 delta)
 //	     7     1  policy
 //	     8     8  epoch
@@ -46,8 +46,8 @@
 //	    u64 id, u64 latitude bits, u64 longitude bits, u32 ASN,
 //	    u32 n + n bytes name, u32 n + n bytes country,
 //	    u32 S ≥ 1, then S × (u64 server id, 16-byte address, u64 capacity bits)
-//	u32 N4, then N4 × (u32 /24 network, i32 table, u32 rank)   IPv4 leaves, ascending
-//	u32 N6, then N6 × (u64 /48 network, i32 table, u32 rank)   IPv6 leaves, ascending
+//	u32 N4, then N4 × (u32 /24 network << 8 | span, i32 table)   IPv4 leaves, ascending
+//	u32 N6, then N6 × (u64 /48 network << 8 | span, i32 table)   IPv6 leaves, ascending
 //	u32 R, then R × (16-byte address, i32 table)               resolvers, ascending
 //	i32 fallback-LDNS table, i32 fallback-client table
 //	T × i32                table → tail
@@ -60,11 +60,13 @@
 // Every table a leaf, a resolver or a fallback names is one of the T, and
 // every tail a table names one of the N. P counts the partitions the
 // publisher clustered its universe into; serving never reads a partition,
-// so none travels. A leaf's rank is its place among its family's leaves by
-// block demand, highest first, ties to the lower network: a query coarser
-// than a leaf is answered by the lowest rank inside it, and the decoder
-// refuses ranks that are not a permutation. A resolver is named in the
-// CANS map by its position in the resolver list.
+// so none travels. Leaves rank by block demand, highest first, ties to the
+// lower network, and a leaf's span (0..24 for IPv4, 0..48 for IPv6) is the
+// widest s at which it ranks first among the leaves sharing its network
+// above the low s bits: a query coarser than a leaf is answered by the one
+// leaf spanning it, and the decoder refuses leaves unless every aligned
+// group at every level holds exactly one. A resolver is named in the CANS
+// map by its position in the resolver list.
 //
 // Delta body (patches the snapshot of the header's lineage at the base
 // epoch, under the header's layout fingerprint):
@@ -89,6 +91,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/netip"
 	"slices"
 	"sync"
@@ -99,7 +102,7 @@ import (
 )
 
 // Version is the wire format version this package encodes and decodes.
-const Version = 9
+const Version = 10
 
 // Image kinds.
 const (
@@ -262,7 +265,7 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 	roster := c.roster()
 	size := headerSize +
 		len(roster) +
-		4 + 12*len(ix.V4.Keys) + 4 + 16*len(ix.V6.Keys) + 4 + 20*len(ix.Resolvers) +
+		4 + 8*len(ix.V4.Keys) + 4 + 12*len(ix.V6.Keys) + 4 + 20*len(ix.Resolvers) +
 		4 + 4 + // fallback tables
 		4*len(lay.SegTail) +
 		4 + 4 + // tail count and length
@@ -279,13 +282,11 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 	for i, k := range ix.V4.Keys {
 		w.u32(k)
 		w.i32(ix.V4.Table[i])
-		w.u32(ix.V4.Rank[i])
 	}
 	w.u32(uint32(len(ix.V6.Keys)))
 	for i, k := range ix.V6.Keys {
 		w.u64(k)
 		w.i32(ix.V6.Table[i])
-		w.u32(ix.V6.Rank[i])
 	}
 	w.u32(uint32(len(ix.Resolvers)))
 	for i, a := range ix.Resolvers {
@@ -542,23 +543,21 @@ func readRoster(r *reader, h Header) (*cdn.Platform, error) {
 
 // readIndex reads and validates a full image's block index: keys strictly
 // ascending and inside their family's space, every table one of the
-// image's, ranks a permutation per family.
+// image's, exactly one leaf spanning each group of leaves at every level.
 func readIndex(r *reader, h Header) (*mapping.Index, error) {
 	ix := &mapping.Index{}
 	tables := int64(h.Tables)
-	n4 := r.sliceLen(12)
-	ix.V4 = mapping.Leaves[uint32]{Keys: make([]uint32, n4), Table: make([]int32, n4), Rank: make([]uint32, n4)}
-	r.each(n4, 12, func(i int, b []byte) {
+	n4 := r.sliceLen(8)
+	ix.V4 = mapping.Leaves[uint32]{Keys: make([]uint32, n4), Table: make([]int32, n4)}
+	r.each(n4, 8, func(i int, b []byte) {
 		ix.V4.Keys[i] = binary.LittleEndian.Uint32(b)
 		ix.V4.Table[i] = int32(binary.LittleEndian.Uint32(b[4:]))
-		ix.V4.Rank[i] = binary.LittleEndian.Uint32(b[8:])
 	})
-	n6 := r.sliceLen(16)
-	ix.V6 = mapping.Leaves[uint64]{Keys: make([]uint64, n6), Table: make([]int32, n6), Rank: make([]uint32, n6)}
-	r.each(n6, 16, func(i int, b []byte) {
+	n6 := r.sliceLen(12)
+	ix.V6 = mapping.Leaves[uint64]{Keys: make([]uint64, n6), Table: make([]int32, n6)}
+	r.each(n6, 12, func(i int, b []byte) {
 		ix.V6.Keys[i] = binary.LittleEndian.Uint64(b)
 		ix.V6.Table[i] = int32(binary.LittleEndian.Uint32(b[8:]))
-		ix.V6.Rank[i] = binary.LittleEndian.Uint32(b[12:])
 	})
 	nr := r.sliceLen(20)
 	ix.Resolvers, ix.ResolverTable = make([][2]uint64, nr), make([]int32, nr)
@@ -569,10 +568,10 @@ func readIndex(r *reader, h Header) (*mapping.Index, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if err := checkLeaves(ix.V4, 1<<24, tables); err != nil {
+	if err := checkLeaves(ix.V4, 24, tables); err != nil {
 		return nil, fmt.Errorf("%w: IPv4 leaves: %v", ErrFormat, err)
 	}
-	if err := checkLeaves(ix.V6, 1<<48, tables); err != nil {
+	if err := checkLeaves(ix.V6, 48, tables); err != nil {
 		return nil, fmt.Errorf("%w: IPv6 leaves: %v", ErrFormat, err)
 	}
 	for i, a := range ix.Resolvers {
@@ -589,22 +588,42 @@ func readIndex(r *reader, h Header) (*mapping.Index, error) {
 	return ix, nil
 }
 
-// checkLeaves validates one family's leaves against its key space and the
-// image's table count.
-func checkLeaves[K uint32 | uint64](l mapping.Leaves[K], keySpace K, tables int64) error {
-	ranked := make([]bool, len(l.Keys))
-	for i, k := range l.Keys {
-		if k >= keySpace || i > 0 && l.Keys[i-1] >= k {
-			return errors.New("keys not strictly ascending inside the family's networks")
-		}
-		if !inRange(l.Table[i], tables) {
+// checkLeaves validates one family's leaves, whose keys are width bits
+// wide, against the image's table count: keys strictly ascending and inside
+// the family's space, spans no wider than the family, and in every aligned
+// group of keys at every level, exactly one leaf spanning it. Bit s of
+// spanned says whether the group at level s the scan is in has its
+// spanning leaf yet; a group closes where the next key leaves it, at the
+// levels below the two keys' highest differing bit.
+func checkLeaves[K uint32 | uint64](l mapping.Leaves[K], width int, tables int64) error {
+	for i := range l.Keys {
+		switch k := l.Key(i); {
+		case i > 0 && l.Key(i-1) >= k:
+			return errors.New("keys not strictly ascending")
+		case k>>width != 0:
+			return errors.New("key outside the family's networks")
+		case l.Span(i) > width:
+			return fmt.Errorf("span %d wider than the family's %d bits", l.Span(i), width)
+		case !inRange(l.Table[i], tables):
 			return errors.New("table out of range")
 		}
-		rk := l.Rank[i]
-		if rk >= uint32(len(ranked)) || ranked[rk] {
-			return errors.New("ranks are not a permutation")
+	}
+	var spanned uint64
+	for i := range l.Keys {
+		levels := uint64(1)<<(l.Span(i)+1) - 1
+		if twice := spanned & levels; twice != 0 {
+			return fmt.Errorf("two leaves span the /%d group holding leaf %d", width-bits.TrailingZeros64(twice), i)
 		}
-		ranked[rk] = true
+		spanned |= levels
+		closed := width + 1 // the last leaf closes every group
+		if i+1 < len(l.Keys) {
+			closed = bits.Len64(uint64(l.Key(i) ^ l.Key(i+1)))
+		}
+		closing := uint64(1)<<closed - 1
+		if none := closing &^ spanned; none != 0 {
+			return fmt.Errorf("no leaf spans the /%d group holding leaf %d", width-bits.TrailingZeros64(none), i)
+		}
+		spanned &^= closing
 	}
 	return nil
 }

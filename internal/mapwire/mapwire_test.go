@@ -401,8 +401,8 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 	d0 := p.Deployments[0]
 	d0Servers := roster + 4 + 8 + 8 + 8 + 4 + 4 + len(d0.Name) + 4 + len(d0.Country)
 	v4 := roster + rosterSize(p) + 4
-	v6 := v4 + 12*len(ix.V4.Keys) + 4
-	resolvers := v6 + 16*len(ix.V6.Keys) + 4
+	v6 := v4 + 8*len(ix.V4.Keys) + 4
+	resolvers := v6 + 12*len(ix.V6.Keys) + 4
 	fallbacks := resolvers + 20*len(ix.Resolvers)
 	segTail := fallbacks + 8
 	tailCount := segTail + 4*tables
@@ -449,6 +449,28 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		binary.LittleEndian.PutUint16(out[off:], v)
 		return cut(out, len(out)-trailerSize)
 	}
+	put64 := func(img []byte, off int, v uint64) []byte {
+		out := slices.Clone(img)
+		binary.LittleEndian.PutUint64(out[off:], v)
+		return cut(out, len(out)-trailerSize)
+	}
+	// The IPv4 leaves the span cases patch: the first, whose span is short
+	// of the family's, one that a better leaf outranks at its span plus one,
+	// and the one that spans the whole family.
+	first, outranked, winner := ix.V4.Keys[0], -1, -1
+	for i := range ix.V4.Keys {
+		switch ix.V4.Span(i) {
+		case 24:
+			winner = i
+		case 0:
+		default:
+			outranked = i
+		}
+	}
+	if ix.V4.Span(0) >= 24 || outranked < 0 || winner < 0 {
+		t.Fatal("the fixture needs IPv4 leaves of spans 0 < s < 24 and one of 24")
+	}
+	n6 := len(ix.V6.Keys)
 	for _, tc := range []struct {
 		name string
 		img  []byte
@@ -470,13 +492,16 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"a deployment renamed", put(full, roster+4+32, binary.LittleEndian.Uint32(full[roster+4+32:])^1), nil, ErrFormat},
 		{"a server readdressed", put(full, d0Servers+4+8+12, binary.LittleEndian.Uint32(full[d0Servers+4+8+12:])^1), nil, ErrFormat},
 		{"a server's capacity changed", put(full, d0Servers+4+24+4, binary.LittleEndian.Uint32(full[d0Servers+4+24+4:])^1), nil, ErrFormat},
-		{"IPv4 leaf keys unsorted", put(full, v4, ix.V4.Keys[1]+1), nil, ErrFormat},
-		{"IPv4 leaf key duplicated", put(full, v4+12, ix.V4.Keys[0]), nil, ErrFormat},
-		{"IPv6 leaf keys unsorted", put(full, v6, uint32(ix.V6.Keys[1]+1)), nil, ErrFormat},
+		{"IPv4 leaf keys unsorted", put(full, v4, ix.V4.Keys[1]+1<<8), nil, ErrFormat},
+		{"IPv4 leaf key duplicated", put(full, v4+8, first), nil, ErrFormat},
+		{"IPv4 leaf key duplicated with a wider span", put(full, v4+8, first+1), nil, ErrFormat},
+		{"IPv6 leaf keys unsorted", put64(full, v6, ix.V6.Keys[1]+1<<8), nil, ErrFormat},
+		{"IPv6 leaf key outside 48 bits", put64(full, v6+12*(n6-1), ix.V6.Keys[n6-1]|1<<56), nil, ErrFormat},
 		{"leaf table past the tables", put(full, v4+4, uint32(tables)), nil, ErrFormat},
 		{"leaf table negative", put(full, v6+8, ^uint32(0)), nil, ErrFormat},
-		{"leaf ranks not a permutation", put(full, v4+8, ix.V4.Rank[1]), nil, ErrFormat},
-		{"leaf rank past the leaves", put(full, v6+12, uint32(len(ix.V6.Keys))), nil, ErrFormat},
+		{"leaf span wider than its family", put(full, v4, first&^0xff|25), nil, ErrFormat},
+		{"two leaves span one group", put(full, v4+8*outranked, ix.V4.Keys[outranked]+1), nil, ErrFormat},
+		{"no leaf spans the family", put(full, v4+8*winner, ix.V4.Keys[winner]&^0xff), nil, ErrFormat},
 		{"resolvers unsorted", put(full, resolvers+20+12, binary.BigEndian.Uint32(full[resolvers+12:])), nil, ErrFormat},
 		{"resolver table past the tables", put(full, resolvers+16, uint32(tables)), nil, ErrFormat},
 		{"resolver fallback unassigned", put(full, fallbacks, ^uint32(0)), nil, ErrFormat},
@@ -491,6 +516,7 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"head names a deployment the platform lacks", put16(full, firstHead, uint16(nDeps)), nil, ErrFormat},
 		{"score column truncated", cut(full, scoreColumn+tables*lay.TableLen*scoreSize/2), nil, ErrFormat},
 		{"head longer than this build keeps", put(full, 64, uint32(lay.TableLen+1)), nil, ErrFormat},
+		{"format version 9, which carried a rank per leaf", put(full, 4, 9|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 8, which carried float64 head scores", put(full, 4, 8|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 7, which carried the partition→table map", put(full, 4, 7|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 6", put(full, 4, 6|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
@@ -528,6 +554,12 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 	if _, _, err := DecodeBoot(bytes.NewReader(put(full, roster, mapping.MaxDeployments+1)), int64(len(full))); err == nil ||
 		!strings.Contains(err.Error(), "a row indexes at most 65535") {
 		t.Errorf("a roster of %d deployments: %v", mapping.MaxDeployments+1, err)
+	}
+	// A lone leaf past the family's 48 bits spans its groups whole, so only
+	// its range refuses it.
+	if err := checkLeaves(mapping.Leaves[uint64]{Keys: []uint64{1<<56 | 48}, Table: []int32{0}}, 48, 1); err == nil ||
+		!strings.Contains(err.Error(), "outside") {
+		t.Errorf("a leaf keyed past 48 bits: %v", err)
 	}
 	// The untouched images are good, so every refusal above is the patch's.
 	if _, err := c.Decode(put(full, fallbacks, uint32(lay.FallbackLDNS)), nil); err != nil {

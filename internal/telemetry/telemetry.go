@@ -9,9 +9,8 @@
 // maintain (registration costs the hot path nothing), and histograms stamp
 // one observation with two atomic adds and no allocation.
 //
-// A Registry serves two consumers: Snapshot() returns a deterministic
-// point-in-time view for tests and programmatic health checks, and
-// WritePrometheus emits the text exposition format scraped at /metrics.
+// A Registry is read one way: WritePrometheus emits the text exposition
+// format scraped at /metrics.
 package telemetry
 
 import (
@@ -75,9 +74,9 @@ func (r *Registry) register(m *metric) {
 	r.metrics = append(r.metrics, m)
 }
 
-// Counter registers a read-through counter: read is invoked at scrape and
-// snapshot time (typically an atomic.Uint64's Load method), so the counter
-// owner keeps its existing hot-path increment untouched.
+// Counter registers a read-through counter: read is invoked at scrape time
+// (typically an atomic.Uint64's Load method), so the counter owner keeps
+// its existing hot-path increment untouched.
 func (r *Registry) Counter(name, help string, read func() uint64) {
 	r.register(&metric{name: name, help: help, kind: KindCounter, counter: read})
 }
@@ -94,37 +93,4 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 	h := &Histogram{}
 	r.register(&metric{name: name, help: help, kind: KindHistogram, hist: h})
 	return h
-}
-
-// Snapshot is a point-in-time view of every registered metric, with
-// deterministic (sorted) iteration helpers for tests.
-type Snapshot struct {
-	Counters   map[string]uint64
-	Gauges     map[string]float64
-	Histograms map[string]HistogramSnapshot
-}
-
-// Snapshot reads every registered metric once. Counters and gauges are
-// each read atomically; the view across metrics is not a global atomic
-// cut (scrapes race with serving by design), which is fine for the
-// monitoring and test assertions it exists for.
-func (r *Registry) Snapshot() Snapshot {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s := Snapshot{
-		Counters:   make(map[string]uint64),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]HistogramSnapshot),
-	}
-	for _, m := range r.metrics {
-		switch m.kind {
-		case KindCounter:
-			s.Counters[m.name] = m.counter()
-		case KindGauge:
-			s.Gauges[m.name] = m.gauge()
-		case KindHistogram:
-			s.Histograms[m.name] = m.hist.Snapshot()
-		}
-	}
-	return s
 }

@@ -13,6 +13,9 @@ import (
 	"time"
 )
 
+// TestRegistrySnapshot reads a registry the one way it is read, a scrape
+// of its exposition: each counter, gauge and histogram at its value when
+// scraped, and a counter read through to its atomic on the next scrape.
 func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 	var queries atomic.Uint64
@@ -23,24 +26,30 @@ func TestRegistrySnapshot(t *testing.T) {
 	h.Observe(3 * time.Microsecond)
 	h.Observe(5 * time.Millisecond)
 
-	s := r.Snapshot()
-	if s.Counters["queries_total"] != 42 {
-		t.Errorf("counter = %d, want 42", s.Counters["queries_total"])
+	scrape := func() string {
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
-	if s.Gauges["epoch"] != 7 {
-		t.Errorf("gauge = %v, want 7", s.Gauges["epoch"])
+	body := scrape()
+	if got := exposedValue(t, body, "queries_total"); got != 42 {
+		t.Errorf("counter = %v, want 42", got)
 	}
-	hs := s.Histograms["latency"]
-	if hs.Count != 2 {
-		t.Errorf("hist count = %d, want 2", hs.Count)
+	if got := exposedValue(t, body, "epoch"); got != 7 {
+		t.Errorf("gauge = %v, want 7", got)
 	}
-	if want := int64(3*time.Microsecond + 5*time.Millisecond); hs.SumNanos != want {
-		t.Errorf("hist sum = %d, want %d", hs.SumNanos, want)
+	if got := exposedValue(t, body, "latency_count"); got != 2 {
+		t.Errorf("hist count = %v, want 2", got)
+	}
+	if got, want := exposedValue(t, body, "latency_sum"), (3*time.Microsecond + 5*time.Millisecond).Seconds(); got != want {
+		t.Errorf("hist sum = %v s, want %v s", got, want)
 	}
 
 	queries.Add(1)
-	if r.Snapshot().Counters["queries_total"] != 43 {
-		t.Error("counter is not read-through")
+	if got := exposedValue(t, scrape(), "queries_total"); got != 43 {
+		t.Errorf("counter = %v after an add, want 43: not read through", got)
 	}
 }
 
