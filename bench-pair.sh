@@ -6,7 +6,9 @@
 # tree, nothing registered in .git; the exports of other commits are
 # removed first, the current one's is reused), and `bash bench/run.sh` is alternated
 # between that tree and this one, swapping who goes first each pair, so that
-# a drift of the machine lands on both sides alike. Then, per metric: both
+# a drift of the machine lands on both sides alike. PAIRS must be even, so
+# that each side goes first equally often: the side that runs second in a
+# pair can read slower on code no change touched. Then, per metric: both
 # medians with their quartiles, how many pairs the change won (ties count
 # for neither side), and whether the medians are further apart than the
 # parent's own interquartile range — the rule a performance claim has to
@@ -15,7 +17,9 @@
 # SEED (default 1), SECONDS_OF_LOAD (default 20) and TRACE (default 0; 1
 # compares the per-layer metrics of traced runs instead) come from the
 # environment. Every run's output is kept under
-# .bench_build/pair/<workload>-seed<seed>/. Nothing under bench/ is edited.
+# .bench_build/pair/<workload>-seed<seed>-trace<trace>/, so a traced set and
+# an untraced one of the same workload do not overwrite each other. Nothing
+# under bench/ is edited.
 set -euo pipefail
 base_rev=${1:?usage: bench-pair.sh BASE [WORKLOAD] [PAIRS]}
 workload=${2:-hot_zipf}
@@ -23,6 +27,10 @@ pairs=${3:-10}
 seed=${SEED:-1}
 seconds=${SECONDS_OF_LOAD:-20}
 trace=${TRACE:-0}
+if ! [[ $pairs =~ ^[0-9]+$ ]] || [ "$pairs" -eq 0 ] || [ $((pairs % 2)) != 0 ]; then
+	echo "bench-pair: PAIRS must be a positive even number, got '$pairs': each side goes first in half the pairs" >&2
+	exit 2
+fi
 
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)
 commit=$(git -C "$root" rev-parse --verify "$base_rev^{commit}")
@@ -40,7 +48,7 @@ if [ ! -f "$base/bench/run.sh" ]; then
 	mkdir -p "$base"
 	git -C "$root" archive "$commit" | tar -x -C "$base"
 fi
-runs="$root/.bench_build/pair/$workload-seed$seed"
+runs="$root/.bench_build/pair/$workload-seed$seed-trace$trace"
 rm -rf "$runs"
 mkdir -p "$runs"
 

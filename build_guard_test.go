@@ -206,7 +206,8 @@ func TestFullBuildMeasuresFewPairs(t *testing.T) {
 // shipped as the raw bits of their nearest float32, so a score that moves
 // in its last place can reorder a tie or move a stored score and changes
 // the checksum; a change that means to move it says so and re-pins it, as
-// wire format v10 did when each leaf's span replaced its rank.
+// wire format v10 did when each leaf's span replaced its rank, and v11
+// when the empty client-aware NS section and its 4-byte count went.
 // coldWideOrderCRC is the CRC-32C of the order column alone — every row's
 // deployment indexes as u16 little-endian, in row order — which is the
 // value wire format v8 gave, when heads kept float64 scores: no rank moved
@@ -223,8 +224,8 @@ func TestFullBuildMeasuresFewPairs(t *testing.T) {
 // mapped each to its table: no client reads another row since the index
 // names tables itself.
 const (
-	coldWideImageCRC  = 0x7fbb4860
-	coldWideImageSize = 2030724
+	coldWideImageCRC  = 0x5879d9cb
+	coldWideImageSize = 2030720
 	coldWideOrderCRC  = 0x2d21021b
 	coldWideScoreCRC  = 0xadd71ca4
 	coldWideIndexCRC  = 0xf9cc0443

@@ -121,7 +121,7 @@ func TestAuthorityConcurrentInvalidation(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		pols := [...]mapping.Policy{mapping.NSBased, mapping.EndUser, mapping.ClientAwareNS, mapping.EndUser}
+		pols := [...]mapping.Policy{mapping.NSBased, mapping.EndUser}
 		for i := 0; i < flips; i++ {
 			installPolicy(a.system, pols[i%len(pols)])
 		}

@@ -208,7 +208,7 @@ func TestWireMatchesMapAt(t *testing.T) {
 	}
 
 	cfg := func(pol mapping.Policy) mapping.Config { return mapping.Config{Policy: pol, PingTargets: 200} }
-	for _, pol := range []mapping.Policy{mapping.NSBased, mapping.EndUser, mapping.ClientAwareNS} {
+	for _, pol := range []mapping.Policy{mapping.NSBased, mapping.EndUser} {
 		a, err := New("cdn.example.net", mapping.NewSystem(diffW, diffP, netmodel.NewDefault(), cfg(pol)))
 		if err != nil {
 			t.Fatal(err)

@@ -29,7 +29,8 @@ var serverGOOS = runtime.GOOS
 type Config struct {
 	// Zone is the CDN zone served, e.g. "cdn.example.net".
 	Zone string `json:"zone"`
-	// Policy is "ns", "eu" or "cans" (default "eu").
+	// Policy is the routing policy the map serves: "ns", NS-based, or
+	// "eu", end-user (default "eu").
 	Policy string `json:"policy,omitempty"`
 	// MapRefreshSeconds is the MapMaker's periodic publish cadence — how
 	// often the control plane rebuilds and swaps in a fresh map snapshot
@@ -295,10 +296,8 @@ func (c Config) MappingPolicy() (mapping.Policy, error) {
 		return mapping.EndUser, nil
 	case "ns":
 		return mapping.NSBased, nil
-	case "cans":
-		return mapping.ClientAwareNS, nil
 	}
-	return 0, fmt.Errorf("config: unknown policy %q (want ns, eu, or cans)", c.Policy)
+	return 0, fmt.Errorf("config: unknown policy %q (want ns or eu)", c.Policy)
 }
 
 // ServerConfig translates the serving-plane knobs into a dnsserver.Config.

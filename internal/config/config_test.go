@@ -20,7 +20,7 @@ func TestDefaultValid(t *testing.T) {
 func TestParseFull(t *testing.T) {
 	doc := `{
 		"zone": "cdn.example.net",
-		"policy": "cans",
+		"policy": "ns",
 		"world": {"seed": 7, "blocks": 2000, "ipv6_fraction": 0.2},
 		"platform": {"seed": 7, "deployments": 100, "servers_per_deployment": 4},
 		"customers": {"www.shop.example": "e1.b.cdn.example.net"},
@@ -36,7 +36,7 @@ func TestParseFull(t *testing.T) {
 		t.Errorf("cfg = %+v", cfg)
 	}
 	pol, err := cfg.MappingPolicy()
-	if err != nil || pol != mapping.ClientAwareNS {
+	if err != nil || pol != mapping.NSBased {
 		t.Errorf("policy = %v, %v", pol, err)
 	}
 	if cfg.World.IPv6Fraction != 0.2 || cfg.Platform.ServersPer != 4 {
@@ -88,6 +88,9 @@ func TestValidateErrors(t *testing.T) {
 	}{
 		{"empty-zone", func(c *Config) { c.Zone = " " }},
 		{"bad-policy", func(c *Config) { c.Policy = "anycast" }},
+		// Client-aware NS mapping is a Fig 25 scheme, not a policy a map
+		// serves.
+		{"cans-policy", func(c *Config) { c.Policy = "cans" }},
 		{"zero-blocks", func(c *Config) { c.World.Blocks = 0 }},
 		{"bad-v6-fraction", func(c *Config) { c.World.IPv6Fraction = 1.5 }},
 		{"zero-deployments", func(c *Config) { c.Platform.Deployments = 0 }},

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,15 +65,20 @@ func TestServeAndExchange(t *testing.T) {
 	if got := s.Metrics.Queries.Load(); got != 1 {
 		t.Errorf("queries metric = %d", got)
 	}
-	// The server counts a response after the write returns, which can be
-	// after the client has read it.
-	deadline := time.Now().Add(time.Second)
-	for s.Metrics.Responses.Load() != 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := s.Metrics.Responses.Load(); got != 1 {
+	if got := await(&s.Metrics.Responses, 1); got != 1 {
 		t.Errorf("responses metric = %d", got)
 	}
+}
+
+// await returns a counter's value once it reads want, or after a second.
+// A server counts a response after the write returns, which can be after
+// the client has read it.
+func await(c *atomic.Uint64, want uint64) uint64 {
+	deadline := time.Now().Add(time.Second)
+	for c.Load() != want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return c.Load()
 }
 
 func TestECSCarriedOverWire(t *testing.T) {

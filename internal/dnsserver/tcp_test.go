@@ -78,7 +78,7 @@ func TestTCPServeBasic(t *testing.T) {
 	if len(resp.Answers) != 2 || resp.ID != 7 {
 		t.Errorf("resp: %d answers, id %d", len(resp.Answers), resp.ID)
 	}
-	if s.Metrics.Queries.Load() != 1 || s.Metrics.Responses.Load() != 1 {
+	if s.Metrics.Queries.Load() != 1 || await(&s.Metrics.Responses, 1) != 1 {
 		t.Error("metrics not updated")
 	}
 }
@@ -153,7 +153,7 @@ func TestTCPReusesQueryAcrossQueries(t *testing.T) {
 			t.Errorf("query %d: ECS echo %v, want %v scope 20", q.ID, ecs, q.ClientSubnet())
 		}
 	}
-	if got := s.Metrics.Responses.Load(); got != 2 {
+	if got := await(&s.Metrics.Responses, 2); got != 2 {
 		t.Errorf("responses = %d, want 2", got)
 	}
 }

@@ -13,11 +13,11 @@ import (
 	"eum/internal/world"
 )
 
-// Fig25Point is one (N, policy) cell of Fig 25: traffic-weighted ping
+// Fig25Point is one (N, scheme) cell of Fig 25: traffic-weighted ping
 // latency statistics achieved with N deployment locations.
 type Fig25Point struct {
 	Deployments int
-	Policy      mapping.Policy
+	Scheme      string // "NS", "EU" or "CANS"
 	MeanMs      float64
 	P95Ms       float64
 	P99Ms       float64
@@ -84,20 +84,20 @@ func Fig25DeploymentSweep(lab *Lab, cfg Fig25Config) ([]Fig25Point, *Report) {
 	// the run index, so cells can be scored concurrently and reduced in
 	// fixed run order afterwards. Each cell runs its own one-shot control
 	// plane: a SnapshotBuilder publishes a single deterministic epoch
-	// (numbered by cell index) and all three schemes read that snapshot —
-	// the rank tables are policy-independent, so building under CANS also
-	// populates the candidate lists the CANS column needs.
-	pols := []mapping.Policy{mapping.NSBased, mapping.EndUser, mapping.ClientAwareNS}
+	// (numbered by cell index), which NS and EU read as a name server
+	// would — the rank tables are policy-independent — and CANS, which no
+	// map serves, asks the builder's scorer.
+	schemes := []string{"NS", "EU", "CANS"}
 	type cell struct{ mean, p95, p99 float64 }
 	cells := par.Map(cfg.Runs*len(cfg.Ns), func(i int) [3]cell {
 		run, nIdx := i/len(cfg.Ns), i%len(cfg.Ns)
 		sub := lab.Platform.Subset(cfg.Ns[nIdx], int64(run+1))
 		builder := mapping.NewSnapshotBuilder(lab.World, sub, lab.Net, mapping.Config{PingTargets: cfg.PingTargets})
-		snap := builder.Build(uint64(i+1), mapping.ClientAwareNS)
+		snap := builder.Build(uint64(i+1), mapping.EndUser)
 		var out [3]cell
-		for pi, pol := range pols {
-			d := evalPolicy(lab, snap, blocks, pol)
-			out[pi] = cell{d.Mean(), d.Percentile(95), d.Percentile(99)}
+		for si, scheme := range schemes {
+			d := evalScheme(lab, builder.Scorer(), snap, blocks, scheme)
+			out[si] = cell{d.Mean(), d.Percentile(95), d.Percentile(99)}
 		}
 		return out
 	})
@@ -109,38 +109,39 @@ func Fig25DeploymentSweep(lab *Lab, cfg Fig25Config) ([]Fig25Point, *Report) {
 		Columns: []string{"deployments", "policy", "mean-ms", "p95-ms", "p99-ms"},
 	}
 	for nIdx, n := range cfg.Ns {
-		for pi, pol := range pols {
+		for si, scheme := range schemes {
 			var c cell
 			for run := 0; run < cfg.Runs; run++ {
-				r := cells[run*len(cfg.Ns)+nIdx][pi]
+				r := cells[run*len(cfg.Ns)+nIdx][si]
 				c.mean += r.mean
 				c.p95 += r.p95
 				c.p99 += r.p99
 			}
 			p := Fig25Point{
 				Deployments: n,
-				Policy:      pol,
+				Scheme:      scheme,
 				MeanMs:      c.mean / float64(cfg.Runs),
 				P95Ms:       c.p95 / float64(cfg.Runs),
 				P99Ms:       c.p99 / float64(cfg.Runs),
 			}
 			out = append(out, p)
-			rep.Rows = append(rep.Rows, row(n, pol.String(), p.MeanMs, p.P95Ms, p.P99Ms))
+			rep.Rows = append(rep.Rows, row(n, scheme, p.MeanMs, p.P95Ms, p.P99Ms))
 		}
 	}
 	return out, rep
 }
 
-// evalPolicy maps every block under the policy by reading a published
-// snapshot — the same data-plane lookups the authority performs — and
-// returns the demand-weighted distribution of ping latency from the chosen
-// deployment to the client. NS and CANS decisions are resolved once per
-// LDNS, since every client of an LDNS shares its assignment; the block
-// sweep shards the block list and merges the partial datasets in shard
-// order — reproducing the serial sample order bit for bit.
-func evalPolicy(lab *Lab, snap *mapping.Snapshot, blocks []*world.ClientBlock, pol mapping.Policy) *stats.Dataset {
+// evalScheme maps every block under the scheme and returns the
+// demand-weighted distribution of ping latency from the chosen deployment
+// to the client. NS and EU read the published snapshot — the same
+// data-plane lookups the authority performs. NS and CANS decisions are
+// resolved once per LDNS, since every client of an LDNS shares its
+// assignment; the block sweep shards the block list and merges the partial
+// datasets in shard order — reproducing the serial sample order bit for
+// bit.
+func evalScheme(lab *Lab, sc *mapping.Scorer, snap *mapping.Snapshot, blocks []*world.ClientBlock, scheme string) *stats.Dataset {
 	var ldnsChoice map[uint64]netmodel.Endpoint
-	if pol != mapping.EndUser { // NSBased and ClientAwareNS share per-LDNS decisions
+	if scheme != "EU" { // NS and CANS share per-LDNS decisions
 		ldnsChoice = make(map[uint64]netmodel.Endpoint)
 		for _, b := range blocks {
 			id := b.LDNS.Endpoint().ID
@@ -148,8 +149,8 @@ func evalPolicy(lab *Lab, snap *mapping.Snapshot, blocks []*world.ClientBlock, p
 				continue
 			}
 			var dep *cdn.Deployment
-			if pol == mapping.ClientAwareNS {
-				dep = snap.FirstLive(snap.CANSCandidates(b.LDNS.Addr))
+			if scheme == "CANS" {
+				dep = cansDeployment(sc, b.LDNS)
 			} else {
 				row, _ := snap.ResolverRow(b.LDNS.Addr)
 				dep = snap.FirstLive(row)
@@ -164,7 +165,7 @@ func evalPolicy(lab *Lab, snap *mapping.Snapshot, blocks []*world.ClientBlock, p
 		d := &stats.Dataset{}
 		for _, b := range blocks[lo:hi] {
 			var depEp netmodel.Endpoint
-			if pol == mapping.EndUser {
+			if scheme == "EU" {
 				row, _ := snap.ClientRow(b.Prefix)
 				dep := snap.FirstLive(row)
 				if dep == nil {
@@ -187,6 +188,21 @@ func evalPolicy(lab *Lab, snap *mapping.Snapshot, blocks []*world.ClientBlock, p
 		d.Merge(p)
 	}
 	return d
+}
+
+// cansDeployment is an LDNS's CANS decision (§6): the live deployment
+// minimising the demand-weighted mean ping to the LDNS's client blocks, or
+// nil when there is none.
+func cansDeployment(sc *mapping.Scorer, l *world.LDNS) *cdn.Deployment {
+	eps := make([]netmodel.Endpoint, len(l.Blocks))
+	weights := make([]float64, len(l.Blocks))
+	for i, b := range l.Blocks {
+		eps[i], weights[i] = b.Endpoint(), b.Demand
+	}
+	if d, _ := sc.BestWeighted(eps, weights); d >= 0 {
+		return sc.Platform().Deployments[d]
+	}
+	return nil
 }
 
 // topBlocks returns up to n of the highest-demand blocks (all if n <= 0).

@@ -279,15 +279,18 @@ func TestFig25Shape(t *testing.T) {
 	if len(pts) != len(cfg.Ns)*3 {
 		t.Fatalf("points = %d", len(pts))
 	}
-	byKey := map[[2]int]Fig25Point{}
-	for _, p := range pts {
-		byKey[[2]int{p.Deployments, int(p.Policy)}] = p
+	type key struct {
+		n      int
+		scheme string
 	}
-	nsSmall := byKey[[2]int{cfg.Ns[0], int(mapping.NSBased)}]
-	nsBig := byKey[[2]int{cfg.Ns[len(cfg.Ns)-1], int(mapping.NSBased)}]
-	euSmall := byKey[[2]int{cfg.Ns[0], int(mapping.EndUser)}]
-	euBig := byKey[[2]int{cfg.Ns[len(cfg.Ns)-1], int(mapping.EndUser)}]
-	cansBig := byKey[[2]int{cfg.Ns[len(cfg.Ns)-1], int(mapping.ClientAwareNS)}]
+	byKey := map[key]Fig25Point{}
+	for _, p := range pts {
+		byKey[key{p.Deployments, p.Scheme}] = p
+	}
+	small, big := cfg.Ns[0], cfg.Ns[len(cfg.Ns)-1]
+	nsSmall, nsBig := byKey[key{small, "NS"}], byKey[key{big, "NS"}]
+	euSmall, euBig := byKey[key{small, "EU"}], byKey[key{big, "EU"}]
+	cansBig := byKey[key{big, "CANS"}]
 
 	// More deployments -> lower latency for every scheme.
 	if nsBig.MeanMs >= nsSmall.MeanMs || euBig.MeanMs >= euSmall.MeanMs {

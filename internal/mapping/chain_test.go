@@ -142,11 +142,11 @@ func heldBytes(v reflect.Value, skip map[string]bool, seen map[uintptr]bool) uin
 
 // TestMemoryBytesCountsColumns: MemoryBytes is the storage a snapshot
 // holds — every array reachable from it, at capacity times element size,
-// but the platform's deployments, the index (System.IndexBytes) and the
-// CANS lists — after a full build, after incremental builds that chain
+// but the platform's deployments and the index (System.IndexBytes) — after
+// a full build, after incremental builds that chain
 // arenas, and after a compaction forced past maxArenaChain.
 func TestMemoryBytesCountsColumns(t *testing.T) {
-	skip := map[string]bool{"deps": true, "Index": true, "cans": true}
+	skip := map[string]bool{"deps": true, "Index": true}
 	check := func(sn *Snapshot, what string) {
 		t.Helper()
 		if got, want := sn.MemoryBytes(), heldBytes(reflect.ValueOf(sn), skip, map[uintptr]bool{}); got != want {

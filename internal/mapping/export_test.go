@@ -32,10 +32,7 @@ func FillAll(sb *SnapshotBuilder, lay *Layout, order []uint16, scores []float32)
 func BootSnapshot(sb *SnapshotBuilder) *Snapshot { return sb.bootSnapshot(EndUser) }
 
 // BuildIndex indexes w under the tables IndexTables returned.
-func BuildIndex(w *world.World, assign []int32) *Index {
-	ix, _ := buildIndex(w, assign)
-	return ix
-}
+func BuildIndex(w *world.World, assign []int32) *Index { return buildIndex(w, assign) }
 
 // LoadAwareWindow is how many live head entries the load-aware pick
 // weighs.

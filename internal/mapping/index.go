@@ -25,8 +25,7 @@ type Index struct {
 
 	// Resolvers holds resolver addresses in their 16-byte form (an IPv4
 	// address as IPv4-mapped), strictly ascending, and ResolverTable the
-	// table of each. A resolver's position here is its slot, which the
-	// ClientAwareNS candidate lists are keyed by.
+	// table of each.
 	Resolvers     [][2]uint64
 	ResolverTable []int32
 }
@@ -141,9 +140,9 @@ func newLeaves[K uint32 | uint64](ls []leaf[K], width int) Leaves[K] {
 // buildIndex indexes the world's client blocks and resolvers under the
 // tables buildLayout assigned them, by position in the builder's universe:
 // assign[i] is w.LDNSes[i]'s table and assign[len(w.LDNSes)+i]
-// w.Blocks[i]'s. It returns with the index the world LDNS in each resolver
-// slot. Two resolvers at one address keep the first in world order.
-func buildIndex(w *world.World, assign []int32) (*Index, []*world.LDNS) {
+// w.Blocks[i]'s. Two resolvers at one address keep the first in world
+// order.
+func buildIndex(w *world.World, assign []int32) *Index {
 	ldnsTable, blockTable := assign[:len(w.LDNSes)], assign[len(w.LDNSes):]
 	var v4 []leaf[uint32]
 	var v6 []leaf[uint64]
@@ -157,11 +156,10 @@ func buildIndex(w *world.World, assign []int32) (*Index, []*world.LDNS) {
 	type resolver struct {
 		addr  [2]uint64
 		table int32
-		ldns  *world.LDNS
 	}
 	rs := make([]resolver, len(w.LDNSes))
 	for i, l := range w.LDNSes {
-		rs[i] = resolver{addr128(l.Addr), ldnsTable[i], l}
+		rs[i] = resolver{addr128(l.Addr), ldnsTable[i]}
 	}
 	slices.SortStableFunc(rs, func(a, b resolver) int { return compare128(a.addr, b.addr) })
 	rs = slices.CompactFunc(rs, func(a, b resolver) bool { return a.addr == b.addr })
@@ -171,11 +169,10 @@ func buildIndex(w *world.World, assign []int32) (*Index, []*world.LDNS) {
 		Resolvers:     make([][2]uint64, len(rs)),
 		ResolverTable: make([]int32, len(rs)),
 	}
-	ldnses := make([]*world.LDNS, len(rs))
 	for i, r := range rs {
-		ix.Resolvers[i], ix.ResolverTable[i], ldnses[i] = r.addr, r.table, r.ldns
+		ix.Resolvers[i], ix.ResolverTable[i] = r.addr, r.table
 	}
-	return ix, ldnses
+	return ix
 }
 
 // client returns the table of the highest-demand block inside p — a

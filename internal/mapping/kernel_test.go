@@ -15,7 +15,7 @@ type pairwise struct{ Prober }
 // TestScorerRowPathMatchesPairwise builds one scorer over the network model
 // (which measures a row at a time) and one over the same model asked pair
 // by pair, and wants the same bits out of everything a scorer answers —
-// with a few deployments dead, which Best and bestWeighted must skip the
+// with a few deployments dead, which Best and BestWeighted must skip the
 // same way on both paths.
 func TestScorerRowPathMatchesPairwise(t *testing.T) {
 	rowSc := NewScorer(testW, testP, testNet, 500)
@@ -51,10 +51,10 @@ func TestScorerRowPathMatchesPairwise(t *testing.T) {
 		}
 		eps := []netmodel.Endpoint{ep, testW.Blocks[(i+11)%len(testW.Blocks)].Endpoint(), testW.Blocks[i].LDNS.Endpoint()}
 		for _, weights := range [][]float64{nil, {3, 0.5, 1.25}} {
-			rd, rs := rowSc.bestWeighted(eps, weights)
-			pd, ps := pairSc.bestWeighted(eps, weights)
+			rd, rs := rowSc.BestWeighted(eps, weights)
+			pd, ps := pairSc.BestWeighted(eps, weights)
 			if rd != pd || math.Float64bits(rs) != math.Float64bits(ps) {
-				t.Fatalf("block %d: bestWeighted is deployment %d at %v on the row path, %d at %v pairwise", i, rd, rs, pd, ps)
+				t.Fatalf("block %d: BestWeighted is deployment %d at %v on the row path, %d at %v pairwise", i, rd, rs, pd, ps)
 			}
 		}
 	}

@@ -386,13 +386,13 @@ func TestScorerWeightedBest(t *testing.T) {
 	// them must equal the best of that one.
 	e1 := testW.Blocks[0].Endpoint()
 	e2 := testW.Blocks[len(testW.Blocks)-1].Endpoint()
-	d, _ := sc.bestWeighted([]netmodel.Endpoint{e1, e2}, []float64{1, 0})
+	d, _ := sc.BestWeighted([]netmodel.Endpoint{e1, e2}, []float64{1, 0})
 	want, _ := sc.Best(e1)
 	if d < 0 || testP.Deployments[d] != want {
 		t.Errorf("degenerate weighted best = deployment %d, want %v", d, want.Name)
 	}
-	if got, _ := sc.bestWeighted(nil, nil); got != -1 {
-		t.Errorf("empty bestWeighted = deployment %d, want -1", got)
+	if got, _ := sc.BestWeighted(nil, nil); got != -1 {
+		t.Errorf("empty BestWeighted = deployment %d, want -1", got)
 	}
 }
 

@@ -141,8 +141,7 @@ func blockIndex(w *world.World) *Index {
 	for i := range w.Blocks {
 		assign[len(w.LDNSes)+i] = int32(i)
 	}
-	ix, _ := buildIndex(w, assign)
-	return ix
+	return buildIndex(w, assign)
 }
 
 // blockIn returns the block a blockIndex lookup of p finds.

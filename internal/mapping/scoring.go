@@ -544,12 +544,14 @@ func (s *Scorer) TargetFor(ep netmodel.Endpoint) (netmodel.Endpoint, bool) {
 // Targeted reports whether clustering is on (a bounded ping-target set).
 func (s *Scorer) Targeted() bool { return len(s.targets) > 0 }
 
-// bestWeighted returns the index of the live deployment minimising the
-// demand-weighted mean ping to the given endpoints, and that mean — the
-// CANS objective: "map client to the deployment that minimizes the
-// traffic-weighted average of the latencies from the deployment to its
-// cluster of clients" (§6). It returns -1 when no deployment is alive.
-func (s *Scorer) bestWeighted(eps []netmodel.Endpoint, weights []float64) (int, float64) {
+// BestWeighted returns the index of the live deployment minimising the
+// demand-weighted mean ping to the given endpoints (nil weights weigh them
+// alike), and that mean — §6's client-aware NS (CANS) objective: "map
+// client to the deployment that minimizes the traffic-weighted average of
+// the latencies from the deployment to its cluster of clients". No map
+// serves it; the Fig 25 deployment sweep evaluates it per LDNS. It returns
+// -1 when no deployment is alive or the weights sum to zero.
+func (s *Scorer) BestWeighted(eps []netmodel.Endpoint, weights []float64) (int, float64) {
 	if len(eps) == 0 {
 		return -1, 0
 	}

@@ -74,14 +74,6 @@ type Snapshot struct {
 	// both slices wholesale.
 	rows     []rowAt
 	rowEpoch []uint64
-
-	// cans maps a resolver slot (see Index.Resolvers) to the head of its
-	// precomputed ClientAwareNS candidate list, Head and Scores with no
-	// Tail: the traffic-weighted winner first, then the head of the
-	// resolver's own rank table for capacity spill, deduplicated at build
-	// time; the walk continues in the resolver's tail. Only populated when
-	// the snapshot's policy is ClientAwareNS.
-	cans map[int32]Row
 }
 
 // arena holds rows back to back as two columns: order, the deployment
@@ -98,12 +90,12 @@ type arena struct {
 // its first entry there — in order, and for a head in scores too.
 type rowAt struct{ arena, off uint32 }
 
-// Row is a candidate list in its two stored levels, as ClientRow,
-// ResolverRow and CANSCandidates return it for what a query carries: Head,
-// the best few deployments of its table's own ranking, with Scores[k]
-// Head[k]'s score (ping milliseconds, rounded to float32), and Tail, a
-// ranking of every deployment that the table's whole region shares, which
-// keeps the order alone. Deployments are indexes into the platform's
+// Row is a candidate list in its two stored levels, as ClientRow and
+// ResolverRow return it for what a query carries: Head, the best few
+// deployments of its table's own ranking, with Scores[k] Head[k]'s score
+// (ping milliseconds, rounded to float32), and Tail, a ranking of every
+// deployment that the table's whole region shares, which keeps the order
+// alone. Deployments are indexes into the platform's
 // Deployments list. Candidates are tried head first, then tail (see
 // lists). The slices are immutable; callers must not modify them.
 type Row struct {
@@ -193,8 +185,7 @@ func (sn *Snapshot) Endpoints() int { return sn.lay.Index.Len() }
 // columns of every arena in the chain — superseded rows in older arenas
 // included, which stay resident until compaction drops them — the chain
 // itself, the per-row locations and epochs, and the table→tail map. The
-// index is System.IndexBytes', and the CANS candidate map (ClientAwareNS
-// only) is excluded.
+// index is System.IndexBytes'.
 func (sn *Snapshot) MemoryBytes() uint64 {
 	n := sn.lay.memoryBytes() +
 		uint64(cap(sn.arenas))*uint64(unsafe.Sizeof(arena{})) +
@@ -245,9 +236,9 @@ func (sn *Snapshot) ResolverRow(addr netip.Addr) (Row, bool) {
 }
 
 // FirstLive returns the first deployment in a row of this snapshot
-// (ClientRow, ResolverRow, CANSCandidates) that is live right now, or nil
-// when none is. Liveness is read at call time, so a snapshot built before a
-// failure still routes around it.
+// (ClientRow, ResolverRow) that is live right now, or nil when none is.
+// Liveness is read at call time, so a snapshot built before a failure
+// still routes around it.
 func (sn *Snapshot) FirstLive(row Row) *cdn.Deployment {
 	for _, list := range row.lists() {
 		for _, c := range list {
@@ -262,23 +253,6 @@ func (sn *Snapshot) FirstLive(row Row) *cdn.Deployment {
 // Deployments returns the roster this snapshot's rows index: row entry c
 // names Deployments()[c]. The slice is shared; callers must not modify it.
 func (sn *Snapshot) Deployments() []*cdn.Deployment { return sn.deps }
-
-// CANSCandidates returns the precomputed ClientAwareNS candidates for a
-// resolver address — the winner and the resolver's own head, then its
-// tail — or a row with a nil Head when the snapshot has none (wrong
-// policy, an unknown resolver, or one with no discovered client blocks).
-func (sn *Snapshot) CANSCandidates(addr netip.Addr) Row {
-	slot, ok := sn.lay.Index.resolver(addr)
-	if !ok {
-		return Row{}
-	}
-	c, ok := sn.cans[int32(slot)]
-	if !ok {
-		return Row{}
-	}
-	c.Tail = sn.row(sn.lay.Index.ResolverTable[slot]).Tail
-	return c
-}
 
 // SnapshotBuilder assembles snapshots. It is the control plane's compute
 // stage: it owns a Scorer (measurement + clustering) and, per Build,
@@ -311,10 +285,6 @@ type SnapshotBuilder struct {
 	segs    []segment
 	tailSeg []int32
 	prev    *Snapshot
-	// ldnses is the world LDNS in each resolver slot of lay's index, which
-	// buildCANS reads the resolver's clients from. Like segs it never
-	// travels. Nil until the first layout and after bootSnapshot.
-	ldnses []*world.LDNS
 
 	stats BuildStats
 
@@ -437,9 +407,8 @@ func (b *SnapshotBuilder) layoutLocked() *Layout {
 		return b.lay
 	}
 	lay, segs, tailSeg, assign := b.partition()
-	ix, ldnses := buildIndex(b.world, assign)
-	lay.Index = ix
-	b.lay, b.segs, b.tailSeg, b.ldnses = lay, segs, tailSeg, ldnses
+	lay.Index = buildIndex(b.world, assign)
+	b.lay, b.segs, b.tailSeg = lay, segs, tailSeg
 	return lay
 }
 
@@ -544,7 +513,7 @@ func upTo(n int) []int32 {
 func (b *SnapshotBuilder) bootSnapshot(policy Policy) *Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.lay, b.segs, b.tailSeg, b.prev, b.ldnses = nil, nil, nil, nil, nil
+	b.lay, b.segs, b.tailSeg, b.prev = nil, nil, nil, nil
 	b.lineage = newLineage()
 	b.markAllDirty()
 	b.scorer.Invalidate()
@@ -553,7 +522,7 @@ func (b *SnapshotBuilder) bootSnapshot(policy Policy) *Snapshot {
 	lay, segs, tailSeg, _ := buildLayout(nil, fLDNS, fClient, b.partitionMiles, b.scorer)
 	order, scores := lay.columns(lay.Rows(), lay.Tables())
 	b.fillRows(lay, segs, tailSeg, upTo(lay.Rows()), order, scores)
-	return NewSnapshot(b.lineage, 0, policy, b.ttl, lay, b.scorer.Platform(), order, scores, nil)
+	return NewSnapshot(b.lineage, 0, policy, b.ttl, lay, b.scorer.Platform(), order, scores)
 }
 
 // maxArenaChain bounds the delta-arena chain incremental builds and delta
@@ -629,14 +598,14 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 	case full:
 		order, scores := lay.columns(lay.Rows(), nSegs)
 		b.fillRows(lay, b.segs, b.tailSeg, upTo(lay.Rows()), order, scores)
-		sn = NewSnapshot(b.lineage, epoch, policy, b.ttl, lay, sc.Platform(), order, scores, nil)
+		sn = NewSnapshot(b.lineage, epoch, policy, b.ttl, lay, sc.Platform(), order, scores)
 		b.stats.Full++
 		b.stats.RerankedTables += uint64(nSegs)
 		b.stats.RerankedTails += uint64(lay.Tails)
 	case len(rows) == 0:
 		// Nothing changed since the last build: share the rows wholesale.
 		shared := *b.prev
-		shared.epoch, shared.policy, shared.cans = epoch, policy, nil
+		shared.epoch, shared.policy = epoch, policy
 		sn = &shared
 		b.stats.Incremental++
 	default:
@@ -647,53 +616,6 @@ func (b *SnapshotBuilder) Build(epoch uint64, policy Policy) *Snapshot {
 		b.stats.RerankedTables += uint64(len(dirty))
 		b.stats.RerankedTails += uint64(len(rows) - len(dirty))
 	}
-	if policy == ClientAwareNS {
-		sn.cans = b.buildCANS(sn)
-	}
 	b.prev = sn
 	return sn
-}
-
-// buildCANS precomputes the ClientAwareNS candidate list for every
-// resolver with discovered client blocks, keyed by its slot: the deployment
-// minimising the traffic-weighted mean ping to the LDNS's clients (§6's
-// CANS objective) first, then the head of the LDNS's own NS ranking for
-// capacity spill — with the winner deduplicated out of the spill list, so
-// no deployment appears twice in the candidates handed to the load
-// balancer. Past that head the walk continues in the LDNS's tail (see
-// CANSCandidates).
-func (b *SnapshotBuilder) buildCANS(sn *Snapshot) map[int32]Row {
-	sc := b.scorer
-	lists := par.Map(len(b.ldnses), func(i int) Row {
-		l := b.ldnses[i]
-		if len(l.Blocks) == 0 {
-			return Row{}
-		}
-		eps := make([]netmodel.Endpoint, len(l.Blocks))
-		weights := make([]float64, len(l.Blocks))
-		for j, blk := range l.Blocks {
-			eps[j] = blk.Endpoint()
-			weights[j] = blk.Demand
-		}
-		win, score := sc.bestWeighted(eps, weights)
-		if win < 0 {
-			return Row{}
-		}
-		ns := sn.row(sn.lay.Index.ResolverTable[i])
-		out := Row{Head: make([]uint16, 1, len(ns.Head)+1), Scores: make([]float32, 1, len(ns.Head)+1)}
-		out.Head[0], out.Scores[0] = uint16(win), float32(score)
-		for k, d := range ns.Head {
-			if d != uint16(win) {
-				out.Head, out.Scores = append(out.Head, d), append(out.Scores, ns.Scores[k])
-			}
-		}
-		return out
-	})
-	cans := make(map[int32]Row, len(b.ldnses))
-	for i, list := range lists {
-		if list.Head != nil {
-			cans[int32(i)] = list
-		}
-	}
-	return cans
 }

@@ -3,62 +3,7 @@ package mapping
 import (
 	"net/netip"
 	"testing"
-
-	"eum/internal/netmodel"
 )
-
-// TestSnapshotCANSDedupe is the regression test for the CANS duplicate-
-// candidate bug: the old lazy path appended the full NS ranking after the
-// bestWeighted winner, so the winning deployment appeared twice in the
-// candidate list handed to the load balancer. Snapshot CANS lists must
-// start with the weighted winner and contain each deployment exactly once.
-func TestSnapshotCANSDedupe(t *testing.T) {
-	sys := newSystem(t, ClientAwareNS)
-	sn := sys.Current()
-	if sn.Policy() != ClientAwareNS {
-		t.Fatalf("snapshot policy = %v, want CANS", sn.Policy())
-	}
-
-	checked := 0
-	for _, l := range testW.LDNSes {
-		row := sn.CANSCandidates(l.Addr)
-		if row.Head == nil {
-			if len(l.Blocks) > 0 {
-				t.Fatalf("LDNS %v has %d blocks but no CANS candidates", l.Addr, len(l.Blocks))
-			}
-			continue
-		}
-		checked++
-		cands := walked(row)
-		seen := make(map[uint64]bool, len(cands))
-		for _, c := range cands {
-			if seen[depOf(c).ID] {
-				t.Fatalf("LDNS %v: deployment %s appears twice in CANS candidates", l.Addr, depOf(c).Name)
-			}
-			seen[depOf(c).ID] = true
-		}
-		// The winner leads, and it is the traffic-weighted optimum.
-		eps := make([]netmodel.Endpoint, len(l.Blocks))
-		weights := make([]float64, len(l.Blocks))
-		for i, b := range l.Blocks {
-			eps[i] = b.Endpoint()
-			weights[i] = b.Demand
-		}
-		win, _ := sys.Scorer().bestWeighted(eps, weights)
-		if int(cands[0]) != win {
-			t.Fatalf("LDNS %v: candidate[0] = deployment %d, want weighted winner %d",
-				l.Addr, cands[0], win)
-		}
-		// Every platform deployment is reachable for capacity spill.
-		if len(cands) != len(testP.Deployments) {
-			t.Fatalf("LDNS %v: %d candidates, want %d (winner + deduped NS rank)",
-				l.Addr, len(cands), len(testP.Deployments))
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no LDNS with CANS candidates")
-	}
-}
 
 // TestSnapshotMatchesScorer checks the published tables against the
 // scoring layer they were built from: for a sample of blocks and LDNSes,
@@ -172,27 +117,5 @@ func TestMapEpochPinned(t *testing.T) {
 	}
 	if cur.Epoch <= r.Epoch {
 		t.Fatalf("current epoch %d not newer than pinned %d", cur.Epoch, r.Epoch)
-	}
-}
-
-// TestMapCANSNoDuplicateCandidates exercises the full Map path under the
-// CANS policy for every known LDNS — the load balancer must receive the
-// deduped list and answer successfully.
-func TestMapCANSNoDuplicateCandidates(t *testing.T) {
-	sys := newSystem(t, ClientAwareNS)
-	served := 0
-	for i := 0; i < len(testW.LDNSes); i += 17 {
-		l := testW.LDNSes[i]
-		r, err := sys.Map(Request{Domain: "cans.net", LDNS: l.Addr})
-		if err != nil {
-			t.Fatalf("LDNS %v: %v", l.Addr, err)
-		}
-		if r.Deployment == nil || len(r.Servers) == 0 {
-			t.Fatalf("LDNS %v: empty decision", l.Addr)
-		}
-		served++
-	}
-	if served == 0 {
-		t.Fatal("no LDNS served")
 	}
 }

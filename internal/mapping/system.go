@@ -1,10 +1,9 @@
 // Package mapping implements the paper's primary contribution: the CDN
 // mapping system that routes each DNS request to a proximal server cluster.
 //
-// It provides the three request-routing policies the paper evaluates —
-// traditional NS-based mapping (route by the LDNS), end-user mapping (route
-// by the EDNS0 client-subnet prefix), and client-aware NS-based mapping
-// (route by the LDNS's measured client cluster) — together with the scoring
+// It provides the two request-routing policies the paper's CDN deployed —
+// traditional NS-based mapping (route by the LDNS) and end-user mapping
+// (route by the EDNS0 client-subnet prefix) — together with the scoring
 // layer built on ping-target measurements, the two-level (global + local)
 // load balancer, and the map a name server answers from. A client's
 // mapping unit, the finest grain an answer is decided at, is its /24 or
@@ -23,10 +22,10 @@ import (
 )
 
 // Policy selects how the mapping system identifies the client it is
-// routing (§6's three schemes).
+// routing.
 type Policy int
 
-// The three request-routing policies the paper evaluates.
+// The two request-routing policies a map serves.
 const (
 	// NSBased routes by the LDNS: the deployment with the least latency
 	// to the resolver that sent the query (Equation 1).
@@ -35,11 +34,6 @@ const (
 	// to the client's IP block from the EDNS0 client-subnet option
 	// (Equation 2) — the paper's contribution.
 	EndUser
-	// ClientAwareNS routes by the LDNS's measured client cluster: the
-	// deployment minimising traffic-weighted latency to the clients that
-	// share the LDNS. A hybrid needing no ECS but needing client-LDNS
-	// discovery.
-	ClientAwareNS
 )
 
 // String names the policy as in the paper.
@@ -49,8 +43,6 @@ func (p Policy) String() string {
 		return "NS"
 	case EndUser:
 		return "EU"
-	case ClientAwareNS:
-		return "CANS"
 	}
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
@@ -276,12 +268,12 @@ func (s *System) MapAt(sn *Snapshot, req Request) (*Response, error) {
 // returning the decision by value: a caller that passes ServersPerAnswer
 // of scratch from its stack decides without a heap allocation. It is the
 // data plane: a pure reader — the candidate row (the endpoint's own head,
-// its region's tail) and the CANS candidate lists come precomputed from
-// the snapshot, liveness and load are read per server at pick time, and
-// nothing on this path scores, locks, allocates or invalidates. Callers
-// that must keep a set of decisions mutually consistent (a deterministic
-// simulation day, a wire answer checked against its oracle) pin one
-// snapshot and pass it for every request.
+// its region's tail) comes precomputed from the snapshot, liveness and
+// load are read per server at pick time, and nothing on this path scores,
+// locks, allocates or invalidates. Callers that must keep a set of
+// decisions mutually consistent (a deterministic simulation day, a wire
+// answer checked against its oracle) pin one snapshot and pass it for
+// every request.
 func (s *System) MapInto(sn *Snapshot, req Request, scratch []*cdn.Server) (Response, error) {
 	if req.Domain == "" {
 		return Response{}, fmt.Errorf("mapping: empty domain")
@@ -323,10 +315,6 @@ func (s *System) MapInto(sn *Snapshot, req Request, scratch []*cdn.Server) (Resp
 			// family, never more specific than what the query revealed
 			// (RFC 7871 §7.2.1 privacy: y <= x).
 			resp.ScopePrefix = min(scope, uint8(req.ClientSubnet.Bits()))
-		}
-	case sn.policy == ClientAwareNS:
-		if candidates = sn.CANSCandidates(req.LDNS); candidates.Head == nil {
-			candidates, _ = sn.ResolverRow(req.LDNS)
 		}
 	default:
 		candidates, _ = sn.ResolverRow(req.LDNS)

@@ -151,11 +151,14 @@ func TestEUImprovesMappingDistanceForPublicClients(t *testing.T) {
 	}
 }
 
+// TestCANSBetweenNSAndEU: §6's client-aware NS mapping, which no map
+// serves, sends each LDNS's clients to the deployment BestWeighted finds
+// for the LDNS's whole client cluster. Over the same blocks its
+// demand-weighted mean mapping distance sits between EU's and NS's.
 func TestCANSBetweenNSAndEU(t *testing.T) {
-	// §6: CANS is an intermediate point between NS and EU.
 	ns := newSystem(t, NSBased)
-	cans := newSystem(t, ClientAwareNS)
 	eu := newSystem(t, EndUser)
+	cans := map[*world.LDNS]*cdn.Deployment{}
 	var nsD, cansD, euD stats.Dataset
 	count := 0
 	for _, b := range testW.Blocks {
@@ -169,13 +172,28 @@ func TestCANSBetweenNSAndEU(t *testing.T) {
 			sys *System
 			ds  *stats.Dataset
 			ecs netip.Prefix
-		}{{ns, &nsD, netip.Prefix{}}, {cans, &cansD, netip.Prefix{}}, {eu, &euD, b.Prefix}} {
+		}{{ns, &nsD, netip.Prefix{}}, {eu, &euD, b.Prefix}} {
 			r, err := tc.sys.Map(Request{Domain: "d.net", LDNS: b.LDNS.Addr, ClientSubnet: tc.ecs})
 			if err != nil {
 				t.Fatal(err)
 			}
 			tc.ds.Add(geo.Distance(r.Deployment.Loc, b.Loc), b.Demand)
 		}
+		d, ok := cans[b.LDNS]
+		if !ok {
+			eps := make([]netmodel.Endpoint, len(b.LDNS.Blocks))
+			weights := make([]float64, len(b.LDNS.Blocks))
+			for i, c := range b.LDNS.Blocks {
+				eps[i], weights[i] = c.Endpoint(), c.Demand
+			}
+			win, _ := ns.Scorer().BestWeighted(eps, weights)
+			if win < 0 {
+				t.Fatalf("LDNS %v: no weighted best over its %d blocks", b.LDNS.Addr, len(b.LDNS.Blocks))
+			}
+			d = testP.Deployments[win]
+			cans[b.LDNS] = d
+		}
+		cansD.Add(geo.Distance(d.Loc, b.Loc), b.Demand)
 	}
 	if !(euD.Mean() <= cansD.Mean() && cansD.Mean() <= nsD.Mean()*1.05) {
 		t.Errorf("want EU (%.0f) <= CANS (%.0f) <= NS (%.0f)", euD.Mean(), cansD.Mean(), nsD.Mean())
@@ -356,7 +374,7 @@ func TestPolicyOfInstalledSnapshot(t *testing.T) {
 	if s.Policy() != EndUser {
 		t.Fatal("installing an EU snapshot left the policy at NS")
 	}
-	if NSBased.String() != "NS" || EndUser.String() != "EU" || ClientAwareNS.String() != "CANS" {
+	if NSBased.String() != "NS" || EndUser.String() != "EU" {
 		t.Error("policy names wrong")
 	}
 }

@@ -43,12 +43,6 @@ func (sn *Snapshot) ChangedSince(epoch uint64) []int32 {
 	return rows
 }
 
-// CANSTables returns the snapshot's precomputed ClientAwareNS candidate
-// lists keyed by resolver slot — rows with a Head and its Scores, and no
-// Tail — or nil for other policies. Callers must not modify the map or the
-// lists.
-func (sn *Snapshot) CANSTables() map[int32]Row { return sn.cans }
-
 // ArenaChainLen returns the length of the snapshot's arena chain (1 for a
 // freshly built or decoded snapshot; grows with incremental builds and
 // delta applies until compaction).
@@ -112,18 +106,17 @@ func (lay *Layout) fingerprint() uint64 {
 // deployment indexes and scores the heads' scores, in table order. Full
 // builds and the wire decoder both end here; the decoder is responsible
 // for validating that every index in lay and every deployment index in
-// order and cans is in range, that the columns are as long as lay says, and
+// order is in range, that the columns are as long as lay says, and
 // that every tail ranks every deployment — NewSnapshot trusts its input and
 // keeps the columns as given.
 func NewSnapshot(lineage, epoch uint64, policy Policy, ttl time.Duration, lay *Layout,
-	p *cdn.Platform, order []uint16, scores []float32, cans map[int32]Row) *Snapshot {
+	p *cdn.Platform, order []uint16, scores []float32) *Snapshot {
 
 	sn := &Snapshot{
 		epoch: epoch, lineage: lineage, policy: policy, ttl: ttl, lay: lay, deps: p.Deployments,
 		arenas:   []arena{{order, scores}},
 		rows:     make([]rowAt, lay.Rows()),
 		rowEpoch: make([]uint64, lay.Rows()),
-		cans:     cans,
 	}
 	for i := range sn.rows {
 		sn.rows[i] = rowAt{0, uint32(lay.rowOffset(i))}
@@ -141,14 +134,12 @@ func NewSnapshot(lineage, epoch uint64, policy Policy, ttl time.Duration, lay *L
 // a new arena until the chain would exceed maxArenaChain or the
 // accumulated delta data would outweigh the base arena, at which point the
 // result is compacted into one fresh base arena — so memory stays bounded
-// however many deltas are applied. The result never carries CANS tables
-// (the builder recomputes them, the encoder refuses deltas for CANS
-// snapshots).
+// however many deltas are applied.
 func (sn *Snapshot) WithDeltaRows(epoch uint64, policy Policy,
 	ttl time.Duration, rows []int32, order []uint16, scores []float32) *Snapshot {
 
 	out := *sn
-	out.epoch, out.policy, out.ttl, out.cans = epoch, policy, ttl, nil
+	out.epoch, out.policy, out.ttl = epoch, policy, ttl
 	out.arenas = append(slices.Clip(sn.arenas), arena{order, scores})
 	out.rows = slices.Clone(sn.rows)
 	out.rowEpoch = slices.Clone(sn.rowEpoch)

@@ -7,9 +7,10 @@
 // normalisation. A full image is everything a name server needs to serve,
 // and nothing else: the deployment roster (the platform the rows index),
 // the block index (client leaf or resolver address → table), the table→tail
-// map, the rows as two columns — the order of every row, a head per table
-// then the tails tables share, and the scores of the heads — and, for
-// ClientAwareNS snapshots, the candidate map. A replica boots from one
+// map, and the rows as two columns — the order of every row, a head per
+// table then the tails tables share, and the scores of the heads. The
+// header's policy is one a map serves, NS-based or end-user; a decoder
+// refuses any other. A replica boots from one
 // (DecodeBoot) with no world at hand. A delta image carries only the rows
 // re-ranked since a base epoch. What a table was ranked from stays with
 // the builder that ranked it. A row has one representation: its columns,
@@ -20,11 +21,11 @@
 // whose fingerprint — carried in the header, and recomputed from the
 // roster — matches.
 //
-// Layout, version 10 (all integers little-endian):
+// Layout, version 11 (all integers little-endian):
 //
 //	offset  size  field
 //	     0     4  magic "EUMw"
-//	     4     2  format version (10)
+//	     4     2  format version (11)
 //	     6     1  kind (0 full, 1 delta)
 //	     7     1  policy
 //	     8     8  epoch
@@ -54,7 +55,6 @@
 //	u32 N tails, u32 tail length (= deployments)
 //	(T × L + N × D) × u16   the order column: every row's deployment indexes, heads in table order, then tails
 //	T × L × u32             the score column: every head's scores, in table order
-//	u32 C, then C × (u32 resolver, u32 n, n × u16, n × u32)   CANS candidate heads, ascending resolver
 //
 // Addresses travel as their 16 network-order bytes, IPv4 as IPv4-mapped.
 // Every table a leaf, a resolver or a fallback names is one of the T, and
@@ -65,8 +65,7 @@
 // widest s at which it ranks first among the leaves sharing its network
 // above the low s bits: a query coarser than a leaf is answered by the one
 // leaf spanning it, and the decoder refuses leaves unless every aligned
-// group at every level holds exactly one. A resolver is named in the CANS
-// map by its position in the resolver list.
+// group at every level holds exactly one.
 //
 // Delta body (patches the snapshot of the header's lineage at the base
 // epoch, under the header's layout fingerprint):
@@ -102,11 +101,11 @@ import (
 )
 
 // Version is the wire format version this package encodes and decodes.
-const Version = 10
+const Version = 11
 
 // Image kinds.
 const (
-	KindFull  = 0 // complete snapshot: roster, index, layout, both columns of every row (+ CANS tables)
+	KindFull  = 0 // complete snapshot: roster, index, layout, both columns of every row
 	KindDelta = 1 // re-ranked rows against a base epoch
 )
 
@@ -177,8 +176,12 @@ type Codec struct {
 }
 
 // NewCodec builds a codec for the given platform.
-func NewCodec(p *cdn.Platform) *Codec {
-	return &Codec{platform: p, fp: PlatformFingerprint(p), roster: sync.OnceValue(func() []byte {
+func NewCodec(p *cdn.Platform) *Codec { return newCodec(p, PlatformFingerprint(p)) }
+
+// newCodec builds a codec for a platform whose fingerprint is already
+// known.
+func newCodec(p *cdn.Platform, fp uint64) *Codec {
+	return &Codec{platform: p, fp: fp, roster: sync.OnceValue(func() []byte {
 		w := newWriter(rosterSize(p))
 		w.roster(p)
 		return w.b
@@ -234,6 +237,9 @@ func ParseHeader(data []byte) (Header, error) {
 		return h, fmt.Errorf("%w: unknown kind %d", ErrFormat, h.Kind)
 	}
 	h.Policy = mapping.Policy(data[7])
+	if h.Policy != mapping.NSBased && h.Policy != mapping.EndUser {
+		return h, fmt.Errorf("%w: unknown policy %d", ErrFormat, data[7])
+	}
 	h.Epoch = binary.LittleEndian.Uint64(data[8:])
 	h.Lineage = binary.LittleEndian.Uint64(data[16:])
 	h.BaseEpoch = binary.LittleEndian.Uint64(data[24:])
@@ -255,13 +261,6 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 			lay.TailLen, len(c.platform.Deployments))
 	}
 	ix := lay.Index
-	cans := sn.CANSTables()
-	slots := make([]int32, 0, len(cans))
-	for slot := range cans {
-		slots = append(slots, slot)
-	}
-	slices.Sort(slots) // the canonical wire order that makes encoding deterministic
-
 	roster := c.roster()
 	size := headerSize +
 		len(roster) +
@@ -270,10 +269,7 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 		4*len(lay.SegTail) +
 		4 + 4 + // tail count and length
 		lay.ArenaLen()*orderSize + lay.Tables()*lay.TableLen*scoreSize +
-		4 + trailerSize // cans count + checksum
-	for _, slot := range slots {
-		size += 4 + 4 + len(cans[slot].Head)*(orderSize+scoreSize)
-	}
+		trailerSize
 
 	w := newWriter(size)
 	c.putHeader(w, sn, KindFull, 0)
@@ -307,13 +303,6 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 	for i := 0; i < lay.Tables(); i++ {
 		putColumn(w, sn.HeadScores(i))
 	}
-	w.u32(uint32(len(slots)))
-	for _, slot := range slots {
-		w.i32(slot)
-		w.u32(uint32(len(cans[slot].Head)))
-		putColumn(w, cans[slot].Head)
-		putColumn(w, cans[slot].Scores)
-	}
 	return w.finish(), nil
 }
 
@@ -343,12 +332,10 @@ func (c *Codec) EncodeDelta(prev, next *mapping.Snapshot) (data []byte, ok bool,
 // current snapshot is read: the rows of next's lineage that no build has
 // touched since the base epoch are the base's rows. ok is false — with no
 // error — when a delta is not expressible (another lineage, another layout,
-// a base no older than next, a CANS snapshot whose candidate map has no
-// delta form, or so much changed that a full image is no larger); the
-// publisher then falls back to EncodeFull.
+// a base no older than next, or so much changed that a full image is no
+// larger); the publisher then falls back to EncodeFull.
 func (c *Codec) EncodeDeltaSince(base Base, next *mapping.Snapshot) (data []byte, ok bool, err error) {
-	if base.Lineage != next.Lineage() || base.Layout != next.LayoutFingerprint() ||
-		next.CANSTables() != nil || base.Epoch >= next.Epoch() {
+	if base.Lineage != next.Lineage() || base.Layout != next.LayoutFingerprint() || base.Epoch >= next.Epoch() {
 		return nil, false, nil
 	}
 	lay := next.Layout()
@@ -444,7 +431,7 @@ func DecodeBoot(src io.Reader, size int64) (*Codec, *mapping.Snapshot, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	c := NewCodec(p)
+	c := newCodec(p, h.PlatformFP) // readRoster checked the roster hashes to it
 	if err := c.checkHeadLen(h); err != nil {
 		return nil, nil, err
 	}
@@ -496,8 +483,8 @@ func readRoster(r *reader, h Header) (*cdn.Platform, error) {
 		return nil, fmt.Errorf("%w: the roster names no deployment", ErrFormat)
 	}
 	p := &cdn.Platform{Deployments: make([]*cdn.Deployment, n)}
-	seen := make(map[uint64]bool, len(p.Deployments))
-	servers := map[uint64]bool{}
+	// Repeated IDs are refused once all are read, by sorting them.
+	depIDs, serverIDs := make([]uint64, n), make([]uint64, 0, n)
 	for i := range p.Deployments {
 		d := &cdn.Deployment{ID: r.u64()}
 		d.Loc.Lat = math.Float64frombits(r.u64())
@@ -509,36 +496,48 @@ func readRoster(r *reader, h Header) (*cdn.Platform, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		if n == 0 || seen[d.ID] {
-			return nil, fmt.Errorf("%w: roster deployment %d has no servers or is named twice", ErrFormat, d.ID)
+		if n == 0 {
+			return nil, fmt.Errorf("%w: roster deployment %d has no servers", ErrFormat, d.ID)
 		}
 		if n > cdn.MaxServers {
 			return nil, fmt.Errorf("%w: roster deployment %d has %d servers, more than %d", ErrFormat, d.ID, n, cdn.MaxServers)
 		}
-		seen[d.ID] = true
-		badCap, twice := false, false
+		badCap := false
 		r.each(n, serverSize, func(_ int, b []byte) {
 			id, capacity := binary.LittleEndian.Uint64(b), math.Float64frombits(binary.LittleEndian.Uint64(b[24:]))
 			badCap = badCap || !(capacity >= 0) || math.IsInf(capacity, 0)
-			twice = twice || servers[id]
-			servers[id] = true
+			serverIDs = append(serverIDs, id)
 			d.AddServer(id, netip.AddrFrom16([16]byte(b[8:24])).Unmap(), capacity)
 		})
 		if badCap {
 			return nil, fmt.Errorf("%w: roster deployment %d has a server of no finite capacity", ErrFormat, d.ID)
 		}
-		if twice {
-			return nil, fmt.Errorf("%w: roster deployment %d has a server ID the roster already used", ErrFormat, d.ID)
-		}
-		p.Deployments[i] = d
+		p.Deployments[i], depIDs[i] = d, d.ID
 	}
 	if r.err != nil {
 		return nil, r.err
+	}
+	if id, ok := repeated(depIDs); ok {
+		return nil, fmt.Errorf("%w: the roster names deployment %d twice", ErrFormat, id)
+	}
+	if id, ok := repeated(serverIDs); ok {
+		return nil, fmt.Errorf("%w: the roster uses server ID %d twice", ErrFormat, id)
 	}
 	if fp := PlatformFingerprint(p); fp != h.PlatformFP {
 		return nil, fmt.Errorf("%w: the roster's fingerprint is %016x, the header's %016x", ErrFormat, fp, h.PlatformFP)
 	}
 	return p, nil
+}
+
+// repeated sorts ids and returns one that occurs more than once, if any.
+func repeated(ids []uint64) (uint64, bool) {
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return ids[i], true
+		}
+	}
+	return 0, false
 }
 
 // readIndex reads and validates a full image's block index: keys strictly
@@ -658,20 +657,6 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 	}
 	order := readOrder(r, uint64(lay.ArenaLen()), nDeps)
 	scores := readColumn[float32](r, uint64(tables*lay.TableLen))
-	var cansMap map[int32]mapping.Row
-	nCANS := r.sliceLen(8)
-	if nCANS > 0 {
-		cansMap = make(map[int32]mapping.Row, nCANS)
-	}
-	for i, last := 0, int32(-1); i < nCANS && r.err == nil; i++ {
-		slot := r.i32()
-		if r.err == nil && (slot <= last || int(slot) >= len(ix.Resolvers)) {
-			return nil, fmt.Errorf("%w: CANS resolvers not ascending inside the index", ErrFormat)
-		}
-		last = slot
-		n := uint64(r.sliceLen(orderSize + scoreSize))
-		cansMap[slot] = mapping.Row{Head: readOrder(r, n, nDeps), Scores: readColumn[float32](r, n)}
-	}
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
@@ -688,7 +673,7 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 			return nil, fmt.Errorf("%w: tail index out of range", ErrFormat)
 		}
 	}
-	sn := mapping.NewSnapshot(h.Lineage, h.Epoch, h.Policy, h.TTL, lay, c.platform, order, scores, cansMap)
+	sn := mapping.NewSnapshot(h.Lineage, h.Epoch, h.Policy, h.TTL, lay, c.platform, order, scores)
 	for i := tables; i < lay.Rows(); i++ {
 		if err := checkTail(sn.RowOrder(i)); err != nil {
 			return nil, err

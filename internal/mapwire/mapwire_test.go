@@ -97,7 +97,7 @@ func sameAnswers(t *testing.T, got, want *mapping.Snapshot, w *world.World) {
 
 func TestFullRoundTrip(t *testing.T) {
 	w, p := fixture()
-	for _, pol := range []mapping.Policy{mapping.NSBased, mapping.EndUser, mapping.ClientAwareNS} {
+	for _, pol := range []mapping.Policy{mapping.NSBased, mapping.EndUser} {
 		t.Run(pol.String(), func(t *testing.T) {
 			sn := mapping.NewSnapshotBuilder(w, p, netmodel.NewDefault(), fixCfg).Build(7, pol)
 			c := NewCodec(p)
@@ -328,10 +328,6 @@ func TestEncodeDeltaRefusals(t *testing.T) {
 	if _, ok, err := c.EncodeDelta(other, sn2); ok || err != nil {
 		t.Fatalf("base of another lineage: ok=%v err=%v", ok, err)
 	}
-	cans := mapping.NewSnapshotBuilder(w, p, netmodel.NewDefault(), fixCfg).Build(3, mapping.ClientAwareNS)
-	if _, ok, err := c.EncodeDelta(sn2, cans); ok || err != nil {
-		t.Fatalf("CANS target: ok=%v err=%v", ok, err)
-	}
 }
 
 func TestDecodeRejectsCorruptInput(t *testing.T) {
@@ -482,6 +478,12 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"a server ID used twice", sealed(func(ds []*cdn.Deployment) {
 			ds[1].Servers[0].ID = ds[0].Servers[0].ID
 		}), nil, ErrFormat},
+		{"a server ID used twice inside one deployment", sealed(func(ds []*cdn.Deployment) {
+			ds[2].Servers[1].ID = ds[2].Servers[0].ID
+		}), nil, ErrFormat},
+		{"a deployment ID used twice", sealed(func(ds []*cdn.Deployment) {
+			ds[len(ds)-1].ID = ds[0].ID
+		}), nil, ErrFormat},
 		{"a deployment of more servers than an answer scans", sealed(func(ds []*cdn.Deployment) {
 			for len(ds[0].Servers) <= cdn.MaxServers {
 				ds[0].AddServer(1<<50+uint64(len(ds[0].Servers)), netip.AddrFrom4([4]byte{10, 0, 0, 1}), 1)
@@ -516,6 +518,8 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"head names a deployment the platform lacks", put16(full, firstHead, uint16(nDeps)), nil, ErrFormat},
 		{"score column truncated", cut(full, scoreColumn+tables*lay.TableLen*scoreSize/2), nil, ErrFormat},
 		{"head longer than this build keeps", put(full, 64, uint32(lay.TableLen+1)), nil, ErrFormat},
+		{"policy 2, which no map serves", put(full, 4, Version|uint32(full[6])<<16|2<<24), nil, ErrFormat},
+		{"format version 10, which carried client-aware NS candidate lists", put(full, 4, 10|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 9, which carried a rank per leaf", put(full, 4, 9|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 8, which carried float64 head scores", put(full, 4, 8|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 7, which carried the partition→table map", put(full, 4, 7|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
@@ -589,14 +593,14 @@ func TestColumnsRoundTripSwapped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The columns end where the CANS count starts, the scores last.
-	scores := len(plain) - trailerSize - 4 - lay.Tables()*lay.TableLen*scoreSize
+	// The columns end the body, the scores last.
+	scores := len(plain) - trailerSize - lay.Tables()*lay.TableLen*scoreSize
 	order := scores - lay.ArenaLen()*orderSize
 	want := slices.Clone(plain[:len(plain)-trailerSize])
 	for i := order; i < scores; i += orderSize {
 		slices.Reverse(want[i : i+orderSize])
 	}
-	for i := scores; i < len(want)-4; i += scoreSize {
+	for i := scores; i < len(want); i += scoreSize {
 		slices.Reverse(want[i : i+scoreSize])
 	}
 	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(want, castagnoli))
@@ -624,7 +628,7 @@ func TestColumnsRoundTripSwapped(t *testing.T) {
 // map bitwise-identically; a later image for another platform is refused.
 func TestRosterRoundTrip(t *testing.T) {
 	w, p := fixture()
-	sn := mapping.NewSnapshotBuilder(w, p, netmodel.NewDefault(), fixCfg).Build(1, mapping.ClientAwareNS)
+	sn := mapping.NewSnapshotBuilder(w, p, netmodel.NewDefault(), fixCfg).Build(1, mapping.NSBased)
 	data, err := NewCodec(p).EncodeFull(sn)
 	if err != nil {
 		t.Fatal(err)
@@ -651,11 +655,6 @@ func TestRosterRoundTrip(t *testing.T) {
 		}
 	}
 	sameAnswers(t, dec, sn, w)
-	for _, l := range w.LDNSes {
-		if g, wnt := dec.CANSCandidates(l.Addr), sn.CANSCandidates(l.Addr); !slices.Equal(g.Head, wnt.Head) || !slices.Equal(g.Tail, wnt.Tail) {
-			t.Fatalf("LDNS %v: CANS candidates differ after the round trip", l.Addr)
-		}
-	}
 	if again, err := c.EncodeFull(dec); err != nil || !bytes.Equal(again, data) {
 		t.Fatalf("re-encoding against the decoded roster differs (err %v)", err)
 	}
