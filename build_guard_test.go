@@ -223,12 +223,20 @@ func TestFullBuildMeasuresFewPairs(t *testing.T) {
 // wire format v7 gave when the index named partitions and the layout
 // mapped each to its table: no client reads another row since the index
 // names tables itself.
+// coldWideKeyCRC is the CRC-32C of what every client and resolver is
+// looked up by — each IPv4 leaf's /24 network as u32 little-endian
+// followed by its span byte, in key order, then each IPv6 leaf's /48
+// network as u64 little-endian and its span byte, then each resolver's
+// 16-byte address, network order (an IPv4 one as IPv4-mapped), in slot
+// order — which is the value wire format v11 gave, when each span rode in
+// its key's low byte: no key moves with the way the index stores them.
 const (
 	coldWideImageCRC  = 0x5879d9cb
 	coldWideImageSize = 2030720
 	coldWideOrderCRC  = 0x2d21021b
 	coldWideScoreCRC  = 0xadd71ca4
 	coldWideIndexCRC  = 0xf9cc0443
+	coldWideKeyCRC    = 0xb141a2ae
 )
 
 func TestWireImagePinned(t *testing.T) {
@@ -276,5 +284,19 @@ func TestWireImagePinned(t *testing.T) {
 	}
 	if tables != coldWideIndexCRC {
 		t.Errorf("the cold_wide index's tables have CRC-32C %#08x, pinned %#08x", tables, coldWideIndexCRC)
+	}
+	var keys uint32
+	ix := lay.Index
+	for i := range ix.V4.Keys {
+		keys = crc32.Update(keys, castagnoli, append(binary.LittleEndian.AppendUint32(word[:0], ix.V4.Key(i)), byte(ix.V4.Span(i))))
+	}
+	for i := range ix.V6.Keys {
+		keys = crc32.Update(keys, castagnoli, append(binary.LittleEndian.AppendUint64(word[:0], ix.V6.Key(i)), byte(ix.V6.Span(i))))
+	}
+	for _, a := range ix.Resolvers {
+		keys = crc32.Update(keys, castagnoli, binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(word[:0], a[0]), a[1]))
+	}
+	if keys != coldWideKeyCRC {
+		t.Errorf("the cold_wide index's keys have CRC-32C %#08x, pinned %#08x", keys, coldWideKeyCRC)
 	}
 }
