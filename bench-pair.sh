@@ -16,7 +16,13 @@
 #
 # SEED (default 1), SECONDS_OF_LOAD (default 20) and TRACE (default 0; 1
 # compares the per-layer metrics of traced runs instead) come from the
-# environment. Every run's output is kept under
+# environment. A per-layer timing swings with the machine, so a traced set
+# also prints each timing against a control, a layer the change did not
+# touch (CONTROL, default dnsmsg.unpack_ns): each change run divided by
+# that pair's change/base ratio of the control, its median, wins and IQR
+# verdict. The control can only demote: a raw verdict beyond the IQR whose
+# scaled one is not, in the same direction, reads "machine"; an unresolved
+# raw verdict stays unresolved however the scaled one reads. Every run's output is kept under
 # .bench_build/pair/<workload>-seed<seed>-trace<trace>/, so a traced set and
 # an untraced one of the same workload do not overwrite each other. Nothing
 # under bench/ is edited.
@@ -27,6 +33,7 @@ pairs=${3:-10}
 seed=${SEED:-1}
 seconds=${SECONDS_OF_LOAD:-20}
 trace=${TRACE:-0}
+control=${CONTROL:-dnsmsg.unpack_ns}
 if ! [[ $pairs =~ ^[0-9]+$ ]] || [ "$pairs" -eq 0 ] || [ $((pairs % 2)) != 0 ]; then
 	echo "bench-pair: PAIRS must be a positive even number, got '$pairs': each side goes first in half the pairs" >&2
 	exit 2
@@ -92,7 +99,7 @@ for side in base change; do
 done >"$runs/values.txt"
 
 echo "$workload, seed $seed, $seconds s, trace $trace: $pairs pairs of $(git -C "$root" rev-parse --short "$commit") (base) against this tree (change)"
-awk -v pairs="$pairs" '
+awk -v pairs="$pairs" -v trace="$trace" -v control="$control" '
 function quantile(v, n, p,    h, lo) { # v[1..n] ascending
 	h = (n - 1) * p + 1; lo = int(h)
 	return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
@@ -107,31 +114,53 @@ BEGIN { better["oracle_correct"] = "higher" }
 FNR == NR { # BENCHMARK.json: a "name" line, then the "better" line of the same entry
 	if ($0 ~ /"name":/) { name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name) }
 	if ($0 ~ /"better":/) better[name] = ($0 ~ /higher/) ? "higher" : "lower"
+	if ($0 ~ /"unit": *"(ns|us|ms|s)"/) timed[name] = 1
 	next
 }
 { val[$1, $2, $3] = $4; if (!($3 in seen)) { seen[$3] = 1; order[++metrics] = $3 } }
+function wins(side, name,    i, d, n) { # sets decided; returns the pairs side won against base
+	n = 0; decided = 0
+	for (i = 1; i <= pairs; i++) {
+		if (!(("base", i, name) in val) || !((side, i, name) in val)) continue
+		d = val[side, i, name] - val["base", i, name]
+		if (d == 0) continue
+		decided++
+		if ((better[name] == "higher") == (d > 0)) n++
+	}
+	return n
+}
+function verdict(diff, base, iqr) {
+	if (diff == 0) return "equal"
+	return sprintf("%+.1f %%, ", base ? 100 * diff / base : 0) \
+		((diff < 0 ? -diff : diff) > iqr ? "beyond the IQR" : "inside the IQR: unresolved")
+}
 END {
-	printf "%-34s %-32s %-32s %-7s %s\n", "metric", "base median [q1..q3]", "change median [q1..q3]", "wins", "medians vs base IQR"
+	scaling = trace == 1 && (("base", 1, control) in val)
+	printf "%-34s %-32s %-32s %-7s %-36s", "metric", "base median [q1..q3]", "change median [q1..q3]", "wins", "medians vs base IQR"
+	if (scaling) printf " %-12s %-7s %s", "scaled med", "wins", "scaled by " control " (only demotes)"
+	printf "\n"
 	for (m = 1; m <= metrics; m++) {
 		name = order[m]
 		summary("base", name, b); summary("change", name, c)
-		wins = 0; decided = 0
-		for (i = 1; i <= pairs; i++) {
-			if (!(("base", i, name) in val) || !(("change", i, name) in val)) continue
-			d = val["change", i, name] - val["base", i, name]
-			if (d == 0) continue
-			decided++
-			if ((better[name] == "higher") == (d > 0)) wins++
-		}
+		won = wins("change", name)
 		diff = c["med"] - b["med"]; iqr = b["q3"] - b["q1"]
-		if (diff == 0) verdict = "equal"
-		else {
-			verdict = sprintf("%+.1f %%, ", b["med"] ? 100 * diff / b["med"] : 0)
-			verdict = verdict ((diff < 0 ? -diff : diff) > iqr ? "beyond the IQR" : "inside the IQR: unresolved")
-		}
-		printf "%-34s %-32s %-32s %-7s %s\n", name,
+		raw = verdict(diff, b["med"], iqr)
+		printf "%-34s %-32s %-32s %-7s %-36s", name,
 			sprintf("%.6g [%.6g..%.6g]", b["med"], b["q1"], b["q3"]),
 			sprintf("%.6g [%.6g..%.6g]", c["med"], c["q1"], c["q3"]),
-			sprintf("%d/%d", wins, decided), verdict
+			sprintf("%d/%d", won, decided), raw
+		if (scaling && (name in timed) && name != control) {
+			for (i = 1; i <= pairs; i++)
+				if (("change", i, name) in val && val["change", i, control] > 0 && ("base", i, control) in val)
+					val["scaled", i, name] = val["change", i, name] * val["base", i, control] / val["change", i, control]
+			summary("scaled", name, s)
+			won = wins("scaled", name)
+			sdiff = s["med"] - b["med"]
+			final = verdict(sdiff, b["med"], iqr)
+			if (raw ~ /beyond/ && !(final ~ /beyond/ && (sdiff < 0) == (diff < 0))) final = "machine"
+			else if (raw !~ /beyond/) final = raw
+			printf " %-12s %-7s %s", sprintf("%.6g", s["med"]), sprintf("%d/%d", won, decided), final
+		}
+		printf "\n"
 	}
 }' "$root/BENCHMARK.json" "$runs/values.txt"

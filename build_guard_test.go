@@ -206,8 +206,10 @@ func TestFullBuildMeasuresFewPairs(t *testing.T) {
 // shipped as the raw bits of their nearest float32, so a score that moves
 // in its last place can reorder a tie or move a stored score and changes
 // the checksum; a change that means to move it says so and re-pins it, as
-// wire format v10 did when each leaf's span replaced its rank, and v11
-// when the empty client-aware NS section and its 4-byte count went.
+// wire format v10 did when each leaf's span replaced its rank, v11 when
+// the empty client-aware NS section and its 4-byte count went, and v12
+// when leaf keys became runs, table numbers u16s and IPv4 resolvers four
+// bytes, and both fingerprints in the header a word-wide hash.
 // coldWideOrderCRC is the CRC-32C of the order column alone — every row's
 // deployment indexes as u16 little-endian, in row order — which is the
 // value wire format v8 gave, when heads kept float64 scores: no rank moved
@@ -231,8 +233,8 @@ func TestFullBuildMeasuresFewPairs(t *testing.T) {
 // order — which is the value wire format v11 gave, when each span rode in
 // its key's low byte: no key moves with the way the index stores them.
 const (
-	coldWideImageCRC  = 0x5879d9cb
-	coldWideImageSize = 2030720
+	coldWideImageCRC  = 0xdb12d6e0
+	coldWideImageSize = 1727840
 	coldWideOrderCRC  = 0x2d21021b
 	coldWideScoreCRC  = 0xadd71ca4
 	coldWideIndexCRC  = 0xf9cc0443
@@ -276,24 +278,34 @@ func TestWireImagePinned(t *testing.T) {
 		t.Errorf("the cold_wide score column has CRC-32C %#08x, pinned %#08x", scoreCRC, coldWideScoreCRC)
 	}
 	lay := sn.Layout()
+	ix := lay.Index
 	var tables uint32
-	for _, list := range [][]int32{lay.Index.V4.Table, lay.Index.V6.Table, lay.Index.ResolverTable, {lay.FallbackLDNS, lay.FallbackClient}} {
-		for _, tb := range list {
-			tables = crc32.Update(tables, castagnoli, binary.LittleEndian.AppendUint32(word[:0], uint32(tb)))
+	addTables := func(col mapping.TableColumn, n int) {
+		for i := range n {
+			tables = crc32.Update(tables, castagnoli, binary.LittleEndian.AppendUint32(word[:0], uint32(col.At(i))))
 		}
+	}
+	addTables(ix.V4.Table, ix.V4.Len())
+	addTables(ix.V6.Table, ix.V6.Len())
+	addTables(ix.ResolverTable, len(ix.Resolvers4)+len(ix.Resolvers6))
+	for _, tb := range []int32{lay.FallbackLDNS, lay.FallbackClient} {
+		tables = crc32.Update(tables, castagnoli, binary.LittleEndian.AppendUint32(word[:0], uint32(tb)))
 	}
 	if tables != coldWideIndexCRC {
 		t.Errorf("the cold_wide index's tables have CRC-32C %#08x, pinned %#08x", tables, coldWideIndexCRC)
 	}
 	var keys uint32
-	ix := lay.Index
-	for i := range ix.V4.Keys {
+	for i := range ix.V4.Len() {
 		keys = crc32.Update(keys, castagnoli, append(binary.LittleEndian.AppendUint32(word[:0], ix.V4.Key(i)), byte(ix.V4.Span(i))))
 	}
-	for i := range ix.V6.Keys {
+	for i := range ix.V6.Len() {
 		keys = crc32.Update(keys, castagnoli, append(binary.LittleEndian.AppendUint64(word[:0], ix.V6.Key(i)), byte(ix.V6.Span(i))))
 	}
-	for _, a := range ix.Resolvers {
+	mapped := [12]byte{10: 0xff, 11: 0xff} // an IPv4 address's 16-byte form, less the address
+	for _, a := range ix.Resolvers4 {
+		keys = crc32.Update(keys, castagnoli, binary.BigEndian.AppendUint32(mapped[:], a))
+	}
+	for _, a := range ix.Resolvers6 {
 		keys = crc32.Update(keys, castagnoli, binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(word[:0], a[0]), a[1]))
 	}
 	if keys != coldWideKeyCRC {

@@ -160,7 +160,7 @@ func main() {
 		platform.RegisterLoadMetrics(reg)
 		mux := newAdminMux(adminState{
 			reg: reg, system: system, mm: mm, auth: auth,
-			fetcher: fetcher, pub: pub, blocks: len(index.V4.Keys) + len(index.V6.Keys),
+			fetcher: fetcher, pub: pub, blocks: index.V4.Len() + index.V6.Len(),
 			platform: platform, balance: cfg.BalanceFactor,
 		})
 		go func() {

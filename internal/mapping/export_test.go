@@ -17,10 +17,10 @@ func LayoutOf(sb *SnapshotBuilder) *Layout {
 }
 
 // IndexTables lays out the builder's universe afresh and returns the table
-// of each position in it, which BuildIndex indexes.
-func IndexTables(sb *SnapshotBuilder) []int32 {
-	_, _, _, assign := sb.partition()
-	return assign
+// of each position in it, which BuildIndex indexes, and the table count.
+func IndexTables(sb *SnapshotBuilder) ([]int32, int) {
+	lay, _, _, assign := sb.partition()
+	return assign, lay.Tables()
 }
 
 // FillAll ranks every row of the builder's layout into an arena's columns.
@@ -32,7 +32,9 @@ func FillAll(sb *SnapshotBuilder, lay *Layout, order []uint16, scores []float32)
 func BootSnapshot(sb *SnapshotBuilder) *Snapshot { return sb.bootSnapshot(EndUser) }
 
 // BuildIndex indexes w under the tables IndexTables returned.
-func BuildIndex(w *world.World, assign []int32) *Index { return buildIndex(w, assign) }
+func BuildIndex(w *world.World, assign []int32, tables int) *Index {
+	return buildIndex(w, assign, tables)
+}
 
 // LoadAwareWindow is how many live head entries the load-aware pick
 // weighs.

@@ -141,7 +141,7 @@ func blockIndex(w *world.World) *Index {
 	for i := range w.Blocks {
 		assign[len(w.LDNSes)+i] = int32(i)
 	}
-	return buildIndex(w, assign)
+	return buildIndex(w, assign, len(w.Blocks))
 }
 
 // blockIn returns the block a blockIndex lookup of p finds.
@@ -162,8 +162,8 @@ func TestLeafSpansNameGroupBest(t *testing.T) {
 		ix := blockIndex(w)
 		groups := checkSpans(t, name+" IPv4", w, &ix.V4, v4UnitBits) +
 			checkSpans(t, name+" IPv6", w, &ix.V6, v6UnitBits)
-		t.Logf("%s: %d IPv4 and %d IPv6 leaves, %d groups checked", name, len(ix.V4.Keys), len(ix.V6.Keys), groups)
-		if name == "mixed" && len(ix.V6.Keys) == 0 {
+		t.Logf("%s: %d IPv4 and %d IPv6 leaves, %d groups checked", name, ix.V4.Len(), ix.V6.Len(), groups)
+		if name == "mixed" && ix.V6.Len() == 0 {
 			t.Fatal("the mixed world has no IPv6 leaves")
 		}
 	}
@@ -176,10 +176,10 @@ func checkSpans[K uint32 | uint64](t *testing.T, name string, w *world.World, l 
 	t.Helper()
 	groups := 0
 	for s := 0; s <= width; s++ {
-		for lo := 0; lo < len(l.Keys); {
+		for lo := 0; lo < l.Len(); {
 			hi, best, spanning := lo, lo, 0
-			for ; hi < len(l.Keys) && l.Key(hi)>>s == l.Key(lo)>>s; hi++ {
-				if w.Blocks[l.Table[hi]].Demand > w.Blocks[l.Table[best]].Demand {
+			for ; hi < l.Len() && l.Key(hi)>>s == l.Key(lo)>>s; hi++ {
+				if w.Blocks[l.Table.At(hi)].Demand > w.Blocks[l.Table.At(best)].Demand {
 					best = hi
 				}
 				if l.Span(hi) >= s {
@@ -314,6 +314,46 @@ func TestRowsByAddressMatchAssignedPartitions(t *testing.T) {
 				}
 			}
 			t.Logf("%d blocks, %d resolvers, v6 %g: every row by address is its partition's table's", len(w.Blocks), len(w.LDNSes), v6)
+		}
+	}
+}
+
+// TestResolverSlotsAcrossFamilies: every resolver of the mixed world,
+// given IPv6 resolvers on either side of the IPv4-mapped range, reads its
+// own table — the first in world order of those at its address — by its
+// address as a query carries it, and an IPv4 one by its IPv4-mapped form
+// too, at the same slot; an unknown address of either family finds none.
+func TestResolverSlotsAcrossFamilies(t *testing.T) {
+	w := &world.World{Blocks: v6World.Blocks, LDNSes: slices.Clip(v6World.LDNSes)}
+	for _, a := range []string{"::1:53", "2001:db8::53", "2001:db8::54", "fe80::53"} {
+		w.LDNSes = append(w.LDNSes, &world.LDNS{Addr: netip.MustParseAddr(a)})
+	}
+	assign := make([]int32, len(w.LDNSes)+len(w.Blocks))
+	first := map[netip.Addr]int32{}
+	for i, l := range w.LDNSes {
+		assign[i] = int32(i)
+		if _, ok := first[l.Addr]; !ok {
+			first[l.Addr] = int32(i)
+		}
+	}
+	ix := buildIndex(w, assign, len(w.LDNSes))
+	if len(ix.Resolvers4) == 0 || len(ix.Resolvers6) != 4 {
+		t.Fatalf("%d IPv4 and %d IPv6 resolvers indexed", len(ix.Resolvers4), len(ix.Resolvers6))
+	}
+	for _, l := range w.LDNSes {
+		slot, ok := ix.resolver(l.Addr)
+		if !ok || ix.ResolverTable.At(slot) != first[l.Addr] {
+			t.Fatalf("resolver %v: slot %d (found %v), want table %d", l.Addr, slot, ok, first[l.Addr])
+		}
+		if l.Addr.Is4() {
+			if mapped, ok := ix.resolver(netip.AddrFrom16(l.Addr.As16())); !ok || mapped != slot {
+				t.Fatalf("resolver %v: its IPv4-mapped form finds slot %d (found %v), the address slot %d", l.Addr, mapped, ok, slot)
+			}
+		}
+	}
+	for _, a := range []string{"198.51.100.9", "::ffff:198.51.100.9", "2001:db8::55", "::1:52"} {
+		if slot, ok := ix.resolver(netip.MustParseAddr(a)); ok {
+			t.Fatalf("unknown resolver %v found at slot %d", a, slot)
 		}
 	}
 }

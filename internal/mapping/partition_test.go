@@ -3,6 +3,7 @@ package mapping
 import (
 	"cmp"
 	"fmt"
+	"net/netip"
 	"reflect"
 	"slices"
 	"strings"
@@ -199,29 +200,46 @@ func TestSnapshotMemoryAccounting(t *testing.T) {
 
 // TestIndexBytesCountsEveryColumn: IndexBytes is the capacity of every
 // slice the index holds times its element's size, found by walking the
-// index's fields, so a column added to it is counted or fails here.
+// index's fields, so a column added to it is counted or fails here. The
+// mixed world, given two IPv6 resolvers, is indexed in both table widths,
+// and every column must hold entries in one of them.
 func TestIndexBytesCountsEveryColumn(t *testing.T) {
 	sys := NewSystem(v6World, v6Platform, testNet, Config{Policy: EndUser, PingTargets: 100})
-	var want uint64
-	var walk func(v reflect.Value)
-	walk = func(v reflect.Value) {
-		switch v.Kind() {
-		case reflect.Struct:
-			for i := range v.NumField() {
-				walk(v.Field(i))
+	w := &world.World{Blocks: v6World.Blocks, LDNSes: append(slices.Clip(v6World.LDNSes),
+		&world.LDNS{Addr: netip.MustParseAddr("2001:db8::53")}, &world.LDNS{Addr: netip.MustParseAddr("2001:db8::54")})}
+	held := map[string]bool{}
+	for _, ix := range []*Index{
+		sys.Current().lay.Index,
+		buildIndex(w, make([]int32, len(w.LDNSes)+len(w.Blocks)), 1),
+		buildIndex(w, make([]int32, len(w.LDNSes)+len(w.Blocks)), MaxNarrowTables+1),
+	} {
+		var want uint64
+		var walk func(path string, v reflect.Value)
+		walk = func(path string, v reflect.Value) {
+			switch v.Kind() {
+			case reflect.Struct:
+				for i := range v.NumField() {
+					walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+				}
+			case reflect.Slice:
+				held[path] = held[path] || v.Len() > 0
+				want += uint64(v.Cap()) * uint64(v.Type().Elem().Size())
+			default:
+				t.Fatalf("the index holds a %v, neither a column nor a struct of columns", v.Type())
 			}
-		case reflect.Slice:
-			if v.Len() == 0 {
-				t.Fatalf("index column %v is empty; the world needs blocks of both families", v.Type())
-			}
-			want += uint64(v.Cap()) * uint64(v.Type().Elem().Size())
-		default:
-			t.Fatalf("the index holds a %v, neither a column nor a struct of columns", v.Type())
+		}
+		walk("Index", reflect.ValueOf(*ix))
+		if got := ix.memoryBytes(); got != want {
+			t.Fatalf("memoryBytes = %d, the index's columns hold %d", got, want)
 		}
 	}
-	walk(reflect.ValueOf(*sys.Current().lay.Index))
-	if got := sys.IndexBytes(); got != want {
-		t.Fatalf("IndexBytes = %d, the index's columns hold %d", got, want)
+	if got, want := sys.IndexBytes(), sys.Current().lay.Index.memoryBytes(); got != want {
+		t.Fatalf("IndexBytes = %d, the index holds %d", got, want)
+	}
+	for path, ok := range held {
+		if !ok {
+			t.Errorf("index column %s is empty at both table widths", path)
+		}
 	}
 }
 

@@ -46,10 +46,10 @@ func BenchmarkSetupBudget(b *testing.B) {
 		}
 	})
 	b.Run("index", func(b *testing.B) {
-		assign := mapping.IndexTables(builder())
+		assign, tables := mapping.IndexTables(builder())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			mapping.BuildIndex(w, assign)
+			mapping.BuildIndex(w, assign, tables)
 		}
 	})
 	b.Run("layout", func(b *testing.B) {

@@ -230,7 +230,7 @@ func (sn *Snapshot) ClientRow(p netip.Prefix) (Row, bool) {
 // row.
 func (sn *Snapshot) ResolverRow(addr netip.Addr) (Row, bool) {
 	if slot, ok := sn.lay.Index.resolver(addr); ok {
-		return sn.row(sn.lay.Index.ResolverTable[slot]), true
+		return sn.row(sn.lay.Index.ResolverTable.At(slot)), true
 	}
 	return sn.fallbackRow(false), false
 }
@@ -407,7 +407,7 @@ func (b *SnapshotBuilder) layoutLocked() *Layout {
 		return b.lay
 	}
 	lay, segs, tailSeg, assign := b.partition()
-	lay.Index = buildIndex(b.world, assign)
+	lay.Index = buildIndex(b.world, assign, lay.Tables())
 	b.lay, b.segs, b.tailSeg = lay, segs, tailSeg
 	return lay
 }

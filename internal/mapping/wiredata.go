@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"eum/internal/cdn"
+	"eum/internal/wordhash"
 )
 
 // This file is the snapshot's wire-support surface: what internal/mapwire
@@ -61,43 +62,43 @@ func (sn *Snapshot) LayoutFingerprint() uint64 { return sn.lay.fingerprint() }
 // the layout, so every epoch pays nothing after the first call.
 func (lay *Layout) fingerprint() uint64 {
 	lay.fpOnce.Do(func() {
-		h := uint64(fnvOffset64)
-		mix := func(v uint64) {
-			for i := 0; i < 8; i++ {
-				h ^= (v >> (8 * i)) & 0xff
-				h *= fnvPrime64
-			}
+		h := wordhash.New()
+		for _, v := range []int{lay.NParts, lay.TableLen, lay.TailLen, lay.Tails} {
+			h.Word(uint64(v))
 		}
-		mixAll := func(vs []int32) {
-			mix(uint64(len(vs)))
-			for _, v := range vs {
-				mix(uint64(uint32(v)))
-			}
-		}
+		h.Word(uint64(uint32(lay.FallbackLDNS)))
+		h.Word(uint64(uint32(lay.FallbackClient)))
 		ix := lay.Index
-		mix(uint64(lay.NParts))
-		mix(uint64(lay.TableLen))
-		mix(uint64(lay.TailLen))
-		mix(uint64(lay.Tails))
-		mix(uint64(uint32(lay.FallbackLDNS)))
-		mix(uint64(uint32(lay.FallbackClient)))
-		mixAll(ix.V4.Table)
-		for _, k := range ix.V4.Keys { // each leaf's network with its span
-			mix(uint64(k))
+		hashLeaves(&h, &ix.V4)
+		hashLeaves(&h, &ix.V6)
+		wordhash.Column(&h, ix.Resolvers4)
+		h.Word(uint64(len(ix.Resolvers6)))
+		for _, a := range ix.Resolvers6 {
+			h.Word(a[0])
+			h.Word(a[1])
 		}
-		mixAll(ix.V6.Table)
-		for _, k := range ix.V6.Keys {
-			mix(k)
+		hashTables(&h, ix.ResolverTable)
+		h.Word(uint64(len(lay.SegTail)))
+		for _, t := range lay.SegTail {
+			h.Word(uint64(uint32(t)))
 		}
-		mixAll(ix.ResolverTable)
-		for _, a := range ix.Resolvers {
-			mix(a[0])
-			mix(a[1])
-		}
-		mixAll(lay.SegTail)
-		lay.fp = h
+		lay.fp = h.Sum()
 	})
 	return lay.fp
+}
+
+// hashLeaves folds one family's leaves into h: runs, spans and tables.
+func hashLeaves[K uint32 | uint64](h *wordhash.Hash, l *Leaves[K]) {
+	wordhash.Column(h, l.Runs)
+	wordhash.Column(h, l.RunLeaf)
+	wordhash.Column(h, l.Spans)
+	hashTables(h, l.Table)
+}
+
+// hashTables folds a table column into h, its width included.
+func hashTables(h *wordhash.Hash, c TableColumn) {
+	wordhash.Column(h, c.Narrow)
+	wordhash.Column(h, c.Wide)
 }
 
 // NewSnapshot assembles a snapshot of the given lineage over one base arena

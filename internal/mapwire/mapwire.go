@@ -16,16 +16,17 @@
 // the builder that ranked it. A row has one representation: its columns,
 // u16 deployment indexes and, for a head, float32 scores, are written
 // from, and read into, the memory they are served from, as bulk copies,
-// and the checksum runs over those same bytes. A decoded snapshot
+// and the checksum runs over those same bytes; so are the index's columns
+// but the IPv6 resolvers. A decoded snapshot
 // therefore answers bitwise-identically to the original, on a platform
 // whose fingerprint — carried in the header, and recomputed from the
 // roster — matches.
 //
-// Layout, version 11 (all integers little-endian):
+// Layout, version 12 (all integers little-endian):
 //
 //	offset  size  field
 //	     0     4  magic "EUMw"
-//	     4     2  format version (11)
+//	     4     2  format version (12)
 //	     6     1  kind (0 full, 1 delta)
 //	     7     1  policy
 //	     8     8  epoch
@@ -47,18 +48,30 @@
 //	    u64 id, u64 latitude bits, u64 longitude bits, u32 ASN,
 //	    u32 n + n bytes name, u32 n + n bytes country,
 //	    u32 S ≥ 1, then S × (u64 server id, 16-byte address, u64 capacity bits)
-//	u32 N4, then N4 × (u32 /24 network << 8 | span, i32 table)   IPv4 leaves, ascending
-//	u32 N6, then N6 × (u64 /48 network << 8 | span, i32 table)   IPv6 leaves, ascending
-//	u32 R, then R × (16-byte address, i32 table)               resolvers, ascending
+//	u8 W                   table number width: 2 when T ≤ 65 535, else 4
+//	u32 R4, then R4 × u32 /24 network, then R4 × u32 leaf    IPv4 runs: first key, first leaf
+//	u32 N4, then N4 × u8 span, then N4 × W table             IPv4 leaves, in key order
+//	u32 R6, then R6 × u64 /48 network, then R6 × u32 leaf    IPv6 runs
+//	u32 N6, then N6 × u8 span, then N6 × W table             IPv6 leaves
+//	u32 A4, then A4 × u32 address                            IPv4 resolvers, ascending
+//	u32 A6, then A6 × 16-byte address                        IPv6 resolvers, ascending
+//	(A4 + A6) × W table                                      each resolver's, IPv4 first
 //	i32 fallback-LDNS table, i32 fallback-client table
 //	T × i32                table → tail
 //	u32 N tails, u32 tail length (= deployments)
 //	(T × L + N × D) × u16   the order column: every row's deployment indexes, heads in table order, then tails
 //	T × L × u32             the score column: every head's scores, in table order
 //
-// Addresses travel as their 16 network-order bytes, IPv4 as IPv4-mapped.
-// Every table a leaf, a resolver or a fallback names is one of the T, and
-// every tail a table names one of the N. P counts the partitions the
+// A family's leaf keys travel as runs: each maximal run of consecutive
+// keys as its first key and the leaf it starts at, so leaf i of a run
+// starting at leaf f with key k has key k+(i-f); runs start at leaf 0,
+// ascend, and each begins more than one key past the one before. An IPv4
+// resolver travels as its four bytes read as a big-endian number, an IPv6
+// one as its 16 network-order bytes, never IPv4-mapped. A table number
+// takes two bytes in an image of at most 65 535 tables and four past it;
+// the decoder refuses any other width. Every table a leaf, a resolver or
+// a fallback names is one of the T, and every tail a table names one of
+// the N. P counts the partitions the
 // publisher clustered its universe into; serving never reads a partition,
 // so none travels. Leaves rank by block demand, highest first, ties to the
 // lower network, and a leaf's span (0..24 for IPv4, 0..48 for IPv6) is the
@@ -95,13 +108,15 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"eum/internal/cdn"
 	"eum/internal/mapping"
+	"eum/internal/wordhash"
 )
 
 // Version is the wire format version this package encodes and decodes.
-const Version = 11
+const Version = 12
 
 // Image kinds.
 const (
@@ -197,25 +212,25 @@ func (c *Codec) Platform() *cdn.Platform { return c.platform }
 // address and capacity. Liveness and load are excluded — they are read at
 // query time and may legitimately differ across nodes.
 func PlatformFingerprint(p *cdn.Platform) uint64 {
-	h := newFNV()
-	h.u64(uint64(len(p.Deployments)))
+	h := wordhash.New()
+	h.Word(uint64(len(p.Deployments)))
 	for _, d := range p.Deployments {
-		h.u64(d.ID)
-		h.str(d.Name)
-		h.u64(math.Float64bits(d.Loc.Lat))
-		h.u64(math.Float64bits(d.Loc.Lon))
-		h.u64(uint64(d.ASN))
-		h.str(d.Country)
-		h.u64(uint64(len(d.Servers)))
+		h.Word(d.ID)
+		h.String(d.Name)
+		h.Word(math.Float64bits(d.Loc.Lat))
+		h.Word(math.Float64bits(d.Loc.Lon))
+		h.Word(uint64(d.ASN))
+		h.String(d.Country)
+		h.Word(uint64(len(d.Servers)))
 		for _, s := range d.Servers {
 			a := s.Addr.As16()
-			h.u64(s.ID)
-			h.u64(binary.BigEndian.Uint64(a[:8]))
-			h.u64(binary.BigEndian.Uint64(a[8:]))
-			h.u64(math.Float64bits(s.Capacity()))
+			h.Word(s.ID)
+			h.Word(binary.BigEndian.Uint64(a[:8]))
+			h.Word(binary.BigEndian.Uint64(a[8:]))
+			h.Word(math.Float64bits(s.Capacity()))
 		}
 	}
-	return h.sum
+	return h.Sum()
 }
 
 // ParseHeader reads and validates the fixed header of an image without
@@ -262,9 +277,11 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 	}
 	ix := lay.Index
 	roster := c.roster()
+	width := tableWidth(uint32(lay.Tables()))
 	size := headerSize +
 		len(roster) +
-		4 + 8*len(ix.V4.Keys) + 4 + 12*len(ix.V6.Keys) + 4 + 20*len(ix.Resolvers) +
+		1 + leavesSize(&ix.V4, width) + leavesSize(&ix.V6, width) +
+		4 + 4*len(ix.Resolvers4) + 4 + 16*len(ix.Resolvers6) + width*(len(ix.Resolvers4)+len(ix.Resolvers6)) +
 		4 + 4 + // fallback tables
 		4*len(lay.SegTail) +
 		4 + 4 + // tail count and length
@@ -274,21 +291,16 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 	w := newWriter(size)
 	c.putHeader(w, sn, KindFull, 0)
 	w.raw(roster)
-	w.u32(uint32(len(ix.V4.Keys)))
-	for i, k := range ix.V4.Keys {
-		w.u32(k)
-		w.i32(ix.V4.Table[i])
-	}
-	w.u32(uint32(len(ix.V6.Keys)))
-	for i, k := range ix.V6.Keys {
-		w.u64(k)
-		w.i32(ix.V6.Table[i])
-	}
-	w.u32(uint32(len(ix.Resolvers)))
-	for i, a := range ix.Resolvers {
+	w.u8(uint8(width))
+	putLeaves(w, &ix.V4)
+	putLeaves(w, &ix.V6)
+	w.u32(uint32(len(ix.Resolvers4)))
+	putColumn(w, ix.Resolvers4)
+	w.u32(uint32(len(ix.Resolvers6)))
+	for _, a := range ix.Resolvers6 {
 		w.addr(a)
-		w.i32(ix.ResolverTable[i])
 	}
+	putTables(w, ix.ResolverTable)
 
 	w.i32(lay.FallbackLDNS)
 	w.i32(lay.FallbackClient)
@@ -304,6 +316,38 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 		putColumn(w, sn.HeadScores(i))
 	}
 	return w.finish(), nil
+}
+
+// tableWidth is the bytes a table number takes in an image of the given
+// table count: two up to mapping.MaxNarrowTables, four past it.
+func tableWidth(tables uint32) int {
+	if tables > mapping.MaxNarrowTables {
+		return 4
+	}
+	return 2
+}
+
+// leavesSize is the encoded size of one family's leaves.
+func leavesSize[K uint32 | uint64](l *mapping.Leaves[K], width int) int {
+	var k K
+	return 4 + len(l.Runs)*(int(unsafe.Sizeof(k))+4) + 4 + l.Len()*(1+width)
+}
+
+// putLeaves appends one family's leaves: its runs' first keys and first
+// leaves, then its leaves' spans and tables.
+func putLeaves[K uint32 | uint64](w *writer, l *mapping.Leaves[K]) {
+	w.u32(uint32(len(l.Runs)))
+	putColumn(w, l.Runs)
+	putColumn(w, l.RunLeaf)
+	w.u32(uint32(l.Len()))
+	putColumn(w, l.Spans)
+	putTables(w, l.Table)
+}
+
+// putTables appends a table column in its width.
+func putTables(w *writer, c mapping.TableColumn) {
+	putColumn(w, c.Narrow)
+	putColumn(w, c.Wide)
 }
 
 // Base names the snapshot a delta patches by what the delta needs of it:
@@ -540,45 +584,46 @@ func repeated(ids []uint64) (uint64, bool) {
 	return 0, false
 }
 
-// readIndex reads and validates a full image's block index: keys strictly
-// ascending and inside their family's space, every table one of the
-// image's, exactly one leaf spanning each group of leaves at every level.
+// readIndex reads and validates a full image's block index: table
+// numbers in the width the image's table count takes and each one of its
+// tables, leaves as maximal runs of keys inside their family's space, one
+// leaf spanning each group of leaves at every level, and resolvers
+// strictly ascending, none of the IPv6 ones IPv4-mapped.
 func readIndex(r *reader, h Header) (*mapping.Index, error) {
+	width := int(r.u8())
+	if want := tableWidth(h.Tables); r.err == nil && width != want {
+		return nil, fmt.Errorf("%w: %d-byte table numbers, an image of %d tables takes %d", ErrFormat, width, h.Tables, want)
+	}
 	ix := &mapping.Index{}
-	tables := int64(h.Tables)
-	n4 := r.sliceLen(8)
-	ix.V4 = mapping.Leaves[uint32]{Keys: make([]uint32, n4), Table: make([]int32, n4)}
-	r.each(n4, 8, func(i int, b []byte) {
-		ix.V4.Keys[i] = binary.LittleEndian.Uint32(b)
-		ix.V4.Table[i] = int32(binary.LittleEndian.Uint32(b[4:]))
+	ix.V4 = readLeaves[uint32](r, width, h.Tables)
+	ix.V6 = readLeaves[uint64](r, width, h.Tables)
+	ix.Resolvers4 = readColumn[uint32](r, uint64(r.sliceLen(4+width)))
+	n6 := r.sliceLen(16 + width)
+	ix.Resolvers6 = make([][2]uint64, n6)
+	r.each(n6, 16, func(i int, b []byte) {
+		ix.Resolvers6[i] = [2]uint64{binary.BigEndian.Uint64(b), binary.BigEndian.Uint64(b[8:])}
 	})
-	n6 := r.sliceLen(12)
-	ix.V6 = mapping.Leaves[uint64]{Keys: make([]uint64, n6), Table: make([]int32, n6)}
-	r.each(n6, 12, func(i int, b []byte) {
-		ix.V6.Keys[i] = binary.LittleEndian.Uint64(b)
-		ix.V6.Table[i] = int32(binary.LittleEndian.Uint32(b[8:]))
-	})
-	nr := r.sliceLen(20)
-	ix.Resolvers, ix.ResolverTable = make([][2]uint64, nr), make([]int32, nr)
-	r.each(nr, 20, func(i int, b []byte) {
-		ix.Resolvers[i] = [2]uint64{binary.BigEndian.Uint64(b), binary.BigEndian.Uint64(b[8:])}
-		ix.ResolverTable[i] = int32(binary.LittleEndian.Uint32(b[16:]))
-	})
+	ix.ResolverTable = readTables(r, uint64(len(ix.Resolvers4)+n6), width, h.Tables)
 	if r.err != nil {
 		return nil, r.err
 	}
-	if err := checkLeaves(ix.V4, 24, tables); err != nil {
+	if err := checkLeaves(ix.V4, 24); err != nil {
 		return nil, fmt.Errorf("%w: IPv4 leaves: %v", ErrFormat, err)
 	}
-	if err := checkLeaves(ix.V6, 48, tables); err != nil {
+	if err := checkLeaves(ix.V6, 48); err != nil {
 		return nil, fmt.Errorf("%w: IPv6 leaves: %v", ErrFormat, err)
 	}
-	for i, a := range ix.Resolvers {
-		if i > 0 && (ix.Resolvers[i-1][0] > a[0] || ix.Resolvers[i-1][0] == a[0] && ix.Resolvers[i-1][1] >= a[1]) {
-			return nil, fmt.Errorf("%w: resolvers not strictly ascending", ErrFormat)
+	for i := 1; i < len(ix.Resolvers4); i++ {
+		if ix.Resolvers4[i-1] >= ix.Resolvers4[i] {
+			return nil, fmt.Errorf("%w: IPv4 resolvers not strictly ascending", ErrFormat)
 		}
-		if !inRange(ix.ResolverTable[i], tables) {
-			return nil, fmt.Errorf("%w: resolver table out of range", ErrFormat)
+	}
+	for i, a := range ix.Resolvers6 {
+		if i > 0 && (ix.Resolvers6[i-1][0] > a[0] || ix.Resolvers6[i-1][0] == a[0] && ix.Resolvers6[i-1][1] >= a[1]) {
+			return nil, fmt.Errorf("%w: IPv6 resolvers not strictly ascending", ErrFormat)
+		}
+		if a[0] == 0 && a[1]>>32 == 0xffff {
+			return nil, fmt.Errorf("%w: an IPv6 resolver is IPv4-mapped", ErrFormat)
 		}
 	}
 	if ix.Len() != int(h.Endpoints) {
@@ -587,42 +632,87 @@ func readIndex(r *reader, h Header) (*mapping.Index, error) {
 	return ix, nil
 }
 
+// readLeaves reads one family's leaves; checkLeaves validates them.
+func readLeaves[K uint32 | uint64](r *reader, width int, tables uint32) mapping.Leaves[K] {
+	var k K
+	runs := uint64(r.sliceLen(int(unsafe.Sizeof(k)) + 4))
+	l := mapping.Leaves[K]{Runs: readColumn[K](r, runs), RunLeaf: readColumn[uint32](r, runs)}
+	n := uint64(r.sliceLen(1 + width))
+	l.Spans = readColumn[uint8](r, n)
+	l.Table = readTables(r, n, width, tables)
+	return l
+}
+
+// readTables reads a column of n table numbers of the given width,
+// checking each against the image's table count.
+func readTables(r *reader, n uint64, width int, tables uint32) mapping.TableColumn {
+	if width == 2 {
+		return mapping.TableColumn{Narrow: readBelow[uint16](r, n, tables, "table")}
+	}
+	return mapping.TableColumn{Wide: readBelow[uint32](r, n, tables, "table")}
+}
+
 // checkLeaves validates one family's leaves, whose keys are width bits
-// wide, against the image's table count: keys strictly ascending and inside
-// the family's space, spans no wider than the family, and in every aligned
-// group of keys at every level, exactly one leaf spanning it. Bit s of
-// spanned says whether the group at level s the scan is in has its
-// spanning leaf yet; a group closes where the next key leaves it, at the
-// levels below the two keys' highest differing bit.
-func checkLeaves[K uint32 | uint64](l mapping.Leaves[K], width int, tables int64) error {
-	for i := range l.Keys {
-		switch k := l.Key(i); {
-		case i > 0 && l.Key(i-1) >= k:
-			return errors.New("keys not strictly ascending")
-		case k>>width != 0:
-			return errors.New("key outside the family's networks")
-		case l.Span(i) > width:
-			return fmt.Errorf("span %d wider than the family's %d bits", l.Span(i), width)
-		case !inRange(l.Table[i], tables):
-			return errors.New("table out of range")
+// wide: runs starting at leaf 0 and at ascending leaves short of the
+// last, each inside the family's space and each more than one key past
+// the one before, so that the runs are maximal; spans no wider than the
+// family; and in every aligned group of keys at every level, exactly one
+// leaf spanning it. Bit s of spanned says whether the group at level s the
+// scan is in has its spanning leaf yet; a group closes where the next key
+// leaves it, at the levels below the two keys' highest differing bit.
+func checkLeaves[K uint32 | uint64](l mapping.Leaves[K], width int) error {
+	if (l.Len() == 0) != (len(l.Runs) == 0) {
+		return fmt.Errorf("%d runs of %d leaves", len(l.Runs), l.Len())
+	}
+	for r, first := range l.RunLeaf {
+		switch {
+		case r == 0 && first != 0:
+			return errors.New("the first run does not start at the first leaf")
+		case r > 0 && first <= l.RunLeaf[r-1]:
+			return errors.New("run starts not ascending")
+		case int64(first) >= int64(l.Len()):
+			return errors.New("a run starts past the leaves")
+		}
+	}
+	space := uint64(1)<<width - 1 // the family's last network
+	var next uint64               // the key past the last run's
+	for r := range l.Runs {
+		first, lo, hi := l.Run(r)
+		switch k, n := uint64(first), uint64(hi-lo); {
+		case k > space || n-1 > space-k:
+			return errors.New("a run overflows the family's networks")
+		case r > 0 && k <= next:
+			return errors.New("runs overlap or touch")
+		default:
+			next = k + n
 		}
 	}
 	var spanned uint64
-	for i := range l.Keys {
-		levels := uint64(1)<<(l.Span(i)+1) - 1
-		if twice := spanned & levels; twice != 0 {
-			return fmt.Errorf("two leaves span the /%d group holding leaf %d", width-bits.TrailingZeros64(twice), i)
+	for r := range l.Runs {
+		first, lo, hi := l.Run(r)
+		for i := lo; i < hi; i++ {
+			key := uint64(first) + uint64(i-lo)
+			if int(l.Spans[i]) > width {
+				return fmt.Errorf("span %d wider than the family's %d bits", l.Spans[i], width)
+			}
+			levels := uint64(1)<<(l.Spans[i]+1) - 1
+			if twice := spanned & levels; twice != 0 {
+				return fmt.Errorf("two leaves span the /%d group holding leaf %d", width-bits.TrailingZeros64(twice), i)
+			}
+			spanned |= levels
+			closed := width + 1 // the last leaf closes every group
+			switch {
+			case i+1 < hi:
+				closed = bits.Len64(key ^ (key + 1))
+			case r+1 < len(l.Runs):
+				closed = bits.Len64(key ^ uint64(l.Runs[r+1]))
+			}
+			closing := uint64(1)<<closed - 1
+			if none := closing &^ spanned; none != 0 {
+				return fmt.Errorf("no leaf spans the /%d group holding leaf %d", width-bits.TrailingZeros64(none), i)
+			}
+			spanned &^= closing
 		}
-		spanned |= levels
-		closed := width + 1 // the last leaf closes every group
-		if i+1 < len(l.Keys) {
-			closed = bits.Len64(uint64(l.Key(i) ^ l.Key(i+1)))
-		}
-		closing := uint64(1)<<closed - 1
-		if none := closing &^ spanned; none != 0 {
-			return fmt.Errorf("no leaf spans the /%d group holding leaf %d", width-bits.TrailingZeros64(none), i)
-		}
-		spanned &^= closing
 	}
 	return nil
 }
@@ -655,7 +745,7 @@ func (c *Codec) decodeFull(h Header, r *reader) (*mapping.Snapshot, error) {
 	if uint64(lay.ArenaLen()) > math.MaxUint32 {
 		return nil, fmt.Errorf("%w: %d row entries, more than a snapshot addresses", ErrFormat, lay.ArenaLen())
 	}
-	order := readOrder(r, uint64(lay.ArenaLen()), nDeps)
+	order := readBelow[uint16](r, uint64(lay.ArenaLen()), uint32(nDeps), "deployment")
 	scores := readColumn[float32](r, uint64(tables*lay.TableLen))
 	if err := r.finish(); err != nil {
 		return nil, err
@@ -713,7 +803,7 @@ func (c *Codec) decodeDelta(h Header, r *reader, prev *mapping.Snapshot) (*mappi
 			heads++
 		}
 	}
-	order := readOrder(r, entries, nDeps)
+	order := readBelow[uint16](r, entries, uint32(nDeps), "deployment")
 	scores := readColumn[float32](r, uint64(heads*lay.TableLen))
 	if err := r.finish(); err != nil {
 		return nil, err

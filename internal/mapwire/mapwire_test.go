@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"net/netip"
@@ -12,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"eum/internal/cdn"
 	"eum/internal/mapping"
@@ -390,16 +393,14 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 	// encodes.
 	lay, ix := sn1.Layout(), sn1.Layout().Index
 	tables, nDeps := lay.Tables(), len(p.Deployments)
-	if len(ix.V4.Keys) < 2 || len(ix.V6.Keys) < 2 || len(ix.Resolvers) < 2 {
-		t.Fatal("the fixture needs two leaves of each family and two resolvers")
+	if len(ix.V4.Runs) < 3 || ix.V6.Len() < 2 || len(ix.Resolvers4) < 2 {
+		t.Fatal("the fixture needs three runs of IPv4 leaves, two IPv6 leaves and two resolvers")
 	}
 	roster := headerSize
 	d0 := p.Deployments[0]
 	d0Servers := roster + 4 + 8 + 8 + 8 + 4 + 4 + len(d0.Name) + 4 + len(d0.Country)
-	v4 := roster + rosterSize(p) + 4
-	v6 := v4 + 8*len(ix.V4.Keys) + 4
-	resolvers := v6 + 12*len(ix.V6.Keys) + 4
-	fallbacks := resolvers + 20*len(ix.Resolvers)
+	at := locate(roster+rosterSize(p), ix, 2)
+	v4, v6, fallbacks := at.v4, at.v6, at.fallbacks
 	segTail := fallbacks + 8
 	tailCount := segTail + 4*tables
 	firstHead := tailCount + 8
@@ -450,11 +451,20 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		binary.LittleEndian.PutUint64(out[off:], v)
 		return cut(out, len(out)-trailerSize)
 	}
-	// The IPv4 leaves the span cases patch: the first, whose span is short
-	// of the family's, one that a better leaf outranks at its span plus one,
-	// and the one that spans the whole family.
-	first, outranked, winner := ix.V4.Keys[0], -1, -1
-	for i := range ix.V4.Keys {
+	patch := func(img []byte, off int, b []byte) []byte {
+		out := slices.Clone(img)
+		copy(out[off:], b)
+		return cut(out, len(out)-trailerSize)
+	}
+	put8 := func(img []byte, off int, v uint8) []byte {
+		out := slices.Clone(img)
+		out[off] = v
+		return cut(out, len(out)-trailerSize)
+	}
+	// The IPv4 leaves the span cases patch: one that a better leaf outranks
+	// at its span plus one, and the one that spans the whole family.
+	outranked, winner := -1, -1
+	for i := range ix.V4.Spans {
 		switch ix.V4.Span(i) {
 		case 24:
 			winner = i
@@ -463,10 +473,29 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 			outranked = i
 		}
 	}
-	if ix.V4.Span(0) >= 24 || outranked < 0 || winner < 0 {
+	if outranked < 0 || winner < 0 {
 		t.Fatal("the fixture needs IPv4 leaves of spans 0 < s < 24 and one of 24")
 	}
-	n6 := len(ix.V6.Keys)
+	// The runs the run cases patch: the first two IPv4 ones, and the last of
+	// each family with the key that would make each last run end one past its
+	// family's networks.
+	key0, run1, run2 := ix.V4.Runs[0], v4.keys+4, v4.firsts+8
+	_, lo0, hi0 := ix.V4.Run(0)
+	last4, lastLo4, lastHi4 := ix.V4.Run(len(ix.V4.Runs) - 1)
+	_, lastLo6, lastHi6 := ix.V6.Run(len(ix.V6.Runs) - 1)
+	over4, over6 := uint32(1<<24-(lastHi4-lastLo4)+1), uint64(1<<48-(lastHi6-lastLo6)+1)
+	if last4 == over4 {
+		t.Fatal("the last IPv4 run already ends at the family's last network")
+	}
+	// A hand-made image with two IPv6 resolvers, for the cases the fixture,
+	// whose resolvers are all IPv4, cannot show.
+	hp, hsn := handMade(3)
+	hc := NewCodec(hp)
+	hfull, err := hc.EncodeFull(hsn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hat := locate(headerSize+rosterSize(hp), hsn.Layout().Index, 2)
 	for _, tc := range []struct {
 		name string
 		img  []byte
@@ -494,18 +523,28 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"a deployment renamed", put(full, roster+4+32, binary.LittleEndian.Uint32(full[roster+4+32:])^1), nil, ErrFormat},
 		{"a server readdressed", put(full, d0Servers+4+8+12, binary.LittleEndian.Uint32(full[d0Servers+4+8+12:])^1), nil, ErrFormat},
 		{"a server's capacity changed", put(full, d0Servers+4+24+4, binary.LittleEndian.Uint32(full[d0Servers+4+24+4:])^1), nil, ErrFormat},
-		{"IPv4 leaf keys unsorted", put(full, v4, ix.V4.Keys[1]+1<<8), nil, ErrFormat},
-		{"IPv4 leaf key duplicated", put(full, v4+8, first), nil, ErrFormat},
-		{"IPv4 leaf key duplicated with a wider span", put(full, v4+8, first+1), nil, ErrFormat},
-		{"IPv6 leaf keys unsorted", put64(full, v6, ix.V6.Keys[1]+1<<8), nil, ErrFormat},
-		{"IPv6 leaf key outside 48 bits", put64(full, v6+12*(n6-1), ix.V6.Keys[n6-1]|1<<56), nil, ErrFormat},
-		{"leaf table past the tables", put(full, v4+4, uint32(tables)), nil, ErrFormat},
-		{"leaf table negative", put(full, v6+8, ^uint32(0)), nil, ErrFormat},
-		{"leaf span wider than its family", put(full, v4, first&^0xff|25), nil, ErrFormat},
-		{"two leaves span one group", put(full, v4+8*outranked, ix.V4.Keys[outranked]+1), nil, ErrFormat},
-		{"no leaf spans the family", put(full, v4+8*winner, ix.V4.Keys[winner]&^0xff), nil, ErrFormat},
-		{"resolvers unsorted", put(full, resolvers+20+12, binary.BigEndian.Uint32(full[resolvers+12:])), nil, ErrFormat},
-		{"resolver table past the tables", put(full, resolvers+16, uint32(tables)), nil, ErrFormat},
+		{"narrow table numbers in an image of 65 536 tables", put(full, 60, mapping.MaxNarrowTables+1), nil, ErrFormat},
+		{"wide table numbers in an image of fewer tables", put8(full, at.width, 4), nil, ErrFormat},
+		{"3-byte table numbers", put8(full, at.width, 3), nil, ErrFormat},
+		{"IPv4 runs overlap", put(full, run1, key0), nil, ErrFormat},
+		{"IPv4 runs touch", put(full, run1, key0+uint32(hi0-lo0)), nil, ErrFormat},
+		{"IPv4 runs descend", put(full, run1, key0-1), nil, ErrFormat},
+		{"the first IPv4 run starts past the first leaf", put(full, v4.firsts, 1), nil, ErrFormat},
+		{"IPv4 run starts not cumulative", put(full, run2, ix.V4.RunLeaf[1]), nil, ErrFormat},
+		{"an IPv4 run starts past the leaf count", put(full, v4.firsts+4*(len(ix.V4.Runs)-1), uint32(ix.V4.Len())), nil, ErrFormat},
+		{"an IPv4 run overflows 24 bits", put(full, v4.keys+4*(len(ix.V4.Runs)-1), over4), nil, ErrFormat},
+		{"an IPv6 run overflows 48 bits", put64(full, v6.keys+8*(len(ix.V6.Runs)-1), over6), nil, ErrFormat},
+		{"an IPv6 run outside 48 bits", put64(full, v6.keys, ix.V6.Runs[0]|1<<56), nil, ErrFormat},
+		{"leaf table past the tables", put16(full, v4.tables, uint16(tables)), nil, ErrFormat},
+		{"IPv6 leaf table past the tables", put16(full, v6.tables, 0xffff), nil, ErrFormat},
+		{"leaf span wider than its family", put8(full, v4.spans, 25), nil, ErrFormat},
+		{"two leaves span one group", put8(full, v4.spans+outranked, ix.V4.Spans[outranked]+1), nil, ErrFormat},
+		{"no leaf spans the family", put8(full, v4.spans+winner, 0), nil, ErrFormat},
+		{"resolvers unsorted", put(full, at.res4+8, ix.Resolvers4[0]), nil, ErrFormat},
+		{"resolver table past the tables", put16(full, at.resTables, uint16(tables)), nil, ErrFormat},
+		{"endpoints miscounted", put(full, 68, uint32(ix.Len()+1)), nil, ErrFormat},
+		{"IPv6 resolvers unsorted", patch(hfull, hat.res6+4+16, hfull[hat.res6+4:hat.res6+4+16]), nil, ErrFormat},
+		{"an IPv6 resolver IPv4-mapped", patch(hfull, hat.res6+4, netip.MustParseAddr("::ffff:10.0.0.54").AsSlice()), nil, ErrFormat},
 		{"resolver fallback unassigned", put(full, fallbacks, ^uint32(0)), nil, ErrFormat},
 		{"client fallback unassigned", put(full, fallbacks+4, ^uint32(0)), nil, ErrFormat},
 		{"client fallback past the tables", put(full, fallbacks+4, uint32(tables)), nil, ErrFormat},
@@ -519,6 +558,7 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"score column truncated", cut(full, scoreColumn+tables*lay.TableLen*scoreSize/2), nil, ErrFormat},
 		{"head longer than this build keeps", put(full, 64, uint32(lay.TableLen+1)), nil, ErrFormat},
 		{"policy 2, which no map serves", put(full, 4, Version|uint32(full[6])<<16|2<<24), nil, ErrFormat},
+		{"format version 11, which carried each leaf's key and an i32 table", put(full, 4, 11|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 10, which carried client-aware NS candidate lists", put(full, 4, 10|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 9, which carried a rank per leaf", put(full, 4, 9|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
 		{"format version 8, which carried float64 head scores", put(full, 4, 8|uint32(full[6])<<16|uint32(full[7])<<24), nil, ErrVersion},
@@ -537,12 +577,15 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"delta score column truncated", cut(delta, len(delta)-trailerSize-scoreSize), sn1, ErrFormat},
 	} {
 		// An image sealed on another roster is foreign to c, which refuses
-		// it on the header's fingerprint before reading the roster.
-		want := tc.want
-		if h, err := ParseHeader(tc.img); err == nil && h.PlatformFP != c.fp {
+		// it on the header's fingerprint before reading the roster; the
+		// hand-made images are decoded by their own codec.
+		want, dc := tc.want, c
+		if h, err := ParseHeader(tc.img); err == nil && h.PlatformFP == hc.fp {
+			dc = hc
+		} else if err == nil && h.PlatformFP != c.fp {
 			want = ErrPlatformMismatch
 		}
-		if sn, err := c.Decode(tc.img, tc.prev); !errors.Is(err, want) {
+		if sn, err := dc.Decode(tc.img, tc.prev); !errors.Is(err, want) {
 			t.Errorf("%s: decoded to %v, error %v; want %v", tc.name, sn, err, want)
 		}
 		// A replica booting from a full image reads the roster itself
@@ -561,23 +604,157 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 	}
 	// A lone leaf past the family's 48 bits spans its groups whole, so only
 	// its range refuses it.
-	if err := checkLeaves(mapping.Leaves[uint64]{Keys: []uint64{1<<56 | 48}, Table: []int32{0}}, 48, 1); err == nil ||
-		!strings.Contains(err.Error(), "outside") {
+	if err := checkLeaves(mapping.Leaves[uint64]{Runs: []uint64{1 << 56}, RunLeaf: []uint32{0}, Spans: []uint8{48}}, 48); err == nil ||
+		!strings.Contains(err.Error(), "overflows") {
 		t.Errorf("a leaf keyed past 48 bits: %v", err)
+	}
+	if err := checkLeaves(mapping.Leaves[uint32]{Spans: []uint8{24}, Table: mapping.TableColumn{Narrow: []uint16{0}}}, 24); err == nil ||
+		!strings.Contains(err.Error(), "0 runs of 1 leaves") {
+		t.Errorf("a leaf in no run: %v", err)
 	}
 	// The untouched images are good, so every refusal above is the patch's.
 	if _, err := c.Decode(put(full, fallbacks, uint32(lay.FallbackLDNS)), nil); err != nil {
 		t.Fatalf("resealed clean image: %v", err)
+	}
+	if _, err := hc.Decode(hfull, nil); err != nil {
+		t.Fatalf("clean hand-made image: %v", err)
 	}
 	if _, err := c.Decode(delta, sn1); err != nil {
 		t.Fatalf("clean delta: %v", err)
 	}
 }
 
+// leafColumns locates one family's leaves in a full image: its run count,
+// the runs' first keys and first leaves, its leaf count, spans and tables.
+type leafColumns struct{ count, keys, firsts, leaves, spans, tables, end int }
+
+func locateLeaves[K uint32 | uint64](off int, l *mapping.Leaves[K], width int) leafColumns {
+	var k K
+	c := leafColumns{count: off, keys: off + 4}
+	c.firsts = c.keys + len(l.Runs)*int(unsafe.Sizeof(k))
+	c.leaves = c.firsts + 4*len(l.Runs)
+	c.spans = c.leaves + 4
+	c.tables = c.spans + l.Len()
+	c.end = c.tables + width*l.Len()
+	return c
+}
+
+// indexColumns locates a full image's index, which starts at off.
+type indexColumns struct {
+	width                            int
+	v4, v6                           leafColumns
+	res4, res6, resTables, fallbacks int
+}
+
+func locate(off int, ix *mapping.Index, width int) indexColumns {
+	at := indexColumns{width: off}
+	at.v4 = locateLeaves(off+1, &ix.V4, width)
+	at.v6 = locateLeaves(at.v4.end, &ix.V6, width)
+	at.res4 = at.v6.end
+	at.res6 = at.res4 + 4 + 4*len(ix.Resolvers4)
+	at.resTables = at.res6 + 4 + 16*len(ix.Resolvers6)
+	at.fallbacks = at.resTables + width*(len(ix.Resolvers4)+len(ix.Resolvers6))
+	return at
+}
+
+// handMade makes a snapshot of the given table count without a world or a
+// builder: two deployments, a head per table ranking both and one tail,
+// IPv4 leaves in two runs, one IPv6 leaf, and an IPv4 and two IPv6
+// resolvers, the last table read by the first leaf of each family, the
+// IPv4 resolver and the client fallback. It is the cheapest layout of
+// more tables than a u16 numbers.
+func handMade(tables int) (*cdn.Platform, *mapping.Snapshot) {
+	p := &cdn.Platform{}
+	for i := range 2 {
+		d := &cdn.Deployment{ID: uint64(i + 1), Name: fmt.Sprint("d", i), Country: "US"}
+		d.AddServer(uint64(i+1), netip.AddrFrom4([4]byte{10, 0, 0, byte(i + 1)}), 1)
+		p.Deployments = append(p.Deployments, d)
+	}
+	col := func(ts ...int32) mapping.TableColumn {
+		if tables > mapping.MaxNarrowTables {
+			c := mapping.TableColumn{Wide: make([]uint32, len(ts))}
+			for i, t := range ts {
+				c.Wide[i] = uint32(t)
+			}
+			return c
+		}
+		c := mapping.TableColumn{Narrow: make([]uint16, len(ts))}
+		for i, t := range ts {
+			c.Narrow[i] = uint16(t)
+		}
+		return c
+	}
+	last := int32(tables - 1)
+	ix := &mapping.Index{
+		// 10.0.0.0/24 spans the family, 10.0.1.0/24 nothing but itself,
+		// 10.1.0.0/24 the /16 it alone is in.
+		V4:            mapping.Leaves[uint32]{Runs: []uint32{0x0a0000, 0x0a0100}, RunLeaf: []uint32{0, 2}, Spans: []uint8{24, 0, 8}, Table: col(last, 0, 1)},
+		V6:            mapping.Leaves[uint64]{Runs: []uint64{0x20010db80000}, RunLeaf: []uint32{0}, Spans: []uint8{48}, Table: col(last)},
+		Resolvers4:    []uint32{0x0a000035},
+		Resolvers6:    [][2]uint64{{0x20010db800000000, 0x53}, {0x20010db800000000, 0x54}},
+		ResolverTable: col(last, 0, 1),
+	}
+	lay := &mapping.Layout{NParts: tables, Index: ix, TableLen: 2, TailLen: 2, Tails: 1,
+		SegTail: make([]int32, tables), FallbackClient: last}
+	// Head t ranks deployment t%2 first, the tail deployment 0.
+	order := make([]uint16, 2*(tables+1))
+	for i := range order {
+		order[i] = uint16(i%2) ^ uint16(i/2%2)
+	}
+	order[2*tables], order[2*tables+1] = 0, 1
+	return p, mapping.NewSnapshot(1, 1, mapping.EndUser, time.Minute, lay, p, order, make([]float32, 2*tables))
+}
+
+// TestTableWidthsRoundTrip: a layout of 65 535 tables keeps its table
+// numbers as u16s and one of 65 536 as u32s, in memory and on the wire;
+// either image decodes to a snapshot every client and resolver of which
+// reads the row it read before, the last table's included, and re-encodes
+// byte for byte.
+func TestTableWidthsRoundTrip(t *testing.T) {
+	for _, tables := range []int{mapping.MaxNarrowTables, mapping.MaxNarrowTables + 1} {
+		p, sn := handMade(tables)
+		c := NewCodec(p)
+		image, err := c.EncodeFull(sn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		width := tableWidth(uint32(tables))
+		if got := int(image[headerSize+rosterSize(p)]); got != width {
+			t.Fatalf("%d tables: the image declares %d-byte table numbers, want %d", tables, got, width)
+		}
+		dec, err := c.Decode(image, nil)
+		if err != nil {
+			t.Fatalf("%d tables: %v", tables, err)
+		}
+		if ix := dec.Layout().Index; (ix.V4.Table.Wide != nil) != (width == 4) || (ix.ResolverTable.Narrow != nil) != (width == 2) {
+			t.Fatalf("%d tables: decoded the table columns at the other width", tables)
+		}
+		for _, q := range []string{"10.0.0.0/24", "10.0.1.0/24", "10.1.0.0/24", "10.0.0.0/8", "2001:db8::/48", "2001::/16"} {
+			g, gok := dec.ClientRow(netip.MustParsePrefix(q))
+			w, wok := sn.ClientRow(netip.MustParsePrefix(q))
+			if gok != wok || !wok || !slices.Equal(g.Head, w.Head) || !slices.Equal(g.Tail, w.Tail) {
+				t.Fatalf("%d tables: client %s reads %v (found %v), built %v", tables, q, g, gok, w)
+			}
+		}
+		for _, a := range []string{"10.0.0.53", "::ffff:10.0.0.53", "2001:db8::53", "2001:db8::54"} {
+			g, gok := dec.ResolverRow(netip.MustParseAddr(a))
+			w, wok := sn.ResolverRow(netip.MustParseAddr(a))
+			if gok != wok || !wok || !slices.Equal(g.Head, w.Head) {
+				t.Fatalf("%d tables: resolver %s reads %v (found %v), built %v", tables, a, g, gok, w)
+			}
+		}
+		if again, err := c.EncodeFull(dec); err != nil || !bytes.Equal(again, image) {
+			t.Fatalf("%d tables: the re-encoded image differs (err %v)", tables, err)
+		}
+	}
+}
+
 // TestColumnsRoundTripSwapped runs the big-endian path on this host: with
-// wireOrder's swap forced, an image carries every order entry with its two
-// bytes swapped and every score with its four reversed, and nothing else
-// moves; decoded with the swap still forced, it gives back both columns.
+// wireOrder's swap forced, an image carries every word of every column —
+// the index's run keys, run starts, tables and IPv4 resolvers, the order
+// entries and the scores — with its bytes reversed, and nothing else
+// moves; decoded with the swap still forced, it gives back the index and
+// both row columns.
 func TestColumnsRoundTripSwapped(t *testing.T) {
 	w, p := fixture()
 	sn := mapping.NewSnapshotBuilder(w, p, netmodel.NewDefault(), fixCfg).Build(1, mapping.EndUser)
@@ -593,16 +770,29 @@ func TestColumnsRoundTripSwapped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The columns end the body, the scores last.
+	// The row columns end the body, the scores last.
 	scores := len(plain) - trailerSize - lay.Tables()*lay.TableLen*scoreSize
 	order := scores - lay.ArenaLen()*orderSize
 	want := slices.Clone(plain[:len(plain)-trailerSize])
-	for i := order; i < scores; i += orderSize {
-		slices.Reverse(want[i : i+orderSize])
+	reverse := func(from, to, width int) {
+		for i := from; i < to; i += width {
+			slices.Reverse(want[i : i+width])
+		}
 	}
-	for i := scores; i < len(want); i += scoreSize {
-		slices.Reverse(want[i : i+scoreSize])
+	ix := lay.Index
+	at := locate(headerSize+rosterSize(p), ix, 2)
+	for _, f := range []struct {
+		at  leafColumns
+		key int
+	}{{at.v4, 4}, {at.v6, 8}} {
+		reverse(f.at.keys, f.at.firsts, f.key)
+		reverse(f.at.firsts, f.at.leaves, 4)
+		reverse(f.at.tables, f.at.end, 2)
 	}
+	reverse(at.res4+4, at.res6, 4)
+	reverse(at.resTables, at.fallbacks, 2)
+	reverse(order, scores, orderSize)
+	reverse(scores, len(want), scoreSize)
 	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(want, castagnoli))
 	if !bytes.Equal(swapped, want) {
 		t.Fatal("the swapped image is not the plain one with every column word reversed")
@@ -611,6 +801,9 @@ func TestColumnsRoundTripSwapped(t *testing.T) {
 	dec, err := c.Decode(swapped, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dec.Layout().Index, ix) {
+		t.Fatal("the index decoded from the swapped image differs from the encoded one")
 	}
 	for i := 0; i < lay.Rows(); i++ {
 		if !slices.Equal(dec.RowOrder(i), sn.RowOrder(i)) {
@@ -702,29 +895,46 @@ func TestDecodeDeltaBaseMismatch(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotWire drives the decoder with mutated wire images. The
-// invariants: a clean image round-trips byte-identically through
-// decode → re-encode, and any single-byte corruption is rejected with
-// an error — never a panic, never a silently-wrong snapshot (the
-// checksum trailer covers every preceding byte).
+// FuzzSnapshotWire drives the decoder with mutated wire images: the
+// fixture's, and one of a world with 30 % IPv6 blocks (seed 17), so IPv6
+// runs are exercised too. The invariants: a clean image round-trips
+// byte-identically through decode → re-encode, and any single-byte
+// corruption is rejected with an error — never a panic, never a
+// silently-wrong snapshot (the checksum trailer covers every preceding
+// byte).
 func FuzzSnapshotWire(f *testing.F) {
 	w, p := fixture()
-	sn := mapping.NewSnapshotBuilder(w, p, netmodel.NewDefault(), fixCfg).Build(1, mapping.EndUser)
-	c := NewCodec(p)
-	clean, err := c.EncodeFull(sn)
-	if err != nil {
-		f.Fatal(err)
+	w6 := world.MustGenerate(world.Config{Seed: 17, NumBlocks: 2500, IPv6Fraction: 0.3})
+	p6 := cdn.MustGenerateUniverse(w6, cdn.Config{Seed: 17, NumDeployments: 200})
+	type image struct {
+		c     *Codec
+		clean []byte
+	}
+	var images []image
+	for _, wp := range []struct {
+		w *world.World
+		p *cdn.Platform
+	}{{w, p}, {w6, p6}} {
+		c := NewCodec(wp.p)
+		clean, err := c.EncodeFull(mapping.NewSnapshotBuilder(wp.w, wp.p, netmodel.NewDefault(), fixCfg).Build(1, mapping.EndUser))
+		if err != nil {
+			f.Fatal(err)
+		}
+		images = append(images, image{c, clean})
 	}
 
-	f.Add(uint32(0), byte(0))
-	f.Add(uint32(5), byte(1))
-	f.Add(uint32(headerSize), byte(0xff))
-	f.Add(uint32(len(clean)-1), byte(0x80))
-	f.Fuzz(func(t *testing.T, pos uint32, xor byte) {
-		data := append([]byte(nil), clean...)
+	for which := range images {
+		f.Add(uint8(which), uint32(0), byte(0))
+		f.Add(uint8(which), uint32(5), byte(1))
+		f.Add(uint8(which), uint32(headerSize), byte(0xff))
+		f.Add(uint8(which), uint32(len(images[which].clean)-1), byte(0x80))
+	}
+	f.Fuzz(func(t *testing.T, which uint8, pos uint32, xor byte) {
+		img := images[int(which)%len(images)]
+		data := append([]byte(nil), img.clean...)
 		i := int(pos) % len(data)
 		data[i] ^= xor
-		dec, err := c.Decode(data, nil)
+		dec, err := img.c.Decode(data, nil)
 		if xor != 0 {
 			if err == nil {
 				t.Fatalf("corrupt image (flip %#x at %d) decoded successfully", xor, i)
@@ -734,11 +944,11 @@ func FuzzSnapshotWire(f *testing.F) {
 		if err != nil {
 			t.Fatalf("clean image failed to decode: %v", err)
 		}
-		again, err := c.EncodeFull(dec)
+		again, err := img.c.EncodeFull(dec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(again, clean) {
+		if !bytes.Equal(again, img.clean) {
 			t.Fatal("re-encode differs from the original image")
 		}
 	})

@@ -63,9 +63,15 @@ func (w *writer) roster(p *cdn.Platform) {
 	}
 }
 
-// putColumn appends a row column — deployment indexes or scores — as one
-// copy of its memory, in wire order.
-func putColumn[E uint16 | float32](w *writer, col []E) {
+// column is the element type of a column written and read as one copy of
+// its memory: an index column's keys, spans or tables, or a row column's
+// deployment indexes or scores.
+type column interface {
+	uint8 | uint16 | uint32 | uint64 | float32
+}
+
+// putColumn appends a column as one copy of its memory, in wire order.
+func putColumn[E column](w *writer, col []E) {
 	b, width := columnBytes(col)
 	start := len(w.b)
 	w.b = append(w.b, b...)
@@ -81,7 +87,7 @@ var hostBigEndian = func() bool {
 
 // columnBytes views a column's memory as bytes, without copying, and
 // returns the width of its words.
-func columnBytes[E uint16 | float32](col []E) ([]byte, int) {
+func columnBytes[E column](col []E) ([]byte, int) {
 	var e E
 	width := int(unsafe.Sizeof(e))
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(col))), len(col)*width), width
@@ -157,6 +163,13 @@ func (r *reader) expect(want []byte) bool {
 	return true
 }
 
+func (r *reader) u8() uint8 {
+	if !r.read(r.buf[:1]) {
+		return 0
+	}
+	return r.buf[0]
+}
+
 func (r *reader) u32() uint32 {
 	if !r.read(r.buf[:4]) {
 		return 0
@@ -223,9 +236,9 @@ func (r *reader) i32s(n int) []int32 {
 	return out
 }
 
-// readColumn reads a row column of n words straight into the memory it
-// will be served from.
-func readColumn[E uint16 | float32](r *reader, n uint64) []E {
+// readColumn reads a column of n words straight into the memory it will
+// be served from.
+func readColumn[E column](r *reader, n uint64) []E {
 	var e E
 	if n == 0 || !r.fits(n, int(unsafe.Sizeof(e))) {
 		return nil
@@ -239,13 +252,14 @@ func readColumn[E uint16 | float32](r *reader, n uint64) []E {
 	return out
 }
 
-// readOrder reads an order column of n deployment indexes, checking every
-// index against the platform's nDeps.
-func readOrder(r *reader, n uint64, nDeps int) []uint16 {
-	out := readColumn[uint16](r, n)
-	for _, d := range out {
-		if int(d) >= nDeps {
-			r.err = fmt.Errorf("%w: deployment index %d of %d", ErrFormat, d, nDeps)
+// readBelow reads a column of n indexes into a list of limit things — an
+// order column's deployments, an index column's tables — refusing one
+// that is not below limit.
+func readBelow[E uint16 | uint32](r *reader, n uint64, limit uint32, what string) []E {
+	out := readColumn[E](r, n)
+	for _, v := range out {
+		if uint32(v) >= limit {
+			r.err = fmt.Errorf("%w: %s index %d of %d", ErrFormat, what, v, limit)
 			return nil
 		}
 	}
@@ -269,30 +283,4 @@ func (r *reader) finish() error {
 		return fmt.Errorf("%w: got %08x want %08x", ErrChecksum, r.crc, want)
 	}
 	return nil
-}
-
-// FNV-1a, matching the constants used across the repo.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnvHasher accumulates u64 words and strings; PlatformFingerprint uses it.
-type fnvHasher struct{ sum uint64 }
-
-func newFNV() *fnvHasher { return &fnvHasher{sum: fnvOffset64} }
-
-func (h *fnvHasher) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.sum ^= (v >> (8 * i)) & 0xff
-		h.sum *= fnvPrime64
-	}
-}
-
-func (h *fnvHasher) str(s string) {
-	h.u64(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h.sum ^= uint64(s[i])
-		h.sum *= fnvPrime64
-	}
 }
