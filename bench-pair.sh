@@ -20,9 +20,10 @@
 # also prints each timing against a control, a layer the change did not
 # touch (CONTROL, default dnsmsg.unpack_ns): each change run divided by
 # that pair's change/base ratio of the control, its median, wins and IQR
-# verdict. The control can only demote: a raw verdict beyond the IQR whose
-# scaled one is not, in the same direction, reads "machine"; an unresolved
-# raw verdict stays unresolved however the scaled one reads. Every run's output is kept under
+# verdict, then the verdict that stands. The control can only demote: a
+# raw verdict beyond the IQR whose scaled one is not, in the same
+# direction, stands as "machine"; any other raw verdict stands as it is,
+# however the scaled one reads. Every run's output is kept under
 # .bench_build/pair/<workload>-seed<seed>-trace<trace>/, so a traced set and
 # an untraced one of the same workload do not overwrite each other. Nothing
 # under bench/ is edited.
@@ -137,7 +138,7 @@ function verdict(diff, base, iqr) {
 END {
 	scaling = trace == 1 && (("base", 1, control) in val)
 	printf "%-34s %-32s %-32s %-7s %-36s", "metric", "base median [q1..q3]", "change median [q1..q3]", "wins", "medians vs base IQR"
-	if (scaling) printf " %-12s %-7s %s", "scaled med", "wins", "scaled by " control " (only demotes)"
+	if (scaling) printf " %-12s %-7s %-36s %s", "scaled med", "wins", "scaled by " control, "verdict"
 	printf "\n"
 	for (m = 1; m <= metrics; m++) {
 		name = order[m]
@@ -156,11 +157,11 @@ END {
 			summary("scaled", name, s)
 			won = wins("scaled", name)
 			sdiff = s["med"] - b["med"]
-			final = verdict(sdiff, b["med"], iqr)
-			if (raw ~ /beyond/ && !(final ~ /beyond/ && (sdiff < 0) == (diff < 0))) final = "machine"
-			else if (raw !~ /beyond/) final = raw
-			printf " %-12s %-7s %s", sprintf("%.6g", s["med"]), sprintf("%d/%d", won, decided), final
-		}
+			scaled = verdict(sdiff, b["med"], iqr)
+			stands = raw
+			if (raw ~ /beyond/ && !(scaled ~ /beyond/ && (sdiff < 0) == (diff < 0))) stands = "machine"
+			printf " %-12s %-7s %-36s %s", sprintf("%.6g", s["med"]), sprintf("%d/%d", won, decided), scaled, stands
+		} else if (scaling) printf " %-12s %-7s %-36s %s", "-", "-", "-", raw
 		printf "\n"
 	}
 }' "$root/BENCHMARK.json" "$runs/values.txt"

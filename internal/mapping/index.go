@@ -334,18 +334,18 @@ func (ix *Index) Prefixes(n int) []netip.Prefix {
 // memoryBytes is the resident size of the index arrays.
 func (ix *Index) memoryBytes() uint64 {
 	return ix.V4.memoryBytes() + ix.V6.memoryBytes() +
-		columnBytes(ix.Resolvers4) + columnBytes(ix.Resolvers6) + ix.ResolverTable.memoryBytes()
+		residentBytes(ix.Resolvers4) + residentBytes(ix.Resolvers6) + ix.ResolverTable.memoryBytes()
 }
 
 func (l *Leaves[K]) memoryBytes() uint64 {
-	return columnBytes(l.Runs) + columnBytes(l.RunLeaf) + columnBytes(l.Spans) + l.Table.memoryBytes()
+	return residentBytes(l.Runs) + residentBytes(l.RunLeaf) + residentBytes(l.Spans) + l.Table.memoryBytes()
 }
 
-func (c TableColumn) memoryBytes() uint64 { return columnBytes(c.Narrow) + columnBytes(c.Wide) }
+func (c TableColumn) memoryBytes() uint64 { return residentBytes(c.Narrow) + residentBytes(c.Wide) }
 
-// columnBytes is the resident size of a column: its capacity times its
+// residentBytes is the resident size of a column: its capacity times its
 // element's size.
-func columnBytes[E any](col []E) uint64 {
+func residentBytes[E any](col []E) uint64 {
 	var e E
 	return uint64(cap(col)) * uint64(unsafe.Sizeof(e))
 }

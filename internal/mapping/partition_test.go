@@ -188,7 +188,8 @@ func TestSnapshotMemoryAccounting(t *testing.T) {
 		t.Fatal("zero memory accounting")
 	}
 	// The per-endpoint cost of everything but the target-bounded arena
-	// chain — the index (8 bytes a v4 leaf, 20 a resolver), the table maps
+	// chain — the index (3 bytes a v4 leaf and its share of its run's 8, 6
+	// an IPv4 resolver), the table maps
 	// and the row headers — must be a few bytes per endpoint.
 	arena := uint64(sn.lay.ArenaLen())*uint64(unsafe.Sizeof(uint16(0))) +
 		uint64(sn.lay.Tables()*sn.lay.TableLen)*uint64(unsafe.Sizeof(float32(0)))

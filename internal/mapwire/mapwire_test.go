@@ -430,8 +430,8 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		}
 		return img
 	}
-	// cut keeps the first n bytes of an image and seals them; put and put16
-	// patch a field of a copy and seal it.
+	// cut keeps the first n bytes of an image and seals them; put, put16,
+	// put64 and patch overwrite a field of a copy and seal it.
 	cut := func(img []byte, n int) []byte {
 		out := slices.Clone(img[:n])
 		return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
@@ -454,11 +454,6 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 	patch := func(img []byte, off int, b []byte) []byte {
 		out := slices.Clone(img)
 		copy(out[off:], b)
-		return cut(out, len(out)-trailerSize)
-	}
-	put8 := func(img []byte, off int, v uint8) []byte {
-		out := slices.Clone(img)
-		out[off] = v
 		return cut(out, len(out)-trailerSize)
 	}
 	// The IPv4 leaves the span cases patch: one that a better leaf outranks
@@ -524,8 +519,8 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"a server readdressed", put(full, d0Servers+4+8+12, binary.LittleEndian.Uint32(full[d0Servers+4+8+12:])^1), nil, ErrFormat},
 		{"a server's capacity changed", put(full, d0Servers+4+24+4, binary.LittleEndian.Uint32(full[d0Servers+4+24+4:])^1), nil, ErrFormat},
 		{"narrow table numbers in an image of 65 536 tables", put(full, 60, mapping.MaxNarrowTables+1), nil, ErrFormat},
-		{"wide table numbers in an image of fewer tables", put8(full, at.width, 4), nil, ErrFormat},
-		{"3-byte table numbers", put8(full, at.width, 3), nil, ErrFormat},
+		{"wide table numbers in an image of fewer tables", patch(full, at.width, []byte{4}), nil, ErrFormat},
+		{"3-byte table numbers", patch(full, at.width, []byte{3}), nil, ErrFormat},
 		{"IPv4 runs overlap", put(full, run1, key0), nil, ErrFormat},
 		{"IPv4 runs touch", put(full, run1, key0+uint32(hi0-lo0)), nil, ErrFormat},
 		{"IPv4 runs descend", put(full, run1, key0-1), nil, ErrFormat},
@@ -537,9 +532,9 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"an IPv6 run outside 48 bits", put64(full, v6.keys, ix.V6.Runs[0]|1<<56), nil, ErrFormat},
 		{"leaf table past the tables", put16(full, v4.tables, uint16(tables)), nil, ErrFormat},
 		{"IPv6 leaf table past the tables", put16(full, v6.tables, 0xffff), nil, ErrFormat},
-		{"leaf span wider than its family", put8(full, v4.spans, 25), nil, ErrFormat},
-		{"two leaves span one group", put8(full, v4.spans+outranked, ix.V4.Spans[outranked]+1), nil, ErrFormat},
-		{"no leaf spans the family", put8(full, v4.spans+winner, 0), nil, ErrFormat},
+		{"leaf span wider than its family", patch(full, v4.spans, []byte{25}), nil, ErrFormat},
+		{"two leaves span one group", patch(full, v4.spans+outranked, []byte{ix.V4.Spans[outranked] + 1}), nil, ErrFormat},
+		{"no leaf spans the family", patch(full, v4.spans+winner, []byte{0}), nil, ErrFormat},
 		{"resolvers unsorted", put(full, at.res4+8, ix.Resolvers4[0]), nil, ErrFormat},
 		{"resolver table past the tables", put16(full, at.resTables, uint16(tables)), nil, ErrFormat},
 		{"endpoints miscounted", put(full, 68, uint32(ix.Len()+1)), nil, ErrFormat},
