@@ -71,14 +71,14 @@
 // takes two bytes in an image of at most 65 535 tables and four past it;
 // the decoder refuses any other width. Every table a leaf, a resolver or
 // a fallback names is one of the T, and every tail a table names one of
-// the N. P counts the partitions the
-// publisher clustered its universe into; serving never reads a partition,
-// so none travels. Leaves rank by block demand, highest first, ties to the
-// lower network, and a leaf's span (0..24 for IPv4, 0..48 for IPv6) is the
-// widest s at which it ranks first among the leaves sharing its network
-// above the low s bits: a query coarser than a leaf is answered by the one
-// leaf spanning it, and the decoder refuses leaves unless every aligned
-// group at every level holds exactly one.
+// the N. P counts the partitions the publisher clustered its universe
+// into; serving never reads a partition, so none travels. Leaves rank by
+// block demand, highest first, ties to the lower network, and a leaf's
+// span (0..24 for IPv4, 0..48 for IPv6) is the widest s at which it ranks
+// first among the leaves sharing its network above the low s bits: a
+// query coarser than a leaf is answered by the one leaf spanning it, and
+// the decoder refuses leaves unless every aligned group at every level
+// holds exactly one.
 //
 // Delta body (patches the snapshot of the header's lineage at the base
 // epoch, under the header's layout fingerprint):
