@@ -18,7 +18,7 @@
 # compares the per-layer metrics of traced runs instead) come from the
 # environment. A per-layer timing swings with the machine, so a traced set
 # also prints each timing against a control, a layer the change did not
-# touch (CONTROL, default dnsmsg.unpack_ns): each change run divided by
+# touch (dnsmsg.unpack_ns): each change run divided by
 # that pair's change/base ratio of the control, its median, wins and IQR
 # verdict, then the verdict that stands. The control can only demote: a
 # raw verdict beyond the IQR whose scaled one is not, in the same
@@ -34,7 +34,6 @@ pairs=${3:-10}
 seed=${SEED:-1}
 seconds=${SECONDS_OF_LOAD:-20}
 trace=${TRACE:-0}
-control=${CONTROL:-dnsmsg.unpack_ns}
 if ! [[ $pairs =~ ^[0-9]+$ ]] || [ "$pairs" -eq 0 ] || [ $((pairs % 2)) != 0 ]; then
 	echo "bench-pair: PAIRS must be a positive even number, got '$pairs': each side goes first in half the pairs" >&2
 	exit 2
@@ -100,7 +99,7 @@ for side in base change; do
 done >"$runs/values.txt"
 
 echo "$workload, seed $seed, $seconds s, trace $trace: $pairs pairs of $(git -C "$root" rev-parse --short "$commit") (base) against this tree (change)"
-awk -v pairs="$pairs" -v trace="$trace" -v control="$control" '
+awk -v pairs="$pairs" -v trace="$trace" '
 function quantile(v, n, p,    h, lo) { # v[1..n] ascending
 	h = (n - 1) * p + 1; lo = int(h)
 	return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
@@ -111,7 +110,7 @@ function summary(side, name, out,    n, i, j, t, v) {
 	for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
 	out["med"] = quantile(v, n, 0.5); out["q1"] = quantile(v, n, 0.25); out["q3"] = quantile(v, n, 0.75)
 }
-BEGIN { better["oracle_correct"] = "higher" }
+BEGIN { better["oracle_correct"] = "higher"; control = "dnsmsg.unpack_ns" }
 FNR == NR { # BENCHMARK.json: a "name" line, then the "better" line of the same entry
 	if ($0 ~ /"name":/) { name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name) }
 	if ($0 ~ /"better":/) better[name] = ($0 ~ /higher/) ? "higher" : "lower"

@@ -81,9 +81,19 @@ func (l *Leaves[K]) Span(i int) int { return int(l.Spans[i]) }
 // u16s.
 const MaxNarrowTables = math.MaxUint16
 
-// TableColumn holds a table number per entry, in the width the layout's
-// table count fits: Narrow when it has at most MaxNarrowTables tables,
-// Wide past that. An empty column may leave both nil.
+// TableWidth is the bytes a table number takes in a layout of the given
+// table count, in a TableColumn and in a wire image alike: 2 up to
+// MaxNarrowTables, 4 past it.
+func TableWidth(tables int) int {
+	if tables > MaxNarrowTables {
+		return 4
+	}
+	return 2
+}
+
+// TableColumn holds a table number per entry, in the width TableWidth
+// gives the layout's table count: Narrow for 2 bytes, Wide for 4. An
+// empty column may leave both nil.
 type TableColumn struct {
 	Narrow []uint16
 	Wide   []uint32
@@ -92,7 +102,7 @@ type TableColumn struct {
 // newTableColumn returns a column of n entries for a layout of the given
 // table count.
 func newTableColumn(n, tables int) TableColumn {
-	if tables > MaxNarrowTables {
+	if TableWidth(tables) == 4 {
 		return TableColumn{Wide: make([]uint32, n)}
 	}
 	return TableColumn{Narrow: make([]uint16, n)}

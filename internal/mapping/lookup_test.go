@@ -158,7 +158,7 @@ func blockIn(ix *Index, w *world.World, p netip.Prefix) (*world.ClientBlock, boo
 // brute-force scan — highest demand, ties to the lowest key — on a v4-only
 // Small world and on one with 30 % IPv6 blocks.
 func TestLeafSpansNameGroupBest(t *testing.T) {
-	for name, w := range map[string]*world.World{"v4": smallLab().World, "mixed": v6World} {
+	for name, w := range map[string]*world.World{"v4": smallWorld(), "mixed": v6World} {
 		ix := blockIndex(w)
 		groups := checkSpans(t, name+" IPv4", w, &ix.V4, v4UnitBits) +
 			checkSpans(t, name+" IPv6", w, &ix.V6, v6UnitBits)

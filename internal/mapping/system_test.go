@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math/rand/v2"
 	"net/netip"
 	"slices"
 	"sync"
@@ -403,23 +404,33 @@ type lab struct {
 	Net      *netmodel.Model
 }
 
-// smallLab is the figures' Small lab universe — seed 1, 4 000 blocks, 400
-// deployments of 8 servers — built on first use, for the benchmarks.
-var smallLab = sync.OnceValue(func() lab {
-	w := world.MustGenerate(world.Config{Seed: 1, NumBlocks: 4000})
-	p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 1, NumDeployments: 400, ServersPerDeployment: 8})
+// smallWorld is the figures' Small lab world — seed 1, 4 000 blocks —
+// built on first use.
+var smallWorld = sync.OnceValue(func() *world.World {
+	return world.MustGenerate(world.Config{Seed: 1, NumBlocks: 4000})
+})
+
+// coldWideLab is the cold_wide benchmark's universe — seed 1, 50 000
+// blocks, 600 deployments — built on first use, for BenchmarkMappingMap.
+var coldWideLab = sync.OnceValue(func() lab {
+	w := world.MustGenerate(world.Config{Seed: 1, NumBlocks: 50000})
+	p := cdn.MustGenerateUniverse(w, cdn.Config{Seed: 1, NumDeployments: 600})
 	return lab{World: w, Platform: p, Net: netmodel.NewDefault()}
 })
 
-// BenchmarkMappingMap times the map's answer as the server asks for it:
-// MapInto against the installed snapshot, the servers picked into a
-// scratch array on the stack. At beta=0 the pick walks the order alone; at
+// BenchmarkMappingMap times the map's answer as the server asks for it, on
+// cold_wide's map (5 000 ping targets, 50-mile partitions): MapInto
+// against the installed snapshot, the servers picked into a scratch array
+// on the stack. Each operation asks for the next of every IPv4 block's
+// subnet in a fixed shuffled order, so the index is searched across all
+// its keys, as cold_wide's queries search it, and not for one key whose
+// path the caches keep. At beta=0 the pick walks the order alone; at
 // beta=2 it weighs the first live head entries by their stored scores and
-// load, with every deployment half loaded. The ecs=/20 case asks with the
+// load, with every deployment half loaded. The ecs=/20 case asks with each
 // block's /20, a truncated ECS source the index answers by finding the
 // highest-demand leaf inside it.
 func BenchmarkMappingMap(b *testing.B) {
-	l := smallLab()
+	l := coldWideLab()
 	for _, bc := range []struct {
 		name string
 		beta float64
@@ -427,7 +438,7 @@ func BenchmarkMappingMap(b *testing.B) {
 	}{{"beta=0", 0, 24}, {"beta=2", 2, 24}, {"ecs=/20", 0, 20}} {
 		b.Run(bc.name, func(b *testing.B) {
 			sys := NewSystem(l.World, l.Platform, l.Net, Config{
-				Policy: EndUser, PingTargets: 800, BalanceFactor: bc.beta,
+				Policy: EndUser, PingTargets: 5000, PartitionMiles: 50, BalanceFactor: bc.beta,
 			})
 			if bc.beta > 0 {
 				for _, d := range l.Platform.Deployments {
@@ -437,17 +448,26 @@ func BenchmarkMappingMap(b *testing.B) {
 				}
 				defer l.Platform.ResetLoad()
 			}
-			blk := l.World.Blocks[0]
-			subnet, err := blk.Prefix.Addr().Prefix(bc.bits)
-			if err != nil || !blk.Prefix.Addr().Is4() {
-				b.Fatalf("block %v has no IPv4 /%d: %v", blk.Prefix, bc.bits, err)
+			var reqs []Request
+			for _, blk := range l.World.Blocks {
+				if !blk.Prefix.Addr().Is4() {
+					continue
+				}
+				subnet, err := blk.Prefix.Addr().Prefix(bc.bits)
+				if err != nil {
+					b.Fatal(err)
+				}
+				reqs = append(reqs, Request{Domain: "bench.net", LDNS: blk.LDNS.Addr, ClientSubnet: subnet})
 			}
-			req := Request{Domain: "bench.net", LDNS: blk.LDNS.Addr, ClientSubnet: subnet}
+			if len(reqs) == 0 {
+				b.Fatal("the lab has no IPv4 block")
+			}
+			rand.New(rand.NewPCG(1, 2)).Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var scratch [ServersPerAnswer]*cdn.Server
-				if _, err := sys.MapInto(nil, req, scratch[:0]); err != nil {
+				if _, err := sys.MapInto(nil, reqs[i%len(reqs)], scratch[:0]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -48,7 +48,6 @@
 //	    u64 id, u64 latitude bits, u64 longitude bits, u32 ASN,
 //	    u32 n + n bytes name, u32 n + n bytes country,
 //	    u32 S ≥ 1, then S × (u64 server id, 16-byte address, u64 capacity bits)
-//	u8 W                   table number width: 2 when T ≤ 65 535, else 4
 //	u32 R4, then R4 × u32 /24 network, then R4 × u32 leaf    IPv4 runs: first key, first leaf
 //	u32 N4, then N4 × u8 span, then N4 × W table             IPv4 leaves, in key order
 //	u32 R6, then R6 × u64 /48 network, then R6 × u32 leaf    IPv6 runs
@@ -68,8 +67,8 @@
 // ascend, and each begins more than one key past the one before. An IPv4
 // resolver travels as its four bytes read as a big-endian number, an IPv6
 // one as its 16 network-order bytes, never IPv4-mapped. A table number
-// takes two bytes in an image of at most 65 535 tables and four past it;
-// the decoder refuses any other width. Every table a leaf, a resolver or
+// takes W bytes: two in an image of at most 65 535 tables, four past it;
+// T fixes W, so no field declares it. Every table a leaf, a resolver or
 // a fallback names is one of the T, and every tail a table names one of
 // the N. P counts the partitions the publisher clustered its universe
 // into; serving never reads a partition, so none travels. Leaves rank by
@@ -277,10 +276,10 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 	}
 	ix := lay.Index
 	roster := c.roster()
-	width := tableWidth(uint32(lay.Tables()))
+	width := mapping.TableWidth(lay.Tables())
 	size := headerSize +
 		len(roster) +
-		1 + leavesSize(&ix.V4, width) + leavesSize(&ix.V6, width) +
+		leavesSize(&ix.V4, width) + leavesSize(&ix.V6, width) +
 		4 + 4*len(ix.Resolvers4) + 4 + 16*len(ix.Resolvers6) + width*(len(ix.Resolvers4)+len(ix.Resolvers6)) +
 		4 + 4 + // fallback tables
 		4*len(lay.SegTail) +
@@ -291,7 +290,6 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 	w := newWriter(size)
 	c.putHeader(w, sn, KindFull, 0)
 	w.raw(roster)
-	w.u8(uint8(width))
 	putLeaves(w, &ix.V4)
 	putLeaves(w, &ix.V6)
 	w.u32(uint32(len(ix.Resolvers4)))
@@ -316,15 +314,6 @@ func (c *Codec) EncodeFull(sn *mapping.Snapshot) ([]byte, error) {
 		putColumn(w, sn.HeadScores(i))
 	}
 	return w.finish(), nil
-}
-
-// tableWidth is the bytes a table number takes in an image of the given
-// table count: two up to mapping.MaxNarrowTables, four past it.
-func tableWidth(tables uint32) int {
-	if tables > mapping.MaxNarrowTables {
-		return 4
-	}
-	return 2
 }
 
 // leavesSize is the encoded size of one family's leaves.
@@ -585,15 +574,12 @@ func repeated(ids []uint64) (uint64, bool) {
 }
 
 // readIndex reads and validates a full image's block index: table
-// numbers in the width the image's table count takes and each one of its
-// tables, leaves as maximal runs of keys inside their family's space, one
-// leaf spanning each group of leaves at every level, and resolvers
+// numbers, in the width the image's table count takes, each one of its
+// tables; leaves as maximal runs of keys inside their family's space, one
+// leaf spanning each group of leaves at every level; and resolvers
 // strictly ascending, none of the IPv6 ones IPv4-mapped.
 func readIndex(r *reader, h Header) (*mapping.Index, error) {
-	width := int(r.u8())
-	if want := tableWidth(h.Tables); r.err == nil && width != want {
-		return nil, fmt.Errorf("%w: %d-byte table numbers, an image of %d tables takes %d", ErrFormat, width, h.Tables, want)
-	}
+	width := mapping.TableWidth(int(h.Tables))
 	ix := &mapping.Index{}
 	ix.V4 = readLeaves[uint32](r, width, h.Tables)
 	ix.V6 = readLeaves[uint64](r, width, h.Tables)

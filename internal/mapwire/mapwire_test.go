@@ -519,8 +519,6 @@ func TestDecodeRejectsHostileImages(t *testing.T) {
 		{"a server readdressed", put(full, d0Servers+4+8+12, binary.LittleEndian.Uint32(full[d0Servers+4+8+12:])^1), nil, ErrFormat},
 		{"a server's capacity changed", put(full, d0Servers+4+24+4, binary.LittleEndian.Uint32(full[d0Servers+4+24+4:])^1), nil, ErrFormat},
 		{"narrow table numbers in an image of 65 536 tables", put(full, 60, mapping.MaxNarrowTables+1), nil, ErrFormat},
-		{"wide table numbers in an image of fewer tables", patch(full, at.width, []byte{4}), nil, ErrFormat},
-		{"3-byte table numbers", patch(full, at.width, []byte{3}), nil, ErrFormat},
 		{"IPv4 runs overlap", put(full, run1, key0), nil, ErrFormat},
 		{"IPv4 runs touch", put(full, run1, key0+uint32(hi0-lo0)), nil, ErrFormat},
 		{"IPv4 runs descend", put(full, run1, key0-1), nil, ErrFormat},
@@ -636,14 +634,13 @@ func locateLeaves[K uint32 | uint64](off int, l *mapping.Leaves[K], width int) l
 
 // indexColumns locates a full image's index, which starts at off.
 type indexColumns struct {
-	width                            int
 	v4, v6                           leafColumns
 	res4, res6, resTables, fallbacks int
 }
 
 func locate(off int, ix *mapping.Index, width int) indexColumns {
-	at := indexColumns{width: off}
-	at.v4 = locateLeaves(off+1, &ix.V4, width)
+	var at indexColumns
+	at.v4 = locateLeaves(off, &ix.V4, width)
 	at.v6 = locateLeaves(at.v4.end, &ix.V6, width)
 	at.res4 = at.v6.end
 	at.res6 = at.res4 + 4 + 4*len(ix.Resolvers4)
@@ -713,9 +710,10 @@ func TestTableWidthsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		width := tableWidth(uint32(tables))
-		if got := int(image[headerSize+rosterSize(p)]); got != width {
-			t.Fatalf("%d tables: the image declares %d-byte table numbers, want %d", tables, got, width)
+		width := mapping.TableWidth(tables)
+		at := locate(headerSize+rosterSize(p), sn.Layout().Index, width)
+		if got := int32(binary.LittleEndian.Uint32(image[at.fallbacks+4:])); got != int32(tables-1) {
+			t.Fatalf("%d tables: read at %d-byte table numbers, the client fallback is %d, want %d", tables, width, got, tables-1)
 		}
 		dec, err := c.Decode(image, nil)
 		if err != nil {
